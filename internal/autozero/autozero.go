@@ -307,6 +307,7 @@ type trieNode struct {
 	connect    []int
 	disconnect []int
 	label      int32
+	check      []int // bound depths a count-only leaf corrects for
 	branches   []*trieBranch
 }
 
@@ -339,6 +340,7 @@ func (t *trie) insert(pl *plan.Plan, idx int) {
 				connect:    pl.Connect[i],
 				disconnect: pl.Disconnect[i],
 				label:      pl.Pattern.Label(pl.Order[i]),
+				check:      engine.Unconnected(nil, i, pl.Connect[i]),
 			}
 			*nodes = append(*nodes, node)
 		}
@@ -362,7 +364,7 @@ func (t *trie) insert(pl *plan.Plan, idx int) {
 
 type azWorker struct {
 	g          graph.Adjacency // per-worker view (see graph.Adjacency)
-	volatile   bool            // rows are scratch-backed; see candidates
+	pins       engine.Pins     // adjacency rows of the bound prefix
 	instrument bool
 	st         engine.Stats
 	sst        setops.Stats
@@ -372,8 +374,6 @@ type azWorker struct {
 	match      []uint32
 	bufA       [][]uint32
 	bufB       [][]uint32
-	connV      []uint32 // scratch: data vertices behind a loop's connect
-	discV      []uint32 // scratch: data vertices behind a loop's disconnect
 
 	// arena backs the uint32 scratch above and the setops tile kernels;
 	// drawn from the package pool per execution and released at merge, so
@@ -404,19 +404,18 @@ func newAZWorker(g graph.Adjacency, patterns, maxDepth, maxDeg int, instrument b
 	ar := setops.GetArena()
 	w := &azWorker{
 		g:          g.View(),
-		volatile:   g.VolatileRows(),
 		instrument: instrument,
 		levels:     make([]engine.LevelStats, maxDepth),
 		counts:     make([]uint64, patterns),
 		match:      ar.AllocN(maxDepth),
 		bufA:       make([][]uint32, maxDepth),
 		bufB:       make([][]uint32, maxDepth),
-		connV:      ar.Alloc(maxDepth),
-		discV:      ar.Alloc(maxDepth),
 		arena:      ar,
 		wins:       make([][]azWindow, maxDepth),
 	}
 	w.sst.Scratch = ar
+	w.pins.Reset(w.g, maxDepth)
+	w.pins.Bind(w.match)
 	for i := 0; i < maxDepth; i++ {
 		w.bufA[i] = ar.Alloc(maxDeg)
 		w.bufB[i] = ar.Alloc(maxDeg)
@@ -427,6 +426,7 @@ func newAZWorker(g graph.Adjacency, patterns, maxDepth, maxDeg int, instrument b
 // release returns the worker's arena to the package pool; the worker must
 // not be used afterwards.
 func (w *azWorker) release() {
+	w.pins.Release()
 	w.sst.Scratch = nil
 	w.arena.Release()
 	w.arena = nil
@@ -537,7 +537,6 @@ func (w *azWorker) exec(node *trieNode, depth int) {
 // materialize the shared set once and then count each branch's window
 // arithmetically.
 func (w *azWorker) execLeaf(node *trieNode, depth int) {
-	bound := w.match[:depth]
 	if len(node.branches) == 1 {
 		br := node.branches[0]
 		var t0 time.Time
@@ -546,17 +545,8 @@ func (w *azWorker) execLeaf(node *trieNode, depth int) {
 		}
 		lo, hi := branchWindow(br, w.match)
 		if f, ok := engine.LevelFilter(w.g, lo, hi, node.label); ok {
-			cv := w.connV[:0]
-			for _, j := range node.connect {
-				cv = append(cv, w.match[j])
-			}
-			dv := w.discV[:0]
-			for _, j := range node.disconnect {
-				dv = append(dv, w.match[j])
-			}
-			w.connV, w.discV = cv, dv
 			var n uint64
-			n, w.bufA[depth], w.bufB[depth] = engine.CountExtensions(w.g, cv, dv, f, bound, w.bufA[depth], w.bufB[depth], &w.sst)
+			n, w.bufA[depth], w.bufB[depth] = w.pins.CountExtensions(node.connect, node.disconnect, node.check, f, w.bufA[depth], w.bufB[depth], &w.sst)
 			for _, idx := range br.enders {
 				w.counts[idx] += n
 			}
@@ -584,8 +574,8 @@ func (w *azWorker) execLeaf(node *trieNode, depth int) {
 			continue
 		}
 		n := setops.CountF(cands, f, &w.sst)
-		for _, u := range bound {
-			if f.Pass(u) && setops.Contains(cands, u) {
+		for _, j := range node.check {
+			if u := w.match[j]; f.Pass(u) && setops.Contains(cands, u) {
 				n--
 			}
 		}
@@ -624,33 +614,8 @@ func (w *azWorker) candidates(node *trieNode, depth int) []uint32 {
 	if w.instrument {
 		t0 = time.Now()
 	}
-	base := node.connect[0]
-	for _, j := range node.connect[1:] {
-		if w.g.Degree(w.match[j]) < w.g.Degree(w.match[base]) {
-			base = j
-		}
-	}
-	cur := w.g.Neighbors(w.match[base])
-	out, spare := w.bufA[depth], w.bufB[depth]
-	for _, j := range node.connect {
-		if j == base {
-			continue
-		}
-		cur = engine.IntersectNeighbors(w.g, out, cur, w.match[j], &w.sst)
-		out, spare = spare, cur
-	}
-	for _, j := range node.disconnect {
-		cur = engine.DifferenceNeighbors(w.g, out, cur, w.match[j], &w.sst)
-		out, spare = spare, cur
-	}
-	if w.volatile && len(node.connect) == 1 && len(node.disconnect) == 0 {
-		// No set operation ran, so cur is still the raw decoded row — but
-		// exec retains it across the whole subtree recursion, far beyond
-		// the view's row lifetime. Pin it into the worker's scratch.
-		cur = append(out[:0], cur...)
-		out, spare = spare, cur
-	}
-	w.bufA[depth], w.bufB[depth] = out, spare
+	var cur []uint32
+	cur, w.bufA[depth], w.bufB[depth] = w.pins.Candidates(node.connect, node.disconnect, w.bufA[depth], w.bufB[depth], &w.sst)
 	if w.instrument {
 		w.st.SetOpTime += time.Since(t0)
 	}

@@ -426,6 +426,7 @@ func (e *Engine) run(ctx context.Context, g graph.Adjacency, p *pattern.Pattern,
 type bjWorker struct {
 	id         int
 	g          graph.Adjacency // per-worker view (see graph.Adjacency)
+	pins       engine.Pins     // adjacency rows of the current prefix
 	pl         *plan.Plan
 	level      int
 	last       bool
@@ -443,7 +444,7 @@ type bjWorker struct {
 	bufA     []uint32
 	bufB     []uint32
 	byVertex []uint32
-	connV    []uint32 // scratch: data vertices behind Connect[level]
+	check    []int // last stage: prefix positions the count corrects for
 	label    int32
 
 	// arena backs the candidate buffers (sized to the graph's max degree
@@ -469,17 +470,19 @@ func newBJWorker(id int, g graph.Adjacency, pl *plan.Plan, level, batchSize int,
 		bufA:       ar.Alloc(g.MaxDegree()),
 		bufB:       ar.Alloc(g.MaxDegree()),
 		byVertex:   make([]uint32, k),
-		connV:      ar.Alloc(k),
+		check:      engine.Unconnected(nil, level, pl.Connect[level]),
 		label:      pl.Pattern.Label(pl.Order[level]),
 		arena:      ar,
 	}
 	w.sst.Scratch = ar
+	w.pins.Reset(w.g, level)
 	return w
 }
 
 // release returns the worker's arena to the package pool; the worker must
 // not be used afterwards.
 func (w *bjWorker) release() {
+	w.pins.Release()
 	w.sst.Scratch = nil
 	w.arena.Release()
 	w.arena = nil
@@ -493,10 +496,13 @@ func (w *bjWorker) process(b *batch) {
 }
 
 // extend computes the candidates for one prefix and either counts, emits
-// matches, or appends extended tuples to the output batch.
+// matches, or appends extended tuples to the output batch. Consecutive
+// tuples of a batch mostly share their leading positions, whose pinned
+// rows carry over from one prefix to the next.
 func (w *bjWorker) extend(prefix []uint32) {
 	i := w.level
 	conn := w.pl.Connect[i]
+	w.pins.Bind(prefix)
 	if w.last && w.visit == nil {
 		// Counting fast path: the last stage never materializes its
 		// candidate set — the final set operation runs count-only with the
@@ -517,13 +523,8 @@ func (w *bjWorker) extend(prefix []uint32) {
 			}
 		}
 		if f, ok := engine.LevelFilter(w.g, lo, hi, w.label); ok {
-			cv := w.connV[:0]
-			for _, j := range conn {
-				cv = append(cv, prefix[j])
-			}
-			w.connV = cv
 			var n uint64
-			n, w.bufA, w.bufB = engine.CountExtensions(w.g, cv, nil, f, prefix, w.bufA, w.bufB, &w.sst)
+			n, w.bufA, w.bufB = w.pins.CountExtensions(conn, nil, w.check, f, w.bufA, w.bufB, &w.sst)
 			w.count += n
 			// Count-only stage: the candidate set is never materialized,
 			// so n stands in for both fields (see engine.Stats.Levels).
@@ -539,22 +540,8 @@ func (w *bjWorker) extend(prefix []uint32) {
 	if w.instrument {
 		t0 = time.Now()
 	}
-	base := conn[0]
-	for _, j := range conn[1:] {
-		if w.g.Degree(prefix[j]) < w.g.Degree(prefix[base]) {
-			base = j
-		}
-	}
-	cur := w.g.Neighbors(prefix[base])
-	out, spare := w.bufA, w.bufB
-	for _, j := range conn {
-		if j == base {
-			continue
-		}
-		cur = engine.IntersectNeighbors(w.g, out, cur, prefix[j], &w.sst)
-		out, spare = spare, cur
-	}
-	w.bufA, w.bufB = out, spare
+	var cur []uint32
+	cur, w.bufA, w.bufB = w.pins.Candidates(conn, nil, w.bufA, w.bufB, &w.sst)
 	if w.instrument {
 		w.st.SetOpTime += time.Since(t0)
 	}

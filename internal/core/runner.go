@@ -357,12 +357,12 @@ func (r *Runner) finishRun(rc *obs.RunContext, st *RunStats, err error) {
 	}
 }
 
-// attributeStorage prepares a run's storage-tier attribution scope:
-// volatile (decoding) tiers are wrapped so every view the engines create
-// routes its decode counters into a fresh per-run sink. Stable tiers
+// attributeStorage prepares a run's storage-tier attribution scope: the
+// decoding tier is wrapped so every view the engines create routes its
+// decode counters into a fresh per-run sink. Tiers that decode nothing
 // pass through with a nil sink.
 func attributeStorage(g graph.Adjacency) (graph.Adjacency, *graph.DecodeCounters) {
-	if g == nil || !g.VolatileRows() {
+	if _, decodes := g.(*graph.CompressedGraph); !decodes {
 		return g, nil
 	}
 	sink := &graph.DecodeCounters{}

@@ -6,30 +6,176 @@ import (
 	"morphing/internal/setops"
 )
 
-// Adaptive set-operation entry points shared by every engine model. Each
-// routes one candidate-set operation against the adjacency of a data
-// vertex through the best available kernel: bitmap probes when the vertex
-// is an indexed hub (graph.EnableHubIndex), otherwise the merge/gallop
-// dispatch inside internal/setops. Keeping the dispatch here — next to the
-// graph, which owns the hub index — lets the backtracking executor,
-// AutoZero's schedule trie and BigJoin's dataflow stages share one policy.
-
-// IntersectNeighbors intersects cur with the adjacency list of u into
-// dst[:0]. cur must be sorted duplicate-free; the result is too.
-func IntersectNeighbors(g graph.Adjacency, dst, cur []uint32, u uint32, st *setops.Stats) []uint32 {
-	if bits := g.HubBits(u); bits != nil {
-		return setops.IntersectBits(dst, cur, bits, st)
-	}
-	return setops.Intersect(dst, cur, g.Neighbors(u), st)
+// Pinned rows and the adaptive set-operation entry points shared by every
+// engine model.
+//
+// An executor binds one data vertex per depth and then uses that vertex's
+// adjacency row at every deeper level. Pins makes the reuse explicit: one
+// worker keeps one pinned row per bound depth, fetched on first use and
+// tagged with its vertex, so a row is fetched once per binding however
+// many levels intersect against it — and not at all when a depth is
+// re-bound to the vertex it already held. On plain CSR a pin is the CSR
+// alias; on a decoding tier it is a decode into a buffer the pin owns
+// (graph.Adjacency.Row), which grows to the largest degree it has held.
+// A pinned row stays valid while its depth stays bound, which is exactly
+// as long as any deeper level can hold on to it, so executors retain
+// rows across their candidate loops without copying.
+//
+// Each entry point routes one candidate-set operation against a pinned
+// row through the best available kernel: bitmap probes when the vertex is
+// an indexed hub (graph.EnableHubIndex), otherwise the merge/gallop
+// dispatch inside internal/setops. Keeping the dispatch here — next to
+// the graph, which owns the hub index — lets the backtracking executor,
+// the trie executor, AutoZero's schedule trie and BigJoin's dataflow
+// stages share one policy. Depths are positions in the executor's match
+// prefix throughout.
+type Pins struct {
+	g     graph.Adjacency // the worker's view
+	match []uint32        // the executor's prefix: match[j] is bound at depth j
+	pins  []pin
+	hits  uint64 // pinned-row edge probes not yet reported to the view
 }
 
-// DifferenceNeighbors subtracts the adjacency list of u from cur into
-// dst[:0].
-func DifferenceNeighbors(g graph.Adjacency, dst, cur []uint32, u uint32, st *setops.Stats) []uint32 {
-	if bits := g.HubBits(u); bits != nil {
+type pin struct {
+	v   uint32
+	ok  bool     // row is v's row
+	row []uint32 // CSR alias or buf
+	buf []uint32 // decode buffer; stays nil on plain CSR
+}
+
+// probeHitCounter is implemented by views that account edge probes
+// (graph's compressed view): a probe answered from a pinned row decodes
+// nothing, which is what graph.DecodeStats calls a probe hit.
+type probeHitCounter interface{ CountProbeHits(n uint64) }
+
+// Reset prepares the pins for an execution over g (the worker's own
+// view) with the given number of depths, dropping every pinned row but
+// keeping the decode buffers for reuse.
+func (p *Pins) Reset(g graph.Adjacency, depths int) {
+	p.g = g
+	if cap(p.pins) < depths {
+		p.pins = append(p.pins[:cap(p.pins)], make([]pin, depths-cap(p.pins))...)
+	}
+	p.pins = p.pins[:depths]
+	for i := range p.pins {
+		p.pins[i].ok = false
+	}
+}
+
+// Bind points the pins at the executor's match prefix. Executors that
+// bind depths in place (match[j] = v) call it once; BigJoin calls it per
+// prefix tuple. Pins whose depth still holds the same vertex stay valid.
+func (p *Pins) Bind(match []uint32) { p.match = match }
+
+// Release reports the probe hits to the view and drops every reference
+// to the graph and the prefix, so a pooled worker pins neither.
+func (p *Pins) Release() {
+	if c, ok := p.g.(probeHitCounter); ok && p.hits > 0 {
+		c.CountProbeHits(p.hits)
+	}
+	p.hits = 0
+	p.g, p.match = nil, nil
+	all := p.pins[:cap(p.pins)]
+	for i := range all {
+		all[i].ok, all[i].row = false, nil
+	}
+}
+
+// Row returns the adjacency row of the vertex bound at depth j. It is
+// valid until depth j is bound to another vertex.
+func (p *Pins) Row(j int) []uint32 {
+	pn := &p.pins[j]
+	if v := p.match[j]; !pn.ok || pn.v != v {
+		pn.row, pn.buf = p.g.Row(v, pn.buf)
+		pn.v, pn.ok = v, true
+	}
+	return pn.row
+}
+
+// adjacent reports whether the vertices bound at depths a and b are
+// adjacent, by binary search in a pinned row: b's — callers pass a depth
+// whose row the level's set operations already fetched — or a's when
+// that one is pinned too and shorter. Nothing is decoded for the probe.
+func (p *Pins) adjacent(a, b int) bool {
+	row, x := p.Row(b), p.match[a]
+	if pa := &p.pins[a]; pa.ok && pa.v == x && len(pa.row) < len(row) {
+		row, x = pa.row, p.match[b]
+	}
+	p.hits++
+	return setops.Contains(row, x)
+}
+
+// IntersectNeighbors intersects cur with the adjacency row of the vertex
+// bound at depth j into dst[:0]. cur must be sorted duplicate-free; the
+// result is too.
+func (p *Pins) IntersectNeighbors(dst, cur []uint32, j int, st *setops.Stats) []uint32 {
+	if bits := p.g.HubBits(p.match[j]); bits != nil {
+		return setops.IntersectBits(dst, cur, bits, st)
+	}
+	return setops.Intersect(dst, cur, p.Row(j), st)
+}
+
+// DifferenceNeighbors subtracts the adjacency row of the vertex bound at
+// depth j from cur into dst[:0].
+func (p *Pins) DifferenceNeighbors(dst, cur []uint32, j int, st *setops.Stats) []uint32 {
+	if bits := p.g.HubBits(p.match[j]); bits != nil {
 		return setops.DifferenceBits(dst, cur, bits, st)
 	}
-	return setops.Difference(dst, cur, g.Neighbors(u), st)
+	return setops.Difference(dst, cur, p.Row(j), st)
+}
+
+// IntersectCountF counts the elements of cur adjacent to the vertex bound
+// at depth j that pass f, without materializing them.
+func (p *Pins) IntersectCountF(cur []uint32, j int, f setops.Filter, st *setops.Stats) uint64 {
+	if bits := p.g.HubBits(p.match[j]); bits != nil {
+		return setops.IntersectBitsCountF(cur, bits, f, st)
+	}
+	return setops.IntersectCountF(cur, p.Row(j), f, st)
+}
+
+// DifferenceCountF counts the elements of cur not adjacent to the vertex
+// bound at depth j that pass f, without materializing them.
+func (p *Pins) DifferenceCountF(cur []uint32, j int, f setops.Filter, st *setops.Stats) uint64 {
+	if bits := p.g.HubBits(p.match[j]); bits != nil {
+		return setops.DifferenceBitsCountF(cur, bits, f, st)
+	}
+	return setops.DifferenceCountF(cur, p.Row(j), f, st)
+}
+
+// Candidates materializes the vertices adjacent to every vertex bound at
+// the conn depths and to none bound at the disc depths, starting from the
+// smallest conn row. conn must be non-empty. bufA and bufB are
+// worker-owned scratch, returned (possibly regrown) for reuse. With a
+// single conn depth and no disc depth no set operation runs and the
+// result is the pinned row itself, valid while that depth stays bound.
+func (p *Pins) Candidates(conn, disc []int, bufA, bufB []uint32, st *setops.Stats) (cur, a, b []uint32) {
+	base := p.smallest(conn)
+	cur = p.Row(base)
+	out, spare := bufA, bufB
+	for _, j := range conn {
+		if j == base {
+			continue
+		}
+		cur = p.IntersectNeighbors(out, cur, j, st)
+		out, spare = spare, cur
+	}
+	for _, j := range disc {
+		cur = p.DifferenceNeighbors(out, cur, j, st)
+		out, spare = spare, cur
+	}
+	return cur, out, spare
+}
+
+// smallest returns the conn depth whose bound vertex has the lowest
+// degree (the first such on ties).
+func (p *Pins) smallest(conn []int) int {
+	base := conn[0]
+	for _, j := range conn[1:] {
+		if p.g.Degree(p.match[j]) < p.g.Degree(p.match[base]) {
+			base = j
+		}
+	}
+	return base
 }
 
 // LevelFilter builds the fused count-only filter for one plan level: the
@@ -48,103 +194,109 @@ func LevelFilter(g graph.Adjacency, lo, hi uint32, want int32) (f setops.Filter,
 	return f, true
 }
 
-// CountExtensions counts the data vertices v that complete a partial
-// match at its final level — v adjacent to every vertex in conn,
-// non-adjacent to every vertex in disc, passing the filter, and distinct
-// from every already-bound vertex — without materializing the final
-// candidate set: all set operations but the last run through the adaptive
-// materializing kernels, and the last one (plus the window and label
-// filters) is count-only. With a single constraint the count is pure
-// window arithmetic, and when a pair of hub vertices closes the level it
-// is a word-parallel bitmap AND.
-//
-// conn must be non-empty. bufA and bufB are worker-owned scratch for the
-// intermediate sets; the (possibly regrown) buffers are returned for
-// reuse. bound may include the conn/disc vertices themselves — adjacency
-// probes exclude them naturally.
-func CountExtensions(g graph.Adjacency, conn, disc []uint32, f setops.Filter, bound []uint32, bufA, bufB []uint32, st *setops.Stats) (uint64, []uint32, []uint32) {
-	base := 0
-	for i := 1; i < len(conn); i++ {
-		if g.Degree(conn[i]) < g.Degree(conn[base]) {
-			base = i
+// Unconnected appends to dst the depths below depth that are not in conn:
+// the bound positions a count-only level has to correct for (see
+// CountExtensions). It depends on the plan alone, so executors resolve it
+// once per level at plan time.
+func Unconnected(dst []int, depth int, conn []int) []int {
+next:
+	for j := 0; j < depth; j++ {
+		for _, c := range conn {
+			if c == j {
+				continue next
+			}
 		}
+		dst = append(dst, j)
 	}
+	return dst
+}
 
+// CountExtensions counts the data vertices v that complete a partial
+// match at its final level — v adjacent to every vertex bound at the conn
+// depths, non-adjacent to every vertex bound at the disc depths, passing
+// the filter, and distinct from every already-bound vertex — without
+// materializing the final candidate set: all set operations but the last
+// run through the adaptive materializing kernels, and the last one (plus
+// the window and label filters) is count-only. With a single constraint
+// the count is pure window arithmetic, and when a pair of hub vertices
+// closes the level it is a word-parallel bitmap AND.
+//
+// conn must be non-empty. check lists the bound depths whose vertex the
+// kernels may have counted and that are subtracted here by adjacency
+// probes into pinned rows: every bound depth outside conn (Unconnected).
+// A conn vertex is not its own neighbor, so it is never counted and never
+// probed; a disc vertex is not its own neighbor either, so it does
+// qualify against itself and stays in check. bufA and bufB are
+// worker-owned scratch for the intermediate sets; the (possibly regrown)
+// buffers are returned for reuse.
+func (p *Pins) CountExtensions(conn, disc, check []int, f setops.Filter, bufA, bufB []uint32, st *setops.Stats) (uint64, []uint32, []uint32) {
+	g := p.g
 	var count uint64
 	switch {
 	case len(conn) == 1 && len(disc) == 0:
 		// No set operation at all: the count is window arithmetic over one
 		// adjacency list (plus a label scan on labeled levels).
-		count = setops.CountF(g.Neighbors(conn[0]), f, st)
-	case len(conn) == 2 && len(disc) == 0 && g.HubBits(conn[0]) != nil && g.HubBits(conn[1]) != nil:
-		count = setops.AndCountF(g.HubBits(conn[0]), g.HubBits(conn[1]), f, st)
+		count = setops.CountF(p.Row(conn[0]), f, st)
+	case len(conn) == 2 && len(disc) == 0 && g.HubBits(p.match[conn[0]]) != nil && g.HubBits(p.match[conn[1]]) != nil:
+		count = setops.AndCountF(g.HubBits(p.match[conn[0]]), g.HubBits(p.match[conn[1]]), f, st)
 	default:
 		// Materialize every operation except the last; the final operation
 		// is count-only with the window and label fused in.
+		base := p.smallest(conn)
 		lastConn := -1
 		if len(disc) == 0 {
 			for i := len(conn) - 1; i >= 0; i-- {
-				if i != base {
-					lastConn = i
+				if conn[i] != base {
+					lastConn = conn[i]
 					break
 				}
 			}
 		}
-		cur := g.Neighbors(conn[base])
+		cur := p.Row(base)
 		out, spare := bufA, bufB
-		for i, u := range conn {
-			if i == base || i == lastConn {
+		for _, j := range conn {
+			if j == base || j == lastConn {
 				continue
 			}
-			cur = IntersectNeighbors(g, out, cur, u, st)
+			cur = p.IntersectNeighbors(out, cur, j, st)
 			out, spare = spare, cur
 		}
 		for i := 0; i < len(disc)-1; i++ {
-			cur = DifferenceNeighbors(g, out, cur, disc[i], st)
+			cur = p.DifferenceNeighbors(out, cur, disc[i], st)
 			out, spare = spare, cur
 		}
 		bufA, bufB = out, spare
 		if len(disc) > 0 {
-			u := disc[len(disc)-1]
-			if bits := g.HubBits(u); bits != nil {
-				count = setops.DifferenceBitsCountF(cur, bits, f, st)
-			} else {
-				count = setops.DifferenceCountF(cur, g.Neighbors(u), f, st)
-			}
+			count = p.DifferenceCountF(cur, disc[len(disc)-1], f, st)
 		} else {
-			u := conn[lastConn]
-			if bits := g.HubBits(u); bits != nil {
-				count = setops.IntersectBitsCountF(cur, bits, f, st)
-			} else {
-				count = setops.IntersectCountF(cur, g.Neighbors(u), f, st)
-			}
+			count = p.IntersectCountF(cur, lastConn, f, st)
 		}
 	}
 
 	// The kernels counted any already-bound vertex that structurally
 	// qualifies; subtract them (a match may not reuse a vertex).
-	for _, u := range bound {
-		if !f.Pass(u) {
-			continue
-		}
-		ok := true
-		for _, c := range conn {
-			if !g.HasEdge(u, c) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			for _, d := range disc {
-				if g.HasEdge(u, d) {
-					ok = false
-					break
-				}
-			}
-		}
-		if ok {
+	for _, a := range check {
+		if f.Pass(p.match[a]) && p.qualifies(a, conn, disc) {
 			count--
 		}
 	}
 	return count, bufA, bufB
+}
+
+// qualifies reports whether the vertex bound at depth a is adjacent to
+// every vertex bound at the conn depths and to none bound at the disc
+// depths (a itself, when listed in disc, aside: no vertex is its own
+// neighbor).
+func (p *Pins) qualifies(a int, conn, disc []int) bool {
+	for _, c := range conn {
+		if !p.adjacent(a, c) {
+			return false
+		}
+	}
+	for _, d := range disc {
+		if d != a && p.adjacent(a, d) {
+			return false
+		}
+	}
+	return true
 }

@@ -5,6 +5,7 @@ import (
 
 	"morphing/internal/canon"
 	"morphing/internal/dataset"
+	"morphing/internal/graph"
 	"morphing/internal/pattern"
 	"morphing/internal/plan"
 	"morphing/internal/refmatch"
@@ -120,9 +121,15 @@ func TestBacktrackHubIndexMatchesOracle(t *testing.T) {
 }
 
 // CountExtensions must agree with materialize-then-filter for arbitrary
-// conn/disc/window/bound combinations, hub index on and off.
+// conn/disc/window/bound combinations, hub index on and off, on plain
+// CSR and on the compressed tier (where every row comes out of a pin's
+// decode buffer and every bound-vertex probe out of a pinned row).
 func TestCountExtensionsMatchesMaterialized(t *testing.T) {
 	g, err := dataset.ErdosRenyi(70, 10, 2, 21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := graph.Compress(g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,26 +174,46 @@ func TestCountExtensionsMatchesMaterialized(t *testing.T) {
 		{[]uint32{3}, nil, setops.Filter{Hi: ^uint32(0), Labels: g.Labels(), Want: 1}},
 		{[]uint32{3, 17}, []uint32{5}, setops.Filter{Lo: 4, Hi: 66, Labels: g.Labels(), Want: 0}},
 	}
-	for _, hub := range []bool{false, true} {
-		if hub {
-			g.EnableHubIndex(1)
-		} else {
-			g.DisableHubIndex()
-		}
+	run := func(name string, a graph.Adjacency) {
+		var pins Pins
 		bufA := make([]uint32, 0, g.MaxDegree())
 		bufB := make([]uint32, 0, g.MaxDegree())
 		for i, tc := range cases {
+			// The prefix: conn vertices, disc vertices, then two unrelated
+			// bound vertices; conn and disc are its leading depths.
 			bound := append(append([]uint32{}, tc.conn...), tc.disc...)
-			bound = append(bound, 0, 25) // unrelated bound vertices too
+			bound = append(bound, 0, 25)
+			var conn, disc []int
+			for j := range tc.conn {
+				conn = append(conn, j)
+			}
+			for j := range tc.disc {
+				disc = append(disc, len(tc.conn)+j)
+			}
+			pins.Reset(a.View(), len(bound))
+			pins.Bind(bound)
 			var st setops.Stats
 			var got uint64
-			got, bufA, bufB = CountExtensions(g, tc.conn, tc.disc, tc.f, bound, bufA, bufB, &st)
+			got, bufA, bufB = pins.CountExtensions(conn, disc, Unconnected(nil, len(bound), conn), tc.f, bufA, bufB, &st)
 			if want := reference(tc.conn, tc.disc, tc.f, bound); got != want {
-				t.Errorf("hub=%v case %d: CountExtensions=%d, reference=%d", hub, i, got, want)
+				t.Errorf("%s case %d: CountExtensions=%d, reference=%d", name, i, got, want)
 			}
 		}
 	}
+	run("plain", g)
+	g.EnableHubIndex(1)
+	run("plain+hub", g)
 	g.DisableHubIndex()
+	run("compressed", c)
+}
+
+func TestUnconnected(t *testing.T) {
+	if got := Unconnected(nil, 4, []int{0, 2}); len(got) != 2 || got[0] != 1 || got[1] != 3 {
+		t.Errorf("Unconnected(4, [0 2]) = %v, want [1 3]", got)
+	}
+	if got := Unconnected([]int{9}, 0, nil); len(got) != 1 {
+		t.Errorf("Unconnected must append to dst, got %v", got)
+	}
 }
 
 func TestLevelFilter(t *testing.T) {

@@ -325,7 +325,7 @@ func (e *btExec) run(w *btWorker) {
 type btWorker struct {
 	id         int
 	g          graph.Adjacency // per-worker view (see graph.Adjacency)
-	volatile   bool            // rows are scratch-backed; see candidates
+	pins       Pins            // adjacency rows of the bound prefix
 	pl         *plan.Plan
 	visit      Visitor
 	instrument bool
@@ -344,9 +344,8 @@ type btWorker struct {
 	byVertex []uint32 // data vertex bound to each pattern vertex
 	bufA     [][]uint32
 	bufB     [][]uint32
-	labels   []int32  // required label per level (pattern.Unlabeled = any)
-	connV    []uint32 // scratch: data vertices behind Connect[i]
-	discV    []uint32 // scratch: data vertices behind Disconnect[i]
+	labels   []int32 // required label per level (pattern.Unlabeled = any)
+	check    []int   // last level: bound depths countLast corrects for
 
 	// Pooling state. A pooled worker keeps its slab arena — and the
 	// prefix-set buffers carved from it — across executions, so a worker
@@ -391,8 +390,10 @@ func getBTWorker(id int, g graph.Adjacency, pl *plan.Plan, visit Visitor, instru
 	}
 	w.id = id
 	w.g = g.View()
-	w.volatile = g.VolatileRows()
+	w.pins.Reset(w.g, k)
+	w.pins.Bind(w.match)
 	w.pl = pl
+	w.check = Unconnected(w.check[:0], k-1, pl.Connect[k-1])
 	w.visit = visit
 	w.instrument = instrument
 	for i := 0; i < k; i++ {
@@ -429,8 +430,6 @@ func (w *btWorker) reshape(k, maxDeg int) {
 	w.bufA = make([][]uint32, k)
 	w.bufB = make([][]uint32, k)
 	w.labels = make([]int32, k)
-	w.connV = alloc(k)
-	w.discV = alloc(k)
 	for i := 0; i < k; i++ {
 		w.bufA[i] = alloc(maxDeg)
 		w.bufB[i] = alloc(maxDeg)
@@ -451,6 +450,7 @@ func (w *btWorker) resetStats() {
 // references so a pooled worker never pins a graph, plan or visitor.
 // NoArena workers are simply dropped for the GC to take.
 func (w *btWorker) release() {
+	w.pins.Release()
 	if w.arena == nil {
 		return
 	}
@@ -537,41 +537,15 @@ func (w *btWorker) descend(i int) {
 }
 
 // candidates computes the level-i candidate set from the plan's Connect
-// and Disconnect lists. The returned slice is scratch owned by the worker.
+// and Disconnect lists. The returned slice is worker scratch or a pinned
+// row of an earlier level, valid while the levels below i stay bound.
 func (w *btWorker) candidates(i int) []uint32 {
 	var t0 time.Time
 	if w.instrument {
 		t0 = time.Now()
 	}
-	conn := w.pl.Connect[i]
-	// Base: smallest adjacency list among connected back levels.
-	base := conn[0]
-	for _, j := range conn[1:] {
-		if w.g.Degree(w.match[j]) < w.g.Degree(w.match[base]) {
-			base = j
-		}
-	}
-	cur := w.g.Neighbors(w.match[base])
-	out, spare := w.bufA[i], w.bufB[i]
-	for _, j := range conn {
-		if j == base {
-			continue
-		}
-		cur = IntersectNeighbors(w.g, out, cur, w.match[j], &w.sst)
-		out, spare = spare, cur
-	}
-	for _, j := range w.pl.Disconnect[i] {
-		cur = DifferenceNeighbors(w.g, out, cur, w.match[j], &w.sst)
-		out, spare = spare, cur
-	}
-	if w.volatile && len(conn) == 1 && len(w.pl.Disconnect[i]) == 0 {
-		// No set operation ran, so cur is still the raw decoded row — but
-		// the caller retains it across the whole level-i loop, far beyond
-		// the view's row lifetime. Pin it into the worker's scratch.
-		cur = append(out[:0], cur...)
-		out, spare = spare, cur
-	}
-	w.bufA[i], w.bufB[i] = out, spare
+	var cur []uint32
+	cur, w.bufA[i], w.bufB[i] = w.pins.Candidates(w.pl.Connect[i], w.pl.Disconnect[i], w.bufA[i], w.bufB[i], &w.sst)
 	if w.instrument {
 		w.st.SetOpTime += time.Since(t0)
 	}
@@ -592,17 +566,8 @@ func (w *btWorker) countLast(i int) uint64 {
 	if !ok {
 		return 0 // labeled level on an unlabeled graph
 	}
-	cv := w.connV[:0]
-	for _, j := range w.pl.Connect[i] {
-		cv = append(cv, w.match[j])
-	}
-	dv := w.discV[:0]
-	for _, j := range w.pl.Disconnect[i] {
-		dv = append(dv, w.match[j])
-	}
-	w.connV, w.discV = cv, dv
 	var n uint64
-	n, w.bufA[i], w.bufB[i] = CountExtensions(w.g, cv, dv, f, w.match[:i], w.bufA[i], w.bufB[i], &w.sst)
+	n, w.bufA[i], w.bufB[i] = w.pins.CountExtensions(w.pl.Connect[i], w.pl.Disconnect[i], w.check, f, w.bufA[i], w.bufB[i], &w.sst)
 	if w.instrument {
 		w.st.SetOpTime += time.Since(t0)
 	}

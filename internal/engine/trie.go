@@ -236,10 +236,15 @@ func BacktrackTrieCtx(ctx context.Context, g graph.Adjacency, tr *plan.Trie, opt
 // constraints only. On the dense alternative sets morphing produces this
 // collapses a leaf's whole intersection chain into one count-only kernel
 // call against an already-small set — the dominant cost of a pass.
+//
+// check lists, for every node, the bound depths a count-only leaf corrects
+// for (Unconnected): a depth in the node's Connect can never be counted,
+// which is resolved here once rather than probed on every leaf execution.
 type trieExecInfo struct {
 	reuse     bool
 	extraConn []int
 	extraDisc []int
+	check     []int
 }
 
 // buildTrieExecInfo walks the trie once, marking every node whose
@@ -250,6 +255,7 @@ func buildTrieExecInfo(tr *plan.Trie) []trieExecInfo {
 	info := make([]trieExecInfo, tr.Nodes)
 	var rec func(n *plan.TrieNode)
 	rec = func(n *plan.TrieNode) {
+		info[n.ID].check = Unconnected(nil, n.Depth, n.Connect)
 		for _, b := range n.Branches {
 			for _, c := range b.Children {
 				if len(n.Connect) > 0 {
@@ -302,7 +308,7 @@ func subsetExtra(parent, child []int) (bool, []int) {
 type trieWorker struct {
 	id         int
 	g          graph.Adjacency // per-worker view (see graph.Adjacency)
-	volatile   bool            // rows are scratch-backed; see candidates
+	pins       Pins            // adjacency rows of the bound prefix
 	tr         *plan.Trie
 	info       []trieExecInfo
 	instrument bool
@@ -324,8 +330,6 @@ type trieWorker struct {
 	bufB  [][]uint32
 	raw   [][]uint32 // per-depth: last raw (pre-window) candidate set, for child reuse
 	wins  [][]trieWin
-	connV []uint32
-	discV []uint32
 
 	// Pooling state, mirroring btWorker: a pooled worker keeps its arena
 	// and the scratch carved from it, so reuse at the same shape allocates
@@ -371,7 +375,8 @@ func getTrieWorker(id int, g graph.Adjacency, tr *plan.Trie, info []trieExecInfo
 	}
 	w.id = id
 	w.g = g.View()
-	w.volatile = g.VolatileRows()
+	w.pins.Reset(w.g, d)
+	w.pins.Bind(w.match)
 	w.tr = tr
 	w.info = info
 	w.instrument = instrument
@@ -414,8 +419,6 @@ func (w *trieWorker) reshape(d, maxDeg, plans, nodes int) {
 	w.bufB = make([][]uint32, d)
 	w.raw = make([][]uint32, d)
 	w.wins = make([][]trieWin, d)
-	w.connV = alloc(d)
-	w.discV = alloc(d)
 	for i := 0; i < d; i++ {
 		w.bufA[i] = alloc(maxDeg)
 		w.bufB[i] = alloc(maxDeg)
@@ -425,6 +428,7 @@ func (w *trieWorker) reshape(d, maxDeg, plans, nodes int) {
 // release returns a pooled worker to the pool, dropping per-pass
 // references; NoArena workers are dropped for the GC.
 func (w *trieWorker) release() {
+	w.pins.Release()
 	if w.arena == nil {
 		return
 	}
@@ -554,7 +558,6 @@ func (w *trieWorker) exec(node *plan.TrieNode, depth int) {
 // (CountExtensions), while sibling branches materialize the shared set
 // once and count each branch's window arithmetically.
 func (w *trieWorker) execLeaf(node *plan.TrieNode, depth int) {
-	bound := w.match[:depth]
 	w.nodeEnters[node.ID]++
 	if len(node.Branches) == 1 {
 		br := node.Branches[0]
@@ -566,18 +569,9 @@ func (w *trieWorker) execLeaf(node *plan.TrieNode, depth int) {
 		if f, ok := LevelFilter(w.g, lo, hi, node.Label); ok {
 			var n uint64
 			if ei := &w.info[node.ID]; ei.reuse {
-				n = w.countFromParent(node, ei, depth, f)
+				n = w.countFromParent(ei, depth, f)
 			} else {
-				cv := w.connV[:0]
-				for _, j := range node.Connect {
-					cv = append(cv, w.match[j])
-				}
-				dv := w.discV[:0]
-				for _, j := range node.Disconnect {
-					dv = append(dv, w.match[j])
-				}
-				w.connV, w.discV = cv, dv
-				n, w.bufA[depth], w.bufB[depth] = CountExtensions(w.g, cv, dv, f, bound, w.bufA[depth], w.bufB[depth], &w.sst)
+				n, w.bufA[depth], w.bufB[depth] = w.pins.CountExtensions(node.Connect, node.Disconnect, ei.check, f, w.bufA[depth], w.bufB[depth], &w.sst)
 			}
 			for _, idx := range br.Leaves {
 				w.counts[idx] += n
@@ -632,8 +626,8 @@ func (w *trieWorker) execLeaf(node *plan.TrieNode, depth int) {
 		if f.Labels != nil {
 			n = setops.CountF(sub, f, &w.sst)
 		}
-		for _, u := range bound {
-			if f.Pass(u) && setops.Contains(sub, u) {
+		for _, j := range w.info[node.ID].check {
+			if u := w.match[j]; f.Pass(u) && setops.Contains(sub, u) {
 				n--
 			}
 		}
@@ -655,8 +649,9 @@ func (w *trieWorker) execLeaf(node *plan.TrieNode, depth int) {
 // last count-only with the window and label fused in (mirroring
 // CountExtensions), then subtract already-bound vertices — a bound vertex
 // was counted iff it passes the filter, sits in the parent set, and
-// satisfies the extra constraints, all O(log) probes.
-func (w *trieWorker) countFromParent(node *plan.TrieNode, ei *trieExecInfo, depth int, f setops.Filter) uint64 {
+// satisfies the extra constraints, all binary searches in rows the worker
+// already holds.
+func (w *trieWorker) countFromParent(ei *trieExecInfo, depth int, f setops.Filter) uint64 {
 	base := w.raw[depth-1]
 	var n uint64
 	nExtra := len(ei.extraConn) + len(ei.extraDisc)
@@ -666,53 +661,25 @@ func (w *trieWorker) countFromParent(node *plan.TrieNode, ei *trieExecInfo, dept
 		cur := base
 		out, spare := w.bufA[depth], w.bufB[depth]
 		for i, j := range ei.extraConn {
-			u := w.match[j]
 			if len(ei.extraDisc) == 0 && i == len(ei.extraConn)-1 {
-				if bits := w.g.HubBits(u); bits != nil {
-					n = setops.IntersectBitsCountF(cur, bits, f, &w.sst)
-				} else {
-					n = setops.IntersectCountF(cur, w.g.Neighbors(u), f, &w.sst)
-				}
+				n = w.pins.IntersectCountF(cur, j, f, &w.sst)
 				break
 			}
-			cur = IntersectNeighbors(w.g, out, cur, u, &w.sst)
+			cur = w.pins.IntersectNeighbors(out, cur, j, &w.sst)
 			out, spare = spare, cur
 		}
 		for i, j := range ei.extraDisc {
-			u := w.match[j]
 			if i == len(ei.extraDisc)-1 {
-				if bits := w.g.HubBits(u); bits != nil {
-					n = setops.DifferenceBitsCountF(cur, bits, f, &w.sst)
-				} else {
-					n = setops.DifferenceCountF(cur, w.g.Neighbors(u), f, &w.sst)
-				}
+				n = w.pins.DifferenceCountF(cur, j, f, &w.sst)
 				break
 			}
-			cur = DifferenceNeighbors(w.g, out, cur, u, &w.sst)
+			cur = w.pins.DifferenceNeighbors(out, cur, j, &w.sst)
 			out, spare = spare, cur
 		}
 		w.bufA[depth], w.bufB[depth] = out, spare
 	}
-	for _, u := range w.match[:depth] {
-		if !f.Pass(u) || !setops.Contains(base, u) {
-			continue
-		}
-		ok := true
-		for _, j := range ei.extraConn {
-			if !w.g.HasEdge(u, w.match[j]) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			for _, j := range ei.extraDisc {
-				if w.g.HasEdge(u, w.match[j]) {
-					ok = false
-					break
-				}
-			}
-		}
-		if ok {
+	for _, a := range ei.check {
+		if u := w.match[a]; f.Pass(u) && setops.Contains(base, u) && w.pins.qualifies(a, ei.extraConn, ei.extraDisc) {
 			n--
 		}
 	}
@@ -740,57 +707,31 @@ func trieWindow(br *plan.TrieBranch, match []uint32) (lo, hi uint32) {
 // Disconnect levels through the adaptive kernels. Nodes whose constraints
 // extend their parent's narrow the parent's raw set by the extra
 // constraints only, instead of rebuilding the intersection chain from
-// adjacency lists. The returned slice is scratch owned by the worker.
+// adjacency lists. The returned slice is worker scratch, the parent's raw
+// set or a pinned row — each valid through the node's subtree recursion,
+// during which the depths above stay bound and deeper levels use their
+// own scratch.
 func (w *trieWorker) candidates(node *plan.TrieNode, depth int) []uint32 {
 	var t0 time.Time
 	if w.instrument {
 		t0 = time.Now()
 	}
+	var cur []uint32
 	if ei := &w.info[node.ID]; ei.reuse {
-		cur := w.raw[depth-1]
+		cur = w.raw[depth-1]
 		out, spare := w.bufA[depth], w.bufB[depth]
 		for _, j := range ei.extraConn {
-			cur = IntersectNeighbors(w.g, out, cur, w.match[j], &w.sst)
+			cur = w.pins.IntersectNeighbors(out, cur, j, &w.sst)
 			out, spare = spare, cur
 		}
 		for _, j := range ei.extraDisc {
-			cur = DifferenceNeighbors(w.g, out, cur, w.match[j], &w.sst)
+			cur = w.pins.DifferenceNeighbors(out, cur, j, &w.sst)
 			out, spare = spare, cur
 		}
 		w.bufA[depth], w.bufB[depth] = out, spare
-		if w.instrument {
-			w.st.SetOpTime += time.Since(t0)
-		}
-		return cur
+	} else {
+		cur, w.bufA[depth], w.bufB[depth] = w.pins.Candidates(node.Connect, node.Disconnect, w.bufA[depth], w.bufB[depth], &w.sst)
 	}
-	base := node.Connect[0]
-	for _, j := range node.Connect[1:] {
-		if w.g.Degree(w.match[j]) < w.g.Degree(w.match[base]) {
-			base = j
-		}
-	}
-	cur := w.g.Neighbors(w.match[base])
-	out, spare := w.bufA[depth], w.bufB[depth]
-	for _, j := range node.Connect {
-		if j == base {
-			continue
-		}
-		cur = IntersectNeighbors(w.g, out, cur, w.match[j], &w.sst)
-		out, spare = spare, cur
-	}
-	for _, j := range node.Disconnect {
-		cur = DifferenceNeighbors(w.g, out, cur, w.match[j], &w.sst)
-		out, spare = spare, cur
-	}
-	if w.volatile && len(node.Connect) == 1 && len(node.Disconnect) == 0 {
-		// No set operation ran, so cur is still the raw decoded row — but
-		// callers retain it through the whole subtree recursion (exec
-		// stores it in w.raw[depth]), far beyond the view's row lifetime.
-		// Pin it into the worker's per-depth scratch.
-		cur = append(out[:0], cur...)
-		out, spare = spare, cur
-	}
-	w.bufA[depth], w.bufB[depth] = out, spare
 	if w.instrument {
 		w.st.SetOpTime += time.Since(t0)
 	}

@@ -21,14 +21,17 @@ import (
 // so any divergence is a decoder, format, or lifetime bug, never noise.
 
 // tierQueries is the differential workload: enough shared structure to
-// force the trie route, a vertex-induced member to force conversion,
-// and a labeled pattern when the graph is labeled.
+// force the trie route, vertex-induced members to force conversion,
+// 5-vertex patterns so three and four bound rows are live at once, and a
+// labeled pattern when the graph is labeled.
 func tierQueries(labeled bool) []*pattern.Pattern {
 	qs := []*pattern.Pattern{
 		pattern.Triangle(),
 		pattern.FourCycle().AsVertexInduced(),
 		pattern.FourStar().AsVertexInduced(),
 		pattern.TailedTriangle(),
+		pattern.House(),
+		pattern.Cycle(5).AsVertexInduced(),
 	}
 	if labeled {
 		shape := pattern.Triangle()
@@ -138,6 +141,8 @@ func TestTierDifferential(t *testing.T) {
 		{3, 70, 10, 0, 1}, // block size 1: every element its own block
 		{4, 25, 12, 2, 16},
 		{5, 90, 5, 0, 128}, // single-block rows
+		{6, 50, 8, 0, 2},   // block size 2: a head and one gap per block
+		{7, 35, 9, 3, 2},
 	} {
 		t.Run(fmt.Sprintf("s%d_n%d_l%d_b%d", tc.seed, tc.n, tc.labels, tc.block),
 			func(t *testing.T) {
@@ -151,6 +156,8 @@ func FuzzTierCounts(f *testing.F) {
 	f.Add(int64(1), uint8(40), uint8(6), uint8(0), uint8(8))
 	f.Add(int64(7), uint8(60), uint8(9), uint8(4), uint8(3))
 	f.Add(int64(9), uint8(30), uint8(14), uint8(2), uint8(1))
+	f.Add(int64(11), uint8(45), uint8(8), uint8(0), uint8(33)) // block size 2
+	f.Add(int64(13), uint8(25), uint8(10), uint8(3), uint8(1)) // block size 2, labeled
 	f.Fuzz(func(t *testing.T, seed int64, n, deg, labels, block uint8) {
 		nv := 10 + int(n)%100
 		d := float64(1 + int(deg)%12)

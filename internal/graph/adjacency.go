@@ -6,20 +6,29 @@ package graph
 // *CompressedGraph (heap- or mmap-backed) — so the engines, the runner
 // and the serving layer are storage-agnostic.
 //
-// Row lifetime contract: Neighbors returns the sorted adjacency row of a
-// vertex. On a plain *Graph the row aliases immutable CSR storage and is
-// valid forever. On a volatile implementation (VolatileRows() == true,
-// i.e. anything decoding into scratch) a returned row is only guaranteed
-// valid until the NEXT-but-one Neighbors call on the same handle; a
-// caller that needs a row to survive further Neighbors (or recursion)
-// must copy it into memory it owns. HasEdge never invalidates rows — it
-// decodes through a dedicated probe buffer.
+// Row lifetime contract: a row is either borrowed from the graph or
+// owned by the caller, never by the handle.
+//
+//   - Neighbors returns a row the caller may keep for as long as the
+//     graph stays open: plain CSR hands out an alias of its immutable
+//     storage, a decoding tier allocates a fresh slice per call. It is
+//     the cold-path form (whole-graph scans, tests, UDFs).
+//   - Row is the hot-path form: a decoding tier decodes into the buffer
+//     the caller passes and returns it (regrown when the row did not
+//     fit) both as the row and as the buffer to pass next time; plain
+//     CSR returns its alias and hands the buffer back untouched. The row
+//     is valid until the caller reuses or writes the returned buffer —
+//     the handle keeps no reference to it, so no other call on the
+//     handle (Row with another buffer, Neighbors, HasEdge) can
+//     invalidate it. Executors keep one such buffer per bound depth
+//     (engine.Pins), which is what makes a bound vertex's row decode
+//     once however many deeper levels intersect against it.
 //
 // Concurrency contract: the handle returned by View is NOT safe for
 // concurrent use; each worker goroutine must obtain its own view. The
 // underlying graph (the receiver View was called on) is immutable and
 // safe to share. A plain *Graph returns itself from View — its rows are
-// not scratch-backed, so sharing is free.
+// borrowed from immutable storage, so sharing is free.
 type Adjacency interface {
 	// NumVertices returns the number of vertices (IDs dense in [0, n)).
 	NumVertices() int
@@ -30,11 +39,14 @@ type Adjacency interface {
 	// MaxDegree returns the maximum vertex degree (engines size their
 	// scratch buffers from it, so it must not require a full decode).
 	MaxDegree() int
-	// Neighbors returns the sorted, duplicate-free adjacency row of v.
-	// See the row lifetime contract above.
+	// Neighbors returns the sorted, duplicate-free adjacency row of v as
+	// a slice the caller may keep (see the row lifetime contract above).
 	Neighbors(v uint32) []uint32
-	// HasEdge reports whether {u,v} is an edge. It never invalidates a
-	// row previously returned by Neighbors on the same handle.
+	// Row returns the sorted, duplicate-free adjacency row of v, decoded
+	// into buf where the tier decodes at all, plus the buffer to pass to
+	// the next Row call. buf may be nil. See the row lifetime contract.
+	Row(v uint32, buf []uint32) (row, next []uint32)
+	// HasEdge reports whether {u,v} is an edge.
 	HasEdge(u, v uint32) bool
 	// Labeled reports whether the graph carries vertex labels.
 	Labeled() bool
@@ -50,12 +62,9 @@ type Adjacency interface {
 	// without a hub index return nil for every vertex.
 	HubBits(v uint32) []uint64
 	// View returns a handle for one worker goroutine. Plain graphs
-	// return themselves; decoding tiers return a private-scratch decoder.
+	// return themselves; decoding tiers return a handle with a private
+	// probe buffer and decode counters.
 	View() Adjacency
-	// VolatileRows reports whether Neighbors rows are scratch-backed and
-	// subject to the row lifetime contract. Engines use it to decide
-	// whether a retained candidate set must be copied.
-	VolatileRows() bool
 }
 
 // Compile-time interface checks for every storage tier.
@@ -69,8 +78,10 @@ var (
 // handle is safe to share across workers.
 func (g *Graph) View() Adjacency { return g }
 
-// VolatileRows reports false: plain CSR rows are valid forever.
-func (g *Graph) VolatileRows() bool { return false }
+// Row returns the CSR alias of v's row and hands buf back untouched.
+func (g *Graph) Row(v uint32, buf []uint32) (row, next []uint32) {
+	return g.Neighbors(v), buf
+}
 
 // OrigIDs returns the stored vertex permutation mapping the current
 // (possibly renumbered) vertex IDs back to the IDs the graph was built

@@ -7,34 +7,28 @@ package graph
 // queries over the same compressed graph see only their own decode
 // work, while the process totals stay the sum over all scopes.
 //
-// Graphs whose rows are stable (plain CSR: VolatileRows() == false)
-// decode nothing, so they are returned unwrapped; likewise a nil sink.
+// Only the compressed tier decodes, so anything else is returned
+// unwrapped; likewise a nil sink.
 func WithDecodeAttribution(g Adjacency, sink *DecodeCounters) Adjacency {
-	if g == nil || sink == nil || !g.VolatileRows() {
+	c, decodes := g.(*CompressedGraph)
+	if !decodes || sink == nil {
 		return g
 	}
-	return &attributedGraph{Adjacency: g, sink: sink}
+	return &attributedGraph{CompressedGraph: c, sink: sink}
 }
 
-// attributedGraph delegates everything to the wrapped Adjacency except
-// View, which tags freshly created compressed views with the sink.
-// Calls on the wrapper itself (shared-object Neighbors/HasEdge) follow
-// the wrapped graph's unattributed shared path — engines do their
-// decode work through per-worker views, which is the path that counts.
+// attributedGraph delegates everything to the wrapped graph except View,
+// which tags freshly created views with the sink. Calls on the wrapper
+// itself (shared-object Neighbors/Row/HasEdge) follow the wrapped
+// graph's unattributed shared path — engines do their decode work
+// through per-worker views, which is the path that counts.
 type attributedGraph struct {
-	Adjacency
+	*CompressedGraph
 	sink *DecodeCounters
 }
 
 func (a *attributedGraph) View() Adjacency {
-	v := a.Adjacency.View()
-	if cv, ok := v.(*compressedView); ok {
-		cv.sink = a.sink
-		a.sink.track(cv)
-	}
-	return v
+	cv := &compressedView{g: a.CompressedGraph, sink: a.sink}
+	a.sink.track(cv)
+	return cv
 }
-
-// Unwrap returns the wrapped Adjacency, letting callers that need the
-// concrete tier (e.g. residency sampling) reach through the wrapper.
-func (a *attributedGraph) Unwrap() Adjacency { return a.Adjacency }

@@ -32,9 +32,10 @@ const DefaultBlockSize = 128
 // maxBlockSize bounds the per-vertex relative byte offsets to uint32.
 const maxBlockSize = 1 << 16
 
-// CompressedGraph is the compressed tier. It implements Adjacency; the
-// shared object's Neighbors allocates per call, so hot paths must take a
-// per-worker View (a *compressedView decoding into reusable scratch).
+// CompressedGraph is the compressed tier. It implements Adjacency;
+// Neighbors allocates per call, so hot paths decode through Row into
+// buffers they own, on a per-worker View (which adds a private probe
+// buffer and batched decode counters).
 type CompressedGraph struct {
 	nv        int
 	ne        uint64
@@ -54,6 +55,7 @@ type CompressedGraph struct {
 	backing *mapping // non-nil when the arrays alias an mmap'd file
 
 	probePool sync.Pool // block-decode buffers for the shared HasEdge
+	sum       summaryMemo
 }
 
 // Compress encodes g into the compressed tier. blockSize <= 0 selects
@@ -177,85 +179,88 @@ func (c *CompressedGraph) HubBits(uint32) []uint64 { return nil }
 // or nil when the graph was never renumbered.
 func (c *CompressedGraph) OrigIDs() []uint32 { return c.orig }
 
-// VolatileRows reports true: rows are decoded into scratch.
-func (c *CompressedGraph) VolatileRows() bool { return true }
-
-// View returns a per-worker decoder with private scratch. The receiver
-// stays shared and immutable.
+// View returns a per-worker handle with a private probe buffer and
+// decode counters. The receiver stays shared and immutable.
 func (c *CompressedGraph) View() Adjacency {
 	return &compressedView{g: c}
 }
 
 // Neighbors decodes the full row of v into a freshly allocated slice.
-// It is correct but allocates per call; hot paths use View.
+// It is correct but allocates per call; hot paths use Row.
 func (c *CompressedGraph) Neighbors(v uint32) []uint32 {
-	out := make([]uint32, 0, c.degs[v])
-	return c.decodeRow(v, out)
+	return c.decodeRow(v, nil)
 }
 
-// decodeRow appends the row of v to out (which must be empty) and
-// returns it. Malformed varints terminate the row early rather than
-// reading out of bounds; Verify rejects such streams up front.
-func (c *CompressedGraph) decodeRow(v uint32, out []uint32) []uint32 {
-	b := c.stream[c.encOff[v]:c.encOff[v+1]]
-	deg := int(c.degs[v])
+// Row decodes the row of v into buf (see the Adjacency row lifetime
+// contract). The shared-object form counts nothing; views do.
+func (c *CompressedGraph) Row(v uint32, buf []uint32) (row, next []uint32) {
+	row = c.decodeRow(v, buf)
+	return row, row
+}
+
+// decodeRun is the one varint kernel under decodeRow and decodeBlock: it
+// fills out with delta-decoded elements of b, which must start at a
+// block boundary — every blockSize-th element is a block head (absolute,
+// i.e. a gap from zero), the rest are gaps from their predecessor — and
+// returns how many it decoded. Gaps of a sorted row are almost always
+// below 2^14, so 1- and 2-byte varints are decoded inline and anything
+// longer falls back to binary.Uvarint. A truncated or malformed varint
+// ends the run short rather than reading out of bounds; Verify rejects
+// such streams up front.
+func decodeRun(b []byte, out []uint32, blockSize int) int {
 	pos := 0
-	for len(out) < deg {
-		// Block head: absolute first element.
-		x, n := binary.Uvarint(b[pos:])
-		if n <= 0 {
-			break
-		}
-		pos += n
-		cur := uint32(x)
-		out = append(out, cur)
-		// Block body: gaps.
-		end := len(out) - 1 + c.blockSize
-		if end > deg {
-			end = deg
-		}
-		for len(out) < end {
-			d, n := binary.Uvarint(b[pos:])
-			if n <= 0 {
-				return out
+	for i := 0; i < len(out); {
+		end := min(i+blockSize, len(out))
+		var cur uint32
+		for ; i < end; i++ {
+			switch {
+			case pos < len(b) && b[pos] < 0x80:
+				cur += uint32(b[pos])
+				pos++
+			case pos+1 < len(b) && b[pos+1] < 0x80:
+				cur += uint32(b[pos]&0x7f) | uint32(b[pos+1])<<7
+				pos += 2
+			default:
+				x, n := binary.Uvarint(b[pos:])
+				if n <= 0 {
+					return i
+				}
+				cur += uint32(x)
+				pos += n
 			}
-			pos += n
-			cur += uint32(d)
-			out = append(out, cur)
+			out[i] = cur
 		}
 	}
-	return out
+	return len(out)
 }
 
-// decodeBlock appends one block (index bi, global) of vertex v to out.
-func (c *CompressedGraph) decodeBlock(v uint32, bi uint64, out []uint32) []uint32 {
+// sized returns buf resliced to n elements, reallocated (with doubling,
+// so a buffer reused across rows settles at the largest degree it has
+// held) when its capacity falls short.
+func sized(buf []uint32, n int) []uint32 {
+	if cap(buf) < n {
+		buf = make([]uint32, n, max(n, 2*cap(buf)))
+	}
+	return buf[:n]
+}
+
+// decodeRow decodes the row of v into buf (contents discarded, regrown
+// when too small) and returns it; a malformed stream yields a short row.
+func (c *CompressedGraph) decodeRow(v uint32, buf []uint32) []uint32 {
+	buf = sized(buf, int(c.degs[v]))
+	n := decodeRun(c.stream[c.encOff[v]:c.encOff[v+1]], buf, c.blockSize)
+	return buf[:n]
+}
+
+// decodeBlock decodes one block (index bi, global) of vertex v into buf.
+func (c *CompressedGraph) decodeBlock(v uint32, bi uint64, buf []uint32) []uint32 {
 	start := c.encOff[v] + uint64(c.blockByte[bi])
-	b := c.stream[start:c.encOff[v+1]]
 	// Elements in this block: blockSize except possibly the last block.
 	local := bi - c.blockOff[v]
-	remain := int(c.degs[v]) - int(local)*c.blockSize
-	count := c.blockSize
-	if remain < count {
-		count = remain
-	}
-	pos := 0
-	x, n := binary.Uvarint(b[pos:])
-	if n <= 0 {
-		return out
-	}
-	pos += n
-	cur := uint32(x)
-	out = append(out, cur)
-	for len(out) < count {
-		d, n := binary.Uvarint(b[pos:])
-		if n <= 0 {
-			return out
-		}
-		pos += n
-		cur += uint32(d)
-		out = append(out, cur)
-	}
-	return out
+	count := min(c.blockSize, int(c.degs[v])-int(local)*c.blockSize)
+	buf = sized(buf, count)
+	n := decodeRun(c.stream[start:c.encOff[v+1]], buf, c.blockSize)
+	return buf[:n]
 }
 
 // findProbeBlock locates the block of u's row that could contain v:
@@ -304,7 +309,7 @@ func (c *CompressedGraph) hasEdgeInto(u, v uint32, buf []uint32) (bool, []uint32
 	if !ok {
 		return false, buf
 	}
-	buf = c.decodeBlock(u, bi, buf[:0])
+	buf = c.decodeBlock(u, bi, buf)
 	countDecode(1, 1, uint64(len(buf)))
 	countProbe(0, 1)
 	return searchBlock(buf, v), buf
@@ -384,7 +389,7 @@ func (c *CompressedGraph) Verify() error {
 		if c.blockOff[v+1]-c.blockOff[v] != wantBlocks {
 			return fmt.Errorf("graph: vertex %d has %d blocks, want %d", v, c.blockOff[v+1]-c.blockOff[v], wantBlocks)
 		}
-		row := c.decodeRow(uint32(v), buf[:0])
+		row := c.decodeRow(uint32(v), buf)
 		buf = row
 		if len(row) != int(c.degs[v]) {
 			return fmt.Errorf("graph: vertex %d row decodes to %d of %d elements (truncated stream)", v, len(row), c.degs[v])
@@ -456,20 +461,17 @@ func (c *CompressedGraph) Footprint() Footprint {
 	return f
 }
 
-// compressedView is the per-worker decode handle: two rotating row
-// buffers (see the Adjacency row lifetime contract) plus a dedicated
-// edge-probe buffer so HasEdge never invalidates a live row.
+// compressedView is the per-worker handle: rows decode into buffers the
+// caller owns (see the Adjacency row lifetime contract), so all the view
+// carries is batched decode counters and a private edge-probe buffer.
 //
 // The probe buffer doubles as a one-entry block cache: the view
 // remembers which (vertex, block) it holds, and a repeat probe into the
-// same block skips the decode entirely. Matching engines probe edges in
-// vertex-clustered bursts (all candidate extensions of one partial
-// embedding), so consecutive probes often land in the same block of the
-// same hub row.
+// same block skips the decode entirely. Callers that probe edges in
+// vertex-clustered bursts (a Filter UDF checking one match's pairs)
+// often land in the same block of the same hub row.
 type compressedView struct {
 	g     *CompressedGraph
-	rows  [2][]uint32
-	cur   int
 	probe []uint32
 
 	// Cached probe block identity: probe holds block probeBI of vertex
@@ -501,17 +503,16 @@ func (w *compressedView) Labels() []int32         { return w.g.labels }
 func (w *compressedView) NumLabels() int          { return w.g.NumLabels() }
 func (w *compressedView) HubBits(uint32) []uint64 { return nil }
 func (w *compressedView) View() Adjacency         { return w }
-func (w *compressedView) VolatileRows() bool      { return true }
 
-// Neighbors decodes the row of v into the view's next scratch buffer.
+// Neighbors decodes the row of v into a freshly allocated slice.
 func (w *compressedView) Neighbors(v uint32) []uint32 {
-	buf := w.rows[w.cur]
-	if cap(buf) == 0 {
-		buf = make([]uint32, 0, w.g.maxDeg+1)
-	}
-	w.cur ^= 1
-	row := w.g.decodeRow(v, buf[:0])
-	w.rows[w.cur^1] = row
+	row, _ := w.Row(v, nil)
+	return row
+}
+
+// Row decodes the row of v into buf and counts the decode.
+func (w *compressedView) Row(v uint32, buf []uint32) (row, next []uint32) {
+	row = w.g.decodeRow(v, buf)
 	deg := uint64(len(row))
 	w.pendRows++
 	w.pendBlocks += (deg + uint64(w.g.blockSize) - 1) / uint64(w.g.blockSize)
@@ -519,8 +520,13 @@ func (w *compressedView) Neighbors(v uint32) []uint32 {
 	if w.pendRows+w.pendProbeHits+w.pendProbeMisses >= 512 {
 		w.flush()
 	}
-	return row
+	return row, row
 }
+
+// CountProbeHits records n edge probes the caller answered from rows it
+// had already decoded through this view: like a hit in the view's own
+// probe-block cache, such a probe decodes nothing.
+func (w *compressedView) CountProbeHits(n uint64) { w.pendProbeHits += n }
 
 // HasEdge probes {u,v} through the view's private block buffer, reusing
 // it as a one-entry block cache: a hit answers from the already-decoded
@@ -538,10 +544,7 @@ func (w *compressedView) HasEdge(u, v uint32) bool {
 	if w.probeOK && w.probeV == u && w.probeBI == bi {
 		w.pendProbeHits++
 	} else {
-		if cap(w.probe) == 0 {
-			w.probe = make([]uint32, 0, g.blockSize)
-		}
-		w.probe = g.decodeBlock(u, bi, w.probe[:0])
+		w.probe = g.decodeBlock(u, bi, w.probe)
 		w.probeV, w.probeBI, w.probeOK = u, bi, true
 		w.pendRows++
 		w.pendBlocks++
@@ -572,7 +575,9 @@ func (w *compressedView) flush() {
 // probe-block cache fared. They quantify the decode overhead the
 // compressed tier pays — process-wide via DecodeTotals, per query scope
 // via DecodeCounters. An edge probe that decodes counts as one row and
-// one block (plus a ProbeMiss); a ProbeHit decodes nothing.
+// one block (plus a ProbeMiss); a ProbeHit decodes nothing — it was
+// answered from the view's cached probe block or from a row its caller
+// already held (CountProbeHits).
 type DecodeStats struct {
 	Rows        uint64 `json:"rows"`
 	Blocks      uint64 `json:"blocks"`

@@ -20,6 +20,7 @@ type Graph struct {
 	orig    []uint32 // renumbering permutation, orig[new] = old (nil if none)
 	nEdges  uint64
 	hub     *hubIndex // optional hub-bitset index (see EnableHubIndex)
+	sum     summaryMemo
 }
 
 // NumVertices returns the number of vertices.
@@ -269,7 +270,7 @@ func (g *Graph) Subgraph(members []uint32) (*Graph, error) {
 
 // SubgraphOf is Subgraph over any storage tier; the result is always a
 // plain in-RAM graph. Rows are consumed one at a time through a private
-// view, so volatile implementations are safe.
+// view and one reused buffer.
 func SubgraphOf(a Adjacency, members []uint32) (*Graph, error) {
 	g := a.View()
 	remap := make(map[uint32]uint32, len(members))
@@ -283,9 +284,11 @@ func SubgraphOf(a Adjacency, members []uint32) (*Graph, error) {
 		remap[v] = uint32(i)
 	}
 	b := NewBuilder(len(members))
+	var row, buf []uint32
 	for _, v := range members {
 		nv := remap[v]
-		for _, u := range g.Neighbors(v) {
+		row, buf = g.Row(v, buf)
+		for _, u := range row {
 			if nu, ok := remap[u]; ok && nv < nu {
 				b.AddEdge(nv, nu)
 			}

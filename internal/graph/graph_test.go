@@ -310,3 +310,36 @@ func TestSummarize(t *testing.T) {
 		t.Fatal("empty graph summary wrong")
 	}
 }
+
+// The graph is immutable, so its summary is computed once and shared by
+// every handle that reaches it: the graph itself, its views, and the
+// per-run attribution wrapper (a fresh one per query). The LabelFreq map
+// identifies the computation.
+func TestSummarizeOncePerGraph(t *testing.T) {
+	g := randomGraph(t, 200, 8, 3, 5)
+	c, err := Compress(g, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(a, b Summary) bool {
+		return reflect.ValueOf(a.LabelFreq).Pointer() == reflect.ValueOf(b.LabelFreq).Pointer()
+	}
+	first := Summarize(c)
+	for name, a := range map[string]Adjacency{
+		"graph":        c,
+		"view":         c.View(),
+		"wrapper":      WithDecodeAttribution(c, &DecodeCounters{}),
+		"wrapper view": WithDecodeAttribution(c, &DecodeCounters{}).View(),
+	} {
+		if !same(first, Summarize(a)) {
+			t.Errorf("compressed %s: summary recomputed", name)
+		}
+	}
+	if !same(Summarize(g), Summarize(g.View())) {
+		t.Error("plain graph: summary recomputed")
+	}
+	plain := Summarize(g)
+	if first.HighN != plain.HighN || first.HighEdgeProb != plain.HighEdgeProb || first.MaxDegree != plain.MaxDegree {
+		t.Errorf("tiers summarize differently: %+v vs %+v", first, plain)
+	}
+}

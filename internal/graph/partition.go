@@ -18,9 +18,9 @@ func Partition(g *Graph, k int) ([]*Graph, error) {
 // a fraction of the graph (that is the point of shard-per-partition
 // execution), so materializing it plain keeps the mining hot path on
 // the zero-decode representation. BFS growth consumes rows one at a
-// time, so volatile implementations are safe; seed and visit order
-// depend only on Neighbors content, making partitions identical across
-// tiers for the same logical graph.
+// time through one reused buffer; seed and visit order depend only on
+// row content, making partitions identical across tiers for the same
+// logical graph.
 func PartitionOf(a Adjacency, k int) ([]*Graph, error) {
 	parts, err := PartitionMembers(a, k)
 	if err != nil {
@@ -59,6 +59,7 @@ func PartitionMembers(a Adjacency, k int) ([][]uint32, error) {
 	}
 	parts := make([][]uint32, k)
 	next := 0 // scan cursor for unassigned seeds
+	var row, buf []uint32
 	for pi := 0; pi < k; pi++ {
 		// Seed: first unassigned vertex.
 		for next < n && assigned[next] != -1 {
@@ -73,7 +74,8 @@ func PartitionMembers(a Adjacency, k int) ([][]uint32, error) {
 			v := queue[0]
 			queue = queue[1:]
 			parts[pi] = append(parts[pi], v)
-			for _, u := range g.Neighbors(v) {
+			row, buf = g.Row(v, buf)
+			for _, u := range row {
 				if assigned[u] == -1 {
 					assigned[u] = int32(pi)
 					queue = append(queue, u)

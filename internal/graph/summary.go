@@ -1,6 +1,9 @@
 package graph
 
-import "sort"
+import (
+	"sort"
+	"sync"
+)
 
 // Summary captures the graph statistics the cost model consumes (§5.2).
 // Following the paper's enhancement, the probabilistic model is restricted
@@ -27,11 +30,35 @@ type Summary struct {
 	LabelFreq map[int32]float64
 }
 
-// Summarize computes a Summary of any storage tier. Rows are consumed
-// one at a time through a private view, so volatile (scratch-decoded)
-// implementations are safe; on the compressed tier this is a full
-// decode pass, which the runner amortizes by summarizing once per run.
+// Summarize returns the Summary of a. The graph is immutable, so each
+// *Graph and *CompressedGraph computes its summary once — an O(n log n)
+// sort plus, on the compressed tier, a decode of every high-degree row —
+// and every caller, through whatever view or wrapper, shares the result:
+// treat the returned LabelFreq map as read-only. Other Adjacency
+// implementations are summarized afresh on every call.
 func Summarize(a Adjacency) Summary {
+	if m, ok := a.(interface{ summaryMemo() *summaryMemo }); ok {
+		return m.summaryMemo().get(a)
+	}
+	return summarize(a)
+}
+
+// summaryMemo is the once-per-graph summary slot the storage tiers embed.
+type summaryMemo struct {
+	once sync.Once
+	s    Summary
+}
+
+func (m *summaryMemo) get(a Adjacency) Summary {
+	m.once.Do(func() { m.s = summarize(a) })
+	return m.s
+}
+
+func (g *Graph) summaryMemo() *summaryMemo           { return &g.sum }
+func (c *CompressedGraph) summaryMemo() *summaryMemo { return &c.sum }
+func (w *compressedView) summaryMemo() *summaryMemo  { return &w.g.sum }
+
+func summarize(a Adjacency) Summary {
 	g := a.View()
 	n := g.NumVertices()
 	s := Summary{
@@ -61,8 +88,10 @@ func Summarize(a Adjacency) Summary {
 	}
 	s.HighN = len(high)
 	var innerDeg uint64
+	var row, buf []uint32
 	for v := range high {
-		for _, u := range g.Neighbors(v) {
+		row, buf = g.Row(v, buf)
+		for _, u := range row {
 			if _, ok := high[u]; ok {
 				innerDeg++
 			}

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -49,8 +50,8 @@ func randomGraph(t *testing.T, n int, avgDeg float64, labels int, seed int64) *G
 }
 
 // sameAdjacency checks that two tiers expose the identical logical
-// graph: dimensions, labels, and every row, with interleaved HasEdge
-// probes so the probe path cannot corrupt live rows.
+// graph: dimensions, labels, and every row (both access forms), with
+// interleaved HasEdge probes.
 func sameAdjacency(t *testing.T, want, got Adjacency) {
 	t.Helper()
 	if want.NumVertices() != got.NumVertices() || want.NumEdges() != got.NumEdges() {
@@ -69,8 +70,6 @@ func sameAdjacency(t *testing.T, want, got Adjacency) {
 		wrow := append([]uint32(nil), wv.Neighbors(u)...)
 		grow := gv.Neighbors(u)
 		if len(wrow) > 0 {
-			// Interleave a probe between fetch and comparison: HasEdge
-			// must never invalidate a live row.
 			if !gv.HasEdge(u, wrow[0]) {
 				t.Fatalf("vertex %d: HasEdge(%d) false for a neighbor", v, wrow[0])
 			}
@@ -80,6 +79,9 @@ func sameAdjacency(t *testing.T, want, got Adjacency) {
 		}
 		if len(wrow) != len(grow) {
 			t.Fatalf("vertex %d: degree %d vs %d", v, len(wrow), len(grow))
+		}
+		if row, _ := gv.Row(u, nil); !slices.Equal(row, grow) {
+			t.Fatalf("vertex %d: Row %v, Neighbors %v", v, row, grow)
 		}
 		for i := range wrow {
 			if wrow[i] != grow[i] {
@@ -128,9 +130,10 @@ func TestCompressRoundTrip(t *testing.T) {
 }
 
 // TestCompressedRowLifetime pins the Adjacency row contract on the
-// compressed tier: a row stays valid across the NEXT Neighbors call on
-// the same handle (two rotating buffers), and HasEdge probes never
-// touch row storage.
+// compressed tier: a row decoded into a caller-owned buffer survives
+// every other call on the same handle — Row into another buffer,
+// Neighbors, HasEdge — and is replaced only when its own buffer is
+// passed back, regrown if the next row does not fit.
 func TestCompressedRowLifetime(t *testing.T) {
 	g := randomGraph(t, 80, 10, 0, 7)
 	c, err := Compress(g, 8)
@@ -138,23 +141,31 @@ func TestCompressedRowLifetime(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := c.View()
+	var bufA, bufB []uint32
 	for u := 0; u+1 < 80; u++ {
-		a := v.Neighbors(uint32(u))
+		var a, b []uint32
+		a, bufA = v.Row(uint32(u), bufA)
 		snap := append([]uint32(nil), a...)
-		b := v.Neighbors(uint32(u + 1)) // must not clobber a
-		for i := range c.degs[u] {
-			if a[i] != snap[i] {
-				t.Fatalf("row %d clobbered by next fetch at %d", u, i)
-			}
-		}
+		b, bufB = v.Row(uint32(u+1), bufB)
+		kept := v.Neighbors(uint32(u + 1))
 		if len(b) > 0 {
-			v.HasEdge(uint32(u+1), b[0]) // must clobber neither
+			v.HasEdge(uint32(u+1), b[0])
 		}
-		for i := range snap {
-			if a[i] != snap[i] {
-				t.Fatalf("row %d clobbered by HasEdge at %d", u, i)
-			}
+		if !slices.Equal(a, snap) || !slices.Equal(a, g.Neighbors(uint32(u))) {
+			t.Fatalf("row %d clobbered by later calls on the handle: %v, want %v", u, a, snap)
 		}
+		if !slices.Equal(b, kept) || !slices.Equal(b, g.Neighbors(uint32(u+1))) {
+			t.Fatalf("row %d: Row %v, Neighbors %v, plain %v", u+1, b, kept, g.Neighbors(uint32(u+1)))
+		}
+		if len(a) > 0 && len(bufA) > 0 && &a[0] != &bufA[0] {
+			t.Fatalf("row %d was not decoded into the buffer handed back", u)
+		}
+	}
+	// Plain CSR lends its storage and leaves the caller's buffer alone.
+	scratch := []uint32{7, 7, 7}
+	row, next := g.Row(3, scratch)
+	if !slices.Equal(row, g.Neighbors(3)) || len(next) != 3 || next[0] != 7 {
+		t.Fatalf("plain Row = %v, buffer %v", row, next)
 	}
 }
 

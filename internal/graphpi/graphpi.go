@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
 
 	"morphing/internal/costmodel"
 	"morphing/internal/engine"
@@ -34,9 +33,6 @@ type Engine struct {
 	// model evaluates per pattern (0 = 120; exhaustive for patterns up to
 	// 5 vertices, a broad sample beyond).
 	MaxOrders int
-
-	mu   sync.Mutex
-	sums map[graph.Adjacency]graph.Summary // per-graph summary cache
 }
 
 var (
@@ -79,20 +75,6 @@ func (e *Engine) span(ctx context.Context, p *pattern.Pattern) *obs.Span {
 	return obs.FromContext(ctx, e.Obs).StartSpan("mine/"+p.String(), obs.Str("engine", e.Name()))
 }
 
-func (e *Engine) summary(g graph.Adjacency) graph.Summary {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.sums == nil {
-		e.sums = make(map[graph.Adjacency]graph.Summary)
-	}
-	s, ok := e.sums[g]
-	if !ok {
-		s = graph.Summarize(g)
-		e.sums[g] = s
-	}
-	return s
-}
-
 // planFor selects the matching order by minimizing the performance model
 // over connected orders, GraphPi's core technique.
 func (e *Engine) planFor(g graph.Adjacency, p *pattern.Pattern) (*plan.Plan, error) {
@@ -109,7 +91,7 @@ func (e *Engine) planFor(g graph.Adjacency, p *pattern.Pattern) (*plan.Plan, err
 	}
 	orders := plan.ConnectedOrders(p, max)
 	conds := plan.SymmetryConditions(p)
-	model := costmodel.NewDefault(e.summary(g))
+	model := costmodel.NewDefault(graph.Summarize(g))
 	var best *plan.Plan
 	bestCost := math.Inf(1)
 	for _, order := range orders {

@@ -53,23 +53,6 @@ func TestOrderSelectionConsistency(t *testing.T) {
 	}
 }
 
-func TestSummaryCacheReuse(t *testing.T) {
-	g := testGraph(t)
-	e := New(1)
-	if _, _, err := e.Count(g, pattern.Triangle()); err != nil {
-		t.Fatal(err)
-	}
-	if len(e.sums) != 1 {
-		t.Fatalf("summary cache has %d entries", len(e.sums))
-	}
-	if _, _, err := e.Count(g, pattern.FourCycle()); err != nil {
-		t.Fatal(err)
-	}
-	if len(e.sums) != 1 {
-		t.Fatalf("summary cache grew to %d entries for the same graph", len(e.sums))
-	}
-}
-
 func TestFilterStatsAccounting(t *testing.T) {
 	g := testGraph(t)
 	e := New(2)
