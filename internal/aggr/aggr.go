@@ -8,13 +8,17 @@
 //
 // Two aggregations cover the paper's applications: Count (subgraph
 // counting, motif counting; invertible) and MNI (frequent subgraph mining
-// support [8]; idempotent but not invertible).
+// support [8]; idempotent but not invertible). Exists shows the algebra
+// on a third (λ, ⊕) pair.
+//
+// MNI values are Tables (table.go): one compressed bitmap per pattern
+// vertex, so that recording a match is a few word ORs, ⊕ and the permute
+// operator are word-wise ORs and slice copies, and support is a popcount.
+// A Table is owned by one goroutine at a time; concurrent producers each
+// fill their own and Merge them afterwards (core's MNI sink).
 package aggr
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Value is an aggregation value. Each Aggregation documents its concrete
 // type: uint64 for Count, *Table for MNI.
@@ -144,141 +148,3 @@ func (Exists) Permute(v Value, f []int) Value { return v }
 
 // Idempotent implements Aggregation.
 func (Exists) Idempotent() bool { return true }
-
-// Table is a minimum node image table: one column per pattern vertex
-// holding the set of data vertices bound to it across all matches. The
-// MNI support of a pattern is the size of its smallest column.
-type Table struct {
-	cols []map[uint32]struct{}
-}
-
-// NewTable returns an empty table with one column per pattern vertex.
-func NewTable(width int) *Table {
-	t := &Table{cols: make([]map[uint32]struct{}, width)}
-	for i := range t.cols {
-		t.cols[i] = make(map[uint32]struct{})
-	}
-	return t
-}
-
-// Width returns the number of columns (0 for the adaptive zero table).
-func (t *Table) Width() int { return len(t.cols) }
-
-// Insert records one match: m[i] joins column i.
-func (t *Table) Insert(m []uint32) {
-	t.ensure(len(m))
-	for i, v := range m {
-		t.cols[i][v] = struct{}{}
-	}
-}
-
-// InsertAll records a match under every automorphism of its pattern,
-// producing the full MNI semantics (every embedding, not just the
-// symmetry-broken representative the engine emits). auts come from
-// canon.Automorphisms.
-func (t *Table) InsertAll(m []uint32, auts [][]int) {
-	t.ensure(len(m))
-	for _, a := range auts {
-		for i, ai := range a {
-			t.cols[i][m[ai]] = struct{}{}
-		}
-	}
-}
-
-func (t *Table) ensure(width int) {
-	for len(t.cols) < width {
-		t.cols = append(t.cols, make(map[uint32]struct{}))
-	}
-}
-
-// Merge unions other into t column-wise.
-func (t *Table) Merge(other *Table) {
-	t.ensure(other.Width())
-	for i, col := range other.cols {
-		for v := range col {
-			t.cols[i][v] = struct{}{}
-		}
-	}
-}
-
-// Permuted returns a new table whose column i is t's column f[i].
-func (t *Table) Permuted(f []int) *Table {
-	out := NewTable(len(f))
-	for i, src := range f {
-		if src < len(t.cols) {
-			for v := range t.cols[src] {
-				out.cols[i][v] = struct{}{}
-			}
-		}
-	}
-	return out
-}
-
-// Clone returns a deep copy.
-func (t *Table) Clone() *Table {
-	out := NewTable(len(t.cols))
-	for i, col := range t.cols {
-		for v := range col {
-			out.cols[i][v] = struct{}{}
-		}
-	}
-	return out
-}
-
-// Support returns the MNI support: the size of the smallest column.
-// The empty table has support 0.
-func (t *Table) Support() int {
-	if len(t.cols) == 0 {
-		return 0
-	}
-	min := -1
-	for _, col := range t.cols {
-		if min == -1 || len(col) < min {
-			min = len(col)
-		}
-	}
-	return min
-}
-
-// Column returns the sorted contents of column i (for tests and output).
-func (t *Table) Column(i int) []uint32 {
-	if i >= len(t.cols) {
-		return nil
-	}
-	out := make([]uint32, 0, len(t.cols[i]))
-	for v := range t.cols[i] {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
-}
-
-// Equal reports column-wise equality.
-func (t *Table) Equal(other *Table) bool {
-	if t.Width() != other.Width() {
-		return false
-	}
-	for i, col := range t.cols {
-		if len(col) != len(other.cols[i]) {
-			return false
-		}
-		for v := range col {
-			if _, ok := other.cols[i][v]; !ok {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// String renders the table compactly for diagnostics.
-func (t *Table) String() string {
-	s := "MNI{"
-	for i := range t.cols {
-		if i > 0 {
-			s += " "
-		}
-		s += fmt.Sprint(t.Column(i))
-	}
-	return s + "}"
-}

@@ -364,6 +364,7 @@ func (t *trie) insert(pl *plan.Plan, idx int) {
 
 type azWorker struct {
 	g          graph.Adjacency // per-worker view (see graph.Adjacency)
+	vlabels    []int32         // g.Labels(), read once per candidate
 	pins       engine.Pins     // adjacency rows of the bound prefix
 	instrument bool
 	st         engine.Stats
@@ -404,6 +405,7 @@ func newAZWorker(g graph.Adjacency, patterns, maxDepth, maxDeg int, instrument b
 	ar := setops.GetArena()
 	w := &azWorker{
 		g:          g.View(),
+		vlabels:    g.Labels(),
 		instrument: instrument,
 		levels:     make([]engine.LevelStats, maxDepth),
 		counts:     make([]uint64, patterns),
@@ -436,7 +438,7 @@ func (w *azWorker) runRoot(tr *trie, lo, hi uint32) {
 	for _, root := range tr.roots {
 		for v := lo; v < hi; v++ {
 			w.levels[0].Candidates++
-			if root.label != pattern.Unlabeled && w.g.Label(v) != root.label {
+			if !engine.HasLabel(w.vlabels, v, root.label) {
 				continue
 			}
 			w.levels[0].Extended++
@@ -497,7 +499,7 @@ func (w *azWorker) exec(node *trieNode, depth int) {
 	w.levels[depth].Candidates += uint64(len(cands))
 	var ext uint64
 	for _, v := range cands {
-		if node.label != pattern.Unlabeled && w.g.Label(v) != node.label {
+		if !engine.HasLabel(w.vlabels, v, node.label) {
 			continue
 		}
 		used := false

@@ -195,7 +195,7 @@ func runSingle(ctx context.Context, g graph.Adjacency, p *pattern.Pattern, visit
 			err = &engine.PanicError{Worker: 0, Value: r, Stack: debug.Stack()}
 		}
 	}()
-	want := p.Label(0)
+	want, labels := p.Label(0), g.Labels()
 	done := ctx.Done()
 	var cands, ext uint64
 	defer func() { st.AddLevel(0, cands, ext) }()
@@ -208,7 +208,7 @@ func runSingle(ctx context.Context, g graph.Adjacency, p *pattern.Pattern, visit
 			}
 		}
 		cands++
-		if want != pattern.Unlabeled && g.Label(v) != want {
+		if !engine.HasLabel(labels, v, want) {
 			continue
 		}
 		ext++
@@ -376,11 +376,11 @@ func (e *Engine) run(ctx context.Context, g graph.Adjacency, p *pattern.Pattern,
 		}
 	}
 	src := &batch{width: 1}
-	want := p.Label(pl.Order[0])
+	want, labels := p.Label(pl.Order[0]), g.Labels()
 	var srcCands, srcExt uint64
 	for v := uint32(0); v < uint32(g.NumVertices()); v++ {
 		srcCands++
-		if want != pattern.Unlabeled && g.Label(v) != want {
+		if !engine.HasLabel(labels, v, want) {
 			continue
 		}
 		srcExt++
@@ -426,6 +426,7 @@ func (e *Engine) run(ctx context.Context, g graph.Adjacency, p *pattern.Pattern,
 type bjWorker struct {
 	id         int
 	g          graph.Adjacency // per-worker view (see graph.Adjacency)
+	vlabels    []int32         // g.Labels(), read once per candidate
 	pins       engine.Pins     // adjacency rows of the current prefix
 	pl         *plan.Plan
 	level      int
@@ -459,6 +460,7 @@ func newBJWorker(id int, g graph.Adjacency, pl *plan.Plan, level, batchSize int,
 	w := &bjWorker{
 		id:         id,
 		g:          g.View(),
+		vlabels:    g.Labels(),
 		pl:         pl,
 		level:      level,
 		last:       level == k-1,
@@ -564,7 +566,7 @@ func (w *bjWorker) extend(prefix []uint32) {
 		if hasLower && v <= lower || hasUpper && v >= upper {
 			continue
 		}
-		if w.label != pattern.Unlabeled && w.g.Label(v) != w.label {
+		if !engine.HasLabel(w.vlabels, v, w.label) {
 			continue
 		}
 		used := false

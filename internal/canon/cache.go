@@ -11,17 +11,58 @@ import (
 // building per partition, conversion maps per query), so the expensive
 // entry points are memoized process-wide. Keys are the exact pattern
 // encoding — vertex numbering included — because automorphisms and
-// isomorphisms are numbering-sensitive; the canonicalization-based IDs
-// additionally collapse to one entry per isomorphism class internally.
+// isomorphisms are numbering-sensitive.
 //
 // Cached slices are shared: callers must treat returned permutations as
 // read-only (all in-tree callers do).
-
 var (
-	structIDCache sync.Map // string -> uint64
-	autCache      sync.Map // string -> [][]int
-	isoCache      sync.Map // string -> [][]int
+	formMemo memo[form]    // exactKey(p) -> canonical labeling and ID
+	autMemo  memo[[][]int] // exactKey(p) -> Automorphisms(p)
+	isoMemo  memo[[][]int] // exactKey(p)|exactKey(q) -> Isomorphisms(p, q)
 )
+
+// memoCap bounds the entries of one memo, so that a resident process fed
+// ever new labeled patterns does not grow without limit. The largest
+// working set among the repo's workloads — one 3-edge FSM query over 29
+// labels: about 2,200 canonical labelings and 1,200 automorphism groups —
+// fits in a generation (half the capacity) several times over.
+const memoCap = 1 << 14
+
+// memo is a bounded, concurrency-safe map. It keeps two generations: new
+// entries go to cur, a hit in old moves the entry to cur, and when cur
+// holds half the capacity it becomes old and the previous old generation
+// is dropped. An entry therefore survives as long as it is used once per
+// memoCap/2 insertions of other keys — LRU to within a generation, at the
+// cost of one extra map lookup.
+type memo[V any] struct {
+	mu       sync.Mutex
+	cur, old map[string]V
+}
+
+func (m *memo[V]) get(key string) (V, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	v, ok := m.cur[key]
+	if !ok {
+		if v, ok = m.old[key]; ok {
+			m.putLocked(key, v)
+		}
+	}
+	return v, ok
+}
+
+func (m *memo[V]) put(key string, v V) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.putLocked(key, v)
+}
+
+func (m *memo[V]) putLocked(key string, v V) {
+	if m.cur == nil || len(m.cur) >= memoCap/2 {
+		m.cur, m.old = make(map[string]V), m.cur
+	}
+	m.cur[key] = v
+}
 
 // Key returns a compact numbering-sensitive identity string for p,
 // suitable as a memoization key for pattern-pair computations (the

@@ -16,6 +16,7 @@ import (
 	"hash/fnv"
 	"math/bits"
 	"sort"
+	"strconv"
 
 	"morphing/internal/pattern"
 )
@@ -25,7 +26,48 @@ import (
 // smallest (label, back-adjacency) sequence among all orderings. Two
 // patterns are isomorphic (labels included, semantics ignored) iff their
 // canonical forms are Equal up to the induced flag.
-func CanonicalPerm(p *pattern.Pattern) []int {
+//
+// The returned slice is memoized and shared — treat it as read-only.
+func CanonicalPerm(p *pattern.Pattern) []int { return canonical(p).ord }
+
+// form is everything derived from one pattern's canonical labeling. It is
+// computed once per exact pattern and shared by CanonicalPerm,
+// Canonicalize, StructureID and ID.
+type form struct {
+	ord []int  // CanonicalPerm
+	id  uint64 // StructureID
+}
+
+func canonical(p *pattern.Pattern) form {
+	key := exactKey(p)
+	if f, ok := formMemo.get(key); ok {
+		return f
+	}
+	ord := canonicalPerm(p)
+	c := permuted(p, ord)
+	f := form{ord: ord, id: hashForm(c)}
+	formMemo.put(key, f)
+	// A canonical form is its own canonical form, and callers come back
+	// with it (fsm.extend hands its candidates to core.BuildSDAG): file it
+	// under the identity so that it is not searched again.
+	ident := make([]int, len(ord))
+	for i := range ident {
+		ident[i] = i
+	}
+	formMemo.put(exactKey(c), form{ord: ident, id: f.id})
+	return f
+}
+
+func permuted(p *pattern.Pattern, ord []int) *pattern.Pattern {
+	q, err := p.Permute(ord)
+	if err != nil {
+		// canonicalPerm always returns a valid permutation.
+		panic("canon: internal error: " + err.Error())
+	}
+	return q
+}
+
+func canonicalPerm(p *pattern.Pattern) []int {
 	n := p.N()
 	cells := refine(p)
 
@@ -131,26 +173,44 @@ func greaterPrefix(a, best []uint32) bool {
 // cells. The cell order is a deterministic isomorphism invariant.
 func refine(p *pattern.Pattern) [][]int {
 	n := p.N()
-	// sig[v] is a string invariant; iterate to a fixed point.
+	// sig[v] is a string invariant; iterate to a fixed point. Cells are
+	// ordered by these strings, so their bytes are part of the canonical
+	// form: "L<label> D<degree> A<anti-degree>", then per round
+	// "<own>|[<sorted neighbor sigs, space-separated>]".
 	sig := make([]string, n)
+	var buf []byte
 	for v := 0; v < n; v++ {
 		antiDeg := 0
 		if p.HasExplicitAntiEdges() {
 			antiDeg = bits.OnesCount16(p.AntiMask(v))
 		}
-		sig[v] = fmt.Sprintf("L%d D%d A%d", p.Label(v), p.Degree(v), antiDeg)
+		buf = append(buf[:0], 'L')
+		buf = strconv.AppendInt(buf, int64(p.Label(v)), 10)
+		buf = append(buf, " D"...)
+		buf = strconv.AppendInt(buf, int64(p.Degree(v)), 10)
+		buf = append(buf, " A"...)
+		buf = strconv.AppendInt(buf, int64(antiDeg), 10)
+		sig[v] = string(buf)
 	}
+	nb := make([]string, 0, n)
 	for iter := 0; iter < n; iter++ {
 		next := make([]string, n)
 		for v := 0; v < n; v++ {
-			var nb []string
+			nb = nb[:0]
 			for u := 0; u < n; u++ {
 				if p.HasEdge(v, u) {
 					nb = append(nb, sig[u])
 				}
 			}
 			sort.Strings(nb)
-			next[v] = sig[v] + "|" + fmt.Sprint(nb)
+			buf = append(append(buf[:0], sig[v]...), '|', '[')
+			for i, s := range nb {
+				if i > 0 {
+					buf = append(buf, ' ')
+				}
+				buf = append(buf, s...)
+			}
+			next[v] = string(append(buf, ']'))
 		}
 		if sameClasses(sig, next) {
 			break
@@ -190,12 +250,7 @@ func sameClasses(a, b []string) bool {
 
 // Canonicalize returns the canonical form of p (same induced semantics).
 func Canonicalize(p *pattern.Pattern) *pattern.Pattern {
-	q, err := p.Permute(CanonicalPerm(p))
-	if err != nil {
-		// CanonicalPerm always returns a valid permutation.
-		panic("canon: internal error: " + err.Error())
-	}
-	return q
+	return permuted(p, canonical(p).ord)
 }
 
 // StructureID returns a 64-bit identifier of the pattern's structure and
@@ -203,18 +258,10 @@ func Canonicalize(p *pattern.Pattern) *pattern.Pattern {
 // edge/vertex-induced flag. Isomorphic patterns share the ID; distinct
 // small patterns collide only with cryptographically negligible FNV
 // probability.
-func StructureID(p *pattern.Pattern) uint64 {
-	key := exactKey(p)
-	if v, ok := structIDCache.Load(key); ok {
-		return v.(uint64)
-	}
-	id := structureID(p)
-	structIDCache.Store(key, id)
-	return id
-}
+func StructureID(p *pattern.Pattern) uint64 { return canonical(p).id }
 
-func structureID(p *pattern.Pattern) uint64 {
-	c := Canonicalize(p)
+// hashForm hashes the canonical form c.
+func hashForm(c *pattern.Pattern) uint64 {
 	h := fnv.New64a()
 	var buf [4]byte
 	put := func(x uint32) {
@@ -258,11 +305,11 @@ func IsIsomorphic(p, q *pattern.Pattern) bool {
 // it as read-only.
 func Automorphisms(p *pattern.Pattern) [][]int {
 	key := exactKey(p)
-	if v, ok := autCache.Load(key); ok {
-		return v.([][]int)
+	if auts, ok := autMemo.get(key); ok {
+		return auts
 	}
 	auts := mapsInto(p, p, true)
-	autCache.Store(key, auts)
+	autMemo.put(key, auts)
 	return auts
 }
 
@@ -277,11 +324,11 @@ func Isomorphisms(p, q *pattern.Pattern) [][]int {
 		return nil
 	}
 	key := exactKey(p) + "|" + exactKey(q)
-	if v, ok := isoCache.Load(key); ok {
-		return v.([][]int)
+	if isos, ok := isoMemo.get(key); ok {
+		return isos
 	}
 	isos := mapsInto(p, q, false)
-	isoCache.Store(key, isos)
+	isoMemo.put(key, isos)
 	return isos
 }
 

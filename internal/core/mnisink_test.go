@@ -1,0 +1,138 @@
+package core
+
+import (
+	"sync"
+	"testing"
+
+	"morphing/internal/dataset"
+	"morphing/internal/engine"
+	"morphing/internal/graph"
+	"morphing/internal/pattern"
+	"morphing/internal/peregrine"
+	"morphing/internal/refmatch"
+)
+
+// wideEngine emits the oracle's matches from many goroutines that are all
+// live at once, each under a worker ID of its own — what engine.Visitor
+// allows a pipeline engine to do. Sinks that fold worker IDs into a fixed
+// shard count let two of them write one shard.
+type wideEngine struct{ workers int }
+
+func (wideEngine) Name() string                         { return "wide" }
+func (wideEngine) SupportsInduced(pattern.Induced) bool { return true }
+
+func (wideEngine) Count(g graph.Adjacency, p *pattern.Pattern) (uint64, *engine.Stats, error) {
+	return refmatch.Count(g.(*graph.Graph), p), &engine.Stats{}, nil
+}
+
+func (e wideEngine) CountAll(g graph.Adjacency, ps []*pattern.Pattern) ([]uint64, *engine.Stats, error) {
+	out := make([]uint64, len(ps))
+	for i, p := range ps {
+		out[i] = refmatch.Count(g.(*graph.Graph), p)
+	}
+	return out, &engine.Stats{}, nil
+}
+
+func (e wideEngine) Match(g graph.Adjacency, p *pattern.Pattern, visit engine.Visitor) (*engine.Stats, error) {
+	ms := refmatch.Matches(g.(*graph.Graph), p)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < e.workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			buf := make([]uint32, p.N())
+			for i := w; i < len(ms); i += e.workers {
+				copy(buf, ms[i])
+				visit(w, buf)
+			}
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	return &engine.Stats{Matches: uint64(len(ms))}, nil
+}
+
+// TestMNISinkOwnsOneShardPerWorkerID runs both MNI routes under 600
+// concurrent worker IDs (run it with -race): every ID must get a shard of
+// its own, and the tables must equal the InsertAll-over-refmatch oracle.
+func TestMNISinkOwnsOneShardPerWorkerID(t *testing.T) {
+	g, err := dataset.ErdosRenyi(60, 8, 0, 23)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := wideEngine{workers: 600}
+	queries := []*pattern.Pattern{
+		pattern.Wedge().AsEdgeInduced(),
+		pattern.FourCycle().AsEdgeInduced(),
+		pattern.TailedTriangle().AsEdgeInduced(),
+	}
+	for _, q := range queries {
+		got, _, err := MineMNITable(eng, g, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := directMNI(g, q); !got.Equal(want) {
+			t.Errorf("MineMNITable(%v) = %v, oracle %v", q, got, want)
+		}
+	}
+	for _, budget := range []uint64{0, 1} {
+		r := &Runner{Engine: eng, MemoryBudget: budget}
+		tables, st, err := r.MNITables(g, queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if budget == 1 && st.ConversionMode != "on-the-fly" {
+			t.Fatalf("1-byte budget ran %q", st.ConversionMode)
+		}
+		for i, q := range queries {
+			if want := directMNI(g, q); !tables[i].Equal(want) {
+				t.Errorf("%s MNITables(%v) = %v, oracle %v", st.ConversionMode, q, tables[i], want)
+			}
+		}
+	}
+}
+
+// BenchmarkMineMNITable is one FSM candidate end to end: a labeled
+// 4-vertex path on MI x0.003 through the engine, the sink, the merge and
+// the saturation pass.
+func BenchmarkMineMNITable(b *testing.B) {
+	rec, err := dataset.ByName("MI")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := rec.Scaled(0.003).Generate()
+	if err != nil {
+		b.Fatal(err)
+	}
+	// The graph's two most frequent labels, so the pattern has matches.
+	freq := map[int32]int{}
+	for _, l := range g.Labels() {
+		freq[l]++
+	}
+	var l0, l1 int32
+	for l, n := range freq {
+		if n > freq[l0] || n == freq[l0] && l < l0 {
+			l0, l1 = l, l0
+		} else if n > freq[l1] || n == freq[l1] && l < l1 {
+			l1 = l
+		}
+	}
+	p := pattern.MustNew(4, [][2]int{{0, 1}, {1, 2}, {2, 3}}, pattern.WithLabels([]int32{l0, l1, l0, l1}))
+	eng := peregrine.New(2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var matches uint64
+	for i := 0; i < b.N; i++ {
+		tbl, st, err := MineMNITable(eng, g, p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if tbl.Support() == 0 {
+			b.Fatal("pattern has no matches")
+		}
+		matches = st.Matches
+	}
+	b.ReportMetric(float64(matches), "matches/op")
+}

@@ -1062,24 +1062,16 @@ func (r *Runner) estimateMatchBytes(g graph.Adjacency, sel *Selection) uint64 {
 }
 
 // mniOnTheFly is the degraded MNITables path: mine each alternative once
-// and fan its match stream out to the query tables through the coset-
-// representative conversion maps. Inserting each converted match with
-// the query's automorphism closure (Table.InsertAll) makes the result
-// identical to the batched Convert — coset representatives composed with
-// Aut(query) enumerate every isomorphism, and MNI insertion is an
-// idempotent union — without ever holding a per-alternative table.
+// and fan its match stream out to the query sinks through the coset-
+// representative conversion maps. Saturating each query's table under its
+// automorphisms makes the result identical to the batched Convert — coset
+// representatives composed with Aut(query) enumerate every isomorphism,
+// and MNI insertion is an idempotent union — without ever holding a
+// per-alternative table.
 func (r *Runner) mniOnTheFly(ctx context.Context, o *obs.Observer, g graph.Adjacency, sel *Selection, streamTargets [][]StreamTarget, stats *RunStats, queries []*pattern.Pattern) ([]*aggr.Table, *RunStats, error) {
-	// Worker IDs from any engine stay far below this (see engine.Visitor);
-	// distinct IDs never share a shard, so no locking is needed.
-	const shardCount = 256
-	shards := make([][]*aggr.Table, len(sel.Queries))
-	auts := make([][][]int, len(sel.Queries))
+	sinks := make([]*mniSink, len(sel.Queries))
 	for qi, q := range sel.Queries {
-		shards[qi] = make([]*aggr.Table, shardCount)
-		for s := range shards[qi] {
-			shards[qi][s] = aggr.NewTable(q.Pattern.N())
-		}
-		auts[qi] = canon.Automorphisms(q.Pattern)
+		sinks[qi] = newMNISink(q.Pattern.N())
 	}
 
 	stats.Phase = PhaseMine
@@ -1091,12 +1083,12 @@ func (r *Runner) mniOnTheFly(ctx context.Context, o *obs.Observer, g graph.Adjac
 		st, err := engine.MatchCtx(ctx, r.Engine, g, c.Pattern, func(worker int, m []uint32) {
 			var buf [pattern.MaxVertices]uint32
 			for _, t := range targets {
-				conv := buf[:sel.Queries[t.Query].Pattern.N()]
+				conv := buf[:sinks[t.Query].width]
 				for _, f := range t.Maps {
 					for i, qi := range f {
 						conv[i] = m[qi]
 					}
-					shards[t.Query][worker%shardCount].InsertAll(conv, auts[t.Query])
+					sinks[t.Query].insert(worker, conv)
 				}
 			}
 		})
@@ -1121,11 +1113,7 @@ func (r *Runner) mniOnTheFly(ctx context.Context, o *obs.Observer, g graph.Adjac
 	spA := o.StartSpan("aggregate", obs.Int("queries", len(sel.Queries)))
 	out := make([]*aggr.Table, len(sel.Queries))
 	for qi, q := range sel.Queries {
-		tbl := aggr.NewTable(q.Pattern.N())
-		for _, s := range shards[qi] {
-			tbl.Merge(s)
-		}
-		out[qi] = tbl
+		out[qi] = sinks[qi].table(canon.Automorphisms(q.Pattern))
 	}
 	spA.End()
 	stats.Convert = time.Since(t1)
@@ -1140,34 +1128,21 @@ func statsMatches(st *engine.Stats) uint64 {
 	return st.Matches
 }
 
-// MineMNITable streams one pattern's matches into a full MNI table using
-// per-worker shards merged at the end (the map-reduce structure of the
-// FSM UDF in Fig. 9).
+// MineMNITable streams one pattern's matches into a full MNI table (see
+// mniSink).
 func MineMNITable(eng engine.Engine, g graph.Adjacency, p *pattern.Pattern) (*aggr.Table, *engine.Stats, error) {
 	return mineMNITableCtx(context.Background(), obs.Or(nil), eng, g, p)
 }
 
 func mineMNITableCtx(ctx context.Context, o *obs.Observer, eng engine.Engine, g graph.Adjacency, p *pattern.Pattern) (*aggr.Table, *engine.Stats, error) {
-	auts := canon.Automorphisms(p)
-	// Worker IDs from any engine stay far below this (see engine.Visitor);
-	// distinct IDs never share a shard, so no locking is needed.
-	const shardCount = 256
-	shards := make([]*aggr.Table, shardCount)
-	for i := range shards {
-		shards[i] = aggr.NewTable(p.N())
-	}
-	st, err := engine.MatchCtx(ctx, eng, g, p, func(worker int, m []uint32) {
-		shards[worker%shardCount].InsertAll(m, auts)
-	})
+	sink := newMNISink(p.N())
+	st, err := engine.MatchCtx(ctx, eng, g, p, sink.insert)
 	if err != nil {
 		return nil, st, err
 	}
 	// The shard merge is the UDF-side aggregation leg of the pipeline.
 	spA := o.StartSpan("aggregate", obs.Str("pattern", p.String()))
-	out := aggr.NewTable(p.N())
-	for _, s := range shards {
-		out.Merge(s)
-	}
+	out := sink.table(canon.Automorphisms(p))
 	spA.End()
 	return out, st, nil
 }

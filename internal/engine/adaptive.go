@@ -178,6 +178,15 @@ func (p *Pins) smallest(conn []int) int {
 	return base
 }
 
+// HasLabel reports whether data vertex v meets a level's label requirement
+// want, given the graph's label slice (graph.Adjacency.Labels: nil when
+// unlabeled, which no labeled pattern vertex matches). Executors read the
+// slice they cached per worker here instead of calling Adjacency.Label
+// through the interface once per candidate.
+func HasLabel(labels []int32, v uint32, want int32) bool {
+	return want == pattern.Unlabeled || labels != nil && labels[v] == want
+}
+
 // LevelFilter builds the fused count-only filter for one plan level: the
 // half-open symmetry window [lo, hi) plus the level's label requirement.
 // ok is false when the level cannot match at all (a labeled pattern vertex

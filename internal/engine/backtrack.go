@@ -12,7 +12,6 @@ import (
 	"morphing/internal/faultinject"
 	"morphing/internal/graph"
 	"morphing/internal/obs"
-	"morphing/internal/pattern"
 	"morphing/internal/plan"
 	"morphing/internal/setops"
 )
@@ -325,6 +324,7 @@ func (e *btExec) run(w *btWorker) {
 type btWorker struct {
 	id         int
 	g          graph.Adjacency // per-worker view (see graph.Adjacency)
+	vlabels    []int32         // g.Labels(), read once per candidate
 	pins       Pins            // adjacency rows of the bound prefix
 	pl         *plan.Plan
 	visit      Visitor
@@ -390,6 +390,7 @@ func getBTWorker(id int, g graph.Adjacency, pl *plan.Plan, visit Visitor, instru
 	}
 	w.id = id
 	w.g = g.View()
+	w.vlabels = g.Labels()
 	w.pins.Reset(w.g, k)
 	w.pins.Bind(w.match)
 	w.pl = pl
@@ -455,6 +456,7 @@ func (w *btWorker) release() {
 		return
 	}
 	w.g = nil
+	w.vlabels = nil
 	w.pl = nil
 	w.visit = nil
 	w.found = nil
@@ -477,7 +479,7 @@ func (w *btWorker) runRoot() {
 			return
 		}
 		w.levels[0].Candidates++
-		if wantLabel != pattern.Unlabeled && w.g.Label(v) != wantLabel {
+		if !HasLabel(w.vlabels, v, wantLabel) {
 			continue
 		}
 		w.levels[0].Extended++
@@ -518,7 +520,7 @@ func (w *btWorker) descend(i int) {
 	var ext uint64
 	wantLabel := w.labels[i]
 	for _, v := range cands {
-		if wantLabel != pattern.Unlabeled && w.g.Label(v) != wantLabel {
+		if !HasLabel(w.vlabels, v, wantLabel) {
 			continue
 		}
 		if w.usedAt(v, i) {

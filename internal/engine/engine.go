@@ -22,10 +22,12 @@ var ErrInducedUnsupported = errors.New("engine: induced semantics not supported 
 // Visitor receives one match per call: m[i] is the data vertex bound to
 // pattern vertex i. Matches are unique per subgraph (symmetry breaking
 // selects one embedding per automorphism class). Visitors may be invoked
-// concurrently from different workers; worker identifies the caller and
-// should be treated as a sharding hint (take it modulo your shard count —
-// pipeline engines may use more worker IDs than configured threads). The
-// slice is reused after the call returns — copy it to retain it.
+// concurrently from different workers; worker identifies the caller:
+// calls with one worker ID never overlap, so state keyed by the ID needs
+// no lock. IDs are small and non-negative but not bounded by the
+// configured threads (pipeline engines use more), so folding them into a
+// fixed shard count lets two live workers share a shard. The slice is
+// reused after the call returns — copy it to retain it.
 type Visitor func(worker int, m []uint32)
 
 // Engine is a pattern matching engine. Implementations differ in matching

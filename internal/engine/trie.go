@@ -308,6 +308,7 @@ func subsetExtra(parent, child []int) (bool, []int) {
 type trieWorker struct {
 	id         int
 	g          graph.Adjacency // per-worker view (see graph.Adjacency)
+	vlabels    []int32         // g.Labels(), read once per candidate
 	pins       Pins            // adjacency rows of the bound prefix
 	tr         *plan.Trie
 	info       []trieExecInfo
@@ -375,6 +376,7 @@ func getTrieWorker(id int, g graph.Adjacency, tr *plan.Trie, info []trieExecInfo
 	}
 	w.id = id
 	w.g = g.View()
+	w.vlabels = g.Labels()
 	w.pins.Reset(w.g, d)
 	w.pins.Bind(w.match)
 	w.tr = tr
@@ -433,6 +435,7 @@ func (w *trieWorker) release() {
 		return
 	}
 	w.g = nil
+	w.vlabels = nil
 	w.tr = nil
 	w.info = nil
 	trieWorkerPool.Put(w)
@@ -450,7 +453,7 @@ func (w *trieWorker) runRoot() {
 			w.levels[0].Candidates++
 			w.nodeEnters[root.ID]++
 			w.nodeCands[root.ID]++
-			if root.Label != pattern.Unlabeled && w.g.Label(v) != root.Label {
+			if !HasLabel(w.vlabels, v, root.Label) {
 				continue
 			}
 			w.levels[0].Extended++
@@ -521,7 +524,7 @@ func (w *trieWorker) exec(node *plan.TrieNode, depth int) {
 	w.nodeCands[node.ID] += uint64(len(cands))
 	var ext uint64
 	for _, v := range cands {
-		if node.Label != pattern.Unlabeled && w.g.Label(v) != node.Label {
+		if !HasLabel(w.vlabels, v, node.Label) {
 			continue
 		}
 		used := false
