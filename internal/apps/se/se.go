@@ -130,35 +130,43 @@ func enumerateRun(ctx context.Context, g graph.Adjacency, eng engine.Engine, que
 		Filtered:  make([]uint64, len(queries)),
 		Stats:     &engine.Stats{},
 	}
-	// Per-worker shards avoid a lock in the UDF hot path; see
-	// engine.Visitor on worker-ID sharding.
-	const shards = 256
+	// One shard per worker ID (engine.Shards) keeps the UDF hot path
+	// lock-free whatever number of IDs the engine uses.
 	type shard struct {
-		delivered, filtered uint64
-		_                   [48]byte
+		delivered, filtered []uint64 // per query
+	}
+	newShards := func() *engine.Shards[shard] {
+		return &engine.Shards[shard]{New: func() *shard {
+			return &shard{delivered: make([]uint64, len(queries)), filtered: make([]uint64, len(queries))}
+		}}
+	}
+	fold := func(counters *engine.Shards[shard]) {
+		counters.Each(func(s *shard) {
+			for qi := range queries {
+				res.Delivered[qi] += s.delivered[qi]
+				res.Filtered[qi] += s.filtered[qi]
+			}
+		})
 	}
 
 	if !opts.Morph {
 		for qi, q := range queries {
-			counters := make([]shard, shards)
+			counters := newShards()
 			st, err := engine.MatchCtx(ctx, eng, g, q, func(worker int, m []uint32) {
-				s := &counters[worker%shards]
+				s := counters.For(worker)
 				if filter(m) {
-					s.delivered++
+					s.delivered[qi]++
 					if onMatch != nil {
 						onMatch(qi, m)
 					}
 				} else {
-					s.filtered++
+					s.filtered[qi]++
 				}
 			})
 			if st != nil {
 				res.Stats.Add(st)
 			}
-			for i := range counters {
-				res.Delivered[qi] += counters[i].delivered
-				res.Filtered[qi] += counters[i].filtered
-			}
+			fold(counters)
 			if err != nil {
 				if engine.Interrupted(err) {
 					return res, err
@@ -191,31 +199,14 @@ func enumerateRun(ctx context.Context, g graph.Adjacency, eng engine.Engine, que
 	if err != nil {
 		return nil, err
 	}
-	type qshard struct {
-		delivered, filtered []uint64
-	}
-	counters := make([]qshard, shards)
-	for i := range counters {
-		counters[i] = qshard{
-			delivered: make([]uint64, len(queries)),
-			filtered:  make([]uint64, len(queries)),
-		}
-	}
-	fold := func() {
-		for i := range counters {
-			for qi := range queries {
-				res.Delivered[qi] += counters[i].delivered[qi]
-				res.Filtered[qi] += counters[i].filtered[qi]
-			}
-		}
-	}
+	counters := newShards()
 	for ci, choice := range sel.Mine {
 		targets := plan[ci]
 		if len(targets) == 0 {
 			continue // mined for other outputs only
 		}
 		st, err := engine.MatchCtx(ctx, eng, g, choice.Pattern, func(worker int, m []uint32) {
-			s := &counters[worker%shards]
+			s := counters.For(worker)
 			if !filter(m) {
 				for _, t := range targets {
 					s.filtered[t.Query] += uint64(len(t.Maps))
@@ -241,13 +232,13 @@ func enumerateRun(ctx context.Context, g graph.Adjacency, eng engine.Engine, que
 		}
 		if err != nil {
 			if engine.Interrupted(err) {
-				fold()
+				fold(counters)
 				return res, err
 			}
 			return nil, err
 		}
 	}
-	fold()
+	fold(counters)
 	return res, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"morphing/internal/dataset"
+	"morphing/internal/enginetest"
 	"morphing/internal/graphpi"
 	"morphing/internal/pattern"
 	"morphing/internal/peregrine"
@@ -149,6 +150,31 @@ func TestMorphingReducesUDFCalls(t *testing.T) {
 	for i := range queries {
 		if base.Delivered[i] != morphed.Delivered[i] {
 			t.Errorf("query %v: results diverged", queries[i])
+		}
+	}
+}
+
+// TestEnumerateUnderManyWorkerIDs runs both routes on an engine that
+// emits from 600 concurrent worker IDs (run it with -race): every ID must
+// own its counters, so delivered + filtered adds up to the oracle's count.
+// The fixed 256-shard arrays this replaces let two live IDs share a shard.
+func TestEnumerateUnderManyWorkerIDs(t *testing.T) {
+	g, err := dataset.ErdosRenyi(60, 8, 0, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := []*pattern.Pattern{pattern.FourCycle(), pattern.TailedTriangle()}
+	w := NewWeights(g, 10, 2, 7)
+	eng := enginetest.WideEngine{Workers: 600}
+	for _, opts := range []Options{{}, {Morph: true, PerMatchCost: 50}} {
+		res, err := Enumerate(g, eng, queries, w.WithinOneStd, nil, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, q := range queries {
+			if got, want := res.Delivered[i]+res.Filtered[i], refmatch.Count(g, q); got != want {
+				t.Errorf("morph=%v %v: delivered %d + filtered %d, oracle %d", opts.Morph, q, res.Delivered[i], res.Filtered[i], want)
+			}
 		}
 	}
 }

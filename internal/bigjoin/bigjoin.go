@@ -14,7 +14,6 @@ package bigjoin
 import (
 	"context"
 	"fmt"
-	"math/bits"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -141,48 +140,10 @@ func (e *Engine) CountVertexInducedViaFilter(g graph.Adjacency, p *pattern.Patte
 // CountVertexInducedViaFilterCtx is CountVertexInducedViaFilter under a
 // context (partial counts on interruption).
 func (e *Engine) CountVertexInducedViaFilterCtx(ctx context.Context, g graph.Adjacency, p *pattern.Pattern) (uint64, *engine.Stats, error) {
-	nonEdges := p.NonEdges()
-	threads := engine.ExecOptions{Threads: e.Threads}.ThreadCount()
-	type shard struct {
-		kept     uint64
-		branches uint64
-		_        [48]byte
-	}
-	shards := make([]shard, threads)
-	_, st, err := e.run(ctx, g, p.AsEdgeInduced(), func(worker int, m []uint32) {
-		s := &shards[worker%threads]
-		keep := true
-		for _, ne := range nonEdges {
-			u, v := m[ne[0]], m[ne[1]]
-			du, dv := g.Degree(u), g.Degree(v)
-			if dv < du {
-				du = dv
-			}
-			s.branches += uint64(bits.Len(uint(du))) + 1
-			if g.HasEdge(u, v) {
-				keep = false
-				break
-			}
-		}
-		if keep {
-			s.kept++
-		}
+	return engine.CountViaEdgeFilter(ctx, g, p.NonEdges(), e.Obs, func(visit engine.Visitor) (*engine.Stats, error) {
+		_, st, err := e.run(ctx, g, p.AsEdgeInduced(), visit)
+		return st, err
 	})
-	if err != nil && st == nil {
-		return 0, nil, err
-	}
-	var kept uint64
-	var filterBranches uint64
-	for i := range shards {
-		kept += shards[i].kept
-		filterBranches += shards[i].branches
-	}
-	st.Branches += filterBranches
-	st.Matches = kept
-	// run already published its own counters; only the filter UDF's probe
-	// branches are new.
-	obs.FromContext(ctx, e.Obs).Counter(engine.MetricBranches).Add(0, filterBranches)
-	return kept, st, err
 }
 
 // runSingle evaluates the degenerate single-attribute query (no joins):

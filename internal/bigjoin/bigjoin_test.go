@@ -117,3 +117,20 @@ func TestDisconnectedPatternRejected(t *testing.T) {
 		t.Fatal("disconnected pattern accepted")
 	}
 }
+
+// TestFilterPathUnderManyWorkerIDs (run it with -race) gives the dataflow
+// a 600-worker budget, so the last stage emits under worker IDs 400-599:
+// far beyond any fixed shard count, each must own its Filter UDF counters.
+func TestFilterPathUnderManyWorkerIDs(t *testing.T) {
+	g := testGraph(t)
+	e := New(600)
+	for _, p := range []*pattern.Pattern{pattern.FourCycle().AsVertexInduced(), pattern.TailedTriangle().AsVertexInduced()} {
+		kept, st, err := e.CountVertexInducedViaFilter(g, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := refmatch.Count(g, p); kept != want || st.Matches != want {
+			t.Fatalf("%v: filter kept %d (stats %d) under 600 workers, oracle %d", p, kept, st.Matches, want)
+		}
+	}
+}

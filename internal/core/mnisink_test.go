@@ -1,58 +1,13 @@
 package core
 
 import (
-	"sync"
 	"testing"
 
 	"morphing/internal/dataset"
-	"morphing/internal/engine"
-	"morphing/internal/graph"
+	"morphing/internal/enginetest"
 	"morphing/internal/pattern"
 	"morphing/internal/peregrine"
-	"morphing/internal/refmatch"
 )
-
-// wideEngine emits the oracle's matches from many goroutines that are all
-// live at once, each under a worker ID of its own — what engine.Visitor
-// allows a pipeline engine to do. Sinks that fold worker IDs into a fixed
-// shard count let two of them write one shard.
-type wideEngine struct{ workers int }
-
-func (wideEngine) Name() string                         { return "wide" }
-func (wideEngine) SupportsInduced(pattern.Induced) bool { return true }
-
-func (wideEngine) Count(g graph.Adjacency, p *pattern.Pattern) (uint64, *engine.Stats, error) {
-	return refmatch.Count(g.(*graph.Graph), p), &engine.Stats{}, nil
-}
-
-func (e wideEngine) CountAll(g graph.Adjacency, ps []*pattern.Pattern) ([]uint64, *engine.Stats, error) {
-	out := make([]uint64, len(ps))
-	for i, p := range ps {
-		out[i] = refmatch.Count(g.(*graph.Graph), p)
-	}
-	return out, &engine.Stats{}, nil
-}
-
-func (e wideEngine) Match(g graph.Adjacency, p *pattern.Pattern, visit engine.Visitor) (*engine.Stats, error) {
-	ms := refmatch.Matches(g.(*graph.Graph), p)
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < e.workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			<-start
-			buf := make([]uint32, p.N())
-			for i := w; i < len(ms); i += e.workers {
-				copy(buf, ms[i])
-				visit(w, buf)
-			}
-		}(w)
-	}
-	close(start)
-	wg.Wait()
-	return &engine.Stats{Matches: uint64(len(ms))}, nil
-}
 
 // TestMNISinkOwnsOneShardPerWorkerID runs both MNI routes under 600
 // concurrent worker IDs (run it with -race): every ID must get a shard of
@@ -62,7 +17,7 @@ func TestMNISinkOwnsOneShardPerWorkerID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := wideEngine{workers: 600}
+	eng := enginetest.WideEngine{Workers: 600}
 	queries := []*pattern.Pattern{
 		pattern.Wedge().AsEdgeInduced(),
 		pattern.FourCycle().AsEdgeInduced(),

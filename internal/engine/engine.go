@@ -78,11 +78,11 @@ type Stats struct {
 	SetUnrolledOps uint64 // operations served by the branchless unrolled merge
 	SetTileOps     uint64 // operations served by the block-bitmap tile kernel
 	SetWritten     uint64 // elements written to destination slices
-	Materialized uint64 // vertices written into emitted matches
-	UDFCalls     uint64 // user-defined-function invocations
-	Branches     uint64 // data-dependent branches (edge probes, filters)
-	Matches      uint64 // unique matches found
-	TailSteals   uint64 // tail work-stealing block splits performed
+	Materialized   uint64 // vertices written into emitted matches
+	UDFCalls       uint64 // user-defined-function invocations
+	Branches       uint64 // data-dependent branches (edge probes, filters)
+	Matches        uint64 // unique matches found
+	TailSteals     uint64 // tail work-stealing block splits performed
 
 	// Trie-execution counters (BacktrackTrie): how many one-pass
 	// multi-pattern executions ran, how many patterns they covered, and
@@ -92,7 +92,12 @@ type Stats struct {
 	TriePatterns     uint64
 	TrieSharedLevels uint64
 
-	SetOpTime       time.Duration // candidate-generation time
+	// SetOpTime is candidate-generation time. The trie executor charges it
+	// per node execution, not per kernel call: a node with a leaf child
+	// clocks its whole execution once (own set, base builds, leaf kernels
+	// and cursor work of the subtree), any other node only its own set
+	// building — one pair of clock reads per parent, none per leaf.
+	SetOpTime       time.Duration
 	MaterializeTime time.Duration // match assembly and emission time
 	UDFTime         time.Duration // time inside user callbacks
 	TotalTime       time.Duration // wall-clock for the whole operation

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -227,47 +228,92 @@ func BacktrackTrieCtx(ctx context.Context, g graph.Adjacency, tr *plan.Trie, opt
 	return counts, st, nil
 }
 
-// trieExecInfo is per-node execution metadata derived from the trie's
-// static structure: whether the node's candidate set can be computed
-// incrementally from its parent's materialized raw set. When the parent's
-// Connect and Disconnect lists are subsets of the child's, the child's
-// set is the parent's raw set (pre-window, pre-label — exactly the
-// intersection the parent materialized) narrowed by the extra
-// constraints only. On the dense alternative sets morphing produces this
-// collapses a leaf's whole intersection chain into one count-only kernel
-// call against an already-small set — the dominant cost of a pass.
+// trieExecInfo is what buildTrieExecInfo decides about a node from the
+// trie's static structure alone (bind-time hoisting, DESIGN §12). A node at
+// depth k runs once per vertex its parent binds at depth d = k-1, so its
+// Connect/Disconnect lists split into the prefix part (levels below d) and
+// the binding part (level d itself, at most one entry). The prefix part
+// evaluates to a base set that cannot change while the levels it reads
+// stay bound; src says where that set lives:
 //
-// check lists, for every node, the bound depths a count-only leaf corrects
-// for (Unconnected): a depth in the node's Connect can never be counted,
-// which is resolved here once rather than probed on every leaf execution.
+//   - srcRows: nothing to hoist — the prefix is empty or a single pinned
+//     row, and the node runs its own lists through Pins (no extra op);
+//   - srcRaw: the raw set the ancestor at depth at materialized, valid
+//     while that ancestor's execution is on the stack;
+//   - srcBuilt: built into the node's own buffer (pconn/pdisc, then last)
+//     on first use after level at — its deepest operand — is re-bound.
+//
+// An execution then costs at most one kernel call (base against the row of
+// v_d), and an unlabeled single-branch leaf with an empty binding part
+// none: its parent counts it with galloping cursors (trieCursor). check
+// lists the bound depths a count-only leaf corrects for (Unconnected).
 type trieExecInfo struct {
-	reuse     bool
-	extraConn []int
-	extraDisc []int
-	check     []int
+	src          baseSrc
+	at           int
+	pconn, pdisc []int // srcBuilt: the base's operands but the last
+	last         int   // srcBuilt: the final operand, a disc level if lastDisc
+	lastDisc     bool
+	bconn, bdisc []int // binding part: the parent's depth in at most one of them
+	check        []int
+
+	leaf      bool // every branch is childless
+	slot      int  // 1 + index in the parent's collapsed list; 0: executes itself
+	loDep     bool // collapsed: the window's low / high end depends on v_d
+	hiDep     bool
+	collapsed []*plan.TrieNode // children this node counts by cursor
+	timeWhole bool             // leaf or parent of one: Instrument clocks the whole execution
 }
 
-// buildTrieExecInfo walks the trie once, marking every node whose
-// constraint lists extend its parent's. Roots and children of
-// constraint-free parents (no materialized set to extend) stay on the
-// from-scratch path.
+type baseSrc uint8
+
+const srcRows, srcRaw, srcBuilt baseSrc = 0, 1, 2
+
+// buildTrieExecInfo classifies every node once per pass, so an execution
+// only reads flags (classifying per execution is measurably slower on the
+// decode-bound tier).
 func buildTrieExecInfo(tr *plan.Trie) []trieExecInfo {
 	info := make([]trieExecInfo, tr.Nodes)
+	var path []*plan.TrieNode // ancestors of the node being classified, root first
 	var rec func(n *plan.TrieNode)
 	rec = func(n *plan.TrieNode) {
-		info[n.ID].check = Unconnected(nil, n.Depth, n.Connect)
-		for _, b := range n.Branches {
-			for _, c := range b.Children {
-				if len(n.Connect) > 0 {
-					if okC, exC := subsetExtra(n.Connect, c.Connect); okC {
-						if okD, exD := subsetExtra(n.Disconnect, c.Disconnect); okD {
-							info[c.ID] = trieExecInfo{reuse: true, extraConn: exC, extraDisc: exD}
-						}
-					}
+		ei := &info[n.ID]
+		ei.check = Unconnected(nil, n.Depth, n.Connect)
+		ei.leaf = true
+		d := n.Depth - 1
+		pconn, bconn := splitAt(n.Connect, d)
+		pdisc, bdisc := splitAt(n.Disconnect, d)
+		ei.bconn, ei.bdisc = bconn, bdisc
+		if len(pconn) > 1 || len(pconn) == 1 && len(pdisc) > 0 {
+			ei.src, ei.at = srcBuilt, pconn[len(pconn)-1]
+			if nd := len(pdisc); nd > 0 {
+				ei.pconn, ei.pdisc, ei.last, ei.lastDisc = pconn, pdisc[:nd-1], pdisc[nd-1], true
+				ei.at = max(ei.at, ei.last)
+			} else {
+				ei.pconn, ei.last = pconn[:len(pconn)-1], ei.at
+			}
+			for _, a := range path[1:] {
+				if slices.Equal(a.Connect, pconn) && slices.Equal(a.Disconnect, pdisc) {
+					ei.src, ei.at = srcRaw, a.Depth
 				}
-				rec(c)
 			}
 		}
+		path = append(path, n)
+		for _, b := range n.Branches {
+			for _, c := range b.Children {
+				ei.leaf = false
+				rec(c)
+				ci := &info[c.ID]
+				ei.timeWhole = ei.timeWhole || ci.leaf
+				if ci.leaf && len(c.Branches) == 1 && c.Label == pattern.Unlabeled && len(ci.bconn)+len(ci.bdisc) == 0 {
+					ei.collapsed = append(ei.collapsed, c)
+					ci.slot = len(ei.collapsed)
+					ci.loDep = slices.Contains(c.Branches[0].Greater, n.Depth)
+					ci.hiDep = slices.Contains(c.Branches[0].Smaller, n.Depth)
+				}
+			}
+		}
+		path = path[:len(path)-1]
+		ei.timeWhole = ei.timeWhole || ei.leaf
 	}
 	for _, r := range tr.Roots {
 		rec(r)
@@ -275,30 +321,17 @@ func buildTrieExecInfo(tr *plan.Trie) []trieExecInfo {
 	return info
 }
 
-// subsetExtra reports whether every element of parent appears in child,
-// and if so returns the child elements not in parent. The lists are tiny
-// (bounded by pattern size), so quadratic scans beat any indexing.
-func subsetExtra(parent, child []int) (bool, []int) {
-	containsInt := func(s []int, x int) bool {
-		for _, v := range s {
-			if v == x {
-				return true
-			}
-		}
-		return false
-	}
-	for _, j := range parent {
-		if !containsInt(child, j) {
-			return false, nil
+// splitAt partitions a node's level list into the levels below d and the
+// entry for d itself (nil when absent). Lists are bounded by pattern size.
+func splitAt(list []int, d int) (below, at []int) {
+	for i, j := range list {
+		if j == d {
+			at = list[i : i+1]
+		} else {
+			below = append(below, j)
 		}
 	}
-	var extra []int
-	for _, j := range child {
-		if !containsInt(parent, j) {
-			extra = append(extra, j)
-		}
-	}
-	return true, extra
+	return below, at
 }
 
 // trieWorker interprets the merged trie over one stealable vertex range
@@ -329,8 +362,17 @@ type trieWorker struct {
 	match []uint32
 	bufA  [][]uint32
 	bufB  [][]uint32
-	raw   [][]uint32 // per-depth: last raw (pre-window) candidate set, for child reuse
+	raw   [][]uint32 // per-depth: last raw (pre-window) candidate set, the srcRaw bases
 	wins  [][]trieWin
+
+	// Hoisting state. stamp[j] is the tick at which depth j was last bound;
+	// a built base is valid while its deepest operand's stamp is the one it
+	// was built under (the rule Pins uses for rows, with a counter where Pins
+	// compares vertices). tick never rewinds, also not between passes.
+	tick  uint64
+	stamp []uint64
+	bases []trieBase     // per node, srcBuilt only; buffers sized by need
+	curs  [][]trieCursor // per depth: cursors of the executing node's collapsed leaves
 
 	// Pooling state, mirroring btWorker: a pooled worker keeps its arena
 	// and the scratch carved from it, so reuse at the same shape allocates
@@ -344,6 +386,28 @@ type trieWorker struct {
 // trieWin is one branch's resolved symmetry window, half-open [lo, hi).
 type trieWin struct {
 	lo, hi uint32
+}
+
+// trieBase is a node's built base set and the stamp of its deepest operand
+// at build time (0: never built in this pass).
+type trieBase struct {
+	set   []uint32
+	stamp uint64
+}
+
+// trieCursor counts one collapsed leaf over one execution of its parent.
+// The parent binds v_d in ascending order and the leaf's window ends are
+// max/min of fixed vertices and v_d, so both ends only move right: lo and
+// hi are the first positions of base at or above them, advanced by
+// galloping (a linear walk is wrong on a hub row with few parent
+// candidates); at follows v_d itself, for windows that can contain it.
+type trieCursor struct {
+	base       []uint32
+	lo, hi, at int
+	flo, fhi   uint32                      // the window owed to the levels above the parent
+	fixed      [pattern.MaxVertices]uint32 // vertices bound at those levels inside base and window
+	nfixed     int
+	enters, n  uint64
 }
 
 func (w *trieWorker) total() uint64 {
@@ -387,6 +451,14 @@ func getTrieWorker(id int, g graph.Adjacency, tr *plan.Trie, info []trieExecInfo
 	clear(w.nodeEnters)
 	clear(w.nodeCands)
 	clear(w.nodeExt)
+	for i := range w.bases {
+		w.bases[i].stamp = 0 // buffers stay: they are capacity, not content
+	}
+	for i := range info {
+		if c := info[i].collapsed; len(c) > 0 && len(c) > len(w.curs[c[0].Depth-1]) {
+			w.curs[c[0].Depth-1] = make([]trieCursor, len(c))
+		}
+	}
 	lv, wk, tn := w.st.Levels[:0], w.st.Workers[:0], w.st.TrieNodes[:0]
 	w.st = Stats{}
 	w.st.Levels, w.st.Workers, w.st.TrieNodes = lv, wk, tn
@@ -397,6 +469,15 @@ func getTrieWorker(id int, g graph.Adjacency, tr *plan.Trie, info []trieExecInfo
 	return w
 }
 
+// alloc returns an empty buffer of capacity n from the worker's arena (the
+// heap under NoArena), valid until the next reshape.
+func (w *trieWorker) alloc(n int) []uint32 {
+	if w.arena != nil {
+		return w.arena.Alloc(n)
+	}
+	return make([]uint32, 0, n)
+}
+
 // reshape (re)builds the worker's scratch for a new trie shape, carving
 // every uint32 buffer from the arena when one is attached (after a Reset,
 // since the previous shape's buffers alias the same slabs).
@@ -405,25 +486,22 @@ func (w *trieWorker) reshape(d, maxDeg, plans, nodes int) {
 	if w.arena != nil {
 		w.arena.Reset()
 	}
-	alloc := func(n int) []uint32 {
-		if w.arena != nil {
-			return w.arena.Alloc(n)
-		}
-		return make([]uint32, 0, n)
-	}
 	w.levels = make([]LevelStats, d)
 	w.counts = make([]uint64, plans)
 	w.nodeEnters = make([]uint64, nodes)
 	w.nodeCands = make([]uint64, nodes)
 	w.nodeExt = make([]uint64, nodes)
-	w.match = alloc(d)[:d]
+	w.match = w.alloc(d)[:d]
 	w.bufA = make([][]uint32, d)
 	w.bufB = make([][]uint32, d)
 	w.raw = make([][]uint32, d)
 	w.wins = make([][]trieWin, d)
+	w.stamp = make([]uint64, d)
+	w.bases = make([]trieBase, nodes) // dropping the old buffers with the arena
+	w.curs = make([][]trieCursor, d)
 	for i := 0; i < d; i++ {
-		w.bufA[i] = alloc(maxDeg)
-		w.bufB[i] = alloc(maxDeg)
+		w.bufA[i] = w.alloc(maxDeg)
+		w.bufB[i] = w.alloc(maxDeg)
 	}
 }
 
@@ -438,7 +516,18 @@ func (w *trieWorker) release() {
 	w.vlabels = nil
 	w.tr = nil
 	w.info = nil
+	clear(w.raw)
+	for _, cs := range w.curs {
+		clear(cs) // cursor bases alias rows of the graph
+	}
 	trieWorkerPool.Put(w)
+}
+
+// bind binds depth j to v, stamping the binding for the bases built on it.
+func (w *trieWorker) bind(j int, v uint32) {
+	w.match[j] = v
+	w.tick++
+	w.stamp[j] = w.tick
 }
 
 // runRoot scans the worker's armed level-0 range, claiming vertices one
@@ -458,14 +547,14 @@ func (w *trieWorker) runRoot() {
 			}
 			w.levels[0].Extended++
 			w.nodeExt[root.ID]++
-			w.match[0] = v
+			w.bind(0, v)
 			// Depth-0 nodes carry no symmetry conditions (no earlier levels).
 			for _, br := range root.Branches {
 				for _, idx := range br.Leaves {
 					w.counts[idx]++
 				}
 				for _, child := range br.Children {
-					w.exec(child, 1)
+					w.exec(child, 1, w.instrument)
 				}
 			}
 		}
@@ -474,23 +563,33 @@ func (w *trieWorker) runRoot() {
 
 // exec runs one shared node at the given depth: compute the candidate set
 // once, then per surviving candidate evaluate each symmetry branch,
-// crediting leaf patterns and recursing into children. Nodes whose
-// branches are all childless degenerate into pure counting.
-func (w *trieWorker) exec(node *plan.TrieNode, depth int) {
-	leaf := true
-	for _, br := range node.Branches {
-		if len(br.Children) > 0 {
-			leaf = false
-			break
-		}
+// crediting leaf patterns and recursing into children — or, for collapsed
+// leaves, advancing their cursors. Nodes whose branches are all childless
+// degenerate into pure counting (execLeaf). timed is Instrument minus any
+// ancestor already clocking this execution: a node with a leaf child
+// charges its whole execution (the subtree below is set building and leaf
+// counting) to SetOpTime with one pair of clock reads, any other node only
+// its own set building.
+func (w *trieWorker) exec(node *plan.TrieNode, depth int, timed bool) {
+	ei := &w.info[node.ID]
+	var t0 time.Time
+	if timed {
+		t0 = time.Now()
 	}
-	if leaf {
-		w.execLeaf(node, depth)
+	whole := timed && ei.timeWhole
+	w.nodeEnters[node.ID]++
+	if ei.leaf {
+		w.execLeaf(node, ei, depth)
+		if whole {
+			w.st.SetOpTime += time.Since(t0)
+		}
 		return
 	}
-	w.nodeEnters[node.ID]++
-	cands := w.candidates(node, depth)
-	// Children may derive their sets from this raw (pre-window) set; it
+	cands := w.set(node, ei, depth)
+	if timed && !whole {
+		w.st.SetOpTime += time.Since(t0)
+	}
+	// Descendants may alias this raw (pre-window) set as their base; it
 	// stays valid through the subtree recursion because deeper levels own
 	// their own scratch buffers.
 	w.raw[depth] = cands
@@ -503,26 +602,18 @@ func (w *trieWorker) exec(node *plan.TrieNode, depth int) {
 	// the level's conditions — this is exactly the per-pattern executor's
 	// symmetry pruning; diverging branches keep whatever pruning their
 	// windows' union allows.
-	wins := w.wins[depth][:0]
-	ulo, uhi := ^uint32(0), uint32(0)
-	for _, br := range node.Branches {
-		lo, hi := trieWindow(br, w.match)
-		wins = append(wins, trieWin{lo, hi})
-		if lo < ulo {
-			ulo = lo
-		}
-		if hi > uhi {
-			uhi = hi
-		}
-	}
-	w.wins[depth] = wins
-	if ulo > 0 || uhi < ^uint32(0) {
-		cands = setops.Clip(cands, ulo, uhi)
+	wins := w.windows(node, depth)
+	cands = clipToUnion(cands, wins)
+
+	curs := w.curs[depth]
+	for i := range ei.collapsed {
+		curs[i].enters, curs[i].n = 0, 0 // the rest is set on the first candidate
 	}
 
 	w.levels[depth].Candidates += uint64(len(cands))
 	w.nodeCands[node.ID] += uint64(len(cands))
 	var ext uint64
+	info := w.info
 	for _, v := range cands {
 		if !HasLabel(w.vlabels, v, node.Label) {
 			continue
@@ -538,7 +629,7 @@ func (w *trieWorker) exec(node *plan.TrieNode, depth int) {
 			continue
 		}
 		ext++
-		w.match[depth] = v
+		w.bind(depth, v)
 		for bi, br := range node.Branches {
 			if v < wins[bi].lo || v >= wins[bi].hi {
 				continue
@@ -547,89 +638,128 @@ func (w *trieWorker) exec(node *plan.TrieNode, depth int) {
 				w.counts[idx]++
 			}
 			for _, child := range br.Children {
-				w.exec(child, depth+1)
+				if ci := &info[child.ID]; ci.slot > 0 {
+					w.advance(&curs[ci.slot-1], child, ci, v)
+				} else {
+					w.exec(child, depth+1, timed && !whole)
+				}
 			}
 		}
 	}
 	w.levels[depth].Extended += ext
 	w.nodeExt[node.ID] += ext
+	// Collapsed leaves are credited in bulk, with exactly the totals their
+	// per-candidate executions would have produced.
+	for i, leaf := range ei.collapsed {
+		if curs[i].enters > 0 {
+			w.nodeEnters[leaf.ID] += curs[i].enters
+			w.credit(leaf, depth+1, curs[i].n)
+		}
+	}
+	if whole {
+		w.st.SetOpTime += time.Since(t0)
+	}
+}
+
+// credit books n extensions of a single-branch count-only leaf: the
+// candidate set is never materialized, so the extension count stands in
+// for both selectivity fields.
+func (w *trieWorker) credit(leaf *plan.TrieNode, depth int, n uint64) {
+	for _, idx := range leaf.Branches[0].Leaves {
+		w.counts[idx] += n
+	}
+	w.levels[depth].Candidates += n
+	w.levels[depth].Extended += n
+	w.nodeCands[leaf.ID] += n
+	w.nodeExt[leaf.ID] += n
+}
+
+// advance counts a collapsed leaf for the vertex v its parent just bound:
+// the slice of the base inside the leaf's window, minus the already-bound
+// vertices in it. What the levels above the parent fix — the base, their
+// share of the window, their vertices inside both — is resolved on the
+// first candidate to get here; only an end that depends on v moves. Probes
+// are charged to Elems as the galloping kernels charge theirs; no Op.
+func (w *trieWorker) advance(c *trieCursor, leaf *plan.TrieNode, ei *trieExecInfo, v uint32) {
+	d := leaf.Depth - 1
+	if c.enters == 0 {
+		c.base = w.base(leaf, ei)
+		c.flo, c.fhi = trieWindow(leaf.Branches[0], w.match, d)
+		c.lo = setops.GallopGE(c.base, 0, c.flo, &w.sst.Elems)
+		c.hi, c.at, c.nfixed = 0, 0, 0
+		if !ei.hiDep {
+			c.hi = setops.GallopGE(c.base, c.lo, c.fhi, &w.sst.Elems)
+		}
+		for _, a := range ei.check {
+			if u := w.match[a]; a != d && u >= c.flo && u < c.fhi && setops.Contains(c.base, u) {
+				c.fixed[c.nfixed] = u
+				c.nfixed++
+			}
+		}
+	}
+	c.enters++
+	lo, hi := c.flo, c.fhi
+	if ei.loDep {
+		lo = max(lo, v+1)
+		c.lo = setops.GallopGE(c.base, c.lo, lo, &w.sst.Elems)
+	}
+	if ei.hiDep {
+		hi = min(hi, v)
+		c.hi = setops.GallopGE(c.base, c.hi, hi, &w.sst.Elems)
+	}
+	if lo >= hi {
+		return
+	}
+	n := c.hi - c.lo
+	for _, u := range c.fixed[:c.nfixed] {
+		if u >= lo && u < hi {
+			n--
+		}
+	}
+	if v >= lo && v < hi { // neither end depends on v: it may sit in the base itself
+		c.at = setops.GallopGE(c.base, c.at, v, &w.sst.Elems)
+		if c.at < len(c.base) && c.base[c.at] == v {
+			n--
+		}
+	}
+	c.n += uint64(n)
 }
 
 // execLeaf runs a node whose branches are all childless. Nothing
 // downstream needs the bindings, so counting goes through the count-only
-// kernels: a single branch never materializes the candidate set
-// (CountExtensions), while sibling branches materialize the shared set
-// once and count each branch's window arithmetically.
-func (w *trieWorker) execLeaf(node *plan.TrieNode, depth int) {
-	w.nodeEnters[node.ID]++
+// kernels: a single branch never materializes the candidate set, while
+// sibling branches materialize the shared set once and count each
+// branch's window arithmetically.
+func (w *trieWorker) execLeaf(node *plan.TrieNode, ei *trieExecInfo, depth int) {
 	if len(node.Branches) == 1 {
-		br := node.Branches[0]
-		var t0 time.Time
-		if w.instrument {
-			t0 = time.Now()
-		}
-		lo, hi := trieWindow(br, w.match)
+		lo, hi := trieWindow(node.Branches[0], w.match, -1)
 		if f, ok := LevelFilter(w.g, lo, hi, node.Label); ok {
-			var n uint64
-			if ei := &w.info[node.ID]; ei.reuse {
-				n = w.countFromParent(ei, depth, f)
-			} else {
-				n, w.bufA[depth], w.bufB[depth] = w.pins.CountExtensions(node.Connect, node.Disconnect, ei.check, f, w.bufA[depth], w.bufB[depth], &w.sst)
-			}
-			for _, idx := range br.Leaves {
-				w.counts[idx] += n
-			}
-			// Count-only leaf: the candidate set is never materialized, so
-			// the extension count stands in for both fields.
-			w.levels[depth].Candidates += n
-			w.levels[depth].Extended += n
-			w.nodeCands[node.ID] += n
-			w.nodeExt[node.ID] += n
-		}
-		if w.instrument {
-			w.st.SetOpTime += time.Since(t0)
+			w.credit(node, depth, w.countLeaf(node, ei, depth, f))
 		}
 		return
 	}
-	cands := w.candidates(node, depth)
+	wins := w.windows(node, depth)
 	// Clip the shared set to the union of the branch windows before the
 	// per-branch count-only scans (same pruning as exec; membership within
 	// any branch window is preserved, so the bound-vertex subtraction
 	// below still sees every vertex its filter can pass).
-	ulo, uhi := ^uint32(0), uint32(0)
-	for _, br := range node.Branches {
-		lo, hi := trieWindow(br, w.match)
-		if lo < ulo {
-			ulo = lo
-		}
-		if hi > uhi {
-			uhi = hi
-		}
-	}
-	if ulo > 0 || uhi < ^uint32(0) {
-		cands = setops.Clip(cands, ulo, uhi)
-	}
+	cands := clipToUnion(w.set(node, ei, depth), wins)
 	w.levels[depth].Candidates += uint64(len(cands))
 	w.nodeCands[node.ID] += uint64(len(cands))
-	var t0 time.Time
-	if w.instrument {
-		t0 = time.Now()
-	}
-	for _, br := range node.Branches {
-		lo, hi := trieWindow(br, w.match)
-		f, ok := LevelFilter(w.g, lo, hi, node.Label)
+	for bi, br := range node.Branches {
+		f, ok := LevelFilter(w.g, wins[bi].lo, wins[bi].hi, node.Label)
 		if !ok {
 			continue
 		}
 		// The shared set is sorted, so each branch's window count is two
 		// binary searches; only labeled levels still scan (and only the
 		// window's slice of the set).
-		sub := setops.Clip(cands, lo, hi)
+		sub := setops.Clip(cands, f.Lo, f.Hi)
 		n := uint64(len(sub))
 		if f.Labels != nil {
 			n = setops.CountF(sub, f, &w.sst)
 		}
-		for _, j := range w.info[node.ID].check {
+		for _, j := range ei.check {
 			if u := w.match[j]; f.Pass(u) && setops.Contains(sub, u) {
 				n--
 			}
@@ -642,101 +772,124 @@ func (w *trieWorker) execLeaf(node *plan.TrieNode, depth int) {
 		w.levels[depth].Extended += n
 		w.nodeExt[node.ID] += n
 	}
-	if w.instrument {
-		w.st.SetOpTime += time.Since(t0)
-	}
 }
 
-// countFromParent counts a reuse leaf's extensions from the parent's raw
-// candidate set: materialize every extra constraint but the last, run the
-// last count-only with the window and label fused in (mirroring
-// CountExtensions), then subtract already-bound vertices — a bound vertex
-// was counted iff it passes the filter, sits in the parent set, and
-// satisfies the extra constraints, all binary searches in rows the worker
-// already holds.
-func (w *trieWorker) countFromParent(ei *trieExecInfo, depth int, f setops.Filter) uint64 {
-	base := w.raw[depth-1]
-	var n uint64
-	nExtra := len(ei.extraConn) + len(ei.extraDisc)
-	if nExtra == 0 {
+// countLeaf counts a single-branch leaf's extensions passing f without
+// materializing them. With a hoisted base that is one count-only kernel
+// call against the row of v_d (none when the binding part is empty), minus
+// the bound vertices it counted: those that pass the filter, sit in the
+// base and meet the binding part — binary searches in sets already held.
+func (w *trieWorker) countLeaf(node *plan.TrieNode, ei *trieExecInfo, depth int, f setops.Filter) (n uint64) {
+	if ei.src == srcRows {
+		n, w.bufA[depth], w.bufB[depth] = w.pins.CountExtensions(node.Connect, node.Disconnect, ei.check, f, w.bufA[depth], w.bufB[depth], &w.sst)
+		return n
+	}
+	base := w.base(node, ei)
+	switch {
+	case len(ei.bconn) > 0:
+		n = w.pins.IntersectCountF(base, depth-1, f, &w.sst)
+	case len(ei.bdisc) > 0:
+		n = w.pins.DifferenceCountF(base, depth-1, f, &w.sst)
+	default:
 		n = setops.CountF(base, f, &w.sst)
-	} else {
-		cur := base
-		out, spare := w.bufA[depth], w.bufB[depth]
-		for i, j := range ei.extraConn {
-			if len(ei.extraDisc) == 0 && i == len(ei.extraConn)-1 {
-				n = w.pins.IntersectCountF(cur, j, f, &w.sst)
-				break
-			}
-			cur = w.pins.IntersectNeighbors(out, cur, j, &w.sst)
-			out, spare = spare, cur
-		}
-		for i, j := range ei.extraDisc {
-			if i == len(ei.extraDisc)-1 {
-				n = w.pins.DifferenceCountF(cur, j, f, &w.sst)
-				break
-			}
-			cur = w.pins.DifferenceNeighbors(out, cur, j, &w.sst)
-			out, spare = spare, cur
-		}
-		w.bufA[depth], w.bufB[depth] = out, spare
 	}
 	for _, a := range ei.check {
-		if u := w.match[a]; f.Pass(u) && setops.Contains(base, u) && w.pins.qualifies(a, ei.extraConn, ei.extraDisc) {
+		if u := w.match[a]; f.Pass(u) && setops.Contains(base, u) && w.pins.qualifies(a, ei.bconn, ei.bdisc) {
 			n--
 		}
 	}
 	return n
 }
 
+// set materializes a node's raw (pre-window, pre-label) candidate set: its
+// base narrowed by the binding part, or its own lists through Pins when
+// nothing is hoisted. The result is worker scratch, a base or a pinned row
+// — each valid through the node's subtree recursion, during which the
+// depths above stay bound and deeper levels use their own scratch.
+func (w *trieWorker) set(node *plan.TrieNode, ei *trieExecInfo, depth int) (cur []uint32) {
+	if ei.src == srcRows {
+		cur, w.bufA[depth], w.bufB[depth] = w.pins.Candidates(node.Connect, node.Disconnect, w.bufA[depth], w.bufB[depth], &w.sst)
+		return cur
+	}
+	cur = w.base(node, ei)
+	if len(ei.bconn) > 0 {
+		cur = w.pins.IntersectNeighbors(w.bufA[depth], cur, depth-1, &w.sst)
+	} else if len(ei.bdisc) > 0 {
+		cur = w.pins.DifferenceNeighbors(w.bufA[depth], cur, depth-1, &w.sst)
+	}
+	return cur
+}
+
+// base returns a node's base set: an ancestor's raw set, the node's own
+// buffer — rebuilt first when its deepest operand was re-bound since the
+// last build, so at most once per binding of that level — or, for a
+// collapsed leaf with nothing to hoist, its single pinned row. A build
+// runs all operands but the last through the depth's scratch (free: no
+// node at this depth is executing) and the last into the buffer, which
+// doubles up to the largest set it has held (≤ 4×MaxDegree words of arena).
+func (w *trieWorker) base(node *plan.TrieNode, ei *trieExecInfo) []uint32 {
+	switch ei.src {
+	case srcRows:
+		return w.pins.Row(node.Connect[0])
+	case srcRaw:
+		return w.raw[ei.at]
+	}
+	b := &w.bases[node.ID]
+	if b.stamp != w.stamp[ei.at] {
+		b.stamp = w.stamp[ei.at]
+		k := node.Depth
+		var cur []uint32
+		cur, w.bufA[k], w.bufB[k] = w.pins.Candidates(ei.pconn, ei.pdisc, w.bufA[k], w.bufB[k], &w.sst)
+		if cap(b.set) < len(cur) {
+			b.set = w.alloc(max(len(cur), 2*cap(b.set)))
+		}
+		if ei.lastDisc {
+			b.set = w.pins.DifferenceNeighbors(b.set, cur, ei.last, &w.sst)
+		} else {
+			b.set = w.pins.IntersectNeighbors(b.set, cur, ei.last, &w.sst)
+		}
+	}
+	return b.set
+}
+
+// windows resolves the node's branch windows against the bound prefix, into
+// per-depth scratch.
+func (w *trieWorker) windows(node *plan.TrieNode, depth int) []trieWin {
+	wins := w.wins[depth][:0]
+	for _, br := range node.Branches {
+		lo, hi := trieWindow(br, w.match, -1)
+		wins = append(wins, trieWin{lo, hi})
+	}
+	w.wins[depth] = wins
+	return wins
+}
+
+// clipToUnion narrows a sorted candidate set to the union of the branch
+// windows.
+func clipToUnion(cands []uint32, wins []trieWin) []uint32 {
+	ulo, uhi := ^uint32(0), uint32(0)
+	for _, win := range wins {
+		ulo, uhi = min(ulo, win.lo), max(uhi, win.hi)
+	}
+	if ulo > 0 || uhi < ^uint32(0) {
+		cands = setops.Clip(cands, ulo, uhi)
+	}
+	return cands
+}
+
 // trieWindow resolves a branch's symmetry conditions against the bound
-// prefix as a half-open window [lo, hi).
-func trieWindow(br *plan.TrieBranch, match []uint32) (lo, hi uint32) {
+// prefix as a half-open window [lo, hi), leaving out level skip (-1: none).
+func trieWindow(br *plan.TrieBranch, match []uint32, skip int) (lo, hi uint32) {
 	lo, hi = 0, ^uint32(0)
 	for _, j := range br.Greater {
-		if match[j]+1 > lo {
+		if j != skip && match[j]+1 > lo {
 			lo = match[j] + 1
 		}
 	}
 	for _, j := range br.Smaller {
-		if match[j] < hi {
+		if j != skip && match[j] < hi {
 			hi = match[j]
 		}
 	}
 	return lo, hi
-}
-
-// candidates computes a node's shared candidate set from its Connect and
-// Disconnect levels through the adaptive kernels. Nodes whose constraints
-// extend their parent's narrow the parent's raw set by the extra
-// constraints only, instead of rebuilding the intersection chain from
-// adjacency lists. The returned slice is worker scratch, the parent's raw
-// set or a pinned row — each valid through the node's subtree recursion,
-// during which the depths above stay bound and deeper levels use their
-// own scratch.
-func (w *trieWorker) candidates(node *plan.TrieNode, depth int) []uint32 {
-	var t0 time.Time
-	if w.instrument {
-		t0 = time.Now()
-	}
-	var cur []uint32
-	if ei := &w.info[node.ID]; ei.reuse {
-		cur = w.raw[depth-1]
-		out, spare := w.bufA[depth], w.bufB[depth]
-		for _, j := range ei.extraConn {
-			cur = w.pins.IntersectNeighbors(out, cur, j, &w.sst)
-			out, spare = spare, cur
-		}
-		for _, j := range ei.extraDisc {
-			cur = w.pins.DifferenceNeighbors(out, cur, j, &w.sst)
-			out, spare = spare, cur
-		}
-		w.bufA[depth], w.bufB[depth] = out, spare
-	} else {
-		cur, w.bufA[depth], w.bufB[depth] = w.pins.Candidates(node.Connect, node.Disconnect, w.bufA[depth], w.bufB[depth], &w.sst)
-	}
-	if w.instrument {
-		w.st.SetOpTime += time.Since(t0)
-	}
-	return cur
 }

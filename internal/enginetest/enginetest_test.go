@@ -39,6 +39,12 @@ func testGraph(t *testing.T, seed int64, labels int) graph.Adjacency {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return suiteTier(t, g)
+}
+
+// suiteTier returns g as the suite mode the environment selects serves it.
+func suiteTier(t testing.TB, g *graph.Graph) graph.Adjacency {
+	t.Helper()
 	// MORPH_HUB_BITSET=1 reruns the whole suite with the hub-bitset index
 	// forced on (threshold 4 so the small test graphs actually have hubs);
 	// CI runs both configurations.

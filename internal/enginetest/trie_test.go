@@ -174,18 +174,33 @@ func fuzzPool() []*pattern.Pattern {
 
 // FuzzTrieDifferential pits the one-pass trie executor against the
 // per-pattern Backtrack path and the refmatch oracle on random pattern
-// subsets over seeded random graphs. Any count divergence is a bug in
-// either the plan merge or the trie interpreter.
+// subsets over seeded random graphs (shape 0) and the hand-built graphs
+// aimed at the collapsed-leaf cursor (shape 1.., adversarialEdges). Any
+// count divergence is a bug in either the plan merge or the trie
+// interpreter.
 func FuzzTrieDifferential(f *testing.F) {
-	f.Add(int64(1), uint32(0b111), uint8(2))
-	f.Add(int64(21), uint32(0xffff), uint8(3))
-	f.Add(int64(7), uint32(0b1010101), uint8(1))
-	f.Add(int64(99), uint32(0b110000011), uint8(4))
+	f.Add(int64(1), uint32(0b111), uint8(2), uint8(0))
+	f.Add(int64(21), uint32(0xffff), uint8(3), uint8(0))
+	f.Add(int64(7), uint32(0b1010101), uint8(1), uint8(0))
+	f.Add(int64(99), uint32(0b110000011), uint8(4), uint8(0))
+	adversarial := hoistGraphs(f)
+	shapes := []string{"hub", "cliques", "sparse", "bipartite"}
+	for i := range shapes {
+		// Three 4-vertex structures in both semantics, then all six
+		// edge-induced (each leaf of that trie but two is collapsed) and
+		// all six vertex-induced (difference bases).
+		f.Add(int64(0), uint32(0xfffffff0), uint8(i), uint8(i+1))
+		f.Add(int64(0), uint32(0x55555550), uint8(3), uint8(i+1))
+		f.Add(int64(0), uint32(0xaaaaaaa0), uint8(1), uint8(i+1))
+	}
 	pool := fuzzPool()
-	f.Fuzz(func(t *testing.T, seed int64, mask uint32, threads uint8) {
+	f.Fuzz(func(t *testing.T, seed int64, mask uint32, threads, shape uint8) {
 		g, err := dataset.ErdosRenyi(30, 5, 0, seed)
 		if err != nil {
 			t.Skip()
+		}
+		if shape > 0 {
+			g = adversarial[shapes[int(shape-1)%len(shapes)]]
 		}
 		var ps []*pattern.Pattern
 		for i, p := range pool {

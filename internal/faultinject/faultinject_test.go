@@ -174,11 +174,11 @@ func TestParseSpec(t *testing.T) {
 		{spec: "cancel=1s", want: Config{CancelAfter: time.Second}},
 		{spec: "panic@100, stall=2:50ms ,cancel=250ms", want: Config{
 			PanicAtMatch: 100, StallWorker: 2, StallFor: 50 * time.Millisecond, CancelAfter: 250 * time.Millisecond}},
-		{spec: "", bad: true},            // enables nothing
-		{spec: ",,", bad: true},         // enables nothing
-		{spec: "panic@0", bad: true},    // ordinal must be >= 1
-		{spec: "panic@x", bad: true},    // not a number
-		{spec: "stall=2", bad: true},    // missing duration
+		{spec: "", bad: true},        // enables nothing
+		{spec: ",,", bad: true},      // enables nothing
+		{spec: "panic@0", bad: true}, // ordinal must be >= 1
+		{spec: "panic@x", bad: true}, // not a number
+		{spec: "stall=2", bad: true}, // missing duration
 		{spec: "stall=-1:1s", bad: true},
 		{spec: "stall=2:0s", bad: true}, // non-positive stall
 		{spec: "cancel=bogus", bad: true},

@@ -11,7 +11,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/bits"
 
 	"morphing/internal/costmodel"
 	"morphing/internal/engine"
@@ -198,50 +197,8 @@ func CountViaFilter(g graph.Adjacency, pl *plan.Plan, nonEdges [][2]int, opts en
 // the surviving-match count accumulated so far is returned alongside the
 // typed error (the partial-result contract of engine.BacktrackCtx).
 func CountViaFilterCtx(ctx context.Context, g graph.Adjacency, pl *plan.Plan, nonEdges [][2]int, opts engine.ExecOptions, o *obs.Observer) (uint64, *engine.Stats, error) {
-	threads := opts.Threads
-	if threads <= 0 {
-		threads = 64 // upper bound for shard allocation; executor caps at GOMAXPROCS
-	}
-	type shard struct {
-		kept     uint64
-		branches uint64
-		_        [48]byte // avoid false sharing between worker shards
-	}
-	shards := make([]shard, threads)
-	_, st, err := engine.BacktrackCtx(ctx, g, pl, func(worker int, m []uint32) {
-		s := &shards[worker%threads]
-		keep := true
-		for _, ne := range nonEdges {
-			u, v := m[ne[0]], m[ne[1]]
-			// A branchy binary-search probe per pair: model its
-			// data-dependent branches as log2(min degree).
-			du, dv := g.Degree(u), g.Degree(v)
-			if dv < du {
-				du = dv
-			}
-			s.branches += uint64(bits.Len(uint(du))) + 1
-			if g.HasEdge(u, v) {
-				keep = false
-				break
-			}
-		}
-		if keep {
-			s.kept++
-		}
-	}, opts, o)
-	if err != nil && st == nil {
-		return 0, nil, err
-	}
-	var kept uint64
-	var filterBranches uint64
-	for i := range shards {
-		kept += shards[i].kept
-		filterBranches += shards[i].branches
-	}
-	st.Branches += filterBranches
-	st.Matches = kept
-	// Backtrack already published its own counters; only the filter UDF's
-	// probe branches are new.
-	obs.FromContext(ctx, o).Counter(engine.MetricBranches).Add(0, filterBranches)
-	return kept, st, err
+	return engine.CountViaEdgeFilter(ctx, g, nonEdges, o, func(visit engine.Visitor) (*engine.Stats, error) {
+		_, st, err := engine.BacktrackCtx(ctx, g, pl, visit, opts, o)
+		return st, err
+	})
 }

@@ -2,6 +2,7 @@ package graphpi
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"morphing/internal/dataset"
@@ -73,5 +74,29 @@ func TestFilterStatsAccounting(t *testing.T) {
 	}
 	if st.Branches == 0 {
 		t.Error("filter probes not counted as branches")
+	}
+}
+
+// TestFilterPathUnderManyWorkerIDs (run it with -race) raises GOMAXPROCS
+// so the executor's default thread count gives 600 live worker IDs on a
+// graph with a block for each: the Filter UDF must keep one counter shard
+// per ID. The 64-entry array it used to fold IDs into with Threads unset
+// let ten live workers share each shard.
+func TestFilterPathUnderManyWorkerIDs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(600))
+	g, err := dataset.ErdosRenyi(1500, 5, 0, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := pattern.Wedge().AsVertexInduced()
+	kept, st, err := (&Engine{}).CountVertexInducedViaFilter(g, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := refmatch.Count(g, p); kept != want || st.Matches != want {
+		t.Fatalf("filter kept %d (stats %d) under 600 worker IDs, oracle %d", kept, st.Matches, want)
+	}
+	if len(st.Workers) < 100 {
+		t.Fatalf("only %d workers ran; the test needs hundreds of live IDs", len(st.Workers))
 	}
 }

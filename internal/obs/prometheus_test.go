@@ -13,8 +13,8 @@ import (
 type promMetric struct {
 	help    string
 	typ     string
-	value   float64            // counter / gauge sample
-	buckets []promBucket       // histogram only, in emission order
+	value   float64      // counter / gauge sample
+	buckets []promBucket // histogram only, in emission order
 	sum     float64
 	count   float64
 }

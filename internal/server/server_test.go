@@ -186,8 +186,8 @@ func TestQueryEndToEndCountsMatchRunner(t *testing.T) {
 func TestBadRequestRejections(t *testing.T) {
 	s := newTestServer(t, Config{})
 	for _, req := range []QueryRequest{
-		{},                                     // no patterns
-		{Patterns: []string{"no-such-shape"}},  // unresolvable pattern
+		{},                                    // no patterns
+		{Patterns: []string{"no-such-shape"}}, // unresolvable pattern
 		{Patterns: []string{"triangle"}, App: "pagerank"},
 		{Patterns: []string{"triangle"}, Engine: "spark"},
 		{Patterns: []string{"triangle"}, Trie: "sometimes"},

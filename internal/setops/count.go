@@ -61,7 +61,7 @@ func IntersectCountF(a, b []uint32, f Filter, st *Stats) uint64 {
 		var probes uint64
 		j := 0
 		for _, x := range a {
-			j = gallopGE(b, j, x, &probes)
+			j = GallopGE(b, j, x, &probes)
 			if j >= len(b) {
 				break
 			}
@@ -117,7 +117,7 @@ func DifferenceCountF(a, b []uint32, f Filter, st *Stats) uint64 {
 		var probes uint64
 		j := 0
 		for _, x := range a {
-			j = gallopGE(b, j, x, &probes)
+			j = GallopGE(b, j, x, &probes)
 			if (j >= len(b) || b[j] != x) && (f.Labels == nil || f.Labels[x] == f.Want) {
 				n++
 			}

@@ -72,7 +72,7 @@ func gallopIntersect(dst, a, b []uint32, st *Stats) []uint32 {
 	dst = dst[:0]
 	j := 0
 	for _, x := range a {
-		j = gallopGE(b, j, x, &probes)
+		j = GallopGE(b, j, x, &probes)
 		if j >= len(b) {
 			break
 		}
@@ -128,7 +128,7 @@ func gallopDifference(dst, a, b []uint32, st *Stats) []uint32 {
 	dst = dst[:0]
 	j := 0
 	for _, x := range a {
-		j = gallopGE(b, j, x, &probes)
+		j = GallopGE(b, j, x, &probes)
 		if j >= len(b) || b[j] != x {
 			dst = append(dst, x)
 		}

@@ -61,7 +61,10 @@ func shouldGallop(small, big int) bool {
 // galloping intersection charges its probe count rather than the length it
 // skipped). The per-path counters break Ops down by dispatch decision, and
 // Written counts elements appended to destination slices — count-only
-// kernels never increment it.
+// kernels never increment it. Callers that walk a sorted set with GallopGE
+// on their own (the trie executor's collapsed-leaf cursors) charge their
+// probes to Elems the same way and count no Op: a cursor step is not a
+// set operation.
 type Stats struct {
 	Ops   uint64 // number of set operations executed
 	Elems uint64 // input elements examined across all operations
@@ -135,11 +138,11 @@ func Contains(a []uint32, x uint32) bool {
 	return i < len(a) && a[i] == x
 }
 
-// gallopGE returns the smallest index k in [from, len(b)) with b[k] >= x,
+// GallopGE returns the smallest index k in [from, len(b)) with b[k] >= x,
 // or len(b) when none, advancing by doubling steps before binary-searching
 // the final gap. probes accumulates the number of elements examined, which
 // is what the galloping paths charge to Stats.Elems.
-func gallopGE(b []uint32, from int, x uint32, probes *uint64) int {
+func GallopGE(b []uint32, from int, x uint32, probes *uint64) int {
 	n := len(b)
 	if from >= n {
 		return n
