@@ -19,12 +19,14 @@ import (
 	"morphing/internal/peregrine"
 )
 
-// `morphbench trie` compares one-pass shared-prefix trie execution
-// against per-pattern execution on the Fig. 11a alternative sets (each
-// evaluation query's morphing winner set) plus the all-4-vertex-motif
-// workloads, and records wall time and candidate volume per set as JSON
-// (BENCH_trie.json by default). CI runs it at a small scale as a smoke
-// step; the committed artifact tracks the speedup trajectory.
+// `morphbench trie` compares one pass of the merged plan trie against a
+// loop of one-leaf tries (Peregrine's CountAll: the same executor, one
+// pattern at a time) on the Fig. 11a alternative sets (each evaluation
+// query's morphing winner set) plus the all-4-vertex-motif workloads, and
+// records wall time and candidate volume per set as JSON (BENCH_trie.json
+// by default). Both columns hoist, collapse and count-only alike, so the
+// ratio is what merging itself shares. CI runs it at a small scale as a
+// smoke step; the committed artifact tracks the speedup trajectory.
 
 type trieSetResult struct {
 	Set             string   `json:"set"`

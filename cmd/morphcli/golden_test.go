@@ -58,11 +58,11 @@ func TestExplainGolden(t *testing.T) {
 
 	// The golden fixture must keep demonstrating the acceptance criteria:
 	// rejected candidates shown with estimated costs next to the winner,
-	// and the multi-pattern trie routing decision (explain mode always
-	// mines per pattern, but reports what a plain run would have done).
+	// and the multi-pattern execution decision (explain mode always mines
+	// per pattern, but reports what a plain run would have done).
 	for _, marker := range []string{"[ACCEPTED]", "[rejected]", "replace cost",
 		"measured matches", "per-level selectivity",
-		"-- multi-pattern execution --", "trie mode auto"} {
+		"-- multi-pattern execution --", "patterns in one pass"} {
 		if !bytes.Contains(got, []byte(marker)) {
 			t.Errorf("explain output lost %q", marker)
 		}

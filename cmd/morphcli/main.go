@@ -324,12 +324,7 @@ func cmdCount(args []string) error {
 	progress := fs.Bool("progress", false, "report live matches/sec to stderr")
 	timeout := fs.Duration("timeout", 0, "abort the run after this duration, printing partial per-alternative counts (0 = no deadline)")
 	reportOut := fs.String("report", "", "write a structured run report (JSON) to this file; enables explain mode (per-pattern mining + calibration)")
-	trieFlag := fs.String("trie", "auto", "multi-pattern trie execution: auto (use when >=2 winner patterns share a non-trivial plan prefix), on, off")
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	trieMode, err := core.ParseTrieMode(*trieFlag)
-	if err != nil {
 		return err
 	}
 	if fs.NArg() == 0 {
@@ -402,7 +397,7 @@ func cmdCount(args []string) error {
 		defer cancel()
 	}
 	r := &core.Runner{Engine: eng, DisableMorphing: *baseline, Explain: *reportOut != "",
-		RunOptions: core.RunOptions{Trie: trieMode, Shards: *shards}, Label: "count", Flight: runFlight}
+		RunOptions: core.RunOptions{Shards: *shards}, Label: "count", Flight: runFlight}
 	counts, st, err := r.CountsCtx(ctx, g, queries)
 	prog.Stop()
 	if err != nil {
@@ -635,12 +630,7 @@ func cmdExplain(args []string, w io.Writer) error {
 	dotOut := fs.String("dot", "", "write the S-DAG with the chosen alternative set as Graphviz DOT to this file")
 	reportOut := fs.String("report", "", "also write the report as JSON to this file")
 	jsonMode := fs.Bool("json", false, "print the report as JSON instead of text")
-	trieFlag := fs.String("trie", "auto", "multi-pattern trie routing to explain: auto, on, off (explain mode itself mines per pattern)")
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	trieMode, err := core.ParseTrieMode(*trieFlag)
-	if err != nil {
 		return err
 	}
 	if fs.NArg() == 0 {
@@ -666,8 +656,7 @@ func cmdExplain(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	r := &core.Runner{Engine: eng, DisableMorphing: *baseline, Explain: true,
-		RunOptions: core.RunOptions{Trie: trieMode}, Label: "explain", Flight: runFlight}
+	r := &core.Runner{Engine: eng, DisableMorphing: *baseline, Explain: true, Label: "explain", Flight: runFlight}
 	_, st, err := r.Counts(g, queries)
 	if err != nil {
 		return err

@@ -21,7 +21,6 @@ func cmdQuery(args []string) error {
 	app := fs.String("app", "count", "pipeline: count (subgraph counts) or mni (MNI supports)")
 	engineName := fs.String("engine", "", "override the server's matching engine (peregrine, autozero, graphpi, bigjoin)")
 	baseline := fs.Bool("baseline", false, "disable morphing server-side (the queries run as-is)")
-	trieFlag := fs.String("trie", "", "multi-pattern trie execution: auto, on, off (empty = server default)")
 	explain := fs.Bool("explain", false, "run in explain mode (per-pattern calibration in the report)")
 	deadline := fs.Duration("deadline", 0, "per-query deadline, queued time included (0 = server default; the server clamps to its maximum)")
 	retries := fs.Int("retries", 3, "retry attempts after the first try, retryable rejections only")
@@ -94,7 +93,6 @@ Flags:`)
 		App:        *app,
 		Engine:     *engineName,
 		Baseline:   *baseline,
-		Trie:       *trieFlag,
 		Explain:    *explain,
 		DeadlineMS: deadlineMS(*deadline),
 		NoCache:    *noCache,

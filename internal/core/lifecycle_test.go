@@ -138,7 +138,7 @@ func TestRunLifecycleInjectedPanic(t *testing.T) {
 
 	var ql bytes.Buffer
 	r, _ := lifecycleRunner(t, &ql)
-	r.RunOptions.Trie = TrieOff // per-pattern mining: deterministic partial attribution
+	r.Engine = noPlanEngine{r.Engine} // per-pattern mining: deterministic partial attribution
 	g := lifecycleGraph(t)
 	queries := []*pattern.Pattern{
 		pattern.Triangle().AsVertexInduced(),

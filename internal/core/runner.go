@@ -35,7 +35,7 @@ type Runner struct {
 	// SelectOptions tunes Algorithm 1.
 	SelectOptions SelectOptions
 	// RunOptions tunes execution of the selected alternatives (as opposed
-	// to their selection), currently the trie-routing mode.
+	// to their selection), currently shard-per-partition counting.
 	RunOptions RunOptions
 	// Explain turns on the explainability path: selection records its
 	// Algorithm 1 trace (Selection.Explain), choices are annotated with
@@ -72,58 +72,8 @@ type Runner struct {
 	Flight *obs.FlightPolicy
 }
 
-// TrieMode selects how counting runs execute the winner set: one pass
-// through the merged plan trie (engine.BacktrackTrie) or pattern by
-// pattern.
-type TrieMode int
-
-const (
-	// TrieAuto mines the whole winner set in one trie-driven pass
-	// whenever at least two patterns share a non-trivial matching-order
-	// prefix (>= minTrieSharedPrefix levels) and the engine can plan;
-	// otherwise it falls back to per-pattern mining.
-	TrieAuto TrieMode = iota
-	// TrieOn forces the trie path whenever the engine can plan at least
-	// two patterns, even without a shared prefix.
-	TrieOn
-	// TrieOff always mines per pattern.
-	TrieOff
-)
-
-// minTrieSharedPrefix is TrieAuto's threshold: some pair of winner
-// patterns must share at least the root scan plus one intersection level
-// for a one-pass execution to beat per-pattern mining.
-const minTrieSharedPrefix = 2
-
-func (m TrieMode) String() string {
-	switch m {
-	case TrieOn:
-		return "on"
-	case TrieOff:
-		return "off"
-	default:
-		return "auto"
-	}
-}
-
-// ParseTrieMode parses the -trie flag values auto|on|off.
-func ParseTrieMode(s string) (TrieMode, error) {
-	switch s {
-	case "", "auto":
-		return TrieAuto, nil
-	case "on":
-		return TrieOn, nil
-	case "off":
-		return TrieOff, nil
-	}
-	return TrieAuto, fmt.Errorf("core: unknown trie mode %q (want auto, on or off)", s)
-}
-
 // RunOptions tunes how the runner executes the selected alternatives.
 type RunOptions struct {
-	// Trie selects one-pass multi-pattern execution (see TrieMode).
-	Trie TrieMode
-
 	// Shards > 1 enables shard-per-partition counting (§7.4): the graph
 	// is split into Shards BFS-grown partitions, each shard is
 	// materialized as a plain in-RAM subgraph and mined on its own, and
@@ -147,12 +97,13 @@ type RunOptions struct {
 	Shards int
 }
 
-// TrieDecision records whether (and why) a counting run routed the winner
-// set through the one-pass trie executor, including the merged trie's
-// sharing statistics when a trie was built. It is reported even on the
-// fallback path so EXPLAIN output shows the routing decision.
+// TrieDecision records whether (and why) a counting run mined the winner
+// set in one pass of its merged plan trie, with the trie's sharing
+// statistics. The route is a fact about the engine, not a setting: an
+// engine.Planner's plans are merged (a single pattern being the one-leaf
+// case), any other engine is handed the set through CountAll. It is
+// reported on the fallback path too, so EXPLAIN output shows why.
 type TrieDecision struct {
-	Mode   string `json:"mode"`
 	Used   bool   `json:"used"`
 	Reason string `json:"reason"`
 
@@ -754,21 +705,13 @@ func (r *Runner) countsRun(ctx context.Context, rc *obs.RunContext, g graph.Adja
 	return out, stats, nil
 }
 
-// planTrie makes the trie-routing decision for a counting run: it builds
-// the merged plan trie when the mode and engine allow it, and reports the
-// decision (and the trie's sharing statistics) either way. tr and planner
-// are non-nil exactly when dec.Used is true.
+// planTrie merges the engine's plans for a counting run's winner set and
+// reports the decision (and the trie's sharing statistics). tr and planner
+// are non-nil exactly when dec.Used is true; otherwise the set goes to the
+// engine's CountAll, which also reports a planning failure in the engine's
+// own words.
 func (r *Runner) planTrie(g graph.Adjacency, ps []*pattern.Pattern) (*TrieDecision, *plan.Trie, engine.Planner) {
-	mode := r.RunOptions.Trie
-	dec := &TrieDecision{Mode: mode.String()}
-	if mode == TrieOff {
-		dec.Reason = "disabled"
-		return dec, nil, nil
-	}
-	if len(ps) < 2 {
-		dec.Reason = "fewer than two patterns to mine"
-		return dec, nil, nil
-	}
+	dec := &TrieDecision{}
 	planner, ok := r.Engine.(engine.Planner)
 	if !ok {
 		dec.Reason = fmt.Sprintf("engine %s exposes no plans", r.Engine.Name())
@@ -779,16 +722,11 @@ func (r *Runner) planTrie(g graph.Adjacency, ps []*pattern.Pattern) (*TrieDecisi
 		dec.Reason = "planning failed: " + err.Error()
 		return dec, nil, nil
 	}
+	dec.Used = true
 	dec.Patterns = len(ps)
 	dec.Nodes = tr.Nodes
 	dec.SharedLevels = tr.SharedLevels
 	dec.MaxSharedPrefix = tr.MaxSharedPrefix
-	if mode == TrieAuto && tr.MaxSharedPrefix < minTrieSharedPrefix {
-		dec.Reason = fmt.Sprintf("no non-trivial shared prefix (max %d level(s), need %d)",
-			tr.MaxSharedPrefix, minTrieSharedPrefix)
-		return dec, nil, nil
-	}
-	dec.Used = true
 	dec.Reason = fmt.Sprintf("%d patterns in one pass: %d trie nodes, %d shared levels, max shared prefix %d",
 		len(ps), tr.Nodes, tr.SharedLevels, tr.MaxSharedPrefix)
 	return dec, tr, planner
@@ -833,8 +771,8 @@ func (r *Runner) mineCountsExplained(ctx context.Context, g graph.Adjacency, sel
 // soundness argument). The partition member lists are computed once,
 // but each shard subgraph is materialized only for the duration of its
 // own mining pass, so peak residency is the source tier plus one plain
-// shard. The trie routing decision was made once on the full graph and
-// is reused for every shard: a plan trie encodes only pattern-level
+// shard. The plan trie was built once on the full graph and is reused
+// for every shard: a plan trie encodes only pattern-level
 // structure, so it executes unchanged against any graph, and the
 // full-graph cost model is the best available ordering heuristic for
 // its shards. stats.Mining accumulates across shards (freshly built

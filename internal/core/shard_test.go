@@ -22,7 +22,8 @@ func TestShardedCountsSumOverShards(t *testing.T) {
 	}
 	const k = 3
 
-	sharded := &Runner{Engine: peregrine.New(2), RunOptions: RunOptions{Shards: k, Trie: TrieOff}}
+	// The plan-less route: every shard is a loop of one-leaf tries.
+	sharded := &Runner{Engine: noPlanEngine{peregrine.New(2)}, RunOptions: RunOptions{Shards: k}}
 	got, stats, err := sharded.Counts(g, queries)
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +44,7 @@ func TestShardedCountsSumOverShards(t *testing.T) {
 	}
 	want := make([]uint64, len(queries))
 	for _, sg := range parts {
-		plain := &Runner{Engine: peregrine.New(2), RunOptions: RunOptions{Trie: TrieOff}}
+		plain := &Runner{Engine: noPlanEngine{peregrine.New(2)}}
 		sc, _, err := plain.Counts(sg, queries)
 		if err != nil {
 			t.Fatal(err)
@@ -58,9 +59,9 @@ func TestShardedCountsSumOverShards(t *testing.T) {
 		}
 	}
 
-	// The trie route must shard to the same numbers: the trie decision is
-	// made once on the full graph and executed per shard.
-	trie := &Runner{Engine: peregrine.New(2), RunOptions: RunOptions{Shards: k, Trie: TrieOn}}
+	// The merged trie must shard to the same numbers: it is built once on
+	// the full graph and executed per shard.
+	trie := &Runner{Engine: peregrine.New(2), RunOptions: RunOptions{Shards: k}}
 	tc, tstats, err := trie.Counts(g, queries)
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +90,7 @@ func TestShardedSkipsExplainCalibration(t *testing.T) {
 		pattern.FourStar().AsVertexInduced(),
 	}
 	r := &Runner{Engine: peregrine.New(2), Explain: true,
-		RunOptions: RunOptions{Shards: 2, Trie: TrieOff}}
+		RunOptions: RunOptions{Shards: 2}}
 	_, stats, err := r.Counts(g, queries)
 	if err != nil {
 		t.Fatal(err)

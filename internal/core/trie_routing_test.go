@@ -1,18 +1,24 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
 	"morphing/internal/dataset"
 	"morphing/internal/engine"
 	"morphing/internal/graph"
+	"morphing/internal/graphpi"
 	"morphing/internal/pattern"
 	"morphing/internal/peregrine"
+	"morphing/internal/refmatch"
 )
 
 // noPlanEngine hides the Planner surface of a real engine, standing in
-// for execution models that cannot expose exploration plans.
+// for execution models that cannot expose exploration plans: the runner
+// hands it the winner set through CountAll, which for Peregrine is a loop
+// of one-leaf tries.
 type noPlanEngine struct {
 	engine.Engine
 }
@@ -26,127 +32,116 @@ func routingGraph(t *testing.T) *graph.Graph {
 	return g
 }
 
-// TestPlanTrieDecisions pins every planTrie fallback reason and the
-// one-pass acceptance, since EXPLAIN output and the run report surface
-// them verbatim.
+// TestPlanTrieDecisions pins the route and its reasons, since EXPLAIN
+// output and the run report surface them verbatim: a Planner's winner set
+// is one trie whatever its size and sharing, anything else falls back to
+// the engine's CountAll.
 func TestPlanTrieDecisions(t *testing.T) {
 	g := routingGraph(t)
 	motifs := []*pattern.Pattern{
 		pattern.Triangle(), pattern.FourStar(), pattern.FourClique(),
 	}
 
-	t.Run("off", func(t *testing.T) {
-		r := &Runner{Engine: peregrine.New(1), RunOptions: RunOptions{Trie: TrieOff}}
-		dec, tr, _ := r.planTrie(g, motifs)
-		if dec.Used || tr != nil || dec.Reason != "disabled" {
-			t.Fatalf("TrieOff: used=%v reason=%q", dec.Used, dec.Reason)
-		}
-	})
-
-	t.Run("single pattern", func(t *testing.T) {
+	t.Run("planner", func(t *testing.T) {
 		r := &Runner{Engine: peregrine.New(1)}
-		dec, tr, _ := r.planTrie(g, motifs[:1])
-		if dec.Used || tr != nil || !strings.Contains(dec.Reason, "fewer than two") {
-			t.Fatalf("single pattern: used=%v reason=%q", dec.Used, dec.Reason)
+		dec, tr, planner := r.planTrie(g, motifs)
+		if !dec.Used || tr == nil || planner == nil {
+			t.Fatalf("used=%v reason=%q", dec.Used, dec.Reason)
+		}
+		if dec.MaxSharedPrefix < 2 || dec.Patterns != len(motifs) || dec.Nodes != tr.Nodes || dec.SharedLevels != tr.SharedLevels {
+			t.Fatalf("decision stats %+v disagree with trie %s", dec, tr)
 		}
 	})
 
-	t.Run("non-planner engine", func(t *testing.T) {
-		r := &Runner{Engine: noPlanEngine{peregrine.New(1)}, RunOptions: RunOptions{Trie: TrieOn}}
-		dec, tr, _ := r.planTrie(g, motifs)
-		if dec.Used || tr != nil || !strings.Contains(dec.Reason, "no plans") {
-			t.Fatalf("non-planner: used=%v reason=%q", dec.Used, dec.Reason)
+	t.Run("single pattern is a one-leaf trie", func(t *testing.T) {
+		r := &Runner{Engine: peregrine.New(1)}
+		dec, tr, _ := r.planTrie(g, motifs[2:])
+		if !dec.Used || tr == nil || dec.Nodes != 4 || dec.SharedLevels != 0 || dec.Patterns != 1 {
+			t.Fatalf("used=%v decision %+v", dec.Used, dec)
 		}
 	})
 
-	t.Run("auto below threshold", func(t *testing.T) {
-		// Distinct root labels force disjoint tries: no shared prefix at
-		// all, so auto mode keeps per-pattern mining.
+	t.Run("label-disjoint set is one multi-root pass", func(t *testing.T) {
 		a := pattern.MustNew(3, [][2]int{{0, 1}, {0, 2}, {1, 2}},
 			pattern.WithLabels([]int32{1, 1, 1}))
 		b := pattern.MustNew(3, [][2]int{{0, 1}, {0, 2}},
 			pattern.WithLabels([]int32{2, 2, 2}))
 		r := &Runner{Engine: peregrine.New(1)}
 		dec, tr, _ := r.planTrie(g, []*pattern.Pattern{a, b})
-		if dec.Used || tr != nil || !strings.Contains(dec.Reason, "no non-trivial shared prefix") {
-			t.Fatalf("below threshold: used=%v reason=%q", dec.Used, dec.Reason)
-		}
-		if dec.MaxSharedPrefix >= 2 {
-			t.Fatalf("disjoint-label tries report max shared prefix %d", dec.MaxSharedPrefix)
-		}
-		// TrieOn overrides the threshold: same winner set, forced one pass.
-		r.RunOptions.Trie = TrieOn
-		if dec, tr, _ := r.planTrie(g, []*pattern.Pattern{a, b}); !dec.Used || tr == nil {
-			t.Fatalf("TrieOn below threshold: used=%v reason=%q", dec.Used, dec.Reason)
+		if !dec.Used || tr == nil || len(tr.Roots) != 2 || dec.MaxSharedPrefix != 0 || dec.SharedLevels != 0 {
+			t.Fatalf("used=%v decision %+v", dec.Used, dec)
 		}
 	})
 
-	t.Run("auto accepts shared prefix", func(t *testing.T) {
-		r := &Runner{Engine: peregrine.New(1)}
-		dec, tr, planner := r.planTrie(g, motifs)
-		if !dec.Used || tr == nil || planner == nil {
-			t.Fatalf("auto: used=%v reason=%q", dec.Used, dec.Reason)
+	t.Run("non-planner engine", func(t *testing.T) {
+		r := &Runner{Engine: noPlanEngine{peregrine.New(1)}}
+		dec, tr, _ := r.planTrie(g, motifs)
+		if dec.Used || tr != nil || !strings.Contains(dec.Reason, "no plans") {
+			t.Fatalf("used=%v reason=%q", dec.Used, dec.Reason)
 		}
-		if dec.MaxSharedPrefix < 2 || dec.Patterns != len(motifs) || dec.Nodes != tr.Nodes {
-			t.Fatalf("decision stats %+v disagree with trie %s", dec, tr)
+	})
+
+	t.Run("planning failure falls back to the engine's own error", func(t *testing.T) {
+		r := &Runner{Engine: graphpi.New(1)}
+		ps := []*pattern.Pattern{pattern.FourCycle().AsVertexInduced()}
+		dec, tr, _ := r.planTrie(g, ps)
+		if dec.Used || tr != nil || !strings.HasPrefix(dec.Reason, "planning failed") {
+			t.Fatalf("used=%v reason=%q", dec.Used, dec.Reason)
+		}
+		if _, _, err := engine.CountAllCtx(context.Background(), r.Engine, g, ps); !errors.Is(err, engine.ErrInducedUnsupported) {
+			t.Fatalf("fallback route reported %v, want ErrInducedUnsupported", err)
 		}
 	})
 }
 
-// TestRunnerTrieCountsMatch runs the same queries through the one-pass
-// and per-pattern routes end to end: query counts must agree exactly, and
-// the run stats must record the route taken.
-func TestRunnerTrieCountsMatch(t *testing.T) {
+// TestRunnerRoutesCountsMatch runs the same queries through both routes
+// end to end — a Planner's merged trie and a plan-less engine's loop of
+// one-leaf tries — with and without morphing: query counts must equal the
+// brute-force oracle, and the run stats must record the route taken.
+func TestRunnerRoutesCountsMatch(t *testing.T) {
 	g := routingGraph(t)
 	queries := []*pattern.Pattern{
 		pattern.FourCycle().AsVertexInduced(),
 		pattern.FourStar().AsVertexInduced(),
 		pattern.TailedTriangle(),
 	}
-	on := &Runner{Engine: peregrine.New(2), RunOptions: RunOptions{Trie: TrieOn}}
-	off := &Runner{Engine: peregrine.New(2), RunOptions: RunOptions{Trie: TrieOff}}
+	for _, baseline := range []bool{false, true} {
+		for _, single := range []bool{false, true} {
+			qs := queries
+			if single {
+				qs = queries[:1]
+			}
+			merged := &Runner{Engine: peregrine.New(2), DisableMorphing: baseline}
+			looped := &Runner{Engine: noPlanEngine{peregrine.New(2)}, DisableMorphing: baseline}
 
-	wantCounts, offStats, err := off.Counts(g, queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if offStats.Trie == nil || offStats.Trie.Used {
-		t.Fatalf("TrieOff run recorded decision %+v", offStats.Trie)
-	}
-	if offStats.Mining.TriePasses != 0 {
-		t.Fatalf("TrieOff run recorded %d trie passes", offStats.Mining.TriePasses)
-	}
+			got, mst, err := merged.Counts(g, qs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mst.Trie == nil || !mst.Trie.Used {
+				t.Fatalf("planner run recorded decision %+v", mst.Trie)
+			}
+			if mst.Mining.TriePasses != 1 || len(mst.Mining.TrieNodes) != mst.Trie.Nodes {
+				t.Fatalf("planner run recorded %d passes, %d node rows for a %d-node trie",
+					mst.Mining.TriePasses, len(mst.Mining.TrieNodes), mst.Trie.Nodes)
+			}
 
-	gotCounts, onStats, err := on.Counts(g, queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if onStats.Trie == nil || !onStats.Trie.Used {
-		t.Fatalf("TrieOn run recorded decision %+v", onStats.Trie)
-	}
-	if onStats.Mining.TriePasses != 1 {
-		t.Fatalf("TrieOn run recorded %d trie passes", onStats.Mining.TriePasses)
-	}
-	if len(onStats.Mining.TrieNodes) == 0 {
-		t.Fatal("TrieOn run recorded no per-node selectivity")
-	}
-	for i := range wantCounts {
-		if gotCounts[i] != wantCounts[i] {
-			t.Fatalf("query %d: trie route counted %d, per-pattern %d", i, gotCounts[i], wantCounts[i])
-		}
-	}
-
-	auto := &Runner{Engine: peregrine.New(2)}
-	autoCounts, autoStats, err := auto.Counts(g, queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if autoStats.Trie == nil || !autoStats.Trie.Used {
-		t.Fatalf("auto mode skipped a winner set with shared prefixes: %+v", autoStats.Trie)
-	}
-	for i := range wantCounts {
-		if autoCounts[i] != wantCounts[i] {
-			t.Fatalf("query %d: auto route counted %d, want %d", i, autoCounts[i], wantCounts[i])
+			per, lst, err := looped.Counts(g, qs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lst.Trie == nil || lst.Trie.Used {
+				t.Fatalf("plan-less run recorded decision %+v", lst.Trie)
+			}
+			if mined := len(lst.Selection.Mine); lst.Mining.TriePasses != uint64(mined) {
+				t.Fatalf("plan-less run recorded %d executor passes for %d mined patterns", lst.Mining.TriePasses, mined)
+			}
+			for i, q := range qs {
+				want := refmatch.Count(g, q)
+				if got[i] != want || per[i] != want {
+					t.Fatalf("baseline=%v %v: merged trie %d, loop of one-leaf tries %d, oracle %d", baseline, q, got[i], per[i], want)
+				}
+			}
 		}
 	}
 }

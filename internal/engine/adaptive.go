@@ -25,10 +25,9 @@ import (
 // row through the best available kernel: bitmap probes when the vertex is
 // an indexed hub (graph.EnableHubIndex), otherwise the merge/gallop
 // dispatch inside internal/setops. Keeping the dispatch here — next to
-// the graph, which owns the hub index — lets the backtracking executor,
-// the trie executor, AutoZero's schedule trie and BigJoin's dataflow
-// stages share one policy. Depths are positions in the executor's match
-// prefix throughout.
+// the graph, which owns the hub index — lets the trie executor and
+// BigJoin's dataflow stages share one policy. Depths are positions in the
+// executor's match prefix throughout.
 type Pins struct {
 	g     graph.Adjacency // the worker's view
 	match []uint32        // the executor's prefix: match[j] is bound at depth j

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"morphing/internal/canon"
@@ -247,6 +248,138 @@ func TestBacktrackInstrumentation(t *testing.T) {
 	// Counting runs must not materialize matches.
 	if st.Materialized != 0 || st.UDFCalls != 0 {
 		t.Errorf("counting run materialized %d, UDF %d", st.Materialized, st.UDFCalls)
+	}
+}
+
+// TestBacktrackPinned is the one-leaf identity: Backtrack — the trie
+// executor on the one-leaf trie of its plan — reproduces what the
+// single-plan loop nest it replaced (commit 272ad8f) produced on MG ×0.001
+// for every connected pattern of up to four vertices under both semantics,
+// two labeled patterns and two with explicit anti-edges: the count, the
+// per-level selectivity of a counting pass (last level count-only) and of a
+// streaming pass (every level materialized), Materialized and UDFCalls, at
+// 1 and 4 threads, with the phase clocks on and off.
+func TestBacktrackPinned(t *testing.T) {
+	g, err := dataset.MAG().Scaled(0.001).Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		pattern           string
+		count             uint64
+		counted, streamed [][2]uint64 // per level: Candidates, Extended
+	}{
+		{"n=2;e=0-1", 4789,
+			[][2]uint64{{726, 726}, {4789, 4789}},
+			[][2]uint64{{726, 726}, {4789, 4789}}},
+		{"n=2;e=0-1;v", 4789,
+			[][2]uint64{{726, 726}, {4789, 4789}},
+			[][2]uint64{{726, 726}, {4789, 4789}}},
+		{"n=3;e=0-2,1-2", 116007,
+			[][2]uint64{{726, 726}, {9578, 9578}, {116007, 116007}},
+			[][2]uint64{{726, 726}, {9578, 9578}, {116007, 116007}}},
+		{"n=3;e=0-2,1-2;v", 106602,
+			[][2]uint64{{726, 726}, {9578, 9578}, {106602, 106602}},
+			[][2]uint64{{726, 726}, {9578, 9578}, {106602, 106602}}},
+		{"n=3;e=0-1,0-2,1-2", 3135,
+			[][2]uint64{{726, 726}, {4789, 4789}, {3135, 3135}},
+			[][2]uint64{{726, 726}, {4789, 4789}, {3135, 3135}}},
+		{"n=3;e=0-1,0-2,1-2;v", 3135,
+			[][2]uint64{{726, 726}, {4789, 4789}, {3135, 3135}},
+			[][2]uint64{{726, 726}, {4789, 4789}, {3135, 3135}}},
+		{"n=4;e=0-2,1-3,2-3", 2615031,
+			[][2]uint64{{726, 726}, {9578, 9578}, {241592, 232014}, {2615031, 2615031}},
+			[][2]uint64{{726, 726}, {9578, 9578}, {241592, 232014}, {2670912, 2615031}}},
+		{"n=4;e=0-2,1-3,2-3;v", 1840363,
+			[][2]uint64{{726, 726}, {9578, 9578}, {222782, 213204}, {1840363, 1840363}},
+			[][2]uint64{{726, 726}, {9578, 9578}, {222782, 213204}, {1840363, 1840363}}},
+		{"n=4;e=0-3,1-3,2-3", 2070700,
+			[][2]uint64{{726, 726}, {9578, 9578}, {116007, 116007}, {2070700, 2070700}},
+			[][2]uint64{{726, 726}, {9578, 9578}, {116007, 116007}, {2070700, 2070700}}},
+		{"n=4;e=0-3,1-3,2-3;v", 1732822,
+			[][2]uint64{{726, 726}, {9578, 9578}, {106602, 106602}, {1732822, 1732822}},
+			[][2]uint64{{726, 726}, {9578, 9578}, {106602, 106602}, {1732822, 1732822}}},
+		{"n=4;e=0-3,1-2,1-3,2-3", 374134,
+			[][2]uint64{{726, 726}, {9578, 9578}, {9405, 9405}, {374134, 374134}},
+			[][2]uint64{{726, 726}, {9578, 9578}, {9405, 9405}, {392944, 374134}}},
+		{"n=4;e=0-3,1-2,1-3,2-3;v", 304302,
+			[][2]uint64{{726, 726}, {9578, 9578}, {9405, 9405}, {304302, 304302}},
+			[][2]uint64{{726, 726}, {9578, 9578}, {9405, 9405}, {304302, 304302}}},
+		{"n=4;e=0-2,0-3,1-2,1-3", 33792,
+			[][2]uint64{{726, 726}, {4789, 4789}, {42296, 42296}, {33792, 33792}},
+			[][2]uint64{{726, 726}, {4789, 4789}, {42296, 42296}, {33792, 33792}}},
+		{"n=4;e=0-2,0-3,1-2,1-3;v", 16334,
+			[][2]uint64{{726, 726}, {4789, 4789}, {36026, 36026}, {16334, 16334}},
+			[][2]uint64{{726, 726}, {4789, 4789}, {36026, 36026}, {16334, 16334}}},
+		{"n=4;e=0-2,0-3,1-2,1-3,2-3", 19468,
+			[][2]uint64{{726, 726}, {4789, 4789}, {9405, 9405}, {19468, 19468}},
+			[][2]uint64{{726, 726}, {4789, 4789}, {9405, 9405}, {19468, 19468}}},
+		{"n=4;e=0-2,0-3,1-2,1-3,2-3;v", 15448,
+			[][2]uint64{{726, 726}, {4789, 4789}, {9405, 9405}, {15448, 15448}},
+			[][2]uint64{{726, 726}, {4789, 4789}, {9405, 9405}, {15448, 15448}}},
+		{"n=4;e=0-1,0-2,0-3,1-2,1-3,2-3", 670,
+			[][2]uint64{{726, 726}, {4789, 4789}, {3135, 3135}, {670, 670}},
+			[][2]uint64{{726, 726}, {4789, 4789}, {3135, 3135}, {670, 670}}},
+		{"n=4;e=0-1,0-2,0-3,1-2,1-3,2-3;v", 670,
+			[][2]uint64{{726, 726}, {4789, 4789}, {3135, 3135}, {670, 670}},
+			[][2]uint64{{726, 726}, {4789, 4789}, {3135, 3135}, {670, 670}}},
+		{"n=3;e=0-1,1-2;l=0,1,-1", 8816,
+			[][2]uint64{{726, 79}, {1059, 349}, {8816, 8816}},
+			[][2]uint64{{726, 79}, {1059, 349}, {9165, 8816}}},
+		{"n=4;e=0-1,1-2,2-3;l=0,0,1,0;v", 17093,
+			[][2]uint64{{726, 230}, {3228, 349}, {8746, 2810}, {17093, 17093}},
+			[][2]uint64{{726, 230}, {3228, 349}, {8746, 2810}, {50955, 17093}}},
+		{"n=4;e=0-1,0-3,1-2,2-3;a=0-2", 48116,
+			[][2]uint64{{726, 726}, {9578, 9578}, {106602, 106602}, {48116, 48116}},
+			[][2]uint64{{726, 726}, {9578, 9578}, {106602, 106602}, {48116, 48116}}},
+		{"n=4;e=0-1,0-2,0-3,1-2;a=1-3", 670396,
+			[][2]uint64{{726, 726}, {9578, 9578}, {18810, 18810}, {670396, 670396}},
+			[][2]uint64{{726, 726}, {9578, 9578}, {18810, 18810}, {689206, 670396}}},
+	} {
+		p, err := pattern.Parse(tc.pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl, err := plan.Build(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, stream := range []bool{false, true} {
+			for _, threads := range []int{1, 4} {
+				for _, instrument := range []bool{false, true} {
+					var visit Visitor
+					var delivered atomic.Uint64
+					want, wantCalls := tc.counted, uint64(0)
+					if stream {
+						visit = func(_ int, m []uint32) { delivered.Add(uint64(len(m))) }
+						want, wantCalls = tc.streamed, tc.count
+					}
+					name := fmt.Sprintf("%s stream=%v threads=%d instrument=%v", tc.pattern, stream, threads, instrument)
+					got, st, err := Backtrack(g, pl, visit, ExecOptions{Threads: threads, Instrument: instrument}, nil)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if got != tc.count || st.Matches != tc.count {
+						t.Errorf("%s: count %d (stats %d), pinned %d", name, got, st.Matches, tc.count)
+					}
+					var levels [][2]uint64
+					for _, l := range st.Levels {
+						levels = append(levels, [2]uint64{l.Candidates, l.Extended})
+					}
+					if fmt.Sprint(levels) != fmt.Sprint(want) {
+						t.Errorf("%s: levels %v, pinned %v", name, levels, want)
+					}
+					if k := uint64(p.N()); st.UDFCalls != wantCalls || st.Materialized != k*wantCalls || delivered.Load() != k*wantCalls {
+						t.Errorf("%s: %d UDF calls, %d vertices materialized, %d delivered; want %d matches of %d vertices",
+							name, st.UDFCalls, st.Materialized, delivered.Load(), wantCalls, k)
+					}
+					if st.TriePasses != 1 || st.TriePatterns != 1 || len(st.TrieNodes) != p.N() {
+						t.Errorf("%s: reported %d passes, %d patterns, %d trie nodes; want 1, 1, %d",
+							name, st.TriePasses, st.TriePatterns, len(st.TrieNodes), p.N())
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package engine defines the contract shared by the four matching engines
 // (Peregrine, AutoZero, GraphPi, BigJoin models) plus the instrumented
-// statistics the paper's evaluation reports, and a parallel backtracking
-// executor that pattern-aware engines build on.
+// statistics the paper's evaluation reports, and the parallel depth-first
+// executor every plan-driven engine runs on (trie.go).
 package engine
 
 import (
@@ -84,10 +84,10 @@ type Stats struct {
 	Matches        uint64 // unique matches found
 	TailSteals     uint64 // tail work-stealing block splits performed
 
-	// Trie-execution counters (BacktrackTrie): how many one-pass
-	// multi-pattern executions ran, how many patterns they covered, and
-	// how many plan levels merging shared (candidate computations saved
-	// relative to per-pattern passes).
+	// Executor passes: TriePasses counts passes of the depth-first
+	// executor — one per Backtrack (a one-leaf trie) or BacktrackTrie call —
+	// TriePatterns the plans they covered, TrieSharedLevels the plan levels
+	// merging shared (candidate computations saved relative to one-leaf passes).
 	TriePasses       uint64
 	TriePatterns     uint64
 	TrieSharedLevels uint64
@@ -115,10 +115,10 @@ type Stats struct {
 	// Merged executions (Add) accumulate entries by worker ID.
 	Workers []WorkerStats
 
-	// TrieNodes holds per-trie-node selectivity for trie-driven
-	// executions (BacktrackTrie), keyed by the merged trie's dense node
-	// IDs. Merging (Add) accumulates by node ID, which is only meaningful
-	// across executions of the same merged trie.
+	// TrieNodes holds per-trie-node selectivity, keyed by the pass's
+	// trie's dense node IDs (a one-leaf trie's are its levels). Merging
+	// (Add) accumulates by node ID, which is only meaningful across
+	// executions of the same trie.
 	TrieNodes []TrieNodeStats
 }
 

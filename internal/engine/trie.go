@@ -17,18 +17,19 @@ import (
 	"morphing/internal/setops"
 )
 
-// Trie-driven multi-pattern execution: the generic counterpart of
-// AutoZero's merged schedule interpreter, operating on a plan.Trie built
-// by plan.MergePlans from any engine's plans. One pass over the data
-// graph enumerates each shared partial embedding once and fans out into
-// the per-pattern subtrees, accumulating a count per leaf pattern. The
-// executor reuses the backtracking executor's machinery wholesale: the
-// adaptive set-operation entry points (hub-aware intersections,
-// count-only childless leaves), the atomic block cursor with tail
-// stealing, cooperative cancellation, and worker panic containment.
+// The depth-first executor. Every plan-driven execution in the repository
+// is one pass of a plan.Trie over the data graph: plan.MergePlans folds any
+// engine's plans on their shared matching-order prefixes, the pass
+// enumerates each shared partial embedding once and fans out into the
+// per-pattern subtrees, and a single plan is the one-leaf case (Backtrack).
+// A pass either counts — one count per leaf plan, the last levels never
+// materialized — or streams every match to a Visitor. Around the loop nest
+// sit the adaptive set-operation entry points (adaptive.go), the atomic
+// block cursor with tail stealing (steal.go), cooperative cancellation and
+// worker panic containment (ctx.go).
 
 // Planner is implemented by engines whose execution is driven by
-// exploration plans, exposing enough for the trie path to mine a whole
+// exploration plans, exposing enough for the runner to mine a whole
 // winner set with the engine's own matching orders: the plan the engine
 // would use for a pattern, and the executor configuration it would run
 // it with. All four engine models implement it.
@@ -42,8 +43,8 @@ type Planner interface {
 }
 
 // BuildTrie merges the engine's plans for ps into a prefix trie, without
-// executing anything — callers inspect the trie's sharing statistics to
-// decide between one-pass and per-pattern execution.
+// executing anything — callers read the trie's sharing statistics for
+// their reports.
 func BuildTrie(e Planner, g graph.Adjacency, ps []*pattern.Pattern) (*plan.Trie, error) {
 	plans := make([]*plan.Plan, len(ps))
 	for i, p := range ps {
@@ -56,10 +57,8 @@ func BuildTrie(e Planner, g graph.Adjacency, ps []*pattern.Pattern) (*plan.Trie,
 	return plan.MergePlans(plans)
 }
 
-// BacktrackTrie mines every pattern of the merged trie in one pass,
-// returning one count per plan (in tr.Plans order). Counting only — the
-// trie path exists for CountAll-style workloads; streaming visitors and
-// MatchLimit stay on the per-pattern executor.
+// BacktrackTrie mines every pattern of the merged trie in one counting
+// pass, returning one count per plan (in tr.Plans order).
 func BacktrackTrie(g graph.Adjacency, tr *plan.Trie, opts ExecOptions, o *obs.Observer) ([]uint64, *Stats, error) {
 	return BacktrackTrieCtx(context.Background(), g, tr, opts, o)
 }
@@ -68,25 +67,105 @@ func BacktrackTrie(g graph.Adjacency, tr *plan.Trie, opts ExecOptions, o *obs.Ob
 // panic isolation, under the same partial-result contract as BacktrackCtx:
 // an interrupted pass returns partial counts for every pattern
 // simultaneously, each reflecting the vertex blocks completed before the
-// abort took effect.
+// abort took effect. The pass is one mine/trie span.
 func BacktrackTrieCtx(ctx context.Context, g graph.Adjacency, tr *plan.Trie, opts ExecOptions, o *obs.Observer) ([]uint64, *Stats, error) {
 	if tr == nil || len(tr.Plans) == 0 {
 		return nil, nil, fmt.Errorf("engine: nil or empty plan trie")
 	}
+	counts := make([]uint64, len(tr.Plans))
 	if err := CtxErr(ctx); err != nil {
-		return make([]uint64, len(tr.Plans)), nil, err
+		return counts, nil, err
 	}
+	defer obs.FromContext(ctx, o).StartSpan("mine/trie",
+		obs.Int("patterns", len(tr.Plans)),
+		obs.Int("shared_levels", tr.SharedLevels)).End()
+	st, err := getTriePass().mine(ctx, g, tr, nil, counts, opts, o)
+	return counts, st, err
+}
+
+// triePass is the shared state of one pass: the block cursor, the
+// abort/panic latches, the worker and range tables the goroutines
+// coordinate through, and what the workers read about the trie (the
+// per-node classification and the scratch it is carved from). It is a
+// pooled struct rather than locals captured by goroutine closures for the
+// allocation trajectory: locals captured by N closures escape one by one,
+// while a pooled carrier costs nothing in steady state — a pass allocates
+// the Stats it returns and nothing else, which is what lets a query made
+// of hundreds of tiny executions (FSM) run them all through here.
+type triePass struct {
+	cursor int64  // atomic block claim cursor; leading for 64-bit alignment
+	found  uint64 // atomic: matches so far, maintained under MatchLimit only
+
+	wg          sync.WaitGroup
+	abort       atomic.Bool // set by cancellation or a worker panic
+	panicOnce   sync.Once
+	panicErr    *PanicError // first recovered panic wins
+	done        <-chan struct{}
+	fi          *faultinject.Injector
+	live        *obs.Counter
+	blockSize   int
+	numBlocks   int
+	n           int
+	limit       uint64
+	noTailSteal bool
+	workers     []*trieWorker
+	ranges      []*vertexRange
+
+	tr      *plan.Trie
+	labeled bool             // some node asks for a label
+	visit   Visitor          // nil: counting pass
+	info    []trieExecInfo   // per node ID
+	nodes   []*plan.TrieNode // parents before children, the order Stats.TrieNodes reports
+	path    []*plan.TrieNode // classify: ancestors of the node in hand, root first
+	coll    []*plan.TrieNode // backs info[].collapsed
+	ints    []int            // backs info[].check
+
+	single plan.Trie // BacktrackCtx: the one-leaf trie of its plan
+}
+
+var triePassPool = sync.Pool{New: func() any { return new(triePass) }}
+
+// getTriePass returns a pass with clean latches, reusing pooled capacity.
+func getTriePass() *triePass {
+	ps := triePassPool.Get().(*triePass)
+	ps.cursor, ps.found = 0, 0
+	ps.abort.Store(false)
+	ps.panicOnce = sync.Once{}
+	return ps
+}
+
+// release drops every per-pass reference — a pooled pass pins no graph,
+// trie, plan or visitor, and its workers are back in their own pool — and
+// returns the pass to the pool.
+func (ps *triePass) release() {
+	clear(ps.workers)
+	clear(ps.ranges)
+	clear(ps.info)
+	clear(ps.nodes)
+	clear(ps.path[:cap(ps.path)])
+	clear(ps.coll)
+	ps.coll, ps.ints = ps.coll[:0], ps.ints[:0]
+	ps.done, ps.fi, ps.live, ps.panicErr = nil, nil, nil, nil
+	ps.tr, ps.visit = nil, nil
+	ps.single.Reset() // cannot fail without plans
+	triePassPool.Put(ps)
+}
+
+// mine runs the pass: tr over g on opts.ThreadCount() workers, counts[i]
+// receiving plan i's matches and visit, when non-nil, every match. It
+// releases ps.
+func (ps *triePass) mine(ctx context.Context, g graph.Adjacency, tr *plan.Trie, visit Visitor, counts []uint64, opts ExecOptions, o *obs.Observer) (*Stats, error) {
 	fi := faultinject.Active()
 	ctx, fiStop := fi.Context(ctx)
 	defer fiStop()
+	if visit != nil {
+		visit = fi.Visitor(visit) // counting passes meet the fault in run (MatchesCounted)
+	}
 	start := time.Now()
-	// Run scope on the context wins over the caller's explicit observer
-	// (see BacktrackCtx).
+	// A run scope on the context (obs.ContextWithRun) wins over the
+	// caller's explicit observer: metrics and spans land in the current
+	// query's scope and forward into the global registry from there.
 	o = obs.FromContext(ctx, o)
-	defer o.StartSpan("mine/trie",
-		obs.Int("patterns", len(tr.Plans)),
-		obs.Int("shared_levels", tr.SharedLevels)).End()
-	liveMatches := o.Counter(MetricMatches)
 
 	threads := opts.ThreadCount()
 	n := g.NumVertices()
@@ -97,140 +176,177 @@ func BacktrackTrieCtx(ctx context.Context, g graph.Adjacency, tr *plan.Trie, opt
 			blockSize = n/(threads*8) + 1
 		}
 	}
-	numBlocks := (n + blockSize - 1) / blockSize
+	ps.blockSize = blockSize
+	ps.numBlocks = (n + blockSize - 1) / blockSize
+	ps.n = n
+	ps.limit = opts.MatchLimit
+	ps.noTailSteal = opts.NoTailSteal
+	ps.done = ctx.Done()
+	ps.fi = fi
+	// Workers keep counters on private fields inside hot loops and flush
+	// match deltas to this sharded cell at block granularity, so live
+	// readers (progress, /metrics) see movement without slowing matching.
+	ps.live = o.Counter(MetricMatches)
+	ps.tr, ps.visit = tr, visit
+	ps.classify()
+
+	if cap(ps.workers) < threads {
+		ps.workers = make([]*trieWorker, threads)
+		ps.ranges = make([]*vertexRange, threads)
+	}
+	ps.workers, ps.ranges = ps.workers[:threads], ps.ranges[:threads]
 	maxDeg := g.MaxDegree()
-
-	var cursor int64
-	var wg sync.WaitGroup
-	done := ctx.Done()
-	var abort atomic.Bool
-	var panicOnce sync.Once
-	var panicErr *PanicError
-	workers := make([]*trieWorker, threads)
-	ranges := make([]*vertexRange, threads)
-	info := buildTrieExecInfo(tr)
-	for t := 0; t < threads; t++ {
-		workers[t] = getTrieWorker(t, g, tr, info, opts.Instrument, maxDeg, opts.NoArena)
-		ranges[t] = &workers[t].rng
+	for t := range ps.workers {
+		w := getTrieWorker(t, g, ps, opts.Instrument, maxDeg, opts.NoArena)
+		ps.workers[t], ps.ranges[t] = w, &w.rng
 	}
-	for t := 0; t < threads; t++ {
-		wg.Add(1)
-		go func(w *trieWorker) {
-			defer wg.Done()
-			t0 := time.Now()
-			defer func() { w.busy = time.Since(t0) }()
-			defer func() {
-				if r := recover(); r != nil {
-					pe := &PanicError{Worker: w.id, Value: r, Stack: debug.Stack()}
-					panicOnce.Do(func() { panicErr = pe })
-					abort.Store(true)
-				}
-			}()
-			for {
-				if abort.Load() {
-					return
-				}
-				select {
-				case <-done:
-					abort.Store(true)
-					return
-				default:
-				}
-				b := int(atomic.AddInt64(&cursor, 1)) - 1
-				if b >= numBlocks {
-					break
-				}
-				lo := uint32(b * blockSize)
-				hi := uint32((b + 1) * blockSize)
-				if hi > uint32(n) {
-					hi = uint32(n)
-				}
-				w.rng.reset(lo, hi, !opts.NoTailSteal)
-				// After reset: a stall-injected straggler holds an armed,
-				// stealable range, the scenario tail stealing exists for.
-				fi.BlockClaimed(w.id)
-				before := w.total()
-				w.runRoot()
-				liveMatches.Add(w.id, w.total()-before)
-				fi.MatchesCounted(w.id, w.total()-before)
-			}
-			for !opts.NoTailSteal {
-				if abort.Load() {
-					return
-				}
-				select {
-				case <-done:
-					abort.Store(true)
-					return
-				default:
-				}
-				lo, hi, ok := stealFrom(ranges, w.id)
-				if !ok {
-					return
-				}
-				w.steals++
-				w.rng.reset(lo, hi, false)
-				before := w.total()
-				w.runRoot()
-				liveMatches.Add(w.id, w.total()-before)
-				fi.MatchesCounted(w.id, w.total()-before)
-			}
-		}(workers[t])
+	ps.wg.Add(threads)
+	for _, w := range ps.workers {
+		// w.spawn is a pre-bound zero-argument thunk created once per
+		// worker lifetime: `go f(args)` heap-allocates a wrapper to carry
+		// the arguments, while `go w.spawn()` reuses the existing funcval
+		// and allocates nothing beyond the goroutine itself.
+		go w.spawn()
 	}
-	wg.Wait()
+	ps.wg.Wait()
 
-	counts := make([]uint64, len(tr.Plans))
-	st := &Stats{
+	// The merged snapshot escapes to the caller and cannot be pooled: it is
+	// three allocations of exact capacity, the per-level table riding with
+	// the Stats. Workers count per node only; a level is the sum of its
+	// nodes.
+	snap := &struct {
+		Stats
+		levels [pattern.MaxVertices]LevelStats
+	}{Stats: Stats{
 		TriePasses:       1,
 		TriePatterns:     uint64(len(tr.Plans)),
 		TrieSharedLevels: uint64(tr.SharedLevels),
+		Workers:          make([]WorkerStats, 0, threads),
+		TrieNodes:        make([]TrieNodeStats, len(ps.nodes)),
+	}}
+	st := &snap.Stats
+	st.Levels = snap.levels[:tr.MaxDepth]
+	for i, node := range ps.nodes {
+		agg := &st.TrieNodes[i]
+		agg.Node, agg.Depth, agg.Patterns = node.ID, node.Depth, node.Patterns
+		for _, w := range ps.workers {
+			agg.Enters += w.nstat[node.ID].enters
+			agg.Candidates += w.nstat[node.ID].cands
+			agg.Extended += w.nstat[node.ID].ext
+		}
+		st.Levels[node.Depth].Candidates += agg.Candidates
+		st.Levels[node.Depth].Extended += agg.Extended
 	}
-	for _, w := range workers {
+	for _, w := range ps.workers {
 		for i, c := range w.counts {
 			counts[i] += c
 		}
 		w.st.TailSteals += w.steals
 		w.st.AddSetops(w.sst)
-		for i, l := range w.levels {
-			w.st.AddLevel(i, l.Candidates, l.Extended)
-		}
 		// Stats.Add copies entries by value, so the worker-owned backing
-		// array is safe to lend here and reuse on the next execution.
+		// array is safe to lend here and reuse on the next pass.
 		w.wstats[0] = WorkerStats{Worker: w.id, Time: w.busy, Matches: w.total()}
 		w.st.Workers = w.wstats[:]
 		st.Add(&w.st)
-	}
-	tr.Walk(func(node *plan.TrieNode) {
-		agg := TrieNodeStats{Node: node.ID, Depth: node.Depth, Patterns: node.Patterns}
-		for _, w := range workers {
-			agg.Enters += w.nodeEnters[node.ID]
-			agg.Candidates += w.nodeCands[node.ID]
-			agg.Extended += w.nodeExt[node.ID]
-		}
-		st.AddTrieNode(agg)
-	})
-	for _, w := range workers {
 		w.release()
 	}
 	for _, c := range counts {
 		st.Matches += c
 	}
+	aborted, panicErr := ps.abort.Load(), ps.panicErr
+	ps.release()
 	st.TotalTime = time.Since(start)
 	PublishStats(o, st)
 	if panicErr != nil {
 		PublishAbort(o, panicErr)
-		return counts, st, panicErr
+		return st, panicErr
 	}
-	if err := CtxErr(ctx); err != nil && abort.Load() {
+	if err := CtxErr(ctx); err != nil && aborted {
 		PublishAbort(o, err)
-		return counts, st, err
+		return st, err
 	}
-	return counts, st, nil
+	return st, nil
 }
 
-// trieExecInfo is what buildTrieExecInfo decides about a node from the
-// trie's static structure alone (bind-time hoisting, DESIGN §12). A node at
-// depth k runs once per vertex its parent binds at depth d = k-1, so its
+// stopped reports whether the worker loop has to end: a sibling panicked,
+// the context is done, or the pass has found its MatchLimit.
+func (ps *triePass) stopped() bool {
+	if ps.abort.Load() {
+		return true
+	}
+	select {
+	case <-ps.done:
+		ps.abort.Store(true)
+		return true
+	default:
+	}
+	return ps.limit > 0 && atomic.LoadUint64(&ps.found) >= ps.limit
+}
+
+// run is one worker goroutine's work loop, the only one in the repository:
+// claim blocks while the cursor lasts, then steal tails from straggling
+// siblings.
+func (ps *triePass) run(w *trieWorker) {
+	defer ps.wg.Done()
+	// Busy time: the whole work loop, including the tail where a worker
+	// keeps descending under its last root after the block cursor is
+	// exhausted — exactly the straggler signature the per-worker
+	// histograms exist to expose. Registered before the recover defer so
+	// panicking workers report their time too.
+	t0 := time.Now()
+	defer func() { w.busy = time.Since(t0) }()
+	// Panic containment: a visitor panic must not unwind past the worker
+	// goroutine (that would kill the process). Record the first one, abort
+	// the siblings, keep this worker's partial counters — they are merged
+	// like any other worker's.
+	defer func() {
+		if r := recover(); r != nil {
+			pe := &PanicError{Worker: w.id, Value: r, Stack: debug.Stack()}
+			ps.panicOnce.Do(func() { ps.panicErr = pe })
+			ps.abort.Store(true)
+		}
+	}()
+	for !ps.stopped() {
+		b := int(atomic.AddInt64(&ps.cursor, 1)) - 1
+		if b >= ps.numBlocks {
+			break
+		}
+		lo := uint32(b * ps.blockSize)
+		hi := uint32(min((b+1)*ps.blockSize, ps.n))
+		w.rng.reset(lo, hi, !ps.noTailSteal)
+		// After reset: a stall-injected straggler holds an armed,
+		// stealable range, the scenario tail stealing exists for.
+		ps.fi.BlockClaimed(w.id)
+		ps.mineRange(w)
+	}
+	// Tail: the cursor is dry but a sibling may still be grinding through
+	// a heavy block — split its remaining range and take the upper half
+	// (once per block, see steal.go).
+	for !ps.noTailSteal && !ps.stopped() {
+		lo, hi, ok := stealFrom(ps.ranges, w.id)
+		if !ok {
+			return
+		}
+		w.steals++
+		w.rng.reset(lo, hi, false)
+		ps.mineRange(w)
+	}
+}
+
+// mineRange runs w over its armed range and publishes what it found.
+func (ps *triePass) mineRange(w *trieWorker) {
+	before := w.total()
+	w.runRoot()
+	found := w.total() - before
+	ps.live.Add(w.id, found)
+	if ps.visit == nil {
+		ps.fi.MatchesCounted(w.id, found)
+	}
+}
+
+// trieExecInfo is what classify decides about a node from the trie's static
+// structure alone (bind-time hoisting, DESIGN §12). A node at depth k runs
+// once per vertex its parent binds at depth d = k-1, so its
 // Connect/Disconnect lists split into the prefix part (levels below d) and
 // the binding part (level d itself, at most one entry). The prefix part
 // evaluates to a base set that cannot change while the levels it reads
@@ -244,100 +360,121 @@ func BacktrackTrieCtx(ctx context.Context, g graph.Adjacency, tr *plan.Trie, opt
 //     on first use after level at — its deepest operand — is re-bound.
 //
 // An execution then costs at most one kernel call (base against the row of
-// v_d), and an unlabeled single-branch leaf with an empty binding part
-// none: its parent counts it with galloping cursors (trieCursor). check
-// lists the bound depths a count-only leaf corrects for (Unconnected).
+// v_d), and in a counting pass an unlabeled single-branch leaf with an
+// empty binding part none: its parent counts it with galloping cursors
+// (trieCursor). check lists the bound depths a count-only leaf corrects
+// for (Unconnected). A streaming pass binds every level, so it has no
+// leaves and collapses nothing; its childless nodes are tails instead.
 type trieExecInfo struct {
-	src          baseSrc
-	at           int
-	pconn, pdisc []int // srcBuilt: the base's operands but the last
-	last         int   // srcBuilt: the final operand, a disc level if lastDisc
-	lastDisc     bool
-	bconn, bdisc []int // binding part: the parent's depth in at most one of them
-	check        []int
-
-	leaf      bool // every branch is childless
-	slot      int  // 1 + index in the parent's collapsed list; 0: executes itself
+	// What every execution reads comes first, on one cache line.
+	src       baseSrc
+	leaf      bool // counting pass: every branch is childless
+	tail      bool // streaming pass: every branch is childless
+	timeWhole bool // leaf or parent of one: Instrument clocks the whole execution
 	loDep     bool // collapsed: the window's low / high end depends on v_d
 	hiDep     bool
+	lastDisc  bool  // srcBuilt: last is a disc level
+	slot      int32 // 1 + index in the parent's collapsed list; 0: executes itself
+	at        int
+	last      int              // srcBuilt: the final operand
 	collapsed []*plan.TrieNode // children this node counts by cursor
-	timeWhole bool             // leaf or parent of one: Instrument clocks the whole execution
+
+	pconn, pdisc []int // srcBuilt: the base's operands but the last
+	bconn, bdisc []int // binding part: the parent's depth in at most one of them
+	check        []int
 }
 
 type baseSrc uint8
 
 const srcRows, srcRaw, srcBuilt baseSrc = 0, 1, 2
 
-// buildTrieExecInfo classifies every node once per pass, so an execution
-// only reads flags (classifying per execution is measurably slower on the
-// decode-bound tier).
-func buildTrieExecInfo(tr *plan.Trie) []trieExecInfo {
-	info := make([]trieExecInfo, tr.Nodes)
-	var path []*plan.TrieNode // ancestors of the node being classified, root first
-	var rec func(n *plan.TrieNode)
-	rec = func(n *plan.TrieNode) {
-		ei := &info[n.ID]
-		ei.check = Unconnected(nil, n.Depth, n.Connect)
-		ei.leaf = true
-		d := n.Depth - 1
-		pconn, bconn := splitAt(n.Connect, d)
-		pdisc, bdisc := splitAt(n.Disconnect, d)
-		ei.bconn, ei.bdisc = bconn, bdisc
-		if len(pconn) > 1 || len(pconn) == 1 && len(pdisc) > 0 {
-			ei.src, ei.at = srcBuilt, pconn[len(pconn)-1]
-			if nd := len(pdisc); nd > 0 {
-				ei.pconn, ei.pdisc, ei.last, ei.lastDisc = pconn, pdisc[:nd-1], pdisc[nd-1], true
-				ei.at = max(ei.at, ei.last)
-			} else {
-				ei.pconn, ei.last = pconn[:len(pconn)-1], ei.at
-			}
-			for _, a := range path[1:] {
-				if slices.Equal(a.Connect, pconn) && slices.Equal(a.Disconnect, pdisc) {
-					ei.src, ei.at = srcRaw, a.Depth
-				}
+// classify fills ps.info and ps.nodes for the pass's trie, once per pass,
+// so an execution only reads flags (classifying per execution is measurably
+// slower on the decode-bound tier). Everything it builds is carved from the
+// pass's grow-only scratch.
+func (ps *triePass) classify() {
+	if n := ps.tr.Nodes; cap(ps.info) < n {
+		ps.info, ps.nodes = make([]trieExecInfo, n), make([]*plan.TrieNode, 0, n)
+	} else {
+		ps.info, ps.nodes = ps.info[:n], ps.nodes[:0]
+	}
+	ps.labeled = false
+	for _, r := range ps.tr.Roots {
+		ps.classifyNode(r)
+	}
+}
+
+func (ps *triePass) classifyNode(n *plan.TrieNode) {
+	ps.nodes = append(ps.nodes, n)
+	ps.labeled = ps.labeled || n.Label != pattern.Unlabeled
+	ei := &ps.info[n.ID]
+	at := len(ps.ints)
+	ps.ints = Unconnected(ps.ints, n.Depth, n.Connect)
+	ei.check = ps.ints[at:len(ps.ints):len(ps.ints)]
+	d := n.Depth - 1
+	pconn, bconn := splitAt(n.Connect, d)
+	pdisc, bdisc := splitAt(n.Disconnect, d)
+	ei.bconn, ei.bdisc = bconn, bdisc
+	if len(pconn) > 1 || len(pconn) == 1 && len(pdisc) > 0 {
+		ei.src, ei.at = srcBuilt, pconn[len(pconn)-1]
+		if nd := len(pdisc); nd > 0 {
+			ei.pconn, ei.pdisc, ei.last, ei.lastDisc = pconn, pdisc[:nd-1], pdisc[nd-1], true
+			ei.at = max(ei.at, ei.last)
+		} else {
+			ei.pconn, ei.last = pconn[:len(pconn)-1], ei.at
+		}
+		for _, a := range ps.path[1:] { // a built base reads two levels below d: depth ≥ 3
+			if slices.Equal(a.Connect, pconn) && slices.Equal(a.Disconnect, pdisc) {
+				ei.src, ei.at = srcRaw, a.Depth
 			}
 		}
-		path = append(path, n)
-		for _, b := range n.Branches {
-			for _, c := range b.Children {
-				ei.leaf = false
-				rec(c)
-				ci := &info[c.ID]
-				ei.timeWhole = ei.timeWhole || ci.leaf
-				if ci.leaf && len(c.Branches) == 1 && c.Label == pattern.Unlabeled && len(ci.bconn)+len(ci.bdisc) == 0 {
-					ei.collapsed = append(ei.collapsed, c)
-					ci.slot = len(ei.collapsed)
-					ci.loDep = slices.Contains(c.Branches[0].Greater, n.Depth)
-					ci.hiDep = slices.Contains(c.Branches[0].Smaller, n.Depth)
-				}
+	}
+	childless := true
+	ps.path = append(ps.path, n)
+	for _, b := range n.Branches {
+		for _, c := range b.Children {
+			childless = false
+			ps.classifyNode(c)
+		}
+	}
+	ps.path = ps.path[:len(ps.path)-1]
+	if ps.visit != nil {
+		ei.tail = childless
+		return
+	}
+	ei.leaf = childless
+	ei.timeWhole = childless
+	first := len(ps.coll)
+	for _, b := range n.Branches {
+		for _, c := range b.Children {
+			ci := &ps.info[c.ID]
+			ei.timeWhole = ei.timeWhole || ci.leaf
+			if ci.leaf && len(c.Branches) == 1 && c.Label == pattern.Unlabeled && len(ci.bconn)+len(ci.bdisc) == 0 {
+				ps.coll = append(ps.coll, c)
+				ci.slot = int32(len(ps.coll) - first)
+				ci.loDep = slices.Contains(c.Branches[0].Greater, n.Depth)
+				ci.hiDep = slices.Contains(c.Branches[0].Smaller, n.Depth)
 			}
 		}
-		path = path[:len(path)-1]
-		ei.timeWhole = ei.timeWhole || ei.leaf
 	}
-	for _, r := range tr.Roots {
-		rec(r)
-	}
-	return info
+	ei.collapsed = ps.coll[first:len(ps.coll):len(ps.coll)]
 }
 
 // splitAt partitions a node's level list into the levels below d and the
-// entry for d itself (nil when absent). Lists are bounded by pattern size.
+// entry for d itself (nil when absent). Plans list levels in ascending
+// order and d is the deepest level a node at depth d+1 can name, so the
+// entry is the last one.
 func splitAt(list []int, d int) (below, at []int) {
-	for i, j := range list {
-		if j == d {
-			at = list[i : i+1]
-		} else {
-			below = append(below, j)
-		}
+	if n := len(list); n > 0 && list[n-1] == d {
+		return list[:n-1], list[n-1:]
 	}
-	return below, at
+	return list, nil
 }
 
-// trieWorker interprets the merged trie over one stealable vertex range
-// at a time. Besides the per-depth selectivity every executor records, it
-// keeps per-trie-node counters (dense node-ID indexed) so the run report
-// can show where sharing paid off.
+// trieWorker interprets the trie over one stealable vertex range at a
+// time. Its selectivity counters are per trie node (dense node-ID indexed),
+// so the run report can show where sharing paid off; per-level selectivity
+// is their sum by depth.
 type trieWorker struct {
 	id         int
 	g          graph.Adjacency // per-worker view (see graph.Adjacency)
@@ -345,43 +482,63 @@ type trieWorker struct {
 	pins       Pins            // adjacency rows of the bound prefix
 	tr         *plan.Trie
 	info       []trieExecInfo
+	visit      Visitor
 	instrument bool
 
 	st     Stats
 	sst    setops.Stats
-	levels []LevelStats
 	busy   time.Duration
 	steals uint64
 	rng    vertexRange
 
-	counts     []uint64 // per-plan match counts
-	nodeEnters []uint64 // per-node: partial embeddings reaching the node
-	nodeCands  []uint64 // per-node: candidates its shared computation produced
-	nodeExt    []uint64 // per-node: candidates surviving its filters
-
+	// What a worker writes while matching lives in this struct, its arena or
+	// table, never in small allocations of its own: those sit side by side
+	// with the siblings' and share cache lines with them (a streaming pass
+	// bumps a count and fills a slot per match). Hence the fixed arrays.
+	bufA  [pattern.MaxVertices][]uint32
+	bufB  [pattern.MaxVertices][]uint32
+	raw   [pattern.MaxVertices][]uint32 // last raw (pre-window) candidate set, the srcRaw bases
+	lab   [pattern.MaxVertices][]uint32 // labeled levels: the candidates carrying the label
+	wins  [pattern.MaxVertices][]trieWin
+	curs  [pattern.MaxVertices][]trieCursor // cursors of the executing node's collapsed leaves
 	match []uint32
-	bufA  [][]uint32
-	bufB  [][]uint32
-	raw   [][]uint32 // per-depth: last raw (pre-window) candidate set, the srcRaw bases
-	wins  [][]trieWin
+
+	counts []uint64        // per-plan match counts
+	nstat  []trieNodeCount // per trie node
+	table  []uint64        // back the two above, a cache line of padding at either end
+	ntable []trieNodeCount
+
+	outs []trieOut // streaming pass: per plan, the match being assembled
 
 	// Hoisting state. stamp[j] is the tick at which depth j was last bound;
 	// a built base is valid while its deepest operand's stamp is the one it
 	// was built under (the rule Pins uses for rows, with a counter where Pins
 	// compares vertices). tick never rewinds, also not between passes.
 	tick  uint64
-	stamp []uint64
-	bases []trieBase     // per node, srcBuilt only; buffers sized by need
-	curs  [][]trieCursor // per depth: cursors of the executing node's collapsed leaves
+	stamp [pattern.MaxVertices]uint64
+	bases []trieBase // per node, srcBuilt only; buffers sized by need
 
-	// Pooling state, mirroring btWorker: a pooled worker keeps its arena
-	// and the scratch carved from it, so reuse at the same shape allocates
-	// nothing; wstats backs st.Workers across executions.
+	// Pooling state. A pooled worker keeps its arena and scratch, which only
+	// grow — per-depth buffers to the deepest trie and highest degree seen,
+	// per-node and per-plan tables to the largest trie — so a query that
+	// alternates between plans of different sizes (FSM) allocates nothing.
+	// wstats backs st.Workers across passes.
 	arena  *setops.Arena // nil under NoArena
 	d      int           // trie depth the scratch is shaped for
 	maxDeg int           // buffer capacity the scratch is shaped for
 	wstats [1]WorkerStats
+
+	// pass is the current pass, set by getTrieWorker and cleared on
+	// release. spawn is the pre-bound goroutine entry (`go w.spawn()`),
+	// allocated once per worker lifetime — see the spawn loop in mine.
+	pass  *triePass
+	spawn func()
 }
+
+// trieNodeCount is one node's selectivity: partial embeddings reaching it,
+// candidates its shared computation produced, candidates surviving its
+// filters.
+type trieNodeCount struct{ enters, cands, ext uint64 }
 
 // trieWin is one branch's resolved symmetry window, half-open [lo, hi).
 type trieWin struct {
@@ -393,6 +550,14 @@ type trieWin struct {
 type trieBase struct {
 	set   []uint32
 	stamp uint64
+}
+
+// trieOut assembles one leaf plan's matches for the visitor, in
+// pattern-vertex order: m[plan.Order[j]] is the vertex bound at depth j.
+type trieOut struct {
+	m     []uint32 // worker scratch, one slot per pattern vertex
+	order []int    // the plan's Order
+	last  int      // the pattern vertex the plan's final level binds
 }
 
 // trieCursor counts one collapsed leaf over one execution of its parent.
@@ -418,13 +583,14 @@ func (w *trieWorker) total() uint64 {
 	return t
 }
 
-// trieWorkerPool recycles trie workers (and their arenas) across passes,
-// mirroring btWorkerPool.
+// trieWorkerPool recycles workers (and the arenas inside them) across
+// passes. NoArena workers bypass it so A/B allocation measurements see the
+// unpooled trajectory.
 var trieWorkerPool = sync.Pool{New: func() any { return new(trieWorker) }}
 
-// getTrieWorker returns a worker shaped for the trie, pooled unless
+// getTrieWorker returns a worker shaped for the pass, pooled unless
 // noArena.
-func getTrieWorker(id int, g graph.Adjacency, tr *plan.Trie, info []trieExecInfo, instrument bool, maxDeg int, noArena bool) *trieWorker {
+func getTrieWorker(id int, g graph.Adjacency, ps *triePass, instrument bool, maxDeg int, noArena bool) *trieWorker {
 	var w *trieWorker
 	if noArena {
 		w = new(trieWorker)
@@ -434,38 +600,65 @@ func getTrieWorker(id int, g graph.Adjacency, tr *plan.Trie, info []trieExecInfo
 			w.arena = setops.GetArena()
 		}
 	}
-	d := tr.MaxDepth
-	if w.d != d || w.maxDeg < maxDeg || len(w.counts) != len(tr.Plans) || len(w.nodeEnters) != tr.Nodes {
-		w.reshape(d, maxDeg, len(tr.Plans), tr.Nodes)
+	if w.spawn == nil {
+		w.spawn = func() { w.pass.run(w) }
+	}
+	tr := ps.tr
+	if w.d < tr.MaxDepth || w.maxDeg < maxDeg {
+		w.reshape(max(w.d, tr.MaxDepth), max(w.maxDeg, maxDeg))
 	}
 	w.id = id
+	w.pass = ps
 	w.g = g.View()
 	w.vlabels = g.Labels()
-	w.pins.Reset(w.g, d)
+	w.pins.Reset(w.g, w.d)
 	w.pins.Bind(w.match)
 	w.tr = tr
-	w.info = info
+	w.info = ps.info
+	w.visit = ps.visit
 	w.instrument = instrument
-	clear(w.levels)
+	const pad = 8 // uint64s in a cache line, and at least one in trieNodeCounts
+	plans, nodes := len(tr.Plans), tr.Nodes
+	if cap(w.table) < plans+2*pad {
+		w.table = make([]uint64, plans+2*pad)
+	}
+	if cap(w.ntable) < nodes+2*pad {
+		w.ntable = make([]trieNodeCount, nodes+2*pad)
+	}
+	w.counts, w.nstat = w.table[pad:pad+plans], w.ntable[pad:pad+nodes]
 	clear(w.counts)
-	clear(w.nodeEnters)
-	clear(w.nodeCands)
-	clear(w.nodeExt)
+	clear(w.nstat)
+	if len(w.bases) < nodes {
+		w.bases = append(w.bases, make([]trieBase, nodes-len(w.bases))...)
+	}
 	for i := range w.bases {
 		w.bases[i].stamp = 0 // buffers stay: they are capacity, not content
 	}
-	for i := range info {
-		if c := info[i].collapsed; len(c) > 0 && len(c) > len(w.curs[c[0].Depth-1]) {
+	for i := range ps.info {
+		if c := ps.info[i].collapsed; len(c) > 0 && len(c) > len(w.curs[c[0].Depth-1]) {
 			w.curs[c[0].Depth-1] = make([]trieCursor, len(c))
 		}
 	}
-	lv, wk, tn := w.st.Levels[:0], w.st.Workers[:0], w.st.TrieNodes[:0]
+	for i := 0; ps.labeled && i < w.d && w.lab[i] == nil; i++ {
+		w.lab[i] = w.alloc(w.maxDeg)
+	}
+	if ps.visit != nil {
+		if len(w.outs) < plans {
+			w.outs = append(w.outs, make([]trieOut, plans-len(w.outs))...)
+		}
+		for i, pl := range tr.Plans {
+			o := &w.outs[i]
+			if o.m == nil {
+				o.m = w.alloc(pattern.MaxVertices)
+			}
+			o.m, o.order, o.last = o.m[:len(pl.Order)], pl.Order, pl.Order[len(pl.Order)-1]
+		}
+	}
 	w.st = Stats{}
-	w.st.Levels, w.st.Workers, w.st.TrieNodes = lv, wk, tn
 	w.sst = setops.Stats{Scratch: w.arena}
 	w.busy = 0
 	w.steals = 0
-	w.rng.reset(0, 0, false) // neutralize any stale armed range
+	w.rng.reset(0, 0, false) // neutralize any stale armed range before siblings can steal
 	return w
 }
 
@@ -478,27 +671,19 @@ func (w *trieWorker) alloc(n int) []uint32 {
 	return make([]uint32, 0, n)
 }
 
-// reshape (re)builds the worker's scratch for a new trie shape, carving
-// every uint32 buffer from the arena when one is attached (after a Reset,
-// since the previous shape's buffers alias the same slabs).
-func (w *trieWorker) reshape(d, maxDeg, plans, nodes int) {
+// reshape (re)builds the worker's per-depth scratch for a deeper trie or a
+// higher degree, carving every uint32 buffer from the arena when one is
+// attached (after a Reset, since the previous shape's buffers — the built
+// bases among them — alias the same slabs).
+func (w *trieWorker) reshape(d, maxDeg int) {
 	w.d, w.maxDeg = d, maxDeg
 	if w.arena != nil {
 		w.arena.Reset()
 	}
-	w.levels = make([]LevelStats, d)
-	w.counts = make([]uint64, plans)
-	w.nodeEnters = make([]uint64, nodes)
-	w.nodeCands = make([]uint64, nodes)
-	w.nodeExt = make([]uint64, nodes)
 	w.match = w.alloc(d)[:d]
-	w.bufA = make([][]uint32, d)
-	w.bufB = make([][]uint32, d)
-	w.raw = make([][]uint32, d)
-	w.wins = make([][]trieWin, d)
-	w.stamp = make([]uint64, d)
-	w.bases = make([]trieBase, nodes) // dropping the old buffers with the arena
-	w.curs = make([][]trieCursor, d)
+	w.lab = [pattern.MaxVertices][]uint32{}
+	clear(w.bases)
+	clear(w.outs)
 	for i := 0; i < d; i++ {
 		w.bufA[i] = w.alloc(maxDeg)
 		w.bufB[i] = w.alloc(maxDeg)
@@ -506,7 +691,8 @@ func (w *trieWorker) reshape(d, maxDeg, plans, nodes int) {
 }
 
 // release returns a pooled worker to the pool, dropping per-pass
-// references; NoArena workers are dropped for the GC.
+// references so a pooled worker never pins a graph, trie or visitor;
+// NoArena workers are dropped for the GC.
 func (w *trieWorker) release() {
 	w.pins.Release()
 	if w.arena == nil {
@@ -516,7 +702,12 @@ func (w *trieWorker) release() {
 	w.vlabels = nil
 	w.tr = nil
 	w.info = nil
-	clear(w.raw)
+	w.visit = nil
+	w.pass = nil
+	w.raw = [pattern.MaxVertices][]uint32{}
+	for i := range w.outs {
+		w.outs[i].order = nil
+	}
 	for _, cs := range w.curs {
 		clear(cs) // cursor bases alias rows of the graph
 	}
@@ -531,31 +722,48 @@ func (w *trieWorker) bind(j int, v uint32) {
 }
 
 // runRoot scans the worker's armed level-0 range, claiming vertices one
-// at a time (see steal.go) and pushing each through every root node.
+// at a time (see steal.go) and pushing each through every root node. Under
+// MatchLimit it publishes what each root vertex found, so every worker
+// stops within one root vertex of the limit.
 func (w *trieWorker) runRoot() {
+	ps := w.pass
 	for {
 		v, ok := w.rng.next()
 		if !ok {
 			return
 		}
+		var before uint64
+		if ps.limit > 0 {
+			if atomic.LoadUint64(&ps.found) >= ps.limit {
+				return
+			}
+			before = w.total()
+		}
 		for _, root := range w.tr.Roots {
-			w.levels[0].Candidates++
-			w.nodeEnters[root.ID]++
-			w.nodeCands[root.ID]++
+			ns := &w.nstat[root.ID]
+			ns.enters++
+			ns.cands++
 			if !HasLabel(w.vlabels, v, root.Label) {
 				continue
 			}
-			w.levels[0].Extended++
-			w.nodeExt[root.ID]++
+			ns.ext++
 			w.bind(0, v)
 			// Depth-0 nodes carry no symmetry conditions (no earlier levels).
 			for _, br := range root.Branches {
 				for _, idx := range br.Leaves {
 					w.counts[idx]++
+					if w.visit != nil {
+						w.emit(&w.outs[idx], v)
+					}
 				}
 				for _, child := range br.Children {
 					w.exec(child, 1, w.instrument)
 				}
+			}
+		}
+		if ps.limit > 0 {
+			if found := w.total() - before; found > 0 {
+				atomic.AddUint64(&ps.found, found)
 			}
 		}
 	}
@@ -563,13 +771,14 @@ func (w *trieWorker) runRoot() {
 
 // exec runs one shared node at the given depth: compute the candidate set
 // once, then per surviving candidate evaluate each symmetry branch,
-// crediting leaf patterns and recursing into children — or, for collapsed
-// leaves, advancing their cursors. Nodes whose branches are all childless
-// degenerate into pure counting (execLeaf). timed is Instrument minus any
-// ancestor already clocking this execution: a node with a leaf child
-// charges its whole execution (the subtree below is set building and leaf
-// counting) to SetOpTime with one pair of clock reads, any other node only
-// its own set building.
+// crediting (in a streaming pass: emitting) leaf patterns and recursing
+// into children — or, for collapsed leaves, advancing their cursors. In a
+// counting pass nodes whose branches are all childless degenerate into pure
+// counting (execLeaf). timed is Instrument minus any ancestor already
+// clocking this execution: a node with a leaf child charges its whole
+// execution (the subtree below is set building and leaf counting) to
+// SetOpTime with one pair of clock reads, any other node only its own set
+// building.
 func (w *trieWorker) exec(node *plan.TrieNode, depth int, timed bool) {
 	ei := &w.info[node.ID]
 	var t0 time.Time
@@ -577,7 +786,8 @@ func (w *trieWorker) exec(node *plan.TrieNode, depth int, timed bool) {
 		t0 = time.Now()
 	}
 	whole := timed && ei.timeWhole
-	w.nodeEnters[node.ID]++
+	ns := &w.nstat[node.ID]
+	ns.enters++
 	if ei.leaf {
 		w.execLeaf(node, ei, depth)
 		if whole {
@@ -589,6 +799,10 @@ func (w *trieWorker) exec(node *plan.TrieNode, depth int, timed bool) {
 	if timed && !whole {
 		w.st.SetOpTime += time.Since(t0)
 	}
+	if ei.tail {
+		w.execTail(node, ns, depth, cands)
+		return
+	}
 	// Descendants may alias this raw (pre-window) set as their base; it
 	// stays valid through the subtree recursion because deeper levels own
 	// their own scratch buffers.
@@ -598,26 +812,24 @@ func (w *trieWorker) exec(node *plan.TrieNode, depth int, timed bool) {
 	// resolve them once per node execution (into per-depth scratch — this
 	// runs once per partial embedding, so it must not allocate) and clip
 	// the shared candidate set to their union, so candidates no branch can
-	// accept are never scanned. With a single branch — plans agreeing on
-	// the level's conditions — this is exactly the per-pattern executor's
-	// symmetry pruning; diverging branches keep whatever pruning their
-	// windows' union allows.
-	wins := w.windows(node, depth)
-	cands = clipToUnion(cands, wins)
+	// accept are never scanned. With a single branch — always, in a
+	// one-leaf trie — this is exactly a single plan's symmetry pruning;
+	// diverging branches keep whatever pruning their windows' union
+	// allows.
+	cands, wins := w.clip(node, depth, cands)
 
 	curs := w.curs[depth]
 	for i := range ei.collapsed {
 		curs[i].enters, curs[i].n = 0, 0 // the rest is set on the first candidate
 	}
 
-	w.levels[depth].Candidates += uint64(len(cands))
-	w.nodeCands[node.ID] += uint64(len(cands))
+	ns.cands += uint64(len(cands))
+	if node.Label != pattern.Unlabeled {
+		cands = w.labeled(cands, node.Label, depth)
+	}
 	var ext uint64
 	info := w.info
 	for _, v := range cands {
-		if !HasLabel(w.vlabels, v, node.Label) {
-			continue
-		}
 		used := false
 		for j := 0; j < depth; j++ {
 			if w.match[j] == v {
@@ -636,6 +848,10 @@ func (w *trieWorker) exec(node *plan.TrieNode, depth int, timed bool) {
 			}
 			for _, idx := range br.Leaves {
 				w.counts[idx]++
+				if w.visit != nil {
+					w.prefix(idx, depth)
+					w.emit(&w.outs[idx], v)
+				}
 			}
 			for _, child := range br.Children {
 				if ci := &info[child.ID]; ci.slot > 0 {
@@ -646,14 +862,13 @@ func (w *trieWorker) exec(node *plan.TrieNode, depth int, timed bool) {
 			}
 		}
 	}
-	w.levels[depth].Extended += ext
-	w.nodeExt[node.ID] += ext
+	ns.ext += ext
 	// Collapsed leaves are credited in bulk, with exactly the totals their
 	// per-candidate executions would have produced.
 	for i, leaf := range ei.collapsed {
 		if curs[i].enters > 0 {
-			w.nodeEnters[leaf.ID] += curs[i].enters
-			w.credit(leaf, depth+1, curs[i].n)
+			w.nstat[leaf.ID].enters += curs[i].enters
+			w.credit(leaf, curs[i].n)
 		}
 	}
 	if whole {
@@ -661,17 +876,128 @@ func (w *trieWorker) exec(node *plan.TrieNode, depth int, timed bool) {
 	}
 }
 
+// execTail runs a childless node of a streaming pass over its raw
+// candidate set — where such a pass spends its time, one visitor call per
+// match. Nothing below reads the binding, so it binds nothing, and every
+// match of a leaf plan shares the prefix: it is written once per execution
+// and leaves one slot to fill per match. Branches (and plans that end on
+// the same branch) scan their own window of the set one after the other, so
+// as for sibling leaf branches Extended measures work done.
+func (w *trieWorker) execTail(node *plan.TrieNode, ns *trieNodeCount, depth int, cands []uint32) {
+	cands, wins := w.clip(node, depth, cands)
+	ns.cands += uint64(len(cands))
+	if node.Label != pattern.Unlabeled {
+		cands = w.labeled(cands, node.Label, depth)
+	}
+	for bi, br := range node.Branches {
+		sub := cands // a single branch: the union is its window
+		if len(wins) > 1 {
+			sub = setops.Clip(cands, wins[bi].lo, wins[bi].hi)
+		}
+		if len(sub) == 0 {
+			continue // most executions of a labeled tail
+		}
+		for _, idx := range br.Leaves {
+			w.prefix(idx, depth)
+			before := w.counts[idx]
+			w.deliver(idx, sub, depth)
+			ns.ext += w.counts[idx] - before
+		}
+	}
+}
+
+// deliver completes plan idx's prefixed match with every candidate that is
+// not bound below depth, one visitor call each. It is emit with everything
+// a match needs held in locals: the loop the streaming workloads' time goes
+// to.
+func (w *trieWorker) deliver(idx int, cands []uint32, depth int) {
+	o, count := &w.outs[idx], &w.counts[idx]
+	m, slot := o.m, &o.m[o.last]
+	bound := w.match[:depth]
+	id, visit, instrument := w.id, w.visit, w.instrument
+	for _, v := range cands {
+		if slices.Contains(bound, v) {
+			continue
+		}
+		*count++
+		var t0 time.Time
+		if instrument {
+			t0 = time.Now()
+		}
+		*slot = v
+		w.st.Materialized += uint64(len(m))
+		if instrument {
+			w.st.MaterializeTime += time.Since(t0)
+			t0 = time.Now()
+		}
+		w.st.UDFCalls++
+		visit(id, m)
+		if instrument {
+			w.st.UDFTime += time.Since(t0)
+		}
+	}
+}
+
+// labeled returns the vertices of cands that carry label want, in the
+// depth's scratch (none on an unlabeled graph). The loops that bind or
+// deliver candidates call or recurse per candidate, which keeps their index
+// in memory, and a labeled level rejects most of what it scans — so the
+// label is applied here first, in a loop that stays in registers and, as it
+// stores every vertex and keeps only the position of those that qualify,
+// has no branch to mispredict.
+func (w *trieWorker) labeled(cands []uint32, want int32, depth int) []uint32 {
+	labels := w.vlabels
+	if labels == nil {
+		return nil
+	}
+	kept := w.lab[depth][:len(cands)] // a candidate set is never longer than a row
+	n := 0
+	for _, v := range cands {
+		kept[n] = v
+		if labels[v] == want {
+			n++
+		}
+	}
+	return kept[:n]
+}
+
+// prefix writes the vertices bound below depth into plan idx's match.
+func (w *trieWorker) prefix(idx, depth int) {
+	o := &w.outs[idx]
+	for j, u := range o.order[:depth] {
+		o.m[u] = w.match[j]
+	}
+}
+
+// emit completes the match in o with v, the vertex its plan's final level
+// takes, and delivers it.
+func (w *trieWorker) emit(o *trieOut, v uint32) {
+	var t0 time.Time
+	if w.instrument {
+		t0 = time.Now()
+	}
+	o.m[o.last] = v
+	w.st.Materialized += uint64(len(o.m))
+	if w.instrument {
+		w.st.MaterializeTime += time.Since(t0)
+		t0 = time.Now()
+	}
+	w.st.UDFCalls++
+	w.visit(w.id, o.m)
+	if w.instrument {
+		w.st.UDFTime += time.Since(t0)
+	}
+}
+
 // credit books n extensions of a single-branch count-only leaf: the
 // candidate set is never materialized, so the extension count stands in
 // for both selectivity fields.
-func (w *trieWorker) credit(leaf *plan.TrieNode, depth int, n uint64) {
+func (w *trieWorker) credit(leaf *plan.TrieNode, n uint64) {
 	for _, idx := range leaf.Branches[0].Leaves {
 		w.counts[idx] += n
 	}
-	w.levels[depth].Candidates += n
-	w.levels[depth].Extended += n
-	w.nodeCands[leaf.ID] += n
-	w.nodeExt[leaf.ID] += n
+	w.nstat[leaf.ID].cands += n
+	w.nstat[leaf.ID].ext += n
 }
 
 // advance counts a collapsed leaf for the vertex v its parent just bound:
@@ -734,18 +1060,16 @@ func (w *trieWorker) execLeaf(node *plan.TrieNode, ei *trieExecInfo, depth int) 
 	if len(node.Branches) == 1 {
 		lo, hi := trieWindow(node.Branches[0], w.match, -1)
 		if f, ok := LevelFilter(w.g, lo, hi, node.Label); ok {
-			w.credit(node, depth, w.countLeaf(node, ei, depth, f))
+			w.credit(node, w.countLeaf(node, ei, depth, f))
 		}
 		return
 	}
-	wins := w.windows(node, depth)
 	// Clip the shared set to the union of the branch windows before the
 	// per-branch count-only scans (same pruning as exec; membership within
 	// any branch window is preserved, so the bound-vertex subtraction
 	// below still sees every vertex its filter can pass).
-	cands := clipToUnion(w.set(node, ei, depth), wins)
-	w.levels[depth].Candidates += uint64(len(cands))
-	w.nodeCands[node.ID] += uint64(len(cands))
+	cands, wins := w.clip(node, depth, w.set(node, ei, depth))
+	w.nstat[node.ID].cands += uint64(len(cands))
 	for bi, br := range node.Branches {
 		f, ok := LevelFilter(w.g, wins[bi].lo, wins[bi].hi, node.Label)
 		if !ok {
@@ -769,8 +1093,7 @@ func (w *trieWorker) execLeaf(node *plan.TrieNode, ei *trieExecInfo, depth int) 
 		}
 		// Sibling branches count overlapping windows of the shared set, so
 		// Extended measures work done, not distinct bindings.
-		w.levels[depth].Extended += n
-		w.nodeExt[node.ID] += n
+		w.nstat[node.ID].ext += n
 	}
 }
 
@@ -808,6 +1131,9 @@ func (w *trieWorker) countLeaf(node *plan.TrieNode, ei *trieExecInfo, depth int,
 // depths above stay bound and deeper levels use their own scratch.
 func (w *trieWorker) set(node *plan.TrieNode, ei *trieExecInfo, depth int) (cur []uint32) {
 	if ei.src == srcRows {
+		if len(node.Connect) == 1 && len(node.Disconnect) == 0 {
+			return w.pins.Row(node.Connect[0]) // every level of a tree pattern: no scratch to hand around
+		}
 		cur, w.bufA[depth], w.bufB[depth] = w.pins.Candidates(node.Connect, node.Disconnect, w.bufA[depth], w.bufB[depth], &w.sst)
 		return cur
 	}
@@ -852,29 +1178,21 @@ func (w *trieWorker) base(node *plan.TrieNode, ei *trieExecInfo) []uint32 {
 	return b.set
 }
 
-// windows resolves the node's branch windows against the bound prefix, into
-// per-depth scratch.
-func (w *trieWorker) windows(node *plan.TrieNode, depth int) []trieWin {
+// clip resolves the node's branch windows against the bound prefix, into
+// per-depth scratch, and narrows the sorted candidate set to their union.
+func (w *trieWorker) clip(node *plan.TrieNode, depth int, cands []uint32) ([]uint32, []trieWin) {
 	wins := w.wins[depth][:0]
+	ulo, uhi := ^uint32(0), uint32(0)
 	for _, br := range node.Branches {
 		lo, hi := trieWindow(br, w.match, -1)
 		wins = append(wins, trieWin{lo, hi})
+		ulo, uhi = min(ulo, lo), max(uhi, hi)
 	}
 	w.wins[depth] = wins
-	return wins
-}
-
-// clipToUnion narrows a sorted candidate set to the union of the branch
-// windows.
-func clipToUnion(cands []uint32, wins []trieWin) []uint32 {
-	ulo, uhi := ^uint32(0), uint32(0)
-	for _, win := range wins {
-		ulo, uhi = min(ulo, win.lo), max(uhi, win.hi)
-	}
 	if ulo > 0 || uhi < ^uint32(0) {
 		cands = setops.Clip(cands, ulo, uhi)
 	}
-	return cands
+	return cands, wins
 }
 
 // trieWindow resolves a branch's symmetry conditions against the bound

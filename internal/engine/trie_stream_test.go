@@ -1,0 +1,121 @@
+package engine
+
+import (
+	"context"
+	"fmt"
+	"sync"
+	"testing"
+
+	"morphing/internal/canon"
+	"morphing/internal/dataset"
+	"morphing/internal/graph"
+	"morphing/internal/pattern"
+	"morphing/internal/refmatch"
+)
+
+// TestMergedStreamingPass streams a whole pattern set in one pass of its
+// merged trie — what no entry point does yet, and what the executor is
+// built to do: every leaf plan's matches reach the visitor exactly once,
+// each tuple indexed by its own plan's pattern vertices whatever depth the
+// plan ends at. The set is all six vertex-induced 4-motifs plus the
+// vertex-induced wedge and triangle, which end on inner nodes of the
+// trie; vertex-induced patterns of one size exclude each other, so a tuple
+// names its plan. Run on plain CSR, with hub bitmaps and on the compressed
+// tier (CI: also under -race).
+func TestMergedStreamingPass(t *testing.T) {
+	var ps []*pattern.Pattern
+	for k := 3; k <= 4; k++ {
+		all, err := canon.AllConnectedPatterns(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range all {
+			ps = append(ps, p.AsVertexInduced())
+		}
+	}
+	tr := mergedTrie(t, ps)
+	plain, err := dataset.ErdosRenyi(45, 7, 0, 29)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]map[string]int, len(ps))
+	auts := make([][][]int, len(ps))
+	var total, vertices uint64
+	for i, p := range ps {
+		want[i], auts[i] = map[string]int{}, canon.Automorphisms(p)
+		for _, m := range refmatch.Matches(plain, p) {
+			want[i][fmt.Sprint(m)]++
+			total++
+			vertices += uint64(p.N())
+		}
+	}
+	// planOf names the pattern m is an embedding of in pattern-vertex order.
+	planOf := func(m []uint32) int {
+	next:
+		for i, p := range ps {
+			if p.N() != len(m) {
+				continue
+			}
+			for u := range m {
+				for v := u + 1; v < len(m); v++ {
+					if plain.HasEdge(m[u], m[v]) != p.HasEdge(u, v) {
+						continue next
+					}
+				}
+			}
+			return i
+		}
+		return -1
+	}
+
+	hubs, err := dataset.ErdosRenyi(45, 7, 0, 29)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hubs.EnableHubIndex(4)
+	compressed, err := graph.Compress(plain, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range map[string]graph.Adjacency{"plain": plain, "hub-bitset": hubs, "compressed": compressed} {
+		for _, threads := range []int{1, 4} {
+			var mu sync.Mutex
+			got := make([]map[string]int, len(ps))
+			for i := range got {
+				got[i] = map[string]int{}
+			}
+			strays := 0
+			counts := make([]uint64, len(ps))
+			st, err := getTriePass().mine(context.Background(), g, tr, func(_ int, m []uint32) {
+				i := planOf(m)
+				mu.Lock()
+				defer mu.Unlock()
+				if i < 0 {
+					strays++
+					return
+				}
+				got[i][fmt.Sprint(canon.CanonicalMatch(ps[i], m, auts[i]))]++
+			}, counts, ExecOptions{Threads: threads}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if strays != 0 {
+				t.Errorf("%s threads=%d: %d tuples are no embedding of any plan's pattern in pattern-vertex order", name, threads, strays)
+			}
+			for i, p := range ps {
+				if counts[i] != uint64(len(want[i])) || len(got[i]) != len(want[i]) {
+					t.Errorf("%s threads=%d %v: counted %d, delivered %d distinct, oracle %d", name, threads, p, counts[i], len(got[i]), len(want[i]))
+				}
+				for k, n := range want[i] {
+					if got[i][k] != n {
+						t.Errorf("%s threads=%d %v: oracle match %s delivered %d times", name, threads, p, k, got[i][k])
+					}
+				}
+			}
+			if st.UDFCalls != total || st.Materialized != vertices || st.Matches != total {
+				t.Errorf("%s threads=%d: %d matches, %d UDF calls, %d vertices materialized; oracle %d matches of %d vertices",
+					name, threads, st.Matches, st.UDFCalls, st.Materialized, total, vertices)
+			}
+		}
+	}
+}

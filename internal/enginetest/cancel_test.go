@@ -9,12 +9,15 @@ import (
 	"testing"
 	"time"
 
+	"morphing/internal/autozero"
 	"morphing/internal/bigjoin"
 	"morphing/internal/core"
 	"morphing/internal/dataset"
 	"morphing/internal/engine"
 	"morphing/internal/faultinject"
 	"morphing/internal/graph"
+	"morphing/internal/graphpi"
+	"morphing/internal/obs"
 	"morphing/internal/pattern"
 	"morphing/internal/peregrine"
 	"morphing/internal/plan"
@@ -254,49 +257,104 @@ func TestPanicWithErrorValueUnwraps(t *testing.T) {
 }
 
 // TestFaultInjectionPanicAtMatchN drives the injection harness end to
-// end: a seeded panic ordinal, armed process-wide, must surface as one
-// clean PanicError from a counting run (no visitor at all — the
-// injection defeats the counting fast path) and partial counts must
-// remain consistent.
+// end on every engine: a seeded panic ordinal, armed process-wide, must
+// surface as one clean PanicError from a counting run — no visitor at all:
+// the shared executor meets the fault where it publishes each block's
+// matches, BigJoin by wrapping its nil visitor — and partial counts must
+// remain consistent. A chaos drill (MORPH_FAULT=panic@N) against a daemon
+// on any engine is this path.
 func TestFaultInjectionPanicAtMatchN(t *testing.T) {
 	leakCheck(t)
 	g := cancelGraph(t)
 	p := pattern.TailedTriangle()
-	eng := peregrine.New(3)
+	for _, eng := range cancelEngines() {
+		t.Run(eng.Name(), func(t *testing.T) {
+			full, _, err := eng.Count(g, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for seed := uint64(1); seed <= 3; seed++ {
+				target := faultinject.MatchTarget(seed, full/2)
+				disarm, err := faultinject.Arm(faultinject.Config{
+					PanicAtMatch: target,
+					PanicMessage: fmt.Sprintf("campaign seed %d", seed),
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				count, st, err := engine.CountCtx(context.Background(), eng, g, p)
+				disarm()
+				var pe *engine.PanicError
+				if !errors.As(err, &pe) {
+					t.Fatalf("seed %d: err = %v, want *engine.PanicError", seed, err)
+				}
+				if got := fmt.Sprint(pe.Value); got != fmt.Sprintf("campaign seed %d", seed) {
+					t.Fatalf("seed %d: panic value %q did not round-trip", seed, got)
+				}
+				if st == nil || count != st.Matches {
+					t.Fatalf("seed %d: partial count %d inconsistent with stats", seed, count)
+				}
+				if count >= full {
+					t.Fatalf("seed %d: partial count %d not below full %d", seed, count, full)
+				}
+			}
+			// The harness must be disarmed again: a clean rerun sees full counts.
+			again, _, err := eng.Count(g, p)
+			if err != nil || again != full {
+				t.Fatalf("post-campaign run: count=%d err=%v, want %d, nil", again, err, full)
+			}
+		})
+	}
+}
 
-	full, _, err := eng.Count(g, p)
+// TestStalledWorkerIsRelievedOnEveryPlanner pins the straggler scenario on
+// every engine that mines through the shared executor, counting one pattern
+// and a merged set: fault injection stalls worker 0 right after it arms a
+// block, so its siblings drain the cursor, go idle, and must split the
+// sleeper's untouched range — engine_tail_steals_total moves and the counts
+// do not. (GOMAXPROCS is pinned to the worker count for the reason given at
+// engine.TestTailStealRelievesStalledWorker.)
+func TestStalledWorkerIsRelievedOnEveryPlanner(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	g, err := dataset.MiCo().Scaled(0.01).Generate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for seed := uint64(1); seed <= 3; seed++ {
-		target := faultinject.MatchTarget(seed, full/2)
-		disarm, err := faultinject.Arm(faultinject.Config{
-			PanicAtMatch: target,
-			PanicMessage: fmt.Sprintf("campaign seed %d", seed),
+	ps := []*pattern.Pattern{pattern.FourClique(), pattern.ChordalFourCycle()}
+	for _, mk := range []func(o *obs.Observer) engine.Engine{
+		func(o *obs.Observer) engine.Engine { return &peregrine.Engine{Threads: 4, Obs: o} },
+		func(o *obs.Observer) engine.Engine { return &autozero.Engine{Threads: 4, Obs: o} },
+		func(o *obs.Observer) engine.Engine { return &graphpi.Engine{Threads: 4, Obs: o} },
+	} {
+		o := &obs.Observer{Metrics: obs.NewRegistry()}
+		eng := mk(o)
+		t.Run(eng.Name(), func(t *testing.T) {
+			want, _, err := eng.CountAll(g, ps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			disarm, err := faultinject.Arm(faultinject.Config{StallWorker: 0, StallFor: 20 * time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer disarm()
+			steals := o.Metrics.Counter(engine.MetricTailSteals)
+			before := steals.Value()
+			for attempt := 0; attempt < 5 && steals.Value() == before; attempt++ {
+				got, _, err := eng.CountAll(g, ps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("stall+steal run counted %d of %v, want %d", got[i], ps[i], want[i])
+					}
+				}
+			}
+			if steals.Value() == before {
+				t.Error("siblings never stole from a worker stalled on an armed block")
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		count, st, err := eng.CountCtx(context.Background(), g, p)
-		disarm()
-		var pe *engine.PanicError
-		if !errors.As(err, &pe) {
-			t.Fatalf("seed %d: err = %v, want *engine.PanicError", seed, err)
-		}
-		if got := fmt.Sprint(pe.Value); got != fmt.Sprintf("campaign seed %d", seed) {
-			t.Fatalf("seed %d: panic value %q did not round-trip", seed, got)
-		}
-		if st == nil || count != st.Matches {
-			t.Fatalf("seed %d: partial count %d inconsistent with stats", seed, count)
-		}
-		if count >= full {
-			t.Fatalf("seed %d: partial count %d not below full %d", seed, count, full)
-		}
-	}
-	// The harness must be disarmed again: a clean rerun sees full counts.
-	again, _, err := eng.Count(g, p)
-	if err != nil || again != full {
-		t.Fatalf("post-campaign run: count=%d err=%v, want %d, nil", again, err, full)
 	}
 }
 

@@ -71,23 +71,15 @@ func TestRowLifetimeUnderPoison(t *testing.T) {
 			labeledTri, labeledPath, pattern.ChordalFourCycle(), pattern.Bowtie(),
 		}},
 	}
-	routes := []struct {
-		name string
-		opts core.RunOptions
-	}{
-		{"per-pattern", core.RunOptions{Trie: core.TrieOff}},
-		{"trie", core.RunOptions{Trie: core.TrieOn}},
-		{"sharded", core.RunOptions{Trie: core.TrieOff, Shards: 3}},
-	}
 	for _, set := range sets {
 		g, err := dataset.ErdosRenyi(60, 9, set.labels, 41)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, e := range poisonEngines() {
-			for _, route := range routes {
+			for _, route := range runnerRoutes {
 				t.Run(fmt.Sprintf("%s/%s/%s", set.name, e.Name(), route.name), func(t *testing.T) {
-					r := &core.Runner{Engine: e, RunOptions: route.opts}
+					r := &core.Runner{Engine: route.engine(e), RunOptions: core.RunOptions{Shards: route.shards}}
 					want, _, err := r.Counts(g, set.qs)
 					if err != nil {
 						t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 
 	"morphing/internal/core"
 	"morphing/internal/dataset"
+	"morphing/internal/engine"
 	"morphing/internal/graph"
 	"morphing/internal/pattern"
 	"morphing/internal/peregrine"
@@ -16,8 +17,8 @@ import (
 // Differential fuzzing across storage tiers: the same logical graph
 // materialized as plain CSR, delta-varint compressed, and mmap-backed
 // (both tiers) must produce byte-identical query results through the
-// full morphing pipeline — per-pattern route, one-pass trie route, and
-// shard-per-partition route, labeled and unlabeled. Counting is exact,
+// full morphing pipeline — the merged trie, the loop of one-leaf tries,
+// and either per shard (runnerRoutes), labeled and unlabeled. Counting is exact,
 // so any divergence is a decoder, format, or lifetime bug, never noise.
 
 // tierQueries is the differential workload: enough shared structure to
@@ -41,13 +42,13 @@ func tierQueries(labeled bool) []*pattern.Pattern {
 	return qs
 }
 
-// tierCounts runs the queries through one tier on one routing mode.
-func tierCounts(t *testing.T, a graph.Adjacency, qs []*pattern.Pattern, opts core.RunOptions) []uint64 {
+// tierCounts runs the queries through one tier on one route.
+func tierCounts(t *testing.T, a graph.Adjacency, qs []*pattern.Pattern, e engine.Engine, shards int) []uint64 {
 	t.Helper()
-	r := &core.Runner{Engine: peregrine.New(2), RunOptions: opts}
+	r := &core.Runner{Engine: e, RunOptions: core.RunOptions{Shards: shards}}
 	counts, _, err := r.Counts(a, qs)
 	if err != nil {
-		t.Fatalf("counts on %T (%+v): %v", a, opts, err)
+		t.Fatalf("counts on %T (%s, %d shards): %v", a, e.Name(), shards, err)
 	}
 	return counts
 }
@@ -100,22 +101,11 @@ func checkTierDifferential(t *testing.T, seed int64, n int, avgDeg float64, labe
 		{"mmap-plain", hp.Graph()},
 	}
 	qs := tierQueries(labels > 0)
-	shards := 3
-	if shards > n {
-		shards = 1
-	}
-	routes := []struct {
-		name string
-		opts core.RunOptions
-	}{
-		{"per-pattern", core.RunOptions{Trie: core.TrieOff}},
-		{"trie", core.RunOptions{Trie: core.TrieOn}},
-		{"sharded", core.RunOptions{Trie: core.TrieOff, Shards: shards}},
-	}
-	for _, route := range routes {
-		want := tierCounts(t, tiers[0].adj, qs, route.opts)
+	for _, route := range runnerRoutes {
+		e := route.engine(peregrine.New(2))
+		want := tierCounts(t, tiers[0].adj, qs, e, route.shards)
 		for _, tier := range tiers[1:] {
-			got := tierCounts(t, tier.adj, qs, route.opts)
+			got := tierCounts(t, tier.adj, qs, e, route.shards)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("seed=%d n=%d deg=%g labels=%d block=%d: %s/%s query %v: %d, plain says %d",

@@ -60,15 +60,20 @@ func TestCountUpToBounds(t *testing.T) {
 	if full < 100 {
 		t.Skipf("too few wedges (%d) to test limits", full)
 	}
-	n, _, err := e.CountUpTo(g, pattern.Wedge(), 10)
+	n, st, err := e.CountUpTo(g, pattern.Wedge(), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n < 10 {
 		t.Fatalf("CountUpTo(10) found only %d of %d", n, full)
 	}
-	if n == full {
-		t.Fatalf("CountUpTo(10) did not terminate early (found all %d)", full)
+	if n >= full {
+		t.Fatalf("CountUpTo(10) did not terminate early (found %d of %d)", n, full)
+	}
+	// The early exit is the root scan stopping: workers drain the root
+	// vertex in hand and claim no more.
+	if scanned := st.Levels[0].Candidates; scanned >= uint64(g.NumVertices()) {
+		t.Fatalf("CountUpTo(10) scanned %d of %d root vertices", scanned, g.NumVertices())
 	}
 	// Limit 0 means unlimited.
 	all, _, err := e.CountUpTo(g, pattern.Wedge(), 0)

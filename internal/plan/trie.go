@@ -1,10 +1,6 @@
 package plan
 
-import (
-	"fmt"
-
-	"morphing/internal/pattern"
-)
+import "fmt"
 
 // This file implements multi-pattern plan merging: the winner set of a
 // morphed query rarely consists of unrelated patterns — Algorithm 1
@@ -80,33 +76,85 @@ type Trie struct {
 	SharedLevels int
 	// MaxSharedPrefix is the deepest consecutive-from-root prefix length
 	// shared by at least two plans. A value >= 2 means some pair of
-	// patterns shares at least the root scan and one intersection level —
-	// the "non-trivial prefix" threshold Runner's auto mode uses.
+	// patterns shares at least the root scan and one intersection level,
+	// which any two unlabeled connected plans do (every level 1 intersects
+	// level 0 alone); only label-disjoint sets stay below it.
 	MaxSharedPrefix int
 	// MaxDepth is the deepest plan's level count.
 	MaxDepth int
+
+	// Nodes and branches a Reset took out of the trie, for the next one.
+	freeNodes    []*TrieNode
+	freeBranches []*TrieBranch
 }
 
 // MergePlans folds plans into a prefix trie. Every plan must be non-nil
-// with a non-nil pattern; the trie retains the given slice order for
-// reporting counts per plan.
+// with a non-nil pattern; the trie keeps the given order for reporting
+// counts per plan.
 func MergePlans(plans []*Plan) (*Trie, error) {
 	if len(plans) == 0 {
 		return nil, fmt.Errorf("plan: MergePlans needs at least one plan")
 	}
-	t := &Trie{Plans: plans}
-	for idx, pl := range plans {
-		if pl == nil || pl.Pattern == nil {
-			return nil, fmt.Errorf("plan: MergePlans: plan %d is nil", idx)
-		}
-		if err := t.insert(pl, idx); err != nil {
-			return nil, err
-		}
-		if n := pl.Pattern.N(); n > t.MaxDepth {
-			t.MaxDepth = n
-		}
+	t := &Trie{}
+	if err := t.Reset(plans...); err != nil {
+		return nil, err
 	}
 	return t, nil
+}
+
+// Reset re-merges t from plans in place, reusing the nodes, branches and
+// slices of whatever t held before: an executor that runs one plan after
+// another through a pooled one-leaf trie builds it without allocating.
+// Reset() empties the trie and drops every reference to its plans. After
+// an error t is unusable until the next Reset.
+func (t *Trie) Reset(plans ...*Plan) error {
+	for _, r := range t.Roots {
+		t.recycle(r)
+	}
+	clear(t.Plans)
+	*t = Trie{Plans: append(t.Plans[:0], plans...), Roots: t.Roots[:0], freeNodes: t.freeNodes, freeBranches: t.freeBranches}
+	for idx, pl := range plans {
+		if pl == nil || pl.Pattern == nil {
+			return fmt.Errorf("plan: MergePlans: plan %d is nil", idx)
+		}
+		if err := t.insert(pl, idx); err != nil {
+			return err
+		}
+		t.MaxDepth = max(t.MaxDepth, pl.Pattern.N())
+	}
+	return nil
+}
+
+// recycle moves n's subtree to the free lists, emptied of everything but
+// slice capacity: a trie emptied by Reset() holds on to nothing of its plans.
+func (t *Trie) recycle(n *TrieNode) {
+	for _, b := range n.Branches {
+		for _, c := range b.Children {
+			t.recycle(c)
+		}
+		*b = TrieBranch{Leaves: b.Leaves[:0], Children: b.Children[:0]}
+		t.freeBranches = append(t.freeBranches, b)
+	}
+	*n = TrieNode{Branches: n.Branches[:0]}
+	t.freeNodes = append(t.freeNodes, n)
+}
+
+func (t *Trie) newNode() *TrieNode {
+	if n := len(t.freeNodes); n > 0 {
+		node := t.freeNodes[n-1]
+		t.freeNodes = t.freeNodes[:n-1]
+		return node
+	}
+	return &TrieNode{}
+}
+
+func (t *Trie) newBranch() *TrieBranch {
+	if n := len(t.freeBranches); n > 0 {
+		br := t.freeBranches[n-1]
+		t.freeBranches = t.freeBranches[:n-1]
+		return br
+	}
+	return &TrieBranch{}
 }
 
 // insert threads one plan through the trie, reusing nodes whose candidate
@@ -132,13 +180,9 @@ func (t *Trie) insert(pl *Plan, idx int) error {
 			}
 		}
 		if node == nil {
-			node = &TrieNode{
-				ID:         t.Nodes,
-				Depth:      i,
-				Connect:    pl.Connect[i],
-				Disconnect: pl.Disconnect[i],
-				Label:      label,
-			}
+			node = t.newNode()
+			node.ID, node.Depth = t.Nodes, i
+			node.Connect, node.Disconnect, node.Label = pl.Connect[i], pl.Disconnect[i], label
 			t.Nodes++
 			*nodes = append(*nodes, node)
 			prefixIntact = false
@@ -157,7 +201,8 @@ func (t *Trie) insert(pl *Plan, idx int) error {
 			}
 		}
 		if br == nil {
-			br = &TrieBranch{Greater: pl.Greater[i], Smaller: pl.Smaller[i]}
+			br = t.newBranch()
+			br.Greater, br.Smaller = pl.Greater[i], pl.Smaller[i]
 			node.Branches = append(node.Branches, br)
 		}
 		nodes = &br.Children
@@ -188,17 +233,6 @@ func (t *Trie) Walk(visit func(*TrieNode)) {
 func (t *Trie) String() string {
 	return fmt.Sprintf("plan-trie{%d plans, %d nodes, %d shared levels, max shared prefix %d}",
 		len(t.Plans), t.Nodes, t.SharedLevels, t.MaxSharedPrefix)
-}
-
-// Labeled reports whether any merged plan constrains a level's label.
-func (t *Trie) Labeled() bool {
-	labeled := false
-	t.Walk(func(n *TrieNode) {
-		if n.Label != pattern.Unlabeled {
-			labeled = true
-		}
-	})
-	return labeled
 }
 
 func equalInts(a, b []int) bool {

@@ -91,8 +91,8 @@ type MiningReport struct {
 	// TailSteals counts tail work-stealing block splits (idle workers
 	// halving a straggler's remaining level-0 range).
 	TailSteals uint64 `json:"tail_steals,omitempty"`
-	// Trie execution telemetry, present when the run went through the
-	// one-pass trie executor: plan levels the merged trie shared, and
+	// Trie execution telemetry, present when the run mined its winner set
+	// in one pass of the merged plan trie: plan levels the trie shared, and
 	// per-trie-node selectivity.
 	TrieSharedLevels uint64           `json:"trie_shared_levels,omitempty"`
 	TrieNodes        []TrieNodeReport `json:"trie_nodes,omitempty"`
@@ -272,7 +272,10 @@ func FromRunStats(st *core.RunStats) *RunReport {
 		mr.Workers = append(mr.Workers, m.Workers...)
 		sort.Slice(mr.Workers, func(i, j int) bool { return mr.Workers[i].Worker < mr.Workers[j].Worker })
 		mr.Skew = workerSkew(mr.Workers)
-		if m.TriePasses > 0 {
+		// Node IDs name the nodes of one trie: the table is the run's only
+		// when the run mined its winner set as one (a loop over patterns
+		// sums unrelated one-leaf tries by ID).
+		if st.Trie != nil && st.Trie.Used {
 			mr.TrieSharedLevels = m.TrieSharedLevels
 			for _, tn := range m.TrieNodes {
 				mr.TrieNodes = append(mr.TrieNodes, TrieNodeReport{
@@ -389,7 +392,7 @@ func (r *RunReport) WriteText(w io.Writer) error {
 			route = "one pass (shared-prefix trie)"
 		}
 		p("\n-- multi-pattern execution --\n")
-		p("  trie mode %s: %s\n", td.Mode, route)
+		p("  %s\n", route)
 		p("    %s\n", td.Reason)
 	}
 

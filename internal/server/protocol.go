@@ -25,9 +25,6 @@ type QueryRequest struct {
 	Engine string `json:"engine,omitempty"`
 	// Baseline disables morphing (the queries run as-is).
 	Baseline bool `json:"baseline,omitempty"`
-	// Trie is the multi-pattern trie routing mode: auto (default), on,
-	// off.
-	Trie string `json:"trie,omitempty"`
 	// Explain enables per-pattern calibration (EXPLAIN ANALYZE
 	// semantics; see core.Runner.Explain).
 	Explain bool `json:"explain,omitempty"`

@@ -339,9 +339,6 @@ func (s *Server) prepare(req *QueryRequest, client string) (*task, *QueryError) 
 	if !ok {
 		return nil, errf(CodeBadRequest, "unknown engine %q (peregrine, autozero, graphpi, bigjoin)", engName)
 	}
-	if _, err := core.ParseTrieMode(req.Trie); err != nil {
-		return nil, errf(CodeBadRequest, "%v", err)
-	}
 	ps := make([]*pattern.Pattern, len(req.Patterns))
 	for i, arg := range req.Patterns {
 		p, err := ResolvePattern(arg)
@@ -601,7 +598,6 @@ func (s *Server) execute(t *task) (res *QueryResult, qerr *QueryError) {
 		return s.testExec(t)
 	}
 
-	trieMode, _ := core.ParseTrieMode(t.req.Trie)
 	s.mu.Lock()
 	g := s.g
 	s.mu.Unlock()
@@ -609,7 +605,6 @@ func (s *Server) execute(t *task) (res *QueryResult, qerr *QueryError) {
 		Engine:          t.eng,
 		DisableMorphing: t.req.Baseline,
 		Explain:         t.req.Explain,
-		RunOptions:      core.RunOptions{Trie: trieMode},
 		MemoryBudget:    s.cfg.MemoryBudget,
 		Label:           "serve/" + t.app,
 		Obs:             s.o,

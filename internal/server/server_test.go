@@ -190,7 +190,6 @@ func TestBadRequestRejections(t *testing.T) {
 		{Patterns: []string{"no-such-shape"}}, // unresolvable pattern
 		{Patterns: []string{"triangle"}, App: "pagerank"},
 		{Patterns: []string{"triangle"}, Engine: "spark"},
-		{Patterns: []string{"triangle"}, Trie: "sometimes"},
 	} {
 		_, qerr := s.Submit(context.Background(), &req, "", nil)
 		if qerr == nil || qerr.Code != CodeBadRequest {
