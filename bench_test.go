@@ -8,6 +8,7 @@
 package morphing
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"testing"
@@ -152,18 +153,13 @@ func BenchmarkFig14BigJoin(b *testing.B) {
 	benchFilterElimination(b, bigjoin.New(0))
 }
 
-type filterCapable interface {
-	engine.Engine
-	CountVertexInducedViaFilter(graph.Adjacency, *pattern.Pattern) (uint64, *engine.Stats, error)
-}
-
-func benchFilterElimination(b *testing.B, eng filterCapable) {
+func benchFilterElimination(b *testing.B, eng sc.FilterEngine) {
 	g := benchGraph(b, "MI", 0.004)
 	queries := []*pattern.Pattern{pattern.TailedTriangle().AsVertexInduced()}
 	var baseBranches, morphBranches uint64
 	b.Run("filter-udf", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_, st, err := sc.CountBaselineWithFilter(g, queries, eng)
+			_, st, err := sc.CountBaselineWithFilter(context.Background(), g, queries, eng)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -11,7 +11,6 @@
 //	morphbench -fig 12a -listen :8080       # live /metrics + /vars + pprof
 //	morphbench -fig 12a -cpuprofile cpu.pb  # offline pprof capture
 //	morphbench kernels                      # setops kernel microbench -> BENCH_kernels.json
-//	morphbench trie                         # trie vs per-pattern bench -> BENCH_trie.json
 //	morphbench scale                        # out-of-core data-plane bench -> BENCH_scale.json
 //	morphbench regress -baseline BENCH_kernels.json -fresh new.json  # perf regression gate
 //
@@ -42,18 +41,11 @@ import (
 )
 
 func main() {
-	// The kernels and trie microbenches have their own flags; dispatch
+	// The microbenches and the gate have their own flags; dispatch
 	// before the main flag set sees the command word.
 	if len(os.Args) > 1 && os.Args[1] == "kernels" {
 		if err := cmdKernels(os.Args[2:]); err != nil {
 			fmt.Fprintln(os.Stderr, "morphbench: kernels:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "trie" {
-		if err := cmdTrie(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "morphbench: trie:", err)
 			os.Exit(1)
 		}
 		return

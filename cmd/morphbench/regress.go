@@ -9,12 +9,11 @@ import (
 )
 
 // cmdRegress is the perf regression gate: it compares a freshly produced
-// BENCH_*.json (kernels or trie) against a committed baseline and fails
-// when any benchmark's speedup dropped by more than the noise tolerance.
-// The comparison is on speedup — a dimensionless adaptive-vs-naive (or
-// trie-vs-per-pattern) ratio measured within one process on one machine —
-// so a baseline recorded on different hardware still gates meaningfully,
-// unlike absolute ns/op.
+// BENCH_*.json against a committed baseline and fails when any
+// benchmark's speedup dropped by more than the noise tolerance. The
+// comparison is on speedup — a dimensionless adaptive-vs-naive ratio
+// measured within one process on one machine — so a baseline recorded on
+// different hardware still gates meaningfully, unlike absolute ns/op.
 func cmdRegress(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("regress", flag.ExitOnError)
 	baselinePath := fs.String("baseline", "", "committed BENCH_*.json to gate against (required)")
@@ -87,19 +86,14 @@ func cmdRegress(args []string, w io.Writer) error {
 }
 
 // regressResult is the benchmark-shape-agnostic view of one BENCH_*.json
-// result: both the kernels file (name+shape keyed) and the trie file
-// (set keyed) carry a dimensionless speedup.
+// result: a name, an optional shape, and a dimensionless speedup.
 type regressResult struct {
 	Name    string  `json:"name"`
 	Shape   string  `json:"shape"`
-	Set     string  `json:"set"`
 	Speedup float64 `json:"speedup"`
 }
 
 func (r regressResult) key() string {
-	if r.Set != "" {
-		return r.Set
-	}
 	if r.Shape != "" {
 		return r.Name + " / " + r.Shape
 	}

@@ -81,23 +81,6 @@ func TestRegressMissingBenchmarkIsRegression(t *testing.T) {
 	}
 }
 
-func TestRegressTrieShape(t *testing.T) {
-	// The trie BENCH file keys results by "set" instead of name+shape.
-	base := writeBench(t, "base.json", `{"results":[
-	  {"set":"p1","speedup":1.99},
-	  {"set":"4-motifs-vertex","speedup":1.19}
-	]}`)
-	fresh := writeBench(t, "fresh.json", `{"results":[
-	  {"set":"p1","speedup":1.90},
-	  {"set":"4-motifs-vertex","speedup":0.80}
-	]}`)
-	var out bytes.Buffer
-	err := cmdRegress([]string{"-baseline", base, "-fresh", fresh}, &out)
-	if err == nil || !strings.Contains(err.Error(), "[4-motifs-vertex]") {
-		t.Fatalf("trie-shape regression not keyed by set: %v\n%s", err, out.String())
-	}
-}
-
 func TestRegressRejectsBadInputs(t *testing.T) {
 	base := writeBench(t, "base.json", kernelsBaseline)
 	for _, tc := range []struct{ name, args string }{
@@ -138,7 +121,7 @@ func TestRegressPrintsMetaMismatch(t *testing.T) {
 			t.Errorf("missing mismatch note %q:\n%s", want, out.String())
 		}
 	}
-	// Files without a meta block (older baselines, trie/scale files) stay silent.
+	// Files without a meta block (older baselines, scale files) stay silent.
 	old := writeBench(t, "old.json", `{"results":[{"name":"a","speedup":1.0}]}`)
 	out.Reset()
 	if err := cmdRegress([]string{"-baseline", old, "-fresh", fresh}, &out); err != nil {
@@ -153,7 +136,7 @@ func TestRegressPrintsMetaMismatch(t *testing.T) {
 // compares against: each committed BENCH_*.json must parse and pass a
 // self-comparison.
 func TestRegressCommittedBaselines(t *testing.T) {
-	for _, name := range []string{"BENCH_kernels.json", "BENCH_trie.json", "BENCH_scale.json"} {
+	for _, name := range []string{"BENCH_kernels.json", "BENCH_scale.json"} {
 		path := filepath.Join("..", "..", name)
 		if _, err := os.Stat(path); err != nil {
 			t.Fatalf("committed baseline %s missing: %v", name, err)

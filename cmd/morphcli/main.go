@@ -37,18 +37,15 @@ import (
 	"strings"
 	"time"
 
-	"morphing/internal/autozero"
-	"morphing/internal/bigjoin"
 	"morphing/internal/canon"
 	"morphing/internal/core"
 	"morphing/internal/costmodel"
 	"morphing/internal/dataset"
 	"morphing/internal/engine"
+	"morphing/internal/engines"
 	"morphing/internal/graph"
-	"morphing/internal/graphpi"
 	"morphing/internal/obs"
 	"morphing/internal/pattern"
-	"morphing/internal/peregrine"
 	"morphing/internal/plan"
 	"morphing/internal/report"
 )
@@ -254,23 +251,6 @@ func cmdSDAG(args []string) error {
 	return nil
 }
 
-// countEngine constructs the named engine with observability wired in.
-func countEngine(name string, threads int) (engine.Engine, error) {
-	o := obs.Default()
-	switch strings.ToLower(name) {
-	case "peregrine":
-		return &peregrine.Engine{Threads: threads, Obs: o}, nil
-	case "autozero":
-		return &autozero.Engine{Threads: threads, Obs: o}, nil
-	case "graphpi":
-		return &graphpi.Engine{Threads: threads, Obs: o}, nil
-	case "bigjoin":
-		return &bigjoin.Engine{Threads: threads, Obs: o}, nil
-	default:
-		return nil, fmt.Errorf("unknown engine %q (peregrine, autozero, graphpi, bigjoin)", name)
-	}
-}
-
 // countReport is the -stats json document: the answer, where the time
 // went, what the cost model decided, and the process-wide metric registry
 // snapshot — everything a script needs from one pipeline execution.
@@ -315,7 +295,7 @@ func cmdCount(args []string) error {
 	scale := fs.Float64("scale", 0.01, "dataset scale factor")
 	binPath := fs.String("bin", "", "mine a binary graph file (.mcsr, see `morphcli convert`) instead of generating -graph/-scale; mmap-backed when the format allows")
 	shards := fs.Int("shards", 0, "partition the graph and mine each induced shard one at a time; cross-shard edges are dropped, so counts are the paper's §7.4 lower bound (0/1 = off)")
-	engineName := fs.String("engine", "peregrine", "matching engine (peregrine, autozero, graphpi, bigjoin)")
+	engineName := fs.String("engine", "peregrine", "matching engine ("+engines.List+")")
 	threads := fs.Int("threads", 0, "engine worker threads (0 = GOMAXPROCS)")
 	baseline := fs.Bool("baseline", false, "disable morphing and run the queries as-is")
 	statsMode := fs.String("stats", "text", "output mode: text, or json for a merged RunStats + registry snapshot")
@@ -347,7 +327,7 @@ func cmdCount(args []string) error {
 		tracer = obs.NewTracer()
 		obs.SetDefaultTracer(tracer)
 	}
-	eng, err := countEngine(*engineName, *threads)
+	eng, err := engines.New(*engineName, *threads, obs.Default())
 	if err != nil {
 		return err
 	}
@@ -624,7 +604,7 @@ func cmdExplain(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("explain", flag.ContinueOnError)
 	graphName := fs.String("graph", "MI", "dataset recipe (MI, MG, PR, OK, FR)")
 	scale := fs.Float64("scale", 0.01, "dataset scale factor")
-	engineName := fs.String("engine", "peregrine", "matching engine (peregrine, autozero, graphpi, bigjoin)")
+	engineName := fs.String("engine", "peregrine", "matching engine ("+engines.List+")")
 	threads := fs.Int("threads", 0, "engine worker threads (0 = GOMAXPROCS)")
 	baseline := fs.Bool("baseline", false, "disable morphing; the report then explains the as-is plan")
 	dotOut := fs.String("dot", "", "write the S-DAG with the chosen alternative set as Graphviz DOT to this file")
@@ -644,7 +624,7 @@ func cmdExplain(args []string, w io.Writer) error {
 		}
 		queries = append(queries, p)
 	}
-	eng, err := countEngine(*engineName, *threads)
+	eng, err := engines.New(*engineName, *threads, obs.Default())
 	if err != nil {
 		return err
 	}

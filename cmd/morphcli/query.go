@@ -8,6 +8,7 @@ import (
 	"os"
 	"time"
 
+	"morphing/internal/engines"
 	"morphing/internal/server"
 )
 
@@ -19,7 +20,7 @@ func cmdQuery(args []string) error {
 	fs := flag.NewFlagSet("query", flag.ContinueOnError)
 	addr := fs.String("addr", "http://127.0.0.1:7421", "morphd base URL")
 	app := fs.String("app", "count", "pipeline: count (subgraph counts) or mni (MNI supports)")
-	engineName := fs.String("engine", "", "override the server's matching engine (peregrine, autozero, graphpi, bigjoin)")
+	engineName := fs.String("engine", "", "override the server's matching engine ("+engines.List+")")
 	baseline := fs.Bool("baseline", false, "disable morphing server-side (the queries run as-is)")
 	explain := fs.Bool("explain", false, "run in explain mode (per-pattern calibration in the report)")
 	deadline := fs.Duration("deadline", 0, "per-query deadline, queued time included (0 = server default; the server clamps to its maximum)")

@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"morphing/internal/dataset"
+	"morphing/internal/engines"
 	"morphing/internal/faultinject"
 	"morphing/internal/graph"
 	"morphing/internal/obs"
@@ -56,7 +57,7 @@ func run() error {
 	graphName := flag.String("graph", "MI", "dataset recipe (MI, MG, PR, OK, FR)")
 	scale := flag.Float64("scale", 0.01, "dataset scale factor")
 	binPath := flag.String("bin", "", "serve this binary graph file instead of a generated dataset (mmap when supported; storage-tier attribution and residency go live)")
-	engineName := flag.String("engine", "peregrine", "default matching engine (peregrine, autozero, graphpi, bigjoin)")
+	engineName := flag.String("engine", "peregrine", "default matching engine ("+engines.List+")")
 	threads := flag.Int("threads", 0, "per-query engine worker threads (0 = GOMAXPROCS)")
 	inflight := flag.Int("inflight", 4, "worker pool size: max concurrently mining queries")
 	queueLen := flag.Int("queue", 64, "bounded query-queue capacity (backpressure beyond it)")

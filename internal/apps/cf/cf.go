@@ -55,7 +55,7 @@ func MaxCliqueSizeCtx(ctx context.Context, g graph.Adjacency, maxK int, eng *per
 	lo, hi := 2, maxK // lo always satisfiable (there is an edge)
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
-		ok, _, err := eng.ExistsCtx(ctx, g, pattern.Clique(mid))
+		ok, _, err := peregrine.ExistsCtx(ctx, eng, g, pattern.Clique(mid))
 		if err != nil {
 			return 0, err
 		}

@@ -1,6 +1,7 @@
 package cf
 
 import (
+	"context"
 	"testing"
 
 	"morphing/internal/dataset"
@@ -102,7 +103,7 @@ func TestEarlyTerminationActuallyStops(t *testing.T) {
 	if full == 0 {
 		t.Skip("no triangles at this scale")
 	}
-	n, earlyStats, err := eng.CountUpTo(g, pattern.Triangle(), 1)
+	n, earlyStats, err := peregrine.CountUpToCtx(context.Background(), eng, g, pattern.Triangle(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

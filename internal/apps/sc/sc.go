@@ -38,15 +38,15 @@ func CountCtx(ctx context.Context, g graph.Adjacency, queries []*pattern.Pattern
 // CountBaselineWithFilter is the pre-morphing strategy for vertex-induced
 // queries on engines lacking anti-edge support: match the edge-induced
 // variant and reject matches with extra edges through a Filter UDF
-// (Fig. 4d-e). filterer is the engine-specific filter entry point.
-func CountBaselineWithFilter(g graph.Adjacency, queries []*pattern.Pattern, filterer FilterEngine) ([]uint64, *engine.Stats, error) {
+// (Fig. 4d-e), under ctx like the morphed run it is compared with.
+func CountBaselineWithFilter(ctx context.Context, g graph.Adjacency, queries []*pattern.Pattern, filterer FilterEngine) ([]uint64, *engine.Stats, error) {
 	counts := make([]uint64, len(queries))
 	total := &engine.Stats{}
 	for i, q := range queries {
 		if q.Induced() != pattern.VertexInduced {
 			return nil, nil, fmt.Errorf("sc: filter baseline requires vertex-induced queries, got %v", q)
 		}
-		c, st, err := filterer.CountVertexInducedViaFilter(g, q)
+		c, st, err := filterer.CountVertexInducedViaFilterCtx(ctx, g, q)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -56,7 +56,10 @@ func CountBaselineWithFilter(g graph.Adjacency, queries []*pattern.Pattern, filt
 	return counts, total, nil
 }
 
-// FilterEngine is satisfied by the GraphPi and BigJoin models.
+// FilterEngine is an engine with a Filter UDF entry point. Every
+// engine.Model has one; the GraphPi and BigJoin models are the ones whose
+// users need it.
 type FilterEngine interface {
-	CountVertexInducedViaFilter(g graph.Adjacency, p *pattern.Pattern) (uint64, *engine.Stats, error)
+	engine.Engine
+	CountVertexInducedViaFilterCtx(ctx context.Context, g graph.Adjacency, p *pattern.Pattern) (uint64, *engine.Stats, error)
 }

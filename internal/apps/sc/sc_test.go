@@ -1,10 +1,14 @@
 package sc
 
 import (
+	"context"
+	"errors"
 	"testing"
+	"time"
 
 	"morphing/internal/bigjoin"
 	"morphing/internal/dataset"
+	"morphing/internal/engine"
 	"morphing/internal/graphpi"
 	"morphing/internal/pattern"
 	"morphing/internal/peregrine"
@@ -80,7 +84,7 @@ func TestFilterBaselineAgreesWithMorphing(t *testing.T) {
 	}
 	queries := evalPatterns()
 	gp := graphpi.New(2)
-	viaFilter, st, err := CountBaselineWithFilter(g, queries, gp)
+	viaFilter, st, err := CountBaselineWithFilter(context.Background(), g, queries, gp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,8 +101,25 @@ func TestFilterBaselineAgreesWithMorphing(t *testing.T) {
 		t.Error("filter baseline did not record UDF work")
 	}
 	// Edge-induced query rejected by the filter baseline.
-	if _, _, err := CountBaselineWithFilter(g, []*pattern.Pattern{pattern.Triangle()}, gp); err == nil {
+	if _, _, err := CountBaselineWithFilter(context.Background(), g, []*pattern.Pattern{pattern.Triangle()}, gp); err == nil {
 		t.Error("edge-induced query accepted by filter baseline")
+	}
+}
+
+// TestFilterBaselineHonoursDeadline: the baseline half of a figure must be
+// bounded by the same context as the morphed half (morphbench -timeout).
+func TestFilterBaselineHonoursDeadline(t *testing.T) {
+	g, err := dataset.ErdosRenyi(45, 7, 0, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Hour))
+	defer cancel()
+	for _, eng := range []FilterEngine{graphpi.New(2), bigjoin.New(2)} {
+		counts, _, err := CountBaselineWithFilter(expired, g, evalPatterns(), eng)
+		if !errors.Is(err, engine.ErrDeadlineExceeded) || counts != nil {
+			t.Errorf("%s: expired baseline returned counts=%v err=%v, want engine.ErrDeadlineExceeded", eng.Name(), counts, err)
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"morphing/internal/apps/sc"
 	"morphing/internal/bigjoin"
-	"morphing/internal/engine"
 	"morphing/internal/graphpi"
 	"morphing/internal/pattern"
 )
@@ -23,19 +22,14 @@ func runFig14GraphPi(cfg Config, w io.Writer) error {
 	workloads := fig14Workloads(cfg, [][]string{
 		{"p1"}, {"p1", "p2"}, {"p4"}, {"p5"}, {"p4", "p5"},
 	})
-	return runFig14(cfg, w, workloads, func() fig14Engine { return &graphpi.Engine{Threads: cfg.Threads, Obs: cfg.Obs} })
+	return runFig14(cfg, w, workloads, func() sc.FilterEngine { return &graphpi.Engine{Threads: cfg.Threads, Obs: cfg.Obs} })
 }
 
 func runFig14BigJoin(cfg Config, w io.Writer) error {
 	workloads := fig14Workloads(cfg, [][]string{
 		{"p1"}, {"p2"}, {"p1", "p2"},
 	})
-	return runFig14(cfg, w, workloads, func() fig14Engine { return &bigjoin.Engine{Threads: cfg.Threads, Obs: cfg.Obs} })
-}
-
-type fig14Engine interface {
-	engine.Engine
-	sc.FilterEngine
+	return runFig14(cfg, w, workloads, func() sc.FilterEngine { return &bigjoin.Engine{Threads: cfg.Threads, Obs: cfg.Obs} })
 }
 
 type fig14Workload struct {
@@ -66,7 +60,7 @@ func fig14Workloads(cfg Config, names [][]string) []fig14Workload {
 	return out
 }
 
-func runFig14(cfg Config, w io.Writer, workloads []fig14Workload, mk func() fig14Engine) error {
+func runFig14(cfg Config, w io.Writer, workloads []fig14Workload, mk func() sc.FilterEngine) error {
 	csv(w, "patterns", "graph",
 		"filter_s", "morphed_s", "speedup",
 		"filter_branches", "morphed_branches", "branch_reduction",
@@ -79,7 +73,7 @@ func runFig14(cfg Config, w io.Writer, workloads []fig14Workload, mk func() fig1
 			}
 			eng := mk()
 			start := time.Now()
-			base, bst, err := sc.CountBaselineWithFilter(g, wl.queries, eng)
+			base, bst, err := sc.CountBaselineWithFilter(cfg.context(), g, wl.queries, eng)
 			if err != nil {
 				return err
 			}

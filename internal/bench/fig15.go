@@ -172,7 +172,7 @@ func runLargeOnPartition(cfg Config, engineName string, g graph.Adjacency, p *pa
 	case "GraphPi":
 		eng := &graphpi.Engine{Threads: cfg.Threads, Obs: cfg.Obs}
 		start := time.Now()
-		base, _, err := sc.CountBaselineWithFilter(g, queries, eng)
+		base, _, err := sc.CountBaselineWithFilter(cfg.context(), g, queries, eng)
 		if err != nil {
 			return 0, 0, err
 		}

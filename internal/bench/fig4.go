@@ -5,9 +5,9 @@ import (
 	"time"
 
 	"morphing/internal/apps/fsm"
+	"morphing/internal/apps/sc"
 	"morphing/internal/bigjoin"
 	"morphing/internal/engine"
-	"morphing/internal/graph"
 	"morphing/internal/graphpi"
 	"morphing/internal/pattern"
 	"morphing/internal/peregrine"
@@ -102,24 +102,19 @@ func runFig4c(cfg Config, w io.Writer) error {
 // edge-induced (native) vs vertex-induced (Filter UDF): the filter
 // dominates the -V rows.
 func runFig4d(cfg Config, w io.Writer) error {
-	return runFilterProfile(cfg, w, func() filterEngine {
+	return runFilterProfile(cfg, w, func() sc.FilterEngine {
 		return &graphpi.Engine{Threads: cfg.Threads, Instrument: true, Obs: cfg.Obs}
 	})
 }
 
 // runFig4e is Fig. 4d for the BigJoin model.
 func runFig4e(cfg Config, w io.Writer) error {
-	return runFilterProfile(cfg, w, func() filterEngine {
+	return runFilterProfile(cfg, w, func() sc.FilterEngine {
 		return &bigjoin.Engine{Threads: cfg.Threads, Instrument: true, Obs: cfg.Obs}
 	})
 }
 
-type filterEngine interface {
-	engine.Engine
-	CountVertexInducedViaFilter(g graph.Adjacency, p *pattern.Pattern) (uint64, *engine.Stats, error)
-}
-
-func runFilterProfile(cfg Config, w io.Writer, mk func() filterEngine) error {
+func runFilterProfile(cfg Config, w io.Writer, mk func() sc.FilterEngine) error {
 	csv(w, "workload", "graph", "total_s", "filter_udf_pct", "branches")
 	g, err := loadGraph(cfg, "MI")
 	if err != nil {
@@ -140,7 +135,7 @@ func runFilterProfile(cfg Config, w io.Writer, mk func() filterEngine) error {
 
 		eng = mk()
 		start = time.Now()
-		_, stV, err := eng.CountVertexInducedViaFilter(g, np.Pattern.AsVertexInduced())
+		_, stV, err := eng.CountVertexInducedViaFilterCtx(cfg.context(), g, np.Pattern.AsVertexInduced())
 		if err != nil {
 			return err
 		}

@@ -58,11 +58,8 @@ func runSanity(cfg Config, w io.Writer) error {
 		pattern.TailedTriangle().AsVertexInduced(),
 		pattern.FourCycle().AsVertexInduced(),
 	}
-	for _, eng := range []interface {
-		engine.Engine
-		sc.FilterEngine
-	}{&graphpi.Engine{Threads: tiny.Threads, Obs: tiny.Obs}, &bigjoin.Engine{Threads: tiny.Threads, Obs: tiny.Obs}} {
-		viaFilter, _, err := sc.CountBaselineWithFilter(g, queries, eng)
+	for _, eng := range []sc.FilterEngine{&graphpi.Engine{Threads: tiny.Threads, Obs: tiny.Obs}, &bigjoin.Engine{Threads: tiny.Threads, Obs: tiny.Obs}} {
+		viaFilter, _, err := sc.CountBaselineWithFilter(tiny.context(), g, queries, eng)
 		if err != nil {
 			return err
 		}

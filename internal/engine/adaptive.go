@@ -6,13 +6,13 @@ import (
 	"morphing/internal/setops"
 )
 
-// Pinned rows and the adaptive set-operation entry points shared by every
-// engine model.
+// Pinned rows and the adaptive set-operation entry points of the
+// depth-first executor.
 //
 // An executor binds one data vertex per depth and then uses that vertex's
-// adjacency row at every deeper level. Pins makes the reuse explicit: one
-// worker keeps one pinned row per bound depth, fetched on first use and
-// tagged with its vertex, so a row is fetched once per binding however
+// adjacency row at every deeper level. rowPins makes the reuse explicit:
+// one worker keeps one pinned row per bound depth, fetched on first use
+// and tagged with its vertex, so a row is fetched once per binding however
 // many levels intersect against it — and not at all when a depth is
 // re-bound to the vertex it already held. On plain CSR a pin is the CSR
 // alias; on a decoding tier it is a decode into a buffer the pin owns
@@ -24,11 +24,10 @@ import (
 // Each entry point routes one candidate-set operation against a pinned
 // row through the best available kernel: bitmap probes when the vertex is
 // an indexed hub (graph.EnableHubIndex), otherwise the merge/gallop
-// dispatch inside internal/setops. Keeping the dispatch here — next to
-// the graph, which owns the hub index — lets the trie executor and
-// BigJoin's dataflow stages share one policy. Depths are positions in the
-// executor's match prefix throughout.
-type Pins struct {
+// dispatch inside internal/setops. The dispatch lives here, next to the
+// graph, which owns the hub index. Depths are positions in the executor's
+// match prefix throughout.
+type rowPins struct {
 	g     graph.Adjacency // the worker's view
 	match []uint32        // the executor's prefix: match[j] is bound at depth j
 	pins  []pin
@@ -47,10 +46,10 @@ type pin struct {
 // nothing, which is what graph.DecodeStats calls a probe hit.
 type probeHitCounter interface{ CountProbeHits(n uint64) }
 
-// Reset prepares the pins for an execution over g (the worker's own
+// reset prepares the pins for an execution over g (the worker's own
 // view) with the given number of depths, dropping every pinned row but
 // keeping the decode buffers for reuse.
-func (p *Pins) Reset(g graph.Adjacency, depths int) {
+func (p *rowPins) reset(g graph.Adjacency, depths int) {
 	p.g = g
 	if cap(p.pins) < depths {
 		p.pins = append(p.pins[:cap(p.pins)], make([]pin, depths-cap(p.pins))...)
@@ -61,14 +60,14 @@ func (p *Pins) Reset(g graph.Adjacency, depths int) {
 	}
 }
 
-// Bind points the pins at the executor's match prefix. Executors that
-// bind depths in place (match[j] = v) call it once; BigJoin calls it per
-// prefix tuple. Pins whose depth still holds the same vertex stay valid.
-func (p *Pins) Bind(match []uint32) { p.match = match }
+// bind points the pins at the executor's match prefix, which binds depths
+// in place (match[j] = v). Pins whose depth still holds the same vertex
+// stay valid.
+func (p *rowPins) bind(match []uint32) { p.match = match }
 
-// Release reports the probe hits to the view and drops every reference
+// release reports the probe hits to the view and drops every reference
 // to the graph and the prefix, so a pooled worker pins neither.
-func (p *Pins) Release() {
+func (p *rowPins) release() {
 	if c, ok := p.g.(probeHitCounter); ok && p.hits > 0 {
 		c.CountProbeHits(p.hits)
 	}
@@ -80,9 +79,9 @@ func (p *Pins) Release() {
 	}
 }
 
-// Row returns the adjacency row of the vertex bound at depth j. It is
+// row returns the adjacency row of the vertex bound at depth j. It is
 // valid until depth j is bound to another vertex.
-func (p *Pins) Row(j int) []uint32 {
+func (p *rowPins) row(j int) []uint32 {
 	pn := &p.pins[j]
 	if v := p.match[j]; !pn.ok || pn.v != v {
 		pn.row, pn.buf = p.g.Row(v, pn.buf)
@@ -95,8 +94,8 @@ func (p *Pins) Row(j int) []uint32 {
 // adjacent, by binary search in a pinned row: b's — callers pass a depth
 // whose row the level's set operations already fetched — or a's when
 // that one is pinned too and shorter. Nothing is decoded for the probe.
-func (p *Pins) adjacent(a, b int) bool {
-	row, x := p.Row(b), p.match[a]
+func (p *rowPins) adjacent(a, b int) bool {
+	row, x := p.row(b), p.match[a]
 	if pa := &p.pins[a]; pa.ok && pa.v == x && len(pa.row) < len(row) {
 		row, x = pa.row, p.match[b]
 	}
@@ -104,62 +103,62 @@ func (p *Pins) adjacent(a, b int) bool {
 	return setops.Contains(row, x)
 }
 
-// IntersectNeighbors intersects cur with the adjacency row of the vertex
+// intersectNeighbors intersects cur with the adjacency row of the vertex
 // bound at depth j into dst[:0]. cur must be sorted duplicate-free; the
 // result is too.
-func (p *Pins) IntersectNeighbors(dst, cur []uint32, j int, st *setops.Stats) []uint32 {
+func (p *rowPins) intersectNeighbors(dst, cur []uint32, j int, st *setops.Stats) []uint32 {
 	if bits := p.g.HubBits(p.match[j]); bits != nil {
 		return setops.IntersectBits(dst, cur, bits, st)
 	}
-	return setops.Intersect(dst, cur, p.Row(j), st)
+	return setops.Intersect(dst, cur, p.row(j), st)
 }
 
-// DifferenceNeighbors subtracts the adjacency row of the vertex bound at
+// differenceNeighbors subtracts the adjacency row of the vertex bound at
 // depth j from cur into dst[:0].
-func (p *Pins) DifferenceNeighbors(dst, cur []uint32, j int, st *setops.Stats) []uint32 {
+func (p *rowPins) differenceNeighbors(dst, cur []uint32, j int, st *setops.Stats) []uint32 {
 	if bits := p.g.HubBits(p.match[j]); bits != nil {
 		return setops.DifferenceBits(dst, cur, bits, st)
 	}
-	return setops.Difference(dst, cur, p.Row(j), st)
+	return setops.Difference(dst, cur, p.row(j), st)
 }
 
-// IntersectCountF counts the elements of cur adjacent to the vertex bound
+// intersectCountF counts the elements of cur adjacent to the vertex bound
 // at depth j that pass f, without materializing them.
-func (p *Pins) IntersectCountF(cur []uint32, j int, f setops.Filter, st *setops.Stats) uint64 {
+func (p *rowPins) intersectCountF(cur []uint32, j int, f setops.Filter, st *setops.Stats) uint64 {
 	if bits := p.g.HubBits(p.match[j]); bits != nil {
 		return setops.IntersectBitsCountF(cur, bits, f, st)
 	}
-	return setops.IntersectCountF(cur, p.Row(j), f, st)
+	return setops.IntersectCountF(cur, p.row(j), f, st)
 }
 
-// DifferenceCountF counts the elements of cur not adjacent to the vertex
+// differenceCountF counts the elements of cur not adjacent to the vertex
 // bound at depth j that pass f, without materializing them.
-func (p *Pins) DifferenceCountF(cur []uint32, j int, f setops.Filter, st *setops.Stats) uint64 {
+func (p *rowPins) differenceCountF(cur []uint32, j int, f setops.Filter, st *setops.Stats) uint64 {
 	if bits := p.g.HubBits(p.match[j]); bits != nil {
 		return setops.DifferenceBitsCountF(cur, bits, f, st)
 	}
-	return setops.DifferenceCountF(cur, p.Row(j), f, st)
+	return setops.DifferenceCountF(cur, p.row(j), f, st)
 }
 
-// Candidates materializes the vertices adjacent to every vertex bound at
+// candidates materializes the vertices adjacent to every vertex bound at
 // the conn depths and to none bound at the disc depths, starting from the
 // smallest conn row. conn must be non-empty. bufA and bufB are
 // worker-owned scratch, returned (possibly regrown) for reuse. With a
 // single conn depth and no disc depth no set operation runs and the
 // result is the pinned row itself, valid while that depth stays bound.
-func (p *Pins) Candidates(conn, disc []int, bufA, bufB []uint32, st *setops.Stats) (cur, a, b []uint32) {
+func (p *rowPins) candidates(conn, disc []int, bufA, bufB []uint32, st *setops.Stats) (cur, a, b []uint32) {
 	base := p.smallest(conn)
-	cur = p.Row(base)
+	cur = p.row(base)
 	out, spare := bufA, bufB
 	for _, j := range conn {
 		if j == base {
 			continue
 		}
-		cur = p.IntersectNeighbors(out, cur, j, st)
+		cur = p.intersectNeighbors(out, cur, j, st)
 		out, spare = spare, cur
 	}
 	for _, j := range disc {
-		cur = p.DifferenceNeighbors(out, cur, j, st)
+		cur = p.differenceNeighbors(out, cur, j, st)
 		out, spare = spare, cur
 	}
 	return cur, out, spare
@@ -167,7 +166,7 @@ func (p *Pins) Candidates(conn, disc []int, bufA, bufB []uint32, st *setops.Stat
 
 // smallest returns the conn depth whose bound vertex has the lowest
 // degree (the first such on ties).
-func (p *Pins) smallest(conn []int) int {
+func (p *rowPins) smallest(conn []int) int {
 	base := conn[0]
 	for _, j := range conn[1:] {
 		if p.g.Degree(p.match[j]) < p.g.Degree(p.match[base]) {
@@ -177,20 +176,20 @@ func (p *Pins) smallest(conn []int) int {
 	return base
 }
 
-// HasLabel reports whether data vertex v meets a level's label requirement
+// hasLabel reports whether data vertex v meets a level's label requirement
 // want, given the graph's label slice (graph.Adjacency.Labels: nil when
 // unlabeled, which no labeled pattern vertex matches). Executors read the
 // slice they cached per worker here instead of calling Adjacency.Label
 // through the interface once per candidate.
-func HasLabel(labels []int32, v uint32, want int32) bool {
+func hasLabel(labels []int32, v uint32, want int32) bool {
 	return want == pattern.Unlabeled || labels != nil && labels[v] == want
 }
 
-// LevelFilter builds the fused count-only filter for one plan level: the
+// levelFilter builds the fused count-only filter for one plan level: the
 // half-open symmetry window [lo, hi) plus the level's label requirement.
 // ok is false when the level cannot match at all (a labeled pattern vertex
 // against an unlabeled graph), letting callers skip the level outright.
-func LevelFilter(g graph.Adjacency, lo, hi uint32, want int32) (f setops.Filter, ok bool) {
+func levelFilter(g graph.Adjacency, lo, hi uint32, want int32) (f setops.Filter, ok bool) {
 	f = setops.Filter{Lo: lo, Hi: hi}
 	if want != pattern.Unlabeled {
 		ls := g.Labels()
@@ -202,11 +201,11 @@ func LevelFilter(g graph.Adjacency, lo, hi uint32, want int32) (f setops.Filter,
 	return f, true
 }
 
-// Unconnected appends to dst the depths below depth that are not in conn:
+// unconnected appends to dst the depths below depth that are not in conn:
 // the bound positions a count-only level has to correct for (see
-// CountExtensions). It depends on the plan alone, so executors resolve it
+// countExtensions). It depends on the plan alone, so executors resolve it
 // once per level at plan time.
-func Unconnected(dst []int, depth int, conn []int) []int {
+func unconnected(dst []int, depth int, conn []int) []int {
 next:
 	for j := 0; j < depth; j++ {
 		for _, c := range conn {
@@ -219,7 +218,7 @@ next:
 	return dst
 }
 
-// CountExtensions counts the data vertices v that complete a partial
+// countExtensions counts the data vertices v that complete a partial
 // match at its final level — v adjacent to every vertex bound at the conn
 // depths, non-adjacent to every vertex bound at the disc depths, passing
 // the filter, and distinct from every already-bound vertex — without
@@ -231,20 +230,20 @@ next:
 //
 // conn must be non-empty. check lists the bound depths whose vertex the
 // kernels may have counted and that are subtracted here by adjacency
-// probes into pinned rows: every bound depth outside conn (Unconnected).
+// probes into pinned rows: every bound depth outside conn (unconnected).
 // A conn vertex is not its own neighbor, so it is never counted and never
 // probed; a disc vertex is not its own neighbor either, so it does
 // qualify against itself and stays in check. bufA and bufB are
 // worker-owned scratch for the intermediate sets; the (possibly regrown)
 // buffers are returned for reuse.
-func (p *Pins) CountExtensions(conn, disc, check []int, f setops.Filter, bufA, bufB []uint32, st *setops.Stats) (uint64, []uint32, []uint32) {
+func (p *rowPins) countExtensions(conn, disc, check []int, f setops.Filter, bufA, bufB []uint32, st *setops.Stats) (uint64, []uint32, []uint32) {
 	g := p.g
 	var count uint64
 	switch {
 	case len(conn) == 1 && len(disc) == 0:
 		// No set operation at all: the count is window arithmetic over one
 		// adjacency list (plus a label scan on labeled levels).
-		count = setops.CountF(p.Row(conn[0]), f, st)
+		count = setops.CountF(p.row(conn[0]), f, st)
 	case len(conn) == 2 && len(disc) == 0 && g.HubBits(p.match[conn[0]]) != nil && g.HubBits(p.match[conn[1]]) != nil:
 		count = setops.AndCountF(g.HubBits(p.match[conn[0]]), g.HubBits(p.match[conn[1]]), f, st)
 	default:
@@ -260,24 +259,24 @@ func (p *Pins) CountExtensions(conn, disc, check []int, f setops.Filter, bufA, b
 				}
 			}
 		}
-		cur := p.Row(base)
+		cur := p.row(base)
 		out, spare := bufA, bufB
 		for _, j := range conn {
 			if j == base || j == lastConn {
 				continue
 			}
-			cur = p.IntersectNeighbors(out, cur, j, st)
+			cur = p.intersectNeighbors(out, cur, j, st)
 			out, spare = spare, cur
 		}
 		for i := 0; i < len(disc)-1; i++ {
-			cur = p.DifferenceNeighbors(out, cur, disc[i], st)
+			cur = p.differenceNeighbors(out, cur, disc[i], st)
 			out, spare = spare, cur
 		}
 		bufA, bufB = out, spare
 		if len(disc) > 0 {
-			count = p.DifferenceCountF(cur, disc[len(disc)-1], f, st)
+			count = p.differenceCountF(cur, disc[len(disc)-1], f, st)
 		} else {
-			count = p.IntersectCountF(cur, lastConn, f, st)
+			count = p.intersectCountF(cur, lastConn, f, st)
 		}
 	}
 
@@ -295,7 +294,7 @@ func (p *Pins) CountExtensions(conn, disc, check []int, f setops.Filter, bufA, b
 // every vertex bound at the conn depths and to none bound at the disc
 // depths (a itself, when listed in disc, aside: no vertex is its own
 // neighbor).
-func (p *Pins) qualifies(a int, conn, disc []int) bool {
+func (p *rowPins) qualifies(a int, conn, disc []int) bool {
 	for _, c := range conn {
 		if !p.adjacent(a, c) {
 			return false

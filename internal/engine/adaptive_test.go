@@ -175,7 +175,7 @@ func TestCountExtensionsMatchesMaterialized(t *testing.T) {
 		{[]uint32{3, 17}, []uint32{5}, setops.Filter{Lo: 4, Hi: 66, Labels: g.Labels(), Want: 0}},
 	}
 	run := func(name string, a graph.Adjacency) {
-		var pins Pins
+		var pins rowPins
 		bufA := make([]uint32, 0, g.MaxDegree())
 		bufB := make([]uint32, 0, g.MaxDegree())
 		for i, tc := range cases {
@@ -190,11 +190,11 @@ func TestCountExtensionsMatchesMaterialized(t *testing.T) {
 			for j := range tc.disc {
 				disc = append(disc, len(tc.conn)+j)
 			}
-			pins.Reset(a.View(), len(bound))
-			pins.Bind(bound)
+			pins.reset(a.View(), len(bound))
+			pins.bind(bound)
 			var st setops.Stats
 			var got uint64
-			got, bufA, bufB = pins.CountExtensions(conn, disc, Unconnected(nil, len(bound), conn), tc.f, bufA, bufB, &st)
+			got, bufA, bufB = pins.countExtensions(conn, disc, unconnected(nil, len(bound), conn), tc.f, bufA, bufB, &st)
 			if want := reference(tc.conn, tc.disc, tc.f, bound); got != want {
 				t.Errorf("%s case %d: CountExtensions=%d, reference=%d", name, i, got, want)
 			}
@@ -208,27 +208,27 @@ func TestCountExtensionsMatchesMaterialized(t *testing.T) {
 }
 
 func TestUnconnected(t *testing.T) {
-	if got := Unconnected(nil, 4, []int{0, 2}); len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Errorf("Unconnected(4, [0 2]) = %v, want [1 3]", got)
+	if got := unconnected(nil, 4, []int{0, 2}); len(got) != 2 || got[0] != 1 || got[1] != 3 {
+		t.Errorf("unconnected(4, [0 2]) = %v, want [1 3]", got)
 	}
-	if got := Unconnected([]int{9}, 0, nil); len(got) != 1 {
-		t.Errorf("Unconnected must append to dst, got %v", got)
+	if got := unconnected([]int{9}, 0, nil); len(got) != 1 {
+		t.Errorf("unconnected must append to dst, got %v", got)
 	}
 }
 
 func TestLevelFilter(t *testing.T) {
 	unlabeled := completeGraph(4)
-	if _, ok := LevelFilter(unlabeled, 0, 10, 3); ok {
+	if _, ok := levelFilter(unlabeled, 0, 10, 3); ok {
 		t.Error("labeled level on unlabeled graph reported matchable")
 	}
-	if f, ok := LevelFilter(unlabeled, 2, 9, pattern.Unlabeled); !ok || f.Lo != 2 || f.Hi != 9 || f.Labels != nil {
+	if f, ok := levelFilter(unlabeled, 2, 9, pattern.Unlabeled); !ok || f.Lo != 2 || f.Hi != 9 || f.Labels != nil {
 		t.Errorf("unlabeled level filter wrong: %+v ok=%v", f, ok)
 	}
 	g, err := dataset.ErdosRenyi(10, 3, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f, ok := LevelFilter(g, 0, 5, 1); !ok || f.Want != 1 || f.Labels == nil {
+	if f, ok := levelFilter(g, 0, 5, 1); !ok || f.Want != 1 || f.Labels == nil {
 		t.Errorf("labeled level filter wrong: %+v ok=%v", f, ok)
 	}
 }

@@ -83,8 +83,8 @@ func Interrupted(err error) bool {
 }
 
 // CtxEngine is the optional context-aware superset of Engine. All four
-// engine models implement it; the Ctx methods honor cooperative
-// cancellation at work-block/batch boundaries and follow the
+// engine models implement it (Model); the Ctx methods honor cooperative
+// cancellation at work-block boundaries and follow the
 // partial-result contract above. CountAllCtx additionally guarantees
 // that on interruption the returned slice holds each pattern's partial
 // count (zero for patterns not yet started).

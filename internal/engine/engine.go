@@ -24,10 +24,11 @@ var ErrInducedUnsupported = errors.New("engine: induced semantics not supported 
 // selects one embedding per automorphism class). Visitors may be invoked
 // concurrently from different workers; worker identifies the caller:
 // calls with one worker ID never overlap, so state keyed by the ID needs
-// no lock. IDs are small and non-negative but not bounded by the
-// configured threads (pipeline engines use more), so folding them into a
-// fixed shard count lets two live workers share a shard. The slice is
-// reused after the call returns — copy it to retain it.
+// no lock. IDs are small and non-negative but not bounded by anything a
+// visitor knows (Threads 0 is GOMAXPROCS; an Engine may number workers as
+// it likes), so folding them into a fixed shard count lets two live
+// workers share a shard — use Shards. The slice is reused after the call
+// returns — copy it to retain it.
 type Visitor func(worker int, m []uint32)
 
 // Engine is a pattern matching engine. Implementations differ in matching

@@ -1,0 +1,150 @@
+package engine
+
+import (
+	"context"
+	"fmt"
+	"strings"
+
+	"morphing/internal/graph"
+	"morphing/internal/obs"
+	"morphing/internal/pattern"
+	"morphing/internal/plan"
+)
+
+// Policy is what one engine model decides for itself, the places §3.4
+// says the paper's systems differ. Its zero value must be usable.
+type Policy interface {
+	Name() string                            // as Engine's
+	SupportsInduced(iv pattern.Induced) bool // as Engine's
+	// Plan builds the plan (matching order, restrictions) the model
+	// executes for p on g; semantics it does not match natively fail with
+	// ErrInducedUnsupported.
+	Plan(g graph.Adjacency, p *pattern.Pattern) (*plan.Plan, error)
+	// MergesCountAll reports whether CountAll mines a pattern set as one
+	// merged trie (AutoZero's schedule merging), not pattern by pattern.
+	MergesCountAll() bool
+}
+
+// Model is an engine model: a planning Policy over the depth-first
+// executor. Each of the four engine packages is its Policy plus
+// `type Engine = engine.Model[Policy]`; the Engine, CtxEngine and Planner
+// method sets are written here, once.
+type Model[P Policy] struct {
+	Threads    int           // worker count (0 = GOMAXPROCS)
+	Instrument bool          // phase timings for profiling figures
+	Obs        *obs.Observer // metrics and mine/<pattern> spans (nil = obs.Default())
+	Policy     P             // the model's own knobs, if it has any
+}
+
+// Name implements Engine.
+func (m *Model[P]) Name() string { return m.Policy.Name() }
+
+// SupportsInduced implements Engine.
+func (m *Model[P]) SupportsInduced(iv pattern.Induced) bool { return m.Policy.SupportsInduced(iv) }
+
+// PlanPattern implements Planner: the policy's plan, errors prefixed with
+// the model's name.
+func (m *Model[P]) PlanPattern(g graph.Adjacency, p *pattern.Pattern) (*plan.Plan, error) {
+	pl, err := m.Policy.Plan(g, p)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", strings.ToLower(m.Name()), err)
+	}
+	return pl, nil
+}
+
+// ExecConfig implements Planner.
+func (m *Model[P]) ExecConfig() (ExecOptions, *obs.Observer) {
+	return ExecOptions{Threads: m.Threads, Instrument: m.Instrument}, m.Obs
+}
+
+// run executes p's plan on its own — a counting pass when visit is nil —
+// inside a mine/<pattern> span on the context's run scope, if it has one.
+func (m *Model[P]) run(ctx context.Context, g graph.Adjacency, p *pattern.Pattern, visit Visitor) (uint64, *Stats, error) {
+	pl, err := m.PlanPattern(g, p)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer obs.FromContext(ctx, m.Obs).StartSpan("mine/"+p.String(), obs.Str("engine", m.Name())).End()
+	opts, o := m.ExecConfig()
+	return BacktrackCtx(ctx, g, pl, visit, opts, o)
+}
+
+// Count implements Engine.
+func (m *Model[P]) Count(g graph.Adjacency, p *pattern.Pattern) (uint64, *Stats, error) {
+	return m.run(context.Background(), g, p, nil)
+}
+
+// CountCtx implements CtxEngine: Count with cooperative cancellation at
+// work-block boundaries (partial counts on interruption).
+func (m *Model[P]) CountCtx(ctx context.Context, g graph.Adjacency, p *pattern.Pattern) (uint64, *Stats, error) {
+	return m.run(ctx, g, p, nil)
+}
+
+// Match implements Engine.
+func (m *Model[P]) Match(g graph.Adjacency, p *pattern.Pattern, visit Visitor) (*Stats, error) {
+	return m.MatchCtx(context.Background(), g, p, visit)
+}
+
+// MatchCtx implements CtxEngine: Match with cooperative cancellation and
+// visitor-panic containment. Streams are never merged across patterns.
+func (m *Model[P]) MatchCtx(ctx context.Context, g graph.Adjacency, p *pattern.Pattern, visit Visitor) (*Stats, error) {
+	_, st, err := m.run(ctx, g, p, visit)
+	return st, err
+}
+
+// CountAll implements Engine.
+func (m *Model[P]) CountAll(g graph.Adjacency, ps []*pattern.Pattern) ([]uint64, *Stats, error) {
+	return m.CountAllCtx(context.Background(), g, ps)
+}
+
+// CountAllCtx implements CtxEngine. A merging policy runs the set as one
+// trie pass; any other counts pattern by pattern (§7.1: why extra
+// superpatterns cost such systems more), and on interruption the slice
+// holds the partial counts so far, zero for patterns not yet started.
+func (m *Model[P]) CountAllCtx(ctx context.Context, g graph.Adjacency, ps []*pattern.Pattern) ([]uint64, *Stats, error) {
+	if m.Policy.MergesCountAll() && len(ps) > 0 {
+		tr, err := BuildTrie(m, g, ps)
+		if err != nil {
+			return nil, nil, err
+		}
+		opts, o := m.ExecConfig()
+		return BacktrackTrieCtx(ctx, g, tr, opts, o)
+	}
+	counts := make([]uint64, len(ps))
+	total := &Stats{}
+	for i, p := range ps {
+		c, st, err := m.run(ctx, g, p, nil)
+		counts[i] = c
+		if st != nil {
+			total.Add(st)
+		}
+		if err != nil {
+			return counts, total, err
+		}
+	}
+	return counts, total, nil
+}
+
+// CountVertexInducedViaFilterCtx counts the vertex-induced matches of p
+// the way a user must without morphing on a model that matches
+// edge-induced patterns only (GraphPi, BigJoin): Match on the edge-induced
+// variant, every match through the extra-edge Filter UDF — the expensive
+// baseline of Fig. 4d-e and Fig. 14.
+func (m *Model[P]) CountVertexInducedViaFilterCtx(ctx context.Context, g graph.Adjacency, p *pattern.Pattern) (uint64, *Stats, error) {
+	return CountViaEdgeFilter(ctx, g, p.NonEdges(), m.Obs, func(visit Visitor) (*Stats, error) {
+		return m.MatchCtx(ctx, g, p.AsEdgeInduced(), visit)
+	})
+}
+
+// EdgeInducedOnly is the Plan-time rule of the models without anti-edge
+// support (GraphPi, BigJoin): the pattern to plan for p — p itself, or the
+// edge-induced twin of a vertex-induced clique — or ErrInducedUnsupported.
+func EdgeInducedOnly(p *pattern.Pattern) (*pattern.Pattern, error) {
+	switch {
+	case p.HasExplicitAntiEdges(), p.Induced() == pattern.VertexInduced && !p.IsClique():
+		return nil, ErrInducedUnsupported
+	case p.Induced() == pattern.VertexInduced:
+		return p.AsEdgeInduced(), nil
+	}
+	return p, nil
+}

@@ -12,8 +12,8 @@ import (
 // per-execution snapshot remains the Stats struct.
 const (
 	// MetricMatches is streamed live: executors flush each worker's match
-	// delta at block/batch granularity so progress reporters and the HTTP
-	// endpoint see movement mid-run. PublishStats therefore excludes it.
+	// delta at block granularity so progress reporters and the HTTP
+	// endpoint see movement mid-run. publishStats therefore excludes it.
 	MetricMatches = "engine_matches_total"
 
 	MetricSetOps       = "engine_set_ops_total"
@@ -66,18 +66,18 @@ const (
 
 	// Interruption counters, one increment per aborted execution:
 	// cooperative cancellation, deadline expiry, and visitor/UDF panics
-	// contained by the workers (see PublishAbort).
+	// contained by the workers (see publishAbort).
 	MetricRunsCanceled = "engine_runs_canceled_total"
 	MetricRunsDeadline = "engine_runs_deadline_total"
 	MetricWorkerPanics = "engine_worker_panics_total"
 )
 
-// PublishStats adds a completed execution's Stats snapshot to the
+// publishStats adds a completed execution's Stats snapshot to the
 // observer's registry — every counter except Matches, which executors
 // stream live through MetricMatches while running (publishing it again
 // here would double count). Call once per execution, after the workers
 // have joined. Nil-safe in both arguments.
-func PublishStats(o *obs.Observer, st *Stats) {
+func publishStats(o *obs.Observer, st *Stats) {
 	if st == nil {
 		return
 	}
@@ -134,7 +134,7 @@ var levelCandidatesNames, levelExtendedNames = func() ([levelMetricCacheSize]str
 
 // LevelCandidatesMetric names the per-level candidate counter for
 // exploration level i (flat names — the registry has no label support).
-// Names for realistic level counts are precomputed so PublishStats does
+// Names for realistic level counts are precomputed so publishStats does
 // not allocate on the per-execution hot path.
 func LevelCandidatesMetric(i int) string {
 	if i < levelMetricCacheSize {
@@ -153,11 +153,11 @@ func LevelExtendedMetric(i int) string {
 	return fmt.Sprintf("engine_level_%d_extended_total", i)
 }
 
-// PublishAbort records an interrupted execution in the registry: one
+// publishAbort records an interrupted execution in the registry: one
 // increment on the counter matching the typed error (cancel, deadline,
 // or contained panic). nil errors and untyped errors add nothing, so
 // executors can call it unconditionally on their abort paths.
-func PublishAbort(o *obs.Observer, err error) {
+func publishAbort(o *obs.Observer, err error) {
 	var pe *PanicError
 	switch {
 	case err == nil:

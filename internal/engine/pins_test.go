@@ -24,7 +24,7 @@ func TestPinsDecodeOncePerBinding(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink := &graph.DecodeCounters{}
-	var pins Pins
+	var pins rowPins
 	match := []uint32{5, 9, 30}
 	view := graph.WithDecodeAttribution(c, sink).View()
 	counted := &rowCounter{Adjacency: view}
@@ -33,12 +33,12 @@ func TestPinsDecodeOncePerBinding(t *testing.T) {
 		counted.rows = 0
 		return n
 	}
-	pins.Reset(counted, len(match))
-	pins.Bind(match)
+	pins.reset(counted, len(match))
+	pins.bind(match)
 
 	for rep := 0; rep < 3; rep++ {
 		for j, v := range match {
-			if got := pins.Row(j); !slices.Equal(got, g.Neighbors(v)) {
+			if got := pins.row(j); !slices.Equal(got, g.Neighbors(v)) {
 				t.Fatalf("depth %d: row %v, want %v", j, got, g.Neighbors(v))
 			}
 		}
@@ -46,14 +46,14 @@ func TestPinsDecodeOncePerBinding(t *testing.T) {
 	if n := rows(); n != 3 {
 		t.Fatalf("3 bindings used 3 times each decoded %d rows, want 3", n)
 	}
-	held := pins.Row(0)
+	held := pins.row(0)
 	match[1] = 9 // re-bound to the vertex it holds
 	match[2] = 31
-	pins.Row(1)
+	pins.row(1)
 	if n := rows(); n != 0 {
 		t.Fatalf("re-binding a depth to its own vertex decoded %d rows", n)
 	}
-	if got := pins.Row(2); !slices.Equal(got, g.Neighbors(31)) {
+	if got := pins.row(2); !slices.Equal(got, g.Neighbors(31)) {
 		t.Fatalf("re-bound depth 2: row %v, want %v", got, g.Neighbors(31))
 	}
 	if n := rows(); n != 1 {
@@ -70,7 +70,7 @@ func TestPinsDecodeOncePerBinding(t *testing.T) {
 			}
 		}
 	}
-	pins.Release()
+	pins.release()
 	sink.Drain()
 	if st := sink.Stats(); st.Rows != 4 || st.ProbeHits != 6 || st.ProbeMisses != 0 {
 		t.Fatalf("after 6 pinned-row probes: %+v, want 4 rows, 6 hits, 0 misses", st)
@@ -112,11 +112,11 @@ func BenchmarkBoundProbe(b *testing.B) {
 	others := g.Neighbors(hub)
 	n := uint32(g.NumVertices())
 	b.Run("pinned", func(b *testing.B) {
-		var pins Pins
+		var pins rowPins
 		match := []uint32{hub, 0}
-		pins.Reset(c.View(), 2)
-		pins.Bind(match)
-		pins.Row(0)
+		pins.reset(c.View(), 2)
+		pins.bind(match)
+		pins.row(0)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			match[1] = (others[i%len(others)] + 1) % n

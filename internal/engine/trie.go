@@ -256,13 +256,13 @@ func (ps *triePass) mine(ctx context.Context, g graph.Adjacency, tr *plan.Trie, 
 	aborted, panicErr := ps.abort.Load(), ps.panicErr
 	ps.release()
 	st.TotalTime = time.Since(start)
-	PublishStats(o, st)
+	publishStats(o, st)
 	if panicErr != nil {
-		PublishAbort(o, panicErr)
+		publishAbort(o, panicErr)
 		return st, panicErr
 	}
 	if err := CtxErr(ctx); err != nil && aborted {
-		PublishAbort(o, err)
+		publishAbort(o, err)
 		return st, err
 	}
 	return st, nil
@@ -353,7 +353,7 @@ func (ps *triePass) mineRange(w *trieWorker) {
 // stay bound; src says where that set lives:
 //
 //   - srcRows: nothing to hoist — the prefix is empty or a single pinned
-//     row, and the node runs its own lists through Pins (no extra op);
+//     row, and the node runs its own lists through rowPins (no extra op);
 //   - srcRaw: the raw set the ancestor at depth at materialized, valid
 //     while that ancestor's execution is on the stack;
 //   - srcBuilt: built into the node's own buffer (pconn/pdisc, then last)
@@ -363,7 +363,7 @@ func (ps *triePass) mineRange(w *trieWorker) {
 // v_d), and in a counting pass an unlabeled single-branch leaf with an
 // empty binding part none: its parent counts it with galloping cursors
 // (trieCursor). check lists the bound depths a count-only leaf corrects
-// for (Unconnected). A streaming pass binds every level, so it has no
+// for (unconnected). A streaming pass binds every level, so it has no
 // leaves and collapses nothing; its childless nodes are tails instead.
 type trieExecInfo struct {
 	// What every execution reads comes first, on one cache line.
@@ -409,7 +409,7 @@ func (ps *triePass) classifyNode(n *plan.TrieNode) {
 	ps.labeled = ps.labeled || n.Label != pattern.Unlabeled
 	ei := &ps.info[n.ID]
 	at := len(ps.ints)
-	ps.ints = Unconnected(ps.ints, n.Depth, n.Connect)
+	ps.ints = unconnected(ps.ints, n.Depth, n.Connect)
 	ei.check = ps.ints[at:len(ps.ints):len(ps.ints)]
 	d := n.Depth - 1
 	pconn, bconn := splitAt(n.Connect, d)
@@ -479,7 +479,7 @@ type trieWorker struct {
 	id         int
 	g          graph.Adjacency // per-worker view (see graph.Adjacency)
 	vlabels    []int32         // g.Labels(), read once per candidate
-	pins       Pins            // adjacency rows of the bound prefix
+	pins       rowPins         // adjacency rows of the bound prefix
 	tr         *plan.Trie
 	info       []trieExecInfo
 	visit      Visitor
@@ -512,8 +512,8 @@ type trieWorker struct {
 
 	// Hoisting state. stamp[j] is the tick at which depth j was last bound;
 	// a built base is valid while its deepest operand's stamp is the one it
-	// was built under (the rule Pins uses for rows, with a counter where Pins
-	// compares vertices). tick never rewinds, also not between passes.
+	// was built under (the rule rowPins uses for rows, with a counter where
+	// rowPins compares vertices). tick never rewinds, also not between passes.
 	tick  uint64
 	stamp [pattern.MaxVertices]uint64
 	bases []trieBase // per node, srcBuilt only; buffers sized by need
@@ -611,8 +611,8 @@ func getTrieWorker(id int, g graph.Adjacency, ps *triePass, instrument bool, max
 	w.pass = ps
 	w.g = g.View()
 	w.vlabels = g.Labels()
-	w.pins.Reset(w.g, w.d)
-	w.pins.Bind(w.match)
+	w.pins.reset(w.g, w.d)
+	w.pins.bind(w.match)
 	w.tr = tr
 	w.info = ps.info
 	w.visit = ps.visit
@@ -694,7 +694,7 @@ func (w *trieWorker) reshape(d, maxDeg int) {
 // references so a pooled worker never pins a graph, trie or visitor;
 // NoArena workers are dropped for the GC.
 func (w *trieWorker) release() {
-	w.pins.Release()
+	w.pins.release()
 	if w.arena == nil {
 		return
 	}
@@ -743,7 +743,7 @@ func (w *trieWorker) runRoot() {
 			ns := &w.nstat[root.ID]
 			ns.enters++
 			ns.cands++
-			if !HasLabel(w.vlabels, v, root.Label) {
+			if !hasLabel(w.vlabels, v, root.Label) {
 				continue
 			}
 			ns.ext++
@@ -1059,7 +1059,7 @@ func (w *trieWorker) advance(c *trieCursor, leaf *plan.TrieNode, ei *trieExecInf
 func (w *trieWorker) execLeaf(node *plan.TrieNode, ei *trieExecInfo, depth int) {
 	if len(node.Branches) == 1 {
 		lo, hi := trieWindow(node.Branches[0], w.match, -1)
-		if f, ok := LevelFilter(w.g, lo, hi, node.Label); ok {
+		if f, ok := levelFilter(w.g, lo, hi, node.Label); ok {
 			w.credit(node, w.countLeaf(node, ei, depth, f))
 		}
 		return
@@ -1071,7 +1071,7 @@ func (w *trieWorker) execLeaf(node *plan.TrieNode, ei *trieExecInfo, depth int) 
 	cands, wins := w.clip(node, depth, w.set(node, ei, depth))
 	w.nstat[node.ID].cands += uint64(len(cands))
 	for bi, br := range node.Branches {
-		f, ok := LevelFilter(w.g, wins[bi].lo, wins[bi].hi, node.Label)
+		f, ok := levelFilter(w.g, wins[bi].lo, wins[bi].hi, node.Label)
 		if !ok {
 			continue
 		}
@@ -1104,15 +1104,15 @@ func (w *trieWorker) execLeaf(node *plan.TrieNode, ei *trieExecInfo, depth int) 
 // base and meet the binding part — binary searches in sets already held.
 func (w *trieWorker) countLeaf(node *plan.TrieNode, ei *trieExecInfo, depth int, f setops.Filter) (n uint64) {
 	if ei.src == srcRows {
-		n, w.bufA[depth], w.bufB[depth] = w.pins.CountExtensions(node.Connect, node.Disconnect, ei.check, f, w.bufA[depth], w.bufB[depth], &w.sst)
+		n, w.bufA[depth], w.bufB[depth] = w.pins.countExtensions(node.Connect, node.Disconnect, ei.check, f, w.bufA[depth], w.bufB[depth], &w.sst)
 		return n
 	}
 	base := w.base(node, ei)
 	switch {
 	case len(ei.bconn) > 0:
-		n = w.pins.IntersectCountF(base, depth-1, f, &w.sst)
+		n = w.pins.intersectCountF(base, depth-1, f, &w.sst)
 	case len(ei.bdisc) > 0:
-		n = w.pins.DifferenceCountF(base, depth-1, f, &w.sst)
+		n = w.pins.differenceCountF(base, depth-1, f, &w.sst)
 	default:
 		n = setops.CountF(base, f, &w.sst)
 	}
@@ -1125,23 +1125,23 @@ func (w *trieWorker) countLeaf(node *plan.TrieNode, ei *trieExecInfo, depth int,
 }
 
 // set materializes a node's raw (pre-window, pre-label) candidate set: its
-// base narrowed by the binding part, or its own lists through Pins when
+// base narrowed by the binding part, or its own lists through rowPins when
 // nothing is hoisted. The result is worker scratch, a base or a pinned row
 // — each valid through the node's subtree recursion, during which the
 // depths above stay bound and deeper levels use their own scratch.
 func (w *trieWorker) set(node *plan.TrieNode, ei *trieExecInfo, depth int) (cur []uint32) {
 	if ei.src == srcRows {
 		if len(node.Connect) == 1 && len(node.Disconnect) == 0 {
-			return w.pins.Row(node.Connect[0]) // every level of a tree pattern: no scratch to hand around
+			return w.pins.row(node.Connect[0]) // every level of a tree pattern: no scratch to hand around
 		}
-		cur, w.bufA[depth], w.bufB[depth] = w.pins.Candidates(node.Connect, node.Disconnect, w.bufA[depth], w.bufB[depth], &w.sst)
+		cur, w.bufA[depth], w.bufB[depth] = w.pins.candidates(node.Connect, node.Disconnect, w.bufA[depth], w.bufB[depth], &w.sst)
 		return cur
 	}
 	cur = w.base(node, ei)
 	if len(ei.bconn) > 0 {
-		cur = w.pins.IntersectNeighbors(w.bufA[depth], cur, depth-1, &w.sst)
+		cur = w.pins.intersectNeighbors(w.bufA[depth], cur, depth-1, &w.sst)
 	} else if len(ei.bdisc) > 0 {
-		cur = w.pins.DifferenceNeighbors(w.bufA[depth], cur, depth-1, &w.sst)
+		cur = w.pins.differenceNeighbors(w.bufA[depth], cur, depth-1, &w.sst)
 	}
 	return cur
 }
@@ -1156,7 +1156,7 @@ func (w *trieWorker) set(node *plan.TrieNode, ei *trieExecInfo, depth int) (cur 
 func (w *trieWorker) base(node *plan.TrieNode, ei *trieExecInfo) []uint32 {
 	switch ei.src {
 	case srcRows:
-		return w.pins.Row(node.Connect[0])
+		return w.pins.row(node.Connect[0])
 	case srcRaw:
 		return w.raw[ei.at]
 	}
@@ -1165,14 +1165,14 @@ func (w *trieWorker) base(node *plan.TrieNode, ei *trieExecInfo) []uint32 {
 		b.stamp = w.stamp[ei.at]
 		k := node.Depth
 		var cur []uint32
-		cur, w.bufA[k], w.bufB[k] = w.pins.Candidates(ei.pconn, ei.pdisc, w.bufA[k], w.bufB[k], &w.sst)
+		cur, w.bufA[k], w.bufB[k] = w.pins.candidates(ei.pconn, ei.pdisc, w.bufA[k], w.bufB[k], &w.sst)
 		if cap(b.set) < len(cur) {
 			b.set = w.alloc(max(len(cur), 2*cap(b.set)))
 		}
 		if ei.lastDisc {
-			b.set = w.pins.DifferenceNeighbors(b.set, cur, ei.last, &w.sst)
+			b.set = w.pins.differenceNeighbors(b.set, cur, ei.last, &w.sst)
 		} else {
-			b.set = w.pins.IntersectNeighbors(b.set, cur, ei.last, &w.sst)
+			b.set = w.pins.intersectNeighbors(b.set, cur, ei.last, &w.sst)
 		}
 	}
 	return b.set

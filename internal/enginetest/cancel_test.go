@@ -57,20 +57,6 @@ func leakCheck(t *testing.T) {
 	})
 }
 
-// cancelEngines is allEngines with BigJoin reconfigured for small
-// dataflow batches: BigJoin's cancel point is the source's batch
-// boundary, and at the default 1024-tuple batch the whole test graph is
-// a single batch — cancellation would be legitimately unobservable.
-func cancelEngines() []engine.Engine {
-	out := allEngines()
-	for i, e := range out {
-		if bj, ok := e.(*bigjoin.Engine); ok {
-			out[i] = &bigjoin.Engine{Threads: bj.Threads, BatchSize: 8}
-		}
-	}
-	return out
-}
-
 // TestCancelMidRunReturnsTypedPartial cancels from inside the visitor —
 // a deterministic mid-run signal — and checks every engine honors the
 // partial-result contract: a typed error in both vocabularies, stats for
@@ -79,7 +65,7 @@ func TestCancelMidRunReturnsTypedPartial(t *testing.T) {
 	leakCheck(t)
 	g := cancelGraph(t)
 	p := pattern.TailedTriangle() // plentiful matches on a dense graph
-	for _, e := range cancelEngines() {
+	for _, e := range allEngines() {
 		t.Run(e.Name(), func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
@@ -182,7 +168,7 @@ func TestMatchLimitAndCancellationCompose(t *testing.T) {
 	eng := peregrine.New(3)
 
 	// Limit fires first: clean result, no error.
-	n, _, err := eng.CountUpToCtx(context.Background(), g, p, 10)
+	n, _, err := peregrine.CountUpToCtx(context.Background(), eng, g, p, 10)
 	if err != nil {
 		t.Fatalf("limit-only run failed: %v", err)
 	}
@@ -193,7 +179,7 @@ func TestMatchLimitAndCancellationCompose(t *testing.T) {
 	// Cancellation fires first (pre-canceled): typed error, zero work.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	n, _, err = eng.CountUpToCtx(ctx, g, p, 10)
+	n, _, err = peregrine.CountUpToCtx(ctx, eng, g, p, 10)
 	if !errors.Is(err, engine.ErrCanceled) {
 		t.Fatalf("canceled limit run: err = %v, want ErrCanceled", err)
 	}
@@ -205,7 +191,7 @@ func TestMatchLimitAndCancellationCompose(t *testing.T) {
 	// hangs; an error, if any, must be the typed cancellation.
 	ctx2, cancel2 := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel2()
-	_, _, err = eng.CountUpToCtx(ctx2, g, pattern.TailedTriangle(), 1<<60)
+	_, _, err = peregrine.CountUpToCtx(ctx2, eng, g, pattern.TailedTriangle(), 1<<60)
 	if err != nil && !engine.Interrupted(err) {
 		t.Fatalf("composed run: unexpected hard error %v", err)
 	}
@@ -260,14 +246,13 @@ func TestPanicWithErrorValueUnwraps(t *testing.T) {
 // end on every engine: a seeded panic ordinal, armed process-wide, must
 // surface as one clean PanicError from a counting run — no visitor at all:
 // the shared executor meets the fault where it publishes each block's
-// matches, BigJoin by wrapping its nil visitor — and partial counts must
-// remain consistent. A chaos drill (MORPH_FAULT=panic@N) against a daemon
+// matches — and partial counts must remain consistent. A chaos drill (MORPH_FAULT=panic@N) against a daemon
 // on any engine is this path.
 func TestFaultInjectionPanicAtMatchN(t *testing.T) {
 	leakCheck(t)
 	g := cancelGraph(t)
 	p := pattern.TailedTriangle()
-	for _, eng := range cancelEngines() {
+	for _, eng := range allEngines() {
 		t.Run(eng.Name(), func(t *testing.T) {
 			full, _, err := eng.Count(g, p)
 			if err != nil {
@@ -308,8 +293,7 @@ func TestFaultInjectionPanicAtMatchN(t *testing.T) {
 }
 
 // TestStalledWorkerIsRelievedOnEveryPlanner pins the straggler scenario on
-// every engine that mines through the shared executor, counting one pattern
-// and a merged set: fault injection stalls worker 0 right after it arms a
+// every engine, counting one pattern and a merged set: fault injection stalls worker 0 right after it arms a
 // block, so its siblings drain the cursor, go idle, and must split the
 // sleeper's untouched range — engine_tail_steals_total moves and the counts
 // do not. (GOMAXPROCS is pinned to the worker count for the reason given at
@@ -325,6 +309,7 @@ func TestStalledWorkerIsRelievedOnEveryPlanner(t *testing.T) {
 		func(o *obs.Observer) engine.Engine { return &peregrine.Engine{Threads: 4, Obs: o} },
 		func(o *obs.Observer) engine.Engine { return &autozero.Engine{Threads: 4, Obs: o} },
 		func(o *obs.Observer) engine.Engine { return &graphpi.Engine{Threads: 4, Obs: o} },
+		func(o *obs.Observer) engine.Engine { return &bigjoin.Engine{Threads: 4, Obs: o} },
 	} {
 		o := &obs.Observer{Metrics: obs.NewRegistry()}
 		eng := mk(o)
@@ -439,7 +424,7 @@ func TestCancelRaceStress(t *testing.T) {
 		trials = 5
 	}
 	for trial := 0; trial < trials; trial++ {
-		for _, e := range cancelEngines() {
+		for _, e := range allEngines() {
 			ctx, cancel := context.WithCancel(context.Background())
 			fuse := uint64(1 + trial*37)
 			var seen atomic.Uint64

@@ -6,6 +6,7 @@
 package enginetest
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -391,7 +392,7 @@ func TestFilterUDFCountsMatchNativeVertexInduced(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotGP, stGP, err := gp.CountVertexInducedViaFilter(g, pV)
+		gotGP, stGP, err := gp.CountVertexInducedViaFilterCtx(context.Background(), g, pV)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -401,7 +402,7 @@ func TestFilterUDFCountsMatchNativeVertexInduced(t *testing.T) {
 		if stGP.Branches == 0 || stGP.UDFCalls == 0 {
 			t.Errorf("GraphPi filter did not record UDF work: %+v", stGP)
 		}
-		gotBJ, stBJ, err := bj.CountVertexInducedViaFilter(g, pV)
+		gotBJ, stBJ, err := bj.CountVertexInducedViaFilterCtx(context.Background(), g, pV)
 		if err != nil {
 			t.Fatal(err)
 		}

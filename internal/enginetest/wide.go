@@ -14,7 +14,7 @@ import (
 
 // WideEngine emits the oracle's matches from Workers goroutines that are
 // all live at once, each under a worker ID of its own — what engine.Visitor
-// allows a pipeline engine to do. Sinks that fold worker IDs into a fixed
+// allows any engine to do. Sinks that fold worker IDs into a fixed
 // shard count let two of them write one shard, which -race reports. It
 // needs a plain *graph.Graph.
 type WideEngine struct{ Workers int }

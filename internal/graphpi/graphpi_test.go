@@ -1,6 +1,7 @@
 package graphpi
 
 import (
+	"context"
 	"errors"
 	"runtime"
 	"testing"
@@ -43,7 +44,7 @@ func TestOrderSelectionConsistency(t *testing.T) {
 	p := pattern.House()
 	want := refmatch.Count(g, p)
 	for _, budget := range []int{1, 4, 40, 720} {
-		e := &Engine{Threads: 2, MaxOrders: budget}
+		e := &Engine{Threads: 2, Policy: Policy{MaxOrders: budget}}
 		got, _, err := e.Count(g, p)
 		if err != nil {
 			t.Fatal(err)
@@ -58,7 +59,7 @@ func TestFilterStatsAccounting(t *testing.T) {
 	g := testGraph(t)
 	e := New(2)
 	p := pattern.FourCycle().AsVertexInduced()
-	kept, st, err := e.CountVertexInducedViaFilter(g, p)
+	kept, st, err := e.CountVertexInducedViaFilterCtx(context.Background(), g, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestFilterPathUnderManyWorkerIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := pattern.Wedge().AsVertexInduced()
-	kept, st, err := (&Engine{}).CountVertexInducedViaFilter(g, p)
+	kept, st, err := (&Engine{}).CountVertexInducedViaFilterCtx(context.Background(), g, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,14 +3,13 @@
 // symmetries) to produce an exploration plan, then matches it with
 // merge-based set operations over CSR adjacency lists, parallelized across
 // vertex tasks. It supports both edge- and vertex-induced patterns
-// natively (anti-edges become set differences) and both output modes
-// (aggregation counting with a last-level fast path, and match streaming
-// to user callbacks).
+// natively (anti-edges become set differences), matches patterns one by
+// one, and can stop a run early once enough matches are known. What this
+// package contributes is that policy; the executor is internal/engine's.
 package peregrine
 
 import (
 	"context"
-	"fmt"
 
 	"morphing/internal/engine"
 	"morphing/internal/graph"
@@ -19,148 +18,51 @@ import (
 	"morphing/internal/plan"
 )
 
-// Engine is a Peregrine-model matching engine. The zero value uses
-// GOMAXPROCS workers without instrumentation.
-type Engine struct {
-	// Threads is the worker count (0 = GOMAXPROCS).
-	Threads int
-	// Instrument enables phase timings for profiling figures.
-	Instrument bool
-	// Obs receives metrics and mine/<pattern> spans (nil = obs.Default()).
-	Obs *obs.Observer
-}
+// Engine is a Peregrine-model matching engine.
+type Engine = engine.Model[Policy]
 
-var (
-	_ engine.CtxEngine = (*Engine)(nil)
-	_ engine.Planner   = (*Engine)(nil)
-)
+// Policy is the Peregrine model's planning policy.
+type Policy struct{}
 
 // New returns an engine with the given worker count.
 func New(threads int) *Engine { return &Engine{Threads: threads} }
 
-// Name implements engine.Engine.
-func (e *Engine) Name() string { return "Peregrine" }
+// Name implements engine.Policy.
+func (Policy) Name() string { return "Peregrine" }
 
-// SupportsInduced implements engine.Engine: Peregrine handles anti-edges
+// SupportsInduced implements engine.Policy: anti-edges are handled
 // natively, so both semantics are supported.
-func (e *Engine) SupportsInduced(pattern.Induced) bool { return true }
+func (Policy) SupportsInduced(pattern.Induced) bool { return true }
 
-func (e *Engine) opts() engine.ExecOptions {
-	return engine.ExecOptions{Threads: e.Threads, Instrument: e.Instrument}
-}
+// Plan implements engine.Policy: Peregrine's pattern analysis is the
+// default degree-greedy plan.
+func (Policy) Plan(_ graph.Adjacency, p *pattern.Pattern) (*plan.Plan, error) { return plan.Build(p) }
 
-// span opens a mine/<pattern> phase span on the resolved observer: the
-// context's run scope when one is attached, the engine's own otherwise.
-func (e *Engine) span(ctx context.Context, p *pattern.Pattern) *obs.Span {
-	return obs.FromContext(ctx, e.Obs).StartSpan("mine/"+p.String(), obs.Str("engine", e.Name()))
-}
+// MergesCountAll implements engine.Policy: patterns are matched one by
+// one (§7.1).
+func (Policy) MergesCountAll() bool { return false }
 
-// PlanPattern implements engine.Planner: Peregrine's pattern analysis is
-// the default degree-greedy plan.
-func (e *Engine) PlanPattern(_ graph.Adjacency, p *pattern.Pattern) (*plan.Plan, error) {
-	pl, err := plan.Build(p)
-	if err != nil {
-		return nil, fmt.Errorf("peregrine: %w", err)
-	}
-	return pl, nil
-}
-
-// ExecConfig implements engine.Planner.
-func (e *Engine) ExecConfig() (engine.ExecOptions, *obs.Observer) {
-	return e.opts(), e.Obs
-}
-
-// Count returns the number of unique matches of p in g.
-func (e *Engine) Count(g graph.Adjacency, p *pattern.Pattern) (uint64, *engine.Stats, error) {
-	return e.CountCtx(context.Background(), g, p)
-}
-
-// CountCtx implements engine.CtxEngine: Count with cooperative
-// cancellation at work-block boundaries (partial counts on interruption).
-func (e *Engine) CountCtx(ctx context.Context, g graph.Adjacency, p *pattern.Pattern) (uint64, *engine.Stats, error) {
-	pl, err := plan.Build(p)
-	if err != nil {
-		return 0, nil, fmt.Errorf("peregrine: %w", err)
-	}
-	defer e.span(ctx, p).End()
-	return engine.BacktrackCtx(ctx, g, pl, nil, e.opts(), e.Obs)
-}
-
-// CountAll counts each pattern independently; Peregrine matches patterns
-// one by one (§7.1), which is why extra superpatterns cost it more than
-// AutoZero's merged schedules.
-func (e *Engine) CountAll(g graph.Adjacency, ps []*pattern.Pattern) ([]uint64, *engine.Stats, error) {
-	return e.CountAllCtx(context.Background(), g, ps)
-}
-
-// CountAllCtx implements engine.CtxEngine. On interruption the returned
-// slice holds the per-pattern partial counts accumulated so far (zero
-// for patterns not yet started) alongside the typed error.
-func (e *Engine) CountAllCtx(ctx context.Context, g graph.Adjacency, ps []*pattern.Pattern) ([]uint64, *engine.Stats, error) {
-	counts := make([]uint64, len(ps))
-	total := &engine.Stats{}
-	for i, p := range ps {
-		c, st, err := e.CountCtx(ctx, g, p)
-		counts[i] = c
-		if st != nil {
-			total.Add(st)
-		}
-		if err != nil {
-			return counts, total, err
-		}
-	}
-	return counts, total, nil
-}
-
-// Match streams every unique match of p to visit.
-func (e *Engine) Match(g graph.Adjacency, p *pattern.Pattern, visit engine.Visitor) (*engine.Stats, error) {
-	return e.MatchCtx(context.Background(), g, p, visit)
-}
-
-// MatchCtx implements engine.CtxEngine: Match with cooperative
-// cancellation and visitor-panic containment.
-func (e *Engine) MatchCtx(ctx context.Context, g graph.Adjacency, p *pattern.Pattern, visit engine.Visitor) (*engine.Stats, error) {
-	pl, err := plan.Build(p)
-	if err != nil {
-		return nil, fmt.Errorf("peregrine: %w", err)
-	}
-	defer e.span(ctx, p).End()
-	_, st, err := engine.BacktrackCtx(ctx, g, pl, visit, e.opts(), e.Obs)
-	return st, err
-}
-
-// Exists reports whether g contains at least one match of p, terminating
-// exploration as soon as one is found (Peregrine's early-termination
-// feature, §8).
-func (e *Engine) Exists(g graph.Adjacency, p *pattern.Pattern) (bool, *engine.Stats, error) {
-	n, st, err := e.CountUpTo(g, p, 1)
+// ExistsCtx reports whether g contains at least one match of p,
+// terminating exploration as soon as one is found (Peregrine's
+// early-termination feature, §8). On interruption the boolean is only
+// meaningful when true (a match was found before the abort).
+func ExistsCtx(ctx context.Context, e *Engine, g graph.Adjacency, p *pattern.Pattern) (bool, *engine.Stats, error) {
+	n, st, err := CountUpToCtx(ctx, e, g, p, 1)
 	return n > 0, st, err
 }
 
-// ExistsCtx is Exists under a context. On interruption the boolean is
-// only meaningful when true (a match was found before the abort).
-func (e *Engine) ExistsCtx(ctx context.Context, g graph.Adjacency, p *pattern.Pattern) (bool, *engine.Stats, error) {
-	n, st, err := e.CountUpToCtx(ctx, g, p, 1)
-	return n > 0, st, err
-}
-
-// CountUpTo counts matches but stops exploring once at least limit have
-// been found; the returned count may slightly exceed limit (workers
-// finish their current root vertex). limit 0 counts everything.
-func (e *Engine) CountUpTo(g graph.Adjacency, p *pattern.Pattern, limit uint64) (uint64, *engine.Stats, error) {
-	return e.CountUpToCtx(context.Background(), g, p, limit)
-}
-
-// CountUpToCtx is CountUpTo under a context: early termination
-// (MatchLimit) and cooperative cancellation compose — whichever fires
+// CountUpToCtx counts matches but stops exploring once at least limit
+// have been found; the returned count may slightly exceed limit (workers
+// finish their current root vertex), and limit 0 counts everything. Early
+// termination and cooperative cancellation compose — whichever fires
 // first stops the run, and only cancellation yields a typed error.
-func (e *Engine) CountUpToCtx(ctx context.Context, g graph.Adjacency, p *pattern.Pattern, limit uint64) (uint64, *engine.Stats, error) {
-	pl, err := plan.Build(p)
+func CountUpToCtx(ctx context.Context, e *Engine, g graph.Adjacency, p *pattern.Pattern, limit uint64) (uint64, *engine.Stats, error) {
+	pl, err := e.PlanPattern(g, p)
 	if err != nil {
-		return 0, nil, fmt.Errorf("peregrine: %w", err)
+		return 0, nil, err
 	}
-	defer e.span(ctx, p).End()
-	opts := e.opts()
+	defer obs.FromContext(ctx, e.Obs).StartSpan("mine/"+p.String(), obs.Str("engine", e.Name())).End()
+	opts, o := e.ExecConfig()
 	opts.MatchLimit = limit
-	return engine.BacktrackCtx(ctx, g, pl, nil, opts, e.Obs)
+	return engine.BacktrackCtx(ctx, g, pl, nil, opts, o)
 }

@@ -1,6 +1,7 @@
 package peregrine
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
 
@@ -32,7 +33,7 @@ func TestSupportsBothVariants(t *testing.T) {
 func TestExists(t *testing.T) {
 	g := testGraph(t)
 	e := New(2)
-	ok, _, err := e.Exists(g, pattern.Triangle())
+	ok, _, err := ExistsCtx(context.Background(), e, g, pattern.Triangle())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestExists(t *testing.T) {
 	}
 	// A pattern that cannot exist in a simple sparse graph.
 	huge := pattern.Clique(8)
-	ok, _, err = e.Exists(g, huge)
+	ok, _, err = ExistsCtx(context.Background(), e, g, huge)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestCountUpToBounds(t *testing.T) {
 	if full < 100 {
 		t.Skipf("too few wedges (%d) to test limits", full)
 	}
-	n, st, err := e.CountUpTo(g, pattern.Wedge(), 10)
+	n, st, err := CountUpToCtx(context.Background(), e, g, pattern.Wedge(), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestCountUpToBounds(t *testing.T) {
 		t.Fatalf("CountUpTo(10) scanned %d of %d root vertices", scanned, g.NumVertices())
 	}
 	// Limit 0 means unlimited.
-	all, _, err := e.CountUpTo(g, pattern.Wedge(), 0)
+	all, _, err := CountUpToCtx(context.Background(), e, g, pattern.Wedge(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

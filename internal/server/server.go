@@ -12,16 +12,13 @@ import (
 	"time"
 
 	"morphing/internal/aggr"
-	"morphing/internal/autozero"
-	"morphing/internal/bigjoin"
 	"morphing/internal/canon"
 	"morphing/internal/core"
 	"morphing/internal/engine"
+	"morphing/internal/engines"
 	"morphing/internal/graph"
-	"morphing/internal/graphpi"
 	"morphing/internal/obs"
 	"morphing/internal/pattern"
-	"morphing/internal/peregrine"
 	"morphing/internal/report"
 )
 
@@ -191,9 +188,8 @@ type task struct {
 // Server is the resident query service. Construct with New, serve
 // Handler(), stop with Drain.
 type Server struct {
-	cfg     Config
-	o       *obs.Observer
-	engines map[string]engine.Engine
+	cfg Config
+	o   *obs.Observer
 
 	mu        sync.Mutex
 	g         graph.Adjacency
@@ -224,19 +220,12 @@ type Server struct {
 // New builds a server over g and starts its worker pool.
 func New(g graph.Adjacency, cfg Config) (*Server, error) {
 	cfg = cfg.Defaults()
-	engines := map[string]engine.Engine{
-		"peregrine": &peregrine.Engine{Threads: cfg.Threads},
-		"autozero":  &autozero.Engine{Threads: cfg.Threads},
-		"graphpi":   &graphpi.Engine{Threads: cfg.Threads},
-		"bigjoin":   &bigjoin.Engine{Threads: cfg.Threads},
-	}
-	if _, ok := engines[cfg.Engine]; !ok {
-		return nil, fmt.Errorf("server: unknown default engine %q", cfg.Engine)
+	if _, err := engines.New(cfg.Engine, cfg.Threads, nil); err != nil {
+		return nil, fmt.Errorf("server: default engine: %w", err)
 	}
 	s := &Server{
 		cfg:      cfg,
 		o:        obs.Or(cfg.Obs),
-		engines:  engines,
 		g:        g,
 		epoch:    1,
 		queue:    make(chan *task, cfg.MaxQueue),
@@ -335,9 +324,9 @@ func (s *Server) prepare(req *QueryRequest, client string) (*task, *QueryError) 
 	if engName == "" {
 		engName = s.cfg.Engine
 	}
-	eng, ok := s.engines[strings.ToLower(engName)]
-	if !ok {
-		return nil, errf(CodeBadRequest, "unknown engine %q (peregrine, autozero, graphpi, bigjoin)", engName)
+	eng, err := engines.New(engName, s.cfg.Threads, nil)
+	if err != nil {
+		return nil, errf(CodeBadRequest, "%v", err)
 	}
 	ps := make([]*pattern.Pattern, len(req.Patterns))
 	for i, arg := range req.Patterns {

@@ -26,21 +26,18 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"strings"
 
 	"morphing/internal/apps/cf"
 	"morphing/internal/apps/fsm"
 	"morphing/internal/apps/mc"
 	"morphing/internal/apps/sc"
 	"morphing/internal/apps/se"
-	"morphing/internal/autozero"
-	"morphing/internal/bigjoin"
 	"morphing/internal/canon"
 	"morphing/internal/core"
 	"morphing/internal/dataset"
 	"morphing/internal/engine"
+	"morphing/internal/engines"
 	"morphing/internal/graph"
-	"morphing/internal/graphpi"
 	"morphing/internal/obs"
 	"morphing/internal/pattern"
 	"morphing/internal/peregrine"
@@ -116,24 +113,15 @@ func Interrupted(err error) bool { return engine.Interrupted(err) }
 // ("peregrine", "autozero", "graphpi", "bigjoin"; case-insensitive).
 // threads <= 0 uses GOMAXPROCS.
 func NewEngine(name string, threads int) (Engine, error) {
-	switch strings.ToLower(name) {
-	case "peregrine":
-		return peregrine.New(threads), nil
-	case "autozero":
-		return autozero.New(threads), nil
-	case "graphpi":
-		return graphpi.New(threads), nil
-	case "bigjoin":
-		return bigjoin.New(threads), nil
-	default:
-		return nil, fmt.Errorf("morphing: unknown engine %q (want peregrine, autozero, graphpi or bigjoin)", name)
+	eng, err := engines.New(name, threads, nil)
+	if err != nil {
+		return nil, fmt.Errorf("morphing: %w", err)
 	}
+	return eng, nil
 }
 
 // EngineNames lists the available engine models.
-func EngineNames() []string {
-	return []string{"peregrine", "autozero", "graphpi", "bigjoin"}
-}
+func EngineNames() []string { return engines.Names() }
 
 // LoadGraph reads an edge-list graph (SNAP-style "u v" lines, optional
 // "v id label" directives, '#' comments).
