@@ -56,8 +56,10 @@ type Stats struct {
 // extended one edge at a time (both closing edges and new labeled
 // vertices), candidates are deduplicated canonically, and each level's
 // batch is evaluated through the morphing pipeline (or directly when
-// morphing is off). The dynamic, data-dependent query sets are exactly
-// why pattern transformation must run at runtime (§5).
+// morphing is off) — on an engine that exposes its plans as one streaming
+// pass per level, the candidates' shared labeled prefixes enumerated once
+// (core.Runner.MatchAllCtx). The dynamic, data-dependent query sets are
+// exactly why pattern transformation must run at runtime (§5).
 func Mine(g graph.Adjacency, eng engine.Engine, opts Options) ([]Frequent, *Stats, error) {
 	return MineCtx(context.Background(), g, eng, opts)
 }

@@ -135,24 +135,19 @@ func enumerateRun(ctx context.Context, g graph.Adjacency, eng engine.Engine, que
 	type shard struct {
 		delivered, filtered []uint64 // per query
 	}
-	newShards := func() *engine.Shards[shard] {
-		return &engine.Shards[shard]{New: func() *shard {
-			return &shard{delivered: make([]uint64, len(queries)), filtered: make([]uint64, len(queries))}
-		}}
-	}
-	fold := func(counters *engine.Shards[shard]) {
-		counters.Each(func(s *shard) {
-			for qi := range queries {
-				res.Delivered[qi] += s.delivered[qi]
-				res.Filtered[qi] += s.filtered[qi]
-			}
-		})
-	}
+	counters := &engine.Shards[shard]{New: func() *shard {
+		return &shard{delivered: make([]uint64, len(queries)), filtered: make([]uint64, len(queries))}
+	}}
 
+	// Every mined pattern streams to its own visitor, in one pass where the
+	// engine's plans merge (core.Runner.MatchAllCtx).
+	r := &core.Runner{Engine: eng, Label: "se"}
+	var mine []core.Choice
+	var visits []engine.Visitor
 	if !opts.Morph {
 		for qi, q := range queries {
-			counters := newShards()
-			st, err := engine.MatchCtx(ctx, eng, g, q, func(worker int, m []uint32) {
+			mine = append(mine, core.Choice{Pattern: q})
+			visits = append(visits, func(worker int, m []uint32) {
 				s := counters.For(worker)
 				if filter(m) {
 					s.delivered[qi]++
@@ -163,83 +158,74 @@ func enumerateRun(ctx context.Context, g graph.Adjacency, eng engine.Engine, que
 					s.filtered[qi]++
 				}
 			})
-			if st != nil {
-				res.Stats.Add(st)
-			}
-			fold(counters)
-			if err != nil {
-				if engine.Interrupted(err) {
-					return res, err
-				}
-				return nil, err
-			}
 		}
-		return res, nil
-	}
-
-	// Morphed: transform once, mine each alternative exactly once, and fan
-	// its stream out to every query it feeds. The filter runs on the raw
-	// alternative match, BEFORE conversion — it depends only on the
-	// matched vertex set, which conversion permutes but never changes
-	// (§7.3: "the filter is only dependent on the matched vertices") — so
-	// the vertex-induced alternatives' smaller match streams directly cut
-	// filter UDF invocations.
-	perMatch := opts.PerMatchCost
-	if perMatch == 0 && len(queries) > 0 {
-		perMatch = costmodel.ProfileUDF(func(m []uint32) { filter(m) },
-			queries[0].N(), 4096, uint32(g.NumVertices()), 1e8)
-	}
-	r := &core.Runner{Engine: eng, PerMatchCost: perMatch, Label: "se"}
-	sel, err := r.TransformForStreamingCtx(ctx, g, queries)
-	if err != nil {
-		return nil, err
-	}
-	res.Selection = sel
-	plan, err := sel.StreamPlan()
-	if err != nil {
-		return nil, err
-	}
-	counters := newShards()
-	for ci, choice := range sel.Mine {
-		targets := plan[ci]
-		if len(targets) == 0 {
-			continue // mined for other outputs only
+	} else {
+		// Morphed: transform once, mine each alternative exactly once, and fan
+		// its stream out to every query it feeds. The filter runs on the raw
+		// alternative match, BEFORE conversion — it depends only on the
+		// matched vertex set, which conversion permutes but never changes
+		// (§7.3: "the filter is only dependent on the matched vertices") — so
+		// the vertex-induced alternatives' smaller match streams directly cut
+		// filter UDF invocations.
+		r.PerMatchCost = opts.PerMatchCost
+		if r.PerMatchCost == 0 && len(queries) > 0 {
+			r.PerMatchCost = costmodel.ProfileUDF(func(m []uint32) { filter(m) },
+				queries[0].N(), 4096, uint32(g.NumVertices()), 1e8)
 		}
-		st, err := engine.MatchCtx(ctx, eng, g, choice.Pattern, func(worker int, m []uint32) {
-			s := counters.For(worker)
-			if !filter(m) {
-				for _, t := range targets {
-					s.filtered[t.Query] += uint64(len(t.Maps))
-				}
-				return
-			}
-			var buf [pattern.MaxVertices]uint32
-			for _, t := range targets {
-				converted := buf[:queries[t.Query].N()]
-				for _, f := range t.Maps {
-					for i, qi := range f {
-						converted[i] = m[qi]
-					}
-					s.delivered[t.Query]++
-					if onMatch != nil {
-						onMatch(t.Query, converted)
-					}
-				}
-			}
-		})
-		if st != nil {
-			res.Stats.Add(st)
-		}
+		sel, err := r.TransformForStreamingCtx(ctx, g, queries)
 		if err != nil {
-			if engine.Interrupted(err) {
-				fold(counters)
-				return res, err
-			}
 			return nil, err
 		}
+		res.Selection = sel
+		plan, err := sel.StreamPlan()
+		if err != nil {
+			return nil, err
+		}
+		for ci, choice := range sel.Mine {
+			targets := plan[ci]
+			if len(targets) == 0 {
+				continue // mined for other outputs only
+			}
+			mine = append(mine, choice)
+			visits = append(visits, func(worker int, m []uint32) {
+				s := counters.For(worker)
+				if !filter(m) {
+					for _, t := range targets {
+						s.filtered[t.Query] += uint64(len(t.Maps))
+					}
+					return
+				}
+				var buf [pattern.MaxVertices]uint32
+				for _, t := range targets {
+					converted := buf[:queries[t.Query].N()]
+					for _, f := range t.Maps {
+						for i, qi := range f {
+							converted[i] = m[qi]
+						}
+						s.delivered[t.Query]++
+						if onMatch != nil {
+							onMatch(t.Query, converted)
+						}
+					}
+				}
+			})
+		}
 	}
-	fold(counters)
-	return res, nil
+	var st core.RunStats
+	err := r.MatchAllCtx(ctx, g, mine, visits, &st)
+	if st.Mining != nil {
+		res.Stats = st.Mining
+	}
+	counters.Each(func(s *shard) {
+		for qi := range queries {
+			res.Delivered[qi] += s.delivered[qi]
+			res.Filtered[qi] += s.filtered[qi]
+		}
+	})
+	if err != nil && !engine.Interrupted(err) {
+		return nil, err
+	}
+	return res, err
 }
 
 // Weights assigns each vertex a pseudo-random weight from a normal

@@ -107,9 +107,9 @@ func isIdentity(f []int) bool {
 
 // StreamMorphed runs subgraph enumeration for an edge-induced query p
 // through Subgraph Morphing on any engine supporting vertex-induced
-// matching: the selected vertex-induced alternatives are matched one by
-// one and their streams are converted on the fly (§6.2, used by the
-// Fig. 15a experiment). The returned stats aggregate all alternative runs.
+// matching: the selected vertex-induced alternatives' streams are
+// converted on the fly (§6.2, used by the Fig. 15a experiment). The
+// returned stats aggregate all alternative runs.
 func StreamMorphed(sel *Selection, queryIdx int, eng engine.Engine, g graph.Adjacency, visit engine.Visitor) (*engine.Stats, error) {
 	return StreamMorphedCtx(context.Background(), sel, queryIdx, eng, g, visit)
 }
@@ -119,52 +119,29 @@ func StreamMorphed(sel *Selection, queryIdx int, eng engine.Engine, g graph.Adja
 // matches already streamed to visit stay delivered (a partial stream,
 // never a corrupted one).
 func StreamMorphedCtx(ctx context.Context, sel *Selection, queryIdx int, eng engine.Engine, g graph.Adjacency, visit engine.Visitor) (*engine.Stats, error) {
-	q := sel.Queries[queryIdx]
-	total := &engine.Stats{}
-	if !q.Morphed {
-		// Direct stream.
-		idx, ok := sel.byPair[pairKey{q.Node.ID, normVariant(q.Pattern)}]
-		if !ok {
-			return nil, fmt.Errorf("core: unmorphed query %d missing from mine list", queryIdx)
-		}
-		st, err := engine.MatchCtx(ctx, eng, g, sel.Mine[idx].Pattern, visit)
-		if st != nil {
-			total.Add(st)
-		}
-		if err != nil {
-			if engine.Interrupted(err) {
-				return total, err
+	plan, err := sel.StreamPlan()
+	if err != nil {
+		return nil, err
+	}
+	q := sel.Queries[queryIdx].Pattern
+	var mine []Choice
+	var visits []engine.Visitor
+	for ci, targets := range plan {
+		for _, t := range targets {
+			if t.Query != queryIdx {
+				continue
 			}
-			return nil, err
-		}
-		return total, nil
-	}
-	if normVariant(q.Pattern) != pattern.EdgeInduced {
-		return nil, fmt.Errorf("core: on-the-fly conversion requires an edge-induced query (additive direction); query %d is vertex-induced", queryIdx)
-	}
-	for _, s := range sel.SDAG.UpSet(q.Node) {
-		idx, ok := sel.byPair[pairKey{s.ID, pattern.VertexInduced}]
-		if !ok && s.Pattern.IsClique() {
-			idx, ok = sel.byPair[pairKey{s.ID, pattern.EdgeInduced}]
-		}
-		if !ok {
-			return nil, fmt.Errorf("core: up-set structure %d of query %d not mined vertex-induced", s.ID, queryIdx)
-		}
-		choice := sel.Mine[idx]
-		wrapped, err := OnTheFlyVisitor(q.Pattern, choice.Pattern, visit)
-		if err != nil {
-			return nil, err
-		}
-		st, err := engine.MatchCtx(ctx, eng, g, choice.Pattern, wrapped)
-		if st != nil {
-			total.Add(st)
-		}
-		if err != nil {
-			if engine.Interrupted(err) {
-				return total, err
+			wrapped, err := OnTheFlyVisitor(q, sel.Mine[ci].Pattern, visit)
+			if err != nil {
+				return nil, err
 			}
-			return nil, err
+			mine, visits = append(mine, sel.Mine[ci]), append(visits, wrapped)
 		}
 	}
-	return total, nil
+	var st RunStats
+	err = (&Runner{Engine: eng}).MatchAllCtx(ctx, g, mine, visits, &st)
+	if err != nil && !engine.Interrupted(err) {
+		return nil, err
+	}
+	return st.Mining, err
 }

@@ -97,12 +97,13 @@ type RunOptions struct {
 	Shards int
 }
 
-// TrieDecision records whether (and why) a counting run mined the winner
-// set in one pass of its merged plan trie, with the trie's sharing
-// statistics. The route is a fact about the engine, not a setting: an
-// engine.Planner's plans are merged (a single pattern being the one-leaf
-// case), any other engine is handed the set through CountAll. It is
-// reported on the fallback path too, so EXPLAIN output shows why.
+// TrieDecision records whether (and why) a run mined the winner set in one
+// pass of its merged plan trie — counting or, for the MNI and enumeration
+// pipelines, streaming — with the trie's sharing statistics. The route is
+// a fact about the engine, not a setting: an engine.Planner's plans are
+// merged (a single pattern being the one-leaf case), any other engine is
+// handed the set through CountAll or pattern by pattern through Match. It
+// is reported on the fallback path too, so EXPLAIN output shows why.
 type TrieDecision struct {
 	Used   bool   `json:"used"`
 	Reason string `json:"reason"`
@@ -161,8 +162,7 @@ type RunStats struct {
 	// Converting an incomplete mined set is unsound, so interrupted runs
 	// surface raw per-alternative progress instead of query results.
 	Partial []PartialCount
-	// Trie records the one-pass trie routing decision for counting runs
-	// (nil for pipelines that never consider the trie path).
+	// Trie records the one-pass trie routing decision of the mining phase.
 	Trie *TrieDecision
 	// Shards is the number of partitions a sharded counting run actually
 	// mined (RunOptions.Shards requested, empty partitions omitted);
@@ -405,14 +405,20 @@ func (r *Runner) Transform(g graph.Adjacency, queries []*pattern.Pattern, agg ag
 // so a run scope (obs.ContextWithRun) captures the transform and select
 // spans in its per-run tracer and registry.
 func (r *Runner) transformCtx(ctx context.Context, g graph.Adjacency, queries []*pattern.Pattern, agg aggr.Aggregation) (*Selection, error) {
-	o := obs.FromContext(ctx, r.Obs)
-	sp := o.StartSpan("transform",
-		obs.Str("engine", r.Engine.Name()), obs.Int("queries", len(queries)))
-	defer sp.End()
 	policy, err := r.policyFor(agg)
 	if err != nil {
 		return nil, err
 	}
+	return r.transformPolicy(ctx, g, queries, policy)
+}
+
+// transformPolicy runs pattern transformation under a given variant
+// policy, inside a transform span carrying attrs.
+func (r *Runner) transformPolicy(ctx context.Context, g graph.Adjacency, queries []*pattern.Pattern, policy Policy, attrs ...obs.Attr) (*Selection, error) {
+	o := obs.FromContext(ctx, r.Obs)
+	sp := o.StartSpan("transform", append(attrs,
+		obs.Str("engine", r.Engine.Name()), obs.Int("queries", len(queries)))...)
+	defer sp.End()
 	if r.DisableMorphing || r.SelectOptions.DisableMorphing {
 		if policy == PolicyEdgeOnly {
 			for _, q := range queries {
@@ -456,50 +462,16 @@ func (r *Runner) selectOptions() SelectOptions {
 	return opts
 }
 
-// TransformForStreaming runs pattern transformation for match-stream
+// TransformForStreamingCtx runs pattern transformation for match-stream
 // output (subgraph enumeration): streams cannot be subtracted, so only
 // the additive direction is sound (PolicyVertexOnly) and the engine must
-// support vertex-induced matching.
-func (r *Runner) TransformForStreaming(g graph.Adjacency, queries []*pattern.Pattern) (*Selection, error) {
-	return r.TransformForStreamingCtx(context.Background(), g, queries)
-}
-
-// TransformForStreamingCtx is TransformForStreaming resolving its
-// observer through the context, for callers (the SE app) that carry a
-// run scope.
+// support vertex-induced matching. The observer resolves through the
+// context, for callers (the SE app) that carry a run scope.
 func (r *Runner) TransformForStreamingCtx(ctx context.Context, g graph.Adjacency, queries []*pattern.Pattern) (*Selection, error) {
 	if !r.Engine.SupportsInduced(pattern.VertexInduced) {
 		return nil, fmt.Errorf("core: engine %q cannot mine vertex-induced patterns; on-the-fly conversion unavailable", r.Engine.Name())
 	}
-	o := obs.FromContext(ctx, r.Obs)
-	sp := o.StartSpan("transform",
-		obs.Str("engine", r.Engine.Name()), obs.Int("queries", len(queries)),
-		obs.Str("mode", "streaming"))
-	defer sp.End()
-	if r.DisableMorphing || r.SelectOptions.DisableMorphing {
-		sp.Set(obs.Str("morphing", "disabled"))
-		sel, err := IdentitySelection(queries)
-		if err == nil && r.Explain {
-			sel.AnnotateEstimates(costmodel.New(graph.Summarize(g), r.weights()), r.PerMatchCost)
-		}
-		return sel, err
-	}
-	d, err := BuildSDAG(queries)
-	if err != nil {
-		return nil, err
-	}
-	model := costmodel.New(graph.Summarize(g), r.weights())
-	spSel := o.StartSpan("select", obs.Int("sdag_nodes", d.Len()))
-	sel, err := Select(d, queries, DefaultCostFunc(model, r.PerMatchCost), PolicyVertexOnly, r.selectOptions())
-	spSel.End()
-	if err != nil {
-		return nil, err
-	}
-	if r.Explain {
-		sel.AnnotateEstimates(model, r.PerMatchCost)
-	}
-	sp.Set(obs.Int("mine_patterns", len(sel.Mine)))
-	return sel, nil
+	return r.transformPolicy(ctx, g, queries, PolicyVertexOnly, obs.Str("mode", "streaming"))
 }
 
 func (r *Runner) weights() costmodel.Weights {
@@ -630,10 +602,7 @@ func (r *Runner) countsRun(ctx context.Context, rc *obs.RunContext, g graph.Adja
 		obs.Int("mine_patterns", len(sel.Mine)), obs.Int("queries", len(sel.Queries)),
 		obs.F64("cost_before", sel.CostBefore), obs.F64("cost_after", sel.CostAfter))
 
-	minePatterns := make([]*pattern.Pattern, len(sel.Mine))
-	for i, c := range sel.Mine {
-		minePatterns[i] = c.Pattern
-	}
+	minePatterns := patternsOf(sel.Mine)
 	stats.Phase = PhaseMine
 	dec, tr, planner := r.planTrie(g, minePatterns)
 	stats.Trie = dec
@@ -644,7 +613,7 @@ func (r *Runner) countsRun(ctx context.Context, rc *obs.RunContext, g graph.Adja
 		// engines that merge schedules across patterns). The trie decision
 		// is still reported — as what a plain run would do.
 		dec.Used = false
-		dec.Reason += "; explain mode mines per pattern for calibration"
+		dec.Reason += explainMinesPerPattern
 	}
 	rc.Event("trie_decision", obs.Bool("used", dec.Used), obs.Str("reason", dec.Reason))
 	spM := o.StartSpan("mine",
@@ -705,11 +674,36 @@ func (r *Runner) countsRun(ctx context.Context, rc *obs.RunContext, g graph.Adja
 	return out, stats, nil
 }
 
-// planTrie merges the engine's plans for a counting run's winner set and
+// explainMinesPerPattern is appended to the reason of a trie decision that
+// Runner.Explain overrides.
+const explainMinesPerPattern = "; explain mode mines per pattern for calibration"
+
+// patternsOf lists the patterns a winner set mines, in Mine order.
+func patternsOf(mine []Choice) []*pattern.Pattern {
+	ps := make([]*pattern.Pattern, len(mine))
+	for i, c := range mine {
+		ps[i] = c.Pattern
+	}
+	return ps
+}
+
+// measured pairs the choice's predictions with what mining it measured.
+func (c Choice) measured(matches uint64, elapsed time.Duration) PatternRunStats {
+	return PatternRunStats{
+		Pattern:    c.Pattern.String(),
+		Variant:    variantString(c.Variant),
+		EstCost:    c.EstCost,
+		EstMatches: c.EstMatches,
+		Matches:    matches,
+		Time:       elapsed,
+	}
+}
+
+// planTrie merges the engine's plans for a run's winner set and
 // reports the decision (and the trie's sharing statistics). tr and planner
 // are non-nil exactly when dec.Used is true; otherwise the set goes to the
-// engine's CountAll, which also reports a planning failure in the engine's
-// own words.
+// engine's CountAll or Match, which also report a planning failure in the
+// engine's own words.
 func (r *Runner) planTrie(g graph.Adjacency, ps []*pattern.Pattern) (*TrieDecision, *plan.Trie, engine.Planner) {
 	dec := &TrieDecision{}
 	planner, ok := r.Engine.(engine.Planner)
@@ -751,14 +745,7 @@ func (r *Runner) mineCountsExplained(ctx context.Context, g graph.Adjacency, sel
 		if st != nil {
 			acc.Add(st)
 		}
-		stats.PerPattern = append(stats.PerPattern, PatternRunStats{
-			Pattern:    c.Pattern.String(),
-			Variant:    variantString(c.Variant),
-			EstCost:    c.EstCost,
-			EstMatches: c.EstMatches,
-			Matches:    n,
-			Time:       elapsed,
-		})
+		stats.PerPattern = append(stats.PerPattern, c.measured(n, elapsed))
 		if err != nil {
 			return counts, err
 		}
@@ -843,7 +830,16 @@ func (r *Runner) MNITablesCtx(ctx context.Context, g graph.Adjacency, queries []
 	return out, st, err
 }
 
-// mniRun is the MNITablesCtx body, executed inside the run scope rc.
+// mniRun is the MNITablesCtx body, executed inside the run scope rc. Both
+// conversion modes mine the winner set through MatchAllCtx — for a Planner
+// one pass per call, so an FSM level enumerates its candidates' shared
+// labeled prefixes once — and differ in where a match lands: batched, in
+// the sink of the alternative it matched, whose table Convert combines;
+// on the fly, through the coset-representative maps in the sinks of the
+// queries it feeds. Saturating a query's table under its automorphisms
+// makes the two identical — coset representatives composed with
+// Aut(query) enumerate every isomorphism, and MNI insertion is an
+// idempotent union — without ever holding a per-alternative table.
 func (r *Runner) mniRun(ctx context.Context, rc *obs.RunContext, g graph.Adjacency, queries []*pattern.Pattern) ([]*aggr.Table, *RunStats, error) {
 	o := rc.Observer()
 	agg := aggr.MNI{}
@@ -882,65 +878,131 @@ func (r *Runner) mniRun(ctx context.Context, rc *obs.RunContext, g graph.Adjacen
 		}
 	}
 
-	if streamTargets != nil {
-		return r.mniOnTheFly(ctx, o, g, sel, streamTargets, stats, queries)
+	// One sink per table the mining phase fills: per alternative when
+	// batched, per query on the fly.
+	framed := queries
+	if streamTargets == nil {
+		framed = patternsOf(sel.Mine)
+	}
+	sinks := make([]*mniSink, len(framed))
+	for i, p := range framed {
+		sinks[i] = newMNISink(p.N())
+	}
+	visits := make([]engine.Visitor, len(sel.Mine))
+	for i := range visits {
+		if streamTargets == nil {
+			visits[i] = sinks[i].insert
+			continue
+		}
+		targets := streamTargets[i]
+		visits[i] = func(worker int, m []uint32) {
+			var buf [pattern.MaxVertices]uint32
+			for _, t := range targets {
+				conv := buf[:sinks[t.Query].width]
+				for _, f := range t.Maps {
+					for i, qi := range f {
+						conv[i] = m[qi]
+					}
+					sinks[t.Query].insert(worker, conv)
+				}
+			}
+		}
 	}
 
 	stats.Phase = PhaseMine
-	stats.Mining = &engine.Stats{}
-	spM := o.StartSpan("mine",
-		obs.Str("engine", r.Engine.Name()), obs.Int("patterns", len(sel.Mine)))
-	mined := make([]aggr.Value, len(sel.Mine))
-	minedCounts := make([]uint64, len(sel.Mine))
-	for i, c := range sel.Mine {
-		tm := time.Now()
-		tbl, st, err := mineMNITableCtx(ctx, o, r.Engine, g, c.Pattern)
-		if st != nil {
-			stats.Mining.Add(st)
-			minedCounts[i] = st.Matches
+	spM := o.StartSpan("mine", obs.Str("engine", r.Engine.Name()),
+		obs.Int("patterns", len(sel.Mine)), obs.Str("conversion", stats.ConversionMode))
+	if err = r.MatchAllCtx(ctx, g, sel.Mine, visits, stats); err != nil {
+		spM.End()
+		if engine.Interrupted(err) {
+			o.Counter(MetricInterrupted).Inc(0)
+			return nil, stats, err
 		}
-		if r.Explain {
-			// This path already mines pattern by pattern, so calibration
-			// records come for free — no schedule-sharing caveat here.
-			stats.PerPattern = append(stats.PerPattern, PatternRunStats{
-				Pattern:    c.Pattern.String(),
-				Variant:    variantString(c.Variant),
-				EstCost:    c.EstCost,
-				EstMatches: c.EstMatches,
-				Matches:    minedCounts[i],
-				Time:       time.Since(tm),
-			})
-		}
-		if err != nil {
-			spM.End()
-			if engine.Interrupted(err) {
-				for j := 0; j <= i; j++ {
-					stats.Partial = append(stats.Partial, PartialCount{Pattern: sel.Mine[j].Pattern, Count: minedCounts[j]})
-				}
-				o.Counter(MetricInterrupted).Inc(0)
-				return nil, stats, err
-			}
-			return nil, nil, err
-		}
-		mined[i] = tbl
+		return nil, nil, err
 	}
+	// The shard merge is the UDF-side aggregation leg of mining.
+	spA := o.StartSpan("aggregate", obs.Int("tables", len(sinks)))
+	out := make([]*aggr.Table, len(sinks))
+	for i, p := range framed {
+		out[i] = sinks[i].table(canon.Automorphisms(p))
+	}
+	spA.End()
 	spM.End()
 
 	stats.Phase = PhaseConvert
 	t1 := time.Now()
-	spC := o.StartSpan("convert", obs.Int("queries", len(queries)))
-	vals, err := sel.Convert(agg, mined)
-	spC.End()
-	if err != nil {
-		return nil, nil, err
+	if streamTargets == nil {
+		spC := o.StartSpan("convert", obs.Int("queries", len(queries)))
+		mined := make([]aggr.Value, len(out))
+		for i, t := range out {
+			mined[i] = t
+		}
+		vals, err := sel.Convert(agg, mined)
+		spC.End()
+		if err != nil {
+			return nil, nil, err
+		}
+		out = make([]*aggr.Table, len(vals))
+		for i, v := range vals {
+			out[i] = v.(*aggr.Table)
+		}
 	}
 	stats.Convert = time.Since(t1)
 	stats.Phase = PhaseDone
-	out := make([]*aggr.Table, len(vals))
-	for i, v := range vals {
-		out[i] = v.(*aggr.Table)
-	}
 	return out, stats, nil
+}
+
+// MatchAllCtx streams every match of mine[i].Pattern to visits[i] and
+// records the execution in stats. It is the repository's one streaming
+// route, shared by the MNI pipelines and subgraph enumeration, and takes
+// the decision counting takes (planTrie): a Planner's set is one pass over
+// its merged trie, anything else — and, for per-pattern calibration, an
+// explained run — streams pattern by pattern. stats receives Trie (logged
+// as the trie_decision event when ctx carries a run scope), Mining, under
+// Explain PerPattern, and on a typed interruption Partial, one count per
+// choice: a merged pass interrupts every plan at once, the loop leaves the
+// patterns it never started at zero.
+func (r *Runner) MatchAllCtx(ctx context.Context, g graph.Adjacency, mine []Choice, visits []engine.Visitor, stats *RunStats) error {
+	dec, tr, planner := r.planTrie(g, patternsOf(mine))
+	stats.Trie = dec
+	if r.Explain && dec.Used {
+		dec.Used = false
+		dec.Reason += explainMinesPerPattern
+	}
+	if rc := obs.RunFrom(ctx); rc != nil {
+		rc.Event("trie_decision", obs.Bool("used", dec.Used), obs.Str("reason", dec.Reason))
+	}
+	var counts []uint64
+	var err error
+	if dec.Used {
+		opts, eo := planner.ExecConfig()
+		var st *engine.Stats
+		counts, st, err = engine.MatchTrieCtx(ctx, g, tr, visits, opts, eo)
+		stats.Mining = st.Clone() // see countsRun
+	} else {
+		counts = make([]uint64, len(mine))
+		stats.Mining = &engine.Stats{}
+		for i, c := range mine {
+			t0 := time.Now()
+			var st *engine.Stats
+			if st, err = engine.MatchCtx(ctx, r.Engine, g, c.Pattern, visits[i]); st != nil {
+				stats.Mining.Add(st)
+				counts[i] = st.Matches
+			}
+			if r.Explain {
+				stats.PerPattern = append(stats.PerPattern, c.measured(counts[i], time.Since(t0)))
+			}
+			if err != nil {
+				break
+			}
+		}
+	}
+	if engine.Interrupted(err) {
+		for i, c := range mine {
+			stats.Partial = append(stats.Partial, PartialCount{Pattern: c.Pattern, Count: counts[i]})
+		}
+	}
+	return err
 }
 
 // AdmissionEstimate is what the cost model predicts a query will do
@@ -999,88 +1061,13 @@ func (r *Runner) estimateMatchBytes(g graph.Adjacency, sel *Selection) uint64 {
 	return uint64(math.Ceil(total))
 }
 
-// mniOnTheFly is the degraded MNITables path: mine each alternative once
-// and fan its match stream out to the query sinks through the coset-
-// representative conversion maps. Saturating each query's table under its
-// automorphisms makes the result identical to the batched Convert — coset
-// representatives composed with Aut(query) enumerate every isomorphism,
-// and MNI insertion is an idempotent union — without ever holding a
-// per-alternative table.
-func (r *Runner) mniOnTheFly(ctx context.Context, o *obs.Observer, g graph.Adjacency, sel *Selection, streamTargets [][]StreamTarget, stats *RunStats, queries []*pattern.Pattern) ([]*aggr.Table, *RunStats, error) {
-	sinks := make([]*mniSink, len(sel.Queries))
-	for qi, q := range sel.Queries {
-		sinks[qi] = newMNISink(q.Pattern.N())
-	}
-
-	stats.Phase = PhaseMine
-	stats.Mining = &engine.Stats{}
-	spM := o.StartSpan("mine", obs.Str("engine", r.Engine.Name()),
-		obs.Int("patterns", len(sel.Mine)), obs.Str("conversion", "on-the-fly"))
-	for idx, c := range sel.Mine {
-		targets := streamTargets[idx]
-		st, err := engine.MatchCtx(ctx, r.Engine, g, c.Pattern, func(worker int, m []uint32) {
-			var buf [pattern.MaxVertices]uint32
-			for _, t := range targets {
-				conv := buf[:sinks[t.Query].width]
-				for _, f := range t.Maps {
-					for i, qi := range f {
-						conv[i] = m[qi]
-					}
-					sinks[t.Query].insert(worker, conv)
-				}
-			}
-		})
-		if st != nil {
-			stats.Mining.Add(st)
-		}
-		stats.Partial = append(stats.Partial, PartialCount{Pattern: c.Pattern, Count: statsMatches(st)})
-		if err != nil {
-			spM.End()
-			if engine.Interrupted(err) {
-				o.Counter(MetricInterrupted).Inc(0)
-				return nil, stats, err
-			}
-			return nil, nil, err
-		}
-	}
-	spM.End()
-	stats.Partial = nil // completed: progress bookkeeping no longer partial
-
-	stats.Phase = PhaseConvert
-	t1 := time.Now()
-	spA := o.StartSpan("aggregate", obs.Int("queries", len(sel.Queries)))
-	out := make([]*aggr.Table, len(sel.Queries))
-	for qi, q := range sel.Queries {
-		out[qi] = sinks[qi].table(canon.Automorphisms(q.Pattern))
-	}
-	spA.End()
-	stats.Convert = time.Since(t1)
-	stats.Phase = PhaseDone
-	return out, stats, nil
-}
-
-func statsMatches(st *engine.Stats) uint64 {
-	if st == nil {
-		return 0
-	}
-	return st.Matches
-}
-
 // MineMNITable streams one pattern's matches into a full MNI table (see
-// mniSink).
+// mniSink): the per-pattern form the merged route is tested against.
 func MineMNITable(eng engine.Engine, g graph.Adjacency, p *pattern.Pattern) (*aggr.Table, *engine.Stats, error) {
-	return mineMNITableCtx(context.Background(), obs.Or(nil), eng, g, p)
-}
-
-func mineMNITableCtx(ctx context.Context, o *obs.Observer, eng engine.Engine, g graph.Adjacency, p *pattern.Pattern) (*aggr.Table, *engine.Stats, error) {
 	sink := newMNISink(p.N())
-	st, err := engine.MatchCtx(ctx, eng, g, p, sink.insert)
+	st, err := eng.Match(g, p, sink.insert)
 	if err != nil {
 		return nil, st, err
 	}
-	// The shard merge is the UDF-side aggregation leg of the pipeline.
-	spA := o.StartSpan("aggregate", obs.Str("pattern", p.String()))
-	out := sink.table(canon.Automorphisms(p))
-	spA.End()
-	return out, st, nil
+	return sink.table(canon.Automorphisms(p)), st, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"morphing/internal/canon"
@@ -256,24 +257,18 @@ func Select(d *SDAG, queries []*pattern.Pattern, cost CostFunc, policy Policy, o
 		}
 	}
 
-	// altSet returns the replacement pairs for pair k: the structure
-	// itself in the other (or policy-forced) variant plus its strict
-	// superpattern up-set in the policy's best variants.
-	altSet := func(k pairKey, n *Node) []member {
-		var selfVariant pattern.Induced
-		switch policy {
-		case PolicyVertexOnly:
-			selfVariant = pattern.VertexInduced
-		case PolicyEdgeOnly:
-			selfVariant = pattern.EdgeInduced
-		default:
-			if k.variant == pattern.EdgeInduced {
-				selfVariant = pattern.VertexInduced
-			} else {
-				selfVariant = pattern.EdgeInduced
-			}
+	// selfPair is the pair that replaces k's structure when k is morphed:
+	// the structure itself in the other (or policy-forced) variant.
+	selfPair := func(k pairKey) pairKey {
+		if policy == PolicyVertexOnly || policy == PolicyAny && k.variant == pattern.EdgeInduced {
+			return pairKey{k.id, pattern.VertexInduced}
 		}
-		out := []member{{node: n, key: pairKey{n.ID, selfVariant}}}
+		return pairKey{k.id, pattern.EdgeInduced}
+	}
+	// altSet returns the replacement pairs for pair k: its selfPair plus
+	// its strict superpattern up-set in the policy's best variants.
+	altSet := func(k pairKey, n *Node) []member {
+		out := []member{{node: n, key: selfPair(k)}}
 		for _, s := range d.StrictUpSet(n) {
 			out = append(out, member{node: s, key: pairKey{s.ID, bestVariantNorm(s, bestVariant)}})
 		}
@@ -328,6 +323,20 @@ func Select(d *SDAG, queries []*pattern.Pattern, cost CostFunc, policy Policy, o
 					kids = kids[:maxSubset]
 				}
 				sort.Slice(kids, func(i, j int) bool { return lessPair(kids[i].key, kids[j].key) })
+				// Decline without enumerating. Every candidate C adds the
+				// selfPair of each of its members — distinct pairs, as C never
+				// holds both variants of a structure. When none of them is
+				// in S and each costs at least what removing its member
+				// credits, added ≥ removed for every C (costs are never
+				// negative), so all 2^k candidates would be rejected. The
+				// explain trace lists rejected candidates, so it enumerates.
+				if ex == nil && !slices.ContainsFunc(kids, func(c member) bool {
+					self := selfPair(c.key)
+					_, in := S[self]
+					return in || variantCost(c.node, self.variant) < variantCost(c.node, c.key.variant)
+				}) {
+					continue
+				}
 				// Largest subsets first: combined morphs capture overlap.
 				for mask := (1 << len(kids)) - 1; mask >= 1; mask-- {
 					var C []member

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"morphing/internal/canon"
@@ -338,5 +339,118 @@ func TestConversionMapsAndCoefficients(t *testing.T) {
 	reps := ConversionMaps(pattern.FourCycle(), pattern.FourClique(), false)
 	if len(reps) != 3 {
 		t.Errorf("rep-maps count %d, want 3", len(reps))
+	}
+}
+
+// TestSelectDeclineBoundIsExact is the identity property of the decline
+// bound: over randomized query sets (labeled and unlabeled, 3 to 5
+// vertices, both variants, duplicates) under every policy and random cost
+// tables rich in ties and zeros, Select returns the selection the
+// exhaustive enumeration returns — explain mode never takes the bound, so
+// it is the oracle. Costs are small integers: sums are exact in any order,
+// so "identical" means bit for bit.
+func TestSelectDeclineBoundIsExact(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	var shapes []*pattern.Pattern
+	for k := 3; k <= 5; k++ {
+		all, err := canon.AllConnectedPatterns(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shapes = append(shapes, all...)
+	}
+	trials := 200
+	if testing.Short() {
+		trials = 40
+	}
+	morphed, identity := 0, 0
+	for trial := 0; trial < trials; trial++ {
+		labeled := r.Intn(2) == 0
+		queries := make([]*pattern.Pattern, 1+r.Intn(6))
+		for i := range queries {
+			q := shapes[r.Intn(len(shapes))]
+			if labeled {
+				labels := make([]int32, q.N())
+				for v := range labels {
+					labels[v] = int32(r.Intn(2))
+				}
+				q = pattern.MustNew(q.N(), q.Edges(), pattern.WithLabels(labels))
+			}
+			queries[i] = q.Variant(pattern.Induced(r.Intn(2)))
+		}
+		// One table per trial, so both runs see the same costs: a narrow
+		// range makes ties and zeros common, a wide one makes them rare.
+		span := []int{2, 4, 1000}[r.Intn(3)]
+		table := map[uint64]Costs{}
+		costs := func(n *Node) Costs {
+			c, ok := table[n.ID]
+			if !ok {
+				c = Costs{E: float64(r.Intn(span)), V: float64(r.Intn(span))}
+				table[n.ID] = c
+			}
+			return c
+		}
+		d, err := BuildSDAG(queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, policy := range []Policy{PolicyAny, PolicyVertexOnly, PolicyEdgeOnly} {
+			want, err := Select(d, queries, costs, policy, SelectOptions{Explain: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Select(d, queries, costs, policy, SelectOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			same := len(got.Mine) == len(want.Mine) && got.CostAfter == want.CostAfter && got.CostBefore == want.CostBefore
+			for i := 0; same && i < len(got.Mine); i++ {
+				g, w := got.Mine[i], want.Mine[i]
+				same = g.Node == w.Node && g.Variant == w.Variant && g.Pattern.String() == w.Pattern.String()
+			}
+			for i := range got.Queries {
+				same = same && got.Queries[i].Morphed == want.Queries[i].Morphed
+			}
+			if !same {
+				t.Fatalf("trial %d policy %v queries %v:\n bound      %v (cost %v)\n exhaustive %v (cost %v)",
+					trial, policy, queries, got.Mine, got.CostAfter, want.Mine, want.CostAfter)
+			}
+			if got.CostAfter < got.CostBefore {
+				morphed++
+			} else {
+				identity++
+			}
+		}
+	}
+	if morphed < trials/4 || identity < trials/4 {
+		t.Fatalf("%d selections morphed, %d declined: the property needs both in numbers", morphed, identity)
+	}
+}
+
+// TestSelectDeclineBoundYieldsToScheduledSelfPair pins the case the bound
+// must not take. Under PolicyVertexOnly the edge-induced 4-cycle's own
+// vertex-induced variant costs more than it does (12 against 10), which
+// alone would decline — but that pair and the whole up-set are queries
+// already, so replacing the 4-cycle adds nothing and saves 10.
+func TestSelectDeclineBoundYieldsToScheduledSelfPair(t *testing.T) {
+	queries := []*pattern.Pattern{
+		pattern.FourCycle().AsEdgeInduced(),
+		pattern.FourCycle().AsVertexInduced(),
+		pattern.ChordalFourCycle().AsVertexInduced(),
+		pattern.FourClique(),
+	}
+	d, err := BuildSDAG(queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, explain := range []bool{false, true} {
+		sel, err := Select(d, queries, appendixA2Costs(t), PolicyVertexOnly, SelectOptions{Explain: explain})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sel.Mine) != 3 || !sel.Queries[0].Morphed || sel.CostBefore != 10+12+9+7 || sel.CostAfter != 12+9+7 {
+			t.Errorf("explain=%v: mine %v, 4-cycle:e morphed %v, cost %v -> %v; want the three scheduled pairs at 38 -> 28",
+				explain, sel.Mine, sel.Queries[0].Morphed, sel.CostBefore, sel.CostAfter)
+		}
 	}
 }

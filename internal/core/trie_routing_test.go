@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -142,6 +143,61 @@ func TestRunnerRoutesCountsMatch(t *testing.T) {
 					t.Fatalf("baseline=%v %v: merged trie %d, loop of one-leaf tries %d, oracle %d", baseline, q, got[i], per[i], want)
 				}
 			}
+		}
+	}
+}
+
+// TestMNIRunsRecordTheRoute: the MNI pipeline takes counting's decision and
+// reports it the same way — RunStats.Trie plus the trie_decision event —
+// on all three outcomes: a Planner's level is one streaming pass, an
+// explained run keeps mining per pattern for calibration (and says so), a
+// plan-less engine streams pattern by pattern. Tables agree throughout.
+func TestMNIRunsRecordTheRoute(t *testing.T) {
+	g := routingGraph(t)
+	queries := []*pattern.Pattern{pattern.FourCycle(), pattern.TailedTriangle(), pattern.Wedge()}
+	var want []string
+	for _, tc := range []struct {
+		name   string
+		r      *Runner
+		used   bool
+		reason string
+	}{
+		{"planner", &Runner{Engine: peregrine.New(2)}, true, "in one pass"},
+		{"explain", &Runner{Engine: peregrine.New(2), Explain: true}, false, explainMinesPerPattern},
+		{"no plans", &Runner{Engine: noPlanEngine{peregrine.New(2)}}, false, "no plans"},
+	} {
+		tables, st, err := tc.r.MNITables(g, queries)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if st.Trie == nil || st.Trie.Used != tc.used || !strings.Contains(st.Trie.Reason, tc.reason) {
+			t.Errorf("%s: decision %+v, want used=%v and %q in the reason", tc.name, st.Trie, tc.used, tc.reason)
+		}
+		logged := false
+		for _, e := range st.Events {
+			logged = logged || e.Name == "trie_decision" && e.Attrs["used"] == tc.used
+		}
+		if !logged {
+			t.Errorf("%s: no trie_decision event with used=%v in %v", tc.name, tc.used, eventNames(st.Events))
+		}
+		passes, perPattern := uint64(len(st.Selection.Mine)), 0
+		if tc.used {
+			passes = 1
+		}
+		if tc.r.Explain {
+			perPattern = len(st.Selection.Mine)
+		}
+		if st.Mining.TriePasses != passes || len(st.PerPattern) != perPattern {
+			t.Errorf("%s: %d passes, %d calibration rows; want %d, %d", tc.name, st.Mining.TriePasses, len(st.PerPattern), passes, perPattern)
+		}
+		var got []string
+		for _, tbl := range tables {
+			got = append(got, tbl.String())
+		}
+		if want == nil {
+			want = got
+		} else if !slices.Equal(got, want) {
+			t.Errorf("%s: tables %v, planner route %v", tc.name, got, want)
 		}
 	}
 }

@@ -86,7 +86,8 @@ func (m *Model[P]) Match(g graph.Adjacency, p *pattern.Pattern, visit Visitor) (
 }
 
 // MatchCtx implements CtxEngine: Match with cooperative cancellation and
-// visitor-panic containment. Streams are never merged across patterns.
+// visitor-panic containment. It streams one pattern; a pattern set streams
+// in one pass through BuildTrie + MatchTrieCtx (core.Runner.MatchAllCtx).
 func (m *Model[P]) MatchCtx(ctx context.Context, g graph.Adjacency, p *pattern.Pattern, visit Visitor) (*Stats, error) {
 	_, st, err := m.run(ctx, g, p, visit)
 	return st, err

@@ -23,10 +23,11 @@ import (
 // enumerates each shared partial embedding once and fans out into the
 // per-pattern subtrees, and a single plan is the one-leaf case (Backtrack).
 // A pass either counts — one count per leaf plan, the last levels never
-// materialized — or streams every match to a Visitor. Around the loop nest
-// sit the adaptive set-operation entry points (adaptive.go), the atomic
-// block cursor with tail stealing (steal.go), cooperative cancellation and
-// worker panic containment (ctx.go).
+// materialized — or streams every match to its leaf plan's own Visitor
+// (MatchTrieCtx). Around the loop nest sit the adaptive set-operation entry
+// points (adaptive.go), the atomic block cursor with tail stealing
+// (steal.go), cooperative cancellation and worker panic containment
+// (ctx.go).
 
 // Planner is implemented by engines whose execution is driven by
 // exploration plans, exposing enough for the runner to mine a whole
@@ -69,8 +70,22 @@ func BacktrackTrie(g graph.Adjacency, tr *plan.Trie, opts ExecOptions, o *obs.Ob
 // simultaneously, each reflecting the vertex blocks completed before the
 // abort took effect. The pass is one mine/trie span.
 func BacktrackTrieCtx(ctx context.Context, g graph.Adjacency, tr *plan.Trie, opts ExecOptions, o *obs.Observer) ([]uint64, *Stats, error) {
+	return MatchTrieCtx(ctx, g, tr, nil, opts, o)
+}
+
+// MatchTrieCtx is the streaming form of BacktrackTrieCtx: one pass over the
+// merged trie in which visits[i] receives every match of tr.Plans[i], in
+// that plan's pattern-vertex order, shared prefixes being enumerated once
+// for all the plans below them. Nil visits is the counting pass; otherwise
+// every plan has its visitor. The interruption contract is
+// BacktrackTrieCtx's — one partial count per plan, every match counted was
+// delivered — and a panic in any plan's visitor aborts the whole pass.
+func MatchTrieCtx(ctx context.Context, g graph.Adjacency, tr *plan.Trie, visits []Visitor, opts ExecOptions, o *obs.Observer) ([]uint64, *Stats, error) {
 	if tr == nil || len(tr.Plans) == 0 {
 		return nil, nil, fmt.Errorf("engine: nil or empty plan trie")
+	}
+	if visits != nil && (len(visits) != len(tr.Plans) || slices.ContainsFunc(visits, func(v Visitor) bool { return v == nil })) {
+		return nil, nil, fmt.Errorf("engine: streaming %d plans needs a visitor each, got %d (or a nil one)", len(tr.Plans), len(visits))
 	}
 	counts := make([]uint64, len(tr.Plans))
 	if err := CtxErr(ctx); err != nil {
@@ -79,7 +94,7 @@ func BacktrackTrieCtx(ctx context.Context, g graph.Adjacency, tr *plan.Trie, opt
 	defer obs.FromContext(ctx, o).StartSpan("mine/trie",
 		obs.Int("patterns", len(tr.Plans)),
 		obs.Int("shared_levels", tr.SharedLevels)).End()
-	st, err := getTriePass().mine(ctx, g, tr, nil, counts, opts, o)
+	st, err := getTriePass().mine(ctx, g, tr, visits, counts, opts, o)
 	return counts, st, err
 }
 
@@ -90,8 +105,8 @@ func BacktrackTrieCtx(ctx context.Context, g graph.Adjacency, tr *plan.Trie, opt
 // pooled struct rather than locals captured by goroutine closures for the
 // allocation trajectory: locals captured by N closures escape one by one,
 // while a pooled carrier costs nothing in steady state — a pass allocates
-// the Stats it returns and nothing else, which is what lets a query made
-// of hundreds of tiny executions (FSM) run them all through here.
+// the Stats it returns and nothing else, so a caller that runs hundreds of
+// tiny executions (a per-pattern loop) pays the executor no garbage.
 type triePass struct {
 	cursor int64  // atomic block claim cursor; leading for 64-bit alignment
 	found  uint64 // atomic: matches so far, maintained under MatchLimit only
@@ -113,14 +128,15 @@ type triePass struct {
 
 	tr      *plan.Trie
 	labeled bool             // some node asks for a label
-	visit   Visitor          // nil: counting pass
+	visits  []Visitor        // per plan; nil: counting pass
 	info    []trieExecInfo   // per node ID
 	nodes   []*plan.TrieNode // parents before children, the order Stats.TrieNodes reports
 	path    []*plan.TrieNode // classify: ancestors of the node in hand, root first
 	coll    []*plan.TrieNode // backs info[].collapsed
 	ints    []int            // backs info[].check
 
-	single plan.Trie // BacktrackCtx: the one-leaf trie of its plan
+	single plan.Trie  // BacktrackCtx: the one-leaf trie of its plan
+	one    [1]Visitor // and the visitor list of its streaming pass
 }
 
 var triePassPool = sync.Pool{New: func() any { return new(triePass) }}
@@ -146,21 +162,18 @@ func (ps *triePass) release() {
 	clear(ps.coll)
 	ps.coll, ps.ints = ps.coll[:0], ps.ints[:0]
 	ps.done, ps.fi, ps.live, ps.panicErr = nil, nil, nil, nil
-	ps.tr, ps.visit = nil, nil
+	ps.tr, ps.visits, ps.one[0] = nil, nil, nil
 	ps.single.Reset() // cannot fail without plans
 	triePassPool.Put(ps)
 }
 
 // mine runs the pass: tr over g on opts.ThreadCount() workers, counts[i]
-// receiving plan i's matches and visit, when non-nil, every match. It
-// releases ps.
-func (ps *triePass) mine(ctx context.Context, g graph.Adjacency, tr *plan.Trie, visit Visitor, counts []uint64, opts ExecOptions, o *obs.Observer) (*Stats, error) {
+// receiving plan i's matches and visits[i], in a streaming pass, each of
+// them. It releases ps.
+func (ps *triePass) mine(ctx context.Context, g graph.Adjacency, tr *plan.Trie, visits []Visitor, counts []uint64, opts ExecOptions, o *obs.Observer) (*Stats, error) {
 	fi := faultinject.Active()
 	ctx, fiStop := fi.Context(ctx)
 	defer fiStop()
-	if visit != nil {
-		visit = fi.Visitor(visit) // counting passes meet the fault in run (MatchesCounted)
-	}
 	start := time.Now()
 	// A run scope on the context (obs.ContextWithRun) wins over the
 	// caller's explicit observer: metrics and spans land in the current
@@ -187,7 +200,7 @@ func (ps *triePass) mine(ctx context.Context, g graph.Adjacency, tr *plan.Trie, 
 	// match deltas to this sharded cell at block granularity, so live
 	// readers (progress, /metrics) see movement without slowing matching.
 	ps.live = o.Counter(MetricMatches)
-	ps.tr, ps.visit = tr, visit
+	ps.tr, ps.visits = tr, visits
 	ps.classify()
 
 	if cap(ps.workers) < threads {
@@ -339,7 +352,7 @@ func (ps *triePass) mineRange(w *trieWorker) {
 	w.runRoot()
 	found := w.total() - before
 	ps.live.Add(w.id, found)
-	if ps.visit == nil {
+	if ps.visits == nil { // a streaming pass meets the fault in its visitors
 		ps.fi.MatchesCounted(w.id, found)
 	}
 }
@@ -438,7 +451,7 @@ func (ps *triePass) classifyNode(n *plan.TrieNode) {
 		}
 	}
 	ps.path = ps.path[:len(ps.path)-1]
-	if ps.visit != nil {
+	if ps.visits != nil {
 		ei.tail = childless
 		return
 	}
@@ -482,7 +495,7 @@ type trieWorker struct {
 	pins       rowPins         // adjacency rows of the bound prefix
 	tr         *plan.Trie
 	info       []trieExecInfo
-	visit      Visitor
+	stream     bool // streaming pass: outs delivers every match
 	instrument bool
 
 	st     Stats
@@ -552,12 +565,13 @@ type trieBase struct {
 	stamp uint64
 }
 
-// trieOut assembles one leaf plan's matches for the visitor, in
+// trieOut assembles one leaf plan's matches for the plan's visitor, in
 // pattern-vertex order: m[plan.Order[j]] is the vertex bound at depth j.
 type trieOut struct {
 	m     []uint32 // worker scratch, one slot per pattern vertex
 	order []int    // the plan's Order
 	last  int      // the pattern vertex the plan's final level binds
+	visit Visitor  // the plan's, behind the pass's fault injector
 }
 
 // trieCursor counts one collapsed leaf over one execution of its parent.
@@ -615,7 +629,7 @@ func getTrieWorker(id int, g graph.Adjacency, ps *triePass, instrument bool, max
 	w.pins.bind(w.match)
 	w.tr = tr
 	w.info = ps.info
-	w.visit = ps.visit
+	w.stream = ps.visits != nil
 	w.instrument = instrument
 	const pad = 8 // uint64s in a cache line, and at least one in trieNodeCounts
 	plans, nodes := len(tr.Plans), tr.Nodes
@@ -642,7 +656,7 @@ func getTrieWorker(id int, g graph.Adjacency, ps *triePass, instrument bool, max
 	for i := 0; ps.labeled && i < w.d && w.lab[i] == nil; i++ {
 		w.lab[i] = w.alloc(w.maxDeg)
 	}
-	if ps.visit != nil {
+	if w.stream {
 		if len(w.outs) < plans {
 			w.outs = append(w.outs, make([]trieOut, plans-len(w.outs))...)
 		}
@@ -652,6 +666,7 @@ func getTrieWorker(id int, g graph.Adjacency, ps *triePass, instrument bool, max
 				o.m = w.alloc(pattern.MaxVertices)
 			}
 			o.m, o.order, o.last = o.m[:len(pl.Order)], pl.Order, pl.Order[len(pl.Order)-1]
+			o.visit = ps.fi.Visitor(ps.visits[i]) // one injector: panic@N counts matches across plans
 		}
 	}
 	w.st = Stats{}
@@ -702,11 +717,10 @@ func (w *trieWorker) release() {
 	w.vlabels = nil
 	w.tr = nil
 	w.info = nil
-	w.visit = nil
 	w.pass = nil
 	w.raw = [pattern.MaxVertices][]uint32{}
 	for i := range w.outs {
-		w.outs[i].order = nil
+		w.outs[i].order, w.outs[i].visit = nil, nil
 	}
 	for _, cs := range w.curs {
 		clear(cs) // cursor bases alias rows of the graph
@@ -752,7 +766,7 @@ func (w *trieWorker) runRoot() {
 			for _, br := range root.Branches {
 				for _, idx := range br.Leaves {
 					w.counts[idx]++
-					if w.visit != nil {
+					if w.stream {
 						w.emit(&w.outs[idx], v)
 					}
 				}
@@ -848,7 +862,7 @@ func (w *trieWorker) exec(node *plan.TrieNode, depth int, timed bool) {
 			}
 			for _, idx := range br.Leaves {
 				w.counts[idx]++
-				if w.visit != nil {
+				if w.stream {
 					w.prefix(idx, depth)
 					w.emit(&w.outs[idx], v)
 				}
@@ -914,7 +928,7 @@ func (w *trieWorker) deliver(idx int, cands []uint32, depth int) {
 	o, count := &w.outs[idx], &w.counts[idx]
 	m, slot := o.m, &o.m[o.last]
 	bound := w.match[:depth]
-	id, visit, instrument := w.id, w.visit, w.instrument
+	id, visit, instrument := w.id, o.visit, w.instrument
 	for _, v := range cands {
 		if slices.Contains(bound, v) {
 			continue
@@ -983,7 +997,7 @@ func (w *trieWorker) emit(o *trieOut, v uint32) {
 		t0 = time.Now()
 	}
 	w.st.UDFCalls++
-	w.visit(w.id, o.m)
+	o.visit(w.id, o.m)
 	if w.instrument {
 		w.st.UDFTime += time.Since(t0)
 	}

@@ -14,14 +14,14 @@ import (
 )
 
 // TestMergedStreamingPass streams a whole pattern set in one pass of its
-// merged trie — what no entry point does yet, and what the executor is
-// built to do: every leaf plan's matches reach the visitor exactly once,
-// each tuple indexed by its own plan's pattern vertices whatever depth the
-// plan ends at. The set is all six vertex-induced 4-motifs plus the
-// vertex-induced wedge and triangle, which end on inner nodes of the
-// trie; vertex-induced patterns of one size exclude each other, so a tuple
-// names its plan. Run on plain CSR, with hub bitmaps and on the compressed
-// tier (CI: also under -race).
+// merged trie through MatchTrieCtx: every leaf plan's matches reach that
+// plan's own visitor exactly once, each tuple indexed by the plan's pattern
+// vertices whatever depth the plan ends at. The set is all six
+// vertex-induced 4-motifs plus the vertex-induced wedge and triangle, which
+// end on inner nodes of the trie; vertex-induced patterns of one size
+// exclude each other, so a tuple names its plan and a visitor handed
+// another plan's match shows. Run on plain CSR, with hub bitmaps and on the
+// compressed tier (CI: also under -race).
 func TestMergedStreamingPass(t *testing.T) {
 	var ps []*pattern.Pattern
 	for k := 3; k <= 4; k++ {
@@ -68,6 +68,13 @@ func TestMergedStreamingPass(t *testing.T) {
 		return -1
 	}
 
+	// A streaming pass has a visitor for every plan or does not start.
+	for _, bad := range [][]Visitor{make([]Visitor, len(ps)), {func(int, []uint32) {}}} {
+		if _, _, err := MatchTrieCtx(context.Background(), plain, tr, bad, ExecOptions{}, nil); err == nil {
+			t.Errorf("a pass over %d plans accepted %d visitors, nil among them or too few", len(ps), len(bad))
+		}
+	}
+
 	hubs, err := dataset.ErdosRenyi(45, 7, 0, 29)
 	if err != nil {
 		t.Fatal(err)
@@ -85,22 +92,24 @@ func TestMergedStreamingPass(t *testing.T) {
 				got[i] = map[string]int{}
 			}
 			strays := 0
-			counts := make([]uint64, len(ps))
-			st, err := getTriePass().mine(context.Background(), g, tr, func(_ int, m []uint32) {
-				i := planOf(m)
-				mu.Lock()
-				defer mu.Unlock()
-				if i < 0 {
-					strays++
-					return
+			visits := make([]Visitor, len(ps))
+			for i := range ps {
+				visits[i] = func(_ int, m []uint32) {
+					mu.Lock()
+					defer mu.Unlock()
+					if planOf(m) != i {
+						strays++
+						return
+					}
+					got[i][fmt.Sprint(canon.CanonicalMatch(ps[i], m, auts[i]))]++
 				}
-				got[i][fmt.Sprint(canon.CanonicalMatch(ps[i], m, auts[i]))]++
-			}, counts, ExecOptions{Threads: threads}, nil)
+			}
+			counts, st, err := MatchTrieCtx(context.Background(), g, tr, visits, ExecOptions{Threads: threads}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if strays != 0 {
-				t.Errorf("%s threads=%d: %d tuples are no embedding of any plan's pattern in pattern-vertex order", name, threads, strays)
+				t.Errorf("%s threads=%d: %d tuples are no embedding of their visitor's pattern in pattern-vertex order", name, threads, strays)
 			}
 			for i, p := range ps {
 				if counts[i] != uint64(len(want[i])) || len(got[i]) != len(want[i]) {

@@ -5,10 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"morphing/internal/aggr"
+	"morphing/internal/apps/fsm"
 	"morphing/internal/autozero"
 	"morphing/internal/bigjoin"
 	"morphing/internal/core"
@@ -438,5 +441,202 @@ func TestCancelRaceStress(t *testing.T) {
 				t.Fatalf("trial %d %s: hard error %v", trial, e.Name(), err)
 			}
 		}
+	}
+}
+
+// mergedLevel is an FSM level worth interrupting: the 3-edge candidates of
+// a labeled graph, mined by a Planner in one merged streaming pass.
+func mergedLevel(t *testing.T) (*graph.Graph, []*pattern.Pattern) {
+	t.Helper()
+	g, err := dataset.ErdosRenyi(300, 8, 3, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	levels := fsmLevels(t, g, g.NumVertices()/10)
+	return g, levels[len(levels)-1]
+}
+
+// checkMergedPartial asserts the interruption contract of the merged MNI
+// route: no tables, the mining phase, the merged decision, and one partial
+// count per mined pattern that sum to what the pass delivered.
+func checkMergedPartial(t *testing.T, tables []*aggr.Table, st *core.RunStats) uint64 {
+	t.Helper()
+	if tables != nil {
+		t.Fatal("interrupted run returned tables")
+	}
+	if st == nil || st.Phase != core.PhaseMine || st.Trie == nil || !st.Trie.Used {
+		t.Fatalf("interrupted run stats %+v", st)
+	}
+	if len(st.Partial) != len(st.Selection.Mine) {
+		t.Fatalf("%d partial counts for %d mined patterns", len(st.Partial), len(st.Selection.Mine))
+	}
+	var sum uint64
+	for _, pc := range st.Partial {
+		sum += pc.Count
+	}
+	if st.Mining == nil || sum != st.Mining.Matches || st.Mining.TriePasses != 1 {
+		t.Fatalf("partial counts sum to %d, mining stats %+v", sum, st.Mining)
+	}
+	return sum
+}
+
+// TestMergedMNILifecycle interrupts MNITablesCtx on the merged route —
+// an FSM level as one streaming pass — every way the contract names: a
+// cancel mid-pass, a visitor panic at match N counted across plans, a
+// pre-expired context, and the same panic after MemoryBudget degraded the
+// run to on-the-fly conversion. Interrupted runs return stats.Partial with
+// one count per mined pattern and never a table; no worker outlives its
+// pass. Run under -race in CI.
+func TestMergedMNILifecycle(t *testing.T) {
+	leakCheck(t)
+	g, level := mergedLevel(t)
+	r := &core.Runner{Engine: peregrine.New(3)}
+	full, fst, err := r.MNITablesCtx(context.Background(), g, level)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := fst.Mining.Matches
+	perPlan, _, err := r.Engine.CountAll(g, level)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if most := slices.Max(perPlan); fst.Mining.TriePasses != 1 || most >= total/2 {
+		t.Fatalf("clean run: %d passes, %d matches, %d of them one plan's", fst.Mining.TriePasses, total, most)
+	}
+
+	t.Run("cancel mid-pass", func(t *testing.T) {
+		disarm, err := faultinject.Arm(faultinject.Config{CancelAfter: time.Millisecond, StallWorker: 0, StallFor: 5 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer disarm()
+		tables, st, err := r.MNITablesCtx(context.Background(), g, level)
+		if err == nil {
+			t.Skip("worker 0 claimed no block; injection not observable on this run")
+		}
+		if !errors.Is(err, engine.ErrCanceled) {
+			t.Fatalf("err = %v, want ErrCanceled", err)
+		}
+		// The siblings may drain every other block while worker 0 sleeps on
+		// its first, so the partial counts can add up to the whole level;
+		// they are reported as partial all the same, and no table is built.
+		if got := checkMergedPartial(t, tables, st); got > total {
+			t.Fatalf("canceled pass delivered %d of %d matches", got, total)
+		}
+	})
+
+	for _, budget := range []uint64{0, 1} {
+		t.Run(fmt.Sprintf("panic at match, budget %d", budget), func(t *testing.T) {
+			// More than any one plan delivers (checked above): only an
+			// ordinal counted across plans gets there.
+			target := total / 2
+			disarm, err := faultinject.Arm(faultinject.Config{PanicAtMatch: target, PanicMessage: "merged boom"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer disarm()
+			rb := &core.Runner{Engine: peregrine.New(3), MemoryBudget: budget}
+			tables, st, err := rb.MNITablesCtx(context.Background(), g, level)
+			var pe *engine.PanicError
+			if !errors.As(err, &pe) || fmt.Sprint(pe.Value) != "merged boom" {
+				t.Fatalf("err = %v, want the injected *engine.PanicError", err)
+			}
+			if want := map[uint64]string{0: "batched", 1: "on-the-fly"}[budget]; st == nil || st.ConversionMode != want {
+				t.Fatalf("budget %d ran %+v, want %s", budget, st, want)
+			}
+			if got := checkMergedPartial(t, tables, st); got < target || got >= total {
+				t.Fatalf("pass delivered %d matches, panic armed at %d of %d", got, target, total)
+			}
+		})
+	}
+
+	t.Run("pre-expired", func(t *testing.T) {
+		ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Hour))
+		defer cancel()
+		if tables, _, err := r.MNITablesCtx(ctx, g, level); tables != nil || !errors.Is(err, engine.ErrDeadlineExceeded) {
+			t.Fatalf("tables %v, err %v", tables, err)
+		}
+		// The pass itself: nothing mined, still one (zero) count per plan.
+		mine := make([]core.Choice, len(level))
+		visits := make([]engine.Visitor, len(level))
+		for i, p := range level {
+			mine[i], visits[i] = core.Choice{Pattern: p}, func(int, []uint32) { t.Error("pre-expired pass delivered a match") }
+		}
+		var st core.RunStats
+		err := r.MatchAllCtx(ctx, g, mine, visits, &st)
+		if !errors.Is(err, engine.ErrDeadlineExceeded) || len(st.Partial) != len(level) || !st.Trie.Used {
+			t.Fatalf("err %v, %d partials, decision %+v", err, len(st.Partial), st.Trie)
+		}
+	})
+
+	t.Run("memory budget degrades on the merged route", func(t *testing.T) {
+		tables, st, err := (&core.Runner{Engine: peregrine.New(3), MemoryBudget: 1}).MNITablesCtx(context.Background(), g, level)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.ConversionMode != "on-the-fly" || !st.Trie.Used || st.Mining.TriePasses != 1 || st.Partial != nil {
+			t.Fatalf("degraded run: mode %q, decision %+v, %d passes, partial %v", st.ConversionMode, st.Trie, st.Mining.TriePasses, st.Partial)
+		}
+		for i := range full {
+			if !tables[i].Equal(full[i]) {
+				t.Errorf("%v: on-the-fly table differs from batched", level[i])
+			}
+		}
+	})
+}
+
+// TestFSMMineLifecycleOnMergedRoute arms a panic that fires inside the
+// third level's pass (the ordinal runs across passes): fsm.MineCtx must
+// return exactly the frequent patterns the two completed levels proved,
+// the typed error, and the interrupted level's RunStats with a partial
+// count per candidate. A pre-expired context proves nothing.
+func TestFSMMineLifecycleOnMergedRoute(t *testing.T) {
+	leakCheck(t)
+	g, _ := mergedLevel(t)
+	opts := fsm.Options{MaxEdges: 3, MinSupport: g.NumVertices() / 10}
+	eng := peregrine.New(3)
+	want, clean, err := fsm.Mine(g, eng, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(clean.Runs) != 3 || clean.Mining.TriePasses != 3 {
+		t.Fatalf("clean run: %d levels, %d passes", len(clean.Runs), clean.Mining.TriePasses)
+	}
+	target := clean.Runs[0].Mining.Matches + clean.Runs[1].Mining.Matches + clean.Runs[2].Mining.Matches/2
+	disarm, err := faultinject.Arm(faultinject.Config{PanicAtMatch: target})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, st, err := fsm.MineCtx(context.Background(), g, eng, opts)
+	disarm()
+	var pe *engine.PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %v, want *engine.PanicError", err)
+	}
+	var proven []fsm.Frequent
+	for _, f := range want {
+		if f.Pattern.EdgeCount() < 3 {
+			proven = append(proven, f)
+		}
+	}
+	if len(got) != len(proven) || len(proven) == 0 {
+		t.Fatalf("interrupted run returned %d frequent patterns, completed levels proved %d", len(got), len(proven))
+	}
+	for _, f := range got {
+		if f.Pattern.EdgeCount() >= 3 {
+			t.Errorf("%v (support %d) comes from the interrupted level", f.Pattern, f.Support)
+		}
+	}
+	if len(st.Runs) != 3 {
+		t.Fatalf("stats cover %d levels, want 3", len(st.Runs))
+	}
+	if last := st.Runs[2]; len(last.Partial) != len(last.Selection.Mine) || last.Phase != core.PhaseMine {
+		t.Fatalf("interrupted level: %d partials for %d candidates, phase %q", len(last.Partial), len(last.Selection.Mine), last.Phase)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if got, _, err := fsm.MineCtx(ctx, g, eng, opts); !errors.Is(err, engine.ErrCanceled) || len(got) != 0 {
+		t.Fatalf("pre-canceled run: %d frequent patterns, err %v", len(got), err)
 	}
 }

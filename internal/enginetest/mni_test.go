@@ -1,14 +1,18 @@
 package enginetest
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"morphing/internal/aggr"
+	"morphing/internal/apps/fsm"
 	"morphing/internal/autozero"
 	"morphing/internal/bigjoin"
 	"morphing/internal/canon"
 	"morphing/internal/core"
+	"morphing/internal/dataset"
 	"morphing/internal/engine"
 	"morphing/internal/graph"
 	"morphing/internal/graphpi"
@@ -103,5 +107,106 @@ func TestMNITablesEqualInsertAllOracle(t *testing.T) {
 	}
 	if routes["batched"] == 0 || routes["on-the-fly"] == 0 {
 		t.Errorf("pipeline runs by conversion route: %v, want both exercised", routes)
+	}
+}
+
+// fsmLevels returns the candidate set of every level of a 3-edge FSM run
+// on g: the pattern sets a real query hands MNITablesCtx, hundreds of
+// labeled patterns sharing prefixes.
+func fsmLevels(t testing.TB, g *graph.Graph, minSupport int) [][]*pattern.Pattern {
+	t.Helper()
+	_, st, err := fsm.Mine(g, peregrine.New(2), fsm.Options{MaxEdges: 3, MinSupport: minSupport})
+	if err != nil {
+		t.Fatal(err)
+	}
+	levels := make([][]*pattern.Pattern, len(st.Runs))
+	for i, run := range st.Runs {
+		for _, q := range run.Selection.Queries {
+			levels[i] = append(levels[i], q.Pattern)
+		}
+	}
+	return levels
+}
+
+// TestMergedMNIRouteEqualsPerPatternAndOracle is the differential test of
+// the one-pass-per-level route: over random labeled graphs (Erdős–Rényi
+// and the MI recipe at tiny scale) and every FSM level's real candidate
+// set, the tables of one merged streaming pass (core.Runner.MatchAllCtx,
+// a sink per plan) equal the per-pattern core.MineMNITable tables and the
+// refmatch + InsertAll oracle, on all four engines, the plain and the
+// compressed tier, 1 and 4 threads. The engines that match vertex-induced
+// patterns natively also run the level through MNITablesCtx, which must
+// take the merged route: one executor pass for the whole level.
+func TestMergedMNIRouteEqualsPerPatternAndOracle(t *testing.T) {
+	er, err := dataset.ErdosRenyi(70, 6, 3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mi, err := dataset.MiCo().Scaled(0.0012).Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for gi, plain := range []*graph.Graph{er, mi} {
+		compressed, err := graph.Compress(plain, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		levels := fsmLevels(t, plain, plain.NumVertices()/12)
+		if len(levels) != 3 || len(levels[2]) < 10 {
+			t.Fatalf("graph %d: FSM levels %d, last with %d candidates: the recipe no longer exercises a merged level", gi, len(levels), len(levels[len(levels)-1]))
+		}
+		for li, ps := range levels {
+			want := make([]*aggr.Table, len(ps))
+			mine := make([]core.Choice, len(ps))
+			for i, p := range ps {
+				want[i], mine[i] = mniOracle(plain, p), core.Choice{Pattern: p}
+			}
+			for tier, g := range map[string]graph.Adjacency{"plain": plain, "compressed": compressed} {
+				for _, threads := range []int{1, 4} {
+					for _, e := range []engine.Engine{peregrine.New(threads), autozero.New(threads), graphpi.New(threads), bigjoin.New(threads)} {
+						name := fmt.Sprintf("graph %d level %d %s %s threads=%d", gi, li+1, tier, e.Name(), threads)
+						sinks := make([]engine.Shards[aggr.Table], len(ps))
+						visits := make([]engine.Visitor, len(ps))
+						for i := range ps {
+							visits[i] = func(worker int, m []uint32) { sinks[i].For(worker).Insert(m) }
+						}
+						var st core.RunStats
+						if err := (&core.Runner{Engine: e}).MatchAllCtx(context.Background(), g, mine, visits, &st); err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						if !st.Trie.Used || st.Mining.TriePasses != 1 {
+							t.Fatalf("%s: decision %+v, %d passes: not the merged route", name, st.Trie, st.Mining.TriePasses)
+						}
+						for i, p := range ps {
+							merged := aggr.NewTable(p.N())
+							sinks[i].Each(merged.Merge)
+							merged.Saturate(canon.Automorphisms(p))
+							single, _, err := core.MineMNITable(e, g, p)
+							if err != nil {
+								t.Fatalf("%s %v: %v", name, p, err)
+							}
+							if !merged.Equal(want[i]) || !single.Equal(want[i]) {
+								t.Errorf("%s %v: merged pass %v, per pattern %v, oracle %v", name, p, merged, single, want[i])
+							}
+						}
+						if !e.SupportsInduced(pattern.VertexInduced) {
+							continue
+						}
+						tables, rs, err := (&core.Runner{Engine: e, DisableMorphing: li%2 == 1}).MNITables(g, ps)
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						if rs.Trie == nil || !rs.Trie.Used || rs.Mining.TriePasses != 1 {
+							t.Fatalf("%s: MNITables decision %+v, %d passes", name, rs.Trie, rs.Mining.TriePasses)
+						}
+						for i, p := range ps {
+							if !tables[i].Equal(want[i]) {
+								t.Errorf("%s MNITables %v: %v, oracle %v", name, p, tables[i], want[i])
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }
