@@ -27,8 +27,14 @@ import (
 // dispatch inside internal/setops. The dispatch lives here, next to the
 // graph, which owns the hub index. Depths are positions in the executor's
 // match prefix throughout.
+//
+// A labeled level whose Connect rows can carry its label
+// (trieExecInfo.rowLabel) passes it down here, and the entry points read
+// each such row's label slice in place of the pinned row: N_L(a) ∩ N_L(b) =
+// (N(a) ∩ N(b))_L, label-pure without a scan. Disconnect rows stay whole.
 type rowPins struct {
 	g     graph.Adjacency // the worker's view
+	lrows labelRower      // the graph behind g, when it serves label rows (set by the pass)
 	match []uint32        // the executor's prefix: match[j] is bound at depth j
 	pins  []pin
 	hits  uint64 // pinned-row edge probes not yet reported to the view
@@ -45,6 +51,13 @@ type pin struct {
 // (graph's compressed view): a probe answered from a pinned row decodes
 // nothing, which is what graph.DecodeStats calls a probe hit.
 type probeHitCounter interface{ CountProbeHits(n uint64) }
+
+// labelRower is implemented by graphs that serve a row's label slice from
+// immutable storage any worker may read (graph.Graph.LabelRow). On the
+// others — compressed and mmap tiers, test wrappers — labeled levels scan.
+type labelRower interface {
+	LabelRow(v uint32, label int32) []uint32
+}
 
 // reset prepares the pins for an execution over g (the worker's own
 // view) with the given number of depths, dropping every pinned row but
@@ -72,7 +85,7 @@ func (p *rowPins) release() {
 		c.CountProbeHits(p.hits)
 	}
 	p.hits = 0
-	p.g, p.match = nil, nil
+	p.g, p.lrows, p.match = nil, nil, nil
 	all := p.pins[:cap(p.pins)]
 	for i := range all {
 		all[i].ok, all[i].row = false, nil
@@ -90,6 +103,15 @@ func (p *rowPins) row(j int) []uint32 {
 	return pn.row
 }
 
+// connRow returns what a Connect operand reads of the vertex bound at depth
+// j: the pinned row, or under a label its label slice (an alias of the graph).
+func (p *rowPins) connRow(j int, label int32) []uint32 {
+	if label == pattern.Unlabeled {
+		return p.row(j)
+	}
+	return p.lrows.LabelRow(p.match[j], label)
+}
+
 // adjacent reports whether the vertices bound at depths a and b are
 // adjacent, by binary search in a pinned row: b's — callers pass a depth
 // whose row the level's set operations already fetched — or a's when
@@ -104,13 +126,14 @@ func (p *rowPins) adjacent(a, b int) bool {
 }
 
 // intersectNeighbors intersects cur with the adjacency row of the vertex
-// bound at depth j into dst[:0]. cur must be sorted duplicate-free; the
-// result is too.
-func (p *rowPins) intersectNeighbors(dst, cur []uint32, j int, st *setops.Stats) []uint32 {
-	if bits := p.g.HubBits(p.match[j]); bits != nil {
+// bound at depth j — under a label, with that row's label slice, which a
+// hub's bitmap cannot stand in for — into dst[:0]. cur must be sorted
+// duplicate-free; the result is too.
+func (p *rowPins) intersectNeighbors(dst, cur []uint32, j int, label int32, st *setops.Stats) []uint32 {
+	if bits := p.g.HubBits(p.match[j]); bits != nil && label == pattern.Unlabeled {
 		return setops.IntersectBits(dst, cur, bits, st)
 	}
-	return setops.Intersect(dst, cur, p.row(j), st)
+	return setops.Intersect(dst, cur, p.connRow(j, label), st)
 }
 
 // differenceNeighbors subtracts the adjacency row of the vertex bound at
@@ -123,12 +146,13 @@ func (p *rowPins) differenceNeighbors(dst, cur []uint32, j int, st *setops.Stats
 }
 
 // intersectCountF counts the elements of cur adjacent to the vertex bound
-// at depth j that pass f, without materializing them.
-func (p *rowPins) intersectCountF(cur []uint32, j int, f setops.Filter, st *setops.Stats) uint64 {
-	if bits := p.g.HubBits(p.match[j]); bits != nil {
+// at depth j (and, under a label, carrying it) that pass f, without
+// materializing them.
+func (p *rowPins) intersectCountF(cur []uint32, j int, f setops.Filter, label int32, st *setops.Stats) uint64 {
+	if bits := p.g.HubBits(p.match[j]); bits != nil && label == pattern.Unlabeled {
 		return setops.IntersectBitsCountF(cur, bits, f, st)
 	}
-	return setops.IntersectCountF(cur, p.row(j), f, st)
+	return setops.IntersectCountF(cur, p.connRow(j, label), f, st)
 }
 
 // differenceCountF counts the elements of cur not adjacent to the vertex
@@ -146,15 +170,16 @@ func (p *rowPins) differenceCountF(cur []uint32, j int, f setops.Filter, st *set
 // worker-owned scratch, returned (possibly regrown) for reuse. With a
 // single conn depth and no disc depth no set operation runs and the
 // result is the pinned row itself, valid while that depth stays bound.
-func (p *rowPins) candidates(conn, disc []int, bufA, bufB []uint32, st *setops.Stats) (cur, a, b []uint32) {
+// Under a label every conn row is read as its label slice.
+func (p *rowPins) candidates(conn, disc []int, label int32, bufA, bufB []uint32, st *setops.Stats) (cur, a, b []uint32) {
 	base := p.smallest(conn)
-	cur = p.row(base)
+	cur = p.connRow(base, label)
 	out, spare := bufA, bufB
 	for _, j := range conn {
 		if j == base {
 			continue
 		}
-		cur = p.intersectNeighbors(out, cur, j, st)
+		cur = p.intersectNeighbors(out, cur, j, label, st)
 		out, spare = spare, cur
 	}
 	for _, j := range disc {
@@ -201,6 +226,15 @@ func levelFilter(g graph.Adjacency, lo, hi uint32, want int32) (f setops.Filter,
 	return f, true
 }
 
+// kernelFilter returns what is left of a level's filter f for the set
+// kernels to test when the rows they read carry label: the window alone.
+func kernelFilter(f setops.Filter, label int32) setops.Filter {
+	if label != pattern.Unlabeled {
+		f.Labels = nil
+	}
+	return f
+}
+
 // unconnected appends to dst the depths below depth that are not in conn:
 // the bound positions a count-only level has to correct for (see
 // countExtensions). It depends on the plan alone, so executors resolve it
@@ -236,14 +270,18 @@ next:
 // qualify against itself and stays in check. bufA and bufB are
 // worker-owned scratch for the intermediate sets; the (possibly regrown)
 // buffers are returned for reuse.
-func (p *rowPins) countExtensions(conn, disc, check []int, f setops.Filter, bufA, bufB []uint32, st *setops.Stats) (uint64, []uint32, []uint32) {
+// f is the level's whole filter: the kernels get kernelFilter's share of it,
+// while a bound vertex is held against all of f — one with another label
+// was never counted.
+func (p *rowPins) countExtensions(conn, disc, check []int, f setops.Filter, label int32, bufA, bufB []uint32, st *setops.Stats) (uint64, []uint32, []uint32) {
 	g := p.g
+	kf := kernelFilter(f, label)
 	var count uint64
 	switch {
 	case len(conn) == 1 && len(disc) == 0:
 		// No set operation at all: the count is window arithmetic over one
-		// adjacency list (plus a label scan on labeled levels).
-		count = setops.CountF(p.row(conn[0]), f, st)
+		// adjacency list (plus a label scan where the row cannot carry it).
+		count = setops.CountF(p.connRow(conn[0], label), kf, st)
 	case len(conn) == 2 && len(disc) == 0 && g.HubBits(p.match[conn[0]]) != nil && g.HubBits(p.match[conn[1]]) != nil:
 		count = setops.AndCountF(g.HubBits(p.match[conn[0]]), g.HubBits(p.match[conn[1]]), f, st)
 	default:
@@ -259,13 +297,13 @@ func (p *rowPins) countExtensions(conn, disc, check []int, f setops.Filter, bufA
 				}
 			}
 		}
-		cur := p.row(base)
+		cur := p.connRow(base, label)
 		out, spare := bufA, bufB
 		for _, j := range conn {
 			if j == base || j == lastConn {
 				continue
 			}
-			cur = p.intersectNeighbors(out, cur, j, st)
+			cur = p.intersectNeighbors(out, cur, j, label, st)
 			out, spare = spare, cur
 		}
 		for i := 0; i < len(disc)-1; i++ {
@@ -274,9 +312,9 @@ func (p *rowPins) countExtensions(conn, disc, check []int, f setops.Filter, bufA
 		}
 		bufA, bufB = out, spare
 		if len(disc) > 0 {
-			count = p.differenceCountF(cur, disc[len(disc)-1], f, st)
+			count = p.differenceCountF(cur, disc[len(disc)-1], kf, st)
 		} else {
-			count = p.intersectCountF(cur, lastConn, f, st)
+			count = p.intersectCountF(cur, lastConn, kf, label, st)
 		}
 	}
 

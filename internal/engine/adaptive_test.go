@@ -173,6 +173,9 @@ func TestCountExtensionsMatchesMaterialized(t *testing.T) {
 		{[]uint32{3, 17, 29}, []uint32{5, 40}, setops.Window(1, 69)},
 		{[]uint32{3}, nil, setops.Filter{Hi: ^uint32(0), Labels: g.Labels(), Want: 1}},
 		{[]uint32{3, 17}, []uint32{5}, setops.Filter{Lo: 4, Hi: 66, Labels: g.Labels(), Want: 0}},
+		{[]uint32{3, 17}, nil, setops.Filter{Hi: ^uint32(0), Labels: g.Labels(), Want: 0}},
+		{[]uint32{3, 17, 29}, nil, setops.Filter{Hi: ^uint32(0), Labels: g.Labels(), Want: 1}},
+		{[]uint32{8}, []uint32{3, 17}, setops.Filter{Lo: 1, Hi: 69, Labels: g.Labels(), Want: 1}},
 	}
 	run := func(name string, a graph.Adjacency) {
 		var pins rowPins
@@ -191,12 +194,21 @@ func TestCountExtensionsMatchesMaterialized(t *testing.T) {
 				disc = append(disc, len(tc.conn)+j)
 			}
 			pins.reset(a.View(), len(bound))
+			pins.lrows, _ = a.(labelRower)
 			pins.bind(bound)
 			var st setops.Stats
 			var got uint64
-			got, bufA, bufB = pins.countExtensions(conn, disc, unconnected(nil, len(bound), conn), tc.f, bufA, bufB, &st)
-			if want := reference(tc.conn, tc.disc, tc.f, bound); got != want {
+			want := reference(tc.conn, tc.disc, tc.f, bound)
+			got, bufA, bufB = pins.countExtensions(conn, disc, unconnected(nil, len(bound), conn), tc.f, pattern.Unlabeled, bufA, bufB, &st)
+			if got != want {
 				t.Errorf("%s case %d: CountExtensions=%d, reference=%d", name, i, got, want)
+			}
+			// The same level with the conn rows carrying the label.
+			if tc.f.Labels != nil && pins.lrows != nil {
+				got, bufA, bufB = pins.countExtensions(conn, disc, unconnected(nil, len(bound), conn), tc.f, tc.f.Want, bufA, bufB, &st)
+				if got != want {
+					t.Errorf("%s case %d: CountExtensions over label rows=%d, reference=%d", name, i, got, want)
+				}
 			}
 		}
 	}

@@ -107,7 +107,12 @@ type Stats struct {
 	// plan level (0 = root). The ratio Extended/Candidates at each level
 	// is the measured selectivity the §5.2 cost model predicts via
 	// candidate-set sizes; comparing the two per level is how calibration
-	// localizes mispredictions. Count-only last levels record their
+	// localizes mispredictions. Candidates is the vertices the level
+	// examined: the clipped set it tested one by one for label, window
+	// and reuse. A labeled level that reads label rows (plain CSR) never
+	// sees the other labels' vertices, so it examines fewer than the same
+	// level on a tier that scans whole rows and filters; Extended and the
+	// counts are tier-independent. Count-only last levels record their
 	// extension count in both fields (the candidate set is never
 	// materialized, so the scan width is unknown by design).
 	Levels []LevelStats
@@ -127,7 +132,7 @@ type Stats struct {
 // vertices the level considered and how many survived its filters
 // (symmetry window, label, already-bound) to be bound or counted.
 type LevelStats struct {
-	Candidates uint64 // candidate vertices considered at this level
+	Candidates uint64 // vertices the level examined (see Stats.Levels)
 	Extended   uint64 // candidates bound (or counted) at this level
 }
 

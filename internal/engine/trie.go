@@ -126,14 +126,15 @@ type triePass struct {
 	workers     []*trieWorker
 	ranges      []*vertexRange
 
-	tr      *plan.Trie
-	labeled bool             // some node asks for a label
-	visits  []Visitor        // per plan; nil: counting pass
-	info    []trieExecInfo   // per node ID
-	nodes   []*plan.TrieNode // parents before children, the order Stats.TrieNodes reports
-	path    []*plan.TrieNode // classify: ancestors of the node in hand, root first
-	coll    []*plan.TrieNode // backs info[].collapsed
-	ints    []int            // backs info[].check
+	tr     *plan.Trie
+	lrows  labelRower       // the graph, when it serves label rows
+	scans  bool             // some labeled node has no row to carry its label and scans
+	visits []Visitor        // per plan; nil: counting pass
+	info   []trieExecInfo   // per node ID
+	nodes  []*plan.TrieNode // parents before children, the order Stats.TrieNodes reports
+	path   []*plan.TrieNode // classify: ancestors of the node in hand, root first
+	coll   []*plan.TrieNode // backs info[].collapsed
+	ints   []int            // backs info[].check
 
 	single plan.Trie  // BacktrackCtx: the one-leaf trie of its plan
 	one    [1]Visitor // and the visitor list of its streaming pass
@@ -162,7 +163,7 @@ func (ps *triePass) release() {
 	clear(ps.coll)
 	ps.coll, ps.ints = ps.coll[:0], ps.ints[:0]
 	ps.done, ps.fi, ps.live, ps.panicErr = nil, nil, nil, nil
-	ps.tr, ps.visits, ps.one[0] = nil, nil, nil
+	ps.tr, ps.lrows, ps.visits, ps.one[0] = nil, nil, nil, nil
 	ps.single.Reset() // cannot fail without plans
 	triePassPool.Put(ps)
 }
@@ -201,6 +202,7 @@ func (ps *triePass) mine(ctx context.Context, g graph.Adjacency, tr *plan.Trie, 
 	// readers (progress, /metrics) see movement without slowing matching.
 	ps.live = o.Counter(MetricMatches)
 	ps.tr, ps.visits = tr, visits
+	ps.lrows, _ = g.(labelRower)
 	ps.classify()
 
 	if cap(ps.workers) < threads {
@@ -372,6 +374,14 @@ func (ps *triePass) mineRange(w *trieWorker) {
 //   - srcBuilt: built into the node's own buffer (pconn/pdisc, then last)
 //     on first use after level at — its deepest operand — is re-bound.
 //
+// A labeled node below the root needs a label-pure set. Where the graph
+// serves label rows and the node reads a Connect row of its own — its lists
+// (srcRows), the operands of the base it builds (srcBuilt), a binding part
+// base ∩ N_L(v_d) — rowLabel hands the label to rowPins and the set comes
+// out pure at no cost. Otherwise (an ancestor's raw set alone or minus
+// N(v_d); a tier without label rows) scan is set and the node filters what
+// it materialized (labeled, or Filter.Labels in the count-only kernels).
+//
 // An execution then costs at most one kernel call (base against the row of
 // v_d), and in a counting pass an unlabeled single-branch leaf with an
 // empty binding part none: its parent counts it with galloping cursors
@@ -387,6 +397,8 @@ type trieExecInfo struct {
 	loDep     bool // collapsed: the window's low / high end depends on v_d
 	hiDep     bool
 	lastDisc  bool  // srcBuilt: last is a disc level
+	scan      bool  // labeled, and no operand row carries the label
+	rowLabel  int32 // the label the operand rows carry; Unlabeled: whole rows
 	slot      int32 // 1 + index in the parent's collapsed list; 0: executes itself
 	at        int
 	last      int              // srcBuilt: the final operand
@@ -411,7 +423,7 @@ func (ps *triePass) classify() {
 	} else {
 		ps.info, ps.nodes = ps.info[:n], ps.nodes[:0]
 	}
-	ps.labeled = false
+	ps.scans = false
 	for _, r := range ps.tr.Roots {
 		ps.classifyNode(r)
 	}
@@ -419,7 +431,6 @@ func (ps *triePass) classify() {
 
 func (ps *triePass) classifyNode(n *plan.TrieNode) {
 	ps.nodes = append(ps.nodes, n)
-	ps.labeled = ps.labeled || n.Label != pattern.Unlabeled
 	ei := &ps.info[n.ID]
 	at := len(ps.ints)
 	ps.ints = unconnected(ps.ints, n.Depth, n.Connect)
@@ -437,9 +448,18 @@ func (ps *triePass) classifyNode(n *plan.TrieNode) {
 			ei.pconn, ei.last = pconn[:len(pconn)-1], ei.at
 		}
 		for _, a := range ps.path[1:] { // a built base reads two levels below d: depth ≥ 3
-			if slices.Equal(a.Connect, pconn) && slices.Equal(a.Disconnect, pdisc) {
+			// (an ancestor whose rows carry its label materialized that label's share only)
+			if slices.Equal(a.Connect, pconn) && slices.Equal(a.Disconnect, pdisc) && ps.info[a.ID].rowLabel == pattern.Unlabeled {
 				ei.src, ei.at = srcRaw, a.Depth
 			}
+		}
+	}
+	ei.rowLabel = pattern.Unlabeled
+	if n.Label != pattern.Unlabeled && n.Depth > 0 { // a root tests its own vertex
+		if ps.lrows != nil && (ei.src != srcRaw || len(bconn) > 0) {
+			ei.rowLabel = n.Label
+		} else {
+			ei.scan, ps.scans = true, true
 		}
 	}
 	childless := true
@@ -511,7 +531,7 @@ type trieWorker struct {
 	bufA  [pattern.MaxVertices][]uint32
 	bufB  [pattern.MaxVertices][]uint32
 	raw   [pattern.MaxVertices][]uint32 // last raw (pre-window) candidate set, the srcRaw bases
-	lab   [pattern.MaxVertices][]uint32 // labeled levels: the candidates carrying the label
+	lab   [pattern.MaxVertices][]uint32 // scanning labeled levels: the candidates carrying the label
 	wins  [pattern.MaxVertices][]trieWin
 	curs  [pattern.MaxVertices][]trieCursor // cursors of the executing node's collapsed leaves
 	match []uint32
@@ -626,6 +646,7 @@ func getTrieWorker(id int, g graph.Adjacency, ps *triePass, instrument bool, max
 	w.g = g.View()
 	w.vlabels = g.Labels()
 	w.pins.reset(w.g, w.d)
+	w.pins.lrows = ps.lrows
 	w.pins.bind(w.match)
 	w.tr = tr
 	w.info = ps.info
@@ -653,7 +674,7 @@ func getTrieWorker(id int, g graph.Adjacency, ps *triePass, instrument bool, max
 			w.curs[c[0].Depth-1] = make([]trieCursor, len(c))
 		}
 	}
-	for i := 0; ps.labeled && i < w.d && w.lab[i] == nil; i++ {
+	for i := 0; ps.scans && i < w.d && w.lab[i] == nil; i++ {
 		w.lab[i] = w.alloc(w.maxDeg)
 	}
 	if w.stream {
@@ -814,7 +835,7 @@ func (w *trieWorker) exec(node *plan.TrieNode, depth int, timed bool) {
 		w.st.SetOpTime += time.Since(t0)
 	}
 	if ei.tail {
-		w.execTail(node, ns, depth, cands)
+		w.execTail(node, ns, depth, cands, ei.scan)
 		return
 	}
 	// Descendants may alias this raw (pre-window) set as their base; it
@@ -838,7 +859,7 @@ func (w *trieWorker) exec(node *plan.TrieNode, depth int, timed bool) {
 	}
 
 	ns.cands += uint64(len(cands))
-	if node.Label != pattern.Unlabeled {
+	if ei.scan {
 		cands = w.labeled(cands, node.Label, depth)
 	}
 	var ext uint64
@@ -897,10 +918,10 @@ func (w *trieWorker) exec(node *plan.TrieNode, depth int, timed bool) {
 // and leaves one slot to fill per match. Branches (and plans that end on
 // the same branch) scan their own window of the set one after the other, so
 // as for sibling leaf branches Extended measures work done.
-func (w *trieWorker) execTail(node *plan.TrieNode, ns *trieNodeCount, depth int, cands []uint32) {
+func (w *trieWorker) execTail(node *plan.TrieNode, ns *trieNodeCount, depth int, cands []uint32, scan bool) {
 	cands, wins := w.clip(node, depth, cands)
 	ns.cands += uint64(len(cands))
-	if node.Label != pattern.Unlabeled {
+	if scan {
 		cands = w.labeled(cands, node.Label, depth)
 	}
 	for bi, br := range node.Branches {
@@ -953,12 +974,13 @@ func (w *trieWorker) deliver(idx int, cands []uint32, depth int) {
 }
 
 // labeled returns the vertices of cands that carry label want, in the
-// depth's scratch (none on an unlabeled graph). The loops that bind or
-// deliver candidates call or recurse per candidate, which keeps their index
-// in memory, and a labeled level rejects most of what it scans — so the
-// label is applied here first, in a loop that stays in registers and, as it
-// stores every vertex and keeps only the position of those that qualify,
-// has no branch to mispredict.
+// depth's scratch (none on an unlabeled graph), for the nodes whose rows
+// could not carry the label (trieExecInfo.scan). The binding and delivering
+// loops call or recurse per candidate, which keeps their index in memory,
+// and a labeled level rejects most of what it scans — so the label is
+// applied first, in a loop that stays in registers and, storing every vertex
+// and keeping only the position of those that qualify, has no branch to
+// mispredict.
 func (w *trieWorker) labeled(cands []uint32, want int32, depth int) []uint32 {
 	labels := w.vlabels
 	if labels == nil {
@@ -1090,11 +1112,11 @@ func (w *trieWorker) execLeaf(node *plan.TrieNode, ei *trieExecInfo, depth int) 
 			continue
 		}
 		// The shared set is sorted, so each branch's window count is two
-		// binary searches; only labeled levels still scan (and only the
+		// binary searches; only scanning labeled levels scan (and only the
 		// window's slice of the set).
 		sub := setops.Clip(cands, f.Lo, f.Hi)
 		n := uint64(len(sub))
-		if f.Labels != nil {
+		if ei.scan {
 			n = setops.CountF(sub, f, &w.sst)
 		}
 		for _, j := range ei.check {
@@ -1116,19 +1138,20 @@ func (w *trieWorker) execLeaf(node *plan.TrieNode, ei *trieExecInfo, depth int) 
 // call against the row of v_d (none when the binding part is empty), minus
 // the bound vertices it counted: those that pass the filter, sit in the
 // base and meet the binding part — binary searches in sets already held.
+// f is the level's whole filter (see countExtensions).
 func (w *trieWorker) countLeaf(node *plan.TrieNode, ei *trieExecInfo, depth int, f setops.Filter) (n uint64) {
 	if ei.src == srcRows {
-		n, w.bufA[depth], w.bufB[depth] = w.pins.countExtensions(node.Connect, node.Disconnect, ei.check, f, w.bufA[depth], w.bufB[depth], &w.sst)
+		n, w.bufA[depth], w.bufB[depth] = w.pins.countExtensions(node.Connect, node.Disconnect, ei.check, f, ei.rowLabel, w.bufA[depth], w.bufB[depth], &w.sst)
 		return n
 	}
-	base := w.base(node, ei)
+	base, kf := w.base(node, ei), kernelFilter(f, ei.rowLabel)
 	switch {
 	case len(ei.bconn) > 0:
-		n = w.pins.intersectCountF(base, depth-1, f, &w.sst)
+		n = w.pins.intersectCountF(base, depth-1, kf, ei.rowLabel, &w.sst)
 	case len(ei.bdisc) > 0:
-		n = w.pins.differenceCountF(base, depth-1, f, &w.sst)
+		n = w.pins.differenceCountF(base, depth-1, kf, &w.sst)
 	default:
-		n = setops.CountF(base, f, &w.sst)
+		n = setops.CountF(base, kf, &w.sst)
 	}
 	for _, a := range ei.check {
 		if u := w.match[a]; f.Pass(u) && setops.Contains(base, u) && w.pins.qualifies(a, ei.bconn, ei.bdisc) {
@@ -1138,22 +1161,23 @@ func (w *trieWorker) countLeaf(node *plan.TrieNode, ei *trieExecInfo, depth int,
 	return n
 }
 
-// set materializes a node's raw (pre-window, pre-label) candidate set: its
-// base narrowed by the binding part, or its own lists through rowPins when
-// nothing is hoisted. The result is worker scratch, a base or a pinned row
-// — each valid through the node's subtree recursion, during which the
-// depths above stay bound and deeper levels use their own scratch.
+// set materializes a node's raw (pre-window) candidate set, label-pure
+// unless the node scans: its base narrowed by the binding part, or its own
+// lists through rowPins when nothing is hoisted. The result is worker
+// scratch, a base, a pinned row or a label row — each valid through the
+// node's subtree recursion, during which the depths above stay bound and
+// deeper levels use their own scratch.
 func (w *trieWorker) set(node *plan.TrieNode, ei *trieExecInfo, depth int) (cur []uint32) {
 	if ei.src == srcRows {
 		if len(node.Connect) == 1 && len(node.Disconnect) == 0 {
-			return w.pins.row(node.Connect[0]) // every level of a tree pattern: no scratch to hand around
+			return w.pins.connRow(node.Connect[0], ei.rowLabel) // every level of a tree pattern: no scratch to hand around
 		}
-		cur, w.bufA[depth], w.bufB[depth] = w.pins.candidates(node.Connect, node.Disconnect, w.bufA[depth], w.bufB[depth], &w.sst)
+		cur, w.bufA[depth], w.bufB[depth] = w.pins.candidates(node.Connect, node.Disconnect, ei.rowLabel, w.bufA[depth], w.bufB[depth], &w.sst)
 		return cur
 	}
 	cur = w.base(node, ei)
 	if len(ei.bconn) > 0 {
-		cur = w.pins.intersectNeighbors(w.bufA[depth], cur, depth-1, &w.sst)
+		cur = w.pins.intersectNeighbors(w.bufA[depth], cur, depth-1, ei.rowLabel, &w.sst)
 	} else if len(ei.bdisc) > 0 {
 		cur = w.pins.differenceNeighbors(w.bufA[depth], cur, depth-1, &w.sst)
 	}
@@ -1179,14 +1203,14 @@ func (w *trieWorker) base(node *plan.TrieNode, ei *trieExecInfo) []uint32 {
 		b.stamp = w.stamp[ei.at]
 		k := node.Depth
 		var cur []uint32
-		cur, w.bufA[k], w.bufB[k] = w.pins.candidates(ei.pconn, ei.pdisc, w.bufA[k], w.bufB[k], &w.sst)
+		cur, w.bufA[k], w.bufB[k] = w.pins.candidates(ei.pconn, ei.pdisc, ei.rowLabel, w.bufA[k], w.bufB[k], &w.sst)
 		if cap(b.set) < len(cur) {
 			b.set = w.alloc(max(len(cur), 2*cap(b.set)))
 		}
 		if ei.lastDisc {
 			b.set = w.pins.differenceNeighbors(b.set, cur, ei.last, &w.sst)
 		} else {
-			b.set = w.pins.intersectNeighbors(b.set, cur, ei.last, &w.sst)
+			b.set = w.pins.intersectNeighbors(b.set, cur, ei.last, ei.rowLabel, &w.sst)
 		}
 	}
 	return b.set

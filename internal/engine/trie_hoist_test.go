@@ -8,6 +8,7 @@ import (
 	"morphing/internal/graph"
 	"morphing/internal/pattern"
 	"morphing/internal/plan"
+	"morphing/internal/refmatch"
 )
 
 // mergedTrie builds the default-order plans of ps (Peregrine's planner)
@@ -144,5 +145,40 @@ func BenchmarkTrieHoist(b *testing.B) {
 			}
 			b.ReportMetric(float64(ops)/float64(b.N), "setops/op")
 		})
+	}
+}
+
+// TestLabelRowsBuiltByTheFirstLabeledPass: the label-row index is paid for
+// by the first pass that has a labeled level below its roots and by nothing
+// else — unlabeled patterns on a labeled graph, counted or streamed, leave
+// the graph without it (the unlabeled workloads' time and memory must not
+// move), and so does a labeled single vertex, which its root tests itself.
+func TestLabelRowsBuiltByTheFirstLabeledPass(t *testing.T) {
+	g, err := dataset.MiCo().Scaled(0.002).Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	all4, err := canon.AllConnectedPatterns(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := BacktrackTrie(g, mergedTrie(t, all4), ExecOptions{Threads: 2}, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []*pattern.Pattern{pattern.Triangle().AsVertexInduced(), pattern.MustNew(1, nil, pattern.WithLabels([]int32{0}))} {
+		if _, _, err := Backtrack(g, mergedTrie(t, []*pattern.Pattern{p}).Plans[0], func(int, []uint32) {}, ExecOptions{Threads: 2}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if b := g.LabelRowsBytes(); b != 0 {
+		t.Fatalf("unlabeled passes built a %d B label-row index", b)
+	}
+	wedge := pattern.MustNew(3, pattern.Wedge().Edges(), pattern.WithLabels([]int32{0, 1, pattern.Unlabeled}))
+	got, _, err := Backtrack(g, mergedTrie(t, []*pattern.Pattern{wedge}).Plans[0], nil, ExecOptions{Threads: 2}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := refmatch.Count(g, wedge); got != want || g.LabelRowsBytes() == 0 {
+		t.Fatalf("labeled wedge: count %d (oracle %d) with a %d B index", got, want, g.LabelRowsBytes())
 	}
 }

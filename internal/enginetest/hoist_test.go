@@ -202,7 +202,7 @@ func adversarialEdges() map[string][][2]uint32 {
 
 // hoistSets returns the pattern sets of the property: every connected
 // pattern of up to 4 vertices in one set per semantics, the same set with
-// two labels (labeled leaves keep the label scan over a hoisted base), and
+// two labels (labeled leaves read label rows or scan a hoisted base), and
 // samples of the 5- and 6-vertex structures (bases there hoist across more
 // than one frame) mixed with smaller patterns, so leaves hang at several
 // depths.

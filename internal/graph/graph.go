@@ -21,6 +21,7 @@ type Graph struct {
 	nEdges  uint64
 	hub     *hubIndex // optional hub-bitset index (see EnableHubIndex)
 	sum     summaryMemo
+	lrows   labelRowsMemo // label-grouped rows, built on the first LabelRow
 }
 
 // NumVertices returns the number of vertices.
@@ -116,6 +117,9 @@ func (g *Graph) Label(v uint32) int32 {
 func (g *Graph) NumLabels() int {
 	if g.labels == nil {
 		return 0
+	}
+	if ix := g.lrows.ix.Load(); ix != nil {
+		return ix.labels
 	}
 	seen := map[int32]struct{}{}
 	for _, l := range g.labels {
