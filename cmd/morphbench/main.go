@@ -10,9 +10,7 @@
 //	morphbench -fig 12a -report runs.json   # per-execution run reports
 //	morphbench -fig 12a -listen :8080       # live /metrics + /vars + pprof
 //	morphbench -fig 12a -cpuprofile cpu.pb  # offline pprof capture
-//	morphbench kernels                      # setops kernel microbench -> BENCH_kernels.json
 //	morphbench scale                        # out-of-core data-plane bench -> BENCH_scale.json
-//	morphbench regress -baseline BENCH_kernels.json -fresh new.json  # perf regression gate
 //
 // Scale 1.0 corresponds to the paper's full-size graphs (do not attempt
 // FR at 1.0 on a laptop). Output goes to stdout; progress to stderr.
@@ -41,25 +39,11 @@ import (
 )
 
 func main() {
-	// The microbenches and the gate have their own flags; dispatch
-	// before the main flag set sees the command word.
-	if len(os.Args) > 1 && os.Args[1] == "kernels" {
-		if err := cmdKernels(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "morphbench: kernels:", err)
-			os.Exit(1)
-		}
-		return
-	}
+	// The out-of-core bench has its own flags; dispatch before the main
+	// flag set sees the command word.
 	if len(os.Args) > 1 && os.Args[1] == "scale" {
 		if err := cmdScale(os.Args[2:]); err != nil {
 			fmt.Fprintln(os.Stderr, "morphbench: scale:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "regress" {
-		if err := cmdRegress(os.Args[2:], os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "morphbench: regress:", err)
 			os.Exit(1)
 		}
 		return

@@ -27,9 +27,9 @@ import (
 // (bytes/edge, compression ratio), the decode overhead (varint elements
 // decoded per edge, and wall-time ratio vs the plain tier with
 // -compare), and the peak RSS of the mining phase, which -membudget
-// turns into a hard pass/fail gate. The committed artifact's
-// compression ratio feeds `morphbench regress` — a dimensionless,
-// machine-independent gate, unlike wall times.
+// turns into a hard pass/fail gate. The report's compression ratio is
+// dimensionless and machine-independent, unlike its wall times; CI
+// asserts it stays above 1.
 
 type scaleReport struct {
 	Timestamp string  `json:"timestamp"`
@@ -77,9 +77,8 @@ type scaleReport struct {
 	Results []scaleResult `json:"results"`
 }
 
-// scaleResult is the regress-compatible gate entry: the plain/compressed
-// storage ratio is dimensionless and machine-stable, so it gates like
-// the kernel and trie speedups do.
+// scaleResult is the report's gate entry: the plain/compressed storage
+// ratio, dimensionless and machine-stable.
 type scaleResult struct {
 	Name    string  `json:"name"`
 	Shape   string  `json:"shape"`

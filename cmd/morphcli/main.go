@@ -299,7 +299,6 @@ func cmdCount(args []string) error {
 	threads := fs.Int("threads", 0, "engine worker threads (0 = GOMAXPROCS)")
 	baseline := fs.Bool("baseline", false, "disable morphing and run the queries as-is")
 	statsMode := fs.String("stats", "text", "output mode: text, or json for a merged RunStats + registry snapshot")
-	hubBits := fs.Int("hubbits", 0, "enable the hub-bitset index for vertices with at least this degree (-1 = default threshold, 0 = off)")
 	traceOut := fs.String("trace", "", "write phase spans to this file (Chrome trace_event JSON; .jsonl for JSON lines)")
 	progress := fs.Bool("progress", false, "report live matches/sec to stderr")
 	timeout := fs.Duration("timeout", 0, "abort the run after this duration, printing partial per-alternative counts (0 = no deadline)")
@@ -349,20 +348,6 @@ func cmdCount(args []string) error {
 		if err != nil {
 			return err
 		}
-	}
-	if *hubBits != 0 {
-		pg, ok := g.(*graph.Graph)
-		if !ok {
-			return fmt.Errorf("-hubbits needs a plain in-memory graph; %s holds a compressed tier", *binPath)
-		}
-		min := *hubBits
-		if min < 0 {
-			min = 0 // EnableHubIndex picks the default threshold
-		}
-		hubs := pg.EnableHubIndex(min)
-		info, _ := pg.HubIndex()
-		fmt.Fprintf(os.Stderr, "hub-bitset index: %d hubs (degree >= %d), %d KiB\n",
-			hubs, info.Threshold, info.Bytes/1024)
 	}
 
 	var prog *obs.Progress

@@ -69,7 +69,6 @@ func run() error {
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "how long graceful drain waits before canceling stragglers")
 	retryAfter := flag.Duration("retry-after", 250*time.Millisecond, "retry-after hint attached to retryable rejections")
 	cacheSize := flag.Int("cache", 256, "result cache capacity in entries (0 uses the default, negative disables caching)")
-	hubBits := flag.Int("hubbits", 0, "enable the hub-bitset index for vertices with at least this degree (-1 = default threshold, 0 = off)")
 	queryLog := flag.String("querylog", "", "append the structured JSONL query log to this file")
 	flightDir := flag.String("flightdir", "", "dump flight-recorder bundles for anomalous runs into this directory (default $MORPH_FLIGHT_DIR)")
 	slowQuery := flag.Duration("slowquery", 0, "treat runs slower than this wall time as anomalous (flight-recorder trigger)")
@@ -118,19 +117,9 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		pg, err := rec.Scaled(*scale).Generate()
-		if err != nil {
+		if g, err = rec.Scaled(*scale).Generate(); err != nil {
 			return err
 		}
-		if *hubBits != 0 {
-			min := *hubBits
-			if min < 0 {
-				min = 0
-			}
-			hubs := pg.EnableHubIndex(min)
-			fmt.Fprintf(os.Stderr, "morphd: hub-bitset index: %d hubs\n", hubs)
-		}
-		g = pg
 	}
 
 	srv, err := server.New(g, server.Config{

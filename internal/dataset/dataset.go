@@ -192,6 +192,15 @@ func (r Recipe) Generate() (*graph.Graph, error) {
 // expected average degree, optionally labeled uniformly over numLabels.
 // Used by tests and the cost-model calibration experiments.
 func ErdosRenyi(n int, avgDegree float64, numLabels int, seed int64) (*graph.Graph, error) {
+	return Hubbed(n, avgDegree, 0, numLabels, seed)
+}
+
+// Hubbed is ErdosRenyi with the last hubs vertices each made adjacent to
+// seven in eight of all the others: at n >= 76 they clear the 64-degree
+// floor of graph.DefaultHubThreshold while everything else stays sparse,
+// the smallest shape on which a plain graph serves hub-bitset rows. Used
+// by tests.
+func Hubbed(n int, avgDegree float64, hubs, numLabels int, seed int64) (*graph.Graph, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("dataset: ErdosRenyi needs at least 2 vertices")
 	}
@@ -209,6 +218,13 @@ func ErdosRenyi(n int, avgDegree float64, numLabels int, seed int64) (*graph.Gra
 				if rng.Float64() < p {
 					b.AddEdge(uint32(u), uint32(v))
 				}
+			}
+		}
+	}
+	for h := n - hubs; h < n; h++ {
+		for u := 0; u < n; u++ {
+			if u != h && (u+h)%8 != 0 {
+				b.AddEdge(uint32(h), uint32(u)) // Build collapses the duplicates
 			}
 		}
 	}

@@ -23,7 +23,7 @@ import (
 //
 // Each entry point routes one candidate-set operation against a pinned
 // row through the best available kernel: bitmap probes when the vertex is
-// an indexed hub (graph.EnableHubIndex), otherwise the merge/gallop
+// an indexed hub (graph.Graph.HubBits), otherwise the merge/gallop
 // dispatch inside internal/setops. The dispatch lives here, next to the
 // graph, which owns the hub index. Depths are positions in the executor's
 // match prefix throughout.

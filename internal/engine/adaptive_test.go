@@ -42,17 +42,37 @@ func TestCountingTriangleWritesNothing(t *testing.T) {
 	}
 }
 
-// The six path counters partition SetOps exactly, with and without the
-// hub-bitset index.
+// noHubRows serves a plain graph without its bitmap rows, to the pass and
+// to every worker view: the merge/gallop route over the same CSR.
+type noHubRows struct{ *graph.Graph }
+
+func (noHubRows) HubBits(uint32) []uint64 { return nil }
+func (g noHubRows) View() graph.Adjacency { return g }
+
+// hubbedGraph has three vertices over the default hub threshold on an
+// otherwise sparse graph, so the index a plain graph builds by itself
+// holds rows.
+func hubbedGraph(t testing.TB, labels int, seed int64) *graph.Graph {
+	t.Helper()
+	g, err := dataset.Hubbed(96, 6, 3, labels, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.HubBits(95) == nil || g.HubBits(0) != nil {
+		t.Fatal("the hubbed graph must serve bitmap rows for its hubs alone")
+	}
+	return g
+}
+
+// The five path counters partition SetOps exactly, with and without hub
+// rows in play.
 func TestCountingStatsPathPartition(t *testing.T) {
-	for _, hub := range []bool{false, true} {
-		g, err := dataset.ErdosRenyi(80, 12, 0, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if hub {
-			g.EnableHubIndex(4)
-		}
+	er, err := dataset.ErdosRenyi(80, 12, 0, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hubbed := hubbedGraph(t, 0, 7)
+	for name, g := range map[string]graph.Adjacency{"er": er, "hubbed": hubbed, "hub rows hidden": noHubRows{hubbed}} {
 		for _, p := range []*pattern.Pattern{
 			pattern.FourClique(),
 			pattern.FourCycle().AsVertexInduced(),
@@ -66,26 +86,22 @@ func TestCountingStatsPathPartition(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sum := st.SetMergeOps + st.SetGallopOps + st.SetBitsetOps + st.SetCountOps +
-				st.SetUnrolledOps + st.SetTileOps
-			if sum != st.SetOps {
-				t.Errorf("hub=%v %v: paths sum to %d, SetOps=%d", hub, p, sum, st.SetOps)
+			sum := st.SetMergeOps + st.SetGallopOps + st.SetBitsetOps + st.SetCountOps + st.SetUnrolledOps
+			if sum != st.SetOps || st.SetTileOps != 0 {
+				t.Errorf("%s %v: paths sum to %d, SetOps=%d, SetTileOps=%d", name, p, sum, st.SetOps, st.SetTileOps)
 			}
-			if hub && st.SetBitsetOps == 0 {
-				t.Errorf("hub=%v %v: no bitset operations despite full hub index", hub, p)
+			if bitset := st.SetBitsetOps > 0; bitset != (name == "hubbed") {
+				t.Errorf("%s %v: %d bitset operations", name, p, st.SetBitsetOps)
 			}
 		}
 	}
 }
 
-// Counts must be identical with the hub-bitset index enabled and
-// disabled, across every connected pattern shape and both induced
-// semantics, and must match the reference oracle.
+// Counts must be identical with the hub rows served and hidden, across
+// every connected pattern shape and both induced semantics, and must match
+// the reference oracle.
 func TestBacktrackHubIndexMatchesOracle(t *testing.T) {
-	g, err := dataset.ErdosRenyi(45, 8, 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := hubbedGraph(t, 2, 3)
 	for k := 3; k <= 4; k++ {
 		ps, err := canon.AllConnectedPatterns(k)
 		if err != nil {
@@ -98,12 +114,10 @@ func TestBacktrackHubIndexMatchesOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				g.DisableHubIndex()
-				off, _, err := Backtrack(g, pl, nil, ExecOptions{Threads: 2}, nil)
+				off, _, err := Backtrack(noHubRows{g}, pl, nil, ExecOptions{Threads: 2}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				g.EnableHubIndex(4)
 				on, _, err := Backtrack(g, pl, nil, ExecOptions{Threads: 2}, nil)
 				if err != nil {
 					t.Fatal(err)
@@ -117,22 +131,44 @@ func TestBacktrackHubIndexMatchesOracle(t *testing.T) {
 			}
 		}
 	}
-	g.DisableHubIndex()
 }
 
 // CountExtensions must agree with materialize-then-filter for arbitrary
-// conn/disc/window/bound combinations, hub index on and off, on plain
+// conn/disc/window/bound combinations, hub rows in play or not, on plain
 // CSR and on the compressed tier (where every row comes out of a pin's
 // decode buffer and every bound-vertex probe out of a pinned row).
 func TestCountExtensionsMatchesMaterialized(t *testing.T) {
-	g, err := dataset.ErdosRenyi(70, 10, 2, 21)
+	er, err := dataset.ErdosRenyi(70, 10, 2, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := graph.Compress(g, 4)
+	// The same graph with the vertices the cases put first in conn and disc
+	// made hubs: {3,17} closes a level by AND of two bitmaps, 5 is a bitmap
+	// difference, 29, 40 and 8 stay list rows.
+	b := graph.NewBuilder(70)
+	for v := uint32(0); v < 70; v++ {
+		for _, u := range er.Neighbors(v) {
+			b.AddEdge(v, u)
+		}
+		for _, h := range []uint32{3, 17, 5} {
+			if v != h && (v+h)%16 != 0 {
+				b.AddEdge(h, v)
+			}
+		}
+	}
+	b.SetLabels(er.Labels())
+	hubbed, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
+	if hubbed.HubBits(3) == nil || hubbed.HubBits(17) == nil || hubbed.HubBits(5) == nil || hubbed.HubBits(29) != nil {
+		t.Fatal("3, 17 and 5 must be the hubs")
+	}
+	c, err := graph.Compress(hubbed, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := er // what reference reads; run sets it
 	reference := func(conn, disc []uint32, f setops.Filter, bound []uint32) uint64 {
 		var n uint64
 	next:
@@ -177,7 +213,8 @@ func TestCountExtensionsMatchesMaterialized(t *testing.T) {
 		{[]uint32{3, 17, 29}, nil, setops.Filter{Hi: ^uint32(0), Labels: g.Labels(), Want: 1}},
 		{[]uint32{8}, []uint32{3, 17}, setops.Filter{Lo: 1, Hi: 69, Labels: g.Labels(), Want: 1}},
 	}
-	run := func(name string, a graph.Adjacency) {
+	run := func(name string, a graph.Adjacency, oracle *graph.Graph) {
+		g = oracle
 		var pins rowPins
 		bufA := make([]uint32, 0, g.MaxDegree())
 		bufB := make([]uint32, 0, g.MaxDegree())
@@ -212,11 +249,10 @@ func TestCountExtensionsMatchesMaterialized(t *testing.T) {
 			}
 		}
 	}
-	run("plain", g)
-	g.EnableHubIndex(1)
-	run("plain+hub", g)
-	g.DisableHubIndex()
-	run("compressed", c)
+	run("plain", er, er)
+	run("plain+hub", hubbed, hubbed)
+	run("hub rows hidden", noHubRows{hubbed}, hubbed)
+	run("compressed", c, hubbed)
 }
 
 func TestUnconnected(t *testing.T) {

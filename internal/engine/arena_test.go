@@ -7,6 +7,7 @@ import (
 	"morphing/internal/dataset"
 	"morphing/internal/pattern"
 	"morphing/internal/plan"
+	"morphing/internal/refmatch"
 )
 
 // TestPooledArenaConcurrentExecutions is the arena-reuse race check: many
@@ -20,23 +21,16 @@ func TestPooledArenaConcurrentExecutions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Reference counts from the brute-force oracle, which shares no code
+	// with the worker pool.
 	plans := make([]*plan.Plan, 0, 2)
+	want := make([]uint64, 0, 2)
 	for _, p := range []*pattern.Pattern{pattern.Triangle(), pattern.House()} {
 		pl, err := plan.Build(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plans = append(plans, pl)
-	}
-	// Reference counts with arenas disabled: fresh heap buffers per worker,
-	// nothing shared, nothing pooled.
-	want := make([]uint64, len(plans))
-	for i, pl := range plans {
-		n, _, err := Backtrack(g, pl, nil, ExecOptions{Threads: 2, NoArena: true}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = n
+		plans, want = append(plans, pl), append(want, refmatch.Count(g, p))
 	}
 	tr, err := plan.MergePlans(plans)
 	if err != nil {
@@ -78,42 +72,4 @@ func TestPooledArenaConcurrentExecutions(t *testing.T) {
 		}(gr)
 	}
 	wg.Wait()
-}
-
-// NoArena and arena-backed executions must agree exactly, and the arena
-// run must actually route dense levels through the tile kernel (the
-// NoArena run cannot: tile dispatch requires scratch). FourClique because
-// its middle level materializes full adjacency intersections — tile and
-// unrolled ops are charged only on materializing kernels; count-only
-// levels book under SetCountOps regardless of the kernel used.
-func TestNoArenaMatchesArenaCounts(t *testing.T) {
-	// Dense enough that adjacency lists clear tileMinLen.
-	g, err := dataset.ErdosRenyi(300, 140, 0, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl, err := plan.Build(pattern.FourClique())
-	if err != nil {
-		t.Fatal(err)
-	}
-	off, stOff, err := Backtrack(g, pl, nil, ExecOptions{Threads: 2, NoArena: true}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	on, stOn, err := Backtrack(g, pl, nil, ExecOptions{Threads: 2}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if on != off {
-		t.Fatalf("arena=%d, no-arena=%d", on, off)
-	}
-	if stOff.SetTileOps != 0 {
-		t.Errorf("NoArena run charged %d tile ops; tile path needs scratch", stOff.SetTileOps)
-	}
-	if stOn.SetTileOps == 0 {
-		t.Error("arena run never took the tile path on a dense graph")
-	}
-	if stOn.SetUnrolledOps == 0 {
-		t.Error("arena run never took the unrolled path")
-	}
 }

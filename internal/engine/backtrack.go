@@ -31,12 +31,6 @@ type ExecOptions struct {
 	// steal.go). On by default; the switch exists for A/B skew
 	// measurements and debugging.
 	NoTailSteal bool
-	// NoArena disables the pooled per-worker slab arenas that back the
-	// executor's prefix-set scratch (and the setops tile kernels), making
-	// every execution allocate fresh worker scratch from the GC heap. On
-	// by default; the switch exists for A/B allocation measurements
-	// (morphbench kernels reports both trajectories) and debugging.
-	NoArena bool
 }
 
 // ThreadCount resolves the effective worker count (GOMAXPROCS when

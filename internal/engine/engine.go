@@ -77,7 +77,7 @@ type Stats struct {
 	SetBitsetOps   uint64 // operations served by hub-bitset probes
 	SetCountOps    uint64 // count-only operations (no destination writes)
 	SetUnrolledOps uint64 // operations served by the branchless unrolled merge
-	SetTileOps     uint64 // operations served by the block-bitmap tile kernel
+	SetTileOps     uint64 // always 0 (the tile kernel is gone); kept for benchmark/batch.go, which reads it
 	SetWritten     uint64 // elements written to destination slices
 	Materialized   uint64 // vertices written into emitted matches
 	UDFCalls       uint64 // user-defined-function invocations
@@ -203,7 +203,6 @@ func (s *Stats) Add(other *Stats) {
 	s.SetBitsetOps += other.SetBitsetOps
 	s.SetCountOps += other.SetCountOps
 	s.SetUnrolledOps += other.SetUnrolledOps
-	s.SetTileOps += other.SetTileOps
 	s.SetWritten += other.SetWritten
 	s.Materialized += other.Materialized
 	s.UDFCalls += other.UDFCalls
@@ -276,6 +275,5 @@ func (s *Stats) AddSetops(o setops.Stats) {
 	s.SetBitsetOps += o.BitsetOps
 	s.SetCountOps += o.CountOps
 	s.SetUnrolledOps += o.UnrolledOps
-	s.SetTileOps += o.TileOps
 	s.SetWritten += o.Written
 }

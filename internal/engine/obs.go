@@ -22,17 +22,16 @@ const (
 	MetricUDFCalls     = "engine_udf_calls_total"
 	MetricBranches     = "engine_branches_total"
 
-	// Kernel path breakdown: which adaptive path (merge, unrolled, tile,
-	// gallop, hub bitset, count-only) served each set operation, and how
-	// many elements were written to destination slices. The six path
-	// counters partition MetricSetOps; MetricSetWritten staying flat while
+	// Kernel path breakdown: which adaptive path (merge, unrolled, gallop,
+	// hub bitset, count-only) served each set operation, and how many
+	// elements were written to destination slices. The five path counters
+	// partition MetricSetOps; MetricSetWritten staying flat while
 	// matching counts proves the last level ran without materialization.
 	MetricSetMergeOps    = "engine_set_merge_ops_total"
 	MetricSetGallopOps   = "engine_set_gallop_ops_total"
 	MetricSetBitsetOps   = "engine_set_bitset_ops_total"
 	MetricSetCountOps    = "engine_set_countonly_ops_total"
 	MetricSetUnrolledOps = "engine_set_unrolled_ops_total"
-	MetricSetTileOps     = "engine_set_tile_ops_total"
 	MetricSetWritten     = "engine_set_written_elems_total"
 
 	MetricSetOpTimeNS       = "engine_setop_time_ns_total"
@@ -88,7 +87,6 @@ func publishStats(o *obs.Observer, st *Stats) {
 	o.Counter(MetricSetBitsetOps).Add(0, st.SetBitsetOps)
 	o.Counter(MetricSetCountOps).Add(0, st.SetCountOps)
 	o.Counter(MetricSetUnrolledOps).Add(0, st.SetUnrolledOps)
-	o.Counter(MetricSetTileOps).Add(0, st.SetTileOps)
 	o.Counter(MetricSetWritten).Add(0, st.SetWritten)
 	o.Counter(MetricMaterialized).Add(0, st.Materialized)
 	o.Counter(MetricUDFCalls).Add(0, st.UDFCalls)

@@ -212,7 +212,7 @@ func (ps *triePass) mine(ctx context.Context, g graph.Adjacency, tr *plan.Trie, 
 	ps.workers, ps.ranges = ps.workers[:threads], ps.ranges[:threads]
 	maxDeg := g.MaxDegree()
 	for t := range ps.workers {
-		w := getTrieWorker(t, g, ps, opts.Instrument, maxDeg, opts.NoArena)
+		w := getTrieWorker(t, g, ps, opts.Instrument, maxDeg)
 		ps.workers[t], ps.ranges[t] = w, &w.rng
 	}
 	ps.wg.Add(threads)
@@ -556,7 +556,7 @@ type trieWorker struct {
 	// per-node and per-plan tables to the largest trie — so a query that
 	// alternates between plans of different sizes (FSM) allocates nothing.
 	// wstats backs st.Workers across passes.
-	arena  *setops.Arena // nil under NoArena
+	arena  *setops.Arena // the worker's own, for its lifetime in the pool
 	d      int           // trie depth the scratch is shaped for
 	maxDeg int           // buffer capacity the scratch is shaped for
 	wstats [1]WorkerStats
@@ -618,25 +618,16 @@ func (w *trieWorker) total() uint64 {
 }
 
 // trieWorkerPool recycles workers (and the arenas inside them) across
-// passes. NoArena workers bypass it so A/B allocation measurements see the
-// unpooled trajectory.
-var trieWorkerPool = sync.Pool{New: func() any { return new(trieWorker) }}
+// passes.
+var trieWorkerPool = sync.Pool{New: func() any {
+	w := &trieWorker{arena: setops.GetArena()}
+	w.spawn = func() { w.pass.run(w) }
+	return w
+}}
 
-// getTrieWorker returns a worker shaped for the pass, pooled unless
-// noArena.
-func getTrieWorker(id int, g graph.Adjacency, ps *triePass, instrument bool, maxDeg int, noArena bool) *trieWorker {
-	var w *trieWorker
-	if noArena {
-		w = new(trieWorker)
-	} else {
-		w = trieWorkerPool.Get().(*trieWorker)
-		if w.arena == nil {
-			w.arena = setops.GetArena()
-		}
-	}
-	if w.spawn == nil {
-		w.spawn = func() { w.pass.run(w) }
-	}
+// getTrieWorker returns a pooled worker shaped for the pass.
+func getTrieWorker(id int, g graph.Adjacency, ps *triePass, instrument bool, maxDeg int) *trieWorker {
+	w := trieWorkerPool.Get().(*trieWorker)
 	tr := ps.tr
 	if w.d < tr.MaxDepth || w.maxDeg < maxDeg {
 		w.reshape(max(w.d, tr.MaxDepth), max(w.maxDeg, maxDeg))
@@ -698,24 +689,17 @@ func getTrieWorker(id int, g graph.Adjacency, ps *triePass, instrument bool, max
 	return w
 }
 
-// alloc returns an empty buffer of capacity n from the worker's arena (the
-// heap under NoArena), valid until the next reshape.
-func (w *trieWorker) alloc(n int) []uint32 {
-	if w.arena != nil {
-		return w.arena.Alloc(n)
-	}
-	return make([]uint32, 0, n)
-}
+// alloc returns an empty buffer of capacity n from the worker's arena,
+// valid until the next reshape.
+func (w *trieWorker) alloc(n int) []uint32 { return w.arena.Alloc(n) }
 
 // reshape (re)builds the worker's per-depth scratch for a deeper trie or a
-// higher degree, carving every uint32 buffer from the arena when one is
-// attached (after a Reset, since the previous shape's buffers — the built
-// bases among them — alias the same slabs).
+// higher degree, carving every uint32 buffer from the arena (after a Reset,
+// since the previous shape's buffers — the built bases among them — alias
+// the same slabs).
 func (w *trieWorker) reshape(d, maxDeg int) {
 	w.d, w.maxDeg = d, maxDeg
-	if w.arena != nil {
-		w.arena.Reset()
-	}
+	w.arena.Reset()
 	w.match = w.alloc(d)[:d]
 	w.lab = [pattern.MaxVertices][]uint32{}
 	clear(w.bases)
@@ -726,14 +710,10 @@ func (w *trieWorker) reshape(d, maxDeg int) {
 	}
 }
 
-// release returns a pooled worker to the pool, dropping per-pass
-// references so a pooled worker never pins a graph, trie or visitor;
-// NoArena workers are dropped for the GC.
+// release returns the worker to the pool, dropping per-pass references so
+// a pooled worker never pins a graph, trie or visitor.
 func (w *trieWorker) release() {
 	w.pins.release()
-	if w.arena == nil {
-		return
-	}
 	w.g = nil
 	w.vlabels = nil
 	w.tr = nil

@@ -74,8 +74,8 @@ func p4Winners(t testing.TB) []*pattern.Pattern {
 // TestPooledTrieWorkerNeverServesStaleBase drives one pooled worker
 // (Threads: 1) through tries of different depth and node count and then
 // back through the first shape on another graph, where its base buffers
-// and stamps survive from the earlier pass: every pass must count what a
-// fresh NoArena worker counts.
+// and stamps survive from the earlier pass: every pass must count what the
+// brute-force oracle counts.
 func TestPooledTrieWorkerNeverServesStaleBase(t *testing.T) {
 	g1, err := dataset.ErdosRenyi(60, 9, 0, 3)
 	if err != nil {
@@ -89,22 +89,27 @@ func TestPooledTrieWorkerNeverServesStaleBase(t *testing.T) {
 	if five.MaxDepth == four.MaxDepth || five.Nodes == four.Nodes {
 		t.Fatal("the two tries must differ in depth and node count")
 	}
+	want := map[*graph.Graph]map[*plan.Trie][]uint64{g1: {}, g2: {}}
+	for g, byTrie := range want {
+		for _, tr := range []*plan.Trie{five, four} {
+			for _, pl := range tr.Plans {
+				byTrie[tr] = append(byTrie[tr], refmatch.Count(g, pl.Pattern))
+			}
+		}
+	}
 	for round := 0; round < 3; round++ {
 		for _, pass := range []struct {
 			g  *graph.Graph
 			tr *plan.Trie
 		}{{g1, five}, {g2, five}, {g1, four}, {g2, five}, {g2, four}, {g1, five}} {
-			want, _, err := BacktrackTrie(pass.g, pass.tr, ExecOptions{Threads: 1, NoArena: true}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := want[pass.g][pass.tr]
 			got, _, err := BacktrackTrie(pass.g, pass.tr, ExecOptions{Threads: 1}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("round %d, trie of depth %d, plan %d: pooled worker counted %d, fresh worker %d",
+					t.Fatalf("round %d, trie of depth %d, plan %d: pooled worker counted %d, oracle %d",
 						round, pass.tr.MaxDepth, i, got[i], want[i])
 				}
 			}

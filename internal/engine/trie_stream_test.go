@@ -20,8 +20,9 @@ import (
 // vertex-induced 4-motifs plus the vertex-induced wedge and triangle, which
 // end on inner nodes of the trie; vertex-induced patterns of one size
 // exclude each other, so a tuple names its plan and a visitor handed
-// another plan's match shows. Run on plain CSR, with hub bitmaps and on the
-// compressed tier (CI: also under -race).
+// another plan's match shows. Run on ER(45) and on a graph with hubs, each
+// as plain CSR (hub bitmaps where there are hubs), with the bitmaps hidden
+// and on the compressed tier (CI: also under -race).
 func TestMergedStreamingPass(t *testing.T) {
 	var ps []*pattern.Pattern
 	for k := 3; k <= 4; k++ {
@@ -34,96 +35,93 @@ func TestMergedStreamingPass(t *testing.T) {
 		}
 	}
 	tr := mergedTrie(t, ps)
-	plain, err := dataset.ErdosRenyi(45, 7, 0, 29)
+	er, err := dataset.ErdosRenyi(45, 7, 0, 29)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := make([]map[string]int, len(ps))
-	auts := make([][][]int, len(ps))
-	var total, vertices uint64
-	for i, p := range ps {
-		want[i], auts[i] = map[string]int{}, canon.Automorphisms(p)
-		for _, m := range refmatch.Matches(plain, p) {
-			want[i][fmt.Sprint(m)]++
-			total++
-			vertices += uint64(p.N())
-		}
-	}
-	// planOf names the pattern m is an embedding of in pattern-vertex order.
-	planOf := func(m []uint32) int {
-	next:
+	for gname, plain := range map[string]*graph.Graph{"er45/": er, "hubbed/": hubbedGraph(t, 0, 29)} {
+		want := make([]map[string]int, len(ps))
+		auts := make([][][]int, len(ps))
+		var total, vertices uint64
 		for i, p := range ps {
-			if p.N() != len(m) {
-				continue
+			want[i], auts[i] = map[string]int{}, canon.Automorphisms(p)
+			for _, m := range refmatch.Matches(plain, p) {
+				want[i][fmt.Sprint(m)]++
+				total++
+				vertices += uint64(p.N())
 			}
-			for u := range m {
-				for v := u + 1; v < len(m); v++ {
-					if plain.HasEdge(m[u], m[v]) != p.HasEdge(u, v) {
-						continue next
-					}
-				}
-			}
-			return i
 		}
-		return -1
-	}
-
-	// A streaming pass has a visitor for every plan or does not start.
-	for _, bad := range [][]Visitor{make([]Visitor, len(ps)), {func(int, []uint32) {}}} {
-		if _, _, err := MatchTrieCtx(context.Background(), plain, tr, bad, ExecOptions{}, nil); err == nil {
-			t.Errorf("a pass over %d plans accepted %d visitors, nil among them or too few", len(ps), len(bad))
-		}
-	}
-
-	hubs, err := dataset.ErdosRenyi(45, 7, 0, 29)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hubs.EnableHubIndex(4)
-	compressed, err := graph.Compress(plain, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, g := range map[string]graph.Adjacency{"plain": plain, "hub-bitset": hubs, "compressed": compressed} {
-		for _, threads := range []int{1, 4} {
-			var mu sync.Mutex
-			got := make([]map[string]int, len(ps))
-			for i := range got {
-				got[i] = map[string]int{}
-			}
-			strays := 0
-			visits := make([]Visitor, len(ps))
-			for i := range ps {
-				visits[i] = func(_ int, m []uint32) {
-					mu.Lock()
-					defer mu.Unlock()
-					if planOf(m) != i {
-						strays++
-						return
-					}
-					got[i][fmt.Sprint(canon.CanonicalMatch(ps[i], m, auts[i]))]++
-				}
-			}
-			counts, st, err := MatchTrieCtx(context.Background(), g, tr, visits, ExecOptions{Threads: threads}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if strays != 0 {
-				t.Errorf("%s threads=%d: %d tuples are no embedding of their visitor's pattern in pattern-vertex order", name, threads, strays)
-			}
+		// planOf names the pattern m is an embedding of in pattern-vertex order.
+		planOf := func(m []uint32) int {
+		next:
 			for i, p := range ps {
-				if counts[i] != uint64(len(want[i])) || len(got[i]) != len(want[i]) {
-					t.Errorf("%s threads=%d %v: counted %d, delivered %d distinct, oracle %d", name, threads, p, counts[i], len(got[i]), len(want[i]))
+				if p.N() != len(m) {
+					continue
 				}
-				for k, n := range want[i] {
-					if got[i][k] != n {
-						t.Errorf("%s threads=%d %v: oracle match %s delivered %d times", name, threads, p, k, got[i][k])
+				for u := range m {
+					for v := u + 1; v < len(m); v++ {
+						if plain.HasEdge(m[u], m[v]) != p.HasEdge(u, v) {
+							continue next
+						}
 					}
 				}
+				return i
 			}
-			if st.UDFCalls != total || st.Materialized != vertices || st.Matches != total {
-				t.Errorf("%s threads=%d: %d matches, %d UDF calls, %d vertices materialized; oracle %d matches of %d vertices",
-					name, threads, st.Matches, st.UDFCalls, st.Materialized, total, vertices)
+			return -1
+		}
+
+		// A streaming pass has a visitor for every plan or does not start.
+		for _, bad := range [][]Visitor{make([]Visitor, len(ps)), {func(int, []uint32) {}}} {
+			if _, _, err := MatchTrieCtx(context.Background(), plain, tr, bad, ExecOptions{}, nil); err == nil {
+				t.Errorf("a pass over %d plans accepted %d visitors, nil among them or too few", len(ps), len(bad))
+			}
+		}
+
+		compressed, err := graph.Compress(plain, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, g := range map[string]graph.Adjacency{"plain": plain, "hub rows hidden": noHubRows{plain}, "compressed": compressed} {
+			for _, threads := range []int{1, 4} {
+				var mu sync.Mutex
+				got := make([]map[string]int, len(ps))
+				for i := range got {
+					got[i] = map[string]int{}
+				}
+				strays := 0
+				visits := make([]Visitor, len(ps))
+				for i := range ps {
+					visits[i] = func(_ int, m []uint32) {
+						mu.Lock()
+						defer mu.Unlock()
+						if planOf(m) != i {
+							strays++
+							return
+						}
+						got[i][fmt.Sprint(canon.CanonicalMatch(ps[i], m, auts[i]))]++
+					}
+				}
+				counts, st, err := MatchTrieCtx(context.Background(), g, tr, visits, ExecOptions{Threads: threads}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if strays != 0 {
+					t.Errorf("%s threads=%d: %d tuples are no embedding of their visitor's pattern in pattern-vertex order", gname+name, threads, strays)
+				}
+				for i, p := range ps {
+					if counts[i] != uint64(len(want[i])) || len(got[i]) != len(want[i]) {
+						t.Errorf("%s threads=%d %v: counted %d, delivered %d distinct, oracle %d", gname+name, threads, p, counts[i], len(got[i]), len(want[i]))
+					}
+					for k, n := range want[i] {
+						if got[i][k] != n {
+							t.Errorf("%s threads=%d %v: oracle match %s delivered %d times", gname+name, threads, p, k, got[i][k])
+						}
+					}
+				}
+				if st.UDFCalls != total || st.Materialized != vertices || st.Matches != total {
+					t.Errorf("%s threads=%d: %d matches, %d UDF calls, %d vertices materialized; oracle %d matches of %d vertices",
+						gname+name, threads, st.Matches, st.UDFCalls, st.Materialized, total, vertices)
+				}
 			}
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"morphing/internal/canon"
 	"morphing/internal/core"
 	"morphing/internal/engine"
+	"morphing/internal/graph"
 	"morphing/internal/graphpi"
 	"morphing/internal/pattern"
 	"morphing/internal/peregrine"
@@ -41,19 +42,20 @@ func antiPatterns(t *testing.T) []*pattern.Pattern {
 }
 
 func TestAntiEdgePatternsOnNativeEngines(t *testing.T) {
-	g := testGraph(t, 63, 0)
-	for _, p := range antiPatterns(t) {
-		want := refmatch.Count(plainOf(t, g), p)
-		for _, e := range []engine.Engine{peregrine.New(3), autozero.New(3)} {
-			got, _, err := e.Count(g, p)
-			if err != nil {
-				t.Fatalf("%s: %v", e.Name(), err)
-			}
-			if got != want {
-				t.Errorf("%s pattern=%v: count %d, oracle %d", e.Name(), p, got, want)
+	forEachSuite(t, 63, 0, func(t *testing.T, g graph.Adjacency, plain *graph.Graph) {
+		for _, p := range antiPatterns(t) {
+			want := refmatch.Count(plain, p)
+			for _, e := range []engine.Engine{peregrine.New(3), autozero.New(3)} {
+				got, _, err := e.Count(g, p)
+				if err != nil {
+					t.Fatalf("%s: %v", e.Name(), err)
+				}
+				if got != want {
+					t.Errorf("%s pattern=%v: count %d, oracle %d", e.Name(), p, got, want)
+				}
 			}
 		}
-	}
+	})
 }
 
 func TestAntiEdgeCountsRelateToVariants(t *testing.T) {
@@ -62,57 +64,60 @@ func TestAntiEdgeCountsRelateToVariants(t *testing.T) {
 	// count(p_anti) >= count(p_V). (No upper relation to count(p_E) holds:
 	// a subgraph with several qualifying placements yields several
 	// distinct anti-matches, e.g. a fully non-adjacent star has three.)
-	g := testGraph(t, 64, 0)
-	eng := peregrine.New(2)
-	for _, p := range antiPatterns(t) {
-		cAnti, _, err := eng.Count(g, p)
-		if err != nil {
-			t.Fatal(err)
+	forEachSuite(t, 64, 0, func(t *testing.T, g graph.Adjacency, plain *graph.Graph) {
+		eng := peregrine.New(2)
+		for _, p := range antiPatterns(t) {
+			cAnti, _, err := eng.Count(g, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cV, _, err := eng.Count(g, p.AsVertexInduced())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cAnti < cV {
+				t.Errorf("pattern %v: anti count %d below vertex-induced %d", p, cAnti, cV)
+			}
 		}
-		cV, _, err := eng.Count(g, p.AsVertexInduced())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cAnti < cV {
-			t.Errorf("pattern %v: anti count %d below vertex-induced %d", p, cAnti, cV)
-		}
-	}
+	})
 }
 
 func TestFullAntiSetEqualsVertexInduced(t *testing.T) {
 	// Declaring every non-adjacent pair as an anti-edge is semantically
 	// the vertex-induced variant: the counts must coincide exactly.
-	g := testGraph(t, 67, 0)
-	eng := peregrine.New(2)
-	for _, base := range []*pattern.Pattern{
-		pattern.Wedge(), pattern.FourCycle(), pattern.TailedTriangle(), pattern.FourStar(),
-	} {
-		full, err := pattern.New(base.N(), base.Edges(), pattern.WithAntiEdges(base.NonEdges()))
-		if err != nil {
-			t.Fatal(err)
+	forEachSuite(t, 67, 0, func(t *testing.T, g graph.Adjacency, plain *graph.Graph) {
+		eng := peregrine.New(2)
+		for _, base := range []*pattern.Pattern{
+			pattern.Wedge(), pattern.FourCycle(), pattern.TailedTriangle(), pattern.FourStar(),
+		} {
+			full, err := pattern.New(base.N(), base.Edges(), pattern.WithAntiEdges(base.NonEdges()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cFull, _, err := eng.Count(g, full)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cV, _, err := eng.Count(g, base.AsVertexInduced())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cFull != cV {
+				t.Errorf("pattern %v: full anti set count %d != vertex-induced %d", base, cFull, cV)
+			}
 		}
-		cFull, _, err := eng.Count(g, full)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cV, _, err := eng.Count(g, base.AsVertexInduced())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cFull != cV {
-			t.Errorf("pattern %v: full anti set count %d != vertex-induced %d", base, cFull, cV)
-		}
-	}
+	})
 }
 
 func TestAntiEdgeRejectedByEdgeOnlyEngines(t *testing.T) {
-	g := testGraph(t, 65, 0)
-	p := antiPatterns(t)[0]
-	for _, e := range []engine.Engine{graphpi.New(1), bigjoin.New(1)} {
-		if _, _, err := e.Count(g, p); !errors.Is(err, engine.ErrInducedUnsupported) {
-			t.Errorf("%s: got %v, want ErrInducedUnsupported", e.Name(), err)
+	forEachSuite(t, 65, 0, func(t *testing.T, g graph.Adjacency, plain *graph.Graph) {
+		p := antiPatterns(t)[0]
+		for _, e := range []engine.Engine{graphpi.New(1), bigjoin.New(1)} {
+			if _, _, err := e.Count(g, p); !errors.Is(err, engine.ErrInducedUnsupported) {
+				t.Errorf("%s: got %v, want ErrInducedUnsupported", e.Name(), err)
+			}
 		}
-	}
+	})
 }
 
 func TestAntiEdgeRejectedByMorphingAlgebra(t *testing.T) {
@@ -160,30 +165,31 @@ func TestAntiEdgeAutomorphisms(t *testing.T) {
 }
 
 func TestAntiEdgeStreamsMatchOracle(t *testing.T) {
-	g := testGraph(t, 66, 0)
-	p := antiPatterns(t)[1]
-	auts := canon.Automorphisms(p)
-	want := refmatch.Matches(plainOf(t, g), p)
-	got := map[string]bool{}
-	var mu sync.Mutex
-	_, err := peregrine.New(3).Match(g, p, func(_ int, m []uint32) {
-		c := canon.CanonicalMatch(p, m, auts)
-		k := string(keyOf(c))
-		mu.Lock()
-		got[k] = true
-		mu.Unlock()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("streamed %d unique matches, oracle %d", len(got), len(want))
-	}
-	for _, m := range want {
-		if !got[string(keyOf(m))] {
-			t.Errorf("missing oracle match %v", m)
+	forEachSuite(t, 66, 0, func(t *testing.T, g graph.Adjacency, plain *graph.Graph) {
+		p := antiPatterns(t)[1]
+		auts := canon.Automorphisms(p)
+		want := refmatch.Matches(plain, p)
+		got := map[string]bool{}
+		var mu sync.Mutex
+		_, err := peregrine.New(3).Match(g, p, func(_ int, m []uint32) {
+			c := canon.CanonicalMatch(p, m, auts)
+			k := string(keyOf(c))
+			mu.Lock()
+			got[k] = true
+			mu.Unlock()
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		if len(got) != len(want) {
+			t.Fatalf("streamed %d unique matches, oracle %d", len(got), len(want))
+		}
+		for _, m := range want {
+			if !got[string(keyOf(m))] {
+				t.Errorf("missing oracle match %v", m)
+			}
+		}
+	})
 }
 
 func keyOf(m []uint32) []byte {

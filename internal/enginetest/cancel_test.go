@@ -138,27 +138,28 @@ func TestCancelPartialCountConsistency(t *testing.T) {
 // TestPreExpiredContextStartsNoWork: a context that is already dead must
 // fail fast with the right sentinel and without mining anything.
 func TestPreExpiredContextStartsNoWork(t *testing.T) {
-	g := testGraph(t, 3, 0)
-	p := pattern.Triangle()
+	forEachSuite(t, 3, 0, func(t *testing.T, g graph.Adjacency, plain *graph.Graph) {
+		p := pattern.Triangle()
 
-	canceled, cancel := context.WithCancel(context.Background())
-	cancel()
-	expired, cancel2 := context.WithDeadline(context.Background(), time.Now().Add(-time.Hour))
-	defer cancel2()
+		canceled, cancel := context.WithCancel(context.Background())
+		cancel()
+		expired, cancel2 := context.WithDeadline(context.Background(), time.Now().Add(-time.Hour))
+		defer cancel2()
 
-	for _, e := range allEngines() {
-		c, _, err := engine.CountCtx(canceled, e, g, p)
-		if !errors.Is(err, engine.ErrCanceled) || c != 0 {
-			t.Errorf("%s: canceled pre-check: count=%d err=%v", e.Name(), c, err)
+		for _, e := range allEngines() {
+			c, _, err := engine.CountCtx(canceled, e, g, p)
+			if !errors.Is(err, engine.ErrCanceled) || c != 0 {
+				t.Errorf("%s: canceled pre-check: count=%d err=%v", e.Name(), c, err)
+			}
+			c, _, err = engine.CountCtx(expired, e, g, p)
+			if !errors.Is(err, engine.ErrDeadlineExceeded) || c != 0 {
+				t.Errorf("%s: expired pre-check: count=%d err=%v", e.Name(), c, err)
+			}
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("%s: deadline error must wrap context.DeadlineExceeded, got %v", e.Name(), err)
+			}
 		}
-		c, _, err = engine.CountCtx(expired, e, g, p)
-		if !errors.Is(err, engine.ErrDeadlineExceeded) || c != 0 {
-			t.Errorf("%s: expired pre-check: count=%d err=%v", e.Name(), c, err)
-		}
-		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Errorf("%s: deadline error must wrap context.DeadlineExceeded, got %v", e.Name(), err)
-		}
-	}
+	})
 }
 
 // TestMatchLimitAndCancellationCompose: early termination and
@@ -236,13 +237,14 @@ func TestVisitorPanicIsolatedAllEngines(t *testing.T) {
 // reachable through errors.Is on the surfaced PanicError.
 func TestPanicWithErrorValueUnwraps(t *testing.T) {
 	leakCheck(t)
-	g := testGraph(t, 3, 0)
-	sentinel := errors.New("udf invariant violated")
-	_, err := peregrine.New(2).MatchCtx(context.Background(), g, pattern.Triangle(),
-		func(int, []uint32) { panic(sentinel) })
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("errors.Is(err, sentinel) = false for %v", err)
-	}
+	forEachSuite(t, 3, 0, func(t *testing.T, g graph.Adjacency, plain *graph.Graph) {
+		sentinel := errors.New("udf invariant violated")
+		_, err := peregrine.New(2).MatchCtx(context.Background(), g, pattern.Triangle(),
+			func(int, []uint32) { panic(sentinel) })
+		if !errors.Is(err, sentinel) {
+			t.Fatalf("errors.Is(err, sentinel) = false for %v", err)
+		}
+	})
 }
 
 // TestFaultInjectionPanicAtMatchN drives the injection harness end to

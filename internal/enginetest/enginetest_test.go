@@ -9,13 +9,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"morphing/internal/autozero"
 	"morphing/internal/bigjoin"
 	"morphing/internal/canon"
+	"morphing/internal/core"
 	"morphing/internal/dataset"
 	"morphing/internal/engine"
 	"morphing/internal/graph"
@@ -54,98 +56,171 @@ var runnerRoutes = []struct {
 	{"sharded-trie", func(e engine.Engine) engine.Engine { return e }, 3},
 }
 
-func testGraph(t *testing.T, seed int64, labels int) graph.Adjacency {
-	t.Helper()
-	g, err := dataset.ErdosRenyi(45, 7, labels, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return suiteTier(t, g)
+// suiteShapes and suiteTiers span the table every oracle suite of the
+// package runs over. The shapes differ in what a plain graph serves by
+// itself: ER(45) has no vertex at graph.DefaultHubThreshold, the hubbed graph
+// has three, so its plain tier probes hub bitmaps. The compressed tier
+// (block size 8, so even 45-vertex rows span several blocks) decodes rows
+// into pins and serves neither bitmaps nor label rows.
+//
+// A hub of degree 64 is the centre of 600 k four-stars: sweeps over 5-vertex
+// patterns, which the brute-force oracle has to enumerate, stop at four
+// vertices where hasHubs says so.
+var suiteShapes = []suiteShape{{"er45", 45, 7, 0}, {"hubbed", 80, 3, 3}}
+
+type suiteShape struct {
+	name      string
+	n         int
+	avgDegree float64
+	hubs      int
 }
 
-// suiteTier returns g as the suite mode the environment selects serves it.
-func suiteTier(t testing.TB, g *graph.Graph) graph.Adjacency {
+func (s suiteShape) gen(labels int, seed int64) (*graph.Graph, error) {
+	return dataset.Hubbed(s.n, s.avgDegree, s.hubs, labels, seed)
+}
+
+var suiteTiers = []struct {
+	name string
+	of   func(*graph.Graph) (graph.Adjacency, error)
+}{
+	{"plain", func(g *graph.Graph) (graph.Adjacency, error) { return g, nil }},
+	{"compressed", func(g *graph.Graph) (graph.Adjacency, error) { return graph.Compress(g, 8) }},
+}
+
+// forEachSuite runs f as one subtest per shape × tier: g is the seeded graph
+// as the tier serves it, plain the same graph for the brute-force oracle
+// (refmatch stays on *graph.Graph deliberately — the oracle must not depend
+// on the tier under test).
+func forEachSuite(t *testing.T, seed int64, labels int, f func(t *testing.T, g graph.Adjacency, plain *graph.Graph)) {
 	t.Helper()
-	// MORPH_HUB_BITSET=1 reruns the whole suite with the hub-bitset index
-	// forced on (threshold 4 so the small test graphs actually have hubs);
-	// CI runs both configurations.
-	if os.Getenv("MORPH_HUB_BITSET") == "1" {
-		g.EnableHubIndex(4)
-	}
-	// MORPH_COMPRESSED=1 reruns the whole suite on the delta-varint
-	// compressed tier (block size 8 so even the 45-vertex test graphs
-	// span multiple blocks per hub row); CI runs this configuration
-	// alongside the plain and hub-bitset ones.
-	if os.Getenv("MORPH_COMPRESSED") == "1" {
-		c, err := graph.Compress(g, 8)
+	for _, shape := range suiteShapes {
+		plain, err := shape.gen(labels, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return c
+		for _, tier := range suiteTiers {
+			g, err := tier.of(plain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Run(shape.name+"/"+tier.name, func(t *testing.T) { f(t, g, plain) })
+		}
 	}
-	return g
 }
 
-// plainOf recovers a plain in-RAM graph from whichever tier testGraph
-// returned, for the brute-force oracle (refmatch stays on *graph.Graph
-// deliberately — the oracle must not depend on the tier under test).
-func plainOf(t *testing.T, a graph.Adjacency) *graph.Graph {
-	t.Helper()
-	if g, ok := a.(*graph.Graph); ok {
-		return g
-	}
-	members := make([]uint32, a.NumVertices())
-	for i := range members {
-		members[i] = uint32(i)
-	}
-	g, err := graph.SubgraphOf(a, members)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g
+func hasHubs(g *graph.Graph) bool {
+	return g.MaxDegree() >= graph.DefaultHubThreshold(g.NumVertices())
 }
 
-// Every engine must produce identical counts with the hub-bitset index on
-// and off, regardless of the MORPH_HUB_BITSET suite mode.
+// noHubRows serves a plain graph without its bitmap rows, to the pass and
+// to every worker view: the merge/gallop route over the same CSR (label
+// rows stay, as on any plain graph).
+type noHubRows struct{ *graph.Graph }
+
+func (noHubRows) HubBits(uint32) []uint64 { return nil }
+func (g noHubRows) View() graph.Adjacency { return g }
+
+// TestEnginesHubIndexInvariance: what a planner's passes find on the hubbed
+// shape does not depend on whether the graph serves bitmap rows — plain (the
+// rows a *graph.Graph builds by itself) vs the same graph with HubBits
+// hidden vs the compressed tier vs the brute-force oracle — as counts of a
+// merged pass, as the match streams of a merged streaming pass and as MNI
+// tables, at 1 and 4 threads. Bitmap probes run on the plain graph and
+// nowhere else; on the labeled graph the labeled patterns put label slices
+// and hub bitmaps into one pass.
 func TestEnginesHubIndexInvariance(t *testing.T) {
-	shapes := []*pattern.Pattern{
+	unlabeled := []*pattern.Pattern{
 		pattern.Triangle(),
 		pattern.FourCycle(),
 		pattern.FourCycle().AsVertexInduced(),
 		pattern.FourClique(),
 		pattern.TailedTriangle(),
+		pattern.TailedTriangle().AsVertexInduced(),
+	}
+	labeled := []*pattern.Pattern{
+		pattern.MustNew(3, pattern.Wedge().Edges(), pattern.WithLabels([]int32{0, 1, pattern.Unlabeled})),
+		pattern.MustNew(4, pattern.Path(4).Edges(), pattern.WithLabels([]int32{0, 1, 1, 0})),
+		pattern.MustNew(4, pattern.TailedTriangle().Edges(), pattern.WithLabels([]int32{1, 0, 2, 1})).AsVertexInduced(),
 	}
 	for _, labels := range []int{0, 3} {
-		g, err := dataset.ErdosRenyi(45, 7, labels, 17)
+		shapes := unlabeled
+		if labels > 0 {
+			shapes = append(slices.Clone(unlabeled), labeled...)
+		}
+		plain, err := suiteShapes[1].gen(labels, 17)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, e := range allEngines() {
+		if plain.HubBits(uint32(plain.NumVertices()-1)) == nil {
+			t.Fatal("the hubbed shape has no hub at the default threshold")
+		}
+		compressed, err := graph.Compress(plain, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tiers := []struct {
+			name string
+			g    graph.Adjacency
+		}{{"hub-rows", plain}, {"hidden", noHubRows{plain}}, {"compressed", compressed}}
+		for _, pl := range allPlanners() {
+			e := pl.(engine.Engine)
+			var ps []*pattern.Pattern
 			for _, p := range shapes {
-				if !e.SupportsInduced(p.Induced()) {
-					continue
+				if supportedByPlanner(e, p) {
+					ps = append(ps, p)
 				}
-				g.DisableHubIndex()
-				off, _, err := e.Count(g, p)
+			}
+			var edgeInduced []*pattern.Pattern // the MNI route's queries
+			counts := make([]uint64, len(ps))
+			matches := make([]map[uint64]int, len(ps))
+			for i, p := range ps {
+				matches[i] = map[uint64]int{}
+				for _, m := range refmatch.Matches(plain, p) {
+					matches[i][matchKey(m)]++
+				}
+				counts[i] = uint64(len(matches[i]))
+				if p.Induced() == pattern.EdgeInduced {
+					edgeInduced = append(edgeInduced, p)
+				}
+			}
+			for _, tier := range tiers {
+				tr, err := engine.BuildTrie(pl, tier.g, ps)
 				if err != nil {
 					t.Fatal(err)
 				}
-				g.EnableHubIndex(4)
-				on, _, err := e.Count(g, p)
+				for _, threads := range []int{1, 4} {
+					where := fmt.Sprintf("labels=%d %s %s threads=%d", labels, e.Name(), tier.name, threads)
+					opts, o := pl.ExecConfig()
+					opts.Threads = threads
+					got, st, err := engine.BacktrackTrie(tier.g, tr, opts, o)
+					if err != nil {
+						t.Fatalf("%s: %v", where, err)
+					}
+					if !slices.Equal(got, counts) {
+						t.Errorf("%s: counted %v, oracle %v", where, got, counts)
+					}
+					if bitset := st.SetBitsetOps > 0; bitset != (tier.name == "hub-rows") {
+						t.Errorf("%s: %d bitmap operations", where, st.SetBitsetOps)
+					}
+					streamed, misplaced := streamTrie(t, tier.g, plain, pl, ps, threads)
+					if misplaced != 0 || !reflect.DeepEqual(streamed, matches) {
+						t.Errorf("%s: the streams differ from the oracle's, or %d tuples are no embeddings", where, misplaced)
+					}
+				}
+				if !e.SupportsInduced(pattern.VertexInduced) {
+					continue // the MNI pipeline needs native vertex-induced matching
+				}
+				tables, _, err := (&core.Runner{Engine: e}).MNITablesCtx(context.Background(), tier.g, edgeInduced)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if on != off {
-					t.Errorf("%s labels=%d pattern=%v: hub-on=%d hub-off=%d",
-						e.Name(), labels, p, on, off)
-				}
-				if want := refmatch.Count(plainOf(t, g), p); on != want {
-					t.Errorf("%s labels=%d pattern=%v: count=%d oracle=%d",
-						e.Name(), labels, p, on, want)
+				for i, p := range edgeInduced {
+					if !tables[i].Equal(mniOracle(plain, p)) {
+						t.Errorf("labels=%d %s %s: MNI table of %v differs from the oracle's", labels, e.Name(), tier.name, p)
+					}
 				}
 			}
 		}
-		g.DisableHubIndex()
 	}
 }
 
@@ -171,60 +246,62 @@ func TestEngineNamesAndCapabilities(t *testing.T) {
 }
 
 func TestAllEnginesMatchOracleCounts(t *testing.T) {
-	g := testGraph(t, 21, 0)
-	maxK := 5
-	if testing.Short() {
-		maxK = 4
-	}
-	for k := 2; k <= maxK; k++ {
-		ps, err := canon.AllConnectedPatterns(k)
-		if err != nil {
-			t.Fatal(err)
+	forEachSuite(t, 21, 0, func(t *testing.T, g graph.Adjacency, plain *graph.Graph) {
+		maxK := 5
+		if testing.Short() || hasHubs(plain) {
+			maxK = 4
 		}
-		for _, base := range ps {
-			for _, iv := range []pattern.Induced{pattern.EdgeInduced, pattern.VertexInduced} {
-				p := base.Variant(iv)
-				want := refmatch.Count(plainOf(t, g), p)
-				for _, e := range allEngines() {
-					if !e.SupportsInduced(iv) && !p.IsClique() {
-						if _, _, err := e.Count(g, p); !errors.Is(err, engine.ErrInducedUnsupported) {
-							t.Errorf("%s: expected ErrInducedUnsupported for %v, got %v", e.Name(), p, err)
+		for k := 2; k <= maxK; k++ {
+			ps, err := canon.AllConnectedPatterns(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, base := range ps {
+				for _, iv := range []pattern.Induced{pattern.EdgeInduced, pattern.VertexInduced} {
+					p := base.Variant(iv)
+					want := refmatch.Count(plain, p)
+					for _, e := range allEngines() {
+						if !e.SupportsInduced(iv) && !p.IsClique() {
+							if _, _, err := e.Count(g, p); !errors.Is(err, engine.ErrInducedUnsupported) {
+								t.Errorf("%s: expected ErrInducedUnsupported for %v, got %v", e.Name(), p, err)
+							}
+							continue
 						}
-						continue
-					}
-					got, _, err := e.Count(g, p)
-					if err != nil {
-						t.Fatalf("%s: %v", e.Name(), err)
-					}
-					if got != want {
-						t.Errorf("%s pattern=%v: count %d, oracle %d", e.Name(), p, got, want)
+						got, _, err := e.Count(g, p)
+						if err != nil {
+							t.Fatalf("%s: %v", e.Name(), err)
+						}
+						if got != want {
+							t.Errorf("%s pattern=%v: count %d, oracle %d", e.Name(), p, got, want)
+						}
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
 func TestAllEnginesLabeled(t *testing.T) {
-	g := testGraph(t, 33, 3)
-	shapes := []*pattern.Pattern{pattern.Triangle(), pattern.TailedTriangle(), pattern.FourCycle()}
-	for _, shape := range shapes {
-		labels := make([]int32, shape.N())
-		for i := range labels {
-			labels[i] = int32(i % 2)
-		}
-		p := pattern.MustNew(shape.N(), shape.Edges(), pattern.WithLabels(labels))
-		want := refmatch.Count(plainOf(t, g), p)
-		for _, e := range allEngines() {
-			got, _, err := e.Count(g, p)
-			if err != nil {
-				t.Fatalf("%s: %v", e.Name(), err)
+	forEachSuite(t, 33, 3, func(t *testing.T, g graph.Adjacency, plain *graph.Graph) {
+		shapes := []*pattern.Pattern{pattern.Triangle(), pattern.TailedTriangle(), pattern.FourCycle()}
+		for _, shape := range shapes {
+			labels := make([]int32, shape.N())
+			for i := range labels {
+				labels[i] = int32(i % 2)
 			}
-			if got != want {
-				t.Errorf("%s labeled %v: count %d, oracle %d", e.Name(), p, got, want)
+			p := pattern.MustNew(shape.N(), shape.Edges(), pattern.WithLabels(labels))
+			want := refmatch.Count(plain, p)
+			for _, e := range allEngines() {
+				got, _, err := e.Count(g, p)
+				if err != nil {
+					t.Fatalf("%s: %v", e.Name(), err)
+				}
+				if got != want {
+					t.Errorf("%s labeled %v: count %d, oracle %d", e.Name(), p, got, want)
+				}
 			}
 		}
-	}
+	})
 }
 
 // isEmbedding reports whether m, read in pattern-vertex order, is an
@@ -251,95 +328,96 @@ func isEmbedding(g *graph.Graph, p *pattern.Pattern, m []uint32) bool {
 // vertex, whatever order the engine's plan binds them in. The patterns
 // cover both semantics, labels, explicit anti-edges and a streaming last
 // level under every kind of level above it (CI reruns the suite under
-// -race and on the MORPH_COMPRESSED / MORPH_HUB_BITSET tiers).
+// -race; forEachSuite spans the tiers).
 func TestAllEnginesStreamIdenticalMatchSets(t *testing.T) {
-	g := testGraph(t, 8, 2)
-	plain := plainOf(t, g)
-	ps := append(antiPatterns(t),
-		pattern.Edge(),
-		pattern.Triangle(),
-		pattern.TailedTriangle(),
-		pattern.ChordalFourCycle(),
-		pattern.FourCycle().AsVertexInduced(),
-		pattern.FourStar().AsVertexInduced(),
-		pattern.House(),
-		pattern.MustNew(3, pattern.Wedge().Edges(), pattern.WithLabels([]int32{0, 1, pattern.Unlabeled})),
-		pattern.MustNew(4, pattern.Path(4).Edges(), pattern.WithLabels([]int32{0, 1, 1, 0})),
-	)
-	for _, p := range ps {
-		auts := canon.Automorphisms(p)
-		want := map[string]int{}
-		for _, m := range refmatch.Matches(plain, p) {
-			want[fmt.Sprint(m)]++
-		}
-		for _, e := range allEngines() {
-			if !supportedByPlanner(e, p) || p.HasExplicitAntiEdges() && !e.SupportsInduced(pattern.VertexInduced) {
-				continue
+	forEachSuite(t, 8, 2, func(t *testing.T, g graph.Adjacency, plain *graph.Graph) {
+		ps := append(antiPatterns(t),
+			pattern.Edge(),
+			pattern.Triangle(),
+			pattern.TailedTriangle(),
+			pattern.ChordalFourCycle(),
+			pattern.FourCycle().AsVertexInduced(),
+			pattern.FourStar().AsVertexInduced(),
+			pattern.House(),
+			pattern.MustNew(3, pattern.Wedge().Edges(), pattern.WithLabels([]int32{0, 1, pattern.Unlabeled})),
+			pattern.MustNew(4, pattern.Path(4).Edges(), pattern.WithLabels([]int32{0, 1, 1, 0})),
+		)
+		for _, p := range ps {
+			auts := canon.Automorphisms(p)
+			want := map[string]int{}
+			for _, m := range refmatch.Matches(plain, p) {
+				want[fmt.Sprint(m)]++
 			}
-			var mu sync.Mutex
-			got := map[string]int{}
-			misplaced := 0
-			st, err := e.Match(g, p, func(_ int, m []uint32) {
-				ok := isEmbedding(plain, p, m)
-				k := fmt.Sprint(canon.CanonicalMatch(p, m, auts))
-				mu.Lock()
-				got[k]++
-				if !ok {
-					misplaced++
+			for _, e := range allEngines() {
+				if !supportedByPlanner(e, p) || p.HasExplicitAntiEdges() && !e.SupportsInduced(pattern.VertexInduced) {
+					continue
 				}
-				mu.Unlock()
-			})
-			if err != nil {
-				t.Fatalf("%s: %v", e.Name(), err)
-			}
-			if misplaced != 0 {
-				t.Errorf("%s pattern %v: %d delivered tuples are no embedding in pattern-vertex order", e.Name(), p, misplaced)
-			}
-			if len(got) != len(want) {
-				t.Errorf("%s pattern %v: %d distinct matches, oracle %d", e.Name(), p, len(got), len(want))
-			}
-			for k, n := range want {
-				if got[k] != n {
-					t.Errorf("%s pattern %v: oracle match %s delivered %d times", e.Name(), p, k, got[k])
+				var mu sync.Mutex
+				got := map[string]int{}
+				misplaced := 0
+				st, err := e.Match(g, p, func(_ int, m []uint32) {
+					ok := isEmbedding(plain, p, m)
+					k := fmt.Sprint(canon.CanonicalMatch(p, m, auts))
+					mu.Lock()
+					got[k]++
+					if !ok {
+						misplaced++
+					}
+					mu.Unlock()
+				})
+				if err != nil {
+					t.Fatalf("%s: %v", e.Name(), err)
+				}
+				if misplaced != 0 {
+					t.Errorf("%s pattern %v: %d delivered tuples are no embedding in pattern-vertex order", e.Name(), p, misplaced)
+				}
+				if len(got) != len(want) {
+					t.Errorf("%s pattern %v: %d distinct matches, oracle %d", e.Name(), p, len(got), len(want))
+				}
+				for k, n := range want {
+					if got[k] != n {
+						t.Errorf("%s pattern %v: oracle match %s delivered %d times", e.Name(), p, k, got[k])
+					}
+				}
+				if st.Matches != uint64(len(want)) {
+					t.Errorf("%s pattern %v: stats report %d matches, oracle %d", e.Name(), p, st.Matches, len(want))
 				}
 			}
-			if st.Matches != uint64(len(want)) {
-				t.Errorf("%s pattern %v: stats report %d matches, oracle %d", e.Name(), p, st.Matches, len(want))
-			}
 		}
-	}
+	})
 }
 
 func TestCountAllConsistentWithCount(t *testing.T) {
-	g := testGraph(t, 55, 0)
-	ps := []*pattern.Pattern{
-		pattern.Triangle(),
-		pattern.FourCycle(),
-		pattern.TailedTriangle().AsVertexInduced(),
-		pattern.ChordalFourCycle(),
-		pattern.FourClique(),
-	}
-	for _, e := range allEngines() {
-		var supported []*pattern.Pattern
-		for _, p := range ps {
-			if e.SupportsInduced(p.Induced()) || p.IsClique() {
-				supported = append(supported, p)
+	forEachSuite(t, 55, 0, func(t *testing.T, g graph.Adjacency, plain *graph.Graph) {
+		ps := []*pattern.Pattern{
+			pattern.Triangle(),
+			pattern.FourCycle(),
+			pattern.TailedTriangle().AsVertexInduced(),
+			pattern.ChordalFourCycle(),
+			pattern.FourClique(),
+		}
+		for _, e := range allEngines() {
+			var supported []*pattern.Pattern
+			for _, p := range ps {
+				if e.SupportsInduced(p.Induced()) || p.IsClique() {
+					supported = append(supported, p)
+				}
 			}
-		}
-		counts, _, err := e.CountAll(g, supported)
-		if err != nil {
-			t.Fatalf("%s: %v", e.Name(), err)
-		}
-		for i, p := range supported {
-			want, _, err := e.Count(g, p)
+			counts, _, err := e.CountAll(g, supported)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s: %v", e.Name(), err)
 			}
-			if counts[i] != want {
-				t.Errorf("%s: CountAll[%v]=%d, Count=%d", e.Name(), p, counts[i], want)
+			for i, p := range supported {
+				want, _, err := e.Count(g, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if counts[i] != want {
+					t.Errorf("%s: CountAll[%v]=%d, Count=%d", e.Name(), p, counts[i], want)
+				}
 			}
 		}
-	}
+	})
 }
 
 func TestAutoZeroMergedScheduleSharesWork(t *testing.T) {
@@ -377,57 +455,59 @@ func TestAutoZeroMergedScheduleSharesWork(t *testing.T) {
 }
 
 func TestFilterUDFCountsMatchNativeVertexInduced(t *testing.T) {
-	g := testGraph(t, 77, 0)
-	per := peregrine.New(2)
-	gp := graphpi.New(2)
-	bj := bigjoin.New(2)
-	for _, base := range []*pattern.Pattern{
-		pattern.TailedTriangle(),
-		pattern.FourCycle(),
-		pattern.ChordalFourCycle(),
-		pattern.FourStar(),
-	} {
-		pV := base.AsVertexInduced()
-		want, _, err := per.Count(g, pV)
-		if err != nil {
-			t.Fatal(err)
+	forEachSuite(t, 77, 0, func(t *testing.T, g graph.Adjacency, plain *graph.Graph) {
+		per := peregrine.New(2)
+		gp := graphpi.New(2)
+		bj := bigjoin.New(2)
+		for _, base := range []*pattern.Pattern{
+			pattern.TailedTriangle(),
+			pattern.FourCycle(),
+			pattern.ChordalFourCycle(),
+			pattern.FourStar(),
+		} {
+			pV := base.AsVertexInduced()
+			want, _, err := per.Count(g, pV)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotGP, stGP, err := gp.CountVertexInducedViaFilterCtx(context.Background(), g, pV)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotGP != want {
+				t.Errorf("GraphPi filter count for %v = %d, want %d", pV, gotGP, want)
+			}
+			if stGP.Branches == 0 || stGP.UDFCalls == 0 {
+				t.Errorf("GraphPi filter did not record UDF work: %+v", stGP)
+			}
+			gotBJ, stBJ, err := bj.CountVertexInducedViaFilterCtx(context.Background(), g, pV)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotBJ != want {
+				t.Errorf("BigJoin filter count for %v = %d, want %d", pV, gotBJ, want)
+			}
+			if stBJ.Branches == 0 {
+				t.Errorf("BigJoin filter did not record branches")
+			}
 		}
-		gotGP, stGP, err := gp.CountVertexInducedViaFilterCtx(context.Background(), g, pV)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotGP != want {
-			t.Errorf("GraphPi filter count for %v = %d, want %d", pV, gotGP, want)
-		}
-		if stGP.Branches == 0 || stGP.UDFCalls == 0 {
-			t.Errorf("GraphPi filter did not record UDF work: %+v", stGP)
-		}
-		gotBJ, stBJ, err := bj.CountVertexInducedViaFilterCtx(context.Background(), g, pV)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotBJ != want {
-			t.Errorf("BigJoin filter count for %v = %d, want %d", pV, gotBJ, want)
-		}
-		if stBJ.Branches == 0 {
-			t.Errorf("BigJoin filter did not record branches")
-		}
-	}
+	})
 }
 
 func TestVertexInducedCliqueAcceptedEverywhere(t *testing.T) {
-	g := testGraph(t, 91, 0)
-	p := pattern.FourClique().AsVertexInduced()
-	want := refmatch.Count(plainOf(t, g), p)
-	for _, e := range allEngines() {
-		got, _, err := e.Count(g, p)
-		if err != nil {
-			t.Fatalf("%s rejected vertex-induced clique: %v", e.Name(), err)
+	forEachSuite(t, 91, 0, func(t *testing.T, g graph.Adjacency, plain *graph.Graph) {
+		p := pattern.FourClique().AsVertexInduced()
+		want := refmatch.Count(plain, p)
+		for _, e := range allEngines() {
+			got, _, err := e.Count(g, p)
+			if err != nil {
+				t.Fatalf("%s rejected vertex-induced clique: %v", e.Name(), err)
+			}
+			if got != want {
+				t.Errorf("%s: clique count %d, want %d", e.Name(), got, want)
+			}
 		}
-		if got != want {
-			t.Errorf("%s: clique count %d, want %d", e.Name(), got, want)
-		}
-	}
+	})
 }
 
 func TestEnginesOnSkewedGraph(t *testing.T) {

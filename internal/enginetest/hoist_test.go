@@ -241,49 +241,55 @@ func hoistSets(t testing.TB) map[string][]*pattern.Pattern {
 // executor hoists, collapses or aliases, its counts equal the brute-force
 // oracle and the per-pattern executor — over random and adversarial
 // graphs, every pattern set above, every engine that plans through
-// plan.Plan, 1 and 4 threads. CI reruns it under -race and with
-// MORPH_COMPRESSED=1 / MORPH_HUB_BITSET=1, which swap the tier (suiteTier).
+// plan.Plan, both storage tiers (suiteTiers), 1 and 4 threads. CI reruns it
+// under -race.
 func TestTrieHoistingProperty(t *testing.T) {
 	sets := hoistSets(t)
 	oracle := map[string]uint64{} // graph/pattern → refmatch count, shared by the engines
-	for gname, plain := range hoistGraphs(t) {
-		g := suiteTier(t, plain)
-		for sname, set := range sets {
-			for _, pl := range allPlanners() {
-				e := pl.(engine.Engine)
-				var ps []*pattern.Pattern
-				for _, p := range set {
-					if supportedByPlanner(e, p) && (plain.Labeled() || !p.Labeled()) {
-						ps = append(ps, p)
+	for base, plain := range hoistGraphs(t) {
+		for _, tier := range suiteTiers {
+			g, err := tier.of(plain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gname := base + "/" + tier.name
+			for sname, set := range sets {
+				for _, pl := range allPlanners() {
+					e := pl.(engine.Engine)
+					var ps []*pattern.Pattern
+					for _, p := range set {
+						if supportedByPlanner(e, p) && (plain.Labeled() || !p.Labeled()) {
+							ps = append(ps, p)
+						}
 					}
-				}
-				if len(ps) < 2 {
-					continue
-				}
-				tr, err := engine.BuildTrie(pl, g, ps)
-				if err != nil {
-					t.Fatalf("%s %s %s: BuildTrie: %v", gname, sname, e.Name(), err)
-				}
-				for _, threads := range []int{1, 4} {
-					opts, o := pl.ExecConfig()
-					opts.Threads = threads
-					got, _, err := engine.BacktrackTrie(g, tr, opts, o)
+					if len(ps) < 2 {
+						continue
+					}
+					tr, err := engine.BuildTrie(pl, g, ps)
 					if err != nil {
-						t.Fatalf("%s %s %s: BacktrackTrie: %v", gname, sname, e.Name(), err)
+						t.Fatalf("%s %s %s: BuildTrie: %v", gname, sname, e.Name(), err)
 					}
-					for i, p := range ps {
-						key := gname + "/" + p.String()
-						want, ok := oracle[key]
-						if !ok {
-							want = refmatch.Count(plain, p)
-							oracle[key] = want
+					for _, threads := range []int{1, 4} {
+						opts, o := pl.ExecConfig()
+						opts.Threads = threads
+						got, _, err := engine.BacktrackTrie(g, tr, opts, o)
+						if err != nil {
+							t.Fatalf("%s %s %s: BacktrackTrie: %v", gname, sname, e.Name(), err)
 						}
-						if got[i] != want {
-							t.Errorf("%s %s %s threads=%d %v: trie %d, oracle %d", gname, sname, e.Name(), threads, p, got[i], want)
-						}
-						if threads == 1 {
-							if per, _, err := e.Count(g, p); err != nil || per != want {
-								t.Errorf("%s %s %s %v: per-pattern %d (%v), oracle %d", gname, sname, e.Name(), p, per, err, want)
+						for i, p := range ps {
+							key := base + "/" + p.String()
+							want, ok := oracle[key]
+							if !ok {
+								want = refmatch.Count(plain, p)
+								oracle[key] = want
+							}
+							if got[i] != want {
+								t.Errorf("%s %s %s threads=%d %v: trie %d, oracle %d", gname, sname, e.Name(), threads, p, got[i], want)
+							}
+							if threads == 1 {
+								if per, _, err := e.Count(g, p); err != nil || per != want {
+									t.Errorf("%s %s %s %v: per-pattern %d (%v), oracle %d", gname, sname, e.Name(), p, per, err, want)
+								}
 							}
 						}
 					}

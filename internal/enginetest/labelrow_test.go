@@ -127,9 +127,9 @@ func streamTrie(t *testing.T, g graph.Adjacency, plain *graph.Graph, pl engine.P
 // embedding in pattern-vertex order) and as the MNI tables of the merged MNI
 // route next to per-pattern MineMNITable, at 1 and 4 threads. A one-leaf
 // counting pass over label rows also keeps Extended ≤ Candidates at every
-// level: Candidates is what the level examined, not what its rows held. The
-// suite modes swap what "plain" is: MORPH_HUB_BITSET=1 probes label slices
-// against hub bitmaps, MORPH_COMPRESSED=1 makes all three tiers scan.
+// level: Candidates is what the level examined, not what its rows held.
+// (Neither graph has a hub at the default threshold; label slices next to
+// hub bitmaps are TestEnginesHubIndexInvariance's labeled patterns.)
 func TestLabelRowRouteEqualsFilterRoute(t *testing.T) {
 	er, err := dataset.ErdosRenyi(70, 6, 3, 5)
 	if err != nil {
@@ -155,7 +155,7 @@ func TestLabelRowRouteEqualsFilterRoute(t *testing.T) {
 		tiers := []struct {
 			name string
 			g    graph.Adjacency
-		}{{"label-rows", suiteTier(t, plain)}, {"filter", noLabelRows{plain}}, {"compressed", compressed}}
+		}{{"label-rows", plain}, {"filter", noLabelRows{plain}}, {"compressed", compressed}}
 		for sname, set := range sets {
 			counts := make([]uint64, len(set))
 			matches := make([]map[uint64]int, len(set))

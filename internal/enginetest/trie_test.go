@@ -6,6 +6,7 @@ import (
 	"morphing/internal/canon"
 	"morphing/internal/dataset"
 	"morphing/internal/engine"
+	"morphing/internal/graph"
 	"morphing/internal/pattern"
 	"morphing/internal/refmatch"
 )
@@ -60,50 +61,51 @@ func trieTestSets(t *testing.T) [][]*pattern.Pattern {
 // (and to the brute-force oracle).
 func TestTrieCountsMatchPerPattern(t *testing.T) {
 	for _, labels := range []int{0, 2} {
-		g := testGraph(t, 21, labels)
-		for si, set := range trieTestSets(t) {
-			for _, pl := range allPlanners() {
-				e := pl.(engine.Engine)
-				var ps []*pattern.Pattern
-				for _, p := range set {
-					if supportedByPlanner(e, p) {
-						ps = append(ps, p)
+		forEachSuite(t, 21, labels, func(t *testing.T, g graph.Adjacency, plain *graph.Graph) {
+			for si, set := range trieTestSets(t) {
+				for _, pl := range allPlanners() {
+					e := pl.(engine.Engine)
+					var ps []*pattern.Pattern
+					for _, p := range set {
+						if supportedByPlanner(e, p) {
+							ps = append(ps, p)
+						}
 					}
-				}
-				if len(ps) < 2 {
-					continue
-				}
-				tr, err := engine.BuildTrie(pl, g, ps)
-				if err != nil {
-					t.Fatalf("set %d %s: BuildTrie: %v", si, e.Name(), err)
-				}
-				opts, o := pl.ExecConfig()
-				got, st, err := engine.BacktrackTrie(g, tr, opts, o)
-				if err != nil {
-					t.Fatalf("set %d %s: BacktrackTrie: %v", si, e.Name(), err)
-				}
-				if st.TriePasses != 1 || st.TriePatterns != uint64(len(ps)) {
-					t.Errorf("set %d %s: trie stats passes=%d patterns=%d, want 1/%d",
-						si, e.Name(), st.TriePasses, st.TriePatterns, len(ps))
-				}
-				for i, p := range ps {
-					want, _, err := e.Count(g, p)
+					if len(ps) < 2 {
+						continue
+					}
+					tr, err := engine.BuildTrie(pl, g, ps)
 					if err != nil {
-						t.Fatalf("set %d %s %v: %v", si, e.Name(), p, err)
+						t.Fatalf("set %d %s: BuildTrie: %v", si, e.Name(), err)
 					}
-					if got[i] != want {
-						t.Errorf("set %d %s pattern=%v: trie count %d, per-pattern %d",
-							si, e.Name(), p, got[i], want)
+					opts, o := pl.ExecConfig()
+					got, st, err := engine.BacktrackTrie(g, tr, opts, o)
+					if err != nil {
+						t.Fatalf("set %d %s: BacktrackTrie: %v", si, e.Name(), err)
 					}
-					if labels == 0 {
-						if oracle := refmatch.Count(plainOf(t, g), p); got[i] != oracle {
-							t.Errorf("set %d %s pattern=%v: trie count %d, oracle %d",
-								si, e.Name(), p, got[i], oracle)
+					if st.TriePasses != 1 || st.TriePatterns != uint64(len(ps)) {
+						t.Errorf("set %d %s: trie stats passes=%d patterns=%d, want 1/%d",
+							si, e.Name(), st.TriePasses, st.TriePatterns, len(ps))
+					}
+					for i, p := range ps {
+						want, _, err := e.Count(g, p)
+						if err != nil {
+							t.Fatalf("set %d %s %v: %v", si, e.Name(), p, err)
+						}
+						if got[i] != want {
+							t.Errorf("set %d %s pattern=%v: trie count %d, per-pattern %d",
+								si, e.Name(), p, got[i], want)
+						}
+						if labels == 0 {
+							if oracle := refmatch.Count(plain, p); got[i] != oracle {
+								t.Errorf("set %d %s pattern=%v: trie count %d, oracle %d",
+									si, e.Name(), p, got[i], oracle)
+							}
 						}
 					}
 				}
 			}
-		}
+		})
 	}
 }
 
@@ -113,47 +115,48 @@ func TestTrieCountsMatchPerPattern(t *testing.T) {
 // sum of the per-pattern plans and record shared levels plus per-node
 // selectivity telemetry.
 func TestTrieSharesPrefixes(t *testing.T) {
-	g := testGraph(t, 21, 0)
-	pl := allPlanners()[0] // Peregrine: plan.Build default orders
-	all4, err := canon.AllConnectedPatterns(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps := make([]*pattern.Pattern, len(all4))
-	totalLevels := 0
-	for i, p := range all4 {
-		ps[i] = p.Variant(pattern.EdgeInduced)
-		totalLevels += p.N()
-	}
-	tr, err := engine.BuildTrie(pl, g, ps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.SharedLevels == 0 || tr.MaxSharedPrefix < 2 {
-		t.Fatalf("4-vertex edge-induced set shares no prefix: %+v", tr)
-	}
-	if tr.Nodes >= totalLevels {
-		t.Errorf("trie has %d nodes, no smaller than %d unshared plan levels", tr.Nodes, totalLevels)
-	}
-	opts, o := pl.ExecConfig()
-	_, st, err := engine.BacktrackTrie(g, tr, opts, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.TrieSharedLevels != uint64(tr.SharedLevels) {
-		t.Errorf("stats shared levels %d, trie %d", st.TrieSharedLevels, tr.SharedLevels)
-	}
-	if len(st.TrieNodes) != tr.Nodes {
-		t.Fatalf("per-node telemetry has %d entries, trie has %d nodes", len(st.TrieNodes), tr.Nodes)
-	}
-	for _, tn := range st.TrieNodes {
-		if tn.Enters == 0 && tn.Depth == 0 {
-			t.Errorf("root node %d never entered", tn.Node)
+	forEachSuite(t, 21, 0, func(t *testing.T, g graph.Adjacency, plain *graph.Graph) {
+		pl := allPlanners()[0] // Peregrine: plan.Build default orders
+		all4, err := canon.AllConnectedPatterns(4)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if tn.Extended > tn.Candidates {
-			t.Errorf("node %d extended %d > candidates %d", tn.Node, tn.Extended, tn.Candidates)
+		ps := make([]*pattern.Pattern, len(all4))
+		totalLevels := 0
+		for i, p := range all4 {
+			ps[i] = p.Variant(pattern.EdgeInduced)
+			totalLevels += p.N()
 		}
-	}
+		tr, err := engine.BuildTrie(pl, g, ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.SharedLevels == 0 || tr.MaxSharedPrefix < 2 {
+			t.Fatalf("4-vertex edge-induced set shares no prefix: %+v", tr)
+		}
+		if tr.Nodes >= totalLevels {
+			t.Errorf("trie has %d nodes, no smaller than %d unshared plan levels", tr.Nodes, totalLevels)
+		}
+		opts, o := pl.ExecConfig()
+		_, st, err := engine.BacktrackTrie(g, tr, opts, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.TrieSharedLevels != uint64(tr.SharedLevels) {
+			t.Errorf("stats shared levels %d, trie %d", st.TrieSharedLevels, tr.SharedLevels)
+		}
+		if len(st.TrieNodes) != tr.Nodes {
+			t.Fatalf("per-node telemetry has %d entries, trie has %d nodes", len(st.TrieNodes), tr.Nodes)
+		}
+		for _, tn := range st.TrieNodes {
+			if tn.Enters == 0 && tn.Depth == 0 {
+				t.Errorf("root node %d never entered", tn.Node)
+			}
+			if tn.Extended > tn.Candidates {
+				t.Errorf("node %d extended %d > candidates %d", tn.Node, tn.Extended, tn.Candidates)
+			}
+		}
+	})
 }
 
 // fuzzPool is the pattern pool the differential fuzzer draws subsets
@@ -232,7 +235,7 @@ func FuzzTrieDifferential(f *testing.F) {
 			t.Fatalf("CountAll: %v", err)
 		}
 		for i, p := range ps {
-			if oracle := refmatch.Count(plainOf(t, g), p); got[i] != oracle || looped[i] != oracle {
+			if oracle := refmatch.Count(g, p); got[i] != oracle || looped[i] != oracle {
 				t.Errorf("pattern %v: merged trie %d, loop of one-leaf tries %d, oracle %d", p, got[i], looped[i], oracle)
 			}
 		}

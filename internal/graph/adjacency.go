@@ -58,8 +58,8 @@ type Adjacency interface {
 	// NumLabels returns the number of distinct labels (0 when unlabeled).
 	NumLabels() int
 	// HubBits returns the bitmap adjacency row of v when v is an indexed
-	// hub, nil otherwise (see Graph.EnableHubIndex). Implementations
-	// without a hub index return nil for every vertex.
+	// hub, nil otherwise (see Graph.HubBits). Implementations without a
+	// hub index return nil for every vertex.
 	HubBits(v uint32) []uint64
 	// View returns a handle for one worker goroutine. Plain graphs
 	// return themselves; decoding tiers return a handle with a private

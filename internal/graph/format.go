@@ -22,11 +22,13 @@ import (
 //	section payloads, each 8-byte aligned, zero padding between
 //
 // Flags: 1 = labeled, 2 = compressed tier, 4 = renumbering permutation
-// stored. Section offsets are from the start of the file. Version-1
-// files (flat header + offsets/adj/labels) remain readable through
-// ReadBinary; Open dispatches on the version field.
+// stored. Section offsets are from the start of the file. Version 1 (a
+// flat header + offsets/adj/labels dump) has no writer and no reader any
+// more; Open recognizes its header and says how to replace the file.
 
 const (
+	binaryMagic    = "MCSR"
+	binaryVersion1 = 1
 	binaryVersion2 = 2
 
 	flagLabeled    = 1
@@ -198,8 +200,8 @@ func slabSection[T uint32 | int32 | uint64](id uint32, s []T) v2Section {
 	}
 }
 
-// WriteBinary2 serializes g in the version-2 sectioned format. Prefer it
-// over WriteBinary for anything Open will load: version-2 files mmap.
+// WriteBinary2 serializes g in the version-2 sectioned format, which Open
+// loads and memory-maps.
 func (g *Graph) WriteBinary2(w io.Writer) error {
 	var flags uint32
 	secs := []v2Section{

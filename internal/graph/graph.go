@@ -19,9 +19,9 @@ type Graph struct {
 	labels  []int32  // nil when the graph is unlabeled
 	orig    []uint32 // renumbering permutation, orig[new] = old (nil if none)
 	nEdges  uint64
-	hub     *hubIndex // optional hub-bitset index (see EnableHubIndex)
 	sum     summaryMemo
 	lrows   labelRowsMemo // label-grouped rows, built on the first LabelRow
+	hub     hubMemo       // bitmap rows of the hubs, built on the first HubBits
 }
 
 // NumVertices returns the number of vertices.

@@ -1,5 +1,10 @@
 package graph
 
+import (
+	"sync"
+	"sync/atomic"
+)
+
 // Hub-bitset index: bitmap adjacency rows for high-degree ("hub")
 // vertices, giving matching engines O(1) membership probes and word-
 // parallel intersection counts against hub neighborhoods instead of
@@ -9,31 +14,36 @@ package graph
 // (n/8 bytes) regardless of degree, versus 4·deg bytes for the CSR row it
 // shadows. It therefore only pays for vertices whose degree is a decent
 // fraction of n — exactly the hubs that dominate set-operation time on
-// skewed graphs. The default threshold (see DefaultHubThreshold) caps the
-// whole index at roughly the size of the CSR adjacency it accelerates.
+// skewed graphs. The threshold (see DefaultHubThreshold) caps the whole
+// index at roughly the size of the CSR adjacency it accelerates.
 //
-// The index is optional and built on demand via EnableHubIndex; a graph
-// without one behaves exactly as before (HubBits returns nil and engines
-// fall back to the merge/gallop kernels). Build it before sharing the
-// graph across goroutines: enabling mutates the graph, and engines read
-// the index without synchronization.
+// The index is part of what a plain *Graph is: the first HubBits call
+// builds it, as the first LabelRow call builds the label rows and
+// Summarize memoizes the summary, and a graph with no vertex at or above
+// the threshold holds an empty index that allocates nothing. The decoding
+// tiers carry none (their HubBits returns nil) and engines fall back to
+// the merge/gallop kernels there.
 
 // hubIndex is the built index: a dense slab of bitmap rows plus a
-// per-vertex row table (-1 = not a hub).
+// per-vertex row table (-1 = not a hub). Both are nil when no vertex
+// qualifies.
 type hubIndex struct {
-	threshold int
-	rowWords  int
-	rowOf     []int32
-	slab      []uint64
-	hubs      int
+	rowWords int
+	rowOf    []int32
+	slab     []uint64
 }
 
-// DefaultHubThreshold returns the degree cutoff used when EnableHubIndex
-// is called with minDegree <= 0: max(64, n/32). A bitmap row costs n/8
-// bytes versus 4·deg bytes of CSR, so at deg = n/32 the row costs exactly
-// 1x the CSR it shadows; qualifying vertices can therefore at most double
-// adjacency memory in aggregate, and on real skewed graphs the handful of
-// hubs above the cutoff cost far less.
+// hubMemo is the once-per-graph slot of the index.
+type hubMemo struct {
+	once sync.Once
+	ix   atomic.Pointer[hubIndex] // non-nil once built: what HubIndexBytes asks
+}
+
+// DefaultHubThreshold returns the degree cutoff of the hub-bitset index:
+// max(64, n/32). A bitmap row costs n/8 bytes versus 4·deg bytes of CSR, so
+// at deg = n/32 the row costs exactly 1x the CSR it shadows; qualifying
+// vertices can therefore at most double adjacency memory in aggregate, and
+// on real skewed graphs the handful of hubs above the cutoff cost far less.
 func DefaultHubThreshold(n int) int {
 	t := n / 32
 	if t < 64 {
@@ -42,29 +52,27 @@ func DefaultHubThreshold(n int) int {
 	return t
 }
 
-// EnableHubIndex builds the hub-bitset index for every vertex with degree
-// >= minDegree (minDegree <= 0 selects DefaultHubThreshold) and returns
-// the number of vertices indexed. Calling it again rebuilds the index with
-// the new threshold. It must not race with engines reading the graph.
-func (g *Graph) EnableHubIndex(minDegree int) int {
+// buildHubIndex indexes every vertex of degree >= DefaultHubThreshold.
+// When none qualifies the index is empty — no row table, no slab — so
+// sparse graphs and the induced shards of a sharded run pay one degree scan
+// and nothing else.
+func buildHubIndex(g *Graph) *hubIndex {
 	n := g.NumVertices()
-	if minDegree <= 0 {
-		minDegree = DefaultHubThreshold(n)
+	minDegree := DefaultHubThreshold(n)
+	if g.MaxDegree() < minDegree {
+		return &hubIndex{}
 	}
-	h := &hubIndex{
-		threshold: minDegree,
-		rowWords:  (n + 63) / 64,
-		rowOf:     make([]int32, n),
-	}
+	h := &hubIndex{rowWords: (n + 63) / 64, rowOf: make([]int32, n)}
+	hubs := 0
 	for v := 0; v < n; v++ {
 		if g.Degree(uint32(v)) >= minDegree {
-			h.rowOf[v] = int32(h.hubs)
-			h.hubs++
+			h.rowOf[v] = int32(hubs)
+			hubs++
 		} else {
 			h.rowOf[v] = -1
 		}
 	}
-	h.slab = make([]uint64, h.hubs*h.rowWords)
+	h.slab = make([]uint64, hubs*h.rowWords)
 	for v := 0; v < n; v++ {
 		r := h.rowOf[v]
 		if r < 0 {
@@ -75,20 +83,21 @@ func (g *Graph) EnableHubIndex(minDegree int) int {
 			row[u>>6] |= 1 << (u & 63)
 		}
 	}
-	g.hub = h
-	return h.hubs
+	return h
 }
 
-// DisableHubIndex drops the index, releasing its memory.
-func (g *Graph) DisableHubIndex() { g.hub = nil }
-
-// HubBits returns the bitmap adjacency row of v, or nil when v is not an
-// indexed hub (or no index is enabled). The row has ceil(n/64) words; bit
-// u of the row is set iff {v,u} is an edge. The returned slice aliases
-// index storage and must not be modified.
+// HubBits returns the bitmap adjacency row of v, or nil when v's degree is
+// below DefaultHubThreshold. The row has ceil(n/64) words; bit u of the row
+// is set iff {v,u} is an edge. The returned slice aliases index storage and
+// must not be modified. The first call builds the index; concurrent first
+// calls wait for the one build.
 func (g *Graph) HubBits(v uint32) []uint64 {
-	h := g.hub
+	h := g.hub.ix.Load()
 	if h == nil {
+		g.hub.once.Do(func() { g.hub.ix.Store(buildHubIndex(g)) })
+		h = g.hub.ix.Load()
+	}
+	if h.rowOf == nil {
 		return nil
 	}
 	r := h.rowOf[v]
@@ -99,20 +108,13 @@ func (g *Graph) HubBits(v uint32) []uint64 {
 	return h.slab[off : off+h.rowWords]
 }
 
-// HubIndexInfo describes an enabled hub index.
-type HubIndexInfo struct {
-	Hubs      int // vertices with a bitmap row
-	Threshold int // degree cutoff used
-	Bytes     int // slab memory in bytes (excluding the row table)
-}
-
-// HubIndex reports the enabled index, or ok=false when none is built.
-func (g *Graph) HubIndex() (HubIndexInfo, bool) {
-	h := g.hub
-	if h == nil {
-		return HubIndexInfo{}, false
+// HubIndexBytes returns the memory the hub-bitset index holds, 0 while it
+// has not been built (no HubBits call yet) or when no vertex qualified.
+func (g *Graph) HubIndexBytes() int {
+	if h := g.hub.ix.Load(); h != nil {
+		return 4*len(h.rowOf) + 8*len(h.slab)
 	}
-	return HubIndexInfo{Hubs: h.hubs, Threshold: h.threshold, Bytes: len(h.slab) * 8}, true
+	return 0
 }
 
 // Labels exposes the per-vertex label slice (nil for unlabeled graphs) so

@@ -69,11 +69,18 @@ func (h *Handle) Close() error {
 	return m.close()
 }
 
-// Open loads a binary graph file written by WriteBinary (version 1) or
-// WriteBinary2 (version 2). Version-2 files load in O(index) time: the
-// header, section table, and per-vertex index arrays are validated, and
-// adjacency bytes page in on demand when the file is memory-mapped.
-// Version-1 files always load onto the heap.
+// LegacyFormatError is what Open returns for a version-1 binary file, a
+// format nothing writes or reads any more.
+type LegacyFormatError struct{ Path string }
+
+func (e *LegacyFormatError) Error() string {
+	return fmt.Sprintf("graph: %s: version-1 binary files are no longer read; rebuild the file from its edge list with `morphcli convert`", e.Path)
+}
+
+// Open loads a binary graph file written by WriteBinary2 in O(index) time:
+// the header, section table, and per-vertex index arrays are validated, and
+// adjacency bytes page in on demand when the file is memory-mapped. A
+// version-1 file ends in a *LegacyFormatError.
 func Open(path string, opts OpenOptions) (*Handle, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -91,15 +98,8 @@ func Open(path string, opts OpenOptions) (*Handle, error) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return nil, err
 	}
-	if version == binaryVersion {
-		if opts.Mode == OpenMmap {
-			return nil, fmt.Errorf("graph: %s: version-1 files cannot be memory-mapped; convert to version 2", path)
-		}
-		g, err := ReadBinary(f)
-		if err != nil {
-			return nil, fmt.Errorf("graph: %s: %w", path, err)
-		}
-		return &Handle{adj: g}, nil
+	if version == binaryVersion1 {
+		return nil, &LegacyFormatError{Path: path}
 	}
 	if version != binaryVersion2 {
 		return nil, fmt.Errorf("graph: %s: unsupported binary version %d", path, version)

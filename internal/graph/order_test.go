@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 )
 
@@ -38,49 +39,36 @@ func TestSortByDegree(t *testing.T) {
 	}
 }
 
+// plainBytes serializes g in the binary format, as bytes for buildV2.
+func plainBytes(t *testing.T, g *Graph) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := g.WriteBinary2(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// The corner fixtures the random round trips of TestV2RoundTrip do not
+// reach: negative labels, an isolated vertex, an edgeless graph.
 func TestBinaryRoundTrip(t *testing.T) {
 	for _, g := range []*Graph{
 		MustFromEdges(4, [][2]uint32{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 2}}, nil),
 		MustFromEdges(3, [][2]uint32{{0, 1}}, []int32{5, -1, 9}),
 		MustFromEdges(2, nil, nil), // edgeless
 	} {
-		var buf bytes.Buffer
-		if err := g.WriteBinary(&buf); err != nil {
-			t.Fatal(err)
-		}
-		h, err := ReadBinary(&buf)
+		h, err := buildV2(plainBytes(t, g))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if h.NumVertices() != g.NumVertices() || h.NumEdges() != g.NumEdges() {
-			t.Fatalf("shape changed: %d/%d vs %d/%d",
-				h.NumVertices(), h.NumEdges(), g.NumVertices(), g.NumEdges())
-		}
-		for v := uint32(0); v < uint32(g.NumVertices()); v++ {
-			if g.Label(v) != h.Label(v) {
-				t.Fatalf("label of %d changed", v)
-			}
-			a, b := g.Neighbors(v), h.Neighbors(v)
-			if len(a) != len(b) {
-				t.Fatalf("degree of %d changed", v)
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("adjacency of %d changed", v)
-				}
-			}
-		}
+		sameAdjacency(t, g, h)
 	}
 }
 
+// A damaged plain-tier file is an error (TestOpenRejectsCorrupt damages a
+// compressed one).
 func TestBinaryRejectsCorruption(t *testing.T) {
-	g := MustFromEdges(4, [][2]uint32{{0, 1}, {1, 2}}, nil)
-	var buf bytes.Buffer
-	if err := g.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
-
+	good := plainBytes(t, MustFromEdges(4, [][2]uint32{{0, 1}, {1, 2}}, nil))
 	cases := []struct {
 		name   string
 		mutate func([]byte) []byte
@@ -89,33 +77,35 @@ func TestBinaryRejectsCorruption(t *testing.T) {
 		{"bad version", func(b []byte) []byte { b[4] = 99; return b }},
 		{"truncated", func(b []byte) []byte { return b[:len(b)-6] }},
 		{"absurd vertex count", func(b []byte) []byte {
-			for i := 8; i < 16; i++ {
+			for i := 12; i < 20; i++ {
 				b[i] = 0xFF
 			}
 			return b
 		}},
 	}
 	for _, tc := range cases {
-		mutated := tc.mutate(append([]byte(nil), good...))
-		if _, err := ReadBinary(bytes.NewReader(mutated)); err == nil {
+		if _, err := buildV2(tc.mutate(bytes.Clone(good))); err == nil {
 			t.Errorf("%s: corrupt input accepted", tc.name)
 		}
 	}
 }
 
+// Opening validates the index sections only; the O(E) check Open runs
+// under Verify must catch a neighbor smashed to an out-of-range vertex.
 func TestBinaryValidatesStructure(t *testing.T) {
-	g := MustFromEdges(3, [][2]uint32{{0, 1}, {1, 2}}, nil)
-	var buf bytes.Buffer
-	if err := g.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
+	b := plainBytes(t, MustFromEdges(3, [][2]uint32{{0, 1}, {1, 2}}, nil))
+	adjStart := -1
+	for e := b[v2HeaderSize:]; adjStart < 0; e = e[v2SectionSize:] {
+		if binary.LittleEndian.Uint32(e) == secAdj {
+			adjStart = int(binary.LittleEndian.Uint64(e[8:]))
+		}
 	}
-	b := buf.Bytes()
-	// The adjacency section starts after magic(4)+version(4)+nv(8)+ne(8)+
-	// labeled(1)+offsets(4*8). Smash a neighbor to an out-of-range vertex.
-	adjStart := 4 + 4 + 8 + 8 + 1 + 4*8
-	b[adjStart] = 0xEE
-	b[adjStart+1] = 0xEE
-	if _, err := ReadBinary(bytes.NewReader(b)); err == nil {
+	b[adjStart], b[adjStart+1] = 0xEE, 0xEE
+	h, err := buildV2(b)
+	if err != nil {
+		return // rejected even earlier
+	}
+	if h.(*Graph).VerifySorted() == nil {
 		t.Fatal("out-of-range neighbor accepted")
 	}
 }

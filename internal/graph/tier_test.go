@@ -3,12 +3,14 @@ package graph
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -234,30 +236,73 @@ func TestV2RoundTrip(t *testing.T) {
 	}
 }
 
-// TestV1StillReadable pins backward compatibility: Open dispatches
-// version-1 files to the old heap reader.
-func TestV1StillReadable(t *testing.T) {
-	g := randomGraph(t, 60, 5, 2, 3)
+// TestOpenVersion1NamesConvert: the flat version-1 dump has no reader any
+// more; Open must say so with a typed error that names the way out, not
+// "unsupported version 1".
+func TestOpenVersion1NamesConvert(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "v1.mcsr")
-	f, err := os.Create(path)
+	head := binary.LittleEndian.AppendUint32([]byte(binaryMagic), binaryVersion1)
+	if err := os.WriteFile(path, append(head, make([]byte, 64)...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []OpenMode{OpenAuto, OpenHeap, OpenMmap} {
+		_, err := Open(path, OpenOptions{Mode: mode})
+		var legacy *LegacyFormatError
+		if !errors.As(err, &legacy) || legacy.Path != path || !strings.Contains(err.Error(), "morphcli convert") {
+			t.Fatalf("mode %d: Open(version-1 file) = %v, want a *LegacyFormatError naming morphcli convert", mode, err)
+		}
+	}
+}
+
+// TestHubRowsFollowTheTier: a plain file opened through Open is a *Graph
+// like any other and serves bitmap rows for its hubs (heap-resident, also
+// when the CSR is a mapping); the compressed file of the same graph serves
+// none.
+func TestHubRowsFollowTheTier(t *testing.T) {
+	b := NewBuilder(200)
+	for v := uint32(1); v < 200; v++ {
+		b.AddEdge(0, v)
+	}
+	g, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.WriteBinary(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	h, err := Open(path, OpenOptions{Verify: true})
+	c, err := Compress(g, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer h.Close()
-	if h.Mapped() {
-		t.Fatal("v1 file claims to be mapped")
-	}
-	sameAdjacency(t, g, h.Graph())
-	if _, err := Open(path, OpenOptions{Mode: OpenMmap}); err == nil {
-		t.Fatal("OpenMmap accepted a version-1 file")
+	for _, tier := range []struct {
+		name  string
+		write func(io.Writer) error
+		hubs  bool
+	}{{"plain", g.WriteBinary2, true}, {"compressed", c.WriteBinary2, false}} {
+		path := filepath.Join(t.TempDir(), tier.name+".mcsr")
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tier.write(f); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		h, err := Open(path, OpenOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range []Adjacency{h.Graph(), h.Graph().View()} {
+			if got := a.HubBits(0) != nil; got != tier.hubs {
+				t.Errorf("%s: hub row of the center served = %v, want %v", tier.name, got, tier.hubs)
+			}
+			if a.HubBits(1) != nil {
+				t.Errorf("%s: a leaf has a hub row", tier.name)
+			}
+		}
+		if p := h.Plain(); tier.hubs && p.HubIndexBytes() == 0 {
+			t.Errorf("%s: HubIndexBytes 0 after serving a row", tier.name)
+		}
+		h.Close()
 	}
 }
 

@@ -3,9 +3,8 @@ package setops
 import "sync"
 
 // Arena is a per-worker slab allocator for set-operation scratch: the
-// prefix-set buffers every matching level double-buffers through, the
-// destination slices of IntersectNeighbors-style chains, and the word
-// scratch the block-bitmap tile kernels build their per-range tiles in.
+// prefix-set buffers every matching level double-buffers through and the
+// destination slices of IntersectNeighbors-style chains.
 //
 // The problem it solves is allocation trajectory, not allocation speed:
 // executors create a full complement of maxDegree-capacity buffers per
@@ -28,9 +27,6 @@ import "sync"
 //     migrates it to the GC heap (append reallocates). Callers therefore
 //     size requests by a real bound (maxDegree for adjacency scratch) so
 //     growth never happens on the hot path.
-//   - Tile word scratch (tileWords) is valid only until the next
-//     tileWords call on the same arena — exactly one tile kernel runs at
-//     a time per worker, which is the only use.
 //
 // The zero value is ready to use. GetArena/Release run arenas through a
 // package pool so slabs survive across executions; a released arena must
@@ -39,9 +35,6 @@ type Arena struct {
 	slabs [][]uint32 // retained so Reset can rewind without freeing
 	cur   []uint32   // active slab (last of slabs)
 	off   int        // allocation offset into cur
-
-	tileA []uint64 // tile word scratch, grown on demand
-	tileB []uint64
 
 	grabs  uint64 // Alloc calls served (telemetry)
 	resets uint64 // Reset calls (telemetry)
@@ -117,28 +110,13 @@ func (a *Arena) Reset() {
 	}
 }
 
-// Footprint returns the bytes of uint32 slab plus tile scratch the arena
-// currently retains.
+// Footprint returns the bytes of uint32 slab the arena currently retains.
 func (a *Arena) Footprint() uint64 {
 	var n uint64
 	for _, s := range a.slabs {
 		n += uint64(cap(s)) * 4
 	}
-	n += uint64(cap(a.tileA)+cap(a.tileB)) * 8
 	return n
-}
-
-// tileWords returns two zeroed word buffers of nw words each, for the
-// tile kernels' per-range bitmaps. Valid until the next tileWords call.
-func (a *Arena) tileWords(nw int) (x, y []uint64) {
-	if cap(a.tileA) < nw {
-		a.tileA = make([]uint64, nw)
-		a.tileB = make([]uint64, nw)
-	}
-	x, y = a.tileA[:nw], a.tileB[:nw]
-	clear(x)
-	clear(y)
-	return x, y
 }
 
 // arenaPool recycles arenas (and their slabs) across executions. sync.Pool

@@ -57,21 +57,6 @@ func TestArenaGrowsAndCoalesces(t *testing.T) {
 	}
 }
 
-func TestArenaTileWordsZeroed(t *testing.T) {
-	a := NewArena()
-	x, y := a.tileWords(8)
-	x[3], y[5] = ^uint64(0), ^uint64(0)
-	x, y = a.tileWords(8)
-	for i := range x {
-		if x[i] != 0 || y[i] != 0 {
-			t.Fatalf("tileWords returned dirty scratch at word %d", i)
-		}
-	}
-	if len(x) != 8 || len(y) != 8 {
-		t.Fatalf("tileWords(8) lengths %d, %d", len(x), len(y))
-	}
-}
-
 // TestArenaNoCrossWorkerAliasing is the -race arena reuse check: workers
 // with private arenas (as executors hold them) alloc, stamp, reset and
 // realloc concurrently. The race detector proves no two arenas share
@@ -95,11 +80,6 @@ func TestArenaNoCrossWorkerAliasing(t *testing.T) {
 					for j := range bufs[i] {
 						bufs[i][j] = id<<16 | uint32(i)
 					}
-				}
-				// Tile scratch is part of the same single-owner contract.
-				x, y := a.tileWords(32)
-				for w := range x {
-					x[w], y[w] = uint64(id), uint64(id)
 				}
 				for i := range bufs {
 					want := id<<16 | uint32(i)

@@ -7,8 +7,8 @@ import (
 
 // Micro-benchmarks for the adaptive kernels. CI runs them once
 // (-benchtime 1x) as a smoke test for panics and unexpected allocations;
-// `morphbench kernels` runs the timed adaptive-vs-naive comparison and
-// records it in BENCH_kernels.json.
+// what a kernel is worth end to end is the repo benchmark's call
+// (benchmark/).
 
 var sink uint64
 
@@ -119,25 +119,9 @@ func BenchmarkCountWindowArithmetic(b *testing.B) {
 	}
 }
 
-// Dense inputs within a narrow ID range: with an arena attached the
-// dispatcher takes the block-bitmap tile path; without one it falls back
-// to the unrolled merge. Run both to see the tile win in isolation.
-func BenchmarkIntersectDenseTile(b *testing.B) {
-	x, y := benchSets(4096, 4096, 1<<14, 9)
-	dst := make([]uint32, 0, 4096)
-	st := Stats{Scratch: NewArena()}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = Intersect(dst, x, y, &st)
-	}
-	if st.TileOps == 0 {
-		b.Fatal("dense benchmark never took the tile path")
-	}
-	sink += uint64(len(dst))
-}
-
-func BenchmarkIntersectDenseNoArena(b *testing.B) {
+// Dense inputs within a narrow ID range: long runs of equal elements, the
+// balanced path's worst case (no block ever skips).
+func BenchmarkIntersectDense(b *testing.B) {
 	x, y := benchSets(4096, 4096, 1<<14, 9)
 	dst := make([]uint32, 0, 4096)
 	var st Stats
@@ -147,31 +131,6 @@ func BenchmarkIntersectDenseNoArena(b *testing.B) {
 		dst = Intersect(dst, x, y, &st)
 	}
 	sink += uint64(len(dst))
-}
-
-func BenchmarkDifferenceDenseTile(b *testing.B) {
-	x, y := benchSets(4096, 4096, 1<<14, 10)
-	dst := make([]uint32, 0, 4096)
-	st := Stats{Scratch: NewArena()}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = Difference(dst, x, y, &st)
-	}
-	if st.TileOps == 0 {
-		b.Fatal("dense benchmark never took the tile path")
-	}
-	sink += uint64(len(dst))
-}
-
-func BenchmarkIntersectCountDenseTile(b *testing.B) {
-	x, y := benchSets(4096, 4096, 1<<14, 11)
-	st := Stats{Scratch: NewArena()}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sink += IntersectCount(x, y, &st)
-	}
 }
 
 // FilterAbove and Remove both route through the arena-aware dst

@@ -77,11 +77,8 @@ func IntersectCountF(a, b []uint32, f Filter, st *Stats) uint64 {
 	}
 	if f.Labels == nil {
 		// The window is already fused by the Clip above and no label test
-		// remains, so the word-parallel count helpers apply. They charge
-		// Elems only; this operation is already booked under CountOps.
-		if shouldTile(a, b, st.Scratch) {
-			return tileIntersectCount(a, b, st)
-		}
+		// remains, so the branch-minimized count applies. It charges Elems
+		// only; this operation is already booked under CountOps.
 		if len(a) >= unrolledMinLen {
 			return unrolledIntersectCount(a, b, st)
 		}
@@ -125,13 +122,8 @@ func DifferenceCountF(a, b []uint32, f Filter, st *Stats) uint64 {
 		st.Elems += uint64(len(a)) + probes
 		return n
 	}
-	if f.Labels == nil {
-		if shouldTile(a, b, st.Scratch) {
-			return tileDifferenceCount(a, b, st)
-		}
-		if len(a) >= unrolledMinLen && len(b) >= unrolledMinLen {
-			return unrolledDifferenceCount(a, b, st)
-		}
+	if f.Labels == nil && len(a) >= unrolledMinLen && len(b) >= unrolledMinLen {
+		return unrolledDifferenceCount(a, b, st)
 	}
 	st.Elems += uint64(len(a) + len(b))
 	j := 0

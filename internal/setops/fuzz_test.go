@@ -31,16 +31,15 @@ func decodeSet(raw []byte) []uint32 {
 }
 
 // FuzzKernels differentially checks every adaptive kernel — merge,
-// unrolled, tile, gallop, bitset and count-only paths, with and without
-// fused windows and label filters — against the naive reference merges on
-// random sorted inputs. The public dispatchers run both with and without
-// an arena (the arena enables the tile path), and the unrolled and tile
-// kernels are additionally called directly so dispatch thresholds cannot
-// hide them from short adversarial shapes. The seeded corpus covers the
-// edge shapes the dispatcher branches on: empty sides, identical sides,
-// fully disjoint sides, single elements, skew past the galloping
-// threshold, degenerate windows, dense contiguous ranges past tileMinLen,
-// and long runs of equal prefixes.
+// unrolled, gallop, bitset and count-only paths, with and without fused
+// windows and label filters — against the naive reference merges on random
+// sorted inputs. The public dispatchers run both with and without an arena
+// (destination growth from it or from the heap), and the unrolled kernels
+// are additionally called directly so dispatch thresholds cannot hide them
+// from short adversarial shapes. The seeded corpus covers the edge shapes
+// the dispatcher branches on: empty sides, identical sides, fully disjoint
+// sides, single elements, skew past the galloping threshold, degenerate
+// windows, dense contiguous ranges, and long runs of equal prefixes.
 func FuzzKernels(f *testing.F) {
 	f.Add([]byte{}, []byte{}, uint32(0), uint32(0), byte(0))
 	f.Add([]byte{0, 1, 0, 3, 0, 5}, []byte{}, uint32(0), uint32(fuzzMax), byte(1))
@@ -55,15 +54,14 @@ func FuzzKernels(f *testing.F) {
 	}
 	f.Add([]byte{0, 100}, long, uint32(50), uint32(150), byte(1))
 	f.Add(long, []byte{0, 100}, uint32(0), uint32(fuzzMax), byte(2))
-	// Dense contiguous ranges past tileMinLen: both sides saturate a shared
-	// vertex range, so the dispatcher (with an arena attached) takes the
-	// block-bitmap tile path, and the unrolled kernels see their worst case
-	// of equal runs.
-	denseA := make([]byte, 0, 4*tileMinLen)
-	denseB := make([]byte, 0, 4*tileMinLen)
-	for i := 0; i < 2*tileMinLen; i++ {
+	// Dense contiguous ranges: both sides saturate a shared vertex range,
+	// the unrolled kernels' worst case of equal runs.
+	const denseLen = 16 * unrolledMinLen
+	denseA := make([]byte, 0, 2*denseLen)
+	denseB := make([]byte, 0, 2*denseLen)
+	for i := 0; i < denseLen; i++ {
 		denseA = append(denseA, byte(i>>8), byte(i))
-		if i%2 == 0 || i > tileMinLen {
+		if i%2 == 0 || i > denseLen/2 {
 			denseB = append(denseB, byte(i>>8), byte(i))
 		}
 	}
@@ -96,10 +94,9 @@ func FuzzKernels(f *testing.F) {
 		wantAbove := wantI[SearchAbove(wantI, lower):]
 		bbits := toBits(b, fuzzMax)
 
-		// Run the public dispatchers twice: once bare (heap destinations,
-		// tile path disabled) and once with an arena attached, which both
-		// enables the tile path and routes destination growth through the
-		// arena-aware convention.
+		// Run the public dispatchers twice: once bare (heap destinations)
+		// and once with an arena attached, which routes destination growth
+		// through the arena-aware convention.
 		for _, st := range []*Stats{{}, {Scratch: NewArena()}} {
 			if got := Intersect(nil, a, b, st); !equal(got, wantI) {
 				t.Fatalf("Intersect(%v, %v) = %v, want %v", a, b, got, wantI)
@@ -146,19 +143,16 @@ func FuzzKernels(f *testing.F) {
 			if st.Written != written {
 				t.Fatalf("count-only kernels wrote %d elements", st.Written-written)
 			}
-			if st.Ops != st.MergeOps+st.GallopOps+st.BitsetOps+st.CountOps+st.UnrolledOps+st.TileOps {
+			if st.Ops != st.MergeOps+st.GallopOps+st.BitsetOps+st.CountOps+st.UnrolledOps {
 				t.Fatalf("path counters do not partition Ops: %+v", st)
 			}
 		}
 
-		// Direct differential checks of the new kernels, bypassing dispatch
-		// thresholds so short and adversarial shapes hit them too.
+		// Direct differential checks of the unrolled kernels, bypassing
+		// dispatch thresholds so short and adversarial shapes hit them too.
 		stk := Stats{Scratch: NewArena()}
 		if got := unrolledIntersect(nil, a, b, &stk); !equal(got, wantI) {
 			t.Fatalf("unrolledIntersect(%v, %v) = %v, want %v", a, b, got, wantI)
-		}
-		if got := unrolledDifference(nil, a, b, &stk); !equal(got, wantD) {
-			t.Fatalf("unrolledDifference(%v, %v) = %v, want %v", a, b, got, wantD)
 		}
 		if got, want := unrolledIntersectCount(a, b, &stk), uint64(len(wantI)); got != want {
 			t.Fatalf("unrolledIntersectCount(%v, %v) = %d, want %d", a, b, got, want)
@@ -166,23 +160,6 @@ func FuzzKernels(f *testing.F) {
 		if got, want := unrolledDifferenceCount(a, b, &stk), uint64(len(wantD)); got != want {
 			t.Fatalf("unrolledDifferenceCount(%v, %v) = %d, want %d", a, b, got, want)
 		}
-		if len(a) > 0 && len(b) > 0 {
-			if _, _, ok := tileRange(a, b); ok {
-				if got := tileIntersect(nil, a, b, &stk); !equal(got, wantI) {
-					t.Fatalf("tileIntersect(%v, %v) = %v, want %v", a, b, got, wantI)
-				}
-				if got := tileDifference(nil, a, b, &stk); !equal(got, wantD) {
-					t.Fatalf("tileDifference(%v, %v) = %v, want %v", a, b, got, wantD)
-				}
-				if got, want := tileIntersectCount(a, b, &stk), uint64(len(wantI)); got != want {
-					t.Fatalf("tileIntersectCount(%v, %v) = %d, want %d", a, b, got, want)
-				}
-				if got, want := tileDifferenceCount(a, b, &stk), uint64(len(wantD)); got != want {
-					t.Fatalf("tileDifferenceCount(%v, %v) = %d, want %d", a, b, got, want)
-				}
-			}
-		}
-
 		for _, x := range []uint32{0, lo % fuzzMax, fuzzMax - 1} {
 			if got, want := Contains(a, x), linearContains(a, x); got != want {
 				t.Fatalf("Contains(%v, %d) = %v, want %v", a, x, got, want)

@@ -3,9 +3,8 @@ package setops
 // Intersect writes the sorted intersection of a and b into dst[:0] and
 // returns it. a and b must be sorted ascending and duplicate free. The
 // kernel is adaptive: heavily skewed inputs gallop through the larger
-// side, dense overlapping inputs run the block-bitmap tile kernel,
-// balanced inputs of any length run the branchless unrolled merge, and
-// only short inputs fall back to the scalar two-pointer merge.
+// side, balanced inputs of any length run the branchless unrolled merge,
+// and only short inputs fall back to the scalar two-pointer merge.
 func Intersect(dst, a, b []uint32, st *Stats) []uint32 {
 	st.Ops++
 	if len(a) > len(b) {
@@ -14,8 +13,6 @@ func Intersect(dst, a, b []uint32, st *Stats) []uint32 {
 	switch {
 	case shouldGallop(len(a), len(b)):
 		return gallopIntersect(dst, a, b, st)
-	case shouldTile(a, b, st.Scratch):
-		return tileIntersect(dst, a, b, st)
 	case len(a) >= unrolledMinLen:
 		return unrolledIntersect(dst, a, b, st)
 	}
@@ -27,21 +24,7 @@ func Intersect(dst, a, b []uint32, st *Stats) []uint32 {
 // both inputs by binary search before dispatching, as pattern-aware
 // engines do.
 func IntersectAbove(dst, a, b []uint32, lower uint32, st *Stats) []uint32 {
-	st.Ops++
-	a = a[SearchAbove(a, lower):]
-	b = b[SearchAbove(b, lower):]
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	switch {
-	case shouldGallop(len(a), len(b)):
-		return gallopIntersect(dst, a, b, st)
-	case shouldTile(a, b, st.Scratch):
-		return tileIntersect(dst, a, b, st)
-	case len(a) >= unrolledMinLen:
-		return unrolledIntersect(dst, a, b, st)
-	}
-	return mergeIntersect(dst, a, b, st)
+	return Intersect(dst, a[SearchAbove(a, lower):], b[SearchAbove(b, lower):], st)
 }
 
 func mergeIntersect(dst, a, b []uint32, st *Stats) []uint32 {
@@ -90,17 +73,14 @@ func gallopIntersect(dst, a, b []uint32, st *Stats) []uint32 {
 // vertex-induced matching plan costs one Difference per loop iteration,
 // which is exactly the overhead Subgraph Morphing removes in motif
 // counting (§7.1). When b dwarfs a, membership is resolved by galloping
-// through b instead of scanning it; dense overlaps run the tile kernel and
-// balanced inputs the branchless unrolled merge, as in Intersect.
+// through b instead of scanning it; everything else is the scalar merge. An
+// unrolled materializing difference existed and moved no end-to-end number
+// (DESIGN §16): executors materialize a difference only above a level that
+// counts, and it is the count-only DifferenceCountF that runs hot.
 func Difference(dst, a, b []uint32, st *Stats) []uint32 {
 	st.Ops++
-	switch {
-	case shouldGallop(len(a), len(b)):
+	if shouldGallop(len(a), len(b)) {
 		return gallopDifference(dst, a, b, st)
-	case shouldTile(a, b, st.Scratch):
-		return tileDifference(dst, a, b, st)
-	case len(a) >= unrolledMinLen && len(b) >= unrolledMinLen:
-		return unrolledDifference(dst, a, b, st)
 	}
 	return mergeDifference(dst, a, b, st)
 }

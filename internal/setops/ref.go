@@ -1,11 +1,8 @@
 package setops
 
 // Reference kernels: the original naive two-pointer merges, kept as the
-// uninstrumented ground truth. The differential fuzz harness checks every
-// adaptive kernel against them, and `morphbench kernels` benchmarks
-// against them so BENCH_kernels.json records adaptive-vs-naive speedups
-// rather than self-referential numbers. They are not used on any matching
-// hot path.
+// uninstrumented ground truth the differential fuzz harness checks every
+// adaptive kernel against. They are not used on any matching hot path.
 
 // RefIntersect returns the sorted intersection of a and b via the naive
 // linear merge.

@@ -10,17 +10,13 @@
 //     amortize anything cleverer. Linear in len(a)+len(b).
 //   - unrolled: a branch-minimized, 4-wide unrolled merge (unrolled.go)
 //     that replaces the data-dependent branches of the scalar merge with
-//     flag-materializing arithmetic; the default balanced path once both
-//     sides reach unrolledMinLen.
-//   - tile: a block-bitmap kernel (tile.go) that scatters both sides into
-//     per-range bitmaps from the worker arena and intersects 64
-//     candidates per uint64 AND, taken when both rows are dense across
-//     their overlapping vertex range.
+//     flag-materializing arithmetic; the balanced path of intersection and
+//     of the two count-only kernels once both sides reach unrolledMinLen.
 //   - gallop: exponential (doubling) search of the larger side for each
 //     element of the smaller side, best when one side is much smaller
 //     (|a| ≪ |b|). O(|a|·log(|b|/|a|)) instead of O(|a|+|b|).
 //   - bitset: word-indexed membership probes against a bitmap adjacency
-//     row (see graph.EnableHubIndex), O(1) per element of the list side
+//     row (see graph.Graph.HubBits), O(1) per element of the list side
 //     and O(words) for bitmap×bitmap counting.
 //   - count-only: variants that never write a destination slice, fusing
 //     the symmetry-breaking window and the label filter into the kernel.
@@ -39,9 +35,10 @@ package setops
 // smaller one: each element of the small side costs O(log gap) probes
 // instead of a linear scan of the gap, but the doubling probes have worse
 // locality than a straight merge, so the ratio must be large enough to
-// amortize the cache misses. 8:1 with a 64-element floor is conservative;
-// see DESIGN.md "Set-operation kernels" for how to tune these and the
-// BENCH_kernels.json trajectory for measured crossovers.
+// amortize the cache misses. 8:1 with a 64-element floor is conservative
+// and has not been fitted: the repo benchmark's traced pass reports the
+// per-path counters (setops.gallop_ops against merge/unrolled) a fit would
+// start from — ROADMAP item 4.
 const (
 	gallopRatio  = 8  // gallop when len(big) >= gallopRatio*len(small)
 	gallopMinLen = 64 // never gallop into sides smaller than this
@@ -74,14 +71,12 @@ type Stats struct {
 	BitsetOps   uint64 // operations that probed a bitmap adjacency row
 	CountOps    uint64 // count-only operations (no destination writes)
 	UnrolledOps uint64 // operations that ran the branchless unrolled merge
-	TileOps     uint64 // operations that ran the block-bitmap tile kernel
 	Written     uint64 // elements written to destination slices
 
-	// Scratch is the worker's arena, when one is attached. Kernels that
-	// need transient memory (tile word scratch, store-always destination
-	// growth) draw from it; a nil Scratch disables the tile path and falls
-	// back to heap allocation for destination growth. Stats is per-worker,
-	// so the arena inherits the same single-owner discipline.
+	// Scratch is the worker's arena, when one is attached: a destination
+	// slice too small for its kernel regrows from it, from the heap when it
+	// is nil. It has no say in which kernel runs. Stats is per-worker, so
+	// the arena inherits the same single-owner discipline.
 	Scratch *Arena
 }
 
@@ -95,7 +90,6 @@ func (s *Stats) Add(other Stats) {
 	s.BitsetOps += other.BitsetOps
 	s.CountOps += other.CountOps
 	s.UnrolledOps += other.UnrolledOps
-	s.TileOps += other.TileOps
 	s.Written += other.Written
 }
 

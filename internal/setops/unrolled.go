@@ -1,8 +1,8 @@
 package setops
 
 // Word-parallel balanced-path kernels: a branch-minimized, 4-wide
-// block-skipping merge for intersection and difference, plus count-only
-// fused variants. The classic two-pointer merge pays two data-dependent
+// block-skipping merge for intersection, plus count-only intersection and
+// difference. The classic two-pointer merge pays two data-dependent
 // compares per element; these kernels restructure the loop the way
 // compilation-based systems (GraphZero, GraphMini) do:
 //
@@ -11,11 +11,9 @@ package setops
 //   - intersection leapfrogs between single-compare skip loops — one
 //     compare per skipped element, no stores on the skip path, a match
 //     branch that only fires on actual matches (rare on balanced sets);
-//   - difference and the count-only variants advance their cursors
-//     branchlessly: i += b2i(v <= w) compiles to a flag-materializing
-//     SETcc/CSET, never a jump, and output is store-always with the
-//     length advancing by b2i(keep) — right where most elements are
-//     kept (difference) or nothing is stored at all (counts).
+//   - the count-only variants advance their cursors branchlessly:
+//     i += b2i(v <= w) compiles to a flag-materializing SETcc/CSET, never
+//     a jump, and nothing is stored at all.
 //
 // Operations served here charge Stats.UnrolledOps; the scalar merge
 // remains for inputs too short to amortize the setup (unrolledMinLen)
@@ -47,9 +45,9 @@ func b2u64(b bool) uint64 {
 }
 
 // ensureCap returns dst (length 0) with capacity at least n, growing from
-// the arena attached to st when present, the GC heap otherwise. The
-// store-always kernels require the full capacity up front — they write
-// past the logical length before advancing it.
+// the arena attached to st when present, the GC heap otherwise. Its
+// callers index or block-copy into the result, so they need the full
+// capacity up front.
 func ensureCap(dst []uint32, n int, st *Stats) []uint32 {
 	if cap(dst) >= n {
 		return dst[:0]
@@ -129,72 +127,6 @@ outer:
 			j++
 		}
 	}
-	st.Written += uint64(k)
-	return out[:k]
-}
-
-// unrolledDifference writes a \ b into dst[:0] with the block-skip
-// leapfrog merge: surviving runs of a copy forward at one compare plus
-// one store per element (whole blocks of four on a single compare when
-// locally disjoint), runs of b skip at one compare per element, and the
-// "remove this element" case is a rare, well-predicted branch.
-func unrolledDifference(dst, a, b []uint32, st *Stats) []uint32 {
-	st.UnrolledOps++
-	st.Elems += uint64(len(a) + len(b))
-	dst = ensureCap(dst, len(a), st)
-	out := dst[:len(a)]
-	k := 0
-	i, j := 0, 0
-	na, nb := len(a), len(b)
-outer:
-	for i+4 <= na && j+4 <= nb {
-		if a[i+3] < b[j] {
-			// The whole a-block is below b's cursor: all four survive.
-			out[k] = a[i]
-			out[k+1] = a[i+1]
-			out[k+2] = a[i+2]
-			out[k+3] = a[i+3]
-			k += 4
-			i += 4
-			continue
-		}
-		if b[j+3] < a[i] {
-			j += 4
-			continue
-		}
-		// Leapfrog: skip b up to a's cursor, copy a up to b's cursor.
-		for b[j] < a[i] {
-			if j++; j == nb {
-				break outer
-			}
-		}
-		for a[i] < b[j] {
-			out[k] = a[i]
-			k++
-			if i++; i == na {
-				break outer
-			}
-		}
-		if a[i] == b[j] {
-			i++
-			j++
-		}
-	}
-	for i < na && j < nb {
-		switch {
-		case a[i] < b[j]:
-			out[k] = a[i]
-			k++
-			i++
-		case b[j] < a[i]:
-			j++
-		default:
-			i++
-			j++
-		}
-	}
-	// b exhausted: the rest of a survives wholesale.
-	k += copy(out[k:], a[i:])
 	st.Written += uint64(k)
 	return out[:k]
 }
