@@ -34,7 +34,12 @@ func cmdQuery(args []string) error {
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, `usage: morphcli query [flags] <pattern ...>
 
-Submits the patterns to a resident morphd and prints per-pattern answers.
+Submits the patterns to a resident morphd and prints per-pattern answers,
+how they were produced (cache: miss, hit or coalesced) and the
+transform/mine/convert times of the run that mined them. A result on the
+wire carries its run report only when the request sets "report": true;
+this command always does, so -json prints the full report — for a hit,
+the originating run's.
 
 Failure taxonomy — which errors are worth retrying:
 
@@ -97,6 +102,9 @@ Flags:`)
 		Explain:    *explain,
 		DeadlineMS: deadlineMS(*deadline),
 		NoCache:    *noCache,
+		// The timing line below and -json both print from the run report,
+		// which the server sends only when asked.
+		Report: true,
 	}
 
 	// The context bounds the whole conversation — attempts plus backoff.

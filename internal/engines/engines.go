@@ -22,18 +22,27 @@ const List = "peregrine, autozero, graphpi, bigjoin"
 // Names is List as a slice.
 func Names() []string { return strings.Split(List, ", ") }
 
+// models is the name table Check and New read.
+var models = map[string]func(threads int, o *obs.Observer) engine.Engine{
+	"peregrine": func(t int, o *obs.Observer) engine.Engine { return &peregrine.Engine{Threads: t, Obs: o} },
+	"autozero":  func(t int, o *obs.Observer) engine.Engine { return &autozero.Engine{Threads: t, Obs: o} },
+	"graphpi":   func(t int, o *obs.Observer) engine.Engine { return &graphpi.Engine{Threads: t, Obs: o} },
+	"bigjoin":   func(t int, o *obs.Observer) engine.Engine { return &bigjoin.Engine{Threads: t, Obs: o} },
+}
+
+// Check returns the error New would for name, without building an engine.
+func Check(name string) error {
+	if models[strings.ToLower(name)] == nil {
+		return fmt.Errorf("unknown engine %q (want %s)", name, List)
+	}
+	return nil
+}
+
 // New constructs the named engine model (case-insensitive) with the given
 // worker count (<= 0: GOMAXPROCS) and observer (nil: obs.Default()).
 func New(name string, threads int, o *obs.Observer) (engine.Engine, error) {
-	switch strings.ToLower(name) {
-	case "peregrine":
-		return &peregrine.Engine{Threads: threads, Obs: o}, nil
-	case "autozero":
-		return &autozero.Engine{Threads: threads, Obs: o}, nil
-	case "graphpi":
-		return &graphpi.Engine{Threads: threads, Obs: o}, nil
-	case "bigjoin":
-		return &bigjoin.Engine{Threads: threads, Obs: o}, nil
+	if err := Check(name); err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("unknown engine %q (want %s)", name, List)
+	return models[strings.ToLower(name)](threads, o), nil
 }

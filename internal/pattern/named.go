@@ -176,18 +176,22 @@ func Fig11Patterns() []Named {
 	}
 }
 
-// ByName returns the Figure 1 / Figure 11a pattern with the given name, or
-// an error listing the available names.
-func ByName(name string) (*Pattern, error) {
-	for _, np := range Fig1Patterns() {
-		if np.Name == name {
-			return np.Pattern, nil
-		}
+// named is ByName's table, built once. Lookups share its patterns: a
+// *Pattern never changes after construction (every method that derives
+// one copies the receiver first).
+var named = func() map[string]*Pattern {
+	m := map[string]*Pattern{}
+	for _, np := range append(Fig1Patterns(), Fig11Patterns()...) {
+		m[np.Name] = np.Pattern
 	}
-	for _, np := range Fig11Patterns() {
-		if np.Name == name {
-			return np.Pattern, nil
-		}
+	return m
+}()
+
+// ByName returns the Figure 1 / Figure 11a pattern with the given name, or
+// an error for a name that is neither.
+func ByName(name string) (*Pattern, error) {
+	if p := named[name]; p != nil {
+		return p, nil
 	}
 	return nil, fmt.Errorf("pattern: unknown named pattern %q", name)
 }

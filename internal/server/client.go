@@ -43,6 +43,8 @@ type Client struct {
 
 	// rng overrides the jitter source in tests (nil = global rand).
 	rng *rand.Rand
+	// maxLine overrides the stream's line bound in tests (0 = 64 MiB).
+	maxLine int
 }
 
 func (c *Client) http() *http.Client {
@@ -192,9 +194,15 @@ func (c *Client) do(ctx context.Context, body []byte) (*QueryResult, error) {
 		return nil, ev.Error
 	}
 
-	// Admitted: ndjson stream; the last line is result or error.
+	// Admitted: ndjson stream; the last line is result or error. The line
+	// buffer starts at the size of a lean result and doubles up to the
+	// bound for the rare long line (a result carrying its report).
+	maxLine := c.maxLine
+	if maxLine == 0 {
+		maxLine = 64 << 20
+	}
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 64<<20)
+	sc.Buffer(make([]byte, 0, 512), maxLine)
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {

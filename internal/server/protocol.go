@@ -33,6 +33,10 @@ type QueryRequest struct {
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 	// NoCache bypasses the result cache and single-flight coalescing.
 	NoCache bool `json:"no_cache,omitempty"`
+	// Report asks for the full run report in the result. It does not
+	// change what runs or what is cached, so it is not part of the cache
+	// key; typed errors carry their report either way.
+	Report bool `json:"report,omitempty"`
 }
 
 // Validate applies the request-shape checks both sides agree on.
@@ -51,8 +55,9 @@ func (q *QueryRequest) Validate() error {
 	return nil
 }
 
-// QueryResult is a successful query's payload: the answers plus the full
-// run report (RunStats, calibration, query log, run ID).
+// QueryResult is a successful query's payload: the answers, how they were
+// produced and the run that produced them — and, when the request set
+// Report, that run's full report (RunStats, calibration, query log).
 type QueryResult struct {
 	// Patterns echoes the resolved query patterns in codec form, in
 	// request order (counts/supports are index-aligned with it).
@@ -65,8 +70,12 @@ type QueryResult struct {
 	// "hit" (served from the result cache), or "coalesced" (rode an
 	// identical in-flight query's execution, single-flight).
 	Cache string `json:"cache"`
-	// Report is the execution's run report (for hits and coalesced
-	// results: the originating execution's report).
+	// RunID names the execution that mined the answers (for hits and
+	// coalesced results: the originating one); the query log and a flight
+	// bundle carry the same ID.
+	RunID string `json:"run_id,omitempty"`
+	// Report is that execution's run report, present only when the
+	// request asked for it.
 	Report *report.RunReport `json:"report,omitempty"`
 }
 

@@ -154,7 +154,7 @@ func (c Config) Defaults() Config {
 type task struct {
 	req      *QueryRequest
 	patterns []*pattern.Pattern
-	eng      engine.Engine
+	codec    []string // patterns in codec form, formatted once
 	app      string
 	client   string
 
@@ -220,7 +220,7 @@ type Server struct {
 // New builds a server over g and starts its worker pool.
 func New(g graph.Adjacency, cfg Config) (*Server, error) {
 	cfg = cfg.Defaults()
-	if _, err := engines.New(cfg.Engine, cfg.Threads, nil); err != nil {
+	if err := engines.Check(cfg.Engine); err != nil {
 		return nil, fmt.Errorf("server: default engine: %w", err)
 	}
 	s := &Server{
@@ -324,22 +324,24 @@ func (s *Server) prepare(req *QueryRequest, client string) (*task, *QueryError) 
 	if engName == "" {
 		engName = s.cfg.Engine
 	}
-	eng, err := engines.New(engName, s.cfg.Threads, nil)
-	if err != nil {
+	// Only the name is checked here: most requests hit, coalesce or are
+	// rejected, and the engine is built where a task runs (see engine).
+	if err := engines.Check(engName); err != nil {
 		return nil, errf(CodeBadRequest, "%v", err)
 	}
 	ps := make([]*pattern.Pattern, len(req.Patterns))
+	codec := make([]string, len(req.Patterns))
 	for i, arg := range req.Patterns {
 		p, err := ResolvePattern(arg)
 		if err != nil {
 			return nil, errf(CodeBadRequest, "pattern %d: %v", i, err)
 		}
-		ps[i] = p
+		ps[i], codec[i] = p, p.String()
 	}
 	t := &task{
 		req:      req,
 		patterns: ps,
-		eng:      eng,
+		codec:    codec,
 		app:      app,
 		client:   client,
 		events:   make(chan StreamEvent, 4),
@@ -364,27 +366,28 @@ func (s *Server) prepare(req *QueryRequest, client string) (*task, *QueryError) 
 // On success the task is either enqueued (t owns an execution slot) or
 // attached to an identical in-flight execution (t.fl set, joined=true).
 // Every rejection is typed; retryable ones carry a retry-after hint.
-func (s *Server) admit(t *task) (joined *flight, hit *QueryResult, qerr *QueryError) {
+// lookup says whether to consult the result cache: a hit holds s.mu for
+// the map lookup and the LRU touch only and aligns after Unlock.
+func (s *Server) admit(t *task, lookup bool) (joined *flight, hit *QueryResult, qerr *QueryError) {
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
 		return nil, nil, s.reject(errf(CodeDraining, "server is draining").withRetryAfter(s.cfg.RetryAfter))
 	}
 	t.key.epoch = s.epoch
-	if t.cacheable {
+	if lookup {
 		if res, ok := s.cache.get(t.key); ok {
-			// alignResult is pure, so it is safe (and necessary) to run
-			// it before releasing s.mu: on alignment failure we fall
-			// through to the flight table and quota checks, which assume
-			// the lock is still held.
-			if aligned, ok := alignResult(res, t.patterns); ok {
-				s.mu.Unlock()
+			s.mu.Unlock()
+			if aligned, ok := t.align(res, "hit"); ok {
 				s.o.Counter(MetricCacheHits).Inc(0)
 				return nil, aligned, nil
 			}
-			// Alignment failure means the cached entry doesn't actually
-			// cover this spelling of the set; fall through as a miss.
+			// The entry does not cover this spelling of the set: admit
+			// again from the top as a miss (its result replaces the entry).
+			return s.admit(t, false)
 		}
+	}
+	if t.cacheable {
 		if fl, ok := s.cache.flights[t.key]; ok {
 			s.mu.Unlock()
 			s.o.Counter(MetricCoalesced).Inc(0)
@@ -512,7 +515,13 @@ func (s *Server) release(t *task, qerr *QueryError) {
 
 // estimator builds the transform-only runner used for admission.
 func (s *Server) estimator(t *task) *core.Runner {
-	return &core.Runner{Engine: t.eng, DisableMorphing: t.req.Baseline, Obs: s.o}
+	return &core.Runner{Engine: s.engine(t), DisableMorphing: t.req.Baseline, Obs: s.o}
+}
+
+// engine builds t's engine, for the tasks that get as far as needing one.
+func (s *Server) engine(t *task) engine.Engine {
+	eng, _ := engines.New(t.key.engine, s.cfg.Threads, nil) // prepare checked the name
+	return eng
 }
 
 func aggFor(app string) aggr.Aggregation {
@@ -591,7 +600,7 @@ func (s *Server) execute(t *task) (res *QueryResult, qerr *QueryError) {
 	g := s.g
 	s.mu.Unlock()
 	r := &core.Runner{
-		Engine:          t.eng,
+		Engine:          s.engine(t),
 		DisableMorphing: t.req.Baseline,
 		Explain:         t.req.Explain,
 		MemoryBudget:    s.cfg.MemoryBudget,
@@ -599,10 +608,7 @@ func (s *Server) execute(t *task) (res *QueryResult, qerr *QueryError) {
 		Obs:             s.o,
 		Flight:          s.cfg.Flight,
 	}
-	res = &QueryResult{Cache: "miss"}
-	for _, p := range t.patterns {
-		res.Patterns = append(res.Patterns, p.String())
-	}
+	res = &QueryResult{Cache: "miss", Patterns: t.codec}
 	var st *core.RunStats
 	var err error
 	switch t.app {
@@ -617,10 +623,10 @@ func (s *Server) execute(t *task) (res *QueryResult, qerr *QueryError) {
 	default:
 		res.Counts, st, err = r.CountsCtx(t.ctx, g, t.patterns)
 	}
-	res.Report = report.FromRunStats(st)
 	if err != nil {
 		return nil, s.classifyRunErr(err, st)
 	}
+	res.Report, res.RunID = report.FromRunStats(st), st.RunID
 	return res, nil
 }
 
@@ -692,10 +698,12 @@ func (s *Server) settle(t *task, res *QueryResult, qerr *QueryError) {
 	s.tasks.Done()
 }
 
-// alignResult re-aligns a cached result's per-pattern answers to this
-// request's pattern order (cache keys are order-invariant). Returns
-// false when the cached entry cannot cover the request (forcing a miss).
-func alignResult(cached *QueryResult, ps []*pattern.Pattern) (*QueryResult, bool) {
+// align builds t's reply from a stored execution result: the per-pattern
+// answers in this request's pattern order (cache keys are
+// order-invariant), the run that mined them and — only when the request
+// asked — its report. Returns false when the stored result cannot cover
+// the request (forcing a miss).
+func (t *task) align(cached *QueryResult, cache string) (*QueryResult, bool) {
 	byID := map[uint64][]int{}
 	for i, s := range cached.Patterns {
 		p, err := pattern.Parse(s)
@@ -705,8 +713,11 @@ func alignResult(cached *QueryResult, ps []*pattern.Pattern) (*QueryResult, bool
 		id := canon.ID(p)
 		byID[id] = append(byID[id], i)
 	}
-	out := &QueryResult{Cache: "hit", Report: cached.Report}
-	for _, p := range ps {
+	out := &QueryResult{Patterns: t.codec, Cache: cache, RunID: cached.RunID}
+	if t.req.Report {
+		out.Report = cached.Report
+	}
+	for _, p := range t.patterns {
 		id := canon.ID(p)
 		idxs := byID[id]
 		if len(idxs) == 0 {
@@ -714,7 +725,6 @@ func alignResult(cached *QueryResult, ps []*pattern.Pattern) (*QueryResult, bool
 		}
 		i := idxs[0]
 		byID[id] = idxs[1:]
-		out.Patterns = append(out.Patterns, p.String())
 		if cached.Counts != nil {
 			if i >= len(cached.Counts) {
 				return nil, false
@@ -734,7 +744,8 @@ func alignResult(cached *QueryResult, ps []*pattern.Pattern) (*QueryResult, bool
 // Submit runs the full admission + execution pipeline for one request
 // and blocks until its terminal outcome. It is the transport-free core
 // of the HTTP handler (and what in-process embedders call). events, when
-// non-nil, receives progress notifications.
+// non-nil, receives progress notifications. The result carries its run
+// report only when req.Report is set.
 func (s *Server) Submit(ctx context.Context, req *QueryRequest, client string, events func(StreamEvent)) (*QueryResult, *QueryError) {
 	t0 := time.Now()
 	if client == "" {
@@ -750,7 +761,7 @@ func (s *Server) Submit(ctx context.Context, req *QueryRequest, client string, e
 		s.cfg.DefaultDeadline, s.cfg.MaxDeadline)
 	t.ctx, t.cancel = context.WithTimeout(ctx, deadline)
 
-	joined, hit, qerr := s.admit(t)
+	joined, hit, qerr := s.admit(t, t.cacheable)
 	if qerr != nil {
 		t.cancel()
 		s.record(client, t0, t, qerr)
@@ -772,8 +783,7 @@ func (s *Server) Submit(ctx context.Context, req *QueryRequest, client string, e
 				s.record(client, t0, t, &cp)
 				return nil, &cp
 			}
-			if aligned, ok := alignResult(joined.result, t.patterns); ok {
-				aligned.Cache = "coalesced"
+			if aligned, ok := t.align(joined.result, "coalesced"); ok {
 				s.record(client, t0, t, nil)
 				return aligned, nil
 			}
@@ -809,6 +819,13 @@ func (s *Server) Submit(ctx context.Context, req *QueryRequest, client string, e
 	<-t.done
 	<-forwarded
 	s.record(client, t0, t, t.qerr)
+	if res := t.result; res != nil && !req.Report {
+		// The stored result keeps its report (the cache and any passengers
+		// share it); this request did not ask for one.
+		lean := *res
+		lean.Report = nil
+		return &lean, t.qerr
+	}
 	return t.result, t.qerr
 }
 
@@ -909,10 +926,11 @@ func (s *Server) handleTimeseries(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(s.hist.Snapshot(limit))
 }
 
-// handleQuery is the streaming query endpoint. Pre-admission rejections
-// carry real HTTP status codes (and a Retry-After header when
-// retryable); admitted queries respond 200 with an ndjson StreamEvent
-// stream whose last line is the result or typed error.
+// handleQuery is the query endpoint. Pre-admission rejections carry real
+// HTTP status codes (and a Retry-After header when retryable); every
+// other reply is 200 with ndjson StreamEvent lines, the last of which is
+// the result or typed error — streamed as they happen for a query that
+// was queued, a single line for one answered without executing.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -941,24 +959,27 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
+	// A terminal event that is the first thing written (a hit, a coalesced
+	// passenger, a rejection) is one write; a reply that already streamed
+	// queued/started gets one more flushed line.
 	res, qerr := s.Submit(r.Context(), &req, client, emit)
-	if qerr != nil {
-		emitMu.Lock()
-		started := streaming
-		emitMu.Unlock()
-		if !started {
-			writeError(w, qerr)
-			return
-		}
+	emitMu.Lock()
+	streamed := streaming
+	emitMu.Unlock()
+	switch {
+	case streamed && qerr != nil:
 		emit(StreamEvent{Type: EventError, Error: qerr})
-		return
+	case streamed:
+		emit(StreamEvent{Type: EventResult, Result: res})
+	case qerr != nil:
+		writeError(w, qerr)
+	default:
+		writeOnce(w, http.StatusOK, "application/x-ndjson", StreamEvent{Type: EventResult, Result: res})
 	}
-	emit(StreamEvent{Type: EventResult, Result: res})
 }
 
 // writeError writes a pre-stream rejection as a plain HTTP error.
 func writeError(w http.ResponseWriter, qe *QueryError) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	if qe.RetryAfter > 0 {
 		secs := int(qe.RetryAfter / time.Second)
 		if secs < 1 {
@@ -966,8 +987,22 @@ func writeError(w http.ResponseWriter, qe *QueryError) {
 		}
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
 	}
-	w.WriteHeader(qe.Code.HTTPStatus())
-	json.NewEncoder(w).Encode(StreamEvent{Type: EventError, Error: qe})
+	writeOnce(w, qe.Code.HTTPStatus(), "application/json; charset=utf-8", StreamEvent{Type: EventError, Error: qe})
+}
+
+// writeOnce sends a reply that was never streamed: the event marshalled
+// once and written with its Content-Length, so net/http neither flushes
+// before the handler returns nor frames the body in chunks.
+func writeOnce(w http.ResponseWriter, status int, ctype string, ev StreamEvent) {
+	line, err := json.Marshal(ev)
+	if err != nil { // a non-finite float in a report
+		status = http.StatusInternalServerError
+		line, _ = json.Marshal(StreamEvent{Type: EventError, Error: errf(CodeInternal, "encode reply: %v", err)})
+	}
+	w.Header().Set("Content-Type", ctype)
+	w.Header().Set("Content-Length", strconv.Itoa(len(line)+1))
+	w.WriteHeader(status)
+	w.Write(append(line, '\n'))
 }
 
 // ---- drain ----

@@ -144,7 +144,7 @@ func TestQueryEndToEndCountsMatchRunner(t *testing.T) {
 		var events []string
 		c := &Client{Base: ts.URL, OnEvent: func(ev StreamEvent) { events = append(events, ev.Type) }}
 		res, err := c.Query(context.Background(), QueryRequest{
-			Patterns: []string{"triangle", "4-cycle:v"},
+			Patterns: []string{"triangle", "4-cycle:v"}, Report: true,
 		})
 		if err != nil {
 			t.Fatal(err)

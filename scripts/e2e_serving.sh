@@ -60,6 +60,25 @@ for pid in "${pids[@]}"; do wait "$pid" || fail=1; done
 grep -q "cache: hit\|cache: coalesced" "$ART/concurrent.out" \
   || { echo "repeated identical queries never hit the cache" >&2; exit 1; }
 
+echo "== lean wire: a repeat query is one Content-Length reply without a report; morphcli still gets one"
+curl -si -X POST -H 'Content-Type: application/json' -d '{"patterns":["triangle"]}' "$BASE/query" \
+  | tr -d '\r' > "$ART/hit.http"
+grep -q '"cache":"hit"' "$ART/hit.http" || { echo "repeat query was not a hit:" >&2; cat "$ART/hit.http" >&2; exit 1; }
+grep -qi '^Content-Length: ' "$ART/hit.http" || { echo "hit reply has no Content-Length:" >&2; cat "$ART/hit.http" >&2; exit 1; }
+if grep -qi '^Transfer-Encoding:' "$ART/hit.http" || grep -q '"report"' "$ART/hit.http"; then
+  echo "hit reply is chunked or carries a report it was not asked for:" >&2; cat "$ART/hit.http" >&2; exit 1
+fi
+grep -q '"run_id":"r' "$ART/hit.http" || { echo "hit reply names no run" >&2; exit 1; }
+"$ART/morphcli" query -addr "$BASE" -json triangle > "$ART/hit_report.json"
+python3 - "$ART/hit_report.json" <<'PY'
+import json, sys
+r = json.load(open(sys.argv[1]))
+assert r["cache"] == "hit", f"morphcli's repeat query: cache {r['cache']}"
+rep = r.get("report") or {}
+assert rep.get("phase") == "done", f"morphcli query -json printed no completed report: {rep.get('phase')}"
+assert rep.get("run_id") == r["run_id"], f"report of run {rep.get('run_id')}, result of run {r['run_id']}"
+PY
+
 echo "== cancel injection: a 1ms deadline dies typed, not hung"
 # p5 mines for ~0.4 s on this graph; a query of a few milliseconds (p8 was
 # one) can finish before its first block claim sees the deadline.
