@@ -327,7 +327,7 @@ func BenchmarkTransformOverhead(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := core.Select(d, queries, core.DefaultCostFunc(model, 0), core.PolicyAny, core.SelectOptions{}); err != nil {
+		if _, err := core.Select(context.Background(), d, queries, core.DefaultCostFunc(model, 0), core.PolicyAny, core.SelectOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

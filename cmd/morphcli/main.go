@@ -248,6 +248,11 @@ func cmdSDAG(args []string) error {
 		fmt.Printf("  %-40s edges=%-2d parents=%d children=%d\n",
 			n.Pattern, n.Pattern.EdgeCount(), len(n.Parents), len(n.Children))
 	}
+	for _, q := range queries {
+		if _, err := d.UpSet(d.Node(q)); err != nil {
+			fmt.Printf("%v: %v — shown as far as it was built; such a pattern is mined as it is\n", q, err)
+		}
+	}
 	return nil
 }
 
@@ -536,7 +541,7 @@ func cmdTransform(args []string) error {
 		return err
 	}
 	model := costmodel.NewDefault(graph.Summarize(g))
-	sel, err := core.Select(d, queries, core.DefaultCostFunc(model, *perMatch), core.PolicyAny, core.SelectOptions{})
+	sel, err := core.Select(context.Background(), d, queries, core.DefaultCostFunc(model, *perMatch), core.PolicyAny, core.SelectOptions{})
 	if err != nil {
 		return err
 	}

@@ -70,6 +70,12 @@ func Mine(g graph.Adjacency, eng engine.Engine, opts Options) ([]Frequent, *Stat
 // they are discarded); Stats covers all work done including the
 // interrupted level's RunStats.
 func MineCtx(ctx context.Context, g graph.Adjacency, eng engine.Engine, opts Options) ([]Frequent, *Stats, error) {
+	return mine(ctx, g, eng, opts, extend)
+}
+
+// mine is MineCtx over a candidate generator: extend, or in the tests its
+// unpruned form.
+func mine(ctx context.Context, g graph.Adjacency, eng engine.Engine, opts Options, extend func(frequent []*pattern.Pattern, labels []int32) []*pattern.Pattern) ([]Frequent, *Stats, error) {
 	if opts.MaxEdges < 1 {
 		return nil, nil, fmt.Errorf("fsm: MaxEdges must be positive")
 	}
@@ -93,7 +99,6 @@ func MineCtx(ctx context.Context, g graph.Adjacency, eng engine.Engine, opts Opt
 	labels := frequentLabels(g, opts.MinSupport)
 	candidates := seedPatterns(g, labels)
 	var frequent []Frequent
-	seenFrequent := map[uint64]bool{}
 
 	for level := 1; level <= opts.MaxEdges && len(candidates) > 0; level++ {
 		stats.Levels++
@@ -115,22 +120,19 @@ func MineCtx(ctx context.Context, g graph.Adjacency, eng engine.Engine, opts Opt
 		if run.Mining != nil {
 			stats.Mining.Add(run.Mining)
 		}
+		// A level's candidates are pairwise non-isomorphic and have one
+		// edge more than the level before: no pattern is frequent twice.
 		var survivors []*pattern.Pattern
 		for i, tbl := range tables {
-			sup := tbl.Support()
-			if sup >= opts.MinSupport {
+			if sup := tbl.Support(); sup >= opts.MinSupport {
 				survivors = append(survivors, candidates[i])
-				id := canon.StructureID(candidates[i])
-				if !seenFrequent[id] {
-					seenFrequent[id] = true
-					frequent = append(frequent, Frequent{Pattern: candidates[i], Support: sup})
-				}
+				frequent = append(frequent, Frequent{Pattern: candidates[i], Support: sup})
 			}
 		}
 		if level == opts.MaxEdges {
 			break
 		}
-		candidates = extend(survivors, labels, opts.MaxEdges)
+		candidates = extend(survivors, labels)
 	}
 	sort.Slice(frequent, func(i, j int) bool {
 		if frequent[i].Pattern.EdgeCount() != frequent[j].Pattern.EdgeCount() {
@@ -207,44 +209,72 @@ func seedPatterns(g graph.Adjacency, labels []int32) []*pattern.Pattern {
 
 // extend produces the next level's candidates from this level's frequent
 // patterns: every one-edge extension, closing a non-edge or attaching a
-// new vertex with a frequent label, deduplicated canonically.
-func extend(frequent []*pattern.Pattern, labels []int32, maxEdges int) []*pattern.Pattern {
+// new vertex with a frequent label, deduplicated canonically and kept only
+// if every connected subpattern with one edge less is itself among the
+// frequent patterns (Apriori: MNI support is anti-monotone, so one
+// infrequent subpattern makes the candidate infrequent, and the previous
+// level's tables have already said which those are).
+func extend(frequent []*pattern.Pattern, labels []int32) []*pattern.Pattern {
+	isFrequent := make(map[uint64]bool, len(frequent))
+	for _, p := range frequent {
+		isFrequent[canon.StructureID(p)] = true
+	}
+	type candidate struct {
+		p  *pattern.Pattern
+		id uint64
+	}
 	seen := map[uint64]bool{}
-	var out []*pattern.Pattern
-	add := func(p *pattern.Pattern) {
-		if p.EdgeCount() > maxEdges {
+	var out []candidate
+	// add files q, the extension of a frequent pattern by the edge {u,v}.
+	add := func(q *pattern.Pattern, u, v int) {
+		c, id := canon.Canonical(q)
+		if seen[id] {
 			return
 		}
-		id := canon.StructureID(p)
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, canon.Canonicalize(p))
+		seen[id] = true
+		for _, e := range q.Edges() {
+			if e == [2]int{u, v} {
+				continue // q without it is the pattern it came from
+			}
+			if sub := withoutEdge(q, e); sub != nil && !isFrequent[canon.StructureID(sub)] {
+				return
+			}
 		}
+		out = append(out, candidate{c, id})
 	}
 	for _, p := range frequent {
 		for _, ne := range p.NonEdges() {
 			if q, err := p.WithExtraEdge(ne[0], ne[1]); err == nil {
-				add(q)
+				add(q, ne[0], ne[1])
 			}
 		}
-		if p.N() < pattern.MaxVertices {
-			for u := 0; u < p.N(); u++ {
-				for _, l := range labels {
-					newLabels := append(p.Labels(), l)
-					edges := append(p.Edges(), [2]int{u, p.N()})
-					q, err := pattern.New(p.N()+1, edges, pattern.WithLabels(newLabels))
-					if err == nil {
-						add(q)
-					}
+		for u := 0; u < p.N(); u++ {
+			for _, l := range labels {
+				if q, err := p.WithPendant(u, l); err == nil {
+					add(q, u, p.N())
 				}
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].EdgeCount() != out[j].EdgeCount() {
-			return out[i].EdgeCount() < out[j].EdgeCount()
+	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
+	ps := make([]*pattern.Pattern, len(out))
+	for i, c := range out {
+		ps[i] = c.p
+	}
+	return ps
+}
+
+// withoutEdge returns q less the edge e, and less the vertex that leaves
+// alone; nil if the rest falls apart. q has at least two edges.
+func withoutEdge(q *pattern.Pattern, e [2]int) *pattern.Pattern {
+	for _, v := range e {
+		if q.Degree(v) == 1 {
+			sub, _ := q.WithoutVertex(v) // nil on error
+			return sub
 		}
-		return canon.StructureID(out[i]) < canon.StructureID(out[j])
-	})
-	return out
+	}
+	if sub, err := q.WithoutEdge(e[0], e[1]); err == nil && sub.IsConnected() {
+		return sub
+	}
+	return nil
 }

@@ -124,7 +124,7 @@ func TestMineValidation(t *testing.T) {
 func TestExtendDeduplicates(t *testing.T) {
 	wedgeLabeled := pattern.MustNew(3, [][2]int{{0, 1}, {1, 2}},
 		pattern.WithLabels([]int32{1, 1, 1}))
-	out := extend([]*pattern.Pattern{wedgeLabeled}, []int32{1}, 3)
+	out := extend([]*pattern.Pattern{wedgeLabeled}, []int32{1})
 	seen := map[uint64]bool{}
 	for _, p := range out {
 		id := canon.StructureID(p)

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -228,7 +229,7 @@ func runFig15CostModel(cfg Config, w io.Writer) error {
 
 	// The model's choice, identified by its variant multiset.
 	model := costmodel.NewDefault(graph.Summarize(g))
-	sel, err := core.Select(d, queries, core.DefaultCostFunc(model, 0), core.PolicyAny, core.SelectOptions{})
+	sel, err := core.Select(context.Background(), d, queries, core.DefaultCostFunc(model, 0), core.PolicyAny, core.SelectOptions{})
 	if err != nil {
 		return err
 	}

@@ -16,30 +16,32 @@ import (
 // Cached slices are shared: callers must treat returned permutations as
 // read-only (all in-tree callers do).
 var (
-	formMemo memo[form]    // exactKey(p) -> canonical labeling and ID
-	autMemo  memo[[][]int] // exactKey(p) -> Automorphisms(p)
-	isoMemo  memo[[][]int] // exactKey(p)|exactKey(q) -> Isomorphisms(p, q)
+	formMemo Memo[string, form]    // exactKey(p) -> canonical labeling and ID
+	autMemo  Memo[string, [][]int] // exactKey(p) -> Automorphisms(p)
+	isoMemo  Memo[string, [][]int] // exactKey(p)|exactKey(q) -> Isomorphisms(p, q)
 )
 
-// memoCap bounds the entries of one memo, so that a resident process fed
+// MemoCap bounds the entries of one Memo, so that a resident process fed
 // ever new labeled patterns does not grow without limit. The largest
 // working set among the repo's workloads — one 3-edge FSM query over 29
 // labels: about 2,200 canonical labelings and 1,200 automorphism groups —
 // fits in a generation (half the capacity) several times over.
-const memoCap = 1 << 14
+const MemoCap = 1 << 14
 
-// memo is a bounded, concurrency-safe map. It keeps two generations: new
-// entries go to cur, a hit in old moves the entry to cur, and when cur
-// holds half the capacity it becomes old and the previous old generation
-// is dropped. An entry therefore survives as long as it is used once per
-// memoCap/2 insertions of other keys — LRU to within a generation, at the
-// cost of one extra map lookup.
-type memo[V any] struct {
+// Memo is a bounded, concurrency-safe map; its zero value is ready to use.
+// It keeps two generations: new entries go to cur, a hit in old moves the
+// entry to cur, and when cur holds half the capacity it becomes old and the
+// previous old generation is dropped. An entry therefore survives as long
+// as it is used once per MemoCap/2 insertions of other keys — LRU to within
+// a generation, at the cost of one extra map lookup. The process-wide plan
+// memo (plan.BuildAut) is one of these too.
+type Memo[K comparable, V any] struct {
 	mu       sync.Mutex
-	cur, old map[string]V
+	cur, old map[K]V
 }
 
-func (m *memo[V]) get(key string) (V, bool) {
+// Get returns the value stored under key, if it is still held.
+func (m *Memo[K, V]) Get(key K) (V, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	v, ok := m.cur[key]
@@ -51,17 +53,25 @@ func (m *memo[V]) get(key string) (V, bool) {
 	return v, ok
 }
 
-func (m *memo[V]) put(key string, v V) {
+// Put stores v under key.
+func (m *Memo[K, V]) Put(key K, v V) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.putLocked(key, v)
 }
 
-func (m *memo[V]) putLocked(key string, v V) {
-	if m.cur == nil || len(m.cur) >= memoCap/2 {
-		m.cur, m.old = make(map[string]V), m.cur
+func (m *Memo[K, V]) putLocked(key K, v V) {
+	if m.cur == nil || len(m.cur) >= MemoCap/2 {
+		m.cur, m.old = make(map[K]V), m.cur
 	}
 	m.cur[key] = v
+}
+
+// Len returns the number of entries held, never more than MemoCap.
+func (m *Memo[K, V]) Len() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.cur) + len(m.old)
 }
 
 // Key returns a compact numbering-sensitive identity string for p,

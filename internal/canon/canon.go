@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/bits"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -40,13 +41,13 @@ type form struct {
 
 func canonical(p *pattern.Pattern) form {
 	key := exactKey(p)
-	if f, ok := formMemo.get(key); ok {
+	if f, ok := formMemo.Get(key); ok {
 		return f
 	}
 	ord := canonicalPerm(p)
 	c := permuted(p, ord)
 	f := form{ord: ord, id: hashForm(c)}
-	formMemo.put(key, f)
+	formMemo.Put(key, f)
 	// A canonical form is its own canonical form, and callers come back
 	// with it (fsm.extend hands its candidates to core.BuildSDAG): file it
 	// under the identity so that it is not searched again.
@@ -54,7 +55,7 @@ func canonical(p *pattern.Pattern) form {
 	for i := range ident {
 		ident[i] = i
 	}
-	formMemo.put(exactKey(c), form{ord: ident, id: f.id})
+	formMemo.Put(exactKey(c), form{ord: ident, id: f.id})
 	return f
 }
 
@@ -99,14 +100,22 @@ func canonicalPerm(p *pattern.Pattern) []int {
 			return
 		}
 		// Candidates: unused vertices of the earliest cell that still has
-		// unused members (cells must appear in order).
+		// unused members (cells must appear in order). A candidate that is a
+		// twin of one already tried here is skipped: exchanging the two is an
+		// automorphism that fixes the prefix, so its subtree repeats the
+		// other's codes and cannot hold a smaller one. Without this a star
+		// or a clique costs a factorial of its interchangeable vertices.
 		target := -1
-		for _, v := range sortedCandidates(cells, used) {
+		cands := sortedCandidates(cells, used)
+		for ci, v := range cands {
 			if target == -1 {
 				target = cellOf[v]
 			}
 			if cellOf[v] != target {
 				break
+			}
+			if slices.ContainsFunc(cands[:ci], func(u int) bool { return twins(p, u, v) }) {
+				continue
 			}
 			used[v] = true
 			cur = append(cur, v)
@@ -130,6 +139,16 @@ func canonicalPerm(p *pattern.Pattern) []int {
 	}
 	dfs(0)
 	return best
+}
+
+// twins reports whether exchanging u and v, every other vertex fixed, is
+// an automorphism of p: same label, same neighbors and anti-neighbors
+// apart from each other.
+func twins(p *pattern.Pattern, u, v int) bool {
+	bu, bv := uint16(1)<<uint(u), uint16(1)<<uint(v)
+	return p.Label(u) == p.Label(v) &&
+		p.NeighborMask(u)&^bv == p.NeighborMask(v)&^bu &&
+		p.AntiMask(u)&^bv == p.AntiMask(v)&^bu
 }
 
 // sortedCandidates lists unused vertices in cell order (cells are already
@@ -250,7 +269,20 @@ func sameClasses(a, b []string) bool {
 
 // Canonicalize returns the canonical form of p (same induced semantics).
 func Canonicalize(p *pattern.Pattern) *pattern.Pattern {
-	return permuted(p, canonical(p).ord)
+	c, _ := Canonical(p)
+	return c
+}
+
+// Canonical is Canonicalize and StructureID in one lookup. A pattern that
+// is its own canonical form is returned as it is, not copied.
+func Canonical(p *pattern.Pattern) (*pattern.Pattern, uint64) {
+	f := canonical(p)
+	for i, v := range f.ord {
+		if v != i {
+			return permuted(p, f.ord), f.id
+		}
+	}
+	return p, f.id
 }
 
 // StructureID returns a 64-bit identifier of the pattern's structure and
@@ -305,12 +337,65 @@ func IsIsomorphic(p, q *pattern.Pattern) bool {
 // it as read-only.
 func Automorphisms(p *pattern.Pattern) [][]int {
 	key := exactKey(p)
-	if auts, ok := autMemo.get(key); ok {
+	if auts, ok := autMemo.Get(key); ok {
 		return auts
 	}
 	auts := mapsInto(p, p, true)
-	autMemo.put(key, auts)
+	autMemo.Put(key, auts)
 	return auts
+}
+
+// Orbit returns, ascending, the images of v under the automorphisms of p
+// that fix every vertex below v: v's orbit in the pointwise stabilizer of
+// 0..v-1. Over all v the orbit sizes multiply to |Aut(p)| and the orbits
+// are the Grochow-Kellis symmetry-breaking pairs (plan.SymmetryConditions),
+// found one witness at a time — Automorphisms lists the whole group, 11!
+// permutations for a 12-vertex star.
+func Orbit(p *pattern.Pattern, v int) []int {
+	n := p.N()
+	img := make([]int, n)
+	orbit := []int{v}
+	for w := v + 1; w < n; w++ {
+		for i := range img {
+			img[i] = i
+		}
+		img[v] = w
+		if autExtends(p, img, v, 1<<uint(v)-1|1<<uint(w)) {
+			orbit = append(orbit, w)
+		}
+	}
+	return orbit
+}
+
+// autExtends reports whether img, which maps vertices 0..k, extends to an
+// automorphism of p; used is the set of images taken so far. Candidate
+// images that are twins of one already tried are skipped, as in
+// canonicalPerm.
+func autExtends(p *pattern.Pattern, img []int, k int, used uint16) bool {
+	u, v := k, img[k]
+	if p.Label(u) != p.Label(v) || p.Degree(u) != p.Degree(v) {
+		return false
+	}
+	for w := 0; w < k; w++ {
+		if p.HasEdge(u, w) != p.HasEdge(v, img[w]) || p.IsAntiEdge(u, w) != p.IsAntiEdge(v, img[w]) {
+			return false
+		}
+	}
+	if k+1 == p.N() {
+		return true
+	}
+	var tried []int
+	for c := 0; c < p.N(); c++ {
+		if used&(1<<uint(c)) != 0 || slices.ContainsFunc(tried, func(t int) bool { return twins(p, t, c) }) {
+			continue
+		}
+		tried = append(tried, c)
+		img[k+1] = c
+		if autExtends(p, img, k+1, used|1<<uint(c)) {
+			return true
+		}
+	}
+	return false
 }
 
 // Isomorphisms enumerates phi(p,q): every injective map f from V(p) into
@@ -324,11 +409,11 @@ func Isomorphisms(p, q *pattern.Pattern) [][]int {
 		return nil
 	}
 	key := exactKey(p) + "|" + exactKey(q)
-	if isos, ok := isoMemo.get(key); ok {
+	if isos, ok := isoMemo.Get(key); ok {
 		return isos
 	}
 	isos := mapsInto(p, q, false)
-	isoMemo.put(key, isos)
+	isoMemo.Put(key, isos)
 	return isos
 }
 

@@ -3,6 +3,7 @@ package canon
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -316,5 +317,94 @@ func TestQuickCanonicalMatchIdempotent(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOrbitMatchesListedGroup: Orbit(p, v), found one witness at a time,
+// is the set of images of v under the listed automorphisms that fix every
+// vertex below v — over random labeled patterns with and without explicit
+// anti-edges.
+func TestOrbitMatchesListedGroup(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 1500; trial++ {
+		n := 2 + r.Intn(6)
+		var edges, anti [][2]int
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				switch r.Intn(4) {
+				case 0, 1:
+					edges = append(edges, [2]int{u, v})
+				case 2:
+					if trial%3 == 0 {
+						anti = append(anti, [2]int{u, v})
+					}
+				}
+			}
+		}
+		labels := make([]int32, n)
+		for i := range labels {
+			labels[i] = int32(r.Intn(1 + trial%3))
+		}
+		opts := []pattern.Option{pattern.WithLabels(labels)}
+		if len(anti) > 0 {
+			opts = append(opts, pattern.WithAntiEdges(anti))
+		} else {
+			opts = append(opts, pattern.WithInduced(pattern.Induced(r.Intn(2))))
+		}
+		p := pattern.MustNew(n, edges, opts...)
+		auts := Automorphisms(p)
+		for v := 0; v < n; v++ {
+			want := map[int]bool{}
+		next:
+			for _, a := range auts {
+				for u := 0; u < v; u++ {
+					if a[u] != u {
+						continue next
+					}
+				}
+				want[a[v]] = true
+			}
+			got := Orbit(p, v)
+			if len(got) != len(want) || !sort.IntsAreSorted(got) {
+				t.Fatalf("%v: orbit of %d is %v, the listed group says %v", p, v, got, want)
+			}
+			for _, w := range got {
+				if !want[w] {
+					t.Fatalf("%v: orbit of %d is %v, the listed group says %v", p, v, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestInterchangeableVerticesAreNotPermuted: canonical labeling and
+// orbits of patterns whose automorphism groups are factorial in size —
+// 11! for the 12-vertex star, 12! for the clique, 6!·6!·2 for K6,6 — take
+// a search that skips twins, not one that walks the group. A renumbering
+// must still land on the same form.
+func TestInterchangeableVerticesAreNotPermuted(t *testing.T) {
+	var k66 [][2]int
+	for u := 0; u < 6; u++ {
+		for v := 6; v < 12; v++ {
+			k66 = append(k66, [2]int{u, v})
+		}
+	}
+	for _, p := range []*pattern.Pattern{pattern.Star(12), pattern.Clique(12), pattern.MustNew(12, k66)} {
+		perm := rand.New(rand.NewSource(3)).Perm(p.N())
+		q, err := p.Permute(perm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a, b := Canonicalize(p), Canonicalize(q); !a.Equal(b) || StructureID(p) != StructureID(q) {
+			t.Errorf("%v and its renumbering canonicalize to %v and %v", p, a, b)
+		}
+		size := 1
+		for v := 0; v < p.N(); v++ {
+			size *= len(Orbit(p, v))
+		}
+		want := map[int]int{11: 39916800, 66: 479001600, 36: 720 * 720 * 2}[p.EdgeCount()]
+		if size != want {
+			t.Errorf("%v: orbit sizes multiply to %d, |Aut| is %d", p, size, want)
+		}
 	}
 }

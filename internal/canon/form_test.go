@@ -111,13 +111,7 @@ func TestCanonicalFormsPinned(t *testing.T) {
 	}
 }
 
-func (m *memo[V]) size() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.cur) + len(m.old)
-}
-
-func (m *memo[V]) reset() {
+func (m *Memo[K, V]) reset() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.cur, m.old = nil, nil
@@ -138,7 +132,7 @@ func TestMemosStayBounded(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := w; i < 10*memoCap; i += workers {
+			for i := w; i < 10*MemoCap; i += workers {
 				p := labeledEdge(i)
 				StructureID(p)
 				Automorphisms(p)
@@ -147,13 +141,13 @@ func TestMemosStayBounded(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	for name, size := range map[string]int{"form": formMemo.size(), "automorphism": autMemo.size(), "isomorphism": isoMemo.size()} {
-		if size > memoCap || size < memoCap/2 {
-			t.Errorf("%s memo holds %d entries after %d distinct patterns, want within (%d, %d]", name, size, 10*memoCap, memoCap/2, memoCap)
+	for name, size := range map[string]int{"form": formMemo.Len(), "automorphism": autMemo.Len(), "isomorphism": isoMemo.Len()} {
+		if size > MemoCap || size < MemoCap/2 {
+			t.Errorf("%s memo holds %d entries after %d distinct patterns, want within (%d, %d]", name, size, 10*MemoCap, MemoCap/2, MemoCap)
 		}
 	}
 	// Evicted and resident entries alike still answer correctly.
-	for _, i := range []int{0, 1, memoCap, 10*memoCap - 1} {
+	for _, i := range []int{0, 1, MemoCap, 10*MemoCap - 1} {
 		p := labeledEdge(i)
 		flipped := pattern.MustNew(2, [][2]int{{0, 1}}, pattern.WithLabels([]int32{int32(i + 1), int32(i)}))
 		want := hashForm(permuted(p, canonicalPerm(p)))
@@ -172,17 +166,17 @@ func TestMemosStayBounded(t *testing.T) {
 // TestMemoKeepsWhatIsUsed: an entry touched once per generation survives
 // any number of insertions of other keys.
 func TestMemoKeepsWhatIsUsed(t *testing.T) {
-	var m memo[int]
-	m.put("hot", 1)
-	for i := 0; i < 5*memoCap; i++ {
-		m.put(fmt.Sprint("cold", i), i)
-		if i%(memoCap/2-1) == 0 {
-			if _, ok := m.get("hot"); !ok {
-				t.Fatalf("entry used every %d insertions was evicted at insertion %d", memoCap/2-1, i)
+	var m Memo[string, int]
+	m.Put("hot", 1)
+	for i := 0; i < 5*MemoCap; i++ {
+		m.Put(fmt.Sprint("cold", i), i)
+		if i%(MemoCap/2-1) == 0 {
+			if _, ok := m.Get("hot"); !ok {
+				t.Fatalf("entry used every %d insertions was evicted at insertion %d", MemoCap/2-1, i)
 			}
 		}
 	}
-	if _, ok := m.get("cold0"); ok {
+	if _, ok := m.Get("cold0"); ok {
 		t.Error("an entry never used again outlived a full capacity of insertions")
 	}
 }

@@ -75,8 +75,12 @@ func (c *converter) queryValue(q Query) (aggr.Value, error) {
 		return c.reindex(q.Pattern, frame, vv)
 	}
 	// Edge-induced query: Eq. 2 over the up-set.
+	up, err := c.sel.SDAG.UpSet(q.Node)
+	if err != nil {
+		return nil, err
+	}
 	result := c.agg.Zero()
-	for _, s := range c.sel.SDAG.UpSet(q.Node) {
+	for _, s := range up {
 		vv, frame, err := c.vertexValue(s)
 		if err != nil {
 			return nil, err
@@ -119,8 +123,12 @@ func (c *converter) vertexValue(n *Node) (aggr.Value, *pattern.Pattern, error) {
 	if !isInv {
 		return nil, nil, fmt.Errorf("aggregation %q is not invertible but structure %d was mined edge-induced", c.agg.Name(), n.ID)
 	}
+	supers, err := c.sel.SDAG.StrictUpSet(n)
+	if err != nil {
+		return nil, nil, err
+	}
 	super := c.agg.Zero()
-	for _, s := range c.sel.SDAG.StrictUpSet(n) {
+	for _, s := range supers {
 		vv, sFrame, err := c.vertexValue(s)
 		if err != nil {
 			return nil, nil, err

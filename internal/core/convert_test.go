@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -118,7 +119,7 @@ func TestEq1CountIdentity(t *testing.T) {
 			}
 			wantE := oracleCount(g, base.AsEdgeInduced())
 			sum := uint64(0)
-			for _, s := range d.UpSet(d.Node(base)) {
+			for _, s := range upSet(t, d, d.Node(base)) {
 				coeff := uint64(CopyCoefficient(base, s.Pattern))
 				sum += coeff * oracleCount(g, s.Pattern.AsVertexInduced())
 			}
@@ -167,7 +168,7 @@ func TestConvertCountsAllPolicies(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					sel, err := Select(d, []*pattern.Pattern{q}, forceMorphCosts([]*pattern.Pattern{q}), policy, SelectOptions{})
+					sel, err := Select(context.Background(), d, []*pattern.Pattern{q}, forceMorphCosts([]*pattern.Pattern{q}), policy, SelectOptions{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -200,7 +201,7 @@ func TestConvertCountsMultiQuery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sel, err := Select(d, queries, forceMorphCosts(queries), PolicyAny, SelectOptions{})
+		sel, err := Select(context.Background(), d, queries, forceMorphCosts(queries), PolicyAny, SelectOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,7 +241,7 @@ func TestConvertCountsMixedVariantSelection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sel, err := Select(d, queries, costs, PolicyAny, SelectOptions{})
+		sel, err := Select(context.Background(), d, queries, costs, PolicyAny, SelectOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -276,7 +277,7 @@ func TestConvertCountsLabeled(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sel, err := Select(d, []*pattern.Pattern{q}, forceMorphCosts([]*pattern.Pattern{q}), PolicyVertexOnly, SelectOptions{})
+		sel, err := Select(context.Background(), d, []*pattern.Pattern{q}, forceMorphCosts([]*pattern.Pattern{q}), PolicyVertexOnly, SelectOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -316,7 +317,7 @@ func TestConvertMNI(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sel, err := Select(d, []*pattern.Pattern{q}, forceMorphCosts([]*pattern.Pattern{q}), PolicyVertexOnly, SelectOptions{})
+		sel, err := Select(context.Background(), d, []*pattern.Pattern{q}, forceMorphCosts([]*pattern.Pattern{q}), PolicyVertexOnly, SelectOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -356,7 +357,7 @@ func TestConvertMNILabeled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel, err := Select(d, []*pattern.Pattern{q}, forceMorphCosts([]*pattern.Pattern{q}), PolicyVertexOnly, SelectOptions{})
+	sel, err := Select(context.Background(), d, []*pattern.Pattern{q}, forceMorphCosts([]*pattern.Pattern{q}), PolicyVertexOnly, SelectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +387,7 @@ func TestConvertErrorPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel, err := Select(d, []*pattern.Pattern{q}, forceMorphCosts([]*pattern.Pattern{q}), PolicyEdgeOnly, SelectOptions{})
+	sel, err := Select(context.Background(), d, []*pattern.Pattern{q}, forceMorphCosts([]*pattern.Pattern{q}), PolicyEdgeOnly, SelectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,7 +455,7 @@ func TestConvertExists(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sel, err := Select(d, []*pattern.Pattern{q}, forceMorphCosts([]*pattern.Pattern{q}), PolicyVertexOnly, SelectOptions{})
+		sel, err := Select(context.Background(), d, []*pattern.Pattern{q}, forceMorphCosts([]*pattern.Pattern{q}), PolicyVertexOnly, SelectOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -22,7 +23,7 @@ func TestWriteDOT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel, err := Select(d, queries, appendixA2Costs(t), PolicyAny, SelectOptions{})
+	sel, err := Select(context.Background(), d, queries, appendixA2Costs(t), PolicyAny, SelectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,8 +20,8 @@ type AlternativeAssignment struct {
 // EnumerateAssignments samples up to limit distinct variant assignments
 // over the S-DAG's structures, always including the all-vertex-induced
 // assignment (the original motif query set) and the all-edge-induced one.
-// The sampling is deterministic in seed. It requires every structure's
-// up-set to be inside the DAG, which BuildSDAG guarantees.
+// The sampling is deterministic in seed. It covers the whole DAG (Nodes),
+// so every structure's up-set is inside it.
 func EnumerateAssignments(d *SDAG, limit int, seed int64) []AlternativeAssignment {
 	nodes := d.Nodes()
 	n := len(nodes)
@@ -91,7 +91,11 @@ func ConvertAssignment(d *SDAG, a AlternativeAssignment, queries []*pattern.Patt
 			return 0, fmt.Errorf("core: structure %v not covered by assignment", n.Pattern)
 		}
 		sum := uint64(0)
-		for _, s := range d.StrictUpSet(n) {
+		supers, err := d.StrictUpSet(n)
+		if err != nil {
+			return 0, err
+		}
+		for _, s := range supers {
 			sv, err := derive(s)
 			if err != nil {
 				return 0, err
@@ -120,7 +124,11 @@ func ConvertAssignment(d *SDAG, a AlternativeAssignment, queries []*pattern.Patt
 			continue
 		}
 		sum := uint64(0)
-		for _, s := range d.UpSet(n) {
+		up, err := d.UpSet(n)
+		if err != nil {
+			return nil, err
+		}
+		for _, s := range up {
 			sv, err := derive(s)
 			if err != nil {
 				return nil, err

@@ -33,8 +33,12 @@ func EdgeInducedEquation(d *SDAG, p *pattern.Pattern) (Equation, error) {
 	if n == nil {
 		return Equation{}, fmt.Errorf("core: pattern %v not in S-DAG", p)
 	}
+	up, err := d.UpSet(n)
+	if err != nil {
+		return Equation{}, err
+	}
 	eq := Equation{LHS: p.AsEdgeInduced()}
-	for _, s := range d.UpSet(n) {
+	for _, s := range up {
 		coeff := CopyCoefficient(p, s.Pattern)
 		if coeff == 0 {
 			continue
@@ -56,10 +60,14 @@ func VertexInducedEquation(d *SDAG, p *pattern.Pattern) (Equation, error) {
 	if n == nil {
 		return Equation{}, fmt.Errorf("core: pattern %v not in S-DAG", p)
 	}
+	supers, err := d.StrictUpSet(n)
+	if err != nil {
+		return Equation{}, err
+	}
 	eq := Equation{LHS: p.AsVertexInduced()}
 	eq.Terms = append(eq.Terms, EquationTerm{Coefficient: 1, Pattern: n.Pattern.AsEdgeInduced()})
 	var rest []EquationTerm
-	for _, s := range d.StrictUpSet(n) {
+	for _, s := range supers {
 		coeff := CopyCoefficient(p, s.Pattern)
 		if coeff == 0 {
 			continue

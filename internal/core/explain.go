@@ -4,9 +4,9 @@ import (
 	"math"
 	"sync/atomic"
 
-	"morphing/internal/canon"
 	"morphing/internal/costmodel"
 	"morphing/internal/pattern"
+	"morphing/internal/plan"
 )
 
 // This file holds the explainability side of pattern transformation: the
@@ -65,6 +65,10 @@ type SelectionExplain struct {
 	// Truncated counts rejected candidates dropped once the trace hit
 	// its cap (accepted ones are always kept).
 	Truncated int `json:"truncated,omitempty"`
+	// Unmorphable lists the structures Select refused to morph because
+	// their superpattern set exceeds the S-DAG's bound (ErrUpSetTooLarge);
+	// they are mined as they are.
+	Unmorphable []string `json:"unmorphable,omitempty"`
 }
 
 // recordCandidate appends one scored morph, enforcing the cap on
@@ -84,13 +88,14 @@ func (e *SelectionExplain) recordCandidate(c CandidateMorph) {
 func (sel *Selection) AnnotateEstimates(model *costmodel.Model, perMatchCost float64) {
 	for i := range sel.Mine {
 		c := &sel.Mine[i]
-		auts := len(canon.Automorphisms(c.Pattern))
-		cost, err := model.PatternCost(c.Pattern.Variant(c.Variant), auts, perMatchCost)
+		cost, err := model.PatternCost(c.Pattern.Variant(c.Variant), perMatchCost)
 		if err != nil {
 			cost = math.Inf(1)
 		}
 		c.EstCost = cost
-		c.EstMatches = model.MatchEstimate(c.Pattern, auts)
+		if _, aut, err := plan.BuildAut(c.Pattern); err == nil {
+			c.EstMatches = model.MatchEstimate(c.Pattern, aut)
+		}
 	}
 }
 

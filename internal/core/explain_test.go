@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"morphing/internal/graph"
@@ -24,11 +25,11 @@ func TestSelectExplainTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := Select(d, queries, appendixA2Costs(t), PolicyAny, SelectOptions{})
+	plain, err := Select(context.Background(), d, queries, appendixA2Costs(t), PolicyAny, SelectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	traced, err := Select(d, queries, appendixA2Costs(t), PolicyAny, SelectOptions{Explain: true})
+	traced, err := Select(context.Background(), d, queries, appendixA2Costs(t), PolicyAny, SelectOptions{Explain: true})
 	if err != nil {
 		t.Fatal(err)
 	}

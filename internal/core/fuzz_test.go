@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -55,7 +56,7 @@ func TestFuzzSelectionAlwaysConvertible(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sel, err := Select(d, queries, costs, policy, SelectOptions{})
+			sel, err := Select(context.Background(), d, queries, costs, policy, SelectOptions{})
 			if err != nil {
 				t.Fatalf("trial %d policy %v: Select: %v", trial, policy, err)
 			}
@@ -95,7 +96,7 @@ func TestFuzzSelectionCostNeverWorse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sel, err := Select(d, queries, costs, PolicyAny, SelectOptions{})
+		sel, err := Select(context.Background(), d, queries, costs, PolicyAny, SelectOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +127,7 @@ func TestFuzzStreamPlanCoverage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sel, err := Select(d, queries, costs, PolicyVertexOnly, SelectOptions{})
+		sel, err := Select(context.Background(), d, queries, costs, PolicyVertexOnly, SelectOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -78,7 +78,11 @@ func (sel *Selection) StreamPlan() ([][]StreamTarget, error) {
 		if normVariant(q.Pattern) != pattern.EdgeInduced {
 			return nil, fmt.Errorf("core: on-the-fly conversion requires an edge-induced query (additive direction); query %d is vertex-induced", qi)
 		}
-		for _, s := range sel.SDAG.UpSet(q.Node) {
+		up, err := sel.SDAG.UpSet(q.Node)
+		if err != nil {
+			return nil, err
+		}
+		for _, s := range up {
 			idx, ok := sel.byPair[pairKey{s.ID, pattern.VertexInduced}]
 			if !ok && s.Pattern.IsClique() {
 				idx, ok = sel.byPair[pairKey{s.ID, pattern.EdgeInduced}]

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -74,7 +75,7 @@ func TestStreamMorphedMatchesDirect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sel, err := Select(d, []*pattern.Pattern{q}, forceMorphCosts([]*pattern.Pattern{q}), PolicyVertexOnly, SelectOptions{})
+		sel, err := Select(context.Background(), d, []*pattern.Pattern{q}, forceMorphCosts([]*pattern.Pattern{q}), PolicyVertexOnly, SelectOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +120,7 @@ func TestStreamMorphedUnmorphed(t *testing.T) {
 		t.Fatal(err)
 	}
 	neverMorph := func(n *Node) Costs { return Costs{E: 1, V: 1e9} }
-	sel, err := Select(d, []*pattern.Pattern{q}, neverMorph, PolicyVertexOnly, SelectOptions{})
+	sel, err := Select(context.Background(), d, []*pattern.Pattern{q}, neverMorph, PolicyVertexOnly, SelectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestStreamMorphedRejectsVertexQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Force a morph so the stream would need subtraction.
-	sel, err := Select(d, []*pattern.Pattern{q}, forceMorphCosts([]*pattern.Pattern{q}), PolicyAny, SelectOptions{})
+	sel, err := Select(context.Background(), d, []*pattern.Pattern{q}, forceMorphCosts([]*pattern.Pattern{q}), PolicyAny, SelectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

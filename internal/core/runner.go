@@ -439,8 +439,9 @@ func (r *Runner) transformPolicy(ctx context.Context, g graph.Adjacency, queries
 		return nil, err
 	}
 	model := costmodel.New(graph.Summarize(g), r.weights())
-	spSel := o.StartSpan("select", obs.Int("sdag_nodes", d.Len()))
-	sel, err := Select(d, queries, DefaultCostFunc(model, r.PerMatchCost), policy, r.selectOptions())
+	spSel := o.StartSpan("select")
+	sel, err := Select(ctx, d, queries, DefaultCostFunc(model, r.PerMatchCost), policy, r.selectOptions())
+	spSel.Set(obs.Int("sdag_nodes", d.Materialized()))
 	spSel.End()
 	if err != nil {
 		return nil, err
@@ -1049,8 +1050,11 @@ func (r *Runner) estimateMatchBytes(g graph.Adjacency, sel *Selection) uint64 {
 	model := costmodel.New(graph.Summarize(g), r.weights())
 	total := 0.0
 	for _, c := range sel.Mine {
-		auts := len(canon.Automorphisms(c.Pattern))
-		total += model.MatchEstimate(c.Pattern, auts) * float64(c.Pattern.N()) * 4
+		_, aut, err := plan.BuildAut(c.Pattern)
+		if err != nil {
+			continue // not a connected pattern: nothing the engine would mine
+		}
+		total += model.MatchEstimate(c.Pattern, aut) * float64(c.Pattern.N()) * 4
 	}
 	if math.IsNaN(total) || total < 0 {
 		return 0

@@ -7,6 +7,16 @@ import (
 	"morphing/internal/pattern"
 )
 
+// upSet is d.UpSet for structures within the up-set bound.
+func upSet(t testing.TB, d *SDAG, n *Node) []*Node {
+	t.Helper()
+	up, err := d.UpSet(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return up
+}
+
 func TestBuildSDAGFourStar(t *testing.T) {
 	// Up-set of the 4-star: star -> tailed triangle -> diamond -> 4-clique.
 	d, err := BuildSDAG([]*pattern.Pattern{pattern.FourStar().AsVertexInduced()})
@@ -20,7 +30,7 @@ func TestBuildSDAGFourStar(t *testing.T) {
 	if star == nil {
 		t.Fatal("query structure missing")
 	}
-	up := d.UpSet(star)
+	up := upSet(t, d, star)
 	if len(up) != 4 {
 		t.Fatalf("up-set size %d, want 4", len(up))
 	}
@@ -34,8 +44,8 @@ func TestBuildSDAGFourStar(t *testing.T) {
 	if !canon.IsIsomorphic(up[0].Pattern, pattern.FourClique()) {
 		t.Fatal("apex is not the 4-clique")
 	}
-	if got := d.StrictUpSet(star); len(got) != 3 {
-		t.Fatalf("strict up-set size %d, want 3", len(got))
+	if got, err := d.StrictUpSet(star); err != nil || len(got) != 3 {
+		t.Fatalf("strict up-set size %d (err %v), want 3", len(got), err)
 	}
 }
 
@@ -56,7 +66,7 @@ func TestBuildSDAGAllFourMotifs(t *testing.T) {
 	}
 	// The cycle's up-set is {C4, diamond, K4}.
 	cyc := d.Node(pattern.FourCycle())
-	if got := len(d.UpSet(cyc)); got != 3 {
+	if got := len(upSet(t, d, cyc)); got != 3 {
 		t.Fatalf("cycle up-set size %d, want 3", got)
 	}
 }
@@ -94,7 +104,7 @@ func TestBuildSDAGMixedSizes(t *testing.T) {
 		t.Fatalf("mixed-size S-DAG has %d nodes, want 4", d.Len())
 	}
 	tri := d.Node(pattern.Triangle())
-	if len(d.UpSet(tri)) != 1 {
+	if len(upSet(t, d, tri)) != 1 {
 		t.Fatal("triangle must be its own apex")
 	}
 }
@@ -133,10 +143,10 @@ func TestUpSetIsUpwardClosed(t *testing.T) {
 	}
 	for _, n := range d.Nodes() {
 		inUp := map[uint64]bool{}
-		for _, m := range d.UpSet(n) {
+		for _, m := range upSet(t, d, n) {
 			inUp[m.ID] = true
 		}
-		for _, m := range d.UpSet(n) {
+		for _, m := range upSet(t, d, n) {
 			for _, p := range m.Parents {
 				if !inUp[p.ID] {
 					t.Fatalf("up-set of %v missing parent %v of member %v", n.Pattern, p.Pattern, m.Pattern)

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"cmp"
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -62,9 +65,8 @@ type CostFunc func(n *Node) Costs
 // plus expected matches times the per-match aggregation cost.
 func DefaultCostFunc(model *costmodel.Model, perMatchCost float64) CostFunc {
 	return func(n *Node) Costs {
-		aut := len(canon.Automorphisms(n.Pattern))
-		cE, errE := model.PatternCost(n.Pattern.AsEdgeInduced(), aut, perMatchCost)
-		cV, errV := model.PatternCost(n.Pattern.AsVertexInduced(), aut, perMatchCost)
+		cE, errE := model.PatternCost(n.Pattern, perMatchCost)
+		cV, errV := model.PatternCost(n.Pattern.AsVertexInduced(), perMatchCost)
 		if errE != nil || errV != nil {
 			// Connected patterns never fail plan building; treat as very
 			// expensive so selection avoids them rather than aborting.
@@ -161,9 +163,13 @@ func IdentitySelection(queries []*pattern.Pattern) (*Selection, error) {
 // Select implements Algorithm 1: starting from the query set, greedily
 // replace subsets of patterns with their combined superpattern sets
 // whenever the cost model predicts a win, zeroing the cost of patterns
-// already scheduled so overlapping alternatives compound.
-func Select(d *SDAG, queries []*pattern.Pattern, cost CostFunc, policy Policy, opts SelectOptions) (*Selection, error) {
-	sel := &Selection{SDAG: d, Policy: policy, byPair: map[pairKey]int{}}
+// already scheduled so overlapping alternatives compound. It asks d for
+// superpatterns only above members a morph could pay for (see live), so a
+// set it declines costs its queries' prices and nothing else. Generating
+// superpatterns polls ctx: a cancelled or expired context ends Select with
+// the typed engine error.
+func Select(ctx context.Context, d *SDAG, queries []*pattern.Pattern, cost CostFunc, policy Policy, opts SelectOptions) (*Selection, error) {
+	sel := &Selection{SDAG: d, Policy: policy, byPair: make(map[pairKey]int, len(queries))}
 	if len(queries) == 0 {
 		return sel, nil
 	}
@@ -177,7 +183,7 @@ func Select(d *SDAG, queries []*pattern.Pattern, cost CostFunc, policy Policy, o
 	// Per-node base costs, computed once. Trace entries append on the
 	// memoization miss, so their order follows the algorithm's (fully
 	// deterministic) first consultation of each structure.
-	baseCosts := map[uint64]Costs{}
+	baseCosts := make(map[uint64]Costs, len(queries))
 	nodeCost := func(n *Node) Costs {
 		c, ok := baseCosts[n.ID]
 		if !ok {
@@ -229,8 +235,9 @@ func Select(d *SDAG, queries []*pattern.Pattern, cost CostFunc, policy Policy, o
 		node *Node
 		key  pairKey
 	}
-	S := map[pairKey]*Node{}
+	S := make(map[pairKey]*Node, len(queries))
 
+	sel.Queries = make([]Query, 0, len(queries))
 	for i, q := range queries {
 		n := d.Node(q)
 		if n == nil {
@@ -244,8 +251,8 @@ func Select(d *SDAG, queries []*pattern.Pattern, cost CostFunc, policy Policy, o
 	// morphable reports whether a pair may be replaced by its alternative
 	// set under the policy.
 	morphable := func(k pairKey, n *Node) bool {
-		if n.Pattern.IsClique() {
-			return false // no proper same-size superpatterns
+		if n.Pattern.IsClique() || n.tooBig {
+			return false // no proper same-size superpatterns, or too many
 		}
 		switch policy {
 		case PolicyVertexOnly:
@@ -266,13 +273,36 @@ func Select(d *SDAG, queries []*pattern.Pattern, cost CostFunc, policy Policy, o
 		return pairKey{k.id, pattern.EdgeInduced}
 	}
 	// altSet returns the replacement pairs for pair k: its selfPair plus
-	// its strict superpattern up-set in the policy's best variants.
-	altSet := func(k pairKey, n *Node) []member {
-		out := []member{{node: n, key: selfPair(k)}}
-		for _, s := range d.StrictUpSet(n) {
+	// its strict superpattern up-set in the policy's best variants. The
+	// first request for a structure's up-set generates it; one over
+	// maxUpSet (ErrUpSetTooLarge) makes the structure unmorphable.
+	altSet := func(k pairKey, n *Node) ([]member, error) {
+		up, err := d.upSet(ctx, n)
+		if err != nil {
+			return nil, err
+		}
+		out := make([]member, 0, len(up))
+		out = append(out, member{node: n, key: selfPair(k)})
+		for _, s := range up[:len(up)-1] {
 			out = append(out, member{node: s, key: pairKey{s.ID, bestVariantNorm(s, bestVariant)}})
 		}
-		return out
+		return out, nil
+	}
+	// live reports whether a candidate morph containing c could be
+	// accepted. Every candidate C adds the selfPair of each of its members
+	// — distinct pairs, as C never holds both variants of a structure. If
+	// none is in S and each costs at least what removing its member
+	// credits, added ≥ removed (costs are never negative): a parent with
+	// no live child has all 2^k candidates rejected, so superpatterns are
+	// generated above live members only. The explain trace lists rejected
+	// candidates: there every member counts as live.
+	live := func(c member) bool {
+		if ex != nil {
+			return true
+		}
+		self := selfPair(c.key)
+		_, in := S[self]
+		return in || variantCost(c.node, self.variant) < variantCost(c.node, c.key.variant)
 	}
 
 	maxSubset := opts.MaxSubset
@@ -289,26 +319,56 @@ func Select(d *SDAG, queries []*pattern.Pattern, cost CostFunc, policy Policy, o
 		// configuration space guarantees convergence without the paper's
 		// explicit cost-zeroing bookkeeping, while preserving its effect:
 		// already-scheduled patterns make overlapping morphs cheap.
-		maxIters := 8*d.Len() + 32
-		for iter := 0; iter < maxIters; iter++ {
+		for iter := 0; iter < 8*len(d.nodes)+32; iter++ {
 			changed := false
-			// Deterministic iteration over parents of S members.
-			parentSet := map[uint64]*Node{}
-			for _, n := range S {
-				for _, p := range n.Parents {
-					parentSet[p.ID] = p
+			// An iteration visits, in S-DAG order, the parents of the
+			// structures S held when it began. frontier lists those still
+			// ahead of `after` that have a live child now; a member that
+			// joined S during the iteration counts only through a parent
+			// it shares with a structure of the beginning.
+			var atStart map[uint64]bool
+			frontier := func(after *Node) ([]*Node, error) {
+				var out []*Node
+				listed := map[uint64]bool{}
+				for k, n := range S {
+					if !morphable(k, n) || !live(member{node: n, key: k}) {
+						continue
+					}
+					if atStart == nil { // the first call of the iteration: S is as it began
+						atStart = make(map[uint64]bool, len(S))
+						for k := range S {
+							atStart[k.id] = true
+						}
+					}
+					ps, err := d.parents(ctx, n)
+					if err != nil {
+						return nil, err
+					}
+					for _, p := range ps {
+						if after != nil && !nodeLess(after, p) || listed[p.ID] {
+							continue
+						}
+						if atStart[k.id] || slices.ContainsFunc(d.childrenOf(p), func(c *Node) bool { return atStart[c.ID] }) {
+							listed[p.ID] = true
+							out = append(out, p)
+						}
+					}
 				}
+				sortNodes(out)
+				return out, nil
 			}
-			parents := make([]*Node, 0, len(parentSet))
-			for _, p := range parentSet {
-				parents = append(parents, p)
+			parents, err := frontier(nil)
+			if err != nil {
+				return nil, err
 			}
-			sortNodes(parents)
-
-			for _, par := range parents {
-				// Morphable S-members among par's children.
+			for pi := 0; pi < len(parents); pi++ {
+				par := parents[pi]
+				// Morphable S-members among par's children, live or not (a
+				// live member's morph may only pay together with a
+				// sibling's), each with its alternative set. Sorted before
+				// the cap: what it keeps must not depend on build order.
 				var kids []member
-				for _, c := range par.Children {
+				for _, c := range d.childrenOf(par) {
 					for _, v := range []pattern.Induced{pattern.EdgeInduced, pattern.VertexInduced} {
 						k := pairKey{c.ID, v}
 						if _, in := S[k]; in && morphable(k, c) {
@@ -316,31 +376,30 @@ func Select(d *SDAG, queries []*pattern.Pattern, cost CostFunc, policy Policy, o
 						}
 					}
 				}
-				if len(kids) == 0 {
-					continue
-				}
+				sort.Slice(kids, func(i, j int) bool { return lessPair(kids[i].key, kids[j].key) })
 				if len(kids) > maxSubset {
 					kids = kids[:maxSubset]
 				}
-				sort.Slice(kids, func(i, j int) bool { return lessPair(kids[i].key, kids[j].key) })
-				// Decline without enumerating. Every candidate C adds the
-				// selfPair of each of its members — distinct pairs, as C never
-				// holds both variants of a structure. When none of them is
-				// in S and each costs at least what removing its member
-				// credits, added ≥ removed for every C (costs are never
-				// negative), so all 2^k candidates would be rejected. The
-				// explain trace lists rejected candidates, so it enumerates.
-				if ex == nil && !slices.ContainsFunc(kids, func(c member) bool {
-					self := selfPair(c.key)
-					_, in := S[self]
-					return in || variantCost(c.node, self.variant) < variantCost(c.node, c.key.variant)
-				}) {
+				alts := make([][]member, 0, len(kids))
+				for _, c := range kids {
+					alt, err := altSet(c.key, c.node)
+					if errors.Is(err, ErrUpSetTooLarge) {
+						continue
+					} else if err != nil {
+						return nil, err
+					}
+					kids[len(alts)] = c
+					alts = append(alts, alt)
+				}
+				kids = kids[:len(alts)]
+				if !slices.ContainsFunc(kids, live) {
 					continue
 				}
 				// Largest subsets first: combined morphs capture overlap.
 				for mask := (1 << len(kids)) - 1; mask >= 1; mask-- {
 					var C []member
 					inC := map[pairKey]bool{}
+					spc := map[pairKey]*Node{}
 					dualVariant := false
 					seenStruct := map[uint64]bool{}
 					for b := range kids {
@@ -355,6 +414,9 @@ func Select(d *SDAG, queries []*pattern.Pattern, cost CostFunc, policy Policy, o
 							seenStruct[kids[b].key.id] = true
 							C = append(C, kids[b])
 							inC[kids[b].key] = true
+							for _, m := range alts[b] {
+								spc[m.key] = m.node
+							}
 						}
 					}
 					if dualVariant {
@@ -363,12 +425,6 @@ func Select(d *SDAG, queries []*pattern.Pattern, cost CostFunc, policy Policy, o
 					removed := 0.0
 					for _, c := range C {
 						removed += variantCost(c.node, c.key.variant)
-					}
-					spc := map[pairKey]*Node{}
-					for _, c := range C {
-						for _, m := range altSet(c.key, c.node) {
-							spc[m.key] = m.node
-						}
 					}
 					added := 0.0
 					for k, n := range spc {
@@ -420,6 +476,12 @@ func Select(d *SDAG, queries []*pattern.Pattern, cost CostFunc, policy Policy, o
 							S[k] = n
 						}
 						changed = true
+						// Liveness follows S: look again at what is ahead.
+						ahead, err := frontier(par)
+						if err != nil {
+							return nil, err
+						}
+						parents = append(parents[:pi+1], ahead...)
 						break // re-derive kids for this parent next iteration
 					}
 				}
@@ -447,8 +509,11 @@ func Select(d *SDAG, queries []*pattern.Pattern, cost CostFunc, policy Policy, o
 			if opts.DisableMorphing {
 				return nil, fmt.Errorf("core: vertex-induced query %v cannot run under an edge-only engine without morphing; use a Filter UDF baseline instead", q.Pattern)
 			}
+			alt, err := altSet(k, q.Node)
+			if err != nil {
+				return nil, fmt.Errorf("core: vertex-induced query %v cannot be morphed for an edge-only engine: %w", q.Pattern, err)
+			}
 			delete(S, k)
-			alt := altSet(k, q.Node)
 			for _, m := range alt {
 				S[m.key] = m.node
 			}
@@ -478,12 +543,13 @@ func Select(d *SDAG, queries []*pattern.Pattern, cost CostFunc, policy Policy, o
 	}
 
 	// Materialize the mine list and mark morphed queries.
-	var keys []pairKey
+	keys := make([]pairKey, 0, len(S))
+	sel.Mine = make([]Choice, 0, len(S))
 	for k := range S {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return lessPair(keys[i], keys[j]) })
-	queryFrame := map[pairKey]*pattern.Pattern{}
+	slices.SortFunc(keys, cmpPair)
+	queryFrame := make(map[pairKey]*pattern.Pattern, len(sel.Queries))
 	for _, q := range sel.Queries {
 		k := pairKey{q.Node.ID, normVariant(q.Pattern)}
 		if _, ok := queryFrame[k]; !ok {
@@ -492,12 +558,11 @@ func Select(d *SDAG, queries []*pattern.Pattern, cost CostFunc, policy Policy, o
 	}
 	for _, k := range keys {
 		n := S[k]
-		frame := n.Pattern.Variant(k.variant)
-		if qf, ok := queryFrame[k]; ok {
-			frame = qf
-			if qf.Induced() != k.variant {
-				frame = qf.Variant(k.variant) // clique variant normalization
-			}
+		frame, ok := queryFrame[k]
+		if !ok {
+			frame = n.Pattern.Variant(k.variant)
+		} else if frame.Induced() != k.variant {
+			frame = frame.Variant(k.variant) // clique variant normalization
 		}
 		sel.byPair[k] = len(sel.Mine)
 		sel.Mine = append(sel.Mine, Choice{Node: n, Variant: k.variant, Pattern: frame})
@@ -508,6 +573,11 @@ func Select(d *SDAG, queries []*pattern.Pattern, cost CostFunc, policy Policy, o
 		k := pairKey{q.Node.ID, normVariant(q.Pattern)}
 		if _, direct := sel.byPair[k]; !direct {
 			q.Morphed = true
+		}
+		// Only a query can be refused: the up-set of a superpattern lies
+		// inside that of the member it was reached from.
+		if ex != nil && q.Node.tooBig && !slices.Contains(ex.Unmorphable, q.Node.Pattern.String()) {
+			ex.Unmorphable = append(ex.Unmorphable, q.Node.Pattern.String())
 		}
 	}
 	return sel, nil
@@ -529,9 +599,8 @@ func bestVariantNorm(n *Node, best func(*Node) pattern.Induced) pattern.Induced 
 	return best(n)
 }
 
-func lessPair(a, b pairKey) bool {
-	if a.id != b.id {
-		return a.id < b.id
-	}
-	return a.variant < b.variant
+func cmpPair(a, b pairKey) int {
+	return cmp.Or(cmp.Compare(a.id, b.id), cmp.Compare(a.variant, b.variant))
 }
+
+func lessPair(a, b pairKey) bool { return cmpPair(a, b) < 0 }

@@ -48,7 +48,14 @@ type Model struct {
 	n    float64 // high-degree portion size
 	deg  float64 // expected degree inside the portion
 	prob float64 // edge probability inside the portion
+
+	// probPow[k] = prob^k and antiPow[k] = (1-prob)^k for every k a
+	// pattern can ask for (at most one per vertex pair): selection prices
+	// hundreds of patterns per query from the same few powers.
+	probPow, antiPow [maxPairs + 1]float64
 }
+
+const maxPairs = pattern.MaxVertices * (pattern.MaxVertices - 1) / 2
 
 // New builds a model from a graph summary with the given weights. Per the
 // paper's enhancement the probabilistic graph is restricted to the
@@ -78,6 +85,10 @@ func New(sum graph.Summary, w Weights) *Model {
 	// regime it was designed for.
 	if m.prob > maxEdgeProb {
 		m.prob = maxEdgeProb
+	}
+	for k := range m.probPow {
+		m.probPow[k] = math.Pow(m.prob, float64(k))
+		m.antiPow[k] = math.Pow(1-m.prob, float64(k))
 	}
 	return m
 }
@@ -120,7 +131,7 @@ func (m *Model) PlanCost(pl *plan.Plan) float64 {
 		} else {
 			k := len(pl.Connect[i])
 			// Expected vertices adjacent to all k bound vertices.
-			cands = m.n * math.Pow(m.prob, float64(k))
+			cands = m.n * m.probPow[k]
 			// Set-operation work: merging k adjacency lists plus one
 			// difference per anti-edge, each scanning ~deg elements.
 			merges := float64(k-1+len(pl.Disconnect[i])) + 1
@@ -131,7 +142,7 @@ func (m *Model) PlanCost(pl *plan.Plan) float64 {
 			cands *= m.w.RestrictionFactor
 		}
 		// Anti-edges prune candidates.
-		cands *= math.Pow(1-m.prob, float64(len(pl.Disconnect[i])))
+		cands *= m.antiPow[len(pl.Disconnect[i])]
 		if cands < 1e-12 {
 			cands = 1e-12
 		}
@@ -151,10 +162,9 @@ func (m *Model) MatchEstimate(p *pattern.Pattern, autSize int) float64 {
 	for v := 0; v < p.N(); v++ {
 		est *= m.n * m.labelFactor(p.Label(v))
 	}
-	est *= math.Pow(m.prob, float64(p.EdgeCount()))
+	est *= m.probPow[p.EdgeCount()]
 	if p.Induced() == pattern.VertexInduced {
-		anti := p.N()*(p.N()-1)/2 - p.EdgeCount()
-		est *= math.Pow(1-m.prob, float64(anti))
+		est *= m.antiPow[p.N()*(p.N()-1)/2-p.EdgeCount()]
 	}
 	if autSize < 1 {
 		autSize = 1
@@ -165,14 +175,16 @@ func (m *Model) MatchEstimate(p *pattern.Pattern, autSize int) float64 {
 // PatternCost estimates the end-to-end cost of mining p with the default
 // plan and invoking an aggregation costing perMatch per result (§5.2:
 // "the costs are modeled as the number of estimated matches multiplied by
-// the amount of work for the aggregation"). autSize is |Aut(p)| (pass 1 if
-// unknown; only the aggregation term depends on it).
-func (m *Model) PatternCost(p *pattern.Pattern, autSize int, perMatch float64) (float64, error) {
-	pl, err := plan.Build(p)
+// the amount of work for the aggregation"). Plan and |Aut(p)| come from
+// the per-shape memo (plan.BuildAut), so pricing the labelings of one shape
+// builds one plan; p's own labels enter through PlanCost's and
+// MatchEstimate's label factors.
+func (m *Model) PatternCost(p *pattern.Pattern, perMatch float64) (float64, error) {
+	pl, aut, err := plan.BuildAut(p)
 	if err != nil {
 		return 0, err
 	}
-	return m.PlanCost(pl) + perMatch*m.MatchEstimate(p, autSize), nil
+	return m.PlanCost(&pl) + perMatch*m.MatchEstimate(p, aut), nil
 }
 
 // ProfileUDF estimates the per-match cost of an application UDF by timing

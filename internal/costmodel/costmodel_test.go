@@ -74,12 +74,11 @@ func TestMatchEstimateOrdering(t *testing.T) {
 func TestPerMatchCostIncreasesPatternCost(t *testing.T) {
 	m := model(t)
 	p := pattern.FourStar()
-	aut := len(canon.Automorphisms(p))
-	free, err := m.PatternCost(p, aut, 0)
+	free, err := m.PatternCost(p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	costly, err := m.PatternCost(p, aut, 100)
+	costly, err := m.PatternCost(p, 100)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -367,6 +367,58 @@ func (p *Pattern) WithExtraEdge(u, v int) (*Pattern, error) {
 	return &q, nil
 }
 
+// WithPendant returns a copy of p with one more vertex, labeled label and
+// adjacent to u alone: the other growth step of level-wise mining.
+func (p *Pattern) WithPendant(u int, label int32) (*Pattern, error) {
+	if u < 0 || u >= p.n || p.n == MaxVertices {
+		return nil, fmt.Errorf("pattern: cannot attach a vertex to %d of %v", u, p)
+	}
+	q := *p
+	q.adj[u] |= 1 << uint(p.n)
+	q.adj[p.n] = 1 << uint(u)
+	q.labels[p.n] = label
+	q.n++
+	q.edges++
+	return &q, nil
+}
+
+// WithoutEdge returns a copy of p with the regular edge {u,v} removed: the
+// subpattern step, WithExtraEdge's inverse. The result may be disconnected.
+func (p *Pattern) WithoutEdge(u, v int) (*Pattern, error) {
+	if u < 0 || u >= p.n || v < 0 || v >= p.n || !p.HasEdge(u, v) {
+		return nil, fmt.Errorf("pattern: {%d,%d} is not an edge", u, v)
+	}
+	q := *p
+	q.adj[u] &^= 1 << uint(v)
+	q.adj[v] &^= 1 << uint(u)
+	q.edges--
+	return &q, nil
+}
+
+// WithoutVertex returns a copy of p with vertex v and its edges removed;
+// vertices above v move down by one.
+func (p *Pattern) WithoutVertex(v int) (*Pattern, error) {
+	if v < 0 || v >= p.n || p.n == 1 || p.explicitAnti {
+		return nil, fmt.Errorf("pattern: cannot remove vertex %d of %v", v, p)
+	}
+	keep := make([]int, 0, p.n-1)
+	for u := 0; u < p.n; u++ {
+		if u != v {
+			keep = append(keep, u)
+		}
+	}
+	q := &Pattern{n: p.n - 1, induced: p.induced, edges: p.edges - p.Degree(v)}
+	for i, u := range keep {
+		q.labels[i] = p.labels[u]
+		for j, w := range keep {
+			if p.HasEdge(u, w) {
+				q.adj[i] |= 1 << uint(j)
+			}
+		}
+	}
+	return q, nil
+}
+
 // Permute returns a copy of p with vertices renumbered so that new vertex i
 // is old vertex perm[i]. Labels move with their vertices. perm must be a
 // permutation of [0,n).

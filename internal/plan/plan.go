@@ -8,7 +8,6 @@ package plan
 
 import (
 	"fmt"
-	"sort"
 
 	"morphing/internal/canon"
 	"morphing/internal/pattern"
@@ -46,7 +45,67 @@ type Plan struct {
 
 // Build creates a plan using the default degree-greedy connected order.
 func Build(p *pattern.Pattern) (*Plan, error) {
-	return BuildWithOrder(p, DefaultOrder(p))
+	pl, _, err := BuildAut(p)
+	if err != nil {
+		return nil, err
+	}
+	return &pl, nil
+}
+
+// BuildAut is Build together with |Aut(p)|. Order and symmetry conditions
+// read p's labels only through which vertices share one, so both are
+// computed once per process for each shape (shapeKey) and the plan returned
+// is the shape's, bound to p: its slices are shared by every plan of the
+// shape and must not be written. An FSM level — hundreds of labelings of a
+// handful of shapes — is priced (costmodel.PatternCost) and planned
+// (engine.Model.PlanPattern) from the same few entries.
+func BuildAut(p *pattern.Pattern) (Plan, int, error) {
+	key := shapeOf(p)
+	s, ok := shapes.Get(key)
+	if !ok {
+		conds, aut := symmetry(p)
+		pl, err := BuildWithConditions(p, DefaultOrder(p), conds)
+		if err != nil {
+			return Plan{}, 0, err
+		}
+		s = shapePlan{pl, aut}
+		shapes.Put(key, s)
+	}
+	pl := *s.plan
+	pl.Pattern = p
+	return pl, s.aut, nil
+}
+
+// shapeKey is everything Build reads of a pattern: the numbered structure,
+// the matching semantics, and which vertices carry equal labels (each
+// label replaced by the index of its first occurrence).
+type shapeKey struct {
+	n, induced uint8
+	adj, anti  [pattern.MaxVertices]uint16
+	class      [pattern.MaxVertices]uint8
+}
+
+type shapePlan struct {
+	plan *Plan
+	aut  int
+}
+
+// shapes is bounded like canon's memos: a resident process fed ever new
+// shapes recycles it a generation at a time.
+var shapes canon.Memo[shapeKey, shapePlan]
+
+func shapeOf(p *pattern.Pattern) shapeKey {
+	s := shapeKey{n: uint8(p.N()), induced: uint8(p.Induced())}
+	for i := 0; i < p.N(); i++ {
+		s.adj[i], s.anti[i], s.class[i] = p.NeighborMask(i), p.AntiMask(i), uint8(i)
+		for j := 0; j < i; j++ {
+			if p.Label(j) == p.Label(i) {
+				s.class[i] = s.class[j]
+				break
+			}
+		}
+	}
+	return s
 }
 
 // BuildWithOrder creates a plan for an explicit matching order, which must
@@ -214,44 +273,22 @@ func ConnectedOrders(p *pattern.Pattern, max int) [][]int {
 // that exactly one embedding per automorphism class of each subgraph
 // satisfies all pairs. The empty set is returned for asymmetric patterns.
 func SymmetryConditions(p *pattern.Pattern) [][2]int {
-	auts := canon.Automorphisms(p)
-	var conds [][2]int
-	for len(auts) > 1 {
-		// Smallest vertex moved by any remaining automorphism.
-		v := -1
-		for u := 0; u < p.N() && v == -1; u++ {
-			for _, a := range auts {
-				if a[u] != u {
-					v = u
-					break
-				}
-			}
-		}
-		if v == -1 {
-			break
-		}
-		inOrbit := make(map[int]struct{})
-		for _, a := range auts {
-			inOrbit[a[v]] = struct{}{}
-		}
-		orbit := make([]int, 0, len(inOrbit))
-		for w := range inOrbit {
-			orbit = append(orbit, w)
-		}
-		sort.Ints(orbit)
-		for _, w := range orbit {
-			if w != v {
-				conds = append(conds, [2]int{v, w})
-			}
-		}
-		// Restrict to the stabilizer of v.
-		var stab [][]int
-		for _, a := range auts {
-			if a[v] == v {
-				stab = append(stab, a)
-			}
-		}
-		auts = stab
-	}
+	conds, _ := symmetry(p)
 	return conds
+}
+
+// symmetry walks the stabilizer chain Aut(p) ⊇ Stab(0) ⊇ Stab(0,1) ⊇ …:
+// each vertex the remaining group still moves is ordered below the rest of
+// its orbit and then fixed. The orbit sizes multiply to |Aut(p)|
+// (orbit-stabilizer), the second result.
+func symmetry(p *pattern.Pattern) (conds [][2]int, aut int) {
+	aut = 1
+	for v := 0; v < p.N(); v++ {
+		orbit := canon.Orbit(p, v)
+		for _, w := range orbit[1:] {
+			conds = append(conds, [2]int{v, w})
+		}
+		aut *= len(orbit)
+	}
+	return conds, aut
 }

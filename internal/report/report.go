@@ -384,6 +384,9 @@ func (r *RunReport) WriteText(w io.Writer) error {
 		if r.Selection.Truncated > 0 {
 			p("  ... %d more rejected candidates truncated\n", r.Selection.Truncated)
 		}
+		for _, s := range r.Selection.Unmorphable {
+			p("  [refused] %s: too many superpatterns to morph through, mined as it is\n", s)
+		}
 	}
 
 	if td := r.Trie; td != nil {

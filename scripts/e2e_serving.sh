@@ -88,6 +88,18 @@ fi
 grep -Eq '"code": *"(deadline|canceled)"' "$ART/deadline.json" \
   || { echo "no typed deadline error:" >&2; cat "$ART/deadline.json" >&2; exit 1; }
 
+echo "== hostile patterns: a superpattern closure too large to build is refused, the query answered"
+# Codec text through server.ResolvePattern. The eager S-DAG of a 10-vertex
+# path or a 12-vertex star never finished (admission ran it before any
+# deadline applied); rare labels keep the mining itself trivial, so what
+# is timed here is the transformation declining to morph.
+for pat in 'n=10;e=0-1,1-2,2-3,3-4,4-5,5-6,6-7,7-8,8-9;l=28,28,28,28,28,28,28,28,28,28;v' \
+           'n=12;e=0-1,0-2,0-3,0-4,0-5,0-6,0-7,0-8,0-9,0-10,0-11;l=27,28,28,28,28,28,28,28,28,28,28,28'; do
+  timeout 30 "$ART/morphcli" query -addr "$BASE" -retries 0 -deadline 10s -json "$pat" > "$ART/hostile.json" 2> "$ART/hostile.err" || true
+  grep -Eq '"counts"|"code": *"deadline"' "$ART/hostile.json" \
+    || { echo "hostile pattern $pat: neither a result nor a typed deadline:" >&2; cat "$ART/hostile.json" "$ART/hostile.err" >&2; exit 1; }
+done
+
 echo "== observability under chaos: /slo burns budget, /timeseries has data"
 curl -sf "$BASE/slo" > "$ART/slo_chaos.json"
 curl -sf "$BASE/timeseries" > "$ART/timeseries.json"
