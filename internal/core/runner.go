@@ -568,7 +568,7 @@ func (r *Runner) Counts(g graph.Adjacency, queries []*pattern.Pattern) ([]uint64
 }
 
 // CountsCtx is Counts under a context. Cancellation and deadlines take
-// effect at the engines' work-block boundaries; an interrupted run
+// effect at the engines' next poll point; an interrupted run
 // returns a nil result slice, a typed error (engine.ErrCanceled /
 // engine.ErrDeadlineExceeded / *engine.PanicError) and a RunStats whose
 // Phase and Partial fields report exactly how far mining got — the

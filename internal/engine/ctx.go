@@ -17,8 +17,9 @@ import (
 //
 // Partial-result contract: when an executor returns one of these (or a
 // *PanicError), the count/Stats values returned alongside are valid
-// partial results — everything the workers completed before the abort
-// took effect at the next work-block boundary. Callers that cannot use
+// partial results — everything the workers counted before the abort took
+// effect at their next poll point (a work-block claim, or the execution of a
+// trie node that is not a leaf), so lower bounds. Callers that cannot use
 // partials must discard them explicitly; the executors never return
 // garbage with a typed interruption error.
 var (
@@ -46,7 +47,7 @@ func CtxErr(ctx context.Context) error {
 
 // PanicError reports a panic recovered inside an executor worker —
 // almost always thrown by a user-supplied Visitor/UDF. The executor
-// recovers it, aborts the sibling workers at their next block boundary,
+// recovers it, aborts the sibling workers at their next poll point,
 // and surfaces exactly one PanicError (the first panic wins) instead of
 // crashing the process. Counts returned alongside are valid partials.
 type PanicError struct {
@@ -84,7 +85,7 @@ func Interrupted(err error) bool {
 
 // CtxEngine is the optional context-aware superset of Engine. All four
 // engine models implement it (Model); the Ctx methods honor cooperative
-// cancellation at work-block boundaries and follow the
+// cancellation at the executor's poll points and follow the
 // partial-result contract above. CountAllCtx additionally guarantees
 // that on interruption the returned slice holds each pattern's partial
 // count (zero for patterns not yet started).

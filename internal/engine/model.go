@@ -75,7 +75,7 @@ func (m *Model[P]) Count(g graph.Adjacency, p *pattern.Pattern) (uint64, *Stats,
 }
 
 // CountCtx implements CtxEngine: Count with cooperative cancellation at
-// work-block boundaries (partial counts on interruption).
+// the executor's poll points (partial counts on interruption).
 func (m *Model[P]) CountCtx(ctx context.Context, g graph.Adjacency, p *pattern.Pattern) (uint64, *Stats, error) {
 	return m.run(ctx, g, p, nil)
 }

@@ -67,8 +67,8 @@ func BacktrackTrie(g graph.Adjacency, tr *plan.Trie, opts ExecOptions, o *obs.Ob
 // BacktrackTrieCtx is BacktrackTrie with cooperative cancellation and
 // panic isolation, under the same partial-result contract as BacktrackCtx:
 // an interrupted pass returns partial counts for every pattern
-// simultaneously, each reflecting the vertex blocks completed before the
-// abort took effect. The pass is one mine/trie span.
+// simultaneously, each reflecting what was counted before the abort took
+// effect. The pass is one mine/trie span.
 func BacktrackTrieCtx(ctx context.Context, g graph.Adjacency, tr *plan.Trie, opts ExecOptions, o *obs.Observer) ([]uint64, *Stats, error) {
 	return MatchTrieCtx(ctx, g, tr, nil, opts, o)
 }
@@ -112,7 +112,9 @@ type triePass struct {
 	found  uint64 // atomic: matches so far, maintained under MatchLimit only
 
 	wg          sync.WaitGroup
-	abort       atomic.Bool // set by cancellation or a worker panic
+	abort       atomic.Bool    // set by cancellation or a worker panic
+	onDone      func()         // sets abort when the pass's context ends; bound once per pooled pass
+	hook        sync.WaitGroup // the pending onDone call: mine waits it out before the pass is reused
 	panicOnce   sync.Once
 	panicErr    *PanicError // first recovered panic wins
 	done        <-chan struct{}
@@ -140,7 +142,11 @@ type triePass struct {
 	one    [1]Visitor // and the visitor list of its streaming pass
 }
 
-var triePassPool = sync.Pool{New: func() any { return new(triePass) }}
+var triePassPool = sync.Pool{New: func() any {
+	ps := new(triePass)
+	ps.onDone = func() { ps.abort.Store(true); ps.hook.Done() }
+	return ps
+}}
 
 // getTriePass returns a pass with clean latches, reusing pooled capacity.
 func getTriePass() *triePass {
@@ -215,6 +221,13 @@ func (ps *triePass) mine(ctx context.Context, g graph.Adjacency, tr *plan.Trie, 
 		w := getTrieWorker(t, g, ps, opts.Instrument, maxDeg)
 		ps.workers[t], ps.ranges[t] = w, &w.rng
 	}
+	// Workers poll the context only where they claim a block; inside a
+	// block they read abort (exec), so the context's end has to reach it.
+	var unhook func() bool
+	if ps.done != nil { // a context that can end
+		ps.hook.Add(1)
+		unhook = context.AfterFunc(ctx, ps.onDone)
+	}
 	ps.wg.Add(threads)
 	for _, w := range ps.workers {
 		// w.spawn is a pre-bound zero-argument thunk created once per
@@ -224,6 +237,10 @@ func (ps *triePass) mine(ctx context.Context, g graph.Adjacency, tr *plan.Trie, 
 		go w.spawn()
 	}
 	ps.wg.Wait()
+	if unhook != nil && unhook() {
+		ps.hook.Done() // onDone will never run
+	}
+	ps.hook.Wait()
 
 	// The merged snapshot escapes to the caller and cannot be pooled: it is
 	// three allocations of exact capacity, the per-level table riding with
@@ -808,6 +825,12 @@ func (w *trieWorker) exec(node *plan.TrieNode, depth int, timed bool) {
 		if whole {
 			w.st.SetOpTime += time.Since(t0)
 		}
+		return
+	}
+	// The poll point inside a block: one root's subtree can outlast any
+	// deadline, and a node that is about to pay a set operation can afford
+	// the load. What was counted so far stands, a valid partial.
+	if w.pass.abort.Load() {
 		return
 	}
 	cands := w.set(node, ei, depth)

@@ -162,6 +162,35 @@ func TestPreExpiredContextStartsNoWork(t *testing.T) {
 	})
 }
 
+// TestDeadlineCancelsInsideARootSubtree: on a graph with hubs one root's
+// subtree of a 7-vertex path holds more matches than any deadline allows
+// for, so a worker that polled only where it claims a block would outlive
+// the deadline by the whole subtree. Counting and streaming, on one thread:
+// the typed error inside a second, with what was counted until then.
+func TestDeadlineCancelsInsideARootSubtree(t *testing.T) {
+	leakCheck(t)
+	g, err := dataset.Hubbed(2000, 8, 3, 0, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := plan.Build(pattern.Path(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, visit := range map[string]engine.Visitor{"count": nil, "stream": func(int, []uint32) {}} {
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		t0 := time.Now()
+		n, st, err := engine.BacktrackCtx(ctx, g, pl, visit, engine.ExecOptions{Threads: 1}, nil)
+		cancel()
+		if d := time.Since(t0); !errors.Is(err, engine.ErrDeadlineExceeded) || d > time.Second {
+			t.Errorf("%s: err = %v after %v, want ErrDeadlineExceeded within 1s of a 50ms deadline", name, err, d)
+		}
+		if n == 0 || st == nil || st.Matches != n {
+			t.Errorf("%s: partial count %d, stats %+v: want a non-zero partial the stats agree with", name, n, st)
+		}
+	}
+}
+
 // TestMatchLimitAndCancellationCompose: early termination and
 // cancellation must coexist — whichever fires first stops the run, and
 // only cancellation produces a typed error.

@@ -93,6 +93,15 @@ func (c *resultCache) get(key cacheKey) (*QueryResult, bool) {
 	return el.Value.(*cacheEntry).res, true
 }
 
+// source returns what can answer key without mining: the stored result,
+// or else the flight of an identical execution in progress.
+func (c *resultCache) source(key cacheKey) (*QueryResult, *flight) {
+	if res, ok := c.get(key); ok {
+		return res, nil
+	}
+	return nil, c.flights[key]
+}
+
 // put stores a successful result, evicting the least-recently-used entry
 // beyond capacity.
 func (c *resultCache) put(key cacheKey, res *QueryResult) {

@@ -11,6 +11,14 @@ import (
 // missing header is the anonymous client (one shared quota bucket).
 const ClientTokenHeader = "X-Morph-Client"
 
+// Bounds on what one request may make the server read and resolve before
+// any gate (quota, queue, budget) applies. The largest query an app in this
+// repository issues is the 21-pattern 5-motif set.
+const (
+	maxBodyBytes = 1 << 20
+	maxPatterns  = 1024
+)
+
 // QueryRequest is the JSON body of POST /query: the pattern codec, the
 // app, and per-query options.
 type QueryRequest struct {
@@ -43,6 +51,9 @@ type QueryRequest struct {
 func (q *QueryRequest) Validate() error {
 	if len(q.Patterns) == 0 {
 		return fmt.Errorf("patterns must be non-empty")
+	}
+	if len(q.Patterns) > maxPatterns {
+		return fmt.Errorf("%d patterns in one query, at most %d", len(q.Patterns), maxPatterns)
 	}
 	switch q.App {
 	case "", "count", "mni":

@@ -149,8 +149,35 @@ func (c Config) Defaults() Config {
 	return c
 }
 
-// task is one admitted query travelling from admission through the
-// queue to a worker and back to its handler.
+// state is a query's place in its life (DESIGN §13). What a task holds
+// follows from it, so no exit can forget a release: the client's quota and
+// the flight it leads from admitted on; admission budget, a queue or worker
+// slot and an entry in the drain ledger from queued on. received and riding
+// hold nothing.
+type state uint8
+
+const (
+	stReceived state = iota // resolved and validated
+	stRiding                // answered by an execution it does not own: a stored result (hit) or a flight (coalesced)
+	stAdmitted              // pinned to (graph, epoch); estimating
+	stQueued                // waiting for a worker
+	stRunning               // mining
+	stTerminal              // outcome set, everything returned, done closed
+)
+
+// edges[from] is the set of states a task may move to from there; step
+// panics on anything else.
+var edges = [stTerminal + 1]uint8{
+	stReceived: 1<<stRiding | 1<<stAdmitted | 1<<stTerminal,
+	stRiding:   1<<stAdmitted | 1<<stTerminal, // admitted: what it rode does not cover this spelling, so it leads
+	stAdmitted: 1<<stQueued | 1<<stTerminal,
+	stQueued:   1<<stRunning | 1<<stTerminal,
+	stRunning:  1 << stTerminal,
+}
+
+// task is one query. Its goroutine (Submit) owns it up to the queued edge,
+// a worker from there to the terminal edge; the queue send and the close of
+// done are the hand-overs, so only the owner reads or writes these fields.
 type task struct {
 	req      *QueryRequest
 	patterns []*pattern.Pattern
@@ -158,29 +185,34 @@ type task struct {
 	app      string
 	client   string
 
+	state state
+	t0    time.Time // received
+
 	key       cacheKey
 	cacheable bool
-	fl        *flight // the flight this task leads (nil when not cacheable)
+	src       *QueryResult // riding a stored result: the cache entry
+	fl        *flight      // the flight it rides (riding) or leads (admitted on, when cacheable)
 
-	est        core.AdmissionEstimate
-	quotaHeld  bool
-	budgetHeld bool
+	// g and key.epoch are the pair the task was admitted under: estimate,
+	// execution and the cache store all answer for it, whatever SetGraph
+	// does meanwhile.
+	g   graph.Adjacency
+	est core.AdmissionEstimate
 
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	// events carries progress events to the streaming handler; sends are
-	// non-blocking (the buffer absorbs bursts, extra events are dropped)
-	// so a departed client never wedges a worker.
+	// events carries progress events to Submit's caller; sends never block
+	// (two events per query, room for four), so a departed client cannot
+	// wedge a worker.
 	events chan StreamEvent
-	// done is closed exactly once when result/qerr are set.
+	// done is closed exactly once, by the terminal edge, after result/qerr
+	// are set.
 	done   chan struct{}
 	result *QueryResult
 	qerr   *QueryError
 
-	// Phase timestamps for the SLO tracker: when the task entered the
-	// queue and when a worker picked it up. Written under Server.mu
-	// before t.done closes; read by Submit after <-t.done.
+	// Stamped by the queued and running edges, scored by the terminal one.
 	enqueuedAt time.Time
 	startedAt  time.Time
 }
@@ -212,8 +244,9 @@ type Server struct {
 	drainOnce sync.Once
 	drainErr  error
 
-	// testExec replaces real query execution in tests (deterministic
-	// blocking/fault scenarios). Never set in production.
+	// testExec stands in front of real query execution in tests
+	// (deterministic blocking/fault scenarios); returning neither a result
+	// nor an error lets the real execution proceed. Never set in production.
 	testExec func(t *task) (*QueryResult, *QueryError)
 }
 
@@ -310,15 +343,16 @@ func ResolvePattern(arg string) (*pattern.Pattern, error) {
 	return p, nil
 }
 
-// prepare validates and resolves a request into a task (no admission
-// yet). Returned errors are always *QueryError.
-func (s *Server) prepare(req *QueryRequest, client string) (*task, *QueryError) {
+// prepare validates and resolves t's request. Returned errors are
+// bad_request.
+func (s *Server) prepare(t *task) *QueryError {
+	req := t.req
 	if err := req.Validate(); err != nil {
-		return nil, errf(CodeBadRequest, "%v", err)
+		return errf(CodeBadRequest, "%v", err)
 	}
-	app := req.App
-	if app == "" {
-		app = "count"
+	t.app = req.App
+	if t.app == "" {
+		t.app = "count"
 	}
 	engName := req.Engine
 	if engName == "" {
@@ -327,152 +361,166 @@ func (s *Server) prepare(req *QueryRequest, client string) (*task, *QueryError) 
 	// Only the name is checked here: most requests hit, coalesce or are
 	// rejected, and the engine is built where a task runs (see engine).
 	if err := engines.Check(engName); err != nil {
-		return nil, errf(CodeBadRequest, "%v", err)
+		return errf(CodeBadRequest, "%v", err)
 	}
-	ps := make([]*pattern.Pattern, len(req.Patterns))
-	codec := make([]string, len(req.Patterns))
+	t.patterns = make([]*pattern.Pattern, len(req.Patterns))
+	t.codec = make([]string, len(req.Patterns))
 	for i, arg := range req.Patterns {
 		p, err := ResolvePattern(arg)
 		if err != nil {
-			return nil, errf(CodeBadRequest, "pattern %d: %v", i, err)
+			return errf(CodeBadRequest, "pattern %d: %v", i, err)
 		}
-		ps[i], codec[i] = p, p.String()
-	}
-	t := &task{
-		req:      req,
-		patterns: ps,
-		codec:    codec,
-		app:      app,
-		client:   client,
-		events:   make(chan StreamEvent, 4),
-		done:     make(chan struct{}),
+		t.patterns[i], t.codec[i] = p, p.String()
 	}
 	t.cacheable = s.cfg.CacheSize > 0 && !req.NoCache && !req.Explain
 	t.key = cacheKey{
-		patterns: patternSetID(ps),
-		app:      app,
+		patterns: patternSetID(t.patterns),
+		app:      t.app,
 		engine:   strings.ToLower(engName),
 		baseline: req.Baseline,
 		explain:  req.Explain,
 	}
-	return t, nil
+	return nil
 }
 
-// admit runs the admission pipeline for a prepared task:
-//
-//	drain gate → cache lookup → single-flight attach → fairness quota →
-//	cost-model budget → bounded queue
-//
-// On success the task is either enqueued (t owns an execution slot) or
-// attached to an identical in-flight execution (t.fl set, joined=true).
-// Every rejection is typed; retryable ones carry a retry-after hint.
-// lookup says whether to consult the result cache: a hit holds s.mu for
-// the map lookup and the LRU touch only and aligns after Unlock.
-func (s *Server) admit(t *task, lookup bool) (joined *flight, hit *QueryResult, qerr *QueryError) {
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		return nil, nil, s.reject(errf(CodeDraining, "server is draining").withRetryAfter(s.cfg.RetryAfter))
+// step moves t along one edge of its lifecycle and is the only code that
+// changes a task's state or the tables that account for it (queued,
+// executing, clients, budgetUse, admitted, cache.flights). The caller asks
+// for a state; the guards, evaluated under s.mu together with the edge's
+// effects, may land the request in riding (a stored result or a flight
+// answers it) or in terminal (a typed rejection) instead, and step returns
+// where t now is. res/qerr are the outcome of a terminal request. The
+// stream event of an edge is posted inside the critical section, so queued
+// precedes started; the terminal edge returns whatever t's state says it
+// holds, stores a cacheable success under the epoch t was admitted at,
+// settles the flight t leads, scores the query once and closes done.
+func (s *Server) step(t *task, to state, res *QueryResult, qerr *QueryError) state {
+	from := t.state
+	if edges[from]&(1<<to) == 0 {
+		panic(fmt.Sprintf("server: illegal lifecycle edge %d → %d", from, to))
 	}
-	t.key.epoch = s.epoch
-	if lookup {
-		if res, ok := s.cache.get(t.key); ok {
-			s.mu.Unlock()
-			if aligned, ok := t.align(res, "hit"); ok {
+	// received and riding hold nothing, so their terminal edge — every
+	// hit's — takes no lock.
+	if to != stTerminal || from >= stAdmitted {
+		s.mu.Lock()
+		switch to { // guards
+		case stAdmitted:
+			t.g, t.key.epoch = s.g, s.epoch
+			// Someone else's execution may answer a cacheable task once; one
+			// that comes back from riding leads, without lookup or coalescing.
+			t.src, t.fl = nil, nil
+			if t.cacheable && from == stReceived {
+				t.src, t.fl = s.cache.source(t.key)
+			}
+			switch q := s.cfg.PerClientInFlight; {
+			case s.draining:
+				to, qerr = stTerminal, s.retryable(CodeDraining, "server is draining")
+			case t.src != nil:
+				to = stRiding
 				s.o.Counter(MetricCacheHits).Inc(0)
-				return nil, aligned, nil
+			case t.fl != nil:
+				to = stRiding
+				s.o.Counter(MetricCoalesced).Inc(0)
+			case q > 0 && s.clients[t.client] >= q:
+				to, qerr = stTerminal, s.retryable(CodeQuotaExhausted, "client %q is at its in-flight quota (%d)", t.client, q)
 			}
-			// The entry does not cover this spelling of the set: admit
-			// again from the top as a miss (its result replaces the entry).
-			return s.admit(t, false)
-		}
-	}
-	if t.cacheable {
-		if fl, ok := s.cache.flights[t.key]; ok {
-			s.mu.Unlock()
-			s.o.Counter(MetricCoalesced).Inc(0)
-			return fl, nil, nil
-		}
-	}
-	// Fairness quota: admitted (queued + executing) per client token.
-	if q := s.cfg.PerClientInFlight; q > 0 && s.clients[t.client] >= q {
-		s.mu.Unlock()
-		return nil, nil, s.reject(errf(CodeQuotaExhausted,
-			"client %q is at its in-flight quota (%d)", t.client, q).withRetryAfter(s.cfg.RetryAfter))
-	}
-	s.clients[t.client]++
-	t.quotaHeld = true
-	if t.cacheable {
-		t.fl = &flight{done: make(chan struct{})}
-		s.cache.flights[t.key] = t.fl
-	}
-	g := s.g
-	s.mu.Unlock()
-
-	// Cost-model admission, outside the lock: transformation only.
-	if budget := s.cfg.AdmissionBudget; budget > 0 {
-		est, err := s.estimator(t).EstimateAdmission(t.ctx, g, t.patterns, aggFor(t.app))
-		if err != nil {
-			var qe *QueryError
-			if engine.Interrupted(err) {
-				qe = errf(CodeDeadline, "deadline expired during admission: %v", err)
-			} else {
-				qe = errf(CodeBadRequest, "query rejected at transform: %v", err)
+		case stQueued:
+			switch budget := s.cfg.AdmissionBudget; {
+			case s.draining:
+				to, qerr = stTerminal, s.retryable(CodeDraining, "server is draining")
+			case budget > 0 && s.budgetUse+t.est.MatchBytes > budget:
+				to, qerr = stTerminal, s.retryable(CodeOverloaded,
+					"estimated match volume %d bytes does not fit the admission budget (%d of %d in use)",
+					t.est.MatchBytes, s.budgetUse, budget)
+			case len(s.queue) == cap(s.queue):
+				to, qerr = stTerminal, s.retryable(CodeQueueFull, "query queue is full (%d deep)", s.cfg.MaxQueue)
 			}
-			s.release(t, qe)
-			return nil, nil, s.reject(qe)
+		case stRunning:
+			if err := t.ctx.Err(); err != nil { // never start mining a dead query
+				to, qerr = stTerminal, classifyCtxErr(err, "while queued")
+			}
 		}
-		t.est = est
-		if est.MatchBytes > budget {
-			qe := errf(CodeOverBudget,
-				"estimated match volume %d bytes exceeds the admission budget %d: this query can never be admitted here",
-				est.MatchBytes, budget)
-			s.release(t, qe)
-			return nil, nil, s.reject(qe)
+		t.state = to
+		switch to { // effects
+		case stAdmitted:
+			s.clients[t.client]++
+			if t.cacheable {
+				t.fl = &flight{done: make(chan struct{})}
+				s.cache.flights[t.key] = t.fl
+			}
+		case stQueued:
+			s.budgetUse += t.est.MatchBytes
+			s.queued++
+			s.admitted[t] = struct{}{}
+			s.tasks.Add(1)
+			t.enqueuedAt = time.Now()
+			s.o.Counter(MetricQueries).Inc(0)
+			t.notify(StreamEvent{Type: EventQueued, QueueDepth: s.queued, Position: s.queued})
+			// The hand-over: from here a worker owns t. The send cannot
+			// block, as only this edge sends, under s.mu, and the guard saw
+			// room.
+			s.queue <- t
+		case stRunning:
+			s.queued--
+			s.executing++
+			t.startedAt = time.Now()
+			t.notify(StreamEvent{Type: EventStarted})
+		case stTerminal:
+			if from < stAdmitted {
+				break
+			}
+			if s.clients[t.client]--; s.clients[t.client] <= 0 {
+				delete(s.clients, t.client)
+			}
+			if res != nil && t.cacheable {
+				s.cache.put(t.key, res)
+				s.o.Counter(MetricCacheMisses).Inc(0)
+			}
+			if t.fl != nil {
+				if s.cache.flights[t.key] == t.fl {
+					delete(s.cache.flights, t.key)
+				}
+				t.fl.result, t.fl.err = res, qerr
+				close(t.fl.done)
+			}
+			if from >= stQueued {
+				s.budgetUse -= t.est.MatchBytes
+				delete(s.admitted, t)
+				if from == stQueued {
+					s.queued--
+				} else {
+					s.executing--
+				}
+			}
 		}
-	}
-
-	s.mu.Lock()
-	if s.draining {
+		if from >= stQueued || to == stQueued {
+			s.o.Gauge(GaugeQueueDepth).Set(float64(s.queued))
+			s.o.Gauge(GaugeInFlight).Set(float64(s.executing))
+			s.o.Gauge(GaugeBudgetInUse).Set(float64(s.budgetUse))
+		}
 		s.mu.Unlock()
-		qe := errf(CodeDraining, "server is draining").withRetryAfter(s.cfg.RetryAfter)
-		s.release(t, qe)
-		return nil, nil, s.reject(qe)
+	} else {
+		t.state = to
 	}
-	if budget := s.cfg.AdmissionBudget; budget > 0 {
-		if s.budgetUse+t.est.MatchBytes > budget {
-			use := s.budgetUse
-			s.mu.Unlock()
-			qe := errf(CodeOverloaded,
-				"estimated match volume %d bytes does not fit the admission budget (%d of %d in use)",
-				t.est.MatchBytes, use, budget).withRetryAfter(s.cfg.RetryAfter)
-			s.release(t, qe)
-			return nil, nil, s.reject(qe)
-		}
-		s.budgetUse += t.est.MatchBytes
-		t.budgetHeld = true
-		s.o.Gauge(GaugeBudgetInUse).Set(float64(s.budgetUse))
+	if to != stTerminal {
+		return to
 	}
-	select {
-	case s.queue <- t:
-		t.enqueuedAt = time.Now()
-	default:
-		s.mu.Unlock()
-		qe := errf(CodeQueueFull,
-			"query queue is full (%d deep)", s.cfg.MaxQueue).withRetryAfter(s.cfg.RetryAfter)
-		s.release(t, qe)
-		return nil, nil, s.reject(qe)
+	if qerr != nil && (from == stReceived || from == stAdmitted) {
+		s.reject(qerr) // refused before it was queued
 	}
-	s.queued++
-	s.admitted[t] = struct{}{}
-	s.tasks.Add(1)
-	depth := s.queued
-	s.o.Gauge(GaugeQueueDepth).Set(float64(depth))
-	s.mu.Unlock()
+	t.result, t.qerr = res, qerr
+	s.record(t)
+	close(t.done)
+	t.cancel()
+	if from >= stQueued {
+		s.tasks.Done()
+	}
+	return to
+}
 
-	s.o.Counter(MetricQueries).Inc(0)
-	t.notify(StreamEvent{Type: EventQueued, QueueDepth: depth, Position: depth})
-	return nil, nil, nil
+// retryable builds a capacity rejection carrying the retry-after hint.
+func (s *Server) retryable(code Code, format string, args ...any) *QueryError {
+	return errf(code, format, args...).withRetryAfter(s.cfg.RetryAfter)
 }
 
 // reject counts a typed rejection and returns it.
@@ -482,40 +530,26 @@ func (s *Server) reject(qe *QueryError) *QueryError {
 	return qe
 }
 
-// release returns a task's admission holdings (quota, budget, flight)
-// without settling the task itself; qerr, when non-nil, settles the
-// task's flight so coalesced waiters fail with the same typed error.
-func (s *Server) release(t *task, qerr *QueryError) {
-	s.mu.Lock()
-	if t.quotaHeld {
-		t.quotaHeld = false
-		if s.clients[t.client]--; s.clients[t.client] <= 0 {
-			delete(s.clients, t.client)
-		}
+// estimate is the cost-model admission check, run outside the lock between
+// the admitted and queued edges: transformation only.
+func (s *Server) estimate(t *task) *QueryError {
+	budget := s.cfg.AdmissionBudget
+	if budget == 0 {
+		return nil
 	}
-	if t.budgetHeld {
-		t.budgetHeld = false
-		s.budgetUse -= t.est.MatchBytes
-		s.o.Gauge(GaugeBudgetInUse).Set(float64(s.budgetUse))
+	r := &core.Runner{Engine: s.engine(t), DisableMorphing: t.req.Baseline, Obs: s.o}
+	est, err := r.EstimateAdmission(t.ctx, t.g, t.patterns, aggFor(t.app))
+	if engine.Interrupted(err) {
+		return errf(CodeDeadline, "deadline expired during admission: %v", err)
+	} else if err != nil {
+		return errf(CodeBadRequest, "query rejected at transform: %v", err)
 	}
-	if t.fl != nil {
-		if s.cache.flights[t.key] == t.fl {
-			delete(s.cache.flights, t.key)
-		}
-		fl := t.fl
-		t.fl = nil
-		fl.err = qerr
-		if fl.err == nil {
-			fl.err = errf(CodeInternal, "execution abandoned")
-		}
-		close(fl.done)
+	if t.est = est; est.MatchBytes > budget {
+		return errf(CodeOverBudget,
+			"estimated match volume %d bytes exceeds the admission budget %d: this query can never be admitted here",
+			est.MatchBytes, budget)
 	}
-	s.mu.Unlock()
-}
-
-// estimator builds the transform-only runner used for admission.
-func (s *Server) estimator(t *task) *core.Runner {
-	return &core.Runner{Engine: s.engine(t), DisableMorphing: t.req.Baseline, Obs: s.o}
+	return nil
 }
 
 // engine builds t's engine, for the tasks that get as far as needing one.
@@ -544,30 +578,10 @@ func (t *task) notify(ev StreamEvent) {
 func (s *Server) worker() {
 	defer s.workers.Done()
 	for t := range s.queue {
-		s.mu.Lock()
-		t.startedAt = time.Now()
-		s.queued--
-		s.executing++
-		s.o.Gauge(GaugeQueueDepth).Set(float64(s.queued))
-		s.o.Gauge(GaugeInFlight).Set(float64(s.executing))
-		s.mu.Unlock()
-
-		var res *QueryResult
-		var qerr *QueryError
-		if err := t.ctx.Err(); err != nil {
-			// The deadline expired (or the client left) while queued:
-			// never start mining a dead query.
-			qerr = classifyCtxErr(err, "while queued")
-		} else {
-			t.notify(StreamEvent{Type: EventStarted})
-			res, qerr = s.execute(t)
+		if s.step(t, stRunning, nil, nil) == stRunning {
+			res, qerr := s.execute(t)
+			s.step(t, stTerminal, res, qerr)
 		}
-		s.settle(t, res, qerr)
-
-		s.mu.Lock()
-		s.executing--
-		s.o.Gauge(GaugeInFlight).Set(float64(s.executing))
-		s.mu.Unlock()
 	}
 }
 
@@ -593,12 +607,11 @@ func (s *Server) execute(t *task) (res *QueryResult, qerr *QueryError) {
 		}
 	}()
 	if s.testExec != nil {
-		return s.testExec(t)
+		if res, qerr = s.testExec(t); res != nil || qerr != nil {
+			return res, qerr
+		}
 	}
 
-	s.mu.Lock()
-	g := s.g
-	s.mu.Unlock()
 	r := &core.Runner{
 		Engine:          s.engine(t),
 		DisableMorphing: t.req.Baseline,
@@ -614,14 +627,14 @@ func (s *Server) execute(t *task) (res *QueryResult, qerr *QueryError) {
 	switch t.app {
 	case "mni":
 		var tables []*aggr.Table
-		tables, st, err = r.MNITablesCtx(t.ctx, g, t.patterns)
+		tables, st, err = r.MNITablesCtx(t.ctx, t.g, t.patterns)
 		if err == nil {
 			for _, tbl := range tables {
 				res.Supports = append(res.Supports, tbl.Support())
 			}
 		}
 	default:
-		res.Counts, st, err = r.CountsCtx(t.ctx, g, t.patterns)
+		res.Counts, st, err = r.CountsCtx(t.ctx, t.g, t.patterns)
 	}
 	if err != nil {
 		return nil, s.classifyRunErr(err, st)
@@ -657,45 +670,6 @@ func (s *Server) classifyRunErr(err error, st *core.RunStats) *QueryError {
 		qe.Report = rep
 	}
 	return qe
-}
-
-// settle publishes a finished task's outcome: releases its admission
-// holdings, stores cacheable successes, wakes coalesced waiters, and
-// closes t.done.
-func (s *Server) settle(t *task, res *QueryResult, qerr *QueryError) {
-	s.mu.Lock()
-	if t.quotaHeld {
-		t.quotaHeld = false
-		if s.clients[t.client]--; s.clients[t.client] <= 0 {
-			delete(s.clients, t.client)
-		}
-	}
-	if t.budgetHeld {
-		t.budgetHeld = false
-		s.budgetUse -= t.est.MatchBytes
-		s.o.Gauge(GaugeBudgetInUse).Set(float64(s.budgetUse))
-	}
-	if res != nil && qerr == nil && t.cacheable {
-		s.cache.put(t.key, res)
-		s.o.Counter(MetricCacheMisses).Inc(0)
-	}
-	if t.fl != nil {
-		if s.cache.flights[t.key] == t.fl {
-			delete(s.cache.flights, t.key)
-		}
-		t.fl.result = res
-		t.fl.err = qerr
-		close(t.fl.done)
-		t.fl = nil
-	}
-	delete(s.admitted, t)
-	s.mu.Unlock()
-
-	t.result = res
-	t.qerr = qerr
-	close(t.done)
-	t.cancel()
-	s.tasks.Done()
 }
 
 // align builds t's reply from a stored execution result: the per-pattern
@@ -741,114 +715,102 @@ func (t *task) align(cached *QueryResult, cache string) (*QueryResult, bool) {
 	return out, true
 }
 
-// Submit runs the full admission + execution pipeline for one request
-// and blocks until its terminal outcome. It is the transport-free core
-// of the HTTP handler (and what in-process embedders call). events, when
-// non-nil, receives progress notifications. The result carries its run
+// Submit runs one request through its whole lifecycle and blocks until
+// its terminal outcome. It is the transport-free core of the HTTP handler
+// (and what in-process embedders call). events, when non-nil, receives the
+// progress notifications of a query that was queued — on this goroutine,
+// in order, none after Submit has returned. The result carries its run
 // report only when req.Report is set.
 func (s *Server) Submit(ctx context.Context, req *QueryRequest, client string, events func(StreamEvent)) (*QueryResult, *QueryError) {
-	t0 := time.Now()
 	if client == "" {
 		client = "anonymous"
 	}
-	t, qerr := s.prepare(req, client)
-	if qerr != nil {
-		qerr = s.reject(qerr)
-		s.record(client, t0, nil, qerr)
+	t := &task{req: req, client: client, t0: time.Now(), events: make(chan StreamEvent, 4), done: make(chan struct{})}
+	t.ctx, t.cancel = context.WithTimeout(ctx, clampDeadline(time.Duration(req.DeadlineMS)*time.Millisecond,
+		s.cfg.DefaultDeadline, s.cfg.MaxDeadline))
+	if qerr := s.prepare(t); qerr != nil {
+		s.step(t, stTerminal, nil, qerr)
 		return nil, qerr
 	}
-	deadline := clampDeadline(time.Duration(req.DeadlineMS)*time.Millisecond,
-		s.cfg.DefaultDeadline, s.cfg.MaxDeadline)
-	t.ctx, t.cancel = context.WithTimeout(ctx, deadline)
-
-	joined, hit, qerr := s.admit(t, t.cacheable)
-	if qerr != nil {
-		t.cancel()
-		s.record(client, t0, t, qerr)
-		return nil, qerr
-	}
-	if hit != nil {
-		t.cancel()
-		s.record(client, t0, t, nil)
-		return hit, nil
-	}
-	if joined != nil {
-		// Single-flight passenger: ride the identical in-flight
-		// execution; our own deadline still applies to the wait.
-		defer t.cancel()
-		select {
-		case <-joined.done:
-			if joined.err != nil {
-				cp := *joined.err
-				s.record(client, t0, t, &cp)
-				return nil, &cp
+	st := s.step(t, stAdmitted, nil, nil)
+	if st == stRiding {
+		src, how, qerr := t.src, "hit", (*QueryError)(nil)
+		if t.fl != nil {
+			// A passenger's own deadline still applies to the wait.
+			how = "coalesced"
+			select {
+			case <-t.fl.done:
+				if src = t.fl.result; t.fl.err != nil {
+					cp := *t.fl.err
+					qerr = &cp
+				}
+			case <-t.ctx.Done():
+				qerr = classifyCtxErr(t.ctx.Err(), "waiting on coalesced execution")
 			}
-			if aligned, ok := t.align(joined.result, "coalesced"); ok {
-				s.record(client, t0, t, nil)
-				return aligned, nil
-			}
-			qe := errf(CodeInternal, "coalesced result does not cover the query set")
-			s.record(client, t0, t, qe)
-			return nil, qe
-		case <-t.ctx.Done():
-			qe := classifyCtxErr(t.ctx.Err(), "waiting on coalesced execution")
-			s.record(client, t0, t, qe)
-			return nil, qe
+		}
+		if qerr != nil {
+			s.step(t, stTerminal, nil, qerr)
+			return nil, qerr
+		}
+		if reply, ok := t.align(src, how); ok {
+			s.step(t, stTerminal, reply, nil)
+			return reply, nil
+		}
+		// What it rode does not cover this spelling of the set: it leads an
+		// execution of its own, whose result replaces the entry.
+		st = s.step(t, stAdmitted, nil, nil)
+	}
+	if st == stAdmitted {
+		if qerr := s.estimate(t); qerr != nil {
+			st = s.step(t, stTerminal, nil, qerr)
+		} else {
+			st = s.step(t, stQueued, nil, nil)
 		}
 	}
-	// Forward progress events until the task settles; Submit returns
-	// only after the forwarder has exited, so no events callback fires
-	// once the caller has its terminal outcome (the HTTP handler's
-	// ResponseWriter would otherwise race its own return).
-	forwarded := make(chan struct{})
-	if events != nil {
-		go func() {
-			defer close(forwarded)
-			for {
-				select {
-				case ev := <-t.events:
-					events(ev)
-				case <-t.done:
-					return
-				}
-			}
-		}()
-	} else {
-		close(forwarded)
+	if events == nil {
+		events = func(StreamEvent) {}
 	}
-	<-t.done
-	<-forwarded
-	s.record(client, t0, t, t.qerr)
-	if res := t.result; res != nil && !req.Report {
-		// The stored result keeps its report (the cache and any passengers
-		// share it); this request did not ask for one.
-		lean := *res
-		lean.Report = nil
-		return &lean, t.qerr
+	for st == stQueued {
+		select {
+		case ev := <-t.events:
+			events(ev)
+		case <-t.done:
+			st = stTerminal
+		}
 	}
-	return t.result, t.qerr
+	for len(t.events) > 0 { // posted before the terminal edge: still owed, in order
+		events(<-t.events)
+	}
+	if t.qerr != nil {
+		return nil, t.qerr
+	}
+	// The stored result keeps its report (the cache and any passengers share
+	// it); the reply carries it only on request.
+	reply, ok := t.align(t.result, "miss")
+	if !ok {
+		return nil, errf(CodeInternal, "execution result does not cover the query set")
+	}
+	return reply, nil
 }
 
-// record scores one terminal query outcome for the SLO tracker and the
-// per-phase latency histograms. Every query observes the total phase;
-// admit/queue/mine observe only when the query actually reached them
-// (t may be nil when rejected before a task existed, and t.enqueuedAt /
-// t.startedAt stay zero for rejections, cache hits, and coalesced
-// passengers). Failures spend error budget unless the client caused
-// them (bad_request).
-func (s *Server) record(client string, t0 time.Time, t *task, qerr *QueryError) {
+// record scores t's terminal outcome for the SLO tracker and the per-phase
+// latency histograms, from the timestamps its edges stamped. Every query
+// observes the total phase; admit and queue only when it was queued, mine
+// only when a worker started it. Failures spend error budget unless the
+// client caused them (bad_request).
+func (s *Server) record(t *task) {
 	end := time.Now()
 	var d [sloPhases]time.Duration
 	var valid [sloPhases]bool
-	d[sloTotal], valid[sloTotal] = end.Sub(t0), true
-	if t != nil && !t.enqueuedAt.IsZero() {
-		d[sloAdmit], valid[sloAdmit] = t.enqueuedAt.Sub(t0), true
+	d[sloTotal], valid[sloTotal] = end.Sub(t.t0), true
+	if !t.enqueuedAt.IsZero() {
+		d[sloAdmit], valid[sloAdmit] = t.enqueuedAt.Sub(t.t0), true
 		if !t.startedAt.IsZero() {
 			d[sloQueue], valid[sloQueue] = t.startedAt.Sub(t.enqueuedAt), true
 			d[sloMine], valid[sloMine] = end.Sub(t.startedAt), true
 		} else {
-			// Settled without a worker pickup (drain-canceled while
-			// queued): the whole wait was queue time.
+			// Dead at pickup (deadline, client gone, drain cancel): the
+			// whole wait was queue time.
 			d[sloQueue], valid[sloQueue] = end.Sub(t.enqueuedAt), true
 		}
 	}
@@ -858,11 +820,11 @@ func (s *Server) record(client string, t0 time.Time, t *task, qerr *QueryError) 
 			s.o.Histogram(names[i]).Observe(0, uint64(d[i]))
 		}
 	}
-	failed := qerr != nil && qerr.Code != CodeBadRequest
+	failed := t.qerr != nil && t.qerr.Code != CodeBadRequest
 	if failed {
 		s.o.Counter(MetricErrors).Inc(0)
 	}
-	s.slo.observe(end, client, d, valid, failed)
+	s.slo.observe(end, t.client, d, valid, failed)
 }
 
 // ---- HTTP surface ----
@@ -933,23 +895,18 @@ func (s *Server) handleTimeseries(w http.ResponseWriter, r *http.Request) {
 // was queued, a single line for one answered without executing.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
 		writeError(w, s.reject(errf(CodeBadRequest, "bad JSON body: %v", err)))
 		return
 	}
 	client := r.Header.Get(ClientTokenHeader)
 
-	// emit serializes stream writes: the progress-forwarding goroutine
-	// inside Submit and this handler's terminal write may race.
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
-	var emitMu sync.Mutex
-	streaming := false
-	emit := func(ev StreamEvent) {
-		emitMu.Lock()
-		defer emitMu.Unlock()
-		if !streaming {
-			streaming = true
+	streamed := false
+	emit := func(ev StreamEvent) { // on this goroutine only: Submit calls it inline
+		if !streamed {
+			streamed = true
 			w.Header().Set("Content-Type", "application/x-ndjson")
 			w.WriteHeader(http.StatusOK)
 		}
@@ -963,9 +920,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// passenger, a rejection) is one write; a reply that already streamed
 	// queued/started gets one more flushed line.
 	res, qerr := s.Submit(r.Context(), &req, client, emit)
-	emitMu.Lock()
-	streamed := streaming
-	emitMu.Unlock()
 	switch {
 	case streamed && qerr != nil:
 		emit(StreamEvent{Type: EventError, Error: qerr})
@@ -1040,8 +994,8 @@ func (s *Server) drain(ctx context.Context) error {
 	case <-timeout.C:
 		// Drain deadline: cancel every admitted query (queued ones
 		// included — their workers observe the dead context before
-		// starting). Engines cancel cooperatively at work-block
-		// boundaries, so settlement follows promptly.
+		// starting). Engines see the cancel at their next poll point,
+		// inside a work block too, so settlement follows promptly.
 		s.mu.Lock()
 		for t := range s.admitted {
 			t.cancel()

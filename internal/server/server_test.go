@@ -82,11 +82,24 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 // counter reads a server metric.
 func counter(s *Server, name string) uint64 { return s.o.Counter(name).Value() }
 
-// queueState snapshots (queued, executing) under the server lock.
-func queueState(s *Server) (int, int) {
+// locked runs f under the server's lock: the one way tests read or plant
+// lifecycle state.
+func locked(s *Server, f func()) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.queued, s.executing
+	f()
+}
+
+// queueState snapshots (queued, executing).
+func queueState(s *Server) (q, e int) {
+	locked(s, func() { q, e = s.queued, s.executing })
+	return q, e
+}
+
+// flights counts the registered single-flight executions.
+func flights(s *Server) (n int) {
+	locked(s, func() { n = len(s.cache.flights) })
+	return n
 }
 
 // waitUntil polls cond for up to 5s.
@@ -312,9 +325,7 @@ func TestCacheHitMissEpoch(t *testing.T) {
 	s := newTestServer(t, Config{})
 	var execs int
 	s.testExec = func(t *task) (*QueryResult, *QueryError) {
-		s.mu.Lock()
-		execs++
-		s.mu.Unlock()
+		locked(s, func() { execs++ })
 		return fixedResult(t), nil
 	}
 	submit := func(patterns ...string) *QueryResult {
@@ -371,9 +382,7 @@ func TestCacheAlignmentFailureFallsThrough(t *testing.T) {
 	s := newTestServer(t, Config{})
 	var execs int
 	s.testExec = func(t *task) (*QueryResult, *QueryError) {
-		s.mu.Lock()
-		execs++
-		s.mu.Unlock()
+		locked(s, func() { execs++ })
 		return fixedResult(t), nil
 	}
 	submit := func() *QueryResult {
@@ -390,15 +399,16 @@ func TestCacheAlignmentFailureFallsThrough(t *testing.T) {
 	}
 	// Corrupt the cached entry so alignResult cannot map it onto the
 	// query set.
-	s.mu.Lock()
-	if s.cache.len() != 1 {
-		s.mu.Unlock()
-		t.Fatalf("expected one cached entry, have %d", s.cache.len())
+	var cached int
+	locked(s, func() {
+		cached = s.cache.len()
+		for _, el := range s.cache.entries {
+			el.Value.(*cacheEntry).res = &QueryResult{Patterns: []string{"not a pattern"}}
+		}
+	})
+	if cached != 1 {
+		t.Fatalf("expected one cached entry, have %d", cached)
 	}
-	for _, el := range s.cache.entries {
-		el.Value.(*cacheEntry).res = &QueryResult{Patterns: []string{"not a pattern"}}
-	}
-	s.mu.Unlock()
 
 	if r := submit(); r.Cache != "miss" || execs != 2 {
 		t.Fatalf("unalignable entry: cache=%q execs=%d, want fall-through miss and re-execution", r.Cache, execs)
@@ -418,9 +428,7 @@ func TestSingleFlight(t *testing.T) {
 	block := make(chan struct{})
 	var execs int
 	s.testExec = func(t *task) (*QueryResult, *QueryError) {
-		s.mu.Lock()
-		execs++
-		s.mu.Unlock()
+		locked(s, func() { execs++ })
 		<-block
 		return fixedResult(t), nil
 	}
@@ -438,11 +446,7 @@ func TestSingleFlight(t *testing.T) {
 		}
 		results <- res
 	}()
-	waitUntil(t, "the leader's flight to register", func() bool {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return len(s.cache.flights) == 1
-	})
+	waitUntil(t, "the leader's flight to register", func() bool { return flights(s) == 1 })
 	for i := 0; i < passengers; i++ {
 		wg.Add(1)
 		go func(i int) {

@@ -224,10 +224,10 @@ func TestSLORecordsRejections(t *testing.T) {
 	}
 
 	// Server-side failure: quota exhausted counts against availability.
-	s.mu.Lock()
-	s.cfg.PerClientInFlight = 1
-	s.clients["greedy"] = 1
-	s.mu.Unlock()
+	locked(s, func() {
+		s.cfg.PerClientInFlight = 1
+		s.clients["greedy"] = 1
+	})
 	if _, qerr := s.Submit(t.Context(), &QueryRequest{Patterns: []string{"triangle"}}, "greedy", nil); qerr == nil || qerr.Code != CodeQuotaExhausted {
 		t.Fatalf("quota: %+v, want quota_exhausted", qerr)
 	}
@@ -238,10 +238,10 @@ func TestSLORecordsRejections(t *testing.T) {
 	if counter(s, MetricErrors) != 1 {
 		t.Fatalf("error counter = %d, want 1", counter(s, MetricErrors))
 	}
-	s.mu.Lock()
-	delete(s.clients, "greedy")
-	s.cfg.PerClientInFlight = 0
-	s.mu.Unlock()
+	locked(s, func() {
+		delete(s.clients, "greedy")
+		s.cfg.PerClientInFlight = 0
+	})
 }
 
 // TestHistoryLifecycleWithDrain verifies the sampler goroutine dies

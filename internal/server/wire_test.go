@@ -180,11 +180,7 @@ func TestLeanResultOnTheWire(t *testing.T) {
 	}
 	wg.Add(2)
 	go ask()
-	waitUntil(t, "the leader's flight to register", func() bool {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return len(s.cache.flights) == 1
-	})
+	waitUntil(t, "the leader's flight to register", func() bool { return flights(s) == 1 })
 	go ask()
 	waitUntil(t, "the passenger to attach", func() bool { return counter(s, MetricCoalesced) == 1 })
 	close(block)
@@ -260,8 +256,6 @@ func TestHitIsOneUnchunkedWrite(t *testing.T) {
 			close(gotQueued)
 		}
 	}
-	// (started may overtake queued: the worker can pick the task up before
-	// admit has posted its event.)
 	if got := strings.Join(types, " "); !strings.Contains(got, EventQueued) || !strings.HasSuffix(got, " "+EventResult) {
 		t.Errorf("a miss streamed %q, want queued before a final result", got)
 	}
@@ -358,11 +352,11 @@ func TestConcurrentSpellingsAndEpochs(t *testing.T) {
 		t.Errorf("no hit at all, or rejects: %v, %d rejects", total, counter(s, MetricRejects))
 	}
 	waitUntil(t, "workers to go idle", func() bool { q, e := queueState(s); return q == 0 && e == 0 })
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.clients) != 0 || s.budgetUse != 0 || len(s.admitted) != 0 || len(s.cache.flights) != 0 {
-		t.Errorf("still held: quotas %v, budget %d, %d admitted, %d flights", s.clients, s.budgetUse, len(s.admitted), len(s.cache.flights))
-	}
+	locked(s, func() {
+		if len(s.clients) != 0 || s.budgetUse != 0 || len(s.admitted) != 0 || len(s.cache.flights) != 0 {
+			t.Errorf("still held: quotas %v, budget %d, %d admitted, %d flights", s.clients, s.budgetUse, len(s.admitted), len(s.cache.flights))
+		}
+	})
 }
 
 // TestClientStreamLines: the client's line buffer starts small and grows,

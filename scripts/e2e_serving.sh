@@ -100,6 +100,27 @@ for pat in 'n=10;e=0-1,1-2,2-3,3-4,4-5,5-6,6-7,7-8,8-9;l=28,28,28,28,28,28,28,28
     || { echo "hostile pattern $pat: neither a result nor a typed deadline:" >&2; cat "$ART/hostile.json" "$ART/hostile.err" >&2; exit 1; }
 done
 
+echo "== a deadline inside one root's subtree: the unlabeled 10-vertex path dies typed within seconds and frees its worker"
+# Unlabeled, every root's subtree of this path outlasts any deadline: the
+# executor has to see the deadline inside a work block, not at the next one.
+start=$(date +%s)
+timeout 30 "$ART/morphcli" query -addr "$BASE" -retries 0 -deadline 1s -json \
+  'n=10;e=0-1,1-2,2-3,3-4,4-5,5-6,6-7,7-8,8-9' > "$ART/deep.json" 2> "$ART/deep.err" || true
+took=$(( $(date +%s) - start ))
+grep -Eq '"code": *"deadline"' "$ART/deep.json" \
+  || { echo "10-vertex path under a 1s deadline: no typed deadline:" >&2; cat "$ART/deep.json" "$ART/deep.err" >&2; exit 1; }
+[ "$took" -lt 5 ] || { echo "10-vertex path outlived its 1s deadline by ${took}s" >&2; exit 1; }
+curl -sf "$BASE/healthz" | grep -q '"in_flight":0' \
+  || { echo "a worker is still held after the deadline: $(curl -sf "$BASE/healthz")" >&2; exit 1; }
+
+echo "== stream order: a miss streams queued, then started, then its result"
+curl -sN -X POST -d '{"patterns":["4-star"],"no_cache":true}' "$BASE/query" > "$ART/stream.ndjson"
+python3 - "$ART/stream.ndjson" <<'PY'
+import json, sys
+types = [json.loads(l)["type"] for l in open(sys.argv[1]) if l.strip()]
+assert types == ["queued", "started", "result"], f"a miss streamed {types}"
+PY
+
 echo "== observability under chaos: /slo burns budget, /timeseries has data"
 curl -sf "$BASE/slo" > "$ART/slo_chaos.json"
 curl -sf "$BASE/timeseries" > "$ART/timeseries.json"
