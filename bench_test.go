@@ -76,7 +76,7 @@ func benchMotifs(b *testing.B, g *graph.Graph, eng engine.Engine) {
 	var baseElems, morphElems uint64
 	b.Run("baseline", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := mc.Count(g, 4, eng, false)
+			res, err := mc.CountCtx(context.Background(), g, 4, eng, false)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -85,7 +85,7 @@ func benchMotifs(b *testing.B, g *graph.Graph, eng engine.Engine) {
 	})
 	b.Run("morphed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := mc.Count(g, 4, eng, true)
+			res, err := mc.CountCtx(context.Background(), g, 4, eng, true)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -106,14 +106,14 @@ func BenchmarkFig13SC(b *testing.B) {
 	eng := peregrine.New(0)
 	b.Run("baseline", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := sc.Count(g, queries, eng, false); err != nil {
+			if _, _, err := sc.CountCtx(context.Background(), g, queries, eng, false); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("morphed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := sc.Count(g, queries, eng, true); err != nil {
+			if _, _, err := sc.CountCtx(context.Background(), g, queries, eng, true); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -131,7 +131,7 @@ func BenchmarkFig13FSM(b *testing.B) {
 	}{{"baseline", false}, {"morphed", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, _, err := fsm.Mine(g, peregrine.New(0), fsm.Options{
+				_, _, err := fsm.MineCtx(context.Background(), g, peregrine.New(0), fsm.Options{
 					MaxEdges: 3, MinSupport: minSup, Morph: mode.morph,
 				})
 				if err != nil {
@@ -168,7 +168,7 @@ func benchFilterElimination(b *testing.B, eng sc.FilterEngine) {
 	})
 	b.Run("morphed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_, st, err := sc.Count(g, queries, eng, true)
+			_, st, err := sc.CountCtx(context.Background(), g, queries, eng, true)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -188,7 +188,7 @@ func BenchmarkFig15OnTheFly(b *testing.B) {
 	var baseUDF, morphUDF uint64
 	b.Run("baseline", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := se.Enumerate(g, eng, queries, w.WithinOneStd, nil, se.Options{})
+			res, err := se.EnumerateCtx(context.Background(), g, eng, queries, w.WithinOneStd, nil, se.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -197,7 +197,7 @@ func BenchmarkFig15OnTheFly(b *testing.B) {
 	})
 	b.Run("morphed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := se.Enumerate(g, eng, queries, w.WithinOneStd, nil,
+			res, err := se.EnumerateCtx(context.Background(), g, eng, queries, w.WithinOneStd, nil,
 				se.Options{Morph: true, PerMatchCost: 50})
 			if err != nil {
 				b.Fatal(err)
@@ -239,7 +239,7 @@ func BenchmarkFig15Large(b *testing.B) {
 	}{{"baseline", false}, {"morphed", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := sc.Count(sub, q, eng, mode.morph); err != nil {
+				if _, _, err := sc.CountCtx(context.Background(), sub, q, eng, mode.morph); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -280,7 +280,7 @@ func BenchmarkFig15CostModel(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := eng.CountAll(g, ps); err != nil {
+				if _, _, err := eng.CountAllCtx(context.Background(), g, ps); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -343,7 +343,7 @@ func BenchmarkEngines(b *testing.B) {
 	} {
 		b.Run(eng.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := eng.Count(g, p); err != nil {
+				if _, _, err := eng.CountCtx(context.Background(), g, p); err != nil {
 					b.Fatal(err)
 				}
 			}

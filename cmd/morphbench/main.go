@@ -42,7 +42,7 @@ func main() {
 	// The out-of-core bench has its own flags; dispatch before the main
 	// flag set sees the command word.
 	if len(os.Args) > 1 && os.Args[1] == "scale" {
-		if err := cmdScale(os.Args[2:]); err != nil {
+		if err := cmdScale(context.Background(), os.Args[2:]); err != nil {
 			fmt.Fprintln(os.Stderr, "morphbench: scale:", err)
 			os.Exit(1)
 		}

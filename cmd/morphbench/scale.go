@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -85,7 +86,7 @@ type scaleResult struct {
 	Speedup float64 `json:"speedup"`
 }
 
-func cmdScale(args []string) error {
+func cmdScale(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("scale", flag.ContinueOnError)
 	out := fs.String("out", "BENCH_scale.json", "output JSON path (- for stdout)")
 	graphName := fs.String("graph", "OK", "dataset recipe (MI, MG, PR, OK, FR)")
@@ -206,7 +207,7 @@ func cmdScale(args []string) error {
 	if *compare {
 		fmt.Fprintf(os.Stderr, "== mining plain tier (compare)\n")
 		t0 := time.Now()
-		if _, _, err := scaleRunner(*threads, *shards, budget).Counts(g, queries); err != nil {
+		if _, _, err := scaleRunner(*threads, *shards, budget).CountsCtx(ctx, g, queries); err != nil {
 			return fmt.Errorf("plain mine: %w", err)
 		}
 		rep.ComparePlainNS = int64(time.Since(t0))
@@ -254,7 +255,7 @@ func cmdScale(args []string) error {
 
 	before := graph.DecodeTotals()
 	t0 = time.Now()
-	counts, stats, err := scaleRunner(*threads, *shards, budget).Counts(h.Graph(), queries)
+	counts, stats, err := scaleRunner(*threads, *shards, budget).CountsCtx(ctx, h.Graph(), queries)
 	if err != nil {
 		return fmt.Errorf("compressed mine: %w", err)
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -32,7 +33,7 @@ func TestExplainGolden(t *testing.T) {
 	args := []string{"-graph", "MG", "-scale", "0.003", "-threads", "1",
 		"p4:v", "4-cycle:v", "4-star:v"}
 	var buf bytes.Buffer
-	if err := cmdExplain(args, &buf); err != nil {
+	if err := cmdExplain(context.Background(), args, &buf); err != nil {
 		t.Fatal(err)
 	}
 	got := runIDs.ReplaceAll(buf.Bytes(), []byte("RUNID"))

@@ -122,7 +122,7 @@ func main() {
 	case "top":
 		err = cmdTop(args)
 	case "explain":
-		err = cmdExplain(args, os.Stdout)
+		err = cmdExplain(context.Background(), args, os.Stdout)
 	case "names":
 		cmdNames()
 	default:
@@ -585,12 +585,10 @@ func writeRunReport(path string, st *core.RunStats) error {
 // model's estimates, rejected candidates included), and the measured
 // per-pattern matches, per-level selectivity and worker skew.
 //
-// Note the EXPLAIN ANALYZE caveat: explain mode mines the alternatives
-// one pattern at a time to attribute matches and time per pattern, so
-// engines that merge schedules across patterns (AutoZero) lose that
-// merging; the reported counts are exact, the timings reflect the
-// unmerged execution.
-func cmdExplain(args []string, w io.Writer) error {
+// The execution it reports is the one a plain run takes — one merged pass
+// over the winner set — so per-pattern counts are exact and there is no
+// per-pattern wall time.
+func cmdExplain(ctx context.Context, args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("explain", flag.ContinueOnError)
 	graphName := fs.String("graph", "MI", "dataset recipe (MI, MG, PR, OK, FR)")
 	scale := fs.Float64("scale", 0.01, "dataset scale factor")
@@ -627,7 +625,7 @@ func cmdExplain(args []string, w io.Writer) error {
 		return err
 	}
 	r := &core.Runner{Engine: eng, DisableMorphing: *baseline, Explain: true, Label: "explain", Flight: runFlight}
-	_, st, err := r.Counts(g, queries)
+	_, st, err := r.CountsCtx(ctx, g, queries)
 	if err != nil {
 		return err
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -22,7 +23,7 @@ func main() {
 		log.Fatal(err)
 	}
 	count := func(p *morphing.Pattern) uint64 {
-		c, _, err := eng.Count(g, p)
+		c, _, err := eng.CountCtx(context.Background(), g, p)
 		if err != nil {
 			log.Fatal(err)
 		}

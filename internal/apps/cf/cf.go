@@ -16,30 +16,19 @@ import (
 	"morphing/internal/peregrine"
 )
 
-// Count returns the number of k-cliques in g.
-func Count(g graph.Adjacency, k int, eng engine.Engine) (uint64, *engine.Stats, error) {
-	return CountCtx(context.Background(), g, k, eng)
-}
-
-// CountCtx is Count under a context: on interruption the partial count
-// is returned alongside the typed error.
+// CountCtx returns the number of k-cliques in g; on interruption the
+// partial count is returned alongside the typed error.
 func CountCtx(ctx context.Context, g graph.Adjacency, k int, eng engine.Engine) (uint64, *engine.Stats, error) {
 	if k < 2 || k > pattern.MaxVertices {
 		return 0, nil, fmt.Errorf("cf: clique size %d outside [2,%d]", k, pattern.MaxVertices)
 	}
-	return engine.CountCtx(ctx, eng, g, pattern.Clique(k))
+	return eng.CountCtx(ctx, g, pattern.Clique(k))
 }
 
-// MaxCliqueSize returns the size of the largest clique in g with at most
-// maxK vertices, using early-terminating existence probes from large to
-// small (each probe stops at the first witness). Returns 1 for edgeless
-// graphs.
-func MaxCliqueSize(g graph.Adjacency, maxK int, eng *peregrine.Engine) (int, error) {
-	return MaxCliqueSizeCtx(context.Background(), g, maxK, eng)
-}
-
-// MaxCliqueSizeCtx is MaxCliqueSize under a context. Interruption aborts
-// the binary search mid-probe; no partial answer is returned because an
+// MaxCliqueSizeCtx returns the size of the largest clique in g with at
+// most maxK vertices, using early-terminating existence probes from large
+// to small (each probe stops at the first witness). Returns 1 for edgeless
+// graphs. Interruption aborts the binary search mid-probe; no partial answer is returned because an
 // unfinished probe leaves the bracket unresolved.
 func MaxCliqueSizeCtx(ctx context.Context, g graph.Adjacency, maxK int, eng *peregrine.Engine) (int, error) {
 	if maxK < 2 {
@@ -68,13 +57,9 @@ func MaxCliqueSizeCtx(ctx context.Context, g graph.Adjacency, maxK int, eng *per
 	return lo, nil
 }
 
-// Census counts cliques of every size from 2 up to maxK, stopping early
-// when a size has none (larger sizes cannot exist either).
-func Census(g graph.Adjacency, maxK int, eng engine.Engine) (map[int]uint64, error) {
-	return CensusCtx(context.Background(), g, maxK, eng)
-}
-
-// CensusCtx is Census under a context. On interruption the census
+// CensusCtx counts cliques of every size from 2 up to maxK, stopping early
+// when a size has none (larger sizes cannot exist either). On interruption
+// the census
 // completed so far (fully counted sizes only) is returned alongside the
 // typed error; the size that was interrupted mid-count is excluded.
 func CensusCtx(ctx context.Context, g graph.Adjacency, maxK int, eng engine.Engine) (map[int]uint64, error) {

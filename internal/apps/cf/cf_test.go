@@ -26,7 +26,7 @@ func TestCountCliquesKnown(t *testing.T) {
 	eng := peregrine.New(2)
 	wants := map[int]uint64{2: 15, 3: 20, 4: 15, 5: 6, 6: 1}
 	for k, want := range wants {
-		got, _, err := Count(k6, k, eng)
+		got, _, err := CountCtx(context.Background(), k6, k, eng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -34,7 +34,7 @@ func TestCountCliquesKnown(t *testing.T) {
 			t.Errorf("%d-cliques in K6: %d, want %d", k, got, want)
 		}
 	}
-	if _, _, err := Count(k6, 1, eng); err == nil {
+	if _, _, err := CountCtx(context.Background(), k6, 1, eng); err == nil {
 		t.Error("k=1 accepted")
 	}
 }
@@ -51,7 +51,7 @@ func TestMaxCliqueSize(t *testing.T) {
 		{graph.MustFromEdges(3, nil, nil), 1},
 	}
 	for i, tc := range cases {
-		got, err := MaxCliqueSize(tc.g, 8, eng)
+		got, err := MaxCliqueSizeCtx(context.Background(), tc.g, 8, eng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +59,7 @@ func TestMaxCliqueSize(t *testing.T) {
 			t.Errorf("case %d: max clique %d, want %d", i, got, tc.want)
 		}
 	}
-	if _, err := MaxCliqueSize(completeGraph(3), 1, eng); err == nil {
+	if _, err := MaxCliqueSizeCtx(context.Background(), completeGraph(3), 1, eng); err == nil {
 		t.Error("maxK=1 accepted")
 	}
 }
@@ -70,7 +70,7 @@ func TestCensusStopsAtEmptySize(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := peregrine.New(2)
-	census, err := Census(g, 8, eng)
+	census, err := CensusCtx(context.Background(), g, 8, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestEarlyTerminationActuallyStops(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := peregrine.New(2)
-	full, fullStats, err := eng.Count(g, pattern.Triangle())
+	full, fullStats, err := eng.CountCtx(context.Background(), g, pattern.Triangle())
 	if err != nil {
 		t.Fatal(err)
 	}

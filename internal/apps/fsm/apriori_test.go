@@ -130,7 +130,7 @@ func TestAprioriPruneIsSound(t *testing.T) {
 					}
 					prunedTotal += len(pruned)
 					for _, p := range pruned {
-						tbl, _, err := core.MineMNITable(eng, in.g, p)
+						tbl, _, err := core.MineMNITable(context.Background(), eng, in.g, p)
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -52,7 +52,7 @@ type Stats struct {
 	Runs       []*core.RunStats
 }
 
-// Mine runs level-wise FSM on g: frequent single-edge patterns are
+// MineCtx runs level-wise FSM on g: frequent single-edge patterns are
 // extended one edge at a time (both closing edges and new labeled
 // vertices), candidates are deduplicated canonically, and each level's
 // batch is evaluated through the morphing pipeline (or directly when
@@ -60,11 +60,8 @@ type Stats struct {
 // pass per level, the candidates' shared labeled prefixes enumerated once
 // (core.Runner.MatchAllCtx). The dynamic, data-dependent query sets are
 // exactly why pattern transformation must run at runtime (§5).
-func Mine(g graph.Adjacency, eng engine.Engine, opts Options) ([]Frequent, *Stats, error) {
-	return MineCtx(context.Background(), g, eng, opts)
-}
-
-// MineCtx is Mine under a context. On interruption the frequent patterns
+//
+// On interruption the frequent patterns
 // confirmed by fully completed levels are returned alongside the typed
 // error (the interrupted level's partial tables cannot prove support, so
 // they are discarded); Stats covers all work done including the

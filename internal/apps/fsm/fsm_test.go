@@ -1,6 +1,7 @@
 package fsm
 
 import (
+	"context"
 	"testing"
 
 	"morphing/internal/canon"
@@ -21,7 +22,7 @@ func labeledGraph(t *testing.T) *graph.Graph {
 
 func TestMineFindsFrequentEdges(t *testing.T) {
 	g := labeledGraph(t)
-	freq, stats, err := Mine(g, peregrine.New(2), Options{MaxEdges: 1, MinSupport: 5, Morph: false})
+	freq, stats, err := MineCtx(context.Background(), g, peregrine.New(2), Options{MaxEdges: 1, MinSupport: 5, Morph: false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,12 +45,12 @@ func TestMineFindsFrequentEdges(t *testing.T) {
 func TestMineMorphedEqualsBaseline(t *testing.T) {
 	g := labeledGraph(t)
 	opts := Options{MaxEdges: 3, MinSupport: 12}
-	base, _, err := Mine(g, peregrine.New(3), opts)
+	base, _, err := MineCtx(context.Background(), g, peregrine.New(3), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Morph = true
-	morphed, _, err := Mine(g, peregrine.New(3), opts)
+	morphed, _, err := MineCtx(context.Background(), g, peregrine.New(3), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestMineUnlabeledGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	freq, _, err := Mine(g, peregrine.New(2), Options{MaxEdges: 2, MinSupport: 10, Morph: true})
+	freq, _, err := MineCtx(context.Background(), g, peregrine.New(2), Options{MaxEdges: 2, MinSupport: 10, Morph: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestAntimonotoneSupports(t *testing.T) {
 	// MNI is anti-monotone: a superpattern's support cannot exceed its
 	// subpattern's.
 	g := labeledGraph(t)
-	freq, _, err := Mine(g, peregrine.New(2), Options{MaxEdges: 3, MinSupport: 8, Morph: true})
+	freq, _, err := MineCtx(context.Background(), g, peregrine.New(2), Options{MaxEdges: 3, MinSupport: 8, Morph: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,10 +114,10 @@ func TestAntimonotoneSupports(t *testing.T) {
 
 func TestMineValidation(t *testing.T) {
 	g := labeledGraph(t)
-	if _, _, err := Mine(g, peregrine.New(1), Options{MaxEdges: 0, MinSupport: 1}); err == nil {
+	if _, _, err := MineCtx(context.Background(), g, peregrine.New(1), Options{MaxEdges: 0, MinSupport: 1}); err == nil {
 		t.Error("MaxEdges 0 accepted")
 	}
-	if _, _, err := Mine(g, peregrine.New(1), Options{MaxEdges: 1, MinSupport: 0}); err == nil {
+	if _, _, err := MineCtx(context.Background(), g, peregrine.New(1), Options{MaxEdges: 1, MinSupport: 0}); err == nil {
 		t.Error("MinSupport 0 accepted")
 	}
 }

@@ -25,15 +25,9 @@ type Result struct {
 	Stats    *core.RunStats
 }
 
-// Count counts all motifs on `size` vertices (3 to 5 in the paper's
+// CountCtx counts all motifs on `size` vertices (3 to 5 in the paper's
 // experiments) in g using the given engine. Morphing is applied unless
-// disabled.
-func Count(g graph.Adjacency, size int, eng engine.Engine, morph bool) (*Result, error) {
-	return CountCtx(context.Background(), g, size, eng, morph)
-}
-
-// CountCtx is Count under a context. On interruption it returns a
-// partial Result — Counts is nil but Stats.Partial holds the
+// disabled. On interruption it returns a partial Result — Counts is nil but Stats.Partial holds the
 // per-alternative counts completed before the abort — together with the
 // typed error (engine.ErrCanceled, engine.ErrDeadlineExceeded, or
 // *engine.PanicError).

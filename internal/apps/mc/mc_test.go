@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"context"
 	"testing"
 
 	"morphing/internal/autozero"
@@ -16,7 +17,7 @@ func TestCountMatchesOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, size := range []int{3, 4} {
-		res, err := Count(g, size, peregrine.New(3), true)
+		res, err := CountCtx(context.Background(), g, size, peregrine.New(3), true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,11 +37,11 @@ func TestMorphedEqualsBaselineAcrossEngines(t *testing.T) {
 	}
 	engines := []engine.Engine{peregrine.New(4), autozero.New(4)}
 	for _, eng := range engines {
-		base, err := Count(g, 4, eng, false)
+		base, err := CountCtx(context.Background(), g, 4, eng, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		morphed, err := Count(g, 4, eng, true)
+		morphed, err := CountCtx(context.Background(), g, 4, eng, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,11 +65,11 @@ func TestMorphingReducesSetOperationWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := peregrine.New(2)
-	base, err := Count(g, 4, eng, false)
+	base, err := CountCtx(context.Background(), g, 4, eng, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	morphed, err := Count(g, 4, eng, true)
+	morphed, err := CountCtx(context.Background(), g, 4, eng, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestMotifPatternCensusSizes(t *testing.T) {
 	}
 	wants := map[int]int{3: 2, 4: 6, 5: 21}
 	for size, want := range wants {
-		res, err := Count(g, size, peregrine.New(2), true)
+		res, err := CountCtx(context.Background(), g, size, peregrine.New(2), true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,10 +94,10 @@ func TestMotifPatternCensusSizes(t *testing.T) {
 			t.Errorf("size %d: %d motif patterns, want %d", size, len(res.Patterns), want)
 		}
 	}
-	if _, err := Count(g, 2, peregrine.New(1), true); err == nil {
+	if _, err := CountCtx(context.Background(), g, 2, peregrine.New(1), true); err == nil {
 		t.Error("size 2 accepted")
 	}
-	if _, err := Count(g, 6, peregrine.New(1), true); err == nil {
+	if _, err := CountCtx(context.Background(), g, 6, peregrine.New(1), true); err == nil {
 		t.Error("size 6 accepted")
 	}
 }

@@ -15,18 +15,13 @@ import (
 	"morphing/internal/pattern"
 )
 
-// Count returns the number of matches of each query pattern in g. With
+// CountCtx returns the number of matches of each query pattern in g. With
 // morph enabled, queries go through Subgraph Morphing; engines without
 // native vertex-induced support (GraphPi/BigJoin models) then compute
 // vertex-induced counts UDF-free via edge-induced alternatives (§7.2).
-func Count(g graph.Adjacency, queries []*pattern.Pattern, eng engine.Engine, morph bool) ([]uint64, *core.RunStats, error) {
-	return CountCtx(context.Background(), g, queries, eng, morph)
-}
-
-// CountCtx is Count under a context: cancellation and deadlines are
-// honored at work-block boundaries, and on interruption the returned
-// RunStats carries the per-alternative partial counts (RunStats.Partial)
-// alongside the typed error.
+// Cancellation and deadlines are honored at the executor's poll points, and
+// on interruption the returned RunStats carries the per-alternative partial
+// counts (RunStats.Partial) alongside the typed error.
 func CountCtx(ctx context.Context, g graph.Adjacency, queries []*pattern.Pattern, eng engine.Engine, morph bool) ([]uint64, *core.RunStats, error) {
 	if len(queries) == 0 {
 		return nil, nil, fmt.Errorf("sc: empty query set")

@@ -28,7 +28,7 @@ func TestCountMorphedMatchesOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts, stats, err := Count(g, evalPatterns(), peregrine.New(3), true)
+	counts, stats, err := CountCtx(context.Background(), g, evalPatterns(), peregrine.New(3), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,11 +53,11 @@ func TestCountOnEdgeOnlyEnginesViaMorphing(t *testing.T) {
 	queries := evalPatterns()
 	gp := graphpi.New(2)
 	bj := bigjoin.New(2)
-	gotGP, _, err := Count(g, queries, gp, true)
+	gotGP, _, err := CountCtx(context.Background(), g, queries, gp, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotBJ, _, err := Count(g, queries, bj, true)
+	gotBJ, _, err := CountCtx(context.Background(), g, queries, bj, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestCountOnEdgeOnlyEnginesViaMorphing(t *testing.T) {
 	}
 	// Baseline without morphing must fail on these engines (vertex-
 	// induced queries unsupported natively).
-	if _, _, err := Count(g, queries, gp, false); err == nil {
+	if _, _, err := CountCtx(context.Background(), g, queries, gp, false); err == nil {
 		t.Error("GraphPi baseline accepted vertex-induced queries without morphing")
 	}
 }
@@ -88,7 +88,7 @@ func TestFilterBaselineAgreesWithMorphing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaMorph, _, err := Count(g, queries, gp, true)
+	viaMorph, _, err := CountCtx(context.Background(), g, queries, gp, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestEmptyQuerySet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Count(g, nil, peregrine.New(1), true); err == nil {
+	if _, _, err := CountCtx(context.Background(), g, nil, peregrine.New(1), true); err == nil {
 		t.Error("empty query set accepted")
 	}
 }

@@ -38,7 +38,7 @@ type Result struct {
 	Selection *core.Selection
 }
 
-// Options configures Enumerate.
+// Options configures EnumerateCtx.
 type Options struct {
 	// Morph toggles Subgraph Morphing with on-the-fly conversion.
 	Morph bool
@@ -49,16 +49,11 @@ type Options struct {
 	PerMatchCost float64
 }
 
-// Enumerate streams the matches of each edge-induced query through the
+// EnumerateCtx streams the matches of each edge-induced query through the
 // filter, invoking onMatch (which may be nil, and must be safe for
 // concurrent use; the match slice is reused) for survivors. With morphing
 // enabled the queries are transformed and the alternative streams are
-// converted on the fly.
-func Enumerate(g graph.Adjacency, eng engine.Engine, queries []*pattern.Pattern, filter Filter, onMatch func(query int, m []uint32), opts Options) (*Result, error) {
-	return EnumerateCtx(context.Background(), g, eng, queries, filter, onMatch, opts)
-}
-
-// EnumerateCtx is Enumerate under a context. On interruption (cancel,
+// converted on the fly. On interruption (cancel,
 // deadline, or a contained filter/onMatch panic) the partial Result —
 // the delivered/filtered tallies accumulated before the abort — is
 // returned alongside the typed error; matches already handed to onMatch

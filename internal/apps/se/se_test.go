@@ -1,6 +1,7 @@
 package se
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -23,11 +24,11 @@ func TestEnumerateMorphedEqualsBaseline(t *testing.T) {
 	}
 	w := NewWeights(g, 10, 2, 7)
 	eng := peregrine.New(3)
-	base, err := Enumerate(g, eng, queries, w.WithinOneStd, nil, Options{})
+	base, err := EnumerateCtx(context.Background(), g, eng, queries, w.WithinOneStd, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	morphed, err := Enumerate(g, eng, queries, w.WithinOneStd, nil, Options{Morph: true, PerMatchCost: 50})
+	morphed, err := EnumerateCtx(context.Background(), g, eng, queries, w.WithinOneStd, nil, Options{Morph: true, PerMatchCost: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestEnumerateTrivialFilter(t *testing.T) {
 		t.Fatal(err)
 	}
 	all := func([]uint32) bool { return true }
-	res, err := Enumerate(g, peregrine.New(2), []*pattern.Pattern{pattern.Triangle()}, all, nil, Options{Morph: true})
+	res, err := EnumerateCtx(context.Background(), g, peregrine.New(2), []*pattern.Pattern{pattern.Triangle()}, all, nil, Options{Morph: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestEnumerateRejectsVertexInducedQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := pattern.FourCycle().AsVertexInduced()
-	if _, err := Enumerate(g, peregrine.New(1), []*pattern.Pattern{q}, func([]uint32) bool { return true }, nil, Options{Morph: true}); err == nil {
+	if _, err := EnumerateCtx(context.Background(), g, peregrine.New(1), []*pattern.Pattern{q}, func([]uint32) bool { return true }, nil, Options{Morph: true}); err == nil {
 		t.Fatal("vertex-induced query accepted")
 	}
 }
@@ -80,7 +81,7 @@ func TestEnumerateRequiresVertexCapableEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Enumerate(g, graphpi.New(1), []*pattern.Pattern{pattern.Triangle()},
+	_, err = EnumerateCtx(context.Background(), g, graphpi.New(1), []*pattern.Pattern{pattern.Triangle()},
 		func([]uint32) bool { return true }, nil, Options{Morph: true})
 	if err == nil {
 		t.Fatal("morphing enumeration accepted on an edge-only engine")
@@ -135,11 +136,11 @@ func TestMorphingReducesUDFCalls(t *testing.T) {
 	queries := []*pattern.Pattern{pattern.FourCycle(), pattern.Path(4)}
 	w := NewWeights(g, 0, 1, 5)
 	eng := peregrine.New(2)
-	base, err := Enumerate(g, eng, queries, w.WithinOneStd, nil, Options{})
+	base, err := EnumerateCtx(context.Background(), g, eng, queries, w.WithinOneStd, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	morphed, err := Enumerate(g, eng, queries, w.WithinOneStd, nil, Options{Morph: true, PerMatchCost: 50})
+	morphed, err := EnumerateCtx(context.Background(), g, eng, queries, w.WithinOneStd, nil, Options{Morph: true, PerMatchCost: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestEnumerateUnderManyWorkerIDs(t *testing.T) {
 	w := NewWeights(g, 10, 2, 7)
 	eng := enginetest.WideEngine{Workers: 600}
 	for _, opts := range []Options{{}, {Morph: true, PerMatchCost: 50}} {
-		res, err := Enumerate(g, eng, queries, w.WithinOneStd, nil, opts)
+		res, err := EnumerateCtx(context.Background(), g, eng, queries, w.WithinOneStd, nil, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

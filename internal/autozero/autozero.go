@@ -43,7 +43,7 @@ func (Policy) Plan(_ graph.Adjacency, p *pattern.Pattern) (*plan.Plan, error) {
 	return plan.BuildWithOrder(p, order(p))
 }
 
-// MergesCountAll implements engine.Policy: CountAll compiles all patterns
+// MergesCountAll implements engine.Policy: CountAllCtx compiles all patterns
 // into one merged schedule and executes it in a single pass — schedules
 // sharing loop prefixes share candidate computation, and conflicting
 // symmetry restrictions stay on separate branches so nothing is

@@ -1,6 +1,7 @@
 package autozero
 
 import (
+	"context"
 	"testing"
 
 	"morphing/internal/canon"
@@ -84,11 +85,11 @@ func peregrineSecond(p *pattern.Pattern, first int) int {
 func TestCountAllEmptyAndSingle(t *testing.T) {
 	g := testGraph(t)
 	e := New(2)
-	counts, st, err := e.CountAll(g, nil)
+	counts, st, err := e.CountAllCtx(context.Background(), g, nil)
 	if err != nil || len(counts) != 0 || st == nil {
 		t.Fatalf("empty CountAll: %v %v %v", counts, st, err)
 	}
-	got, _, err := e.Count(g, pattern.Triangle())
+	got, _, err := e.CountCtx(context.Background(), g, pattern.Triangle())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestMergedMixedSizes(t *testing.T) {
 		pattern.Path(4),
 		pattern.TailedTriangle().AsVertexInduced(),
 	}
-	counts, _, err := e.CountAll(g, ps)
+	counts, _, err := e.CountAllCtx(context.Background(), g, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestMergedConflictingRestrictions(t *testing.T) {
 		pattern.FourStar(),
 		pattern.FourStar().AsVertexInduced(),
 	}
-	counts, _, err := e.CountAll(g, ps)
+	counts, _, err := e.CountAllCtx(context.Background(), g, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestMergedDuplicatePatterns(t *testing.T) {
 	g := testGraph(t)
 	e := New(2)
 	p := pattern.TailedTriangle()
-	counts, _, err := e.CountAll(g, []*pattern.Pattern{p, p.Clone()})
+	counts, _, err := e.CountAllCtx(context.Background(), g, []*pattern.Pattern{p, p.Clone()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,13 +173,13 @@ func TestMergedMotifSetSharesAllLoops(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := New(2)
-	_, merged, err := e.CountAll(g, bases)
+	_, merged, err := e.CountAllCtx(context.Background(), g, bases)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sep uint64
 	for _, p := range bases {
-		_, st, err := e.Count(g, p)
+		_, st, err := e.CountCtx(context.Background(), g, p)
 		if err != nil {
 			t.Fatal(err)
 		}

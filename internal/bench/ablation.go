@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"io"
 	"time"
 
@@ -44,11 +45,11 @@ func ablateDegreeOrdering(cfg Config, w io.Writer) error {
 		{Name: "tailed-triangle-V", Pattern: pattern.TailedTriangle().AsVertexInduced()},
 		{Name: "house", Pattern: pattern.House()},
 	} {
-		origCount, base, baseS, err := timedCount(eng, g, np.Pattern)
+		origCount, base, baseS, err := timedCount(cfg.context(), eng, g, np.Pattern)
 		if err != nil {
 			return err
 		}
-		ordCount, ord, ordS, err := timedCount(eng, ordered, np.Pattern)
+		ordCount, ord, ordS, err := timedCount(cfg.context(), eng, ordered, np.Pattern)
 		if err != nil {
 			return err
 		}
@@ -61,9 +62,9 @@ func ablateDegreeOrdering(cfg Config, w io.Writer) error {
 	return nil
 }
 
-func timedCount(eng engine.Engine, g graph.Adjacency, p *pattern.Pattern) (uint64, *engine.Stats, float64, error) {
+func timedCount(ctx context.Context, eng engine.Engine, g graph.Adjacency, p *pattern.Pattern) (uint64, *engine.Stats, float64, error) {
 	start := time.Now()
-	c, st, err := eng.Count(g, p)
+	c, st, err := eng.CountCtx(ctx, g, p)
 	return c, st, time.Since(start).Seconds(), err
 }
 
@@ -88,7 +89,7 @@ func ablateCostModelRestriction(cfg Config, w io.Writer) error {
 	eng := &peregrine.Engine{Threads: cfg.Threads, Obs: cfg.Obs}
 	measured := make([]float64, len(patterns))
 	for i, p := range patterns {
-		_, _, s, err := timedCount(eng, g, p)
+		_, _, s, err := timedCount(cfg.context(), eng, g, p)
 		if err != nil {
 			return err
 		}

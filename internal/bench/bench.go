@@ -44,7 +44,7 @@ type Config struct {
 	Obs *obs.Observer
 	// Ctx bounds experiment runs: cancellation or a deadline aborts the
 	// current mining phase at its next work-block boundary (morphbench
-	// -timeout wires this). nil means context.Background().
+	// -timeout wires this). nil is never cancelled.
 	Ctx context.Context
 }
 

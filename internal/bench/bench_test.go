@@ -2,8 +2,12 @@ package bench
 
 import (
 	"bytes"
+	"context"
+	"io"
 	"strings"
 	"testing"
+
+	"morphing/internal/engine"
 )
 
 // tinyConfig keeps every experiment in CI territory.
@@ -125,4 +129,24 @@ func nonEmptyLines(s string) []string {
 		}
 	}
 	return out
+}
+
+// TestCancelledContextReachesEveryExperiment: Config.Ctx bounds every
+// mining phase of every figure, so under an already-cancelled context each
+// experiment that mines must stop with the typed interruption instead of
+// running some phases to completion (`11` only prints its patterns and
+// recipes).
+func TestCancelledContextReachesEveryExperiment(t *testing.T) {
+	cfg := tinyConfig()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cfg.Ctx = ctx
+	for _, e := range Registry() {
+		if e.ID == "11" {
+			continue
+		}
+		if err := e.Run(cfg, io.Discard); !engine.Interrupted(err) {
+			t.Errorf("experiment %s under a cancelled context returned %v, want a typed interruption", e.ID, err)
+		}
+	}
 }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -13,7 +12,6 @@ import (
 	"morphing/internal/canon"
 	"morphing/internal/core"
 	"morphing/internal/costmodel"
-	"morphing/internal/engine"
 	"morphing/internal/graph"
 	"morphing/internal/graphpi"
 	"morphing/internal/pattern"
@@ -229,7 +227,7 @@ func runFig15CostModel(cfg Config, w io.Writer) error {
 
 	// The model's choice, identified by its variant multiset.
 	model := costmodel.NewDefault(graph.Summarize(g))
-	sel, err := core.Select(context.Background(), d, queries, core.DefaultCostFunc(model, 0), core.PolicyAny, core.SelectOptions{})
+	sel, err := core.Select(cfg.context(), d, queries, core.DefaultCostFunc(model, 0), core.PolicyAny, core.SelectOptions{})
 	if err != nil {
 		return err
 	}
@@ -246,7 +244,7 @@ func runFig15CostModel(cfg Config, w io.Writer) error {
 			ps[i] = c.Pattern
 		}
 		start := time.Now()
-		counts, _, err := engine.CountAllCtx(cfg.context(), eng, g, ps)
+		counts, _, err := eng.CountAllCtx(cfg.context(), g, ps)
 		if err != nil {
 			return err
 		}
@@ -283,7 +281,7 @@ func runFig15CostModel(cfg Config, w io.Writer) error {
 			ps[i] = c.Pattern
 		}
 		start := time.Now()
-		if _, _, err := engine.CountAllCtx(cfg.context(), eng, g, ps); err != nil {
+		if _, _, err := eng.CountAllCtx(cfg.context(), g, ps); err != nil {
 			return err
 		}
 		chosenTime = time.Since(start).Seconds()

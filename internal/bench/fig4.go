@@ -60,7 +60,7 @@ func runFig4b(cfg Config, w io.Writer) error {
 		eng := &peregrine.Engine{Threads: cfg.Threads, Instrument: true, Obs: cfg.Obs}
 		var sink uint64
 		start := time.Now()
-		st, err := eng.Match(g, np.Pattern, func(_ int, m []uint32) {
+		st, err := eng.MatchCtx(cfg.context(), g, np.Pattern, func(_ int, m []uint32) {
 			// The paper's SE lists matches: simulate the listing UDF by
 			// touching every match vertex.
 			for _, v := range m {
@@ -88,7 +88,7 @@ func runFig4c(cfg Config, w io.Writer) error {
 	for _, np := range fig4Patterns() {
 		eng := &peregrine.Engine{Threads: cfg.Threads, Instrument: true, Obs: cfg.Obs}
 		start := time.Now()
-		_, st, err := eng.Count(g, np.Pattern)
+		_, st, err := eng.CountCtx(cfg.context(), g, np.Pattern)
 		if err != nil {
 			return err
 		}
@@ -126,7 +126,7 @@ func runFilterProfile(cfg Config, w io.Writer, mk func() sc.FilterEngine) error 
 	} {
 		eng := mk()
 		start := time.Now()
-		_, stE, err := eng.Count(g, np.Pattern)
+		_, stE, err := eng.CountCtx(cfg.context(), g, np.Pattern)
 		if err != nil {
 			return err
 		}
@@ -161,7 +161,7 @@ func runFig4f(cfg Config, w io.Writer) error {
 		} {
 			eng := &peregrine.Engine{Threads: cfg.Threads, Obs: cfg.Obs}
 			start := time.Now()
-			if _, _, err := eng.Count(g, np.Pattern); err != nil {
+			if _, _, err := eng.CountCtx(cfg.context(), g, np.Pattern); err != nil {
 				return err
 			}
 			times[np.Name] = time.Since(start).Seconds()

@@ -35,11 +35,11 @@ func runSanity(cfg Config, w io.Writer) error {
 
 	// Motif counting on the anti-edge-capable engines.
 	for _, eng := range []engine.Engine{&peregrine.Engine{Threads: tiny.Threads, Obs: tiny.Obs}, &autozero.Engine{Threads: tiny.Threads, Obs: tiny.Obs}} {
-		base, err := mc.Count(g, 4, eng, false)
+		base, err := mc.CountCtx(tiny.context(), g, 4, eng, false)
 		if err != nil {
 			return err
 		}
-		morphed, err := mc.Count(g, 4, eng, true)
+		morphed, err := mc.CountCtx(tiny.context(), g, 4, eng, true)
 		if err != nil {
 			return err
 		}
@@ -63,7 +63,7 @@ func runSanity(cfg Config, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		viaMorph, _, err := sc.Count(g, queries, eng, true)
+		viaMorph, _, err := sc.CountCtx(tiny.context(), g, queries, eng, true)
 		if err != nil {
 			return err
 		}
@@ -81,11 +81,11 @@ func runSanity(cfg Config, w io.Writer) error {
 	if minSup < 2 {
 		minSup = 2
 	}
-	baseFreq, _, err := fsm.Mine(g, &peregrine.Engine{Threads: tiny.Threads, Obs: tiny.Obs}, fsm.Options{MaxEdges: 2, MinSupport: minSup})
+	baseFreq, _, err := fsm.MineCtx(tiny.context(), g, &peregrine.Engine{Threads: tiny.Threads, Obs: tiny.Obs}, fsm.Options{MaxEdges: 2, MinSupport: minSup})
 	if err != nil {
 		return err
 	}
-	morphFreq, _, err := fsm.Mine(g, &peregrine.Engine{Threads: tiny.Threads, Obs: tiny.Obs}, fsm.Options{MaxEdges: 2, MinSupport: minSup, Morph: true})
+	morphFreq, _, err := fsm.MineCtx(tiny.context(), g, &peregrine.Engine{Threads: tiny.Threads, Obs: tiny.Obs}, fsm.Options{MaxEdges: 2, MinSupport: minSup, Morph: true})
 	if err != nil {
 		return err
 	}
@@ -98,11 +98,11 @@ func runSanity(cfg Config, w io.Writer) error {
 	weights := se.NewWeights(g, 0, 1, tiny.Seed)
 	seQueries := []*pattern.Pattern{pattern.FourCycle(), pattern.Path(4)}
 	eng := &peregrine.Engine{Threads: tiny.Threads, Obs: tiny.Obs}
-	baseEnum, err := se.Enumerate(g, eng, seQueries, weights.WithinOneStd, nil, se.Options{})
+	baseEnum, err := se.EnumerateCtx(tiny.context(), g, eng, seQueries, weights.WithinOneStd, nil, se.Options{})
 	if err != nil {
 		return err
 	}
-	morphEnum, err := se.Enumerate(g, eng, seQueries, weights.WithinOneStd, nil,
+	morphEnum, err := se.EnumerateCtx(tiny.context(), g, eng, seQueries, weights.WithinOneStd, nil,
 		se.Options{Morph: true, PerMatchCost: 50})
 	if err != nil {
 		return err

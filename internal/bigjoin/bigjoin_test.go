@@ -29,7 +29,7 @@ func TestSingleVertexQuery(t *testing.T) {
 	}
 	e := New(2)
 	one := pattern.MustNew(1, nil, pattern.WithLabels([]int32{5}))
-	got, _, err := e.Count(g, one)
+	got, _, err := e.CountCtx(context.Background(), g, one)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestSingleVertexQuery(t *testing.T) {
 		t.Fatalf("labeled single-vertex count %d, want 2", got)
 	}
 	var visits int64
-	if _, err := e.Match(g, one, func(_ int, m []uint32) {
+	if _, err := e.MatchCtx(context.Background(), g, one, func(_ int, m []uint32) {
 		atomic.AddInt64(&visits, 1)
 	}); err != nil {
 		t.Fatal(err)
@@ -50,11 +50,11 @@ func TestSingleVertexQuery(t *testing.T) {
 func TestRejectsVertexInduced(t *testing.T) {
 	g := testGraph(t)
 	e := New(2)
-	_, _, err := e.Count(g, pattern.FourStar().AsVertexInduced())
+	_, _, err := e.CountCtx(context.Background(), g, pattern.FourStar().AsVertexInduced())
 	if !errors.Is(err, engine.ErrInducedUnsupported) {
 		t.Fatalf("got %v, want ErrInducedUnsupported", err)
 	}
-	if _, _, err := e.Count(g, pattern.FourClique().AsVertexInduced()); err != nil {
+	if _, _, err := e.CountCtx(context.Background(), g, pattern.FourClique().AsVertexInduced()); err != nil {
 		t.Fatalf("vertex-induced clique rejected: %v", err)
 	}
 }
@@ -79,7 +79,7 @@ func TestDisconnectedPatternRejected(t *testing.T) {
 	g := testGraph(t)
 	e := New(1)
 	disc := pattern.MustNew(4, [][2]int{{0, 1}, {2, 3}})
-	if _, _, err := e.Count(g, disc); err == nil {
+	if _, _, err := e.CountCtx(context.Background(), g, disc); err == nil {
 		t.Fatal("disconnected pattern accepted")
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"math"
 	"testing"
 
 	"morphing/internal/dataset"
@@ -25,7 +27,7 @@ func TestMemoryBudgetDegradesToOnTheFly(t *testing.T) {
 	}
 
 	batched := &Runner{Engine: peregrine.New(3)}
-	refTables, refStats, err := batched.MNITables(g, queries)
+	refTables, refStats, err := batched.MNITablesCtx(context.Background(), g, queries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +36,7 @@ func TestMemoryBudgetDegradesToOnTheFly(t *testing.T) {
 	}
 
 	degraded := &Runner{Engine: peregrine.New(3), MemoryBudget: 1}
-	gotTables, gotStats, err := degraded.MNITables(g, queries)
+	gotTables, gotStats, err := degraded.MNITablesCtx(context.Background(), g, queries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +66,7 @@ func TestMemoryBudgetGenerousStaysBatched(t *testing.T) {
 	}
 	queries := []*pattern.Pattern{pattern.FourCycle().AsEdgeInduced()}
 	r := &Runner{Engine: peregrine.New(3), MemoryBudget: 1 << 40}
-	_, stats, err := r.MNITables(g, queries)
+	_, stats, err := r.MNITablesCtx(context.Background(), g, queries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,5 +75,30 @@ func TestMemoryBudgetGenerousStaysBatched(t *testing.T) {
 	}
 	if stats.EstimatedBytes == 0 {
 		t.Fatal("budgeted run did not record the match-volume estimate")
+	}
+}
+
+// TestClampBytesFailsClosed pins the float -> uint64 step between the cost
+// model and every budget comparison (EstimateAdmission's MatchBytes against
+// a server's AdmissionBudget, MNITablesCtx's against MemoryBudget): an
+// estimate that is no finite non-negative number must exceed any budget,
+// not read as zero bytes and be admitted.
+func TestClampBytesFailsClosed(t *testing.T) {
+	for _, tc := range []struct {
+		in   float64
+		want uint64
+	}{
+		{math.NaN(), math.MaxUint64},
+		{-1, math.MaxUint64},
+		{math.Inf(1), math.MaxUint64},
+		{math.Inf(-1), math.MaxUint64},
+		{1 << 64, math.MaxUint64},
+		{0, 0},
+		{0.3, 1},
+		{4096, 4096},
+	} {
+		if got := clampBytes(tc.in); got != tc.want {
+			t.Errorf("clampBytes(%v) = %d, want %d", tc.in, got, tc.want)
+		}
 	}
 }

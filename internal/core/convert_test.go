@@ -420,11 +420,11 @@ func TestRunnerCountsEndToEnd(t *testing.T) {
 	eng := peregrine.New(4)
 	morphed := &Runner{Engine: eng}
 	baseline := &Runner{Engine: eng, DisableMorphing: true}
-	got, stats, err := morphed.Counts(g, queries)
+	got, stats, err := morphed.CountsCtx(context.Background(), g, queries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := baseline.Counts(g, queries)
+	want, _, err := baseline.CountsCtx(context.Background(), g, queries)
 	if err != nil {
 		t.Fatal(err)
 	}

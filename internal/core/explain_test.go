@@ -101,13 +101,13 @@ func TestRunnerExplainCalibration(t *testing.T) {
 		pattern.FourCycle().AsVertexInduced(),
 	}
 	base := &Runner{Engine: peregrine.New(2)}
-	want, _, err := base.Counts(g, queries)
+	want, _, err := base.CountsCtx(context.Background(), g, queries)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	r := &Runner{Engine: peregrine.New(2), Explain: true}
-	got, st, err := r.Counts(g, queries)
+	got, st, err := r.CountsCtx(context.Background(), g, queries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestRunHook(t *testing.T) {
 	defer SetRunHook(prev)
 
 	r := &Runner{Engine: peregrine.New(1), Explain: true}
-	if _, _, err := r.Counts(g, []*pattern.Pattern{pattern.Triangle()}); err != nil {
+	if _, _, err := r.CountsCtx(context.Background(), g, []*pattern.Pattern{pattern.Triangle()}); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 1 {

@@ -27,7 +27,7 @@ func fsmLevel3(b testing.TB) (*graph.Graph, []*pattern.Pattern, float64) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	_, st, err := fsm.Mine(g, peregrine.New(2), fsm.Options{MaxEdges: 3, MinSupport: g.NumVertices() / 30, Morph: true})
+	_, st, err := fsm.MineCtx(context.Background(), g, peregrine.New(2), fsm.Options{MaxEdges: 3, MinSupport: g.NumVertices() / 30, Morph: true})
 	if err != nil || len(st.Runs) != 3 {
 		b.Fatalf("3-FSM: %d levels, err %v", len(st.Runs), err)
 	}
@@ -94,7 +94,7 @@ func TestPlanMemoSharedByPlanningAndSelection(t *testing.T) {
 		labelings = append(labelings, pattern.MustNew(4, [][2]int{{0, 1}, {0, 2}, {1, 2}, {0, 3}}, pattern.WithLabels(l)))
 	}
 	eng := peregrine.New(1)
-	want, _, err := eng.CountAll(g, labelings)
+	want, _, err := eng.CountAllCtx(context.Background(), g, labelings)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestPlanMemoSharedByPlanningAndSelection(t *testing.T) {
 						return
 					}
 					opts, o := eng.ExecConfig()
-					got, _, err := engine.BacktrackTrie(g, tr, opts, o)
+					got, _, err := engine.BacktrackTrieCtx(context.Background(), g, tr, opts, o)
 					if err != nil || !slices.Equal(got, want) {
 						t.Errorf("merged counts %v (err %v), per pattern %v", got, err, want)
 					}

@@ -66,7 +66,7 @@ func TestRunLifecycleCompleted(t *testing.T) {
 		pattern.Triangle().AsVertexInduced(),
 		pattern.FourCycle().AsVertexInduced(),
 	}
-	_, st, err := r.Counts(g, queries)
+	_, st, err := r.CountsCtx(context.Background(), g, queries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestRunLifecycleInjectedPanic(t *testing.T) {
 		pattern.Triangle().AsVertexInduced(),
 		pattern.FourCycle().AsVertexInduced(),
 	}
-	_, st, err := r.Counts(g, queries)
+	_, st, err := r.CountsCtx(context.Background(), g, queries)
 	if err == nil {
 		t.Fatal("injected panic did not surface")
 	}
@@ -288,7 +288,7 @@ func TestRunnerConcurrentRunsDisjoint(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			r := &Runner{Engine: peregrine.New(2), Label: "conc", Obs: parent}
-			_, st, err := r.Counts(g, queries)
+			_, st, err := r.CountsCtx(context.Background(), g, queries)
 			if err != nil {
 				t.Error(err)
 				return

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"morphing/internal/dataset"
@@ -24,7 +25,7 @@ func TestMNISinkOwnsOneShardPerWorkerID(t *testing.T) {
 		pattern.TailedTriangle().AsEdgeInduced(),
 	}
 	for _, q := range queries {
-		got, _, err := MineMNITable(eng, g, q)
+		got, _, err := MineMNITable(context.Background(), eng, g, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -34,7 +35,7 @@ func TestMNISinkOwnsOneShardPerWorkerID(t *testing.T) {
 	}
 	for _, budget := range []uint64{0, 1} {
 		r := &Runner{Engine: eng, MemoryBudget: budget}
-		tables, st, err := r.MNITables(g, queries)
+		tables, st, err := r.MNITablesCtx(context.Background(), g, queries)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +81,7 @@ func BenchmarkMineMNITable(b *testing.B) {
 	b.ResetTimer()
 	var matches uint64
 	for i := 0; i < b.N; i++ {
-		tbl, st, err := MineMNITable(eng, g, p)
+		tbl, st, err := MineMNITable(context.Background(), eng, g, p)
 		if err != nil {
 			b.Fatal(err)
 		}

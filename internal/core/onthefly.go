@@ -109,16 +109,11 @@ func isIdentity(f []int) bool {
 	return true
 }
 
-// StreamMorphed runs subgraph enumeration for an edge-induced query p
+// StreamMorphedCtx runs subgraph enumeration for an edge-induced query p
 // through Subgraph Morphing on any engine supporting vertex-induced
 // matching: the selected vertex-induced alternatives' streams are
 // converted on the fly (§6.2, used by the Fig. 15a experiment). The
-// returned stats aggregate all alternative runs.
-func StreamMorphed(sel *Selection, queryIdx int, eng engine.Engine, g graph.Adjacency, visit engine.Visitor) (*engine.Stats, error) {
-	return StreamMorphedCtx(context.Background(), sel, queryIdx, eng, g, visit)
-}
-
-// StreamMorphedCtx is StreamMorphed under a context. On interruption the
+// returned stats aggregate all alternative runs. On interruption the
 // stats accumulated so far are returned alongside the typed error;
 // matches already streamed to visit stay delivered (a partial stream,
 // never a corrupted one).

@@ -82,7 +82,7 @@ func TestStreamMorphedMatchesDirect(t *testing.T) {
 		auts := canon.Automorphisms(q)
 		var mu sync.Mutex
 		got := map[string]int{}
-		st, err := StreamMorphed(sel, 0, eng, g, func(_ int, m []uint32) {
+		st, err := StreamMorphedCtx(context.Background(), sel, 0, eng, g, func(_ int, m []uint32) {
 			k := fmt.Sprint(canon.CanonicalMatch(q, m, auts))
 			mu.Lock()
 			got[k]++
@@ -129,7 +129,7 @@ func TestStreamMorphedUnmorphed(t *testing.T) {
 	}
 	var mu sync.Mutex
 	count := 0
-	if _, err := StreamMorphed(sel, 0, peregrine.New(2), g, func(int, []uint32) {
+	if _, err := StreamMorphedCtx(context.Background(), sel, 0, peregrine.New(2), g, func(int, []uint32) {
 		mu.Lock()
 		count++
 		mu.Unlock()
@@ -161,7 +161,7 @@ func TestStreamMorphedRejectsVertexQueries(t *testing.T) {
 	if !sel.Queries[0].Morphed {
 		t.Skip("selection did not morph; nothing to reject")
 	}
-	if _, err := StreamMorphed(sel, 0, peregrine.New(1), g, func(int, []uint32) {}); err == nil {
+	if _, err := StreamMorphedCtx(context.Background(), sel, 0, peregrine.New(1), g, func(int, []uint32) {}); err == nil {
 		t.Fatal("vertex-induced morphed stream accepted")
 	}
 }

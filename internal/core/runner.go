@@ -37,14 +37,13 @@ type Runner struct {
 	// RunOptions tunes execution of the selected alternatives (as opposed
 	// to their selection), currently shard-per-partition counting.
 	RunOptions RunOptions
-	// Explain turns on the explainability path: selection records its
-	// Algorithm 1 trace (Selection.Explain), choices are annotated with
-	// the cost model's predictions, and mining runs pattern by pattern so
-	// RunStats.PerPattern can pair each prediction with its measured
-	// match count and wall time (the calibration data). Per-pattern
-	// mining is EXPLAIN ANALYZE semantics: engines that share work across
-	// patterns (AutoZero's merged schedules) lose that sharing, so
-	// explained timings bound — rather than equal — the fused run.
+	// Explain records why the run did what it did and changes nothing
+	// about what it does: selection keeps its Algorithm 1 trace
+	// (Selection.Explain), choices are annotated with the cost model's
+	// predictions, and RunStats.PerPattern pairs each prediction with the
+	// exact count its alternative got from the run's own mining pass (the
+	// calibration data). There is no per-pattern wall time: the set is one
+	// merged pass, and a pattern's share of it is not a quantity.
 	Explain bool
 	// MemoryBudget caps the estimated bytes of matches the batched
 	// result-conversion path may materialize (0 = unlimited). When the
@@ -90,10 +89,9 @@ type RunOptions struct {
 	// compressed or mmap-backed source tier; peak residency is then the
 	// source tier plus one plain shard).
 	//
-	// Shards takes precedence over Runner.Explain's per-pattern
-	// calibration: with every pattern mined once per shard, per-pattern
-	// wall time is no longer well-defined, so sharded runs skip the
-	// PerPattern table.
+	// Sharded runs skip Runner.Explain's PerPattern table: the cost
+	// model's predictions are for the whole graph, the summed shard counts
+	// are of a graph with its cross-partition edges dropped.
 	Shards int
 }
 
@@ -102,8 +100,8 @@ type RunOptions struct {
 // pipelines, streaming — with the trie's sharing statistics. The route is
 // a fact about the engine, not a setting: an engine.Planner's plans are
 // merged (a single pattern being the one-leaf case), any other engine is
-// handed the set through CountAll or pattern by pattern through Match. It
-// is reported on the fallback path too, so EXPLAIN output shows why.
+// handed the set pattern by pattern. It is reported on that path too, so
+// EXPLAIN output shows why.
 type TrieDecision struct {
 	Used   bool   `json:"used"`
 	Reason string `json:"reason"`
@@ -150,8 +148,8 @@ type RunStats struct {
 
 	// PerPattern pairs each executed alternative's cost-model predictions
 	// with its measured results, one entry per Selection.Mine choice.
-	// Filled only on the explain path (Runner.Explain), where mining runs
-	// pattern by pattern so per-pattern wall time is well-defined.
+	// Filled only under Runner.Explain, from the counts of the run's own
+	// mining pass.
 	PerPattern []PatternRunStats
 
 	// Phase is the pipeline stage the run last entered (Phase*
@@ -205,12 +203,11 @@ type RunStats struct {
 // pattern: what the §5.2 cost model predicted next to what the engine
 // measured.
 type PatternRunStats struct {
-	Pattern    string        `json:"pattern"`
-	Variant    string        `json:"variant"`
-	EstCost    float64       `json:"est_cost"`
-	EstMatches float64       `json:"est_matches"`
-	Matches    uint64        `json:"matches"`
-	Time       time.Duration `json:"time_ns"`
+	Pattern    string  `json:"pattern"`
+	Variant    string  `json:"variant"`
+	EstCost    float64 `json:"est_cost"`
+	EstMatches float64 `json:"est_matches"`
+	Matches    uint64  `json:"matches"`
 }
 
 // CalibrationRatio returns predicted/measured matches, add-one smoothed
@@ -396,7 +393,9 @@ func (st *RunStats) MeanCalibrationRatio() float64 {
 }
 
 // Transform runs pattern transformation for a query set: S-DAG build plus
-// Algorithm 1 under the policy derived for agg.
+// Algorithm 1 under the policy derived for agg. It is the one context-free
+// twin left below the root package: the repository benchmark's replay
+// (benchmark/batch.go) times this spelling.
 func (r *Runner) Transform(g graph.Adjacency, queries []*pattern.Pattern, agg aggr.Aggregation) (*Selection, error) {
 	return r.transformCtx(context.Background(), g, queries, agg)
 }
@@ -502,7 +501,7 @@ const (
 	// observed in milli-ratio units so the log2 buckets resolve both
 	// under- and over-estimation: a perfectly calibrated model lands
 	// every observation near 1000 (bucket [512,1024) or [1024,2048)).
-	// Populated on the explain path only.
+	// Populated under Runner.Explain only.
 	MetricCalibrationRatio = "costmodel_calibration_ratio_milli"
 
 	// Storage-tier attribution counters: decode work and probe-block
@@ -561,14 +560,9 @@ func publishRunStats(o *obs.Observer, st *RunStats) {
 	fireRunHook(st)
 }
 
-// Counts answers subgraph counting queries (SC/MC): the count of each
-// query pattern, computed through morphing unless disabled.
-func (r *Runner) Counts(g graph.Adjacency, queries []*pattern.Pattern) ([]uint64, *RunStats, error) {
-	return r.CountsCtx(context.Background(), g, queries)
-}
-
-// CountsCtx is Counts under a context. Cancellation and deadlines take
-// effect at the engines' next poll point; an interrupted run
+// CountsCtx answers subgraph counting queries (SC/MC): the count of each
+// query pattern, computed through morphing unless disabled. Cancellation
+// and deadlines take effect at the engines' next poll point; an interrupted run
 // returns a nil result slice, a typed error (engine.ErrCanceled /
 // engine.ErrDeadlineExceeded / *engine.PanicError) and a RunStats whose
 // Phase and Partial fields report exactly how far mining got — the
@@ -603,51 +597,13 @@ func (r *Runner) countsRun(ctx context.Context, rc *obs.RunContext, g graph.Adja
 		obs.Int("mine_patterns", len(sel.Mine)), obs.Int("queries", len(sel.Queries)),
 		obs.F64("cost_before", sel.CostBefore), obs.F64("cost_after", sel.CostAfter))
 
-	minePatterns := patternsOf(sel.Mine)
 	stats.Phase = PhaseMine
-	dec, tr, planner := r.planTrie(g, minePatterns)
-	stats.Trie = dec
-	if r.Explain && dec.Used && r.RunOptions.Shards <= 1 {
-		// EXPLAIN ANALYZE semantics: mine pattern by pattern so each
-		// choice gets its own measured matches and wall time next to the
-		// model's predictions (see Runner.Explain for the caveat about
-		// engines that merge schedules across patterns). The trie decision
-		// is still reported — as what a plain run would do.
-		dec.Used = false
-		dec.Reason += explainMinesPerPattern
-	}
-	rc.Event("trie_decision", obs.Bool("used", dec.Used), obs.Str("reason", dec.Reason))
 	spM := o.StartSpan("mine",
-		obs.Str("engine", r.Engine.Name()), obs.Int("patterns", len(minePatterns)))
-	var counts []uint64
-	switch {
-	case r.RunOptions.Shards > 1:
-		counts, err = r.mineSharded(ctx, rc, g, dec, tr, planner, minePatterns, stats)
-	case r.Explain:
-		counts, err = r.mineCountsExplained(ctx, g, sel, stats)
-	default:
-		var mst *engine.Stats
-		if dec.Used {
-			opts, eo := planner.ExecConfig()
-			counts, mst, err = engine.BacktrackTrieCtx(ctx, g, tr, opts, eo)
-		} else {
-			counts, mst, err = engine.CountAllCtx(ctx, r.Engine, g, minePatterns)
-		}
-		// Clone: the snapshot in RunStats must not alias a struct the
-		// engine may keep touching (see the single-merger invariant on
-		// engine.Stats).
-		stats.Mining = mst.Clone()
-	}
+		obs.Str("engine", r.Engine.Name()), obs.Int("patterns", len(sel.Mine)))
+	counts, err := r.mine(ctx, g, sel.Mine, nil, stats)
 	spM.End()
 	if err != nil {
 		if engine.Interrupted(err) {
-			for i, p := range minePatterns {
-				var c uint64
-				if i < len(counts) {
-					c = counts[i]
-				}
-				stats.Partial = append(stats.Partial, PartialCount{Pattern: p, Count: c})
-			}
 			o.Counter(MetricInterrupted).Inc(0)
 			return nil, stats, err
 		}
@@ -675,10 +631,6 @@ func (r *Runner) countsRun(ctx context.Context, rc *obs.RunContext, g graph.Adja
 	return out, stats, nil
 }
 
-// explainMinesPerPattern is appended to the reason of a trie decision that
-// Runner.Explain overrides.
-const explainMinesPerPattern = "; explain mode mines per pattern for calibration"
-
 // patternsOf lists the patterns a winner set mines, in Mine order.
 func patternsOf(mine []Choice) []*pattern.Pattern {
 	ps := make([]*pattern.Pattern, len(mine))
@@ -688,34 +640,36 @@ func patternsOf(mine []Choice) []*pattern.Pattern {
 	return ps
 }
 
-// measured pairs the choice's predictions with what mining it measured.
-func (c Choice) measured(matches uint64, elapsed time.Duration) PatternRunStats {
+// measured pairs the choice's predictions with the matches mining it found.
+func (c Choice) measured(matches uint64) PatternRunStats {
 	return PatternRunStats{
 		Pattern:    c.Pattern.String(),
 		Variant:    variantString(c.Variant),
 		EstCost:    c.EstCost,
 		EstMatches: c.EstMatches,
 		Matches:    matches,
-		Time:       elapsed,
 	}
 }
 
-// planTrie merges the engine's plans for a run's winner set and
-// reports the decision (and the trie's sharing statistics). tr and planner
-// are non-nil exactly when dec.Used is true; otherwise the set goes to the
-// engine's CountAll or Match, which also report a planning failure in the
-// engine's own words.
-func (r *Runner) planTrie(g graph.Adjacency, ps []*pattern.Pattern) (*TrieDecision, *plan.Trie, engine.Planner) {
+// planTrie merges the engine's plans for a run's winner set and reports
+// the decision (and the trie's sharing statistics). tr and planner are
+// non-nil exactly when dec.Used is true: an engine that is no Planner is
+// mined pattern by pattern (mine's reference loop). A Planner that cannot
+// plan the set fails the run with its own error.
+func (r *Runner) planTrie(g graph.Adjacency, ps []*pattern.Pattern) (*TrieDecision, *plan.Trie, engine.Planner, error) {
 	dec := &TrieDecision{}
 	planner, ok := r.Engine.(engine.Planner)
-	if !ok {
+	switch {
+	case len(ps) == 0:
+		dec.Reason = "empty pattern set"
+		return dec, nil, nil, nil
+	case !ok:
 		dec.Reason = fmt.Sprintf("engine %s exposes no plans", r.Engine.Name())
-		return dec, nil, nil
+		return dec, nil, nil, nil
 	}
 	tr, err := engine.BuildTrie(planner, g, ps)
 	if err != nil {
-		dec.Reason = "planning failed: " + err.Error()
-		return dec, nil, nil
+		return nil, nil, nil, err
 	}
 	dec.Used = true
 	dec.Patterns = len(ps)
@@ -724,50 +678,99 @@ func (r *Runner) planTrie(g graph.Adjacency, ps []*pattern.Pattern) (*TrieDecisi
 	dec.MaxSharedPrefix = tr.MaxSharedPrefix
 	dec.Reason = fmt.Sprintf("%d patterns in one pass: %d trie nodes, %d shared levels, max shared prefix %d",
 		len(ps), tr.Nodes, tr.SharedLevels, tr.MaxSharedPrefix)
-	return dec, tr, planner
+	return dec, tr, planner, nil
 }
 
-// mineCountsExplained mines each alternative individually, pairing every
-// choice's cost-model predictions with its measured match count and wall
-// time in stats.PerPattern. stats.Mining accumulates the per-pattern
-// engine stats (it never aliases engine-owned memory — the accumulator is
-// freshly built here). On a typed interruption the returned counts hold
-// the progress made so far; the caller applies the partial-result
-// contract.
-func (r *Runner) mineCountsExplained(ctx context.Context, g graph.Adjacency, sel *Selection, stats *RunStats) ([]uint64, error) {
-	counts := make([]uint64, len(sel.Mine))
-	acc := &engine.Stats{}
-	stats.Mining = acc
-	for i, c := range sel.Mine {
-		t0 := time.Now()
-		n, st, err := engine.CountCtx(ctx, r.Engine, g, c.Pattern)
-		elapsed := time.Since(t0)
-		counts[i] = n
-		if st != nil {
-			acc.Add(st)
+// mine is the mining phase of every pipeline and the only code that
+// reaches the executor: it mines choices[i].Pattern on g — streaming each
+// match to visits[i], or counting when visits is nil — and returns one
+// count per choice. A Planner's set is one pass over its merged trie (one
+// per shard under RunOptions.Shards, which applies to counting only);
+// an engine that exposes no plans is mined pattern by pattern, the
+// reference the conformance and fuzz suites diff the merged route against.
+// Explain changes nothing here but the bookkeeping: PerPattern pairs each
+// choice's predictions with its count from that same execution (sharded
+// runs skip it, see RunOptions.Shards).
+//
+// stats receives Trie (logged as the trie_decision event when ctx carries a
+// run scope), Mining and, on a typed interruption, Partial — one count per
+// choice: a merged pass interrupts every plan at once, the loop leaves the
+// patterns it never started at zero.
+func (r *Runner) mine(ctx context.Context, g graph.Adjacency, choices []Choice, visits []engine.Visitor, stats *RunStats) ([]uint64, error) {
+	ps := patternsOf(choices)
+	dec, tr, planner, err := r.planTrie(g, ps)
+	if err != nil {
+		return nil, err
+	}
+	stats.Trie = dec
+	obs.RunFrom(ctx).Event("trie_decision", obs.Bool("used", dec.Used), obs.Str("reason", dec.Reason))
+
+	// pass is one execution of the set over sg: the whole graph or a shard.
+	pass := func(sg graph.Adjacency) ([]uint64, *engine.Stats, error) {
+		if dec.Used {
+			opts, eo := planner.ExecConfig()
+			return engine.MatchTrieCtx(ctx, sg, tr, visits, opts, eo)
 		}
-		stats.PerPattern = append(stats.PerPattern, c.measured(n, elapsed))
+		counts := make([]uint64, len(ps))
+		acc := &engine.Stats{}
+		for i, p := range ps {
+			var st *engine.Stats
+			var err error
+			if visits == nil {
+				counts[i], st, err = r.Engine.CountCtx(ctx, sg, p)
+			} else if st, err = r.Engine.MatchCtx(ctx, sg, p, visits[i]); st != nil {
+				counts[i] = st.Matches
+			}
+			if st != nil {
+				acc.Add(st)
+			}
+			if err != nil {
+				return counts, acc, err
+			}
+		}
+		return counts, acc, nil
+	}
+
+	var counts []uint64
+	sharded := r.RunOptions.Shards > 1 && visits == nil
+	if sharded {
+		counts, err = r.mineSharded(ctx, g, len(ps), pass, stats)
+	} else {
+		var st *engine.Stats
+		counts, st, err = pass(g)
+		// Clone: the snapshot in RunStats must not alias a struct the
+		// engine may keep touching (see the single-merger invariant on
+		// engine.Stats).
+		stats.Mining = st.Clone()
+	}
+	if err != nil && !engine.Interrupted(err) {
+		return nil, err
+	}
+	for i, c := range choices {
+		if r.Explain && !sharded {
+			stats.PerPattern = append(stats.PerPattern, c.measured(counts[i]))
+		}
 		if err != nil {
-			return counts, err
+			stats.Partial = append(stats.Partial, PartialCount{Pattern: c.Pattern, Count: counts[i]})
 		}
 	}
-	return counts, nil
+	return counts, err
 }
 
 // mineSharded executes RunOptions.Shards-way shard-per-partition
 // counting (§7.4 drop-cross-edges semantics; see the field doc for the
-// soundness argument). The partition member lists are computed once,
-// but each shard subgraph is materialized only for the duration of its
-// own mining pass, so peak residency is the source tier plus one plain
-// shard. The plan trie was built once on the full graph and is reused
-// for every shard: a plan trie encodes only pattern-level
-// structure, so it executes unchanged against any graph, and the
-// full-graph cost model is the best available ordering heuristic for
-// its shards. stats.Mining accumulates across shards (freshly built
-// accumulator, never aliasing engine-owned memory). On a typed
-// interruption the returned counts hold the fully-mined shards'
-// progress; the caller applies the partial-result contract.
-func (r *Runner) mineSharded(ctx context.Context, rc *obs.RunContext, g graph.Adjacency, dec *TrieDecision, tr *plan.Trie, planner engine.Planner, ps []*pattern.Pattern, stats *RunStats) ([]uint64, error) {
+// soundness argument): pass, mine's one execution of the set, once per
+// shard. The partition member lists are computed once, but each shard
+// subgraph is materialized only for the duration of its own pass, so peak
+// residency is the source tier plus one plain shard. The plan trie was
+// built once on the full graph and is reused for every shard: a plan trie
+// encodes only pattern-level structure, so it executes unchanged against
+// any graph, and the full-graph cost model is the best available ordering
+// heuristic for its shards. stats.Mining accumulates across shards
+// (freshly built accumulator, never aliasing engine-owned memory). On a
+// typed interruption the returned counts hold the progress so far.
+func (r *Runner) mineSharded(ctx context.Context, g graph.Adjacency, n int, pass func(graph.Adjacency) ([]uint64, *engine.Stats, error), stats *RunStats) ([]uint64, error) {
+	rc := obs.RunFrom(ctx)
 	parts, err := graph.PartitionMembers(g, r.RunOptions.Shards)
 	if err != nil {
 		return nil, err
@@ -775,24 +778,17 @@ func (r *Runner) mineSharded(ctx context.Context, rc *obs.RunContext, g graph.Ad
 	stats.Shards = len(parts)
 	rc.Event("sharded",
 		obs.Int("requested", r.RunOptions.Shards), obs.Int("shards", len(parts)),
-		obs.Bool("trie", dec.Used))
-	counts := make([]uint64, len(ps))
+		obs.Bool("trie", stats.Trie.Used))
+	counts := make([]uint64, n)
 	acc := &engine.Stats{}
 	stats.Mining = acc
 	gv := g.View()
 	for si, members := range parts {
 		sg, err := graph.SubgraphOf(gv, members)
 		if err != nil {
-			return counts, err
+			return nil, err
 		}
-		var sc []uint64
-		var st *engine.Stats
-		if dec.Used {
-			opts, eo := planner.ExecConfig()
-			sc, st, err = engine.BacktrackTrieCtx(ctx, sg, tr, opts, eo)
-		} else {
-			sc, st, err = engine.CountAllCtx(ctx, r.Engine, sg, ps)
-		}
+		sc, st, err := pass(sg)
 		if st != nil {
 			acc.Add(st)
 		}
@@ -808,15 +804,10 @@ func (r *Runner) mineSharded(ctx context.Context, rc *obs.RunContext, g graph.Ad
 	return counts, nil
 }
 
-// MNITables answers FSM-style support queries: the full-MNI table of each
-// query pattern (every embedding inserted, Bringmann-Nijssen semantics).
-// Morphing uses the additive direction only (PolicyVertexOnly).
-func (r *Runner) MNITables(g graph.Adjacency, queries []*pattern.Pattern) ([]*aggr.Table, *RunStats, error) {
-	return r.MNITablesCtx(context.Background(), g, queries)
-}
-
-// MNITablesCtx is MNITables under a context, with MemoryBudget-driven
-// graceful degradation: when the cost model estimates that the batched
+// MNITablesCtx answers FSM-style support queries: the full-MNI table of
+// each query pattern (every embedding inserted, Bringmann-Nijssen
+// semantics). Morphing uses the additive direction only
+// (PolicyVertexOnly). MemoryBudget drives graceful degradation: when the cost model estimates that the batched
 // path's materialized matches exceed r.MemoryBudget, each alternative's
 // match stream is instead converted on the fly into the query tables
 // (Algorithm 3's coset-representative maps), trading the per-alternative
@@ -954,55 +945,10 @@ func (r *Runner) mniRun(ctx context.Context, rc *obs.RunContext, g graph.Adjacen
 }
 
 // MatchAllCtx streams every match of mine[i].Pattern to visits[i] and
-// records the execution in stats. It is the repository's one streaming
-// route, shared by the MNI pipelines and subgraph enumeration, and takes
-// the decision counting takes (planTrie): a Planner's set is one pass over
-// its merged trie, anything else — and, for per-pattern calibration, an
-// explained run — streams pattern by pattern. stats receives Trie (logged
-// as the trie_decision event when ctx carries a run scope), Mining, under
-// Explain PerPattern, and on a typed interruption Partial, one count per
-// choice: a merged pass interrupts every plan at once, the loop leaves the
-// patterns it never started at zero.
+// records the execution in stats (see mine). It is the repository's one
+// streaming route, shared by the MNI pipelines and subgraph enumeration.
 func (r *Runner) MatchAllCtx(ctx context.Context, g graph.Adjacency, mine []Choice, visits []engine.Visitor, stats *RunStats) error {
-	dec, tr, planner := r.planTrie(g, patternsOf(mine))
-	stats.Trie = dec
-	if r.Explain && dec.Used {
-		dec.Used = false
-		dec.Reason += explainMinesPerPattern
-	}
-	if rc := obs.RunFrom(ctx); rc != nil {
-		rc.Event("trie_decision", obs.Bool("used", dec.Used), obs.Str("reason", dec.Reason))
-	}
-	var counts []uint64
-	var err error
-	if dec.Used {
-		opts, eo := planner.ExecConfig()
-		var st *engine.Stats
-		counts, st, err = engine.MatchTrieCtx(ctx, g, tr, visits, opts, eo)
-		stats.Mining = st.Clone() // see countsRun
-	} else {
-		counts = make([]uint64, len(mine))
-		stats.Mining = &engine.Stats{}
-		for i, c := range mine {
-			t0 := time.Now()
-			var st *engine.Stats
-			if st, err = engine.MatchCtx(ctx, r.Engine, g, c.Pattern, visits[i]); st != nil {
-				stats.Mining.Add(st)
-				counts[i] = st.Matches
-			}
-			if r.Explain {
-				stats.PerPattern = append(stats.PerPattern, c.measured(counts[i], time.Since(t0)))
-			}
-			if err != nil {
-				break
-			}
-		}
-	}
-	if engine.Interrupted(err) {
-		for i, c := range mine {
-			stats.Partial = append(stats.Partial, PartialCount{Pattern: c.Pattern, Count: counts[i]})
-		}
-	}
+	_, err := r.mine(ctx, g, mine, visits, stats)
 	return err
 }
 
@@ -1044,8 +990,7 @@ func (r *Runner) EstimateAdmission(ctx context.Context, g graph.Adjacency, queri
 // batched path materializes: expected matches per alternative times the
 // pattern's vertices times 4 (uint32 vertex IDs). The model estimates
 // over the graph's dense portion, so this is a relative proxy (compare
-// it against MemoryBudget in the same units), rounded up so any nonzero
-// estimate survives truncation.
+// it against MemoryBudget in the same units).
 func (r *Runner) estimateMatchBytes(g graph.Adjacency, sel *Selection) uint64 {
 	model := costmodel.New(graph.Summarize(g), r.weights())
 	total := 0.0
@@ -1056,10 +1001,16 @@ func (r *Runner) estimateMatchBytes(g graph.Adjacency, sel *Selection) uint64 {
 		}
 		total += model.MatchEstimate(c.Pattern, aut) * float64(c.Pattern.N()) * 4
 	}
-	if math.IsNaN(total) || total < 0 {
-		return 0
-	}
-	if total >= math.MaxUint64 {
+	return clampBytes(total)
+}
+
+// clampBytes turns the model's float byte estimate into the integer that
+// budgets are compared against, failing closed: an estimate that is not a
+// finite non-negative number (NaN, negative, +Inf, beyond uint64) is the
+// largest value there is, so it exceeds every budget instead of passing as
+// free; a fractional one rounds up.
+func clampBytes(total float64) uint64 {
+	if !(total >= 0 && total < math.MaxUint64) {
 		return math.MaxUint64
 	}
 	return uint64(math.Ceil(total))
@@ -1067,9 +1018,9 @@ func (r *Runner) estimateMatchBytes(g graph.Adjacency, sel *Selection) uint64 {
 
 // MineMNITable streams one pattern's matches into a full MNI table (see
 // mniSink): the per-pattern form the merged route is tested against.
-func MineMNITable(eng engine.Engine, g graph.Adjacency, p *pattern.Pattern) (*aggr.Table, *engine.Stats, error) {
+func MineMNITable(ctx context.Context, eng engine.Engine, g graph.Adjacency, p *pattern.Pattern) (*aggr.Table, *engine.Stats, error) {
 	sink := newMNISink(p.N())
-	st, err := eng.Match(g, p, sink.insert)
+	st, err := eng.MatchCtx(ctx, g, p, sink.insert)
 	if err != nil {
 		return nil, st, err
 	}

@@ -177,7 +177,7 @@ func (d *SDAG) Len() int { return len(d.Nodes()) }
 func (d *SDAG) Nodes() []*Node {
 	for _, q := range d.queries {
 		// An up-set over the bound stays partly built.
-		_, _ = d.upSet(context.Background(), q)
+		_, _ = d.UpSet(q)
 	}
 	out := make([]*Node, 0, len(d.nodes))
 	for _, n := range d.nodes {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"morphing/internal/graph"
@@ -24,7 +25,7 @@ func TestShardedCountsSumOverShards(t *testing.T) {
 
 	// The plan-less route: every shard is a loop of one-leaf tries.
 	sharded := &Runner{Engine: noPlanEngine{peregrine.New(2)}, RunOptions: RunOptions{Shards: k}}
-	got, stats, err := sharded.Counts(g, queries)
+	got, stats, err := sharded.CountsCtx(context.Background(), g, queries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestShardedCountsSumOverShards(t *testing.T) {
 	want := make([]uint64, len(queries))
 	for _, sg := range parts {
 		plain := &Runner{Engine: noPlanEngine{peregrine.New(2)}}
-		sc, _, err := plain.Counts(sg, queries)
+		sc, _, err := plain.CountsCtx(context.Background(), sg, queries)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +63,7 @@ func TestShardedCountsSumOverShards(t *testing.T) {
 	// The merged trie must shard to the same numbers: it is built once on
 	// the full graph and executed per shard.
 	trie := &Runner{Engine: peregrine.New(2), RunOptions: RunOptions{Shards: k}}
-	tc, tstats, err := trie.Counts(g, queries)
+	tc, tstats, err := trie.CountsCtx(context.Background(), g, queries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestShardedSkipsExplainCalibration(t *testing.T) {
 	}
 	r := &Runner{Engine: peregrine.New(2), Explain: true,
 		RunOptions: RunOptions{Shards: 2}}
-	_, stats, err := r.Counts(g, queries)
+	_, stats, err := r.CountsCtx(context.Background(), g, queries)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"morphing/internal/graph"
@@ -23,7 +24,7 @@ func TestStorageAttribution(t *testing.T) {
 	}
 	queries := []*pattern.Pattern{pattern.Triangle().AsVertexInduced()}
 
-	_, st, err := r.Counts(c, queries)
+	_, st, err := r.CountsCtx(context.Background(), c, queries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestStorageAttribution(t *testing.T) {
 	// Two concurrent-ish runs stay disjoint: a second run's attribution
 	// reflects only its own work (same query => same magnitude, not
 	// cumulative).
-	_, st2, err := r.Counts(c, queries)
+	_, st2, err := r.CountsCtx(context.Background(), c, queries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestStorageAttribution(t *testing.T) {
 	}
 
 	// Plain CSR: no decode work, no storage section.
-	_, stPlain, err := r.Counts(g, queries)
+	_, stPlain, err := r.CountsCtx(context.Background(), g, queries)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,8 +35,9 @@ func routingGraph(t *testing.T) *graph.Graph {
 
 // TestPlanTrieDecisions pins the route and its reasons, since EXPLAIN
 // output and the run report surface them verbatim: a Planner's winner set
-// is one trie whatever its size and sharing, anything else falls back to
-// the engine's CountAll.
+// is one trie whatever its size and sharing, an engine without plans is
+// mined pattern by pattern, and a Planner that cannot plan the set fails
+// with its own error.
 func TestPlanTrieDecisions(t *testing.T) {
 	g := routingGraph(t)
 	motifs := []*pattern.Pattern{
@@ -45,8 +46,8 @@ func TestPlanTrieDecisions(t *testing.T) {
 
 	t.Run("planner", func(t *testing.T) {
 		r := &Runner{Engine: peregrine.New(1)}
-		dec, tr, planner := r.planTrie(g, motifs)
-		if !dec.Used || tr == nil || planner == nil {
+		dec, tr, planner, err := r.planTrie(g, motifs)
+		if err != nil || !dec.Used || tr == nil || planner == nil {
 			t.Fatalf("used=%v reason=%q", dec.Used, dec.Reason)
 		}
 		if dec.MaxSharedPrefix < 2 || dec.Patterns != len(motifs) || dec.Nodes != tr.Nodes || dec.SharedLevels != tr.SharedLevels {
@@ -56,8 +57,8 @@ func TestPlanTrieDecisions(t *testing.T) {
 
 	t.Run("single pattern is a one-leaf trie", func(t *testing.T) {
 		r := &Runner{Engine: peregrine.New(1)}
-		dec, tr, _ := r.planTrie(g, motifs[2:])
-		if !dec.Used || tr == nil || dec.Nodes != 4 || dec.SharedLevels != 0 || dec.Patterns != 1 {
+		dec, tr, _, err := r.planTrie(g, motifs[2:])
+		if err != nil || !dec.Used || tr == nil || dec.Nodes != 4 || dec.SharedLevels != 0 || dec.Patterns != 1 {
 			t.Fatalf("used=%v decision %+v", dec.Used, dec)
 		}
 	})
@@ -68,29 +69,28 @@ func TestPlanTrieDecisions(t *testing.T) {
 		b := pattern.MustNew(3, [][2]int{{0, 1}, {0, 2}},
 			pattern.WithLabels([]int32{2, 2, 2}))
 		r := &Runner{Engine: peregrine.New(1)}
-		dec, tr, _ := r.planTrie(g, []*pattern.Pattern{a, b})
-		if !dec.Used || tr == nil || len(tr.Roots) != 2 || dec.MaxSharedPrefix != 0 || dec.SharedLevels != 0 {
+		dec, tr, _, err := r.planTrie(g, []*pattern.Pattern{a, b})
+		if err != nil || !dec.Used || tr == nil || len(tr.Roots) != 2 || dec.MaxSharedPrefix != 0 || dec.SharedLevels != 0 {
 			t.Fatalf("used=%v decision %+v", dec.Used, dec)
 		}
 	})
 
 	t.Run("non-planner engine", func(t *testing.T) {
 		r := &Runner{Engine: noPlanEngine{peregrine.New(1)}}
-		dec, tr, _ := r.planTrie(g, motifs)
-		if dec.Used || tr != nil || !strings.Contains(dec.Reason, "no plans") {
+		dec, tr, _, err := r.planTrie(g, motifs)
+		if err != nil || dec.Used || tr != nil || !strings.Contains(dec.Reason, "no plans") {
 			t.Fatalf("used=%v reason=%q", dec.Used, dec.Reason)
 		}
 	})
 
-	t.Run("planning failure falls back to the engine's own error", func(t *testing.T) {
+	t.Run("planning failure is the engine's own error", func(t *testing.T) {
 		r := &Runner{Engine: graphpi.New(1)}
 		ps := []*pattern.Pattern{pattern.FourCycle().AsVertexInduced()}
-		dec, tr, _ := r.planTrie(g, ps)
-		if dec.Used || tr != nil || !strings.HasPrefix(dec.Reason, "planning failed") {
-			t.Fatalf("used=%v reason=%q", dec.Used, dec.Reason)
+		if _, tr, _, err := r.planTrie(g, ps); tr != nil || !errors.Is(err, engine.ErrInducedUnsupported) {
+			t.Fatalf("planTrie reported %v, want ErrInducedUnsupported", err)
 		}
-		if _, _, err := engine.CountAllCtx(context.Background(), r.Engine, g, ps); !errors.Is(err, engine.ErrInducedUnsupported) {
-			t.Fatalf("fallback route reported %v, want ErrInducedUnsupported", err)
+		if counts, err := r.mine(context.Background(), g, []Choice{{Pattern: ps[0]}}, nil, &RunStats{}); counts != nil || !errors.Is(err, engine.ErrInducedUnsupported) {
+			t.Fatalf("mine reported %v, want ErrInducedUnsupported", err)
 		}
 	})
 }
@@ -115,7 +115,7 @@ func TestRunnerRoutesCountsMatch(t *testing.T) {
 			merged := &Runner{Engine: peregrine.New(2), DisableMorphing: baseline}
 			looped := &Runner{Engine: noPlanEngine{peregrine.New(2)}, DisableMorphing: baseline}
 
-			got, mst, err := merged.Counts(g, qs)
+			got, mst, err := merged.CountsCtx(context.Background(), g, qs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,7 +127,7 @@ func TestRunnerRoutesCountsMatch(t *testing.T) {
 					mst.Mining.TriePasses, len(mst.Mining.TrieNodes), mst.Trie.Nodes)
 			}
 
-			per, lst, err := looped.Counts(g, qs)
+			per, lst, err := looped.CountsCtx(context.Background(), g, qs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,8 +149,8 @@ func TestRunnerRoutesCountsMatch(t *testing.T) {
 
 // TestMNIRunsRecordTheRoute: the MNI pipeline takes counting's decision and
 // reports it the same way — RunStats.Trie plus the trie_decision event —
-// on all three outcomes: a Planner's level is one streaming pass, an
-// explained run keeps mining per pattern for calibration (and says so), a
+// on all three outcomes: a Planner's level is one streaming pass, explained
+// or not (an explained run adds its calibration rows, nothing else), a
 // plan-less engine streams pattern by pattern. Tables agree throughout.
 func TestMNIRunsRecordTheRoute(t *testing.T) {
 	g := routingGraph(t)
@@ -163,10 +163,10 @@ func TestMNIRunsRecordTheRoute(t *testing.T) {
 		reason string
 	}{
 		{"planner", &Runner{Engine: peregrine.New(2)}, true, "in one pass"},
-		{"explain", &Runner{Engine: peregrine.New(2), Explain: true}, false, explainMinesPerPattern},
+		{"explain", &Runner{Engine: peregrine.New(2), Explain: true}, true, "in one pass"},
 		{"no plans", &Runner{Engine: noPlanEngine{peregrine.New(2)}}, false, "no plans"},
 	} {
-		tables, st, err := tc.r.MNITables(g, queries)
+		tables, st, err := tc.r.MNITablesCtx(context.Background(), g, queries)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

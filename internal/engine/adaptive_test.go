@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"testing"
 
 	"morphing/internal/canon"
@@ -24,7 +25,7 @@ func TestCountingTriangleWritesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, st, err := Backtrack(g, pl, nil, ExecOptions{Threads: 2}, nil)
+	got, st, err := BacktrackCtx(context.Background(), g, pl, nil, ExecOptions{Threads: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestCountingStatsPathPartition(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, st, err := Backtrack(g, pl, nil, ExecOptions{Threads: 2}, nil)
+			_, st, err := BacktrackCtx(context.Background(), g, pl, nil, ExecOptions{Threads: 2}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -114,11 +115,11 @@ func TestBacktrackHubIndexMatchesOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				off, _, err := Backtrack(noHubRows{g}, pl, nil, ExecOptions{Threads: 2}, nil)
+				off, _, err := BacktrackCtx(context.Background(), noHubRows{g}, pl, nil, ExecOptions{Threads: 2}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				on, _, err := Backtrack(g, pl, nil, ExecOptions{Threads: 2}, nil)
+				on, _, err := BacktrackCtx(context.Background(), g, pl, nil, ExecOptions{Threads: 2}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

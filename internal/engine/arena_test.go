@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -48,7 +49,7 @@ func TestPooledArenaConcurrentExecutions(t *testing.T) {
 				// Alternate pattern per iteration so pooled workers get
 				// reshaped for different k/plan shapes, not just rebound.
 				i := (gr + it) % len(plans)
-				n, _, err := Backtrack(g, plans[i], nil, ExecOptions{Threads: 2}, nil)
+				n, _, err := BacktrackCtx(context.Background(), g, plans[i], nil, ExecOptions{Threads: 2}, nil)
 				if err != nil {
 					t.Error(err)
 					return
@@ -57,7 +58,7 @@ func TestPooledArenaConcurrentExecutions(t *testing.T) {
 					t.Errorf("goroutine %d iter %d plan %d: count %d, want %d", gr, it, i, n, want[i])
 					return
 				}
-				counts, _, err := BacktrackTrie(g, tr, ExecOptions{Threads: 2}, nil)
+				counts, _, err := BacktrackTrieCtx(context.Background(), g, tr, ExecOptions{Threads: 2}, nil)
 				if err != nil {
 					t.Error(err)
 					return

@@ -42,7 +42,7 @@ func (o ExecOptions) ThreadCount() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Backtrack explores all unique matches of the plan's pattern in g using
+// BacktrackCtx explores all unique matches of the plan's pattern in g using
 // pattern-aware backtracking: per level, candidates are the intersection
 // of the adjacency lists of earlier matched neighbors, minus the adjacency
 // lists of anti-neighbors, clipped by symmetry-breaking bounds. It is the
@@ -53,26 +53,20 @@ func (o ExecOptions) ThreadCount() int {
 //
 // o is the observability sink: counters land in its registry (workers
 // flush per block, so hot loops stay on private fields). nil falls back
-// to obs.Default(). The observer travels as its own argument rather than
-// an ExecOptions field on purpose: keeping ExecOptions pointer-free keeps
-// its GC shape trivial, which measurably matters to the executor's inner
-// loops (adding a pointer field cost ~6% on motif counting).
-func Backtrack(g graph.Adjacency, pl *plan.Plan, visit Visitor, opts ExecOptions, o *obs.Observer) (uint64, *Stats, error) {
-	return BacktrackCtx(context.Background(), g, pl, visit, opts, o)
-}
-
-// BacktrackCtx is Backtrack with cooperative cancellation and panic
-// isolation. Like the observer, the context rides alongside ExecOptions
-// rather than inside it, keeping the options struct pointer-free (its GC
-// shape measurably matters — see Backtrack).
+// to obs.Default(). The observer and the context travel as their own
+// arguments rather than ExecOptions fields on purpose: keeping ExecOptions
+// pointer-free keeps its GC shape trivial, which measurably matters to the
+// executor's inner loops (adding a pointer field cost ~6% on motif
+// counting).
 //
-// Cancellation is checked when a worker claims a work block, never in
-// the inner matching loops: a cancel or deadline takes effect within one
-// block's worth of work and returns the partial count plus ErrCanceled /
-// ErrDeadlineExceeded (see the partial-result contract in ctx.go). A
-// panic thrown by the visitor is recovered in the owning worker, aborts
-// the sibling workers at their next block claim, and is surfaced as a
-// single *PanicError carrying the stack — the process never crashes.
+// Cancellation is polled when a worker claims a work block and once per
+// execution of a trie node that is not a leaf, never inside a leaf's
+// kernels: a cancel or deadline takes effect within one such node's work
+// and returns the partial count plus ErrCanceled / ErrDeadlineExceeded
+// (see the partial-result contract in ctx.go). A panic thrown by the
+// visitor is recovered in the owning worker, aborts the sibling workers at
+// their next poll, and is surfaced as a single *PanicError carrying the
+// stack — the process never crashes.
 //
 // It opens no span: the engines name the pass (mine/<pattern>) around it.
 func BacktrackCtx(ctx context.Context, g graph.Adjacency, pl *plan.Plan, visit Visitor, opts ExecOptions, o *obs.Observer) (uint64, *Stats, error) {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -30,7 +31,7 @@ func countBT(t *testing.T, g *graph.Graph, p *pattern.Pattern, threads int) uint
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, st, err := Backtrack(g, pl, nil, ExecOptions{Threads: threads}, nil)
+	got, st, err := BacktrackCtx(context.Background(), g, pl, nil, ExecOptions{Threads: threads}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestBacktrackStreamsUniqueCanonicalMatches(t *testing.T) {
 		var mu sync.Mutex
 		got := map[string]bool{}
 		dups := 0
-		_, st, err := Backtrack(g, pl, func(worker int, m []uint32) {
+		_, st, err := BacktrackCtx(context.Background(), g, pl, func(worker int, m []uint32) {
 			c := canon.CanonicalMatch(p, m, auts)
 			k := fmt.Sprint(c)
 			mu.Lock()
@@ -192,7 +193,7 @@ func TestBacktrackMatchVertexOrder(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var seen [][]uint32
-	_, _, err = Backtrack(g, pl, func(_ int, m []uint32) {
+	_, _, err = BacktrackCtx(context.Background(), g, pl, func(_ int, m []uint32) {
 		mu.Lock()
 		seen = append(seen, append([]uint32(nil), m...))
 		mu.Unlock()
@@ -232,7 +233,7 @@ func TestBacktrackInstrumentation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, st, err := Backtrack(g, pl, nil, ExecOptions{Threads: 2, Instrument: true}, nil)
+	_, st, err := BacktrackCtx(context.Background(), g, pl, nil, ExecOptions{Threads: 2, Instrument: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +378,7 @@ func TestBacktrackPinned(t *testing.T) {
 							want, wantCalls = tables[1], tc.count
 						}
 						name := fmt.Sprintf("%s stream=%v threads=%d instrument=%v label-rows=%v", tc.pattern, stream, threads, instrument, rows)
-						got, st, err := Backtrack(g, pl, visit, ExecOptions{Threads: threads, Instrument: instrument}, nil)
+						got, st, err := BacktrackCtx(context.Background(), g, pl, visit, ExecOptions{Threads: threads, Instrument: instrument}, nil)
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}
@@ -407,7 +408,7 @@ func TestBacktrackPinned(t *testing.T) {
 }
 
 func TestBacktrackNilPlan(t *testing.T) {
-	if _, _, err := Backtrack(completeGraph(3), nil, nil, ExecOptions{}, nil); err == nil {
+	if _, _, err := BacktrackCtx(context.Background(), completeGraph(3), nil, nil, ExecOptions{}, nil); err == nil {
 		t.Fatal("nil plan accepted")
 	}
 }

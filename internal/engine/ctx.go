@@ -83,70 +83,8 @@ func Interrupted(err error) bool {
 		errors.As(err, &pe)
 }
 
-// CtxEngine is the optional context-aware superset of Engine. All four
-// engine models implement it (Model); the Ctx methods honor cooperative
-// cancellation at the executor's poll points and follow the
-// partial-result contract above. CountAllCtx additionally guarantees
-// that on interruption the returned slice holds each pattern's partial
-// count (zero for patterns not yet started).
-//
-// Engine itself stays unchanged so existing call sites and third-party
-// implementations keep compiling; use the package-level CountCtx /
-// CountAllCtx / MatchCtx helpers to dispatch against any Engine.
-type CtxEngine interface {
-	Engine
-	CountCtx(ctx context.Context, g graph.Adjacency, p *pattern.Pattern) (uint64, *Stats, error)
-	CountAllCtx(ctx context.Context, g graph.Adjacency, ps []*pattern.Pattern) ([]uint64, *Stats, error)
-	MatchCtx(ctx context.Context, g graph.Adjacency, p *pattern.Pattern, visit Visitor) (*Stats, error)
-}
-
-// CountCtx runs e.Count under ctx when e implements CtxEngine. For plain
-// engines it degrades gracefully: the context is checked before and
-// after the (uninterruptible) run, so a pre-expired context never starts
-// work and an expiry during the run is still reported — just without
-// mid-run cancellation.
-func CountCtx(ctx context.Context, e Engine, g graph.Adjacency, p *pattern.Pattern) (uint64, *Stats, error) {
-	if ce, ok := e.(CtxEngine); ok {
-		return ce.CountCtx(ctx, g, p)
-	}
-	if err := CtxErr(ctx); err != nil {
-		return 0, nil, err
-	}
-	c, st, err := e.Count(g, p)
-	if err == nil {
-		err = CtxErr(ctx)
-	}
-	return c, st, err
-}
-
-// CountAllCtx runs e.CountAll under ctx; see CountCtx for the plain
-// Engine fallback semantics.
+// CountAllCtx is e.CountAllCtx(ctx, g, ps): the spelling the repository
+// benchmark's untrie'd replay calls.
 func CountAllCtx(ctx context.Context, e Engine, g graph.Adjacency, ps []*pattern.Pattern) ([]uint64, *Stats, error) {
-	if ce, ok := e.(CtxEngine); ok {
-		return ce.CountAllCtx(ctx, g, ps)
-	}
-	if err := CtxErr(ctx); err != nil {
-		return nil, nil, err
-	}
-	counts, st, err := e.CountAll(g, ps)
-	if err == nil {
-		err = CtxErr(ctx)
-	}
-	return counts, st, err
-}
-
-// MatchCtx runs e.Match under ctx; see CountCtx for the plain Engine
-// fallback semantics.
-func MatchCtx(ctx context.Context, e Engine, g graph.Adjacency, p *pattern.Pattern, visit Visitor) (*Stats, error) {
-	if ce, ok := e.(CtxEngine); ok {
-		return ce.MatchCtx(ctx, g, p, visit)
-	}
-	if err := CtxErr(ctx); err != nil {
-		return nil, err
-	}
-	st, err := e.Match(g, p, visit)
-	if err == nil {
-		err = CtxErr(ctx)
-	}
-	return st, err
+	return e.CountAllCtx(ctx, g, ps)
 }

@@ -5,6 +5,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"time"
 
@@ -34,7 +35,10 @@ type Visitor func(worker int, m []uint32)
 // Engine is a pattern matching engine. Implementations differ in matching
 // strategy, multi-pattern handling and which induced semantics they
 // support natively — the very differences Subgraph Morphing exploits
-// (§3.4).
+// (§3.4). Every mining operation takes the caller's context first and
+// follows the partial-result contract of ctx.go: an implementation that
+// cannot stop mid-run reports CtxErr(ctx) before it starts and after it
+// finishes.
 type Engine interface {
 	// Name returns the short system name used in figures.
 	Name() string
@@ -43,13 +47,14 @@ type Engine interface {
 	// vertex-induced support (GraphPi and BigJoin models) need Filter
 	// UDFs or Subgraph Morphing for those queries.
 	SupportsInduced(iv pattern.Induced) bool
-	// Count returns the number of unique matches of p in g.
-	Count(g graph.Adjacency, p *pattern.Pattern) (uint64, *Stats, error)
-	// CountAll counts several patterns, letting engines share work across
-	// them (AutoZero merges schedules).
-	CountAll(g graph.Adjacency, ps []*pattern.Pattern) ([]uint64, *Stats, error)
-	// Match streams every unique match of p to visit.
-	Match(g graph.Adjacency, p *pattern.Pattern, visit Visitor) (*Stats, error)
+	// CountCtx returns the number of unique matches of p in g.
+	CountCtx(ctx context.Context, g graph.Adjacency, p *pattern.Pattern) (uint64, *Stats, error)
+	// CountAllCtx counts several patterns, letting engines share work
+	// across them (AutoZero merges schedules). On interruption the slice
+	// holds each pattern's partial count (zero for patterns not started).
+	CountAllCtx(ctx context.Context, g graph.Adjacency, ps []*pattern.Pattern) ([]uint64, *Stats, error)
+	// MatchCtx streams every unique match of p to visit.
+	MatchCtx(ctx context.Context, g graph.Adjacency, p *pattern.Pattern, visit Visitor) (*Stats, error)
 }
 
 // Stats instruments one engine execution. The counters mirror the
@@ -86,7 +91,7 @@ type Stats struct {
 	TailSteals     uint64 // tail work-stealing block splits performed
 
 	// Executor passes: TriePasses counts passes of the depth-first
-	// executor — one per Backtrack (a one-leaf trie) or BacktrackTrie call —
+	// executor — one per BacktrackCtx (a one-leaf trie) or MatchTrieCtx call —
 	// TriePatterns the plans they covered, TrieSharedLevels the plan levels
 	// merging shared (candidate computations saved relative to one-leaf passes).
 	TriePasses       uint64

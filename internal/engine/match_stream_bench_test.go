@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"testing"
 
 	"morphing/internal/dataset"
@@ -43,7 +44,7 @@ func BenchmarkMatchStream(b *testing.B) {
 			b.ResetTimer()
 			var matches uint64
 			for i := 0; i < b.N; i++ {
-				n, _, err := Backtrack(g, pl, visit, ExecOptions{}, nil)
+				n, _, err := BacktrackCtx(context.Background(), g, pl, visit, ExecOptions{}, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

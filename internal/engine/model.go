@@ -20,15 +20,15 @@ type Policy interface {
 	// executes for p on g; semantics it does not match natively fail with
 	// ErrInducedUnsupported.
 	Plan(g graph.Adjacency, p *pattern.Pattern) (*plan.Plan, error)
-	// MergesCountAll reports whether CountAll mines a pattern set as one
+	// MergesCountAll reports whether CountAllCtx mines a pattern set as one
 	// merged trie (AutoZero's schedule merging), not pattern by pattern.
 	MergesCountAll() bool
 }
 
 // Model is an engine model: a planning Policy over the depth-first
 // executor. Each of the four engine packages is its Policy plus
-// `type Engine = engine.Model[Policy]`; the Engine, CtxEngine and Planner
-// method sets are written here, once.
+// `type Engine = engine.Model[Policy]`; the Engine and Planner method sets
+// are written here, once.
 type Model[P Policy] struct {
 	Threads    int           // worker count (0 = GOMAXPROCS)
 	Instrument bool          // phase timings for profiling figures
@@ -69,23 +69,13 @@ func (m *Model[P]) run(ctx context.Context, g graph.Adjacency, p *pattern.Patter
 	return BacktrackCtx(ctx, g, pl, visit, opts, o)
 }
 
-// Count implements Engine.
-func (m *Model[P]) Count(g graph.Adjacency, p *pattern.Pattern) (uint64, *Stats, error) {
-	return m.run(context.Background(), g, p, nil)
-}
-
-// CountCtx implements CtxEngine: Count with cooperative cancellation at
-// the executor's poll points (partial counts on interruption).
+// CountCtx implements Engine, with cooperative cancellation at the
+// executor's poll points (partial counts on interruption).
 func (m *Model[P]) CountCtx(ctx context.Context, g graph.Adjacency, p *pattern.Pattern) (uint64, *Stats, error) {
 	return m.run(ctx, g, p, nil)
 }
 
-// Match implements Engine.
-func (m *Model[P]) Match(g graph.Adjacency, p *pattern.Pattern, visit Visitor) (*Stats, error) {
-	return m.MatchCtx(context.Background(), g, p, visit)
-}
-
-// MatchCtx implements CtxEngine: Match with cooperative cancellation and
+// MatchCtx implements Engine, with cooperative cancellation and
 // visitor-panic containment. It streams one pattern; a pattern set streams
 // in one pass through BuildTrie + MatchTrieCtx (core.Runner.MatchAllCtx).
 func (m *Model[P]) MatchCtx(ctx context.Context, g graph.Adjacency, p *pattern.Pattern, visit Visitor) (*Stats, error) {
@@ -93,12 +83,7 @@ func (m *Model[P]) MatchCtx(ctx context.Context, g graph.Adjacency, p *pattern.P
 	return st, err
 }
 
-// CountAll implements Engine.
-func (m *Model[P]) CountAll(g graph.Adjacency, ps []*pattern.Pattern) ([]uint64, *Stats, error) {
-	return m.CountAllCtx(context.Background(), g, ps)
-}
-
-// CountAllCtx implements CtxEngine. A merging policy runs the set as one
+// CountAllCtx implements Engine. A merging policy runs the set as one
 // trie pass; any other counts pattern by pattern (§7.1: why extra
 // superpatterns cost such systems more), and on interruption the slice
 // holds the partial counts so far, zero for patterns not yet started.

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -118,7 +119,7 @@ func TestTailStealingOnSkewedGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(noSteal bool) (uint64, *Stats) {
-		c, st, err := Backtrack(g, pl, nil, ExecOptions{Threads: 4, NoTailSteal: noSteal}, nil)
+		c, st, err := BacktrackCtx(context.Background(), g, pl, nil, ExecOptions{Threads: 4, NoTailSteal: noSteal}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +175,7 @@ func TestTrieTailStealing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, stOff, err := BacktrackTrie(g, tr, ExecOptions{Threads: 4, NoTailSteal: true}, nil)
+	off, stOff, err := BacktrackTrieCtx(context.Background(), g, tr, ExecOptions{Threads: 4, NoTailSteal: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +184,7 @@ func TestTrieTailStealing(t *testing.T) {
 	}
 	stole := false
 	for attempt := 0; attempt < 10 && !stole; attempt++ {
-		counts, st, err := BacktrackTrie(g, tr, ExecOptions{Threads: 4}, nil)
+		counts, st, err := BacktrackTrieCtx(context.Background(), g, tr, ExecOptions{Threads: 4}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,13 +224,13 @@ func TestTailStealRelievesStalledWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := Backtrack(g, pl, nil, ExecOptions{Threads: 1}, nil)
+	want, _, err := BacktrackCtx(context.Background(), g, pl, nil, ExecOptions{Threads: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	stole := false
 	for attempt := 0; attempt < 5 && !stole; attempt++ {
-		got, st, err := Backtrack(g, pl, nil, ExecOptions{Threads: 4}, nil)
+		got, st, err := BacktrackCtx(context.Background(), g, pl, nil, ExecOptions{Threads: 4}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,7 +21,7 @@ import (
 // is one pass of a plan.Trie over the data graph: plan.MergePlans folds any
 // engine's plans on their shared matching-order prefixes, the pass
 // enumerates each shared partial embedding once and fans out into the
-// per-pattern subtrees, and a single plan is the one-leaf case (Backtrack).
+// per-pattern subtrees, and a single plan is the one-leaf case (BacktrackCtx).
 // A pass either counts — one count per leaf plan, the last levels never
 // materialized — or streams every match to its leaf plan's own Visitor
 // (MatchTrieCtx). Around the loop nest sit the adaptive set-operation entry
@@ -58,17 +58,12 @@ func BuildTrie(e Planner, g graph.Adjacency, ps []*pattern.Pattern) (*plan.Trie,
 	return plan.MergePlans(plans)
 }
 
-// BacktrackTrie mines every pattern of the merged trie in one counting
-// pass, returning one count per plan (in tr.Plans order).
-func BacktrackTrie(g graph.Adjacency, tr *plan.Trie, opts ExecOptions, o *obs.Observer) ([]uint64, *Stats, error) {
-	return BacktrackTrieCtx(context.Background(), g, tr, opts, o)
-}
-
-// BacktrackTrieCtx is BacktrackTrie with cooperative cancellation and
-// panic isolation, under the same partial-result contract as BacktrackCtx:
-// an interrupted pass returns partial counts for every pattern
-// simultaneously, each reflecting what was counted before the abort took
-// effect. The pass is one mine/trie span.
+// BacktrackTrieCtx mines every pattern of the merged trie in one counting
+// pass, returning one count per plan (in tr.Plans order), with cooperative
+// cancellation and panic isolation under the same partial-result contract
+// as BacktrackCtx: an interrupted pass returns partial counts for every
+// pattern simultaneously, each reflecting what was counted before the
+// abort took effect. The pass is one mine/trie span.
 func BacktrackTrieCtx(ctx context.Context, g graph.Adjacency, tr *plan.Trie, opts ExecOptions, o *obs.Observer) ([]uint64, *Stats, error) {
 	return MatchTrieCtx(ctx, g, tr, nil, opts, o)
 }

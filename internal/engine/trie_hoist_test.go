@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"testing"
 
 	"morphing/internal/canon"
@@ -103,7 +104,7 @@ func TestPooledTrieWorkerNeverServesStaleBase(t *testing.T) {
 			tr *plan.Trie
 		}{{g1, five}, {g2, five}, {g1, four}, {g2, five}, {g2, four}, {g1, five}} {
 			want := want[pass.g][pass.tr]
-			got, _, err := BacktrackTrie(pass.g, pass.tr, ExecOptions{Threads: 1}, nil)
+			got, _, err := BacktrackTrieCtx(context.Background(), pass.g, pass.tr, ExecOptions{Threads: 1}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -142,7 +143,7 @@ func BenchmarkTrieHoist(b *testing.B) {
 			b.ResetTimer()
 			var ops uint64
 			for i := 0; i < b.N; i++ {
-				_, st, err := BacktrackTrie(g, tr, ExecOptions{}, nil)
+				_, st, err := BacktrackTrieCtx(context.Background(), g, tr, ExecOptions{}, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -167,11 +168,11 @@ func TestLabelRowsBuiltByTheFirstLabeledPass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := BacktrackTrie(g, mergedTrie(t, all4), ExecOptions{Threads: 2}, nil); err != nil {
+	if _, _, err := BacktrackTrieCtx(context.Background(), g, mergedTrie(t, all4), ExecOptions{Threads: 2}, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []*pattern.Pattern{pattern.Triangle().AsVertexInduced(), pattern.MustNew(1, nil, pattern.WithLabels([]int32{0}))} {
-		if _, _, err := Backtrack(g, mergedTrie(t, []*pattern.Pattern{p}).Plans[0], func(int, []uint32) {}, ExecOptions{Threads: 2}, nil); err != nil {
+		if _, _, err := BacktrackCtx(context.Background(), g, mergedTrie(t, []*pattern.Pattern{p}).Plans[0], func(int, []uint32) {}, ExecOptions{Threads: 2}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -179,7 +180,7 @@ func TestLabelRowsBuiltByTheFirstLabeledPass(t *testing.T) {
 		t.Fatalf("unlabeled passes built a %d B label-row index", b)
 	}
 	wedge := pattern.MustNew(3, pattern.Wedge().Edges(), pattern.WithLabels([]int32{0, 1, pattern.Unlabeled}))
-	got, _, err := Backtrack(g, mergedTrie(t, []*pattern.Pattern{wedge}).Plans[0], nil, ExecOptions{Threads: 2}, nil)
+	got, _, err := BacktrackCtx(context.Background(), g, mergedTrie(t, []*pattern.Pattern{wedge}).Plans[0], nil, ExecOptions{Threads: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

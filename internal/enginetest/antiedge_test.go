@@ -1,6 +1,7 @@
 package enginetest
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -46,7 +47,7 @@ func TestAntiEdgePatternsOnNativeEngines(t *testing.T) {
 		for _, p := range antiPatterns(t) {
 			want := refmatch.Count(plain, p)
 			for _, e := range []engine.Engine{peregrine.New(3), autozero.New(3)} {
-				got, _, err := e.Count(g, p)
+				got, _, err := e.CountCtx(context.Background(), g, p)
 				if err != nil {
 					t.Fatalf("%s: %v", e.Name(), err)
 				}
@@ -67,11 +68,11 @@ func TestAntiEdgeCountsRelateToVariants(t *testing.T) {
 	forEachSuite(t, 64, 0, func(t *testing.T, g graph.Adjacency, plain *graph.Graph) {
 		eng := peregrine.New(2)
 		for _, p := range antiPatterns(t) {
-			cAnti, _, err := eng.Count(g, p)
+			cAnti, _, err := eng.CountCtx(context.Background(), g, p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cV, _, err := eng.Count(g, p.AsVertexInduced())
+			cV, _, err := eng.CountCtx(context.Background(), g, p.AsVertexInduced())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,11 +95,11 @@ func TestFullAntiSetEqualsVertexInduced(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cFull, _, err := eng.Count(g, full)
+			cFull, _, err := eng.CountCtx(context.Background(), g, full)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cV, _, err := eng.Count(g, base.AsVertexInduced())
+			cV, _, err := eng.CountCtx(context.Background(), g, base.AsVertexInduced())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -113,7 +114,7 @@ func TestAntiEdgeRejectedByEdgeOnlyEngines(t *testing.T) {
 	forEachSuite(t, 65, 0, func(t *testing.T, g graph.Adjacency, plain *graph.Graph) {
 		p := antiPatterns(t)[0]
 		for _, e := range []engine.Engine{graphpi.New(1), bigjoin.New(1)} {
-			if _, _, err := e.Count(g, p); !errors.Is(err, engine.ErrInducedUnsupported) {
+			if _, _, err := e.CountCtx(context.Background(), g, p); !errors.Is(err, engine.ErrInducedUnsupported) {
 				t.Errorf("%s: got %v, want ErrInducedUnsupported", e.Name(), err)
 			}
 		}
@@ -171,7 +172,7 @@ func TestAntiEdgeStreamsMatchOracle(t *testing.T) {
 		want := refmatch.Matches(plain, p)
 		got := map[string]bool{}
 		var mu sync.Mutex
-		_, err := peregrine.New(3).Match(g, p, func(_ int, m []uint32) {
+		_, err := peregrine.New(3).MatchCtx(context.Background(), g, p, func(_ int, m []uint32) {
 			c := canon.CanonicalMatch(p, m, auts)
 			k := string(keyOf(c))
 			mu.Lock()

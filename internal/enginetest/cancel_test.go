@@ -73,7 +73,7 @@ func TestCancelMidRunReturnsTypedPartial(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			var seen atomic.Uint64
-			st, err := engine.MatchCtx(ctx, e, g, p, func(_ int, _ []uint32) {
+			st, err := e.MatchCtx(ctx, g, p, func(_ int, _ []uint32) {
 				if seen.Add(1) == 5 {
 					cancel()
 				}
@@ -126,7 +126,7 @@ func TestCancelPartialCountConsistency(t *testing.T) {
 	if st == nil || count != st.Matches {
 		t.Fatalf("partial count %d != partial stats.Matches %v", count, st)
 	}
-	full, _, err := engine.Backtrack(g, pl, nil, engine.ExecOptions{Threads: 3}, nil)
+	full, _, err := engine.BacktrackCtx(context.Background(), g, pl, nil, engine.ExecOptions{Threads: 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,11 +147,11 @@ func TestPreExpiredContextStartsNoWork(t *testing.T) {
 		defer cancel2()
 
 		for _, e := range allEngines() {
-			c, _, err := engine.CountCtx(canceled, e, g, p)
+			c, _, err := e.CountCtx(canceled, g, p)
 			if !errors.Is(err, engine.ErrCanceled) || c != 0 {
 				t.Errorf("%s: canceled pre-check: count=%d err=%v", e.Name(), c, err)
 			}
-			c, _, err = engine.CountCtx(expired, e, g, p)
+			c, _, err = e.CountCtx(expired, g, p)
 			if !errors.Is(err, engine.ErrDeadlineExceeded) || c != 0 {
 				t.Errorf("%s: expired pre-check: count=%d err=%v", e.Name(), c, err)
 			}
@@ -240,7 +240,7 @@ func TestVisitorPanicIsolatedAllEngines(t *testing.T) {
 	p := pattern.TailedTriangle()
 	for _, e := range allEngines() {
 		t.Run(e.Name(), func(t *testing.T) {
-			_, err := engine.MatchCtx(context.Background(), e, g, p, func(_ int, m []uint32) {
+			_, err := e.MatchCtx(context.Background(), g, p, func(_ int, m []uint32) {
 				if m[0]%97 == 3 { // deterministic, hits early and often
 					panic(fmt.Sprintf("%s: visitor exploded", e.Name()))
 				}
@@ -288,7 +288,7 @@ func TestFaultInjectionPanicAtMatchN(t *testing.T) {
 	p := pattern.TailedTriangle()
 	for _, eng := range allEngines() {
 		t.Run(eng.Name(), func(t *testing.T) {
-			full, _, err := eng.Count(g, p)
+			full, _, err := eng.CountCtx(context.Background(), g, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -301,7 +301,7 @@ func TestFaultInjectionPanicAtMatchN(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				count, st, err := engine.CountCtx(context.Background(), eng, g, p)
+				count, st, err := eng.CountCtx(context.Background(), g, p)
 				disarm()
 				var pe *engine.PanicError
 				if !errors.As(err, &pe) {
@@ -318,7 +318,7 @@ func TestFaultInjectionPanicAtMatchN(t *testing.T) {
 				}
 			}
 			// The harness must be disarmed again: a clean rerun sees full counts.
-			again, _, err := eng.Count(g, p)
+			again, _, err := eng.CountCtx(context.Background(), g, p)
 			if err != nil || again != full {
 				t.Fatalf("post-campaign run: count=%d err=%v, want %d, nil", again, err, full)
 			}
@@ -348,7 +348,7 @@ func TestStalledWorkerIsRelievedOnEveryPlanner(t *testing.T) {
 		o := &obs.Observer{Metrics: obs.NewRegistry()}
 		eng := mk(o)
 		t.Run(eng.Name(), func(t *testing.T) {
-			want, _, err := eng.CountAll(g, ps)
+			want, _, err := eng.CountAllCtx(context.Background(), g, ps)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -360,7 +360,7 @@ func TestStalledWorkerIsRelievedOnEveryPlanner(t *testing.T) {
 			steals := o.Metrics.Counter(engine.MetricTailSteals)
 			before := steals.Value()
 			for attempt := 0; attempt < 5 && steals.Value() == before; attempt++ {
-				got, _, err := eng.CountAll(g, ps)
+				got, _, err := eng.CountAllCtx(context.Background(), g, ps)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -462,7 +462,7 @@ func TestCancelRaceStress(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			fuse := uint64(1 + trial*37)
 			var seen atomic.Uint64
-			_, err := engine.MatchCtx(ctx, e, g, p, func(_ int, _ []uint32) {
+			_, err := e.MatchCtx(ctx, g, p, func(_ int, _ []uint32) {
 				if seen.Add(1) == fuse {
 					cancel()
 				}
@@ -527,7 +527,7 @@ func TestMergedMNILifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := fst.Mining.Matches
-	perPlan, _, err := r.Engine.CountAll(g, level)
+	perPlan, _, err := r.Engine.CountAllCtx(context.Background(), g, level)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -626,7 +626,7 @@ func TestFSMMineLifecycleOnMergedRoute(t *testing.T) {
 	g, _ := mergedLevel(t)
 	opts := fsm.Options{MaxEdges: 3, MinSupport: g.NumVertices() / 10}
 	eng := peregrine.New(3)
-	want, clean, err := fsm.Mine(g, eng, opts)
+	want, clean, err := fsm.MineCtx(context.Background(), g, eng, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

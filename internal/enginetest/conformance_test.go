@@ -65,9 +65,9 @@ func TestEngineConformance(t *testing.T) {
 				for i, p := range patterns {
 					if !e.SupportsInduced(pattern.VertexInduced) &&
 						(p.HasExplicitAntiEdges() || p.Induced() == pattern.VertexInduced && !p.IsClique()) {
-						_, _, errC := e.Count(g, p)
-						_, _, errA := e.CountAll(g, []*pattern.Pattern{pattern.Triangle(), p})
-						_, errM := e.Match(g, p, func(int, []uint32) {})
+						_, _, errC := e.CountCtx(context.Background(), g, p)
+						_, _, errA := e.CountAllCtx(context.Background(), g, []*pattern.Pattern{pattern.Triangle(), p})
+						_, errM := e.MatchCtx(context.Background(), g, p, func(int, []uint32) {})
 						for _, err := range []error{errC, errA, errM} {
 							if !errors.Is(err, engine.ErrInducedUnsupported) {
 								t.Errorf("%v: err = %v, want ErrInducedUnsupported", p, err)
@@ -77,14 +77,14 @@ func TestEngineConformance(t *testing.T) {
 					}
 					native, nativeWant = append(native, p), append(nativeWant, want[i])
 
-					got, st, err := e.Count(g, p)
+					got, st, err := e.CountCtx(context.Background(), g, p)
 					if err != nil || got != want[i] {
 						t.Errorf("Count(%v) = %d, %v; oracle %d", p, got, err, want[i])
 					}
 					passes(t, "Count", st)
 
 					var streamed atomic.Uint64
-					st, err = e.Match(g, p, func(_ int, m []uint32) {
+					st, err = e.MatchCtx(context.Background(), g, p, func(_ int, m []uint32) {
 						if len(m) != p.N() {
 							t.Errorf("Match(%v) delivered a %d-vertex match", p, len(m))
 						}
@@ -96,7 +96,7 @@ func TestEngineConformance(t *testing.T) {
 					passes(t, "Match", st)
 				}
 
-				counts, st, err := e.CountAll(g, native)
+				counts, st, err := e.CountAllCtx(context.Background(), g, native)
 				if err != nil {
 					t.Fatalf("CountAll: %v", err)
 				}

@@ -192,7 +192,7 @@ func TestEnginesHubIndexInvariance(t *testing.T) {
 					where := fmt.Sprintf("labels=%d %s %s threads=%d", labels, e.Name(), tier.name, threads)
 					opts, o := pl.ExecConfig()
 					opts.Threads = threads
-					got, st, err := engine.BacktrackTrie(tier.g, tr, opts, o)
+					got, st, err := engine.BacktrackTrieCtx(context.Background(), tier.g, tr, opts, o)
 					if err != nil {
 						t.Fatalf("%s: %v", where, err)
 					}
@@ -262,12 +262,12 @@ func TestAllEnginesMatchOracleCounts(t *testing.T) {
 					want := refmatch.Count(plain, p)
 					for _, e := range allEngines() {
 						if !e.SupportsInduced(iv) && !p.IsClique() {
-							if _, _, err := e.Count(g, p); !errors.Is(err, engine.ErrInducedUnsupported) {
+							if _, _, err := e.CountCtx(context.Background(), g, p); !errors.Is(err, engine.ErrInducedUnsupported) {
 								t.Errorf("%s: expected ErrInducedUnsupported for %v, got %v", e.Name(), p, err)
 							}
 							continue
 						}
-						got, _, err := e.Count(g, p)
+						got, _, err := e.CountCtx(context.Background(), g, p)
 						if err != nil {
 							t.Fatalf("%s: %v", e.Name(), err)
 						}
@@ -292,7 +292,7 @@ func TestAllEnginesLabeled(t *testing.T) {
 			p := pattern.MustNew(shape.N(), shape.Edges(), pattern.WithLabels(labels))
 			want := refmatch.Count(plain, p)
 			for _, e := range allEngines() {
-				got, _, err := e.Count(g, p)
+				got, _, err := e.CountCtx(context.Background(), g, p)
 				if err != nil {
 					t.Fatalf("%s: %v", e.Name(), err)
 				}
@@ -355,7 +355,7 @@ func TestAllEnginesStreamIdenticalMatchSets(t *testing.T) {
 				var mu sync.Mutex
 				got := map[string]int{}
 				misplaced := 0
-				st, err := e.Match(g, p, func(_ int, m []uint32) {
+				st, err := e.MatchCtx(context.Background(), g, p, func(_ int, m []uint32) {
 					ok := isEmbedding(plain, p, m)
 					k := fmt.Sprint(canon.CanonicalMatch(p, m, auts))
 					mu.Lock()
@@ -403,12 +403,12 @@ func TestCountAllConsistentWithCount(t *testing.T) {
 					supported = append(supported, p)
 				}
 			}
-			counts, _, err := e.CountAll(g, supported)
+			counts, _, err := e.CountAllCtx(context.Background(), g, supported)
 			if err != nil {
 				t.Fatalf("%s: %v", e.Name(), err)
 			}
 			for i, p := range supported {
-				want, _, err := e.Count(g, p)
+				want, _, err := e.CountCtx(context.Background(), g, p)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -436,13 +436,13 @@ func TestAutoZeroMergedScheduleSharesWork(t *testing.T) {
 	for i, p := range base {
 		ps[i] = p.AsVertexInduced()
 	}
-	_, merged, err := az.CountAll(g, ps)
+	_, merged, err := az.CountAllCtx(context.Background(), g, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var separate engine.Stats
 	for _, p := range ps {
-		_, st, err := az.Count(g, p)
+		_, st, err := az.CountCtx(context.Background(), g, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -466,7 +466,7 @@ func TestFilterUDFCountsMatchNativeVertexInduced(t *testing.T) {
 			pattern.FourStar(),
 		} {
 			pV := base.AsVertexInduced()
-			want, _, err := per.Count(g, pV)
+			want, _, err := per.CountCtx(context.Background(), g, pV)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -499,7 +499,7 @@ func TestVertexInducedCliqueAcceptedEverywhere(t *testing.T) {
 		p := pattern.FourClique().AsVertexInduced()
 		want := refmatch.Count(plain, p)
 		for _, e := range allEngines() {
-			got, _, err := e.Count(g, p)
+			got, _, err := e.CountCtx(context.Background(), g, p)
 			if err != nil {
 				t.Fatalf("%s rejected vertex-induced clique: %v", e.Name(), err)
 			}
@@ -527,7 +527,7 @@ func TestEnginesOnSkewedGraph(t *testing.T) {
 			if !e.SupportsInduced(p.Induced()) && !p.IsClique() {
 				continue
 			}
-			got, _, err := e.Count(g, p)
+			got, _, err := e.CountCtx(context.Background(), g, p)
 			if err != nil {
 				t.Fatalf("%s: %v", e.Name(), err)
 			}

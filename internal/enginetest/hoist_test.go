@@ -1,6 +1,7 @@
 package enginetest
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -89,7 +90,7 @@ func TestTrieStatsPinned(t *testing.T) {
 			opts, o := pl.ExecConfig()
 			opts.Threads = threads
 			opts.Instrument = threads == 4 // the clocks must not change what is counted
-			counts, st, err := engine.BacktrackTrie(g, tr, opts, o)
+			counts, st, err := engine.BacktrackTrieCtx(context.Background(), g, tr, opts, o)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -272,7 +273,7 @@ func TestTrieHoistingProperty(t *testing.T) {
 					for _, threads := range []int{1, 4} {
 						opts, o := pl.ExecConfig()
 						opts.Threads = threads
-						got, _, err := engine.BacktrackTrie(g, tr, opts, o)
+						got, _, err := engine.BacktrackTrieCtx(context.Background(), g, tr, opts, o)
 						if err != nil {
 							t.Fatalf("%s %s %s: BacktrackTrie: %v", gname, sname, e.Name(), err)
 						}
@@ -287,7 +288,7 @@ func TestTrieHoistingProperty(t *testing.T) {
 								t.Errorf("%s %s %s threads=%d %v: trie %d, oracle %d", gname, sname, e.Name(), threads, p, got[i], want)
 							}
 							if threads == 1 {
-								if per, _, err := e.Count(g, p); err != nil || per != want {
+								if per, _, err := e.CountCtx(context.Background(), g, p); err != nil || per != want {
 									t.Errorf("%s %s %s %v: per-pattern %d (%v), oracle %d", gname, sname, e.Name(), p, per, err, want)
 								}
 							}

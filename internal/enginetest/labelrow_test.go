@@ -184,7 +184,7 @@ func TestLabelRowRouteEqualsFilterRoute(t *testing.T) {
 					for _, threads := range []int{1, 4} {
 						opts, o := pl.ExecConfig()
 						opts.Threads = threads
-						got, _, err := engine.BacktrackTrie(tier.g, tr, opts, o)
+						got, _, err := engine.BacktrackTrieCtx(context.Background(), tier.g, tr, opts, o)
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}
@@ -204,7 +204,7 @@ func TestLabelRowRouteEqualsFilterRoute(t *testing.T) {
 						if (pi+i)%9 != 0 {
 							continue
 						}
-						_, st, err := e.Count(tier.g, p)
+						_, st, err := e.CountCtx(context.Background(), tier.g, p)
 						if err != nil {
 							t.Fatalf("%s %v: %v", name, p, err)
 						}
@@ -227,7 +227,7 @@ func TestLabelRowRouteEqualsFilterRoute(t *testing.T) {
 					for i, p := range set {
 						single := merged[i]
 						if i%9 == 0 {
-							if single, _, err = core.MineMNITable(e, tier.g, p); err != nil {
+							if single, _, err = core.MineMNITable(context.Background(), e, tier.g, p); err != nil {
 								t.Fatalf("%s %v: %v", name, p, err)
 							}
 						}

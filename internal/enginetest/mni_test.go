@@ -78,7 +78,7 @@ func TestMNITablesEqualInsertAllOracle(t *testing.T) {
 				}
 				for _, e := range engines {
 					for i, q := range queries {
-						got, _, err := core.MineMNITable(e, g, q)
+						got, _, err := core.MineMNITable(context.Background(), e, g, q)
 						if err != nil {
 							t.Fatalf("%s %v: %v", e.Name(), q, err)
 						}
@@ -90,7 +90,7 @@ func TestMNITablesEqualInsertAllOracle(t *testing.T) {
 						continue
 					}
 					for _, budget := range []uint64{0, 1} {
-						tables, st, err := (&core.Runner{Engine: e, MemoryBudget: budget}).MNITables(g, queries)
+						tables, st, err := (&core.Runner{Engine: e, MemoryBudget: budget}).MNITablesCtx(context.Background(), g, queries)
 						if err != nil {
 							t.Fatalf("%s budget %d: %v", e.Name(), budget, err)
 						}
@@ -115,7 +115,7 @@ func TestMNITablesEqualInsertAllOracle(t *testing.T) {
 // labeled patterns sharing prefixes.
 func fsmLevels(t testing.TB, g *graph.Graph, minSupport int) [][]*pattern.Pattern {
 	t.Helper()
-	_, st, err := fsm.Mine(g, peregrine.New(2), fsm.Options{MaxEdges: 3, MinSupport: minSupport})
+	_, st, err := fsm.MineCtx(context.Background(), g, peregrine.New(2), fsm.Options{MaxEdges: 3, MinSupport: minSupport})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestMergedMNIRouteEqualsPerPatternAndOracle(t *testing.T) {
 							merged := aggr.NewTable(p.N())
 							sinks[i].Each(merged.Merge)
 							merged.Saturate(canon.Automorphisms(p))
-							single, _, err := core.MineMNITable(e, g, p)
+							single, _, err := core.MineMNITable(context.Background(), e, g, p)
 							if err != nil {
 								t.Fatalf("%s %v: %v", name, p, err)
 							}
@@ -192,7 +192,7 @@ func TestMergedMNIRouteEqualsPerPatternAndOracle(t *testing.T) {
 						if !e.SupportsInduced(pattern.VertexInduced) {
 							continue
 						}
-						tables, rs, err := (&core.Runner{Engine: e, DisableMorphing: li%2 == 1}).MNITables(g, ps)
+						tables, rs, err := (&core.Runner{Engine: e, DisableMorphing: li%2 == 1}).MNITablesCtx(context.Background(), g, ps)
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}

@@ -1,6 +1,7 @@
 package enginetest
 
 import (
+	"context"
 	"testing"
 
 	"morphing/internal/dataset"
@@ -34,14 +35,14 @@ func TestBacktrackInstrumentedStatsRace(t *testing.T) {
 			t.Fatal(err)
 		}
 		refObs := &obs.Observer{Metrics: obs.NewRegistry()}
-		wantCount, wantStats, err := engine.Backtrack(g, pl, nil,
+		wantCount, wantStats, err := engine.BacktrackCtx(context.Background(), g, pl, nil,
 			engine.ExecOptions{Threads: 1, Instrument: true}, refObs)
 		if err != nil {
 			t.Fatal(err)
 		}
 
 		o := &obs.Observer{Metrics: obs.NewRegistry()}
-		gotCount, gotStats, err := engine.Backtrack(g, pl, nil,
+		gotCount, gotStats, err := engine.BacktrackCtx(context.Background(), g, pl, nil,
 			engine.ExecOptions{Threads: 8, Instrument: true}, o)
 		if err != nil {
 			t.Fatal(err)

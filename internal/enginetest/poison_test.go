@@ -1,6 +1,7 @@
 package enginetest
 
 import (
+	"context"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -80,11 +81,11 @@ func TestRowLifetimeUnderPoison(t *testing.T) {
 			for _, route := range runnerRoutes {
 				t.Run(fmt.Sprintf("%s/%s/%s", set.name, e.Name(), route.name), func(t *testing.T) {
 					r := &core.Runner{Engine: route.engine(e), RunOptions: core.RunOptions{Shards: route.shards}}
-					want, _, err := r.Counts(g, set.qs)
+					want, _, err := r.CountsCtx(context.Background(), g, set.qs)
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, _, err := r.Counts(poisonGraph{g}, set.qs)
+					got, _, err := r.CountsCtx(context.Background(), poisonGraph{g}, set.qs)
 					if err != nil {
 						t.Fatalf("under poison: %v", err)
 					}
@@ -115,11 +116,11 @@ func TestAntiEdgesUnderPoison(t *testing.T) {
 	}
 	qs := append(antiPatterns(t), pattern.House().AsVertexInduced(), pattern.Cycle(5).AsVertexInduced())
 	for _, e := range []engine.Planner{peregrine.New(4), autozero.New(4)} {
-		want, _, err := e.CountAll(g, qs)
+		want, _, err := e.CountAllCtx(context.Background(), g, qs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := e.CountAll(poisonGraph{g}, qs)
+		got, _, err := e.CountAllCtx(context.Background(), poisonGraph{g}, qs)
 		if err != nil {
 			t.Fatalf("%s under poison: %v", e.Name(), err)
 		}
@@ -129,7 +130,7 @@ func TestAntiEdgesUnderPoison(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err = engine.BacktrackTrie(poisonGraph{g}, tr, engine.ExecOptions{Threads: 4}, nil)
+		got, _, err = engine.BacktrackTrieCtx(context.Background(), poisonGraph{g}, tr, engine.ExecOptions{Threads: 4}, nil)
 		if err != nil {
 			t.Fatalf("%s trie under poison: %v", e.Name(), err)
 		}
@@ -147,12 +148,12 @@ func TestMatchStreamUnderPoison(t *testing.T) {
 	}
 	for _, e := range poisonEngines() {
 		for _, p := range []*pattern.Pattern{pattern.Path(4), pattern.TailedTriangle(), pattern.House(), pattern.Star(5)} {
-			want, _, err := e.Count(g, p)
+			want, _, err := e.CountCtx(context.Background(), g, p)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var got atomic.Uint64
-			if _, err := e.Match(poisonGraph{g}, p, func(int, []uint32) { got.Add(1) }); err != nil {
+			if _, err := e.MatchCtx(context.Background(), poisonGraph{g}, p, func(int, []uint32) { got.Add(1) }); err != nil {
 				t.Fatalf("%s %v under poison: %v", e.Name(), p, err)
 			}
 			if got.Load() != want {

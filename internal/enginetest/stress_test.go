@@ -1,6 +1,7 @@
 package enginetest
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -44,7 +45,7 @@ func TestFuzzMergedSchedulesMatchOracle(t *testing.T) {
 			base := shapes[r.Intn(len(shapes))]
 			batch[i] = base.Variant(pattern.Induced(r.Intn(2)))
 		}
-		counts, _, err := az.CountAll(g, batch)
+		counts, _, err := az.CountAllCtx(context.Background(), g, batch)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -79,7 +80,7 @@ func TestEnginesOnDegenerateGraphs(t *testing.T) {
 				if !e.SupportsInduced(p.Induced()) && !p.IsClique() {
 					continue
 				}
-				got, _, err := e.Count(g, p)
+				got, _, err := e.CountCtx(context.Background(), g, p)
 				if err != nil {
 					t.Fatalf("graph %d %s: %v", gi, e.Name(), err)
 				}
@@ -96,14 +97,14 @@ func TestEnginesOnDegenerateGraphs(t *testing.T) {
 func TestPatternAsLargeAsGraph(t *testing.T) {
 	g := graph.MustFromEdges(4, [][2]uint32{{0, 1}, {1, 2}, {2, 3}, {3, 0}}, nil)
 	for _, e := range allEngines() {
-		got, _, err := e.Count(g, pattern.FourCycle())
+		got, _, err := e.CountCtx(context.Background(), g, pattern.FourCycle())
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)
 		}
 		if got != 1 {
 			t.Errorf("%s: C4 in C4 = %d, want 1", e.Name(), got)
 		}
-		got, _, err = e.Count(g, pattern.Cycle(5))
+		got, _, err = e.CountCtx(context.Background(), g, pattern.Cycle(5))
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)
 		}
@@ -118,7 +119,7 @@ func TestPatternAsLargeAsGraph(t *testing.T) {
 func TestPeregrineThreadsExceedVertices(t *testing.T) {
 	g := graph.MustFromEdges(3, [][2]uint32{{0, 1}, {1, 2}, {0, 2}}, nil)
 	e := peregrine.New(16)
-	got, _, err := e.Count(g, pattern.Triangle())
+	got, _, err := e.CountCtx(context.Background(), g, pattern.Triangle())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package enginetest
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -46,7 +47,7 @@ func tierQueries(labeled bool) []*pattern.Pattern {
 func tierCounts(t *testing.T, a graph.Adjacency, qs []*pattern.Pattern, e engine.Engine, shards int) []uint64 {
 	t.Helper()
 	r := &core.Runner{Engine: e, RunOptions: core.RunOptions{Shards: shards}}
-	counts, _, err := r.Counts(a, qs)
+	counts, _, err := r.CountsCtx(context.Background(), a, qs)
 	if err != nil {
 		t.Fatalf("counts on %T (%s, %d shards): %v", a, e.Name(), shards, err)
 	}

@@ -1,6 +1,7 @@
 package enginetest
 
 import (
+	"context"
 	"testing"
 
 	"morphing/internal/canon"
@@ -79,7 +80,7 @@ func TestTrieCountsMatchPerPattern(t *testing.T) {
 						t.Fatalf("set %d %s: BuildTrie: %v", si, e.Name(), err)
 					}
 					opts, o := pl.ExecConfig()
-					got, st, err := engine.BacktrackTrie(g, tr, opts, o)
+					got, st, err := engine.BacktrackTrieCtx(context.Background(), g, tr, opts, o)
 					if err != nil {
 						t.Fatalf("set %d %s: BacktrackTrie: %v", si, e.Name(), err)
 					}
@@ -88,7 +89,7 @@ func TestTrieCountsMatchPerPattern(t *testing.T) {
 							si, e.Name(), st.TriePasses, st.TriePatterns, len(ps))
 					}
 					for i, p := range ps {
-						want, _, err := e.Count(g, p)
+						want, _, err := e.CountCtx(context.Background(), g, p)
 						if err != nil {
 							t.Fatalf("set %d %s %v: %v", si, e.Name(), p, err)
 						}
@@ -138,7 +139,7 @@ func TestTrieSharesPrefixes(t *testing.T) {
 			t.Errorf("trie has %d nodes, no smaller than %d unshared plan levels", tr.Nodes, totalLevels)
 		}
 		opts, o := pl.ExecConfig()
-		_, st, err := engine.BacktrackTrie(g, tr, opts, o)
+		_, st, err := engine.BacktrackTrieCtx(context.Background(), g, tr, opts, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,11 +227,11 @@ func FuzzTrieDifferential(f *testing.F) {
 		}
 		opts, o := pl.ExecConfig()
 		opts.Threads = int(threads%4) + 1
-		got, _, err := engine.BacktrackTrie(g, tr, opts, o)
+		got, _, err := engine.BacktrackTrieCtx(context.Background(), g, tr, opts, o)
 		if err != nil {
 			t.Fatalf("BacktrackTrie: %v", err)
 		}
-		looped, _, err := e.CountAll(g, ps)
+		looped, _, err := e.CountAllCtx(context.Background(), g, ps)
 		if err != nil {
 			t.Fatalf("CountAll: %v", err)
 		}

@@ -1,6 +1,7 @@
 package enginetest
 
 import (
+	"context"
 	"sync"
 
 	"morphing/internal/engine"
@@ -16,25 +17,35 @@ import (
 // all live at once, each under a worker ID of its own — what engine.Visitor
 // allows any engine to do. Sinks that fold worker IDs into a fixed
 // shard count let two of them write one shard, which -race reports. It
-// needs a plain *graph.Graph.
+// needs a plain *graph.Graph, and cannot stop mid-run: each operation
+// reports the context's state before it starts and after it finishes.
 type WideEngine struct{ Workers int }
 
 func (WideEngine) Name() string                         { return "wide" }
 func (WideEngine) SupportsInduced(pattern.Induced) bool { return true }
 
-func (WideEngine) Count(g graph.Adjacency, p *pattern.Pattern) (uint64, *engine.Stats, error) {
-	return refmatch.Count(g.(*graph.Graph), p), &engine.Stats{}, nil
+func (WideEngine) CountCtx(ctx context.Context, g graph.Adjacency, p *pattern.Pattern) (uint64, *engine.Stats, error) {
+	if err := engine.CtxErr(ctx); err != nil {
+		return 0, nil, err
+	}
+	return refmatch.Count(g.(*graph.Graph), p), &engine.Stats{}, engine.CtxErr(ctx)
 }
 
-func (e WideEngine) CountAll(g graph.Adjacency, ps []*pattern.Pattern) ([]uint64, *engine.Stats, error) {
+func (e WideEngine) CountAllCtx(ctx context.Context, g graph.Adjacency, ps []*pattern.Pattern) ([]uint64, *engine.Stats, error) {
+	if err := engine.CtxErr(ctx); err != nil {
+		return nil, nil, err
+	}
 	out := make([]uint64, len(ps))
 	for i, p := range ps {
 		out[i] = refmatch.Count(g.(*graph.Graph), p)
 	}
-	return out, &engine.Stats{}, nil
+	return out, &engine.Stats{}, engine.CtxErr(ctx)
 }
 
-func (e WideEngine) Match(g graph.Adjacency, p *pattern.Pattern, visit engine.Visitor) (*engine.Stats, error) {
+func (e WideEngine) MatchCtx(ctx context.Context, g graph.Adjacency, p *pattern.Pattern, visit engine.Visitor) (*engine.Stats, error) {
+	if err := engine.CtxErr(ctx); err != nil {
+		return nil, err
+	}
 	ms := refmatch.Matches(g.(*graph.Graph), p)
 	start := make(chan struct{})
 	var wg sync.WaitGroup
@@ -52,5 +63,5 @@ func (e WideEngine) Match(g graph.Adjacency, p *pattern.Pattern, visit engine.Vi
 	}
 	close(start)
 	wg.Wait()
-	return &engine.Stats{Matches: uint64(len(ms))}, nil
+	return &engine.Stats{Matches: uint64(len(ms))}, engine.CtxErr(ctx)
 }

@@ -25,15 +25,15 @@ func testGraph(t *testing.T) *graph.Graph {
 func TestRejectsVertexInducedNatively(t *testing.T) {
 	g := testGraph(t)
 	e := New(2)
-	_, _, err := e.Count(g, pattern.FourCycle().AsVertexInduced())
+	_, _, err := e.CountCtx(context.Background(), g, pattern.FourCycle().AsVertexInduced())
 	if !errors.Is(err, engine.ErrInducedUnsupported) {
 		t.Fatalf("got %v, want ErrInducedUnsupported", err)
 	}
 	// Cliques are fine either way.
-	if _, _, err := e.Count(g, pattern.Triangle().AsVertexInduced()); err != nil {
+	if _, _, err := e.CountCtx(context.Background(), g, pattern.Triangle().AsVertexInduced()); err != nil {
 		t.Fatalf("vertex-induced clique rejected: %v", err)
 	}
-	if _, err := e.Match(g, pattern.FourCycle().AsVertexInduced(), func(int, []uint32) {}); err == nil {
+	if _, err := e.MatchCtx(context.Background(), g, pattern.FourCycle().AsVertexInduced(), func(int, []uint32) {}); err == nil {
 		t.Fatal("Match accepted vertex-induced pattern")
 	}
 }
@@ -45,7 +45,7 @@ func TestOrderSelectionConsistency(t *testing.T) {
 	want := refmatch.Count(g, p)
 	for _, budget := range []int{1, 4, 40, 720} {
 		e := &Engine{Threads: 2, Policy: Policy{MaxOrders: budget}}
-		got, _, err := e.Count(g, p)
+		got, _, err := e.CountCtx(context.Background(), g, p)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -54,7 +54,7 @@ func TestExists(t *testing.T) {
 func TestCountUpToBounds(t *testing.T) {
 	g := testGraph(t)
 	e := New(3)
-	full, _, err := e.Count(g, pattern.Wedge())
+	full, _, err := e.CountCtx(context.Background(), g, pattern.Wedge())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,14 +89,14 @@ func TestCountUpToBounds(t *testing.T) {
 func TestInstrumentedCountTimings(t *testing.T) {
 	g := testGraph(t)
 	e := &Engine{Threads: 2, Instrument: true}
-	_, st, err := e.Count(g, pattern.FourCycle().AsVertexInduced())
+	_, st, err := e.CountCtx(context.Background(), g, pattern.FourCycle().AsVertexInduced())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.SetOpTime <= 0 {
 		t.Error("instrumented run has no SetOpTime")
 	}
-	_, err = e.Match(g, pattern.Triangle(), func(int, []uint32) {})
+	_, err = e.MatchCtx(context.Background(), g, pattern.Triangle(), func(int, []uint32) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestMatchDeliversByPatternVertex(t *testing.T) {
 	}
 	p := pattern.MustNew(3, [][2]int{{0, 1}, {1, 2}}, pattern.WithLabels([]int32{1, 2, 1}))
 	var centers int64
-	_, err = New(1).Match(g, p, func(_ int, m []uint32) {
+	_, err = New(1).MatchCtx(context.Background(), g, p, func(_ int, m []uint32) {
 		if m[1] == 1 {
 			atomic.AddInt64(&centers, 1)
 		}
@@ -128,10 +128,10 @@ func TestRejectsDisconnected(t *testing.T) {
 	g := testGraph(t)
 	e := New(1)
 	disc := pattern.MustNew(4, [][2]int{{0, 1}, {2, 3}})
-	if _, _, err := e.Count(g, disc); err == nil {
+	if _, _, err := e.CountCtx(context.Background(), g, disc); err == nil {
 		t.Fatal("disconnected pattern accepted")
 	}
-	if _, err := e.Match(g, disc, func(int, []uint32) {}); err == nil {
+	if _, err := e.MatchCtx(context.Background(), g, disc, func(int, []uint32) {}); err == nil {
 		t.Fatal("disconnected pattern accepted by Match")
 	}
 }

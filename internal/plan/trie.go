@@ -7,7 +7,7 @@ import "fmt"
 // replaces one pattern with near-identical alternatives, so their matching
 // orders share long prefixes. MergePlans folds a set of per-pattern Plans
 // into a prefix trie in which each shared prefix is represented once; a
-// trie-driven executor (engine.BacktrackTrie) then enumerates every shared
+// trie-driven executor (engine.MatchTrieCtx) then enumerates every shared
 // partial embedding a single time and fans out into the per-pattern
 // subtrees, paying the expensive shallow exploration levels once per set
 // instead of once per pattern.

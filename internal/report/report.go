@@ -34,7 +34,9 @@ type QueryReport struct {
 }
 
 // PatternReport is the calibration record for one executed alternative:
-// the cost model's predictions next to the engine's measurements.
+// the cost model's predictions next to the engine's measurements. It
+// carries no wall time: the set is mined in one merged pass, in which a
+// single pattern's share of the clock has no meaning.
 type PatternReport struct {
 	Pattern          string  `json:"pattern"`
 	Name             string  `json:"name,omitempty"`
@@ -42,7 +44,6 @@ type PatternReport struct {
 	EstCost          float64 `json:"est_cost"`
 	EstMatches       float64 `json:"est_matches"`
 	Matches          uint64  `json:"matches"`
-	TimeNS           int64   `json:"time_ns"`
 	CalibrationRatio float64 `json:"calibration_ratio"`
 }
 
@@ -230,7 +231,6 @@ func FromRunStats(st *core.RunStats) *RunReport {
 			EstCost:          pp.EstCost,
 			EstMatches:       pp.EstMatches,
 			Matches:          pp.Matches,
-			TimeNS:           int64(pp.Time),
 			CalibrationRatio: pp.CalibrationRatio(),
 		})
 	}
@@ -413,9 +413,6 @@ func (r *RunReport) WriteText(w io.Writer) error {
 			p("  %-28s %s [%s]\n", nameOr(pr.Name, ""), pr.Pattern, pr.Variant)
 			p("    est cost %.6g, est matches %.6g; measured matches %d (ratio %.3g)\n",
 				pr.EstCost, pr.EstMatches, pr.Matches, pr.CalibrationRatio)
-			if pr.TimeNS > 0 {
-				p("    time %v\n", time.Duration(pr.TimeNS))
-			}
 		}
 	}
 

@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"strings"
@@ -38,7 +39,7 @@ func explainedRun(t *testing.T, threads int) *core.RunStats {
 		pattern.Triangle(),
 		pattern.FourCycle().AsVertexInduced(),
 	}
-	_, st, err := r.Counts(g, queries)
+	_, st, err := r.CountsCtx(context.Background(), g, queries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestReportConcurrentWorkers(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			r := &core.Runner{Engine: peregrine.New(4), Explain: true, Obs: &obs.Observer{Metrics: obs.NewRegistry()}}
-			_, _, errs[i] = r.Counts(g, []*pattern.Pattern{pattern.Triangle()})
+			_, _, errs[i] = r.CountsCtx(context.Background(), g, []*pattern.Pattern{pattern.Triangle()})
 		}(i)
 	}
 	wg.Wait()
@@ -181,7 +182,7 @@ func TestRecorderCap(t *testing.T) {
 	g := chordRing(64)
 	r := &core.Runner{Engine: peregrine.New(1)}
 	for i := 0; i < 3; i++ {
-		if _, _, err := r.Counts(g, []*pattern.Pattern{pattern.Triangle()}); err != nil {
+		if _, _, err := r.CountsCtx(context.Background(), g, []*pattern.Pattern{pattern.Triangle()}); err != nil {
 			t.Fatal(err)
 		}
 	}

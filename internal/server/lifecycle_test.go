@@ -32,7 +32,7 @@ func directCounts(t testing.TB, g *graph.Graph, spellings ...string) map[string]
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, _, err := r.Counts(g, []*pattern.Pattern{p})
+		c, _, err := r.CountsCtx(context.Background(), g, []*pattern.Pattern{p})
 		if err != nil {
 			t.Fatal(err)
 		}

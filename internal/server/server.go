@@ -236,7 +236,9 @@ type Server struct {
 	cache     *resultCache
 
 	workers sync.WaitGroup // worker goroutines
-	tasks   sync.WaitGroup // admitted tasks not yet settled
+	// settled is closed, once, when a drain finds admitted empty: by drain
+	// itself, or by the terminal edge that removes the last entry.
+	settled chan struct{}
 
 	slo  *sloTracker  // rolling-window objective scoring (/slo)
 	hist *obs.History // time-series sampler (/timeseries); nil when disabled
@@ -263,6 +265,7 @@ func New(g graph.Adjacency, cfg Config) (*Server, error) {
 		epoch:    1,
 		queue:    make(chan *task, cfg.MaxQueue),
 		admitted: make(map[*task]struct{}),
+		settled:  make(chan struct{}),
 		clients:  make(map[string]int),
 		cache:    newResultCache(cfg.CacheSize),
 	}
@@ -452,7 +455,6 @@ func (s *Server) step(t *task, to state, res *QueryResult, qerr *QueryError) sta
 			s.budgetUse += t.est.MatchBytes
 			s.queued++
 			s.admitted[t] = struct{}{}
-			s.tasks.Add(1)
 			t.enqueuedAt = time.Now()
 			s.o.Counter(MetricQueries).Inc(0)
 			t.notify(StreamEvent{Type: EventQueued, QueueDepth: s.queued, Position: s.queued})
@@ -485,7 +487,9 @@ func (s *Server) step(t *task, to state, res *QueryResult, qerr *QueryError) sta
 			}
 			if from >= stQueued {
 				s.budgetUse -= t.est.MatchBytes
-				delete(s.admitted, t)
+				if delete(s.admitted, t); s.draining && len(s.admitted) == 0 {
+					close(s.settled) // draining admits nothing: the ledger empties once
+				}
 				if from == stQueued {
 					s.queued--
 				} else {
@@ -512,9 +516,6 @@ func (s *Server) step(t *task, to state, res *QueryResult, qerr *QueryError) sta
 	s.record(t)
 	close(t.done)
 	t.cancel()
-	if from >= stQueued {
-		s.tasks.Done()
-	}
 	return to
 }
 
@@ -978,19 +979,16 @@ func (s *Server) drain(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining = true
 	close(s.queue) // admission holds s.mu before sending, so no racing send
+	if len(s.admitted) == 0 {
+		close(s.settled)
+	}
 	s.mu.Unlock()
-
-	settled := make(chan struct{})
-	go func() {
-		s.tasks.Wait()
-		close(settled)
-	}()
 
 	timeout := time.NewTimer(s.cfg.DrainTimeout)
 	defer timeout.Stop()
 	canceled := 0
 	select {
-	case <-settled:
+	case <-s.settled:
 	case <-timeout.C:
 		// Drain deadline: cancel every admitted query (queued ones
 		// included — their workers observe the dead context before
@@ -1004,7 +1002,7 @@ func (s *Server) drain(ctx context.Context) error {
 		s.mu.Unlock()
 		s.o.Counter(MetricDrainCanceled).Add(0, uint64(canceled))
 		select {
-		case <-settled:
+		case <-s.settled:
 		case <-ctx.Done():
 			return fmt.Errorf("server: drain aborted with queries still in flight: %w", ctx.Err())
 		}

@@ -149,7 +149,7 @@ func TestQueryEndToEndCountsMatchRunner(t *testing.T) {
 		g := chordRing(64)
 		queries := []*pattern.Pattern{pattern.Triangle(), pattern.FourCycle().AsVertexInduced()}
 		r := &core.Runner{Engine: peregrine.New(0)}
-		want, _, err := r.Counts(g, queries)
+		want, _, err := r.CountsCtx(context.Background(), g, queries)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -277,7 +277,7 @@ func TestConcurrentSpellingsAndEpochs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, _, err := r.Counts(g, []*pattern.Pattern{p})
+		c, _, err := r.CountsCtx(context.Background(), g, []*pattern.Pattern{p})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,6 +20,12 @@
 //	for i, p := range res.Patterns {
 //		fmt.Println(p, res.Counts[i])
 //	}
+//
+// Spellings: this package's exported functions come as F and FCtx — F is
+// FCtx under context.Background(), which this package alone supplies.
+// Everything below it exists once, context first: the Engine interface
+// (CountCtx, CountAllCtx, MatchCtx), Runner's pipelines (CountsCtx,
+// MNITablesCtx) and the internal app packages.
 package morphing
 
 import (
@@ -52,7 +58,7 @@ type (
 	// Graph is an immutable CSR data graph.
 	Graph = graph.Graph
 	// Engine is a pattern matching engine (one of the four system
-	// models).
+	// models). Its mining operations take a context first.
 	Engine = engine.Engine
 	// Stats instruments an engine execution (set operations, UDF calls,
 	// branches, phase timings).
@@ -172,7 +178,7 @@ func MotifPatterns(n int) ([]*Pattern, error) { return canon.AllConnectedPattern
 // CountMotifs counts all vertex-induced motifs of the given size
 // (3..5) — the Fig. 12 workload.
 func CountMotifs(g *Graph, size int, eng Engine, opts Options) (*MotifResult, error) {
-	return mc.Count(g, size, eng, opts.Morph)
+	return mc.CountCtx(context.Background(), g, size, eng, opts.Morph)
 }
 
 // CountMotifsCtx is CountMotifs with cooperative cancellation: the run
@@ -185,7 +191,7 @@ func CountMotifsCtx(ctx context.Context, g *Graph, size int, eng Engine, opts Op
 // CountSubgraphs counts the matches of each query pattern — the Fig. 13a
 // workload.
 func CountSubgraphs(g *Graph, queries []*Pattern, eng Engine, opts Options) ([]uint64, *RunStats, error) {
-	return sc.Count(g, queries, eng, opts.Morph)
+	return sc.CountCtx(context.Background(), g, queries, eng, opts.Morph)
 }
 
 // CountSubgraphsCtx is CountSubgraphs under a context; on interruption
@@ -197,7 +203,7 @@ func CountSubgraphsCtx(ctx context.Context, g *Graph, queries []*Pattern, eng En
 // MineFrequent runs level-wise frequent subgraph mining with MNI support —
 // the Fig. 13c workload.
 func MineFrequent(g *Graph, eng Engine, opts FSMOptions) ([]FrequentPattern, *fsm.Stats, error) {
-	return fsm.Mine(g, eng, opts)
+	return fsm.MineCtx(context.Background(), g, eng, opts)
 }
 
 // MineFrequentCtx is MineFrequent under a context; on interruption the
@@ -210,7 +216,7 @@ func MineFrequentCtx(ctx context.Context, g *Graph, eng Engine, opts FSMOptions)
 // EnumerateSubgraphs streams filtered matches of edge-induced queries —
 // the Fig. 15a workload with on-the-fly conversion.
 func EnumerateSubgraphs(g *Graph, eng Engine, queries []*Pattern, filter func(m []uint32) bool, onMatch func(query int, m []uint32), opts EnumOptions) (*EnumResult, error) {
-	return se.Enumerate(g, eng, queries, filter, onMatch, opts)
+	return se.EnumerateCtx(context.Background(), g, eng, queries, filter, onMatch, opts)
 }
 
 // EnumerateSubgraphsCtx is EnumerateSubgraphs under a context; on
@@ -228,7 +234,7 @@ func NewWeights(g *Graph, mean, std float64, seed int64) *Weights {
 // CountCliques returns the number of k-cliques in g. Cliques are the one
 // pattern family morphing never rewrites (they are both variants at once).
 func CountCliques(g *Graph, k int, eng Engine) (uint64, *Stats, error) {
-	return cf.Count(g, k, eng)
+	return cf.CountCtx(context.Background(), g, k, eng)
 }
 
 // CountCliquesCtx is CountCliques under a context; on interruption the
@@ -240,13 +246,13 @@ func CountCliquesCtx(ctx context.Context, g *Graph, k int, eng Engine) (uint64, 
 // CliqueCensus counts cliques of every size from 2 up to maxK, stopping at
 // the first absent size.
 func CliqueCensus(g *Graph, maxK int, eng Engine) (map[int]uint64, error) {
-	return cf.Census(g, maxK, eng)
+	return cf.CensusCtx(context.Background(), g, maxK, eng)
 }
 
 // MaxCliqueSize finds the largest clique size (up to maxK) using
 // early-terminating existence probes on the Peregrine model.
 func MaxCliqueSize(g *Graph, maxK int) (int, error) {
-	return cf.MaxCliqueSize(g, maxK, peregrine.New(0))
+	return cf.MaxCliqueSizeCtx(context.Background(), g, maxK, peregrine.New(0))
 }
 
 // SortGraphByDegree relabels vertices in ascending degree order, which
