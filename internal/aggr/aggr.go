@@ -18,7 +18,11 @@
 // fill their own and Merge them afterwards (core's MNI sink).
 package aggr
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+	"math/bits"
+)
 
 // Value is an aggregation value. Each Aggregation documents its concrete
 // type: uint64 for Count, *Table for MNI.
@@ -39,8 +43,9 @@ type Aggregation interface {
 	Name() string
 	// Zero returns the identity of Combine.
 	Zero() Value
-	// Combine is ⊕.
-	Combine(a, b Value) Value
+	// Combine is ⊕. It fails only where a value has a range to leave
+	// (Count: ErrOverflow).
+	Combine(a, b Value) (Value, error)
 	// Permute is ◦*: reindex v from a source pattern to a target pattern
 	// through the isomorphism f, where f[i] is the source vertex that
 	// target vertex i maps to.
@@ -55,10 +60,17 @@ type Aggregation interface {
 // uses this to constrain alternative variants.
 type Invertible interface {
 	Aggregation
-	// Uncombine returns total ⊖ part. It panics if part is not contained
-	// in total (an algebra-invariant violation, not a runtime condition).
-	Uncombine(total, part Value) Value
+	// Uncombine returns total ⊖ part, or an error if part is not contained
+	// in total: for counts ErrOverflow — a difference below zero is what a
+	// sum that wrapped upstream looks like from here.
+	Uncombine(total, part Value) (Value, error)
 }
+
+// ErrOverflow reports count arithmetic that left the range of uint64: a
+// sum or product beyond it, or a difference below zero. Batched conversion
+// subtracts, so a wrapped intermediate would otherwise come out as a
+// plausible small count.
+var ErrOverflow = errors.New("count overflow")
 
 // Count aggregates matches by counting them. Values are uint64.
 type Count struct{}
@@ -72,7 +84,13 @@ func (Count) Name() string { return "count" }
 func (Count) Zero() Value { return uint64(0) }
 
 // Combine implements Aggregation.
-func (Count) Combine(a, b Value) Value { return a.(uint64) + b.(uint64) }
+func (Count) Combine(a, b Value) (Value, error) {
+	sum, carry := bits.Add64(a.(uint64), b.(uint64), 0)
+	if carry != 0 {
+		return nil, fmt.Errorf("aggr: %d + %d: %w", a, b, ErrOverflow)
+	}
+	return sum, nil
+}
 
 // Permute implements Aggregation: counts are invariant under vertex
 // remapping.
@@ -82,18 +100,24 @@ func (Count) Permute(v Value, f []int) Value { return v }
 func (Count) Idempotent() bool { return false }
 
 // Uncombine implements Invertible.
-func (Count) Uncombine(total, part Value) Value {
-	t, p := total.(uint64), part.(uint64)
-	if p > t {
-		panic(fmt.Sprintf("aggr: count underflow: %d - %d", t, p))
+func (Count) Uncombine(total, part Value) (Value, error) {
+	diff, borrow := bits.Sub64(total.(uint64), part.(uint64), 0)
+	if borrow != 0 {
+		return nil, fmt.Errorf("aggr: %d - %d: %w", total, part, ErrOverflow)
 	}
-	return t - p
+	return diff, nil
 }
 
 // Scale multiplies a count by an integer coefficient (the copy counts in
 // the morphing equations of Fig. 7). It is Count-specific: general
 // aggregations express multiplicity by repeated Combine.
-func (Count) Scale(v Value, k uint64) Value { return v.(uint64) * k }
+func (Count) Scale(v Value, k uint64) (Value, error) {
+	hi, lo := bits.Mul64(v.(uint64), k)
+	if hi != 0 {
+		return nil, fmt.Errorf("aggr: %d x %d: %w", v, k, ErrOverflow)
+	}
+	return lo, nil
+}
 
 // MNI aggregates matches into minimum-node-image tables [8]. Values are
 // *Table. MNI is idempotent (column union) and has no inverse.
@@ -109,11 +133,11 @@ func (MNI) Name() string { return "mni" }
 func (MNI) Zero() Value { return &Table{} }
 
 // Combine implements Aggregation by column-wise union.
-func (MNI) Combine(a, b Value) Value {
+func (MNI) Combine(a, b Value) (Value, error) {
 	ta, tb := a.(*Table), b.(*Table)
 	out := ta.Clone()
 	out.Merge(tb)
-	return out
+	return out, nil
 }
 
 // Permute implements Aggregation: column i of the result is column f[i]
@@ -140,7 +164,7 @@ func (Exists) Name() string { return "exists" }
 func (Exists) Zero() Value { return false }
 
 // Combine implements Aggregation (logical or).
-func (Exists) Combine(a, b Value) Value { return a.(bool) || b.(bool) }
+func (Exists) Combine(a, b Value) (Value, error) { return a.(bool) || b.(bool), nil }
 
 // Permute implements Aggregation: existence is invariant under vertex
 // remapping.

@@ -1,6 +1,7 @@
 package aggr
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -15,29 +16,46 @@ func TestCountBasics(t *testing.T) {
 	if c.Zero().(uint64) != 0 {
 		t.Fatal("Zero != 0")
 	}
-	v := c.Combine(uint64(3), uint64(4))
+	v := must(c.Combine(uint64(3), uint64(4)))
 	if v.(uint64) != 7 {
 		t.Fatalf("Combine = %v", v)
 	}
 	if c.Permute(uint64(9), []int{1, 0}).(uint64) != 9 {
 		t.Fatal("Permute must be identity for counts")
 	}
-	if c.Uncombine(uint64(7), uint64(3)).(uint64) != 4 {
+	if must(c.Uncombine(uint64(7), uint64(3))).(uint64) != 4 {
 		t.Fatal("Uncombine wrong")
 	}
-	if c.Scale(uint64(5), 3).(uint64) != 15 {
+	if must(c.Scale(uint64(5), 3)).(uint64) != 15 {
 		t.Fatal("Scale wrong")
 	}
 	if c.Idempotent() {
 		t.Fatal("Count must not be idempotent")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("underflow must panic")
+	// Leaving the range of uint64, either way, is the typed error.
+	const top = uint64(1) << 63
+	for name, err := range map[string]error{
+		"sum":        second(c.Combine(top, top)),
+		"product":    second(c.Scale(top, 2)),
+		"difference": second(c.Uncombine(uint64(1), uint64(2))),
+	} {
+		if !errors.Is(err, ErrOverflow) {
+			t.Errorf("%s out of range: %v, want ErrOverflow", name, err)
 		}
-	}()
-	c.Uncombine(uint64(1), uint64(2))
+	}
+	if v := must(c.Combine(top, top-1)).(uint64); v != ^uint64(0) {
+		t.Fatalf("largest sum = %d", v)
+	}
 }
+
+func must(v Value, err error) Value {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+func second(_ Value, err error) error { return err }
 
 func TestMNITableInsertSupport(t *testing.T) {
 	tb := NewTable(3)
@@ -115,7 +133,7 @@ func TestMNIAggregationInterface(t *testing.T) {
 	// Combine must not mutate inputs.
 	b := NewTable(2)
 	b.Insert([]uint32{9, 8})
-	out := m.Combine(a, b).(*Table)
+	out := must(m.Combine(a, b)).(*Table)
 	if len(a.Column(0)) != 1 || len(b.Column(0)) != 1 {
 		t.Fatal("Combine mutated an input")
 	}
@@ -123,12 +141,12 @@ func TestMNIAggregationInterface(t *testing.T) {
 		t.Fatalf("combined column 0 = %v", got)
 	}
 	// Idempotence: a ⊕ a == a.
-	same := m.Combine(a, a).(*Table)
+	same := must(m.Combine(a, a)).(*Table)
 	if !same.Equal(a) {
 		t.Fatal("Combine(a,a) != a")
 	}
 	// Zero adapts width.
-	z := m.Combine(m.Zero(), a).(*Table)
+	z := must(m.Combine(m.Zero(), a)).(*Table)
 	if !z.Equal(a) {
 		t.Fatal("Zero is not an identity")
 	}
@@ -138,8 +156,8 @@ func TestMNIZeroCombineCommutes(t *testing.T) {
 	var m MNI
 	a := NewTable(2)
 	a.Insert([]uint32{4, 5})
-	left := m.Combine(m.Zero(), a).(*Table)
-	right := m.Combine(a, m.Zero()).(*Table)
+	left := must(m.Combine(m.Zero(), a)).(*Table)
+	right := must(m.Combine(a, m.Zero())).(*Table)
 	if !left.Equal(right) || !left.Equal(a) {
 		t.Fatal("Zero must be a two-sided identity")
 	}
@@ -151,8 +169,8 @@ func TestQuickMNICombineCommutative(t *testing.T) {
 	f := func(seed int64) bool {
 		_ = seed
 		a, b := randomTable(r), randomTable(r)
-		ab := m.Combine(a, b).(*Table)
-		ba := m.Combine(b, a).(*Table)
+		ab := must(m.Combine(a, b)).(*Table)
+		ba := must(m.Combine(b, a)).(*Table)
 		return ab.Equal(ba)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -197,7 +215,7 @@ func TestExistsAggregation(t *testing.T) {
 	if e.Zero().(bool) {
 		t.Fatal("Zero must be false")
 	}
-	if !e.Combine(false, true).(bool) || e.Combine(false, false).(bool) {
+	if !must(e.Combine(false, true)).(bool) || must(e.Combine(false, false)).(bool) {
 		t.Fatal("Combine is not logical or")
 	}
 	if !e.Idempotent() {

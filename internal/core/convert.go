@@ -10,6 +10,14 @@ import (
 	"morphing/internal/pattern"
 )
 
+// ErrCountOverflow reports a conversion (or an equation check) whose
+// count arithmetic left the range of uint64 — a sum or a coefficient
+// product beyond it, or a subtraction below zero, which is what an
+// alternative's wrapped total looks like downstream. Convert returns it
+// wrapped, through Runner.CountsCtx to the caller (morphd: a fatal
+// "internal" error document). It is aggr.ErrOverflow under core's name.
+var ErrCountOverflow = aggr.ErrOverflow
+
 // Convert implements result transformation for batched output (§6.1,
 // Algorithm 2, generalized to mixed-variant alternative sets): given the
 // aggregation value mined for each Choice (indexed as in sel.Mine), it
@@ -89,7 +97,9 @@ func (c *converter) queryValue(q Query) (aggr.Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		result = c.agg.Combine(result, contrib)
+		if result, err = c.agg.Combine(result, contrib); err != nil {
+			return nil, err
+		}
 	}
 	return result, nil
 }
@@ -137,9 +147,14 @@ func (c *converter) vertexValue(n *Node) (aggr.Value, *pattern.Pattern, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		super = c.agg.Combine(super, contrib)
+		if super, err = c.agg.Combine(super, contrib); err != nil {
+			return nil, nil, err
+		}
 	}
-	v := inv.Uncombine(eVal, super)
+	v, err := inv.Uncombine(eVal, super)
+	if err != nil {
+		return nil, nil, err
+	}
 	c.vValues[n.ID] = v
 	return v, eFrame, nil
 }
@@ -174,7 +189,10 @@ func (c *converter) projectFrames(p, frame *pattern.Pattern, v aggr.Value) (aggr
 	}
 	out := c.agg.Zero()
 	for _, f := range maps {
-		out = c.agg.Combine(out, c.agg.Permute(v, f))
+		var err error
+		if out, err = c.agg.Combine(out, c.agg.Permute(v, f)); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }

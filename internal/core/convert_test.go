@@ -23,7 +23,7 @@ func forceMorphCosts(queries []*pattern.Pattern) CostFunc {
 	for _, q := range queries {
 		ids[canon.StructureID(q)] = normVariant(q)
 	}
-	return func(n *Node) Costs {
+	return additive(func(n *Node) Costs {
 		c := Costs{E: 1, V: 1}
 		if v, ok := ids[n.ID]; ok {
 			if v == pattern.VertexInduced {
@@ -33,7 +33,7 @@ func forceMorphCosts(queries []*pattern.Pattern) CostFunc {
 			}
 		}
 		return c
-	}
+	})
 }
 
 // oracleCounts produces the mined aggregation values for a selection
@@ -241,7 +241,7 @@ func TestConvertCountsMixedVariantSelection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sel, err := Select(context.Background(), d, queries, costs, PolicyAny, SelectOptions{})
+		sel, err := Select(context.Background(), d, queries, additive(costs), PolicyAny, SelectOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -100,7 +100,9 @@ func ConvertAssignment(d *SDAG, a AlternativeAssignment, queries []*pattern.Patt
 			if err != nil {
 				return 0, err
 			}
-			sum += uint64(CopyCoefficient(n.Pattern, s.Pattern)) * sv
+			if sum, err = addScaled(sum, uint64(CopyCoefficient(n.Pattern, s.Pattern)), sv); err != nil {
+				return 0, err
+			}
 		}
 		if sum > e {
 			return 0, fmt.Errorf("core: inconsistent counts for %v: edge-induced %d < contained %d", n.Pattern, e, sum)
@@ -133,7 +135,9 @@ func ConvertAssignment(d *SDAG, a AlternativeAssignment, queries []*pattern.Patt
 			if err != nil {
 				return nil, err
 			}
-			sum += uint64(CopyCoefficient(q, s.Pattern)) * sv
+			if sum, err = addScaled(sum, uint64(CopyCoefficient(q, s.Pattern)), sv); err != nil {
+				return nil, err
+			}
 		}
 		out[i] = sum
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -153,11 +154,13 @@ func sameStructure(a, b *pattern.Pattern) bool {
 func (eq Equation) Verify(count func(p *pattern.Pattern) uint64) error {
 	var pos, neg uint64
 	for _, t := range eq.Terms {
-		v := uint64(t.Coefficient) * count(t.Pattern)
+		side := &pos
 		if t.Negative {
-			neg += v
-		} else {
-			pos += v
+			side = &neg
+		}
+		var err error
+		if *side, err = addScaled(*side, uint64(t.Coefficient), count(t.Pattern)); err != nil {
+			return fmt.Errorf("core: equation %q: %w", eq, err)
 		}
 	}
 	lhs := count(eq.LHS)
@@ -165,4 +168,14 @@ func (eq Equation) Verify(count func(p *pattern.Pattern) uint64) error {
 		return fmt.Errorf("core: equation %q does not hold: lhs=%d rhs=%d-%d", eq, lhs, pos, neg)
 	}
 	return nil
+}
+
+// addScaled returns sum + k*v, or ErrCountOverflow when that leaves uint64.
+func addScaled(sum, k, v uint64) (uint64, error) {
+	hi, prod := bits.Mul64(k, v)
+	out, carry := bits.Add64(sum, prod, 0)
+	if hi != 0 || carry != 0 {
+		return 0, fmt.Errorf("%d + %d x %d: %w", sum, k, v, ErrCountOverflow)
+	}
+	return out, nil
 }

@@ -22,12 +22,17 @@ import (
 // Truncated. Accepted morphs are always recorded — they are the plan.
 const maxExplainCandidates = 4096
 
-// ScoredPair is one (pattern, variant) with its modeled mining cost, as
-// Algorithm 1 saw it while scoring a candidate morph.
+// ScoredPair is one (pattern, variant) as Algorithm 1 saw it while
+// scoring a candidate morph. A removed pair's Cost is what it costs mined
+// on its own (the morph credits CostOut: the trie levels no staying pattern
+// occupies). An added pair's Cost is its marginal price — the levels
+// nothing scheduled, and no pair listed before it, already holds — and
+// Shared the number of its levels that were already there.
 type ScoredPair struct {
 	Pattern string  `json:"pattern"`
 	Variant string  `json:"variant"`
 	Cost    float64 `json:"cost"`
+	Shared  int     `json:"shared_levels,omitempty"`
 	// Free marks pairs already scheduled in the working set S: they are
 	// added at zero marginal cost, the compounding effect that makes
 	// overlapping morphs cheap (§5, cost zeroing).
@@ -83,18 +88,34 @@ func (e *SelectionExplain) recordCandidate(c CandidateMorph) {
 
 // AnnotateEstimates fills each Choice's EstCost and EstMatches from the
 // cost model, the predictions post-run calibration compares against the
-// measured per-pattern matches and wall time. Estimation failures (never
-// expected for connected patterns) leave +Inf cost and zero matches.
+// measured per-pattern matches. EstCost is the choice's marginal price
+// inside the selected set — the trie levels no other choice occupies; the
+// set's total is CostAfter — so a choice that shares its whole prefix costs
+// its last level. Estimation failures (never expected for connected
+// patterns) leave +Inf cost and zero matches.
 func (sel *Selection) AnnotateEstimates(model *costmodel.Model, perMatchCost float64) {
+	var levels []costmodel.Level
+	ends := make([]int, len(sel.Mine))
+	users := map[uint64]int{}
 	for i := range sel.Mine {
 		c := &sel.Mine[i]
-		cost, err := model.PatternCost(c.Pattern.Variant(c.Variant), perMatchCost)
-		if err != nil {
-			cost = math.Inf(1)
+		var err error
+		if levels, err = model.PatternLevels(c.Pattern.Variant(c.Variant), perMatchCost, levels); err != nil {
+			c.EstCost = math.Inf(1)
 		}
-		c.EstCost = cost
+		ends[i] = len(levels)
 		if _, aut, err := plan.BuildAut(c.Pattern); err == nil {
 			c.EstMatches = model.MatchEstimate(c.Pattern, aut)
+		}
+	}
+	for _, l := range levels {
+		users[l.Key]++
+	}
+	for i, at := 0, 0; i < len(ends); at, i = ends[i], i+1 {
+		for _, l := range levels[at:ends[i]] {
+			if users[l.Key] == 1 {
+				sel.Mine[i].EstCost += l.Cost
+			}
 		}
 	}
 }

@@ -56,7 +56,7 @@ func TestFuzzSelectionAlwaysConvertible(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sel, err := Select(context.Background(), d, queries, costs, policy, SelectOptions{})
+			sel, err := Select(context.Background(), d, queries, additive(costs), policy, SelectOptions{})
 			if err != nil {
 				t.Fatalf("trial %d policy %v: Select: %v", trial, policy, err)
 			}
@@ -96,7 +96,7 @@ func TestFuzzSelectionCostNeverWorse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sel, err := Select(context.Background(), d, queries, costs, PolicyAny, SelectOptions{})
+		sel, err := Select(context.Background(), d, queries, additive(costs), PolicyAny, SelectOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func TestFuzzStreamPlanCoverage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sel, err := Select(context.Background(), d, queries, costs, PolicyVertexOnly, SelectOptions{})
+		sel, err := Select(context.Background(), d, queries, additive(costs), PolicyVertexOnly, SelectOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

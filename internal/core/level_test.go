@@ -153,7 +153,9 @@ func BenchmarkTransformLevel(b *testing.B) {
 }
 
 // BenchmarkSelectDecline is the same level's Algorithm 1 alone: nothing
-// can fire, so past the cost function it is the decline bound.
+// can fire, so past the cost function it is the decline bound — and must
+// allocate no more than the 326 objects per call it did when a set cost the
+// sum of its patterns.
 func BenchmarkSelectDecline(b *testing.B) {
 	g, level, perMatch := fsmLevel3(b)
 	d, err := core.BuildSDAG(level)
@@ -161,12 +163,46 @@ func BenchmarkSelectDecline(b *testing.B) {
 		b.Fatal(err)
 	}
 	model := costmodel.New(graph.Summarize(g), costmodel.DefaultWeights())
+	benchSelect(b, 326, func() (*core.Selection, error) {
+		return core.Select(context.Background(), d, level, core.DefaultCostFunc(model, perMatch), core.PolicyVertexOnly, core.SelectOptions{})
+	}, len(level))
+}
+
+// BenchmarkSelectAccept is the opposite case: the six vertex-induced
+// 4-motifs on MG x0.003 (the repo benchmark's mc4-morph), every one of which
+// morphs — candidate scoring against the refcounted levels of S, the
+// accepted replacements, the set re-priced — into six edge-induced patterns.
+func BenchmarkSelectAccept(b *testing.B) {
+	g, err := dataset.MAG().Scaled(0.003).Generate()
+	if err != nil {
+		b.Fatal(err)
+	}
+	queries := named(b, motifs4...)
+	model := costmodel.NewDefault(graph.Summarize(g))
+	benchSelect(b, 270, func() (*core.Selection, error) {
+		d, err := core.BuildSDAG(queries)
+		if err != nil {
+			return nil, err
+		}
+		return core.Select(context.Background(), d, queries, core.DefaultCostFunc(model, 0), core.PolicyAny, core.SelectOptions{})
+	}, 6)
+}
+
+// benchSelect times sel, which must mine `mined` patterns, and fails the
+// benchmark when one call allocates more than maxAllocs objects.
+func benchSelect(b *testing.B, maxAllocs float64, sel func() (*core.Selection, error), mined int) {
+	run := func() {
+		s, err := sel()
+		if err != nil || len(s.Mine) != mined {
+			b.Fatalf("mined %d patterns, want %d, err %v", len(s.Mine), mined, err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(5, run); allocs > maxAllocs {
+		b.Fatalf("%.0f allocations per call, bound %.0f", allocs, maxAllocs)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sel, err := core.Select(context.Background(), d, level, core.DefaultCostFunc(model, perMatch), core.PolicyVertexOnly, core.SelectOptions{})
-		if err != nil || len(sel.Mine) != len(level) {
-			b.Fatalf("mined %d of %d candidates, err %v", len(sel.Mine), len(level), err)
-		}
+		run()
 	}
 }

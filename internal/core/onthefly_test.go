@@ -120,7 +120,7 @@ func TestStreamMorphedUnmorphed(t *testing.T) {
 		t.Fatal(err)
 	}
 	neverMorph := func(n *Node) Costs { return Costs{E: 1, V: 1e9} }
-	sel, err := Select(context.Background(), d, []*pattern.Pattern{q}, neverMorph, PolicyVertexOnly, SelectOptions{})
+	sel, err := Select(context.Background(), d, []*pattern.Pattern{q}, additive(neverMorph), PolicyVertexOnly, SelectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -61,23 +60,59 @@ func eagerSDAG(t testing.TB, queries []*pattern.Pattern) *SDAG {
 
 // eagerSelect is Algorithm 1 over a complete S-DAG, reading only the
 // Parents and Children links: every parent of a member of S, every subset
-// of its morphable children in S, no decline bound. It returns the final
-// alternative set and the modeled costs before and after.
+// of its morphable children in S, no decline bound, and no running state
+// for prices — every candidate recounts which trie levels the staying
+// members occupy from S itself. It returns the final alternative set and
+// the modeled set prices before and after.
 func eagerSelect(d *SDAG, queries []*pattern.Pattern, cost CostFunc, policy Policy, maxSubset int) (S map[pairKey]*Node, before, after float64) {
-	costs := map[uint64]Costs{}
-	variantCost := func(n *Node, v pattern.Induced) float64 {
-		c, ok := costs[n.ID]
-		if !ok {
-			c = cost(n)
-			costs[n.ID] = c
+	memo := map[pairKey][]costmodel.Level{}
+	levels := func(n *Node, v pattern.Induced) []costmodel.Level {
+		if n.Pattern.IsClique() {
+			v = pattern.EdgeInduced
 		}
-		switch {
-		case n.Pattern.IsClique():
-			return math.Min(c.E, c.V)
-		case v == pattern.VertexInduced:
-			return c.V
+		k := pairKey{n.ID, v}
+		if _, ok := memo[k]; !ok {
+			memo[k] = cost(n, v, nil)
 		}
-		return c.E
+		return memo[k]
+	}
+	variantCost := func(n *Node, v pattern.Induced) (alone float64) {
+		for _, l := range levels(n, v) {
+			alone += l.Cost
+		}
+		return alone
+	}
+	sorted := func(set map[pairKey]*Node) []pairKey {
+		keys := make([]pairKey, 0, len(set))
+		for k := range set {
+			keys = append(keys, k)
+		}
+		sort.Slice(keys, func(i, j int) bool { return cmpPair(keys[i], keys[j]) < 0 })
+		return keys
+	}
+	// users counts, per level, the members of set occupying it.
+	users := func(set map[pairKey]*Node, except map[pairKey]bool) map[uint64]int {
+		out := map[uint64]int{}
+		for k, n := range set {
+			if !except[k] {
+				for _, l := range levels(n, k.variant) {
+					out[l.Key]++
+				}
+			}
+		}
+		return out
+	}
+	price := func(set map[pairKey]*Node) (total float64) {
+		seen := map[uint64]bool{}
+		for _, k := range sorted(set) {
+			for _, l := range levels(set[k], k.variant) {
+				if !seen[l.Key] {
+					seen[l.Key] = true
+					total += l.Cost
+				}
+			}
+		}
+		return total
 	}
 	bestVariant := func(n *Node) pattern.Induced {
 		switch {
@@ -129,8 +164,8 @@ func eagerSelect(d *SDAG, queries []*pattern.Pattern, cost CostFunc, policy Poli
 	for _, q := range queries {
 		n := d.Node(q)
 		S[pairKey{n.ID, normVariant(q)}] = n
-		before += variantCost(n, normVariant(q))
 	}
+	before = price(S)
 	for iter := 0; iter < 8*len(d.nodes)+32; iter++ {
 		changed := false
 		var parents []*Node
@@ -153,7 +188,7 @@ func eagerSelect(d *SDAG, queries []*pattern.Pattern, cost CostFunc, policy Poli
 					}
 				}
 			}
-			sort.Slice(kids, func(i, j int) bool { return lessPair(kids[i], kids[j]) })
+			sort.Slice(kids, func(i, j int) bool { return cmpPair(kids[i], kids[j]) < 0 })
 			if len(kids) > maxSubset {
 				kids = kids[:maxSubset]
 			}
@@ -162,7 +197,7 @@ func eagerSelect(d *SDAG, queries []*pattern.Pattern, cost CostFunc, policy Poli
 				inC := map[pairKey]bool{}
 				structs := map[uint64]bool{}
 				spc := map[pairKey]*Node{}
-				removed := 0.0
+				var C []pairKey
 				for b, k := range kids {
 					if mask&(1<<b) == 0 {
 						continue
@@ -171,16 +206,36 @@ func eagerSelect(d *SDAG, queries []*pattern.Pattern, cost CostFunc, policy Poli
 						continue masks
 					}
 					structs[k.id], inC[k] = true, true
-					removed += variantCost(S[k], k.variant)
+					C = append(C, k)
 					for ak, an := range altSet(k, S[k]) {
 						spc[ak] = an
 					}
 				}
-				added := 0.0
-				for k, n := range spc {
-					if S[k] == nil || inC[k] {
-						added += variantCost(n, k.variant)
+				// Removed: the levels every user of which leaves with C,
+				// credited where the last of them is visited. Added: the
+				// levels of the incoming pairs that nothing staying occupies.
+				all, stay := users(S, nil), users(S, inC)
+				removed, left := 0.0, map[uint64]int{}
+				for _, k := range C {
+					for _, l := range levels(S[k], k.variant) {
+						if left[l.Key]++; left[l.Key] == all[l.Key] {
+							removed += l.Cost
+						}
 					}
+				}
+				added := 0.0
+				for _, k := range sorted(spc) {
+					if S[k] != nil && !inC[k] {
+						continue
+					}
+					pair := 0.0
+					for _, l := range levels(spc[k], k.variant) {
+						if stay[l.Key] == 0 {
+							stay[l.Key] = 1
+							pair += l.Cost
+						}
+					}
+					added += pair
 				}
 				if added < removed {
 					for k := range inC {
@@ -209,15 +264,7 @@ func eagerSelect(d *SDAG, queries []*pattern.Pattern, cost CostFunc, policy Poli
 			}
 		}
 	}
-	keys := make([]pairKey, 0, len(S))
-	for k := range S {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return lessPair(keys[i], keys[j]) })
-	for _, k := range keys {
-		after += variantCost(S[k], k.variant)
-	}
-	return S, before, after
+	return S, before, price(S)
 }
 
 // randomConnected draws a connected pattern on n vertices — a random tree
@@ -306,10 +353,10 @@ func TestLazySelectionEqualsEagerOracle(t *testing.T) {
 		default:
 			span := uint64([]int{2, 4, 1000}[r.Intn(3)])
 			salt := r.Uint64()
-			cost = func(n *Node) Costs {
+			cost = additive(func(n *Node) Costs {
 				h := (n.ID ^ salt) * 0x9e3779b97f4a7c15
 				return Costs{E: float64(h >> 33 % span), V: float64(h >> 7 % span)}
-			}
+			})
 		}
 		eager := eagerSDAG(t, queries)
 		for _, policy := range []Policy{PolicyAny, PolicyVertexOnly, PolicyEdgeOnly} {

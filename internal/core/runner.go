@@ -201,7 +201,8 @@ type RunStats struct {
 
 // PatternRunStats is the calibration record for one executed alternative
 // pattern: what the §5.2 cost model predicted next to what the engine
-// measured.
+// measured. EstCost is the pattern's marginal price inside the mined set
+// (Selection.CostAfter is the set's).
 type PatternRunStats struct {
 	Pattern    string  `json:"pattern"`
 	Variant    string  `json:"variant"`
@@ -960,7 +961,9 @@ type AdmissionEstimate struct {
 	// counting pipelines nothing is materialized, but the estimate is
 	// still the match-volume proxy admission control meters.
 	MatchBytes uint64 `json:"match_bytes"`
-	// Cost is the modeled execution cost of the winner set (§5.2 units).
+	// Cost is the modeled price of the winner set after selection, mined
+	// as one merged trie — shared levels once (Selection.CostAfter; §5.2
+	// units) —, not a sum over its patterns.
 	Cost float64 `json:"cost"`
 	// MinePatterns is how many alternative patterns the winner set mines.
 	MinePatterns int `json:"mine_patterns"`
@@ -987,10 +990,12 @@ func (r *Runner) EstimateAdmission(ctx context.Context, g graph.Adjacency, queri
 }
 
 // estimateMatchBytes is the cost model's estimate of the bytes the
-// batched path materializes: expected matches per alternative times the
-// pattern's vertices times 4 (uint32 vertex IDs). The model estimates
-// over the graph's dense portion, so this is a relative proxy (compare
-// it against MemoryBudget in the same units).
+// batched path materializes for the set selection chose: expected matches
+// per alternative times the pattern's vertices times 4 (uint32 vertex
+// IDs). It is a match volume, summed per pattern — matches are never
+// shared, unlike the set's price (Selection.CostAfter). The model
+// estimates over the graph's dense portion, so this is a relative proxy
+// (compare it against MemoryBudget in the same units).
 func (r *Runner) estimateMatchBytes(g graph.Adjacency, sel *Selection) uint64 {
 	model := costmodel.New(graph.Summarize(g), r.weights())
 	total := 0.0

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"morphing/internal/canon"
 	"morphing/internal/costmodel"
@@ -52,28 +51,51 @@ func (p Policy) String() string {
 	}
 }
 
-// Costs holds the estimated mining cost of a structure's two variants.
-type Costs struct {
-	E, V float64
-}
+// CostFunc prices mining n's structure in variant v as the levels of the
+// merged trie the pattern occupies (costmodel.Level), appended to dst: the
+// executor mines a set of patterns as one trie, so a set costs the sum over
+// its distinct level keys and a pattern joining a set pays only for the
+// levels nothing scheduled holds yet. A table of independent per-pattern
+// costs is the special case of one level per pair under a key of its own.
+type CostFunc func(n *Node, v pattern.Induced, dst []costmodel.Level) []costmodel.Level
 
-// CostFunc estimates variant costs for an S-DAG node. DefaultCostFunc
-// derives one from the cost model; tests inject exact tables.
-type CostFunc func(n *Node) Costs
-
-// DefaultCostFunc builds a CostFunc from the §5.2 cost model: plan cost
-// plus expected matches times the per-match aggregation cost.
+// DefaultCostFunc builds a CostFunc from the §5.2 cost model: the levels
+// of the pattern's default plan, expected matches times the per-match
+// aggregation cost on the last.
 func DefaultCostFunc(model *costmodel.Model, perMatchCost float64) CostFunc {
-	return func(n *Node) Costs {
-		cE, errE := model.PatternCost(n.Pattern, perMatchCost)
-		cV, errV := model.PatternCost(n.Pattern.AsVertexInduced(), perMatchCost)
-		if errE != nil || errV != nil {
+	return func(n *Node, v pattern.Induced, dst []costmodel.Level) []costmodel.Level {
+		p := n.Pattern // the edge-induced representative
+		if v == pattern.VertexInduced {
+			p = p.AsVertexInduced()
+		}
+		out, err := model.PatternLevels(p, perMatchCost, dst)
+		if err != nil {
 			// Connected patterns never fail plan building; treat as very
 			// expensive so selection avoids them rather than aborting.
-			return Costs{E: math.Inf(1), V: math.Inf(1)}
+			return append(dst, costmodel.Level{Key: n.ID ^ uint64(v)<<63, Cost: math.Inf(1)})
 		}
-		return Costs{E: cE, V: cV}
+		return out
 	}
+}
+
+// member is one (structure, variant) of a working alternative set.
+type member struct {
+	node *Node
+	key  pairKey
+}
+
+// sortMembers orders ms by pair and drops repeated pairs, in place.
+func sortMembers(ms []member) []member {
+	slices.SortFunc(ms, func(a, b member) int { return cmpPair(a.key, b.key) })
+	return slices.CompactFunc(ms, func(a, b member) bool { return a.key == b.key })
+}
+
+// priced is one (structure, variant) as the cost function sees it: the
+// trie levels it occupies (a span of Select's slab, root first) and their
+// sum, the pair mined on its own.
+type priced struct {
+	off, n int32
+	alone  float64
 }
 
 // pairKey identifies (structure, variant) — the unit of mining work.
@@ -93,7 +115,8 @@ type Choice struct {
 
 	// EstCost and EstMatches are the cost model's predictions for mining
 	// this choice, filled by Selection.AnnotateEstimates (explain mode
-	// only; zero otherwise). Calibration divides EstMatches by the
+	// only; zero otherwise): its marginal price inside the selected set
+	// and its expected matches. Calibration divides EstMatches by the
 	// measured match count.
 	EstCost    float64
 	EstMatches float64
@@ -114,8 +137,9 @@ type Selection struct {
 	Queries []Query
 	Mine    []Choice
 
-	// CostBefore/CostAfter are the model's totals for the original query
-	// set and the selected alternative set (diagnostics and Fig. 15e).
+	// CostBefore/CostAfter are the model's prices for the original query
+	// set and the selected alternative set, each mined as one trie: every
+	// distinct level once (diagnostics and Fig. 15e).
 	CostBefore, CostAfter float64
 
 	// Explain is the Algorithm 1 trace, recorded only when
@@ -180,34 +204,39 @@ func Select(ctx context.Context, d *SDAG, queries []*pattern.Pattern, cost CostF
 		sel.Explain = ex
 	}
 
-	// Per-node base costs, computed once. Trace entries append on the
-	// memoization miss, so their order follows the algorithm's (fully
-	// deterministic) first consultation of each structure.
-	baseCosts := make(map[uint64]Costs, len(queries))
-	nodeCost := func(n *Node) Costs {
+	// Both variants of a structure are priced on its first consultation.
+	// Trace entries append on the memoization miss, so their order follows
+	// the algorithm's (fully deterministic) first consultation of each
+	// structure. The variants of a clique are the same pattern: one price.
+	baseCosts := make(map[uint64][2]priced, len(queries))
+	slab := make([]costmodel.Level, 0, 8*len(queries))
+	nodeCost := func(n *Node) [2]priced {
 		c, ok := baseCosts[n.ID]
 		if !ok {
-			c = cost(n)
+			for v := range c {
+				if v == int(pattern.VertexInduced) && n.Pattern.IsClique() {
+					c[v] = c[pattern.EdgeInduced]
+					break
+				}
+				c[v].off = int32(len(slab))
+				slab = cost(n, pattern.Induced(v), slab)
+				c[v].n = int32(len(slab)) - c[v].off
+				for _, l := range slab[c[v].off:] {
+					c[v].alone += l.Cost
+				}
+			}
 			baseCosts[n.ID] = c
 			if ex != nil {
 				ex.NodeCosts = append(ex.NodeCosts, NodeCost{
-					ID: n.ID, Pattern: n.Pattern.String(), CostE: c.E, CostV: c.V,
+					ID: n.ID, Pattern: n.Pattern.String(), CostE: c[0].alone, CostV: c[1].alone,
 				})
 			}
 		}
 		return c
 	}
-	variantCost := func(n *Node, v pattern.Induced) float64 {
-		c := nodeCost(n)
-		if n.Pattern.IsClique() {
-			// The variants of a clique are the same pattern; its one true
-			// cost is the smaller estimate.
-			return math.Min(c.E, c.V)
-		}
-		if v == pattern.VertexInduced {
-			return c.V
-		}
-		return c.E
+	levelsOf := func(n *Node, v pattern.Induced) []costmodel.Level {
+		c := nodeCost(n)[v]
+		return slab[c.off : c.off+c.n]
 	}
 	// bestVariant picks the cheapest variant a policy allows for an
 	// alternative pattern. Cliques have identical variants; normalize to
@@ -222,8 +251,7 @@ func Select(ctx context.Context, d *SDAG, queries []*pattern.Pattern, cost CostF
 			if n.Pattern.IsClique() {
 				return pattern.EdgeInduced
 			}
-			c := nodeCost(n)
-			if c.V < c.E {
+			if c := nodeCost(n); c[pattern.VertexInduced].alone < c[pattern.EdgeInduced].alone {
 				return pattern.VertexInduced
 			}
 			return pattern.EdgeInduced
@@ -231,10 +259,6 @@ func Select(ctx context.Context, d *SDAG, queries []*pattern.Pattern, cost CostF
 	}
 
 	// S: the working alternative set, keyed by (structure, variant).
-	type member struct {
-		node *Node
-		key  pairKey
-	}
 	S := make(map[pairKey]*Node, len(queries))
 
 	sel.Queries = make([]Query, 0, len(queries))
@@ -245,8 +269,31 @@ func Select(ctx context.Context, d *SDAG, queries []*pattern.Pattern, cost CostF
 		}
 		sel.Queries = append(sel.Queries, Query{Pattern: q, Node: n})
 		S[pairKey{n.ID, normVariant(q)}] = n
-		sel.CostBefore += variantCost(n, normVariant(q))
 	}
+
+	// ref counts, per trie level, the members of S that occupy it: the
+	// merged trie of S, never built. setPrice recounts it from S and
+	// returns what S costs — every distinct level once, in pair order.
+	ref := make(map[uint64]int32, 4*len(S))
+	var keys []pairKey // S in pair order, as of the last setPrice
+	setPrice := func() (total float64) {
+		keys = keys[:0]
+		for k := range S {
+			keys = append(keys, k)
+		}
+		slices.SortFunc(keys, cmpPair)
+		clear(ref)
+		for _, k := range keys {
+			for _, l := range levelsOf(S[k], k.variant) {
+				if ref[l.Key]++; ref[l.Key] == 1 {
+					total += l.Cost
+				}
+			}
+		}
+		return total
+	}
+	sel.CostBefore = setPrice()
+	sel.CostAfter = sel.CostBefore
 
 	// morphable reports whether a pair may be replaced by its alternative
 	// set under the policy.
@@ -290,20 +337,118 @@ func Select(ctx context.Context, d *SDAG, queries []*pattern.Pattern, cost CostF
 	}
 	// live reports whether a candidate morph containing c could be
 	// accepted. Every candidate C adds the selfPair of each of its members
-	// — distinct pairs, as C never holds both variants of a structure. If
-	// none is in S and each costs at least what removing its member
-	// credits, added ≥ removed (costs are never negative): a parent with
-	// no live child has all 2^k candidates rejected, so superpatterns are
-	// generated above live members only. The explain trace lists rejected
+	// — distinct pairs, as C never holds both variants of a structure — and
+	// a pair's last level is its own: no other plan ends on it, so what C
+	// adds costs at least its selfPairs' last levels, those not in S.
+	// Removing C credits the levels all of whose occupants are in C, which
+	// is at most each member's levels split evenly among their occupants
+	// (ub: a level with r occupants is credited only if all r leave, each
+	// carrying cost/r). So if no member's selfPair is in S and each one's
+	// last level costs at least its member's ub, added >= removed: a parent
+	// with no live child has all 2^k candidates rejected, and superpatterns
+	// are generated above live members only. (The factor absorbs the
+	// rounding of the divisions.) The explain trace lists rejected
 	// candidates: there every member counts as live.
 	live := func(c member) bool {
 		if ex != nil {
 			return true
 		}
 		self := selfPair(c.key)
-		_, in := S[self]
-		return in || variantCost(c.node, self.variant) < variantCost(c.node, c.key.variant)
+		if _, in := S[self]; in {
+			return true
+		}
+		pc := nodeCost(c.node)
+		own, other := pc[c.key.variant], pc[self.variant]
+		last, ub := slab[other.off+other.n-1].Cost, own.alone
+		if last < ub { // else not even with its levels to itself
+			ub = 0
+			for _, l := range slab[own.off : own.off+own.n] {
+				ub += l.Cost / float64(ref[l.Key])
+			}
+		}
+		return last < ub*(1+1e-9)
 	}
+
+	// score prices replacing C by the pairs of adds that are not staying
+	// members of S: removed is the levels only members of C occupy, added
+	// the levels of adds nothing staying occupies (a level C gives up and
+	// adds takes back counts on both sides). paid, when not nil, receives
+	// per pair of adds its marginal price and how many of its levels were
+	// already there.
+	gone := map[uint64]int32{}
+	score := func(C, adds []member, inC map[pairKey]bool, paid func(i int, cost float64, shared int)) (removed, added float64) {
+		clear(gone)
+		for _, c := range C {
+			for _, l := range levelsOf(c.node, c.key.variant) {
+				if gone[l.Key]++; gone[l.Key] == ref[l.Key] {
+					removed += l.Cost
+				}
+			}
+		}
+		for i, m := range adds {
+			if _, in := S[m.key]; in && !inC[m.key] {
+				continue // already scheduled and staying: free
+			}
+			cost, shared := 0.0, 0
+			for _, l := range levelsOf(m.node, m.key.variant) {
+				if ref[l.Key] != gone[l.Key] {
+					shared++
+					continue
+				}
+				gone[l.Key] = -1 // paid for: held from here on
+				cost += l.Cost
+			}
+			added += cost
+			if paid != nil {
+				paid(i, cost, shared)
+			}
+		}
+		return removed, added
+	}
+	// replace applies a scored morph to S and ref.
+	morphed := false
+	replace := func(C, adds []member) {
+		morphed = true
+		for _, c := range C {
+			delete(S, c.key)
+			for _, l := range levelsOf(c.node, c.key.variant) {
+				ref[l.Key]--
+			}
+		}
+		for _, m := range adds {
+			if _, in := S[m.key]; !in {
+				S[m.key] = m.node
+				for _, l := range levelsOf(m.node, m.key.variant) {
+					ref[l.Key]++
+				}
+			}
+		}
+	}
+	// trace records a scored morph, before it is applied (explain only).
+	trace := func(iter int, parent string, C, adds []member, inC map[pairKey]bool, accepted bool) {
+		cm := CandidateMorph{Iter: iter, Parent: parent, Accepted: accepted}
+		for _, c := range C {
+			cm.Removed = append(cm.Removed, ScoredPair{
+				Pattern: c.node.Pattern.String(),
+				Variant: variantString(c.key.variant),
+				Cost:    nodeCost(c.node)[c.key.variant].alone,
+			})
+		}
+		for _, m := range adds {
+			_, staying := S[m.key]
+			cm.Added = append(cm.Added, ScoredPair{
+				Pattern: m.node.Pattern.String(),
+				Variant: variantString(m.key.variant),
+				Free:    staying && !inC[m.key],
+			})
+		}
+		cm.CostOut, cm.CostIn = score(C, adds, inC, func(i int, cost float64, shared int) {
+			cm.Added[i].Cost, cm.Added[i].Shared = cost, shared
+		})
+		ex.recordCandidate(cm)
+	}
+	var C, adds []member
+	inC := map[pairKey]bool{}
 
 	maxSubset := opts.MaxSubset
 	if maxSubset <= 0 {
@@ -376,7 +521,7 @@ func Select(ctx context.Context, d *SDAG, queries []*pattern.Pattern, cost CostF
 						}
 					}
 				}
-				sort.Slice(kids, func(i, j int) bool { return lessPair(kids[i].key, kids[j].key) })
+				slices.SortFunc(kids, func(a, b member) int { return cmpPair(a.key, b.key) })
 				if len(kids) > maxSubset {
 					kids = kids[:maxSubset]
 				}
@@ -397,84 +542,28 @@ func Select(ctx context.Context, d *SDAG, queries []*pattern.Pattern, cost CostF
 				}
 				// Largest subsets first: combined morphs capture overlap.
 				for mask := (1 << len(kids)) - 1; mask >= 1; mask-- {
-					var C []member
-					inC := map[pairKey]bool{}
-					spc := map[pairKey]*Node{}
-					dualVariant := false
-					seenStruct := map[uint64]bool{}
+					C, adds = C[:0], adds[:0]
+					clear(inC)
 					for b := range kids {
 						if mask&(1<<b) != 0 {
-							if seenStruct[kids[b].key.id] {
-								// Replacing both variants of one structure
-								// at once is never meaningful: each one's
-								// alternative set re-adds the other.
-								dualVariant = true
-								break
-							}
-							seenStruct[kids[b].key.id] = true
 							C = append(C, kids[b])
 							inC[kids[b].key] = true
-							for _, m := range alts[b] {
-								spc[m.key] = m.node
-							}
+							adds = append(adds, alts[b]...)
 						}
 					}
-					if dualVariant {
+					// Replacing both variants of one structure at once is
+					// never meaningful: each one's alternative set re-adds
+					// the other.
+					if slices.ContainsFunc(C, func(c member) bool { return inC[pairKey{c.key.id, 1 - c.key.variant}] }) {
 						continue
 					}
-					removed := 0.0
-					for _, c := range C {
-						removed += variantCost(c.node, c.key.variant)
-					}
-					added := 0.0
-					for k, n := range spc {
-						if _, in := S[k]; in && !inC[k] {
-							continue // already scheduled and staying: free
-						}
-						added += variantCost(n, k.variant)
-					}
+					adds = sortMembers(adds)
+					removed, added := score(C, adds, inC, nil)
 					if ex != nil {
-						cm := CandidateMorph{
-							Iter: iter, Parent: par.Pattern.String(),
-							CostOut: removed, CostIn: added, Accepted: added < removed,
-						}
-						for _, c := range C {
-							cm.Removed = append(cm.Removed, ScoredPair{
-								Pattern: c.node.Pattern.String(),
-								Variant: variantString(c.key.variant),
-								Cost:    variantCost(c.node, c.key.variant),
-							})
-						}
-						// spc is a map: sort its keys so the trace is as
-						// deterministic as the decision it records.
-						spcKeys := make([]pairKey, 0, len(spc))
-						for k := range spc {
-							spcKeys = append(spcKeys, k)
-						}
-						sort.Slice(spcKeys, func(i, j int) bool { return lessPair(spcKeys[i], spcKeys[j]) })
-						for _, k := range spcKeys {
-							n := spc[k]
-							_, staying := S[k]
-							free := staying && !inC[k]
-							p := ScoredPair{
-								Pattern: n.Pattern.String(),
-								Variant: variantString(k.variant),
-								Free:    free,
-							}
-							if !free {
-								p.Cost = variantCost(n, k.variant)
-							}
-							cm.Added = append(cm.Added, p)
-						}
-						ex.recordCandidate(cm)
+						trace(iter, par.Pattern.String(), C, adds, inC, added < removed)
 					}
 					if added < removed {
-						for _, c := range C {
-							delete(S, c.key)
-						}
-						for k, n := range spc {
-							S[k] = n
-						}
+						replace(C, adds)
 						changed = true
 						// Liveness follows S: look again at what is ahead.
 						ahead, err := frontier(par)
@@ -513,42 +602,19 @@ func Select(ctx context.Context, d *SDAG, queries []*pattern.Pattern, cost CostF
 			if err != nil {
 				return nil, fmt.Errorf("core: vertex-induced query %v cannot be morphed for an edge-only engine: %w", q.Pattern, err)
 			}
-			delete(S, k)
-			for _, m := range alt {
-				S[m.key] = m.node
-			}
+			C, adds, inC := []member{{q.Node, k}}, sortMembers(alt), map[pairKey]bool{k: true}
 			if ex != nil {
-				cm := CandidateMorph{
-					Parent:   "(forced: edge-only engine)",
-					CostOut:  variantCost(q.Node, k.variant),
-					Accepted: true,
-					Removed: []ScoredPair{{
-						Pattern: q.Node.Pattern.String(),
-						Variant: variantString(k.variant),
-						Cost:    variantCost(q.Node, k.variant),
-					}},
-				}
-				for _, m := range alt {
-					c := variantCost(m.node, m.key.variant)
-					cm.CostIn += c
-					cm.Added = append(cm.Added, ScoredPair{
-						Pattern: m.node.Pattern.String(),
-						Variant: variantString(m.key.variant),
-						Cost:    c,
-					})
-				}
-				ex.recordCandidate(cm)
+				trace(0, "(forced: edge-only engine)", C, adds, inC, true)
 			}
+			replace(C, adds)
 		}
 	}
 
 	// Materialize the mine list and mark morphed queries.
-	keys := make([]pairKey, 0, len(S))
-	sel.Mine = make([]Choice, 0, len(S))
-	for k := range S {
-		keys = append(keys, k)
+	if morphed {
+		sel.CostAfter = setPrice()
 	}
-	slices.SortFunc(keys, cmpPair)
+	sel.Mine = make([]Choice, 0, len(S))
 	queryFrame := make(map[pairKey]*pattern.Pattern, len(sel.Queries))
 	for _, q := range sel.Queries {
 		k := pairKey{q.Node.ID, normVariant(q.Pattern)}
@@ -566,7 +632,6 @@ func Select(ctx context.Context, d *SDAG, queries []*pattern.Pattern, cost CostF
 		}
 		sel.byPair[k] = len(sel.Mine)
 		sel.Mine = append(sel.Mine, Choice{Node: n, Variant: k.variant, Pattern: frame})
-		sel.CostAfter += variantCost(n, k.variant)
 	}
 	for i := range sel.Queries {
 		q := &sel.Queries[i]
@@ -602,5 +667,3 @@ func bestVariantNorm(n *Node, best func(*Node) pattern.Induced) pattern.Induced 
 func cmpPair(a, b pairKey) int {
 	return cmp.Or(cmp.Compare(a.id, b.id), cmp.Compare(a.variant, b.variant))
 }
-
-func lessPair(a, b pairKey) bool { return cmpPair(a, b) < 0 }

@@ -21,13 +21,13 @@ func appendixA2Costs(t *testing.T) CostFunc {
 		canon.StructureID(pattern.ChordalFourCycle()): {E: 5, V: 9},
 		canon.StructureID(pattern.FourClique()):       {E: 7, V: 7},
 	}
-	return func(n *Node) Costs {
+	return additive(func(n *Node) Costs {
 		c, ok := table[n.ID]
 		if !ok {
 			t.Fatalf("cost requested for unexpected structure %v", n.Pattern)
 		}
 		return c
-	}
+	})
 }
 
 // TestSelectAppendixA2 walks the Subgraph Counting example of Appendix
@@ -80,7 +80,7 @@ func TestSelectNoMorphWhenExpensive(t *testing.T) {
 		t.Fatal(err)
 	}
 	cheapQueries := func(n *Node) Costs { return Costs{E: 1000, V: 1} }
-	sel, err := Select(context.Background(), d, queries, cheapQueries, PolicyAny, SelectOptions{})
+	sel, err := Select(context.Background(), d, queries, additive(cheapQueries), PolicyAny, SelectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestSelectAppendixA1(t *testing.T) {
 			return Costs{E: 5, V: 5} // pf
 		}
 	}
-	sel, err := Select(context.Background(), d, []*pattern.Pattern{q}, costs, PolicyVertexOnly, SelectOptions{})
+	sel, err := Select(context.Background(), d, []*pattern.Pattern{q}, additive(costs), PolicyVertexOnly, SelectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestSelectFSMStyleVertexOnly(t *testing.T) {
 		}
 		return Costs{E: 20, V: 3}
 	}
-	sel, err := Select(context.Background(), d, []*pattern.Pattern{q}, costs, PolicyVertexOnly, SelectOptions{})
+	sel, err := Select(context.Background(), d, []*pattern.Pattern{q}, additive(costs), PolicyVertexOnly, SelectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestSelectVertexOnlyNeverMorphsVertexQueries(t *testing.T) {
 	// Even with absurd costs, a vertex-induced query cannot morph under
 	// the additive-only policy.
 	costs := func(n *Node) Costs { return Costs{E: 0.001, V: 1e9} }
-	sel, err := Select(context.Background(), d, []*pattern.Pattern{q}, costs, PolicyVertexOnly, SelectOptions{})
+	sel, err := Select(context.Background(), d, []*pattern.Pattern{q}, additive(costs), PolicyVertexOnly, SelectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestSelectEdgeOnlyForcesMorph(t *testing.T) {
 		t.Fatal(err)
 	}
 	costs := func(n *Node) Costs { return Costs{E: 1e9, V: 1} }
-	sel, err := Select(context.Background(), d, []*pattern.Pattern{q}, costs, PolicyEdgeOnly, SelectOptions{})
+	sel, err := Select(context.Background(), d, []*pattern.Pattern{q}, additive(costs), PolicyEdgeOnly, SelectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestSelectDisableMorphing(t *testing.T) {
 		t.Fatal(err)
 	}
 	costs := func(n *Node) Costs { return Costs{E: 1, V: 1e9} }
-	sel, err := Select(context.Background(), d, queries, costs, PolicyAny, SelectOptions{DisableMorphing: true})
+	sel, err := Select(context.Background(), d, queries, additive(costs), PolicyAny, SelectOptions{DisableMorphing: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestSelectMotifCountingMorphsEverything(t *testing.T) {
 		anti := n.Pattern.N()*(n.Pattern.N()-1)/2 - n.Pattern.EdgeCount()
 		return Costs{E: 10, V: 10 + 20*float64(anti)}
 	}
-	sel, err := Select(context.Background(), d, queries, costs, PolicyAny, SelectOptions{})
+	sel, err := Select(context.Background(), d, queries, additive(costs), PolicyAny, SelectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestSelectEmptyQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel, err := Select(context.Background(), d, nil, func(*Node) Costs { return Costs{} }, PolicyAny, SelectOptions{})
+	sel, err := Select(context.Background(), d, nil, additive(func(*Node) Costs { return Costs{} }), PolicyAny, SelectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestSelectQueryMissingFromSDAG(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Select(context.Background(), d, []*pattern.Pattern{pattern.FourCycle()}, func(*Node) Costs { return Costs{} }, PolicyAny, SelectOptions{})
+	_, err = Select(context.Background(), d, []*pattern.Pattern{pattern.FourCycle()}, additive(func(*Node) Costs { return Costs{} }), PolicyAny, SelectOptions{})
 	if err == nil {
 		t.Fatal("query outside the S-DAG accepted")
 	}
@@ -396,11 +396,11 @@ func TestSelectDeclineBoundIsExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, policy := range []Policy{PolicyAny, PolicyVertexOnly, PolicyEdgeOnly} {
-			want, err := Select(context.Background(), d, queries, costs, policy, SelectOptions{Explain: true})
+			want, err := Select(context.Background(), d, queries, additive(costs), policy, SelectOptions{Explain: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := Select(context.Background(), d, queries, costs, policy, SelectOptions{})
+			got, err := Select(context.Background(), d, queries, additive(costs), policy, SelectOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -14,6 +14,7 @@ package costmodel
 
 import (
 	"math"
+	"slices"
 	"time"
 
 	"morphing/internal/graph"
@@ -21,23 +22,52 @@ import (
 	"morphing/internal/plan"
 )
 
-// Weights tune the model per system, mirroring how the paper piggybacks on
-// each system's own planner model. Defaults work for all four engine
-// models; GraphPi's order selection uses the same weights.
+// Weights are what one modeled action of the executor costs, in elements
+// scanned: the model multiplies them into its estimates of how often each
+// action runs. They tune the model per system, mirroring how the paper
+// piggybacks on each system's own planner model; the defaults are fitted
+// on the one executor all four engine models share, and GraphPi's order
+// selection uses them too.
 type Weights struct {
-	// SetOp scales the per-merge-element cost of candidate generation.
+	// SetOp scales an intersection: one kernel call costs SetOp x the
+	// model's row length.
 	SetOp float64
-	// Iterate scales the innermost-loop iteration cost.
+	// Difference scales an anti-edge difference, and any kernel call
+	// against a base that is one row narrowed by differences (levelOps).
+	Difference float64
+	// Iterate is one execution of a trie node — a root vertex tested, a
+	// candidate compared against the bound vertices and its windows, bound
+	// and descended into — and one match delivered when matches are.
 	Iterate float64
+	// Leaf is one execution of a count-only last level that calls no
+	// kernel: galloping cursors over a set already held.
+	Leaf float64
 	// RestrictionFactor is the candidate shrink applied to levels with
 	// symmetry-breaking bounds (the expected fraction of neighbors with
-	// larger/smaller IDs).
+	// larger/smaller IDs). Not fitted.
 	RestrictionFactor float64
 }
 
-// DefaultWeights returns the weights used unless a system overrides them.
+// DefaultWeights returns the weights used unless a system overrides them:
+// the least-squares fit of 2026-10-03 (TestFitWeights, which fails when
+// these constants stop being its solution; -v prints the table). Forty
+// counting passes — the repo benchmark's serve pool, 4-motifs and sc list,
+// each as queried and as the edge-induced closure an edge-only engine mines,
+// on MI x0.01 and MG x0.003 — give, per pass, the executor's exact counters:
+// elements scanned by kernels and cursors (SetElems) plus, per candidate a
+// materialized level examined, its depth + 2 comparisons (bound vertices,
+// window, binding). Against the measured number of intersections,
+// differences, cursor executions and node executions of each pass (per-node
+// Enters and the plan-time class of every node), relative least squares
+// yields SetOp 1.32 and Difference 2.46 model rows per call (an intersection
+// scans 15-19 elements count-only and 41 materialized, a difference 29-56),
+// Leaf 3.76 and Iterate 3.75 elements; 38 of the 40 rows are predicted
+// within x1.6, the other two (a single tailed triangle on either graph,
+// whose cursor windows move with the parent's binding) at x0.53 and x0.55.
+// Before this fit the model priced with SetOp 1, Iterate 1 and no other
+// term.
 func DefaultWeights() Weights {
-	return Weights{SetOp: 1, Iterate: 1, RestrictionFactor: 0.5}
+	return Weights{SetOp: 1.32, Difference: 2.46, Iterate: 3.75, Leaf: 3.76, RestrictionFactor: 0.5}
 }
 
 // Model estimates pattern-matching costs for one data graph.
@@ -113,41 +143,158 @@ func (m *Model) labelFactor(l int32) float64 {
 	return f
 }
 
-// PlanCost estimates the work to execute pl: set-operation work at every
-// level plus the innermost-loop iteration count, the quantity the paper's
-// planners minimize.
-func (m *Model) PlanCost(pl *plan.Plan) float64 {
-	iters := 1.0 // partial embeddings entering the current level
-	cost := 0.0
+// Level is one node of the merged trie a plan occupies (plan.MergePlans).
+// Key identifies the node by the sharing rule Trie.insert applies: the
+// (Connect, Disconnect, label) sequence from the root through the level and
+// the symmetry branches taken above it (a level's own windows do not split
+// it). Cost is what executing the node costs a pass, so a set of plans
+// costs the sum over its distinct Keys.
+type Level struct {
+	Key  uint64
+	Cost float64
+}
+
+// Levels appends pl's trie nodes to dst, root first, each priced by the
+// class the executor assigns it at plan time (engine's classify): the root
+// scan; below it one Iterate per execution — a level runs once per binding
+// of its parent — plus its set operations (levelOps: intersections and
+// anti-edge differences weighted apart, a single-row level none, a hoisted
+// base charged where it is built). In a counting pass (perMatch == 0) the
+// last level is count-only: its kernel call per entering prefix and no
+// per-match iteration, or Leaf when it calls no kernel at all (galloping
+// cursors). With perMatch > 0 every match is delivered: the last level is
+// iterated and carries perMatch per expected unique match, aut being
+// |Aut(pattern)|. A last level's key is its own — it never merges with an
+// inner level of a larger pattern, which executes differently.
+func (m *Model) Levels(pl *plan.Plan, perMatch float64, aut int, dst []Level) []Level {
+	var enter [pattern.MaxVertices + 1]float64 // partial embeddings entering each level
+	enter[0] = 1
+	matches := 1 / float64(max(aut, 1)) // unique matches: no window, one per automorphism class
+	key, last := uint64(0x9e3779b97f4a7c15), len(pl.Order)-1
 	for i := range pl.Order {
-		var cands float64
-		if i == 0 {
-			cands = m.n
-			// The root loop scans every vertex to test its label before
-			// any selectivity applies: a fixed per-pattern cost that makes
-			// alternative sets of many cheap labeled patterns pay for
-			// their breadth (each extra pattern re-scans the graph).
-			cost += m.w.Iterate * m.n
-		} else {
-			k := len(pl.Connect[i])
-			// Expected vertices adjacent to all k bound vertices.
-			cands = m.n * m.probPow[k]
-			// Set-operation work: merging k adjacency lists plus one
-			// difference per anti-edge, each scanning ~deg elements.
-			merges := float64(k-1+len(pl.Disconnect[i])) + 1
-			cost += m.w.SetOp * iters * merges * m.deg
-		}
-		cands *= m.labelFactor(pl.Pattern.Label(pl.Order[i]))
+		label := pl.Pattern.Label(pl.Order[i])
+		conn, disc := pl.Connect[i], pl.Disconnect[i]
+		key = mix(mix(mix(key, uint64(uint32(label))), mask(conn)), mask(disc))
+
+		// Expected vertices adjacent to every bound neighbor and to no
+		// bound anti-neighbor, carrying the label, inside the window.
+		cands := m.n * m.probPow[len(conn)] * m.antiPow[len(disc)] * m.labelFactor(label)
+		matches *= cands
 		if len(pl.Greater[i])+len(pl.Smaller[i]) > 0 {
 			cands *= m.w.RestrictionFactor
 		}
-		// Anti-edges prune candidates.
-		cands *= m.antiPow[len(pl.Disconnect[i])]
-		if cands < 1e-12 {
-			cands = 1e-12
+		enter[i+1] = enter[i] * max(cands, 1e-12)
+
+		// The root tests every vertex's label before any selectivity
+		// applies: breadth in labeled alternatives pays a scan each. Any
+		// other level runs once per binding of its parent — the iteration
+		// that binds is charged to the level it enters, so a node's cost
+		// does not depend on its own windows, which are not in its key.
+		cost := m.w.Iterate * m.n
+		var o levelOps
+		if i > 0 {
+			o = opsOf(pl, i)
+			cost = m.w.Iterate*enter[i] + m.deg*
+				(enter[i]*(m.w.SetOp*float64(o.inter)+m.w.Difference*float64(o.diff))+
+					enter[o.baseAt+1]*(m.w.SetOp*float64(o.baseInter)+m.w.Difference*float64(o.baseDiff)))
 		}
-		iters *= cands
-		cost += m.w.Iterate * iters
+		k := key
+		if i == last {
+			k = mix(key, lastLevel)
+			switch {
+			case perMatch > 0:
+				cost += m.w.Iterate*enter[i+1] + perMatch*matches
+			case i > 0 && o.cursor(label):
+				cost += m.w.Leaf * enter[i]
+			}
+		}
+		dst = append(dst, Level{Key: k, Cost: cost})
+		key = mix(mix(key, mask(pl.Greater[i])), mask(pl.Smaller[i]))
+	}
+	return dst
+}
+
+// levelOps is the set-operation class of one plan level below the root, a
+// plan-time fact (engine's classify derives the same from the trie). The
+// level's lists split into the entry the parent's binding decides (level
+// i-1) and the prefix part, fixed once its deepest level is bound. A prefix
+// of two or more rows is a base set built once per binding of level baseAt —
+// not at all when an unlabeled ancestor materialized exactly those lists —
+// which leaves an execution one kernel call against the parent's row, or
+// none; any other level runs its own lists, a single row costing nothing.
+type levelOps struct {
+	inter, diff         int // kernel calls of one execution: intersections, differences
+	baseInter, baseDiff int // operations of one base build
+	baseAt              int
+}
+
+func opsOf(pl *plan.Plan, i int) levelOps {
+	conn, disc := pl.Connect[i], pl.Disconnect[i]
+	pconn, bconn := splitAt(conn, i-1)
+	pdisc, bdisc := splitAt(disc, i-1)
+	if len(pconn) < 2 && (len(pconn) == 0 || len(pdisc) == 0) {
+		return levelOps{inter: len(conn) - 1, diff: len(disc)}
+	}
+	o := levelOps{inter: len(bconn), diff: len(bdisc)}
+	if len(pconn) == 1 {
+		// One row narrowed by differences keeps most of its vertices: a
+		// kernel call against such a base scans a row-sized set each time,
+		// as a difference does (the fit's table, MI: 29-53 elements a call
+		// where a base of intersected rows costs 12-15), whatever the call.
+		o.inter, o.diff = 0, o.inter+o.diff
+	}
+	for a := 1; a < i; a++ {
+		if slices.Equal(pl.Connect[a], pconn) && slices.Equal(pl.Disconnect[a], pdisc) &&
+			pl.Pattern.Label(pl.Order[a]) == pattern.Unlabeled {
+			return o
+		}
+	}
+	o.baseInter, o.baseDiff, o.baseAt = len(pconn)-1, len(pdisc), pconn[len(pconn)-1]
+	if n := len(pdisc); n > 0 {
+		o.baseAt = max(o.baseAt, pdisc[n-1])
+	}
+	return o
+}
+
+// cursor reports whether a counting pass runs the level, as a last level,
+// without a kernel call: galloping cursors over a set already held.
+func (o levelOps) cursor(label int32) bool {
+	return o.inter+o.diff == 0 && label == pattern.Unlabeled
+}
+
+// splitAt partitions an ascending level list into the levels below d and
+// the entry for d itself (nil when absent).
+func splitAt(list []int, d int) (below, at []int) {
+	if n := len(list); n > 0 && list[n-1] == d {
+		return list[:n-1], list[n-1:]
+	}
+	return list, nil
+}
+
+// lastLevel salts the key of a plan's final level.
+const lastLevel = 0xff51afd7ed558ccd
+
+func mix(h, v uint64) uint64 {
+	h = (h ^ v) * 0x9e3779b97f4a7c15
+	return h ^ h>>32
+}
+
+func mask(levels []int) (m uint64) {
+	for _, l := range levels {
+		m |= 1 << uint(l)
+	}
+	return m
+}
+
+// PlanCost prices pl standing alone, in a counting pass: the sum of its
+// levels. GraphPi's order search compares the orders of one pattern by it;
+// a set of plans costs less than the sum of its PlanCosts wherever their
+// prefixes merge (see Levels).
+func (m *Model) PlanCost(pl *plan.Plan) float64 {
+	var buf [pattern.MaxVertices]Level
+	cost := 0.0
+	for _, l := range m.Levels(pl, 0, 1, buf[:0]) {
+		cost += l.Cost
 	}
 	return cost
 }
@@ -172,19 +319,18 @@ func (m *Model) MatchEstimate(p *pattern.Pattern, autSize int) float64 {
 	return est / float64(autSize)
 }
 
-// PatternCost estimates the end-to-end cost of mining p with the default
-// plan and invoking an aggregation costing perMatch per result (§5.2:
-// "the costs are modeled as the number of estimated matches multiplied by
-// the amount of work for the aggregation"). Plan and |Aut(p)| come from
-// the per-shape memo (plan.BuildAut), so pricing the labelings of one shape
-// builds one plan; p's own labels enter through PlanCost's and
-// MatchEstimate's label factors.
-func (m *Model) PatternCost(p *pattern.Pattern, perMatch float64) (float64, error) {
+// PatternLevels is Levels for p's default plan, with the aggregation of
+// §5.2 on its last level ("the number of estimated matches multiplied by
+// the amount of work for the aggregation", perMatch per result). Plan and
+// |Aut(p)| come from the per-shape memo (plan.BuildAut), so pricing the
+// labelings of one shape builds one plan; p's own labels enter through the
+// label factors.
+func (m *Model) PatternLevels(p *pattern.Pattern, perMatch float64, dst []Level) ([]Level, error) {
 	pl, aut, err := plan.BuildAut(p)
 	if err != nil {
-		return 0, err
+		return dst, err
 	}
-	return m.PlanCost(&pl) + perMatch*m.MatchEstimate(p, aut), nil
+	return m.Levels(&pl, perMatch, aut, dst), nil
 }
 
 // ProfileUDF estimates the per-match cost of an application UDF by timing

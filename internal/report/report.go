@@ -34,9 +34,11 @@ type QueryReport struct {
 }
 
 // PatternReport is the calibration record for one executed alternative:
-// the cost model's predictions next to the engine's measurements. It
-// carries no wall time: the set is mined in one merged pass, in which a
-// single pattern's share of the clock has no meaning.
+// the cost model's predictions next to the engine's measurements. EstCost
+// is the pattern's marginal price inside the mined set (the trie levels no
+// other pattern of the set occupies; the set's total is the report's
+// CostAfter). It carries no wall time: the set is mined in one merged
+// pass, in which a single pattern's share of the clock has no meaning.
 type PatternReport struct {
 	Pattern          string  `json:"pattern"`
 	Name             string  `json:"name,omitempty"`
@@ -371,13 +373,16 @@ func (r *RunReport) WriteText(w io.Writer) error {
 			p("  [%s] parent %s: replace cost %.6g with cost %.6g\n",
 				verdict, cm.Parent, cm.CostOut, cm.CostIn)
 			for _, s := range cm.Removed {
-				p("    - %s %s (cost %.6g)\n", s.Pattern, s.Variant, s.Cost)
+				p("    - %s %s (cost alone %.6g)\n", s.Pattern, s.Variant, s.Cost)
 			}
 			for _, s := range cm.Added {
-				if s.Free {
+				switch {
+				case s.Free:
 					p("    + %s %s (already scheduled: free)\n", s.Pattern, s.Variant)
-				} else {
-					p("    + %s %s (cost %.6g)\n", s.Pattern, s.Variant, s.Cost)
+				case s.Shared > 0:
+					p("    + %s %s (marginal cost %.6g, %d levels shared)\n", s.Pattern, s.Variant, s.Cost, s.Shared)
+				default:
+					p("    + %s %s (marginal cost %.6g)\n", s.Pattern, s.Variant, s.Cost)
 				}
 			}
 		}
@@ -408,10 +413,10 @@ func (r *RunReport) WriteText(w io.Writer) error {
 	}
 
 	if len(r.Patterns) > 0 {
-		p("\n-- mined patterns (winner set) + calibration --\n")
+		p("\n-- mined patterns (winner set, modeled cost %.6g as one trie) + calibration --\n", r.CostAfter)
 		for _, pr := range r.Patterns {
 			p("  %-28s %s [%s]\n", nameOr(pr.Name, ""), pr.Pattern, pr.Variant)
-			p("    est cost %.6g, est matches %.6g; measured matches %d (ratio %.3g)\n",
+			p("    marginal cost %.6g, est matches %.6g; measured matches %d (ratio %.3g)\n",
 				pr.EstCost, pr.EstMatches, pr.Matches, pr.CalibrationRatio)
 		}
 	}

@@ -124,7 +124,9 @@ func TestWriteTextShowsRejectedAlternatives(t *testing.T) {
 		"triangle",
 		"Algorithm 1",
 		"[rejected]",
-		"est cost",
+		"marginal cost",
+		"levels shared",
+		"as one trie",
 		"measured matches",
 		"per-level selectivity",
 		"workers:",

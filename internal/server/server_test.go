@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -762,6 +763,17 @@ func TestIsRetryable(t *testing.T) {
 	}
 	if !IsRetryable(transportError{fmt.Errorf("connection refused")}) {
 		t.Error("transport failures must be retryable")
+	}
+}
+
+// TestCountOverflowIsFatal: a conversion whose arithmetic left uint64
+// (core.ErrCountOverflow out of Runner.CountsCtx) becomes a fatal error
+// document that says so, never a result.
+func TestCountOverflowIsFatal(t *testing.T) {
+	s := newTestServer(t, Config{})
+	qe := s.classifyRunErr(fmt.Errorf("core: query 0 (4-star:v): %w", core.ErrCountOverflow), nil)
+	if qe.Code != CodeInternal || qe.Retryable || IsRetryable(qe) || !strings.Contains(qe.Message, "count overflow") {
+		t.Fatalf("overflow classified as %+v", qe)
 	}
 }
 

@@ -35,10 +35,17 @@ package setops
 // smaller one: each element of the small side costs O(log gap) probes
 // instead of a linear scan of the gap, but the doubling probes have worse
 // locality than a straight merge, so the ratio must be large enough to
-// amortize the cache misses. 8:1 with a 64-element floor is conservative
-// and has not been fitted: the repo benchmark's traced pass reports the
-// per-path counters (setops.gallop_ops against merge/unrolled) a fit would
-// start from — ROADMAP item 4.
+// amortize the cache misses. 8:1 with a 64-element floor is conservative.
+// Fitted 2026-10 (ROADMAP item 3(c)): kept, and unrolledMinLen = 16 with
+// them. The per-path counters of the cost-model fit's 40 counting passes
+// (costmodel's TestFitWeights -v: the serve pool, the 4-motifs and sc's
+// list, direct and forced, on MI x0.01 and MG x0.003) read 7,786,232 set
+// operations over 251,395,451 elements: 6,442,520 count-only, and of the
+// materializing rest 935,929 merged, 146,506 unrolled, 260,674 bitmap
+// probes and 603 galloped. On graphs whose longest row is 175 vertices the
+// 8:1 ratio over a 64-element floor is met once in thirteen thousand calls,
+// so no setting of it can move a benchmark row; the 112 M-edge tier is
+// where a refit would have something to measure.
 const (
 	gallopRatio  = 8  // gallop when len(big) >= gallopRatio*len(small)
 	gallopMinLen = 64 // never gallop into sides smaller than this
