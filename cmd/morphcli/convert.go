@@ -141,6 +141,8 @@ func cmdConvert(args []string) error {
 			fp.StreamBytes, fp.IndexBytes, fp.LabelBytes, fp.BytesPerEdge)
 		fmt.Printf("blocks:       %d (size %d, max encoded block %d bytes)\n",
 			fp.Blocks, *block, fp.MaxBlockBytes)
+		fmt.Printf("hot rows:     %d bytes on the heap once mined (highest-degree rows kept decoded, index included)\n",
+			fp.HotBytes)
 		fmt.Printf("ratio:        %.2fx smaller than plain\n",
 			float64(plainBytes)/float64(fp.StreamBytes+fp.IndexBytes+fp.LabelBytes))
 	}

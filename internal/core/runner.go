@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime/debug"
 	"time"
 
 	"morphing/internal/aggr"
@@ -318,6 +319,26 @@ func attributeStorage(g graph.Adjacency) (graph.Adjacency, *graph.DecodeCounters
 	return graph.WithDecodeAttribution(g, sink), sink
 }
 
+// containFaults runs a pipeline body on the caller's goroutine under
+// debug.SetPanicOnFault, so the reads it makes of an mmap-backed graph
+// outside the executor's workers — the summary, shard extraction, the
+// first view's hot-row build — end, when the file changed under them, in
+// the *engine.PanicError wrapping graph.ErrMappingFault that a worker
+// reports for the same fault. Any other panic propagates.
+func containFaults[T any](body func() (T, *RunStats, error)) (out T, st *RunStats, err error) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer func() {
+		if r := recover(); r != nil {
+			ferr := graph.MappingFault(r)
+			if ferr == nil {
+				panic(r)
+			}
+			err = &engine.PanicError{Worker: -1, Value: ferr, Stack: debug.Stack()}
+		}
+	}()
+	return body()
+}
+
 // stampStorage records the run's storage-tier activity at run end: the
 // per-run decode counters and (for mmap-backed tiers) a point-in-time
 // page-residency sample land in st, in the run's metric scope, and in
@@ -572,7 +593,7 @@ func publishRunStats(o *obs.Observer, st *RunStats) {
 func (r *Runner) CountsCtx(ctx context.Context, g graph.Adjacency, queries []*pattern.Pattern) ([]uint64, *RunStats, error) {
 	rc, ctx := r.startRun(ctx, "counts", len(queries))
 	ag, sink := attributeStorage(g)
-	out, st, err := r.countsRun(ctx, rc, ag, queries)
+	out, st, err := containFaults(func() ([]uint64, *RunStats, error) { return r.countsRun(ctx, rc, ag, queries) })
 	stampStorage(rc, st, g, sink)
 	r.finishRun(rc, st, err)
 	return out, st, err
@@ -817,7 +838,7 @@ func (r *Runner) mineSharded(ctx context.Context, g graph.Adjacency, n int, pass
 func (r *Runner) MNITablesCtx(ctx context.Context, g graph.Adjacency, queries []*pattern.Pattern) ([]*aggr.Table, *RunStats, error) {
 	rc, ctx := r.startRun(ctx, "mni", len(queries))
 	ag, sink := attributeStorage(g)
-	out, st, err := r.mniRun(ctx, rc, ag, queries)
+	out, st, err := containFaults(func() ([]*aggr.Table, *RunStats, error) { return r.mniRun(ctx, rc, ag, queries) })
 	stampStorage(rc, st, g, sink)
 	r.finishRun(rc, st, err)
 	return out, st, err

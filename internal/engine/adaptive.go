@@ -16,7 +16,10 @@ import (
 // many levels intersect against it — and not at all when a depth is
 // re-bound to the vertex it already held. On plain CSR a pin is the CSR
 // alias; on a decoding tier it is a decode into a buffer the pin owns
-// (graph.Adjacency.Row), which grows to the largest degree it has held.
+// (graph.Adjacency.Row), which grows to the largest degree it has held —
+// or, for a row the tier keeps decoded (the compressed tier's hot rows),
+// a lent alias like CSR's, the buffer left alone. Either way the pin only
+// reads its row.
 // A pinned row stays valid while its depth stays bound, which is exactly
 // as long as any deeper level can hold on to it, so executors retain
 // rows across their candidate loops without copying.
@@ -43,7 +46,7 @@ type rowPins struct {
 type pin struct {
 	v   uint32
 	ok  bool     // row is v's row
-	row []uint32 // CSR alias or buf
+	row []uint32 // CSR or hot-row alias, or buf
 	buf []uint32 // decode buffer; stays nil on plain CSR
 }
 

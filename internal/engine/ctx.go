@@ -46,12 +46,16 @@ func CtxErr(ctx context.Context) error {
 }
 
 // PanicError reports a panic recovered inside an executor worker —
-// almost always thrown by a user-supplied Visitor/UDF. The executor
-// recovers it, aborts the sibling workers at their next poll point,
-// and surfaces exactly one PanicError (the first panic wins) instead of
-// crashing the process. Counts returned alongside are valid partials.
+// almost always thrown by a user-supplied Visitor/UDF, or a read of an
+// mmap-backed graph whose file changed under it (Value then wraps
+// graph.ErrMappingFault). The executor recovers it, aborts the sibling
+// workers at their next poll point, and surfaces exactly one PanicError
+// (the first panic wins) instead of crashing the process. Counts returned
+// alongside are valid partials.
 type PanicError struct {
-	// Worker is the executor worker ID that recovered the panic.
+	// Worker is the executor worker ID that recovered the panic, -1 when
+	// the caller's goroutine did (core.Runner contains mapping faults of
+	// its own reads the same way).
 	Worker int
 	// Value is the recovered panic value.
 	Value any
@@ -60,7 +64,7 @@ type PanicError struct {
 }
 
 func (e *PanicError) Error() string {
-	return fmt.Sprintf("engine: worker %d: panic in visitor/UDF: %v", e.Worker, e.Value)
+	return fmt.Sprintf("engine: worker %d: panic: %v", e.Worker, e.Value)
 }
 
 // Unwrap exposes a wrapped error panic value (panic(err) inside a UDF)

@@ -325,9 +325,15 @@ func (ps *triePass) run(w *trieWorker) {
 	// Panic containment: a visitor panic must not unwind past the worker
 	// goroutine (that would kill the process). Record the first one, abort
 	// the siblings, keep this worker's partial counters — they are merged
-	// like any other worker's.
+	// like any other worker's. A read of an mmap-backed graph whose file
+	// shrank faults; under SetPanicOnFault that is a panic too, recorded
+	// as graph.ErrMappingFault.
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	defer func() {
 		if r := recover(); r != nil {
+			if err := graph.MappingFault(r); err != nil {
+				r = err
+			}
 			pe := &PanicError{Worker: w.id, Value: r, Stack: debug.Stack()}
 			ps.panicOnce.Do(func() { ps.panicErr = pe })
 			ps.abort.Store(true)

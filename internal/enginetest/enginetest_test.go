@@ -90,7 +90,9 @@ var suiteTiers = []struct {
 // forEachSuite runs f as one subtest per shape × tier: g is the seeded graph
 // as the tier serves it, plain the same graph for the brute-force oracle
 // (refmatch stays on *graph.Graph deliberately — the oracle must not depend
-// on the tier under test).
+// on the tier under test). After the compressed tier has been mined, its
+// Verify must still find every hot row equal to a fresh decode: no engine
+// wrote through a row the tier lent it.
 func forEachSuite(t *testing.T, seed int64, labels int, f func(t *testing.T, g graph.Adjacency, plain *graph.Graph)) {
 	t.Helper()
 	for _, shape := range suiteShapes {
@@ -103,7 +105,14 @@ func forEachSuite(t *testing.T, seed int64, labels int, f func(t *testing.T, g g
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Run(shape.name+"/"+tier.name, func(t *testing.T) { f(t, g, plain) })
+			t.Run(shape.name+"/"+tier.name, func(t *testing.T) {
+				f(t, g, plain)
+				if c, ok := g.(*graph.CompressedGraph); ok {
+					if err := c.Verify(); err != nil {
+						t.Fatalf("after mining: %v", err)
+					}
+				}
+			})
 		}
 	}
 }

@@ -11,18 +11,25 @@ package graph
 //
 //   - Neighbors returns a row the caller may keep for as long as the
 //     graph stays open: plain CSR hands out an alias of its immutable
-//     storage, a decoding tier allocates a fresh slice per call. It is
-//     the cold-path form (whole-graph scans, tests, UDFs).
+//     storage, and so does a decoding tier for a row it keeps decoded (the
+//     compressed tier's hot rows); any other row a decoding tier
+//     allocates afresh per call. It is the cold-path form (whole-graph
+//     scans, tests, UDFs).
 //   - Row is the hot-path form: a decoding tier decodes into the buffer
 //     the caller passes and returns it (regrown when the row did not
 //     fit) both as the row and as the buffer to pass next time; plain
-//     CSR returns its alias and hands the buffer back untouched. The row
-//     is valid until the caller reuses or writes the returned buffer —
-//     the handle keeps no reference to it, so no other call on the
-//     handle (Row with another buffer, Neighbors, HasEdge) can
-//     invalidate it. Executors keep one such buffer per bound depth
+//     CSR — and a decoding tier for a row it keeps decoded — lends an
+//     alias of immutable storage and hands the buffer back untouched.
+//     A decoded row is valid until the caller reuses or writes the
+//     returned buffer, a lent one while the graph stays open — the
+//     handle keeps no reference to the caller's buffer, so no other call
+//     on the handle (Row with another buffer, Neighbors, HasEdge) can
+//     invalidate either. Executors keep one such buffer per bound depth
 //     (engine.Pins), which is what makes a bound vertex's row decode
 //     once however many deeper levels intersect against it.
+//
+// A caller never writes to a row it did not decode into its own buffer:
+// a lent row is the graph's, shared by every worker.
 //
 // Concurrency contract: the handle returned by View is NOT safe for
 // concurrent use; each worker goroutine must obtain its own view. The
@@ -43,7 +50,7 @@ type Adjacency interface {
 	// a slice the caller may keep (see the row lifetime contract above).
 	Neighbors(v uint32) []uint32
 	// Row returns the sorted, duplicate-free adjacency row of v, decoded
-	// into buf where the tier decodes at all, plus the buffer to pass to
+	// into buf where the tier decodes the row, plus the buffer to pass to
 	// the next Row call. buf may be nil. See the row lifetime contract.
 	Row(v uint32, buf []uint32) (row, next []uint32)
 	// HasEdge reports whether {u,v} is an edge.
@@ -63,7 +70,7 @@ type Adjacency interface {
 	HubBits(v uint32) []uint64
 	// View returns a handle for one worker goroutine. Plain graphs
 	// return themselves; decoding tiers return a handle with a private
-	// probe buffer and decode counters.
+	// probe buffer and decode counters over the graph's shared hot rows.
 	View() Adjacency
 }
 

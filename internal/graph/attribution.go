@@ -28,7 +28,7 @@ type attributedGraph struct {
 }
 
 func (a *attributedGraph) View() Adjacency {
-	cv := &compressedView{g: a.CompressedGraph, sink: a.sink}
+	cv := a.view(a.sink)
 	a.sink.track(cv)
 	return cv
 }

@@ -3,6 +3,7 @@ package graph
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -32,10 +33,11 @@ const DefaultBlockSize = 128
 // maxBlockSize bounds the per-vertex relative byte offsets to uint32.
 const maxBlockSize = 1 << 16
 
-// CompressedGraph is the compressed tier. It implements Adjacency;
-// Neighbors allocates per call, so hot paths decode through Row into
-// buffers they own, on a per-worker View (which adds a private probe
-// buffer and batched decode counters).
+// CompressedGraph is the compressed tier. It implements Adjacency; hot
+// paths decode through Row into buffers they own, on a per-worker View
+// (which adds a private probe buffer and batched decode counters), except
+// for the highest-degree rows, which the graph keeps decoded (hotrows.go)
+// and lends like plain CSR.
 type CompressedGraph struct {
 	nv        int
 	ne        uint64
@@ -56,6 +58,7 @@ type CompressedGraph struct {
 
 	probePool sync.Pool // block-decode buffers for the shared HasEdge
 	sum       summaryMemo
+	hot       hotMemo // the highest-degree rows, decoded on first use
 }
 
 // Compress encodes g into the compressed tier. blockSize <= 0 selects
@@ -182,18 +185,29 @@ func (c *CompressedGraph) OrigIDs() []uint32 { return c.orig }
 // View returns a per-worker handle with a private probe buffer and
 // decode counters. The receiver stays shared and immutable.
 func (c *CompressedGraph) View() Adjacency {
-	return &compressedView{g: c}
+	return c.view(nil)
 }
 
-// Neighbors decodes the full row of v into a freshly allocated slice.
-// It is correct but allocates per call; hot paths use Row.
+// view is View with the handle's decode counters also flushing into sink
+// (nil: process totals only). The first view builds the hot rows.
+func (c *CompressedGraph) view(sink *DecodeCounters) *compressedView {
+	return &compressedView{g: c, hot: c.hotRows(), sink: sink}
+}
+
+// Neighbors returns v's hot row, or decodes the row into a freshly
+// allocated slice; either may be kept (hot paths use Row).
 func (c *CompressedGraph) Neighbors(v uint32) []uint32 {
-	return c.decodeRow(v, nil)
+	row, _ := c.Row(v, nil)
+	return row
 }
 
-// Row decodes the row of v into buf (see the Adjacency row lifetime
-// contract). The shared-object form counts nothing; views do.
+// Row lends v's hot row and hands buf back untouched, or decodes the row
+// into buf (see the Adjacency row lifetime contract). The shared-object
+// form counts nothing; views do.
 func (c *CompressedGraph) Row(v uint32, buf []uint32) (row, next []uint32) {
+	if row, ok := c.hotRows().row(v); ok {
+		return row, buf
+	}
 	row = c.decodeRow(v, buf)
 	return row, row
 }
@@ -253,13 +267,16 @@ func (c *CompressedGraph) decodeRow(v uint32, buf []uint32) []uint32 {
 }
 
 // decodeBlock decodes one block (index bi, global) of vertex v into buf.
+// A block offset past the row's bytes (an unverified file) decodes
+// nothing.
 func (c *CompressedGraph) decodeBlock(v uint32, bi uint64, buf []uint32) []uint32 {
-	start := c.encOff[v] + uint64(c.blockByte[bi])
+	end := c.encOff[v+1]
+	start := min(c.encOff[v]+uint64(c.blockByte[bi]), end)
 	// Elements in this block: blockSize except possibly the last block.
 	local := bi - c.blockOff[v]
 	count := min(c.blockSize, int(c.degs[v])-int(local)*c.blockSize)
 	buf = sized(buf, count)
-	n := decodeRun(c.stream[start:c.encOff[v+1]], buf, c.blockSize)
+	n := decodeRun(c.stream[start:end], buf, c.blockSize)
 	return buf[:n]
 }
 
@@ -315,9 +332,16 @@ func (c *CompressedGraph) hasEdgeInto(u, v uint32, buf []uint32) (bool, []uint32
 	return searchBlock(buf, v), buf
 }
 
-// HasEdge reports whether {u,v} is an edge. The shared-object form takes
-// a pooled probe buffer; views use their private one.
+// HasEdge reports whether {u,v} is an edge: a binary search when the
+// higher-degree endpoint is hot, else a block probe. The shared-object
+// form takes a pooled probe buffer; views use their private one.
 func (c *CompressedGraph) HasEdge(u, v uint32) bool {
+	if c.degs[u] > c.degs[v] {
+		u, v = v, u
+	}
+	if row, ok := c.hotRows().row(v); ok {
+		return searchBlock(row, u)
+	}
 	bufp, _ := c.probePool.Get().(*[]uint32)
 	if bufp == nil {
 		b := make([]uint32, 0, c.blockSize)
@@ -358,9 +382,10 @@ func (c *CompressedGraph) Residency() ResidencyStats {
 	return ResidencyStats{MappedBytes: mapped, ResidentBytes: resident, Sampled: true}
 }
 
-// Close releases the mmap backing, if any. After Close the graph must
-// not be used. Heap-backed graphs return nil immediately.
+// Close releases the decoded hot rows and the mmap backing, if any.
+// After Close the graph must not be used.
 func (c *CompressedGraph) Close() error {
+	c.hot.ix.Store(&hotRows{}) // views still held keep theirs alive
 	if c.backing == nil {
 		return nil
 	}
@@ -371,8 +396,10 @@ func (c *CompressedGraph) Close() error {
 
 // Verify fully decodes the graph and checks every CSR invariant the
 // kernels rely on: index consistency, strictly ascending rows, no self
-// loops, in-range neighbors, symmetric adjacency and the edge count.
-// O(E log d); used by converters and tests, not hot paths.
+// loops, in-range neighbors, symmetric adjacency and the edge count —
+// and, once the hot rows are built, that each still equals its decode
+// (no caller wrote through a lent row). O(E log d); used by converters
+// and tests, not hot paths.
 func (c *CompressedGraph) Verify() error {
 	n := c.nv
 	if len(c.encOff) != n+1 || len(c.blockOff) != n+1 || len(c.degs) != n {
@@ -415,6 +442,12 @@ func (c *CompressedGraph) Verify() error {
 			}
 		}
 		dir += uint64(len(row))
+		if h := c.hot.ix.Load(); h != nil && h.off != nil {
+			hot, ok := h.row(uint32(v))
+			if ok != (int(c.degs[v]) >= h.minDeg) || ok && !slices.Equal(hot, row) {
+				return fmt.Errorf("graph: hot row of vertex %d differs from its stream decode (written through?)", v)
+			}
+		}
 	}
 	if dir != 2*c.ne {
 		return fmt.Errorf("graph: %d directed entries for %d undirected edges", dir, c.ne)
@@ -427,19 +460,23 @@ type Footprint struct {
 	StreamBytes   uint64  // encoded adjacency bytes
 	IndexBytes    uint64  // flat index arrays (degrees, offsets, block index)
 	LabelBytes    uint64  // label section
+	HotBytes      uint64  // heap the decoded hot rows hold once built, their index included (≤ StreamBytes)
 	BytesPerEdge  float64 // (stream+index) bytes per directed edge
 	Blocks        uint64  // total adjacency blocks
 	MaxBlockBytes int     // largest single encoded block
 }
 
 // Footprint computes the storage summary reported by converters and the
-// scale benchmark.
+// scale benchmark. HotBytes comes from the degrees alone, so it is valid
+// before the hot rows are built.
 func (c *CompressedGraph) Footprint() Footprint {
+	_, hot := c.hotCut()
 	f := Footprint{
 		StreamBytes: uint64(len(c.stream)),
 		IndexBytes: uint64(len(c.degs))*4 + uint64(len(c.encOff))*8 +
 			uint64(len(c.blockOff))*8 + uint64(len(c.blockFirst))*4 + uint64(len(c.blockByte))*4,
 		LabelBytes: uint64(len(c.labels)) * 4,
+		HotBytes:   hot,
 		Blocks:     uint64(len(c.blockFirst)),
 	}
 	for v := 0; v < c.nv; v++ {
@@ -461,9 +498,10 @@ func (c *CompressedGraph) Footprint() Footprint {
 	return f
 }
 
-// compressedView is the per-worker handle: rows decode into buffers the
-// caller owns (see the Adjacency row lifetime contract), so all the view
-// carries is batched decode counters and a private edge-probe buffer.
+// compressedView is the per-worker handle: rows are lent from the graph's
+// hot rows or decode into buffers the caller owns (see the Adjacency row
+// lifetime contract), so all the view carries is the shared hot rows,
+// batched decode counters and a private edge-probe buffer.
 //
 // The probe buffer doubles as a one-entry block cache: the view
 // remembers which (vertex, block) it holds, and a repeat probe into the
@@ -472,6 +510,7 @@ func (c *CompressedGraph) Footprint() Footprint {
 // often land in the same block of the same hub row.
 type compressedView struct {
 	g     *CompressedGraph
+	hot   *hotRows
 	probe []uint32
 
 	// Cached probe block identity: probe holds block probeBI of vertex
@@ -504,14 +543,19 @@ func (w *compressedView) NumLabels() int          { return w.g.NumLabels() }
 func (w *compressedView) HubBits(uint32) []uint64 { return nil }
 func (w *compressedView) View() Adjacency         { return w }
 
-// Neighbors decodes the row of v into a freshly allocated slice.
+// Neighbors lends v's hot row or decodes the row into a freshly
+// allocated slice.
 func (w *compressedView) Neighbors(v uint32) []uint32 {
 	row, _ := w.Row(v, nil)
 	return row
 }
 
-// Row decodes the row of v into buf and counts the decode.
+// Row lends v's hot row and hands buf back untouched, or decodes the row
+// into buf and counts the decode.
 func (w *compressedView) Row(v uint32, buf []uint32) (row, next []uint32) {
+	if row, ok := w.hot.row(v); ok {
+		return row, buf
+	}
 	row = w.g.decodeRow(v, buf)
 	deg := uint64(len(row))
 	w.pendRows++
@@ -528,14 +572,18 @@ func (w *compressedView) Row(v uint32, buf []uint32) (row, next []uint32) {
 // probe-block cache, such a probe decodes nothing.
 func (w *compressedView) CountProbeHits(n uint64) { w.pendProbeHits += n }
 
-// HasEdge probes {u,v} through the view's private block buffer, reusing
-// it as a one-entry block cache: a hit answers from the already-decoded
-// block, a miss decodes and is counted like the shared probe path (one
-// row, one block).
+// HasEdge binary-searches the higher-degree endpoint's row when it is
+// hot, decoding and counting nothing. Otherwise it probes {u,v} through
+// the view's private block buffer, reusing it as a one-entry block cache:
+// a hit answers from the already-decoded block, a miss decodes and is
+// counted like the shared probe path (one row, one block).
 func (w *compressedView) HasEdge(u, v uint32) bool {
 	g := w.g
 	if g.degs[u] > g.degs[v] {
 		u, v = v, u
+	}
+	if row, ok := w.hot.row(v); ok {
+		return searchBlock(row, u)
 	}
 	bi, ok := g.findProbeBlock(u, v)
 	if !ok {

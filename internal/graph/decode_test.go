@@ -90,15 +90,18 @@ func TestTruncatedRowIsShortAndRejected(t *testing.T) {
 	}
 }
 
-// BenchmarkDecodeRow measures the row decoder per element on short rows
-// (one block, call overhead dominates) and hub rows (many blocks, the
-// varint loop dominates). Diagnostic only: the end-to-end effect is the
-// repo benchmark's sc-mmap row.
+// BenchmarkDecodeRow measures a view's Row per element: cold, the row
+// decoder on short rows (one block, call overhead dominates) and hub rows
+// (many blocks, the varint loop dominates); hot, the same hub row on a
+// graph whose encoded stream is big enough to keep it decoded, where Row
+// lends it. Diagnostic only: the end-to-end effect is the repo
+// benchmark's sc-mmap row.
 func BenchmarkDecodeRow(b *testing.B) {
 	for _, tc := range []struct {
 		name string
 		deg  int
-	}{{"short", 8}, {"hub", 4096}} {
+		hot  bool
+	}{{"cold/short", 8, false}, {"cold/hub", 4096, false}, {"hot/hub", 4096, true}} {
 		b.Run(tc.name, func(b *testing.B) {
 			// A degree-renumbered power-law neighborhood: mostly small gaps.
 			const n = 1 << 16
@@ -107,6 +110,14 @@ func BenchmarkDecodeRow(b *testing.B) {
 			for range tc.deg {
 				bld.AddEdge(0, 1+uint32(rng.Intn(n-1)))
 			}
+			for v := uint32(1); tc.hot && v < n; v++ {
+				// A low-degree background: a stream past the hot-row budget's index.
+				for d := uint32(1); d <= 3; d++ {
+					if w := 1 + (v+d-1)%(n-1); w != v {
+						bld.AddEdge(v, w)
+					}
+				}
+			}
 			g, err := bld.Build()
 			if err != nil {
 				b.Fatal(err)
@@ -114,6 +125,9 @@ func BenchmarkDecodeRow(b *testing.B) {
 			c, err := Compress(g, 0)
 			if err != nil {
 				b.Fatal(err)
+			}
+			if _, hot := c.hotRows().row(0); hot != tc.hot {
+				b.Fatalf("row 0 hot = %v, want %v", hot, tc.hot)
 			}
 			v := c.View()
 			var row, buf []uint32

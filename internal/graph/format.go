@@ -401,6 +401,11 @@ func buildV2(data []byte) (Adjacency, error) {
 		labels:    labels,
 		orig:      perm,
 	}
+	// Starting at 0, the block count the loop below checks bounds nb; from
+	// near 2^62 the section lengths 4·nb wrap and could match.
+	if c.blockOff[0] != 0 {
+		return nil, fmt.Errorf("graph: block offsets do not start at 0")
+	}
 	nb := c.blockOff[f.nv]
 	fb, err := f.sec(secBlockFirst, 4*nb, "block firsts")
 	if err != nil {

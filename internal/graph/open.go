@@ -59,8 +59,12 @@ func (h *Handle) Compressed() *CompressedGraph {
 // Mapped reports whether the graph aliases a memory-mapped file.
 func (h *Handle) Mapped() bool { return h.mapped }
 
-// Close releases the mapping, if any.
+// Close releases the mapping, if any, and a compressed graph's decoded
+// hot rows.
 func (h *Handle) Close() error {
+	if c := h.Compressed(); c != nil {
+		c.hot.ix.Store(&hotRows{})
+	}
 	if h.m == nil {
 		return nil
 	}

@@ -18,7 +18,7 @@ import (
 // package depends on graph, so tests here roll their own generator).
 // Duplicate edge submissions are made deliberately so the in-place
 // sort/compact path is always exercised.
-func randomGraph(t *testing.T, n int, avgDeg float64, labels int, seed int64) *Graph {
+func randomGraph(t testing.TB, n int, avgDeg float64, labels int, seed int64) *Graph {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	b := NewBuilder(n)
@@ -132,10 +132,12 @@ func TestCompressRoundTrip(t *testing.T) {
 }
 
 // TestCompressedRowLifetime pins the Adjacency row contract on the
-// compressed tier: a row decoded into a caller-owned buffer survives
-// every other call on the same handle — Row into another buffer,
-// Neighbors, HasEdge — and is replaced only when its own buffer is
-// passed back, regrown if the next row does not fit.
+// compressed tier, in both of its forms. A cold row is decoded into the
+// caller's buffer and handed back in it; a hot row is lent — an alias of
+// the graph's decoded copy, the caller's buffer handed back untouched.
+// Either survives every other call on the same handle — Row into another
+// buffer, Neighbors, HasEdge — and a decoded row is replaced only when
+// its own buffer is passed back, regrown if the next row does not fit.
 func TestCompressedRowLifetime(t *testing.T) {
 	g := randomGraph(t, 80, 10, 0, 7)
 	c, err := Compress(g, 8)
@@ -143,9 +145,15 @@ func TestCompressedRowLifetime(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := c.View()
+	hot := c.hotRows()
+	sameBuffer := func(x, y []uint32) bool {
+		return len(x) == len(y) && cap(x) == cap(y) && (cap(x) == 0 || &x[:1][0] == &y[:1][0])
+	}
 	var bufA, bufB []uint32
+	var lent, decoded int
 	for u := 0; u+1 < 80; u++ {
 		var a, b []uint32
+		passed, before := bufA, slices.Clone(bufA)
 		a, bufA = v.Row(uint32(u), bufA)
 		snap := append([]uint32(nil), a...)
 		b, bufB = v.Row(uint32(u+1), bufB)
@@ -159,9 +167,20 @@ func TestCompressedRowLifetime(t *testing.T) {
 		if !slices.Equal(b, kept) || !slices.Equal(b, g.Neighbors(uint32(u+1))) {
 			t.Fatalf("row %d: Row %v, Neighbors %v, plain %v", u+1, b, kept, g.Neighbors(uint32(u+1)))
 		}
-		if len(a) > 0 && len(bufA) > 0 && &a[0] != &bufA[0] {
-			t.Fatalf("row %d was not decoded into the buffer handed back", u)
+		if row, isHot := hot.row(uint32(u)); isHot {
+			lent++
+			if &a[0] != &row[0] || !sameBuffer(bufA, passed) || !slices.Equal(bufA, before) {
+				t.Fatalf("hot row %d was not lent with the buffer handed back untouched", u)
+			}
+		} else if len(a) > 0 {
+			decoded++
+			if len(bufA) == 0 || &a[0] != &bufA[0] {
+				t.Fatalf("row %d was not decoded into the buffer handed back", u)
+			}
 		}
+	}
+	if lent == 0 || decoded == 0 {
+		t.Fatalf("%d rows lent, %d decoded: the graph must exercise both forms", lent, decoded)
 	}
 	// Plain CSR lends its storage and leaves the caller's buffer alone.
 	scratch := []uint32{7, 7, 7}
