@@ -9,10 +9,10 @@ package se
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"time"
 
 	"morphing/internal/core"
 	"morphing/internal/costmodel"
@@ -59,65 +59,24 @@ type Options struct {
 // returned alongside the typed error; matches already handed to onMatch
 // stay delivered.
 //
-// Each call runs inside its own observability run scope (obs.StartRun):
-// engine metrics and spans are tagged with the run ID, the query log
-// records the lifecycle, and anomalous endings dump the flight recorder.
+// Each call is one pipeline execution of a core.Runner (core.Execute):
+// the run is tagged with its ID in the query log and the trace, a fault
+// on an mmap-backed graph outside the workers comes back typed, and
+// anomalous endings dump the flight recorder.
 func EnumerateCtx(ctx context.Context, g graph.Adjacency, eng engine.Engine, queries []*pattern.Pattern, filter Filter, onMatch func(query int, m []uint32), opts Options) (*Result, error) {
-	rc := obs.StartRun(nil, "se", obs.DefaultFlightPolicy())
-	rc.Event("admitted",
-		obs.Str("engine", eng.Name()), obs.Str("pipeline", "enumerate"),
-		obs.Int("queries", len(queries)), obs.Bool("morph", opts.Morph))
-	res, err := enumerateRun(obs.ContextWithRun(ctx, rc), g, eng, queries, filter, onMatch, opts)
-	finishRun(rc, res, err)
+	r := &core.Runner{Engine: eng, Label: "se", DisableMorphing: !opts.Morph, PerMatchCost: opts.PerMatchCost}
+	res, _, err := core.Execute(ctx, r, g, "enumerate", len(queries), func(ctx context.Context, rc *obs.RunContext, g graph.Adjacency) (*Result, *core.RunStats, error) {
+		return enumerateRun(ctx, rc, r, g, queries, filter, onMatch)
+	})
 	return res, err
 }
 
-// finishRun emits the terminal query-log event and lets the flight
-// recorder classify (and possibly dump) the run.
-func finishRun(rc *obs.RunContext, res *Result, err error) {
-	out := obs.RunOutcome{}
-	name := "completed"
-	var attrs []obs.Attr
-	if err != nil {
-		out.Err = err.Error()
-		switch {
-		case errors.Is(err, engine.ErrCanceled):
-			out.ErrKind = "canceled"
-		case errors.Is(err, engine.ErrDeadlineExceeded):
-			out.ErrKind = "deadline"
-		default:
-			var pe *engine.PanicError
-			if errors.As(err, &pe) {
-				out.ErrKind = "panic"
-			} else {
-				out.ErrKind = "error"
-			}
-		}
-		if out.ErrKind == "error" {
-			name = "failed"
-		} else {
-			name = "interrupted"
-		}
-		attrs = append(attrs, obs.Str("kind", out.ErrKind), obs.Str("error", out.Err))
-	}
-	if res != nil {
-		var delivered, filtered uint64
-		for i := range res.Delivered {
-			delivered += res.Delivered[i]
-			filtered += res.Filtered[i]
-		}
-		attrs = append(attrs, obs.U64("delivered", delivered), obs.U64("filtered", filtered))
-	}
-	rc.Event(name, attrs...)
-	rc.Finish(out)
-}
-
-// enumerateRun is the EnumerateCtx body, executed inside the run scope
-// the ctx carries.
-func enumerateRun(ctx context.Context, g graph.Adjacency, eng engine.Engine, queries []*pattern.Pattern, filter Filter, onMatch func(query int, m []uint32), opts Options) (*Result, error) {
+// enumerateRun is the EnumerateCtx body, executed inside the run scope rc
+// (the ctx already carries it).
+func enumerateRun(ctx context.Context, rc *obs.RunContext, r *core.Runner, g graph.Adjacency, queries []*pattern.Pattern, filter Filter, onMatch func(query int, m []uint32)) (*Result, *core.RunStats, error) {
 	for i, q := range queries {
 		if q.Induced() != pattern.EdgeInduced {
-			return nil, fmt.Errorf("se: query %d must be edge-induced (on-the-fly conversion is additive)", i)
+			return nil, nil, fmt.Errorf("se: query %d must be edge-induced (on-the-fly conversion is additive)", i)
 		}
 	}
 	res := &Result{
@@ -136,10 +95,11 @@ func enumerateRun(ctx context.Context, g graph.Adjacency, eng engine.Engine, que
 
 	// Every mined pattern streams to its own visitor, in one pass where the
 	// engine's plans merge (core.Runner.MatchAllCtx).
-	r := &core.Runner{Engine: eng, Label: "se"}
+	st := &core.RunStats{Phase: core.PhaseTransform,
+		Engine: r.Engine.Name(), GraphVertices: g.NumVertices(), GraphEdges: g.NumEdges()}
 	var mine []core.Choice
 	var visits []engine.Visitor
-	if !opts.Morph {
+	if r.DisableMorphing {
 		for qi, q := range queries {
 			mine = append(mine, core.Choice{Pattern: q})
 			visits = append(visits, func(worker int, m []uint32) {
@@ -162,19 +122,20 @@ func enumerateRun(ctx context.Context, g graph.Adjacency, eng engine.Engine, que
 		// (§7.3: "the filter is only dependent on the matched vertices") — so
 		// the vertex-induced alternatives' smaller match streams directly cut
 		// filter UDF invocations.
-		r.PerMatchCost = opts.PerMatchCost
+		t0 := time.Now()
 		if r.PerMatchCost == 0 && len(queries) > 0 {
 			r.PerMatchCost = costmodel.ProfileUDF(func(m []uint32) { filter(m) },
 				queries[0].N(), 4096, uint32(g.NumVertices()), 1e8)
 		}
 		sel, err := r.TransformForStreamingCtx(ctx, g, queries)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
+		st.Selection, st.Transform = sel, time.Since(t0)
 		res.Selection = sel
 		plan, err := sel.StreamPlan()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		for ci, choice := range sel.Mine {
 			targets := plan[ci]
@@ -206,21 +167,28 @@ func enumerateRun(ctx context.Context, g graph.Adjacency, eng engine.Engine, que
 			})
 		}
 	}
-	var st core.RunStats
-	err := r.MatchAllCtx(ctx, g, mine, visits, &st)
+	st.Phase = core.PhaseMine
+	err := r.MatchAllCtx(ctx, g, mine, visits, st)
+	if err != nil && !engine.Interrupted(err) {
+		return nil, nil, err
+	}
 	if st.Mining != nil {
 		res.Stats = st.Mining
 	}
+	var delivered, filtered uint64
 	counters.Each(func(s *shard) {
 		for qi := range queries {
 			res.Delivered[qi] += s.delivered[qi]
 			res.Filtered[qi] += s.filtered[qi]
+			delivered += s.delivered[qi]
+			filtered += s.filtered[qi]
 		}
 	})
-	if err != nil && !engine.Interrupted(err) {
-		return nil, err
+	rc.Event("enumerated", obs.U64("delivered", delivered), obs.U64("filtered", filtered))
+	if err == nil {
+		st.Phase = core.PhaseDone
 	}
-	return res, err
+	return res, st, err
 }
 
 // Weights assigns each vertex a pseudo-random weight from a normal

@@ -16,7 +16,7 @@ import (
 // (morphbench, tests) capture every RunStats the pipeline produces.
 
 // maxExplainCandidates caps the candidate-morph trace. Algorithm 1
-// enumerates up to 2^MaxSubset subsets per parent per iteration; on
+// enumerates up to 2^maxSubset subsets per parent per iteration; on
 // adversarial query sets that is far more than any report wants to
 // render, so the trace keeps the first entries and counts the rest in
 // Truncated. Accepted morphs are always recorded — they are the plan.

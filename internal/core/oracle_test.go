@@ -64,7 +64,7 @@ func eagerSDAG(t testing.TB, queries []*pattern.Pattern) *SDAG {
 // for prices — every candidate recounts which trie levels the staying
 // members occupy from S itself. It returns the final alternative set and
 // the modeled set prices before and after.
-func eagerSelect(d *SDAG, queries []*pattern.Pattern, cost CostFunc, policy Policy, maxSubset int) (S map[pairKey]*Node, before, after float64) {
+func eagerSelect(d *SDAG, queries []*pattern.Pattern, cost CostFunc, policy Policy) (S map[pairKey]*Node, before, after float64) {
 	memo := map[pairKey][]costmodel.Level{}
 	levels := func(n *Node, v pattern.Induced) []costmodel.Level {
 		if n.Pattern.IsClique() {
@@ -360,7 +360,7 @@ func TestLazySelectionEqualsEagerOracle(t *testing.T) {
 		}
 		eager := eagerSDAG(t, queries)
 		for _, policy := range []Policy{PolicyAny, PolicyVertexOnly, PolicyEdgeOnly} {
-			wantS, wantBefore, wantAfter := eagerSelect(eager, queries, cost, policy, 12)
+			wantS, wantBefore, wantAfter := eagerSelect(eager, queries, cost, policy)
 			for _, explain := range []bool{false, true} {
 				d, err := BuildSDAG(queries)
 				if err != nil {
@@ -449,7 +449,7 @@ func TestRecordedSetsSelectAsEager(t *testing.T) {
 		for name, queries := range sets {
 			eager := eagerSDAG(t, queries)
 			for _, policy := range []Policy{PolicyAny, PolicyEdgeOnly} {
-				wantS, wantBefore, wantAfter := eagerSelect(eager, queries, cost, policy, 12)
+				wantS, wantBefore, wantAfter := eagerSelect(eager, queries, cost, policy)
 				d, err := BuildSDAG(queries)
 				if err != nil {
 					t.Fatal(err)

@@ -27,14 +27,10 @@ type Runner struct {
 	Engine engine.Engine
 	// DisableMorphing runs queries as-is (the baseline).
 	DisableMorphing bool
-	// Weights tune the cost model (zero value = DefaultWeights).
-	Weights costmodel.Weights
 	// PerMatchCost is the aggregation's estimated per-match work fed to
 	// the cost model (0 for system-native counting; see
 	// costmodel.ProfileUDF for UDF-derived values).
 	PerMatchCost float64
-	// SelectOptions tunes Algorithm 1.
-	SelectOptions SelectOptions
 	// RunOptions tunes execution of the selected alternatives (as opposed
 	// to their selection), currently shard-per-partition counting.
 	RunOptions RunOptions
@@ -54,21 +50,21 @@ type Runner struct {
 	// alternative's match stream is converted into the query tables as it
 	// is produced, so no intermediate per-alternative tables are held.
 	// The decision is recorded in RunStats (ConversionMode,
-	// EstimatedBytes) and in the run_degraded_total counter. Scalar
+	// EstimatedBytes) and in the query log's "degraded" event. Scalar
 	// pipelines (Counts) never materialize matches and ignore the budget.
 	MemoryBudget uint64
 	// Obs is the observability sink: the runner opens phase spans
 	// (transform, select, mine, convert, aggregate) on its tracer and
-	// publishes RunStats through its registry. nil falls back to
+	// adds each run's totals to its registry. nil falls back to
 	// obs.Default().
 	Obs *obs.Observer
 	// Label tags this runner's executions in the query log, run reports
 	// and flight-recorder dumps (conventionally the app name: "sc",
 	// "mc", "fsm", "se").
 	Label string
-	// Flight configures the per-run flight recorder (ring sizes, dump
-	// directory, anomaly thresholds). nil uses obs.DefaultFlightPolicy,
-	// whose dump directory comes from MORPH_FLIGHT_DIR.
+	// Flight configures the per-run flight recorder (dump directory,
+	// slow-query threshold). nil uses obs.DefaultFlightPolicy, whose dump
+	// directory comes from MORPH_FLIGHT_DIR.
 	Flight *obs.FlightPolicy
 }
 
@@ -187,8 +183,7 @@ type RunStats struct {
 	Residency *graph.ResidencyStats
 
 	// RunID is the unique identifier of this execution's run scope;
-	// every span, counter delta and query-log line the run emitted
-	// carries it.
+	// every span and query-log line the run emitted carries it.
 	RunID string
 	// RunLabel is the Runner.Label the run executed under.
 	RunLabel string
@@ -237,14 +232,27 @@ func (r *Runner) policyFor(agg aggr.Aggregation) (Policy, error) {
 	}
 }
 
-// obs resolves the runner's observability sink.
-func (r *Runner) obs() *obs.Observer { return obs.Or(r.Obs) }
+// Execute runs body as one pipeline execution of r — the lifecycle
+// CountsCtx, MNITablesCtx and subgraph enumeration share. It opens the
+// run scope (startRun), hands body a context carrying it and g wrapped for
+// storage attribution, runs body under containFaults, and stamps the
+// storage counters and the terminal event into the RunStats body returns
+// (finishRun, which also publishes them on success). body returns nil
+// RunStats for a failure that is not an interruption.
+func Execute[T any](ctx context.Context, r *Runner, g graph.Adjacency, pipeline string, queries int, body func(context.Context, *obs.RunContext, graph.Adjacency) (T, *RunStats, error)) (T, *RunStats, error) {
+	rc, ctx := r.startRun(ctx, pipeline, queries)
+	ag, sink := attributeStorage(g)
+	out, st, err := containFaults(func() (T, *RunStats, error) { return body(ctx, rc, ag) })
+	stampStorage(rc, st, g, sink)
+	r.finishRun(rc, st, err)
+	return out, st, err
+}
 
-// startRun opens the per-query run scope: a child metrics registry, a
-// ring tracer tagged with the run ID, and the lifecycle event stream.
-// The returned context carries the scope so every layer below —
-// selection, conversion, the engines, the trie executor — resolves it
-// via obs.FromContext without signature changes.
+// startRun opens the per-query run scope: a ring tracer tagged with the
+// run ID and the lifecycle event stream. The returned context carries the
+// scope so every layer below — selection, conversion, the engines, the
+// trie executor — resolves it via obs.FromContext without signature
+// changes.
 func (r *Runner) startRun(ctx context.Context, pipeline string, queries int) (*obs.RunContext, context.Context) {
 	policy := obs.DefaultFlightPolicy()
 	if r.Flight != nil {
@@ -290,6 +298,7 @@ func (r *Runner) finishRun(rc *obs.RunContext, st *RunStats, err error) {
 	default:
 		name = "interrupted"
 		attrs = append(attrs, obs.Str("kind", kind), obs.Str("error", out.Err))
+		rc.Observer().Counter(MetricInterrupted).Inc(0)
 	}
 	rc.Event(name, attrs...)
 	dump := rc.Finish(out)
@@ -341,9 +350,9 @@ func containFaults[T any](body func() (T, *RunStats, error)) (out T, st *RunStat
 
 // stampStorage records the run's storage-tier activity at run end: the
 // per-run decode counters and (for mmap-backed tiers) a point-in-time
-// page-residency sample land in st, in the run's metric scope, and in
-// the query log as a "storage" event — so per-query attribution no
-// longer leans on the process-cumulative graph.DecodeTotals.
+// page-residency sample land in st, in the process totals, and in the
+// query log as a "storage" event — so per-query attribution no longer
+// leans on the process-cumulative graph.DecodeTotals.
 func stampStorage(rc *obs.RunContext, st *RunStats, g graph.Adjacency, sink *graph.DecodeCounters) {
 	if st == nil {
 		return
@@ -440,7 +449,7 @@ func (r *Runner) transformPolicy(ctx context.Context, g graph.Adjacency, queries
 	sp := o.StartSpan("transform", append(attrs,
 		obs.Str("engine", r.Engine.Name()), obs.Int("queries", len(queries)))...)
 	defer sp.End()
-	if r.DisableMorphing || r.SelectOptions.DisableMorphing {
+	if r.DisableMorphing {
 		if policy == PolicyEdgeOnly {
 			for _, q := range queries {
 				if q.Induced() == pattern.VertexInduced && !q.IsClique() {
@@ -451,7 +460,7 @@ func (r *Runner) transformPolicy(ctx context.Context, g graph.Adjacency, queries
 		sp.Set(obs.Str("morphing", "disabled"))
 		sel, err := IdentitySelection(queries)
 		if err == nil && r.Explain {
-			sel.AnnotateEstimates(costmodel.New(graph.Summarize(g), r.weights()), r.PerMatchCost)
+			sel.AnnotateEstimates(costmodel.NewDefault(graph.Summarize(g)), r.PerMatchCost)
 		}
 		return sel, err
 	}
@@ -459,9 +468,9 @@ func (r *Runner) transformPolicy(ctx context.Context, g graph.Adjacency, queries
 	if err != nil {
 		return nil, err
 	}
-	model := costmodel.New(graph.Summarize(g), r.weights())
+	model := costmodel.NewDefault(graph.Summarize(g))
 	spSel := o.StartSpan("select")
-	sel, err := Select(ctx, d, queries, DefaultCostFunc(model, r.PerMatchCost), policy, r.selectOptions())
+	sel, err := Select(ctx, d, queries, DefaultCostFunc(model, r.PerMatchCost), policy, SelectOptions{Explain: r.Explain})
 	spSel.Set(obs.Int("sdag_nodes", d.Materialized()))
 	spSel.End()
 	if err != nil {
@@ -472,16 +481,6 @@ func (r *Runner) transformPolicy(ctx context.Context, g graph.Adjacency, queries
 	}
 	sp.Set(obs.Int("mine_patterns", len(sel.Mine)))
 	return sel, nil
-}
-
-// selectOptions resolves the effective SelectOptions: Runner.Explain
-// implies trace recording.
-func (r *Runner) selectOptions() SelectOptions {
-	opts := r.SelectOptions
-	if r.Explain {
-		opts.Explain = true
-	}
-	return opts
 }
 
 // TransformForStreamingCtx runs pattern transformation for match-stream
@@ -496,16 +495,8 @@ func (r *Runner) TransformForStreamingCtx(ctx context.Context, g graph.Adjacency
 	return r.transformPolicy(ctx, g, queries, PolicyVertexOnly, obs.Str("mode", "streaming"))
 }
 
-func (r *Runner) weights() costmodel.Weights {
-	if r.Weights == (costmodel.Weights{}) {
-		return costmodel.DefaultWeights()
-	}
-	return r.Weights
-}
-
 // Registry metric names published by the runner, one set per pipeline
-// execution. The *_last_* gauges snapshot the most recent selection so a
-// live /vars poll shows what the cost model just decided.
+// execution; DESIGN §11 names each one's consumer.
 const (
 	MetricRuns        = "run_total"
 	MetricTransformNS = "run_transform_time_ns_total"
@@ -514,23 +505,11 @@ const (
 	// typed interruption (cancel, deadline, contained panic); such runs
 	// do not increment MetricRuns.
 	MetricInterrupted = "run_interrupted_total"
-	// MetricDegraded counts runs where MemoryBudget forced the fallback
-	// from batched to on-the-fly conversion.
-	MetricDegraded = "run_degraded_total"
-
-	// MetricCalibrationRatio is a log-scale histogram of per-pattern
-	// calibration ratios (predicted/measured matches, add-one smoothed),
-	// observed in milli-ratio units so the log2 buckets resolve both
-	// under- and over-estimation: a perfectly calibrated model lands
-	// every observation near 1000 (bucket [512,1024) or [1024,2048)).
-	// Populated under Runner.Explain only.
-	MetricCalibrationRatio = "costmodel_calibration_ratio_milli"
 
 	// Storage-tier attribution counters: decode work and probe-block
 	// cache activity, published per run from the run's own DecodeCounters
-	// scope (so the process totals are the sum over runs, mirroring the
-	// child-registry contract). The mmap gauges snapshot the last sampled
-	// residency.
+	// scope (so the process totals are the sum over runs). The mmap gauges
+	// snapshot the last sampled residency.
 	MetricDecodeRows   = "graph_decode_rows_total"
 	MetricDecodeBlocks = "graph_decode_blocks_total"
 	MetricDecodeElems  = "graph_decode_elems_total"
@@ -538,14 +517,6 @@ const (
 	MetricProbeMisses  = "graph_probe_block_misses_total"
 	GaugeMmapResident  = "graph_mmap_resident_bytes"
 	GaugeMmapMapped    = "graph_mmap_mapped_bytes"
-
-	GaugeMinePatterns   = "run_last_mine_patterns"
-	GaugeMorphedQueries = "run_last_morphed_queries"
-	GaugeCostBefore     = "run_last_modeled_cost_before"
-	GaugeCostAfter      = "run_last_modeled_cost_after"
-	// GaugeEstimatedBytes snapshots the last budgeted run's estimated
-	// materialized match bytes (the value compared against MemoryBudget).
-	GaugeEstimatedBytes = "run_last_estimated_match_bytes"
 )
 
 // publishRunStats routes a completed pipeline execution's RunStats into
@@ -554,31 +525,6 @@ func publishRunStats(o *obs.Observer, st *RunStats) {
 	o.Counter(MetricRuns).Inc(0)
 	o.Counter(MetricTransformNS).Add(0, uint64(st.Transform))
 	o.Counter(MetricConvertNS).Add(0, uint64(st.Convert))
-	if sel := st.Selection; sel != nil {
-		morphed := 0
-		for _, q := range sel.Queries {
-			if q.Morphed {
-				morphed++
-			}
-		}
-		o.Gauge(GaugeMinePatterns).Set(float64(len(sel.Mine)))
-		o.Gauge(GaugeMorphedQueries).Set(float64(morphed))
-		o.Gauge(GaugeCostBefore).Set(sel.CostBefore)
-		o.Gauge(GaugeCostAfter).Set(sel.CostAfter)
-	}
-	if len(st.PerPattern) > 0 {
-		h := o.Histogram(MetricCalibrationRatio)
-		for _, pp := range st.PerPattern {
-			r := pp.CalibrationRatio() * 1000
-			if r < 0 || math.IsNaN(r) {
-				r = 0
-			}
-			if r > math.MaxUint64/2 {
-				r = math.MaxUint64 / 2
-			}
-			h.Observe(0, uint64(r))
-		}
-	}
 	fireRunHook(st)
 }
 
@@ -591,12 +537,9 @@ func publishRunStats(o *obs.Observer, st *RunStats) {
 // per-alternative partial counts cannot be soundly converted into query
 // results, so they are surfaced raw instead.
 func (r *Runner) CountsCtx(ctx context.Context, g graph.Adjacency, queries []*pattern.Pattern) ([]uint64, *RunStats, error) {
-	rc, ctx := r.startRun(ctx, "counts", len(queries))
-	ag, sink := attributeStorage(g)
-	out, st, err := containFaults(func() ([]uint64, *RunStats, error) { return r.countsRun(ctx, rc, ag, queries) })
-	stampStorage(rc, st, g, sink)
-	r.finishRun(rc, st, err)
-	return out, st, err
+	return Execute(ctx, r, g, "counts", len(queries), func(ctx context.Context, rc *obs.RunContext, g graph.Adjacency) ([]uint64, *RunStats, error) {
+		return r.countsRun(ctx, rc, g, queries)
+	})
 }
 
 // countsRun is the CountsCtx body, executed inside the run scope rc (the
@@ -626,7 +569,6 @@ func (r *Runner) countsRun(ctx context.Context, rc *obs.RunContext, g graph.Adja
 	spM.End()
 	if err != nil {
 		if engine.Interrupted(err) {
-			o.Counter(MetricInterrupted).Inc(0)
 			return nil, stats, err
 		}
 		return nil, nil, err
@@ -836,12 +778,9 @@ func (r *Runner) mineSharded(ctx context.Context, g graph.Adjacency, n int, pass
 // intermediate tables for per-match conversion work. Interrupted runs
 // follow the same partial-result contract as CountsCtx.
 func (r *Runner) MNITablesCtx(ctx context.Context, g graph.Adjacency, queries []*pattern.Pattern) ([]*aggr.Table, *RunStats, error) {
-	rc, ctx := r.startRun(ctx, "mni", len(queries))
-	ag, sink := attributeStorage(g)
-	out, st, err := containFaults(func() ([]*aggr.Table, *RunStats, error) { return r.mniRun(ctx, rc, ag, queries) })
-	stampStorage(rc, st, g, sink)
-	r.finishRun(rc, st, err)
-	return out, st, err
+	return Execute(ctx, r, g, "mni", len(queries), func(ctx context.Context, rc *obs.RunContext, g graph.Adjacency) ([]*aggr.Table, *RunStats, error) {
+		return r.mniRun(ctx, rc, g, queries)
+	})
 }
 
 // mniRun is the MNITablesCtx body, executed inside the run scope rc. Both
@@ -879,12 +818,10 @@ func (r *Runner) mniRun(ctx context.Context, rc *obs.RunContext, g graph.Adjacen
 	var streamTargets [][]StreamTarget
 	if r.MemoryBudget > 0 {
 		stats.EstimatedBytes = r.estimateMatchBytes(g, sel)
-		o.Gauge(GaugeEstimatedBytes).Set(float64(stats.EstimatedBytes))
 		if stats.EstimatedBytes > r.MemoryBudget {
 			if ts, serr := sel.StreamPlan(); serr == nil {
 				streamTargets = ts
 				stats.ConversionMode = "on-the-fly"
-				o.Counter(MetricDegraded).Inc(0)
 				rc.Event("degraded",
 					obs.U64("estimated_bytes", stats.EstimatedBytes),
 					obs.U64("budget_bytes", r.MemoryBudget))
@@ -929,7 +866,6 @@ func (r *Runner) mniRun(ctx context.Context, rc *obs.RunContext, g graph.Adjacen
 	if err = r.MatchAllCtx(ctx, g, sel.Mine, visits, stats); err != nil {
 		spM.End()
 		if engine.Interrupted(err) {
-			o.Counter(MetricInterrupted).Inc(0)
 			return nil, stats, err
 		}
 		return nil, nil, err
@@ -1018,7 +954,7 @@ func (r *Runner) EstimateAdmission(ctx context.Context, g graph.Adjacency, queri
 // estimates over the graph's dense portion, so this is a relative proxy
 // (compare it against MemoryBudget in the same units).
 func (r *Runner) estimateMatchBytes(g graph.Adjacency, sel *Selection) uint64 {
-	model := costmodel.New(graph.Summarize(g), r.weights())
+	model := costmodel.NewDefault(graph.Summarize(g))
 	total := 0.0
 	for _, c := range sel.Mine {
 		_, aut, err := plan.BuildAut(c.Pattern)

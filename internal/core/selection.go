@@ -149,11 +149,12 @@ type Selection struct {
 	byPair map[pairKey]int // pair -> index into Mine
 }
 
+// maxSubset caps the size of children subsets enumerated per parent
+// (Algorithm 1 line 6).
+const maxSubset = 12
+
 // SelectOptions tunes Select.
 type SelectOptions struct {
-	// MaxSubset caps the size of children subsets enumerated per parent
-	// (Algorithm 1 line 6); 0 means 12.
-	MaxSubset int
 	// DisableMorphing keeps every query as-is (the baseline systems).
 	DisableMorphing bool
 	// Explain records the selection trace (every node cost and every
@@ -449,11 +450,6 @@ func Select(ctx context.Context, d *SDAG, queries []*pattern.Pattern, cost CostF
 	}
 	var C, adds []member
 	inC := map[pairKey]bool{}
-
-	maxSubset := opts.MaxSubset
-	if maxSubset <= 0 {
-		maxSubset = 12
-	}
 
 	if !opts.DisableMorphing {
 		// Algorithm 1 main loop. A candidate morph replaces a subset C of

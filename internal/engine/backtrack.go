@@ -17,9 +17,6 @@ type ExecOptions struct {
 	// Instrument enables phase timings (Fig. 4 style breakdowns) at the
 	// cost of timer calls around candidate generation and UDFs.
 	Instrument bool
-	// BlockSize is the number of initial vertices per work unit; 0 picks
-	// a default balancing scheduling overhead against skew.
-	BlockSize int
 	// MatchLimit stops exploration once at least this many matches have
 	// been found, over all plans of the pass together (0 = unlimited). The
 	// final count may slightly exceed the limit (workers drain their

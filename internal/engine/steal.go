@@ -5,8 +5,8 @@ import "sync/atomic"
 // Tail work stealing. The atomic block cursor balances load at block
 // granularity, but once it runs dry a single worker can stay pinned under
 // a heavy block (typically one holding hub vertices) while its siblings
-// idle — the straggler signature the engine_worker_time_ns histograms
-// expose. To shave that tail, each worker advertises its in-flight level-0
+// idle — the straggler signature Stats.Workers' busy times expose. To
+// shave that tail, each worker advertises its in-flight level-0
 // block as a stealable vertexRange: when the cursor is exhausted, an idle
 // worker splits the heaviest remaining range in half and runs the upper
 // half itself. Splitting is bounded — at most once per claimed block, and

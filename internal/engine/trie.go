@@ -184,12 +184,11 @@ func (ps *triePass) mine(ctx context.Context, g graph.Adjacency, tr *plan.Trie, 
 
 	threads := opts.ThreadCount()
 	n := g.NumVertices()
-	blockSize := opts.BlockSize
-	if blockSize <= 0 {
-		blockSize = 256
-		if n/threads < blockSize*8 {
-			blockSize = n/(threads*8) + 1
-		}
+	// A work unit is 256 root vertices, or fewer so that every worker sees
+	// at least eight: block count balances scheduling overhead against skew.
+	blockSize := 256
+	if n/threads < blockSize*8 {
+		blockSize = n/(threads*8) + 1
 	}
 	ps.blockSize = blockSize
 	ps.numBlocks = (n + blockSize - 1) / blockSize
@@ -285,11 +284,9 @@ func (ps *triePass) mine(ctx context.Context, g graph.Adjacency, tr *plan.Trie, 
 	st.TotalTime = time.Since(start)
 	publishStats(o, st)
 	if panicErr != nil {
-		publishAbort(o, panicErr)
 		return st, panicErr
 	}
 	if err := CtxErr(ctx); err != nil && aborted {
-		publishAbort(o, err)
 		return st, err
 	}
 	return st, nil

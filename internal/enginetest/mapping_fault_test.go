@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"morphing/internal/apps/se"
 	"morphing/internal/core"
 	"morphing/internal/dataset"
 	"morphing/internal/engine"
@@ -16,11 +17,12 @@ import (
 )
 
 // TestMappingFaultIsTyped truncates a mapped .mcsr under its open handle
-// and counts on it. Whichever read faults first — an executor worker's,
+// and mines it. Whichever read faults first — an executor worker's,
 // once an earlier run has built the hot rows and the summary, or the
 // hot-row build's, when the file shrank before the first run — the run
-// ends in one typed error out of Runner.CountsCtx, graph.ErrMappingFault
-// reachable through *engine.PanicError, and the process lives on.
+// ends in one typed error out of Runner.CountsCtx or se.EnumerateCtx,
+// graph.ErrMappingFault reachable through *engine.PanicError, and the
+// process lives on.
 func TestMappingFaultIsTyped(t *testing.T) {
 	r, err := dataset.ByName("MI")
 	if err != nil {
@@ -35,13 +37,27 @@ func TestMappingFaultIsTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	qs := []*pattern.Pattern{pattern.Triangle(), pattern.FourCycle().AsVertexInduced()}
+	run := &core.Runner{Engine: peregrine.New(2)}
+	count := func(g graph.Adjacency) error {
+		_, _, err := run.CountsCtx(context.Background(), g, qs)
+		return err
+	}
+	// Morphed enumeration summarizes the graph before it mines: the hot-row
+	// build faults on the caller's goroutine, outside any worker.
+	enumerate := func(g graph.Adjacency) error {
+		_, err := se.EnumerateCtx(context.Background(), g, peregrine.New(2), []*pattern.Pattern{pattern.FourCycle()},
+			func([]uint32) bool { return true }, nil, se.Options{Morph: true, PerMatchCost: 1})
+		return err
+	}
 	for _, tc := range []struct {
 		name   string
-		warm   bool           // count once before the truncation
+		warm   bool // count once before the truncation
+		mine   func(graph.Adjacency) error
 		worker func(int) bool // who recovered the fault
 	}{
-		{"executor", true, func(w int) bool { return w >= 0 }},
-		{"hot-row build", false, func(w int) bool { return w == -1 }},
+		{"executor", true, count, func(w int) bool { return w >= 0 }},
+		{"hot-row build", false, count, func(w int) bool { return w == -1 }},
+		{"enumeration", false, enumerate, func(w int) bool { return w == -1 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "g.mcsr")
@@ -60,19 +76,18 @@ func TestMappingFaultIsTyped(t *testing.T) {
 				t.Skipf("no mmap: %v", err)
 			}
 			defer h.Close()
-			run := &core.Runner{Engine: peregrine.New(2)}
 			if tc.warm {
-				if _, _, err := run.CountsCtx(context.Background(), h.Graph(), qs); err != nil {
+				if err := count(h.Graph()); err != nil {
 					t.Fatal(err)
 				}
 			}
 			if err := os.Truncate(path, 0); err != nil {
 				t.Fatal(err)
 			}
-			_, _, err = run.CountsCtx(context.Background(), h.Graph(), qs)
+			err = tc.mine(h.Graph())
 			var pe *engine.PanicError
 			if !errors.Is(err, graph.ErrMappingFault) || !errors.As(err, &pe) || !tc.worker(pe.Worker) {
-				t.Fatalf("count over a truncated mapping: %v, want graph.ErrMappingFault in a *engine.PanicError recovered by the %s", err, tc.name)
+				t.Fatalf("%s over a truncated mapping: %v, want graph.ErrMappingFault in a *engine.PanicError", tc.name, err)
 			}
 		})
 	}

@@ -168,22 +168,18 @@ func TestHistoryConcurrentReaders(t *testing.T) {
 
 // TestFlightDumpEmbedsHistory asserts that an anomalous run's dump
 // bundle carries the recent time-series context (history.json), capped
-// to HistorySamples points per series.
+// to historySamples points per series.
 func TestFlightDumpEmbedsHistory(t *testing.T) {
 	reg := NewRegistry()
-	h := NewHistory(reg, HistoryConfig{Capacity: 16, Counters: []string{"c"}})
+	h := NewHistory(reg, HistoryConfig{Capacity: 2 * historySamples, Counters: []string{"c"}})
 	c := reg.Counter("c")
-	for i := 0; i < 10; i++ {
+	for i := 0; i < historySamples+10; i++ {
 		c.Inc(0)
 		h.SampleNow()
 	}
 
 	dir := t.TempDir()
-	rc := StartRun(&Observer{Metrics: reg}, "probe", FlightPolicy{
-		Dir:            dir,
-		History:        h,
-		HistorySamples: 3,
-	})
+	rc := StartRun(&Observer{Metrics: reg}, "probe", FlightPolicy{Dir: dir, History: h})
 	dump := rc.Finish(RunOutcome{ErrKind: "error", Err: "boom"})
 	if dump == "" {
 		t.Fatal("anomalous run produced no dump")
@@ -197,11 +193,11 @@ func TestFlightDumpEmbedsHistory(t *testing.T) {
 		t.Fatalf("history.json not valid JSON: %v", err)
 	}
 	pts := snap.Series["c"]
-	if len(pts) != 3 {
-		t.Fatalf("embedded %d points, want HistorySamples=3", len(pts))
+	if len(pts) != historySamples {
+		t.Fatalf("embedded %d points, want %d", len(pts), historySamples)
 	}
-	if pts[2].Value != 10 {
-		t.Fatalf("newest embedded point = %g, want 10", pts[2].Value)
+	if last := pts[len(pts)-1].Value; last != historySamples+10 {
+		t.Fatalf("newest embedded point = %g, want %d", last, historySamples+10)
 	}
 }
 

@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"math/bits"
 	"sort"
@@ -31,25 +32,17 @@ type cell struct {
 // a Registry. All methods are safe on a nil receiver (they no-op or
 // return zero), which is how disabled observability stays branch-free at
 // call sites.
-//
-// A counter obtained from a child registry (NewChildRegistry) carries a
-// parent link: every Add lands on the child's own shard AND is forwarded
-// up the chain, so a per-run scope stays disjoint while the global
-// registry's total always equals the sum over runs.
 type Counter struct {
-	name   string
-	parent *Counter // same-named metric in the parent registry (nil at the root)
-	cells  [shardCount]cell
+	name  string
+	cells [shardCount]cell
 }
 
-// Add increments the counter by n on the worker's shard, forwarding the
-// delta to the parent scope when this counter lives in a child registry.
+// Add increments the counter by n on the worker's shard.
 func (c *Counter) Add(worker int, n uint64) {
 	if c == nil || n == 0 {
 		return
 	}
 	c.cells[worker&(shardCount-1)].v.Add(n)
-	c.parent.Add(worker, n)
 }
 
 // Inc increments the counter by one on the worker's shard.
@@ -75,14 +68,11 @@ func (c *Counter) Name() string {
 	return c.name
 }
 
-// Gauge is a last-value metric (selection sizes, modeled costs). Stores
-// are single atomics; floats travel as IEEE-754 bits. Gauges from child
-// registries forward every Set to the parent scope (last writer wins
-// globally, as with any gauge shared by concurrent runs).
+// Gauge is a last-value metric (queue depth, resident bytes). Stores are
+// single atomics; floats travel as IEEE-754 bits.
 type Gauge struct {
-	name   string
-	parent *Gauge
-	v      atomic.Uint64
+	name string
+	v    atomic.Uint64
 }
 
 // Set records the gauge's current value.
@@ -91,7 +81,6 @@ func (g *Gauge) Set(v float64) {
 		return
 	}
 	g.v.Store(math.Float64bits(v))
-	g.parent.Set(v)
 }
 
 // Value returns the last value set (0 before any Set).
@@ -127,16 +116,13 @@ type histShard struct {
 
 // Histogram is a log2-bucketed distribution backed by sharded cells,
 // sized for durations in nanoseconds and work counts. Like Counter, all
-// methods are nil-safe, and histograms from child registries forward
-// every observation to the parent scope.
+// methods are nil-safe.
 type Histogram struct {
 	name   string
-	parent *Histogram
 	shards [shardCount]histShard
 }
 
-// Observe records one sample on the worker's shard, forwarding it to the
-// parent scope when this histogram lives in a child registry.
+// Observe records one sample on the worker's shard.
 func (h *Histogram) Observe(worker int, v uint64) {
 	if h == nil {
 		return
@@ -145,7 +131,6 @@ func (h *Histogram) Observe(worker int, v uint64) {
 	s.count.Add(1)
 	s.sum.Add(v)
 	s.buckets[bits.Len64(v)].Add(1)
-	h.parent.Observe(worker, v)
 }
 
 // Snapshot merges all shards into one distribution and fills the
@@ -294,16 +279,8 @@ func BucketUpperBound(i int) uint64 {
 // execution and hold the returned pointers, so the registry itself is
 // never on a per-match path. A nil *Registry is valid and returns nil
 // (inert) metrics.
-//
-// A registry may be a child of another (NewChildRegistry): metrics
-// created in the child link to the same-named metric in the parent, and
-// every write forwards up the chain. This is the mechanism behind
-// per-run metric scopes — a RunContext's registry is a child of the
-// process registry, so a run's counters are disjoint per run while the
-// global totals remain the sum over runs.
 type Registry struct {
 	mu         sync.RWMutex
-	parent     *Registry
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
@@ -319,23 +296,6 @@ func NewRegistry() *Registry {
 	}
 }
 
-// NewChildRegistry returns an empty registry whose metrics forward every
-// write to the same-named metric in parent (created there on demand). A
-// nil parent yields a plain root registry.
-func NewChildRegistry(parent *Registry) *Registry {
-	r := NewRegistry()
-	r.parent = parent
-	return r
-}
-
-// Parent returns the registry this one forwards into (nil at the root).
-func (r *Registry) Parent() *Registry {
-	if r == nil {
-		return nil
-	}
-	return r.parent
-}
-
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
@@ -347,13 +307,10 @@ func (r *Registry) Counter(name string) *Counter {
 	if c != nil {
 		return c
 	}
-	// Resolve the parent's metric outside r.mu: the parent lookup takes
-	// the parent's lock and must not nest inside the child's.
-	parent := r.parent.Counter(name)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if c = r.counters[name]; c == nil {
-		c = &Counter{name: name, parent: parent}
+		c = &Counter{name: name}
 		r.counters[name] = c
 	}
 	return c
@@ -370,11 +327,10 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if g != nil {
 		return g
 	}
-	parent := r.parent.Gauge(name)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if g = r.gauges[name]; g == nil {
-		g = &Gauge{name: name, parent: parent}
+		g = &Gauge{name: name}
 		r.gauges[name] = g
 	}
 	return g
@@ -391,19 +347,17 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if h != nil {
 		return h
 	}
-	parent := r.parent.Histogram(name)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if h = r.histograms[name]; h == nil {
-		h = &Histogram{name: name, parent: parent}
+		h = &Histogram{name: name}
 		r.histograms[name] = h
 	}
 	return h
 }
 
 // SetHelp registers the Prometheus HELP text for a metric name; the
-// /metrics exposition emits it ahead of the TYPE line. Help set on a
-// child registry stays local to that scope.
+// /metrics exposition emits it ahead of the TYPE line.
 func (r *Registry) SetHelp(name, help string) {
 	if r == nil {
 		return
@@ -414,19 +368,6 @@ func (r *Registry) SetHelp(name, help string) {
 		r.help = make(map[string]string)
 	}
 	r.help[name] = help
-}
-
-// helpFor resolves a metric's HELP text, walking up the parent chain.
-func (r *Registry) helpFor(name string) string {
-	for reg := r; reg != nil; reg = reg.parent {
-		reg.mu.RLock()
-		h := reg.help[name]
-		reg.mu.RUnlock()
-		if h != "" {
-			return h
-		}
-	}
-	return ""
 }
 
 // Snapshot merges every metric's shards into a point-in-time view.
@@ -440,30 +381,17 @@ func (r *Registry) Snapshot() Snapshot {
 		return s
 	}
 	r.mu.RLock()
-	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.histograms))
+	defer r.mu.RUnlock()
 	for name, c := range r.counters {
 		s.Counters[name] = c.Value()
-		names = append(names, name)
 	}
 	for name, g := range r.gauges {
 		s.Gauges[name] = g.Value()
-		names = append(names, name)
 	}
 	for name, h := range r.histograms {
 		s.Histograms[name] = h.Snapshot()
-		names = append(names, name)
 	}
-	r.mu.RUnlock()
-	// Resolve help after releasing r.mu: helpFor re-locks r on its walk up
-	// the parent chain.
-	for _, name := range names {
-		if h := r.helpFor(name); h != "" {
-			if s.Help == nil {
-				s.Help = map[string]string{}
-			}
-			s.Help[name] = h
-		}
-	}
+	s.Help = maps.Clone(r.help)
 	return s
 }
 

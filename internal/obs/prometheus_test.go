@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -171,31 +170,5 @@ and a newline`)
 			t.Fatalf("bucket bounds not increasing: %v after %v", bound, prevBound)
 		}
 		prevBound = bound
-	}
-}
-
-// TestPrometheusChildRegistryExposition checks that run-scoped child
-// registries stay out of the parent's exposition while their forwarded
-// writes show up in it — the /metrics endpoint reflects global totals.
-func TestPrometheusChildRegistryExposition(t *testing.T) {
-	parent := NewRegistry()
-	child := NewChildRegistry(parent)
-	child.Counter("matches_total").Add(0, 9)
-
-	var buf bytes.Buffer
-	if err := parent.Snapshot().WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "matches_total 9") {
-		t.Fatalf("parent exposition missing forwarded total:\n%s", buf.String())
-	}
-	// Help registered on the parent is visible through the child chain.
-	parent.SetHelp("matches_total", "matches")
-	var cbuf bytes.Buffer
-	if err := child.Snapshot().WritePrometheus(&cbuf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(cbuf.String(), fmt.Sprintf("# HELP matches_total matches")) {
-		t.Fatalf("child exposition missing inherited help:\n%s", cbuf.String())
 	}
 }

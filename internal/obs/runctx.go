@@ -11,9 +11,9 @@ import (
 	"time"
 )
 
-// FlightPolicy configures the per-run flight recorder: how much recent
-// history each run retains and when an anomalous ending dumps it to
-// disk. The zero value records (bounded) but never dumps.
+// FlightPolicy configures the per-run flight recorder: where and when an
+// anomalous ending dumps the run's recent history to disk. The zero value
+// records (bounded by ringCap) but never dumps.
 type FlightPolicy struct {
 	// Dir is where anomaly dump bundles land; empty disables dumping
 	// (the in-memory ring still records).
@@ -21,33 +21,20 @@ type FlightPolicy struct {
 	// SlowQuery marks a run anomalous when its wall time exceeds this
 	// threshold; zero disables the check.
 	SlowQuery time.Duration
-	// CalibrationMin/Max bound the acceptable cost-model calibration
-	// ratio (predicted/measured matches). A run whose ratio falls
-	// outside [Min, Max] is anomalous. Both zero disables the check.
-	CalibrationMin float64
-	CalibrationMax float64
-	// MaxDumps caps how many dump bundles may accumulate under Dir
-	// (existing entries count); 0 means the default of 16.
-	MaxDumps int
-	// RingSpans / RingEvents bound the per-run history; 0 means the
-	// default of 256 each.
-	RingSpans  int
-	RingEvents int
 	// History, when set, adds a history.json file to every anomaly dump
-	// holding the newest HistorySamples points of each time series — the
+	// holding the newest historySamples points of each time series — the
 	// minutes of process context *around* the anomaly, not just the
 	// anomalous run's own trace.
 	History *History
-	// HistorySamples caps the points per series embedded in a dump; 0
-	// means the default of 120.
-	HistorySamples int
 }
 
-// defaultRingCap bounds per-run span and event history, and
-// defaultMaxDumps bounds accumulated anomaly bundles on disk.
+// ringCap bounds each run's retained spans and events, maxDumps the
+// bundles that may accumulate under FlightPolicy.Dir (existing entries
+// count), and historySamples the points per series a dump embeds.
 const (
-	defaultRingCap  = 256
-	defaultMaxDumps = 16
+	ringCap        = 256
+	maxDumps       = 16
+	historySamples = 120
 )
 
 // EnvFlightDir is the environment variable consulted by
@@ -70,17 +57,16 @@ type RunOutcome struct {
 	ErrKind string
 	// Err is the error message, recorded in the dump metadata.
 	Err string
-	// Calibration is the cost-model calibration ratio
-	// (predicted/measured, add-one smoothed); 0 means unknown and is
-	// never checked against the band.
+	// Calibration is the cost-model calibration ratio (predicted/measured,
+	// add-one smoothed) recorded in the dump metadata; 0 means unknown.
 	Calibration float64
 }
 
-// RunContext scopes one query execution: a unique run ID, a child
-// metrics registry (disjoint per run, forwarding into the parent so
-// global totals stay the sum over runs), a bounded ring tracer
-// mirroring into the process tracer, and a bounded ring of lifecycle
-// events. It travels through the pipeline via context.Context
+// RunContext scopes one query execution: a unique run ID, a bounded ring
+// tracer mirroring into the process tracer, and a bounded ring of
+// lifecycle events. Metrics are not scoped: the run writes into its
+// parent's registry, and its own numbers are the RunStats the pipeline
+// returns. It travels through the pipeline via context.Context
 // (ContextWithRun / FromContext), so engines resolve the run's observer
 // without any signature changes.
 type RunContext struct {
@@ -88,7 +74,6 @@ type RunContext struct {
 	label  string
 	start  time.Time
 	obs    *Observer
-	parent *Observer
 	policy FlightPolicy
 
 	mu        sync.Mutex
@@ -115,30 +100,20 @@ func newRunID() string {
 }
 
 // StartRun opens a run scope under parent (nil means the process-wide
-// default observer). The returned context's Observer has a child
-// registry, a ring tracer tagged with the run ID and mirrored into the
-// parent tracer, and the parent's event log.
+// default observer). The returned context's Observer has the parent's
+// registry and event log, and a ring tracer tagged with the run ID and
+// mirrored into the parent tracer.
 func StartRun(parent *Observer, label string, policy FlightPolicy) *RunContext {
 	parent = Or(parent)
-	if policy.RingSpans <= 0 {
-		policy.RingSpans = defaultRingCap
-	}
-	if policy.RingEvents <= 0 {
-		policy.RingEvents = defaultRingCap
-	}
-	if policy.MaxDumps <= 0 {
-		policy.MaxDumps = defaultMaxDumps
-	}
 	rc := &RunContext{
 		id:     newRunID(),
 		label:  label,
 		start:  time.Now(),
-		parent: parent,
 		policy: policy,
 	}
 	rc.obs = &Observer{
-		Metrics: NewChildRegistry(parent.Metrics),
-		Tracer:  NewRingTracer(policy.RingSpans, parent.Tracer, Str("run", rc.id)),
+		Metrics: parent.Metrics,
+		Tracer:  NewRingTracer(ringCap, parent.Tracer, Str("run", rc.id)),
 		Events:  parent.Events,
 	}
 	return rc
@@ -160,8 +135,8 @@ func (rc *RunContext) Label() string {
 	return rc.label
 }
 
-// Observer returns the run-scoped observer. Metrics written through it
-// land in the run's own registry and forward into the parent's.
+// Observer returns the run-scoped observer: spans land in the run's ring
+// (and the parent tracer), metrics in the parent's registry.
 func (rc *RunContext) Observer() *Observer {
 	if rc == nil {
 		return nil
@@ -186,9 +161,9 @@ func (rc *RunContext) Event(name string, attrs ...Attr) Event {
 	rc.obs.Events.Emit(e)
 	rc.obs.Tracer.Instant(name, attrs...)
 	rc.mu.Lock()
-	if len(rc.events) >= rc.policy.RingEvents {
+	if len(rc.events) >= ringCap {
 		rc.events[rc.evStart] = e
-		rc.evStart = (rc.evStart + 1) % rc.policy.RingEvents
+		rc.evStart = (rc.evStart + 1) % ringCap
 		rc.evDropped++
 	} else {
 		rc.events = append(rc.events, e)
@@ -264,11 +239,6 @@ func (rc *RunContext) classify(out RunOutcome, wall time.Duration) string {
 	if rc.policy.SlowQuery > 0 && wall > rc.policy.SlowQuery {
 		return "slow"
 	}
-	if out.Calibration > 0 && (rc.policy.CalibrationMin > 0 || rc.policy.CalibrationMax > 0) {
-		if out.Calibration < rc.policy.CalibrationMin || (rc.policy.CalibrationMax > 0 && out.Calibration > rc.policy.CalibrationMax) {
-			return "calibration"
-		}
-	}
 	return ""
 }
 
@@ -280,8 +250,8 @@ func (rc *RunContext) writeDump(reason string, out RunOutcome, wall time.Duratio
 	if err != nil {
 		return "", err
 	}
-	if len(entries) >= rc.policy.MaxDumps {
-		return "", fmt.Errorf("flight dir %s at capacity (%d bundles)", rc.policy.Dir, rc.policy.MaxDumps)
+	if len(entries) >= maxDumps {
+		return "", fmt.Errorf("flight dir %s at capacity (%d bundles)", rc.policy.Dir, maxDumps)
 	}
 	dir := filepath.Join(rc.policy.Dir, rc.id+"-"+reason)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -316,17 +286,13 @@ func (rc *RunContext) writeDump(reason string, out RunOutcome, wall time.Duratio
 	}
 
 	if rc.policy.History != nil {
-		limit := rc.policy.HistorySamples
-		if limit <= 0 {
-			limit = 120
-		}
 		hf, err := os.Create(filepath.Join(dir, "history.json"))
 		if err != nil {
 			return "", err
 		}
 		he := json.NewEncoder(hf)
 		he.SetIndent("", "  ")
-		if err := he.Encode(rc.policy.History.Snapshot(limit)); err != nil {
+		if err := he.Encode(rc.policy.History.Snapshot(historySamples)); err != nil {
 			hf.Close()
 			return "", err
 		}
@@ -385,8 +351,8 @@ func RunFrom(ctx context.Context) *RunContext {
 
 // FromContext resolves the observer a component should emit into: the
 // run scope carried by ctx when present, else Or(fallback). Engines call
-// this at execution entry so every span and counter delta lands in the
-// current run's scope without signature changes.
+// this at execution entry so every span lands in the current run's
+// flight recorder without signature changes.
 func FromContext(ctx context.Context, fallback *Observer) *Observer {
 	if rc := RunFrom(ctx); rc != nil {
 		return rc.obs

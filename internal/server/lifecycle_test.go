@@ -105,7 +105,7 @@ func TestHostileRequestBounds(t *testing.T) {
 	manyBody, _ := json.Marshal(many)
 	huge := []byte(`{"patterns":["` + strings.Repeat("x", maxBodyBytes) + `"]}`)
 	for name, body := range map[string][]byte{"too many patterns": manyBody, "body over the bound": huge} {
-		before := counter(s, rejectMetric(CodeBadRequest))
+		before := counter(s, rejectMetric[CodeBadRequest])
 		resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -116,7 +116,7 @@ func TestHostileRequestBounds(t *testing.T) {
 		if err != nil || resp.StatusCode != http.StatusBadRequest || ev.Error == nil || ev.Error.Code != CodeBadRequest {
 			t.Errorf("%s: status %d, event %+v (%v), want 400 with a typed bad_request", name, resp.StatusCode, ev, err)
 		}
-		if got := counter(s, rejectMetric(CodeBadRequest)) - before; got != 1 {
+		if got := counter(s, rejectMetric[CodeBadRequest]) - before; got != 1 {
 			t.Errorf("%s: counted %d rejects, want 1", name, got)
 		}
 	}

@@ -23,7 +23,8 @@ import (
 )
 
 // Server metric names, published into the observer's registry so /vars
-// and /metrics expose the serving layer next to the engine counters.
+// and /metrics expose the serving layer next to the engine counters;
+// DESIGN §11 names each one's consumer.
 const (
 	MetricQueries     = "server_queries_total"
 	MetricRejects     = "server_admission_rejects_total"
@@ -53,12 +54,21 @@ const (
 	// bytes (the quantity admission control meters against
 	// Config.AdmissionBudget).
 	GaugeBudgetInUse = "server_admission_bytes_inflight"
-	// GaugeDrainNS records how long the last (only) drain took.
-	GaugeDrainNS = "server_drain_duration_ns"
 )
 
-// rejectMetric is the per-code reject counter name.
-func rejectMetric(code Code) string { return "server_reject_" + string(code) + "_total" }
+// rejectMetric names the per-code reject counters.
+var rejectMetric = map[Code]string{
+	CodeBadRequest:     "server_reject_bad_request_total",
+	CodeOverBudget:     "server_reject_over_budget_total",
+	CodeOverloaded:     "server_reject_overloaded_total",
+	CodeQueueFull:      "server_reject_queue_full_total",
+	CodeQuotaExhausted: "server_reject_quota_exhausted_total",
+	CodeDraining:       "server_reject_draining_total",
+	CodeDeadline:       "server_reject_deadline_total",
+	CodeCanceled:       "server_reject_canceled_total",
+	CodePanic:          "server_reject_panic_total",
+	CodeInternal:       "server_reject_internal_total",
+}
 
 // Config tunes the server. The zero value is usable: Defaults fills
 // every knob with a production-shaped default.
@@ -527,7 +537,7 @@ func (s *Server) retryable(code Code, format string, args ...any) *QueryError {
 // reject counts a typed rejection and returns it.
 func (s *Server) reject(qe *QueryError) *QueryError {
 	s.o.Counter(MetricRejects).Inc(0)
-	s.o.Counter(rejectMetric(qe.Code)).Inc(0)
+	s.o.Counter(rejectMetric[qe.Code]).Inc(0)
 	return qe
 }
 
@@ -975,7 +985,6 @@ func (s *Server) Drain(ctx context.Context) error {
 }
 
 func (s *Server) drain(ctx context.Context) error {
-	t0 := time.Now()
 	s.mu.Lock()
 	s.draining = true
 	close(s.queue) // admission holds s.mu before sending, so no racing send
@@ -1014,8 +1023,6 @@ func (s *Server) drain(ctx context.Context) error {
 		s.hist.SampleNow() // capture the final counter state in the series
 		s.hist.Stop()
 	}
-	d := time.Since(t0)
-	s.o.Gauge(GaugeDrainNS).Set(float64(d))
 	return nil
 }
 

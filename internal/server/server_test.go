@@ -226,7 +226,7 @@ func TestOverBudgetFatal(t *testing.T) {
 	if qerr.Retryable {
 		t.Error("over_budget must be fatal")
 	}
-	if got := counter(s, rejectMetric(CodeOverBudget)); got != 1 {
+	if got := counter(s, rejectMetric[CodeOverBudget]); got != 1 {
 		t.Errorf("reject counter %d", got)
 	}
 }
@@ -756,6 +756,9 @@ func TestIsRetryable(t *testing.T) {
 	} {
 		if got := IsRetryable(errf(code, "x")); got != want {
 			t.Errorf("IsRetryable(%s) = %v, want %v", code, got, want)
+		}
+		if rejectMetric[code] == "" {
+			t.Errorf("code %s has no reject counter", code)
 		}
 	}
 	if IsRetryable(context.DeadlineExceeded) || IsRetryable(context.Canceled) {
