@@ -1,8 +1,11 @@
 package engine
 
 import (
+	"slices"
+
 	"morphing/internal/graph"
 	"morphing/internal/pattern"
+	"morphing/internal/plan"
 	"morphing/internal/setops"
 )
 
@@ -255,6 +258,105 @@ next:
 	return dst
 }
 
+// settleChecks decides from the pattern what it can of the corrections a
+// count-only level at depth makes: a bound depth outside conn
+// (unconnected) is subtracted when its vertex qualifies — adjacent to every
+// vertex bound at the conn depths, to none bound at the other disc depths.
+// path[j] is the trie node that binds depth j; its Connect and Disconnect
+// name every pattern edge and anti-edge between depth j and the depths
+// below (plan.MergePlans shares a node only between plans that agree on
+// them), and the bound vertices meet each one. So a depth the pattern makes
+// adjacent to every conn level and anti-adjacent to every other disc level
+// always qualifies; one it makes anti-adjacent to a conn level or adjacent
+// to a disc level never does and is dropped; the rest — non-edges of an
+// edge-induced pattern — are left to probe. settleChecks appends the first
+// kind to dst, then the last, and returns dst and how many it appended of
+// the first. On a vertex-induced plan nothing is left to probe.
+func settleChecks(dst []int, path []*plan.TrieNode, depth int, conn, disc []int) (_ []int, nAlways int) {
+	var buf [pattern.MaxVertices]int
+	bound := unconnected(buf[:0], depth, conn)
+	for _, a := range bound {
+		if patternQualifies(path, a, conn, disc) == always {
+			dst = append(dst, a)
+			nAlways++
+		}
+	}
+	for _, a := range bound {
+		if patternQualifies(path, a, conn, disc) == maybe {
+			dst = append(dst, a)
+		}
+	}
+	return dst, nAlways
+}
+
+// verdict is what the pattern says about a relation between bound
+// vertices in every match: it holds always, never, or maybe.
+type verdict uint8
+
+const (
+	maybe verdict = iota
+	always
+	never
+)
+
+// patternQualifies is settleChecks' verdict on bound depth a.
+func patternQualifies(path []*plan.TrieNode, a int, conn, disc []int) verdict {
+	v := always
+	for _, c := range conn {
+		switch patternAdjacent(path, a, c) {
+		case never:
+			return never
+		case maybe:
+			v = maybe
+		}
+	}
+	for _, d := range disc {
+		if d == a {
+			continue
+		}
+		switch patternAdjacent(path, a, d) {
+		case always:
+			return never
+		case maybe:
+			v = maybe
+		}
+	}
+	return v
+}
+
+// patternAdjacent is the pattern's verdict on whether the vertices bound at
+// depths a and b are adjacent: the later depth's node lists the earlier
+// one in Connect (always), in Disconnect (never) or in neither (maybe).
+func patternAdjacent(path []*plan.TrieNode, a, b int) verdict {
+	lo, hi := min(a, b), max(a, b)
+	switch {
+	case slices.Contains(path[hi].Connect, lo):
+		return always
+	case slices.Contains(path[hi].Disconnect, lo):
+		return never
+	}
+	return maybe
+}
+
+// degreeLeaf reports whether a count-only node counts one whole row: a
+// single branch with no symmetry window, one Connect level, no
+// Disconnect, no label, and no bound depth left to probe (settleChecks).
+// Its count is that row's length less the bound depths that always
+// qualify (degreeCount), so the row itself is never fetched.
+func degreeLeaf(n *plan.TrieNode, probe []int) bool {
+	return len(n.Branches) == 1 && len(n.Branches[0].Greater)+len(n.Branches[0].Smaller) == 0 &&
+		len(n.Connect) == 1 && len(n.Disconnect) == 0 && n.Label == pattern.Unlabeled && len(probe) == 0
+}
+
+// degreeCount counts a degree leaf whose Connect level is depth j and
+// which has nAlways bound depths to subtract. It charges the one
+// count-only operation setops.CountF would have charged for the whole row.
+func (p *rowPins) degreeCount(j, nAlways int, st *setops.Stats) uint64 {
+	st.Ops++
+	st.CountOps++
+	return uint64(p.g.Degree(p.match[j]) - nAlways)
+}
+
 // countExtensions counts the data vertices v that complete a partial
 // match at its final level — v adjacent to every vertex bound at the conn
 // depths, non-adjacent to every vertex bound at the disc depths, passing
@@ -265,18 +367,19 @@ next:
 // the count is pure window arithmetic, and when a pair of hub vertices
 // closes the level it is a word-parallel bitmap AND.
 //
-// conn must be non-empty. check lists the bound depths whose vertex the
-// kernels may have counted and that are subtracted here by adjacency
-// probes into pinned rows: every bound depth outside conn (unconnected).
-// A conn vertex is not its own neighbor, so it is never counted and never
-// probed; a disc vertex is not its own neighbor either, so it does
-// qualify against itself and stays in check. bufA and bufB are
+// conn must be non-empty. always and check list the bound depths whose
+// vertex the kernels may have counted (settleChecks): the vertices at the
+// always depths qualify in every match and are subtracted when they pass
+// f; those at the check depths are subtracted when adjacency probes into
+// pinned rows find they qualify. A conn vertex is not its own neighbor, so
+// it is never counted and in neither list; a disc vertex is not its own
+// neighbor either, so it can qualify against itself. bufA and bufB are
 // worker-owned scratch for the intermediate sets; the (possibly regrown)
 // buffers are returned for reuse.
 // f is the level's whole filter: the kernels get kernelFilter's share of it,
 // while a bound vertex is held against all of f — one with another label
 // was never counted.
-func (p *rowPins) countExtensions(conn, disc, check []int, f setops.Filter, label int32, bufA, bufB []uint32, st *setops.Stats) (uint64, []uint32, []uint32) {
+func (p *rowPins) countExtensions(conn, disc, always, check []int, f setops.Filter, label int32, bufA, bufB []uint32, st *setops.Stats) (uint64, []uint32, []uint32) {
 	g := p.g
 	kf := kernelFilter(f, label)
 	var count uint64
@@ -323,6 +426,11 @@ func (p *rowPins) countExtensions(conn, disc, check []int, f setops.Filter, labe
 
 	// The kernels counted any already-bound vertex that structurally
 	// qualifies; subtract them (a match may not reuse a vertex).
+	for _, a := range always {
+		if f.Pass(p.match[a]) {
+			count--
+		}
+	}
 	for _, a := range check {
 		if f.Pass(p.match[a]) && p.qualifies(a, conn, disc) {
 			count--

@@ -237,13 +237,13 @@ func TestCountExtensionsMatchesMaterialized(t *testing.T) {
 			var st setops.Stats
 			var got uint64
 			want := reference(tc.conn, tc.disc, tc.f, bound)
-			got, bufA, bufB = pins.countExtensions(conn, disc, unconnected(nil, len(bound), conn), tc.f, pattern.Unlabeled, bufA, bufB, &st)
+			got, bufA, bufB = pins.countExtensions(conn, disc, nil, unconnected(nil, len(bound), conn), tc.f, pattern.Unlabeled, bufA, bufB, &st)
 			if got != want {
 				t.Errorf("%s case %d: CountExtensions=%d, reference=%d", name, i, got, want)
 			}
 			// The same level with the conn rows carrying the label.
 			if tc.f.Labels != nil && pins.lrows != nil {
-				got, bufA, bufB = pins.countExtensions(conn, disc, unconnected(nil, len(bound), conn), tc.f, tc.f.Want, bufA, bufB, &st)
+				got, bufA, bufB = pins.countExtensions(conn, disc, nil, unconnected(nil, len(bound), conn), tc.f, tc.f.Want, bufA, bufB, &st)
 				if got != want {
 					t.Errorf("%s case %d: CountExtensions over label rows=%d, reference=%d", name, i, got, want)
 				}

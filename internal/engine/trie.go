@@ -131,7 +131,7 @@ type triePass struct {
 	nodes  []*plan.TrieNode // parents before children, the order Stats.TrieNodes reports
 	path   []*plan.TrieNode // classify: ancestors of the node in hand, root first
 	coll   []*plan.TrieNode // backs info[].collapsed
-	ints   []int            // backs info[].check
+	ints   []int            // backs info[].bound
 
 	single plan.Trie  // BacktrackCtx: the one-leaf trie of its plan
 	one    [1]Visitor // and the visitor list of its streaming pass
@@ -400,13 +400,16 @@ func (ps *triePass) mineRange(w *trieWorker) {
 // An execution then costs at most one kernel call (base against the row of
 // v_d), and in a counting pass an unlabeled single-branch leaf with an
 // empty binding part none: its parent counts it with galloping cursors
-// (trieCursor). check lists the bound depths a count-only leaf corrects
-// for (unconnected). A streaming pass binds every level, so it has no
-// leaves and collapses nothing; its childless nodes are tails instead.
+// (trieCursor). always and check list the bound depths a count-only leaf
+// corrects for, by subtraction or by probe (settleChecks), and a degree
+// leaf counts a row's length (degreeLeaf). A streaming pass binds every
+// level, so it has no leaves and collapses nothing; its childless nodes
+// are tails instead.
 type trieExecInfo struct {
 	// What every execution reads comes first, on one cache line.
 	src       baseSrc
 	leaf      bool // counting pass: every branch is childless
+	degree    bool // counting pass: a degree leaf
 	tail      bool // streaming pass: every branch is childless
 	timeWhole bool // leaf or parent of one: Instrument clocks the whole execution
 	loDep     bool // collapsed: the window's low / high end depends on v_d
@@ -421,6 +424,8 @@ type trieExecInfo struct {
 
 	pconn, pdisc []int // srcBuilt: the base's operands but the last
 	bconn, bdisc []int // binding part: the parent's depth in at most one of them
+	bound        []int // always, then check
+	always       []int
 	check        []int
 }
 
@@ -447,9 +452,10 @@ func (ps *triePass) classify() {
 func (ps *triePass) classifyNode(n *plan.TrieNode) {
 	ps.nodes = append(ps.nodes, n)
 	ei := &ps.info[n.ID]
-	at := len(ps.ints)
-	ps.ints = unconnected(ps.ints, n.Depth, n.Connect)
-	ei.check = ps.ints[at:len(ps.ints):len(ps.ints)]
+	at, nAlways := len(ps.ints), 0
+	ps.ints, nAlways = settleChecks(ps.ints, ps.path, n.Depth, n.Connect, n.Disconnect)
+	ei.bound = ps.ints[at:len(ps.ints):len(ps.ints)]
+	ei.always, ei.check = ei.bound[:nAlways:nAlways], ei.bound[nAlways:]
 	d := n.Depth - 1
 	pconn, bconn := splitAt(n.Connect, d)
 	pdisc, bdisc := splitAt(n.Disconnect, d)
@@ -491,6 +497,7 @@ func (ps *triePass) classifyNode(n *plan.TrieNode) {
 		return
 	}
 	ei.leaf = childless
+	ei.degree = childless && degreeLeaf(n, ei.check)
 	ei.timeWhole = childless
 	first := len(ps.coll)
 	for _, b := range n.Branches {
@@ -1053,8 +1060,8 @@ func (w *trieWorker) advance(c *trieCursor, leaf *plan.TrieNode, ei *trieExecInf
 		if !ei.hiDep {
 			c.hi = setops.GallopGE(c.base, c.lo, c.fhi, &w.sst.Elems)
 		}
-		for _, a := range ei.check {
-			if u := w.match[a]; a != d && u >= c.flo && u < c.fhi && setops.Contains(c.base, u) {
+		for i, a := range ei.bound {
+			if u := w.match[a]; a != d && u >= c.flo && u < c.fhi && (i < len(ei.always) || setops.Contains(c.base, u)) {
 				c.fixed[c.nfixed] = u
 				c.nfixed++
 			}
@@ -1120,8 +1127,8 @@ func (w *trieWorker) execLeaf(node *plan.TrieNode, ei *trieExecInfo, depth int) 
 		if ei.scan {
 			n = setops.CountF(sub, f, &w.sst)
 		}
-		for _, j := range ei.check {
-			if u := w.match[j]; f.Pass(u) && setops.Contains(sub, u) {
+		for i, j := range ei.bound {
+			if u := w.match[j]; f.Pass(u) && (i < len(ei.always) || setops.Contains(sub, u)) {
 				n--
 			}
 		}
@@ -1135,14 +1142,19 @@ func (w *trieWorker) execLeaf(node *plan.TrieNode, ei *trieExecInfo, depth int) 
 }
 
 // countLeaf counts a single-branch leaf's extensions passing f without
-// materializing them. With a hoisted base that is one count-only kernel
-// call against the row of v_d (none when the binding part is empty), minus
-// the bound vertices it counted: those that pass the filter, sit in the
-// base and meet the binding part — binary searches in sets already held.
-// f is the level's whole filter (see countExtensions).
+// materializing them; a degree leaf reads a degree and no row. With a
+// hoisted base that is one count-only kernel call against the row of v_d
+// (none when the binding part is empty), minus the bound vertices it
+// counted: the always depths that pass the filter, and the check depths
+// that pass it, sit in the base and meet the binding part — binary
+// searches in sets already held. f is the level's whole filter (see
+// countExtensions).
 func (w *trieWorker) countLeaf(node *plan.TrieNode, ei *trieExecInfo, depth int, f setops.Filter) (n uint64) {
-	if ei.src == srcRows {
-		n, w.bufA[depth], w.bufB[depth] = w.pins.countExtensions(node.Connect, node.Disconnect, ei.check, f, ei.rowLabel, w.bufA[depth], w.bufB[depth], &w.sst)
+	switch {
+	case ei.degree:
+		return w.pins.degreeCount(node.Connect[0], len(ei.always), &w.sst)
+	case ei.src == srcRows:
+		n, w.bufA[depth], w.bufB[depth] = w.pins.countExtensions(node.Connect, node.Disconnect, ei.always, ei.check, f, ei.rowLabel, w.bufA[depth], w.bufB[depth], &w.sst)
 		return n
 	}
 	base, kf := w.base(node, ei), kernelFilter(f, ei.rowLabel)
@@ -1154,8 +1166,8 @@ func (w *trieWorker) countLeaf(node *plan.TrieNode, ei *trieExecInfo, depth int,
 	default:
 		n = setops.CountF(base, kf, &w.sst)
 	}
-	for _, a := range ei.check {
-		if u := w.match[a]; f.Pass(u) && setops.Contains(base, u) && w.pins.qualifies(a, ei.bconn, ei.bdisc) {
+	for i, a := range ei.bound {
+		if u := w.match[a]; f.Pass(u) && (i < len(ei.always) || setops.Contains(base, u) && w.pins.qualifies(a, ei.bconn, ei.bdisc)) {
 			n--
 		}
 	}

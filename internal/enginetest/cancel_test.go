@@ -313,8 +313,12 @@ func TestFaultInjectionPanicAtMatchN(t *testing.T) {
 				if st == nil || count != st.Matches {
 					t.Fatalf("seed %d: partial count %d inconsistent with stats", seed, count)
 				}
-				if count >= full {
-					t.Fatalf("seed %d: partial count %d not below full %d", seed, count, full)
+				// The injector panics when a published range's matches cross
+				// the target, and those matches are already counted. When
+				// that range is the last one the pass publishes, the partial
+				// count is the full count: equal is legal, more is not.
+				if count > full {
+					t.Fatalf("seed %d: partial count %d above full %d", seed, count, full)
 				}
 			}
 			// The harness must be disarmed again: a clean rerun sees full counts.

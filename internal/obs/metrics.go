@@ -3,11 +3,9 @@ package obs
 import (
 	"fmt"
 	"io"
-	"maps"
 	"math"
 	"math/bits"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -284,7 +282,6 @@ type Registry struct {
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
-	help       map[string]string
 }
 
 // NewRegistry returns an empty registry.
@@ -356,20 +353,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// SetHelp registers the Prometheus HELP text for a metric name; the
-// /metrics exposition emits it ahead of the TYPE line.
-func (r *Registry) SetHelp(name, help string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.help == nil {
-		r.help = make(map[string]string)
-	}
-	r.help[name] = help
-}
-
 // Snapshot merges every metric's shards into a point-in-time view.
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
@@ -391,7 +374,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for name, h := range r.histograms {
 		s.Histograms[name] = h.Snapshot()
 	}
-	s.Help = maps.Clone(r.help)
 	return s
 }
 
@@ -401,15 +383,14 @@ type Snapshot struct {
 	Counters   map[string]uint64            `json:"counters"`
 	Gauges     map[string]float64           `json:"gauges"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
-	Help       map[string]string            `json:"help,omitempty"`
 }
 
 // WritePrometheus renders the snapshot in the Prometheus text exposition
-// format (the /metrics endpoint): a # HELP and # TYPE line per metric,
-// and cumulative le-labelled buckets ending in +Inf for histograms.
-// Metric names are emitted as registered; registered names use
-// [a-z0-9_] so no escaping is needed. Help text has backslashes and
-// newlines escaped per the exposition spec.
+// format (the /metrics endpoint): a # TYPE line per metric, after the
+// metric's # HELP line when it is a published one (metricHelp), and
+// cumulative le-labelled buckets ending in +Inf for histograms. Metric
+// names are emitted as registered; registered names and help texts use no
+// character the format would need escaped.
 func (s Snapshot) WritePrometheus(w io.Writer) error {
 	for _, name := range sortedKeys(s.Counters) {
 		if err := s.writeHeader(w, name, "counter"); err != nil {
@@ -452,13 +433,12 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 
 // writeHeader emits the # HELP and # TYPE comment lines for one metric.
 func (s Snapshot) writeHeader(w io.Writer, name, typ string) error {
-	help := s.Help[name]
-	if help == "" {
-		help = "morphing metric " + name
+	if h := help(name); h != "" {
+		if _, err := fmt.Fprintf(w, "# HELP %s %s\n", name, h); err != nil {
+			return err
+		}
 	}
-	help = strings.ReplaceAll(help, `\`, `\\`)
-	help = strings.ReplaceAll(help, "\n", `\n`)
-	_, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+	_, err := fmt.Fprintf(w, "# TYPE %s %s\n", name, typ)
 	return err
 }
 

@@ -82,17 +82,16 @@ func parsePrometheus(t *testing.T, text string) map[string]*promMetric {
 
 // TestPrometheusExpositionRoundTrip renders a populated registry and
 // re-parses the text, asserting the spec-level properties a real scraper
-// relies on: a HELP and TYPE line per family, histogram buckets that are
-// cumulative and end in +Inf = count, and sample values that agree with
-// the registry snapshot.
+// relies on: a TYPE line per family, after the published metrics' HELP
+// line, histogram buckets that are cumulative and end in +Inf = count, and
+// sample values that agree with the registry snapshot.
 func TestPrometheusExpositionRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("engine_matches_total").Add(0, 42)
-	r.SetHelp("engine_matches_total", "total pattern matches delivered")
-	r.Gauge("run_last_cost").Set(1.5)
-	h := r.Histogram("mine_ns")
-	r.SetHelp("mine_ns", `per-pattern mine time with a \ backslash
-and a newline`)
+	r.Gauge("server_queue_depth").Set(1.5)
+	r.Counter("server_reject_queue_full_total").Inc(0)
+	r.Counter("unpublished_total").Inc(0)
+	h := r.Histogram("server_phase_mine_ns")
 	for _, v := range []uint64{1, 2, 3, 100, 100, 5000} {
 		h.Observe(0, v)
 	}
@@ -103,42 +102,30 @@ and a newline`)
 	}
 	metrics := parsePrometheus(t, buf.String())
 
-	for name, wantType := range map[string]string{
-		"engine_matches_total": "counter",
-		"run_last_cost":        "gauge",
-		"mine_ns":              "histogram",
+	for name, want := range map[string]struct{ typ, help string }{
+		"engine_matches_total":           {"counter", "matches delivered, streamed per block"},
+		"server_queue_depth":             {"gauge", "queued queries"},
+		"server_phase_mine_ns":           {"histogram", "mining latency in nanoseconds"},
+		"server_reject_queue_full_total": {"counter", "typed rejections with code queue_full"},
+		"unpublished_total":              {"counter", ""},
 	} {
 		m := metrics[name]
 		if m == nil {
 			t.Fatalf("metric %s missing from exposition:\n%s", name, buf.String())
 		}
-		if m.typ != wantType {
-			t.Fatalf("%s TYPE = %q, want %q", name, m.typ, wantType)
+		if m.typ != want.typ || m.help != want.help {
+			t.Fatalf("%s: TYPE %q HELP %q, want %q %q", name, m.typ, m.help, want.typ, want.help)
 		}
-		if m.help == "" {
-			t.Fatalf("%s has no HELP line", name)
-		}
-	}
-	if metrics["engine_matches_total"].help != "total pattern matches delivered" {
-		t.Fatalf("help text mangled: %q", metrics["engine_matches_total"].help)
-	}
-	// Escaping per the exposition spec: backslash doubled, newline as \n.
-	if want := `per-pattern mine time with a \\ backslash\nand a newline`; metrics["mine_ns"].help != want {
-		t.Fatalf("escaped help = %q, want %q", metrics["mine_ns"].help, want)
-	}
-	// Unregistered help falls back to a nonempty default.
-	if metrics["run_last_cost"].help == "" {
-		t.Fatal("default HELP text missing")
 	}
 
 	if metrics["engine_matches_total"].value != 42 {
 		t.Fatalf("counter sample = %v, want 42", metrics["engine_matches_total"].value)
 	}
-	if metrics["run_last_cost"].value != 1.5 {
-		t.Fatalf("gauge sample = %v, want 1.5", metrics["run_last_cost"].value)
+	if metrics["server_queue_depth"].value != 1.5 {
+		t.Fatalf("gauge sample = %v, want 1.5", metrics["server_queue_depth"].value)
 	}
 
-	hist := metrics["mine_ns"]
+	hist := metrics["server_phase_mine_ns"]
 	if len(hist.buckets) < 2 {
 		t.Fatalf("histogram has %d buckets, want at least a finite one and +Inf", len(hist.buckets))
 	}
@@ -170,5 +157,15 @@ and a newline`)
 			t.Fatalf("bucket bounds not increasing: %v after %v", bound, prevBound)
 		}
 		prevBound = bound
+	}
+}
+
+// TestHelpTextsNeedNoEscaping: the exposition prints help texts verbatim,
+// which is right only while none holds a backslash or a line break.
+func TestHelpTextsNeedNoEscaping(t *testing.T) {
+	for name, h := range metricHelp {
+		if h == "" || strings.ContainsAny(h, "\\\n") {
+			t.Errorf("%s: help text %q is empty or needs escaping", name, h)
+		}
 	}
 }

@@ -805,3 +805,67 @@ func TestRejectionOverWire(t *testing.T) {
 		t.Fatalf("client rehydrated %v", err)
 	}
 }
+
+// TestEveryScrapedMetricHasHelp scrapes /metrics after one query over a
+// compressed graph and one rejection, with every per-code reject counter
+// registered: each family the exposition prints has its HELP line from the
+// published table ahead of its TYPE line, and none reads as a placeholder.
+func TestEveryScrapedMetricHasHelp(t *testing.T) {
+	c, err := graph.Compress(chordRing(64), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	s, err := New(c, Config{Obs: &obs.Observer{Metrics: reg}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := s.Drain(context.Background()); err != nil {
+			t.Errorf("drain: %v", err)
+		}
+	}()
+	for _, name := range rejectMetric {
+		reg.Counter(name)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	_, body := post(t, ts.URL, QueryRequest{Patterns: []string{"triangle", "4-cycle:v"}})
+	terminal(t, body)
+	if resp, _ := post(t, ts.URL, QueryRequest{}); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("empty query: status %d", resp.StatusCode)
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var text bytes.Buffer
+	if _, err := text.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	helped := map[string]bool{}
+	families := 0
+	for _, line := range strings.Split(text.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# HELP "); ok {
+			name, h, _ := strings.Cut(rest, " ")
+			if h == "" || strings.Contains(h, name) {
+				t.Errorf("%s: placeholder HELP text %q", name, h)
+			}
+			helped[name] = true
+		}
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			families++
+			if name, _, _ := strings.Cut(rest, " "); !helped[name] {
+				t.Errorf("%s has no HELP line", name)
+			}
+		}
+	}
+	for _, name := range []string{MetricQueries, rejectMetric[CodePanic], "graph_decode_rows_total", "engine_matches_total"} {
+		if !helped[name] {
+			t.Errorf("%s missing from the scrape", name)
+		}
+	}
+	t.Logf("%d families, all with HELP text", families)
+}
