@@ -74,6 +74,10 @@ type SelectionExplain struct {
 	// their superpattern set exceeds the S-DAG's bound (ErrUpSetTooLarge);
 	// they are mined as they are.
 	Unmorphable []string `json:"unmorphable,omitempty"`
+	// CostFault is the first level price that was NaN, infinite or
+	// negative, when Select met one: it then decided nothing and kept the
+	// queries as they are.
+	CostFault string `json:"cost_fault,omitempty"`
 }
 
 // recordCandidate appends one scored morph, enforcing the cap on

@@ -70,8 +70,8 @@ func DefaultCostFunc(model *costmodel.Model, perMatchCost float64) CostFunc {
 		}
 		out, err := model.PatternLevels(p, perMatchCost, dst)
 		if err != nil {
-			// Connected patterns never fail plan building; treat as very
-			// expensive so selection avoids them rather than aborting.
+			// Connected patterns never fail plan building. An infinite
+			// price is a model fault: Select keeps the queries as they are.
 			return append(dst, costmodel.Level{Key: n.ID ^ uint64(v)<<63, Cost: math.Inf(1)})
 		}
 		return out
@@ -190,7 +190,11 @@ func IdentitySelection(queries []*pattern.Pattern) (*Selection, error) {
 // whenever the cost model predicts a win, zeroing the cost of patterns
 // already scheduled so overlapping alternatives compound. It asks d for
 // superpatterns only above members a morph could pay for (see live), so a
-// set it declines costs its queries' prices and nothing else. Generating
+// set it declines costs its queries' prices and nothing else. A level
+// price that is NaN, infinite or negative is a fault of the cost function,
+// and Select fails closed on it: no comparison decides, the queries are
+// mined as they are (but for the morphs an edge-only engine cannot do
+// without), and SelectionExplain.CostFault says why. Generating
 // superpatterns polls ctx: a cancelled or expired context ends Select with
 // the typed engine error.
 func Select(ctx context.Context, d *SDAG, queries []*pattern.Pattern, cost CostFunc, policy Policy, opts SelectOptions) (*Selection, error) {
@@ -211,6 +215,7 @@ func Select(ctx context.Context, d *SDAG, queries []*pattern.Pattern, cost CostF
 	// structure. The variants of a clique are the same pattern: one price.
 	baseCosts := make(map[uint64][2]priced, len(queries))
 	slab := make([]costmodel.Level, 0, 8*len(queries))
+	var fault string // the first price no model can mean
 	nodeCost := func(n *Node) [2]priced {
 		c, ok := baseCosts[n.ID]
 		if !ok {
@@ -224,6 +229,9 @@ func Select(ctx context.Context, d *SDAG, queries []*pattern.Pattern, cost CostF
 				c[v].n = int32(len(slab)) - c[v].off
 				for _, l := range slab[c[v].off:] {
 					c[v].alone += l.Cost
+					if !(l.Cost >= 0 && l.Cost <= math.MaxFloat64) && fault == "" {
+						fault = fmt.Sprintf("%v %s: level cost %v", n.Pattern, variantString(pattern.Induced(v)), l.Cost)
+					}
 				}
 			}
 			baseCosts[n.ID] = c
@@ -460,7 +468,7 @@ func Select(ctx context.Context, d *SDAG, queries []*pattern.Pattern, cost CostF
 		// configuration space guarantees convergence without the paper's
 		// explicit cost-zeroing bookkeeping, while preserving its effect:
 		// already-scheduled patterns make overlapping morphs cheap.
-		for iter := 0; iter < 8*len(d.nodes)+32; iter++ {
+		for iter := 0; fault == "" && iter < 8*len(d.nodes)+32; iter++ {
 			changed := false
 			// An iteration visits, in S-DAG order, the parents of the
 			// structures S held when it began. frontier lists those still
@@ -502,7 +510,7 @@ func Select(ctx context.Context, d *SDAG, queries []*pattern.Pattern, cost CostF
 			if err != nil {
 				return nil, err
 			}
-			for pi := 0; pi < len(parents); pi++ {
+			for pi := 0; fault == "" && pi < len(parents); pi++ {
 				par := parents[pi]
 				// Morphable S-members among par's children, live or not (a
 				// live member's morph may only pay together with a
@@ -555,6 +563,9 @@ func Select(ctx context.Context, d *SDAG, queries []*pattern.Pattern, cost CostF
 					}
 					adds = sortMembers(adds)
 					removed, added := score(C, adds, inC, nil)
+					if fault != "" {
+						break
+					}
 					if ex != nil {
 						trace(iter, par.Pattern.String(), C, adds, inC, added < removed)
 					}
@@ -574,6 +585,19 @@ func Select(ctx context.Context, d *SDAG, queries []*pattern.Pattern, cost CostF
 			if !changed {
 				break
 			}
+		}
+	}
+
+	// A faulty price may have decided morphs before it was met: undo them.
+	if fault != "" {
+		clear(S)
+		for _, q := range sel.Queries {
+			S[pairKey{q.Node.ID, normVariant(q.Pattern)}] = q.Node
+		}
+		morphed = false
+		sel.CostAfter = setPrice()
+		if ex != nil {
+			ex.CostFault = fault
 		}
 	}
 

@@ -2,10 +2,14 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
+	"morphing/internal/aggr"
 	"morphing/internal/canon"
+	"morphing/internal/costmodel"
 	"morphing/internal/pattern"
 )
 
@@ -220,6 +224,61 @@ func TestSelectEdgeOnlyForcesMorph(t *testing.T) {
 	for _, c := range sel.Mine {
 		if c.Variant != pattern.EdgeInduced {
 			t.Errorf("PolicyEdgeOnly selected vertex-induced %v", c.Node.Pattern)
+		}
+	}
+}
+
+// TestSelectFailsClosedOnFaultyCost injects a NaN, infinite or negative
+// price on one level of one variant — of a query, priced before the main
+// loop, or of a 4-vertex superpattern, met inside it once costs that force
+// every morph have had the wedge morphed — and checks that Select decides
+// nothing on it: the queries are mined as they are (under PolicyEdgeOnly,
+// through the morphs the engine cannot do without), the explain trace
+// names the fault, and the converted counts equal the direct route's.
+func TestSelectFailsClosedOnFaultyCost(t *testing.T) {
+	g := oracleGraphs(t)[0]
+	queries := []*pattern.Pattern{pattern.Wedge().AsVertexInduced(), pattern.Path(4).AsVertexInduced()}
+	forced := forceMorphCosts(queries)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		for _, target := range []*pattern.Pattern{queries[1], pattern.ChordalFourCycle()} {
+			for _, variant := range []pattern.Induced{pattern.EdgeInduced, pattern.VertexInduced} {
+				id := canon.StructureID(target)
+				cost := func(n *Node, v pattern.Induced, dst []costmodel.Level) []costmodel.Level {
+					out := forced(n, v, dst)
+					if n.ID == id && v == variant {
+						out[len(dst)].Cost = bad
+					}
+					return out
+				}
+				for _, policy := range []Policy{PolicyAny, PolicyEdgeOnly} {
+					name := fmt.Sprintf("%v on %v %v, policy %v", bad, target, variant, policy)
+					d, err := BuildSDAG(queries)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sel, err := Select(context.Background(), d, queries, cost, policy, SelectOptions{Explain: true})
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if sel.Explain.CostFault == "" {
+						t.Errorf("%s: no fault recorded", name)
+					}
+					for _, q := range sel.Queries {
+						if q.Morphed != (policy == PolicyEdgeOnly) {
+							t.Errorf("%s: query %v morphed: %v", name, q.Pattern, q.Morphed)
+						}
+					}
+					vals, err := sel.Convert(aggr.Count{}, oracleCounts(g, sel))
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					for i, q := range queries {
+						if got, want := vals[i].(uint64), oracleCount(g, q); got != want {
+							t.Errorf("%s: %v counted %d, direct %d", name, q, got, want)
+						}
+					}
+				}
+			}
 		}
 	}
 }

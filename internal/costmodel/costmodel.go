@@ -40,7 +40,8 @@ type Weights struct {
 	// and descended into — and one match delivered when matches are.
 	Iterate float64
 	// Leaf is one execution of a count-only last level that calls no
-	// kernel: galloping cursors over a set already held.
+	// kernel: a collapsed leaf, counted for all its parent's candidates at
+	// once by rank sums over a set already held.
 	Leaf float64
 	// RestrictionFactor is the candidate shrink applied to levels with
 	// symmetry-breaking bounds (the expected fraction of neighbors with
@@ -49,25 +50,27 @@ type Weights struct {
 }
 
 // DefaultWeights returns the weights used unless a system overrides them:
-// the least-squares fit of 2026-10-03 (TestFitWeights, which fails when
+// the least-squares fit of 2026-10-15 (TestFitWeights, which fails when
 // these constants stop being its solution; -v prints the table). Forty
 // counting passes — the repo benchmark's serve pool, 4-motifs and sc list,
 // each as queried and as the edge-induced closure an edge-only engine mines,
 // on MI x0.01 and MG x0.003 — give, per pass, the executor's exact counters:
-// elements scanned by kernels and cursors (SetElems) plus, per candidate a
-// materialized level examined, its depth + 2 comparisons (bound vertices,
-// window, binding). Against the measured number of intersections,
-// differences, cursor executions and node executions of each pass (per-node
-// Enters and the plan-time class of every node), relative least squares
-// yields SetOp 1.32 and Difference 2.46 model rows per call (an intersection
-// scans 15-19 elements count-only and 41 materialized, a difference 29-56),
-// Leaf 3.76 and Iterate 3.75 elements; 38 of the 40 rows are predicted
-// within x1.6, the other two (a single tailed triangle on either graph,
-// whose cursor windows move with the parent's binding) at x0.53 and x0.55.
-// Before this fit the model priced with SetOp 1, Iterate 1 and no other
-// term.
+// elements scanned by kernels and by the collapsed leaves' rank sums
+// (SetElems) plus, per candidate a materialized level examined, its
+// depth + 2 comparisons (bound vertices, window, binding). Against the
+// measured number of intersections, differences, collapsed-leaf executions
+// and node executions of each pass (per-node Enters and the plan-time class
+// of every node), relative least squares yields SetOp 1.34 and Difference
+// 2.49 model rows per call (an intersection scans 15-19 elements count-only
+// and 41 materialized, a difference 29-56), Leaf 4.99 and Iterate 3.38
+// elements; 38 of the 40 rows are predicted within x1.6, the other two (a
+// single tailed triangle on either graph, whose leaf windows move with the
+// parent's binding) at x0.52 and x0.53. A collapsed leaf's elements are its
+// parent's candidates and its base, walked once per parent execution, so
+// Leaf is that walk spread over the candidates. Before the first fit the
+// model priced with SetOp 1, Iterate 1 and no other term.
 func DefaultWeights() Weights {
-	return Weights{SetOp: 1.32, Difference: 2.46, Iterate: 3.75, Leaf: 3.76, RestrictionFactor: 0.5}
+	return Weights{SetOp: 1.34, Difference: 2.49, Iterate: 3.38, Leaf: 4.99, RestrictionFactor: 0.5}
 }
 
 // Model estimates pattern-matching costs for one data graph.
@@ -161,8 +164,8 @@ type Level struct {
 // anti-edge differences weighted apart, a single-row level none, a hoisted
 // base charged where it is built). In a counting pass (perMatch == 0) the
 // last level is count-only: its kernel call per entering prefix and no
-// per-match iteration, or Leaf when it calls no kernel at all (galloping
-// cursors). With perMatch > 0 every match is delivered: the last level is
+// per-match iteration, or Leaf when it calls no kernel at all (a collapsed
+// leaf, counted in bulk by its parent). With perMatch > 0 every match is delivered: the last level is
 // iterated and carries perMatch per expected unique match, aut being
 // |Aut(pattern)|. A last level's key is its own — it never merges with an
 // inner level of a larger pattern, which executes differently.
@@ -204,7 +207,7 @@ func (m *Model) Levels(pl *plan.Plan, perMatch float64, aut int, dst []Level) []
 			switch {
 			case perMatch > 0:
 				cost += m.w.Iterate*enter[i+1] + perMatch*matches
-			case i > 0 && o.cursor(label):
+			case i > 0 && o.collapsed(label):
 				cost += m.w.Leaf * enter[i]
 			}
 		}
@@ -256,9 +259,10 @@ func opsOf(pl *plan.Plan, i int) levelOps {
 	return o
 }
 
-// cursor reports whether a counting pass runs the level, as a last level,
-// without a kernel call: galloping cursors over a set already held.
-func (o levelOps) cursor(label int32) bool {
+// collapsed reports whether a counting pass runs the level, as a last
+// level, without a kernel call: its parent counts it for all of its
+// candidates at once, by rank sums over a set already held.
+func (o levelOps) collapsed(label int32) bool {
 	return o.inter+o.diff == 0 && label == pattern.Unlabeled
 }
 

@@ -72,12 +72,12 @@ func solve(a [][]float64, b []float64) []float64 {
 // set of fitSets is mined in one counting pass (plan.Build's plans, one
 // thread) on MI x0.01 and MG x0.003, and the executor's exact counters say
 // how often each trie node ran (TrieNodes.Enters) and how many elements the
-// pass's kernels and cursors scanned (SetElems). With opsOf's class of every
-// node that gives, per set, the intersections and differences executed
-// (kernel calls and base builds) and the cursor executions; the weights are
-// the relative least-squares solution of
+// pass's kernels and collapsed leaves scanned (SetElems). With opsOf's class
+// of every node that gives, per set, the intersections and differences
+// executed (kernel calls and base builds) and the collapsed-leaf executions;
+// the weights are the relative least-squares solution of
 //
-//	SetElems = SetOp x deg x intersections + Difference x deg x differences + Leaf x cursor executions
+//	SetElems = SetOp x deg x intersections + Difference x deg x differences + Leaf x collapsed executions
 //
 // (deg: the model's element count per operation on that graph). Iterate is
 // 1, the unit: a candidate examined counts as one element scanned. Run with
@@ -122,7 +122,7 @@ func TestFitWeights(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Every node once, its class read from the first plan through it.
-			var inter, diff, cursors, bound float64
+			var inter, diff, collapsed, bound float64
 			execs := float64(g.NumVertices())
 			classed := map[int]bool{}
 			for idx, path := range nodePaths(tr) {
@@ -136,8 +136,8 @@ func TestFitWeights(t *testing.T) {
 					execs += runs
 					inter += runs*float64(o.inter) + builds*float64(o.baseInter)
 					diff += runs*float64(o.diff) + builds*float64(o.baseDiff)
-					if childless(node) && len(node.Branches) == 1 && o.cursor(node.Label) {
-						cursors += runs
+					if childless(node) && len(node.Branches) == 1 && o.collapsed(node.Label) {
+						collapsed += runs
 					}
 				}
 			}
@@ -148,7 +148,7 @@ func TestFitWeights(t *testing.T) {
 			})
 			names = append(names, rec.Name+" "+strings.Join(set, " "))
 			elems = append(elems, float64(st.SetElems)+bound)
-			a = append(a, []float64{m.deg * inter / elems[len(elems)-1], m.deg * diff / elems[len(elems)-1], cursors / elems[len(elems)-1], execs / elems[len(elems)-1]})
+			a = append(a, []float64{m.deg * inter / elems[len(elems)-1], m.deg * diff / elems[len(elems)-1], collapsed / elems[len(elems)-1], execs / elems[len(elems)-1]})
 			paths.Add(st)
 		}
 	}
@@ -158,7 +158,7 @@ func TestFitWeights(t *testing.T) {
 	}
 	w := solve(a, ones)
 	for i, row := range a {
-		t.Logf("%-60s elements %9.0f  x deg: intersections %9.0f differences %9.0f  cursors %8.0f executions %8.0f predicted/measured %.2f",
+		t.Logf("%-60s elements %9.0f  x deg: intersections %9.0f differences %9.0f  collapsed %8.0f executions %8.0f predicted/measured %.2f",
 			names[i], elems[i], row[0]*elems[i], row[1]*elems[i], row[2]*elems[i], row[3]*elems[i], w[0]*row[0]+w[1]*row[1]+w[2]*row[2]+w[3]*row[3])
 	}
 	t.Logf("fitted SetOp %.3g Difference %.3g Leaf %.3g Iterate %.3g", w[0], w[1], w[2], w[3])

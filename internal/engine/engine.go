@@ -101,8 +101,8 @@ type Stats struct {
 	// SetOpTime is candidate-generation time. The trie executor charges it
 	// per node execution, not per kernel call: a node with a leaf child
 	// clocks its whole execution once (own set, base builds, leaf kernels
-	// and cursor work of the subtree), any other node only its own set
-	// building — one pair of clock reads per parent, none per leaf.
+	// and collapsed-leaf rank sums of the subtree), any other node only its
+	// own set building — one pair of clock reads per parent, none per leaf.
 	SetOpTime       time.Duration
 	MaterializeTime time.Duration // match assembly and emission time
 	UDFTime         time.Duration // time inside user callbacks

@@ -1,10 +1,61 @@
 package engine
 
 import (
+	"maps"
 	"slices"
+	"sync"
 
 	"morphing/internal/plan"
 )
+
+// The cases a collapsed leaf's count can meet, as RecordCollapsedShapes
+// names them.
+const (
+	ShapeLowDep      = "low end depends on the parent"
+	ShapeHighDep     = "high end depends on the parent"
+	ShapeBothDep     = "both ends depend on the parent"
+	ShapeNeitherDep  = "neither end depends on the parent"
+	ShapeBoundCand   = "a candidate is a bound vertex"
+	ShapeFixedInside = "a fixed vertex inside the window"
+	ShapeGallopBase  = "a galloped hub base"
+)
+
+// RecordCollapsedShapes counts, per case, the collapsed-leaf counts the
+// passes run until stop is called; seen returns the tally so far. Passes
+// must not run while it is started or stopped.
+func RecordCollapsedShapes() (seen func() map[string]int, stop func()) {
+	var mu sync.Mutex
+	tally := map[string]int{}
+	collapsedSeen = func(ei *trieExecInfo, c, x, b, f []uint32) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch {
+		case ei.loDep && ei.hiDep:
+			tally[ShapeBothDep]++
+		case ei.loDep:
+			tally[ShapeLowDep]++
+		case ei.hiDep:
+			tally[ShapeHighDep]++
+		default:
+			tally[ShapeNeitherDep]++
+		}
+		if len(x) > 0 {
+			tally[ShapeBoundCand]++
+		}
+		if len(f) > 0 {
+			tally[ShapeFixedInside]++
+		}
+		if len(b) >= 64 && len(b) >= 8*len(c) { // setops' galloping threshold
+			tally[ShapeGallopBase]++
+		}
+	}
+	seen = func() map[string]int {
+		mu.Lock()
+		defer mu.Unlock()
+		return maps.Clone(tally)
+	}
+	return seen, func() { collapsedSeen = nil }
+}
 
 // LeafChecks is what a counting pass over a trie settles for one of its
 // count-only leaves: the bound depths left to probe, and whether the leaf

@@ -130,8 +130,7 @@ type triePass struct {
 	info   []trieExecInfo   // per node ID
 	nodes  []*plan.TrieNode // parents before children, the order Stats.TrieNodes reports
 	path   []*plan.TrieNode // classify: ancestors of the node in hand, root first
-	coll   []*plan.TrieNode // backs info[].collapsed
-	ints   []int            // backs info[].bound
+	ints   []int            // backs info[].bound and info[].collBranches
 
 	single plan.Trie  // BacktrackCtx: the one-leaf trie of its plan
 	one    [1]Visitor // and the visitor list of its streaming pass
@@ -161,8 +160,7 @@ func (ps *triePass) release() {
 	clear(ps.info)
 	clear(ps.nodes)
 	clear(ps.path[:cap(ps.path)])
-	clear(ps.coll)
-	ps.coll, ps.ints = ps.coll[:0], ps.ints[:0]
+	ps.ints = ps.ints[:0]
 	ps.done, ps.fi, ps.live, ps.panicErr = nil, nil, nil, nil
 	ps.tr, ps.lrows, ps.visits, ps.one[0] = nil, nil, nil, nil
 	ps.single.Reset() // cannot fail without plans
@@ -399,12 +397,13 @@ func (ps *triePass) mineRange(w *trieWorker) {
 //
 // An execution then costs at most one kernel call (base against the row of
 // v_d), and in a counting pass an unlabeled single-branch leaf with an
-// empty binding part none: its parent counts it with galloping cursors
-// (trieCursor). always and check list the bound depths a count-only leaf
-// corrects for, by subtraction or by probe (settleChecks), and a degree
-// leaf counts a row's length (degreeLeaf). A streaming pass binds every
-// level, so it has no leaves and collapses nothing; its childless nodes
-// are tails instead.
+// empty binding part is never executed: it is collapsed, and its parent
+// counts it over all of its candidates at once (countCollapsed). A parent
+// whose children are all collapsed binds nothing. always and check list the
+// bound depths a count-only leaf corrects for, by subtraction or by probe
+// (settleChecks), and a degree leaf counts a row's length (degreeLeaf). A
+// streaming pass binds every level, so it has no leaves and collapses
+// nothing; its childless nodes are tails instead.
 type trieExecInfo struct {
 	// What every execution reads comes first, on one cache line.
 	src       baseSrc
@@ -412,21 +411,22 @@ type trieExecInfo struct {
 	degree    bool // counting pass: a degree leaf
 	tail      bool // streaming pass: every branch is childless
 	timeWhole bool // leaf or parent of one: Instrument clocks the whole execution
+	collapsed bool // counted by its parent (countCollapsed), never executed
+	bindsNone bool // every child is collapsed
 	loDep     bool // collapsed: the window's low / high end depends on v_d
 	hiDep     bool
 	lastDisc  bool  // srcBuilt: last is a disc level
 	scan      bool  // labeled, and no operand row carries the label
 	rowLabel  int32 // the label the operand rows carry; Unlabeled: whole rows
-	slot      int32 // 1 + index in the parent's collapsed list; 0: executes itself
 	at        int
-	last      int              // srcBuilt: the final operand
-	collapsed []*plan.TrieNode // children this node counts by cursor
+	last      int // srcBuilt: the final operand
 
 	pconn, pdisc []int // srcBuilt: the base's operands but the last
 	bconn, bdisc []int // binding part: the parent's depth in at most one of them
 	bound        []int // always, then check
 	always       []int
 	check        []int
+	collBranches []int // the branches with a collapsed child, or with leaves when bindsNone
 }
 
 type baseSrc uint8
@@ -499,20 +499,30 @@ func (ps *triePass) classifyNode(n *plan.TrieNode) {
 	ei.leaf = childless
 	ei.degree = childless && degreeLeaf(n, ei.check)
 	ei.timeWhole = childless
-	first := len(ps.coll)
+	ei.bindsNone = !childless
 	for _, b := range n.Branches {
 		for _, c := range b.Children {
 			ci := &ps.info[c.ID]
 			ei.timeWhole = ei.timeWhole || ci.leaf
 			if ci.leaf && len(c.Branches) == 1 && c.Label == pattern.Unlabeled && len(ci.bconn)+len(ci.bdisc) == 0 {
-				ps.coll = append(ps.coll, c)
-				ci.slot = int32(len(ps.coll) - first)
+				ci.collapsed = true
 				ci.loDep = slices.Contains(c.Branches[0].Greater, n.Depth)
 				ci.hiDep = slices.Contains(c.Branches[0].Smaller, n.Depth)
 			}
+			ei.bindsNone = ei.bindsNone && ci.collapsed
 		}
 	}
-	ei.collapsed = ps.coll[first:len(ps.coll):len(ps.coll)]
+	at = len(ps.ints)
+	for bi, b := range n.Branches {
+		need := ei.bindsNone && len(b.Leaves) > 0
+		for _, c := range b.Children {
+			need = need || ps.info[c.ID].collapsed
+		}
+		if need {
+			ps.ints = append(ps.ints, bi)
+		}
+	}
+	ei.collBranches = ps.ints[at:len(ps.ints):len(ps.ints)]
 }
 
 // splitAt partitions a node's level list into the levels below d and the
@@ -555,8 +565,9 @@ type trieWorker struct {
 	raw   [pattern.MaxVertices][]uint32 // last raw (pre-window) candidate set, the srcRaw bases
 	lab   [pattern.MaxVertices][]uint32 // scanning labeled levels: the candidates carrying the label
 	wins  [pattern.MaxVertices][]trieWin
-	curs  [pattern.MaxVertices][]trieCursor // cursors of the executing node's collapsed leaves
 	match []uint32
+	xs    [pattern.MaxVertices]uint32 // countCollapsed: the bound candidates
+	fs    [pattern.MaxVertices]uint32 // and a leaf's fixed vertices
 
 	counts []uint64        // per-plan match counts
 	nstat  []trieNodeCount // per trie node
@@ -616,21 +627,6 @@ type trieOut struct {
 	visit Visitor  // the plan's, behind the pass's fault injector
 }
 
-// trieCursor counts one collapsed leaf over one execution of its parent.
-// The parent binds v_d in ascending order and the leaf's window ends are
-// max/min of fixed vertices and v_d, so both ends only move right: lo and
-// hi are the first positions of base at or above them, advanced by
-// galloping (a linear walk is wrong on a hub row with few parent
-// candidates); at follows v_d itself, for windows that can contain it.
-type trieCursor struct {
-	base       []uint32
-	lo, hi, at int
-	flo, fhi   uint32                      // the window owed to the levels above the parent
-	fixed      [pattern.MaxVertices]uint32 // vertices bound at those levels inside base and window
-	nfixed     int
-	enters, n  uint64
-}
-
 func (w *trieWorker) total() uint64 {
 	var t uint64
 	for _, c := range w.counts {
@@ -681,11 +677,6 @@ func getTrieWorker(id int, g graph.Adjacency, ps *triePass, instrument bool, max
 	}
 	for i := range w.bases {
 		w.bases[i].stamp = 0 // buffers stay: they are capacity, not content
-	}
-	for i := range ps.info {
-		if c := ps.info[i].collapsed; len(c) > 0 && len(c) > len(w.curs[c[0].Depth-1]) {
-			w.curs[c[0].Depth-1] = make([]trieCursor, len(c))
-		}
 	}
 	for i := 0; ps.scans && i < w.d && w.lab[i] == nil; i++ {
 		w.lab[i] = w.alloc(w.maxDeg)
@@ -744,9 +735,6 @@ func (w *trieWorker) release() {
 	w.raw = [pattern.MaxVertices][]uint32{}
 	for i := range w.outs {
 		w.outs[i].order, w.outs[i].visit = nil, nil
-	}
-	for _, cs := range w.curs {
-		clear(cs) // cursor bases alias rows of the graph
 	}
 	trieWorkerPool.Put(w)
 }
@@ -807,11 +795,12 @@ func (w *trieWorker) runRoot() {
 }
 
 // exec runs one shared node at the given depth: compute the candidate set
-// once, then per surviving candidate evaluate each symmetry branch,
-// crediting (in a streaming pass: emitting) leaf patterns and recursing
-// into children — or, for collapsed leaves, advancing their cursors. In a
-// counting pass nodes whose branches are all childless degenerate into pure
-// counting (execLeaf). timed is Instrument minus any ancestor already
+// once, count the collapsed children over all of it, then per surviving
+// candidate evaluate each symmetry branch, crediting (in a streaming pass:
+// emitting) leaf patterns and recursing into the other children; a node
+// with nothing else below binds no candidate. In a counting pass nodes
+// whose branches are all childless degenerate into pure counting
+// (execLeaf). timed is Instrument minus any ancestor already
 // clocking this execution: a node with a leaf child charges its whole
 // execution (the subtree below is set building and leaf counting) to
 // SetOpTime with one pair of clock reads, any other node only its own set
@@ -860,17 +849,18 @@ func (w *trieWorker) exec(node *plan.TrieNode, depth int, timed bool) {
 	// diverging branches keep whatever pruning their windows' union
 	// allows.
 	cands, wins := w.clip(node, depth, cands)
-
-	curs := w.curs[depth]
-	for i := range ei.collapsed {
-		curs[i].enters, curs[i].n = 0, 0 // the rest is set on the first candidate
-	}
-
 	ns.cands += uint64(len(cands))
 	if ei.scan {
 		cands = w.labeled(cands, node.Label, depth)
 	}
 	var ext uint64
+	if len(ei.collBranches) > 0 && len(cands) > 0 {
+		bound := w.boundIn(cands, ei)
+		w.countCollapsed(node, ei, cands, bound, wins)
+		if ei.bindsNone { // nothing left to bind
+			ext, cands = uint64(len(cands)-len(bound)), nil
+		}
+	}
 	info := w.info
 	for _, v := range cands {
 		used := false
@@ -897,23 +887,13 @@ func (w *trieWorker) exec(node *plan.TrieNode, depth int, timed bool) {
 				}
 			}
 			for _, child := range br.Children {
-				if ci := &info[child.ID]; ci.slot > 0 {
-					w.advance(&curs[ci.slot-1], child, ci, v)
-				} else {
+				if !info[child.ID].collapsed {
 					w.exec(child, depth+1, timed && !whole)
 				}
 			}
 		}
 	}
 	ns.ext += ext
-	// Collapsed leaves are credited in bulk, with exactly the totals their
-	// per-candidate executions would have produced.
-	for i, leaf := range ei.collapsed {
-		if curs[i].enters > 0 {
-			w.nstat[leaf.ID].enters += curs[i].enters
-			w.credit(leaf, curs[i].n)
-		}
-	}
 	if whole {
 		w.st.SetOpTime += time.Since(t0)
 	}
@@ -1044,56 +1024,96 @@ func (w *trieWorker) credit(leaf *plan.TrieNode, n uint64) {
 	w.nstat[leaf.ID].ext += n
 }
 
-// advance counts a collapsed leaf for the vertex v its parent just bound:
-// the slice of the base inside the leaf's window, minus the already-bound
-// vertices in it. What the levels above the parent fix — the base, their
-// share of the window, their vertices inside both — is resolved on the
-// first candidate to get here; only an end that depends on v moves. Probes
-// are charged to Elems as the galloping kernels charge theirs; no Op.
-func (w *trieWorker) advance(c *trieCursor, leaf *plan.TrieNode, ei *trieExecInfo, v uint32) {
-	d := leaf.Depth - 1
-	if c.enters == 0 {
-		c.base = w.base(leaf, ei)
-		c.flo, c.fhi = trieWindow(leaf.Branches[0], w.match, d)
-		c.lo = setops.GallopGE(c.base, 0, c.flo, &w.sst.Elems)
-		c.hi, c.at, c.nfixed = 0, 0, 0
-		if !ei.hiDep {
-			c.hi = setops.GallopGE(c.base, c.lo, c.fhi, &w.sst.Elems)
+// boundIn returns, in ascending order, the vertices bound above the
+// executing node that are among its candidates — the ones the binding loop
+// skips. Only the depths the pattern lets into the node's set (bound) can be.
+func (w *trieWorker) boundIn(cands []uint32, ei *trieExecInfo) []uint32 {
+	dst := w.xs[:0]
+	for _, a := range ei.bound {
+		if u := w.match[a]; setops.Contains(cands, u) {
+			dst = append(dst, u)
 		}
-		for i, a := range ei.bound {
-			if u := w.match[a]; a != d && u >= c.flo && u < c.fhi && (i < len(ei.always) || setops.Contains(c.base, u)) {
-				c.fixed[c.nfixed] = u
-				c.nfixed++
+	}
+	slices.Sort(dst)
+	return dst
+}
+
+// countCollapsed counts the executing node's collapsed children for every
+// candidate a branch passes but the bound vertices among them: what the
+// per-candidate loop would have counted, credited with exactly the totals
+// it would have produced. A node that binds nothing credits its own leaves
+// here too. A leaf no candidate reaches builds no base.
+func (w *trieWorker) countCollapsed(node *plan.TrieNode, ei *trieExecInfo, cands, bound []uint32, wins []trieWin) {
+	for _, bi := range ei.collBranches {
+		br, win, c, x := node.Branches[bi], wins[bi], cands, bound
+		if len(wins) > 1 && (win.lo > 0 || win.hi < ^uint32(0)) { // else cands is already inside the window
+			c, x = setops.Clip(cands, win.lo, win.hi), setops.Clip(bound, win.lo, win.hi)
+		}
+		enters := uint64(len(c) - len(x))
+		if ei.bindsNone {
+			for _, idx := range br.Leaves {
+				w.counts[idx] += enters
+			}
+		}
+		for _, leaf := range br.Children {
+			if li := &w.info[leaf.ID]; li.collapsed && enters > 0 {
+				w.nstat[leaf.ID].enters += enters
+				w.credit(leaf, w.rankCount(leaf, li, c, x))
 			}
 		}
 	}
-	c.enters++
-	lo, hi := c.flo, c.fhi
-	if ei.loDep {
-		lo = max(lo, v+1)
-		c.lo = setops.GallopGE(c.base, c.lo, lo, &w.sst.Elems)
-	}
-	if ei.hiDep {
-		hi = min(hi, v)
-		c.hi = setops.GallopGE(c.base, c.hi, hi, &w.sst.Elems)
-	}
-	if lo >= hi {
-		return
-	}
-	n := c.hi - c.lo
-	for _, u := range c.fixed[:c.nfixed] {
-		if u >= lo && u < hi {
-			n--
-		}
-	}
-	if v >= lo && v < hi { // neither end depends on v: it may sit in the base itself
-		c.at = setops.GallopGE(c.base, c.at, v, &w.sst.Elems)
-		if c.at < len(c.base) && c.base[c.at] == v {
-			n--
-		}
-	}
-	c.n += uint64(n)
 }
+
+// rankCount counts a collapsed leaf over its parent's candidates c, less
+// the bound ones x. For a candidate v the leaf counts the base inside its
+// window, [flo, fhi) owed to the levels above the parent with an end moved
+// to v where that end depends on v, less the fixed vertices F — bound
+// above the parent, inside the base and that window — and less v. Summed
+// over c, each part is a rank sum (within): one merge of c against the
+// clipped base and one against F, and the same over x taken back.
+func (w *trieWorker) rankCount(leaf *plan.TrieNode, ei *trieExecInfo, c, x []uint32) uint64 {
+	d := leaf.Depth - 1
+	base := w.base(leaf, ei)
+	flo, fhi := trieWindow(leaf.Branches[0], w.match, d)
+	b, f := setops.Clip(base, flo, fhi), w.fs[:0]
+	for i, a := range ei.bound {
+		if u := w.match[a]; a != d && u >= flo && u < fhi && (i < len(ei.always) || setops.Contains(base, u)) {
+			f = append(f, u)
+		}
+	}
+	slices.Sort(f)
+	if collapsedSeen != nil {
+		collapsedSeen(ei, c, x, b, f)
+	}
+	n := w.within(ei, c, b) - w.within(ei, x, b)
+	if len(f) > 0 {
+		n += w.within(ei, x, f) - w.within(ei, c, f)
+	}
+	return n
+}
+
+// within sums, over the candidates c of a collapsed leaf's parent, the
+// elements of sorted s inside each candidate v's window other than v:
+// |s| less v when neither end depends on v, those above v or below v when
+// one end does, none when both do.
+func (w *trieWorker) within(ei *trieExecInfo, c, s []uint32) uint64 {
+	if len(c) == 0 || len(s) == 0 || ei.loDep && ei.hiDep {
+		return 0
+	}
+	below, equal := setops.RankPairs(c, s, &w.sst)
+	switch all := uint64(len(c)) * uint64(len(s)); {
+	case ei.loDep:
+		return all - below - equal
+	case ei.hiDep:
+		return below
+	default:
+		return all - equal
+	}
+}
+
+// collapsedSeen, when set, sees the operands of every collapsed-leaf count:
+// tests record which shapes ran.
+var collapsedSeen func(ei *trieExecInfo, c, x, b, f []uint32)
 
 // execLeaf runs a node whose branches are all childless. Nothing
 // downstream needs the bindings, so counting goes through the count-only

@@ -122,7 +122,7 @@ func TestTrieStatsPinned(t *testing.T) {
 // hoistGraphs returns the graphs the hoisting property is checked on:
 // every generator recipe at tiny scale (its labels, skew and triangle
 // closure kept), labeled and unlabeled random graphs, and hand-built ones
-// aimed at the collapsed-leaf cursor.
+// aimed at the collapsed leaves' rank sums.
 func hoistGraphs(t testing.TB) map[string]*graph.Graph {
 	t.Helper()
 	gs := map[string]*graph.Graph{}
@@ -159,7 +159,8 @@ func hoistGraphs(t testing.TB) map[string]*graph.Graph {
 	return gs
 }
 
-// adversarialEdges are small graphs built against the cursor's edge cases.
+// adversarialEdges are small graphs built against the edge cases of a
+// collapsed leaf's rank sum.
 func adversarialEdges() map[string][][2]uint32 {
 	// A hub (vertex 0) adjacent to everything, whose other neighbors hang
 	// off a single spoke: at depth 2 the hub row is the base of the 4-path

@@ -181,7 +181,7 @@ func fuzzPool() []*pattern.Pattern {
 // merging, so without shared nodes, sibling branches or leaves at several
 // depths) and the refmatch oracle, on random pattern subsets over seeded
 // random graphs (shape 0) and the hand-built graphs aimed at the
-// collapsed-leaf cursor (shape 1.., adversarialEdges). Any count
+// collapsed leaves' rank sums (shape 1.., adversarialEdges). Any count
 // divergence is a bug in either the plan merge or the trie interpreter.
 func FuzzTrieDifferential(f *testing.F) {
 	f.Add(int64(1), uint32(0b111), uint8(2), uint8(0))

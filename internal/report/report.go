@@ -392,6 +392,9 @@ func (r *RunReport) WriteText(w io.Writer) error {
 		for _, s := range r.Selection.Unmorphable {
 			p("  [refused] %s: too many superpatterns to morph through, mined as it is\n", s)
 		}
+		if f := r.Selection.CostFault; f != "" {
+			p("  [fault] %s: no morph decided, the queries are mined as they are\n", f)
+		}
 	}
 
 	if td := r.Trie; td != nil {

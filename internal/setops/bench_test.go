@@ -108,6 +108,31 @@ func BenchmarkAndCount(b *testing.B) {
 	}
 }
 
+// A collapsed leaf's rank sum: a parent's candidates against a base of
+// comparable size (the merge), and three candidates against a hub row (the
+// galloping walk). It cycles through 64 pairs, so that no branch predictor
+// learns one pair by heart.
+func BenchmarkRankPairs(b *testing.B) {
+	for _, bc := range []struct {
+		name       string
+		small, big int
+	}{{"merge", 48, 64}, {"gallop", 3, 1 << 12}} {
+		b.Run(bc.name, func(b *testing.B) {
+			var xs, ys [64][]uint32
+			for i := range xs {
+				xs[i], ys[i] = benchSets(bc.small, bc.big, 1<<10, int64(14+i))
+			}
+			var st Stats
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				below, equal := RankPairs(xs[i%64], ys[i%64], &st)
+				sink += below + equal
+			}
+		})
+	}
+}
+
 func BenchmarkCountWindowArithmetic(b *testing.B) {
 	r := rand.New(rand.NewSource(8))
 	x := denseSet(r, 1<<16, 1<<20)

@@ -138,6 +138,54 @@ func DifferenceCountF(a, b []uint32, f Filter, st *Stats) uint64 {
 	return n
 }
 
+// RankPairs counts, over sorted a and b, the pairs (x, y) ∈ a×b with y < x
+// (below) and with y == x (equal, |a ∩ b|); the pairs with y > x are the
+// rest of |a|·|b|. Summed over a, it is how many elements of b lie below
+// each element of a — the rank sum a collapsed leaf's count reduces to.
+// The smaller side is walked and the larger merged or, past the galloping
+// threshold, galloped, so a hub row against three elements stays
+// O(3·log|b|). It charges the elements examined to Elems and counts no Op:
+// it replaces per-candidate window arithmetic, not a set operation.
+func RankPairs(a, b []uint32, st *Stats) (below, equal uint64) {
+	if len(a) <= len(b) {
+		return rankPairs(a, b, &st.Elems)
+	}
+	above, equal := rankPairs(b, a, &st.Elems)
+	return uint64(len(a))*uint64(len(b)) - above - equal, equal
+}
+
+// rankPairs is RankPairs walking a, the smaller side.
+func rankPairs(a, b []uint32, elems *uint64) (below, equal uint64) {
+	if shouldGallop(len(a), len(b)) {
+		var probes uint64
+		j := 0
+		for i, x := range a {
+			if j = GallopGE(b, j, x, &probes); j == len(b) {
+				below += uint64(len(a)-i) * uint64(j)
+				break
+			}
+			below += uint64(j)
+			if b[j] == x {
+				equal++
+			}
+		}
+		*elems += uint64(len(a)) + probes
+		return below, equal
+	}
+	*elems += uint64(len(a) + len(b))
+	j := 0
+	for _, x := range a {
+		for j < len(b) && b[j] < x {
+			j++
+		}
+		below += uint64(j)
+		if j < len(b) && b[j] == x {
+			equal++
+		}
+	}
+	return below, equal
+}
+
 // IntersectCount counts |a ∩ b| with no window or label restriction.
 func IntersectCount(a, b []uint32, st *Stats) uint64 {
 	return IntersectCountF(a, b, All(), st)

@@ -32,7 +32,8 @@ func decodeSet(raw []byte) []uint32 {
 
 // FuzzKernels differentially checks every adaptive kernel — merge,
 // unrolled, gallop, bitset and count-only paths, with and without fused
-// windows and label filters — against the naive reference merges on random
+// windows and label filters, and the rank sum — against the naive
+// reference merges (for the rank sum, a comparison of every pair) on random
 // sorted inputs. The public dispatchers run both with and without an arena
 // (destination growth from it or from the heap), and the unrolled kernels
 // are additionally called directly so dispatch thresholds cannot hide them
@@ -54,6 +55,10 @@ func FuzzKernels(f *testing.F) {
 	}
 	f.Add([]byte{0, 100}, long, uint32(50), uint32(150), byte(1))
 	f.Add(long, []byte{0, 100}, uint32(0), uint32(fuzzMax), byte(2))
+	// Rank sums: three elements against a windowed run, one of them past
+	// its end (the galloping walk's early exit), and one below the window.
+	f.Add([]byte{0, 3, 0, 90, 0x0f, 0xff}, long, uint32(20), uint32(120), byte(0))
+	f.Add([]byte{0, 1}, long, uint32(64), uint32(fuzzMax), byte(0))
 	// Dense contiguous ranges: both sides saturate a shared vertex range,
 	// the unrolled kernels' worst case of equal runs.
 	const denseLen = 16 * unrolledMinLen
@@ -163,6 +168,15 @@ func FuzzKernels(f *testing.F) {
 		for _, x := range []uint32{0, lo % fuzzMax, fuzzMax - 1} {
 			if got, want := Contains(a, x), linearContains(a, x); got != want {
 				t.Fatalf("Contains(%v, %d) = %v, want %v", a, x, got, want)
+			}
+		}
+		// The rank sum, whole and with b clipped to the window as a
+		// collapsed leaf clips its base.
+		for _, bw := range [][]uint32{b, Clip(b, lo%fuzzMax, hi%fuzzMax)} {
+			var st Stats
+			below, equal := RankPairs(a, bw, &st)
+			if wantB, wantE := refRankPairs(a, bw); below != wantB || equal != wantE || st.Ops != 0 {
+				t.Fatalf("RankPairs(%v, %v) = (%d, %d) in %d ops, want (%d, %d)", a, bw, below, equal, st.Ops, wantB, wantE)
 			}
 		}
 	})

@@ -65,10 +65,9 @@ func shouldGallop(small, big int) bool {
 // galloping intersection charges its probe count rather than the length it
 // skipped). The per-path counters break Ops down by dispatch decision, and
 // Written counts elements appended to destination slices — count-only
-// kernels never increment it. Callers that walk a sorted set with GallopGE
-// on their own (the trie executor's collapsed-leaf cursors) charge their
-// probes to Elems the same way and count no Op: a cursor step is not a
-// set operation.
+// kernels never increment it. RankPairs, the rank sum the trie executor
+// counts a collapsed leaf with, charges what it walks to Elems the same way
+// and counts no Op: it replaces window arithmetic, not a set operation.
 type Stats struct {
 	Ops   uint64 // number of set operations executed
 	Elems uint64 // input elements examined across all operations

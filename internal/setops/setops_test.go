@@ -286,6 +286,72 @@ func TestCountKernelsMatchMaterialized(t *testing.T) {
 	}
 }
 
+// refRankPairs is RankPairs by brute force: every pair compared.
+func refRankPairs(a, b []uint32) (below, equal uint64) {
+	for _, x := range a {
+		for _, y := range b {
+			if y < x {
+				below++
+			} else if y == x {
+				equal++
+			}
+		}
+	}
+	return below, equal
+}
+
+// TestRankPairsMatchesBruteForce checks the rank-sum kernel against the
+// pairwise count on a table of shapes — empty sides, shared and disjoint
+// elements, element zero, both sides clipped to windows — whose skewed
+// rows must take the galloping path (fewer elements charged than a merge)
+// and whose balanced rows the merge (exactly |a|+|b| charged), in either
+// argument order, and on random pairs. It counts no Op.
+func TestRankPairsMatchesBruteForce(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	hub := denseSet(r, 3000, 5000)
+	three := []uint32{hub[10], 2500, hub[2999] + 1}
+	for _, tc := range []struct {
+		name   string
+		a, b   []uint32
+		gallop bool
+	}{
+		{"both empty", nil, nil, false},
+		{"empty a", nil, []uint32{1, 2, 3}, false},
+		{"empty b", []uint32{0, 5}, nil, false},
+		{"element zero", []uint32{0}, []uint32{0, 1}, false},
+		{"identical", []uint32{1, 4, 9}, []uint32{1, 4, 9}, false},
+		{"disjoint, a above", []uint32{10, 11}, []uint32{1, 2, 3}, false},
+		{"interleaved", []uint32{1, 3, 5, 7}, []uint32{0, 3, 4, 7, 8}, false},
+		{"windows", Clip(hub, 100, 900), Clip(denseSet(r, 400, 5000), 300, 1200), false},
+		{"three against a hub", three, hub, true},
+		{"a hub against three", hub, three, true},
+		{"windowed hub against one", []uint32{2000}, Clip(hub, 1000, 4000), true},
+		{"one past the hub's end", []uint32{hub[2999] + 5}, hub, true},
+	} {
+		var st Stats
+		below, equal := RankPairs(tc.a, tc.b, &st)
+		wantB, wantE := refRankPairs(tc.a, tc.b)
+		if below != wantB || equal != wantE {
+			t.Errorf("%s: RankPairs = (%d, %d), want (%d, %d)", tc.name, below, equal, wantB, wantE)
+		}
+		merge := uint64(len(tc.a) + len(tc.b))
+		if tc.gallop && st.Elems >= merge || !tc.gallop && st.Elems != merge {
+			t.Errorf("%s: charged %d elements, a merge charges %d (gallop expected: %v)", tc.name, st.Elems, merge, tc.gallop)
+		}
+		if st.Ops != 0 {
+			t.Errorf("%s: RankPairs counted %d ops", tc.name, st.Ops)
+		}
+	}
+	for trial := 0; trial < 300; trial++ {
+		a, b := denseSet(r, r.Intn(80), 400), denseSet(r, r.Intn(2)*r.Intn(600), 400)
+		var st Stats
+		below, equal := RankPairs(a, b, &st)
+		if wantB, wantE := refRankPairs(a, b); below != wantB || equal != wantE {
+			t.Fatalf("RankPairs(%v, %v) = (%d, %d), want (%d, %d)", a, b, below, equal, wantB, wantE)
+		}
+	}
+}
+
 func filterCount(a []uint32, f Filter) uint64 {
 	var n uint64
 	for _, v := range a {
