@@ -207,7 +207,7 @@ func cmdScale(ctx context.Context, args []string) error {
 	if *compare {
 		fmt.Fprintf(os.Stderr, "== mining plain tier (compare)\n")
 		t0 := time.Now()
-		if _, _, err := scaleRunner(*threads, *shards, budget).CountsCtx(ctx, g, queries); err != nil {
+		if _, _, err := scaleRunner(*threads, *shards).CountsCtx(ctx, g, queries); err != nil {
 			return fmt.Errorf("plain mine: %w", err)
 		}
 		rep.ComparePlainNS = int64(time.Since(t0))
@@ -255,7 +255,7 @@ func cmdScale(ctx context.Context, args []string) error {
 
 	before := graph.DecodeTotals()
 	t0 = time.Now()
-	counts, stats, err := scaleRunner(*threads, *shards, budget).CountsCtx(ctx, h.Graph(), queries)
+	counts, stats, err := scaleRunner(*threads, *shards).CountsCtx(ctx, h.Graph(), queries)
 	if err != nil {
 		return fmt.Errorf("compressed mine: %w", err)
 	}
@@ -302,12 +302,8 @@ func cmdScale(ctx context.Context, args []string) error {
 	return nil
 }
 
-func scaleRunner(threads, shards int, budget uint64) *core.Runner {
-	return &core.Runner{
-		Engine:       peregrine.New(threads),
-		RunOptions:   core.RunOptions{Shards: shards},
-		MemoryBudget: budget,
-	}
+func scaleRunner(threads, shards int) *core.Runner {
+	return &core.Runner{Engine: peregrine.New(threads), RunOptions: core.RunOptions{Shards: shards}}
 }
 
 // parseBytes parses human byte sizes: plain integers plus KiB/MiB/GiB (or

@@ -271,21 +271,16 @@ type countReport struct {
 	Morphing bool         `json:"morphing"`
 	Queries  []countQuery `json:"queries"`
 	MinedSet []string     `json:"mined_set"`
-	// Phase, ConversionMode and EstimatedBytes surface the full RunStats
-	// pipeline state: the stage the run finished in (always "done" here —
-	// interrupted runs go through printPartial), how results were
-	// converted (batched vs. on-the-fly degradation) and the match-volume
-	// estimate behind that decision.
-	Phase          string        `json:"phase"`
-	ConversionMode string        `json:"conversion_mode"`
-	EstimatedBytes uint64        `json:"estimated_bytes,omitempty"`
-	CostBefore     float64       `json:"modeled_cost_before"`
-	CostAfter      float64       `json:"modeled_cost_after"`
-	TransformNS    int64         `json:"transform_ns"`
-	ConvertNS      int64         `json:"convert_ns"`
-	Mining         *engine.Stats `json:"mining"`
-	QueryLog       []obs.Event   `json:"query_log,omitempty"`
-	Registry       obs.Snapshot  `json:"registry"`
+	// Phase is the stage the run finished in (always "done" here —
+	// interrupted runs go through printPartial).
+	Phase       string        `json:"phase"`
+	CostBefore  float64       `json:"modeled_cost_before"`
+	CostAfter   float64       `json:"modeled_cost_after"`
+	TransformNS int64         `json:"transform_ns"`
+	ConvertNS   int64         `json:"convert_ns"`
+	Mining      *engine.Stats `json:"mining"`
+	QueryLog    []obs.Event   `json:"query_log,omitempty"`
+	Registry    obs.Snapshot  `json:"registry"`
 }
 
 type countQuery struct {
@@ -409,20 +404,18 @@ func cmdCount(args []string) error {
 			srcName, srcScale = *binPath, 0
 		}
 		rep := countReport{
-			RunID:          st.RunID,
-			Label:          st.RunLabel,
-			QueryLog:       st.Events,
-			Graph:          srcName,
-			Scale:          srcScale,
-			Engine:         eng.Name(),
-			Morphing:       !*baseline,
-			Phase:          st.Phase,
-			ConversionMode: st.ConversionMode,
-			EstimatedBytes: st.EstimatedBytes,
-			TransformNS:    st.Transform.Nanoseconds(),
-			ConvertNS:      st.Convert.Nanoseconds(),
-			Mining:         st.Mining,
-			Registry:       obs.DefaultRegistry().Snapshot(),
+			RunID:       st.RunID,
+			Label:       st.RunLabel,
+			QueryLog:    st.Events,
+			Graph:       srcName,
+			Scale:       srcScale,
+			Engine:      eng.Name(),
+			Morphing:    !*baseline,
+			Phase:       st.Phase,
+			TransformNS: st.Transform.Nanoseconds(),
+			ConvertNS:   st.Convert.Nanoseconds(),
+			Mining:      st.Mining,
+			Registry:    obs.DefaultRegistry().Snapshot(),
 		}
 		for i, q := range st.Selection.Queries {
 			rep.Queries = append(rep.Queries, countQuery{
@@ -481,16 +474,13 @@ func printPartial(w *os.File, statsMode string, st *core.RunStats, err error) {
 			Count   uint64 `json:"count"`
 		}
 		rep := struct {
-			Interrupted    bool          `json:"interrupted"`
-			Marker         string        `json:"marker"`
-			Error          string        `json:"error"`
-			Phase          string        `json:"phase"`
-			ConversionMode string        `json:"conversion_mode,omitempty"`
-			EstimatedBytes uint64        `json:"estimated_bytes,omitempty"`
-			Partial        []partialRow  `json:"partial_counts"`
-			Mining         *engine.Stats `json:"mining"`
-		}{Interrupted: true, Marker: marker, Error: err.Error(), Phase: st.Phase,
-			ConversionMode: st.ConversionMode, EstimatedBytes: st.EstimatedBytes, Mining: st.Mining}
+			Interrupted bool          `json:"interrupted"`
+			Marker      string        `json:"marker"`
+			Error       string        `json:"error"`
+			Phase       string        `json:"phase"`
+			Partial     []partialRow  `json:"partial_counts"`
+			Mining      *engine.Stats `json:"mining"`
+		}{Interrupted: true, Marker: marker, Error: err.Error(), Phase: st.Phase, Mining: st.Mining}
 		for _, p := range st.Partial {
 			rep.Partial = append(rep.Partial, partialRow{Pattern: p.Pattern.String(), Count: p.Count})
 		}

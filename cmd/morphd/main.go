@@ -3,6 +3,8 @@
 // admission control, bounded queuing with backpressure, per-client
 // fairness quotas, a result cache with single-flight de-duplication,
 // per-query deadlines, panic isolation, and graceful drain on SIGTERM.
+// The one byte budget is -admission-budget, a cap on the cost model's
+// combined match-volume estimate of the admitted queries.
 //
 // Usage:
 //
@@ -63,7 +65,6 @@ func run() error {
 	queueLen := flag.Int("queue", 64, "bounded query-queue capacity (backpressure beyond it)")
 	clientInflight := flag.Int("client-inflight", 0, "per-client in-flight quota (0 = unlimited)")
 	admissionBudget := flag.Uint64("admission-budget", 0, "cap on combined estimated match bytes of admitted queries (0 = unlimited)")
-	memBudget := flag.Uint64("membudget", 0, "per-query memory budget for batched->on-the-fly conversion degradation (0 = unlimited)")
 	defaultDeadline := flag.Duration("default-deadline", 30*time.Second, "deadline applied to queries that carry none")
 	maxDeadline := flag.Duration("max-deadline", 5*time.Minute, "upper clamp on requested deadlines")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "how long graceful drain waits before canceling stragglers")
@@ -129,7 +130,6 @@ func run() error {
 		MaxQueue:          *queueLen,
 		PerClientInFlight: *clientInflight,
 		AdmissionBudget:   *admissionBudget,
-		MemoryBudget:      *memBudget,
 		DefaultDeadline:   *defaultDeadline,
 		MaxDeadline:       *maxDeadline,
 		DrainTimeout:      *drainTimeout,

@@ -31,11 +31,6 @@ type Options struct {
 	// match; 0 picks a default proportional to the graph size (the paper
 	// uses O(|V|) as the MNI merge hint, §5.2).
 	PerMatchCost float64
-	// MemoryBudget bounds the estimated bytes of batched match
-	// materialization per level; when the cost model predicts more, the
-	// runner degrades to on-the-fly conversion (core.Runner.MemoryBudget).
-	// 0 means unbounded.
-	MemoryBudget uint64
 }
 
 // Frequent is one output pattern with its support.
@@ -88,7 +83,6 @@ func mine(ctx context.Context, g graph.Adjacency, eng engine.Engine, opts Option
 		Engine:          eng,
 		DisableMorphing: !opts.Morph,
 		PerMatchCost:    perMatch,
-		MemoryBudget:    opts.MemoryBudget,
 		Label:           "fsm",
 	}
 	stats := &Stats{}

@@ -2,10 +2,15 @@ package se
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 
+	"morphing/internal/autozero"
+	"morphing/internal/canon"
 	"morphing/internal/dataset"
+	"morphing/internal/engine"
 	"morphing/internal/enginetest"
 	"morphing/internal/graphpi"
 	"morphing/internal/pattern"
@@ -44,6 +49,87 @@ func TestEnumerateMorphedEqualsBaseline(t *testing.T) {
 	}
 	if morphed.Selection == nil {
 		t.Fatal("morphed run missing selection")
+	}
+}
+
+// TestEnumerateDeliversEveryMatchOnce is Algorithm 3 end to end on the
+// morphed route: every connected non-clique 4-vertex query is forced to
+// morph, so each vertex-induced alternative fans out to the queries it
+// contains, and the stream each query receives must still be exactly the
+// oracle's unique matches, each once.
+func TestEnumerateDeliversEveryMatchOnce(t *testing.T) {
+	checkEveryMatchOnce(t, Options{Morph: true, PerMatchCost: 1e6})
+}
+
+// TestEnumerateUnmorphedDeliversEveryMatchOnce is the same check through a
+// selection that declines every morph and with morphing off.
+func TestEnumerateUnmorphedDeliversEveryMatchOnce(t *testing.T) {
+	checkEveryMatchOnce(t, Options{Morph: true, PerMatchCost: 1e-9}, Options{})
+}
+
+// checkEveryMatchOnce runs every connected non-clique 4-vertex edge-induced
+// query on ER(40, 7) under each of optsList, with a filter that keeps
+// everything, on engines that emit from 3 and from 600 worker IDs (run it
+// with -race), and compares each query's stream with refmatch.Matches.
+func checkEveryMatchOnce(t *testing.T, optsList ...Options) {
+	t.Helper()
+	g, err := dataset.ErdosRenyi(40, 7, 0, 31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shapes, err := canon.AllConnectedPatterns(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var queries []*pattern.Pattern
+	for _, s := range shapes {
+		if !s.IsClique() {
+			queries = append(queries, s.AsEdgeInduced())
+		}
+	}
+	auts := make([][][]int, len(queries))
+	want := make([][][]uint32, len(queries))
+	for i, q := range queries {
+		auts[i], want[i] = canon.Automorphisms(q), refmatch.Matches(g, q)
+	}
+	all := func([]uint32) bool { return true }
+	for _, eng := range []engine.Engine{peregrine.New(3), autozero.New(3), enginetest.WideEngine{Workers: 600}} {
+		for _, opts := range optsList {
+			name := fmt.Sprintf("%s morph=%v cost=%g", eng.Name(), opts.Morph, opts.PerMatchCost)
+			var mu sync.Mutex
+			got := make([]map[string]int, len(queries))
+			for i := range got {
+				got[i] = map[string]int{}
+			}
+			res, err := EnumerateCtx(context.Background(), g, eng, queries, all, func(qi int, m []uint32) {
+				k := fmt.Sprint(canon.CanonicalMatch(queries[qi], m, auts[qi]))
+				mu.Lock()
+				got[qi][k]++
+				mu.Unlock()
+			}, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if opts.Morph {
+				// The high per-match cost forces every morph, the tiny one
+				// declines every morph.
+				for i, q := range res.Selection.Queries {
+					if q.Morphed != (opts.PerMatchCost > 1) {
+						t.Fatalf("%s: query %v morphed=%v", name, queries[i], q.Morphed)
+					}
+				}
+			}
+			for i, q := range queries {
+				if len(got[i]) != len(want[i]) || res.Delivered[i] != uint64(len(want[i])) {
+					t.Errorf("%s %v: %d distinct matches in %d deliveries, oracle %d", name, q, len(got[i]), res.Delivered[i], len(want[i]))
+				}
+				for _, m := range want[i] {
+					if k := fmt.Sprint(m); got[i][k] != 1 {
+						t.Errorf("%s %v: match %v delivered %d times, want 1", name, q, m, got[i][k])
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -55,31 +55,25 @@ func TestExplainRunsThePlainRoute(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		engine func() engine.Engine
-		budget uint64
-		mode   string
 		run    run
 	}{
-		{"counting/peregrine", func() engine.Engine { return peregrine.New(1) }, 0, "batched", counts},
-		{"counting/graphpi", func() engine.Engine { return graphpi.New(1) }, 0, "batched", counts},
+		{"counting/peregrine", func() engine.Engine { return peregrine.New(1) }, counts},
+		{"counting/graphpi", func() engine.Engine { return graphpi.New(1) }, counts},
 		// MNI needs native vertex-induced matching (PolicyVertexOnly), which
 		// the GraphPi model lacks.
-		{"mni-batched/peregrine", func() engine.Engine { return peregrine.New(1) }, 0, "batched", tables},
-		{"mni-on-the-fly/peregrine", func() engine.Engine { return peregrine.New(1) }, 1, "on-the-fly", tables},
+		{"mni-batched/peregrine", func() engine.Engine { return peregrine.New(1) }, tables},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			want, plain, err := tc.run(&Runner{Engine: tc.engine(), MemoryBudget: tc.budget})
+			want, plain, err := tc.run(&Runner{Engine: tc.engine()})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, st, err := tc.run(&Runner{Engine: tc.engine(), MemoryBudget: tc.budget, Explain: true})
+			got, st, err := tc.run(&Runner{Engine: tc.engine(), Explain: true})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !slices.Equal(got, want) {
 				t.Errorf("explained results %v, plain %v", got, want)
-			}
-			if st.ConversionMode != tc.mode || plain.ConversionMode != tc.mode {
-				t.Fatalf("conversion modes %q / %q, want %q", st.ConversionMode, plain.ConversionMode, tc.mode)
 			}
 			if !st.Trie.Used || *st.Trie != *plain.Trie {
 				t.Errorf("explained decision %+v, plain %+v", st.Trie, plain.Trie)

@@ -148,3 +148,24 @@ func TestFuzzStreamPlanCoverage(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamPlanRejectsMorphedVertexQueries: a stream cannot be
+// subtracted, so a vertex-induced query that selection morphed (forced
+// here) has no stream plan.
+func TestStreamPlanRejectsMorphedVertexQueries(t *testing.T) {
+	q := pattern.FourCycle().AsVertexInduced()
+	d, err := BuildSDAG([]*pattern.Pattern{q})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, err := Select(context.Background(), d, []*pattern.Pattern{q}, forceMorphCosts([]*pattern.Pattern{q}), PolicyAny, SelectOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sel.Queries[0].Morphed {
+		t.Fatal("forced selection did not morph")
+	}
+	if _, err := sel.StreamPlan(); err == nil {
+		t.Fatal("stream plan accepted a morphed vertex-induced query")
+	}
+}

@@ -10,8 +10,8 @@ import (
 	"morphing/internal/peregrine"
 )
 
-// TestMNISinkOwnsOneShardPerWorkerID runs both MNI routes under 600
-// concurrent worker IDs (run it with -race): every ID must get a shard of
+// TestMNISinkOwnsOneShardPerWorkerID runs the per-pattern and the
+// pipeline MNI routes under 600 concurrent worker IDs (run it with -race): every ID must get a shard of
 // its own, and the tables must equal the InsertAll-over-refmatch oracle.
 func TestMNISinkOwnsOneShardPerWorkerID(t *testing.T) {
 	g, err := dataset.ErdosRenyi(60, 8, 0, 23)
@@ -33,19 +33,13 @@ func TestMNISinkOwnsOneShardPerWorkerID(t *testing.T) {
 			t.Errorf("MineMNITable(%v) = %v, oracle %v", q, got, want)
 		}
 	}
-	for _, budget := range []uint64{0, 1} {
-		r := &Runner{Engine: eng, MemoryBudget: budget}
-		tables, st, err := r.MNITablesCtx(context.Background(), g, queries)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if budget == 1 && st.ConversionMode != "on-the-fly" {
-			t.Fatalf("1-byte budget ran %q", st.ConversionMode)
-		}
-		for i, q := range queries {
-			if want := directMNI(g, q); !tables[i].Equal(want) {
-				t.Errorf("%s MNITables(%v) = %v, oracle %v", st.ConversionMode, q, tables[i], want)
-			}
+	tables, _, err := (&Runner{Engine: eng}).MNITablesCtx(context.Background(), g, queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, q := range queries {
+		if want := directMNI(g, q); !tables[i].Equal(want) {
+			t.Errorf("MNITables(%v) = %v, oracle %v", q, tables[i], want)
 		}
 	}
 }

@@ -42,17 +42,6 @@ type Runner struct {
 	// calibration data). There is no per-pattern wall time: the set is one
 	// merged pass, and a pattern's share of it is not a quantity.
 	Explain bool
-	// MemoryBudget caps the estimated bytes of matches the batched
-	// result-conversion path may materialize (0 = unlimited). When the
-	// cost model's match-volume estimate for the selected alternatives
-	// exceeds the budget, pipelines that materialize per-match state
-	// (MNITables) degrade gracefully to on-the-fly conversion: each
-	// alternative's match stream is converted into the query tables as it
-	// is produced, so no intermediate per-alternative tables are held.
-	// The decision is recorded in RunStats (ConversionMode,
-	// EstimatedBytes) and in the query log's "degraded" event. Scalar
-	// pipelines (Counts) never materialize matches and ignore the budget.
-	MemoryBudget uint64
 	// Obs is the observability sink: the runner opens phase spans
 	// (transform, select, mine, convert, aggregate) on its tracer and
 	// adds each run's totals to its registry. nil falls back to
@@ -128,8 +117,7 @@ type PartialCount struct {
 // RunStats reports where the time of a morphed execution went, matching
 // the paper's claim that transformation time is negligible (§7,
 // "transforming patterns of size 4 and 5 took at most 0.7ms and 7.2ms"),
-// plus per-phase progress for interrupted runs and the conversion-mode
-// decision for budgeted ones.
+// plus per-phase progress for interrupted runs.
 type RunStats struct {
 	Transform time.Duration // S-DAG build + Algorithm 1
 	Mining    *engine.Stats // matching phase, summed over alternatives
@@ -163,12 +151,6 @@ type RunStats struct {
 	// mined (RunOptions.Shards requested, empty partitions omitted);
 	// 0 for unsharded runs.
 	Shards int
-	// ConversionMode records how results were (or would have been)
-	// converted: "batched" or "on-the-fly" (MemoryBudget degradation).
-	ConversionMode string
-	// EstimatedBytes is the cost model's estimate of materialized match
-	// bytes for the selected alternatives, set when MemoryBudget > 0.
-	EstimatedBytes uint64
 
 	// Decode is this run's storage-tier decode attribution: rows/blocks
 	// decoded and probe-block cache activity by this run's views only,
@@ -188,7 +170,7 @@ type RunStats struct {
 	// RunLabel is the Runner.Label the run executed under.
 	RunLabel string
 	// Events is the run's retained lifecycle event ring (admitted,
-	// decisions, degradation, terminal), oldest first.
+	// decisions, terminal), oldest first.
 	Events []obs.Event
 	// FlightDump is the flight-recorder bundle directory when the run
 	// ended anomalously and a dump was written; "" otherwise.
@@ -545,25 +527,14 @@ func (r *Runner) CountsCtx(ctx context.Context, g graph.Adjacency, queries []*pa
 // countsRun is the CountsCtx body, executed inside the run scope rc (the
 // ctx already carries it).
 func (r *Runner) countsRun(ctx context.Context, rc *obs.RunContext, g graph.Adjacency, queries []*pattern.Pattern) ([]uint64, *RunStats, error) {
-	o := rc.Observer()
 	agg := aggr.Count{}
-	t0 := time.Now()
-	if err := engine.CtxErr(ctx); err != nil {
-		return nil, nil, err
-	}
-	sel, err := r.transformCtx(ctx, g, queries, agg)
+	sel, stats, err := r.transformRun(ctx, rc, g, queries, agg)
 	if err != nil {
 		return nil, nil, err
 	}
-	stats := &RunStats{Selection: sel, Transform: time.Since(t0),
-		Phase: PhaseTransform, ConversionMode: "batched",
-		Engine: r.Engine.Name(), GraphVertices: g.NumVertices(), GraphEdges: g.NumEdges()}
-	rc.Event("transformed",
-		obs.Int("mine_patterns", len(sel.Mine)), obs.Int("queries", len(sel.Queries)),
-		obs.F64("cost_before", sel.CostBefore), obs.F64("cost_after", sel.CostAfter))
 
 	stats.Phase = PhaseMine
-	spM := o.StartSpan("mine",
+	spM := rc.Observer().StartSpan("mine",
 		obs.Str("engine", r.Engine.Name()), obs.Int("patterns", len(sel.Mine)))
 	counts, err := r.mine(ctx, g, sel.Mine, nil, stats)
 	spM.End()
@@ -573,26 +544,55 @@ func (r *Runner) countsRun(ctx context.Context, rc *obs.RunContext, g graph.Adja
 		}
 		return nil, nil, err
 	}
-
-	stats.Phase = PhaseConvert
-	t1 := time.Now()
-	spC := o.StartSpan("convert", obs.Int("queries", len(queries)))
-	mined := make([]aggr.Value, len(counts))
-	for i, c := range counts {
-		mined[i] = c
-	}
-	vals, err := sel.Convert(agg, mined)
-	spC.End()
+	out, err := convertRun(rc, sel, agg, counts, stats)
 	if err != nil {
 		return nil, nil, err
 	}
+	return out, stats, nil
+}
+
+// transformRun opens every aggregation pipeline: pattern transformation
+// for agg, then the run's RunStats and its "transformed" event.
+func (r *Runner) transformRun(ctx context.Context, rc *obs.RunContext, g graph.Adjacency, queries []*pattern.Pattern, agg aggr.Aggregation) (*Selection, *RunStats, error) {
+	t0 := time.Now()
+	if err := engine.CtxErr(ctx); err != nil {
+		return nil, nil, err
+	}
+	sel, err := r.transformCtx(ctx, g, queries, agg)
+	if err != nil {
+		return nil, nil, err
+	}
+	stats := &RunStats{Selection: sel, Transform: time.Since(t0), Phase: PhaseTransform,
+		Engine: r.Engine.Name(), GraphVertices: g.NumVertices(), GraphEdges: g.NumEdges()}
+	rc.Event("transformed",
+		obs.Int("mine_patterns", len(sel.Mine)), obs.Int("queries", len(sel.Queries)),
+		obs.F64("cost_before", sel.CostBefore), obs.F64("cost_after", sel.CostAfter))
+	return sel, stats, nil
+}
+
+// convertRun closes every aggregation pipeline: Algorithm 2 turns the
+// mined alternatives' values (one per Selection.Mine choice) into one
+// value per query, and stats records the time and the finished run.
+func convertRun[T aggr.Value](rc *obs.RunContext, sel *Selection, agg aggr.Aggregation, mined []T, stats *RunStats) ([]T, error) {
+	stats.Phase = PhaseConvert
+	t1 := time.Now()
+	sp := rc.Observer().StartSpan("convert", obs.Int("queries", len(sel.Queries)))
+	in := make([]aggr.Value, len(mined))
+	for i, v := range mined {
+		in[i] = v
+	}
+	vals, err := sel.Convert(agg, in)
+	sp.End()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]T, len(vals))
+	for i, v := range vals {
+		out[i] = v.(T)
+	}
 	stats.Convert = time.Since(t1)
 	stats.Phase = PhaseDone
-	out := make([]uint64, len(vals))
-	for i, v := range vals {
-		out[i] = v.(uint64)
-	}
-	return out, stats, nil
+	return out, nil
 }
 
 // patternsOf lists the patterns a winner set mines, in Mine order.
@@ -771,98 +771,38 @@ func (r *Runner) mineSharded(ctx context.Context, g graph.Adjacency, n int, pass
 // MNITablesCtx answers FSM-style support queries: the full-MNI table of
 // each query pattern (every embedding inserted, Bringmann-Nijssen
 // semantics). Morphing uses the additive direction only
-// (PolicyVertexOnly). MemoryBudget drives graceful degradation: when the cost model estimates that the batched
-// path's materialized matches exceed r.MemoryBudget, each alternative's
-// match stream is instead converted on the fly into the query tables
-// (Algorithm 3's coset-representative maps), trading the per-alternative
-// intermediate tables for per-match conversion work. Interrupted runs
-// follow the same partial-result contract as CountsCtx.
+// (PolicyVertexOnly), and results are converted batched (Algorithm 2):
+// every mined alternative fills a table of its own, and Selection.Convert
+// combines those into the query tables. A table is a compressed bitmap
+// per pattern vertex, at most n·|V| bits, however many matches feed it.
+// Interrupted runs follow the same partial-result contract as CountsCtx.
 func (r *Runner) MNITablesCtx(ctx context.Context, g graph.Adjacency, queries []*pattern.Pattern) ([]*aggr.Table, *RunStats, error) {
 	return Execute(ctx, r, g, "mni", len(queries), func(ctx context.Context, rc *obs.RunContext, g graph.Adjacency) ([]*aggr.Table, *RunStats, error) {
 		return r.mniRun(ctx, rc, g, queries)
 	})
 }
 
-// mniRun is the MNITablesCtx body, executed inside the run scope rc. Both
-// conversion modes mine the winner set through MatchAllCtx — for a Planner
-// one pass per call, so an FSM level enumerates its candidates' shared
-// labeled prefixes once — and differ in where a match lands: batched, in
-// the sink of the alternative it matched, whose table Convert combines;
-// on the fly, through the coset-representative maps in the sinks of the
-// queries it feeds. Saturating a query's table under its automorphisms
-// makes the two identical — coset representatives composed with
-// Aut(query) enumerate every isomorphism, and MNI insertion is an
-// idempotent union — without ever holding a per-alternative table.
+// mniRun is the MNITablesCtx body, executed inside the run scope rc. The
+// winner set is mined through MatchAllCtx — for a Planner one pass, so an
+// FSM level enumerates its candidates' shared labeled prefixes once — and
+// every match lands in the sink of the alternative it matched.
 func (r *Runner) mniRun(ctx context.Context, rc *obs.RunContext, g graph.Adjacency, queries []*pattern.Pattern) ([]*aggr.Table, *RunStats, error) {
 	o := rc.Observer()
 	agg := aggr.MNI{}
-	t0 := time.Now()
-	if err := engine.CtxErr(ctx); err != nil {
-		return nil, nil, err
-	}
-	sel, err := r.transformCtx(ctx, g, queries, agg)
+	sel, stats, err := r.transformRun(ctx, rc, g, queries, agg)
 	if err != nil {
 		return nil, nil, err
 	}
-	stats := &RunStats{Selection: sel, Transform: time.Since(t0),
-		Phase: PhaseTransform, ConversionMode: "batched",
-		Engine: r.Engine.Name(), GraphVertices: g.NumVertices(), GraphEdges: g.NumEdges()}
-	rc.Event("transformed",
-		obs.Int("mine_patterns", len(sel.Mine)), obs.Int("queries", len(sel.Queries)),
-		obs.F64("cost_before", sel.CostBefore), obs.F64("cost_after", sel.CostAfter))
-
-	// Graceful degradation decision: estimate the batched path's match
-	// volume; above budget, switch to on-the-fly conversion if the
-	// selection supports streaming (it may not — e.g. vertex-induced
-	// morphed queries — in which case the batched path proceeds).
-	var streamTargets [][]StreamTarget
-	if r.MemoryBudget > 0 {
-		stats.EstimatedBytes = r.estimateMatchBytes(g, sel)
-		if stats.EstimatedBytes > r.MemoryBudget {
-			if ts, serr := sel.StreamPlan(); serr == nil {
-				streamTargets = ts
-				stats.ConversionMode = "on-the-fly"
-				rc.Event("degraded",
-					obs.U64("estimated_bytes", stats.EstimatedBytes),
-					obs.U64("budget_bytes", r.MemoryBudget))
-			}
-		}
-	}
-
-	// One sink per table the mining phase fills: per alternative when
-	// batched, per query on the fly.
-	framed := queries
-	if streamTargets == nil {
-		framed = patternsOf(sel.Mine)
-	}
-	sinks := make([]*mniSink, len(framed))
-	for i, p := range framed {
-		sinks[i] = newMNISink(p.N())
-	}
+	sinks := make([]*mniSink, len(sel.Mine))
 	visits := make([]engine.Visitor, len(sel.Mine))
-	for i := range visits {
-		if streamTargets == nil {
-			visits[i] = sinks[i].insert
-			continue
-		}
-		targets := streamTargets[i]
-		visits[i] = func(worker int, m []uint32) {
-			var buf [pattern.MaxVertices]uint32
-			for _, t := range targets {
-				conv := buf[:sinks[t.Query].width]
-				for _, f := range t.Maps {
-					for i, qi := range f {
-						conv[i] = m[qi]
-					}
-					sinks[t.Query].insert(worker, conv)
-				}
-			}
-		}
+	for i, c := range sel.Mine {
+		sinks[i] = newMNISink(c.Pattern.N())
+		visits[i] = sinks[i].insert
 	}
 
 	stats.Phase = PhaseMine
-	spM := o.StartSpan("mine", obs.Str("engine", r.Engine.Name()),
-		obs.Int("patterns", len(sel.Mine)), obs.Str("conversion", stats.ConversionMode))
+	spM := o.StartSpan("mine",
+		obs.Str("engine", r.Engine.Name()), obs.Int("patterns", len(sel.Mine)))
 	if err = r.MatchAllCtx(ctx, g, sel.Mine, visits, stats); err != nil {
 		spM.End()
 		if engine.Interrupted(err) {
@@ -872,33 +812,17 @@ func (r *Runner) mniRun(ctx context.Context, rc *obs.RunContext, g graph.Adjacen
 	}
 	// The shard merge is the UDF-side aggregation leg of mining.
 	spA := o.StartSpan("aggregate", obs.Int("tables", len(sinks)))
-	out := make([]*aggr.Table, len(sinks))
-	for i, p := range framed {
-		out[i] = sinks[i].table(canon.Automorphisms(p))
+	mined := make([]*aggr.Table, len(sinks))
+	for i, c := range sel.Mine {
+		mined[i] = sinks[i].table(canon.Automorphisms(c.Pattern))
 	}
 	spA.End()
 	spM.End()
 
-	stats.Phase = PhaseConvert
-	t1 := time.Now()
-	if streamTargets == nil {
-		spC := o.StartSpan("convert", obs.Int("queries", len(queries)))
-		mined := make([]aggr.Value, len(out))
-		for i, t := range out {
-			mined[i] = t
-		}
-		vals, err := sel.Convert(agg, mined)
-		spC.End()
-		if err != nil {
-			return nil, nil, err
-		}
-		out = make([]*aggr.Table, len(vals))
-		for i, v := range vals {
-			out[i] = v.(*aggr.Table)
-		}
+	out, err := convertRun(rc, sel, agg, mined, stats)
+	if err != nil {
+		return nil, nil, err
 	}
-	stats.Convert = time.Since(t1)
-	stats.Phase = PhaseDone
 	return out, stats, nil
 }
 
@@ -913,10 +837,9 @@ func (r *Runner) MatchAllCtx(ctx context.Context, g graph.Adjacency, mine []Choi
 // AdmissionEstimate is what the cost model predicts a query will do
 // before any mining happens: the serving layer's admission-control input.
 type AdmissionEstimate struct {
-	// MatchBytes is the estimated bytes of materialized matches for the
-	// winner set (the value MemoryBudget is compared against). For
-	// counting pipelines nothing is materialized, but the estimate is
-	// still the match-volume proxy admission control meters.
+	// MatchBytes is the estimated bytes of the winner set's matches, were
+	// they materialized: the match-volume proxy admission control meters.
+	// No pipeline materializes them.
 	MatchBytes uint64 `json:"match_bytes"`
 	// Cost is the modeled price of the winner set after selection, mined
 	// as one merged trie — shared levels once (Selection.CostAfter; §5.2
@@ -946,13 +869,13 @@ func (r *Runner) EstimateAdmission(ctx context.Context, g graph.Adjacency, queri
 	}, nil
 }
 
-// estimateMatchBytes is the cost model's estimate of the bytes the
-// batched path materializes for the set selection chose: expected matches
-// per alternative times the pattern's vertices times 4 (uint32 vertex
-// IDs). It is a match volume, summed per pattern — matches are never
-// shared, unlike the set's price (Selection.CostAfter). The model
-// estimates over the graph's dense portion, so this is a relative proxy
-// (compare it against MemoryBudget in the same units).
+// estimateMatchBytes is the cost model's match volume for the set
+// selection chose, in bytes: expected matches per alternative times the
+// pattern's vertices times 4 (uint32 vertex IDs), summed per pattern —
+// matches are never shared, unlike the set's price (Selection.CostAfter).
+// The model estimates over the graph's dense portion, so this is a
+// relative proxy (compare it against an admission budget in the same
+// units).
 func (r *Runner) estimateMatchBytes(g graph.Adjacency, sel *Selection) uint64 {
 	model := costmodel.NewDefault(graph.Summarize(g))
 	total := 0.0

@@ -5,8 +5,9 @@
 //
 // The flow mirrors Fig. 5: queries enter pattern transformation (BuildSDAG
 // + Select), the selected alternatives are mined by any engine, and the
-// results come back through Convert (batched aggregation values) or
-// OnTheFlyVisitor (streamed matches).
+// results come back through Convert (batched aggregation values: counts
+// and MNI tables) or through StreamPlan's conversion maps (match streams,
+// which subgraph enumeration converts as they arrive).
 package core
 
 import (

@@ -518,15 +518,14 @@ func checkMergedPartial(t *testing.T, tables []*aggr.Table, st *core.RunStats) u
 // TestMergedMNILifecycle interrupts MNITablesCtx on the merged route —
 // an FSM level as one streaming pass — every way the contract names: a
 // cancel mid-pass, a visitor panic at match N counted across plans, a
-// pre-expired context, and the same panic after MemoryBudget degraded the
-// run to on-the-fly conversion. Interrupted runs return stats.Partial with
-// one count per mined pattern and never a table; no worker outlives its
-// pass. Run under -race in CI.
+// pre-expired context. Interrupted runs return stats.Partial with one
+// count per mined pattern and never a table; no worker outlives its pass.
+// Run under -race in CI.
 func TestMergedMNILifecycle(t *testing.T) {
 	leakCheck(t)
 	g, level := mergedLevel(t)
 	r := &core.Runner{Engine: peregrine.New(3)}
-	full, fst, err := r.MNITablesCtx(context.Background(), g, level)
+	_, fst, err := r.MNITablesCtx(context.Background(), g, level)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -560,30 +559,24 @@ func TestMergedMNILifecycle(t *testing.T) {
 		}
 	})
 
-	for _, budget := range []uint64{0, 1} {
-		t.Run(fmt.Sprintf("panic at match, budget %d", budget), func(t *testing.T) {
-			// More than any one plan delivers (checked above): only an
-			// ordinal counted across plans gets there.
-			target := total / 2
-			disarm, err := faultinject.Arm(faultinject.Config{PanicAtMatch: target, PanicMessage: "merged boom"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer disarm()
-			rb := &core.Runner{Engine: peregrine.New(3), MemoryBudget: budget}
-			tables, st, err := rb.MNITablesCtx(context.Background(), g, level)
-			var pe *engine.PanicError
-			if !errors.As(err, &pe) || fmt.Sprint(pe.Value) != "merged boom" {
-				t.Fatalf("err = %v, want the injected *engine.PanicError", err)
-			}
-			if want := map[uint64]string{0: "batched", 1: "on-the-fly"}[budget]; st == nil || st.ConversionMode != want {
-				t.Fatalf("budget %d ran %+v, want %s", budget, st, want)
-			}
-			if got := checkMergedPartial(t, tables, st); got < target || got >= total {
-				t.Fatalf("pass delivered %d matches, panic armed at %d of %d", got, target, total)
-			}
-		})
-	}
+	t.Run("panic at match", func(t *testing.T) {
+		// More than any one plan delivers (checked above): only an ordinal
+		// counted across plans gets there.
+		target := total / 2
+		disarm, err := faultinject.Arm(faultinject.Config{PanicAtMatch: target, PanicMessage: "merged boom"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer disarm()
+		tables, st, err := r.MNITablesCtx(context.Background(), g, level)
+		var pe *engine.PanicError
+		if !errors.As(err, &pe) || fmt.Sprint(pe.Value) != "merged boom" {
+			t.Fatalf("err = %v, want the injected *engine.PanicError", err)
+		}
+		if got := checkMergedPartial(t, tables, st); got < target || got >= total {
+			t.Fatalf("pass delivered %d matches, panic armed at %d of %d", got, target, total)
+		}
+	})
 
 	t.Run("pre-expired", func(t *testing.T) {
 		ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Hour))
@@ -601,21 +594,6 @@ func TestMergedMNILifecycle(t *testing.T) {
 		err := r.MatchAllCtx(ctx, g, mine, visits, &st)
 		if !errors.Is(err, engine.ErrDeadlineExceeded) || len(st.Partial) != len(level) || !st.Trie.Used {
 			t.Fatalf("err %v, %d partials, decision %+v", err, len(st.Partial), st.Trie)
-		}
-	})
-
-	t.Run("memory budget degrades on the merged route", func(t *testing.T) {
-		tables, st, err := (&core.Runner{Engine: peregrine.New(3), MemoryBudget: 1}).MNITablesCtx(context.Background(), g, level)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.ConversionMode != "on-the-fly" || !st.Trie.Used || st.Mining.TriePasses != 1 || st.Partial != nil {
-			t.Fatalf("degraded run: mode %q, decision %+v, %d passes, partial %v", st.ConversionMode, st.Trie, st.Mining.TriePasses, st.Partial)
-		}
-		for i := range full {
-			if !tables[i].Equal(full[i]) {
-				t.Errorf("%v: on-the-fly table differs from batched", level[i])
-			}
 		}
 	})
 }

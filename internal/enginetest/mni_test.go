@@ -36,16 +36,14 @@ func mniOracle(g *graph.Graph, p *pattern.Pattern) *aggr.Table {
 // end: the MNI sink records one representative per match and applies the
 // automorphisms once per pattern, and the result must equal the oracle
 // column for column — on every engine (4 threads, so run it with -race),
-// through the per-pattern route, the batched morphing route and the
-// on-the-fly route (a 1-byte MemoryBudget), on labeled and unlabeled
-// graphs, for every pattern of up to 4 vertices and a 5-vertex sample.
+// through the per-pattern route and the batched morphing route, on
+// labeled and unlabeled graphs, for every pattern of up to 4 vertices and a 5-vertex sample.
 // The MNI pipeline needs native vertex-induced matching (core.policyFor),
 // so the two edge-only models take the per-pattern route alone.
 // forEachSuite repeats it on every shape and tier.
 func TestMNITablesEqualInsertAllOracle(t *testing.T) {
 	engines := []engine.Engine{peregrine.New(4), autozero.New(4), graphpi.New(4), bigjoin.New(4)}
 	r := rand.New(rand.NewSource(77))
-	routes := map[string]int{} // a budget the estimate fits (no expected matches) stays batched
 	for _, numLabels := range []int{0, 3} {
 		forEachSuite(t, 60+int64(numLabels), numLabels, func(t *testing.T, g graph.Adjacency, plain *graph.Graph) {
 			for k := 2; k <= 5 && !(k == 5 && hasHubs(plain)); k++ {
@@ -89,24 +87,18 @@ func TestMNITablesEqualInsertAllOracle(t *testing.T) {
 					if !e.SupportsInduced(pattern.VertexInduced) {
 						continue
 					}
-					for _, budget := range []uint64{0, 1} {
-						tables, st, err := (&core.Runner{Engine: e, MemoryBudget: budget}).MNITablesCtx(context.Background(), g, queries)
-						if err != nil {
-							t.Fatalf("%s budget %d: %v", e.Name(), budget, err)
-						}
-						routes[st.ConversionMode]++
-						for i, q := range queries {
-							if !tables[i].Equal(want[i]) {
-								t.Errorf("%s %s %v: %v, oracle %v", e.Name(), st.ConversionMode, q, tables[i], want[i])
-							}
+					tables, _, err := (&core.Runner{Engine: e}).MNITablesCtx(context.Background(), g, queries)
+					if err != nil {
+						t.Fatalf("%s: %v", e.Name(), err)
+					}
+					for i, q := range queries {
+						if !tables[i].Equal(want[i]) {
+							t.Errorf("%s MNITables %v: %v, oracle %v", e.Name(), q, tables[i], want[i])
 						}
 					}
 				}
 			}
 		})
-	}
-	if routes["batched"] == 0 || routes["on-the-fly"] == 0 {
-		t.Errorf("pipeline runs by conversion route: %v, want both exercised", routes)
 	}
 }
 

@@ -4,8 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 )
 
 // The edge-list text format, compatible with the common SNAP-style files
@@ -18,10 +16,10 @@ import (
 // Vertex IDs may be sparse in the file; they are densified on load in
 // first-appearance order.
 
-// ReadEdgeList parses the text format above.
+// ReadEdgeList parses the text format above in one pass, holding the
+// deduplicated edge list until the CSR is built (LoadEdgeListFile streams
+// a file in two passes instead).
 func ReadEdgeList(r io.Reader) (*Graph, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	ids := map[uint64]uint32{}
 	var labels []int32
 	labeled := false
@@ -36,57 +34,26 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 	}
 	var edges [][2]uint32
 	seen := map[[2]uint32]bool{}
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if fields[0] == "v" {
-			if len(fields) != 3 {
-				return nil, fmt.Errorf("graph: line %d: label directive needs 2 arguments", lineNo)
-			}
-			raw, err1 := strconv.ParseUint(fields[1], 10, 64)
-			lab, err2 := strconv.ParseInt(fields[2], 10, 32)
-			if err1 != nil || err2 != nil {
-				return nil, fmt.Errorf("graph: line %d: bad label directive %q", lineNo, line)
-			}
-			labels[intern(raw)] = int32(lab)
+	err := scanEdgeLines(r, 1, nil,
+		func(raw uint64, lab int32) error {
+			labels[intern(raw)] = lab
 			labeled = true
-			continue
-		}
-		if len(fields) != 2 {
-			return nil, fmt.Errorf("graph: line %d: expected \"u v\", got %q", lineNo, line)
-		}
-		u, err1 := strconv.ParseUint(fields[0], 10, 64)
-		v, err2 := strconv.ParseUint(fields[1], 10, 64)
-		if err1 != nil || err2 != nil {
-			return nil, fmt.Errorf("graph: line %d: bad edge %q", lineNo, line)
-		}
-		if u == v {
-			// A self loop is never valid input for simple-graph mining;
-			// dropping it silently would make counts differ from other
-			// systems reading the same file, so fail loudly.
-			return nil, fmt.Errorf("graph: line %d: self loop %d-%d", lineNo, u, v)
-		}
-		a, b := intern(u), intern(v)
-		// SNAP-style files commonly list both orientations of an edge;
-		// dedupe here so the builder sees each undirected edge once and
-		// the CSR degrees match the file's logical edge set.
-		k := [2]uint32{a, b}
-		if b < a {
-			k = [2]uint32{b, a}
-		}
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		edges = append(edges, [2]uint32{a, b})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("graph: read: %w", err)
+			return nil
+		},
+		func(u, v uint64) error {
+			a, b := intern(u), intern(v)
+			// SNAP-style files commonly list both orientations of an edge;
+			// dedupe here so the builder sees each undirected edge once and
+			// the CSR degrees match the file's logical edge set.
+			k := [2]uint32{min(a, b), max(a, b)}
+			if !seen[k] {
+				seen[k] = true
+				edges = append(edges, [2]uint32{a, b})
+			}
+			return nil
+		})
+	if err != nil {
+		return nil, err
 	}
 	b := NewBuilder(len(ids))
 	b.edges = edges

@@ -2,26 +2,22 @@ package graph
 
 import "fmt"
 
-// Partition splits g into k balanced vertex partitions and returns the
+// Partition splits a into k balanced vertex partitions and returns the
 // subgraph induced by each partition, dropping cross-partition edges — the
 // exact workload-reduction step of §7.4, which the paper performed with
 // METIS. We substitute a BFS-grown greedy partitioner: parts are grown
 // breadth-first from spread-out seeds so they stay locally connected and
 // the edge cut stays modest; §7.4 only relies on the drop, not on METIS's
 // cut optimality (see DESIGN.md).
-func Partition(g *Graph, k int) ([]*Graph, error) {
-	return PartitionOf(g, k)
-}
-
-// PartitionOf is Partition over any storage tier. Partitions come back
-// as plain in-RAM subgraphs regardless of the input tier: each shard is
-// a fraction of the graph (that is the point of shard-per-partition
-// execution), so materializing it plain keeps the mining hot path on
-// the zero-decode representation. BFS growth consumes rows one at a
-// time through one reused buffer; seed and visit order depend only on
-// row content, making partitions identical across tiers for the same
-// logical graph.
-func PartitionOf(a Adjacency, k int) ([]*Graph, error) {
+//
+// a may be any storage tier; partitions come back as plain in-RAM
+// subgraphs regardless: each shard is a fraction of the graph (that is the
+// point of shard-per-partition execution), so materializing it plain keeps
+// the mining hot path on the zero-decode representation. BFS growth
+// consumes rows one at a time through one reused buffer; seed and visit
+// order depend only on row content, making partitions identical across
+// tiers for the same logical graph.
+func Partition(a Adjacency, k int) ([]*Graph, error) {
 	parts, err := PartitionMembers(a, k)
 	if err != nil {
 		return nil, err
@@ -38,7 +34,7 @@ func PartitionOf(a Adjacency, k int) ([]*Graph, error) {
 	return out, nil
 }
 
-// PartitionMembers runs the BFS-grown assignment of PartitionOf but
+// PartitionMembers runs the BFS-grown assignment of Partition but
 // returns only the member lists, letting callers materialize one shard
 // at a time (shard-per-partition execution keeps peak memory at the
 // source tier plus a single shard, not all k at once). Empty partitions

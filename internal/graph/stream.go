@@ -31,7 +31,8 @@ const progressEvery = 1 << 21
 
 // scanEdgeLines parses the edge-list text format (see codec.go),
 // dispatching label directives and edges to the callbacks. It performs
-// all syntax validation, so both passes report identical errors.
+// all syntax validation, so ReadEdgeList and both passes of
+// LoadEdgeListFile report identical errors.
 func scanEdgeLines(r io.Reader, pass int, progress func(LoadProgress),
 	onLabel func(raw uint64, lab int32) error, onEdge func(u, v uint64) error) error {
 	sc := bufio.NewScanner(r)
@@ -72,8 +73,9 @@ func scanEdgeLines(r io.Reader, pass int, progress func(LoadProgress),
 			return fmt.Errorf("graph: line %d: bad edge %q", lineNo, line)
 		}
 		if u == v {
-			// Same contract as ReadEdgeList: fail loudly rather than
-			// silently diverging from other systems reading the file.
+			// A self loop is never valid input for simple-graph mining;
+			// dropping it silently would make counts differ from other
+			// systems reading the same file, so fail loudly.
 			return fmt.Errorf("graph: line %d: self loop %d-%d", lineNo, u, v)
 		}
 		if err := onEdge(u, v); err != nil {

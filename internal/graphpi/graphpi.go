@@ -24,12 +24,12 @@ import (
 type Engine = engine.Model[Policy]
 
 // Policy is the GraphPi model's planning policy.
-type Policy struct {
-	// MaxOrders caps how many connected matching orders the performance
-	// model evaluates per pattern (0 = 120; exhaustive for patterns up to
-	// 5 vertices, a broad sample beyond).
-	MaxOrders int
-}
+type Policy struct{}
+
+// orderCap caps how many connected matching orders the performance model
+// evaluates per pattern: exhaustive for patterns up to 5 vertices (5! =
+// 120), a broad sample beyond.
+const orderCap = 120
 
 // New returns an engine with the given worker count.
 func New(threads int) *Engine { return &Engine{Threads: threads} }
@@ -46,16 +46,12 @@ func (Policy) MergesCountAll() bool { return false }
 
 // Plan implements engine.Policy: the matching order that minimizes the
 // performance model over connected orders, GraphPi's core technique.
-func (pol Policy) Plan(g graph.Adjacency, p *pattern.Pattern) (*plan.Plan, error) {
+func (Policy) Plan(g graph.Adjacency, p *pattern.Pattern) (*plan.Plan, error) {
 	p, err := engine.EdgeInducedOnly(p)
 	if err != nil {
 		return nil, err
 	}
-	max := pol.MaxOrders
-	if max <= 0 {
-		max = 120
-	}
-	orders := plan.ConnectedOrders(p, max)
+	orders := plan.ConnectedOrders(p, orderCap)
 	conds := plan.SymmetryConditions(p)
 	model := costmodel.NewDefault(graph.Summarize(g))
 	var best *plan.Plan

@@ -145,10 +145,8 @@ type RunReport struct {
 	CostBefore float64       `json:"cost_before"`
 	CostAfter  float64       `json:"cost_after"`
 
-	TransformNS    int64  `json:"transform_ns"`
-	ConvertNS      int64  `json:"convert_ns"`
-	ConversionMode string `json:"conversion_mode,omitempty"`
-	EstimatedBytes uint64 `json:"estimated_bytes,omitempty"`
+	TransformNS int64 `json:"transform_ns"`
+	ConvertNS   int64 `json:"convert_ns"`
 
 	// Trie records the multi-pattern trie routing decision: whether the
 	// winner set was mined in one shared-prefix pass, and why (or why not).
@@ -189,18 +187,16 @@ func FromRunStats(st *core.RunStats) *RunReport {
 		return nil
 	}
 	r := &RunReport{
-		Schema:         Schema,
-		Engine:         st.Engine,
-		GraphVertices:  st.GraphVertices,
-		GraphEdges:     st.GraphEdges,
-		Phase:          st.Phase,
-		RunID:          st.RunID,
-		Label:          st.RunLabel,
-		FlightDump:     st.FlightDump,
-		TransformNS:    int64(st.Transform),
-		ConvertNS:      int64(st.Convert),
-		ConversionMode: st.ConversionMode,
-		EstimatedBytes: st.EstimatedBytes,
+		Schema:        Schema,
+		Engine:        st.Engine,
+		GraphVertices: st.GraphVertices,
+		GraphEdges:    st.GraphEdges,
+		Phase:         st.Phase,
+		RunID:         st.RunID,
+		Label:         st.RunLabel,
+		FlightDump:    st.FlightDump,
+		TransformNS:   int64(st.Transform),
+		ConvertNS:     int64(st.Convert),
 	}
 	r.QueryLog = append(r.QueryLog, st.Events...)
 	if sel := st.Selection; sel != nil {
@@ -479,15 +475,8 @@ func (r *RunReport) WriteText(w io.Writer) error {
 				s.ResidentBytes, s.MappedBytes, pct)
 		}
 	}
-	if r.ConversionMode != "" {
-		p("\nconversion: %s", r.ConversionMode)
-		if r.EstimatedBytes > 0 {
-			p(" (estimated match bytes: %d)", r.EstimatedBytes)
-		}
-		p("\n")
-	}
 	if r.TransformNS > 0 || r.ConvertNS > 0 {
-		p("transform: %v  convert: %v\n", time.Duration(r.TransformNS), time.Duration(r.ConvertNS))
+		p("\ntransform: %v  convert: %v\n", time.Duration(r.TransformNS), time.Duration(r.ConvertNS))
 	}
 	return err
 }

@@ -96,9 +96,6 @@ type Config struct {
 	// (over_budget); one that merely doesn't fit *now* is rejected
 	// retryably (overloaded).
 	AdmissionBudget uint64
-	// MemoryBudget is handed to each query's core.Runner (batched →
-	// on-the-fly conversion degradation); 0 = unlimited.
-	MemoryBudget uint64
 	// DefaultDeadline applies when a request carries none; MaxDeadline
 	// clamps what a request may ask for.
 	DefaultDeadline time.Duration
@@ -627,7 +624,6 @@ func (s *Server) execute(t *task) (res *QueryResult, qerr *QueryError) {
 		Engine:          s.engine(t),
 		DisableMorphing: t.req.Baseline,
 		Explain:         t.req.Explain,
-		MemoryBudget:    s.cfg.MemoryBudget,
 		Label:           "serve/" + t.app,
 		Obs:             s.o,
 		Flight:          s.cfg.Flight,
