@@ -7,10 +7,9 @@
 //	morphbench -all -quick                  # everything, quick variants
 //	morphbench -list                        # available experiments
 //	morphbench -fig 4a -trace out.json      # capture a Chrome trace
-//	morphbench -fig 12a -report runs.json   # per-execution run reports
 //	morphbench -fig 12a -listen :8080       # live /metrics + /vars + pprof
 //	morphbench -fig 12a -cpuprofile cpu.pb  # offline pprof capture
-//	morphbench scale                        # out-of-core data-plane bench -> BENCH_scale.json
+//	morphbench scale -out scale.json        # out-of-core data-plane bench (default: stdout)
 //
 // Scale 1.0 corresponds to the paper's full-size graphs (do not attempt
 // FR at 1.0 on a laptop). Output goes to stdout; progress to stderr.
@@ -24,7 +23,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -35,7 +33,6 @@ import (
 	"morphing/internal/bench"
 	"morphing/internal/engine"
 	"morphing/internal/obs"
-	"morphing/internal/report"
 )
 
 func main() {
@@ -58,7 +55,6 @@ func main() {
 		quick     = flag.Bool("quick", true, "restrict to the cheaper graphs/patterns")
 		samples   = flag.Int("samples", 0, "alternative-set samples for fig 15e (0 = paper's 250, or 40 in quick mode)")
 		traceOut  = flag.String("trace", "", "write phase spans to this file (Chrome trace_event JSON; .jsonl for JSON lines)")
-		reportOut = flag.String("report", "", "record a run report for every pipeline execution and write them as JSON to this file")
 		listen    = flag.String("listen", "", "serve /metrics, /vars and /debug/pprof on this address while running")
 		progress  = flag.Bool("progress", false, "report live matches/sec to stderr during experiments")
 		timeout   = flag.Duration("timeout", 0, "overall deadline for the whole run; expired experiments abort at the next work-block boundary (0 = none)")
@@ -103,12 +99,6 @@ func main() {
 	if *traceOut != "" {
 		tracer = obs.NewTracer()
 		obs.SetDefaultTracer(tracer)
-	}
-	var recorder *report.Recorder
-	if *reportOut != "" {
-		recorder = report.NewRecorder(0)
-		recorder.Install()
-		defer recorder.Close()
 	}
 	if *listen != "" {
 		ln, err := obs.Serve(*listen, obs.DefaultRegistry())
@@ -185,43 +175,6 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "== wrote %d trace events to %s\n", tracer.Len(), *traceOut)
 	}
-	if recorder != nil {
-		n, err := writeReports(recorder, *reportOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "morphbench: -report:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "== wrote %d run reports to %s\n", n, *reportOut)
-	}
-}
-
-// writeReports dumps every run report the recorder captured, plus a
-// final metric-registry snapshot, as one JSON document.
-func writeReports(rec *report.Recorder, path string) (int, error) {
-	rec.Close()
-	reports := rec.Reports()
-	doc := struct {
-		Schema   string              `json:"schema"`
-		Reports  []*report.RunReport `json:"reports"`
-		Dropped  int                 `json:"dropped,omitempty"`
-		Registry obs.Snapshot        `json:"registry"`
-	}{
-		Schema:   report.Schema,
-		Reports:  reports,
-		Dropped:  rec.Dropped(),
-		Registry: obs.DefaultRegistry().Snapshot(),
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return 0, err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	err = enc.Encode(doc)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return len(reports), err
 }
 
 func writeTrace(tracer *obs.Tracer, path string) error {

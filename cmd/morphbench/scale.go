@@ -24,7 +24,7 @@ import (
 // binary format, drops the in-RAM copy, re-opens the file mmap-backed,
 // and mines a triangle workload shard-per-partition on the compressed
 // tier — the exact out-of-core pipeline an over-RAM graph takes. The
-// report (BENCH_scale.json by default) records the storage economics
+// report (stdout, or the -out file) records the storage economics
 // (bytes/edge, compression ratio), the decode overhead (varint elements
 // decoded per edge, and wall-time ratio vs the plain tier with
 // -compare), and the peak RSS of the mining phase, which -membudget
@@ -88,7 +88,7 @@ type scaleResult struct {
 
 func cmdScale(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("scale", flag.ContinueOnError)
-	out := fs.String("out", "BENCH_scale.json", "output JSON path (- for stdout)")
+	out := fs.String("out", "-", "output JSON path (- for stdout)")
 	graphName := fs.String("graph", "OK", "dataset recipe (MI, MG, PR, OK, FR)")
 	scale := fs.Float64("scale", 1.0, "dataset scale factor (OK at 1.0 is the ~114M-edge target)")
 	threads := fs.Int("threads", 0, "engine worker threads (0 = GOMAXPROCS)")
@@ -253,19 +253,18 @@ func cmdScale(ctx context.Context, args []string) error {
 		}
 	}
 
-	before := graph.DecodeTotals()
 	t0 = time.Now()
 	counts, stats, err := scaleRunner(*threads, *shards).CountsCtx(ctx, h.Graph(), queries)
 	if err != nil {
 		return fmt.Errorf("compressed mine: %w", err)
 	}
 	rep.MineNS = int64(time.Since(t0))
-	after := graph.DecodeTotals()
 	rep.Counts = counts
 	rep.MineShards = stats.Shards
-	rep.DecodeRows = after.Rows - before.Rows
-	rep.DecodeBlocks = after.Blocks - before.Blocks
-	rep.DecodeElems = after.Elems - before.Elems
+	// A nil Decode is a plain tier: nothing decoded.
+	if d := stats.Decode; d != nil {
+		rep.DecodeRows, rep.DecodeBlocks, rep.DecodeElems = d.Rows, d.Blocks, d.Elems
+	}
 	rep.DecodeElemsPerEdge = float64(rep.DecodeElems) / float64(2*rep.Edges)
 	rep.MinePeakRSS = peakRSS()
 	if *compare && rep.ComparePlainNS > 0 {

@@ -10,7 +10,7 @@
 //	morphcli sdag p4 p5                      # superpattern lattice
 //	morphcli transform -graph MI -scale .01 4-cycle:v 4-star:v
 //	morphcli count -graph MI -engine peregrine 4-cycle:v 4-star:v
-//	morphcli count -stats json 4-clique      # machine-readable run stats
+//	morphcli count -stats json 4-clique      # the run report as JSON
 //	morphcli count -report run.json ...      # EXPLAIN ANALYZE run report
 //	morphcli convert -in edges.txt -out g.mcsr -renumber degree
 //	                                         # edge list -> binary graph
@@ -28,7 +28,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -114,7 +113,7 @@ func main() {
 	case "transform":
 		err = cmdTransform(args)
 	case "count":
-		err = cmdCount(args)
+		err = cmdCount(context.Background(), args, os.Stdout)
 	case "convert":
 		err = cmdConvert(args)
 	case "query":
@@ -256,40 +255,7 @@ func cmdSDAG(args []string) error {
 	return nil
 }
 
-// countReport is the -stats json document: the answer, where the time
-// went, what the cost model decided, and the process-wide metric registry
-// snapshot — everything a script needs from one pipeline execution.
-type countReport struct {
-	// RunID/Label identify the execution's run scope; QueryLog is its
-	// retained lifecycle event stream (same records the -querylog JSONL
-	// stream carries, tagged with the same run ID).
-	RunID    string       `json:"run_id,omitempty"`
-	Label    string       `json:"label,omitempty"`
-	Graph    string       `json:"graph"`
-	Scale    float64      `json:"scale"`
-	Engine   string       `json:"engine"`
-	Morphing bool         `json:"morphing"`
-	Queries  []countQuery `json:"queries"`
-	MinedSet []string     `json:"mined_set"`
-	// Phase is the stage the run finished in (always "done" here —
-	// interrupted runs go through printPartial).
-	Phase       string        `json:"phase"`
-	CostBefore  float64       `json:"modeled_cost_before"`
-	CostAfter   float64       `json:"modeled_cost_after"`
-	TransformNS int64         `json:"transform_ns"`
-	ConvertNS   int64         `json:"convert_ns"`
-	Mining      *engine.Stats `json:"mining"`
-	QueryLog    []obs.Event   `json:"query_log,omitempty"`
-	Registry    obs.Snapshot  `json:"registry"`
-}
-
-type countQuery struct {
-	Pattern string `json:"pattern"`
-	Count   uint64 `json:"count"`
-	Morphed bool   `json:"morphed"`
-}
-
-func cmdCount(args []string) error {
+func cmdCount(ctx context.Context, args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("count", flag.ContinueOnError)
 	graphName := fs.String("graph", "MI", "dataset recipe (MI, MG, PR, OK, FR)")
 	scale := fs.Float64("scale", 0.01, "dataset scale factor")
@@ -298,7 +264,7 @@ func cmdCount(args []string) error {
 	engineName := fs.String("engine", "peregrine", "matching engine ("+engines.List+")")
 	threads := fs.Int("threads", 0, "engine worker threads (0 = GOMAXPROCS)")
 	baseline := fs.Bool("baseline", false, "disable morphing and run the queries as-is")
-	statsMode := fs.String("stats", "text", "output mode: text, or json for a merged RunStats + registry snapshot")
+	statsMode := fs.String("stats", "text", "output mode: text, or json for the run report with a registry snapshot")
 	traceOut := fs.String("trace", "", "write phase spans to this file (Chrome trace_event JSON; .jsonl for JSON lines)")
 	progress := fs.Bool("progress", false, "report live matches/sec to stderr")
 	timeout := fs.Duration("timeout", 0, "abort the run after this duration, printing partial per-alternative counts (0 = no deadline)")
@@ -355,7 +321,6 @@ func cmdCount(args []string) error {
 		prog = obs.StartProgress(os.Stderr, "count",
 			obs.DefaultRegistry().Counter(engine.MetricMatches), 0, time.Second)
 	}
-	ctx := context.Background()
 	if *timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
@@ -367,7 +332,10 @@ func cmdCount(args []string) error {
 	prog.Stop()
 	if err != nil {
 		if engine.Interrupted(err) && st != nil {
-			printPartial(os.Stdout, *statsMode, st, err)
+			if *statsMode == "json" {
+				return errors.Join(err, runReport(st, nil).WriteJSON(w))
+			}
+			printPartial(w, st, err)
 		}
 		return err
 	}
@@ -392,65 +360,34 @@ func cmdCount(args []string) error {
 	}
 
 	if *reportOut != "" {
-		if err := writeRunReport(*reportOut, st); err != nil {
+		if err := writeRunReport(*reportOut, st, counts); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "wrote run report to %s\n", *reportOut)
 	}
-
 	if *statsMode == "json" {
-		srcName, srcScale := *graphName, *scale
-		if *binPath != "" {
-			srcName, srcScale = *binPath, 0
-		}
-		rep := countReport{
-			RunID:       st.RunID,
-			Label:       st.RunLabel,
-			QueryLog:    st.Events,
-			Graph:       srcName,
-			Scale:       srcScale,
-			Engine:      eng.Name(),
-			Morphing:    !*baseline,
-			Phase:       st.Phase,
-			TransformNS: st.Transform.Nanoseconds(),
-			ConvertNS:   st.Convert.Nanoseconds(),
-			Mining:      st.Mining,
-			Registry:    obs.DefaultRegistry().Snapshot(),
-		}
-		for i, q := range st.Selection.Queries {
-			rep.Queries = append(rep.Queries, countQuery{
-				Pattern: q.Pattern.String(), Count: counts[i], Morphed: q.Morphed,
-			})
-		}
-		for _, c := range st.Selection.Mine {
-			rep.MinedSet = append(rep.MinedSet, c.Pattern.String())
-		}
-		rep.CostBefore = st.Selection.CostBefore
-		rep.CostAfter = st.Selection.CostAfter
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(rep)
+		return runReport(st, counts).WriteJSON(w)
 	}
 
 	if *binPath != "" {
-		fmt.Printf("graph %s: %d vertices, %d edges\n",
+		fmt.Fprintf(w, "graph %s: %d vertices, %d edges\n",
 			*binPath, g.NumVertices(), g.NumEdges())
 	} else {
-		fmt.Printf("graph %s at scale %v: %d vertices, %d edges\n",
+		fmt.Fprintf(w, "graph %s at scale %v: %d vertices, %d edges\n",
 			*graphName, *scale, g.NumVertices(), g.NumEdges())
 	}
-	fmt.Printf("engine %s, morphing %v\n", eng.Name(), !*baseline)
+	fmt.Fprintf(w, "engine %s, morphing %v\n", eng.Name(), !*baseline)
 	if st.Shards > 0 {
-		fmt.Printf("sharded over %d partitions (cross-shard matches dropped; counts are lower bounds)\n", st.Shards)
+		fmt.Fprintf(w, "sharded over %d partitions (cross-shard matches dropped; counts are lower bounds)\n", st.Shards)
 	}
 	for i, q := range st.Selection.Queries {
 		status := "as-is"
 		if q.Morphed {
 			status = "morphed"
 		}
-		fmt.Printf("%-40s %12d  [%s]\n", q.Pattern.String(), counts[i], status)
+		fmt.Fprintf(w, "%-40s %12d  [%s]\n", q.Pattern.String(), counts[i], status)
 	}
-	fmt.Printf("transform %v  mine %v  convert %v  (%d matches, %d set ops)\n",
+	fmt.Fprintf(w, "transform %v  mine %v  convert %v  (%d matches, %d set ops)\n",
 		st.Transform, st.Mining.TotalTime, st.Convert,
 		st.Mining.Matches, st.Mining.SetOps)
 	return nil
@@ -460,34 +397,13 @@ func cmdCount(args []string) error {
 // fired, the pipeline phase it stopped in, and the per-alternative
 // partial counts mined before the abort (query-level results cannot be
 // soundly converted from an incomplete mined set).
-func printPartial(w *os.File, statsMode string, st *core.RunStats, err error) {
+func printPartial(w io.Writer, st *core.RunStats, err error) {
 	marker := "RUN INTERRUPTED"
 	switch {
 	case errors.Is(err, engine.ErrDeadlineExceeded):
 		marker = "DEADLINE EXCEEDED"
 	case errors.Is(err, engine.ErrCanceled):
 		marker = "CANCELED"
-	}
-	if statsMode == "json" {
-		type partialRow struct {
-			Pattern string `json:"pattern"`
-			Count   uint64 `json:"count"`
-		}
-		rep := struct {
-			Interrupted bool          `json:"interrupted"`
-			Marker      string        `json:"marker"`
-			Error       string        `json:"error"`
-			Phase       string        `json:"phase"`
-			Partial     []partialRow  `json:"partial_counts"`
-			Mining      *engine.Stats `json:"mining"`
-		}{Interrupted: true, Marker: marker, Error: err.Error(), Phase: st.Phase, Mining: st.Mining}
-		for _, p := range st.Partial {
-			rep.Partial = append(rep.Partial, partialRow{Pattern: p.Pattern.String(), Count: p.Count})
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(rep)
-		return
 	}
 	fmt.Fprintf(w, "*** %s — results below are PARTIAL (stopped in phase %q) ***\n", marker, st.Phase)
 	for _, p := range st.Partial {
@@ -552,17 +468,24 @@ func cmdTransform(args []string) error {
 	return nil
 }
 
-// writeRunReport serializes the execution's RunReport (with a metric
-// registry snapshot attached) as JSON to path.
-func writeRunReport(path string, st *core.RunStats) error {
+// runReport is the run's one JSON document: its RunReport with the
+// queries' counts, when the run returned them, and a snapshot of the
+// process registry attached.
+func runReport(st *core.RunStats, counts []uint64) *report.RunReport {
 	rep := report.FromRunStats(st)
+	rep.SetCounts(counts)
 	snap := obs.DefaultRegistry().Snapshot()
 	rep.Registry = &snap
+	return rep
+}
+
+// writeRunReport writes runReport(st, counts) as JSON to path.
+func writeRunReport(path string, st *core.RunStats, counts []uint64) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	err = rep.WriteJSON(f)
+	err = runReport(st, counts).WriteJSON(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -615,12 +538,13 @@ func cmdExplain(ctx context.Context, args []string, w io.Writer) error {
 		return err
 	}
 	r := &core.Runner{Engine: eng, DisableMorphing: *baseline, Explain: true, Label: "explain", Flight: runFlight}
-	_, st, err := r.CountsCtx(ctx, g, queries)
+	counts, st, err := r.CountsCtx(ctx, g, queries)
 	if err != nil {
 		return err
 	}
 
 	rep := report.FromRunStats(st)
+	rep.SetCounts(counts)
 	if *dotOut != "" {
 		if st.Selection == nil || st.Selection.SDAG == nil {
 			return fmt.Errorf("-dot: no S-DAG to export (baseline runs mine the queries as-is)")
@@ -639,7 +563,7 @@ func cmdExplain(ctx context.Context, args []string, w io.Writer) error {
 		fmt.Fprintf(os.Stderr, "wrote S-DAG DOT to %s\n", *dotOut)
 	}
 	if *reportOut != "" {
-		if err := writeRunReport(*reportOut, st); err != nil {
+		if err := writeRunReport(*reportOut, st, counts); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "wrote run report to %s\n", *reportOut)

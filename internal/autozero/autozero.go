@@ -6,8 +6,9 @@
 // conflicting restrictions are applied separately to avoid under-counting.
 // Instead of generating and compiling C++ like the original, schedules are
 // plans (internal/plan) merged into a prefix trie and run by the shared
-// depth-first executor (internal/engine); what this package contributes is
-// the schedule order and the decision to merge.
+// depth-first executor (internal/engine). The merge is the executor's, the
+// same for every engine model (core.Runner mines any Planner's winner set
+// as one trie); what this package contributes is the schedule order.
 //
 // Merging is what makes AutoZero the best case for Subgraph Morphing
 // (§7.1): the extra superpatterns that morphing introduces share loop
@@ -42,14 +43,6 @@ func (Policy) SupportsInduced(pattern.Induced) bool { return true }
 func (Policy) Plan(_ graph.Adjacency, p *pattern.Pattern) (*plan.Plan, error) {
 	return plan.BuildWithOrder(p, order(p))
 }
-
-// MergesCountAll implements engine.Policy: CountAllCtx compiles all patterns
-// into one merged schedule and executes it in a single pass — schedules
-// sharing loop prefixes share candidate computation, and conflicting
-// symmetry restrictions stay on separate branches so nothing is
-// under-counted. Merging, where the other models loop over their
-// patterns, is what this engine decides.
-func (Policy) MergesCountAll() bool { return true }
 
 // order is AutoZero's scheduling heuristic: always extend with the
 // highest-degree connected vertex, ignoring how many bound vertices it

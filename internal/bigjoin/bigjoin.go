@@ -5,7 +5,7 @@
 // Timely Dataflow; in one process the same join, attribute by attribute,
 // is the depth-first executor of internal/engine, so this package keeps
 // only what §3.4 says distinguishes the system for Subgraph Morphing: its
-// attribute order, one query at a time, and — like the real system — no
+// attribute order and — like the real system — no
 // anti-edges: only edge-induced patterns are matched natively, and
 // vertex-induced results need a Filter UDF
 // (Engine.CountVertexInducedViaFilterCtx, Fig. 4e) or Subgraph Morphing.
@@ -43,6 +43,3 @@ func (Policy) Plan(_ graph.Adjacency, p *pattern.Pattern) (*plan.Plan, error) {
 	}
 	return plan.Build(p)
 }
-
-// MergesCountAll implements engine.Policy: one query at a time.
-func (Policy) MergesCountAll() bool { return false }

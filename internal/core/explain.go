@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sync/atomic"
 
 	"morphing/internal/costmodel"
 	"morphing/internal/pattern"
@@ -12,8 +11,7 @@ import (
 // This file holds the explainability side of pattern transformation: the
 // trace Algorithm 1 leaves behind when SelectOptions.Explain is set, the
 // per-choice cost/cardinality annotations calibration compares against
-// measured engine.Stats, and the process-wide run hook that lets tools
-// (morphbench, tests) capture every RunStats the pipeline produces.
+// measured engine.Stats.
 
 // maxExplainCandidates caps the candidate-morph trace. Algorithm 1
 // enumerates up to 2^maxSubset subsets per parent per iteration; on
@@ -121,34 +119,6 @@ func (sel *Selection) AnnotateEstimates(model *costmodel.Model, perMatchCost flo
 				sel.Mine[i].EstCost += l.Cost
 			}
 		}
-	}
-}
-
-// runHook is the process-wide RunStats observer (SetRunHook).
-var runHook atomic.Pointer[func(*RunStats)]
-
-// SetRunHook installs fn to be called with every completed pipeline
-// execution's RunStats, after it is fully populated and published.
-// Passing nil uninstalls. One hook is active at a time; the previous one
-// is returned so callers can restore it. The hook runs synchronously on
-// the pipeline goroutine — keep it cheap and do not retain the *RunStats
-// past the call unless you own it (clone what you need).
-func SetRunHook(fn func(*RunStats)) (prev func(*RunStats)) {
-	var old *func(*RunStats)
-	if fn == nil {
-		old = runHook.Swap(nil)
-	} else {
-		old = runHook.Swap(&fn)
-	}
-	if old == nil {
-		return nil
-	}
-	return *old
-}
-
-func fireRunHook(st *RunStats) {
-	if fn := runHook.Load(); fn != nil {
-		(*fn)(st)
 	}
 }
 

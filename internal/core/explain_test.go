@@ -139,30 +139,6 @@ func TestRunnerExplainCalibration(t *testing.T) {
 	}
 }
 
-// TestRunHook checks install/restore semantics and that the hook fires
-// once per completed pipeline execution with the populated RunStats.
-func TestRunHook(t *testing.T) {
-	g := ringWithChords(32)
-	var got []*RunStats
-	prev := SetRunHook(func(st *RunStats) { got = append(got, st) })
-	defer SetRunHook(prev)
-
-	r := &Runner{Engine: peregrine.New(1), Explain: true}
-	if _, _, err := r.CountsCtx(context.Background(), g, []*pattern.Pattern{pattern.Triangle()}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 {
-		t.Fatalf("hook fired %d times, want 1", len(got))
-	}
-	if got[0].Phase != PhaseDone || len(got[0].PerPattern) == 0 {
-		t.Errorf("hook received incomplete RunStats: phase=%q perPattern=%d", got[0].Phase, len(got[0].PerPattern))
-	}
-	if restored := SetRunHook(nil); restored == nil {
-		t.Error("SetRunHook(nil) did not return the installed hook")
-	}
-	SetRunHook(prev)
-}
-
 // ringWithChords builds a small deterministic test graph: a cycle over n
 // vertices plus chords at stride 2, dense enough to contain triangles,
 // 4-cycles and their superpatterns.

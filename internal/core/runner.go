@@ -154,10 +154,9 @@ type RunStats struct {
 
 	// Decode is this run's storage-tier decode attribution: rows/blocks
 	// decoded and probe-block cache activity by this run's views only,
-	// independent of concurrent queries (unlike the process-cumulative
-	// graph.DecodeTotals). Nil when the tier decodes nothing (plain
-	// CSR). Per-view batches flush every 512 operations, so the counters
-	// can trail the true count by a bounded residue per engine worker.
+	// independent of concurrent queries, and exact: the runner drains every
+	// view's unflushed residue once mining has joined its workers. Nil when
+	// the tier decodes nothing (plain CSR).
 	Decode *graph.DecodeStats
 	// Residency is the page-cache residency of the graph's mmap backing
 	// sampled at run end (mincore); nil when the tier is not mmap-backed
@@ -290,9 +289,6 @@ func (r *Runner) finishRun(rc *obs.RunContext, st *RunStats, err error) {
 		st.Events = rc.Events()
 		st.FlightDump = dump
 		if err == nil {
-			// Publication (and the run hook behind it) happens here, after
-			// the run identity and event stream are stamped, so recorders
-			// see the complete picture.
 			publishRunStats(rc.Observer(), st)
 		}
 	}
@@ -332,9 +328,8 @@ func containFaults[T any](body func() (T, *RunStats, error)) (out T, st *RunStat
 
 // stampStorage records the run's storage-tier activity at run end: the
 // per-run decode counters and (for mmap-backed tiers) a point-in-time
-// page-residency sample land in st, in the process totals, and in the
-// query log as a "storage" event — so per-query attribution no longer
-// leans on the process-cumulative graph.DecodeTotals.
+// page-residency sample land in st, in the registry's graph_* totals, and
+// in the query log as a "storage" event.
 func stampStorage(rc *obs.RunContext, st *RunStats, g graph.Adjacency, sink *graph.DecodeCounters) {
 	if st == nil {
 		return
@@ -507,7 +502,6 @@ func publishRunStats(o *obs.Observer, st *RunStats) {
 	o.Counter(MetricRuns).Inc(0)
 	o.Counter(MetricTransformNS).Add(0, uint64(st.Transform))
 	o.Counter(MetricConvertNS).Add(0, uint64(st.Convert))
-	fireRunHook(st)
 }
 
 // CountsCtx answers subgraph counting queries (SC/MC): the count of each
@@ -515,9 +509,10 @@ func publishRunStats(o *obs.Observer, st *RunStats) {
 // and deadlines take effect at the engines' next poll point; an interrupted run
 // returns a nil result slice, a typed error (engine.ErrCanceled /
 // engine.ErrDeadlineExceeded / *engine.PanicError) and a RunStats whose
-// Phase and Partial fields report exactly how far mining got — the
-// per-alternative partial counts cannot be soundly converted into query
-// results, so they are surfaced raw instead.
+// Phase and Partial fields report exactly how far the run got (PhaseTransform
+// and no Partial when it never reached mining) — the per-alternative partial
+// counts cannot be soundly converted into query results, so they are
+// surfaced raw instead.
 func (r *Runner) CountsCtx(ctx context.Context, g graph.Adjacency, queries []*pattern.Pattern) ([]uint64, *RunStats, error) {
 	return Execute(ctx, r, g, "counts", len(queries), func(ctx context.Context, rc *obs.RunContext, g graph.Adjacency) ([]uint64, *RunStats, error) {
 		return r.countsRun(ctx, rc, g, queries)
@@ -530,7 +525,7 @@ func (r *Runner) countsRun(ctx context.Context, rc *obs.RunContext, g graph.Adja
 	agg := aggr.Count{}
 	sel, stats, err := r.transformRun(ctx, rc, g, queries, agg)
 	if err != nil {
-		return nil, nil, err
+		return nil, stats, err
 	}
 
 	stats.Phase = PhaseMine
@@ -551,19 +546,25 @@ func (r *Runner) countsRun(ctx context.Context, rc *obs.RunContext, g graph.Adja
 	return out, stats, nil
 }
 
-// transformRun opens every aggregation pipeline: pattern transformation
-// for agg, then the run's RunStats and its "transformed" event.
+// transformRun opens every aggregation pipeline: the run's RunStats, then
+// pattern transformation for agg and its "transformed" event. A run
+// interrupted before or during transformation returns its RunStats in
+// PhaseTransform, without a Selection; any other failure returns none.
 func (r *Runner) transformRun(ctx context.Context, rc *obs.RunContext, g graph.Adjacency, queries []*pattern.Pattern, agg aggr.Aggregation) (*Selection, *RunStats, error) {
 	t0 := time.Now()
-	if err := engine.CtxErr(ctx); err != nil {
-		return nil, nil, err
-	}
-	sel, err := r.transformCtx(ctx, g, queries, agg)
-	if err != nil {
-		return nil, nil, err
-	}
-	stats := &RunStats{Selection: sel, Transform: time.Since(t0), Phase: PhaseTransform,
+	stats := &RunStats{Phase: PhaseTransform,
 		Engine: r.Engine.Name(), GraphVertices: g.NumVertices(), GraphEdges: g.NumEdges()}
+	err := engine.CtxErr(ctx)
+	var sel *Selection
+	if err == nil {
+		sel, err = r.transformCtx(ctx, g, queries, agg)
+	}
+	if engine.Interrupted(err) {
+		return nil, stats, err
+	} else if err != nil {
+		return nil, nil, err
+	}
+	stats.Selection, stats.Transform = sel, time.Since(t0)
 	rc.Event("transformed",
 		obs.Int("mine_patterns", len(sel.Mine)), obs.Int("queries", len(sel.Queries)),
 		obs.F64("cost_before", sel.CostBefore), obs.F64("cost_after", sel.CostAfter))
@@ -791,7 +792,7 @@ func (r *Runner) mniRun(ctx context.Context, rc *obs.RunContext, g graph.Adjacen
 	agg := aggr.MNI{}
 	sel, stats, err := r.transformRun(ctx, rc, g, queries, agg)
 	if err != nil {
-		return nil, nil, err
+		return nil, stats, err
 	}
 	sinks := make([]*mniSink, len(sel.Mine))
 	visits := make([]engine.Visitor, len(sel.Mine))

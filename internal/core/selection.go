@@ -155,8 +155,6 @@ const maxSubset = 12
 
 // SelectOptions tunes Select.
 type SelectOptions struct {
-	// DisableMorphing keeps every query as-is (the baseline systems).
-	DisableMorphing bool
 	// Explain records the selection trace (every node cost and every
 	// candidate morph scored) in Selection.Explain. Off the explain path
 	// this costs nothing; with it, selection allocates trace entries but
@@ -459,132 +457,130 @@ func Select(ctx context.Context, d *SDAG, queries []*pattern.Pattern, cost CostF
 	var C, adds []member
 	inC := map[pairKey]bool{}
 
-	if !opts.DisableMorphing {
-		// Algorithm 1 main loop. A candidate morph replaces a subset C of
-		// S with the union of its members' alternative sets; it is
-		// accepted when the total modeled mining cost of S strictly
-		// decreases (pairs already in S are free additions, removed pairs
-		// credit their full cost). Strict decrease over a finite
-		// configuration space guarantees convergence without the paper's
-		// explicit cost-zeroing bookkeeping, while preserving its effect:
-		// already-scheduled patterns make overlapping morphs cheap.
-		for iter := 0; fault == "" && iter < 8*len(d.nodes)+32; iter++ {
-			changed := false
-			// An iteration visits, in S-DAG order, the parents of the
-			// structures S held when it began. frontier lists those still
-			// ahead of `after` that have a live child now; a member that
-			// joined S during the iteration counts only through a parent
-			// it shares with a structure of the beginning.
-			var atStart map[uint64]bool
-			frontier := func(after *Node) ([]*Node, error) {
-				var out []*Node
-				listed := map[uint64]bool{}
-				for k, n := range S {
-					if !morphable(k, n) || !live(member{node: n, key: k}) {
+	// Algorithm 1 main loop. A candidate morph replaces a subset C of
+	// S with the union of its members' alternative sets; it is
+	// accepted when the total modeled mining cost of S strictly
+	// decreases (pairs already in S are free additions, removed pairs
+	// credit their full cost). Strict decrease over a finite
+	// configuration space guarantees convergence without the paper's
+	// explicit cost-zeroing bookkeeping, while preserving its effect:
+	// already-scheduled patterns make overlapping morphs cheap.
+	for iter := 0; fault == "" && iter < 8*len(d.nodes)+32; iter++ {
+		changed := false
+		// An iteration visits, in S-DAG order, the parents of the
+		// structures S held when it began. frontier lists those still
+		// ahead of `after` that have a live child now; a member that
+		// joined S during the iteration counts only through a parent
+		// it shares with a structure of the beginning.
+		var atStart map[uint64]bool
+		frontier := func(after *Node) ([]*Node, error) {
+			var out []*Node
+			listed := map[uint64]bool{}
+			for k, n := range S {
+				if !morphable(k, n) || !live(member{node: n, key: k}) {
+					continue
+				}
+				if atStart == nil { // the first call of the iteration: S is as it began
+					atStart = make(map[uint64]bool, len(S))
+					for k := range S {
+						atStart[k.id] = true
+					}
+				}
+				ps, err := d.parents(ctx, n)
+				if err != nil {
+					return nil, err
+				}
+				for _, p := range ps {
+					if after != nil && !nodeLess(after, p) || listed[p.ID] {
 						continue
 					}
-					if atStart == nil { // the first call of the iteration: S is as it began
-						atStart = make(map[uint64]bool, len(S))
-						for k := range S {
-							atStart[k.id] = true
-						}
+					if atStart[k.id] || slices.ContainsFunc(d.childrenOf(p), func(c *Node) bool { return atStart[c.ID] }) {
+						listed[p.ID] = true
+						out = append(out, p)
 					}
-					ps, err := d.parents(ctx, n)
+				}
+			}
+			sortNodes(out)
+			return out, nil
+		}
+		parents, err := frontier(nil)
+		if err != nil {
+			return nil, err
+		}
+		for pi := 0; fault == "" && pi < len(parents); pi++ {
+			par := parents[pi]
+			// Morphable S-members among par's children, live or not (a
+			// live member's morph may only pay together with a
+			// sibling's), each with its alternative set. Sorted before
+			// the cap: what it keeps must not depend on build order.
+			var kids []member
+			for _, c := range d.childrenOf(par) {
+				for _, v := range []pattern.Induced{pattern.EdgeInduced, pattern.VertexInduced} {
+					k := pairKey{c.ID, v}
+					if _, in := S[k]; in && morphable(k, c) {
+						kids = append(kids, member{node: c, key: k})
+					}
+				}
+			}
+			slices.SortFunc(kids, func(a, b member) int { return cmpPair(a.key, b.key) })
+			if len(kids) > maxSubset {
+				kids = kids[:maxSubset]
+			}
+			alts := make([][]member, 0, len(kids))
+			for _, c := range kids {
+				alt, err := altSet(c.key, c.node)
+				if errors.Is(err, ErrUpSetTooLarge) {
+					continue
+				} else if err != nil {
+					return nil, err
+				}
+				kids[len(alts)] = c
+				alts = append(alts, alt)
+			}
+			kids = kids[:len(alts)]
+			if !slices.ContainsFunc(kids, live) {
+				continue
+			}
+			// Largest subsets first: combined morphs capture overlap.
+			for mask := (1 << len(kids)) - 1; mask >= 1; mask-- {
+				C, adds = C[:0], adds[:0]
+				clear(inC)
+				for b := range kids {
+					if mask&(1<<b) != 0 {
+						C = append(C, kids[b])
+						inC[kids[b].key] = true
+						adds = append(adds, alts[b]...)
+					}
+				}
+				// Replacing both variants of one structure at once is
+				// never meaningful: each one's alternative set re-adds
+				// the other.
+				if slices.ContainsFunc(C, func(c member) bool { return inC[pairKey{c.key.id, 1 - c.key.variant}] }) {
+					continue
+				}
+				adds = sortMembers(adds)
+				removed, added := score(C, adds, inC, nil)
+				if fault != "" {
+					break
+				}
+				if ex != nil {
+					trace(iter, par.Pattern.String(), C, adds, inC, added < removed)
+				}
+				if added < removed {
+					replace(C, adds)
+					changed = true
+					// Liveness follows S: look again at what is ahead.
+					ahead, err := frontier(par)
 					if err != nil {
 						return nil, err
 					}
-					for _, p := range ps {
-						if after != nil && !nodeLess(after, p) || listed[p.ID] {
-							continue
-						}
-						if atStart[k.id] || slices.ContainsFunc(d.childrenOf(p), func(c *Node) bool { return atStart[c.ID] }) {
-							listed[p.ID] = true
-							out = append(out, p)
-						}
-					}
-				}
-				sortNodes(out)
-				return out, nil
-			}
-			parents, err := frontier(nil)
-			if err != nil {
-				return nil, err
-			}
-			for pi := 0; fault == "" && pi < len(parents); pi++ {
-				par := parents[pi]
-				// Morphable S-members among par's children, live or not (a
-				// live member's morph may only pay together with a
-				// sibling's), each with its alternative set. Sorted before
-				// the cap: what it keeps must not depend on build order.
-				var kids []member
-				for _, c := range d.childrenOf(par) {
-					for _, v := range []pattern.Induced{pattern.EdgeInduced, pattern.VertexInduced} {
-						k := pairKey{c.ID, v}
-						if _, in := S[k]; in && morphable(k, c) {
-							kids = append(kids, member{node: c, key: k})
-						}
-					}
-				}
-				slices.SortFunc(kids, func(a, b member) int { return cmpPair(a.key, b.key) })
-				if len(kids) > maxSubset {
-					kids = kids[:maxSubset]
-				}
-				alts := make([][]member, 0, len(kids))
-				for _, c := range kids {
-					alt, err := altSet(c.key, c.node)
-					if errors.Is(err, ErrUpSetTooLarge) {
-						continue
-					} else if err != nil {
-						return nil, err
-					}
-					kids[len(alts)] = c
-					alts = append(alts, alt)
-				}
-				kids = kids[:len(alts)]
-				if !slices.ContainsFunc(kids, live) {
-					continue
-				}
-				// Largest subsets first: combined morphs capture overlap.
-				for mask := (1 << len(kids)) - 1; mask >= 1; mask-- {
-					C, adds = C[:0], adds[:0]
-					clear(inC)
-					for b := range kids {
-						if mask&(1<<b) != 0 {
-							C = append(C, kids[b])
-							inC[kids[b].key] = true
-							adds = append(adds, alts[b]...)
-						}
-					}
-					// Replacing both variants of one structure at once is
-					// never meaningful: each one's alternative set re-adds
-					// the other.
-					if slices.ContainsFunc(C, func(c member) bool { return inC[pairKey{c.key.id, 1 - c.key.variant}] }) {
-						continue
-					}
-					adds = sortMembers(adds)
-					removed, added := score(C, adds, inC, nil)
-					if fault != "" {
-						break
-					}
-					if ex != nil {
-						trace(iter, par.Pattern.String(), C, adds, inC, added < removed)
-					}
-					if added < removed {
-						replace(C, adds)
-						changed = true
-						// Liveness follows S: look again at what is ahead.
-						ahead, err := frontier(par)
-						if err != nil {
-							return nil, err
-						}
-						parents = append(parents[:pi+1], ahead...)
-						break // re-derive kids for this parent next iteration
-					}
+					parents = append(parents[:pi+1], ahead...)
+					break // re-derive kids for this parent next iteration
 				}
 			}
-			if !changed {
-				break
-			}
+		}
+		if !changed {
+			break
 		}
 	}
 
@@ -602,10 +598,8 @@ func Select(ctx context.Context, d *SDAG, queries []*pattern.Pattern, cost CostF
 	}
 
 	// PolicyEdgeOnly must morph non-clique vertex-induced queries even if
-	// the model disfavors it: the engine cannot mine them at all. With
-	// morphing disabled that is a hard error, not a silent morph — the
-	// baseline for such workloads is the Filter-UDF path, which callers
-	// must request explicitly.
+	// the model disfavors it: the engine cannot mine them at all (a
+	// baseline run without morphing refuses them in Runner.transformPolicy).
 	if policy == PolicyEdgeOnly {
 		for _, q := range sel.Queries {
 			k := pairKey{q.Node.ID, normVariant(q.Pattern)}
@@ -614,9 +608,6 @@ func Select(ctx context.Context, d *SDAG, queries []*pattern.Pattern, cost CostF
 			}
 			if _, in := S[k]; !in {
 				continue
-			}
-			if opts.DisableMorphing {
-				return nil, fmt.Errorf("core: vertex-induced query %v cannot run under an edge-only engine without morphing; use a Filter UDF baseline instead", q.Pattern)
 			}
 			alt, err := altSet(k, q.Node)
 			if err != nil {

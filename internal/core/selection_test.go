@@ -283,30 +283,6 @@ func TestSelectFailsClosedOnFaultyCost(t *testing.T) {
 	}
 }
 
-func TestSelectDisableMorphing(t *testing.T) {
-	queries := []*pattern.Pattern{
-		pattern.FourStar().AsVertexInduced(),
-		pattern.FourCycle().AsVertexInduced(),
-	}
-	d, err := BuildSDAG(queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	costs := func(n *Node) Costs { return Costs{E: 1, V: 1e9} }
-	sel, err := Select(context.Background(), d, queries, additive(costs), PolicyAny, SelectOptions{DisableMorphing: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sel.Mine) != 2 {
-		t.Fatalf("baseline selection mined %d patterns, want 2", len(sel.Mine))
-	}
-	for _, q := range sel.Queries {
-		if q.Morphed {
-			t.Fatal("morphing happened despite DisableMorphing")
-		}
-	}
-}
-
 func TestSelectMotifCountingMorphsEverything(t *testing.T) {
 	// Motif counting is the best case (§7.1): all vertex-induced motifs
 	// queried together, anti-edge differences make V expensive, so the

@@ -48,15 +48,20 @@ func TestStorageAttribution(t *testing.T) {
 		t.Fatalf("no storage event in run lifecycle: %v", eventNames(st.Events))
 	}
 
-	// Two concurrent-ish runs stay disjoint: a second run's attribution
-	// reflects only its own work (same query => same magnitude, not
-	// cumulative).
+	// A second run's attribution is its own work, not cumulative (same
+	// query => same magnitude), and exactly what it added to the registry:
+	// the per-run sink is the one decode ledger.
+	rows := r.Obs.Metrics.Counter(MetricDecodeRows)
+	before := rows.Value()
 	_, st2, err := r.CountsCtx(context.Background(), c, queries)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st2.Decode.Rows > 2*st.Decode.Rows {
 		t.Fatalf("second run attributed %d rows vs first %d: looks cumulative", st2.Decode.Rows, st.Decode.Rows)
+	}
+	if delta := rows.Value() - before; delta != st2.Decode.Rows {
+		t.Fatalf("second run moved %s by %d, its RunStats.Decode.Rows is %d", MetricDecodeRows, delta, st2.Decode.Rows)
 	}
 
 	// Plain CSR: no decode work, no storage section.

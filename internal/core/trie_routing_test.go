@@ -18,8 +18,8 @@ import (
 
 // noPlanEngine hides the Planner surface of a real engine, standing in
 // for execution models that cannot expose exploration plans: the runner
-// hands it the winner set through CountAll, which for Peregrine is a loop
-// of one-leaf tries.
+// hands it the winner set pattern by pattern (CountCtx), a loop of
+// one-leaf tries.
 type noPlanEngine struct {
 	engine.Engine
 }
@@ -125,6 +125,11 @@ func TestRunnerRoutesCountsMatch(t *testing.T) {
 			if mst.Mining.TriePasses != 1 || len(mst.Mining.TrieNodes) != mst.Trie.Nodes {
 				t.Fatalf("planner run recorded %d passes, %d node rows for a %d-node trie",
 					mst.Mining.TriePasses, len(mst.Mining.TrieNodes), mst.Trie.Nodes)
+			}
+			// The baseline mines exactly the queries, none of them morphed.
+			if baseline && (len(mst.Selection.Mine) != len(qs) ||
+				slices.ContainsFunc(mst.Selection.Queries, func(q Query) bool { return q.Morphed })) {
+				t.Fatalf("baseline run mined %d patterns for %d queries, or morphed one", len(mst.Selection.Mine), len(qs))
 			}
 
 			per, lst, err := looped.CountsCtx(context.Background(), g, qs)

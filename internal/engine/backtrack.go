@@ -23,11 +23,6 @@ type ExecOptions struct {
 	// current root vertex). This implements Peregrine-style early
 	// termination for existence-style queries.
 	MatchLimit uint64
-	// NoTailSteal disables the tail work-stealing pass that splits the
-	// heaviest in-flight block once the block cursor runs dry (see
-	// steal.go). On by default; the switch exists for A/B skew
-	// measurements and debugging.
-	NoTailSteal bool
 }
 
 // ThreadCount resolves the effective worker count (GOMAXPROCS when

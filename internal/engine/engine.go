@@ -50,8 +50,9 @@ type Engine interface {
 	// CountCtx returns the number of unique matches of p in g.
 	CountCtx(ctx context.Context, g graph.Adjacency, p *pattern.Pattern) (uint64, *Stats, error)
 	// CountAllCtx counts several patterns, letting engines share work
-	// across them (AutoZero merges schedules). On interruption the slice
-	// holds each pattern's partial count (zero for patterns not started).
+	// across them (every engine Model mines the set as one merged trie). On
+	// interruption the slice holds each pattern's partial count: a merged
+	// pass stops every pattern at once, so each has what it counted.
 	CountAllCtx(ctx context.Context, g graph.Adjacency, ps []*pattern.Pattern) ([]uint64, *Stats, error)
 	// MatchCtx streams every unique match of p to visit.
 	MatchCtx(ctx context.Context, g graph.Adjacency, p *pattern.Pattern, visit Visitor) (*Stats, error)

@@ -20,9 +20,6 @@ type Policy interface {
 	// executes for p on g; semantics it does not match natively fail with
 	// ErrInducedUnsupported.
 	Plan(g graph.Adjacency, p *pattern.Pattern) (*plan.Plan, error)
-	// MergesCountAll reports whether CountAllCtx mines a pattern set as one
-	// merged trie (AutoZero's schedule merging), not pattern by pattern.
-	MergesCountAll() bool
 }
 
 // Model is an engine model: a planning Policy over the depth-first
@@ -83,32 +80,19 @@ func (m *Model[P]) MatchCtx(ctx context.Context, g graph.Adjacency, p *pattern.P
 	return st, err
 }
 
-// CountAllCtx implements Engine. A merging policy runs the set as one
-// trie pass; any other counts pattern by pattern (§7.1: why extra
-// superpatterns cost such systems more), and on interruption the slice
-// holds the partial counts so far, zero for patterns not yet started.
+// CountAllCtx implements Engine: the set is one pass over its merged
+// trie, whatever the model (core.Runner mines every Planner's winner set
+// the same way).
 func (m *Model[P]) CountAllCtx(ctx context.Context, g graph.Adjacency, ps []*pattern.Pattern) ([]uint64, *Stats, error) {
-	if m.Policy.MergesCountAll() && len(ps) > 0 {
-		tr, err := BuildTrie(m, g, ps)
-		if err != nil {
-			return nil, nil, err
-		}
-		opts, o := m.ExecConfig()
-		return BacktrackTrieCtx(ctx, g, tr, opts, o)
+	if len(ps) == 0 {
+		return nil, &Stats{}, nil
 	}
-	counts := make([]uint64, len(ps))
-	total := &Stats{}
-	for i, p := range ps {
-		c, st, err := m.run(ctx, g, p, nil)
-		counts[i] = c
-		if st != nil {
-			total.Add(st)
-		}
-		if err != nil {
-			return counts, total, err
-		}
+	tr, err := BuildTrie(m, g, ps)
+	if err != nil {
+		return nil, nil, err
 	}
-	return counts, total, nil
+	opts, o := m.ExecConfig()
+	return BacktrackTrieCtx(ctx, g, tr, opts, o)
 }
 
 // CountVertexInducedViaFilterCtx counts the vertex-induced matches of p

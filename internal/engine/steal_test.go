@@ -107,19 +107,21 @@ func skewedGraph(t *testing.T, head, tail int) *graph.Graph {
 // TestTailStealingOnSkewedGraph is the satellite's acceptance check: on a
 // graph whose work is concentrated in one block, idle workers split the
 // straggler's remaining range (TailSteals > 0) and the per-worker match
-// concentration drops, while the count never changes. Whether a steal
-// lands in any single run depends on the scheduler (on a one-core
-// machine the straggler may finish unpreempted), so the steal/skew
-// assertions accept the first of several attempts; count equality must
-// hold on every attempt.
+// concentration drops below one — every 4-clique lies in the head, inside
+// the first block, so without stealing its owner would find them all —
+// while the count never changes. Whether a steal lands in any single run
+// depends on the scheduler (on a one-core machine the straggler may finish
+// unpreempted), so the steal/skew assertions accept the first of several
+// attempts; count equality with the one-worker oracle must hold on every
+// attempt.
 func TestTailStealingOnSkewedGraph(t *testing.T) {
 	g := skewedGraph(t, 120, 4000)
 	pl, err := plan.Build(pattern.FourClique())
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(noSteal bool) (uint64, *Stats) {
-		c, st, err := BacktrackCtx(context.Background(), g, pl, nil, ExecOptions{Threads: 4, NoTailSteal: noSteal}, nil)
+	run := func(threads int) (uint64, *Stats) {
+		c, st, err := BacktrackCtx(context.Background(), g, pl, nil, ExecOptions{Threads: threads}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,17 +140,14 @@ func TestTailStealingOnSkewedGraph(t *testing.T) {
 		}
 		return float64(max) / float64(sum)
 	}
-	baseCount, baseStats := run(true)
-	if baseStats.TailSteals != 0 {
-		t.Fatalf("NoTailSteal run recorded %d steals", baseStats.TailSteals)
-	}
+	want, _ := run(1)
 	ok := false
 	for attempt := 0; attempt < 10 && !ok; attempt++ {
-		stealCount, stealStats := run(false)
-		if stealCount != baseCount {
-			t.Fatalf("stealing changed the count: %d vs %d", stealCount, baseCount)
+		got, st := run(4)
+		if got != want {
+			t.Fatalf("stealing changed the count: %d vs %d", got, want)
 		}
-		ok = stealStats.TailSteals > 0 && share(stealStats) < share(baseStats)
+		ok = st.TailSteals > 0 && share(st) < 1
 	}
 	if !ok {
 		t.Error("no attempt both stole a tail and reduced the max worker match share")
@@ -175,12 +174,9 @@ func TestTrieTailStealing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, stOff, err := BacktrackTrieCtx(context.Background(), g, tr, ExecOptions{Threads: 4, NoTailSteal: true}, nil)
+	want, _, err := BacktrackTrieCtx(context.Background(), g, tr, ExecOptions{Threads: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if stOff.TailSteals != 0 {
-		t.Errorf("NoTailSteal trie run recorded %d steals", stOff.TailSteals)
 	}
 	stole := false
 	for attempt := 0; attempt < 10 && !stole; attempt++ {
@@ -189,8 +185,8 @@ func TestTrieTailStealing(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := range counts {
-			if counts[i] != off[i] {
-				t.Fatalf("pattern %d: stealing changed trie count %d -> %d", i, off[i], counts[i])
+			if counts[i] != want[i] {
+				t.Fatalf("pattern %d: stealing changed trie count %d -> %d", i, want[i], counts[i])
 			}
 		}
 		stole = st.TailSteals > 0

@@ -106,22 +106,21 @@ type triePass struct {
 	cursor int64  // atomic block claim cursor; leading for 64-bit alignment
 	found  uint64 // atomic: matches so far, maintained under MatchLimit only
 
-	wg          sync.WaitGroup
-	abort       atomic.Bool    // set by cancellation or a worker panic
-	onDone      func()         // sets abort when the pass's context ends; bound once per pooled pass
-	hook        sync.WaitGroup // the pending onDone call: mine waits it out before the pass is reused
-	panicOnce   sync.Once
-	panicErr    *PanicError // first recovered panic wins
-	done        <-chan struct{}
-	fi          *faultinject.Injector
-	live        *obs.Counter
-	blockSize   int
-	numBlocks   int
-	n           int
-	limit       uint64
-	noTailSteal bool
-	workers     []*trieWorker
-	ranges      []*vertexRange
+	wg        sync.WaitGroup
+	abort     atomic.Bool    // set by cancellation or a worker panic
+	onDone    func()         // sets abort when the pass's context ends; bound once per pooled pass
+	hook      sync.WaitGroup // the pending onDone call: mine waits it out before the pass is reused
+	panicOnce sync.Once
+	panicErr  *PanicError // first recovered panic wins
+	done      <-chan struct{}
+	fi        *faultinject.Injector
+	live      *obs.Counter
+	blockSize int
+	numBlocks int
+	n         int
+	limit     uint64
+	workers   []*trieWorker
+	ranges    []*vertexRange
 
 	tr     *plan.Trie
 	lrows  labelRower       // the graph, when it serves label rows
@@ -192,7 +191,6 @@ func (ps *triePass) mine(ctx context.Context, g graph.Adjacency, tr *plan.Trie, 
 	ps.numBlocks = (n + blockSize - 1) / blockSize
 	ps.n = n
 	ps.limit = opts.MatchLimit
-	ps.noTailSteal = opts.NoTailSteal
 	ps.done = ctx.Done()
 	ps.fi = fi
 	// Workers keep counters on private fields inside hot loops and flush
@@ -341,7 +339,7 @@ func (ps *triePass) run(w *trieWorker) {
 		}
 		lo := uint32(b * ps.blockSize)
 		hi := uint32(min((b+1)*ps.blockSize, ps.n))
-		w.rng.reset(lo, hi, !ps.noTailSteal)
+		w.rng.reset(lo, hi, true)
 		// After reset: a stall-injected straggler holds an armed,
 		// stealable range, the scenario tail stealing exists for.
 		ps.fi.BlockClaimed(w.id)
@@ -350,7 +348,7 @@ func (ps *triePass) run(w *trieWorker) {
 	// Tail: the cursor is dry but a sibling may still be grinding through
 	// a heavy block — split its remaining range and take the upper half
 	// (once per block, see steal.go).
-	for !ps.noTailSteal && !ps.stopped() {
+	for !ps.stopped() {
 		lo, hi, ok := stealFrom(ps.ranges, w.id)
 		if !ok {
 			return

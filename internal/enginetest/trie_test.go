@@ -177,8 +177,8 @@ func fuzzPool() []*pattern.Pattern {
 }
 
 // FuzzTrieDifferential pits one pass of the merged trie against the loop
-// of one-leaf tries (Peregrine's CountAll: the same executor without
-// merging, so without shared nodes, sibling branches or leaves at several
+// of one-leaf tries (Peregrine's CountCtx per pattern: the same executor
+// without merging, so without shared nodes, sibling branches or leaves at several
 // depths) and the refmatch oracle, on random pattern subsets over seeded
 // random graphs (shape 0) and the hand-built graphs aimed at the
 // collapsed leaves' rank sums (shape 1.., adversarialEdges). Any count
@@ -231,9 +231,11 @@ func FuzzTrieDifferential(f *testing.F) {
 		if err != nil {
 			t.Fatalf("BacktrackTrie: %v", err)
 		}
-		looped, _, err := e.CountAllCtx(context.Background(), g, ps)
-		if err != nil {
-			t.Fatalf("CountAll: %v", err)
+		looped := make([]uint64, len(ps))
+		for i, p := range ps {
+			if looped[i], _, err = e.CountCtx(context.Background(), g, p); err != nil {
+				t.Fatalf("Count: %v", err)
+			}
 		}
 		for i, p := range ps {
 			if oracle := refmatch.Count(g, p); got[i] != oracle || looped[i] != oracle {

@@ -1,11 +1,10 @@
 package graph
 
 // WithDecodeAttribution wraps g so that every View created through the
-// wrapper routes its decode-counter flushes into sink as well as the
-// process-wide DecodeTotals. This is the per-query attribution layer:
-// the runner attaches a fresh DecodeCounters per run, so concurrent
-// queries over the same compressed graph see only their own decode
-// work, while the process totals stay the sum over all scopes.
+// wrapper routes its decode-counter flushes into sink. This is the
+// one decode ledger: the runner attaches a fresh DecodeCounters per run,
+// so concurrent queries over the same compressed graph see only their own
+// decode work, and the registry's process totals are the sum over runs.
 //
 // Only the compressed tier decodes, so anything else is returned
 // unwrapped; likewise a nil sink.

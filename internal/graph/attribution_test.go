@@ -21,11 +21,9 @@ func attrTestGraph(t *testing.T) *CompressedGraph {
 
 // TestPerViewAttribution verifies that two scopes decoding through the
 // same compressed graph see disjoint counters, each exactly the cold rows
-// it decoded, and that the process totals advance by at least their sum
-// (satellite: per-View DecodeStats; totals stay the sum).
+// it decoded.
 func TestPerViewAttribution(t *testing.T) {
 	c := attrTestGraph(t)
-	before := DecodeTotals()
 
 	sinkA, sinkB := &DecodeCounters{}, &DecodeCounters{}
 	ga := WithDecodeAttribution(c, sinkA)
@@ -74,12 +72,6 @@ func TestPerViewAttribution(t *testing.T) {
 	}
 	if sa.Elems == 0 || sb.Elems == 0 {
 		t.Fatal("scopes recorded rows but no elements")
-	}
-
-	delta := DecodeTotals()
-	delta.Rows -= before.Rows
-	if flushed := sa.Rows + sb.Rows; delta.Rows < flushed {
-		t.Fatalf("process totals advanced by %d rows, less than the %d attributed to scopes", delta.Rows, flushed)
 	}
 }
 

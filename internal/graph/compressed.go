@@ -188,8 +188,8 @@ func (c *CompressedGraph) View() Adjacency {
 	return c.view(nil)
 }
 
-// view is View with the handle's decode counters also flushing into sink
-// (nil: process totals only). The first view builds the hot rows.
+// view is View with the handle's decode counters flushing into sink (nil:
+// counted nowhere). The first view builds the hot rows.
 func (c *CompressedGraph) view(sink *DecodeCounters) *compressedView {
 	return &compressedView{g: c, hot: c.hotRows(), sink: sink}
 }
@@ -327,8 +327,6 @@ func (c *CompressedGraph) hasEdgeInto(u, v uint32, buf []uint32) (bool, []uint32
 		return false, buf
 	}
 	buf = c.decodeBlock(u, bi, buf)
-	countDecode(1, 1, uint64(len(buf)))
-	countProbe(0, 1)
 	return searchBlock(buf, v), buf
 }
 
@@ -521,9 +519,8 @@ type compressedView struct {
 	probeOK bool
 
 	// Local decode counters, flushed in batches so the hot path stays
-	// free of shared atomics. Flushes land in the package totals and,
-	// when a sink is attached (WithDecodeAttribution), in the per-scope
-	// accumulator too — process totals remain the sum over scopes.
+	// free of shared atomics. Flushes land in the per-scope accumulator
+	// when a sink is attached (WithDecodeAttribution), nowhere otherwise.
 	pendRows        uint64
 	pendBlocks      uint64
 	pendElems       uint64
@@ -605,15 +602,13 @@ func (w *compressedView) HasEdge(u, v uint32) bool {
 	return searchBlock(w.probe, v)
 }
 
+// flush hands the pending counters to the view's sink (a nil sink drops
+// them) and resets them.
 func (w *compressedView) flush() {
-	countDecode(w.pendRows, w.pendBlocks, w.pendElems)
-	countProbe(w.pendProbeHits, w.pendProbeMisses)
-	if w.sink != nil {
-		w.sink.add(DecodeStats{
-			Rows: w.pendRows, Blocks: w.pendBlocks, Elems: w.pendElems,
-			ProbeHits: w.pendProbeHits, ProbeMisses: w.pendProbeMisses,
-		})
-	}
+	w.sink.add(DecodeStats{
+		Rows: w.pendRows, Blocks: w.pendBlocks, Elems: w.pendElems,
+		ProbeHits: w.pendProbeHits, ProbeMisses: w.pendProbeMisses,
+	})
 	w.pendRows, w.pendBlocks, w.pendElems = 0, 0, 0
 	w.pendProbeHits, w.pendProbeMisses = 0, 0
 }
@@ -621,9 +616,10 @@ func (w *compressedView) flush() {
 // DecodeStats are decompression counters: how many rows and blocks were
 // decoded, how many elements they expanded to, and how the per-view
 // probe-block cache fared. They quantify the decode overhead the
-// compressed tier pays — process-wide via DecodeTotals, per query scope
-// via DecodeCounters. An edge probe that decodes counts as one row and
-// one block (plus a ProbeMiss); a ProbeHit decodes nothing — it was
+// compressed tier pays, per query scope via DecodeCounters (the registry's
+// graph_decode_* counters sum them over runs). An edge probe that decodes
+// counts as one row and one block (plus a ProbeMiss); a ProbeHit decodes
+// nothing — it was
 // answered from the view's cached probe block or from a row its caller
 // already held (CountProbeHits).
 type DecodeStats struct {
@@ -649,10 +645,10 @@ func (s DecodeStats) DecodedBytes() uint64 { return s.Elems * 4 }
 
 // DecodeCounters is a concurrency-safe per-scope decode accumulator.
 // Attach one to a graph with WithDecodeAttribution and every view
-// created through that wrapper flushes its batches here as well as into
-// the process totals — so a run's decode work is attributed to that run
-// even while other queries decode concurrently. While views are
-// mid-flight the counters can trail the true count by one unflushed
+// created through that wrapper flushes its batches here — so a run's
+// decode work is attributed to that run even while other queries decode
+// concurrently. Views created without a sink count nothing. While views
+// are mid-flight the counters can trail the true count by one unflushed
 // batch (<512 operations) per view; Drain collects those residues once
 // the views' workers are done.
 type DecodeCounters struct {
@@ -670,8 +666,8 @@ func (d *DecodeCounters) track(v *compressedView) {
 }
 
 // Drain flushes every tracked view's pending decode batch into the
-// accumulator (and the process totals). Callers must ensure no worker
-// is still decoding through the views — the runner calls this after
+// accumulator. Callers must ensure no worker is still decoding through
+// the views — the runner calls this after
 // mining has joined its workers, which orders the views' buffered
 // counters before the reads here.
 func (d *DecodeCounters) Drain() {
@@ -710,46 +706,4 @@ func (d *DecodeCounters) Stats() DecodeStats {
 		ProbeHits:   d.probeHits.Load(),
 		ProbeMisses: d.probeMisses.Load(),
 	}
-}
-
-// Striped to keep concurrent flushes from serializing on one cache line.
-const decodeStripes = 8
-
-type decodeStripe struct {
-	rows, blocks, elems, probeHits, probeMisses atomic.Uint64
-	_                                           [3]uint64 // pad to a cache line
-}
-
-var decodeTotals [decodeStripes]decodeStripe
-var decodeStripePick atomic.Uint32
-
-func countDecode(rows, blocks, elems uint64) {
-	s := &decodeTotals[decodeStripePick.Add(1)%decodeStripes]
-	s.rows.Add(rows)
-	s.blocks.Add(blocks)
-	s.elems.Add(elems)
-}
-
-func countProbe(hits, misses uint64) {
-	if hits == 0 && misses == 0 {
-		return
-	}
-	s := &decodeTotals[decodeStripePick.Add(1)%decodeStripes]
-	s.probeHits.Add(hits)
-	s.probeMisses.Add(misses)
-}
-
-// DecodeTotals returns the cumulative process-wide decode counters.
-// Per-view batches flush every 512 operations, so totals can trail the
-// true count by a bounded residue while views are mid-flight.
-func DecodeTotals() DecodeStats {
-	var out DecodeStats
-	for i := range decodeTotals {
-		out.Rows += decodeTotals[i].rows.Load()
-		out.Blocks += decodeTotals[i].blocks.Load()
-		out.Elems += decodeTotals[i].elems.Load()
-		out.ProbeHits += decodeTotals[i].probeHits.Load()
-		out.ProbeMisses += decodeTotals[i].probeMisses.Load()
-	}
-	return out
 }

@@ -41,9 +41,6 @@ func (Policy) Name() string { return "GraphPi" }
 // matched natively.
 func (Policy) SupportsInduced(iv pattern.Induced) bool { return iv == pattern.EdgeInduced }
 
-// MergesCountAll implements engine.Policy: patterns are matched one by one.
-func (Policy) MergesCountAll() bool { return false }
-
 // Plan implements engine.Policy: the matching order that minimizes the
 // performance model over connected orders, GraphPi's core technique.
 func (Policy) Plan(g graph.Adjacency, p *pattern.Pattern) (*plan.Plan, error) {

@@ -3,9 +3,10 @@
 // symmetries) to produce an exploration plan, then matches it with
 // merge-based set operations over CSR adjacency lists, parallelized across
 // vertex tasks. It supports both edge- and vertex-induced patterns
-// natively (anti-edges become set differences), matches patterns one by
-// one, and can stop a run early once enough matches are known. What this
-// package contributes is that policy; the executor is internal/engine's.
+// natively (anti-edges become set differences), plans each pattern on its
+// own, and can stop a run early once enough matches are known. What this
+// package contributes is that policy; the executor, which mines a set of
+// plans as one merged trie, is internal/engine's.
 package peregrine
 
 import (
@@ -37,10 +38,6 @@ func (Policy) SupportsInduced(pattern.Induced) bool { return true }
 // Plan implements engine.Policy: Peregrine's pattern analysis is the
 // default degree-greedy plan.
 func (Policy) Plan(_ graph.Adjacency, p *pattern.Pattern) (*plan.Plan, error) { return plan.Build(p) }
-
-// MergesCountAll implements engine.Policy: patterns are matched one by
-// one (§7.1).
-func (Policy) MergesCountAll() bool { return false }
 
 // ExistsCtx reports whether g contains at least one match of p,
 // terminating exploration as soon as one is found (Peregrine's

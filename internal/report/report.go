@@ -3,9 +3,9 @@
 // alternative sets Algorithm 1 considered, what the cost model charged
 // them, and what won), the calibration side (predicted vs. measured
 // matches and cost per executed pattern), and the execution side
-// (per-level selectivity, per-worker skew). The same RunReport backs
-// `morphcli explain`, the -report JSON flags, and morphbench's report
-// artifacts.
+// (per-level selectivity, per-worker skew). RunReport is the one
+// serialized form of a run: `morphcli explain`, `morphcli count -stats
+// json`, the -report JSON flags and morphd's "report" all write it.
 package report
 
 import (
@@ -31,6 +31,10 @@ type QueryReport struct {
 	Pattern string `json:"pattern"`
 	Name    string `json:"name,omitempty"`
 	Morphed bool   `json:"morphed"`
+	// Count is the query's answer, present only when the caller held the
+	// counts (SetCounts): absent on MNI runs, interrupted runs and morphd's
+	// reports, whose answers travel beside them.
+	Count *uint64 `json:"count,omitempty"`
 }
 
 // PatternReport is the calibration record for one executed alternative:
@@ -140,10 +144,13 @@ type RunReport struct {
 	// records the JSONL query log carries), oldest first.
 	QueryLog []obs.Event `json:"query_log,omitempty"`
 
-	Policy     string        `json:"policy,omitempty"`
-	Queries    []QueryReport `json:"queries"`
-	CostBefore float64       `json:"cost_before"`
-	CostAfter  float64       `json:"cost_after"`
+	Policy  string        `json:"policy,omitempty"`
+	Queries []QueryReport `json:"queries"`
+	// Mined is the winner set: the alternative patterns the run mined
+	// (Selection.Mine), in mining order.
+	Mined      []string `json:"mined"`
+	CostBefore float64  `json:"cost_before"`
+	CostAfter  float64  `json:"cost_after"`
 
 	TransformNS int64 `json:"transform_ns"`
 	ConvertNS   int64 `json:"convert_ns"`
@@ -210,6 +217,9 @@ func FromRunStats(st *core.RunStats) *RunReport {
 				Name:    FriendlyName(q.Pattern),
 				Morphed: q.Morphed,
 			})
+		}
+		for _, c := range sel.Mine {
+			r.Mined = append(r.Mined, c.Pattern.String())
 		}
 	}
 	for _, pc := range st.Partial {
@@ -287,6 +297,15 @@ func FromRunStats(st *core.RunStats) *RunReport {
 		r.Mining = mr
 	}
 	return r
+}
+
+// SetCounts records each query's answer, counts[i] for Queries[i]: the
+// result a counting run returned beside its RunStats.
+func (r *RunReport) SetCounts(counts []uint64) {
+	for i := range r.Queries[:min(len(r.Queries), len(counts))] {
+		c := counts[i]
+		r.Queries[i].Count = &c
+	}
 }
 
 // workerSkew returns max busy time over mean busy time (0 without data).

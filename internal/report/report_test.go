@@ -65,6 +65,19 @@ func TestFromRunStats(t *testing.T) {
 	if len(rep.Patterns) != len(st.Selection.Mine) {
 		t.Fatalf("%d pattern reports, want %d", len(rep.Patterns), len(st.Selection.Mine))
 	}
+	if len(rep.Mined) != len(st.Selection.Mine) || rep.Mined[0] != st.Selection.Mine[0].Pattern.String() {
+		t.Errorf("mined %v, want the winner set's %d patterns", rep.Mined, len(st.Selection.Mine))
+	}
+	if rep.Queries[0].Count != nil {
+		t.Error("a report carries counts before SetCounts")
+	}
+	rep.SetCounts([]uint64{0, 7})
+	if c := rep.Queries[0].Count; c == nil || *c != 0 {
+		t.Errorf("SetCounts lost a zero count: %v", c)
+	}
+	if c := rep.Queries[1].Count; c == nil || *c != 7 {
+		t.Errorf("SetCounts: query 1 count %v, want 7", c)
+	}
 	for _, pr := range rep.Patterns {
 		if pr.CalibrationRatio <= 0 || math.IsInf(pr.CalibrationRatio, 0) || math.IsNaN(pr.CalibrationRatio) {
 			t.Errorf("pattern %s: calibration ratio %v not finite-positive", pr.Pattern, pr.CalibrationRatio)
@@ -138,23 +151,22 @@ func TestWriteTextShowsRejectedAlternatives(t *testing.T) {
 }
 
 // TestReportConcurrentWorkers exercises the report path under -race:
-// several explained pipelines run concurrently on multi-worker engines
-// while one Recorder captures them all.
+// several explained pipelines run concurrently on multi-worker engines,
+// each building its report from the RunStats it returned.
 func TestReportConcurrentWorkers(t *testing.T) {
-	rec := NewRecorder(0)
-	rec.Install()
-	defer rec.Close()
-
 	g := chordRing(512)
 	const runs = 4
 	var wg sync.WaitGroup
 	errs := make([]error, runs)
+	reports := make([]*RunReport, runs)
 	for i := 0; i < runs; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			r := &core.Runner{Engine: peregrine.New(4), Explain: true, Obs: &obs.Observer{Metrics: obs.NewRegistry()}}
-			_, _, errs[i] = r.CountsCtx(context.Background(), g, []*pattern.Pattern{pattern.Triangle()})
+			var st *core.RunStats
+			_, st, errs[i] = r.CountsCtx(context.Background(), g, []*pattern.Pattern{pattern.Triangle()})
+			reports[i] = FromRunStats(st)
 		}(i)
 	}
 	wg.Wait()
@@ -163,10 +175,7 @@ func TestReportConcurrentWorkers(t *testing.T) {
 			t.Fatalf("run %d: %v", i, err)
 		}
 	}
-	reports := rec.Reports()
-	if len(reports) != runs {
-		t.Fatalf("recorded %d reports, want %d", len(reports), runs)
-	}
+	ids := map[string]bool{}
 	for _, rep := range reports {
 		if len(rep.Mining.Workers) != 4 {
 			t.Errorf("report has %d worker entries, want 4", len(rep.Mining.Workers))
@@ -174,25 +183,10 @@ func TestReportConcurrentWorkers(t *testing.T) {
 		if rep.Mining.Matches == 0 {
 			t.Error("report lost its match count")
 		}
+		ids[rep.RunID] = true
 	}
-}
-
-func TestRecorderCap(t *testing.T) {
-	rec := NewRecorder(1)
-	rec.Install()
-	defer rec.Close()
-	g := chordRing(64)
-	r := &core.Runner{Engine: peregrine.New(1)}
-	for i := 0; i < 3; i++ {
-		if _, _, err := r.CountsCtx(context.Background(), g, []*pattern.Pattern{pattern.Triangle()}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := len(rec.Reports()); got != 1 {
-		t.Errorf("kept %d reports, want 1", got)
-	}
-	if rec.Dropped() != 2 {
-		t.Errorf("dropped %d, want 2", rec.Dropped())
+	if len(ids) != runs {
+		t.Errorf("%d distinct run IDs over %d runs", len(ids), runs)
 	}
 }
 
