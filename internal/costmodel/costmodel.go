@@ -14,7 +14,7 @@ package costmodel
 
 import (
 	"math"
-	"slices"
+	"math/bits"
 	"time"
 
 	"morphing/internal/graph"
@@ -33,7 +33,7 @@ type Weights struct {
 	// model's row length.
 	SetOp float64
 	// Difference scales an anti-edge difference, and any kernel call
-	// against a base that is one row narrowed by differences (levelOps).
+	// against a base that is one row narrowed by differences (callsOf).
 	Difference float64
 	// Iterate is one execution of a trie node — a root vertex tested, a
 	// candidate compared against the bound vertices and its windows, bound
@@ -59,10 +59,10 @@ type Weights struct {
 // (SetElems) plus, per candidate a materialized level examined, its
 // depth + 2 comparisons (bound vertices, window, binding). Against the
 // measured number of intersections, differences, collapsed-leaf executions
-// and node executions of each pass (per-node Enters and the plan-time class
-// of every node), relative least squares yields SetOp 1.34 and Difference
-// 2.49 model rows per call (an intersection scans 15-19 elements count-only
-// and 41 materialized, a difference 29-56), Leaf 4.99 and Iterate 3.38
+// and node executions of each pass (per-node Enters, every node's
+// plan.Class), relative least squares yields SetOp 1.34 and Difference 2.49
+// model rows per call (an intersection scans 15-19 elements count-only and
+// 41 materialized, a difference 29-56), Leaf 4.99 and Iterate 3.38
 // elements; 38 of the 40 rows are predicted within x1.6, the other two (a
 // single tailed triangle on either graph, whose leaf windows move with the
 // parent's binding) at x0.52 and x0.53. A collapsed leaf's elements are its
@@ -157,18 +157,17 @@ type Level struct {
 	Cost float64
 }
 
-// Levels appends pl's trie nodes to dst, root first, each priced by the
-// class the executor assigns it at plan time (engine's classify): the root
-// scan; below it one Iterate per execution — a level runs once per binding
-// of its parent — plus its set operations (levelOps: intersections and
-// anti-edge differences weighted apart, a single-row level none, a hoisted
-// base charged where it is built). In a counting pass (perMatch == 0) the
-// last level is count-only: its kernel call per entering prefix and no
-// per-match iteration, or Leaf when it calls no kernel at all (a collapsed
-// leaf, counted in bulk by its parent). With perMatch > 0 every match is delivered: the last level is
-// iterated and carries perMatch per expected unique match, aut being
-// |Aut(pattern)|. A last level's key is its own — it never merges with an
-// inner level of a larger pattern, which executes differently.
+// Levels appends pl's trie nodes to dst, root first, each priced by its
+// class (plan.Class, the one the executor runs): the root scan; below it one
+// Iterate per execution — a level runs once per binding of its parent —
+// plus its kernel calls. In a counting pass (perMatch == 0) the last level
+// is count-only: its kernel call per entering prefix, if any (a degree leaf
+// reads a row's length), no per-match iteration, and Leaf more when its
+// parent counts it in bulk (Class.Collapse). With perMatch > 0 every
+// match is delivered: the last level is iterated and carries perMatch per
+// expected unique match, aut being |Aut(pattern)|. A last level's key is
+// its own — it never merges with an inner level of a larger pattern, which
+// executes differently.
 func (m *Model) Levels(pl *plan.Plan, perMatch float64, aut int, dst []Level) []Level {
 	var enter [pattern.MaxVertices + 1]float64 // partial embeddings entering each level
 	enter[0] = 1
@@ -194,12 +193,11 @@ func (m *Model) Levels(pl *plan.Plan, perMatch float64, aut int, dst []Level) []
 		// that binds is charged to the level it enters, so a node's cost
 		// does not depend on its own windows, which are not in its key.
 		cost := m.w.Iterate * m.n
-		var o levelOps
 		if i > 0 {
-			o = opsOf(pl, i)
+			k := callsOf(pl, i)
 			cost = m.w.Iterate*enter[i] + m.deg*
-				(enter[i]*(m.w.SetOp*float64(o.inter)+m.w.Difference*float64(o.diff))+
-					enter[o.baseAt+1]*(m.w.SetOp*float64(o.baseInter)+m.w.Difference*float64(o.baseDiff)))
+				(enter[i]*(m.w.SetOp*k.inter+m.w.Difference*k.diff)+
+					enter[k.baseAt+1]*(m.w.SetOp*k.baseInter+m.w.Difference*k.baseDiff))
 		}
 		k := key
 		if i == last {
@@ -207,7 +205,7 @@ func (m *Model) Levels(pl *plan.Plan, perMatch float64, aut int, dst []Level) []
 			switch {
 			case perMatch > 0:
 				cost += m.w.Iterate*enter[i+1] + perMatch*matches
-			case i > 0 && o.collapsed(label):
+			case pl.Class[i].Collapse:
 				cost += m.w.Leaf * enter[i]
 			}
 		}
@@ -217,62 +215,39 @@ func (m *Model) Levels(pl *plan.Plan, perMatch float64, aut int, dst []Level) []
 	return dst
 }
 
-// levelOps is the set-operation class of one plan level below the root, a
-// plan-time fact (engine's classify derives the same from the trie). The
-// level's lists split into the entry the parent's binding decides (level
-// i-1) and the prefix part, fixed once its deepest level is bound. A prefix
-// of two or more rows is a base set built once per binding of level baseAt —
-// not at all when an unlabeled ancestor materialized exactly those lists —
-// which leaves an execution one kernel call against the parent's row, or
-// none; any other level runs its own lists, a single row costing nothing.
-type levelOps struct {
-	inter, diff         int // kernel calls of one execution: intersections, differences
-	baseInter, baseDiff int // operations of one base build
-	baseAt              int
+// calls counts a level's kernel calls, read off its class: per execution,
+// and per build of its base (once per binding of level baseAt). A level
+// running its own lists calls once per row but the first; a built base
+// costs its operands but the first, nothing when an unlabeled ancestor
+// materialized its lists, and leaves an execution the binding part's call.
+// A base of one row narrowed by differences stays row-sized, so a call
+// against it counts as a difference, whatever the call (the fit's table,
+// MI: 29-53 elements a call, 12-15 against a base of intersected rows).
+type calls struct {
+	inter, diff, baseInter, baseDiff float64
+	baseAt                           int
 }
 
-func opsOf(pl *plan.Plan, i int) levelOps {
-	conn, disc := pl.Connect[i], pl.Disconnect[i]
-	pconn, bconn := splitAt(conn, i-1)
-	pdisc, bdisc := splitAt(disc, i-1)
-	if len(pconn) < 2 && (len(pconn) == 0 || len(pdisc) == 0) {
-		return levelOps{inter: len(conn) - 1, diff: len(disc)}
+func callsOf(pl *plan.Plan, i int) (k calls) {
+	c := &pl.Class[i]
+	if !c.Built {
+		return calls{inter: float64(len(pl.Connect[i]) - 1), diff: float64(len(pl.Disconnect[i]))}
 	}
-	o := levelOps{inter: len(bconn), diff: len(bdisc)}
-	if len(pconn) == 1 {
-		// One row narrowed by differences keeps most of its vertices: a
-		// kernel call against such a base scans a row-sized set each time,
-		// as a difference does (the fit's table, MI: 29-53 elements a call
-		// where a base of intersected rows costs 12-15), whatever the call.
-		o.inter, o.diff = 0, o.inter+o.diff
+	k.inter, k.diff = float64(len(c.BConn)), float64(len(c.BDisc))
+	bi, bd := len(c.PConn), len(c.PDisc) // the operands but the first, Last included
+	if c.LastDisc {
+		bi, bd = bi-1, bd+1
 	}
-	for a := 1; a < i; a++ {
-		if slices.Equal(pl.Connect[a], pconn) && slices.Equal(pl.Disconnect[a], pdisc) &&
-			pl.Pattern.Label(pl.Order[a]) == pattern.Unlabeled {
-			return o
+	if bi == 0 {
+		k.inter, k.diff = 0, k.inter+k.diff
+	}
+	for raw := c.Raw; raw != 0; raw &= raw - 1 {
+		if pl.Pattern.Label(pl.Order[bits.TrailingZeros16(raw)]) == pattern.Unlabeled {
+			return k
 		}
 	}
-	o.baseInter, o.baseDiff, o.baseAt = len(pconn)-1, len(pdisc), pconn[len(pconn)-1]
-	if n := len(pdisc); n > 0 {
-		o.baseAt = max(o.baseAt, pdisc[n-1])
-	}
-	return o
-}
-
-// collapsed reports whether a counting pass runs the level, as a last
-// level, without a kernel call: its parent counts it for all of its
-// candidates at once, by rank sums over a set already held.
-func (o levelOps) collapsed(label int32) bool {
-	return o.inter+o.diff == 0 && label == pattern.Unlabeled
-}
-
-// splitAt partitions an ascending level list into the levels below d and
-// the entry for d itself (nil when absent).
-func splitAt(list []int, d int) (below, at []int) {
-	if n := len(list); n > 0 && list[n-1] == d {
-		return list[:n-1], list[n-1:]
-	}
-	return list, nil
+	k.baseInter, k.baseDiff, k.baseAt = float64(bi), float64(bd), c.At
+	return k
 }
 
 // lastLevel salts the key of a plan's final level.

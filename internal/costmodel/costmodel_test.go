@@ -1,8 +1,6 @@
 package costmodel
 
 import (
-	"math/rand"
-	"slices"
 	"testing"
 	"time"
 
@@ -93,83 +91,6 @@ func TestPerMatchCostIncreasesPatternCost(t *testing.T) {
 	}
 }
 
-// TestLevelKeysAreTheTrieNodes: over random sets of distinct connected
-// patterns of mixed sizes, labels and variants, two plans carry the same
-// key at a level exactly when plan.MergePlans runs them on the same node
-// there, equal keys carry equal costs, and a last level's key is the
-// plan's own: a set's distinct keys are its trie, priced consistently.
-func TestLevelKeysAreTheTrieNodes(t *testing.T) {
-	m := model(t)
-	r := rand.New(rand.NewSource(5))
-	shared := 0
-	for trial := 0; trial < 300; trial++ {
-		var plans []*plan.Plan
-		seen := map[[2]uint64]bool{}
-		for want := 2 + r.Intn(6); len(plans) < want; {
-			n := 3 + r.Intn(3)
-			var edges [][2]int
-			for v := 1; v < n; v++ {
-				edges = append(edges, [2]int{r.Intn(v), v})
-			}
-			for u := 0; u < n; u++ {
-				for v := u + 1; v < n; v++ {
-					if r.Intn(3) == 0 && !slices.Contains(edges, [2]int{u, v}) {
-						edges = append(edges, [2]int{u, v})
-					}
-				}
-			}
-			labels := make([]int32, n)
-			for i := range labels {
-				labels[i] = int32(r.Intn(2) * (trial % 3))
-			}
-			p := pattern.MustNew(n, edges, pattern.WithLabels(labels), pattern.WithInduced(pattern.Induced(r.Intn(2))))
-			id := [2]uint64{canon.StructureID(p), uint64(p.Induced())}
-			if p.IsClique() {
-				id[1] = 0
-			}
-			if !seen[id] {
-				seen[id] = true
-				plans = append(plans, planFor(t, p))
-			}
-		}
-		tr, err := plan.MergePlans(plans)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodeOf := nodePaths(tr)
-		costOf := map[uint64]float64{}
-		levels := make([][]Level, len(plans))
-		for i, pl := range plans {
-			levels[i] = m.Levels(pl, float64(trial%2), 2, nil)
-			for _, l := range levels[i] {
-				if c, ok := costOf[l.Key]; ok && c != l.Cost {
-					for _, q := range plans {
-						t.Logf("%v order %v conn %v disc %v gr %v sm %v", q.Pattern, q.Order, q.Connect, q.Disconnect, q.Greater, q.Smaller)
-					}
-					t.Fatalf("trial %d: key %x priced %v and %v (plan %d)", trial, l.Key, c, l.Cost, i)
-				}
-				costOf[l.Key] = l.Cost
-			}
-		}
-		for i := range plans {
-			for j := range plans[:i] {
-				for l := 0; l < min(len(levels[i]), len(levels[j])); l++ {
-					sameNode := nodeOf[i][l] == nodeOf[j][l] && l < len(levels[i])-1 && l < len(levels[j])-1
-					if sameKey := levels[i][l].Key == levels[j][l].Key; sameKey != sameNode {
-						t.Fatalf("trial %d: %v and %v at level %d: same key %v, same trie node %v", trial, plans[i].Pattern, plans[j].Pattern, l, sameKey, nodeOf[i][l] == nodeOf[j][l])
-					}
-					if sameNode && l > 1 {
-						shared++
-					}
-				}
-			}
-		}
-	}
-	if shared < 100 {
-		t.Fatalf("only %d shared levels below the first two: the sets do not exercise sharing", shared)
-	}
-}
-
 // nodePaths returns, per plan of tr, the trie node it runs at each level.
 func nodePaths(tr *plan.Trie) [][]*plan.TrieNode {
 	paths := make([][]*plan.TrieNode, len(tr.Plans))
@@ -187,12 +108,6 @@ func nodePaths(tr *plan.Trie) [][]*plan.TrieNode {
 	}
 	walk(tr.Roots, nil)
 	return paths
-}
-
-// childless: every branch of n ends plans and continues none — a leaf of a
-// counting pass.
-func childless(n *plan.TrieNode) bool {
-	return !slices.ContainsFunc(n.Branches, func(b *plan.TrieBranch) bool { return len(b.Children) > 0 })
 }
 
 func TestLabelFrequencyShrinksCost(t *testing.T) {

@@ -72,9 +72,10 @@ func solve(a [][]float64, b []float64) []float64 {
 // set of fitSets is mined in one counting pass (plan.Build's plans, one
 // thread) on MI x0.01 and MG x0.003, and the executor's exact counters say
 // how often each trie node ran (TrieNodes.Enters) and how many elements the
-// pass's kernels and collapsed leaves scanned (SetElems). With opsOf's class
-// of every node that gives, per set, the intersections and differences
-// executed (kernel calls and base builds) and the collapsed-leaf executions;
+// pass's kernels and collapsed leaves scanned (SetElems). With every node's
+// class (callsOf over its plan.Class, and TrieNode.Collapsed) that gives, per
+// set, the intersections and differences executed (kernel calls and base
+// builds) and the collapsed-leaf executions;
 // the weights are the relative least-squares solution of
 //
 //	SetElems = SetOp x deg x intersections + Difference x deg x differences + Leaf x collapsed executions
@@ -121,7 +122,7 @@ func TestFitWeights(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Every node once, its class read from the first plan through it.
+			// Every node once, its calls read from the first plan through it.
 			var inter, diff, collapsed, bound float64
 			execs := float64(g.NumVertices())
 			classed := map[int]bool{}
@@ -131,18 +132,18 @@ func TestFitWeights(t *testing.T) {
 						continue
 					}
 					classed[node.ID] = true
-					o := opsOf(plans[idx], i+1)
-					runs, builds := float64(st.TrieNodes[node.ID].Enters), float64(st.TrieNodes[path[o.baseAt+1].ID].Enters)
+					k := callsOf(plans[idx], i+1)
+					runs, builds := float64(st.TrieNodes[node.ID].Enters), float64(st.TrieNodes[path[k.baseAt+1].ID].Enters)
 					execs += runs
-					inter += runs*float64(o.inter) + builds*float64(o.baseInter)
-					diff += runs*float64(o.diff) + builds*float64(o.baseDiff)
-					if childless(node) && len(node.Branches) == 1 && o.collapsed(node.Label) {
+					inter += runs*k.inter + builds*k.baseInter
+					diff += runs*k.diff + builds*k.baseDiff
+					if node.Collapsed {
 						collapsed += runs
 					}
 				}
 			}
 			tr.Walk(func(n *plan.TrieNode) {
-				if !childless(n) {
+				if !n.Leaf {
 					bound += float64(st.TrieNodes[n.ID].Candidates) * float64(n.Depth+2)
 				}
 			})

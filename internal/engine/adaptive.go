@@ -1,11 +1,8 @@
 package engine
 
 import (
-	"slices"
-
 	"morphing/internal/graph"
 	"morphing/internal/pattern"
-	"morphing/internal/plan"
 	"morphing/internal/setops"
 )
 
@@ -241,113 +238,6 @@ func kernelFilter(f setops.Filter, label int32) setops.Filter {
 	return f
 }
 
-// unconnected appends to dst the depths below depth that are not in conn:
-// the bound positions a count-only level has to correct for (see
-// countExtensions). It depends on the plan alone, so executors resolve it
-// once per level at plan time.
-func unconnected(dst []int, depth int, conn []int) []int {
-next:
-	for j := 0; j < depth; j++ {
-		for _, c := range conn {
-			if c == j {
-				continue next
-			}
-		}
-		dst = append(dst, j)
-	}
-	return dst
-}
-
-// settleChecks decides from the pattern what it can of the corrections a
-// count-only level at depth makes: a bound depth outside conn
-// (unconnected) is subtracted when its vertex qualifies — adjacent to every
-// vertex bound at the conn depths, to none bound at the other disc depths.
-// path[j] is the trie node that binds depth j; its Connect and Disconnect
-// name every pattern edge and anti-edge between depth j and the depths
-// below (plan.MergePlans shares a node only between plans that agree on
-// them), and the bound vertices meet each one. So a depth the pattern makes
-// adjacent to every conn level and anti-adjacent to every other disc level
-// always qualifies; one it makes anti-adjacent to a conn level or adjacent
-// to a disc level never does and is dropped; the rest — non-edges of an
-// edge-induced pattern — are left to probe. settleChecks appends the first
-// kind to dst, then the last, and returns dst and how many it appended of
-// the first. On a vertex-induced plan nothing is left to probe.
-func settleChecks(dst []int, path []*plan.TrieNode, depth int, conn, disc []int) (_ []int, nAlways int) {
-	var buf [pattern.MaxVertices]int
-	bound := unconnected(buf[:0], depth, conn)
-	for _, a := range bound {
-		if patternQualifies(path, a, conn, disc) == always {
-			dst = append(dst, a)
-			nAlways++
-		}
-	}
-	for _, a := range bound {
-		if patternQualifies(path, a, conn, disc) == maybe {
-			dst = append(dst, a)
-		}
-	}
-	return dst, nAlways
-}
-
-// verdict is what the pattern says about a relation between bound
-// vertices in every match: it holds always, never, or maybe.
-type verdict uint8
-
-const (
-	maybe verdict = iota
-	always
-	never
-)
-
-// patternQualifies is settleChecks' verdict on bound depth a.
-func patternQualifies(path []*plan.TrieNode, a int, conn, disc []int) verdict {
-	v := always
-	for _, c := range conn {
-		switch patternAdjacent(path, a, c) {
-		case never:
-			return never
-		case maybe:
-			v = maybe
-		}
-	}
-	for _, d := range disc {
-		if d == a {
-			continue
-		}
-		switch patternAdjacent(path, a, d) {
-		case always:
-			return never
-		case maybe:
-			v = maybe
-		}
-	}
-	return v
-}
-
-// patternAdjacent is the pattern's verdict on whether the vertices bound at
-// depths a and b are adjacent: the later depth's node lists the earlier
-// one in Connect (always), in Disconnect (never) or in neither (maybe).
-func patternAdjacent(path []*plan.TrieNode, a, b int) verdict {
-	lo, hi := min(a, b), max(a, b)
-	switch {
-	case slices.Contains(path[hi].Connect, lo):
-		return always
-	case slices.Contains(path[hi].Disconnect, lo):
-		return never
-	}
-	return maybe
-}
-
-// degreeLeaf reports whether a count-only node counts one whole row: a
-// single branch with no symmetry window, one Connect level, no
-// Disconnect, no label, and no bound depth left to probe (settleChecks).
-// Its count is that row's length less the bound depths that always
-// qualify (degreeCount), so the row itself is never fetched.
-func degreeLeaf(n *plan.TrieNode, probe []int) bool {
-	return len(n.Branches) == 1 && len(n.Branches[0].Greater)+len(n.Branches[0].Smaller) == 0 &&
-		len(n.Connect) == 1 && len(n.Disconnect) == 0 && n.Label == pattern.Unlabeled && len(probe) == 0
-}
-
 // degreeCount counts a degree leaf whose Connect level is depth j and
 // which has nAlways bound depths to subtract. It charges the one
 // count-only operation setops.CountF would have charged for the whole row.
@@ -368,7 +258,7 @@ func (p *rowPins) degreeCount(j, nAlways int, st *setops.Stats) uint64 {
 // closes the level it is a word-parallel bitmap AND.
 //
 // conn must be non-empty. always and check list the bound depths whose
-// vertex the kernels may have counted (settleChecks): the vertices at the
+// vertex the kernels may have counted (plan.Class.Bound): the vertices at the
 // always depths qualify in every match and are subtracted when they pass
 // f; those at the check depths are subtracted when adjacency probes into
 // pinned rows find they qualify. A conn vertex is not its own neighbor, so

@@ -224,12 +224,15 @@ func TestCountExtensionsMatchesMaterialized(t *testing.T) {
 			// bound vertices; conn and disc are its leading depths.
 			bound := append(append([]uint32{}, tc.conn...), tc.disc...)
 			bound = append(bound, 0, 25)
-			var conn, disc []int
+			var conn, disc, check []int
 			for j := range tc.conn {
 				conn = append(conn, j)
 			}
 			for j := range tc.disc {
 				disc = append(disc, len(tc.conn)+j)
+			}
+			for j := len(tc.conn); j < len(bound); j++ {
+				check = append(check, j) // every depth outside conn is probed
 			}
 			pins.reset(a.View(), len(bound))
 			pins.lrows, _ = a.(labelRower)
@@ -237,13 +240,13 @@ func TestCountExtensionsMatchesMaterialized(t *testing.T) {
 			var st setops.Stats
 			var got uint64
 			want := reference(tc.conn, tc.disc, tc.f, bound)
-			got, bufA, bufB = pins.countExtensions(conn, disc, nil, unconnected(nil, len(bound), conn), tc.f, pattern.Unlabeled, bufA, bufB, &st)
+			got, bufA, bufB = pins.countExtensions(conn, disc, nil, check, tc.f, pattern.Unlabeled, bufA, bufB, &st)
 			if got != want {
 				t.Errorf("%s case %d: CountExtensions=%d, reference=%d", name, i, got, want)
 			}
 			// The same level with the conn rows carrying the label.
 			if tc.f.Labels != nil && pins.lrows != nil {
-				got, bufA, bufB = pins.countExtensions(conn, disc, nil, unconnected(nil, len(bound), conn), tc.f, tc.f.Want, bufA, bufB, &st)
+				got, bufA, bufB = pins.countExtensions(conn, disc, nil, check, tc.f, tc.f.Want, bufA, bufB, &st)
 				if got != want {
 					t.Errorf("%s case %d: CountExtensions over label rows=%d, reference=%d", name, i, got, want)
 				}
@@ -254,15 +257,6 @@ func TestCountExtensionsMatchesMaterialized(t *testing.T) {
 	run("plain+hub", hubbed, hubbed)
 	run("hub rows hidden", noHubRows{hubbed}, hubbed)
 	run("compressed", c, hubbed)
-}
-
-func TestUnconnected(t *testing.T) {
-	if got := unconnected(nil, 4, []int{0, 2}); len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Errorf("unconnected(4, [0 2]) = %v, want [1 3]", got)
-	}
-	if got := unconnected([]int{9}, 0, nil); len(got) != 1 {
-		t.Errorf("unconnected must append to dst, got %v", got)
-	}
 }
 
 func TestLevelFilter(t *testing.T) {

@@ -27,6 +27,17 @@ func planTrie(t *testing.T, pl engine.Planner, ps []*pattern.Pattern) *plan.Trie
 	return tr
 }
 
+// countingLeaves returns tr's count-only leaves: the childless nodes.
+func countingLeaves(tr *plan.Trie) []*plan.TrieNode {
+	var leaves []*plan.TrieNode
+	tr.Walk(func(n *plan.TrieNode) {
+		if n.Leaf {
+			leaves = append(leaves, n)
+		}
+	})
+	return leaves
+}
+
 // TestVertexInducedLeavesProbeNothing: under Peregrine's plans, every
 // connected 3–5-vertex pattern's vertex-induced variant — alone, and merged
 // with the other variants of its size — leaves no count-only leaf a bound
@@ -45,21 +56,21 @@ func TestVertexInducedLeavesProbeNothing(t *testing.T) {
 		for _, s := range shapes {
 			p := s.AsVertexInduced()
 			all = append(all, p)
-			for id, lc := range engine.CountingLeaves(planTrie(t, pl, []*pattern.Pattern{p})) {
-				if len(lc.Probe) > 0 {
-					t.Errorf("%v: leaf node %d probes depths %v", p, id, lc.Probe)
+			for _, n := range countingLeaves(planTrie(t, pl, []*pattern.Pattern{p})) {
+				if len(n.Class.Check()) > 0 {
+					t.Errorf("%v: leaf node %d probes depths %v", p, n.ID, n.Class.Check())
 				}
 			}
 		}
-		for id, lc := range engine.CountingLeaves(planTrie(t, pl, all)) {
-			if len(lc.Probe) > 0 {
-				t.Errorf("merged %d-vertex set: leaf node %d probes depths %v", k, id, lc.Probe)
+		for _, n := range countingLeaves(planTrie(t, pl, all)) {
+			if len(n.Class.Check()) > 0 {
+				t.Errorf("merged %d-vertex set: leaf node %d probes depths %v", k, n.ID, n.Class.Check())
 			}
 		}
 	}
 	probes := false
-	for _, lc := range engine.CountingLeaves(planTrie(t, pl, []*pattern.Pattern{pattern.Path(4)})) {
-		probes = probes || len(lc.Probe) > 0
+	for _, n := range countingLeaves(planTrie(t, pl, []*pattern.Pattern{pattern.Path(4)})) {
+		probes = probes || len(n.Class.Check()) > 0
 	}
 	if !probes {
 		t.Error("the edge-induced 4-vertex path's leaf probes nothing")
@@ -73,13 +84,11 @@ func TestVertexInducedLeavesProbeNothing(t *testing.T) {
 // depth 2 minus two.
 func TestGraphPiTailIsADegreeLeaf(t *testing.T) {
 	tr := planTrie(t, graphpi.New(1), []*pattern.Pattern{pattern.TailedTriangle()})
-	leaves := engine.CountingLeaves(tr)
+	leaves := countingLeaves(tr)
 	if len(leaves) != 1 {
 		t.Fatalf("%d count-only leaves, want 1", len(leaves))
 	}
-	for id, lc := range leaves {
-		if !lc.Degree {
-			t.Errorf("order %v: leaf node %d is no degree leaf (probes %v)", tr.Plans[0].Order, id, lc.Probe)
-		}
+	if n := leaves[0]; !n.Degree || n.Class.NAlways != 2 {
+		t.Errorf("order %v: leaf node %d is no degree leaf less two (probes %v, always %v)", tr.Plans[0].Order, n.ID, n.Class.Check(), n.Class.Always())
 	}
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"runtime/debug"
 	"slices"
 	"sync"
@@ -96,7 +97,7 @@ func MatchTrieCtx(ctx context.Context, g graph.Adjacency, tr *plan.Trie, visits 
 // triePass is the shared state of one pass: the block cursor, the
 // abort/panic latches, the worker and range tables the goroutines
 // coordinate through, and what the workers read about the trie (the
-// per-node classification and the scratch it is carved from). It is a
+// per-node classes). It is a
 // pooled struct rather than locals captured by goroutine closures for the
 // allocation trajectory: locals captured by N closures escape one by one,
 // while a pooled carrier costs nothing in steady state — a pass allocates
@@ -122,14 +123,13 @@ type triePass struct {
 	workers   []*trieWorker
 	ranges    []*vertexRange
 
-	tr     *plan.Trie
-	lrows  labelRower       // the graph, when it serves label rows
-	scans  bool             // some labeled node has no row to carry its label and scans
-	visits []Visitor        // per plan; nil: counting pass
-	info   []trieExecInfo   // per node ID
-	nodes  []*plan.TrieNode // parents before children, the order Stats.TrieNodes reports
-	path   []*plan.TrieNode // classify: ancestors of the node in hand, root first
-	ints   []int            // backs info[].bound and info[].collBranches
+	tr        *plan.Trie
+	lrows     labelRower                 // the graph, when it serves label rows
+	scans     bool                       // some labeled node has no row to carry its label and scans
+	visits    []Visitor                  // per plan; nil: counting pass
+	info      []trieExecInfo             // per node ID
+	nodes     []*plan.TrieNode           // parents before children, the order Stats.TrieNodes reports
+	rowLabels [pattern.MaxVertices]int32 // loadNode: the rowLabel of the node in hand's ancestor at each depth
 
 	single plan.Trie  // BacktrackCtx: the one-leaf trie of its plan
 	one    [1]Visitor // and the visitor list of its streaming pass
@@ -158,8 +158,6 @@ func (ps *triePass) release() {
 	clear(ps.ranges)
 	clear(ps.info)
 	clear(ps.nodes)
-	clear(ps.path[:cap(ps.path)])
-	ps.ints = ps.ints[:0]
 	ps.done, ps.fi, ps.live, ps.panicErr = nil, nil, nil, nil
 	ps.tr, ps.lrows, ps.visits, ps.one[0] = nil, nil, nil, nil
 	ps.single.Reset() // cannot fail without plans
@@ -199,7 +197,7 @@ func (ps *triePass) mine(ctx context.Context, g graph.Adjacency, tr *plan.Trie, 
 	ps.live = o.Counter(MetricMatches)
 	ps.tr, ps.visits = tr, visits
 	ps.lrows, _ = g.(labelRower)
-	ps.classify()
+	ps.loadClasses()
 
 	if cap(ps.workers) < threads {
 		ps.workers = make([]*trieWorker, threads)
@@ -370,38 +368,16 @@ func (ps *triePass) mineRange(w *trieWorker) {
 	}
 }
 
-// trieExecInfo is what classify decides about a node from the trie's static
-// structure alone (bind-time hoisting, DESIGN §12). A node at depth k runs
-// once per vertex its parent binds at depth d = k-1, so its
-// Connect/Disconnect lists split into the prefix part (levels below d) and
-// the binding part (level d itself, at most one entry). The prefix part
-// evaluates to a base set that cannot change while the levels it reads
-// stay bound; src says where that set lives:
-//
-//   - srcRows: nothing to hoist — the prefix is empty or a single pinned
-//     row, and the node runs its own lists through rowPins (no extra op);
-//   - srcRaw: the raw set the ancestor at depth at materialized, valid
-//     while that ancestor's execution is on the stack;
-//   - srcBuilt: built into the node's own buffer (pconn/pdisc, then last)
-//     on first use after level at — its deepest operand — is re-bound.
-//
-// A labeled node below the root needs a label-pure set. Where the graph
-// serves label rows and the node reads a Connect row of its own — its lists
-// (srcRows), the operands of the base it builds (srcBuilt), a binding part
-// base ∩ N_L(v_d) — rowLabel hands the label to rowPins and the set comes
-// out pure at no cost. Otherwise (an ancestor's raw set alone or minus
-// N(v_d); a tier without label rows) scan is set and the node filters what
-// it materialized (labeled, or Filter.Labels in the count-only kernels).
-//
-// An execution then costs at most one kernel call (base against the row of
-// v_d), and in a counting pass an unlabeled single-branch leaf with an
-// empty binding part is never executed: it is collapsed, and its parent
-// counts it over all of its candidates at once (countCollapsed). A parent
-// whose children are all collapsed binds nothing. always and check list the
-// bound depths a count-only leaf corrects for, by subtraction or by probe
-// (settleChecks), and a degree leaf counts a row's length (degreeLeaf). A
-// streaming pass binds every level, so it has no leaves and collapses
-// nothing; its childless nodes are tails instead.
+// trieExecInfo is a node's class as a pass runs it, in one dense array so
+// an execution reads one cache line of flags: its plan.Class and what
+// MergePlans made of it (plan.TrieNode), plus what depends on the pass.
+// src is where the base lives: nowhere (srcRows: the node runs its own
+// lists), the node's own buffer (srcBuilt), or the raw set the ancestor at
+// depth At materialized (srcRaw), if that ancestor's rows carry no label.
+// A labeled node reading a Connect row of its own, on a graph that serves
+// label rows, passes rowLabel to rowPins and gets a label-pure set; any
+// other scans what it materialized (labeled, or Filter.Labels). A
+// streaming pass collapses nothing and has tails instead of leaves.
 type trieExecInfo struct {
 	// What every execution reads comes first, on one cache line.
 	src       baseSrc
@@ -413,17 +389,10 @@ type trieExecInfo struct {
 	bindsNone bool // every child is collapsed
 	loDep     bool // collapsed: the window's low / high end depends on v_d
 	hiDep     bool
-	lastDisc  bool  // srcBuilt: last is a disc level
 	scan      bool  // labeled, and no operand row carries the label
 	rowLabel  int32 // the label the operand rows carry; Unlabeled: whole rows
-	at        int
-	last      int // srcBuilt: the final operand
+	plan.Class
 
-	pconn, pdisc []int // srcBuilt: the base's operands but the last
-	bconn, bdisc []int // binding part: the parent's depth in at most one of them
-	bound        []int // always, then check
-	always       []int
-	check        []int
 	collBranches []int // the branches with a collapsed child, or with leaves when bindsNone
 }
 
@@ -431,11 +400,10 @@ type baseSrc uint8
 
 const srcRows, srcRaw, srcBuilt baseSrc = 0, 1, 2
 
-// classify fills ps.info and ps.nodes for the pass's trie, once per pass,
-// so an execution only reads flags (classifying per execution is measurably
-// slower on the decode-bound tier). Everything it builds is carved from the
-// pass's grow-only scratch.
-func (ps *triePass) classify() {
+// loadClasses fills ps.info and ps.nodes for the pass's trie, once per pass,
+// so an execution only reads flags (reading the trie's nodes per execution
+// is measurably slower on the decode-bound tier).
+func (ps *triePass) loadClasses() {
 	if n := ps.tr.Nodes; cap(ps.info) < n {
 		ps.info, ps.nodes = make([]trieExecInfo, n), make([]*plan.TrieNode, 0, n)
 	} else {
@@ -443,95 +411,48 @@ func (ps *triePass) classify() {
 	}
 	ps.scans = false
 	for _, r := range ps.tr.Roots {
-		ps.classifyNode(r)
+		ps.loadNode(r)
 	}
 }
 
-func (ps *triePass) classifyNode(n *plan.TrieNode) {
+func (ps *triePass) loadNode(n *plan.TrieNode) {
 	ps.nodes = append(ps.nodes, n)
 	ei := &ps.info[n.ID]
-	at, nAlways := len(ps.ints), 0
-	ps.ints, nAlways = settleChecks(ps.ints, ps.path, n.Depth, n.Connect, n.Disconnect)
-	ei.bound = ps.ints[at:len(ps.ints):len(ps.ints)]
-	ei.always, ei.check = ei.bound[:nAlways:nAlways], ei.bound[nAlways:]
-	d := n.Depth - 1
-	pconn, bconn := splitAt(n.Connect, d)
-	pdisc, bdisc := splitAt(n.Disconnect, d)
-	ei.bconn, ei.bdisc = bconn, bdisc
-	if len(pconn) > 1 || len(pconn) == 1 && len(pdisc) > 0 {
-		ei.src, ei.at = srcBuilt, pconn[len(pconn)-1]
-		if nd := len(pdisc); nd > 0 {
-			ei.pconn, ei.pdisc, ei.last, ei.lastDisc = pconn, pdisc[:nd-1], pdisc[nd-1], true
-			ei.at = max(ei.at, ei.last)
-		} else {
-			ei.pconn, ei.last = pconn[:len(pconn)-1], ei.at
-		}
-		for _, a := range ps.path[1:] { // a built base reads two levels below d: depth ≥ 3
-			// (an ancestor whose rows carry its label materialized that label's share only)
-			if slices.Equal(a.Connect, pconn) && slices.Equal(a.Disconnect, pdisc) && ps.info[a.ID].rowLabel == pattern.Unlabeled {
-				ei.src, ei.at = srcRaw, a.Depth
+	*ei = trieExecInfo{rowLabel: pattern.Unlabeled, Class: n.Class}
+	if ei.Built {
+		ei.src = srcBuilt
+		// The deepest ancestor with the base's lists whose raw set is whole:
+		// one whose rows carried its label materialized that label's share.
+		for raw := ei.Raw; raw != 0; {
+			a := bits.Len16(raw) - 1
+			if ps.rowLabels[a] == pattern.Unlabeled {
+				ei.src, ei.At = srcRaw, a
+				break
 			}
+			raw &^= 1 << a
 		}
 	}
-	ei.rowLabel = pattern.Unlabeled
 	if n.Label != pattern.Unlabeled && n.Depth > 0 { // a root tests its own vertex
-		if ps.lrows != nil && (ei.src != srcRaw || len(bconn) > 0) {
+		if ps.lrows != nil && (ei.src != srcRaw || len(ei.BConn) > 0) {
 			ei.rowLabel = n.Label
 		} else {
 			ei.scan, ps.scans = true, true
 		}
 	}
-	childless := true
-	ps.path = append(ps.path, n)
+	ps.rowLabels[n.Depth] = ei.rowLabel
+	ei.timeWhole = n.Leaf
 	for _, b := range n.Branches {
-		for _, c := range b.Children {
-			childless = false
-			ps.classifyNode(c)
+		for _, child := range b.Children {
+			ps.loadNode(child)
+			ei.timeWhole = ei.timeWhole || child.Leaf
 		}
 	}
-	ps.path = ps.path[:len(ps.path)-1]
 	if ps.visits != nil {
-		ei.tail = childless
+		ei.tail, ei.timeWhole = n.Leaf, false
 		return
 	}
-	ei.leaf = childless
-	ei.degree = childless && degreeLeaf(n, ei.check)
-	ei.timeWhole = childless
-	ei.bindsNone = !childless
-	for _, b := range n.Branches {
-		for _, c := range b.Children {
-			ci := &ps.info[c.ID]
-			ei.timeWhole = ei.timeWhole || ci.leaf
-			if ci.leaf && len(c.Branches) == 1 && c.Label == pattern.Unlabeled && len(ci.bconn)+len(ci.bdisc) == 0 {
-				ci.collapsed = true
-				ci.loDep = slices.Contains(c.Branches[0].Greater, n.Depth)
-				ci.hiDep = slices.Contains(c.Branches[0].Smaller, n.Depth)
-			}
-			ei.bindsNone = ei.bindsNone && ci.collapsed
-		}
-	}
-	at = len(ps.ints)
-	for bi, b := range n.Branches {
-		need := ei.bindsNone && len(b.Leaves) > 0
-		for _, c := range b.Children {
-			need = need || ps.info[c.ID].collapsed
-		}
-		if need {
-			ps.ints = append(ps.ints, bi)
-		}
-	}
-	ei.collBranches = ps.ints[at:len(ps.ints):len(ps.ints)]
-}
-
-// splitAt partitions a node's level list into the levels below d and the
-// entry for d itself (nil when absent). Plans list levels in ascending
-// order and d is the deepest level a node at depth d+1 can name, so the
-// entry is the last one.
-func splitAt(list []int, d int) (below, at []int) {
-	if n := len(list); n > 0 && list[n-1] == d {
-		return list[:n-1], list[n-1:]
-	}
-	return list, nil
+	ei.leaf, ei.degree, ei.collapsed, ei.bindsNone = n.Leaf, n.Degree, n.Collapsed, n.BindsNone
+	ei.loDep, ei.hiDep, ei.collBranches = n.LoDep, n.HiDep, n.CollBranches
 }
 
 // trieWorker interprets the trie over one stealable vertex range at a
@@ -1027,7 +948,7 @@ func (w *trieWorker) credit(leaf *plan.TrieNode, n uint64) {
 // skips. Only the depths the pattern lets into the node's set (bound) can be.
 func (w *trieWorker) boundIn(cands []uint32, ei *trieExecInfo) []uint32 {
 	dst := w.xs[:0]
-	for _, a := range ei.bound {
+	for _, a := range ei.Bound {
 		if u := w.match[a]; setops.Contains(cands, u) {
 			dst = append(dst, u)
 		}
@@ -1074,8 +995,8 @@ func (w *trieWorker) rankCount(leaf *plan.TrieNode, ei *trieExecInfo, c, x []uin
 	base := w.base(leaf, ei)
 	flo, fhi := trieWindow(leaf.Branches[0], w.match, d)
 	b, f := setops.Clip(base, flo, fhi), w.fs[:0]
-	for i, a := range ei.bound {
-		if u := w.match[a]; a != d && u >= flo && u < fhi && (i < len(ei.always) || setops.Contains(base, u)) {
+	for i, a := range ei.Bound {
+		if u := w.match[a]; a != d && u >= flo && u < fhi && (i < ei.NAlways || setops.Contains(base, u)) {
 			f = append(f, u)
 		}
 	}
@@ -1145,8 +1066,8 @@ func (w *trieWorker) execLeaf(node *plan.TrieNode, ei *trieExecInfo, depth int) 
 		if ei.scan {
 			n = setops.CountF(sub, f, &w.sst)
 		}
-		for i, j := range ei.bound {
-			if u := w.match[j]; f.Pass(u) && (i < len(ei.always) || setops.Contains(sub, u)) {
+		for i, j := range ei.Bound {
+			if u := w.match[j]; f.Pass(u) && (i < ei.NAlways || setops.Contains(sub, u)) {
 				n--
 			}
 		}
@@ -1170,22 +1091,22 @@ func (w *trieWorker) execLeaf(node *plan.TrieNode, ei *trieExecInfo, depth int) 
 func (w *trieWorker) countLeaf(node *plan.TrieNode, ei *trieExecInfo, depth int, f setops.Filter) (n uint64) {
 	switch {
 	case ei.degree:
-		return w.pins.degreeCount(node.Connect[0], len(ei.always), &w.sst)
+		return w.pins.degreeCount(node.Connect[0], ei.NAlways, &w.sst)
 	case ei.src == srcRows:
-		n, w.bufA[depth], w.bufB[depth] = w.pins.countExtensions(node.Connect, node.Disconnect, ei.always, ei.check, f, ei.rowLabel, w.bufA[depth], w.bufB[depth], &w.sst)
+		n, w.bufA[depth], w.bufB[depth] = w.pins.countExtensions(node.Connect, node.Disconnect, ei.Always(), ei.Check(), f, ei.rowLabel, w.bufA[depth], w.bufB[depth], &w.sst)
 		return n
 	}
 	base, kf := w.base(node, ei), kernelFilter(f, ei.rowLabel)
 	switch {
-	case len(ei.bconn) > 0:
+	case len(ei.BConn) > 0:
 		n = w.pins.intersectCountF(base, depth-1, kf, ei.rowLabel, &w.sst)
-	case len(ei.bdisc) > 0:
+	case len(ei.BDisc) > 0:
 		n = w.pins.differenceCountF(base, depth-1, kf, &w.sst)
 	default:
 		n = setops.CountF(base, kf, &w.sst)
 	}
-	for i, a := range ei.bound {
-		if u := w.match[a]; f.Pass(u) && (i < len(ei.always) || setops.Contains(base, u) && w.pins.qualifies(a, ei.bconn, ei.bdisc)) {
+	for i, a := range ei.Bound {
+		if u := w.match[a]; f.Pass(u) && (i < ei.NAlways || setops.Contains(base, u) && w.pins.qualifies(a, ei.BConn, ei.BDisc)) {
 			n--
 		}
 	}
@@ -1207,9 +1128,9 @@ func (w *trieWorker) set(node *plan.TrieNode, ei *trieExecInfo, depth int) (cur 
 		return cur
 	}
 	cur = w.base(node, ei)
-	if len(ei.bconn) > 0 {
+	if len(ei.BConn) > 0 {
 		cur = w.pins.intersectNeighbors(w.bufA[depth], cur, depth-1, ei.rowLabel, &w.sst)
-	} else if len(ei.bdisc) > 0 {
+	} else if len(ei.BDisc) > 0 {
 		cur = w.pins.differenceNeighbors(w.bufA[depth], cur, depth-1, &w.sst)
 	}
 	return cur
@@ -1227,21 +1148,21 @@ func (w *trieWorker) base(node *plan.TrieNode, ei *trieExecInfo) []uint32 {
 	case srcRows:
 		return w.pins.row(node.Connect[0])
 	case srcRaw:
-		return w.raw[ei.at]
+		return w.raw[ei.At]
 	}
 	b := &w.bases[node.ID]
-	if b.stamp != w.stamp[ei.at] {
-		b.stamp = w.stamp[ei.at]
+	if b.stamp != w.stamp[ei.At] {
+		b.stamp = w.stamp[ei.At]
 		k := node.Depth
 		var cur []uint32
-		cur, w.bufA[k], w.bufB[k] = w.pins.candidates(ei.pconn, ei.pdisc, ei.rowLabel, w.bufA[k], w.bufB[k], &w.sst)
+		cur, w.bufA[k], w.bufB[k] = w.pins.candidates(ei.PConn, ei.PDisc, ei.rowLabel, w.bufA[k], w.bufB[k], &w.sst)
 		if cap(b.set) < len(cur) {
 			b.set = w.alloc(max(len(cur), 2*cap(b.set)))
 		}
-		if ei.lastDisc {
-			b.set = w.pins.differenceNeighbors(b.set, cur, ei.last, &w.sst)
+		if ei.LastDisc {
+			b.set = w.pins.differenceNeighbors(b.set, cur, ei.Last, &w.sst)
 		} else {
-			b.set = w.pins.intersectNeighbors(b.set, cur, ei.last, ei.rowLabel, &w.sst)
+			b.set = w.pins.intersectNeighbors(b.set, cur, ei.Last, ei.rowLabel, &w.sst)
 		}
 	}
 	return b.set

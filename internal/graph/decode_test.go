@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 )
 
 // referenceRun decodes like decodeRun, one binary.Uvarint at a time.
@@ -24,6 +25,15 @@ func referenceRun(b []byte, count, blockSize int) []uint32 {
 		out = append(out, cur)
 	}
 	return out
+}
+
+// TestViewFillsWholeCacheLines: sibling workers' views are allocated one
+// after another and written on every row, so a view must not share a
+// cache line with another object.
+func TestViewFillsWholeCacheLines(t *testing.T) {
+	if size := unsafe.Sizeof(compressedView{}); size%64 != 0 {
+		t.Errorf("compressedView is %d bytes, not a whole number of 64-byte lines", size)
+	}
 }
 
 // TestDecodeRunMatchesUvarint checks the varint kernel against

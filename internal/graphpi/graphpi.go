@@ -28,7 +28,8 @@ type Policy struct{}
 
 // orderCap caps how many connected matching orders the performance model
 // evaluates per pattern: exhaustive for patterns up to 5 vertices (5! =
-// 120), a broad sample beyond.
+// 120), beyond that a sample spread evenly over the start vertices
+// (plan.ConnectedOrders).
 const orderCap = 120
 
 // New returns an engine with the given worker count.

@@ -8,6 +8,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 
 	"morphing/internal/canon"
 	"morphing/internal/pattern"
@@ -41,6 +42,10 @@ type Plan struct {
 	// Conditions are the raw symmetry-breaking pairs (a,b) in pattern-
 	// vertex terms, meaning match[a] < match[b].
 	Conditions [][2]int
+
+	// Class[i] is level i's class, the one classification of a level the
+	// executor runs and the cost model prices.
+	Class []Class
 }
 
 // Build creates a plan using the default degree-greedy connected order.
@@ -52,13 +57,14 @@ func Build(p *pattern.Pattern) (*Plan, error) {
 	return &pl, nil
 }
 
-// BuildAut is Build together with |Aut(p)|. Order and symmetry conditions
-// read p's labels only through which vertices share one, so both are
-// computed once per process for each shape (shapeKey) and the plan returned
-// is the shape's, bound to p: its slices are shared by every plan of the
-// shape and must not be written. An FSM level — hundreds of labelings of a
-// handful of shapes — is priced (costmodel.PatternCost) and planned
-// (engine.Model.PlanPattern) from the same few entries.
+// BuildAut is Build together with |Aut(p)|. Order, symmetry conditions and
+// level classes read p's labels only through which vertices share one and
+// which have none, so all are computed once per process for each shape
+// (shapeKey) and the plan returned is the shape's, bound to p: its slices
+// are shared by every plan of the shape and must not be written. An FSM
+// level — hundreds of labelings of a handful of shapes — is priced
+// (costmodel.PatternLevels) and planned (engine.Model.PlanPattern) from the
+// same few entries.
 func BuildAut(p *pattern.Pattern) (Plan, int, error) {
 	key := shapeOf(p)
 	s, ok := shapes.Get(key)
@@ -77,8 +83,8 @@ func BuildAut(p *pattern.Pattern) (Plan, int, error) {
 }
 
 // shapeKey is everything Build reads of a pattern: the numbered structure,
-// the matching semantics, and which vertices carry equal labels (each
-// label replaced by the index of its first occurrence).
+// the matching semantics, which vertices carry equal labels (each label
+// replaced by the index of its first occurrence) and which carry none.
 type shapeKey struct {
 	n, induced uint8
 	adj, anti  [pattern.MaxVertices]uint16
@@ -98,6 +104,9 @@ func shapeOf(p *pattern.Pattern) shapeKey {
 	s := shapeKey{n: uint8(p.N()), induced: uint8(p.Induced())}
 	for i := 0; i < p.N(); i++ {
 		s.adj[i], s.anti[i], s.class[i] = p.NeighborMask(i), p.AntiMask(i), uint8(i)
+		if p.Label(i) == pattern.Unlabeled {
+			s.class[i] = pattern.MaxVertices // no label: apart from every labeled vertex
+		}
 		for j := 0; j < i; j++ {
 			if p.Label(j) == p.Label(i) {
 				s.class[i] = s.class[j]
@@ -126,7 +135,7 @@ func BuildWithConditions(p *pattern.Pattern, order []int, conds [][2]int) (*Plan
 	if len(order) != n {
 		return nil, fmt.Errorf("plan: order length %d for %d vertices", len(order), n)
 	}
-	seen := make([]bool, n)
+	var seen [pattern.MaxVertices]bool
 	for i, u := range order {
 		if u < 0 || u >= n || seen[u] {
 			return nil, fmt.Errorf("plan: order %v is not a permutation", order)
@@ -155,18 +164,25 @@ func BuildWithConditions(p *pattern.Pattern, order []int, conds [][2]int) (*Plan
 		Smaller:    make([][]int, n),
 		Conditions: conds,
 	}
-	levelOf := make([]int, n)
+	// One backing for every Connect and Disconnect list, each pair of levels
+	// in at most one of them, and then for the classes' Bound lists.
+	lists := make([]int, 0, n*(n-1))
+	var levelOf [pattern.MaxVertices]int
 	for i, u := range order {
 		levelOf[u] = i
-	}
-	for i, u := range order {
+		at := len(lists)
 		for j := 0; j < i; j++ {
 			if p.HasEdge(u, order[j]) {
-				pl.Connect[i] = append(pl.Connect[i], j)
-			} else if p.IsAntiEdge(u, order[j]) {
-				pl.Disconnect[i] = append(pl.Disconnect[i], j)
+				lists = append(lists, j)
 			}
 		}
+		pl.Connect[i], at = lists[at:len(lists):len(lists)], len(lists)
+		for j := 0; j < i; j++ {
+			if !p.HasEdge(u, order[j]) && p.IsAntiEdge(u, order[j]) {
+				lists = append(lists, j)
+			}
+		}
+		pl.Disconnect[i] = lists[at:len(lists):len(lists)]
 	}
 	for _, c := range pl.Conditions {
 		la, lb := levelOf[c[0]], levelOf[c[1]] // require match[c0] < match[c1]
@@ -176,6 +192,7 @@ func BuildWithConditions(p *pattern.Pattern, order []int, conds [][2]int) (*Plan
 			pl.Smaller[la] = append(pl.Smaller[la], lb)
 		}
 	}
+	pl.classify(lists)
 	return pl, nil
 }
 
@@ -225,16 +242,19 @@ func DefaultOrder(p *pattern.Pattern) []int {
 }
 
 // ConnectedOrders enumerates up to max connected matching orders of p
-// (all of them if max <= 0). Engines that pick orders by cost model
-// (GraphPi) evaluate these.
+// (all of them if max <= 0), start vertex by start vertex, depth first. A
+// cap is spread over the start vertices — each takes an equal share of
+// what the ones before it left — so a capped search still starts at every
+// vertex. Engines that pick orders by cost model (GraphPi) evaluate these.
 func ConnectedOrders(p *pattern.Pattern, max int) [][]int {
 	n := p.N()
 	var out [][]int
-	cur := make([]int, 0, n)
+	cur := make([]int, 1, n)
 	used := make([]bool, n)
+	limit := 0
 	var dfs func()
 	dfs = func() {
-		if max > 0 && len(out) >= max {
+		if max > 0 && len(out) >= limit {
 			return
 		}
 		if len(cur) == n {
@@ -242,20 +262,8 @@ func ConnectedOrders(p *pattern.Pattern, max int) [][]int {
 			return
 		}
 		for v := 0; v < n; v++ {
-			if used[v] {
+			if used[v] || !slices.ContainsFunc(cur, func(u int) bool { return p.HasEdge(v, u) }) {
 				continue
-			}
-			if len(cur) > 0 {
-				connected := false
-				for _, u := range cur {
-					if p.HasEdge(v, u) {
-						connected = true
-						break
-					}
-				}
-				if !connected {
-					continue
-				}
 			}
 			used[v] = true
 			cur = append(cur, v)
@@ -264,7 +272,12 @@ func ConnectedOrders(p *pattern.Pattern, max int) [][]int {
 			used[v] = false
 		}
 	}
-	dfs()
+	for s := 0; s < n; s++ {
+		limit = len(out) + (max-len(out))/(n-s)
+		cur[0], used[s] = s, true
+		dfs()
+		used[s] = false
+	}
 	return out
 }
 

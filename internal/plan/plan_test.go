@@ -180,6 +180,29 @@ func TestConnectedOrders(t *testing.T) {
 	}
 }
 
+// TestConnectedOrdersCapReachesEveryStart: a cap below the number of
+// connected orders is spread over the start vertices. A 6-star centred at
+// vertex 5 has 24 orders from each leaf and 120 from the hub; a 6-clique
+// has 120 from every vertex. Capped at 120, each start gets 20.
+func TestConnectedOrdersCapReachesEveryStart(t *testing.T) {
+	star := pattern.MustNew(6, [][2]int{{0, 5}, {1, 5}, {2, 5}, {3, 5}, {4, 5}})
+	for _, p := range []*pattern.Pattern{star, pattern.Clique(6)} {
+		starts := make([]int, p.N())
+		for _, o := range ConnectedOrders(p, 120) {
+			if _, err := BuildWithOrder(p, o); err != nil {
+				t.Fatalf("%v: enumerated order %v rejected: %v", p, o, err)
+			}
+			starts[o[0]]++
+		}
+		if want := []int{20, 20, 20, 20, 20, 20}; !reflect.DeepEqual(starts, want) {
+			t.Errorf("%v: orders per start vertex %v, want %v", p, starts, want)
+		}
+	}
+	if n := len(ConnectedOrders(star, 0)); n != 5*24+120 {
+		t.Errorf("6-star: %d connected orders, want 240", n)
+	}
+}
+
 func TestPlanOrderIsCopied(t *testing.T) {
 	p := pattern.Triangle()
 	order := []int{0, 1, 2}

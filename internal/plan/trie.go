@@ -1,6 +1,9 @@
 package plan
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // This file implements multi-pattern plan merging: the winner set of a
 // morphed query rarely consists of unrelated patterns — Algorithm 1
@@ -46,6 +49,18 @@ type TrieNode struct {
 	Patterns int
 
 	Branches []*TrieBranch
+
+	// Class is the level's class, the same in every plan through the node.
+	Class Class
+
+	// What a counting pass makes of the node among its siblings and
+	// children (a streaming pass binds every level and reads only Leaf).
+	Leaf         bool  // every branch is childless
+	Degree       bool  // a leaf of one unbounded branch counting a row's length (Class.DegreeRow)
+	Collapsed    bool  // a leaf of one branch counted by its parent, never executed (Class.Collapse)
+	LoDep, HiDep bool  // collapsed: the window's low / high end depends on the parent's vertex
+	BindsNone    bool  // every child is collapsed: nothing left to bind
+	CollBranches []int // the branches with a collapsed child, or with leaves when BindsNone
 }
 
 // TrieBranch applies one symmetry-condition set (a per-child filter pushed
@@ -122,7 +137,34 @@ func (t *Trie) Reset(plans ...*Plan) error {
 		}
 		t.MaxDepth = max(t.MaxDepth, pl.Pattern.N())
 	}
+	for _, r := range t.Roots {
+		settle(r)
+	}
 	return nil
+}
+
+// settle decides what a counting pass makes of each node of n's subtree.
+func settle(n *TrieNode) {
+	n.Leaf, n.BindsNone = true, true
+	for _, b := range n.Branches {
+		for _, c := range b.Children {
+			settle(c)
+			n.Leaf, n.BindsNone = false, n.BindsNone && c.Collapsed
+		}
+	}
+	n.BindsNone = n.BindsNone && !n.Leaf
+	if br := n.Branches; n.Leaf && len(br) == 1 {
+		n.Degree = n.Class.DegreeRow && len(br[0].Greater)+len(br[0].Smaller) == 0
+		n.Collapsed = n.Class.Collapse
+		n.LoDep = n.Collapsed && slices.Contains(br[0].Greater, n.Depth-1)
+		n.HiDep = n.Collapsed && slices.Contains(br[0].Smaller, n.Depth-1)
+	}
+	n.CollBranches = n.CollBranches[:0]
+	for bi, b := range n.Branches {
+		if n.BindsNone && len(b.Leaves) > 0 || slices.ContainsFunc(b.Children, func(c *TrieNode) bool { return c.Collapsed }) {
+			n.CollBranches = append(n.CollBranches, bi)
+		}
+	}
 }
 
 // recycle moves n's subtree to the free lists, emptied of everything but
@@ -135,7 +177,7 @@ func (t *Trie) recycle(n *TrieNode) {
 		*b = TrieBranch{Leaves: b.Leaves[:0], Children: b.Children[:0]}
 		t.freeBranches = append(t.freeBranches, b)
 	}
-	*n = TrieNode{Branches: n.Branches[:0]}
+	*n = TrieNode{Branches: n.Branches[:0], CollBranches: n.CollBranches[:0]}
 	t.freeNodes = append(t.freeNodes, n)
 }
 
@@ -173,8 +215,8 @@ func (t *Trie) insert(pl *Plan, idx int) error {
 		label := pl.Pattern.Label(pl.Order[i])
 		var node *TrieNode
 		for _, c := range *nodes {
-			if c.Label == label && equalInts(c.Connect, pl.Connect[i]) &&
-				equalInts(c.Disconnect, pl.Disconnect[i]) {
+			if c.Label == label && slices.Equal(c.Connect, pl.Connect[i]) &&
+				slices.Equal(c.Disconnect, pl.Disconnect[i]) {
 				node = c
 				break
 			}
@@ -182,7 +224,7 @@ func (t *Trie) insert(pl *Plan, idx int) error {
 		if node == nil {
 			node = t.newNode()
 			node.ID, node.Depth = t.Nodes, i
-			node.Connect, node.Disconnect, node.Label = pl.Connect[i], pl.Disconnect[i], label
+			node.Connect, node.Disconnect, node.Label, node.Class = pl.Connect[i], pl.Disconnect[i], label, pl.Class[i]
 			t.Nodes++
 			*nodes = append(*nodes, node)
 			prefixIntact = false
@@ -195,7 +237,7 @@ func (t *Trie) insert(pl *Plan, idx int) error {
 		node.Patterns++
 		br = nil
 		for _, b := range node.Branches {
-			if equalInts(b.Greater, pl.Greater[i]) && equalInts(b.Smaller, pl.Smaller[i]) {
+			if slices.Equal(b.Greater, pl.Greater[i]) && slices.Equal(b.Smaller, pl.Smaller[i]) {
 				br = b
 				break
 			}
@@ -233,16 +275,4 @@ func (t *Trie) Walk(visit func(*TrieNode)) {
 func (t *Trie) String() string {
 	return fmt.Sprintf("plan-trie{%d plans, %d nodes, %d shared levels, max shared prefix %d}",
 		len(t.Plans), t.Nodes, t.SharedLevels, t.MaxSharedPrefix)
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -13,7 +13,8 @@ func shape(t *Trie) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s depth=%d plans=%d\n", t, t.MaxDepth, len(t.Plans))
 	t.Walk(func(n *TrieNode) {
-		fmt.Fprintf(&b, "node %d depth %d conn %v disc %v label %d patterns %d:", n.ID, n.Depth, n.Connect, n.Disconnect, n.Label, n.Patterns)
+		fmt.Fprintf(&b, "node %d depth %d conn %v disc %v label %d patterns %d class %+v leaf %v degree %v collapsed %v dep %v/%v binds none %v %v:",
+			n.ID, n.Depth, n.Connect, n.Disconnect, n.Label, n.Patterns, n.Class, n.Leaf, n.Degree, n.Collapsed, n.LoDep, n.HiDep, n.BindsNone, n.CollBranches)
 		for _, br := range n.Branches {
 			fmt.Fprintf(&b, " [gt %v lt %v leaves %v children", br.Greater, br.Smaller, br.Leaves)
 			for _, c := range br.Children {
@@ -72,7 +73,7 @@ func TestTrieResetEqualsMergePlans(t *testing.T) {
 		t.Fatalf("emptied trie still holds %s", &reused)
 	}
 	for _, n := range reused.freeNodes {
-		if n.Connect != nil || n.Disconnect != nil || len(n.Branches) != 0 {
+		if n.Connect != nil || n.Disconnect != nil || len(n.Branches) != 0 || n.Class.Bound != nil || n.Class.PConn != nil {
 			t.Fatalf("recycled node still refers to a plan: %+v", n)
 		}
 	}
