@@ -6,7 +6,6 @@
 //	morphbench -fig 12a,13c -scale 0.01     # bigger graphs
 //	morphbench -all -quick                  # everything, quick variants
 //	morphbench -list                        # available experiments
-//	morphbench -fig 4a -trace out.json      # capture a Chrome trace
 //	morphbench -fig 12a -listen :8080       # live /metrics + /vars + pprof
 //	morphbench -fig 12a -cpuprofile cpu.pb  # offline pprof capture
 //	morphbench scale -out scale.json        # out-of-core data-plane bench (default: stdout)
@@ -14,11 +13,9 @@
 // Scale 1.0 corresponds to the paper's full-size graphs (do not attempt
 // FR at 1.0 on a laptop). Output goes to stdout; progress to stderr.
 //
-// -trace writes every phase span (experiment/<id>, transform, select,
-// mine/<pattern>, convert, aggregate) as a Chrome trace_event JSON file
-// loadable in chrome://tracing or Perfetto — a Fig. 4-style breakdown of
-// where each figure run spent its time. A .jsonl suffix switches to one
-// JSON object per line for scripting.
+// Where a figure run spends its time is a -cpuprofile away
+// (`go tool pprof -top morphbench cpu.pb`); each run's stages are its
+// lifecycle events in the -querylog.
 package main
 
 import (
@@ -54,7 +51,6 @@ func main() {
 		seed      = flag.Int64("seed", 1, "random seed for datasets and workloads")
 		quick     = flag.Bool("quick", true, "restrict to the cheaper graphs/patterns")
 		samples   = flag.Int("samples", 0, "alternative-set samples for fig 15e (0 = paper's 250, or 40 in quick mode)")
-		traceOut  = flag.String("trace", "", "write phase spans to this file (Chrome trace_event JSON; .jsonl for JSON lines)")
 		listen    = flag.String("listen", "", "serve /metrics, /vars and /debug/pprof on this address while running")
 		progress  = flag.Bool("progress", false, "report live matches/sec to stderr during experiments")
 		timeout   = flag.Duration("timeout", 0, "overall deadline for the whole run; expired experiments abort at the next work-block boundary (0 = none)")
@@ -95,11 +91,6 @@ func main() {
 		return
 	}
 
-	var tracer *obs.Tracer
-	if *traceOut != "" {
-		tracer = obs.NewTracer()
-		obs.SetDefaultTracer(tracer)
-	}
 	if *listen != "" {
 		ln, err := obs.Serve(*listen, obs.DefaultRegistry())
 		if err != nil {
@@ -148,9 +139,9 @@ func main() {
 		var prog *obs.Progress
 		if *progress {
 			prog = obs.StartProgress(os.Stderr, "fig "+e.ID,
-				obs.DefaultRegistry().Counter(engine.MetricMatches), 0, time.Second)
+				obs.DefaultRegistry().Counter(engine.MetricMatches))
 		}
-		err = e.RunTraced(cfg, os.Stdout)
+		err = e.Run(cfg, os.Stdout)
 		prog.Stop()
 		if err != nil {
 			if engine.Interrupted(err) {
@@ -167,28 +158,4 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "== fig %s done in %v\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
-
-	if tracer != nil {
-		if err := writeTrace(tracer, *traceOut); err != nil {
-			fmt.Fprintln(os.Stderr, "morphbench: -trace:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "== wrote %d trace events to %s\n", tracer.Len(), *traceOut)
-	}
-}
-
-func writeTrace(tracer *obs.Tracer, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(path, ".jsonl") {
-		err = tracer.WriteJSONL(f)
-	} else {
-		err = tracer.WriteChromeTrace(f)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

@@ -34,7 +34,6 @@ import (
 	"io"
 	"os"
 	"strings"
-	"time"
 
 	"morphing/internal/canon"
 	"morphing/internal/core"
@@ -265,7 +264,6 @@ func cmdCount(ctx context.Context, args []string, w io.Writer) error {
 	threads := fs.Int("threads", 0, "engine worker threads (0 = GOMAXPROCS)")
 	baseline := fs.Bool("baseline", false, "disable morphing and run the queries as-is")
 	statsMode := fs.String("stats", "text", "output mode: text, or json for the run report with a registry snapshot")
-	traceOut := fs.String("trace", "", "write phase spans to this file (Chrome trace_event JSON; .jsonl for JSON lines)")
 	progress := fs.Bool("progress", false, "report live matches/sec to stderr")
 	timeout := fs.Duration("timeout", 0, "abort the run after this duration, printing partial per-alternative counts (0 = no deadline)")
 	reportOut := fs.String("report", "", "write a structured run report (JSON) to this file; enables explain mode (per-pattern mining + calibration)")
@@ -287,11 +285,6 @@ func cmdCount(ctx context.Context, args []string, w io.Writer) error {
 		queries = append(queries, p)
 	}
 
-	var tracer *obs.Tracer
-	if *traceOut != "" {
-		tracer = obs.NewTracer()
-		obs.SetDefaultTracer(tracer)
-	}
 	eng, err := engines.New(*engineName, *threads, obs.Default())
 	if err != nil {
 		return err
@@ -319,7 +312,7 @@ func cmdCount(ctx context.Context, args []string, w io.Writer) error {
 	var prog *obs.Progress
 	if *progress {
 		prog = obs.StartProgress(os.Stderr, "count",
-			obs.DefaultRegistry().Counter(engine.MetricMatches), 0, time.Second)
+			obs.DefaultRegistry().Counter(engine.MetricMatches))
 	}
 	if *timeout > 0 {
 		var cancel context.CancelFunc
@@ -338,25 +331,6 @@ func cmdCount(ctx context.Context, args []string, w io.Writer) error {
 			printPartial(w, st, err)
 		}
 		return err
-	}
-
-	if tracer != nil {
-		f, ferr := os.Create(*traceOut)
-		if ferr != nil {
-			return ferr
-		}
-		if strings.HasSuffix(*traceOut, ".jsonl") {
-			ferr = tracer.WriteJSONL(f)
-		} else {
-			ferr = tracer.WriteChromeTrace(f)
-		}
-		if cerr := f.Close(); ferr == nil {
-			ferr = cerr
-		}
-		if ferr != nil {
-			return ferr
-		}
-		fmt.Fprintf(os.Stderr, "wrote %d trace events to %s\n", tracer.Len(), *traceOut)
 	}
 
 	if *reportOut != "" {

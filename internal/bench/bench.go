@@ -38,18 +38,14 @@ type Config struct {
 	// (0 = 250, the paper's count; Quick uses 40).
 	Samples int
 	// Obs is the observability sink experiments hand to the engines they
-	// construct; nil falls back to the process default (which is how
-	// `morphbench -trace` captures every figure run: it installs the
-	// default tracer).
+	// construct; nil falls back to the process default (whose registry
+	// `morphbench -listen` and `-progress` read).
 	Obs *obs.Observer
 	// Ctx bounds experiment runs: cancellation or a deadline aborts the
 	// current mining phase at its next work-block boundary (morphbench
 	// -timeout wires this). nil is never cancelled.
 	Ctx context.Context
 }
-
-// observer resolves the config's observability sink.
-func (c Config) observer() *obs.Observer { return obs.Or(c.Obs) }
 
 // context resolves the config's run context.
 func (c Config) context() context.Context {
@@ -106,16 +102,6 @@ func Registry() []Experiment {
 		{ID: "ablation", Title: "Design-choice ablations: degree ordering, cost-model restriction", Claims: "extensions", Run: runAblation},
 		{ID: "sanity", Title: "End-to-end correctness sweep (Appendix B.3 sanity check)", Claims: "C1", Run: runSanity},
 	}
-}
-
-// RunTraced executes the experiment wrapped in an experiment/<id> span on
-// the config's observer, tagging the whole figure run so a trace capture
-// groups each experiment's transform/mine/convert spans under one parent.
-func (e Experiment) RunTraced(cfg Config, w io.Writer) error {
-	sp := cfg.observer().StartSpan("experiment/"+e.ID,
-		obs.Str("title", e.Title), obs.F64("scale", cfg.Scale))
-	defer sp.End()
-	return e.Run(cfg, w)
 }
 
 // ByID resolves an experiment by figure identifier.

@@ -14,7 +14,7 @@ import (
 // TestCountQueryBytesBound: one triangle count through CountsCtx on
 // MI x0.003 allocates under 64 KiB, run scope and telemetry included. A
 // run's metrics live once, in the process registry, so a query pays for
-// its own run ID, event ring and span ring and nothing per metric.
+// its own run ID and event ring and nothing per metric.
 func TestCountQueryBytesBound(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector's shadow allocations are not the query's")

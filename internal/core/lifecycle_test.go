@@ -7,6 +7,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -124,11 +125,52 @@ func TestRunLifecycleCompleted(t *testing.T) {
 	}
 }
 
+// TestTransformedEventCarriesSDAGNodes checks the one transformation
+// figure the run's events hold and RunStats does not spell out: a morphed
+// run's "transformed" event reports how many S-DAG structures Algorithm 1
+// built, and a baseline run, which builds no S-DAG, leaves it out.
+func TestTransformedEventCarriesSDAGNodes(t *testing.T) {
+	g := lifecycleGraph(t)
+	queries := []*pattern.Pattern{
+		pattern.Triangle().AsVertexInduced(),
+		pattern.FourCycle().AsVertexInduced(),
+	}
+	transformed := func(st *RunStats) obs.Event {
+		t.Helper()
+		for _, e := range st.Events {
+			if e.Name == "transformed" {
+				return e
+			}
+		}
+		t.Fatalf("no transformed event in %v", eventNames(st.Events))
+		return obs.Event{}
+	}
+	var ql bytes.Buffer
+	r, _ := lifecycleRunner(t, &ql)
+	_, st, err := r.CountsCtx(context.Background(), g, queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := st.Selection.SDAG.Materialized()
+	if got := transformed(st).Attrs["sdag_nodes"]; got != want || want < 1 {
+		t.Fatalf("morphed run: sdag_nodes = %v, want %d (>= 1)", got, want)
+	}
+
+	r.DisableMorphing = true
+	_, st, err = r.CountsCtx(context.Background(), g, queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := transformed(st).Attrs["sdag_nodes"]; ok {
+		t.Fatalf("baseline run reports sdag_nodes = %v", got)
+	}
+}
+
 // TestRunLifecycleInjectedPanic drives the deterministic mid-mine fault:
 // the visitor panics at match 5, the runner returns *engine.PanicError
 // with per-alternative partial counts, the terminal query-log event
 // reports kind=panic with the partial counts, and the flight recorder
-// dumps a bundle whose trace validates as Chrome trace JSON.
+// dumps a bundle of the run's events and metadata.
 func TestRunLifecycleInjectedPanic(t *testing.T) {
 	disarm, err := faultinject.Arm(faultinject.Config{PanicAtMatch: 5, PanicMessage: "lifecycle boom"})
 	if err != nil {
@@ -186,21 +228,30 @@ func TestRunLifecycleInjectedPanic(t *testing.T) {
 		t.Fatalf("terminal event has %d partial/ attrs, want %d", partials, len(st.Partial))
 	}
 
-	// Acceptance: the dumped trace must validate as Chrome trace JSON.
-	raw, err := os.ReadFile(filepath.Join(st.FlightDump, "trace.json"))
+	// The bundle is the run's events and its metadata; the last event
+	// dumped is the terminal one.
+	entries, err := os.ReadDir(st.FlightDump)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var doc struct {
-		TraceEvents []struct {
-			Name string `json:"name"`
-		} `json:"traceEvents"`
+	var files []string
+	for _, e := range entries {
+		files = append(files, e.Name())
 	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("dumped trace.json invalid: %v", err)
+	if !slices.Equal(files, []string{"events.jsonl", "meta.json"}) {
+		t.Fatalf("bundle holds %v, want [events.jsonl meta.json]", files)
 	}
-	if len(doc.TraceEvents) == 0 {
-		t.Fatal("dumped trace is empty")
+	raw, err := os.ReadFile(filepath.Join(st.FlightDump, "events.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	var last obs.Event
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil {
+		t.Fatal(err)
+	}
+	if last.Name != "interrupted" {
+		t.Fatalf("last dumped event = %q, want interrupted", last.Name)
 	}
 	var meta map[string]any
 	metaRaw, err := os.ReadFile(filepath.Join(st.FlightDump, "meta.json"))
@@ -209,6 +260,9 @@ func TestRunLifecycleInjectedPanic(t *testing.T) {
 	}
 	if err := json.Unmarshal(metaRaw, &meta); err != nil {
 		t.Fatal(err)
+	}
+	if _, ok := meta["spans_dropped"]; ok {
+		t.Fatalf("dump meta still reports spans: %v", meta)
 	}
 	if meta["reason"] != "panic" || !strings.Contains(meta["err"].(string), "lifecycle boom") {
 		t.Fatalf("dump meta = %v", meta)

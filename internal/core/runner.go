@@ -42,10 +42,9 @@ type Runner struct {
 	// calibration data). There is no per-pattern wall time: the set is one
 	// merged pass, and a pattern's share of it is not a quantity.
 	Explain bool
-	// Obs is the observability sink: the runner opens phase spans
-	// (transform, select, mine, convert, aggregate) on its tracer and
-	// adds each run's totals to its registry. nil falls back to
-	// obs.Default().
+	// Obs is the observability sink: each run's lifecycle events go to
+	// its event log and the run's totals to its registry. nil falls back
+	// to obs.Default().
 	Obs *obs.Observer
 	// Label tags this runner's executions in the query log, run reports
 	// and flight-recorder dumps (conventionally the app name: "sc",
@@ -164,7 +163,7 @@ type RunStats struct {
 	Residency *graph.ResidencyStats
 
 	// RunID is the unique identifier of this execution's run scope;
-	// every span and query-log line the run emitted carries it.
+	// every lifecycle event and query-log line the run emitted carries it.
 	RunID string
 	// RunLabel is the Runner.Label the run executed under.
 	RunLabel string
@@ -229,11 +228,10 @@ func Execute[T any](ctx context.Context, r *Runner, g graph.Adjacency, pipeline 
 	return out, st, err
 }
 
-// startRun opens the per-query run scope: a ring tracer tagged with the
-// run ID and the lifecycle event stream. The returned context carries the
-// scope so every layer below — selection, conversion, the engines, the
-// trie executor — resolves it via obs.FromContext without signature
-// changes.
+// startRun opens the per-query run scope: the run ID and its lifecycle
+// event stream. The returned context carries the scope so every layer
+// below — selection, conversion, the engines, the trie executor —
+// resolves it via obs.FromContext without signature changes.
 func (r *Runner) startRun(ctx context.Context, pipeline string, queries int) (*obs.RunContext, context.Context) {
 	policy := obs.DefaultFlightPolicy()
 	if r.Flight != nil {
@@ -408,9 +406,8 @@ func (r *Runner) Transform(g graph.Adjacency, queries []*pattern.Pattern, agg ag
 	return r.transformCtx(context.Background(), g, queries, agg)
 }
 
-// transformCtx is Transform resolving its observer through the context,
-// so a run scope (obs.ContextWithRun) captures the transform and select
-// spans in its per-run tracer and registry.
+// transformCtx is Transform with cancellation: the S-DAG expansion and
+// Algorithm 1 poll ctx.
 func (r *Runner) transformCtx(ctx context.Context, g graph.Adjacency, queries []*pattern.Pattern, agg aggr.Aggregation) (*Selection, error) {
 	policy, err := r.policyFor(agg)
 	if err != nil {
@@ -420,12 +417,8 @@ func (r *Runner) transformCtx(ctx context.Context, g graph.Adjacency, queries []
 }
 
 // transformPolicy runs pattern transformation under a given variant
-// policy, inside a transform span carrying attrs.
-func (r *Runner) transformPolicy(ctx context.Context, g graph.Adjacency, queries []*pattern.Pattern, policy Policy, attrs ...obs.Attr) (*Selection, error) {
-	o := obs.FromContext(ctx, r.Obs)
-	sp := o.StartSpan("transform", append(attrs,
-		obs.Str("engine", r.Engine.Name()), obs.Int("queries", len(queries)))...)
-	defer sp.End()
+// policy.
+func (r *Runner) transformPolicy(ctx context.Context, g graph.Adjacency, queries []*pattern.Pattern, policy Policy) (*Selection, error) {
 	if r.DisableMorphing {
 		if policy == PolicyEdgeOnly {
 			for _, q := range queries {
@@ -434,7 +427,6 @@ func (r *Runner) transformPolicy(ctx context.Context, g graph.Adjacency, queries
 				}
 			}
 		}
-		sp.Set(obs.Str("morphing", "disabled"))
 		sel, err := IdentitySelection(queries)
 		if err == nil && r.Explain {
 			sel.AnnotateEstimates(costmodel.NewDefault(graph.Summarize(g)), r.PerMatchCost)
@@ -446,17 +438,13 @@ func (r *Runner) transformPolicy(ctx context.Context, g graph.Adjacency, queries
 		return nil, err
 	}
 	model := costmodel.NewDefault(graph.Summarize(g))
-	spSel := o.StartSpan("select")
 	sel, err := Select(ctx, d, queries, DefaultCostFunc(model, r.PerMatchCost), policy, SelectOptions{Explain: r.Explain})
-	spSel.Set(obs.Int("sdag_nodes", d.Materialized()))
-	spSel.End()
 	if err != nil {
 		return nil, err
 	}
 	if r.Explain {
 		sel.AnnotateEstimates(model, r.PerMatchCost)
 	}
-	sp.Set(obs.Int("mine_patterns", len(sel.Mine)))
 	return sel, nil
 }
 
@@ -469,7 +457,7 @@ func (r *Runner) TransformForStreamingCtx(ctx context.Context, g graph.Adjacency
 	if !r.Engine.SupportsInduced(pattern.VertexInduced) {
 		return nil, fmt.Errorf("core: engine %q cannot mine vertex-induced patterns; on-the-fly conversion unavailable", r.Engine.Name())
 	}
-	return r.transformPolicy(ctx, g, queries, PolicyVertexOnly, obs.Str("mode", "streaming"))
+	return r.transformPolicy(ctx, g, queries, PolicyVertexOnly)
 }
 
 // Registry metric names published by the runner, one set per pipeline
@@ -529,10 +517,7 @@ func (r *Runner) countsRun(ctx context.Context, rc *obs.RunContext, g graph.Adja
 	}
 
 	stats.Phase = PhaseMine
-	spM := rc.Observer().StartSpan("mine",
-		obs.Str("engine", r.Engine.Name()), obs.Int("patterns", len(sel.Mine)))
 	counts, err := r.mine(ctx, g, sel.Mine, nil, stats)
-	spM.End()
 	if err != nil {
 		if engine.Interrupted(err) {
 			return nil, stats, err
@@ -565,9 +550,13 @@ func (r *Runner) transformRun(ctx context.Context, rc *obs.RunContext, g graph.A
 		return nil, nil, err
 	}
 	stats.Selection, stats.Transform = sel, time.Since(t0)
-	rc.Event("transformed",
+	attrs := []obs.Attr{
 		obs.Int("mine_patterns", len(sel.Mine)), obs.Int("queries", len(sel.Queries)),
-		obs.F64("cost_before", sel.CostBefore), obs.F64("cost_after", sel.CostAfter))
+		obs.F64("cost_before", sel.CostBefore), obs.F64("cost_after", sel.CostAfter)}
+	if sel.SDAG != nil {
+		attrs = append(attrs, obs.Int("sdag_nodes", sel.SDAG.Materialized()))
+	}
+	rc.Event("transformed", attrs...)
 	return sel, stats, nil
 }
 
@@ -577,13 +566,11 @@ func (r *Runner) transformRun(ctx context.Context, rc *obs.RunContext, g graph.A
 func convertRun[T aggr.Value](rc *obs.RunContext, sel *Selection, agg aggr.Aggregation, mined []T, stats *RunStats) ([]T, error) {
 	stats.Phase = PhaseConvert
 	t1 := time.Now()
-	sp := rc.Observer().StartSpan("convert", obs.Int("queries", len(sel.Queries)))
 	in := make([]aggr.Value, len(mined))
 	for i, v := range mined {
 		in[i] = v
 	}
 	vals, err := sel.Convert(agg, in)
-	sp.End()
 	if err != nil {
 		return nil, err
 	}
@@ -788,7 +775,6 @@ func (r *Runner) MNITablesCtx(ctx context.Context, g graph.Adjacency, queries []
 // FSM level enumerates its candidates' shared labeled prefixes once — and
 // every match lands in the sink of the alternative it matched.
 func (r *Runner) mniRun(ctx context.Context, rc *obs.RunContext, g graph.Adjacency, queries []*pattern.Pattern) ([]*aggr.Table, *RunStats, error) {
-	o := rc.Observer()
 	agg := aggr.MNI{}
 	sel, stats, err := r.transformRun(ctx, rc, g, queries, agg)
 	if err != nil {
@@ -802,23 +788,17 @@ func (r *Runner) mniRun(ctx context.Context, rc *obs.RunContext, g graph.Adjacen
 	}
 
 	stats.Phase = PhaseMine
-	spM := o.StartSpan("mine",
-		obs.Str("engine", r.Engine.Name()), obs.Int("patterns", len(sel.Mine)))
 	if err = r.MatchAllCtx(ctx, g, sel.Mine, visits, stats); err != nil {
-		spM.End()
 		if engine.Interrupted(err) {
 			return nil, stats, err
 		}
 		return nil, nil, err
 	}
 	// The shard merge is the UDF-side aggregation leg of mining.
-	spA := o.StartSpan("aggregate", obs.Int("tables", len(sinks)))
 	mined := make([]*aggr.Table, len(sinks))
 	for i, c := range sel.Mine {
 		mined[i] = sinks[i].table(canon.Automorphisms(c.Pattern))
 	}
-	spA.End()
-	spM.End()
 
 	out, err := convertRun(rc, sel, agg, mined, stats)
 	if err != nil {

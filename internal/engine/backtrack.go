@@ -59,8 +59,6 @@ func (o ExecOptions) ThreadCount() int {
 // visitor is recovered in the owning worker, aborts the sibling workers at
 // their next poll, and is surfaced as a single *PanicError carrying the
 // stack — the process never crashes.
-//
-// It opens no span: the engines name the pass (mine/<pattern>) around it.
 func BacktrackCtx(ctx context.Context, g graph.Adjacency, pl *plan.Plan, visit Visitor, opts ExecOptions, o *obs.Observer) (uint64, *Stats, error) {
 	if pl == nil || pl.Pattern == nil {
 		return 0, nil, fmt.Errorf("engine: nil plan")

@@ -29,7 +29,7 @@ type Policy interface {
 type Model[P Policy] struct {
 	Threads    int           // worker count (0 = GOMAXPROCS)
 	Instrument bool          // phase timings for profiling figures
-	Obs        *obs.Observer // metrics and mine/<pattern> spans (nil = obs.Default())
+	Obs        *obs.Observer // metrics sink (nil = obs.Default())
 	Policy     P             // the model's own knobs, if it has any
 }
 
@@ -54,14 +54,12 @@ func (m *Model[P]) ExecConfig() (ExecOptions, *obs.Observer) {
 	return ExecOptions{Threads: m.Threads, Instrument: m.Instrument}, m.Obs
 }
 
-// run executes p's plan on its own — a counting pass when visit is nil —
-// inside a mine/<pattern> span on the context's run scope, if it has one.
+// run executes p's plan on its own — a counting pass when visit is nil.
 func (m *Model[P]) run(ctx context.Context, g graph.Adjacency, p *pattern.Pattern, visit Visitor) (uint64, *Stats, error) {
 	pl, err := m.PlanPattern(g, p)
 	if err != nil {
 		return 0, nil, err
 	}
-	defer obs.FromContext(ctx, m.Obs).StartSpan("mine/"+p.String(), obs.Str("engine", m.Name())).End()
 	opts, o := m.ExecConfig()
 	return BacktrackCtx(ctx, g, pl, visit, opts, o)
 }

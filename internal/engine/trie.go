@@ -64,7 +64,7 @@ func BuildTrie(e Planner, g graph.Adjacency, ps []*pattern.Pattern) (*plan.Trie,
 // cancellation and panic isolation under the same partial-result contract
 // as BacktrackCtx: an interrupted pass returns partial counts for every
 // pattern simultaneously, each reflecting what was counted before the
-// abort took effect. The pass is one mine/trie span.
+// abort took effect.
 func BacktrackTrieCtx(ctx context.Context, g graph.Adjacency, tr *plan.Trie, opts ExecOptions, o *obs.Observer) ([]uint64, *Stats, error) {
 	return MatchTrieCtx(ctx, g, tr, nil, opts, o)
 }
@@ -87,9 +87,6 @@ func MatchTrieCtx(ctx context.Context, g graph.Adjacency, tr *plan.Trie, visits 
 	if err := CtxErr(ctx); err != nil {
 		return counts, nil, err
 	}
-	defer obs.FromContext(ctx, o).StartSpan("mine/trie",
-		obs.Int("patterns", len(tr.Plans)),
-		obs.Int("shared_levels", tr.SharedLevels)).End()
 	st, err := getTriePass().mine(ctx, g, tr, visits, counts, opts, o)
 	return counts, st, err
 }
@@ -173,8 +170,8 @@ func (ps *triePass) mine(ctx context.Context, g graph.Adjacency, tr *plan.Trie, 
 	defer fiStop()
 	start := time.Now()
 	// A run scope on the context (obs.ContextWithRun) wins over the
-	// caller's explicit observer: metrics and spans land in the current
-	// query's scope and forward into the global registry from there.
+	// caller's explicit observer: metrics land in the registry of the
+	// current query's scope.
 	o = obs.FromContext(ctx, o)
 
 	threads := opts.ThreadCount()

@@ -273,15 +273,6 @@ func (h *History) Series(name string) []Point {
 	return s.points()
 }
 
-// Last returns the newest point of the named series.
-func (h *History) Last(name string) (Point, bool) {
-	pts := h.Series(name)
-	if len(pts) == 0 {
-		return Point{}, false
-	}
-	return pts[len(pts)-1], true
-}
-
 // HistorySnapshot is the JSON form of a History — the /timeseries
 // payload and the history.json section of a flight dump.
 type HistorySnapshot struct {

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -66,7 +67,7 @@ func TestHistorySampling(t *testing.T) {
 	if p99[1].Value > float64(1<<12) {
 		t.Fatalf("interval-2 p99 = %g, want ~2^10 (windowed, not cumulative)", p99[1].Value)
 	}
-	if _, ok := h.Last("lat_ns:rate"); !ok {
+	if len(h.Series("lat_ns:rate")) == 0 {
 		t.Fatal("missing lat_ns:rate series")
 	}
 	if h.Series("nonexistent") != nil {
@@ -183,6 +184,10 @@ func TestFlightDumpEmbedsHistory(t *testing.T) {
 	dump := rc.Finish(RunOutcome{ErrKind: "error", Err: "boom"})
 	if dump == "" {
 		t.Fatal("anomalous run produced no dump")
+	}
+	want := []string{"events.jsonl", "history.json", "meta.json"}
+	if got := bundleFiles(t, dump); !slices.Equal(got, want) {
+		t.Fatalf("bundle holds %v, want %v", got, want)
 	}
 	raw, err := os.ReadFile(filepath.Join(dump, "history.json"))
 	if err != nil {

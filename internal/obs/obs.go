@@ -1,31 +1,28 @@
 // Package obs is the unified observability substrate for the morphing
 // pipeline and the four engine models: a metrics registry backed by
 // per-worker sharded atomic cells (allocation-free and contention-free on
-// engine hot paths), span-based tracing with Chrome trace_event and JSONL
-// export, an HTTP debug endpoint (expvar-style JSON, Prometheus text
-// exposition, net/http/pprof), and a progress reporter for long
-// enumeration runs.
+// engine hot paths), structured query-lifecycle events (the JSONL query
+// log and each run's flight recorder), an HTTP debug endpoint
+// (expvar-style JSON, Prometheus text exposition, net/http/pprof), and a
+// progress reporter for long enumeration runs.
 //
-// Every layer emits into an *Observer. A nil Observer, Registry, Tracer,
-// metric or Span is valid and inert, so instrumentation call sites are
+// Every layer emits into an *Observer. A nil Observer, Registry, EventLog
+// or metric is valid and inert, so instrumentation call sites are
 // unconditional — there is no "is observability on?" branching in engine
 // code. The process-wide Default observer always carries a live registry;
-// tracing is off until a Tracer is installed (SetDefaultTracer or a
-// per-component Observer).
+// the query log is off until one is installed (SetDefaultEventLog).
 //
-// Span taxonomy (see DESIGN.md): experiment/<id> > transform > select,
-// mine > mine/<pattern-id>, convert, aggregate.
+// A run's timeline is its lifecycle events (admitted, transformed,
+// trie_decision, completed, …) plus the stage durations of the RunStats
+// it returns; see DESIGN.md §6.
 package obs
 
 // Observer bundles the observability sinks a component emits into. Any
-// field may be nil: a nil Metrics drops measurements, a nil Tracer drops
-// spans, a nil Events drops lifecycle events. The zero value observes
-// nothing.
+// field may be nil: a nil Metrics drops measurements, a nil Events drops
+// lifecycle events. The zero value observes nothing.
 type Observer struct {
 	// Metrics receives counters, gauges and histograms.
 	Metrics *Registry
-	// Tracer receives phase spans.
-	Tracer *Tracer
 	// Events receives structured query-lifecycle events (the JSONL
 	// query log).
 	Events *EventLog
@@ -33,7 +30,7 @@ type Observer struct {
 
 // defaultObserver is the process-wide sink components fall back to when
 // they were not handed an explicit Observer. Its registry is always live
-// (counters are cheap); its tracer is nil until SetDefaultTracer.
+// (counters are cheap); its event log is nil until SetDefaultEventLog.
 var defaultObserver = &Observer{Metrics: NewRegistry()}
 
 // Default returns the process-wide observer.
@@ -42,14 +39,9 @@ func Default() *Observer { return defaultObserver }
 // DefaultRegistry returns the process-wide metrics registry.
 func DefaultRegistry() *Registry { return defaultObserver.Metrics }
 
-// SetDefaultTracer installs t as the process-wide tracer. Call it before
-// starting work that should be traced (typically from main, right after
-// flag parsing); it is not synchronized against concurrent span starts.
-func SetDefaultTracer(t *Tracer) { defaultObserver.Tracer = t }
-
 // SetDefaultEventLog installs l as the process-wide query log (the
-// -querylog flag). Like SetDefaultTracer, call it from main before any
-// runs start.
+// -querylog flag). Call it from main before any runs start; it is not
+// synchronized against concurrent emits.
 func SetDefaultEventLog(l *EventLog) { defaultObserver.Events = l }
 
 // Or returns o when non-nil and the process-wide default otherwise. It is
@@ -84,13 +76,4 @@ func (o *Observer) Histogram(name string) *Histogram {
 		return nil
 	}
 	return o.Metrics.Histogram(name)
-}
-
-// StartSpan opens a span on the observer's tracer (nil and inert when the
-// observer or its tracer is nil).
-func (o *Observer) StartSpan(name string, attrs ...Attr) *Span {
-	if o == nil {
-		return nil
-	}
-	return o.Tracer.Start(name, attrs...)
 }

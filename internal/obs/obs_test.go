@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -73,8 +72,7 @@ func TestNilMetricsAreInert(t *testing.T) {
 		t.Fatal("nil registry snapshot not empty")
 	}
 	var o *Observer
-	o.StartSpan("a").Set(Str("k", "v")).End() // must not panic
-	o.Counter("c").Inc(0)
+	o.Counter("c").Inc(0) // must not panic
 }
 
 func TestGauge(t *testing.T) {
@@ -204,109 +202,6 @@ func TestSnapshotPrometheusText(t *testing.T) {
 	}
 }
 
-func TestTracerChromeTraceValid(t *testing.T) {
-	tr := NewTracer()
-	sp := tr.Start("transform", Str("engine", "Peregrine"), Int("queries", 6))
-	inner := tr.Start("select")
-	inner.End()
-	sp.Set(Int("mine_patterns", 4)).End()
-	sp.End() // double End must not duplicate
-	tr.Instant("marker")
-	if tr.Len() != 3 {
-		t.Fatalf("events = %d, want 3", tr.Len())
-	}
-
-	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Name string         `json:"name"`
-			Ph   string         `json:"ph"`
-			Ts   float64        `json:"ts"`
-			Dur  float64        `json:"dur"`
-			Pid  int            `json:"pid"`
-			Args map[string]any `json:"args"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("chrome trace is not valid JSON: %v", err)
-	}
-	if len(doc.TraceEvents) != 3 {
-		t.Fatalf("trace has %d events, want 3", len(doc.TraceEvents))
-	}
-	byName := map[string]int{}
-	for i, e := range doc.TraceEvents {
-		byName[e.Name] = i
-	}
-	tf := doc.TraceEvents[byName["transform"]]
-	if tf.Ph != "X" || tf.Pid != 1 {
-		t.Fatalf("transform event malformed: %+v", tf)
-	}
-	if tf.Args["engine"] != "Peregrine" || tf.Args["mine_patterns"] != float64(4) {
-		t.Fatalf("transform args wrong: %v", tf.Args)
-	}
-	sel := doc.TraceEvents[byName["select"]]
-	if sel.Ts < tf.Ts || sel.Ts+sel.Dur > tf.Ts+tf.Dur+1 {
-		t.Fatalf("select span not nested in transform: %+v vs %+v", sel, tf)
-	}
-	if doc.TraceEvents[byName["marker"]].Ph != "i" {
-		t.Fatal("instant event not recorded as ph=i")
-	}
-}
-
-func TestTracerJSONL(t *testing.T) {
-	tr := NewTracer()
-	tr.Start("mine/p1").End()
-	tr.Start("convert").End()
-	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("jsonl lines = %d, want 2", len(lines))
-	}
-	for _, l := range lines {
-		var m map[string]any
-		if err := json.Unmarshal([]byte(l), &m); err != nil {
-			t.Fatalf("line %q not JSON: %v", l, err)
-		}
-	}
-}
-
-func TestNilTracerWritesEmptyChromeTrace(t *testing.T) {
-	var tr *Tracer
-	tr.Start("x").End()
-	tr.Instant("y")
-	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "traceEvents") {
-		t.Fatalf("empty trace malformed: %s", buf.String())
-	}
-}
-
-func TestConcurrentSpans(t *testing.T) {
-	tr := NewTracer()
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for j := 0; j < 50; j++ {
-				tr.Start(fmt.Sprintf("mine/p%d", i)).SetTID(i).End()
-			}
-		}(i)
-	}
-	wg.Wait()
-	if tr.Len() != 400 {
-		t.Fatalf("events = %d, want 400", tr.Len())
-	}
-}
-
 func TestHTTPEndpoint(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("engine_matches_total").Add(0, 7)
@@ -352,24 +247,28 @@ func TestProgressReporting(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("progress_total")
 	var buf bytes.Buffer
-	p := StartProgress(&buf, "mine p1", c, 200, 10*time.Millisecond)
+	c.Add(0, 7) // counted before reporting starts: not this run's
+	p := StartProgress(&buf, "mine p1", c)
 	c.Add(0, 100)
-	time.Sleep(35 * time.Millisecond)
+	time.Sleep(progressPeriod * 3 / 2) // one tick
 	p.Stop()
 	p.Stop() // idempotent
 	out := buf.String()
-	if !strings.Contains(out, "mine p1: 100 matches") {
-		t.Fatalf("progress output missing count: %q", out)
+	// Periodic lines overwritten in place, then the final one.
+	if n := strings.Count(out, "mine p1: 100 matches"); n < 2 {
+		t.Fatalf("want a periodic and a final line, got %d in %q", n, out)
 	}
-	if !strings.Contains(out, "50.0%") || !strings.Contains(out, "ETA") {
-		t.Fatalf("progress output missing pct/ETA: %q", out)
+	if !strings.HasSuffix(out, "\n") || strings.Count(out, "\n") != 1 {
+		t.Fatalf("only the final line ends in a newline: %q", out)
+	}
+	if strings.Contains(out, "%") || strings.Contains(out, "ETA") {
+		t.Fatalf("progress reports a rate only: %q", out)
 	}
 	// Nil sinks are inert.
-	StartProgress(nil, "x", c, 0, 0).Stop()
-	StartProgress(&buf, "x", nil, 0, 0).Stop()
+	StartProgress(nil, "x", c).Stop()
+	StartProgress(&buf, "x", nil).Stop()
 	var np *Progress
 	np.Stop()
-	np.SetTotal(5)
 }
 
 func TestObserverOrAndDefault(t *testing.T) {
@@ -383,9 +282,4 @@ func TestObserverOrAndDefault(t *testing.T) {
 	if Default().Metrics == nil {
 		t.Fatal("default observer has no registry")
 	}
-	// Default tracer starts nil: spans are inert until installed.
-	if Default().Tracer != nil {
-		t.Fatal("default tracer unexpectedly set")
-	}
-	Default().StartSpan("x").End()
 }

@@ -4,66 +4,49 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// Progress periodically reports a counter's rate (matches/sec) and, when
-// a total is known, percent complete and ETA. It reads the counter's
-// merged value from its own goroutine — the workers feeding the counter
-// are never slowed or synchronized by reporting.
+// progressPeriod is how often a Progress writes its status line.
+const progressPeriod = time.Second
+
+// Progress periodically reports a counter's rate (matches/sec). It reads
+// the counter's merged value from its own goroutine — the workers feeding
+// the counter are never slowed or synchronized by reporting.
 type Progress struct {
-	w        io.Writer
-	label    string
-	c        *Counter
-	total    atomic.Uint64
-	interval time.Duration
-	start    time.Time
-	base     uint64 // counter value when reporting started
+	w     io.Writer
+	label string
+	c     *Counter
+	start time.Time
+	base  uint64 // counter value when reporting started
 
 	stop chan struct{}
 	once sync.Once
 	wg   sync.WaitGroup
 }
 
-// StartProgress begins reporting counter c to w every interval (default
-// 1s) under the given label. total is the expected final delta over the
-// counter's starting value; pass 0 when unknown (rate-only reporting,
-// no ETA). Returns nil (inert) when w or c is nil.
-func StartProgress(w io.Writer, label string, c *Counter, total uint64, interval time.Duration) *Progress {
+// StartProgress begins reporting counter c to w every second under the
+// given label. Returns nil (inert) when w or c is nil.
+func StartProgress(w io.Writer, label string, c *Counter) *Progress {
 	if w == nil || c == nil {
 		return nil
 	}
-	if interval <= 0 {
-		interval = time.Second
-	}
 	p := &Progress{
-		w:        w,
-		label:    label,
-		c:        c,
-		interval: interval,
-		start:    time.Now(),
-		base:     c.Value(),
-		stop:     make(chan struct{}),
+		w:     w,
+		label: label,
+		c:     c,
+		start: time.Now(),
+		base:  c.Value(),
+		stop:  make(chan struct{}),
 	}
-	p.total.Store(total)
 	p.wg.Add(1)
 	go p.loop()
 	return p
 }
 
-// SetTotal updates the expected total (e.g. once the cost model has
-// produced an estimate for the selected alternative set).
-func (p *Progress) SetTotal(total uint64) {
-	if p == nil {
-		return
-	}
-	p.total.Store(total)
-}
-
 func (p *Progress) loop() {
 	defer p.wg.Done()
-	tick := time.NewTicker(p.interval)
+	tick := time.NewTicker(progressPeriod)
 	defer tick.Stop()
 	for {
 		select {
@@ -82,17 +65,6 @@ func (p *Progress) report(final bool) {
 	elapsed := time.Since(p.start)
 	rate := float64(done) / elapsed.Seconds()
 	line := fmt.Sprintf("%s: %d matches  %.0f/s  %s", p.label, done, rate, elapsed.Round(time.Second))
-	if total := p.total.Load(); total > 0 && rate > 0 {
-		pctDone := 100 * float64(done) / float64(total)
-		if pctDone > 100 {
-			pctDone = 100
-		}
-		line += fmt.Sprintf("  %.1f%%", pctDone)
-		if done < total {
-			eta := time.Duration(float64(total-done) / rate * float64(time.Second))
-			line += fmt.Sprintf("  ETA %s", eta.Round(time.Second))
-		}
-	}
 	if final {
 		fmt.Fprintf(p.w, "\r%s\n", line)
 	} else {

@@ -24,11 +24,11 @@ type FlightPolicy struct {
 	// History, when set, adds a history.json file to every anomaly dump
 	// holding the newest historySamples points of each time series — the
 	// minutes of process context *around* the anomaly, not just the
-	// anomalous run's own trace.
+	// anomalous run's own events.
 	History *History
 }
 
-// ringCap bounds each run's retained spans and events, maxDumps the
+// ringCap bounds each run's retained events, maxDumps the
 // bundles that may accumulate under FlightPolicy.Dir (existing entries
 // count), and historySamples the points per series a dump embeds.
 const (
@@ -62,11 +62,10 @@ type RunOutcome struct {
 	Calibration float64
 }
 
-// RunContext scopes one query execution: a unique run ID, a bounded ring
-// tracer mirroring into the process tracer, and a bounded ring of
-// lifecycle events. Metrics are not scoped: the run writes into its
-// parent's registry, and its own numbers are the RunStats the pipeline
-// returns. It travels through the pipeline via context.Context
+// RunContext scopes one query execution: a unique run ID and a bounded
+// ring of lifecycle events. Metrics are not scoped: the run writes into
+// its parent's registry, and its own numbers are the RunStats the
+// pipeline returns. It travels through the pipeline via context.Context
 // (ContextWithRun / FromContext), so engines resolve the run's observer
 // without any signature changes.
 type RunContext struct {
@@ -100,23 +99,15 @@ func newRunID() string {
 }
 
 // StartRun opens a run scope under parent (nil means the process-wide
-// default observer). The returned context's Observer has the parent's
-// registry and event log, and a ring tracer tagged with the run ID and
-// mirrored into the parent tracer.
+// default observer), which is the run's Observer.
 func StartRun(parent *Observer, label string, policy FlightPolicy) *RunContext {
-	parent = Or(parent)
-	rc := &RunContext{
+	return &RunContext{
 		id:     newRunID(),
 		label:  label,
 		start:  time.Now(),
+		obs:    Or(parent),
 		policy: policy,
 	}
-	rc.obs = &Observer{
-		Metrics: parent.Metrics,
-		Tracer:  NewRingTracer(ringCap, parent.Tracer, Str("run", rc.id)),
-		Events:  parent.Events,
-	}
-	return rc
 }
 
 // ID returns the unique run identifier.
@@ -135,8 +126,7 @@ func (rc *RunContext) Label() string {
 	return rc.label
 }
 
-// Observer returns the run-scoped observer: spans land in the run's ring
-// (and the parent tracer), metrics in the parent's registry.
+// Observer returns the observer the run emits into: its parent's.
 func (rc *RunContext) Observer() *Observer {
 	if rc == nil {
 		return nil
@@ -145,8 +135,7 @@ func (rc *RunContext) Observer() *Observer {
 }
 
 // Event records one lifecycle event: appended to the run's bounded
-// ring, written to the query log, and marked as an instant in the trace
-// (so dumps interleave events with spans).
+// ring and written to the query log.
 func (rc *RunContext) Event(name string, attrs ...Attr) Event {
 	if rc == nil {
 		return Event{}
@@ -159,7 +148,6 @@ func (rc *RunContext) Event(name string, attrs ...Attr) Event {
 		e.Attrs["label"] = rc.label
 	}
 	rc.obs.Events.Emit(e)
-	rc.obs.Tracer.Instant(name, attrs...)
 	rc.mu.Lock()
 	if len(rc.events) >= ringCap {
 		rc.events[rc.evStart] = e
@@ -196,10 +184,10 @@ func (rc *RunContext) Wall() time.Duration {
 
 // Finish classifies the run's ending against the flight policy and, when
 // anomalous, dumps the flight-recorder contents as a bundle under
-// policy.Dir: trace.json (Chrome trace_event), events.jsonl, and
-// meta.json. It returns the bundle directory, or "" when the run was
-// normal, dumping is disabled, or the dump cap is reached. Idempotent:
-// only the first call classifies and dumps.
+// policy.Dir: events.jsonl and meta.json (plus history.json when the
+// policy carries a History). It returns the bundle directory, or "" when
+// the run was normal, dumping is disabled, or the dump cap is reached.
+// Idempotent: only the first call classifies and dumps.
 func (rc *RunContext) Finish(out RunOutcome) string {
 	if rc == nil {
 		return ""
@@ -258,18 +246,6 @@ func (rc *RunContext) writeDump(reason string, out RunOutcome, wall time.Duratio
 		return "", err
 	}
 
-	tf, err := os.Create(filepath.Join(dir, "trace.json"))
-	if err != nil {
-		return "", err
-	}
-	if err := rc.obs.Tracer.WriteChromeTrace(tf); err != nil {
-		tf.Close()
-		return "", err
-	}
-	if err := tf.Close(); err != nil {
-		return "", err
-	}
-
 	ef, err := os.Create(filepath.Join(dir, "events.jsonl"))
 	if err != nil {
 		return "", err
@@ -313,7 +289,6 @@ func (rc *RunContext) writeDump(reason string, out RunOutcome, wall time.Duratio
 		"err_kind":       out.ErrKind,
 		"err":            out.Err,
 		"calibration":    out.Calibration,
-		"spans_dropped":  rc.obs.Tracer.Dropped(),
 		"events_dropped": evDropped,
 	}
 	mf, err := os.Create(filepath.Join(dir, "meta.json"))
@@ -351,8 +326,8 @@ func RunFrom(ctx context.Context) *RunContext {
 
 // FromContext resolves the observer a component should emit into: the
 // run scope carried by ctx when present, else Or(fallback). Engines call
-// this at execution entry so every span lands in the current run's
-// flight recorder without signature changes.
+// this at execution entry so their metrics and events reach the current
+// run's sinks without signature changes.
 func FromContext(ctx context.Context, fallback *Observer) *Observer {
 	if rc := RunFrom(ctx); rc != nil {
 		return rc.obs

@@ -7,58 +7,38 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 )
 
-func TestRingTracerBoundsAndMirror(t *testing.T) {
-	mirror := NewTracer()
-	tr := NewRingTracer(4, mirror, Str("run", "r-test"))
-	for i := 0; i < 10; i++ {
-		tr.Start(fmt.Sprintf("span%d", i)).End()
-	}
-	if tr.Len() != 4 {
-		t.Fatalf("ring retained %d events, want 4", tr.Len())
-	}
-	if tr.Dropped() != 6 {
-		t.Fatalf("ring dropped = %d, want 6", tr.Dropped())
-	}
-	// The mirror is unbounded and sees everything, tagged with the run.
-	if mirror.Len() != 10 {
-		t.Fatalf("mirror has %d events, want 10", mirror.Len())
-	}
-
-	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
+// bundleFiles lists a flight bundle's file names, sorted.
+func bundleFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var doc struct {
-		TraceEvents []struct {
-			Name string         `json:"name"`
-			Args map[string]any `json:"args"`
-		} `json:"traceEvents"`
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
 	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("ring trace is not valid Chrome trace JSON: %v", err)
-	}
-	// Oldest-first after wrap: spans 6..9 survive.
-	if doc.TraceEvents[0].Name != "span6" || doc.TraceEvents[3].Name != "span9" {
-		t.Fatalf("ring order wrong: %v", doc.TraceEvents)
-	}
-	for _, e := range doc.TraceEvents {
-		if e.Args["run"] != "r-test" {
-			t.Fatalf("event %s missing run base attr: %v", e.Name, e.Args)
-		}
-	}
+	return names
+}
 
-	var mbuf bytes.Buffer
-	if err := mirror.WriteChromeTrace(&mbuf); err != nil {
+// readMeta decodes a flight bundle's meta.json.
+func readMeta(t *testing.T, dir string) map[string]any {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(dir, "meta.json"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(mbuf.String(), `"run":"r-test"`) {
-		t.Fatal("mirrored events lost the run base attr")
+	var meta map[string]any
+	if err := json.Unmarshal(raw, &meta); err != nil {
+		t.Fatal(err)
 	}
+	return meta
 }
 
 func TestEventLogJSONL(t *testing.T) {
@@ -100,7 +80,6 @@ func TestFlightRecorderDumpsOnAnomaly(t *testing.T) {
 	parent := &Observer{Metrics: NewRegistry()}
 
 	rc := StartRun(parent, "count", FlightPolicy{Dir: dir})
-	rc.Observer().StartSpan("mine/p1").End()
 	rc.Event("admitted", Int("queries", 2))
 	dump := rc.Finish(RunOutcome{ErrKind: "deadline", Err: "context deadline exceeded"})
 	if dump == "" {
@@ -110,27 +89,10 @@ func TestFlightRecorderDumpsOnAnomaly(t *testing.T) {
 		t.Fatalf("dump dir %q not named <run>-<reason>", dump)
 	}
 
-	// trace.json must validate as Chrome trace JSON (acceptance criterion).
-	raw, err := os.ReadFile(filepath.Join(dump, "trace.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Name string `json:"name"`
-			Ph   string `json:"ph"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("dumped trace.json invalid: %v", err)
-	}
-	// The span and the event's instant marker are both in the trace.
-	names := map[string]bool{}
-	for _, e := range doc.TraceEvents {
-		names[e.Name] = true
-	}
-	if !names["mine/p1"] || !names["admitted"] {
-		t.Fatalf("dump trace missing span or event instant: %v", names)
+	// The bundle is the run's events and its metadata, nothing else: the
+	// events are the run's one timeline.
+	if got := bundleFiles(t, dump); !slices.Equal(got, []string{"events.jsonl", "meta.json"}) {
+		t.Fatalf("bundle holds %v, want [events.jsonl meta.json]", got)
 	}
 
 	evRaw, err := os.ReadFile(filepath.Join(dump, "events.jsonl"))
@@ -145,16 +107,12 @@ func TestFlightRecorderDumpsOnAnomaly(t *testing.T) {
 		t.Fatalf("dumped event = %+v", ev)
 	}
 
-	metaRaw, err := os.ReadFile(filepath.Join(dump, "meta.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var meta map[string]any
-	if err := json.Unmarshal(metaRaw, &meta); err != nil {
-		t.Fatal(err)
-	}
+	meta := readMeta(t, dump)
 	if meta["reason"] != "deadline" || meta["run"] != rc.ID() || meta["err"] != "context deadline exceeded" {
 		t.Fatalf("meta.json = %v", meta)
+	}
+	if _, ok := meta["spans_dropped"]; ok {
+		t.Fatalf("meta.json still reports spans: %v", meta)
 	}
 
 	// Finish is idempotent: a second call returns the same bundle.
@@ -217,8 +175,11 @@ func TestFlightRecorderDumpCap(t *testing.T) {
 	}
 }
 
+// TestRunContextEventRing checks the flight recorder's bound: a run
+// keeps its newest ringCap events, oldest first, and its dump counts the
+// overwritten ones.
 func TestRunContextEventRing(t *testing.T) {
-	rc := StartRun(nil, "t", FlightPolicy{})
+	rc := StartRun(nil, "t", FlightPolicy{Dir: t.TempDir()})
 	for i := 0; i < ringCap+2; i++ {
 		rc.Event(fmt.Sprintf("e%d", i))
 	}
@@ -228,6 +189,20 @@ func TestRunContextEventRing(t *testing.T) {
 	}
 	if evs[0].Name != "e2" || evs[ringCap-1].Name != fmt.Sprintf("e%d", ringCap+1) {
 		t.Fatalf("event ring order wrong: first %s, last %s", evs[0].Name, evs[ringCap-1].Name)
+	}
+	dump := rc.Finish(RunOutcome{ErrKind: "error"})
+	if dump == "" {
+		t.Fatal("anomalous run produced no dump")
+	}
+	if got := readMeta(t, dump)["events_dropped"]; got != float64(2) {
+		t.Fatalf("meta.json events_dropped = %v, want 2", got)
+	}
+	raw, err := os.ReadFile(filepath.Join(dump, "events.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(raw), "\n"); n != ringCap {
+		t.Fatalf("events.jsonl holds %d lines, want %d", n, ringCap)
 	}
 }
 

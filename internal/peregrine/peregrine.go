@@ -14,7 +14,6 @@ import (
 
 	"morphing/internal/engine"
 	"morphing/internal/graph"
-	"morphing/internal/obs"
 	"morphing/internal/pattern"
 	"morphing/internal/plan"
 )
@@ -58,7 +57,6 @@ func CountUpToCtx(ctx context.Context, e *Engine, g graph.Adjacency, p *pattern.
 	if err != nil {
 		return 0, nil, err
 	}
-	defer obs.FromContext(ctx, e.Obs).StartSpan("mine/"+p.String(), obs.Str("engine", e.Name())).End()
 	opts, o := e.ExecConfig()
 	opts.MatchLimit = limit
 	return engine.BacktrackCtx(ctx, g, pl, nil, opts, o)

@@ -133,8 +133,8 @@ type RunReport struct {
 	Phase         string `json:"phase"`
 
 	// RunID and Label identify the execution's observability run scope:
-	// every span, metric delta and query-log line the run emitted
-	// carries RunID.
+	// every lifecycle event and query-log line the run emitted carries
+	// RunID.
 	RunID string `json:"run_id,omitempty"`
 	Label string `json:"label,omitempty"`
 	// FlightDump is the flight-recorder bundle directory when the run

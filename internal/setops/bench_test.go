@@ -63,13 +63,13 @@ func BenchmarkIntersectBitset(b *testing.B) {
 	sink += uint64(len(dst))
 }
 
-func BenchmarkIntersectCountAbove(b *testing.B) {
+func BenchmarkIntersectCountWindow(b *testing.B) {
 	x, y := benchSets(4096, 4096, 1<<20, 4)
 	var st Stats
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sink += IntersectCountAbove(x, y, 1<<10, 1<<19, &st)
+		sink += IntersectCountF(x, y, Window(1<<10, 1<<19), &st)
 	}
 }
 
@@ -154,35 +154,6 @@ func BenchmarkIntersectDense(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dst = Intersect(dst, x, y, &st)
-	}
-	sink += uint64(len(dst))
-}
-
-// FilterAbove and Remove both route through the arena-aware dst
-// convention now; these pin their cost (satellite of the kernel rework).
-func BenchmarkFilterAbove(b *testing.B) {
-	r := rand.New(rand.NewSource(12))
-	x := denseSet(r, 4096, 1<<20)
-	dst := make([]uint32, 0, 4096)
-	var st Stats
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = FilterAbove(dst, x, 1<<19, &st)
-	}
-	sink += uint64(len(dst))
-}
-
-func BenchmarkRemove(b *testing.B) {
-	r := rand.New(rand.NewSource(13))
-	x := denseSet(r, 4096, 1<<20)
-	mid := x[len(x)/2]
-	dst := make([]uint32, 0, 4096)
-	var st Stats
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = Remove(dst, x, mid, &st)
 	}
 	sink += uint64(len(dst))
 }

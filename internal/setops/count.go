@@ -185,26 +185,3 @@ func rankPairs(a, b []uint32, elems *uint64) (below, equal uint64) {
 	}
 	return below, equal
 }
-
-// IntersectCount counts |a ∩ b| with no window or label restriction.
-func IntersectCount(a, b []uint32, st *Stats) uint64 {
-	return IntersectCountF(a, b, All(), st)
-}
-
-// IntersectCountAbove counts the elements of a ∩ b inside the half-open
-// window [lo, hi) — the window-fused form matching executors use at the
-// final level of a symmetry-broken plan.
-func IntersectCountAbove(a, b []uint32, lo, hi uint32, st *Stats) uint64 {
-	return IntersectCountF(a, b, Window(lo, hi), st)
-}
-
-// DifferenceCount counts |a \ b| with no window or label restriction.
-func DifferenceCount(a, b []uint32, st *Stats) uint64 {
-	return DifferenceCountF(a, b, All(), st)
-}
-
-// DifferenceCountAbove counts the elements of a \ b inside the half-open
-// window [lo, hi).
-func DifferenceCountAbove(a, b []uint32, lo, hi uint32, st *Stats) uint64 {
-	return DifferenceCountF(a, b, Window(lo, hi), st)
-}

@@ -95,8 +95,6 @@ func FuzzKernels(f *testing.F) {
 
 		wantI := RefIntersect(a, b)
 		wantD := RefDifference(a, b)
-		lower := lo % fuzzMax
-		wantAbove := wantI[SearchAbove(wantI, lower):]
 		bbits := toBits(b, fuzzMax)
 
 		// Run the public dispatchers twice: once bare (heap destinations)
@@ -108,12 +106,6 @@ func FuzzKernels(f *testing.F) {
 			}
 			if got := Difference(nil, a, b, st); !equal(got, wantD) {
 				t.Fatalf("Difference(%v, %v) = %v, want %v", a, b, got, wantD)
-			}
-			if got := IntersectAbove(nil, a, b, lower, st); !equal(got, wantAbove) {
-				t.Fatalf("IntersectAbove(%v, %v, %d) = %v, want %v", a, b, lower, got, wantAbove)
-			}
-			if got, want := FilterAbove(nil, a, lower, st), a[SearchAbove(a, lower):]; !equal(got, want) {
-				t.Fatalf("FilterAbove = %v, want %v", got, want)
 			}
 
 			if got := IntersectBits(nil, a, bbits, st); !equal(got, wantI) {

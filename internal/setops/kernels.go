@@ -19,14 +19,6 @@ func Intersect(dst, a, b []uint32, st *Stats) []uint32 {
 	return mergeIntersect(dst, a, b, st)
 }
 
-// IntersectAbove is Intersect restricted to elements strictly greater than
-// lower; it fuses the symmetry-breaking filter into the kernel, narrowing
-// both inputs by binary search before dispatching, as pattern-aware
-// engines do.
-func IntersectAbove(dst, a, b []uint32, lower uint32, st *Stats) []uint32 {
-	return Intersect(dst, a[SearchAbove(a, lower):], b[SearchAbove(b, lower):], st)
-}
-
 func mergeIntersect(dst, a, b []uint32, st *Stats) []uint32 {
 	st.MergeOps++
 	st.Elems += uint64(len(a) + len(b))
@@ -114,43 +106,6 @@ func gallopDifference(dst, a, b []uint32, st *Stats) []uint32 {
 		}
 	}
 	st.Elems += uint64(len(a)) + probes
-	st.Written += uint64(len(dst))
-	return dst
-}
-
-// FilterAbove copies the elements of a strictly greater than lower into
-// dst[:0], growing dst through the arena-aware destination convention
-// (ensureCap) like every materializing kernel. The work charged to Elems
-// is the copied suffix length — the binary search examines only O(log)
-// elements, and charging len(a) would inflate the Fig. 12-style set-work
-// totals.
-func FilterAbove(dst, a []uint32, lower uint32, st *Stats) []uint32 {
-	st.Ops++
-	st.MergeOps++
-	i := SearchAbove(a, lower)
-	n := len(a) - i
-	st.Elems += uint64(n)
-	st.Written += uint64(n)
-	dst = ensureCap(dst, n, st)
-	return append(dst, a[i:]...)
-}
-
-// Remove copies a into dst[:0] without the element x (if present). The
-// position of x is found by binary search and the surviving spans are
-// block-copied — no per-element compare loop — through the arena-aware
-// dst convention.
-func Remove(dst, a []uint32, x uint32, st *Stats) []uint32 {
-	st.Ops++
-	st.MergeOps++
-	dst = ensureCap(dst, len(a), st)
-	i := searchGE(a, x)
-	if i < len(a) && a[i] == x {
-		dst = append(dst, a[:i]...)
-		dst = append(dst, a[i+1:]...)
-	} else {
-		dst = append(dst, a...)
-	}
-	st.Elems += uint64(len(dst))
 	st.Written += uint64(len(dst))
 	return dst
 }

@@ -28,14 +28,6 @@ func TestIntersect(t *testing.T) {
 	}
 }
 
-func TestIntersectAbove(t *testing.T) {
-	var st Stats
-	got := IntersectAbove(nil, []uint32{1, 3, 5, 7}, []uint32{3, 5, 7}, 4, &st)
-	if want := []uint32{5, 7}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-}
-
 func TestDifference(t *testing.T) {
 	var st Stats
 	cases := []struct{ a, b, want []uint32 }{
@@ -49,39 +41,6 @@ func TestDifference(t *testing.T) {
 		if !reflect.DeepEqual(append([]uint32{}, got...), c.want) {
 			t.Errorf("case %d: got %v, want %v", i, got, c.want)
 		}
-	}
-}
-
-func TestFilterAbove(t *testing.T) {
-	var st Stats
-	a := []uint32{2, 4, 6, 8}
-	cases := []struct {
-		lower uint32
-		want  []uint32
-	}{
-		{0, []uint32{2, 4, 6, 8}},
-		{4, []uint32{6, 8}},
-		{5, []uint32{6, 8}},
-		{8, []uint32{}},
-		{100, []uint32{}},
-	}
-	for i, c := range cases {
-		got := FilterAbove(nil, a, c.lower, &st)
-		if !reflect.DeepEqual(append([]uint32{}, got...), c.want) {
-			t.Errorf("case %d: got %v, want %v", i, got, c.want)
-		}
-	}
-}
-
-func TestRemove(t *testing.T) {
-	var st Stats
-	got := Remove(nil, []uint32{1, 2, 3}, 2, &st)
-	if want := []uint32{1, 3}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-	got = Remove(got, []uint32{1, 3}, 9, &st)
-	if want := []uint32{1, 3}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("absent element: got %v, want %v", got, want)
 	}
 }
 
@@ -146,23 +105,6 @@ func TestQuickAgainstMaps(t *testing.T) {
 		gotD := Difference(nil, a, b, &st)
 		return reflect.DeepEqual(append([]uint32{}, gotI...), append([]uint32{}, wantI...)) &&
 			reflect.DeepEqual(append([]uint32{}, gotD...), append([]uint32{}, wantD...))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuickIntersectAboveMatchesFilter(t *testing.T) {
-	r := rand.New(rand.NewSource(6))
-	var st Stats
-	f := func(seed int64) bool {
-		_ = seed
-		a, b := sortedSet(r, 30), sortedSet(r, 30)
-		lower := uint32(r.Intn(30))
-		plain := Intersect(nil, a, b, &st)
-		filtered := FilterAbove(nil, plain, lower, &st)
-		fused := IntersectAbove(nil, a, b, lower, &st)
-		return reflect.DeepEqual(append([]uint32{}, filtered...), append([]uint32{}, fused...))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -416,22 +358,13 @@ func TestStatsPathPartition(t *testing.T) {
 	Intersect(nil, tiny, tiny, &st) // merge (below unrolledMinLen)
 	Intersect(nil, even, even, &st) // unrolled (balanced)
 	IntersectBits(nil, small, bits, &st)
-	IntersectCount(small, big, &st)  // count-only
-	Difference(nil, even, even, &st) // merge: a difference materializes by gallop or merge only
+	IntersectCountF(small, big, All(), &st) // count-only
+	Difference(nil, even, even, &st)        // merge: a difference materializes by gallop or merge only
 	if st.Ops != st.MergeOps+st.GallopOps+st.BitsetOps+st.CountOps+st.UnrolledOps {
 		t.Fatalf("path counters do not partition Ops: %+v", st)
 	}
 	if st.GallopOps == 0 || st.MergeOps != 2 || st.BitsetOps == 0 ||
 		st.CountOps == 0 || st.UnrolledOps != 1 {
 		t.Fatalf("expected all paths exercised: %+v", st)
-	}
-}
-
-func TestFilterAboveChargesCopiedLength(t *testing.T) {
-	var st Stats
-	a := []uint32{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	FilterAbove(nil, a, 8, &st)
-	if st.Elems != 2 {
-		t.Fatalf("FilterAbove charged %d elems, want the copied suffix length 2", st.Elems)
 	}
 }

@@ -85,9 +85,6 @@ type (
 	Weights = se.Weights
 	// DatasetRecipe describes a synthetic evaluation graph.
 	DatasetRecipe = dataset.Recipe
-	// Tracer records phase spans (transform, select, mine/<pattern>,
-	// convert, aggregate) and exports them as a Chrome trace_event file.
-	Tracer = obs.Tracer
 	// MetricsSnapshot is a merged point-in-time view of every counter,
 	// gauge and histogram in the process-wide metrics registry.
 	MetricsSnapshot = obs.Snapshot
@@ -261,15 +258,6 @@ func MaxCliqueSize(g *Graph, maxK int) (int, error) {
 func SortGraphByDegree(g *Graph) (*Graph, []uint32) {
 	return graph.SortByDegree(g)
 }
-
-// NewTracer returns an empty span recorder. Install it with
-// EnableTracing to capture the pipeline's phase spans.
-func NewTracer() *Tracer { return obs.NewTracer() }
-
-// EnableTracing installs t as the process-wide tracer: every Runner,
-// engine and bench experiment without an explicit observability sink
-// records its phase spans there. Pass nil to disable tracing again.
-func EnableTracing(t *Tracer) { obs.SetDefaultTracer(t) }
 
 // Metrics returns a merged snapshot of the process-wide metrics
 // registry: engine counters (matches, set operations, branches, UDF
