@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -15,7 +16,7 @@ import (
 // optionally delta-varint compressed, always mmap-openable. It prints a
 // footprint summary so operators can judge the storage economics before
 // shipping a file to a mining box.
-func cmdConvert(args []string) error {
+func cmdConvert(args []string, w, stderr io.Writer) error {
 	fs := flag.NewFlagSet("convert", flag.ContinueOnError)
 	in := fs.String("in", "", "input edge-list file (same syntax as the text codec: 'v label' and 'u v' lines)")
 	graphName := fs.String("graph", "", "generate the input from a dataset recipe instead of -in (MI, MG, PR, OK, FR)")
@@ -53,9 +54,9 @@ func cmdConvert(args []string) error {
 	if !*quiet {
 		progress = func(p graph.LoadProgress) {
 			if p.Done {
-				fmt.Fprintf(os.Stderr, "convert: pass %d done (%d lines)\n", p.Pass, p.Lines)
+				fmt.Fprintf(stderr, "convert: pass %d done (%d lines)\n", p.Pass, p.Lines)
 			} else {
-				fmt.Fprintf(os.Stderr, "convert: pass %d: %d lines...\n", p.Pass, p.Lines)
+				fmt.Fprintf(stderr, "convert: pass %d: %d lines...\n", p.Pass, p.Lines)
 			}
 		}
 	}
@@ -129,24 +130,24 @@ func cmdConvert(args []string) error {
 		return err
 	}
 
-	fmt.Printf("graph:        %d vertices, %d edges (labeled=%v, renumber=%s)\n",
+	fmt.Fprintf(w, "graph:        %d vertices, %d edges (labeled=%v, renumber=%s)\n",
 		nv, ne, g.Labeled(), *renumber)
-	fmt.Printf("load:         %v   renumber: %v   compress: %v   write: %v\n",
+	fmt.Fprintf(w, "load:         %v   renumber: %v   compress: %v   write: %v\n",
 		loadTime.Round(time.Millisecond), renumTime.Round(time.Millisecond),
 		compTime.Round(time.Millisecond), writeTime.Round(time.Millisecond))
-	fmt.Printf("plain CSR:    %d bytes (%.2f bytes/edge directed)\n",
+	fmt.Fprintf(w, "plain CSR:    %d bytes (%.2f bytes/edge directed)\n",
 		plainBytes, float64(plainBytes)/float64(2*ne))
 	if *compress == "on" {
-		fmt.Printf("compressed:   %d stream + %d index + %d label bytes (%.2f bytes/edge)\n",
+		fmt.Fprintf(w, "compressed:   %d stream + %d index + %d label bytes (%.2f bytes/edge)\n",
 			fp.StreamBytes, fp.IndexBytes, fp.LabelBytes, fp.BytesPerEdge)
-		fmt.Printf("blocks:       %d (size %d, max encoded block %d bytes)\n",
+		fmt.Fprintf(w, "blocks:       %d (size %d, max encoded block %d bytes)\n",
 			fp.Blocks, *block, fp.MaxBlockBytes)
-		fmt.Printf("hot rows:     %d bytes on the heap once mined (highest-degree rows kept decoded, index included)\n",
+		fmt.Fprintf(w, "hot rows:     %d bytes on the heap once mined (highest-degree rows kept decoded, index included)\n",
 			fp.HotBytes)
-		fmt.Printf("ratio:        %.2fx smaller than plain\n",
+		fmt.Fprintf(w, "ratio:        %.2fx smaller than plain\n",
 			float64(plainBytes)/float64(fp.StreamBytes+fp.IndexBytes+fp.LabelBytes))
 	}
-	fmt.Printf("file:         %s (%d bytes)\n", *out, st.Size())
+	fmt.Fprintf(w, "file:         %s (%d bytes)\n", *out, st.Size())
 
 	if *verify {
 		h, err := graph.Open(*out, graph.OpenOptions{Verify: true})
@@ -155,7 +156,7 @@ func cmdConvert(args []string) error {
 		}
 		mapped := h.Mapped()
 		h.Close()
-		fmt.Printf("verify:       ok (mmap=%v)\n", mapped)
+		fmt.Fprintf(w, "verify:       ok (mmap=%v)\n", mapped)
 	}
 	return nil
 }

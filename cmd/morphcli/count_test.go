@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -36,7 +37,7 @@ func TestCountStatsJSON(t *testing.T) {
 	}
 
 	var text bytes.Buffer
-	if err := cmdCount(ctx, append(append([]string{}, base...), queries...), &text); err != nil {
+	if err := cmdCount(ctx, append(append([]string{}, base...), queries...), &text, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	want := map[string]uint64{}
@@ -56,7 +57,7 @@ func TestCountStatsJSON(t *testing.T) {
 	var js bytes.Buffer
 	reportPath := filepath.Join(t.TempDir(), "run.json")
 	args := append(append([]string{}, base...), "-stats", "json", "-report", reportPath)
-	if err := cmdCount(ctx, append(args, queries...), &js); err != nil {
+	if err := cmdCount(ctx, append(args, queries...), &js, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	rep := decode(t, js.Bytes())
@@ -81,11 +82,31 @@ func TestCountStatsJSON(t *testing.T) {
 
 	js.Reset()
 	args = append(append([]string{}, base...), "-stats", "json", "-timeout", "1ns")
-	err = cmdCount(ctx, append(args, queries...), &js)
+	err = cmdCount(ctx, append(args, queries...), &js, io.Discard)
 	if !errors.Is(err, engine.ErrDeadlineExceeded) {
 		t.Fatalf("err = %v, want the deadline", err)
 	}
 	if rep := decode(t, js.Bytes()); !rep.Interrupted || rep.Phase == "" {
 		t.Errorf("timed-out run: interrupted %v, phase %q", rep.Interrupted, rep.Phase)
+	}
+}
+
+// TestFailedRunKeepsProfile: a command that fails still returns through
+// run, so the CPU profile of a run that hit its deadline is written out
+// (a gzipped profile, not an empty file) and the query log is closed.
+func TestFailedRunKeepsProfile(t *testing.T) {
+	dir := t.TempDir()
+	prof := filepath.Join(dir, "cpu.pb")
+	args := []string{"-cpuprofile", prof, "-querylog", filepath.Join(dir, "q.jsonl"),
+		"count", "-graph", "MG", "-scale", "0.003", "-timeout", "1ms", "p4:v", "p5:v"}
+	if code := run(args, io.Discard, io.Discard); code != 1 {
+		t.Fatalf("exit status %d, want 1", code)
+	}
+	data, err := os.ReadFile(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) < 2 || data[0] != 0x1f || data[1] != 0x8b {
+		t.Fatalf("CPU profile is not gzip data (%d bytes)", len(data))
 	}
 }

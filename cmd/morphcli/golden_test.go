@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -33,7 +34,7 @@ func TestExplainGolden(t *testing.T) {
 	args := []string{"-graph", "MG", "-scale", "0.003", "-threads", "1",
 		"p4:v", "4-cycle:v", "4-star:v"}
 	var buf bytes.Buffer
-	if err := cmdExplain(context.Background(), args, &buf); err != nil {
+	if err := cmdExplain(context.Background(), args, &buf, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	got := runIDs.ReplaceAll(buf.Bytes(), []byte("RUNID"))

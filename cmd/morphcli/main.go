@@ -49,42 +49,55 @@ import (
 )
 
 // runFlight is the flight-recorder policy handed to every Runner,
-// assembled in main from -flightdir and -slowquery. It stays nil when
-// command functions run without main (tests), falling back to
+// assembled in run from -flightdir and -slowquery. It stays nil when a
+// test calls a command function directly, falling back to
 // obs.DefaultFlightPolicy inside the Runner.
 var runFlight *obs.FlightPolicy
 
-func main() {
-	listen := flag.String("listen", "", "serve /metrics, /vars and /debug/pprof on this address while running")
-	cpuProf := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memProf := flag.String("memprofile", "", "write a heap profile at exit to this file")
-	queryLog := flag.String("querylog", "", "append the structured JSONL query log (run lifecycle events) to this file")
-	flightDir := flag.String("flightdir", "", "dump flight-recorder bundles for anomalous runs into this directory (default $MORPH_FLIGHT_DIR)")
-	slowQuery := flag.Duration("slowquery", 0, "treat runs slower than this wall time as anomalous (flight-recorder trigger)")
-	flag.Usage = usage
-	flag.Parse()
-	if flag.NArg() < 1 {
-		usage()
-		os.Exit(2)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run executes one command line and returns its exit status. Every
+// command returns here, failed ones included, so the CPU profile, the
+// query log and the -listen endpoint are always closed.
+func run(args []string, stdout, stderr io.Writer) int {
+	gfs := flag.NewFlagSet("morphcli", flag.ContinueOnError)
+	gfs.SetOutput(stderr)
+	listen := gfs.String("listen", "", "serve /metrics, /vars and /debug/pprof on this address while running")
+	cpuProf := gfs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProf := gfs.String("memprofile", "", "write a heap profile at exit to this file")
+	queryLog := gfs.String("querylog", "", "append the structured JSONL query log (run lifecycle events) to this file")
+	flightDir := gfs.String("flightdir", "", "dump flight-recorder bundles for anomalous runs into this directory (default $MORPH_FLIGHT_DIR)")
+	slowQuery := gfs.Duration("slowquery", 0, "treat runs slower than this wall time as anomalous (flight-recorder trigger)")
+	gfs.Usage = func() { usage(stderr) }
+	if err := gfs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if gfs.NArg() < 1 {
+		usage(stderr)
+		return 2
 	}
 	stopProf, err := obs.StartProfiles(*cpuProf, *memProf)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "morphcli:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "morphcli:", err)
+		return 1
 	}
 	defer func() {
 		if err := stopProf(); err != nil {
-			fmt.Fprintln(os.Stderr, "morphcli: profile:", err)
+			fmt.Fprintln(stderr, "morphcli: profile:", err)
 		}
 	}()
 	if *queryLog != "" {
 		ql, err := obs.OpenEventLog(*queryLog)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "morphcli: -querylog:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "morphcli: -querylog:", err)
+			return 1
 		}
 		defer ql.Close()
 		obs.SetDefaultEventLog(ql)
+		defer obs.SetDefaultEventLog(nil)
 	}
 	if *flightDir != "" {
 		os.Setenv(obs.EnvFlightDir, *flightDir)
@@ -95,56 +108,60 @@ func main() {
 	if *listen != "" {
 		ln, err := obs.Serve(*listen, obs.DefaultRegistry())
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "morphcli: -listen:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "morphcli: -listen:", err)
+			return 1
 		}
 		defer ln.Close()
-		fmt.Fprintf(os.Stderr, "observability endpoint on http://%s (/metrics, /vars, /debug/pprof)\n", ln.Addr())
+		fmt.Fprintf(stderr, "observability endpoint on http://%s (/metrics, /vars, /debug/pprof)\n", ln.Addr())
 	}
-	cmd, args := flag.Arg(0), flag.Args()[1:]
+	ctx := context.Background()
+	cmd, args := gfs.Arg(0), gfs.Args()[1:]
 	switch cmd {
 	case "pattern":
-		err = cmdPattern(args)
+		err = cmdPattern(args, stdout)
 	case "equation":
-		err = cmdEquation(args)
+		err = cmdEquation(args, stdout)
 	case "sdag":
-		err = cmdSDAG(args)
+		err = cmdSDAG(args, stdout)
 	case "transform":
-		err = cmdTransform(args)
+		err = cmdTransform(args, stdout)
 	case "count":
-		err = cmdCount(context.Background(), args, os.Stdout)
+		err = cmdCount(ctx, args, stdout, stderr)
 	case "convert":
-		err = cmdConvert(args)
+		err = cmdConvert(args, stdout, stderr)
 	case "query":
-		err = cmdQuery(args)
+		err = cmdQuery(args, stdout, stderr)
 	case "top":
-		err = cmdTop(args)
+		err = cmdTop(args, stdout, stderr)
 	case "explain":
-		err = cmdExplain(context.Background(), args, os.Stdout)
+		err = cmdExplain(ctx, args, stdout, stderr)
+	case "fig":
+		err = cmdFig(ctx, args, stdout, stderr)
 	case "names":
-		cmdNames()
+		cmdNames(stdout)
 	default:
-		usage()
-		os.Exit(2)
+		usage(stderr)
+		return 2
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "morphcli:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "morphcli:", err)
+		return 1
 	}
+	return 0
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage: morphcli [-listen addr] <pattern|equation|sdag|transform|count|convert|query|top|explain|names> [args]`)
+func usage(w io.Writer) {
+	fmt.Fprintln(w, `usage: morphcli [-listen addr] [-cpuprofile f] [-memprofile f] [-querylog f] [-flightdir d] [-slowquery d] <pattern|equation|sdag|transform|count|convert|query|top|explain|fig|names> [args]`)
 }
 
-func cmdNames() {
-	fmt.Println("figure-1 patterns:")
+func cmdNames(w io.Writer) {
+	fmt.Fprintln(w, "figure-1 patterns:")
 	for _, np := range pattern.Fig1Patterns() {
-		fmt.Printf("  %-18s %s\n", np.Name, np.Pattern)
+		fmt.Fprintf(w, "  %-18s %s\n", np.Name, np.Pattern)
 	}
-	fmt.Println("evaluation patterns (fig 11a stand-ins):")
+	fmt.Fprintln(w, "evaluation patterns (fig 11a stand-ins):")
 	for _, np := range pattern.Fig11Patterns() {
-		fmt.Printf("  %-18s %s\n", np.Name, np.Pattern)
+		fmt.Fprintf(w, "  %-18s %s\n", np.Name, np.Pattern)
 	}
 }
 
@@ -171,7 +188,7 @@ func resolve(arg string) (*pattern.Pattern, error) {
 	return p, nil
 }
 
-func cmdPattern(args []string) error {
+func cmdPattern(args []string, w io.Writer) error {
 	if len(args) != 1 {
 		return fmt.Errorf("pattern takes exactly one argument")
 	}
@@ -179,28 +196,28 @@ func cmdPattern(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("pattern:     %s (%s)\n", p, p.Induced())
-	fmt.Printf("vertices:    %d   edges: %d   anti-edges: %d\n",
+	fmt.Fprintf(w, "pattern:     %s (%s)\n", p, p.Induced())
+	fmt.Fprintf(w, "vertices:    %d   edges: %d   anti-edges: %d\n",
 		p.N(), p.EdgeCount(), len(p.AntiEdgePairs()))
-	fmt.Printf("clique:      %v   connected: %v\n", p.IsClique(), p.IsConnected())
+	fmt.Fprintf(w, "clique:      %v   connected: %v\n", p.IsClique(), p.IsConnected())
 	auts := canon.Automorphisms(p)
-	fmt.Printf("|Aut|:       %d\n", len(auts))
-	fmt.Printf("canonical:   %s (id %x)\n", canon.Canonicalize(p), canon.StructureID(p))
+	fmt.Fprintf(w, "|Aut|:       %d\n", len(auts))
+	fmt.Fprintf(w, "canonical:   %s (id %x)\n", canon.Canonicalize(p), canon.StructureID(p))
 	conds := plan.SymmetryConditions(p)
-	fmt.Printf("symmetry:    %d breaking conditions %v\n", len(conds), conds)
+	fmt.Fprintf(w, "symmetry:    %d breaking conditions %v\n", len(conds), conds)
 	pl, err := plan.Build(p)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("match order: %v\n", pl.Order)
+	fmt.Fprintf(w, "match order: %v\n", pl.Order)
 	for i := range pl.Order {
-		fmt.Printf("  level %d: bind v%-2d intersect=%v difference=%v greater=%v smaller=%v\n",
+		fmt.Fprintf(w, "  level %d: bind v%-2d intersect=%v difference=%v greater=%v smaller=%v\n",
 			i, pl.Order[i], pl.Connect[i], pl.Disconnect[i], pl.Greater[i], pl.Smaller[i])
 	}
 	return nil
 }
 
-func cmdEquation(args []string) error {
+func cmdEquation(args []string, w io.Writer) error {
 	if len(args) != 1 {
 		return fmt.Errorf("equation takes exactly one argument")
 	}
@@ -220,12 +237,12 @@ func cmdEquation(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println(eqE)
-	fmt.Println(eqV)
+	fmt.Fprintln(w, eqE)
+	fmt.Fprintln(w, eqV)
 	return nil
 }
 
-func cmdSDAG(args []string) error {
+func cmdSDAG(args []string, w io.Writer) error {
 	if len(args) == 0 {
 		return fmt.Errorf("sdag needs at least one pattern")
 	}
@@ -241,20 +258,20 @@ func cmdSDAG(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("S-DAG: %d structures\n", d.Len())
+	fmt.Fprintf(w, "S-DAG: %d structures\n", d.Len())
 	for _, n := range d.Nodes() {
-		fmt.Printf("  %-40s edges=%-2d parents=%d children=%d\n",
+		fmt.Fprintf(w, "  %-40s edges=%-2d parents=%d children=%d\n",
 			n.Pattern, n.Pattern.EdgeCount(), len(n.Parents), len(n.Children))
 	}
 	for _, q := range queries {
 		if _, err := d.UpSet(d.Node(q)); err != nil {
-			fmt.Printf("%v: %v — shown as far as it was built; such a pattern is mined as it is\n", q, err)
+			fmt.Fprintf(w, "%v: %v — shown as far as it was built; such a pattern is mined as it is\n", q, err)
 		}
 	}
 	return nil
 }
 
-func cmdCount(ctx context.Context, args []string, w io.Writer) error {
+func cmdCount(ctx context.Context, args []string, w, stderr io.Writer) error {
 	fs := flag.NewFlagSet("count", flag.ContinueOnError)
 	graphName := fs.String("graph", "MI", "dataset recipe (MI, MG, PR, OK, FR)")
 	scale := fs.Float64("scale", 0.01, "dataset scale factor")
@@ -297,7 +314,7 @@ func cmdCount(ctx context.Context, args []string, w io.Writer) error {
 		}
 		defer h.Close()
 		g = h.Graph()
-		fmt.Fprintf(os.Stderr, "opened %s (mmap=%v)\n", *binPath, h.Mapped())
+		fmt.Fprintf(stderr, "opened %s (mmap=%v)\n", *binPath, h.Mapped())
 	} else {
 		rec, err := dataset.ByName(*graphName)
 		if err != nil {
@@ -311,7 +328,7 @@ func cmdCount(ctx context.Context, args []string, w io.Writer) error {
 
 	var prog *obs.Progress
 	if *progress {
-		prog = obs.StartProgress(os.Stderr, "count",
+		prog = obs.StartProgress(stderr, "count",
 			obs.DefaultRegistry().Counter(engine.MetricMatches))
 	}
 	if *timeout > 0 {
@@ -337,7 +354,7 @@ func cmdCount(ctx context.Context, args []string, w io.Writer) error {
 		if err := writeRunReport(*reportOut, st, counts); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "wrote run report to %s\n", *reportOut)
+		fmt.Fprintf(stderr, "wrote run report to %s\n", *reportOut)
 	}
 	if *statsMode == "json" {
 		return runReport(st, counts).WriteJSON(w)
@@ -372,14 +389,7 @@ func cmdCount(ctx context.Context, args []string, w io.Writer) error {
 // partial counts mined before the abort (query-level results cannot be
 // soundly converted from an incomplete mined set).
 func printPartial(w io.Writer, st *core.RunStats, err error) {
-	marker := "RUN INTERRUPTED"
-	switch {
-	case errors.Is(err, engine.ErrDeadlineExceeded):
-		marker = "DEADLINE EXCEEDED"
-	case errors.Is(err, engine.ErrCanceled):
-		marker = "CANCELED"
-	}
-	fmt.Fprintf(w, "*** %s — results below are PARTIAL (stopped in phase %q) ***\n", marker, st.Phase)
+	fmt.Fprintf(w, "*** %s — results below are PARTIAL (stopped in phase %q) ***\n", interruption(err), st.Phase)
 	for _, p := range st.Partial {
 		fmt.Fprintf(w, "%-40s %12d  [partial, mined alternative]\n", p.Pattern.String(), p.Count)
 	}
@@ -389,7 +399,19 @@ func printPartial(w io.Writer, st *core.RunStats, err error) {
 	}
 }
 
-func cmdTransform(args []string) error {
+// interruption names what stopped an interrupted run, as the PARTIAL
+// markers of count and fig print it.
+func interruption(err error) string {
+	switch {
+	case errors.Is(err, engine.ErrDeadlineExceeded):
+		return "DEADLINE EXCEEDED"
+	case errors.Is(err, engine.ErrCanceled):
+		return "CANCELED"
+	}
+	return "RUN INTERRUPTED"
+}
+
+func cmdTransform(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("transform", flag.ContinueOnError)
 	graphName := fs.String("graph", "MI", "dataset recipe (MI, MG, PR, OK, FR)")
 	scale := fs.Float64("scale", 0.01, "dataset scale factor")
@@ -425,19 +447,19 @@ func cmdTransform(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("graph %s at scale %v: %d vertices, %d edges\n",
+	fmt.Fprintf(w, "graph %s at scale %v: %d vertices, %d edges\n",
 		*graphName, *scale, g.NumVertices(), g.NumEdges())
-	fmt.Printf("modeled cost: %.0f -> %.0f\n", sel.CostBefore, sel.CostAfter)
+	fmt.Fprintf(w, "modeled cost: %.0f -> %.0f\n", sel.CostBefore, sel.CostAfter)
 	for i, q := range sel.Queries {
 		status := "as-is"
 		if q.Morphed {
 			status = "morphed"
 		}
-		fmt.Printf("query %d: %s  [%s]\n", i, q.Pattern, status)
+		fmt.Fprintf(w, "query %d: %s  [%s]\n", i, q.Pattern, status)
 	}
-	fmt.Println("alternative pattern set:")
+	fmt.Fprintln(w, "alternative pattern set:")
 	for _, c := range sel.Mine {
-		fmt.Printf("  mine %s\n", c.Pattern)
+		fmt.Fprintf(w, "  mine %s\n", c.Pattern)
 	}
 	return nil
 }
@@ -475,7 +497,7 @@ func writeRunReport(path string, st *core.RunStats, counts []uint64) error {
 // The execution it reports is the one a plain run takes — one merged pass
 // over the winner set — so per-pattern counts are exact and there is no
 // per-pattern wall time.
-func cmdExplain(ctx context.Context, args []string, w io.Writer) error {
+func cmdExplain(ctx context.Context, args []string, w, stderr io.Writer) error {
 	fs := flag.NewFlagSet("explain", flag.ContinueOnError)
 	graphName := fs.String("graph", "MI", "dataset recipe (MI, MG, PR, OK, FR)")
 	scale := fs.Float64("scale", 0.01, "dataset scale factor")
@@ -534,13 +556,13 @@ func cmdExplain(ctx context.Context, args []string, w io.Writer) error {
 		if ferr != nil {
 			return ferr
 		}
-		fmt.Fprintf(os.Stderr, "wrote S-DAG DOT to %s\n", *dotOut)
+		fmt.Fprintf(stderr, "wrote S-DAG DOT to %s\n", *dotOut)
 	}
 	if *reportOut != "" {
 		if err := writeRunReport(*reportOut, st, counts); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "wrote run report to %s\n", *reportOut)
+		fmt.Fprintf(stderr, "wrote run report to %s\n", *reportOut)
 	}
 	if *jsonMode {
 		return rep.WriteJSON(w)

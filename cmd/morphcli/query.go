@@ -5,7 +5,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"os"
+	"io"
 	"time"
 
 	"morphing/internal/engines"
@@ -16,7 +16,7 @@ import (
 // locally: the server applies admission control, fair queuing and
 // caching, and this side retries transient rejections with capped
 // exponential backoff.
-func cmdQuery(args []string) error {
+func cmdQuery(args []string, w, stderr io.Writer) error {
 	fs := flag.NewFlagSet("query", flag.ContinueOnError)
 	addr := fs.String("addr", "http://127.0.0.1:7421", "morphd base URL")
 	app := fs.String("app", "count", "pipeline: count (subgraph counts) or mni (MNI supports)")
@@ -32,7 +32,7 @@ func cmdQuery(args []string) error {
 	jsonMode := fs.Bool("json", false, "print the result as JSON (counts, cache disposition, full run report)")
 	verbose := fs.Bool("v", false, "report queue progress and retries to stderr")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, `usage: morphcli query [flags] <pattern ...>
+		fmt.Fprintln(stderr, `usage: morphcli query [flags] <pattern ...>
 
 Submits the patterns to a resident morphd and prints per-pattern answers,
 how they were produced (cache: miss, hit or coalesced) and the
@@ -87,9 +87,9 @@ Flags:`)
 		c.OnEvent = func(ev server.StreamEvent) {
 			switch ev.Type {
 			case server.EventQueued:
-				fmt.Fprintf(os.Stderr, "queued at position %d (queue depth %d)\n", ev.Position, ev.QueueDepth)
+				fmt.Fprintf(stderr, "queued at position %d (queue depth %d)\n", ev.Position, ev.QueueDepth)
 			case server.EventStarted:
-				fmt.Fprintln(os.Stderr, "mining started")
+				fmt.Fprintln(stderr, "mining started")
 			}
 		}
 	}
@@ -119,24 +119,24 @@ Flags:`)
 
 	res, attempts, err := c.QueryAttempts(ctx, req)
 	if *verbose && attempts > 1 {
-		fmt.Fprintf(os.Stderr, "used %d attempts\n", attempts)
+		fmt.Fprintf(stderr, "used %d attempts\n", attempts)
 	}
 	if err != nil {
-		return printQueryError(err, *jsonMode)
+		return printQueryError(err, *jsonMode, w, stderr)
 	}
 
 	if *jsonMode {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(res)
 	}
-	fmt.Printf("cache: %s\n", res.Cache)
+	fmt.Fprintf(w, "cache: %s\n", res.Cache)
 	for i, p := range res.Patterns {
 		switch {
 		case res.Counts != nil:
-			fmt.Printf("%-40s %12d\n", p, res.Counts[i])
+			fmt.Fprintf(w, "%-40s %12d\n", p, res.Counts[i])
 		case res.Supports != nil:
-			fmt.Printf("%-40s support %d\n", p, res.Supports[i])
+			fmt.Fprintf(w, "%-40s support %d\n", p, res.Supports[i])
 		}
 	}
 	if rep := res.Report; rep != nil {
@@ -144,7 +144,7 @@ Flags:`)
 		if rep.Mining != nil {
 			mineNS = rep.Mining.TotalTimeNS
 		}
-		fmt.Printf("engine %s; transform %v  mine %v  convert %v\n",
+		fmt.Fprintf(w, "engine %s; transform %v  mine %v  convert %v\n",
 			rep.Engine, time.Duration(rep.TransformNS),
 			time.Duration(mineNS), time.Duration(rep.ConvertNS))
 	}
@@ -164,13 +164,13 @@ func deadlineMS(d time.Duration) int64 {
 
 // printQueryError surfaces a typed server failure: the code, whether a
 // retry could ever help, and any partial counts from an interrupted run.
-func printQueryError(err error, jsonMode bool) error {
+func printQueryError(err error, jsonMode bool, w, stderr io.Writer) error {
 	qe, ok := server.AsQueryError(err)
 	if !ok {
 		return err
 	}
 	if jsonMode {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		enc.Encode(qe)
 		return fmt.Errorf("query failed: %s", qe.Code)
@@ -179,15 +179,15 @@ func printQueryError(err error, jsonMode bool) error {
 	if qe.Retryable {
 		kind = "retryable"
 	}
-	fmt.Fprintf(os.Stderr, "query failed: %s (%s): %s\n", qe.Code, kind, qe.Message)
+	fmt.Fprintf(stderr, "query failed: %s (%s): %s\n", qe.Code, kind, qe.Message)
 	if len(qe.Partial) > 0 {
-		fmt.Fprintf(os.Stdout, "*** RUN INTERRUPTED — counts below are PARTIAL (stopped in phase %q) ***\n", qe.Phase)
+		fmt.Fprintf(w, "*** RUN INTERRUPTED — counts below are PARTIAL (stopped in phase %q) ***\n", qe.Phase)
 		for _, pc := range qe.Partial {
 			name := pc.Name
 			if name == "" {
 				name = pc.Pattern
 			}
-			fmt.Fprintf(os.Stdout, "%-40s %12d  [partial, mined alternative]\n", name, pc.Count)
+			fmt.Fprintf(w, "%-40s %12d  [partial, mined alternative]\n", name, pc.Count)
 		}
 	}
 	return fmt.Errorf("query failed: %s", qe.Code)

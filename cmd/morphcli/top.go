@@ -22,14 +22,14 @@ import (
 // /timeseries, /slo and /healthz endpoints and renders qps, queue
 // depth, per-phase latency sparklines, error-budget burn rate, cache
 // hit ratio and decode throughput in place.
-func cmdTop(args []string) error {
+func cmdTop(args []string, w, stderr io.Writer) error {
 	fs := flag.NewFlagSet("top", flag.ContinueOnError)
 	addr := fs.String("addr", "http://127.0.0.1:7421", "morphd base URL")
 	interval := fs.Duration("interval", time.Second, "poll/redraw period")
 	once := fs.Bool("once", false, "render a single frame and exit (no screen control; for scripts)")
 	width := fs.Int("width", 48, "sparkline width in cells")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, `usage: morphcli top [-addr url] [-interval 1s] [-once]
+		fmt.Fprintln(stderr, `usage: morphcli top [-addr url] [-interval 1s] [-once]
 
 Live dashboard over a running morphd. Requires the server's History
 sampler (on by default; morphd -sample-interval controls it).`)
@@ -40,7 +40,7 @@ sampler (on by default; morphd -sample-interval controls it).`)
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	return runTop(ctx, os.Stdout, topOptions{
+	return runTop(ctx, w, topOptions{
 		Addr:     *addr,
 		Interval: *interval,
 		Once:     *once,

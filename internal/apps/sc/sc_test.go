@@ -107,7 +107,7 @@ func TestFilterBaselineAgreesWithMorphing(t *testing.T) {
 }
 
 // TestFilterBaselineHonoursDeadline: the baseline half of a figure must be
-// bounded by the same context as the morphed half (morphbench -timeout).
+// bounded by the same context as the morphed half (`morphcli fig -timeout`).
 func TestFilterBaselineHonoursDeadline(t *testing.T) {
 	g, err := dataset.ErdosRenyi(45, 7, 0, 11)
 	if err != nil {

@@ -23,14 +23,14 @@ import (
 //     graph is built from the 95th-percentile subgraph rather than global
 //     averages; the ablation scores how each variant ranks patterns by
 //     measured cost.
-func runAblation(cfg Config, w io.Writer) error {
-	if err := ablateDegreeOrdering(cfg, w); err != nil {
+func runAblation(ctx context.Context, cfg Config, w io.Writer) error {
+	if err := ablateDegreeOrdering(ctx, cfg, w); err != nil {
 		return err
 	}
-	return ablateCostModelRestriction(cfg, w)
+	return ablateCostModelRestriction(ctx, cfg, w)
 }
 
-func ablateDegreeOrdering(cfg Config, w io.Writer) error {
+func ablateDegreeOrdering(ctx context.Context, cfg Config, w io.Writer) error {
 	csv(w, "section", "pattern", "original_s", "degree_ordered_s", "speedup",
 		"original_setop_elems", "ordered_setop_elems")
 	g, err := loadGraph(cfg, "MI")
@@ -38,18 +38,18 @@ func ablateDegreeOrdering(cfg Config, w io.Writer) error {
 		return err
 	}
 	ordered, _ := graph.SortByDegree(g)
-	eng := &peregrine.Engine{Threads: cfg.Threads, Obs: cfg.Obs}
+	eng := peregrine.New(cfg.Threads)
 	for _, np := range []pattern.Named{
 		{Name: "triangle", Pattern: pattern.Triangle()},
 		{Name: "4-clique", Pattern: pattern.FourClique()},
 		{Name: "tailed-triangle-V", Pattern: pattern.TailedTriangle().AsVertexInduced()},
 		{Name: "house", Pattern: pattern.House()},
 	} {
-		origCount, base, baseS, err := timedCount(cfg.context(), eng, g, np.Pattern)
+		origCount, base, baseS, err := timedCount(ctx, eng, g, np.Pattern)
 		if err != nil {
 			return err
 		}
-		ordCount, ord, ordS, err := timedCount(cfg.context(), eng, ordered, np.Pattern)
+		ordCount, ord, ordS, err := timedCount(ctx, eng, ordered, np.Pattern)
 		if err != nil {
 			return err
 		}
@@ -72,7 +72,7 @@ func timedCount(ctx context.Context, eng engine.Engine, g graph.Adjacency, p *pa
 // the six 4-motifs by measured mining time: for every pattern pair, does
 // the predicted order match the measured order? (Kendall-style pair
 // agreement; 1.0 = perfect ranking.)
-func ablateCostModelRestriction(cfg Config, w io.Writer) error {
+func ablateCostModelRestriction(ctx context.Context, cfg Config, w io.Writer) error {
 	csv(w, "section", "model", "pair_agreement")
 	g, err := loadGraph(cfg, "MI")
 	if err != nil {
@@ -86,10 +86,10 @@ func ablateCostModelRestriction(cfg Config, w io.Writer) error {
 	for _, b := range bases {
 		patterns = append(patterns, b.AsEdgeInduced(), b.AsVertexInduced())
 	}
-	eng := &peregrine.Engine{Threads: cfg.Threads, Obs: cfg.Obs}
+	eng := peregrine.New(cfg.Threads)
 	measured := make([]float64, len(patterns))
 	for i, p := range patterns {
-		_, _, s, err := timedCount(cfg.context(), eng, g, p)
+		_, _, s, err := timedCount(ctx, eng, g, p)
 		if err != nil {
 			return err
 		}

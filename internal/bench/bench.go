@@ -17,12 +17,10 @@ import (
 
 	"morphing/internal/dataset"
 	"morphing/internal/graph"
-	"morphing/internal/obs"
 	"morphing/internal/pattern"
 )
 
-// Config controls experiment scale. The zero value is not usable; start
-// from DefaultConfig.
+// Config controls experiment scale.
 type Config struct {
 	// Scale multiplies every dataset recipe's vertex count. The paper's
 	// graphs are huge; 0.002-0.02 keeps laptop runs in seconds-to-minutes.
@@ -37,27 +35,6 @@ type Config struct {
 	// Samples is the alternative-set sample count for Fig. 15e
 	// (0 = 250, the paper's count; Quick uses 40).
 	Samples int
-	// Obs is the observability sink experiments hand to the engines they
-	// construct; nil falls back to the process default (whose registry
-	// `morphbench -listen` and `-progress` read).
-	Obs *obs.Observer
-	// Ctx bounds experiment runs: cancellation or a deadline aborts the
-	// current mining phase at its next work-block boundary (morphbench
-	// -timeout wires this). nil is never cancelled.
-	Ctx context.Context
-}
-
-// context resolves the config's run context.
-func (c Config) context() context.Context {
-	if c.Ctx == nil {
-		return context.Background()
-	}
-	return c.Ctx
-}
-
-// DefaultConfig returns laptop-friendly settings.
-func DefaultConfig() Config {
-	return Config{Scale: 0.004, Threads: 0, Seed: 1, Quick: true}
 }
 
 // Experiment regenerates one figure.
@@ -68,8 +45,10 @@ type Experiment struct {
 	Title string
 	// Claims lists the artifact-appendix claims the experiment validates.
 	Claims string
-	// Run writes the CSV (header + rows) to w.
-	Run func(cfg Config, w io.Writer) error
+	// Run writes the CSV (header + rows) to w. Cancelling ctx or passing
+	// its deadline aborts the current mining phase at its next work-block
+	// boundary with the engine's typed interruption.
+	Run func(ctx context.Context, cfg Config, w io.Writer) error
 }
 
 // Registry returns every experiment, ordered by figure.

@@ -49,7 +49,7 @@ func TestEveryExperimentRuns(t *testing.T) {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			var buf bytes.Buffer
-			if err := e.Run(cfg, &buf); err != nil {
+			if err := e.Run(context.Background(), cfg, &buf); err != nil {
 				t.Fatalf("experiment %s: %v", e.ID, err)
 			}
 			lines := nonEmptyLines(buf.String())
@@ -62,7 +62,7 @@ func TestEveryExperimentRuns(t *testing.T) {
 
 func TestFig12SpeedupColumns(t *testing.T) {
 	var buf bytes.Buffer
-	if err := runFig12Peregrine(tinyConfig(), &buf); err != nil {
+	if err := runFig12Peregrine(context.Background(), tinyConfig(), &buf); err != nil {
 		t.Fatal(err)
 	}
 	lines := nonEmptyLines(buf.String())
@@ -131,21 +131,19 @@ func nonEmptyLines(s string) []string {
 	return out
 }
 
-// TestCancelledContextReachesEveryExperiment: Config.Ctx bounds every
+// TestCancelledContextReachesEveryExperiment: the run context bounds every
 // mining phase of every figure, so under an already-cancelled context each
 // experiment that mines must stop with the typed interruption instead of
 // running some phases to completion (`11` only prints its patterns and
 // recipes).
 func TestCancelledContextReachesEveryExperiment(t *testing.T) {
-	cfg := tinyConfig()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	cfg.Ctx = ctx
 	for _, e := range Registry() {
 		if e.ID == "11" {
 			continue
 		}
-		if err := e.Run(cfg, io.Discard); !engine.Interrupted(err) {
+		if err := e.Run(ctx, tinyConfig(), io.Discard); !engine.Interrupted(err) {
 			t.Errorf("experiment %s under a cancelled context returned %v, want a typed interruption", e.ID, err)
 		}
 	}

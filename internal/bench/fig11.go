@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -13,7 +14,7 @@ import (
 // for Fig. 11a and the dataset recipes of Fig. 11b, both at full size and
 // at the configured scale (with generated statistics for the scaled
 // versions).
-func runFig11(cfg Config, w io.Writer) error {
+func runFig11(ctx context.Context, cfg Config, w io.Writer) error {
 	fmt.Fprintln(w, "# Fig. 11a evaluation patterns (see DESIGN.md for the p1..p10 mapping)")
 	csv(w, "name", "vertices", "edges", "encoding")
 	for _, np := range pattern.Fig11Patterns() {

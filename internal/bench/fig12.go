@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"io"
 	"time"
 
@@ -15,15 +16,15 @@ import (
 // subfigures (12a/12b) and the set-operation-reduction subfigures
 // (12c/12d): the latter are the *_setop_elems columns.
 
-func runFig12Peregrine(cfg Config, w io.Writer) error {
-	return runFig12(cfg, w, func() engine.Engine { return &peregrine.Engine{Threads: cfg.Threads, Obs: cfg.Obs} })
+func runFig12Peregrine(ctx context.Context, cfg Config, w io.Writer) error {
+	return runFig12(ctx, cfg, w, func() engine.Engine { return peregrine.New(cfg.Threads) })
 }
 
-func runFig12AutoZero(cfg Config, w io.Writer) error {
-	return runFig12(cfg, w, func() engine.Engine { return &autozero.Engine{Threads: cfg.Threads, Obs: cfg.Obs} })
+func runFig12AutoZero(ctx context.Context, cfg Config, w io.Writer) error {
+	return runFig12(ctx, cfg, w, func() engine.Engine { return autozero.New(cfg.Threads) })
 }
 
-func runFig12(cfg Config, w io.Writer, mk func() engine.Engine) error {
+func runFig12(ctx context.Context, cfg Config, w io.Writer, mk func() engine.Engine) error {
 	csv(w, "k", "graph", "engine",
 		"baseline_s", "morphed_s", "speedup",
 		"baseline_setop_elems", "morphed_setop_elems", "setop_reduction")
@@ -44,14 +45,14 @@ func runFig12(cfg Config, w io.Writer, mk func() engine.Engine) error {
 			}
 			eng := mk()
 			start := time.Now()
-			base, err := mc.CountCtx(cfg.context(), g, wl.k, eng, false)
+			base, err := mc.CountCtx(ctx, g, wl.k, eng, false)
 			if err != nil {
 				return err
 			}
 			baseS := time.Since(start).Seconds()
 
 			start = time.Now()
-			morphed, err := mc.CountCtx(cfg.context(), g, wl.k, eng, true)
+			morphed, err := mc.CountCtx(ctx, g, wl.k, eng, true)
 			if err != nil {
 				return err
 			}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"io"
 	"time"
 
@@ -14,7 +15,7 @@ import (
 // pattern pairs from the Fig. 11a set — the converse of motif counting,
 // where morphing must pay for superpatterns that are not in the query
 // set.
-func runFig13SC(cfg Config, w io.Writer) error {
+func runFig13SC(ctx context.Context, cfg Config, w io.Writer) error {
 	csv(w, "patterns", "graph",
 		"baseline_s", "morphed_s", "speedup",
 		"baseline_setop_elems", "morphed_setop_elems", "setop_reduction")
@@ -55,9 +56,9 @@ func runFig13SC(cfg Config, w io.Writer) error {
 			if err != nil {
 				return err
 			}
-			eng := &peregrine.Engine{Threads: cfg.Threads, Obs: cfg.Obs}
+			eng := peregrine.New(cfg.Threads)
 			start := time.Now()
-			base, bst, err := sc.CountCtx(cfg.context(), g, queries, eng, false)
+			base, bst, err := sc.CountCtx(ctx, g, queries, eng, false)
 			if err != nil {
 				return err
 			}
@@ -65,7 +66,7 @@ func runFig13SC(cfg Config, w io.Writer) error {
 			baseElems := bst.Mining.SetElems
 
 			start = time.Now()
-			morphed, mst, err := sc.CountCtx(cfg.context(), g, queries, eng, true)
+			morphed, mst, err := sc.CountCtx(ctx, g, queries, eng, true)
 			if err != nil {
 				return err
 			}
@@ -85,7 +86,7 @@ func runFig13SC(cfg Config, w io.Writer) error {
 
 // Fig. 13c: FSM on Peregrine with morphing steering expensive labeled
 // patterns toward vertex-induced variants.
-func runFig13FSM(cfg Config, w io.Writer) error {
+func runFig13FSM(ctx context.Context, cfg Config, w io.Writer) error {
 	csv(w, "workload", "graph", "min_support",
 		"baseline_s", "morphed_s", "speedup", "frequent_patterns")
 	type workload struct {
@@ -109,7 +110,7 @@ func runFig13FSM(cfg Config, w io.Writer) error {
 			}
 			opts := fsm.Options{MaxEdges: wl.maxEdges, MinSupport: minSup}
 			start := time.Now()
-			base, _, err := fsm.MineCtx(cfg.context(), g, &peregrine.Engine{Threads: cfg.Threads, Obs: cfg.Obs}, opts)
+			base, _, err := fsm.MineCtx(ctx, g, peregrine.New(cfg.Threads), opts)
 			if err != nil {
 				return err
 			}
@@ -117,7 +118,7 @@ func runFig13FSM(cfg Config, w io.Writer) error {
 
 			opts.Morph = true
 			start = time.Now()
-			morphed, _, err := fsm.MineCtx(cfg.context(), g, &peregrine.Engine{Threads: cfg.Threads, Obs: cfg.Obs}, opts)
+			morphed, _, err := fsm.MineCtx(ctx, g, peregrine.New(cfg.Threads), opts)
 			if err != nil {
 				return err
 			}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"io"
 	"time"
 
@@ -18,18 +19,18 @@ import (
 // work (set-element comparisons + filter probes) the hardware counters
 // measured in the paper.
 
-func runFig14GraphPi(cfg Config, w io.Writer) error {
+func runFig14GraphPi(ctx context.Context, cfg Config, w io.Writer) error {
 	workloads := fig14Workloads(cfg, [][]string{
 		{"p1"}, {"p1", "p2"}, {"p4"}, {"p5"}, {"p4", "p5"},
 	})
-	return runFig14(cfg, w, workloads, func() sc.FilterEngine { return &graphpi.Engine{Threads: cfg.Threads, Obs: cfg.Obs} })
+	return runFig14(ctx, cfg, w, workloads, func() sc.FilterEngine { return graphpi.New(cfg.Threads) })
 }
 
-func runFig14BigJoin(cfg Config, w io.Writer) error {
+func runFig14BigJoin(ctx context.Context, cfg Config, w io.Writer) error {
 	workloads := fig14Workloads(cfg, [][]string{
 		{"p1"}, {"p2"}, {"p1", "p2"},
 	})
-	return runFig14(cfg, w, workloads, func() sc.FilterEngine { return &bigjoin.Engine{Threads: cfg.Threads, Obs: cfg.Obs} })
+	return runFig14(ctx, cfg, w, workloads, func() sc.FilterEngine { return bigjoin.New(cfg.Threads) })
 }
 
 type fig14Workload struct {
@@ -60,7 +61,7 @@ func fig14Workloads(cfg Config, names [][]string) []fig14Workload {
 	return out
 }
 
-func runFig14(cfg Config, w io.Writer, workloads []fig14Workload, mk func() sc.FilterEngine) error {
+func runFig14(ctx context.Context, cfg Config, w io.Writer, workloads []fig14Workload, mk func() sc.FilterEngine) error {
 	csv(w, "patterns", "graph",
 		"filter_s", "morphed_s", "speedup",
 		"filter_branches", "morphed_branches", "branch_reduction",
@@ -73,7 +74,7 @@ func runFig14(cfg Config, w io.Writer, workloads []fig14Workload, mk func() sc.F
 			}
 			eng := mk()
 			start := time.Now()
-			base, bst, err := sc.CountBaselineWithFilter(cfg.context(), g, wl.queries, eng)
+			base, bst, err := sc.CountBaselineWithFilter(ctx, g, wl.queries, eng)
 			if err != nil {
 				return err
 			}
@@ -83,7 +84,7 @@ func runFig14(cfg Config, w io.Writer, workloads []fig14Workload, mk func() sc.F
 			baseBranches := bst.Branches + bst.SetElems
 
 			start = time.Now()
-			morphed, mst, err := sc.CountCtx(cfg.context(), g, wl.queries, eng, true)
+			morphed, mst, err := sc.CountCtx(ctx, g, wl.queries, eng, true)
 			if err != nil {
 				return err
 			}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -24,7 +25,7 @@ import (
 // 5-cycle through the paper's weight filter; morphing mines vertex-
 // induced alternatives (fewer matches -> fewer filter UDF calls) and
 // converts surviving matches on the fly.
-func runFig15OnTheFly(cfg Config, w io.Writer) error {
+func runFig15OnTheFly(ctx context.Context, cfg Config, w io.Writer) error {
 	csv(w, "workload", "graph",
 		"baseline_s", "morphed_s", "speedup",
 		"baseline_udf_calls", "morphed_udf_calls", "udf_reduction",
@@ -53,9 +54,9 @@ func runFig15OnTheFly(cfg Config, w io.Writer) error {
 				return err
 			}
 			weights := se.NewWeights(g, 0, 1, cfg.Seed)
-			eng := &peregrine.Engine{Threads: cfg.Threads, Obs: cfg.Obs}
+			eng := peregrine.New(cfg.Threads)
 			start := time.Now()
-			base, err := se.EnumerateCtx(cfg.context(), g, eng, wl.queries, weights.WithinOneStd, nil, se.Options{})
+			base, err := se.EnumerateCtx(ctx, g, eng, wl.queries, weights.WithinOneStd, nil, se.Options{})
 			if err != nil {
 				return err
 			}
@@ -70,7 +71,7 @@ func runFig15OnTheFly(cfg Config, w io.Writer) error {
 				cost  float64
 			}{{"model", 0}, {"forced", 50}} {
 				start = time.Now()
-				morphed, err := se.EnumerateCtx(cfg.context(), g, eng, wl.queries, weights.WithinOneStd, nil,
+				morphed, err := se.EnumerateCtx(ctx, g, eng, wl.queries, weights.WithinOneStd, nil,
 					se.Options{Morph: true, PerMatchCost: mode.cost})
 				if err != nil {
 					return err
@@ -96,15 +97,15 @@ func runFig15OnTheFly(cfg Config, w io.Writer) error {
 // Fig. 15c/15d: 7-vertex patterns pV9/pV10 on METIS-style partitions of
 // PR and OK (§7.4 controls workload size by dropping cross-partition
 // edges).
-func runFig15LargePeregrine(cfg Config, w io.Writer) error {
-	return runFig15Large(cfg, w, "Peregrine")
+func runFig15LargePeregrine(ctx context.Context, cfg Config, w io.Writer) error {
+	return runFig15Large(ctx, cfg, w, "Peregrine")
 }
 
-func runFig15LargeGraphPi(cfg Config, w io.Writer) error {
-	return runFig15Large(cfg, w, "GraphPi")
+func runFig15LargeGraphPi(ctx context.Context, cfg Config, w io.Writer) error {
+	return runFig15Large(ctx, cfg, w, "GraphPi")
 }
 
-func runFig15Large(cfg Config, w io.Writer, engineName string) error {
+func runFig15Large(ctx context.Context, cfg Config, w io.Writer, engineName string) error {
 	csv(w, "pattern", "graph", "partitions", "baseline_s", "morphed_s", "speedup")
 	p9, err := pattern.ByName("p9")
 	if err != nil {
@@ -133,7 +134,7 @@ func runFig15Large(cfg Config, w io.Writer, engineName string) error {
 			}
 			var baseS, morphS float64
 			for _, sub := range subs {
-				b, m, err := runLargeOnPartition(cfg, engineName, sub, np.Pattern)
+				b, m, err := runLargeOnPartition(ctx, cfg, engineName, sub, np.Pattern)
 				if err != nil {
 					return err
 				}
@@ -148,19 +149,19 @@ func runFig15Large(cfg Config, w io.Writer, engineName string) error {
 
 // runLargeOnPartition mines one 7-vertex vertex-induced pattern inside a
 // partition, baseline vs morphed, returning the two times.
-func runLargeOnPartition(cfg Config, engineName string, g graph.Adjacency, p *pattern.Pattern) (float64, float64, error) {
+func runLargeOnPartition(ctx context.Context, cfg Config, engineName string, g graph.Adjacency, p *pattern.Pattern) (float64, float64, error) {
 	queries := []*pattern.Pattern{p}
 	switch engineName {
 	case "Peregrine":
-		eng := &peregrine.Engine{Threads: cfg.Threads, Obs: cfg.Obs}
+		eng := peregrine.New(cfg.Threads)
 		start := time.Now()
-		base, _, err := sc.CountCtx(cfg.context(), g, queries, eng, false)
+		base, _, err := sc.CountCtx(ctx, g, queries, eng, false)
 		if err != nil {
 			return 0, 0, err
 		}
 		baseS := time.Since(start).Seconds()
 		start = time.Now()
-		morphed, _, err := sc.CountCtx(cfg.context(), g, queries, eng, true)
+		morphed, _, err := sc.CountCtx(ctx, g, queries, eng, true)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -170,15 +171,15 @@ func runLargeOnPartition(cfg Config, engineName string, g graph.Adjacency, p *pa
 		}
 		return baseS, morphS, nil
 	case "GraphPi":
-		eng := &graphpi.Engine{Threads: cfg.Threads, Obs: cfg.Obs}
+		eng := graphpi.New(cfg.Threads)
 		start := time.Now()
-		base, _, err := sc.CountBaselineWithFilter(cfg.context(), g, queries, eng)
+		base, _, err := sc.CountBaselineWithFilter(ctx, g, queries, eng)
 		if err != nil {
 			return 0, 0, err
 		}
 		baseS := time.Since(start).Seconds()
 		start = time.Now()
-		morphed, _, err := sc.CountCtx(cfg.context(), g, queries, eng, true)
+		morphed, _, err := sc.CountCtx(ctx, g, queries, eng, true)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -199,7 +200,7 @@ func runLargeOnPartition(cfg Config, engineName string, g graph.Adjacency, p *pa
 // mercy of this box's noise; the row flags mark the original query set and
 // the set the cost model selects. Correctness: every assignment must
 // convert to identical motif counts.
-func runFig15CostModel(cfg Config, w io.Writer) error {
+func runFig15CostModel(ctx context.Context, cfg Config, w io.Writer) error {
 	csv(w, "graph", "assignment", "time_s", "is_query_set", "is_model_choice")
 	motifSize, passes := 5, 3
 	samples := cfg.Samples
@@ -232,13 +233,13 @@ func runFig15CostModel(cfg Config, w io.Writer) error {
 
 		// The model's choice, identified by its variant multiset.
 		model := costmodel.NewDefault(graph.Summarize(g))
-		sel, err := core.Select(cfg.context(), d, queries, core.DefaultCostFunc(model, 0), core.PolicyAny, core.SelectOptions{})
+		sel, err := core.Select(ctx, d, queries, core.DefaultCostFunc(model, 0), core.PolicyAny, core.SelectOptions{})
 		if err != nil {
 			return err
 		}
 		chosenKey := assignmentKey(sel.Mine)
 
-		eng := &autozero.Engine{Threads: cfg.Threads, Obs: cfg.Obs}
+		eng := autozero.New(cfg.Threads)
 		timed := func(choices []core.Choice) ([]uint64, float64, error) {
 			ps := make([]*pattern.Pattern, len(choices))
 			for i, c := range choices {
@@ -248,7 +249,7 @@ func runFig15CostModel(cfg Config, w io.Writer) error {
 			best := math.Inf(1)
 			for pass := 0; pass < passes; pass++ {
 				start := time.Now()
-				if counts, _, err = eng.CountAllCtx(cfg.context(), g, ps); err != nil {
+				if counts, _, err = eng.CountAllCtx(ctx, g, ps); err != nil {
 					return nil, 0, err
 				}
 				best = min(best, time.Since(start).Seconds())
@@ -320,7 +321,7 @@ func assignmentKey(choices []core.Choice) string {
 // runTransformOverhead validates the §7 claim that pattern transformation
 // is negligible: S-DAG build + selection for 4- and 5-vertex query sets,
 // compared against the mining time of the smallest workload.
-func runTransformOverhead(cfg Config, w io.Writer) error {
+func runTransformOverhead(ctx context.Context, cfg Config, w io.Writer) error {
 	csv(w, "query_set", "patterns", "sdag_nodes", "transform_s", "mining_s", "transform_pct")
 	g, err := loadGraph(cfg, "MI")
 	if err != nil {
@@ -335,9 +336,9 @@ func runTransformOverhead(cfg Config, w io.Writer) error {
 		for i, b := range bases {
 			queries[i] = b.AsVertexInduced()
 		}
-		r := &core.Runner{Engine: &peregrine.Engine{Threads: cfg.Threads, Obs: cfg.Obs}}
+		r := &core.Runner{Engine: peregrine.New(cfg.Threads)}
 		start := time.Now()
-		counts, stats, err := r.CountsCtx(cfg.context(), g, queries)
+		counts, stats, err := r.CountsCtx(ctx, g, queries)
 		if err != nil {
 			return err
 		}

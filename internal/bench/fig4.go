@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"io"
 	"time"
 
@@ -29,16 +30,16 @@ func fig4Patterns() []pattern.Named {
 }
 
 // runFig4a profiles FSM on Peregrine: the UDF (MNI maintenance) dominates.
-func runFig4a(cfg Config, w io.Writer) error {
+func runFig4a(ctx context.Context, cfg Config, w io.Writer) error {
 	csv(w, "graph", "total_s", "setop_pct", "materialize_pct", "udf_pct", "system_pct")
 	for _, name := range graphsFor(cfg, 1, "MI", "MG") {
 		g, err := loadGraph(cfg, name)
 		if err != nil {
 			return err
 		}
-		eng := &peregrine.Engine{Threads: cfg.Threads, Instrument: true, Obs: cfg.Obs}
+		eng := &peregrine.Engine{Threads: cfg.Threads, Instrument: true}
 		start := time.Now()
-		_, stats, err := fsm.MineCtx(cfg.context(), g, eng, fsm.Options{MaxEdges: 3, MinSupport: g.NumVertices() / 20, Morph: false})
+		_, stats, err := fsm.MineCtx(ctx, g, eng, fsm.Options{MaxEdges: 3, MinSupport: g.NumVertices() / 20, Morph: false})
 		if err != nil {
 			return err
 		}
@@ -50,18 +51,18 @@ func runFig4a(cfg Config, w io.Writer) error {
 
 // runFig4b profiles subgraph enumeration: a simple listing UDF still eats
 // a visible share.
-func runFig4b(cfg Config, w io.Writer) error {
+func runFig4b(ctx context.Context, cfg Config, w io.Writer) error {
 	csv(w, "pattern", "graph", "total_s", "setop_pct", "materialize_pct", "udf_pct", "system_pct")
 	g, err := loadGraph(cfg, "MI")
 	if err != nil {
 		return err
 	}
 	for _, np := range fig4Patterns() {
-		eng := &peregrine.Engine{Threads: cfg.Threads, Instrument: true, Obs: cfg.Obs}
+		eng := &peregrine.Engine{Threads: cfg.Threads, Instrument: true}
 		// One sink per worker: the visitor runs on every worker at once.
 		var sinks engine.Shards[uint64]
 		start := time.Now()
-		st, err := eng.MatchCtx(cfg.context(), g, np.Pattern, func(worker int, m []uint32) {
+		st, err := eng.MatchCtx(ctx, g, np.Pattern, func(worker int, m []uint32) {
 			// The paper's SE lists matches: simulate the listing UDF by
 			// touching every match vertex.
 			sink := sinks.For(worker)
@@ -80,16 +81,16 @@ func runFig4b(cfg Config, w io.Writer) error {
 
 // runFig4c profiles subgraph counting: set operations dominate and
 // matches are never materialized.
-func runFig4c(cfg Config, w io.Writer) error {
+func runFig4c(ctx context.Context, cfg Config, w io.Writer) error {
 	csv(w, "pattern", "graph", "total_s", "setop_pct", "materialize_pct", "udf_pct", "system_pct")
 	g, err := loadGraph(cfg, "MI")
 	if err != nil {
 		return err
 	}
 	for _, np := range fig4Patterns() {
-		eng := &peregrine.Engine{Threads: cfg.Threads, Instrument: true, Obs: cfg.Obs}
+		eng := &peregrine.Engine{Threads: cfg.Threads, Instrument: true}
 		start := time.Now()
-		_, st, err := eng.CountCtx(cfg.context(), g, np.Pattern)
+		_, st, err := eng.CountCtx(ctx, g, np.Pattern)
 		if err != nil {
 			return err
 		}
@@ -102,20 +103,20 @@ func runFig4c(cfg Config, w io.Writer) error {
 // runFig4d profiles GraphPi mining tailed triangles and chordal 4-cycles
 // edge-induced (native) vs vertex-induced (Filter UDF): the filter
 // dominates the -V rows.
-func runFig4d(cfg Config, w io.Writer) error {
-	return runFilterProfile(cfg, w, func() sc.FilterEngine {
-		return &graphpi.Engine{Threads: cfg.Threads, Instrument: true, Obs: cfg.Obs}
+func runFig4d(ctx context.Context, cfg Config, w io.Writer) error {
+	return runFilterProfile(ctx, cfg, w, func() sc.FilterEngine {
+		return &graphpi.Engine{Threads: cfg.Threads, Instrument: true}
 	})
 }
 
 // runFig4e is Fig. 4d for the BigJoin model.
-func runFig4e(cfg Config, w io.Writer) error {
-	return runFilterProfile(cfg, w, func() sc.FilterEngine {
-		return &bigjoin.Engine{Threads: cfg.Threads, Instrument: true, Obs: cfg.Obs}
+func runFig4e(ctx context.Context, cfg Config, w io.Writer) error {
+	return runFilterProfile(ctx, cfg, w, func() sc.FilterEngine {
+		return &bigjoin.Engine{Threads: cfg.Threads, Instrument: true}
 	})
 }
 
-func runFilterProfile(cfg Config, w io.Writer, mk func() sc.FilterEngine) error {
+func runFilterProfile(ctx context.Context, cfg Config, w io.Writer, mk func() sc.FilterEngine) error {
 	csv(w, "workload", "graph", "total_s", "filter_udf_pct", "branches")
 	g, err := loadGraph(cfg, "MI")
 	if err != nil {
@@ -127,7 +128,7 @@ func runFilterProfile(cfg Config, w io.Writer, mk func() sc.FilterEngine) error 
 	} {
 		eng := mk()
 		start := time.Now()
-		_, stE, err := eng.CountCtx(cfg.context(), g, np.Pattern)
+		_, stE, err := eng.CountCtx(ctx, g, np.Pattern)
 		if err != nil {
 			return err
 		}
@@ -136,7 +137,7 @@ func runFilterProfile(cfg Config, w io.Writer, mk func() sc.FilterEngine) error 
 
 		eng = mk()
 		start = time.Now()
-		_, stV, err := eng.CountVertexInducedViaFilterCtx(cfg.context(), g, np.Pattern.AsVertexInduced())
+		_, stV, err := eng.CountVertexInducedViaFilterCtx(ctx, g, np.Pattern.AsVertexInduced())
 		if err != nil {
 			return err
 		}
@@ -148,7 +149,7 @@ func runFilterProfile(cfg Config, w io.Writer, mk func() sc.FilterEngine) error 
 
 // runFig4f shows that the relative performance of mining different
 // patterns flips between data graphs (observation 3).
-func runFig4f(cfg Config, w io.Writer) error {
+func runFig4f(ctx context.Context, cfg Config, w io.Writer) error {
 	csv(w, "graph", "pattern", "time_s", "relative_to_slower")
 	for _, name := range graphsFor(cfg, 3, "MI", "MG", "PR") {
 		g, err := loadGraph(cfg, name)
@@ -160,9 +161,9 @@ func runFig4f(cfg Config, w io.Writer) error {
 			{Name: "TT", Pattern: pattern.TailedTriangle().AsVertexInduced()},
 			{Name: "4S", Pattern: pattern.FourStar().AsVertexInduced()},
 		} {
-			eng := &peregrine.Engine{Threads: cfg.Threads, Obs: cfg.Obs}
+			eng := peregrine.New(cfg.Threads)
 			start := time.Now()
-			if _, _, err := eng.CountCtx(cfg.context(), g, np.Pattern); err != nil {
+			if _, _, err := eng.CountCtx(ctx, g, np.Pattern); err != nil {
 				return err
 			}
 			times[np.Name] = time.Since(start).Seconds()

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -21,7 +22,7 @@ import (
 // every applicable engine at tiny scale and verifies morphed results
 // equal baseline results. Each line is PASS/FAIL; any FAIL aborts with an
 // error so CI catches it.
-func runSanity(cfg Config, w io.Writer) error {
+func runSanity(ctx context.Context, cfg Config, w io.Writer) error {
 	tiny := cfg
 	tiny.Scale = cfg.Scale / 2
 	if tiny.Scale <= 0 {
@@ -34,12 +35,12 @@ func runSanity(cfg Config, w io.Writer) error {
 	pass := func(name string) { fmt.Fprintf(w, "PASS %s\n", name) }
 
 	// Motif counting on the anti-edge-capable engines.
-	for _, eng := range []engine.Engine{&peregrine.Engine{Threads: tiny.Threads, Obs: tiny.Obs}, &autozero.Engine{Threads: tiny.Threads, Obs: tiny.Obs}} {
-		base, err := mc.CountCtx(tiny.context(), g, 4, eng, false)
+	for _, eng := range []engine.Engine{peregrine.New(tiny.Threads), autozero.New(tiny.Threads)} {
+		base, err := mc.CountCtx(ctx, g, 4, eng, false)
 		if err != nil {
 			return err
 		}
-		morphed, err := mc.CountCtx(tiny.context(), g, 4, eng, true)
+		morphed, err := mc.CountCtx(ctx, g, 4, eng, true)
 		if err != nil {
 			return err
 		}
@@ -58,12 +59,12 @@ func runSanity(cfg Config, w io.Writer) error {
 		pattern.TailedTriangle().AsVertexInduced(),
 		pattern.FourCycle().AsVertexInduced(),
 	}
-	for _, eng := range []sc.FilterEngine{&graphpi.Engine{Threads: tiny.Threads, Obs: tiny.Obs}, &bigjoin.Engine{Threads: tiny.Threads, Obs: tiny.Obs}} {
-		viaFilter, _, err := sc.CountBaselineWithFilter(tiny.context(), g, queries, eng)
+	for _, eng := range []sc.FilterEngine{graphpi.New(tiny.Threads), bigjoin.New(tiny.Threads)} {
+		viaFilter, _, err := sc.CountBaselineWithFilter(ctx, g, queries, eng)
 		if err != nil {
 			return err
 		}
-		viaMorph, _, err := sc.CountCtx(tiny.context(), g, queries, eng, true)
+		viaMorph, _, err := sc.CountCtx(ctx, g, queries, eng, true)
 		if err != nil {
 			return err
 		}
@@ -81,11 +82,11 @@ func runSanity(cfg Config, w io.Writer) error {
 	if minSup < 2 {
 		minSup = 2
 	}
-	baseFreq, _, err := fsm.MineCtx(tiny.context(), g, &peregrine.Engine{Threads: tiny.Threads, Obs: tiny.Obs}, fsm.Options{MaxEdges: 2, MinSupport: minSup})
+	baseFreq, _, err := fsm.MineCtx(ctx, g, peregrine.New(tiny.Threads), fsm.Options{MaxEdges: 2, MinSupport: minSup})
 	if err != nil {
 		return err
 	}
-	morphFreq, _, err := fsm.MineCtx(tiny.context(), g, &peregrine.Engine{Threads: tiny.Threads, Obs: tiny.Obs}, fsm.Options{MaxEdges: 2, MinSupport: minSup, Morph: true})
+	morphFreq, _, err := fsm.MineCtx(ctx, g, peregrine.New(tiny.Threads), fsm.Options{MaxEdges: 2, MinSupport: minSup, Morph: true})
 	if err != nil {
 		return err
 	}
@@ -97,12 +98,12 @@ func runSanity(cfg Config, w io.Writer) error {
 	// Subgraph enumeration with on-the-fly conversion.
 	weights := se.NewWeights(g, 0, 1, tiny.Seed)
 	seQueries := []*pattern.Pattern{pattern.FourCycle(), pattern.Path(4)}
-	eng := &peregrine.Engine{Threads: tiny.Threads, Obs: tiny.Obs}
-	baseEnum, err := se.EnumerateCtx(tiny.context(), g, eng, seQueries, weights.WithinOneStd, nil, se.Options{})
+	eng := peregrine.New(tiny.Threads)
+	baseEnum, err := se.EnumerateCtx(ctx, g, eng, seQueries, weights.WithinOneStd, nil, se.Options{})
 	if err != nil {
 		return err
 	}
-	morphEnum, err := se.EnumerateCtx(tiny.context(), g, eng, seQueries, weights.WithinOneStd, nil,
+	morphEnum, err := se.EnumerateCtx(ctx, g, eng, seQueries, weights.WithinOneStd, nil,
 		se.Options{Morph: true, PerMatchCost: 50})
 	if err != nil {
 		return err

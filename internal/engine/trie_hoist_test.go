@@ -58,7 +58,7 @@ func motifs4(t testing.TB, iv pattern.Induced) []*pattern.Pattern {
 }
 
 // p4Winners is the alternative set Algorithm 1 mines for the Fig. 11a
-// query p4 (morphbench trie's "p4" set): eight 5-vertex edge-induced
+// query p4 (the retired trie benchmark's "p4" set): eight 5-vertex edge-induced
 // patterns whose deep levels share prefixes across more than one frame.
 func p4Winners(t testing.TB) []*pattern.Pattern {
 	return parsePatterns(t,
