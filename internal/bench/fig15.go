@@ -8,6 +8,7 @@ import (
 	"sort"
 	"time"
 
+	"morphing/internal/aggr"
 	"morphing/internal/apps/sc"
 	"morphing/internal/apps/se"
 	"morphing/internal/autozero"
@@ -256,15 +257,23 @@ func runFig15CostModel(ctx context.Context, cfg Config, w io.Writer) error {
 			}
 			return counts, best, nil
 		}
-		var ref []uint64
+		sels, err := core.EnumerateAssignments(d, queries, samples, cfg.Seed)
+		if err != nil {
+			return err
+		}
+		var ref []aggr.Value
 		var times []float64
 		var chosenTime, queryTime float64
-		for ai, a := range core.EnumerateAssignments(d, samples, cfg.Seed) {
-			counts, elapsed, err := timed(a.Choices)
+		for ai, s := range sels {
+			counts, elapsed, err := timed(s.Mine)
 			if err != nil {
 				return err
 			}
-			converted, err := core.ConvertAssignment(d, a, queries, counts)
+			mined := make([]aggr.Value, len(counts))
+			for i, c := range counts {
+				mined[i] = c
+			}
+			converted, err := s.Convert(aggr.Count{}, mined)
 			if err != nil {
 				return err
 			}
@@ -273,12 +282,12 @@ func runFig15CostModel(ctx context.Context, cfg Config, w io.Writer) error {
 			} else {
 				for i := range ref {
 					if ref[i] != converted[i] {
-						return errMismatch(name, 15, i, ref[i], converted[i])
+						return errMismatch(name, 15, i, ref[i].(uint64), converted[i].(uint64))
 					}
 				}
 			}
 			isQuery := ai == 0 // EnumerateAssignments emits the all-V set first
-			isChosen := assignmentKey(a.Choices) == chosenKey
+			isChosen := assignmentKey(s.Mine) == chosenKey
 			if isQuery {
 				queryTime = elapsed
 			}

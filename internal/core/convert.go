@@ -143,7 +143,7 @@ func (c *converter) vertexValue(n *Node) (aggr.Value, *pattern.Pattern, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		contrib, err := c.projectFrames(eFrame, sFrame, vv)
+		contrib, err := c.project(eFrame, sFrame, vv)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -177,10 +177,6 @@ func (c *converter) frameOf(n *Node) *pattern.Pattern {
 // conversion maps phi(p, frame): every isomorphism for idempotent
 // aggregations, one per automorphism coset otherwise.
 func (c *converter) project(p, frame *pattern.Pattern, v aggr.Value) (aggr.Value, error) {
-	return c.projectFrames(p, frame, v)
-}
-
-func (c *converter) projectFrames(p, frame *pattern.Pattern, v aggr.Value) (aggr.Value, error) {
 	maps := ConversionMaps(p, frame, c.agg.Idempotent())
 	if len(maps) == 0 {
 		// No occurrences of p inside frame (possible only when frame is
@@ -203,7 +199,7 @@ func (c *converter) reindex(p, frame *pattern.Pattern, v aggr.Value) (aggr.Value
 	if p == frame || p.Equal(frame.Variant(p.Induced())) {
 		return v, nil
 	}
-	return c.projectFrames(p, frame, v)
+	return c.project(p, frame, v)
 }
 
 // ConversionMaps returns the vertex maps used to convert results of

@@ -3,150 +3,63 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"morphing/internal/pattern"
 )
 
-// AlternativeAssignment is one point in the space of alternative pattern
-// sets explored by the Fig. 15e experiment: a variant chosen for every
-// structure in the S-DAG. Because the space for a motif-counting query
-// covers all structures of a size, any assignment is a valid alternative
-// set (every up-set is covered), and the invertible counting algebra can
-// convert from any mix.
-type AlternativeAssignment struct {
-	Choices []Choice
-}
-
-// EnumerateAssignments samples up to limit distinct variant assignments
-// over the S-DAG's structures, always including the all-vertex-induced
-// assignment (the original motif query set) and the all-edge-induced one.
-// The sampling is deterministic in seed. It covers the whole DAG (Nodes),
-// so every structure's up-set is inside it.
-func EnumerateAssignments(d *SDAG, limit int, seed int64) []AlternativeAssignment {
-	nodes := d.Nodes()
-	n := len(nodes)
-	if limit < 2 {
-		limit = 2
-	}
-	variantsOf := func(bits uint64) AlternativeAssignment {
-		var a AlternativeAssignment
-		for i, node := range nodes {
-			v := pattern.VertexInduced
-			if node.Pattern.IsClique() || bits&(1<<uint(i%64)) != 0 && i < 64 {
-				v = pattern.EdgeInduced
-			}
-			a.Choices = append(a.Choices, Choice{
-				Node:    node,
-				Variant: v,
-				Pattern: node.Pattern.Variant(v),
-			})
-		}
-		return a
-	}
-	seen := map[uint64]bool{}
-	var out []AlternativeAssignment
-	add := func(bits uint64) {
-		mask := uint64(1)<<uint(minInt(n, 63)) - 1
-		bits &= mask
-		if seen[bits] {
-			return
-		}
-		seen[bits] = true
-		out = append(out, variantsOf(bits))
-	}
-	add(0)          // all vertex-induced: the query set itself
-	add(^uint64(0)) // all edge-induced
-	r := rand.New(rand.NewSource(seed))
-	for len(out) < limit && len(seen) < (1<<uint(minInt(n, 20))) {
-		add(r.Uint64())
-	}
-	return out
-}
-
-// ConvertAssignment converts mined counts for an assignment (one value
-// per Choice, same order) into counts for the given vertex-induced query
-// patterns. It is the Fig. 15e evaluation path: every assignment must
-// produce identical query counts, only at different cost.
-func ConvertAssignment(d *SDAG, a AlternativeAssignment, queries []*pattern.Pattern, counts []uint64) ([]uint64, error) {
-	if len(counts) != len(a.Choices) {
-		return nil, fmt.Errorf("core: %d counts for %d choices", len(counts), len(a.Choices))
-	}
-	byPair := map[pairKey]uint64{}
-	for i, c := range a.Choices {
-		byPair[pairKey{c.Node.ID, normVariant(c.Pattern)}] = counts[i]
-	}
-	// Vertex-induced count per structure, from the clique down.
-	vCount := map[uint64]uint64{}
-	var derive func(n *Node) (uint64, error)
-	derive = func(n *Node) (uint64, error) {
-		if v, ok := vCount[n.ID]; ok {
-			return v, nil
-		}
-		if v, ok := byPair[pairKey{n.ID, pattern.VertexInduced}]; ok {
-			vCount[n.ID] = v
-			return v, nil
-		}
-		e, ok := byPair[pairKey{n.ID, pattern.EdgeInduced}]
-		if !ok {
-			return 0, fmt.Errorf("core: structure %v not covered by assignment", n.Pattern)
-		}
-		sum := uint64(0)
-		supers, err := d.StrictUpSet(n)
-		if err != nil {
-			return 0, err
-		}
-		for _, s := range supers {
-			sv, err := derive(s)
-			if err != nil {
-				return 0, err
-			}
-			if sum, err = addScaled(sum, uint64(CopyCoefficient(n.Pattern, s.Pattern)), sv); err != nil {
-				return 0, err
-			}
-		}
-		if sum > e {
-			return 0, fmt.Errorf("core: inconsistent counts for %v: edge-induced %d < contained %d", n.Pattern, e, sum)
-		}
-		v := e - sum
-		vCount[n.ID] = v
-		return v, nil
-	}
-	out := make([]uint64, len(queries))
+// EnumerateAssignments samples up to limit distinct alternative sets for
+// the queries — the space the Fig. 15e experiment explores — and returns
+// each as the Selection Select would return for it. A set mines every
+// structure of the whole DAG d (Nodes) in one variant, so every up-set is
+// covered and Convert turns any of them into the query counts. Cliques,
+// whose variants coincide, are mined edge-induced; every other structure's
+// variant varies. The all-vertex-induced set (for a motif query set, the
+// queries themselves) comes first and the all-edge-induced one second; the
+// rest are drawn deterministically in seed.
+func EnumerateAssignments(d *SDAG, queries []*pattern.Pattern, limit int, seed int64) ([]*Selection, error) {
+	qs := make([]Query, len(queries))
 	for i, q := range queries {
-		n := d.Node(q)
-		if n == nil {
-			return nil, fmt.Errorf("core: query %v missing from S-DAG", q)
+		if qs[i].Node = d.Node(q); qs[i].Node == nil {
+			return nil, fmt.Errorf("core: query %d (%v) missing from S-DAG", i, q)
 		}
-		if normVariant(q) == pattern.VertexInduced {
-			v, err := derive(n)
-			if err != nil {
-				return nil, err
+		qs[i].Pattern = q
+	}
+	nodes := d.Nodes()
+	var free []int // the structures that are not cliques
+	for i, n := range nodes {
+		if !n.Pattern.IsClique() {
+			free = append(free, i)
+		}
+	}
+	limit = min(max(limit, 2), 1<<min(len(free), 62))
+
+	variants := make([]byte, len(nodes)) // per node: a pattern.Induced, cliques edge-induced
+	seen := map[string]bool{}
+	var out []*Selection
+	r := rand.New(rand.NewSource(seed))
+	for draw := 0; len(out) < limit; draw++ {
+		for _, i := range free {
+			switch draw {
+			case 0:
+				variants[i] = byte(pattern.VertexInduced)
+			case 1:
+				variants[i] = byte(pattern.EdgeInduced)
+			default:
+				variants[i] = byte(r.Intn(2))
 			}
-			out[i] = v
+		}
+		if seen[string(variants)] {
 			continue
 		}
-		sum := uint64(0)
-		up, err := d.UpSet(n)
-		if err != nil {
-			return nil, err
+		seen[string(variants)] = true
+		ms := make([]member, len(nodes))
+		for i, n := range nodes {
+			ms[i] = member{node: n, key: pairKey{n.ID, pattern.Induced(variants[i])}}
 		}
-		for _, s := range up {
-			sv, err := derive(s)
-			if err != nil {
-				return nil, err
-			}
-			if sum, err = addScaled(sum, uint64(CopyCoefficient(q, s.Pattern)), sv); err != nil {
-				return nil, err
-			}
-		}
-		out[i] = sum
+		sel := &Selection{SDAG: d, Policy: PolicyAny, Queries: slices.Clone(qs)}
+		sel.setMine(ms)
+		out = append(out, sel)
 	}
 	return out, nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

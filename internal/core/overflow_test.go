@@ -94,9 +94,10 @@ func TestCountOverflowIsTyped(t *testing.T) {
 	}
 }
 
-// TestEquationAndAssignmentArithmeticIsChecked: the two other places that
-// multiply a coefficient into a count — Equation.Verify and the Fig. 15e
-// conversion of an arbitrary variant assignment — fail typed as well.
+// TestEquationAndAssignmentArithmeticIsChecked: Equation.Verify, the other
+// place that multiplies a coefficient into a count, fails typed as well,
+// and so does Convert on a Fig. 15e sampled set (an arbitrary variant
+// assignment).
 func TestEquationAndAssignmentArithmeticIsChecked(t *testing.T) {
 	star := pattern.FourStar()
 	d, err := BuildSDAG([]*pattern.Pattern{star})
@@ -111,13 +112,16 @@ func TestEquationAndAssignmentArithmeticIsChecked(t *testing.T) {
 	if err := eq.Verify(huge); !errors.Is(err, ErrCountOverflow) {
 		t.Errorf("Verify over counts of 2^62: %v, want ErrCountOverflow", err)
 	}
-	a := EnumerateAssignments(d, 2, 1)[1] // all edge-induced
-	counts := make([]uint64, len(a.Choices))
-	for i := range counts {
-		counts[i] = 1 << 62
+	sels, err := EnumerateAssignments(d, []*pattern.Pattern{star.AsVertexInduced()}, 2, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := ConvertAssignment(d, a, []*pattern.Pattern{star.AsVertexInduced()}, counts); !errors.Is(err, ErrCountOverflow) {
-		t.Errorf("ConvertAssignment over counts of 2^62: %v, want ErrCountOverflow", err)
+	mined := make([]aggr.Value, len(sels[1].Mine)) // all edge-induced
+	for i := range mined {
+		mined[i] = uint64(1) << 62
+	}
+	if _, err := sels[1].Convert(aggr.Count{}, mined); !errors.Is(err, ErrCountOverflow) {
+		t.Errorf("Convert of a sampled set over counts of 2^62: %v, want ErrCountOverflow", err)
 	}
 }
 

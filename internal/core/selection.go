@@ -158,7 +158,7 @@ type SelectOptions struct {
 	// Explain records the selection trace (every node cost and every
 	// candidate morph scored) in Selection.Explain. Off the explain path
 	// this costs nothing; with it, selection allocates trace entries but
-	// its decisions are identical.
+	// expands the same S-DAG and takes the same decisions.
 	Explain bool
 }
 
@@ -196,7 +196,7 @@ func IdentitySelection(queries []*pattern.Pattern) (*Selection, error) {
 // superpatterns polls ctx: a cancelled or expired context ends Select with
 // the typed engine error.
 func Select(ctx context.Context, d *SDAG, queries []*pattern.Pattern, cost CostFunc, policy Policy, opts SelectOptions) (*Selection, error) {
-	sel := &Selection{SDAG: d, Policy: policy, byPair: make(map[pairKey]int, len(queries))}
+	sel := &Selection{SDAG: d, Policy: policy}
 	if len(queries) == 0 {
 		return sel, nil
 	}
@@ -282,16 +282,16 @@ func Select(ctx context.Context, d *SDAG, queries []*pattern.Pattern, cost CostF
 	// merged trie of S, never built. setPrice recounts it from S and
 	// returns what S costs — every distinct level once, in pair order.
 	ref := make(map[uint64]int32, 4*len(S))
-	var keys []pairKey // S in pair order, as of the last setPrice
+	var set []member // S in pair order, as of the last setPrice
 	setPrice := func() (total float64) {
-		keys = keys[:0]
-		for k := range S {
-			keys = append(keys, k)
+		set = set[:0]
+		for k, n := range S {
+			set = append(set, member{node: n, key: k})
 		}
-		slices.SortFunc(keys, cmpPair)
+		set = sortMembers(set)
 		clear(ref)
-		for _, k := range keys {
-			for _, l := range levelsOf(S[k], k.variant) {
+		for _, m := range set {
+			for _, l := range levelsOf(m.node, m.key.variant) {
 				if ref[l.Key]++; ref[l.Key] == 1 {
 					total += l.Cost
 				}
@@ -354,12 +354,8 @@ func Select(ctx context.Context, d *SDAG, queries []*pattern.Pattern, cost CostF
 	// last level costs at least its member's ub, added >= removed: a parent
 	// with no live child has all 2^k candidates rejected, and superpatterns
 	// are generated above live members only. (The factor absorbs the
-	// rounding of the divisions.) The explain trace lists rejected
-	// candidates: there every member counts as live.
+	// rounding of the divisions.)
 	live := func(c member) bool {
-		if ex != nil {
-			return true
-		}
 		self := selfPair(c.key)
 		if _, in := S[self]; in {
 			return true
@@ -621,11 +617,28 @@ func Select(ctx context.Context, d *SDAG, queries []*pattern.Pattern, cost CostF
 		}
 	}
 
-	// Materialize the mine list and mark morphed queries.
 	if morphed {
 		sel.CostAfter = setPrice()
 	}
-	sel.Mine = make([]Choice, 0, len(S))
+	sel.setMine(set)
+	if ex != nil {
+		for _, q := range sel.Queries {
+			// Only a query can be refused: the up-set of a superpattern
+			// lies inside that of the member it was reached from.
+			if q.Node.tooBig && !slices.Contains(ex.Unmorphable, q.Node.Pattern.String()) {
+				ex.Unmorphable = append(ex.Unmorphable, q.Node.Pattern.String())
+			}
+		}
+	}
+	return sel, nil
+}
+
+// setMine makes the pairs ms, in the order given, the set sel mines, and
+// marks every query the set does not hold as morphed. A pair a query names
+// is mined in that query's frame (the first such query's object, in the
+// edge-induced variant for a clique); any other pair in its structure's
+// canonical representative.
+func (sel *Selection) setMine(ms []member) {
 	queryFrame := make(map[pairKey]*pattern.Pattern, len(sel.Queries))
 	for _, q := range sel.Queries {
 		k := pairKey{q.Node.ID, normVariant(q.Pattern)}
@@ -633,30 +646,23 @@ func Select(ctx context.Context, d *SDAG, queries []*pattern.Pattern, cost CostF
 			queryFrame[k] = q.Pattern
 		}
 	}
-	for _, k := range keys {
-		n := S[k]
-		frame, ok := queryFrame[k]
+	sel.Mine = make([]Choice, 0, len(ms))
+	sel.byPair = make(map[pairKey]int, len(ms))
+	for _, m := range ms {
+		frame, ok := queryFrame[m.key]
 		if !ok {
-			frame = n.Pattern.Variant(k.variant)
-		} else if frame.Induced() != k.variant {
-			frame = frame.Variant(k.variant) // clique variant normalization
+			frame = m.node.Pattern.Variant(m.key.variant)
+		} else if frame.Induced() != m.key.variant {
+			frame = frame.Variant(m.key.variant) // clique variant normalization
 		}
-		sel.byPair[k] = len(sel.Mine)
-		sel.Mine = append(sel.Mine, Choice{Node: n, Variant: k.variant, Pattern: frame})
+		sel.byPair[m.key] = len(sel.Mine)
+		sel.Mine = append(sel.Mine, Choice{Node: m.node, Variant: m.key.variant, Pattern: frame})
 	}
 	for i := range sel.Queries {
 		q := &sel.Queries[i]
-		k := pairKey{q.Node.ID, normVariant(q.Pattern)}
-		if _, direct := sel.byPair[k]; !direct {
-			q.Morphed = true
-		}
-		// Only a query can be refused: the up-set of a superpattern lies
-		// inside that of the member it was reached from.
-		if ex != nil && q.Node.tooBig && !slices.Contains(ex.Unmorphable, q.Node.Pattern.String()) {
-			ex.Unmorphable = append(ex.Unmorphable, q.Node.Pattern.String())
-		}
+		_, direct := sel.byPair[pairKey{q.Node.ID, normVariant(q.Pattern)}]
+		q.Morphed = !direct
 	}
-	return sel, nil
 }
 
 // normVariant normalizes clique variants (identical semantics) to

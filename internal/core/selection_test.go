@@ -381,10 +381,11 @@ func TestConversionMapsAndCoefficients(t *testing.T) {
 // TestSelectDeclineBoundIsExact is the identity property of the decline
 // bound: over randomized query sets (labeled and unlabeled, 3 to 5
 // vertices, both variants, duplicates) under every policy and random cost
-// tables rich in ties and zeros, Select returns the selection the
-// exhaustive enumeration returns — explain mode never takes the bound, so
-// it is the oracle. Costs are small integers: sums are exact in any order,
-// so "identical" means bit for bit.
+// tables rich in ties and zeros, Select returns the selection of the
+// exhaustive enumeration over the eager closure (eagerSelect, which takes
+// no bound), and explain mode returns Select's selection bit for bit after
+// expanding the same S-DAG. Costs are small integers: sums are exact in any
+// order, so "identical" means bit for bit.
 func TestSelectDeclineBoundIsExact(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	var shapes []*pattern.Pattern
@@ -426,30 +427,44 @@ func TestSelectDeclineBoundIsExact(t *testing.T) {
 			}
 			return c
 		}
-		d, err := BuildSDAG(queries)
-		if err != nil {
-			t.Fatal(err)
-		}
+		eager := eagerSDAG(t, queries)
 		for _, policy := range []Policy{PolicyAny, PolicyVertexOnly, PolicyEdgeOnly} {
-			want, err := Select(context.Background(), d, queries, additive(costs), policy, SelectOptions{Explain: true})
-			if err != nil {
-				t.Fatal(err)
+			wantS, wantBefore, wantAfter := eagerSelect(eager, queries, additive(costs), policy)
+			var sels [2]*Selection
+			var built [2]int
+			for i := range sels {
+				d, err := BuildSDAG(queries)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sels[i], err = Select(context.Background(), d, queries, additive(costs), policy, SelectOptions{Explain: i == 1}); err != nil {
+					t.Fatal(err)
+				}
+				built[i] = d.Materialized()
 			}
-			got, err := Select(context.Background(), d, queries, additive(costs), policy, SelectOptions{})
-			if err != nil {
-				t.Fatal(err)
+			got, explained := sels[0], sels[1]
+			same := len(got.Mine) == len(wantS) && got.CostBefore == wantBefore && got.CostAfter == wantAfter
+			for _, c := range got.Mine {
+				same = same && wantS[pairKey{c.Node.ID, c.Variant}] != nil
 			}
-			same := len(got.Mine) == len(want.Mine) && got.CostAfter == want.CostAfter && got.CostBefore == want.CostBefore
-			for i := 0; same && i < len(got.Mine); i++ {
-				g, w := got.Mine[i], want.Mine[i]
-				same = g.Node == w.Node && g.Variant == w.Variant && g.Pattern.String() == w.Pattern.String()
-			}
-			for i := range got.Queries {
-				same = same && got.Queries[i].Morphed == want.Queries[i].Morphed
+			for _, q := range got.Queries {
+				same = same && q.Morphed == (wantS[pairKey{q.Node.ID, normVariant(q.Pattern)}] == nil)
 			}
 			if !same {
-				t.Fatalf("trial %d policy %v queries %v:\n bound      %v (cost %v)\n exhaustive %v (cost %v)",
-					trial, policy, queries, got.Mine, got.CostAfter, want.Mine, want.CostAfter)
+				t.Fatalf("trial %d policy %v queries %v:\n bound      %v (cost %v -> %v)\n exhaustive %d pairs (cost %v -> %v)",
+					trial, policy, queries, got.Mine, got.CostBefore, got.CostAfter, len(wantS), wantBefore, wantAfter)
+			}
+			same = len(got.Mine) == len(explained.Mine) && got.CostAfter == explained.CostAfter && built[0] == built[1]
+			for i := 0; same && i < len(got.Mine); i++ {
+				g, w := got.Mine[i], explained.Mine[i]
+				same = g.Node.ID == w.Node.ID && g.Variant == w.Variant && g.Pattern.String() == w.Pattern.String()
+			}
+			for i := range got.Queries {
+				same = same && got.Queries[i].Morphed == explained.Queries[i].Morphed
+			}
+			if !same {
+				t.Fatalf("trial %d policy %v queries %v:\n plain     %v (cost %v, %d structures)\n explained %v (cost %v, %d structures)",
+					trial, policy, queries, got.Mine, got.CostAfter, built[0], explained.Mine, explained.CostAfter, built[1])
 			}
 			if got.CostAfter < got.CostBefore {
 				morphed++
