@@ -53,7 +53,7 @@ type Stats struct {
 // batch is evaluated through the morphing pipeline (or directly when
 // morphing is off) — on an engine that exposes its plans as one streaming
 // pass per level, the candidates' shared labeled prefixes enumerated once
-// (core.Runner.MatchAllCtx). The dynamic, data-dependent query sets are
+// (core.Runner.MNITablesCtx). The dynamic, data-dependent query sets are
 // exactly why pattern transformation must run at runtime (§5).
 //
 // On interruption the frequent patterns

@@ -12,13 +12,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"time"
 
 	"morphing/internal/core"
 	"morphing/internal/costmodel"
 	"morphing/internal/engine"
 	"morphing/internal/graph"
-	"morphing/internal/obs"
 	"morphing/internal/pattern"
 )
 
@@ -34,7 +32,8 @@ type Result struct {
 	Filtered []uint64
 	// Stats aggregates engine work across all queries and alternatives.
 	Stats *engine.Stats
-	// Selection is nil when morphing is disabled.
+	// Selection is the alternative set mined: every query as itself when
+	// morphing is disabled.
 	Selection *core.Selection
 }
 
@@ -59,30 +58,20 @@ type Options struct {
 // returned alongside the typed error; matches already handed to onMatch
 // stay delivered.
 //
-// Each call is one pipeline execution of a core.Runner (core.Execute):
+// Each call is one pipeline execution of a core.Runner (Runner.StreamCtx):
 // the run is tagged with its ID in the query log and the trace, a fault
 // on an mmap-backed graph outside the workers comes back typed, and
 // anomalous endings dump the flight recorder.
 func EnumerateCtx(ctx context.Context, g graph.Adjacency, eng engine.Engine, queries []*pattern.Pattern, filter Filter, onMatch func(query int, m []uint32), opts Options) (*Result, error) {
-	r := &core.Runner{Engine: eng, Label: "se", DisableMorphing: !opts.Morph, PerMatchCost: opts.PerMatchCost}
-	res, _, err := core.Execute(ctx, r, g, "enumerate", len(queries), func(ctx context.Context, rc *obs.RunContext, g graph.Adjacency) (*Result, *core.RunStats, error) {
-		return enumerateRun(ctx, rc, r, g, queries, filter, onMatch)
-	})
-	return res, err
-}
-
-// enumerateRun is the EnumerateCtx body, executed inside the run scope rc
-// (the ctx already carries it).
-func enumerateRun(ctx context.Context, rc *obs.RunContext, r *core.Runner, g graph.Adjacency, queries []*pattern.Pattern, filter Filter, onMatch func(query int, m []uint32)) (*Result, *core.RunStats, error) {
 	for i, q := range queries {
 		if q.Induced() != pattern.EdgeInduced {
-			return nil, nil, fmt.Errorf("se: query %d must be edge-induced (on-the-fly conversion is additive)", i)
+			return nil, fmt.Errorf("se: query %d must be edge-induced (on-the-fly conversion is additive)", i)
 		}
 	}
-	res := &Result{
-		Delivered: make([]uint64, len(queries)),
-		Filtered:  make([]uint64, len(queries)),
-		Stats:     &engine.Stats{},
+	r := &core.Runner{Engine: eng, Label: "se", DisableMorphing: !opts.Morph, PerMatchCost: opts.PerMatchCost}
+	if opts.Morph && r.PerMatchCost == 0 && len(queries) > 0 {
+		r.PerMatchCost = costmodel.ProfileUDF(func(m []uint32) { filter(m) },
+			queries[0].N(), 4096, uint32(g.NumVertices()), 1e8)
 	}
 	// One shard per worker ID (engine.Shards) keeps the UDF hot path
 	// lock-free whatever number of IDs the engine uses.
@@ -92,103 +81,55 @@ func enumerateRun(ctx context.Context, rc *obs.RunContext, r *core.Runner, g gra
 	counters := &engine.Shards[shard]{New: func() *shard {
 		return &shard{delivered: make([]uint64, len(queries)), filtered: make([]uint64, len(queries))}
 	}}
-
-	// Every mined pattern streams to its own visitor, in one pass where the
-	// engine's plans merge (core.Runner.MatchAllCtx).
-	st := &core.RunStats{Phase: core.PhaseTransform,
-		Engine: r.Engine.Name(), GraphVertices: g.NumVertices(), GraphEdges: g.NumEdges()}
-	var mine []core.Choice
-	var visits []engine.Visitor
-	if r.DisableMorphing {
-		for qi, q := range queries {
-			mine = append(mine, core.Choice{Pattern: q})
-			visits = append(visits, func(worker int, m []uint32) {
-				s := counters.For(worker)
-				if filter(m) {
-					s.delivered[qi]++
-					if onMatch != nil {
-						onMatch(qi, m)
-					}
-				} else {
-					s.filtered[qi]++
-				}
-			})
-		}
-	} else {
-		// Morphed: transform once, mine each alternative exactly once, and fan
-		// its stream out to every query it feeds. The filter runs on the raw
-		// alternative match, BEFORE conversion — it depends only on the
-		// matched vertex set, which conversion permutes but never changes
-		// (§7.3: "the filter is only dependent on the matched vertices") — so
-		// the vertex-induced alternatives' smaller match streams directly cut
-		// filter UDF invocations.
-		t0 := time.Now()
-		if r.PerMatchCost == 0 && len(queries) > 0 {
-			r.PerMatchCost = costmodel.ProfileUDF(func(m []uint32) { filter(m) },
-				queries[0].N(), 4096, uint32(g.NumVertices()), 1e8)
-		}
-		sel, err := r.TransformForStreamingCtx(ctx, g, queries)
-		if err != nil {
-			return nil, nil, err
-		}
-		st.Selection, st.Transform = sel, time.Since(t0)
-		res.Selection = sel
-		plan, err := sel.StreamPlan()
-		if err != nil {
-			return nil, nil, err
-		}
-		for ci, choice := range sel.Mine {
-			targets := plan[ci]
-			if len(targets) == 0 {
-				continue // mined for other outputs only
-			}
-			mine = append(mine, choice)
-			visits = append(visits, func(worker int, m []uint32) {
-				s := counters.For(worker)
-				if !filter(m) {
-					for _, t := range targets {
-						s.filtered[t.Query] += uint64(len(t.Maps))
-					}
-					return
-				}
-				var buf [pattern.MaxVertices]uint32
+	// Each alternative is mined exactly once and its stream fans out to every
+	// query it feeds. The filter runs on the raw alternative match, BEFORE
+	// conversion — it depends only on the matched vertex set, which
+	// conversion permutes but never changes (§7.3: "the filter is only
+	// dependent on the matched vertices") — so the vertex-induced
+	// alternatives' smaller match streams directly cut filter UDF invocations.
+	st, err := r.StreamCtx(ctx, g, queries, func(targets []core.StreamTarget) engine.Visitor {
+		return func(worker int, m []uint32) {
+			s := counters.For(worker)
+			if !filter(m) {
 				for _, t := range targets {
-					converted := buf[:queries[t.Query].N()]
-					for _, f := range t.Maps {
-						for i, qi := range f {
-							converted[i] = m[qi]
-						}
-						s.delivered[t.Query]++
-						if onMatch != nil {
-							onMatch(t.Query, converted)
-						}
+					s.filtered[t.Query] += uint64(len(t.Maps))
+				}
+				return
+			}
+			var buf [pattern.MaxVertices]uint32
+			for _, t := range targets {
+				converted := buf[:queries[t.Query].N()]
+				for _, f := range t.Maps {
+					for i, qi := range f {
+						converted[i] = m[qi]
+					}
+					s.delivered[t.Query]++
+					if onMatch != nil {
+						onMatch(t.Query, converted)
 					}
 				}
-			})
+			}
 		}
+	})
+	if st == nil {
+		return nil, err
 	}
-	st.Phase = core.PhaseMine
-	err := r.MatchAllCtx(ctx, g, mine, visits, st)
-	if err != nil && !engine.Interrupted(err) {
-		return nil, nil, err
+	res := &Result{
+		Delivered: make([]uint64, len(queries)),
+		Filtered:  make([]uint64, len(queries)),
+		Stats:     &engine.Stats{},
+		Selection: st.Selection,
 	}
 	if st.Mining != nil {
 		res.Stats = st.Mining
 	}
-	var delivered, filtered uint64
 	counters.Each(func(s *shard) {
 		for qi := range queries {
 			res.Delivered[qi] += s.delivered[qi]
 			res.Filtered[qi] += s.filtered[qi]
-			delivered += s.delivered[qi]
-			filtered += s.filtered[qi]
 		}
 	})
-	rc.Event("enumerated", obs.U64("delivered", delivered), obs.U64("filtered", filtered))
-	if err == nil {
-		st.Phase = core.PhaseDone
-	}
-	return res, st, err
+	return res, err
 }
 
 // Weights assigns each vertex a pseudo-random weight from a normal

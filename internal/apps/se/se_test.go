@@ -265,3 +265,87 @@ func TestEnumerateUnderManyWorkerIDs(t *testing.T) {
 		}
 	}
 }
+
+// TestEnumerateBaselineMinesARepeatedQueryOnce: a baseline run is the
+// identity selection, so a query listed twice is mined once and every
+// match reaches both entries.
+func TestEnumerateBaselineMinesARepeatedQueryOnce(t *testing.T) {
+	g, err := dataset.ErdosRenyi(40, 7, 0, 31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := pattern.FourCycle()
+	var mu sync.Mutex
+	got := [2]map[string]int{{}, {}}
+	res, err := EnumerateCtx(context.Background(), g, peregrine.New(3), []*pattern.Pattern{q, q},
+		func([]uint32) bool { return true }, func(qi int, m []uint32) {
+			mu.Lock()
+			got[qi][fmt.Sprint(m)]++
+			mu.Unlock()
+		}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.TriePatterns != 1 {
+		t.Errorf("mined %d patterns for one query listed twice, want 1", res.Stats.TriePatterns)
+	}
+	want := refmatch.Count(g, q)
+	for qi := range got {
+		if res.Delivered[qi] != want || len(got[qi]) != int(want) {
+			t.Errorf("entry %d: %d deliveries of %d distinct tuples, oracle %d", qi, res.Delivered[qi], len(got[qi]), want)
+		}
+	}
+	if fmt.Sprint(got[0]) != fmt.Sprint(got[1]) {
+		t.Error("the two entries received different tuples")
+	}
+}
+
+// TestEnumerateUnmorphedReceivesTheEngineTuples: a query mined as itself,
+// with morphing off or declined, receives exactly the tuples the engine's
+// own MatchCtx emits for it, in the engine's vertex order (compared
+// without canonicalizing).
+func TestEnumerateUnmorphedReceivesTheEngineTuples(t *testing.T) {
+	g, err := dataset.ErdosRenyi(40, 7, 0, 31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := []*pattern.Pattern{pattern.TailedTriangle(), pattern.FourCycle(), pattern.FourStar(), pattern.Path(4)}
+	eng := peregrine.New(3)
+	want := make([]map[string]int, len(queries))
+	for i, q := range queries {
+		var mu sync.Mutex
+		want[i] = map[string]int{}
+		if _, err := eng.MatchCtx(context.Background(), g, q, func(_ int, m []uint32) {
+			mu.Lock()
+			want[i][fmt.Sprint(m)]++
+			mu.Unlock()
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, opts := range []Options{{}, {Morph: true, PerMatchCost: 1e-9}} {
+		var mu sync.Mutex
+		got := make([]map[string]int, len(queries))
+		for i := range got {
+			got[i] = map[string]int{}
+		}
+		res, err := EnumerateCtx(context.Background(), g, eng, queries, func([]uint32) bool { return true }, func(qi int, m []uint32) {
+			mu.Lock()
+			got[qi][fmt.Sprint(m)]++
+			mu.Unlock()
+		}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, q := range res.Selection.Queries {
+			if q.Morphed {
+				t.Fatalf("morph=%v: query %v morphed", opts.Morph, queries[i])
+			}
+		}
+		for i, q := range queries {
+			if len(want[i]) == 0 || fmt.Sprint(got[i]) != fmt.Sprint(want[i]) {
+				t.Errorf("morph=%v %v: %d distinct tuples delivered, the engine emits %d (or different ones)", opts.Morph, q, len(got[i]), len(want[i]))
+			}
+		}
+	}
+}

@@ -44,7 +44,7 @@ func runFig4a(ctx context.Context, cfg Config, w io.Writer) error {
 			return err
 		}
 		total := time.Since(start).Seconds()
-		writeBreakdown(w, name, total, &stats.Mining)
+		writeBreakdown(w, total, &stats.Mining, name)
 	}
 	return nil
 }
@@ -74,7 +74,7 @@ func runFig4b(ctx context.Context, cfg Config, w io.Writer) error {
 			return err
 		}
 		total := time.Since(start).Seconds()
-		writeBreakdownNamed(w, np.Name, "MI", total, st)
+		writeBreakdown(w, total, st, np.Name, "MI")
 	}
 	return nil
 }
@@ -95,7 +95,7 @@ func runFig4c(ctx context.Context, cfg Config, w io.Writer) error {
 			return err
 		}
 		total := time.Since(start).Seconds()
-		writeBreakdownNamed(w, np.Name, "MI", total, st)
+		writeBreakdown(w, total, st, np.Name, "MI")
 	}
 	return nil
 }
@@ -178,24 +178,13 @@ func runFig4f(ctx context.Context, cfg Config, w io.Writer) error {
 	return nil
 }
 
-func writeBreakdown(w io.Writer, graphName string, total float64, st *engine.Stats) {
+// writeBreakdown writes one breakdown row: the leading columns (the graph,
+// or the pattern and the graph), the total and its shares of set
+// operations, materialization, UDF and the rest of the system.
+func writeBreakdown(w io.Writer, total float64, st *engine.Stats, lead ...any) {
 	setop := st.SetOpTime.Seconds()
 	mat := st.MaterializeTime.Seconds()
 	udf := st.UDFTime.Seconds()
-	system := total - setop - mat - udf
-	if system < 0 {
-		system = 0
-	}
-	csv(w, graphName, total, pct(setop, total), pct(mat, total), pct(udf, total), pct(system, total))
-}
-
-func writeBreakdownNamed(w io.Writer, patName, graphName string, total float64, st *engine.Stats) {
-	setop := st.SetOpTime.Seconds()
-	mat := st.MaterializeTime.Seconds()
-	udf := st.UDFTime.Seconds()
-	system := total - setop - mat - udf
-	if system < 0 {
-		system = 0
-	}
-	csv(w, patName, graphName, total, pct(setop, total), pct(mat, total), pct(udf, total), pct(system, total))
+	system := max(total-setop-mat-udf, 0)
+	csv(w, append(lead, total, pct(setop, total), pct(mat, total), pct(udf, total), pct(system, total))...)
 }

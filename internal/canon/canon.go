@@ -523,18 +523,6 @@ func connectivityOrder(p *pattern.Pattern) []int {
 	return order
 }
 
-// CopyCount returns the number of distinct copies of p inside q: the
-// subgraph-isomorphism count divided by |Aut(p)|. This is the coefficient
-// attached to q in the morphing equations (Fig. 7), e.g. the 4-clique
-// contains 3 distinct 4-cycles.
-func CopyCount(p, q *pattern.Pattern) int {
-	iso := len(Isomorphisms(p, q))
-	if iso == 0 {
-		return 0
-	}
-	return iso / len(Automorphisms(p))
-}
-
 // CanonicalMatch returns the lexicographically smallest reordering of the
 // match tuple m over all automorphisms of p: position i of the result holds
 // m[a[i]] for the minimizing automorphism a. Engines and tests use it to

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"sync"
 
 	"morphing/internal/aggr"
 	"morphing/internal/canon"
@@ -207,22 +206,22 @@ func (c *converter) reindex(p, frame *pattern.Pattern, v aggr.Value) (aggr.Value
 // every isomorphism phi(p,q) (idempotent aggregations, Algorithm 2);
 // otherwise one representative per Aut(p)-coset, i.e. one map per distinct
 // copy of p inside q (additive aggregations and match streams — the
-// coefficients of Fig. 7). The result is memoized process-wide and shared:
-// treat it as read-only.
+// coefficients of Fig. 7). The result is memoized process-wide (a bounded
+// canon.Memo) and shared: treat it as read-only.
 func ConversionMaps(p, q *pattern.Pattern, all bool) [][]int {
 	key := canon.Key(p) + "|" + canon.Key(q)
 	if all {
 		key += "*"
 	}
-	if v, ok := convMapCache.Load(key); ok {
-		return v.([][]int)
+	if maps, ok := convMapMemo.Get(key); ok {
+		return maps
 	}
 	maps := conversionMaps(p, q, all)
-	convMapCache.Store(key, maps)
+	convMapMemo.Put(key, maps)
 	return maps
 }
 
-var convMapCache sync.Map
+var convMapMemo canon.Memo[string, [][]int]
 
 func conversionMaps(p, q *pattern.Pattern, all bool) [][]int {
 	isos := canon.Isomorphisms(p, q)

@@ -473,3 +473,39 @@ func TestConvertExists(t *testing.T) {
 		}
 	}
 }
+
+// TestConversionMemosStayBounded feeds ConversionMaps ten times the memo's
+// capacity of distinct labeled pattern pairs, as a resident daemon under
+// ever new labeled queries would, from several goroutines at once: the
+// memo stays within canon.MemoCap, and evicted and resident pairs alike
+// still answer with the uncached maps.
+func TestConversionMemosStayBounded(t *testing.T) {
+	pair := func(i int) (p, q *pattern.Pattern, all bool) {
+		a, b := int32(i), int32(i+1)
+		p = pattern.MustNew(2, [][2]int{{0, 1}}, pattern.WithLabels([]int32{a, b}))
+		q = pattern.MustNew(3, [][2]int{{0, 1}, {1, 2}}, pattern.WithLabels([]int32{a, b, a}))
+		return p, q, i%2 == 0
+	}
+	const workers = 4
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < 10*canon.MemoCap; i += workers {
+				ConversionMaps(pair(i))
+			}
+		}(w)
+	}
+	wg.Wait()
+	if size := convMapMemo.Len(); size > canon.MemoCap || size < canon.MemoCap/2 {
+		t.Errorf("conversion memo holds %d entries after %d distinct pairs, want within (%d, %d]", size, 10*canon.MemoCap, canon.MemoCap/2, canon.MemoCap)
+	}
+	for _, i := range []int{0, 1, canon.MemoCap, 10*canon.MemoCap - 1} {
+		p, q, all := pair(i)
+		got, want := ConversionMaps(p, q, all), conversionMaps(p, q, all)
+		if len(want) == 0 || fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("pair %d: maps %v, uncached %v", i, got, want)
+		}
+	}
+}

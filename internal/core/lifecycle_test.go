@@ -10,6 +10,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -123,27 +124,72 @@ func TestRunLifecycleCompleted(t *testing.T) {
 	if got := r.Obs.Metrics.Counter(MetricRuns).Value(); got != 1 {
 		t.Fatalf("parent run_total = %d, want 1", got)
 	}
+
+	// A match stream (subgraph enumeration) runs the same lifecycle, in
+	// order, and a morphed one reports the S-DAG it built.
+	st = streamRun(t, r, g, streamQueries())
+	want, next := []string{"admitted", "transformed", "trie_decision", "completed"}, 0
+	for _, n := range eventNames(st.Events) {
+		if next < len(want) && n == want[next] {
+			next++
+		}
+	}
+	if next != len(want) {
+		t.Fatalf("enumeration lifecycle %v, want %v in order", eventNames(st.Events), want)
+	}
+	if nodes, ok := transformedEvent(t, st).Attrs["sdag_nodes"].(int); !ok || nodes < 1 {
+		t.Fatalf("morphed enumeration: sdag_nodes = %v, want >= 1", transformedEvent(t, st).Attrs["sdag_nodes"])
+	}
+	if got := r.Obs.Metrics.Counter(MetricRuns).Value(); got != 2 {
+		t.Fatalf("parent run_total = %d after the enumeration, want 2", got)
+	}
+}
+
+// streamQueries are edge-induced, as a match stream's queries must be to
+// morph.
+func streamQueries() []*pattern.Pattern {
+	return []*pattern.Pattern{pattern.TailedTriangle(), pattern.FourCycle()}
+}
+
+// streamRun runs queries through r.StreamCtx with visitors that only
+// count, and fails unless the run completed and delivered a match.
+func streamRun(t *testing.T, r *Runner, g graph.Adjacency, queries []*pattern.Pattern) *RunStats {
+	t.Helper()
+	var delivered atomic.Uint64
+	st, err := r.StreamCtx(context.Background(), g, queries, func(targets []StreamTarget) engine.Visitor {
+		return func(int, []uint32) { delivered.Add(1) }
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Phase != PhaseDone || delivered.Load() == 0 {
+		t.Fatalf("enumeration ended in phase %q after %d matches", st.Phase, delivered.Load())
+	}
+	return st
+}
+
+// transformedEvent returns the run's "transformed" event.
+func transformedEvent(t *testing.T, st *RunStats) obs.Event {
+	t.Helper()
+	for _, e := range st.Events {
+		if e.Name == "transformed" {
+			return e
+		}
+	}
+	t.Fatalf("no transformed event in %v", eventNames(st.Events))
+	return obs.Event{}
 }
 
 // TestTransformedEventCarriesSDAGNodes checks the one transformation
 // figure the run's events hold and RunStats does not spell out: a morphed
 // run's "transformed" event reports how many S-DAG structures Algorithm 1
-// built, and a baseline run, which builds no S-DAG, leaves it out.
+// built, and a baseline run, which builds no S-DAG, leaves it out — for
+// counts and for match streams alike.
 func TestTransformedEventCarriesSDAGNodes(t *testing.T) {
 	g := lifecycleGraph(t)
 	queries := []*pattern.Pattern{
 		pattern.Triangle().AsVertexInduced(),
 		pattern.FourCycle().AsVertexInduced(),
-	}
-	transformed := func(st *RunStats) obs.Event {
-		t.Helper()
-		for _, e := range st.Events {
-			if e.Name == "transformed" {
-				return e
-			}
-		}
-		t.Fatalf("no transformed event in %v", eventNames(st.Events))
-		return obs.Event{}
 	}
 	var ql bytes.Buffer
 	r, _ := lifecycleRunner(t, &ql)
@@ -152,7 +198,7 @@ func TestTransformedEventCarriesSDAGNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := st.Selection.SDAG.Materialized()
-	if got := transformed(st).Attrs["sdag_nodes"]; got != want || want < 1 {
+	if got := transformedEvent(t, st).Attrs["sdag_nodes"]; got != want || want < 1 {
 		t.Fatalf("morphed run: sdag_nodes = %v, want %d (>= 1)", got, want)
 	}
 
@@ -161,8 +207,20 @@ func TestTransformedEventCarriesSDAGNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := transformed(st).Attrs["sdag_nodes"]; ok {
+	if got, ok := transformedEvent(t, st).Attrs["sdag_nodes"]; ok {
 		t.Fatalf("baseline run reports sdag_nodes = %v", got)
+	}
+
+	r.DisableMorphing = false
+	st = streamRun(t, r, g, streamQueries())
+	want = st.Selection.SDAG.Materialized()
+	if got := transformedEvent(t, st).Attrs["sdag_nodes"]; got != want || want < 1 {
+		t.Fatalf("morphed enumeration: sdag_nodes = %v, want %d (>= 1)", got, want)
+	}
+	r.DisableMorphing = true
+	st = streamRun(t, r, g, streamQueries())
+	if got, ok := transformedEvent(t, st).Attrs["sdag_nodes"]; ok {
+		t.Fatalf("baseline enumeration reports sdag_nodes = %v", got)
 	}
 }
 

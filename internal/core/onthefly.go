@@ -8,16 +8,18 @@ import (
 
 // StreamTarget routes one alternative pattern's match stream to one
 // query (Algorithm 3): every match is converted through each map in Maps
-// (one per distinct copy of the query inside the alternative). Subgraph
-// enumeration is the one pipeline that converts on the fly; counts and
-// MNI tables are converted batched (Selection.Convert).
+// (one per distinct copy of the query inside the alternative). Match
+// streams (Runner.StreamCtx) are the one output converted on the fly;
+// counts and MNI tables are converted batched (Selection.Convert).
 type StreamTarget struct {
 	Query int
 	Maps  [][]int
 }
 
 // StreamPlan returns, for each Mine choice, the queries its match stream
-// feeds and their conversion maps. Mining each choice exactly once and
+// feeds and their conversion maps; a query mined as itself gets the
+// identity (the first of its automorphisms ConversionMaps finds), so it
+// receives the engine's own tuples. Mining each choice exactly once and
 // fanning its stream out to all targets is how enumeration workloads
 // avoid re-mining alternatives shared between queries (§7.3). Queries
 // must be edge-induced or unmorphed; alternatives feeding morphed queries

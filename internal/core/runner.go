@@ -212,14 +212,14 @@ func (r *Runner) policyFor(agg aggr.Aggregation) (Policy, error) {
 	}
 }
 
-// Execute runs body as one pipeline execution of r — the lifecycle
-// CountsCtx, MNITablesCtx and subgraph enumeration share. It opens the
+// execute runs body as one pipeline execution of r — the lifecycle
+// CountsCtx, MNITablesCtx and StreamCtx share. It opens the
 // run scope (startRun), hands body a context carrying it and g wrapped for
 // storage attribution, runs body under containFaults, and stamps the
 // storage counters and the terminal event into the RunStats body returns
 // (finishRun, which also publishes them on success). body returns nil
 // RunStats for a failure that is not an interruption.
-func Execute[T any](ctx context.Context, r *Runner, g graph.Adjacency, pipeline string, queries int, body func(context.Context, *obs.RunContext, graph.Adjacency) (T, *RunStats, error)) (T, *RunStats, error) {
+func execute[T any](ctx context.Context, r *Runner, g graph.Adjacency, pipeline string, queries int, body func(context.Context, *obs.RunContext, graph.Adjacency) (T, *RunStats, error)) (T, *RunStats, error) {
 	rc, ctx := r.startRun(ctx, pipeline, queries)
 	ag, sink := attributeStorage(g)
 	out, st, err := containFaults(func() (T, *RunStats, error) { return body(ctx, rc, ag) })
@@ -448,18 +448,6 @@ func (r *Runner) transformPolicy(ctx context.Context, g graph.Adjacency, queries
 	return sel, nil
 }
 
-// TransformForStreamingCtx runs pattern transformation for match-stream
-// output (subgraph enumeration): streams cannot be subtracted, so only
-// the additive direction is sound (PolicyVertexOnly) and the engine must
-// support vertex-induced matching. The observer resolves through the
-// context, for callers (the SE app) that carry a run scope.
-func (r *Runner) TransformForStreamingCtx(ctx context.Context, g graph.Adjacency, queries []*pattern.Pattern) (*Selection, error) {
-	if !r.Engine.SupportsInduced(pattern.VertexInduced) {
-		return nil, fmt.Errorf("core: engine %q cannot mine vertex-induced patterns; on-the-fly conversion unavailable", r.Engine.Name())
-	}
-	return r.transformPolicy(ctx, g, queries, PolicyVertexOnly)
-}
-
 // Registry metric names published by the runner, one set per pipeline
 // execution; DESIGN §11 names each one's consumer.
 const (
@@ -502,7 +490,7 @@ func publishRunStats(o *obs.Observer, st *RunStats) {
 // counts cannot be soundly converted into query results, so they are
 // surfaced raw instead.
 func (r *Runner) CountsCtx(ctx context.Context, g graph.Adjacency, queries []*pattern.Pattern) ([]uint64, *RunStats, error) {
-	return Execute(ctx, r, g, "counts", len(queries), func(ctx context.Context, rc *obs.RunContext, g graph.Adjacency) ([]uint64, *RunStats, error) {
+	return execute(ctx, r, g, "counts", len(queries), func(ctx context.Context, rc *obs.RunContext, g graph.Adjacency) ([]uint64, *RunStats, error) {
 		return r.countsRun(ctx, rc, g, queries)
 	})
 }
@@ -511,7 +499,11 @@ func (r *Runner) CountsCtx(ctx context.Context, g graph.Adjacency, queries []*pa
 // ctx already carries it).
 func (r *Runner) countsRun(ctx context.Context, rc *obs.RunContext, g graph.Adjacency, queries []*pattern.Pattern) ([]uint64, *RunStats, error) {
 	agg := aggr.Count{}
-	sel, stats, err := r.transformRun(ctx, rc, g, queries, agg)
+	policy, err := r.policyFor(agg)
+	if err != nil {
+		return nil, nil, err
+	}
+	sel, stats, err := r.transformRun(ctx, rc, g, queries, policy)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -531,18 +523,18 @@ func (r *Runner) countsRun(ctx context.Context, rc *obs.RunContext, g graph.Adja
 	return out, stats, nil
 }
 
-// transformRun opens every aggregation pipeline: the run's RunStats, then
-// pattern transformation for agg and its "transformed" event. A run
+// transformRun opens every pipeline: the run's RunStats, then pattern
+// transformation under policy and its "transformed" event. A run
 // interrupted before or during transformation returns its RunStats in
 // PhaseTransform, without a Selection; any other failure returns none.
-func (r *Runner) transformRun(ctx context.Context, rc *obs.RunContext, g graph.Adjacency, queries []*pattern.Pattern, agg aggr.Aggregation) (*Selection, *RunStats, error) {
+func (r *Runner) transformRun(ctx context.Context, rc *obs.RunContext, g graph.Adjacency, queries []*pattern.Pattern, policy Policy) (*Selection, *RunStats, error) {
 	t0 := time.Now()
 	stats := &RunStats{Phase: PhaseTransform,
 		Engine: r.Engine.Name(), GraphVertices: g.NumVertices(), GraphEdges: g.NumEdges()}
 	err := engine.CtxErr(ctx)
 	var sel *Selection
 	if err == nil {
-		sel, err = r.transformCtx(ctx, g, queries, agg)
+		sel, err = r.transformPolicy(ctx, g, queries, policy)
 	}
 	if engine.Interrupted(err) {
 		return nil, stats, err
@@ -765,18 +757,22 @@ func (r *Runner) mineSharded(ctx context.Context, g graph.Adjacency, n int, pass
 // per pattern vertex, at most n·|V| bits, however many matches feed it.
 // Interrupted runs follow the same partial-result contract as CountsCtx.
 func (r *Runner) MNITablesCtx(ctx context.Context, g graph.Adjacency, queries []*pattern.Pattern) ([]*aggr.Table, *RunStats, error) {
-	return Execute(ctx, r, g, "mni", len(queries), func(ctx context.Context, rc *obs.RunContext, g graph.Adjacency) ([]*aggr.Table, *RunStats, error) {
+	return execute(ctx, r, g, "mni", len(queries), func(ctx context.Context, rc *obs.RunContext, g graph.Adjacency) ([]*aggr.Table, *RunStats, error) {
 		return r.mniRun(ctx, rc, g, queries)
 	})
 }
 
 // mniRun is the MNITablesCtx body, executed inside the run scope rc. The
-// winner set is mined through MatchAllCtx — for a Planner one pass, so an
-// FSM level enumerates its candidates' shared labeled prefixes once — and
-// every match lands in the sink of the alternative it matched.
+// winner set is streamed through mine — for a Planner one pass, so an FSM
+// level enumerates its candidates' shared labeled prefixes once — and every
+// match lands in the sink of the alternative it matched.
 func (r *Runner) mniRun(ctx context.Context, rc *obs.RunContext, g graph.Adjacency, queries []*pattern.Pattern) ([]*aggr.Table, *RunStats, error) {
 	agg := aggr.MNI{}
-	sel, stats, err := r.transformRun(ctx, rc, g, queries, agg)
+	policy, err := r.policyFor(agg)
+	if err != nil {
+		return nil, nil, err
+	}
+	sel, stats, err := r.transformRun(ctx, rc, g, queries, policy)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -788,7 +784,7 @@ func (r *Runner) mniRun(ctx context.Context, rc *obs.RunContext, g graph.Adjacen
 	}
 
 	stats.Phase = PhaseMine
-	if err = r.MatchAllCtx(ctx, g, sel.Mine, visits, stats); err != nil {
+	if _, err = r.mine(ctx, g, sel.Mine, visits, stats); err != nil {
 		if engine.Interrupted(err) {
 			return nil, stats, err
 		}
@@ -807,9 +803,60 @@ func (r *Runner) mniRun(ctx context.Context, rc *obs.RunContext, g graph.Adjacen
 	return out, stats, nil
 }
 
+// StreamCtx answers match-stream queries (subgraph enumeration, §7.3) as
+// one pipeline execution: pattern transformation in the additive direction
+// (PolicyVertexOnly: a stream cannot be subtracted), then one mining pass in
+// which every alternative that feeds a query streams to visitor(its
+// targets) — Algorithm 3's on-the-fly conversion is the visitor's, through
+// each target's maps. A query mined as itself gets the identity map, so it
+// receives the engine's own tuples. With morphing disabled every query is
+// mined as itself (a query listed twice is mined once and feeds both);
+// morphing needs an engine that mines vertex-induced patterns. Interrupted
+// runs follow CountsCtx's contract: the RunStats reports Phase and Partial,
+// and every match counted was delivered.
+func (r *Runner) StreamCtx(ctx context.Context, g graph.Adjacency, queries []*pattern.Pattern, visitor func(targets []StreamTarget) engine.Visitor) (*RunStats, error) {
+	_, st, err := execute(ctx, r, g, "enumerate", len(queries), func(ctx context.Context, rc *obs.RunContext, g graph.Adjacency) (struct{}, *RunStats, error) {
+		st, err := r.streamRun(ctx, rc, g, queries, visitor)
+		return struct{}{}, st, err
+	})
+	return st, err
+}
+
+// streamRun is the StreamCtx body, executed inside the run scope rc.
+func (r *Runner) streamRun(ctx context.Context, rc *obs.RunContext, g graph.Adjacency, queries []*pattern.Pattern, visitor func([]StreamTarget) engine.Visitor) (*RunStats, error) {
+	if !r.DisableMorphing && !r.Engine.SupportsInduced(pattern.VertexInduced) {
+		return nil, fmt.Errorf("core: engine %q cannot mine vertex-induced patterns; on-the-fly conversion unavailable", r.Engine.Name())
+	}
+	sel, stats, err := r.transformRun(ctx, rc, g, queries, PolicyVertexOnly)
+	if err != nil {
+		return stats, err
+	}
+	targets, err := sel.StreamPlan()
+	if err != nil {
+		return nil, err
+	}
+	var mine []Choice
+	var visits []engine.Visitor
+	for ci, c := range sel.Mine {
+		if len(targets[ci]) > 0 { // else mined for other outputs only
+			mine = append(mine, c)
+			visits = append(visits, visitor(targets[ci]))
+		}
+	}
+	stats.Phase = PhaseMine
+	if _, err = r.mine(ctx, g, mine, visits, stats); err != nil {
+		if engine.Interrupted(err) {
+			return stats, err
+		}
+		return nil, err
+	}
+	stats.Phase = PhaseDone
+	return stats, nil
+}
+
 // MatchAllCtx streams every match of mine[i].Pattern to visits[i] and
-// records the execution in stats (see mine). It is the repository's one
-// streaming route, shared by the MNI pipelines and subgraph enumeration.
+// records the execution in stats (see mine), outside any run scope: one
+// merged streaming pass of a given set, which the tests drive directly.
 func (r *Runner) MatchAllCtx(ctx context.Context, g graph.Adjacency, mine []Choice, visits []engine.Visitor, stats *RunStats) error {
 	_, err := r.mine(ctx, g, mine, visits, stats)
 	return err

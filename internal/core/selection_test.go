@@ -360,6 +360,9 @@ func TestConversionMapsAndCoefficients(t *testing.T) {
 		{"diamond in K4", pattern.ChordalFourCycle(), pattern.FourClique(), 6},
 		{"TT in diamond", pattern.TailedTriangle(), pattern.ChordalFourCycle(), 4},
 		{"TT in K4", pattern.TailedTriangle(), pattern.FourClique(), 12},
+		{"4-star in K4", pattern.FourStar(), pattern.FourClique(), 4},
+		{"4-star in TT", pattern.FourStar(), pattern.TailedTriangle(), 1},
+		{"4-star in C4", pattern.FourStar(), pattern.FourCycle(), 0},
 		{"self", pattern.House(), pattern.House(), 1},
 	}
 	for _, tc := range cases {

@@ -72,7 +72,7 @@ func (m *Model[P]) CountCtx(ctx context.Context, g graph.Adjacency, p *pattern.P
 
 // MatchCtx implements Engine, with cooperative cancellation and
 // visitor-panic containment. It streams one pattern; a pattern set streams
-// in one pass through BuildTrie + MatchTrieCtx (core.Runner.MatchAllCtx).
+// in one pass through BuildTrie + MatchTrieCtx (core.Runner.StreamCtx).
 func (m *Model[P]) MatchCtx(ctx context.Context, g graph.Adjacency, p *pattern.Pattern, visit Visitor) (*Stats, error) {
 	_, st, err := m.run(ctx, g, p, visit)
 	return st, err

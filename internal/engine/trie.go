@@ -374,14 +374,15 @@ func (ps *triePass) mineRange(w *trieWorker) {
 // A labeled node reading a Connect row of its own, on a graph that serves
 // label rows, passes rowLabel to rowPins and gets a label-pure set; any
 // other scans what it materialized (labeled, or Filter.Labels). A
-// streaming pass collapses nothing and has tails instead of leaves.
+// streaming pass collapses nothing and counts no leaf without its set.
 type trieExecInfo struct {
 	// What every execution reads comes first, on one cache line.
 	src       baseSrc
-	leaf      bool // counting pass: every branch is childless
+	leaf      bool // every branch is childless: the node binds nothing
+	settles   bool // some branch completes a plan (settle)
+	counted   bool // counting pass: a leaf of one branch, counted without its set (countLeaf)
 	degree    bool // counting pass: a degree leaf
-	tail      bool // streaming pass: every branch is childless
-	timeWhole bool // leaf or parent of one: Instrument clocks the whole execution
+	timeWhole bool // counting pass, leaf or parent of one: Instrument clocks the whole execution
 	collapsed bool // counted by its parent (countCollapsed), never executed
 	bindsNone bool // every child is collapsed
 	loDep     bool // collapsed: the window's low / high end depends on v_d
@@ -437,18 +438,20 @@ func (ps *triePass) loadNode(n *plan.TrieNode) {
 		}
 	}
 	ps.rowLabels[n.Depth] = ei.rowLabel
-	ei.timeWhole = n.Leaf
+	ei.leaf, ei.timeWhole = n.Leaf, n.Leaf
 	for _, b := range n.Branches {
+		ei.settles = ei.settles || len(b.Leaves) > 0
 		for _, child := range b.Children {
 			ps.loadNode(child)
 			ei.timeWhole = ei.timeWhole || child.Leaf
 		}
 	}
 	if ps.visits != nil {
-		ei.tail, ei.timeWhole = n.Leaf, false
+		ei.timeWhole = false
 		return
 	}
-	ei.leaf, ei.degree, ei.collapsed, ei.bindsNone = n.Leaf, n.Degree, n.Collapsed, n.BindsNone
+	ei.counted, ei.degree = n.Leaf && len(n.Branches) == 1, n.Degree
+	ei.collapsed, ei.bindsNone = n.Collapsed, n.BindsNone
 	ei.loDep, ei.hiDep, ei.collBranches = n.LoDep, n.HiDep, n.CollBranches
 }
 
@@ -692,9 +695,10 @@ func (w *trieWorker) runRoot() {
 			// Depth-0 nodes carry no symmetry conditions (no earlier levels).
 			for _, br := range root.Branches {
 				for _, idx := range br.Leaves {
-					w.counts[idx]++
 					if w.stream {
-						w.emit(&w.outs[idx], v)
+						w.deliver(idx, w.match[:1], 0)
+					} else {
+						w.counts[idx]++
 					}
 				}
 				for _, child := range br.Children {
@@ -711,16 +715,16 @@ func (w *trieWorker) runRoot() {
 }
 
 // exec runs one shared node at the given depth: compute the candidate set
-// once, count the collapsed children over all of it, then per surviving
-// candidate evaluate each symmetry branch, crediting (in a streaming pass:
-// emitting) leaf patterns and recursing into the other children; a node
-// with nothing else below binds no candidate. In a counting pass nodes
-// whose branches are all childless degenerate into pure counting
-// (execLeaf). timed is Instrument minus any ancestor already
-// clocking this execution: a node with a leaf child charges its whole
-// execution (the subtree below is set building and leaf counting) to
-// SetOpTime with one pair of clock reads, any other node only its own set
-// building.
+// once, count the collapsed children over all of it, settle the plans that
+// end here over their branches' windows of it (settle), then bind each
+// candidate and recurse into the children whose branch window holds it. A
+// node whose branches are all childless binds nothing, and neither does one
+// whose children are all collapsed. A counting pass's leaf of one branch
+// never materializes its set (countLeaf). timed is Instrument minus any
+// ancestor already clocking this execution: a node with a leaf child
+// charges its whole execution (the subtree below is set building and leaf
+// counting) to SetOpTime with one pair of clock reads, any other node only
+// its own set building.
 func (w *trieWorker) exec(node *plan.TrieNode, depth int, timed bool) {
 	ei := &w.info[node.ID]
 	var t0 time.Time
@@ -730,8 +734,11 @@ func (w *trieWorker) exec(node *plan.TrieNode, depth int, timed bool) {
 	whole := timed && ei.timeWhole
 	ns := &w.nstat[node.ID]
 	ns.enters++
-	if ei.leaf {
-		w.execLeaf(node, ei, depth)
+	if ei.counted {
+		lo, hi := trieWindow(node.Branches[0], w.match, -1)
+		if f, ok := levelFilter(w.g, lo, hi, node.Label); ok {
+			w.credit(node, w.countLeaf(node, ei, depth, f))
+		}
 		if whole {
 			w.st.SetOpTime += time.Since(t0)
 		}
@@ -747,14 +754,12 @@ func (w *trieWorker) exec(node *plan.TrieNode, depth int, timed bool) {
 	if timed && !whole {
 		w.st.SetOpTime += time.Since(t0)
 	}
-	if ei.tail {
-		w.execTail(node, ns, depth, cands, ei.scan)
-		return
+	// Descendants (a leaf has none) may alias this raw (pre-window) set as
+	// their base; it stays valid through the subtree recursion because
+	// deeper levels own their own scratch buffers.
+	if !ei.leaf {
+		w.raw[depth] = cands
 	}
-	// Descendants may alias this raw (pre-window) set as their base; it
-	// stays valid through the subtree recursion because deeper levels own
-	// their own scratch buffers.
-	w.raw[depth] = cands
 
 	// Per-branch symmetry windows depend only on the bound prefix:
 	// resolve them once per node execution (into per-depth scratch — this
@@ -769,14 +774,17 @@ func (w *trieWorker) exec(node *plan.TrieNode, depth int, timed bool) {
 	if ei.scan {
 		cands = w.labeled(cands, node.Label, depth)
 	}
-	var ext uint64
-	if len(ei.collBranches) > 0 && len(cands) > 0 {
-		bound := w.boundIn(cands, ei)
-		w.countCollapsed(node, ei, cands, bound, wins)
-		if ei.bindsNone { // nothing left to bind
-			ext, cands = uint64(len(cands)-len(bound)), nil
-		}
+	done := ei.leaf // nothing left to bind
+	if len(cands) > 0 && (ei.settles || len(ei.collBranches) > 0) {
+		done = w.settle(node, ei, depth, cands, wins)
 	}
+	if done {
+		if whole {
+			w.st.SetOpTime += time.Since(t0)
+		}
+		return
+	}
+	var ext uint64
 	info := w.info
 	for _, v := range cands {
 		used := false
@@ -795,13 +803,6 @@ func (w *trieWorker) exec(node *plan.TrieNode, depth int, timed bool) {
 			if v < wins[bi].lo || v >= wins[bi].hi {
 				continue
 			}
-			for _, idx := range br.Leaves {
-				w.counts[idx]++
-				if w.stream {
-					w.prefix(idx, depth)
-					w.emit(&w.outs[idx], v)
-				}
-			}
 			for _, child := range br.Children {
 				if !info[child.ID].collapsed {
 					w.exec(child, depth+1, timed && !whole)
@@ -815,40 +816,62 @@ func (w *trieWorker) exec(node *plan.TrieNode, depth int, timed bool) {
 	}
 }
 
-// execTail runs a childless node of a streaming pass over its raw
-// candidate set — where such a pass spends its time, one visitor call per
-// match. Nothing below reads the binding, so it binds nothing, and every
-// match of a leaf plan shares the prefix: it is written once per execution
-// and leaves one slot to fill per match. Branches (and plans that end on
-// the same branch) scan their own window of the set one after the other, so
-// as for sibling leaf branches Extended measures work done.
-func (w *trieWorker) execTail(node *plan.TrieNode, ns *trieNodeCount, depth int, cands []uint32, scan bool) {
-	cands, wins := w.clip(node, depth, cands)
-	ns.cands += uint64(len(cands))
-	if scan {
-		cands = w.labeled(cands, node.Label, depth)
-	}
-	for bi, br := range node.Branches {
-		sub := cands // a single branch: the union is its window
-		if len(wins) > 1 {
-			sub = setops.Clip(cands, wins[bi].lo, wins[bi].hi)
+// settle counts the executing node's collapsed children over its candidate
+// set and completes the plans that end at the node over their branch's
+// window of it: a streaming pass writes each plan's prefix once and
+// delivers every candidate not bound above it, a counting pass adds the
+// window's size less the bound vertices in it. It reports whether the node
+// binds nothing more: a childless node, whose Extended is what it settled
+// (sibling branches settle overlapping windows and plans ending on one
+// branch settle it each, so that measures work done), or one whose
+// children are all collapsed, whose Extended is the candidates less the
+// bound ones.
+func (w *trieWorker) settle(node *plan.TrieNode, ei *trieExecInfo, depth int, cands []uint32, wins []trieWin) (bindsNone bool) {
+	var bound []uint32 // a streaming pass collapses nothing, and deliver skips the bound vertices itself
+	if !w.stream {
+		bound = w.boundIn(cands, ei)
+		if len(ei.collBranches) > 0 {
+			w.countCollapsed(node, ei, cands, bound, wins)
 		}
-		if len(sub) == 0 {
-			continue // most executions of a labeled tail
+	}
+	var settled uint64
+	for bi, br := range node.Branches {
+		if len(br.Leaves) == 0 {
+			continue
+		}
+		c, x := cands, bound // a single branch: the union is its window
+		if len(wins) > 1 {
+			c, x = setops.Clip(cands, wins[bi].lo, wins[bi].hi), setops.Clip(bound, wins[bi].lo, wins[bi].hi)
+		}
+		if len(c) == 0 {
+			continue
 		}
 		for _, idx := range br.Leaves {
-			w.prefix(idx, depth)
 			before := w.counts[idx]
-			w.deliver(idx, sub, depth)
-			ns.ext += w.counts[idx] - before
+			if w.stream {
+				w.prefix(idx, depth)
+				w.deliver(idx, c, depth)
+			} else {
+				w.counts[idx] += uint64(len(c) - len(x))
+			}
+			settled += w.counts[idx] - before
 		}
 	}
+	switch ns := &w.nstat[node.ID]; {
+	case ei.leaf:
+		ns.ext += settled
+	case ei.bindsNone:
+		ns.ext += uint64(len(cands) - len(bound))
+	default:
+		return false
+	}
+	return true
 }
 
 // deliver completes plan idx's prefixed match with every candidate that is
-// not bound below depth, one visitor call each. It is emit with everything
-// a match needs held in locals: the loop the streaming workloads' time goes
-// to.
+// not bound below depth, one visitor call each: the one place a streaming
+// pass hands a match to a plan's visitor, and the loop the streaming
+// workloads' time goes to, so everything a match needs is held in locals.
 func (w *trieWorker) deliver(idx int, cands []uint32, depth int) {
 	o, count := &w.outs[idx], &w.counts[idx]
 	m, slot := o.m, &o.m[o.last]
@@ -909,26 +932,6 @@ func (w *trieWorker) prefix(idx, depth int) {
 	}
 }
 
-// emit completes the match in o with v, the vertex its plan's final level
-// takes, and delivers it.
-func (w *trieWorker) emit(o *trieOut, v uint32) {
-	var t0 time.Time
-	if w.instrument {
-		t0 = time.Now()
-	}
-	o.m[o.last] = v
-	w.st.Materialized += uint64(len(o.m))
-	if w.instrument {
-		w.st.MaterializeTime += time.Since(t0)
-		t0 = time.Now()
-	}
-	w.st.UDFCalls++
-	o.visit(w.id, o.m)
-	if w.instrument {
-		w.st.UDFTime += time.Since(t0)
-	}
-}
-
 // credit books n extensions of a single-branch count-only leaf: the
 // candidate set is never materialized, so the extension count stands in
 // for both selectivity fields.
@@ -942,7 +945,8 @@ func (w *trieWorker) credit(leaf *plan.TrieNode, n uint64) {
 
 // boundIn returns, in ascending order, the vertices bound above the
 // executing node that are among its candidates — the ones the binding loop
-// skips. Only the depths the pattern lets into the node's set (bound) can be.
+// skips and a counting pass takes out of a window. Only the depths the
+// pattern lets into the node's set (Bound) can be.
 func (w *trieWorker) boundIn(cands []uint32, ei *trieExecInfo) []uint32 {
 	dst := w.xs[:0]
 	for _, a := range ei.Bound {
@@ -957,8 +961,7 @@ func (w *trieWorker) boundIn(cands []uint32, ei *trieExecInfo) []uint32 {
 // countCollapsed counts the executing node's collapsed children for every
 // candidate a branch passes but the bound vertices among them: what the
 // per-candidate loop would have counted, credited with exactly the totals
-// it would have produced. A node that binds nothing credits its own leaves
-// here too. A leaf no candidate reaches builds no base.
+// it would have produced. A leaf no candidate reaches builds no base.
 func (w *trieWorker) countCollapsed(node *plan.TrieNode, ei *trieExecInfo, cands, bound []uint32, wins []trieWin) {
 	for _, bi := range ei.collBranches {
 		br, win, c, x := node.Branches[bi], wins[bi], cands, bound
@@ -966,11 +969,6 @@ func (w *trieWorker) countCollapsed(node *plan.TrieNode, ei *trieExecInfo, cands
 			c, x = setops.Clip(cands, win.lo, win.hi), setops.Clip(bound, win.lo, win.hi)
 		}
 		enters := uint64(len(c) - len(x))
-		if ei.bindsNone {
-			for _, idx := range br.Leaves {
-				w.counts[idx] += enters
-			}
-		}
 		for _, leaf := range br.Children {
 			if li := &w.info[leaf.ID]; li.collapsed && enters > 0 {
 				w.nstat[leaf.ID].enters += enters
@@ -1030,52 +1028,6 @@ func (w *trieWorker) within(ei *trieExecInfo, c, s []uint32) uint64 {
 // collapsedSeen, when set, sees the operands of every collapsed-leaf count:
 // tests record which shapes ran.
 var collapsedSeen func(ei *trieExecInfo, c, x, b, f []uint32)
-
-// execLeaf runs a node whose branches are all childless. Nothing
-// downstream needs the bindings, so counting goes through the count-only
-// kernels: a single branch never materializes the candidate set, while
-// sibling branches materialize the shared set once and count each
-// branch's window arithmetically.
-func (w *trieWorker) execLeaf(node *plan.TrieNode, ei *trieExecInfo, depth int) {
-	if len(node.Branches) == 1 {
-		lo, hi := trieWindow(node.Branches[0], w.match, -1)
-		if f, ok := levelFilter(w.g, lo, hi, node.Label); ok {
-			w.credit(node, w.countLeaf(node, ei, depth, f))
-		}
-		return
-	}
-	// Clip the shared set to the union of the branch windows before the
-	// per-branch count-only scans (same pruning as exec; membership within
-	// any branch window is preserved, so the bound-vertex subtraction
-	// below still sees every vertex its filter can pass).
-	cands, wins := w.clip(node, depth, w.set(node, ei, depth))
-	w.nstat[node.ID].cands += uint64(len(cands))
-	for bi, br := range node.Branches {
-		f, ok := levelFilter(w.g, wins[bi].lo, wins[bi].hi, node.Label)
-		if !ok {
-			continue
-		}
-		// The shared set is sorted, so each branch's window count is two
-		// binary searches; only scanning labeled levels scan (and only the
-		// window's slice of the set).
-		sub := setops.Clip(cands, f.Lo, f.Hi)
-		n := uint64(len(sub))
-		if ei.scan {
-			n = setops.CountF(sub, f, &w.sst)
-		}
-		for i, j := range ei.Bound {
-			if u := w.match[j]; f.Pass(u) && (i < ei.NAlways || setops.Contains(sub, u)) {
-				n--
-			}
-		}
-		for _, idx := range br.Leaves {
-			w.counts[idx] += n
-		}
-		// Sibling branches count overlapping windows of the shared set, so
-		// Extended measures work done, not distinct bindings.
-		w.nstat[node.ID].ext += n
-	}
-}
 
 // countLeaf counts a single-branch leaf's extensions passing f without
 // materializing them; a degree leaf reads a degree and no row. With a
