@@ -89,7 +89,7 @@ type Stats struct {
 	UDFCalls       uint64 // user-defined-function invocations
 	Branches       uint64 // data-dependent branches (edge probes, filters)
 	Matches        uint64 // unique matches found
-	TailSteals     uint64 // tail work-stealing block splits performed
+	TailSteals     uint64 // tail work-stealing range halvings performed
 
 	// Executor passes: TriePasses counts passes of the depth-first
 	// executor — one per BacktrackCtx (a one-leaf trie) or MatchTrieCtx call —

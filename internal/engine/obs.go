@@ -38,8 +38,8 @@ const (
 	MetricMineDurationNS = "engine_mine_duration_ns"
 
 	// MetricTailSteals counts tail work-stealing splits: an idle worker
-	// halving the heaviest in-flight block's remaining vertex range after
-	// the block cursor ran dry.
+	// halving the in-flight root range with the most unclaimed vertices
+	// after the block cursor ran dry, as often as a pass needs.
 	MetricTailSteals = "engine_tail_steals_total"
 
 	// MetricTriePatternsPerPass is a histogram of how many patterns each

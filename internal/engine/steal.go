@@ -3,33 +3,32 @@ package engine
 import "sync/atomic"
 
 // Tail work stealing. The atomic block cursor balances load at block
-// granularity, but once it runs dry a single worker can stay pinned under
-// a heavy block (typically one holding hub vertices) while its siblings
-// idle — the straggler signature Stats.Workers' busy times expose. To
-// shave that tail, each worker advertises its in-flight level-0
-// block as a stealable vertexRange: when the cursor is exhausted, an idle
-// worker splits the heaviest remaining range in half and runs the upper
-// half itself. Splitting is bounded — at most once per claimed block, and
-// never below minStealRange vertices — so stealing cannot degenerate into
-// contention on tiny ranges.
-
-// minStealRange is the smallest remaining range worth splitting: below
-// this the synchronization outweighs the imbalance.
-const minStealRange = 4
+// granularity, but once it runs dry a worker can stay pinned under a heavy
+// block (typically one holding hub vertices) while its siblings idle. So
+// each worker advertises its in-flight root range as a vertexRange, and an
+// idle worker takes the upper half of the range with the most unclaimed
+// vertices as its own range, stealable in turn. Halving repeats down to
+// single roots: no worker idles while a sibling holds two unclaimed roots.
+//
+// Soundness. A range is one word pos<<32|hi: the owner's next advances
+// pos, a thief's stealHalf lowers hi, and only the owner re-arms it, after
+// next found it empty. A word (p, h) means vertices p..h-1 are unclaimed
+// and belong to this range. Within an arming pos only grows and hi only
+// shrinks, and a re-arming holds only unclaimed vertices while the range
+// it replaces was emptied by claiming p; so no word recurs after a claim,
+// no CAS succeeds against a stale reading, and every root is claimed by
+// exactly one next.
 
 // vertexRange is a claimable range of level-0 root vertices. The owner
 // claims vertices one at a time with next; idle workers may steal the
 // upper half of what remains with stealHalf. Position and limit share one
-// atomic word so claim and steal linearize against each other.
+// atomic word so claims and steals linearize against each other.
 type vertexRange struct {
-	bits  atomic.Uint64 // pos<<32 | hi
-	split atomic.Bool   // true once this block has been split (or is a stolen half)
+	bits atomic.Uint64 // pos<<32 | hi
 }
 
-// reset arms the range with [lo, hi). Stolen halves are reset with
-// splittable=false so a block is split at most once end to end.
-func (r *vertexRange) reset(lo, hi uint32, splittable bool) {
-	r.split.Store(!splittable)
+// reset arms the range with [lo, hi).
+func (r *vertexRange) reset(lo, hi uint32) {
 	r.bits.Store(uint64(lo)<<32 | uint64(hi))
 }
 
@@ -58,20 +57,15 @@ func (r *vertexRange) remaining() uint32 {
 	return hi - pos
 }
 
-// stealHalf splits off the upper half of the remaining range. It wins the
-// per-block split flag first — holding it makes this thief the only
-// writer of hi, so the CAS below can only lose to the owner advancing
-// pos, and retrying terminates (pos is monotone). A steal that finds
-// fewer than minStealRange vertices left still consumes the block's only
-// split: a range that thin is not worth a second look.
+// stealHalf takes [mid, end) off a range with at least two unclaimed
+// vertices [pos, end), leaving the owner [pos, mid); a range with one left,
+// or none, is never split. A CAS lost to the owner's next or to another
+// thief re-reads the word and retries.
 func (r *vertexRange) stealHalf() (lo, hi uint32, ok bool) {
-	if !r.split.CompareAndSwap(false, true) {
-		return 0, 0, false
-	}
 	for {
 		b := r.bits.Load()
 		pos, end := uint32(b>>32), uint32(b)
-		if pos >= end || end-pos < minStealRange {
+		if end < pos+2 {
 			return 0, 0, false
 		}
 		mid := pos + (end-pos)/2
@@ -81,14 +75,15 @@ func (r *vertexRange) stealHalf() (lo, hi uint32, ok bool) {
 	}
 }
 
-// stealFrom picks the heaviest still-splittable in-flight range among the
-// siblings (self excluded) and steals its upper half. A lost race marks
-// the victim split, so the rescan loop terminates.
+// stealFrom steals the upper half of the sibling range (self excluded)
+// with the most unclaimed vertices. A failed stealHalf means that range
+// fell below two vertices, which takes a sibling's claim or steal, so the
+// rescan ends.
 func stealFrom(ranges []*vertexRange, self int) (lo, hi uint32, ok bool) {
 	for {
-		best, bestRem := -1, uint32(minStealRange-1)
+		best, bestRem := -1, uint32(1)
 		for i, r := range ranges {
-			if i == self || r.split.Load() {
+			if i == self {
 				continue
 			}
 			if rem := r.remaining(); rem > bestRem {

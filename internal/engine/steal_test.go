@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,7 +16,7 @@ import (
 
 func TestVertexRangeClaim(t *testing.T) {
 	var r vertexRange
-	r.reset(3, 7, true)
+	r.reset(3, 7)
 	for want := uint32(3); want < 7; want++ {
 		v, ok := r.next()
 		if !ok || v != want {
@@ -29,48 +30,123 @@ func TestVertexRangeClaim(t *testing.T) {
 
 func TestVertexRangeStealHalf(t *testing.T) {
 	var r vertexRange
-	r.reset(0, 100, true)
+	r.reset(0, 100)
 	for i := 0; i < 10; i++ {
 		r.next()
 	}
-	lo, hi, ok := r.stealHalf()
-	if !ok {
-		t.Fatal("splittable range with 90 vertices left refused a steal")
-	}
-	if lo != 55 || hi != 100 {
-		t.Fatalf("stole [%d,%d), want [55,100)", lo, hi)
-	}
-	if rem := r.remaining(); rem != 45 {
-		t.Fatalf("victim has %d left, want 45", rem)
-	}
-	// The once-per-block bound: a second steal on the same armed range
-	// must fail even though plenty of work remains.
-	if _, _, ok := r.stealHalf(); ok {
-		t.Fatal("second steal on the same block succeeded")
-	}
-	// Claims continue seamlessly up to the reduced bound.
-	n := 0
-	for {
-		if _, ok := r.next(); !ok {
-			break
+	// Every steal takes the upper half of what is left, and a range stays
+	// stealable while two or more vertices remain: [10,100) loses [55,100),
+	// then [32,55), then [21,32).
+	for _, want := range [][2]uint32{{55, 100}, {32, 55}, {21, 32}} {
+		lo, hi, ok := r.stealHalf()
+		if !ok || lo != want[0] || hi != want[1] {
+			t.Fatalf("stealHalf() = [%d,%d),%v, want [%d,%d),true", lo, hi, ok, want[0], want[1])
 		}
-		n++
+		if rem := r.remaining(); rem != want[0]-10 {
+			t.Fatalf("victim has %d left, want %d", rem, want[0]-10)
+		}
 	}
-	if n != 45 {
-		t.Fatalf("victim claimed %d more vertices, want 45", n)
+	// The owner's claims end exactly at the reduced bound.
+	for want := uint32(10); want < 21; want++ {
+		if v, ok := r.next(); !ok || v != want {
+			t.Fatalf("next() = %d,%v, want %d,true", v, ok, want)
+		}
+	}
+	if v, ok := r.next(); ok {
+		t.Fatalf("owner claimed %d past the reduced bound 21", v)
 	}
 }
 
+// A range with one vertex left, or none, is never split.
 func TestVertexRangeStealRespectsMinimum(t *testing.T) {
 	var r vertexRange
-	r.reset(0, minStealRange-1, true)
-	if _, _, ok := r.stealHalf(); ok {
-		t.Fatal("stole from a range below minStealRange")
+	r.reset(5, 7)
+	if lo, hi, ok := r.stealHalf(); !ok || lo != 6 || hi != 7 {
+		t.Fatalf("two-vertex range: stealHalf() = [%d,%d),%v, want [6,7),true", lo, hi, ok)
 	}
-	var nr vertexRange
-	nr.reset(0, 100, false)
-	if _, _, ok := nr.stealHalf(); ok {
-		t.Fatal("stole from a non-splittable range")
+	if _, _, ok := r.stealHalf(); ok {
+		t.Fatal("stole from a range with one vertex left")
+	}
+	if v, ok := r.next(); !ok || v != 5 {
+		t.Fatalf("next() = %d,%v, want 5,true", v, ok)
+	}
+	if _, _, ok := r.stealHalf(); ok {
+		t.Fatal("stole from an exhausted range")
+	}
+	if _, _, ok := stealFrom([]*vertexRange{&r, new(vertexRange)}, -1); ok {
+		t.Fatal("stealFrom split a range with fewer than two vertices left")
+	}
+}
+
+// TestVertexRangeConcurrentSteals races one owner claiming [0, 10 000)
+// against three thieves that keep stealing from every range — the owner's
+// and each other's loot — and claim what they stole, the way triePass.run
+// does. Every vertex must be claimed exactly once, and nothing outside the
+// range at all.
+func TestVertexRangeConcurrentSteals(t *testing.T) {
+	const n, thieves = 10000, 3
+	stolen := 0
+	for seed := int64(1); seed <= 50; seed++ {
+		ranges := make([]*vertexRange, 1+thieves)
+		for i := range ranges {
+			ranges[i] = new(vertexRange)
+		}
+		ranges[0].reset(0, n)
+		claimed := make([][]uint32, len(ranges))
+		var wg sync.WaitGroup
+		for w := range ranges {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(seed*int64(len(ranges)) + int64(w)))
+				claim := func() {
+					for {
+						v, ok := ranges[w].next()
+						if !ok {
+							return
+						}
+						claimed[w] = append(claimed[w], v)
+						if rng.Intn(64) == 0 {
+							runtime.Gosched()
+						}
+					}
+				}
+				claim() // the owner mines its range; a thief's starts empty
+				for {
+					lo, hi, ok := stealFrom(ranges, w)
+					if !ok {
+						if ranges[0].remaining() > 0 && w != 0 {
+							runtime.Gosched() // the owner may not have started yet
+							continue
+						}
+						return
+					}
+					ranges[w].reset(lo, hi)
+					claim()
+				}
+			}(w)
+		}
+		wg.Wait()
+		seen := make([]int, n)
+		for w, vs := range claimed {
+			if w > 0 {
+				stolen += len(vs)
+			}
+			for _, v := range vs {
+				if v >= n {
+					t.Fatalf("seed %d: claimed %d outside [0,%d)", seed, v, n)
+				}
+				seen[v]++
+			}
+		}
+		for v, c := range seen {
+			if c != 1 {
+				t.Fatalf("seed %d: vertex %d claimed %d times", seed, v, c)
+			}
+		}
+	}
+	if stolen == 0 {
+		t.Error("no thief claimed a vertex in 50 seeds")
 	}
 }
 
@@ -111,9 +187,9 @@ func skewedGraph(t *testing.T, head, tail int) *graph.Graph {
 // the first block, so without stealing its owner would find them all —
 // while the count never changes. Whether a steal lands in any single run
 // depends on the scheduler (on a one-core machine the straggler may finish
-// unpreempted), so the steal/skew assertions accept the first of several
-// attempts; count equality with the one-worker oracle must hold on every
-// attempt.
+// unpreempted), so the steal, skew and spread assertions each accept any
+// of several attempts; count equality with the one-worker oracle must hold
+// on every attempt.
 func TestTailStealingOnSkewedGraph(t *testing.T) {
 	g := skewedGraph(t, 120, 4000)
 	pl, err := plan.Build(pattern.FourClique())
@@ -140,17 +216,32 @@ func TestTailStealingOnSkewedGraph(t *testing.T) {
 		}
 		return float64(max) / float64(sum)
 	}
+	// Halving repeats inside the head block, so given a second core at
+	// least three of the four workers find 4-cliques; a rule that splits
+	// each block once tops out at two.
+	finders := func(st *Stats) (n int) {
+		for _, w := range st.Workers {
+			if w.Matches > 0 {
+				n++
+			}
+		}
+		return n
+	}
 	want, _ := run(1)
-	ok := false
-	for attempt := 0; attempt < 10 && !ok; attempt++ {
+	ok, spread := false, runtime.NumCPU() < 2
+	for attempt := 0; attempt < 30 && !(ok && spread); attempt++ {
 		got, st := run(4)
 		if got != want {
 			t.Fatalf("stealing changed the count: %d vs %d", got, want)
 		}
-		ok = st.TailSteals > 0 && share(st) < 1
+		ok = ok || st.TailSteals > 0 && share(st) < 1
+		spread = spread || finders(st) >= 3
 	}
 	if !ok {
 		t.Error("no attempt both stole a tail and reduced the max worker match share")
+	}
+	if !spread {
+		t.Error("no attempt had three or more workers finding matches in the head block")
 	}
 }
 

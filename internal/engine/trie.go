@@ -176,8 +176,9 @@ func (ps *triePass) mine(ctx context.Context, g graph.Adjacency, tr *plan.Trie, 
 
 	threads := opts.ThreadCount()
 	n := g.NumVertices()
-	// A work unit is 256 root vertices, or fewer so that every worker sees
-	// at least eight: block count balances scheduling overhead against skew.
+	// A block is 256 root vertices, or fewer so that every worker sees at
+	// least eight: the cursor hands out blocks cheaply, and the skew left
+	// when it runs dry is evened out by halving ranges (steal.go).
 	blockSize := 256
 	if n/threads < blockSize*8 {
 		blockSize = n/(threads*8) + 1
@@ -299,8 +300,8 @@ func (ps *triePass) stopped() bool {
 }
 
 // run is one worker goroutine's work loop, the only one in the repository:
-// claim blocks while the cursor lasts, then steal tails from straggling
-// siblings.
+// claim blocks while the cursor lasts, then keep halving the largest
+// unclaimed range of a straggling sibling.
 func (ps *triePass) run(w *trieWorker) {
 	defer ps.wg.Done()
 	// Busy time: the whole work loop, including the tail where a worker
@@ -334,22 +335,22 @@ func (ps *triePass) run(w *trieWorker) {
 		}
 		lo := uint32(b * ps.blockSize)
 		hi := uint32(min((b+1)*ps.blockSize, ps.n))
-		w.rng.reset(lo, hi, true)
+		w.rng.reset(lo, hi)
 		// After reset: a stall-injected straggler holds an armed,
 		// stealable range, the scenario tail stealing exists for.
 		ps.fi.BlockClaimed(w.id)
 		ps.mineRange(w)
 	}
 	// Tail: the cursor is dry but a sibling may still be grinding through
-	// a heavy block — split its remaining range and take the upper half
-	// (once per block, see steal.go).
+	// a heavy range — take the upper half of the largest one, again and
+	// again down to single roots (see steal.go).
 	for !ps.stopped() {
 		lo, hi, ok := stealFrom(ps.ranges, w.id)
 		if !ok {
 			return
 		}
 		w.steals++
-		w.rng.reset(lo, hi, false)
+		w.rng.reset(lo, hi)
 		ps.mineRange(w)
 	}
 }
@@ -617,7 +618,7 @@ func getTrieWorker(id int, g graph.Adjacency, ps *triePass, instrument bool, max
 	w.sst = setops.Stats{Scratch: w.arena}
 	w.busy = 0
 	w.steals = 0
-	w.rng.reset(0, 0, false) // neutralize any stale armed range before siblings can steal
+	w.rng.reset(0, 0) // neutralize any stale armed range before siblings can steal
 	return w
 }
 
