@@ -24,7 +24,6 @@ func cmdConvert(args []string, w, stderr io.Writer) error {
 	out := fs.String("out", "", "output path for the v2 binary graph (required)")
 	renumber := fs.String("renumber", "none", "vertex renumbering: degree (ascending-degree order, hubs last) or none")
 	compress := fs.String("compress", "on", "delta-varint adjacency compression: on or off")
-	block := fs.Int("block", graph.DefaultBlockSize, "adjacency block size in elements (with -compress=on)")
 	verify := fs.Bool("verify", false, "re-open the written file and run the full O(E) verification")
 	quiet := fs.Bool("q", false, "suppress progress lines on stderr")
 	if err := fs.Parse(args); err != nil {
@@ -97,15 +96,16 @@ func cmdConvert(args []string, w, stderr io.Writer) error {
 	}
 	var compTime, writeTime time.Duration
 	var fp graph.Footprint
+	var blockSize int
 	if *compress == "on" {
 		t := time.Now()
-		c, err := graph.Compress(g, *block)
+		c, err := graph.Compress(g, graph.DefaultBlockSize)
 		if err != nil {
 			f.Close()
 			return err
 		}
 		compTime = time.Since(t)
-		fp = c.Footprint()
+		fp, blockSize = c.Footprint(), c.BlockSize()
 		t = time.Now()
 		err = c.WriteBinary2(f)
 		writeTime = time.Since(t)
@@ -141,7 +141,7 @@ func cmdConvert(args []string, w, stderr io.Writer) error {
 		fmt.Fprintf(w, "compressed:   %d stream + %d index + %d label bytes (%.2f bytes/edge)\n",
 			fp.StreamBytes, fp.IndexBytes, fp.LabelBytes, fp.BytesPerEdge)
 		fmt.Fprintf(w, "blocks:       %d (size %d, max encoded block %d bytes)\n",
-			fp.Blocks, *block, fp.MaxBlockBytes)
+			fp.Blocks, blockSize, fp.MaxBlockBytes)
 		fmt.Fprintf(w, "hot rows:     %d bytes on the heap once mined (highest-degree rows kept decoded, index included)\n",
 			fp.HotBytes)
 		fmt.Fprintf(w, "ratio:        %.2fx smaller than plain\n",

@@ -13,13 +13,16 @@ import (
 	"testing"
 
 	"morphing/internal/engine"
+	"morphing/internal/obs"
 	"morphing/internal/report"
 )
 
 // TestCountStatsJSON pins `count -stats json` to the one run-report schema:
 // a completed run carries each query's count (the text mode's numbers) and
 // the mined winner set, a run past its deadline the interruption, and
-// `count -report` writes the same document.
+// `explain -json` writes the same document in explain mode. A run past its
+// deadline in text mode prints its partial counts under the PARTIAL
+// heading.
 func TestCountStatsJSON(t *testing.T) {
 	ctx := context.Background()
 	base := []string{"-graph", "MI", "-scale", "0.003", "-threads", "1"}
@@ -55,8 +58,7 @@ func TestCountStatsJSON(t *testing.T) {
 	}
 
 	var js bytes.Buffer
-	reportPath := filepath.Join(t.TempDir(), "run.json")
-	args := append(append([]string{}, base...), "-stats", "json", "-report", reportPath)
+	args := append(append([]string{}, base...), "-stats", "json")
 	if err := cmdCount(ctx, append(args, queries...), &js, io.Discard); err != nil {
 		t.Fatal(err)
 	}
@@ -72,23 +74,83 @@ func TestCountStatsJSON(t *testing.T) {
 	if rep.Registry == nil || rep.Registry.Counters[engine.MetricMatches] == 0 {
 		t.Error("report lacks the registry snapshot")
 	}
-	file, err := os.ReadFile(reportPath)
-	if err != nil {
+
+	js.Reset()
+	if err := cmdExplain(ctx, append(append(append([]string{}, base...), "-json"), queries...), &js, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if fileRep := decode(t, file); len(fileRep.Queries) != len(queries) || fileRep.Queries[0].Count == nil {
-		t.Errorf("-report file lost the queries' counts: %+v", fileRep.Queries)
+	ex := decode(t, js.Bytes())
+	if len(ex.Mined) == 0 || len(ex.Queries) != len(queries) {
+		t.Fatalf("explain -json: mined %v, %d queries", ex.Mined, len(ex.Queries))
+	}
+	for _, q := range ex.Queries {
+		if q.Count == nil || *q.Count != want[q.Pattern] {
+			t.Errorf("explain -json query %s: count %v, text mode %d", q.Pattern, q.Count, want[q.Pattern])
+		}
+	}
+	if len(ex.Patterns) == 0 || ex.Patterns[0].CalibrationRatio == 0 {
+		t.Errorf("explain -json lacks the calibration records: %+v", ex.Patterns)
+	}
+	if ex.Registry == nil || ex.Registry.Counters[engine.MetricMatches] == 0 {
+		t.Error("explain -json lacks the registry snapshot")
 	}
 
 	js.Reset()
 	args = append(append([]string{}, base...), "-stats", "json", "-timeout", "1ns")
-	err = cmdCount(ctx, append(args, queries...), &js, io.Discard)
+	err := cmdCount(ctx, append(args, queries...), &js, io.Discard)
 	if !errors.Is(err, engine.ErrDeadlineExceeded) {
 		t.Fatalf("err = %v, want the deadline", err)
 	}
-	if rep := decode(t, js.Bytes()); !rep.Interrupted || rep.Phase == "" {
-		t.Errorf("timed-out run: interrupted %v, phase %q", rep.Interrupted, rep.Phase)
+	timedOut := decode(t, js.Bytes())
+	if !timedOut.Interrupted || timedOut.Phase == "" {
+		t.Errorf("timed-out run: interrupted %v, phase %q", timedOut.Interrupted, timedOut.Phase)
 	}
+
+	text.Reset()
+	args = append(append([]string{}, base...), "-timeout", "1ns")
+	if err := cmdCount(ctx, append(args, queries...), &text, io.Discard); !errors.Is(err, engine.ErrDeadlineExceeded) {
+		t.Fatalf("text mode: err = %v, want the deadline", err)
+	}
+	out := text.String()
+	if !strings.HasPrefix(out, "*** DEADLINE EXCEEDED — results below are PARTIAL") {
+		t.Errorf("text mode lacks the PARTIAL heading:\n%s", out)
+	}
+	if rows := strings.Count(out, "[partial, mined alternative]"); rows != len(timedOut.Partial) || rows != len(timedOut.Mined) {
+		t.Errorf("text mode printed %d partial rows, want one per mined pattern (%d mined, %d partial):\n%s",
+			rows, len(timedOut.Mined), len(timedOut.Partial), out)
+	}
+
+	// A 1ns deadline stops the run before anything is mined. Cancelled once
+	// its trie is decided, the run stops mining: one row per mined pattern.
+	mineCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	obs.SetDefaultEventLog(obs.NewEventLog(cancelOn{"trie_decision", cancel}))
+	defer obs.SetDefaultEventLog(nil)
+	text.Reset()
+	if err := cmdCount(mineCtx, append(append([]string{}, base...), queries...), &text, io.Discard); !errors.Is(err, engine.ErrCanceled) {
+		t.Fatalf("cancelled in mining: err = %v, want ErrCanceled", err)
+	}
+	out = text.String()
+	if !strings.HasPrefix(out, `*** CANCELED — results below are PARTIAL (stopped in phase "mine") ***`) {
+		t.Errorf("cancelled in mining: wrong PARTIAL heading:\n%s", out)
+	}
+	if rows := strings.Count(out, "[partial, mined alternative]"); rows != len(rep.Mined) {
+		t.Errorf("cancelled in mining: %d partial rows, want one per mined pattern (%d):\n%s", rows, len(rep.Mined), out)
+	}
+}
+
+// cancelOn is a query-log writer that cancels the run when it logs the
+// named lifecycle event.
+type cancelOn struct {
+	event  string
+	cancel context.CancelFunc
+}
+
+func (c cancelOn) Write(p []byte) (int, error) {
+	if bytes.Contains(p, []byte(`"msg":"`+c.event+`"`)) {
+		c.cancel()
+	}
+	return len(p), nil
 }
 
 // TestFailedRunKeepsProfile: a command that fails still returns through

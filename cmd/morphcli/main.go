@@ -11,7 +11,7 @@
 //	morphcli transform -graph MI -scale .01 4-cycle:v 4-star:v
 //	morphcli count -graph MI -engine peregrine 4-cycle:v 4-star:v
 //	morphcli count -stats json 4-clique      # the run report as JSON
-//	morphcli count -report run.json ...      # EXPLAIN ANALYZE run report
+//	morphcli explain -json ... > run.json    # EXPLAIN ANALYZE run report
 //	morphcli convert -in edges.txt -out g.mcsr -renumber degree
 //	                                         # edge list -> binary graph
 //	morphcli count -bin g.mcsr -shards 8 triangle
@@ -33,8 +33,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
+	"morphing"
 	"morphing/internal/canon"
 	"morphing/internal/core"
 	"morphing/internal/costmodel"
@@ -46,6 +46,7 @@ import (
 	"morphing/internal/pattern"
 	"morphing/internal/plan"
 	"morphing/internal/report"
+	"morphing/internal/server"
 )
 
 // runFlight is the flight-recorder policy handed to every Runner,
@@ -124,7 +125,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "sdag":
 		err = cmdSDAG(args, stdout)
 	case "transform":
-		err = cmdTransform(args, stdout)
+		err = cmdTransform(ctx, args, stdout, stderr)
 	case "count":
 		err = cmdCount(ctx, args, stdout, stderr)
 	case "convert":
@@ -165,34 +166,77 @@ func cmdNames(w io.Writer) {
 	}
 }
 
-// resolve parses a pattern argument: a known name (optionally with a :v
-// suffix) or codec text.
-func resolve(arg string) (*pattern.Pattern, error) {
-	vertexInduced := false
-	name := arg
-	if strings.HasSuffix(arg, ":v") {
-		vertexInduced = true
-		name = strings.TrimSuffix(arg, ":v")
+// patternArgs resolves a command's pattern arguments in morphd's grammar
+// (server.ResolvePattern): a named pattern, optionally with a :v suffix,
+// or codec text.
+func patternArgs(cmd string, args []string) ([]*pattern.Pattern, error) {
+	if len(args) == 0 {
+		return nil, fmt.Errorf("%s needs at least one pattern", cmd)
 	}
-	p, err := pattern.ByName(name)
-	if err != nil {
-		p, err = pattern.Parse(arg)
+	queries := make([]*pattern.Pattern, len(args))
+	for i, a := range args {
+		p, err := server.ResolvePattern(a)
 		if err != nil {
-			return nil, fmt.Errorf("%q is neither a named pattern nor codec text", arg)
+			return nil, err
 		}
-		return p, nil
+		queries[i] = p
 	}
-	if vertexInduced {
-		p = p.AsVertexInduced()
+	return queries, nil
+}
+
+// graphSource is the graph a pipeline command mines: the dataset recipe
+// -graph at -scale or, where the command has -bin, a binary graph file.
+type graphSource struct {
+	name, bin *string
+	scale     *float64
+}
+
+// graphFlags registers -graph and -scale on fs, and -bin when withBin.
+func graphFlags(fs *flag.FlagSet, withBin bool) graphSource {
+	src := graphSource{
+		name:  fs.String("graph", "MI", "dataset recipe (MI, MG, PR, OK, FR)"),
+		scale: fs.Float64("scale", 0.01, "dataset scale factor"),
+		bin:   new(string),
 	}
-	return p, nil
+	if withBin {
+		src.bin = fs.String("bin", "", "mine a binary graph file (.mcsr, see `morphcli convert`) instead of generating -graph/-scale; mmap-backed when the format allows")
+	}
+	return src
+}
+
+// String names the graph as the commands' first output line does.
+func (src graphSource) String() string {
+	if *src.bin != "" {
+		return "graph " + *src.bin
+	}
+	return fmt.Sprintf("graph %s at scale %v", *src.name, *src.scale)
+}
+
+// load opens or generates the graph; release closes an opened file.
+func (src graphSource) load(stderr io.Writer) (g graph.Adjacency, release func(), err error) {
+	if *src.bin != "" {
+		h, err := graph.Open(*src.bin, graph.OpenOptions{})
+		if err != nil {
+			return nil, nil, err
+		}
+		fmt.Fprintf(stderr, "opened %s (mmap=%v)\n", *src.bin, h.Mapped())
+		return h.Graph(), func() { h.Close() }, nil
+	}
+	rec, err := dataset.ByName(*src.name)
+	if err != nil {
+		return nil, nil, err
+	}
+	if g, err = rec.Scaled(*src.scale).Generate(); err != nil {
+		return nil, nil, err
+	}
+	return g, func() {}, nil
 }
 
 func cmdPattern(args []string, w io.Writer) error {
 	if len(args) != 1 {
 		return fmt.Errorf("pattern takes exactly one argument")
 	}
-	p, err := resolve(args[0])
+	p, err := server.ResolvePattern(args[0])
 	if err != nil {
 		return err
 	}
@@ -221,19 +265,11 @@ func cmdEquation(args []string, w io.Writer) error {
 	if len(args) != 1 {
 		return fmt.Errorf("equation takes exactly one argument")
 	}
-	p, err := resolve(args[0])
+	p, err := server.ResolvePattern(args[0])
 	if err != nil {
 		return err
 	}
-	d, err := core.BuildSDAG([]*pattern.Pattern{p})
-	if err != nil {
-		return err
-	}
-	eqE, err := core.EdgeInducedEquation(d, p)
-	if err != nil {
-		return err
-	}
-	eqV, err := core.VertexInducedEquation(d, p)
+	eqE, eqV, err := morphing.MorphingEquations(p)
 	if err != nil {
 		return err
 	}
@@ -243,16 +279,9 @@ func cmdEquation(args []string, w io.Writer) error {
 }
 
 func cmdSDAG(args []string, w io.Writer) error {
-	if len(args) == 0 {
-		return fmt.Errorf("sdag needs at least one pattern")
-	}
-	queries := make([]*pattern.Pattern, 0, len(args))
-	for _, a := range args {
-		p, err := resolve(a)
-		if err != nil {
-			return err
-		}
-		queries = append(queries, p)
+	queries, err := patternArgs("sdag", args)
+	if err != nil {
+		return err
 	}
 	d, err := core.BuildSDAG(queries)
 	if err != nil {
@@ -273,9 +302,7 @@ func cmdSDAG(args []string, w io.Writer) error {
 
 func cmdCount(ctx context.Context, args []string, w, stderr io.Writer) error {
 	fs := flag.NewFlagSet("count", flag.ContinueOnError)
-	graphName := fs.String("graph", "MI", "dataset recipe (MI, MG, PR, OK, FR)")
-	scale := fs.Float64("scale", 0.01, "dataset scale factor")
-	binPath := fs.String("bin", "", "mine a binary graph file (.mcsr, see `morphcli convert`) instead of generating -graph/-scale; mmap-backed when the format allows")
+	src := graphFlags(fs, true)
 	shards := fs.Int("shards", 0, "partition the graph and mine each induced shard one at a time; cross-shard edges are dropped, so counts are the paper's §7.4 lower bound (0/1 = off)")
 	engineName := fs.String("engine", "peregrine", "matching engine ("+engines.List+")")
 	threads := fs.Int("threads", 0, "engine worker threads (0 = GOMAXPROCS)")
@@ -283,48 +310,25 @@ func cmdCount(ctx context.Context, args []string, w, stderr io.Writer) error {
 	statsMode := fs.String("stats", "text", "output mode: text, or json for the run report with a registry snapshot")
 	progress := fs.Bool("progress", false, "report live matches/sec to stderr")
 	timeout := fs.Duration("timeout", 0, "abort the run after this duration, printing partial per-alternative counts (0 = no deadline)")
-	reportOut := fs.String("report", "", "write a structured run report (JSON) to this file; enables explain mode (per-pattern mining + calibration)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if fs.NArg() == 0 {
-		return fmt.Errorf("count needs at least one pattern")
 	}
 	if *statsMode != "text" && *statsMode != "json" {
 		return fmt.Errorf("-stats must be text or json, got %q", *statsMode)
 	}
-	queries := make([]*pattern.Pattern, 0, fs.NArg())
-	for _, a := range fs.Args() {
-		p, err := resolve(a)
-		if err != nil {
-			return err
-		}
-		queries = append(queries, p)
+	queries, err := patternArgs("count", fs.Args())
+	if err != nil {
+		return err
 	}
-
 	eng, err := engines.New(*engineName, *threads, obs.Default())
 	if err != nil {
 		return err
 	}
-	var g graph.Adjacency
-	if *binPath != "" {
-		h, err := graph.Open(*binPath, graph.OpenOptions{})
-		if err != nil {
-			return err
-		}
-		defer h.Close()
-		g = h.Graph()
-		fmt.Fprintf(stderr, "opened %s (mmap=%v)\n", *binPath, h.Mapped())
-	} else {
-		rec, err := dataset.ByName(*graphName)
-		if err != nil {
-			return err
-		}
-		g, err = rec.Scaled(*scale).Generate()
-		if err != nil {
-			return err
-		}
+	g, release, err := src.load(stderr)
+	if err != nil {
+		return err
 	}
+	defer release()
 
 	var prog *obs.Progress
 	if *progress {
@@ -336,7 +340,7 @@ func cmdCount(ctx context.Context, args []string, w, stderr io.Writer) error {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	r := &core.Runner{Engine: eng, DisableMorphing: *baseline, Explain: *reportOut != "",
+	r := &core.Runner{Engine: eng, DisableMorphing: *baseline,
 		RunOptions: core.RunOptions{Shards: *shards}, Label: "count", Flight: runFlight}
 	counts, st, err := r.CountsCtx(ctx, g, queries)
 	prog.Stop()
@@ -345,28 +349,20 @@ func cmdCount(ctx context.Context, args []string, w, stderr io.Writer) error {
 			if *statsMode == "json" {
 				return errors.Join(err, runReport(st, nil).WriteJSON(w))
 			}
-			printPartial(w, st, err)
+			rep := report.FromRunStats(st)
+			report.WritePartial(w, interruption(err), rep.Phase, rep.Partial)
+			if st.Mining != nil {
+				fmt.Fprintf(w, "mined %d matches, %d set ops before the abort\n",
+					st.Mining.Matches, st.Mining.SetOps)
+			}
 		}
 		return err
-	}
-
-	if *reportOut != "" {
-		if err := writeRunReport(*reportOut, st, counts); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "wrote run report to %s\n", *reportOut)
 	}
 	if *statsMode == "json" {
 		return runReport(st, counts).WriteJSON(w)
 	}
 
-	if *binPath != "" {
-		fmt.Fprintf(w, "graph %s: %d vertices, %d edges\n",
-			*binPath, g.NumVertices(), g.NumEdges())
-	} else {
-		fmt.Fprintf(w, "graph %s at scale %v: %d vertices, %d edges\n",
-			*graphName, *scale, g.NumVertices(), g.NumEdges())
-	}
+	fmt.Fprintf(w, "%s: %d vertices, %d edges\n", src, g.NumVertices(), g.NumEdges())
 	fmt.Fprintf(w, "engine %s, morphing %v\n", eng.Name(), !*baseline)
 	if st.Shards > 0 {
 		fmt.Fprintf(w, "sharded over %d partitions (cross-shard matches dropped; counts are lower bounds)\n", st.Shards)
@@ -384,21 +380,6 @@ func cmdCount(ctx context.Context, args []string, w, stderr io.Writer) error {
 	return nil
 }
 
-// printPartial reports an interrupted run: which deadline/cancellation
-// fired, the pipeline phase it stopped in, and the per-alternative
-// partial counts mined before the abort (query-level results cannot be
-// soundly converted from an incomplete mined set).
-func printPartial(w io.Writer, st *core.RunStats, err error) {
-	fmt.Fprintf(w, "*** %s — results below are PARTIAL (stopped in phase %q) ***\n", interruption(err), st.Phase)
-	for _, p := range st.Partial {
-		fmt.Fprintf(w, "%-40s %12d  [partial, mined alternative]\n", p.Pattern.String(), p.Count)
-	}
-	if st.Mining != nil {
-		fmt.Fprintf(w, "mined %d matches, %d set ops before the abort\n",
-			st.Mining.Matches, st.Mining.SetOps)
-	}
-}
-
 // interruption names what stopped an interrupted run, as the PARTIAL
 // markers of count and fig print it.
 func interruption(err error) string {
@@ -411,44 +392,34 @@ func interruption(err error) string {
 	return "RUN INTERRUPTED"
 }
 
-func cmdTransform(args []string, w io.Writer) error {
+// cmdTransform prints the alternative set Algorithm 1 selects for the
+// queries on a graph, priced for counting (no per-match aggregation cost)
+// as count prices it.
+func cmdTransform(ctx context.Context, args []string, w, stderr io.Writer) error {
 	fs := flag.NewFlagSet("transform", flag.ContinueOnError)
-	graphName := fs.String("graph", "MI", "dataset recipe (MI, MG, PR, OK, FR)")
-	scale := fs.Float64("scale", 0.01, "dataset scale factor")
-	perMatch := fs.Float64("permatch", 0, "aggregation cost per match for the model")
+	src := graphFlags(fs, false)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if fs.NArg() == 0 {
-		return fmt.Errorf("transform needs at least one pattern")
-	}
-	queries := make([]*pattern.Pattern, 0, fs.NArg())
-	for _, a := range fs.Args() {
-		p, err := resolve(a)
-		if err != nil {
-			return err
-		}
-		queries = append(queries, p)
-	}
-	r, err := dataset.ByName(*graphName)
+	queries, err := patternArgs("transform", fs.Args())
 	if err != nil {
 		return err
 	}
-	g, err := r.Scaled(*scale).Generate()
+	g, release, err := src.load(stderr)
 	if err != nil {
 		return err
 	}
+	defer release()
 	d, err := core.BuildSDAG(queries)
 	if err != nil {
 		return err
 	}
 	model := costmodel.NewDefault(graph.Summarize(g))
-	sel, err := core.Select(context.Background(), d, queries, core.DefaultCostFunc(model, *perMatch), core.PolicyAny, core.SelectOptions{})
+	sel, err := core.Select(ctx, d, queries, core.DefaultCostFunc(model, 0), core.PolicyAny, core.SelectOptions{})
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "graph %s at scale %v: %d vertices, %d edges\n",
-		*graphName, *scale, g.NumVertices(), g.NumEdges())
+	fmt.Fprintf(w, "%s: %d vertices, %d edges\n", src, g.NumVertices(), g.NumEdges())
 	fmt.Fprintf(w, "modeled cost: %.0f -> %.0f\n", sel.CostBefore, sel.CostAfter)
 	for i, q := range sel.Queries {
 		status := "as-is"
@@ -464,28 +435,15 @@ func cmdTransform(args []string, w io.Writer) error {
 	return nil
 }
 
-// runReport is the run's one JSON document: its RunReport with the
-// queries' counts, when the run returned them, and a snapshot of the
-// process registry attached.
+// runReport is the run's one JSON document, whichever command writes it:
+// its RunReport with the queries' counts, when the run returned them, and
+// a snapshot of the process registry attached.
 func runReport(st *core.RunStats, counts []uint64) *report.RunReport {
 	rep := report.FromRunStats(st)
 	rep.SetCounts(counts)
 	snap := obs.DefaultRegistry().Snapshot()
 	rep.Registry = &snap
 	return rep
-}
-
-// writeRunReport writes runReport(st, counts) as JSON to path.
-func writeRunReport(path string, st *core.RunStats, counts []uint64) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = runReport(st, counts).WriteJSON(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // cmdExplain runs the full pipeline in explain mode and prints the
@@ -499,48 +457,34 @@ func writeRunReport(path string, st *core.RunStats, counts []uint64) error {
 // per-pattern wall time.
 func cmdExplain(ctx context.Context, args []string, w, stderr io.Writer) error {
 	fs := flag.NewFlagSet("explain", flag.ContinueOnError)
-	graphName := fs.String("graph", "MI", "dataset recipe (MI, MG, PR, OK, FR)")
-	scale := fs.Float64("scale", 0.01, "dataset scale factor")
+	src := graphFlags(fs, false)
 	engineName := fs.String("engine", "peregrine", "matching engine ("+engines.List+")")
 	threads := fs.Int("threads", 0, "engine worker threads (0 = GOMAXPROCS)")
 	baseline := fs.Bool("baseline", false, "disable morphing; the report then explains the as-is plan")
 	dotOut := fs.String("dot", "", "write the S-DAG with the chosen alternative set as Graphviz DOT to this file")
-	reportOut := fs.String("report", "", "also write the report as JSON to this file")
-	jsonMode := fs.Bool("json", false, "print the report as JSON instead of text")
+	jsonMode := fs.Bool("json", false, "print the run report as JSON, registry snapshot included, instead of text")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if fs.NArg() == 0 {
-		return fmt.Errorf("explain needs at least one pattern")
-	}
-	queries := make([]*pattern.Pattern, 0, fs.NArg())
-	for _, a := range fs.Args() {
-		p, err := resolve(a)
-		if err != nil {
-			return err
-		}
-		queries = append(queries, p)
+	queries, err := patternArgs("explain", fs.Args())
+	if err != nil {
+		return err
 	}
 	eng, err := engines.New(*engineName, *threads, obs.Default())
 	if err != nil {
 		return err
 	}
-	rec, err := dataset.ByName(*graphName)
+	g, release, err := src.load(stderr)
 	if err != nil {
 		return err
 	}
-	g, err := rec.Scaled(*scale).Generate()
-	if err != nil {
-		return err
-	}
+	defer release()
 	r := &core.Runner{Engine: eng, DisableMorphing: *baseline, Explain: true, Label: "explain", Flight: runFlight}
 	counts, st, err := r.CountsCtx(ctx, g, queries)
 	if err != nil {
 		return err
 	}
 
-	rep := report.FromRunStats(st)
-	rep.SetCounts(counts)
 	if *dotOut != "" {
 		if st.Selection == nil || st.Selection.SDAG == nil {
 			return fmt.Errorf("-dot: no S-DAG to export (baseline runs mine the queries as-is)")
@@ -558,12 +502,7 @@ func cmdExplain(ctx context.Context, args []string, w, stderr io.Writer) error {
 		}
 		fmt.Fprintf(stderr, "wrote S-DAG DOT to %s\n", *dotOut)
 	}
-	if *reportOut != "" {
-		if err := writeRunReport(*reportOut, st, counts); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "wrote run report to %s\n", *reportOut)
-	}
+	rep := runReport(st, counts)
 	if *jsonMode {
 		return rep.WriteJSON(w)
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"morphing/internal/engines"
+	"morphing/internal/report"
 	"morphing/internal/server"
 )
 
@@ -181,14 +182,7 @@ func printQueryError(err error, jsonMode bool, w, stderr io.Writer) error {
 	}
 	fmt.Fprintf(stderr, "query failed: %s (%s): %s\n", qe.Code, kind, qe.Message)
 	if len(qe.Partial) > 0 {
-		fmt.Fprintf(w, "*** RUN INTERRUPTED — counts below are PARTIAL (stopped in phase %q) ***\n", qe.Phase)
-		for _, pc := range qe.Partial {
-			name := pc.Name
-			if name == "" {
-				name = pc.Pattern
-			}
-			fmt.Fprintf(w, "%-40s %12d  [partial, mined alternative]\n", name, pc.Count)
-		}
+		report.WritePartial(w, "RUN INTERRUPTED", qe.Phase, qe.Partial)
 	}
 	return fmt.Errorf("query failed: %s", qe.Code)
 }

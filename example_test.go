@@ -1,6 +1,7 @@
 package morphing_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -26,7 +27,7 @@ func ExampleCountSubgraphs() {
 	}
 	tri, _ := morphing.PatternByName("triangle")
 	c4, _ := morphing.PatternByName("4-cycle")
-	counts, _, err := morphing.CountSubgraphs(g,
+	counts, _, err := morphing.CountSubgraphs(context.Background(), g,
 		[]*morphing.Pattern{tri, c4.AsVertexInduced()}, eng, morphing.Options{Morph: true})
 	if err != nil {
 		log.Fatal(err)
@@ -71,7 +72,7 @@ func ExampleCountCliques() {
 		log.Fatal(err)
 	}
 	for k := 2; k <= 4; k++ {
-		c, _, err := morphing.CountCliques(g, k, eng)
+		c, _, err := morphing.CountCliques(context.Background(), g, k, eng)
 		if err != nil {
 			log.Fatal(err)
 		}

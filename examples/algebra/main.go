@@ -14,6 +14,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	g, err := morphing.GenerateDataset("MI", 0.001)
 	if err != nil {
 		log.Fatal(err)
@@ -23,7 +24,7 @@ func main() {
 		log.Fatal(err)
 	}
 	count := func(p *morphing.Pattern) uint64 {
-		c, _, err := eng.CountCtx(context.Background(), g, p)
+		c, _, err := eng.CountCtx(ctx, g, p)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -47,7 +48,7 @@ func main() {
 		lhs := count(p.AsEdgeInduced())
 		// The right-hand side is exactly what morphing computes; run the
 		// whole pipeline and compare.
-		morphed, _, err := morphing.CountSubgraphs(g,
+		morphed, _, err := morphing.CountSubgraphs(ctx, g,
 			[]*morphing.Pattern{p.AsEdgeInduced()}, eng, morphing.Options{Morph: true})
 		if err != nil {
 			log.Fatal(err)

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -22,6 +23,7 @@ import (
 func main() {
 	scale := flag.Float64("scale", 0.003, "dataset scale factor")
 	flag.Parse()
+	ctx := context.Background()
 
 	g, err := morphing.GenerateDataset("MG", *scale)
 	if err != nil {
@@ -41,7 +43,7 @@ func main() {
 		}
 		// Morphed: vertex-induced counts from edge-induced alternatives.
 		start := time.Now()
-		counts, stats, err := morphing.CountSubgraphs(g, queries, eng, morphing.Options{Morph: true})
+		counts, stats, err := morphing.CountSubgraphs(ctx, g, queries, eng, morphing.Options{Morph: true})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -58,7 +60,7 @@ func main() {
 		fmt.Println()
 
 		// Baseline without morphing is impossible on these engines:
-		if _, _, err := morphing.CountSubgraphs(g, queries, eng, morphing.Options{}); err != nil {
+		if _, _, err := morphing.CountSubgraphs(ctx, g, queries, eng, morphing.Options{}); err != nil {
 			fmt.Printf("  baseline without morphing: %v\n\n", err)
 		}
 	}
@@ -66,12 +68,12 @@ func main() {
 	// The same queries on Peregrine, which matches anti-edges natively,
 	// as a cross-engine correctness check.
 	per, _ := morphing.NewEngine("peregrine", 0)
-	want, _, err := morphing.CountSubgraphs(g, queries, per, morphing.Options{})
+	want, _, err := morphing.CountSubgraphs(ctx, g, queries, per, morphing.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	gp, _ := morphing.NewEngine("graphpi", 0)
-	got, _, err := morphing.CountSubgraphs(g, queries, gp, morphing.Options{Morph: true})
+	got, _, err := morphing.CountSubgraphs(ctx, g, queries, gp, morphing.Options{Morph: true})
 	if err != nil {
 		log.Fatal(err)
 	}

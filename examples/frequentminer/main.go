@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -42,7 +43,7 @@ func main() {
 
 	run := func(morph bool) ([]morphing.FrequentPattern, time.Duration, uint64) {
 		start := time.Now()
-		freq, stats, err := morphing.MineFrequent(g, eng, morphing.FSMOptions{
+		freq, stats, err := morphing.MineFrequent(context.Background(), g, eng, morphing.FSMOptions{
 			MaxEdges:   *edges,
 			MinSupport: minSup,
 			Morph:      morph,

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -19,6 +20,7 @@ func main() {
 	scale := flag.Float64("scale", 0.003, "dataset scale factor")
 	size := flag.Int("size", 4, "motif size (3-5)")
 	flag.Parse()
+	ctx := context.Background()
 
 	g, err := morphing.GenerateDataset("OK", *scale)
 	if err != nil {
@@ -32,14 +34,14 @@ func main() {
 			log.Fatal(err)
 		}
 		start := time.Now()
-		base, err := morphing.CountMotifs(g, *size, eng, morphing.Options{})
+		base, err := morphing.CountMotifs(ctx, g, *size, eng, morphing.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
 		baseT := time.Since(start)
 
 		start = time.Now()
-		morphed, err := morphing.CountMotifs(g, *size, eng, morphing.Options{Morph: true})
+		morphed, err := morphing.CountMotifs(ctx, g, *size, eng, morphing.Options{Morph: true})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -57,7 +59,7 @@ func main() {
 
 	fmt.Println("\nper-motif counts (morphing-verified):")
 	eng, _ := morphing.NewEngine("peregrine", 0)
-	res, err := morphing.CountMotifs(g, *size, eng, morphing.Options{Morph: true})
+	res, err := morphing.CountMotifs(ctx, g, *size, eng, morphing.Options{Morph: true})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -27,11 +28,12 @@ func main() {
 		log.Fatal(err)
 	}
 
-	baseline, err := morphing.CountMotifs(g, 4, eng, morphing.Options{Morph: false})
+	ctx := context.Background()
+	baseline, err := morphing.CountMotifs(ctx, g, 4, eng, morphing.Options{Morph: false})
 	if err != nil {
 		log.Fatal(err)
 	}
-	morphed, err := morphing.CountMotifs(g, 4, eng, morphing.Options{Morph: true})
+	morphed, err := morphing.CountMotifs(ctx, g, 4, eng, morphing.Options{Morph: true})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -27,10 +27,6 @@ type Options struct {
 	MinSupport int
 	// Morph toggles Subgraph Morphing.
 	Morph bool
-	// PerMatchCost tells the cost model how expensive the MNI UDF is per
-	// match; 0 picks a default proportional to the graph size (the paper
-	// uses O(|V|) as the MNI merge hint, §5.2).
-	PerMatchCost float64
 }
 
 // Frequent is one output pattern with its support.
@@ -74,16 +70,13 @@ func mine(ctx context.Context, g graph.Adjacency, eng engine.Engine, opts Option
 	if opts.MinSupport < 1 {
 		return nil, nil, fmt.Errorf("fsm: MinSupport must be positive")
 	}
-	perMatch := opts.PerMatchCost
-	if perMatch == 0 {
-		// The paper's hint: merging MNI tables costs O(|V(G)|).
-		perMatch = float64(g.NumVertices()) / 1000
-	}
 	runner := &core.Runner{
 		Engine:          eng,
 		DisableMorphing: !opts.Morph,
-		PerMatchCost:    perMatch,
-		Label:           "fsm",
+		// The paper's per-match hint for the MNI UDF: merging MNI tables
+		// costs O(|V(G)|) (§5.2).
+		PerMatchCost: float64(g.NumVertices()) / 1000,
+		Label:        "fsm",
 	}
 	stats := &Stats{}
 

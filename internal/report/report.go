@@ -5,7 +5,7 @@
 // matches and cost per executed pattern), and the execution side
 // (per-level selectivity, per-worker skew). RunReport is the one
 // serialized form of a run: `morphcli explain`, `morphcli count -stats
-// json`, the -report JSON flags and morphd's "report" all write it.
+// json`, `morphcli explain -json` and morphd's "report" all write it.
 package report
 
 import (
@@ -182,7 +182,7 @@ type RunReport struct {
 	Selection *core.SelectionExplain `json:"selection,omitempty"`
 
 	// Registry optionally embeds a metrics snapshot taken after the run
-	// (the -report flags attach the observer's registry here).
+	// (morphcli's JSON reports attach the process registry here).
 	Registry *obs.Snapshot `json:"registry,omitempty"`
 }
 
@@ -370,7 +370,7 @@ func (r *RunReport) WriteText(w io.Writer) error {
 		if q.Morphed {
 			how = "morphed"
 		}
-		p("  %-28s %s (%s)\n", nameOr(q.Name, ""), q.Pattern, how)
+		p("  %-28s %s (%s)\n", q.Name, q.Pattern, how)
 	}
 	p("modeled cost: %.6g -> %.6g", r.CostBefore, r.CostAfter)
 	if r.CostBefore > 0 {
@@ -423,17 +423,16 @@ func (r *RunReport) WriteText(w io.Writer) error {
 	}
 
 	if r.Interrupted {
-		p("\n*** RUN INTERRUPTED — results below are PARTIAL (stopped in phase %q) ***\n", r.Phase)
-		for _, pc := range r.Partial {
-			p("  %-28s %s  %12d  [partial, mined alternative]\n",
-				nameOr(pc.Name, ""), pc.Pattern, pc.Count)
+		p("\n")
+		if err == nil {
+			err = WritePartial(w, "RUN INTERRUPTED", r.Phase, r.Partial)
 		}
 	}
 
 	if len(r.Patterns) > 0 {
 		p("\n-- mined patterns (winner set, modeled cost %.6g as one trie) + calibration --\n", r.CostAfter)
 		for _, pr := range r.Patterns {
-			p("  %-28s %s [%s]\n", nameOr(pr.Name, ""), pr.Pattern, pr.Variant)
+			p("  %-28s %s [%s]\n", pr.Name, pr.Pattern, pr.Variant)
 			p("    marginal cost %.6g, est matches %.6g; measured matches %d (ratio %.3g)\n",
 				pr.EstCost, pr.EstMatches, pr.Matches, pr.CalibrationRatio)
 		}
@@ -500,11 +499,23 @@ func (r *RunReport) WriteText(w io.Writer) error {
 	return err
 }
 
-func nameOr(name, fallback string) string {
-	if name != "" {
-		return name
+// WritePartial renders an interrupted run's progress for humans: a heading
+// naming what stopped the run ("DEADLINE EXCEEDED", "CANCELED" or "RUN
+// INTERRUPTED") and the phase it stopped in, then one marked row per mined
+// alternative. Query-level results are withheld: they cannot be soundly
+// converted from an incomplete mined set. Every text surface that prints
+// partial counts renders them here: morphcli count and query, and
+// WriteText.
+func WritePartial(w io.Writer, stopped, phase string, partial []PartialReport) error {
+	if _, err := fmt.Fprintf(w, "*** %s — results below are PARTIAL (stopped in phase %q) ***\n", stopped, phase); err != nil {
+		return err
 	}
-	return fallback
+	for _, pc := range partial {
+		if _, err := fmt.Fprintf(w, "%-40s %12d  [partial, mined alternative]\n", pc.Pattern, pc.Count); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // namedIndex maps structure IDs of the paper's named patterns to their

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -244,8 +245,11 @@ func TestInterruptedRunSurvivesReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	if !strings.Contains(out, "PARTIAL") || !strings.Contains(out, "42") {
-		t.Errorf("text report hides the interruption:\n%s", out)
+	want := "*** RUN INTERRUPTED — results below are PARTIAL (stopped in phase \"mine\") ***\n" +
+		fmt.Sprintf("%-40s %12d  [partial, mined alternative]\n", pattern.Triangle(), 42) +
+		fmt.Sprintf("%-40s %12d  [partial, mined alternative]\n", pattern.FourCycle().AsVertexInduced(), 7)
+	if !strings.Contains(out, want) {
+		t.Errorf("text report hides the interruption; want the block\n%s\nin\n%s", want, out)
 	}
 
 	// The full pipeline round trip: JSON keeps the interruption.

@@ -12,20 +12,21 @@
 // mining, subgraph enumeration), and synthetic stand-ins for the
 // evaluation datasets.
 //
-// Quick start:
+// Quick start, under the caller's context ctx:
 //
 //	g, _ := morphing.GenerateDataset("MI", 0.01)
 //	eng, _ := morphing.NewEngine("peregrine", 0)
-//	res, _ := morphing.CountMotifs(g, 4, eng, morphing.Options{Morph: true})
+//	res, _ := morphing.CountMotifs(ctx, g, 4, eng, morphing.Options{Morph: true})
 //	for i, p := range res.Patterns {
 //		fmt.Println(p, res.Counts[i])
 //	}
 //
-// Spellings: this package's exported functions come as F and FCtx — F is
-// FCtx under context.Background(), which this package alone supplies.
-// Everything below it exists once, context first: the Engine interface
-// (CountCtx, CountAllCtx, MatchCtx), Runner's pipelines (CountsCtx,
-// MNITablesCtx) and the internal app packages.
+// Every mining call exists once and takes a context first: this
+// package's applications (CountMotifs, CountSubgraphs, MineFrequent,
+// EnumerateSubgraphs and the clique calls), the Engine interface (CountCtx,
+// CountAllCtx, MatchCtx), Runner's pipelines (CountsCtx, MNITablesCtx)
+// and the internal app packages. A run interrupted by its context returns
+// valid partial results with a typed error (see Interrupted).
 package morphing
 
 import (
@@ -173,53 +174,31 @@ func PatternByName(name string) (*Pattern, error) { return pattern.ByName(name) 
 func MotifPatterns(n int) ([]*Pattern, error) { return canon.AllConnectedPatterns(n) }
 
 // CountMotifs counts all vertex-induced motifs of the given size
-// (3..5) — the Fig. 12 workload.
-func CountMotifs(g *Graph, size int, eng Engine, opts Options) (*MotifResult, error) {
-	return mc.CountCtx(context.Background(), g, size, eng, opts.Morph)
-}
-
-// CountMotifsCtx is CountMotifs with cooperative cancellation: the run
-// aborts at the next work-block boundary after ctx is done, returning a
-// partial Result alongside ErrCanceled/ErrDeadlineExceeded.
-func CountMotifsCtx(ctx context.Context, g *Graph, size int, eng Engine, opts Options) (*MotifResult, error) {
+// (3..5) — the Fig. 12 workload. The run aborts at the next work-block
+// boundary after ctx is done, returning a partial Result alongside
+// ErrCanceled/ErrDeadlineExceeded.
+func CountMotifs(ctx context.Context, g *Graph, size int, eng Engine, opts Options) (*MotifResult, error) {
 	return mc.CountCtx(ctx, g, size, eng, opts.Morph)
 }
 
 // CountSubgraphs counts the matches of each query pattern — the Fig. 13a
-// workload.
-func CountSubgraphs(g *Graph, queries []*Pattern, eng Engine, opts Options) ([]uint64, *RunStats, error) {
-	return sc.CountCtx(context.Background(), g, queries, eng, opts.Morph)
-}
-
-// CountSubgraphsCtx is CountSubgraphs under a context; on interruption
-// the RunStats carries per-alternative partial counts (RunStats.Partial).
-func CountSubgraphsCtx(ctx context.Context, g *Graph, queries []*Pattern, eng Engine, opts Options) ([]uint64, *RunStats, error) {
+// workload. On interruption the RunStats carries per-alternative partial
+// counts (RunStats.Partial).
+func CountSubgraphs(ctx context.Context, g *Graph, queries []*Pattern, eng Engine, opts Options) ([]uint64, *RunStats, error) {
 	return sc.CountCtx(ctx, g, queries, eng, opts.Morph)
 }
 
 // MineFrequent runs level-wise frequent subgraph mining with MNI support —
-// the Fig. 13c workload.
-func MineFrequent(g *Graph, eng Engine, opts FSMOptions) ([]FrequentPattern, *fsm.Stats, error) {
-	return fsm.MineCtx(context.Background(), g, eng, opts)
-}
-
-// MineFrequentCtx is MineFrequent under a context; on interruption the
-// patterns confirmed by fully completed levels are returned with the
-// typed error.
-func MineFrequentCtx(ctx context.Context, g *Graph, eng Engine, opts FSMOptions) ([]FrequentPattern, *fsm.Stats, error) {
+// the Fig. 13c workload. On interruption the patterns confirmed by fully
+// completed levels are returned with the typed error.
+func MineFrequent(ctx context.Context, g *Graph, eng Engine, opts FSMOptions) ([]FrequentPattern, *fsm.Stats, error) {
 	return fsm.MineCtx(ctx, g, eng, opts)
 }
 
 // EnumerateSubgraphs streams filtered matches of edge-induced queries —
-// the Fig. 15a workload with on-the-fly conversion.
-func EnumerateSubgraphs(g *Graph, eng Engine, queries []*Pattern, filter func(m []uint32) bool, onMatch func(query int, m []uint32), opts EnumOptions) (*EnumResult, error) {
-	return se.EnumerateCtx(context.Background(), g, eng, queries, filter, onMatch, opts)
-}
-
-// EnumerateSubgraphsCtx is EnumerateSubgraphs under a context; on
-// interruption the partial tallies accumulated so far are returned with
-// the typed error.
-func EnumerateSubgraphsCtx(ctx context.Context, g *Graph, eng Engine, queries []*Pattern, filter func(m []uint32) bool, onMatch func(query int, m []uint32), opts EnumOptions) (*EnumResult, error) {
+// the Fig. 15a workload with on-the-fly conversion. On interruption the
+// partial tallies accumulated so far are returned with the typed error.
+func EnumerateSubgraphs(ctx context.Context, g *Graph, eng Engine, queries []*Pattern, filter func(m []uint32) bool, onMatch func(query int, m []uint32), opts EnumOptions) (*EnumResult, error) {
 	return se.EnumerateCtx(ctx, g, eng, queries, filter, onMatch, opts)
 }
 
@@ -230,26 +209,21 @@ func NewWeights(g *Graph, mean, std float64, seed int64) *Weights {
 
 // CountCliques returns the number of k-cliques in g. Cliques are the one
 // pattern family morphing never rewrites (they are both variants at once).
-func CountCliques(g *Graph, k int, eng Engine) (uint64, *Stats, error) {
-	return cf.CountCtx(context.Background(), g, k, eng)
-}
-
-// CountCliquesCtx is CountCliques under a context; on interruption the
-// partial count is returned with the typed error.
-func CountCliquesCtx(ctx context.Context, g *Graph, k int, eng Engine) (uint64, *Stats, error) {
+// On interruption the partial count is returned with the typed error.
+func CountCliques(ctx context.Context, g *Graph, k int, eng Engine) (uint64, *Stats, error) {
 	return cf.CountCtx(ctx, g, k, eng)
 }
 
 // CliqueCensus counts cliques of every size from 2 up to maxK, stopping at
 // the first absent size.
-func CliqueCensus(g *Graph, maxK int, eng Engine) (map[int]uint64, error) {
-	return cf.CensusCtx(context.Background(), g, maxK, eng)
+func CliqueCensus(ctx context.Context, g *Graph, maxK int, eng Engine) (map[int]uint64, error) {
+	return cf.CensusCtx(ctx, g, maxK, eng)
 }
 
 // MaxCliqueSize finds the largest clique size (up to maxK) using
 // early-terminating existence probes on the Peregrine model.
-func MaxCliqueSize(g *Graph, maxK int) (int, error) {
-	return cf.MaxCliqueSizeCtx(context.Background(), g, maxK, peregrine.New(0))
+func MaxCliqueSize(ctx context.Context, g *Graph, maxK int) (int, error) {
+	return cf.MaxCliqueSizeCtx(ctx, g, maxK, peregrine.New(0))
 }
 
 // SortGraphByDegree relabels vertices in ascending degree order, which

@@ -2,6 +2,8 @@ package morphing
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -15,11 +17,11 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := CountMotifs(g, 3, eng, Options{Morph: true})
+	res, err := CountMotifs(context.Background(), g, 3, eng, Options{Morph: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := CountMotifs(g, 3, eng, Options{})
+	base, err := CountMotifs(context.Background(), g, 3, eng, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +119,7 @@ func TestFacadeEnumeration(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := NewWeights(g, 0, 1, 11)
-	res, err := EnumerateSubgraphs(g, eng, []*Pattern{tri}, w.WithinOneStd, nil, EnumOptions{Morph: true})
+	res, err := EnumerateSubgraphs(context.Background(), g, eng, []*Pattern{tri}, w.WithinOneStd, nil, EnumOptions{Morph: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,13 +137,40 @@ func TestFacadeFSM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	freq, _, err := MineFrequent(g, eng, FSMOptions{MaxEdges: 2, MinSupport: 3, Morph: true})
+	freq, _, err := MineFrequent(context.Background(), g, eng, FSMOptions{MaxEdges: 2, MinSupport: 3, Morph: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(freq) == 0 {
 		t.Fatal("no frequent patterns at a low threshold")
 	}
+}
+
+// TestFacadeCancellation: a mining call under an already-cancelled
+// context returns the typed interruption, CliqueCensus included.
+func TestFacadeCancellation(t *testing.T) {
+	g, err := GenerateDataset("MI", 0.002)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine("peregrine", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	check := func(call string, err error) {
+		t.Helper()
+		if !Interrupted(err) || !errors.Is(err, ErrCanceled) {
+			t.Errorf("%s under a cancelled context: err = %v, want ErrCanceled", call, err)
+		}
+	}
+	_, err = CountMotifs(ctx, g, 3, eng, Options{Morph: true})
+	check("CountMotifs", err)
+	_, _, err = MineFrequent(ctx, g, eng, FSMOptions{MaxEdges: 2, MinSupport: 3, Morph: true})
+	check("MineFrequent", err)
+	_, err = CliqueCensus(ctx, g, 6, eng)
+	check("CliqueCensus", err)
 }
 
 func TestFacadeCliquesAndEquations(t *testing.T) {
@@ -153,14 +182,14 @@ func TestFacadeCliquesAndEquations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	census, err := CliqueCensus(g, 6, eng)
+	census, err := CliqueCensus(context.Background(), g, 6, eng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if census[2] != uint64(g.NumEdges()) {
 		t.Fatalf("2-clique count %d != edge count %d", census[2], g.NumEdges())
 	}
-	maxK, err := MaxCliqueSize(g, 8)
+	maxK, err := MaxCliqueSize(context.Background(), g, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
