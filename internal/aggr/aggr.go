@@ -14,8 +14,12 @@
 // MNI values are Tables (table.go): one compressed bitmap per pattern
 // vertex, so that recording a match is a few word ORs, ⊕ and the permute
 // operator are word-wise ORs and slice copies, and support is a popcount.
-// A Table is owned by one goroutine at a time; concurrent producers each
-// fill their own and Merge them afterwards (core's MNI sink).
+// A Table takes matches one at a time (Insert) or a settled candidate
+// window at a time (InsertTail: a prefix and the ascending ids that
+// complete it at one column, the form a streaming pass of the executor
+// hands over). A Table is owned by one goroutine at a time; concurrent
+// producers each fill their own and Merge them afterwards (core's MNI
+// sink, one table per executor worker).
 package aggr
 
 import (

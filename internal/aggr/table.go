@@ -21,9 +21,10 @@ import (
 // alone, so equal sets have equal representations.
 type Table struct {
 	cols []column
-	// last is the match of the previous Insert, every id of which its
-	// column holds. Engines emit matches depth-first, so consecutive
-	// matches share their prefix and Insert skips those columns.
+	// last is the match of the previous Insert (or the last match of the
+	// previous InsertTail), every id of which its column holds. Engines
+	// emit matches depth-first, so consecutive matches share their prefix
+	// and Insert skips those columns.
 	last []uint32
 }
 
@@ -51,6 +52,34 @@ func (t *Table) Insert(m []uint32) {
 			t.cols[i].add(v)
 		}
 	}
+}
+
+// InsertTail records the matches m with m[pos] set, in turn, to each id
+// of the ascending tail: what Insert would record for each of them, in
+// one call. The other columns take m's ids through the same comparison
+// with last; column pos takes the tail in one walk over its chunks.
+func (t *Table) InsertTail(m []uint32, pos int, tail []uint32) {
+	if len(tail) == 0 {
+		return
+	}
+	if len(m) != len(t.last) {
+		t.ensure(len(m))
+		t.last = append(t.last[:0], m...)
+		for i, v := range m {
+			if i != pos {
+				t.cols[i].add(v)
+			}
+		}
+	} else {
+		for i, v := range m {
+			if i != pos && v != t.last[i] {
+				t.last[i] = v
+				t.cols[i].add(v)
+			}
+		}
+	}
+	t.cols[pos].addSorted(tail)
+	t.last[pos] = tail[len(tail)-1]
 }
 
 // InsertAll records a match under every automorphism of its pattern,
@@ -181,6 +210,33 @@ func (c *column) add(v uint32) {
 		*c = slices.Insert(*c, k, chunk{key: hi})
 	}
 	(*c)[k].add(lo)
+}
+
+// addSorted adds ascending ids: one chunk search per 2^16 range, then a
+// word OR per id when the range's bitmap already reaches its largest id.
+func (c *column) addSorted(ids []uint32) {
+	for len(ids) > 0 {
+		hi := uint16(ids[0] >> 16)
+		n := 1
+		for n < len(ids) && uint16(ids[n]>>16) == hi {
+			n++
+		}
+		k := c.search(hi)
+		if k == len(*c) || (*c)[k].key != hi {
+			*c = slices.Insert(*c, k, chunk{key: hi})
+		}
+		ch := &(*c)[k]
+		if ch.bitmap && int(uint16(ids[n-1])>>6) < len(ch.data) {
+			for _, v := range ids[:n] {
+				ch.data[uint16(v)>>6] |= 1 << (v & 63)
+			}
+		} else {
+			for _, v := range ids[:n] {
+				ch.add(uint16(v))
+			}
+		}
+		ids = ids[n:]
+	}
 }
 
 // search returns the index of the first chunk whose key is not below hi.

@@ -227,6 +227,90 @@ func TestTableMatchesSetModel(t *testing.T) {
 	}
 }
 
+// randomTail draws an ascending, duplicate-free tail from randomID's
+// regimes: short ones, and a long one now and then that fills a chunk's
+// list past its bitmap in one call.
+func randomTail(r *rand.Rand) []uint32 {
+	n := 1 + r.Intn(8)
+	if r.Intn(4) == 0 {
+		n = 50 + r.Intn(400)
+	}
+	tail := make([]uint32, n)
+	for i := range tail {
+		tail[i] = randomID(r)
+	}
+	slices.Sort(tail)
+	return slices.Compact(tail)
+}
+
+// chunkForms maps each chunk key of a column to whether it is a bitmap.
+func chunkForms(c column) map[uint16]bool {
+	forms := make(map[uint16]bool, len(c))
+	for _, ch := range c {
+		forms[ch.key] = ch.bitmap
+	}
+	return forms
+}
+
+// TestInsertTailIsInsertInBulk: InsertTail(m, pos, tail), interleaved
+// with Insert on the same table, records exactly what Insert records for
+// m with m[pos] set to each id of tail in turn. The m handed to InsertTail
+// keeps a stale id at pos — the previous call's, as a streaming pass's
+// match slot does — which the next calls often repeat, and the tables are
+// fresh every 50 steps, so the first call fills the last cache. The tails
+// span three chunks or more and turn chunks from lists into bitmaps and
+// back, which the test checks happened.
+func TestInsertTailIsInsertInBulk(t *testing.T) {
+	var spans3, toBitmap, toList bool
+	for seed := int64(1); seed <= 8; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		width := 1 + r.Intn(5)
+		var bulk, each *Table
+		prev := make([]uint32, width)
+		for step := 0; step < 400; step++ {
+			if step%50 == 0 {
+				bulk, each = NewTable(width), NewTable(width)
+			}
+			m := make([]uint32, width)
+			for i := range m {
+				if m[i] = prev[i]; r.Intn(2) == 0 {
+					m[i] = randomID(r)
+				}
+			}
+			op := "Insert"
+			if r.Intn(3) == 0 {
+				bulk.Insert(m)
+				each.Insert(m)
+			} else {
+				op = "InsertTail"
+				pos, tail := r.Intn(width), randomTail(r)
+				before := chunkForms(bulk.cols[pos])
+				bulk.InsertTail(m, pos, tail)
+				stale := m[pos]
+				for _, v := range tail {
+					m[pos] = v
+					each.Insert(m)
+				}
+				m[pos] = stale
+				spans3 = spans3 || tail[len(tail)-1]>>16-tail[0]>>16 >= 2
+				for key, bitmap := range chunkForms(bulk.cols[pos]) {
+					if was, ok := before[key]; ok && was != bitmap {
+						toBitmap, toList = toBitmap || bitmap, toList || !bitmap
+					}
+				}
+			}
+			copy(prev, m)
+			if !bulk.Equal(each) {
+				t.Fatalf("seed %d step %d (%s): InsertTail table %v, one Insert per match %v", seed, step, op, bulk, each)
+			}
+			checkForm(t, bulk)
+		}
+	}
+	if !spans3 || !toBitmap || !toList {
+		t.Fatalf("coverage: a tail over 3 chunks %v, list to bitmap %v, bitmap to list %v", spans3, toBitmap, toList)
+	}
+}
+
 // TestSaturateEqualsInsertAll is the identity the MNI sink rests on:
 // inserting representatives and saturating once equals inserting every
 // match under every automorphism.

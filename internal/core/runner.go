@@ -627,11 +627,12 @@ func (r *Runner) planTrie(g graph.Adjacency, ps []*pattern.Pattern) (*TrieDecisi
 
 // mine is the mining phase of every pipeline and the only code that
 // reaches the executor: it mines choices[i].Pattern on g — streaming each
-// match to visits[i], or counting when visits is nil — and returns one
+// match to sinks[i], or counting when sinks is nil — and returns one
 // count per choice. A Planner's set is one pass over its merged trie (one
 // per shard under RunOptions.Shards, which applies to counting only);
 // an engine that exposes no plans is mined pattern by pattern, the
-// reference the conformance and fuzz suites diff the merged route against.
+// reference the conformance and fuzz suites diff the merged route against,
+// which streams to each sink's Visit.
 // Explain changes nothing here but the bookkeeping: PerPattern pairs each
 // choice's predictions with its count from that same execution (sharded
 // runs skip it, see RunOptions.Shards).
@@ -640,7 +641,7 @@ func (r *Runner) planTrie(g graph.Adjacency, ps []*pattern.Pattern) (*TrieDecisi
 // run scope), Mining and, on a typed interruption, Partial — one count per
 // choice: a merged pass interrupts every plan at once, the loop leaves the
 // patterns it never started at zero.
-func (r *Runner) mine(ctx context.Context, g graph.Adjacency, choices []Choice, visits []engine.Visitor, stats *RunStats) ([]uint64, error) {
+func (r *Runner) mine(ctx context.Context, g graph.Adjacency, choices []Choice, sinks []engine.Sink, stats *RunStats) ([]uint64, error) {
 	ps := patternsOf(choices)
 	dec, tr, planner, err := r.planTrie(g, ps)
 	if err != nil {
@@ -653,16 +654,16 @@ func (r *Runner) mine(ctx context.Context, g graph.Adjacency, choices []Choice, 
 	pass := func(sg graph.Adjacency) ([]uint64, *engine.Stats, error) {
 		if dec.Used {
 			opts, eo := planner.ExecConfig()
-			return engine.MatchTrieCtx(ctx, sg, tr, visits, opts, eo)
+			return engine.MatchTrieCtx(ctx, sg, tr, sinks, opts, eo)
 		}
 		counts := make([]uint64, len(ps))
 		acc := &engine.Stats{}
 		for i, p := range ps {
 			var st *engine.Stats
 			var err error
-			if visits == nil {
+			if sinks == nil {
 				counts[i], st, err = r.Engine.CountCtx(ctx, sg, p)
-			} else if st, err = r.Engine.MatchCtx(ctx, sg, p, visits[i]); st != nil {
+			} else if st, err = r.Engine.MatchCtx(ctx, sg, p, sinks[i].Visit); st != nil {
 				counts[i] = st.Matches
 			}
 			if st != nil {
@@ -676,7 +677,7 @@ func (r *Runner) mine(ctx context.Context, g graph.Adjacency, choices []Choice, 
 	}
 
 	var counts []uint64
-	sharded := r.RunOptions.Shards > 1 && visits == nil
+	sharded := r.RunOptions.Shards > 1 && sinks == nil
 	if sharded {
 		counts, err = r.mineSharded(ctx, g, len(ps), pass, stats)
 	} else {
@@ -765,7 +766,8 @@ func (r *Runner) MNITablesCtx(ctx context.Context, g graph.Adjacency, queries []
 // mniRun is the MNITablesCtx body, executed inside the run scope rc. The
 // winner set is streamed through mine — for a Planner one pass, so an FSM
 // level enumerates its candidates' shared labeled prefixes once — and every
-// match lands in the sink of the alternative it matched.
+// match lands in the sink of the alternative it matched, a settled window
+// at a time on the merged route.
 func (r *Runner) mniRun(ctx context.Context, rc *obs.RunContext, g graph.Adjacency, queries []*pattern.Pattern) ([]*aggr.Table, *RunStats, error) {
 	agg := aggr.MNI{}
 	policy, err := r.policyFor(agg)
@@ -777,14 +779,14 @@ func (r *Runner) mniRun(ctx context.Context, rc *obs.RunContext, g graph.Adjacen
 		return nil, stats, err
 	}
 	sinks := make([]*mniSink, len(sel.Mine))
-	visits := make([]engine.Visitor, len(sel.Mine))
+	streams := make([]engine.Sink, len(sel.Mine))
 	for i, c := range sel.Mine {
 		sinks[i] = newMNISink(c.Pattern.N())
-		visits[i] = sinks[i].insert
+		streams[i] = engine.Sink{Visit: sinks[i].insert, Bind: sinks[i].bind}
 	}
 
 	stats.Phase = PhaseMine
-	if _, err = r.mine(ctx, g, sel.Mine, visits, stats); err != nil {
+	if _, err = r.mine(ctx, g, sel.Mine, streams, stats); err != nil {
 		if engine.Interrupted(err) {
 			return nil, stats, err
 		}
@@ -836,15 +838,15 @@ func (r *Runner) streamRun(ctx context.Context, rc *obs.RunContext, g graph.Adja
 		return nil, err
 	}
 	var mine []Choice
-	var visits []engine.Visitor
+	var sinks []engine.Sink
 	for ci, c := range sel.Mine {
 		if len(targets[ci]) > 0 { // else mined for other outputs only
 			mine = append(mine, c)
-			visits = append(visits, visitor(targets[ci]))
+			sinks = append(sinks, engine.Sink{Visit: visitor(targets[ci])})
 		}
 	}
 	stats.Phase = PhaseMine
-	if _, err = r.mine(ctx, g, mine, visits, stats); err != nil {
+	if _, err = r.mine(ctx, g, mine, sinks, stats); err != nil {
 		if engine.Interrupted(err) {
 			return stats, err
 		}
@@ -858,7 +860,7 @@ func (r *Runner) streamRun(ctx context.Context, rc *obs.RunContext, g graph.Adja
 // records the execution in stats (see mine), outside any run scope: one
 // merged streaming pass of a given set, which the tests drive directly.
 func (r *Runner) MatchAllCtx(ctx context.Context, g graph.Adjacency, mine []Choice, visits []engine.Visitor, stats *RunStats) error {
-	_, err := r.mine(ctx, g, mine, visits, stats)
+	_, err := r.mine(ctx, g, mine, engine.Sinks(visits), stats)
 	return err
 }
 

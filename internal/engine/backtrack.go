@@ -73,12 +73,12 @@ func BacktrackCtx(ctx context.Context, g graph.Adjacency, pl *plan.Plan, visit V
 		ps.release()
 		return 0, nil, fmt.Errorf("engine: %w", err)
 	}
-	var visits []Visitor
+	var sinks []Sink
 	if visit != nil {
-		ps.one[0] = visit
-		visits = ps.one[:]
+		ps.one[0].Visit = visit
+		sinks = ps.one[:]
 	}
 	var count [1]uint64
-	st, err := ps.mine(ctx, g, &ps.single, visits, count[:], opts, o)
+	st, err := ps.mine(ctx, g, &ps.single, sinks, count[:], opts, o)
 	return count[0], st, err
 }

@@ -24,8 +24,8 @@ import (
 // enumerates each shared partial embedding once and fans out into the
 // per-pattern subtrees, and a single plan is the one-leaf case (BacktrackCtx).
 // A pass either counts — one count per leaf plan, the last levels never
-// materialized — or streams every match to its leaf plan's own Visitor
-// (MatchTrieCtx). Around the loop nest sit the adaptive set-operation entry
+// materialized — or streams every match to its leaf plan's own Sink, one
+// settled candidate window per call (MatchTrieCtx). Around the loop nest sit the adaptive set-operation entry
 // points (adaptive.go), the atomic block cursor with tail stealing
 // (steal.go), cooperative cancellation and worker panic containment
 // (ctx.go).
@@ -70,24 +70,24 @@ func BacktrackTrieCtx(ctx context.Context, g graph.Adjacency, tr *plan.Trie, opt
 }
 
 // MatchTrieCtx is the streaming form of BacktrackTrieCtx: one pass over the
-// merged trie in which visits[i] receives every match of tr.Plans[i], in
+// merged trie in which sinks[i] receives every match of tr.Plans[i], in
 // that plan's pattern-vertex order, shared prefixes being enumerated once
-// for all the plans below them. Nil visits is the counting pass; otherwise
-// every plan has its visitor. The interruption contract is
+// for all the plans below them. Nil sinks is the counting pass; otherwise
+// every plan has its sink. The interruption contract is
 // BacktrackTrieCtx's — one partial count per plan, every match counted was
-// delivered — and a panic in any plan's visitor aborts the whole pass.
-func MatchTrieCtx(ctx context.Context, g graph.Adjacency, tr *plan.Trie, visits []Visitor, opts ExecOptions, o *obs.Observer) ([]uint64, *Stats, error) {
+// delivered — and a panic in any plan's sink aborts the whole pass.
+func MatchTrieCtx(ctx context.Context, g graph.Adjacency, tr *plan.Trie, sinks []Sink, opts ExecOptions, o *obs.Observer) ([]uint64, *Stats, error) {
 	if tr == nil || len(tr.Plans) == 0 {
 		return nil, nil, fmt.Errorf("engine: nil or empty plan trie")
 	}
-	if visits != nil && (len(visits) != len(tr.Plans) || slices.ContainsFunc(visits, func(v Visitor) bool { return v == nil })) {
-		return nil, nil, fmt.Errorf("engine: streaming %d plans needs a visitor each, got %d (or a nil one)", len(tr.Plans), len(visits))
+	if sinks != nil && (len(sinks) != len(tr.Plans) || slices.ContainsFunc(sinks, func(s Sink) bool { return s.Visit == nil && s.Bind == nil })) {
+		return nil, nil, fmt.Errorf("engine: streaming %d plans needs a sink each, got %d (or an empty one)", len(tr.Plans), len(sinks))
 	}
 	counts := make([]uint64, len(tr.Plans))
 	if err := CtxErr(ctx); err != nil {
 		return counts, nil, err
 	}
-	st, err := getTriePass().mine(ctx, g, tr, visits, counts, opts, o)
+	st, err := getTriePass().mine(ctx, g, tr, sinks, counts, opts, o)
 	return counts, st, err
 }
 
@@ -123,13 +123,13 @@ type triePass struct {
 	tr        *plan.Trie
 	lrows     labelRower                 // the graph, when it serves label rows
 	scans     bool                       // some labeled node has no row to carry its label and scans
-	visits    []Visitor                  // per plan; nil: counting pass
+	sinks     []Sink                     // per plan; nil: counting pass
 	info      []trieExecInfo             // per node ID
 	nodes     []*plan.TrieNode           // parents before children, the order Stats.TrieNodes reports
 	rowLabels [pattern.MaxVertices]int32 // loadNode: the rowLabel of the node in hand's ancestor at each depth
 
-	single plan.Trie  // BacktrackCtx: the one-leaf trie of its plan
-	one    [1]Visitor // and the visitor list of its streaming pass
+	single plan.Trie // BacktrackCtx: the one-leaf trie of its plan
+	one    [1]Sink   // and the sink list of its streaming pass
 }
 
 var triePassPool = sync.Pool{New: func() any {
@@ -156,15 +156,15 @@ func (ps *triePass) release() {
 	clear(ps.info)
 	clear(ps.nodes)
 	ps.done, ps.fi, ps.live, ps.panicErr = nil, nil, nil, nil
-	ps.tr, ps.lrows, ps.visits, ps.one[0] = nil, nil, nil, nil
+	ps.tr, ps.lrows, ps.sinks, ps.one[0] = nil, nil, nil, Sink{}
 	ps.single.Reset() // cannot fail without plans
 	triePassPool.Put(ps)
 }
 
 // mine runs the pass: tr over g on opts.ThreadCount() workers, counts[i]
-// receiving plan i's matches and visits[i], in a streaming pass, each of
+// receiving plan i's matches and sinks[i], in a streaming pass, each of
 // them. It releases ps.
-func (ps *triePass) mine(ctx context.Context, g graph.Adjacency, tr *plan.Trie, visits []Visitor, counts []uint64, opts ExecOptions, o *obs.Observer) (*Stats, error) {
+func (ps *triePass) mine(ctx context.Context, g graph.Adjacency, tr *plan.Trie, sinks []Sink, counts []uint64, opts ExecOptions, o *obs.Observer) (*Stats, error) {
 	fi := faultinject.Active()
 	ctx, fiStop := fi.Context(ctx)
 	defer fiStop()
@@ -193,7 +193,7 @@ func (ps *triePass) mine(ctx context.Context, g graph.Adjacency, tr *plan.Trie, 
 	// match deltas to this sharded cell at block granularity, so live
 	// readers (progress, /metrics) see movement without slowing matching.
 	ps.live = o.Counter(MetricMatches)
-	ps.tr, ps.visits = tr, visits
+	ps.tr, ps.sinks = tr, sinks
 	ps.lrows, _ = g.(labelRower)
 	ps.loadClasses()
 
@@ -361,7 +361,7 @@ func (ps *triePass) mineRange(w *trieWorker) {
 	w.runRoot()
 	found := w.total() - before
 	ps.live.Add(w.id, found)
-	if ps.visits == nil { // a streaming pass meets the fault in its visitors
+	if ps.sinks == nil { // a streaming pass meets the fault where it delivers
 		ps.fi.MatchesCounted(w.id, found)
 	}
 }
@@ -447,7 +447,7 @@ func (ps *triePass) loadNode(n *plan.TrieNode) {
 			ei.timeWhole = ei.timeWhole || child.Leaf
 		}
 	}
-	if ps.visits != nil {
+	if ps.sinks != nil {
 		ei.timeWhole = false
 		return
 	}
@@ -467,7 +467,7 @@ type trieWorker struct {
 	pins       rowPins         // adjacency rows of the bound prefix
 	tr         *plan.Trie
 	info       []trieExecInfo
-	stream     bool // streaming pass: outs delivers every match
+	stream     bool // streaming pass: outs delivers every window
 	instrument bool
 
 	st     Stats
@@ -519,6 +519,12 @@ type trieWorker struct {
 	// allocated once per worker lifetime — see the spawn loop in mine.
 	pass  *triePass
 	spawn func()
+
+	// Streaming state past everything a counting pass touches, so it moves
+	// no counting field's offset: a window less its bound vertices, and
+	// eaches[i], each for plan i, bound once per worker lifetime.
+	tail   []uint32
+	eaches []Window
 }
 
 // trieNodeCount is one node's selectivity: partial embeddings reaching it,
@@ -538,13 +544,14 @@ type trieBase struct {
 	stamp uint64
 }
 
-// trieOut assembles one leaf plan's matches for the plan's visitor, in
+// trieOut assembles one leaf plan's matches for the plan's sink, in
 // pattern-vertex order: m[plan.Order[j]] is the vertex bound at depth j.
 type trieOut struct {
 	m     []uint32 // worker scratch, one slot per pattern vertex
 	order []int    // the plan's Order
 	last  int      // the pattern vertex the plan's final level binds
-	visit Visitor  // the plan's, behind the pass's fault injector
+	take  Window   // where the plan's windows go: the sink's bound Window, or each
+	visit Visitor  // a per-match sink's visitor, behind the pass's fault injector
 }
 
 func (w *trieWorker) total() uint64 {
@@ -579,7 +586,7 @@ func getTrieWorker(id int, g graph.Adjacency, ps *triePass, instrument bool, max
 	w.pins.bind(w.match)
 	w.tr = tr
 	w.info = ps.info
-	w.stream = ps.visits != nil
+	w.stream = ps.sinks != nil
 	w.instrument = instrument
 	const pad = 8 // uint64s in a cache line, and at least one in trieNodeCounts
 	plans, nodes := len(tr.Plans), tr.Nodes
@@ -605,13 +612,20 @@ func getTrieWorker(id int, g graph.Adjacency, ps *triePass, instrument bool, max
 		if len(w.outs) < plans {
 			w.outs = append(w.outs, make([]trieOut, plans-len(w.outs))...)
 		}
+		for i := len(w.eaches); i < plans; i++ {
+			w.eaches = append(w.eaches, func(m []uint32, pos int, tail []uint32) { w.each(i, m, pos, tail) })
+		}
 		for i, pl := range tr.Plans {
 			o := &w.outs[i]
 			if o.m == nil {
 				o.m = w.alloc(pattern.MaxVertices)
 			}
 			o.m, o.order, o.last = o.m[:len(pl.Order)], pl.Order, pl.Order[len(pl.Order)-1]
-			o.visit = ps.fi.Visitor(ps.visits[i]) // one injector: panic@N counts matches across plans
+			if s := ps.sinks[i]; s.Bind != nil {
+				o.take, o.visit = s.Bind(id), nil
+			} else { // one injector: panic@N counts matches across plans
+				o.take, o.visit = w.eaches[i], ps.fi.Visitor(s.Visit)
+			}
 		}
 	}
 	w.st = Stats{}
@@ -634,6 +648,7 @@ func (w *trieWorker) reshape(d, maxDeg int) {
 	w.d, w.maxDeg = d, maxDeg
 	w.arena.Reset()
 	w.match = w.alloc(d)[:d]
+	w.tail = w.alloc(maxDeg)
 	w.lab = [pattern.MaxVertices][]uint32{}
 	clear(w.bases)
 	clear(w.outs)
@@ -654,7 +669,7 @@ func (w *trieWorker) release() {
 	w.pass = nil
 	w.raw = [pattern.MaxVertices][]uint32{}
 	for i := range w.outs {
-		w.outs[i].order, w.outs[i].visit = nil, nil
+		w.outs[i].order, w.outs[i].take, w.outs[i].visit = nil, nil, nil
 	}
 	trieWorkerPool.Put(w)
 }
@@ -819,21 +834,17 @@ func (w *trieWorker) exec(node *plan.TrieNode, depth int, timed bool) {
 
 // settle counts the executing node's collapsed children over its candidate
 // set and completes the plans that end at the node over their branch's
-// window of it: a streaming pass writes each plan's prefix once and
-// delivers every candidate not bound above it, a counting pass adds the
-// window's size less the bound vertices in it. It reports whether the node
-// binds nothing more: a childless node, whose Extended is what it settled
-// (sibling branches settle overlapping windows and plans ending on one
-// branch settle it each, so that measures work done), or one whose
-// children are all collapsed, whose Extended is the candidates less the
-// bound ones.
+// window of it, less the vertices bound above it: a counting pass adds the
+// window's size, a streaming pass hands the window to each plan's sink in
+// one call (deliver). It reports whether the node binds nothing more: a
+// childless node, whose Extended is what it settled (sibling branches
+// settle overlapping windows and plans ending on one branch settle it
+// each, so that measures work done), or one whose children are all
+// collapsed, whose Extended is the candidates less the bound ones.
 func (w *trieWorker) settle(node *plan.TrieNode, ei *trieExecInfo, depth int, cands []uint32, wins []trieWin) (bindsNone bool) {
-	var bound []uint32 // a streaming pass collapses nothing, and deliver skips the bound vertices itself
-	if !w.stream {
-		bound = w.boundIn(cands, ei)
-		if len(ei.collBranches) > 0 {
-			w.countCollapsed(node, ei, cands, bound, wins)
-		}
+	bound := w.boundIn(cands, ei)
+	if len(ei.collBranches) > 0 { // a counting pass: a streaming one collapses nothing
+		w.countCollapsed(node, ei, cands, bound, wins)
 	}
 	var settled uint64
 	for bi, br := range node.Branches {
@@ -844,19 +855,21 @@ func (w *trieWorker) settle(node *plan.TrieNode, ei *trieExecInfo, depth int, ca
 		if len(wins) > 1 {
 			c, x = setops.Clip(cands, wins[bi].lo, wins[bi].hi), setops.Clip(bound, wins[bi].lo, wins[bi].hi)
 		}
-		if len(c) == 0 {
+		n := uint64(len(c) - len(x))
+		if n == 0 {
 			continue
 		}
+		if w.stream && len(x) > 0 {
+			c = w.without(c, x)
+		}
 		for _, idx := range br.Leaves {
-			before := w.counts[idx]
 			if w.stream {
-				w.prefix(idx, depth)
 				w.deliver(idx, c, depth)
 			} else {
-				w.counts[idx] += uint64(len(c) - len(x))
+				w.counts[idx] += n
 			}
-			settled += w.counts[idx] - before
 		}
+		settled += n * uint64(len(br.Leaves))
 	}
 	switch ns := &w.nstat[node.ID]; {
 	case ei.leaf:
@@ -867,38 +880,6 @@ func (w *trieWorker) settle(node *plan.TrieNode, ei *trieExecInfo, depth int, ca
 		return false
 	}
 	return true
-}
-
-// deliver completes plan idx's prefixed match with every candidate that is
-// not bound below depth, one visitor call each: the one place a streaming
-// pass hands a match to a plan's visitor, and the loop the streaming
-// workloads' time goes to, so everything a match needs is held in locals.
-func (w *trieWorker) deliver(idx int, cands []uint32, depth int) {
-	o, count := &w.outs[idx], &w.counts[idx]
-	m, slot := o.m, &o.m[o.last]
-	bound := w.match[:depth]
-	id, visit, instrument := w.id, o.visit, w.instrument
-	for _, v := range cands {
-		if slices.Contains(bound, v) {
-			continue
-		}
-		*count++
-		var t0 time.Time
-		if instrument {
-			t0 = time.Now()
-		}
-		*slot = v
-		w.st.Materialized += uint64(len(m))
-		if instrument {
-			w.st.MaterializeTime += time.Since(t0)
-			t0 = time.Now()
-		}
-		w.st.UDFCalls++
-		visit(id, m)
-		if instrument {
-			w.st.UDFTime += time.Since(t0)
-		}
-	}
 }
 
 // labeled returns the vertices of cands that carry label want, in the
@@ -923,14 +904,6 @@ func (w *trieWorker) labeled(cands []uint32, want int32, depth int) []uint32 {
 		}
 	}
 	return kept[:n]
-}
-
-// prefix writes the vertices bound below depth into plan idx's match.
-func (w *trieWorker) prefix(idx, depth int) {
-	o := &w.outs[idx]
-	for j, u := range o.order[:depth] {
-		o.m[u] = w.match[j]
-	}
 }
 
 // credit books n extensions of a single-branch count-only leaf: the

@@ -70,10 +70,10 @@ func TestMergedStreamingPass(t *testing.T) {
 			return -1
 		}
 
-		// A streaming pass has a visitor for every plan or does not start.
-		for _, bad := range [][]Visitor{make([]Visitor, len(ps)), {func(int, []uint32) {}}} {
+		// A streaming pass has a sink for every plan or does not start.
+		for _, bad := range [][]Sink{make([]Sink, len(ps)), Sinks([]Visitor{func(int, []uint32) {}})} {
 			if _, _, err := MatchTrieCtx(context.Background(), plain, tr, bad, ExecOptions{}, nil); err == nil {
-				t.Errorf("a pass over %d plans accepted %d visitors, nil among them or too few", len(ps), len(bad))
+				t.Errorf("a pass over %d plans accepted %d sinks, empty ones among them or too few", len(ps), len(bad))
 			}
 		}
 
@@ -101,7 +101,7 @@ func TestMergedStreamingPass(t *testing.T) {
 						got[i][fmt.Sprint(canon.CanonicalMatch(ps[i], m, auts[i]))]++
 					}
 				}
-				counts, st, err := MatchTrieCtx(context.Background(), g, tr, visits, ExecOptions{Threads: threads}, nil)
+				counts, st, err := MatchTrieCtx(context.Background(), g, tr, Sinks(visits), ExecOptions{Threads: threads}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -598,6 +598,81 @@ func TestMergedMNILifecycle(t *testing.T) {
 	})
 }
 
+// TestMergedMNIWindowPanics interrupts the window route of a merged
+// streaming pass — an FSM level, each plan's windows going to per-worker
+// MNI tables through engine.Sink.Bind — with a panic at match N from the
+// fault injector, counted across plans, and with a panic thrown by a
+// window consumer itself. Either way the panic value comes back in the
+// *engine.PanicError, the per-plan partial counts sum to Stats.Matches, no
+// more than the full pass finds, and every match counted was handed to a
+// window that returned (the injector's panic fires after its window is
+// counted, so that pass counts at least N).
+func TestMergedMNIWindowPanics(t *testing.T) {
+	leakCheck(t)
+	g, level := mergedLevel(t)
+	e := peregrine.New(3)
+	tr, err := engine.BuildTrie(e, g, level)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts, o := e.ExecConfig()
+	// pass runs the level into fresh tables; a window consumer panics with
+	// boom once windowPanic windows have returned (0: never). It returns
+	// the counts, the stats, the matches of returned windows and the error.
+	pass := func(windowPanic int64, boom string) ([]uint64, *engine.Stats, uint64, error) {
+		var windows atomic.Int64
+		var returned atomic.Uint64
+		sinks := make([]engine.Sink, len(level))
+		for i, p := range level {
+			sinks[i].Bind = func(int) engine.Window {
+				tbl := aggr.NewTable(p.N())
+				return func(m []uint32, pos int, tail []uint32) {
+					if windows.Add(1) == windowPanic {
+						panic(boom)
+					}
+					tbl.InsertTail(m, pos, tail)
+					returned.Add(uint64(len(tail)))
+				}
+			}
+		}
+		counts, st, err := engine.MatchTrieCtx(context.Background(), g, tr, sinks, opts, o)
+		return counts, st, returned.Load(), err
+	}
+	_, full, delivered, err := pass(0, "")
+	if err != nil || delivered != full.Matches {
+		t.Fatalf("clean pass: %d matches, %d handed over, err %v", full.Matches, delivered, err)
+	}
+	for _, tc := range []struct {
+		name        string
+		injectAt    uint64
+		windowPanic int64
+	}{{"injected at match N", full.Matches / 2, 0}, {"thrown by a window", 0, int64(full.UDFCalls / 2)}} {
+		t.Run(tc.name, func(t *testing.T) {
+			boom := "window boom"
+			if tc.injectAt > 0 {
+				boom = "injected window boom"
+				disarm, err := faultinject.Arm(faultinject.Config{PanicAtMatch: tc.injectAt, PanicMessage: boom})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer disarm()
+			}
+			counts, st, delivered, err := pass(tc.windowPanic, boom)
+			var pe *engine.PanicError
+			if !errors.As(err, &pe) || fmt.Sprint(pe.Value) != boom {
+				t.Fatalf("err = %v, want the %q *engine.PanicError", err, boom)
+			}
+			var sum uint64
+			for _, c := range counts {
+				sum += c
+			}
+			if st == nil || sum != st.Matches || sum > full.Matches || sum != delivered || sum < tc.injectAt {
+				t.Fatalf("partial counts sum to %d, Stats %+v; %d handed over to windows that returned, full pass %d, injected at %d", sum, st, delivered, full.Matches, tc.injectAt)
+			}
+		})
+	}
+}
+
 // TestFSMMineLifecycleOnMergedRoute arms a panic that fires inside the
 // third level's pass (the ordinal runs across passes): fsm.MineCtx must
 // return exactly the frequent patterns the two completed levels proved,

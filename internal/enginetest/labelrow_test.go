@@ -112,7 +112,7 @@ func streamTrie(t *testing.T, g graph.Adjacency, plain *graph.Graph, pl engine.P
 	}
 	opts, o := pl.ExecConfig()
 	opts.Threads = threads
-	if _, _, err := engine.MatchTrieCtx(context.Background(), g, tr, visits, opts, o); err != nil {
+	if _, _, err := engine.MatchTrieCtx(context.Background(), g, tr, engine.Sinks(visits), opts, o); err != nil {
 		t.Fatal(err)
 	}
 	return got, misplaced

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"morphing/internal/aggr"
@@ -201,4 +202,87 @@ func TestMergedMNIRouteEqualsPerPatternAndOracle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestWindowRouteExcludesBoundVertices drives the window route of a
+// streaming pass (engine.Sink.Bind, each worker's table filled by
+// aggr.Table.InsertTail) on labeled patterns whose last level carries the
+// label of a vertex bound above it: A–B–A and A–A–A, where symmetry and
+// adjacency keep the bound vertex out of the window, and A–B–A–B and a
+// triangle A–A–B with an A tail on B, where only the bound-vertex
+// exclusion does. On every Planner engine at 1 and 4 threads, every suite
+// shape and tier, one merged pass must hand over tails that hold no vertex
+// of their match's prefix and add up to the oracle's match counts, and
+// fill tables equal to the InsertAll oracle; MNITablesCtx, whose MNI sink
+// takes the same route, must agree on the engines that run it.
+func TestWindowRouteExcludesBoundVertices(t *testing.T) {
+	labeled := func(n int, edges [][2]int, labels ...int32) *pattern.Pattern {
+		return pattern.MustNew(n, edges, pattern.WithLabels(labels)).AsEdgeInduced()
+	}
+	queries := []*pattern.Pattern{
+		labeled(3, [][2]int{{0, 1}, {1, 2}}, 0, 1, 0),
+		labeled(3, [][2]int{{0, 1}, {1, 2}, {0, 2}}, 0, 0, 0),
+		labeled(4, [][2]int{{0, 1}, {1, 2}, {2, 3}}, 0, 1, 0, 1),
+		labeled(4, [][2]int{{0, 1}, {1, 2}, {0, 2}, {2, 3}}, 0, 0, 1, 0),
+	}
+	forEachSuite(t, 39, 2, func(t *testing.T, g graph.Adjacency, plain *graph.Graph) {
+		want := make([]*aggr.Table, len(queries))
+		matches := make([]uint64, len(queries))
+		for i, q := range queries {
+			want[i], matches[i] = mniOracle(plain, q), uint64(len(refmatch.Matches(plain, q)))
+		}
+		for _, threads := range []int{1, 4} {
+			for _, e := range []engine.Planner{peregrine.New(threads), autozero.New(threads), graphpi.New(threads), bigjoin.New(threads)} {
+				name := fmt.Sprintf("%s threads=%d", e.Name(), threads)
+				tr, err := engine.BuildTrie(e, g, queries)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				shards := make([]engine.Shards[aggr.Table], len(queries))
+				tails := make([]engine.Shards[[2]uint64], len(queries)) // per worker: matches handed over, tail vertices found in their prefix
+				sinks := make([]engine.Sink, len(queries))
+				for i, q := range queries {
+					shards[i].New = func() *aggr.Table { return aggr.NewTable(q.N()) }
+					sinks[i].Bind = func(worker int) engine.Window {
+						tbl, seen := shards[i].For(worker), tails[i].For(worker)
+						return func(m []uint32, pos int, tail []uint32) {
+							seen[0] += uint64(len(tail))
+							for j, u := range m {
+								if _, found := slices.BinarySearch(tail, u); found && j != pos {
+									seen[1]++
+								}
+							}
+							tbl.InsertTail(m, pos, tail)
+						}
+					}
+				}
+				opts, o := e.ExecConfig()
+				if _, _, err := engine.MatchTrieCtx(context.Background(), g, tr, sinks, opts, o); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				for i, q := range queries {
+					var seen [2]uint64
+					tails[i].Each(func(s *[2]uint64) { seen[0], seen[1] = seen[0]+s[0], seen[1]+s[1] })
+					got := aggr.NewTable(q.N())
+					shards[i].Each(got.Merge)
+					got.Saturate(canon.Automorphisms(q))
+					if seen[0] != matches[i] || seen[1] != 0 || !got.Equal(want[i]) {
+						t.Errorf("%s %v: %d matches handed over (oracle %d), %d of them a prefix vertex; table %v, oracle %v", name, q, seen[0], matches[i], seen[1], got, want[i])
+					}
+				}
+				if !e.SupportsInduced(pattern.VertexInduced) {
+					continue
+				}
+				tables, _, err := (&core.Runner{Engine: e}).MNITablesCtx(context.Background(), g, queries)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				for i, q := range queries {
+					if !tables[i].Equal(want[i]) {
+						t.Errorf("%s MNITables %v: %v, oracle %v", name, q, tables[i], want[i])
+					}
+				}
+			}
+		}
+	})
 }

@@ -53,18 +53,27 @@ func (Policy) Plan(g graph.Adjacency, p *pattern.Pattern) (*plan.Plan, error) {
 	conds := plan.SymmetryConditions(p)
 	model := costmodel.NewDefault(graph.Summarize(g))
 	var best *plan.Plan
-	bestCost := math.Inf(1)
+	bestPrice := math.NaN()
 	for _, order := range orders {
 		pl, err := plan.BuildWithConditions(p, order, conds)
 		if err != nil {
 			return nil, err
 		}
-		if c := model.PlanCost(pl); c < bestCost {
-			best, bestCost = pl, c
+		if c := model.PlanCost(pl); best == nil || cheaper(c, bestPrice) {
+			best, bestPrice = pl, c
 		}
 	}
 	if best == nil {
 		return nil, fmt.Errorf("no connected order for pattern %v", p)
 	}
 	return best, nil
+}
+
+// cheaper reports whether price c beats best, the lowest so far: only a
+// finite price wins, and over a finite best only a lower one. A model that
+// prices every order NaN or infinite thus leaves the first order
+// standing, not none.
+func cheaper(c, best float64) bool {
+	finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+	return finite(c) && (!finite(best) || c < best)
 }

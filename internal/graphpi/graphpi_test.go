@@ -3,6 +3,7 @@ package graphpi
 import (
 	"context"
 	"errors"
+	"math"
 	"runtime"
 	"testing"
 
@@ -96,5 +97,41 @@ func TestFilterPathUnderManyWorkerIDs(t *testing.T) {
 	}
 	if len(st.Workers) < 100 {
 		t.Fatalf("only %d workers ran; the test needs hundreds of live IDs", len(st.Workers))
+	}
+}
+
+// TestCheapestPrice: the order search keeps the lowest finite price and
+// the first of equal ones; NaN and infinite prices never win over a finite
+// one, and when no price is finite the first order stands rather than
+// none — a model that prices every order NaN must not fail the pattern.
+// pick is Plan's loop over the prices alone.
+func TestCheapestPrice(t *testing.T) {
+	pick := func(prices []float64) int {
+		best := -1
+		for i, c := range prices {
+			if best < 0 || cheaper(c, prices[best]) {
+				best = i
+			}
+		}
+		return best
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		prices []float64
+		want   int
+	}{
+		{nil, -1},
+		{[]float64{3, 1, 2}, 1},
+		{[]float64{2, 1, 1}, 1},
+		{[]float64{nan, 5, 4}, 2},
+		{[]float64{inf, nan, 7}, 2},
+		{[]float64{7, nan, inf, math.Inf(-1)}, 0},
+		{[]float64{nan, nan}, 0},
+		{[]float64{inf, inf}, 0},
+		{[]float64{nan, inf, math.Inf(-1)}, 0},
+	} {
+		if got := pick(tc.prices); got != tc.want {
+			t.Errorf("pick(%v) = %d, want %d", tc.prices, got, tc.want)
+		}
 	}
 }

@@ -96,10 +96,11 @@ func splitAt(list []int, d int) (below, at []int) {
 // between two levels, so a depth the pattern makes adjacent to every
 // Connect level and anti-adjacent to every other Disconnect level always
 // qualifies, one anti-adjacent to a Connect level or adjacent to a
-// Disconnect level never does, and the rest (non-edges of an edge-induced
-// pattern) are left to probe. It appends the first kind to dst, then the
-// last, and returns how many of the first; a vertex-induced plan leaves
-// nothing to probe.
+// Disconnect level never does, nor does one whose concrete label is not
+// the level's, and the rest (non-edges of an edge-induced pattern) are
+// left to probe. It appends the first kind to dst, then the last, and
+// returns how many of the first; a vertex-induced plan leaves nothing to
+// probe.
 func (pl *Plan) settleChecks(dst []int, i int) (_ []int, nAlways int) {
 	var probe [pattern.MaxVertices]int
 	n := 0
@@ -129,8 +130,14 @@ const (
 	never
 )
 
-// qualifies is settleChecks' verdict on bound depth a at level i.
+// qualifies is settleChecks' verdict on bound depth a at level i. A data
+// vertex carries one label, so where both depths carry concrete labels
+// that differ, a's vertex is never in i's labeled candidate set.
 func (pl *Plan) qualifies(a, i int) verdict {
+	la, li := pl.Pattern.Label(pl.Order[a]), pl.Pattern.Label(pl.Order[i])
+	if la != pattern.Unlabeled && li != pattern.Unlabeled && la != li {
+		return never
+	}
 	v := always
 	for _, c := range pl.Connect[i] {
 		switch pl.adjacent(a, c) {

@@ -1,7 +1,9 @@
 package plan
 
 import (
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"morphing/internal/canon"
@@ -213,5 +215,71 @@ func TestPlanOrderIsCopied(t *testing.T) {
 	order[0] = 99
 	if !reflect.DeepEqual(pl.Order, []int{0, 1, 2}) {
 		t.Fatal("plan aliases caller's order slice")
+	}
+}
+
+// TestBoundSkipsOtherLabels: in a labeled plan a bound depth whose
+// concrete label differs from the level's is absent from the level's
+// Class.Bound — its vertex is never in the level's labeled set — and
+// every other bound depth keeps the place and kind (always or probe) it
+// has in the unlabeled plan of the same shape and order. Over every
+// connected pattern of 3 and 4 vertices, both induced semantics, every
+// connected order and random labelings with a wildcard now and then.
+func TestBoundSkipsOtherLabels(t *testing.T) {
+	// The example: the path A–B–A–B bound in order. Its last level (B) finds
+	// the B bound at depth 1 inside its set, never the A at depth 0.
+	abab := pattern.MustNew(4, [][2]int{{0, 1}, {1, 2}, {2, 3}}, pattern.WithLabels([]int32{0, 1, 0, 1}))
+	pl, err := BuildWithOrder(abab, []int{0, 1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := pl.Class[3].Bound; !reflect.DeepEqual(got, []int{1}) {
+		t.Errorf("A-B-A-B, last level: Bound %v, want [1]", got)
+	}
+
+	r := rand.New(rand.NewSource(3))
+	keep := func(p *pattern.Pattern, order, from []int, i int) []int {
+		out := []int{}
+		for _, a := range from {
+			la, li := p.Label(order[a]), p.Label(order[i])
+			if la == pattern.Unlabeled || li == pattern.Unlabeled || la == li {
+				out = append(out, a)
+			}
+		}
+		return out
+	}
+	for k := 3; k <= 4; k++ {
+		shapes, err := canon.AllConnectedPatterns(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, shape := range shapes {
+			for _, iv := range []pattern.Induced{pattern.EdgeInduced, pattern.VertexInduced} {
+				bare := shape.Variant(iv)
+				for _, order := range ConnectedOrders(bare, 24) {
+					labels := make([]int32, k)
+					for v := range labels {
+						if labels[v] = int32(r.Intn(3)); labels[v] == 2 {
+							labels[v] = pattern.Unlabeled
+						}
+					}
+					labeled := pattern.MustNew(k, shape.Edges(), pattern.WithLabels(labels)).Variant(iv)
+					want, err := BuildWithOrder(bare, order)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := BuildWithOrder(labeled, order)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := range order {
+						g, w := &got.Class[i], &want.Class[i]
+						if a, c := keep(labeled, order, w.Always(), i), keep(labeled, order, w.Check(), i); !reflect.DeepEqual(append(slices.Clone(g.Always()), g.Check()...), append(a, c...)) || g.NAlways != len(a) {
+							t.Errorf("%v order %v level %d: Bound %v (%d always), want %v then %v", labeled, order, i, g.Bound, g.NAlways, a, c)
+						}
+					}
+				}
+			}
+		}
 	}
 }
