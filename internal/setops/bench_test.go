@@ -2,6 +2,7 @@ package setops
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 )
 
@@ -170,5 +171,47 @@ func BenchmarkArenaCarveReset(b *testing.B) {
 			buf := a.Alloc(4096)
 			sink += uint64(cap(buf))
 		}
+	}
+}
+
+// The count-only difference at the last level of a vertex-induced plan, at
+// the operands mc4-direct measures: a raw base of about 45 elements whose
+// window's low end cuts about half of it, the anti-edge's row of about 15,
+// and an open high end. It cycles through 1,024 pairs: over 64, the branch
+// predictor learned the old branchy searches and merge by heart, and the
+// benchmark showed none of the gain the workload measures.
+func BenchmarkDifferenceCountLeaf(b *testing.B) {
+	var xs, ys [1024][]uint32
+	var los [1024]uint32
+	for i := range xs {
+		xs[i], ys[i] = benchSets(45, 15, 256, int64(100+i))
+		los[i] = xs[i][len(xs[i])/2]
+	}
+	var st Stats
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % 1024
+		sink += DifferenceCountF(xs[k], ys[k], Filter{Lo: los[k], Hi: ^uint32(0)}, &st)
+	}
+}
+
+// SearchAbove over 16, 256 and 4,096 elements, at 1,024 random bounds so
+// that no branch predictor learns the path of one search.
+func BenchmarkSearchAbove(b *testing.B) {
+	for _, n := range []int{16, 256, 4096} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			r := rand.New(rand.NewSource(int64(n)))
+			a := denseSet(r, n, 16*n)
+			var lowers [1024]uint32
+			for i := range lowers {
+				lowers[i] = uint32(r.Intn(16 * n))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sink += uint64(SearchAbove(a, lowers[i%1024]))
+			}
+		})
 	}
 }

@@ -25,8 +25,8 @@ func (f Filter) Pass(v uint32) bool {
 }
 
 // CountF counts the elements of sorted slice a passing the filter. With no
-// label constraint this is pure arithmetic — two binary searches, no scan —
-// which is the cheapest possible "last level" of a counting plan.
+// label constraint this is pure arithmetic — a search per bound that cuts,
+// no scan — which is the cheapest possible "last level" of a counting plan.
 func CountF(a []uint32, f Filter, st *Stats) uint64 {
 	st.Ops++
 	st.CountOps++
@@ -76,12 +76,9 @@ func IntersectCountF(a, b []uint32, f Filter, st *Stats) uint64 {
 		return n
 	}
 	if f.Labels == nil {
-		// The window is already fused by the Clip above and no label test
-		// remains, so the branch-minimized count applies. It charges Elems
-		// only; this operation is already booked under CountOps.
-		if len(a) >= unrolledMinLen {
-			return unrolledIntersectCount(a, b, st)
-		}
+		// The Clip above fused the window and no label test remains: the
+		// branch-free count runs at any size and charges Elems only.
+		return unrolledIntersectCount(a, b, st)
 	}
 	st.Elems += uint64(len(a) + len(b))
 	i, j := 0, 0
@@ -92,7 +89,7 @@ func IntersectCountF(a, b []uint32, f Filter, st *Stats) uint64 {
 		case a[i] > b[j]:
 			j++
 		default:
-			if f.Labels == nil || f.Labels[a[i]] == f.Want {
+			if f.Labels[a[i]] == f.Want {
 				n++
 			}
 			i++
@@ -122,7 +119,7 @@ func DifferenceCountF(a, b []uint32, f Filter, st *Stats) uint64 {
 		st.Elems += uint64(len(a)) + probes
 		return n
 	}
-	if f.Labels == nil && len(a) >= unrolledMinLen && len(b) >= unrolledMinLen {
+	if f.Labels == nil {
 		return unrolledDifferenceCount(a, b, st)
 	}
 	st.Elems += uint64(len(a) + len(b))
@@ -131,7 +128,7 @@ func DifferenceCountF(a, b []uint32, f Filter, st *Stats) uint64 {
 		for j < len(b) && b[j] < x {
 			j++
 		}
-		if (j == len(b) || b[j] != x) && (f.Labels == nil || f.Labels[x] == f.Want) {
+		if (j == len(b) || b[j] != x) && f.Labels[x] == f.Want {
 			n++
 		}
 	}

@@ -40,7 +40,10 @@ func decodeSet(raw []byte) []uint32 {
 // from short adversarial shapes. The seeded corpus covers the edge shapes
 // the dispatcher branches on: empty sides, identical sides, fully disjoint
 // sides, single elements, skew past the galloping threshold, degenerate
-// windows, dense contiguous ranges, and long runs of equal prefixes.
+// windows, windows with an open high end or with no bound that cuts, dense
+// contiguous ranges, and long runs of equal prefixes. SearchAbove is checked
+// against a linear scan at the bounds where a binary search goes wrong
+// first: 0, a's first and last elements, and ^uint32(0)-1.
 func FuzzKernels(f *testing.F) {
 	f.Add([]byte{}, []byte{}, uint32(0), uint32(0), byte(0))
 	f.Add([]byte{0, 1, 0, 3, 0, 5}, []byte{}, uint32(0), uint32(fuzzMax), byte(1))
@@ -79,6 +82,14 @@ func FuzzKernels(f *testing.F) {
 		eqPrefix = append(eqPrefix, byte(i>>8), byte(i))
 	}
 	f.Add(append(append([]byte{}, eqPrefix...), 0x0f, 0x00), append(append([]byte{}, eqPrefix...), 0x0f, 0x01), uint32(0), uint32(fuzzMax), byte(2))
+	// The last level of a vertex-induced plan: the low end cuts both sides
+	// and the high end is open (the fourth filter); and windows neither of
+	// whose bounds cuts (lo <= a[0], hi > a[len-1]), so Clip searches
+	// nothing.
+	f.Add([]byte{0, 4, 0, 9, 0, 12, 0, 20, 0, 31, 0, 40}, []byte{0, 9, 0, 21, 0, 31}, uint32(12), uint32(0), byte(0))
+	f.Add(long, []byte{0, 70, 0, 71, 0, 90}, uint32(69), uint32(3), byte(1))
+	f.Add([]byte{0, 10, 0, 20, 0, 30}, []byte{0, 15, 0, 20}, uint32(10), uint32(31), byte(0))
+	f.Add(eqPrefix, denseB, uint32(0), uint32(fuzzMax-1), byte(2))
 
 	f.Fuzz(func(t *testing.T, rawA, rawB []byte, lo, hi uint32, labelSeed byte) {
 		a := decodeSet(rawA)
@@ -91,6 +102,7 @@ func FuzzKernels(f *testing.F) {
 			All(),
 			Window(lo%fuzzMax, hi%fuzzMax),
 			{Lo: lo % fuzzMax, Hi: hi % fuzzMax, Labels: labels, Want: 1},
+			{Lo: lo % fuzzMax, Hi: ^uint32(0)},
 		}
 
 		wantI := RefIntersect(a, b)
@@ -162,6 +174,15 @@ func FuzzKernels(f *testing.F) {
 				t.Fatalf("Contains(%v, %d) = %v, want %v", a, x, got, want)
 			}
 		}
+		lowers := []uint32{0, lo, ^uint32(0) - 1}
+		if len(a) > 0 {
+			lowers = append(lowers, a[0], a[len(a)-1])
+		}
+		for _, x := range lowers {
+			if got, want := SearchAbove(a, x), linearAbove(a, x); got != want {
+				t.Fatalf("SearchAbove(%v, %d) = %d, want %d", a, x, got, want)
+			}
+		}
 		// The rank sum, whole and with b clipped to the window as a
 		// collapsed leaf clips its base.
 		for _, bw := range [][]uint32{b, Clip(b, lo%fuzzMax, hi%fuzzMax)} {
@@ -176,6 +197,16 @@ func FuzzKernels(f *testing.F) {
 
 func equal(got, want []uint32) bool {
 	return reflect.DeepEqual(append([]uint32{}, got...), append([]uint32{}, want...))
+}
+
+// linearAbove is SearchAbove by a linear scan.
+func linearAbove(a []uint32, lower uint32) int {
+	for i, v := range a {
+		if v > lower {
+			return i
+		}
+	}
+	return len(a)
 }
 
 func linearContains(a []uint32, x uint32) bool {

@@ -10,8 +10,8 @@
 //     amortize anything cleverer. Linear in len(a)+len(b).
 //   - unrolled: a branch-minimized, 4-wide unrolled merge (unrolled.go)
 //     that replaces the data-dependent branches of the scalar merge with
-//     flag-materializing arithmetic; the balanced path of intersection and
-//     of the two count-only kernels once both sides reach unrolledMinLen.
+//     flag-materializing arithmetic; every unlabeled count-only merge, and
+//     intersection once its small side reaches unrolledMinLen.
 //   - gallop: exponential (doubling) search of the larger side for each
 //     element of the smaller side, best when one side is much smaller
 //     (|a| ≪ |b|). O(|a|·log(|b|/|a|)) instead of O(|a|+|b|).
@@ -36,10 +36,10 @@ package setops
 // instead of a linear scan of the gap, but the doubling probes have worse
 // locality than a straight merge, so the ratio must be large enough to
 // amortize the cache misses. 8:1 with a 64-element floor is conservative.
-// Fitted 2026-10 (ROADMAP item 3(c)): kept, and unrolledMinLen = 16 with
-// them. The per-path counters of the cost-model fit's 40 counting passes
-// (costmodel's TestFitWeights -v: the serve pool, the 4-motifs and sc's
-// list, direct and forced, on MI x0.01 and MG x0.003) read 7,786,232 set
+// Fitted 2026-10 (ROADMAP item 3(c)): kept, and Intersect's unrolledMinLen =
+// 16 with them. The per-path counters of the cost-model fit's 40 counting
+// passes (costmodel's TestFitWeights -v: the serve pool, the 4-motifs and
+// sc's list, direct and forced, on MI x0.01 and MG x0.003) read 7,786,232 set
 // operations over 251,395,451 elements: 6,442,520 count-only, and of the
 // materializing rest 935,929 merged, 146,506 unrolled, 260,674 bitmap
 // probes and 603 galloped. On graphs whose longest row is 175 vertices the
@@ -102,18 +102,15 @@ func (s *Stats) Add(other Stats) {
 // SearchAbove returns the index of the first element of sorted slice a
 // strictly greater than lower, or len(a) when no element qualifies. It is
 // the one binary search behind window clipping, suffix filtering and
-// membership probes.
+// membership probes. Branch-free: base moves by a mask (SETcc), not a jump.
 func SearchAbove(a []uint32, lower uint32) int {
-	lo, hi := 0, len(a)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if a[mid] <= lower {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	base, n := 0, len(a)
+	for n > 0 {
+		half := n - n>>1
+		base += half & -b2i(a[base+half-1] <= lower)
+		n >>= 1
 	}
-	return lo
+	return base
 }
 
 // searchGE returns the index of the first element >= x (len(a) when none).
@@ -124,12 +121,16 @@ func searchGE(a []uint32, x uint32) int {
 	return SearchAbove(a, x-1)
 }
 
-// Clip narrows sorted slice a to the half-open window [lo, hi) by binary
-// search, returning a subslice of a.
+// Clip narrows sorted slice a to the window [lo, hi), returning a subslice.
+// It searches only a bound that cuts a: an open hi costs one comparison.
 func Clip(a []uint32, lo, hi uint32) []uint32 {
-	start := searchGE(a, lo)
-	end := start + searchGE(a[start:], hi)
-	return a[start:end]
+	if len(a) > 0 && a[0] < lo {
+		a = a[SearchAbove(a, lo-1):]
+	}
+	if len(a) > 0 && a[len(a)-1] >= hi {
+		a = a[:searchGE(a, hi)]
+	}
+	return a
 }
 
 // Contains reports whether sorted slice a contains x using binary search.

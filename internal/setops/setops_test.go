@@ -368,3 +368,62 @@ func TestStatsPathPartition(t *testing.T) {
 		t.Fatalf("expected all paths exercised: %+v", st)
 	}
 }
+
+// TestCountKernelsChargeTheirClippedOperands pins the counter promise the
+// exact-counter goldens rest on at the kernel: below the galloping
+// threshold, every unlabeled IntersectCountF and DifferenceCountF is one Op
+// and one CountOp and charges to Elems exactly the elements of both sides
+// inside its window, whatever the window's shape — an open high end with
+// the low end below, at or above a[0], a high end below a[len-1], or an
+// inverted window — and RankPairs' merge charges both whole sides. The
+// window's share of each side is counted by a linear scan, not by Clip.
+func TestCountKernelsChargeTheirClippedOperands(t *testing.T) {
+	r := rand.New(rand.NewSource(19))
+	open := ^uint32(0)
+	inWindow := func(s []uint32, lo, hi uint32) uint64 { return filterCount(s, Window(lo, hi)) }
+	for trial := 0; trial < 500; trial++ {
+		a, b := denseSet(r, r.Intn(41), 200), denseSet(r, r.Intn(41), 200)
+		first, last := uint32(r.Intn(200)), uint32(r.Intn(200))
+		if len(a) > 0 {
+			first, last = a[0], a[len(a)-1]
+		}
+		windows := [][2]uint32{
+			{0, open},
+			{first, open},
+			{first + 1 + uint32(r.Intn(100)), open},
+			{0, last},
+			{uint32(r.Intn(100)), last},
+			{first + 2, first},
+			{150, 50},
+		}
+		if first > 0 {
+			windows = append(windows, [2]uint32{first - 1, open})
+		}
+		for _, w := range windows {
+			lo, hi := w[0], w[1]
+			want := inWindow(a, lo, hi) + inWindow(b, lo, hi)
+			for _, k := range []struct {
+				name string
+				fn   func(a, b []uint32, f Filter, st *Stats) uint64
+				ref  []uint32
+			}{
+				{"IntersectCountF", IntersectCountF, RefIntersect(a, b)},
+				{"DifferenceCountF", DifferenceCountF, RefDifference(a, b)},
+			} {
+				var st Stats
+				if got, wantN := k.fn(a, b, Window(lo, hi), &st), filterCount(k.ref, Window(lo, hi)); got != wantN {
+					t.Fatalf("%s(%v, %v, [%d, %d)) = %d, want %d", k.name, a, b, lo, hi, got, wantN)
+				}
+				if st.Ops != 1 || st.CountOps != 1 || st.Elems != want {
+					t.Fatalf("%s(%v, %v, [%d, %d)) charged %d ops, %d count ops, %d elems; want 1, 1, %d",
+						k.name, a, b, lo, hi, st.Ops, st.CountOps, st.Elems, want)
+				}
+			}
+		}
+		var st Stats
+		RankPairs(a, b, &st)
+		if st.Elems != uint64(len(a)+len(b)) || st.Ops != 0 {
+			t.Fatalf("RankPairs(%v, %v) charged %d elems in %d ops, want %d in 0", a, b, st.Elems, st.Ops, len(a)+len(b))
+		}
+	}
+}

@@ -15,13 +15,13 @@ package setops
 //     i += b2i(v <= w) compiles to a flag-materializing SETcc/CSET, never
 //     a jump, and nothing is stored at all.
 //
-// Operations served here charge Stats.UnrolledOps; the scalar merge
-// remains for inputs too short to amortize the setup (unrolledMinLen)
-// and keeps charging MergeOps.
+// Intersect charges Stats.UnrolledOps here and keeps the scalar merge
+// (MergeOps) for inputs too short to amortize the setup; the count-only
+// variants serve every unlabeled count at any size, booked under CountOps.
 
-// unrolledMinLen is the smallest "small side" the unrolled kernels
-// accept: below it the scalar merge's simplicity wins and the dispatch
-// keeps the old path (and the old MergeOps accounting).
+// unrolledMinLen is the smallest small side unrolledIntersect accepts:
+// below it the scalar merge's simplicity wins and Intersect keeps the old
+// path (and the old MergeOps accounting).
 const unrolledMinLen = 16
 
 // b2i converts a bool to 0/1. The compiler lowers this pattern to a
