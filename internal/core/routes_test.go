@@ -63,16 +63,6 @@ func named(t testing.TB, names ...string) []*pattern.Pattern {
 	return ps
 }
 
-// workOf is a pass's deterministic work: the elements its set operations
-// scanned plus the candidates its trie nodes examined.
-func workOf(st *engine.Stats) uint64 {
-	work := st.SetElems
-	for _, n := range st.TrieNodes {
-		work += n.Candidates
-	}
-	return work
-}
-
 // routeGraphs are the seeded graphs decisions are judged on: MI x0.01 and
 // MG x0.003, or under -short and under the race detector (ten times slower
 // per set operation) the same recipes at a third of that.
@@ -98,12 +88,13 @@ func routeGraphs(t testing.TB) []*graph.Graph {
 // 4-motifs and sc's list runs three ways on Peregrine with one thread —
 // model-decided, morphing disabled (direct), and under an edge-only policy
 // that morphs every vertex-induced query (forced) — on seeded MI x0.01 and
-// MG x0.003. The answers must agree, and the decided run's work (workOf)
-// must be within 15 % of the better of the other two: the model may decline
-// or accept, not lose to both. With -v the table is the forced-morph ground
-// truth for every decision, followed by report-only rows: E3's remaining
-// counting sets, one FSM level (E4) and the 4-motif enumeration of E7, whose
-// forced route is the per-match hint internal/bench uses.
+// MG x0.003. The answers must agree, and the decided run's exact work
+// (engine.Stats.Work) must be within 15 % of the better of the other two:
+// the model may decline or accept, not lose to both. With -v the table is
+// the forced-morph ground truth for every decision, followed by report-only
+// rows: E3's remaining counting sets, one FSM level (E4) and the 4-motif
+// enumeration of E7, whose forced route is the per-match hint
+// internal/bench uses.
 func TestSelectNeverLosesToBothRoutes(t *testing.T) {
 	type route struct {
 		counts []uint64
@@ -115,7 +106,7 @@ func TestSelectNeverLosesToBothRoutes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return route{counts, workOf(st.Mining), len(st.Selection.Mine)}
+		return route{counts, st.Mining.Work(), len(st.Selection.Mine)}
 	}
 	asserted := append(append([][]string{}, servePool...), motifs4, scList)
 	sets := asserted
@@ -170,7 +161,7 @@ func TestSelectNeverLosesToBothRoutes(t *testing.T) {
 			}
 		}
 		t.Logf("E4 MI x0.003 3-FSM level 3 (%d candidates) %-27s work %9d, %8d UDF calls, %d mined, %d morphed  report only",
-			len(level), r.label, workOf(st.Mining), st.Mining.UDFCalls, len(st.Selection.Mine), morphed)
+			len(level), r.label, st.Mining.Work(), st.Mining.UDFCalls, len(st.Selection.Mine), morphed)
 	}
 
 	// E7: enumerating the six edge-induced 4-motifs through a filter.
@@ -192,6 +183,6 @@ func TestSelectNeverLosesToBothRoutes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("E7 MI x0.01 4V_E %-27s work %9d, %8d UDF calls  report only", r.label, workOf(res.Stats), res.Stats.UDFCalls)
+		t.Logf("E7 MI x0.01 4V_E %-27s work %9d, %8d UDF calls  report only", r.label, res.Stats.Work(), res.Stats.UDFCalls)
 	}
 }

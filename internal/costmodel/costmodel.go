@@ -23,11 +23,12 @@ import (
 )
 
 // Weights are what one modeled action of the executor costs, in elements
-// scanned: the model multiplies them into its estimates of how often each
-// action runs. They tune the model per system, mirroring how the paper
-// piggybacks on each system's own planner model; the defaults are fitted
-// on the one executor all four engine models share, and GraphPi's order
-// selection uses them too.
+// scanned — the unit of engine.Stats.Work, the exact work Algorithm 1's
+// decisions are judged in: the model multiplies them into its estimates of
+// how often each action runs. They tune the model per system, mirroring
+// how the paper piggybacks on each system's own planner model; the
+// defaults are fitted on the one executor all four engine models share,
+// and GraphPi's order selection uses them too.
 type Weights struct {
 	// SetOp scales an intersection: one kernel call costs SetOp x the
 	// model's row length.
@@ -43,6 +44,12 @@ type Weights struct {
 	// kernel: a collapsed leaf, counted for all its parent's candidates at
 	// once by rank sums over a set already held.
 	Leaf float64
+	// Marked is one element a marked leaf scans (Class.Mark in a counting
+	// pass): it probes the binding row, a model row per execution, into a
+	// bitmap of its base, and marks the base, its expected size, once per
+	// base (markScan) — where a merge would cost Difference x a row per
+	// execution.
+	Marked float64
 	// RestrictionFactor is the candidate shrink applied to levels with
 	// symmetry-breaking bounds (the expected fraction of neighbors with
 	// larger/smaller IDs). Not fitted.
@@ -50,27 +57,30 @@ type Weights struct {
 }
 
 // DefaultWeights returns the weights used unless a system overrides them:
-// the least-squares fit of 2026-10-15 (TestFitWeights, which fails when
+// the least-squares fit of 2026-10-18 (TestFitWeights, which fails when
 // these constants stop being its solution; -v prints the table). Forty
 // counting passes — the repo benchmark's serve pool, 4-motifs and sc list,
 // each as queried and as the edge-induced closure an edge-only engine mines,
-// on MI x0.01 and MG x0.003 — give, per pass, the executor's exact counters:
-// elements scanned by kernels and by the collapsed leaves' rank sums
-// (SetElems) plus, per candidate a materialized level examined, its
-// depth + 2 comparisons (bound vertices, window, binding). Against the
-// measured number of intersections, differences, collapsed-leaf executions
-// and node executions of each pass (per-node Enters, every node's
-// plan.Class), relative least squares yields SetOp 1.34 and Difference 2.49
-// model rows per call (an intersection scans 15-19 elements count-only and
-// 41 materialized, a difference 29-56), Leaf 4.99 and Iterate 3.38
-// elements; 38 of the 40 rows are predicted within x1.6, the other two (a
-// single tailed triangle on either graph, whose leaf windows move with the
-// parent's binding) at x0.52 and x0.53. A collapsed leaf's elements are its
-// parent's candidates and its base, walked once per parent execution, so
-// Leaf is that walk spread over the candidates. Before the first fit the
-// model priced with SetOp 1, Iterate 1 and no other term.
+// on MI x0.01 and MG x0.003 — give, per pass, its exact work
+// (engine.Stats.Work: elements scanned by kernels, base builds, marks and
+// the collapsed leaves' rank sums, plus depth + 2 comparisons per candidate
+// a binding level examined). Against the measured number of intersections,
+// differences, marked-leaf probes and marks, collapsed-leaf executions and
+// node executions of each pass (per-node Enters, every node's plan.Class),
+// relative least squares yields SetOp 1.2 and Difference 3.02 model rows
+// per call, Leaf 1.54, Iterate 6.37 and Marked 1.8 elements; 38 of the 40
+// rows are predicted within x1.6, the other two (a single tailed triangle
+// on either graph, whose leaf windows move with the parent's binding) at
+// x0.54 and x0.55. A collapsed leaf's elements are its parent's candidates
+// and its base, walked once per parent execution, so Leaf is that walk
+// spread over the candidates. Without Marked — the marked leaves priced as
+// merges — the fit reads Iterate -0.03 and every vertex-induced query runs
+// direct; with marked probes priced at a whole row, chordal-4-cycle:v runs
+// direct on both graphs and does 1.24-1.35x the forced route's work.
+// Before the first fit the model priced with SetOp 1, Iterate 1 and no
+// other term.
 func DefaultWeights() Weights {
-	return Weights{SetOp: 1.34, Difference: 2.49, Iterate: 3.38, Leaf: 4.99, RestrictionFactor: 0.5}
+	return Weights{SetOp: 1.2, Difference: 3.02, Iterate: 6.37, Leaf: 1.54, Marked: 1.8, RestrictionFactor: 0.5}
 }
 
 // Model estimates pattern-matching costs for one data graph.
@@ -163,9 +173,10 @@ type Level struct {
 // plus its kernel calls. In a counting pass (perMatch == 0) the last level
 // is count-only: its kernel call per entering prefix, if any (a degree leaf
 // reads a row's length), no per-match iteration, and Leaf more when its
-// parent counts it in bulk (Class.Collapse). With perMatch > 0 every
-// match is delivered: the last level is iterated and carries perMatch per
-// expected unique match, aut being |Aut(pattern)|. A last level's key is
+// parent counts it in bulk (Class.Collapse); a marked leaf (Class.Mark)
+// pays Marked per element it probes and marks (markScan) in place of its
+// difference. With perMatch > 0 every match is delivered: the last level
+// is iterated and carries perMatch per expected unique match, aut being |Aut(pattern)|. A last level's key is
 // its own — it never merges with an inner level of a larger pattern, which
 // executes differently.
 func (m *Model) Levels(pl *plan.Plan, perMatch float64, aut int, dst []Level) []Level {
@@ -195,7 +206,12 @@ func (m *Model) Levels(pl *plan.Plan, perMatch float64, aut int, dst []Level) []
 		cost := m.w.Iterate * m.n
 		if i > 0 {
 			k := callsOf(pl, i)
-			cost = m.w.Iterate*enter[i] + m.deg*
+			marked := 0.0 // elements a marked leaf probes and marks
+			if i == last && perMatch == 0 && pl.Class[i].Mark {
+				probes, size, at := m.markScan(pl, i)
+				marked, k.diff = probes*enter[i]+size*enter[at], 0
+			}
+			cost = m.w.Iterate*enter[i] + m.w.Marked*marked + m.deg*
 				(enter[i]*(m.w.SetOp*k.inter+m.w.Difference*k.diff)+
 					enter[k.baseAt+1]*(m.w.SetOp*k.baseInter+m.w.Difference*k.baseDiff))
 		}
@@ -226,6 +242,39 @@ func (m *Model) Levels(pl *plan.Plan, perMatch float64, aut int, dst []Level) []
 type calls struct {
 	inter, diff, baseInter, baseDiff float64
 	baseAt                           int
+}
+
+// markScan returns what a marked leaf at level i (Class.Mark) scans: the
+// elements it probes per execution, the binding row clipped to its window;
+// its base's expected size, which it marks; and the level each of whose
+// executions remakes the base, so that the leaf marks it again — the
+// deepest unlabeled ancestor whose raw set it aliases, or else the level
+// after the base's deepest operand, once per build. A window bounded by a
+// level that is itself bounded sits inside that level's window, so a row
+// keeps RestrictionFactor of its elements per window nested (windowDepth).
+func (m *Model) markScan(pl *plan.Plan, i int) (probes, size float64, at int) {
+	c := &pl.Class[i]
+	probes = m.deg * math.Pow(m.w.RestrictionFactor, float64(windowDepth(pl, i)))
+	size = m.n * m.probPow[len(pl.Connect[i])] * m.antiPow[len(pl.Disconnect[i])-1]
+	at = c.At + 1
+	for raw := c.Raw; raw != 0; raw &^= 1 << (bits.Len16(raw) - 1) {
+		if a := bits.Len16(raw) - 1; pl.Pattern.Label(pl.Order[a]) == pattern.Unlabeled {
+			return probes, size, a
+		}
+	}
+	return probes, size, at
+}
+
+// windowDepth returns how many windows level i's window is nested in: 0
+// without one, else one more than the deepest of the levels bounding it.
+func windowDepth(pl *plan.Plan, i int) int {
+	d := 0
+	for _, bound := range [2][]int{pl.Greater[i], pl.Smaller[i]} {
+		for _, j := range bound {
+			d = max(d, 1+windowDepth(pl, j))
+		}
+	}
+	return d
 }
 
 func callsOf(pl *plan.Plan, i int) (k calls) {

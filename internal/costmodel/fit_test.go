@@ -71,17 +71,19 @@ func solve(a [][]float64, b []float64) []float64 {
 // costs, so it is fitted against measured actions, not estimated ones: each
 // set of fitSets is mined in one counting pass (plan.Build's plans, one
 // thread) on MI x0.01 and MG x0.003, and the executor's exact counters say
-// how often each trie node ran (TrieNodes.Enters) and how many elements the
-// pass's kernels and collapsed leaves scanned (SetElems). With every node's
-// class (callsOf over its plan.Class, and TrieNode.Collapsed) that gives, per
-// set, the intersections and differences executed (kernel calls and base
-// builds) and the collapsed-leaf executions;
-// the weights are the relative least-squares solution of
+// how often each trie node ran (TrieNodes.Enters) and how much work the pass
+// did (engine.Stats.Work, the one definition of exact work). With every
+// node's class (callsOf over its plan.Class, TrieNode.Collapsed and
+// TrieNode.Marked, markScan) that gives, per set, the intersections and
+// differences executed (kernel calls and base builds), the elements the
+// marked leaves probe and mark as the model expects them, the
+// collapsed-leaf executions and the node executions; the weights are the
+// relative least-squares solution of
 //
-//	SetElems = SetOp x deg x intersections + Difference x deg x differences + Leaf x collapsed executions
+//	Work = SetOp x deg x intersections + Difference x deg x differences + Marked x marked elements
+//	       + Leaf x collapsed executions + Iterate x executions
 //
-// (deg: the model's element count per operation on that graph). Iterate is
-// 1, the unit: a candidate examined counts as one element scanned. Run with
+// (deg: the model's element count per operation on that graph). Run with
 // -v for the table, and for the per-path set-operation counters the setops
 // dispatch thresholds are judged by.
 func TestFitWeights(t *testing.T) {
@@ -123,7 +125,7 @@ func TestFitWeights(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Every node once, its calls read from the first plan through it.
-			var inter, diff, collapsed, bound float64
+			var inter, diff, marked, collapsed float64
 			execs := float64(g.NumVertices())
 			classed := map[int]bool{}
 			for idx, path := range nodePaths(tr) {
@@ -133,6 +135,11 @@ func TestFitWeights(t *testing.T) {
 					}
 					classed[node.ID] = true
 					k := callsOf(plans[idx], i+1)
+					if node.Marked {
+						probes, size, at := m.markScan(plans[idx], i+1)
+						marked += probes*float64(st.TrieNodes[node.ID].Enters) + size*float64(st.TrieNodes[path[at].ID].Enters)
+						k.diff = 0
+					}
 					runs, builds := float64(st.TrieNodes[node.ID].Enters), float64(st.TrieNodes[path[k.baseAt+1].ID].Enters)
 					execs += runs
 					inter += runs*k.inter + builds*k.baseInter
@@ -142,14 +149,10 @@ func TestFitWeights(t *testing.T) {
 					}
 				}
 			}
-			tr.Walk(func(n *plan.TrieNode) {
-				if !n.Leaf {
-					bound += float64(st.TrieNodes[n.ID].Candidates) * float64(n.Depth+2)
-				}
-			})
 			names = append(names, rec.Name+" "+strings.Join(set, " "))
-			elems = append(elems, float64(st.SetElems)+bound)
-			a = append(a, []float64{m.deg * inter / elems[len(elems)-1], m.deg * diff / elems[len(elems)-1], collapsed / elems[len(elems)-1], execs / elems[len(elems)-1]})
+			elems = append(elems, float64(st.Work()))
+			e := elems[len(elems)-1]
+			a = append(a, []float64{m.deg * inter / e, m.deg * diff / e, collapsed / e, execs / e, marked / e})
 			paths.Add(st)
 		}
 	}
@@ -159,16 +162,16 @@ func TestFitWeights(t *testing.T) {
 	}
 	w := solve(a, ones)
 	for i, row := range a {
-		t.Logf("%-60s elements %9.0f  x deg: intersections %9.0f differences %9.0f  collapsed %8.0f executions %8.0f predicted/measured %.2f",
-			names[i], elems[i], row[0]*elems[i], row[1]*elems[i], row[2]*elems[i], row[3]*elems[i], w[0]*row[0]+w[1]*row[1]+w[2]*row[2]+w[3]*row[3])
+		t.Logf("%-60s elements %9.0f  x deg: intersections %9.0f differences %9.0f marked %9.0f  collapsed %8.0f executions %8.0f predicted/measured %.2f",
+			names[i], elems[i], row[0]*elems[i], row[1]*elems[i], row[4]*elems[i], row[2]*elems[i], row[3]*elems[i], w[0]*row[0]+w[1]*row[1]+w[2]*row[2]+w[3]*row[3]+w[4]*row[4])
 	}
-	t.Logf("fitted SetOp %.3g Difference %.3g Leaf %.3g Iterate %.3g", w[0], w[1], w[2], w[3])
+	t.Logf("fitted SetOp %.3g Difference %.3g Leaf %.3g Iterate %.3g Marked %.3g", w[0], w[1], w[2], w[3], w[4])
 	t.Logf("set operations of the fit's passes: %d (merge %d, unrolled %d, gallop %d, bitset %d; count-only %d) over %d elements",
 		paths.SetOps, paths.SetMergeOps, paths.SetUnrolledOps, paths.SetGallopOps, paths.SetBitsetOps, paths.SetCountOps, paths.SetElems)
 	got := DefaultWeights()
-	for i, rec := range []float64{got.SetOp, got.Difference, got.Leaf, got.Iterate} {
+	for i, rec := range []float64{got.SetOp, got.Difference, got.Leaf, got.Iterate, got.Marked} {
 		if math.Abs(rec-w[i]) > 0.02*w[i] {
-			t.Errorf("DefaultWeights %+v are not the fit (SetOp %.3g Difference %.3g Leaf %.3g Iterate %.3g): record the fit", got, w[0], w[1], w[2], w[3])
+			t.Errorf("DefaultWeights %+v are not the fit (SetOp %.3g Difference %.3g Leaf %.3g Iterate %.3g Marked %.3g): record the fit", got, w[0], w[1], w[2], w[3], w[4])
 			break
 		}
 	}

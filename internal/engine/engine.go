@@ -120,7 +120,9 @@ type Stats struct {
 	// level on a tier that scans whole rows and filters; Extended and the
 	// counts are tier-independent. Count-only last levels record their
 	// extension count in both fields (the candidate set is never
-	// materialized, so the scan width is unknown by design).
+	// materialized, so the scan width is unknown by design); that count is
+	// no work, and Work charges such a level the elements its kernels
+	// scanned instead.
 	Levels []LevelStats
 	// Workers holds each worker's busy time and match yield for the
 	// execution, the raw material for load-skew and straggler analysis.
@@ -163,6 +165,7 @@ type TrieNodeStats struct {
 	Enters     uint64 `json:"enters"`
 	Candidates uint64 `json:"candidates"`
 	Extended   uint64 `json:"extended"`
+	Leaf       bool   `json:"leaf,omitempty"` // binds nothing: its candidates are settled or counted, none examined one by one
 }
 
 // Selectivity returns Extended/Candidates for the node (0 when nothing
@@ -182,6 +185,24 @@ type WorkerStats struct {
 	Worker  int           `json:"worker"`
 	Time    time.Duration `json:"time_ns"`
 	Matches uint64        `json:"matches"`
+}
+
+// Work is the execution's exact work, in elements scanned: what its
+// kernels, base builds, marks and collapsed leaves scanned (SetElems), plus
+// depth + 2 comparisons for every candidate a node that binds examined —
+// against the bound vertices, the windows, and the binding itself. A leaf
+// adds only the elements its kernels scanned, never its count: a count-only
+// leaf records its extension count as Candidates (Levels), which it never
+// looked at. It is the unit costmodel.DefaultWeights are fitted in and the
+// one Algorithm 1's decisions are judged in.
+func (s *Stats) Work() uint64 {
+	work := s.SetElems
+	for _, n := range s.TrieNodes {
+		if !n.Leaf {
+			work += n.Candidates * uint64(n.Depth+2)
+		}
+	}
+	return work
 }
 
 // Clone returns an independent copy of s, for callers that want to

@@ -3,6 +3,9 @@ package engine
 import (
 	"maps"
 	"sync"
+
+	"morphing/internal/plan"
+	"morphing/internal/setops"
 )
 
 // The cases a collapsed leaf's count can meet, as RecordCollapsedShapes
@@ -52,4 +55,13 @@ func RecordCollapsedShapes() (seen func() map[string]int, stop func()) {
 		return maps.Clone(tally)
 	}
 	return seen, func() { collapsedSeen = nil }
+}
+
+// SeeMarkedLeaves hands every marked-leaf count — the leaf, its base and
+// the row it probed, its window and the count — to see, from the worker
+// that made it, until stop is called. Passes must not run while it is set
+// or cleared.
+func SeeMarkedLeaves(see func(worker int, leaf *plan.TrieNode, base, row []uint32, f setops.Filter, n uint64)) (stop func()) {
+	markedSeen = see
+	return func() { markedSeen = nil }
 }

@@ -123,6 +123,7 @@ type triePass struct {
 	tr        *plan.Trie
 	lrows     labelRower                 // the graph, when it serves label rows
 	scans     bool                       // some labeled node has no row to carry its label and scans
+	marks     bool                       // some leaf is a marked leaf (mark)
 	sinks     []Sink                     // per plan; nil: counting pass
 	info      []trieExecInfo             // per node ID
 	nodes     []*plan.TrieNode           // parents before children, the order Stats.TrieNodes reports
@@ -246,7 +247,7 @@ func (ps *triePass) mine(ctx context.Context, g graph.Adjacency, tr *plan.Trie, 
 	st.Levels = snap.levels[:tr.MaxDepth]
 	for i, node := range ps.nodes {
 		agg := &st.TrieNodes[i]
-		agg.Node, agg.Depth, agg.Patterns = node.ID, node.Depth, node.Patterns
+		agg.Node, agg.Depth, agg.Patterns, agg.Leaf = node.ID, node.Depth, node.Patterns, node.Leaf
 		for _, w := range ps.workers {
 			agg.Enters += w.nstat[node.ID].enters
 			agg.Candidates += w.nstat[node.ID].cands
@@ -408,7 +409,7 @@ func (ps *triePass) loadClasses() {
 	} else {
 		ps.info, ps.nodes = ps.info[:n], ps.nodes[:0]
 	}
-	ps.scans = false
+	ps.scans, ps.marks = false, false
 	for _, r := range ps.tr.Roots {
 		ps.loadNode(r)
 	}
@@ -453,6 +454,7 @@ func (ps *triePass) loadNode(n *plan.TrieNode) {
 	}
 	ei.counted, ei.degree = n.Leaf && len(n.Branches) == 1, n.Degree
 	ei.collapsed, ei.bindsNone = n.Collapsed, n.BindsNone
+	ps.marks = ps.marks || n.Marked
 	ei.loDep, ei.hiDep, ei.collBranches = n.LoDep, n.HiDep, n.CollBranches
 }
 
@@ -525,6 +527,10 @@ type trieWorker struct {
 	// eaches[i], each for plan i, bound once per worker lifetime.
 	tail   []uint32
 	eaches []Window
+
+	// Marked leaves (mark), last so that no field above moves: per node, the
+	// bitmap of the base a count-only difference leaf last marked.
+	marks []leafMarks
 }
 
 // trieNodeCount is one node's selectivity: partial embeddings reaching it,
@@ -542,6 +548,27 @@ type trieWin struct {
 type trieBase struct {
 	set   []uint32
 	stamp uint64
+}
+
+// leafMarks is a marked leaf's base as a bitmap over the graph's vertices:
+// words has the bits of ids set, a copy of the base marked under key (0:
+// nothing marked). words is allocated on the leaf's first mark.
+type leafMarks struct {
+	words []uint64
+	ids   []uint32
+	key   uint64
+}
+
+// reset clears every bit the leaf marked, from its own copy of the ids,
+// and drops a bitmap too small for a graph of the given words.
+func (m *leafMarks) reset(words int) {
+	for _, v := range m.ids {
+		m.words[v>>6] &^= 1 << (v & 63)
+	}
+	m.ids, m.key = m.ids[:0], 0
+	if len(m.words) < words {
+		m.words = nil
+	}
 }
 
 // trieOut assembles one leaf plan's matches for the plan's sink, in
@@ -604,6 +631,14 @@ func getTrieWorker(id int, g graph.Adjacency, ps *triePass, instrument bool, max
 	}
 	for i := range w.bases {
 		w.bases[i].stamp = 0 // buffers stay: they are capacity, not content
+	}
+	if ps.marks { // a pass without marked leaves leaves the bits to the next pass with some
+		if len(w.marks) < nodes {
+			w.marks = append(w.marks, make([]leafMarks, nodes-len(w.marks))...)
+		}
+		for i, words := 0, (g.NumVertices()+63)/64; i < len(w.marks); i++ {
+			w.marks[i].reset(words) // no bit of an earlier pass, or graph, survives
+		}
 	}
 	for i := 0; ps.scans && i < w.d && w.lab[i] == nil; i++ {
 		w.lab[i] = w.alloc(w.maxDeg)
@@ -1009,8 +1044,10 @@ var collapsedSeen func(ei *trieExecInfo, c, x, b, f []uint32)
 // (none when the binding part is empty), minus the bound vertices it
 // counted: the always depths that pass the filter, and the check depths
 // that pass it, sit in the base and meet the binding part — binary
-// searches in sets already held. f is the level's whole filter (see
-// countExtensions).
+// searches in sets already held. A marked leaf whose v_d is no hub counts
+// |B \ N(v_d)| in the window as |B| there less the row's elements found
+// in B's bitmap (mark): one probe per element of the row, where a merge
+// walks both. f is the level's whole filter (see countExtensions).
 func (w *trieWorker) countLeaf(node *plan.TrieNode, ei *trieExecInfo, depth int, f setops.Filter) (n uint64) {
 	switch {
 	case ei.degree:
@@ -1023,6 +1060,12 @@ func (w *trieWorker) countLeaf(node *plan.TrieNode, ei *trieExecInfo, depth int,
 	switch {
 	case len(ei.BConn) > 0:
 		n = w.pins.intersectCountF(base, depth-1, kf, ei.rowLabel, &w.sst)
+	case ei.Mark && w.g.HubBits(w.match[depth-1]) == nil: // counted, so a marked leaf
+		row := w.pins.row(depth - 1)
+		n = uint64(len(setops.Clip(base, kf.Lo, kf.Hi))) - setops.IntersectBitsCountF(row, w.mark(node.ID, ei, base), kf, &w.sst)
+		if markedSeen != nil {
+			markedSeen(w.id, node, base, row, kf, n)
+		}
 	case len(ei.BDisc) > 0:
 		n = w.pins.differenceCountF(base, depth-1, kf, &w.sst)
 	default:
@@ -1035,6 +1078,42 @@ func (w *trieWorker) countLeaf(node *plan.TrieNode, ei *trieExecInfo, depth int,
 	}
 	return n
 }
+
+// mark returns the bitmap of marked leaf id's base, marking the base first
+// when it changed since the leaf last marked it: a srcBuilt base is keyed
+// by its build stamp, a srcRaw one by the stamp of the binding its
+// ancestor A at depth At executed under. A runs once per binding of depth
+// At-1 and assigns w.raw[At] as it starts; siblings of A overwrite
+// w.raw[At] too, but only outside A's subtree, where the leaf never runs,
+// so the stamp changes whenever the raw set can. Each leaf has its own
+// bitmap, so sibling leaves over different bases do not undo each other's
+// marks. The old bits are cleared from the leaf's copy of what it marked,
+// never from the base buffer, which a rebuild overwrites in place. A mark
+// charges the base's elements.
+func (w *trieWorker) mark(id int, ei *trieExecInfo, base []uint32) []uint64 {
+	m := &w.marks[id]
+	key := w.stamp[ei.At-1]
+	if ei.src == srcBuilt {
+		key = w.bases[id].stamp
+	}
+	if m.key == key {
+		return m.words
+	}
+	if m.words == nil {
+		m.words = make([]uint64, (w.g.NumVertices()+63)/64)
+	}
+	m.reset(0)
+	m.ids, m.key = append(m.ids, base...), key
+	for _, v := range base {
+		m.words[v>>6] |= 1 << (v & 63)
+	}
+	w.sst.Elems += uint64(len(base))
+	return m.words
+}
+
+// markedSeen, when set, sees the operands and count of every marked-leaf
+// count: tests hold it against the merge.
+var markedSeen func(worker int, leaf *plan.TrieNode, base, row []uint32, f setops.Filter, n uint64)
 
 // set materializes a node's raw (pre-window) candidate set, label-pure
 // unless the node scans: its base narrowed by the binding part, or its own

@@ -38,6 +38,10 @@ type Class struct {
 	// Collapse: below the root, unlabeled, no binding part; as a leaf of one
 	// branch its parent counts it in bulk (TrieNode.Collapsed).
 	Collapse bool
+	// Mark: a base, unlabeled, a Disconnect binding part and no Connect one;
+	// as a leaf of one branch it marks the base in a bitmap and counts by
+	// probing the binding row into it (TrieNode.Marked).
+	Mark bool
 }
 
 // Always returns the bound depths that qualify in every match.
@@ -76,6 +80,7 @@ func (pl *Plan) classify(bound []int) {
 		}
 		c.DegreeRow = len(conn) == 1 && len(disc) == 0 && unlabeled && len(c.Check()) == 0
 		c.Collapse = i > 0 && unlabeled && len(bconn)+len(bdisc) == 0
+		c.Mark = c.Built && unlabeled && len(bconn) == 0 && len(bdisc) > 0
 	}
 }
 

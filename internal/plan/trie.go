@@ -58,6 +58,7 @@ type TrieNode struct {
 	Leaf         bool  // every branch is childless
 	Degree       bool  // a leaf of one unbounded branch counting a row's length (Class.DegreeRow)
 	Collapsed    bool  // a leaf of one branch counted by its parent, never executed (Class.Collapse)
+	Marked       bool  // a leaf of one branch counting a difference by bit probes into its base (Class.Mark)
 	LoDep, HiDep bool  // collapsed: the window's low / high end depends on the parent's vertex
 	BindsNone    bool  // every child is collapsed: nothing left to bind
 	CollBranches []int // the branches with a collapsed child, or with leaves when BindsNone
@@ -155,7 +156,7 @@ func settle(n *TrieNode) {
 	n.BindsNone = n.BindsNone && !n.Leaf
 	if br := n.Branches; n.Leaf && len(br) == 1 {
 		n.Degree = n.Class.DegreeRow && len(br[0].Greater)+len(br[0].Smaller) == 0
-		n.Collapsed = n.Class.Collapse
+		n.Collapsed, n.Marked = n.Class.Collapse, n.Class.Mark
 		n.LoDep = n.Collapsed && slices.Contains(br[0].Greater, n.Depth-1)
 		n.HiDep = n.Collapsed && slices.Contains(br[0].Smaller, n.Depth-1)
 	}

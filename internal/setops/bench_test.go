@@ -18,14 +18,32 @@ func benchSets(small, big, max int, seed int64) ([]uint32, []uint32) {
 	return denseSet(r, small, max), denseSet(r, big, max)
 }
 
+// cycled is how many distinct operand sets a kernel benchmark cycles
+// through: over 64, the branch predictor learned the branchy searches and
+// merges by heart, and a benchmark could point the opposite way from the
+// workload.
+const cycled = 1024
+
+// benchPairs returns 32 sets of either size, drawn as benchSets does: pair
+// i of a benchmark is xs[i/32] against ys[i%32], so it cycles through
+// 1,024 distinct pairs while holding only 64 sets (a few MiB would not
+// stay in cache, and the benchmark would time memory instead).
+func benchPairs(small, big, max int, seed int64) (xs, ys [32][]uint32) {
+	for i := range xs {
+		xs[i], ys[i] = benchSets(small, big, max, seed*1000+int64(i))
+	}
+	return xs, ys
+}
+
 func BenchmarkIntersectBalanced(b *testing.B) {
-	x, y := benchSets(4096, 4096, 1<<20, 1)
+	xs, ys := benchPairs(4096, 4096, 1<<20, 1)
 	dst := make([]uint32, 0, 4096)
 	var st Stats
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst = Intersect(dst, x, y, &st)
+		k := i % cycled
+		dst = Intersect(dst, xs[k/32], ys[k%32], &st)
 	}
 	sink += uint64(len(dst))
 }
@@ -65,23 +83,25 @@ func BenchmarkIntersectBitset(b *testing.B) {
 }
 
 func BenchmarkIntersectCountWindow(b *testing.B) {
-	x, y := benchSets(4096, 4096, 1<<20, 4)
+	xs, ys := benchPairs(4096, 4096, 1<<20, 4)
 	var st Stats
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sink += IntersectCountF(x, y, Window(1<<10, 1<<19), &st)
+		k := i % cycled
+		sink += IntersectCountF(xs[k/32], ys[k%32], Window(1<<10, 1<<19), &st)
 	}
 }
 
 func BenchmarkDifferenceBalanced(b *testing.B) {
-	x, y := benchSets(4096, 4096, 1<<20, 5)
+	xs, ys := benchPairs(4096, 4096, 1<<20, 5)
 	dst := make([]uint32, 0, 4096)
 	var st Stats
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst = Difference(dst, x, y, &st)
+		k := i % cycled
+		dst = Difference(dst, xs[k/32], ys[k%32], &st)
 	}
 	sink += uint64(len(dst))
 }
@@ -111,50 +131,62 @@ func BenchmarkAndCount(b *testing.B) {
 
 // A collapsed leaf's rank sum: a parent's candidates against a base of
 // comparable size (the merge), and three candidates against a hub row (the
-// galloping walk). It cycles through 64 pairs, so that no branch predictor
-// learns one pair by heart.
+// galloping walk), over 1,024 distinct pairs: every set of candidates is
+// its own, and the merge's bases are too.
 func BenchmarkRankPairs(b *testing.B) {
 	for _, bc := range []struct {
 		name       string
 		small, big int
 	}{{"merge", 48, 64}, {"gallop", 3, 1 << 12}} {
 		b.Run(bc.name, func(b *testing.B) {
-			var xs, ys [64][]uint32
+			var xs, ys [cycled][]uint32
 			for i := range xs {
 				xs[i], ys[i] = benchSets(bc.small, bc.big, 1<<10, int64(14+i))
+				if bc.big > 64 && i >= 32 {
+					ys[i] = ys[i%32] // 32 hub rows of 4,096 elements, against 1,024 candidate sets
+				}
 			}
 			var st Stats
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				below, equal := RankPairs(xs[i%64], ys[i%64], &st)
+				k := i % cycled
+				below, equal := RankPairs(xs[k], ys[k], &st)
 				sink += below + equal
 			}
 		})
 	}
 }
 
+// A count-only level with nothing left to intersect: two searches into one
+// row of 65,536 elements, at 1,024 distinct windows.
 func BenchmarkCountWindowArithmetic(b *testing.B) {
 	r := rand.New(rand.NewSource(8))
 	x := denseSet(r, 1<<16, 1<<20)
+	var fs [cycled]Filter
+	for i := range fs {
+		lo := uint32(r.Intn(1 << 19))
+		fs[i] = Window(lo, lo+uint32(r.Intn(1<<19)))
+	}
 	var st Stats
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sink += CountF(x, Window(1<<8, 1<<19), &st)
+		sink += CountF(x, fs[i%cycled], &st)
 	}
 }
 
 // Dense inputs within a narrow ID range: long runs of equal elements, the
 // balanced path's worst case (no block ever skips).
 func BenchmarkIntersectDense(b *testing.B) {
-	x, y := benchSets(4096, 4096, 1<<14, 9)
+	xs, ys := benchPairs(4096, 4096, 1<<14, 9)
 	dst := make([]uint32, 0, 4096)
 	var st Stats
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst = Intersect(dst, x, y, &st)
+		k := i % cycled
+		dst = Intersect(dst, xs[k/32], ys[k%32], &st)
 	}
 	sink += uint64(len(dst))
 }
@@ -181,18 +213,44 @@ func BenchmarkArenaCarveReset(b *testing.B) {
 // predictor learned the old branchy searches and merge by heart, and the
 // benchmark showed none of the gain the workload measures.
 func BenchmarkDifferenceCountLeaf(b *testing.B) {
-	var xs, ys [1024][]uint32
-	var los [1024]uint32
+	xs, ys, los := leafPairs()
+	var st Stats
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % cycled
+		sink += DifferenceCountF(xs[k], ys[k], Filter{Lo: los[k], Hi: ^uint32(0)}, &st)
+	}
+}
+
+// leafPairs are BenchmarkDifferenceCountLeaf's operands: per pair a base,
+// a row, and the window's low end.
+func leafPairs() (xs, ys [cycled][]uint32, los [cycled]uint32) {
 	for i := range xs {
 		xs[i], ys[i] = benchSets(45, 15, 256, int64(100+i))
 		los[i] = xs[i][len(xs[i])/2]
+	}
+	return xs, ys, los
+}
+
+// The same count as the executor's marked leaf runs it, at the same 1,024
+// pairs: the base's size in the window less the row's elements that probe
+// into the base's bitmap. The leaf marks a base once and counts against it
+// for every candidate of its parent, so the marks are made before the
+// clock starts.
+func BenchmarkMarkedDifferenceLeaf(b *testing.B) {
+	xs, ys, los := leafPairs()
+	var words [cycled][]uint64
+	for i := range words {
+		words[i] = toBits(xs[i], 256)
 	}
 	var st Stats
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k := i % 1024
-		sink += DifferenceCountF(xs[k], ys[k], Filter{Lo: los[k], Hi: ^uint32(0)}, &st)
+		k := i % cycled
+		f := Filter{Lo: los[k], Hi: ^uint32(0)}
+		sink += uint64(len(Clip(xs[k], f.Lo, f.Hi))) - IntersectBitsCountF(ys[k], words[k], f, &st)
 	}
 }
 
