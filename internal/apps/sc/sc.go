@@ -34,14 +34,14 @@ func CountCtx(ctx context.Context, g graph.Adjacency, queries []*pattern.Pattern
 // queries on engines lacking anti-edge support: match the edge-induced
 // variant and reject matches with extra edges through a Filter UDF
 // (Fig. 4d-e), under ctx like the morphed run it is compared with.
-func CountBaselineWithFilter(ctx context.Context, g graph.Adjacency, queries []*pattern.Pattern, filterer FilterEngine) ([]uint64, *engine.Stats, error) {
+func CountBaselineWithFilter(ctx context.Context, g graph.Adjacency, queries []*pattern.Pattern, eng engine.Engine) ([]uint64, *engine.Stats, error) {
 	counts := make([]uint64, len(queries))
 	total := &engine.Stats{}
 	for i, q := range queries {
 		if q.Induced() != pattern.VertexInduced {
 			return nil, nil, fmt.Errorf("sc: filter baseline requires vertex-induced queries, got %v", q)
 		}
-		c, st, err := filterer.CountVertexInducedViaFilterCtx(ctx, g, q)
+		c, st, err := engine.CountVertexInducedViaFilterCtx(ctx, eng, g, q)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -49,12 +49,4 @@ func CountBaselineWithFilter(ctx context.Context, g graph.Adjacency, queries []*
 		total.Add(st)
 	}
 	return counts, total, nil
-}
-
-// FilterEngine is an engine with a Filter UDF entry point. Every
-// engine.Model has one; the GraphPi and BigJoin models are the ones whose
-// users need it.
-type FilterEngine interface {
-	engine.Engine
-	CountVertexInducedViaFilterCtx(ctx context.Context, g graph.Adjacency, p *pattern.Pattern) (uint64, *engine.Stats, error)
 }

@@ -115,7 +115,7 @@ func TestFilterBaselineHonoursDeadline(t *testing.T) {
 	}
 	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Hour))
 	defer cancel()
-	for _, eng := range []FilterEngine{graphpi.New(2), bigjoin.New(2)} {
+	for _, eng := range []engine.Engine{graphpi.New(2), bigjoin.New(2)} {
 		counts, _, err := CountBaselineWithFilter(expired, g, evalPatterns(), eng)
 		if !errors.Is(err, engine.ErrDeadlineExceeded) || counts != nil {
 			t.Errorf("%s: expired baseline returned counts=%v err=%v, want engine.ErrDeadlineExceeded", eng.Name(), counts, err)

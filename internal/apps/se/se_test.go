@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -11,7 +13,6 @@ import (
 	"morphing/internal/canon"
 	"morphing/internal/dataset"
 	"morphing/internal/engine"
-	"morphing/internal/enginetest"
 	"morphing/internal/graphpi"
 	"morphing/internal/pattern"
 	"morphing/internal/peregrine"
@@ -69,8 +70,8 @@ func TestEnumerateUnmorphedDeliversEveryMatchOnce(t *testing.T) {
 
 // checkEveryMatchOnce runs every connected non-clique 4-vertex edge-induced
 // query on ER(40, 7) under each of optsList, with a filter that keeps
-// everything, on engines that emit from 3 and from 600 worker IDs (run it
-// with -race), and compares each query's stream with refmatch.Matches.
+// everything, on engines of 3 and of 600 workers (run it with -race), and
+// compares each query's stream with refmatch.Matches.
 func checkEveryMatchOnce(t *testing.T, optsList ...Options) {
 	t.Helper()
 	g, err := dataset.ErdosRenyi(40, 7, 0, 31)
@@ -93,7 +94,7 @@ func checkEveryMatchOnce(t *testing.T, optsList ...Options) {
 		auts[i], want[i] = canon.Automorphisms(q), refmatch.Matches(g, q)
 	}
 	all := func([]uint32) bool { return true }
-	for _, eng := range []engine.Engine{peregrine.New(3), autozero.New(3), enginetest.WideEngine{Workers: 600}} {
+	for _, eng := range []engine.Engine{peregrine.New(3), autozero.New(3), peregrine.New(600)} {
 		for _, opts := range optsList {
 			name := fmt.Sprintf("%s morph=%v cost=%g", eng.Name(), opts.Morph, opts.PerMatchCost)
 			var mu sync.Mutex
@@ -241,20 +242,23 @@ func TestMorphingReducesUDFCalls(t *testing.T) {
 	}
 }
 
-// TestEnumerateUnderManyWorkerIDs runs both routes on an engine that
-// emits from 600 concurrent worker IDs (run it with -race): every ID must
-// own its counters, so delivered + filtered adds up to the oracle's count.
-// The fixed 256-shard arrays this replaces let two live IDs share a shard.
+// TestEnumerateUnderManyWorkerIDs runs both routes on 600 workers (run it
+// with -race): every worker ID must own its counters, so delivered +
+// filtered adds up to the oracle's count. The match callback yields the
+// processor, so the workers take turns from the first blocks on, and the
+// test checks that workers with IDs of 256 and above delivered: the fixed
+// 256-shard arrays this replaces would have let two live IDs share a shard.
 func TestEnumerateUnderManyWorkerIDs(t *testing.T) {
-	g, err := dataset.ErdosRenyi(60, 8, 0, 40)
+	g, err := dataset.ErdosRenyi(1000, 8, 0, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
 	queries := []*pattern.Pattern{pattern.FourCycle(), pattern.TailedTriangle()}
 	w := NewWeights(g, 10, 2, 7)
-	eng := enginetest.WideEngine{Workers: 600}
+	eng := peregrine.New(600)
+	yield := func(int, []uint32) { runtime.Gosched() }
 	for _, opts := range []Options{{}, {Morph: true, PerMatchCost: 50}} {
-		res, err := EnumerateCtx(context.Background(), g, eng, queries, w.WithinOneStd, nil, opts)
+		res, err := EnumerateCtx(context.Background(), g, eng, queries, w.WithinOneStd, yield, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -262,6 +266,9 @@ func TestEnumerateUnderManyWorkerIDs(t *testing.T) {
 			if got, want := res.Delivered[i]+res.Filtered[i], refmatch.Count(g, q); got != want {
 				t.Errorf("morph=%v %v: delivered %d + filtered %d, oracle %d", opts.Morph, q, res.Delivered[i], res.Filtered[i], want)
 			}
+		}
+		if !slices.ContainsFunc(res.Stats.Workers, func(w engine.WorkerStats) bool { return w.Worker >= 256 && w.Matches > 0 }) {
+			t.Errorf("morph=%v: no worker with ID >= 256 delivered", opts.Morph)
 		}
 	}
 }

@@ -7,7 +7,7 @@
 // Instead of generating and compiling C++ like the original, schedules are
 // plans (internal/plan) merged into a prefix trie and run by the shared
 // depth-first executor (internal/engine). The merge is the executor's, the
-// same for every engine model (core.Runner mines any Planner's winner set
+// same for every engine model (core.Runner mines every engine's winner set
 // as one trie); what this package contributes is the schedule order.
 //
 // Merging is what makes AutoZero the best case for Subgraph Morphing

@@ -7,6 +7,7 @@ import (
 
 	"morphing/internal/apps/sc"
 	"morphing/internal/bigjoin"
+	"morphing/internal/engine"
 	"morphing/internal/graphpi"
 	"morphing/internal/pattern"
 )
@@ -23,14 +24,14 @@ func runFig14GraphPi(ctx context.Context, cfg Config, w io.Writer) error {
 	workloads := fig14Workloads(cfg, [][]string{
 		{"p1"}, {"p1", "p2"}, {"p4"}, {"p5"}, {"p4", "p5"},
 	})
-	return runFig14(ctx, cfg, w, workloads, func() sc.FilterEngine { return graphpi.New(cfg.Threads) })
+	return runFig14(ctx, cfg, w, workloads, func() engine.Engine { return graphpi.New(cfg.Threads) })
 }
 
 func runFig14BigJoin(ctx context.Context, cfg Config, w io.Writer) error {
 	workloads := fig14Workloads(cfg, [][]string{
 		{"p1"}, {"p2"}, {"p1", "p2"},
 	})
-	return runFig14(ctx, cfg, w, workloads, func() sc.FilterEngine { return bigjoin.New(cfg.Threads) })
+	return runFig14(ctx, cfg, w, workloads, func() engine.Engine { return bigjoin.New(cfg.Threads) })
 }
 
 type fig14Workload struct {
@@ -61,7 +62,7 @@ func fig14Workloads(cfg Config, names [][]string) []fig14Workload {
 	return out
 }
 
-func runFig14(ctx context.Context, cfg Config, w io.Writer, workloads []fig14Workload, mk func() sc.FilterEngine) error {
+func runFig14(ctx context.Context, cfg Config, w io.Writer, workloads []fig14Workload, mk func() engine.Engine) error {
 	csv(w, "patterns", "graph",
 		"filter_s", "morphed_s", "speedup",
 		"filter_branches", "morphed_branches", "branch_reduction",

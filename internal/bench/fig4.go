@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"morphing/internal/apps/fsm"
-	"morphing/internal/apps/sc"
 	"morphing/internal/bigjoin"
 	"morphing/internal/engine"
 	"morphing/internal/graphpi"
@@ -104,19 +103,19 @@ func runFig4c(ctx context.Context, cfg Config, w io.Writer) error {
 // edge-induced (native) vs vertex-induced (Filter UDF): the filter
 // dominates the -V rows.
 func runFig4d(ctx context.Context, cfg Config, w io.Writer) error {
-	return runFilterProfile(ctx, cfg, w, func() sc.FilterEngine {
+	return runFilterProfile(ctx, cfg, w, func() engine.Engine {
 		return &graphpi.Engine{Threads: cfg.Threads, Instrument: true}
 	})
 }
 
 // runFig4e is Fig. 4d for the BigJoin model.
 func runFig4e(ctx context.Context, cfg Config, w io.Writer) error {
-	return runFilterProfile(ctx, cfg, w, func() sc.FilterEngine {
+	return runFilterProfile(ctx, cfg, w, func() engine.Engine {
 		return &bigjoin.Engine{Threads: cfg.Threads, Instrument: true}
 	})
 }
 
-func runFilterProfile(ctx context.Context, cfg Config, w io.Writer, mk func() sc.FilterEngine) error {
+func runFilterProfile(ctx context.Context, cfg Config, w io.Writer, mk func() engine.Engine) error {
 	csv(w, "workload", "graph", "total_s", "filter_udf_pct", "branches")
 	g, err := loadGraph(cfg, "MI")
 	if err != nil {
@@ -137,7 +136,7 @@ func runFilterProfile(ctx context.Context, cfg Config, w io.Writer, mk func() sc
 
 		eng = mk()
 		start = time.Now()
-		_, stV, err := eng.CountVertexInducedViaFilterCtx(ctx, g, np.Pattern.AsVertexInduced())
+		_, stV, err := engine.CountVertexInducedViaFilterCtx(ctx, eng, g, np.Pattern.AsVertexInduced())
 		if err != nil {
 			return err
 		}

@@ -59,7 +59,7 @@ func runSanity(ctx context.Context, cfg Config, w io.Writer) error {
 		pattern.TailedTriangle().AsVertexInduced(),
 		pattern.FourCycle().AsVertexInduced(),
 	}
-	for _, eng := range []sc.FilterEngine{graphpi.New(tiny.Threads), bigjoin.New(tiny.Threads)} {
+	for _, eng := range []engine.Engine{graphpi.New(tiny.Threads), bigjoin.New(tiny.Threads)} {
 		viaFilter, _, err := sc.CountBaselineWithFilter(ctx, g, queries, eng)
 		if err != nil {
 			return err

@@ -8,7 +8,7 @@
 // attribute order and — like the real system — no
 // anti-edges: only edge-induced patterns are matched natively, and
 // vertex-induced results need a Filter UDF
-// (Engine.CountVertexInducedViaFilterCtx, Fig. 4e) or Subgraph Morphing.
+// (engine.CountVertexInducedViaFilterCtx, Fig. 4e) or Subgraph Morphing.
 package bigjoin
 
 import (

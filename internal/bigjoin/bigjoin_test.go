@@ -63,7 +63,7 @@ func TestFilterPathMatchesOracle(t *testing.T) {
 	g := testGraph(t)
 	e := New(3)
 	p := pattern.TailedTriangle().AsVertexInduced()
-	kept, st, err := e.CountVertexInducedViaFilterCtx(context.Background(), g, p)
+	kept, st, err := engine.CountVertexInducedViaFilterCtx(context.Background(), e, g, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestFilterPathUnderManyWorkerIDs(t *testing.T) {
 	g := testGraph(t)
 	e := New(600)
 	for _, p := range []*pattern.Pattern{pattern.FourCycle().AsVertexInduced(), pattern.TailedTriangle().AsVertexInduced()} {
-		kept, st, err := e.CountVertexInducedViaFilterCtx(context.Background(), g, p)
+		kept, st, err := engine.CountVertexInducedViaFilterCtx(context.Background(), e, g, p)
 		if err != nil {
 			t.Fatal(err)
 		}

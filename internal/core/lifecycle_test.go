@@ -238,7 +238,6 @@ func TestRunLifecycleInjectedPanic(t *testing.T) {
 
 	var ql bytes.Buffer
 	r, _ := lifecycleRunner(t, &ql)
-	r.Engine = noPlanEngine{r.Engine} // per-pattern mining: deterministic partial attribution
 	g := lifecycleGraph(t)
 	queries := []*pattern.Pattern{
 		pattern.Triangle().AsVertexInduced(),

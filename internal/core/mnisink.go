@@ -10,7 +10,7 @@ import (
 // shard (engine.Shards: no lock where matches land) and records only the
 // symmetry-broken representatives the engine emits: a merged pass binds
 // each worker's shard once (bind) and fills it a settled window per call,
-// a per-pattern engine finds it per match (insert). table merges the
+// MineMNITable's Engine.MatchCtx finds it per match (insert). table merges the
 // shards and applies the pattern's automorphisms once, to whole columns
 // (aggr.Table.Saturate).
 type mniSink struct {

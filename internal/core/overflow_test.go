@@ -6,25 +6,15 @@ import (
 	"testing"
 
 	"morphing/internal/aggr"
-	"morphing/internal/engine"
-	"morphing/internal/graph"
 	"morphing/internal/pattern"
-	"morphing/internal/peregrine"
 )
 
-// fabricated is an engine whose counts are made up: per structure, the
-// totals a 100M-edge graph could produce, with no graph behind them.
-type fabricated struct {
-	engine.Engine
-	counts map[string]uint64 // by pattern name
-}
-
-func (f fabricated) CountCtx(_ context.Context, _ graph.Adjacency, p *pattern.Pattern) (uint64, *engine.Stats, error) {
-	return f.count(p), &engine.Stats{}, nil
-}
+// fabricated counts are made up: per structure, the totals a 100M-edge
+// graph could produce, with no graph behind them.
+type fabricated map[string]uint64 // by pattern name
 
 func (f fabricated) count(p *pattern.Pattern) uint64 {
-	for name, c := range f.counts {
+	for name, c := range f {
 		if q, err := pattern.ByName(name); err == nil && sameStructure(q, p) {
 			return c
 		}
@@ -37,11 +27,12 @@ func (f fabricated) count(p *pattern.Pattern) uint64 {
 // - 4 e(4-clique), evaluated as nested sums and differences of uint64. Fed
 // fabricated per-alternative totals near 2^63, every way that arithmetic can
 // leave the range must come back as ErrCountOverflow — from Convert, and
-// through Runner.CountsCtx — and never as a number; totals that stay in
-// range convert exactly, even above 2^63. With the carry check of
-// aggr.Count.Combine dropped, "a sum beyond 2^64" returns 7 and no error;
-// with the borrow check of Uncombine dropped, "a difference below zero"
-// returns 18446744073709551612: each mutation fails this test.
+// from convertRun, the step Runner.CountsCtx returns through after mining —
+// and never as a number; totals that stay in range convert exactly, even
+// above 2^63. With the carry check of aggr.Count.Combine dropped, "a sum
+// beyond 2^64" returns 7 and no error; with the borrow check of Uncombine
+// dropped, "a difference below zero" returns 18446744073709551612: each
+// mutation fails this test.
 func TestCountOverflowIsTyped(t *testing.T) {
 	const (
 		top = uint64(1) << 63
@@ -49,10 +40,6 @@ func TestCountOverflowIsTyped(t *testing.T) {
 		sixth = (1<<64-1)/6 + 1
 	)
 	q := pattern.FourStar().AsVertexInduced()
-	g, err := graph.NewBuilder(1).Build() // the fabricated engine never looks
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, tc := range []struct {
 		name                         string
 		star, tailed, diamond, kfour uint64
@@ -66,8 +53,7 @@ func TestCountOverflowIsTyped(t *testing.T) {
 		{"a sum beyond 2^64", 4*sixth + 4 + 2*8 + 7, 40, 10, sixth, 0},
 		{"a difference below zero", 1, 5, 0, 0, 0},
 	} {
-		fab := fabricated{&engine.Model[edgeOnlyPolicy]{Threads: 1}, map[string]uint64{
-			"4-star": tc.star, "tailed-triangle": tc.tailed, "chordal-4-cycle": tc.diamond, "4-clique": tc.kfour}}
+		fab := fabricated{"4-star": tc.star, "tailed-triangle": tc.tailed, "chordal-4-cycle": tc.diamond, "4-clique": tc.kfour}
 		d, err := BuildSDAG([]*pattern.Pattern{q})
 		if err != nil {
 			t.Fatal(err)
@@ -76,20 +62,22 @@ func TestCountOverflowIsTyped(t *testing.T) {
 		if err != nil || len(sel.Mine) != 4 {
 			t.Fatalf("selection: %d mined, err %v", len(sel.Mine), err)
 		}
+		counts := make([]uint64, len(sel.Mine))
 		mined := make([]aggr.Value, len(sel.Mine))
 		for i, c := range sel.Mine {
-			mined[i] = fab.count(c.Pattern)
+			counts[i] = fab.count(c.Pattern)
+			mined[i] = counts[i]
 		}
 		vals, err := sel.Convert(aggr.Count{}, mined)
-		got, _, rerr := (&Runner{Engine: fab}).CountsCtx(context.Background(), g, []*pattern.Pattern{q})
+		got, rerr := convertRun(sel, aggr.Count{}, counts, &RunStats{})
 		if tc.want == 0 {
 			if !errors.Is(err, ErrCountOverflow) || !errors.Is(rerr, ErrCountOverflow) {
-				t.Errorf("%s: Convert returned %v, %v and CountsCtx %v, %v; want ErrCountOverflow from both", tc.name, vals, err, got, rerr)
+				t.Errorf("%s: Convert returned %v, %v and convertRun %v, %v; want ErrCountOverflow from both", tc.name, vals, err, got, rerr)
 			}
 			continue
 		}
 		if err != nil || rerr != nil || vals[0].(uint64) != tc.want || got[0] != tc.want {
-			t.Errorf("%s: Convert %v (%v), CountsCtx %v (%v), want %d", tc.name, vals, err, got, rerr, tc.want)
+			t.Errorf("%s: Convert %v (%v), convertRun %v (%v), want %d", tc.name, vals, err, got, rerr, tc.want)
 		}
 	}
 }
@@ -124,8 +112,3 @@ func TestEquationAndAssignmentArithmeticIsChecked(t *testing.T) {
 		t.Errorf("Convert of a sampled set over counts of 2^62: %v, want ErrCountOverflow", err)
 	}
 }
-
-// edgeOnlyPolicy plans as Peregrine and reports no vertex-induced support.
-type edgeOnlyPolicy struct{ peregrine.Policy }
-
-func (edgeOnlyPolicy) SupportsInduced(iv pattern.Induced) bool { return iv == pattern.EdgeInduced }

@@ -80,13 +80,10 @@ type RunOptions struct {
 	Shards int
 }
 
-// TrieDecision records whether (and why) a run mined the winner set in one
-// pass of its merged plan trie — counting or, for the MNI and enumeration
-// pipelines, streaming — with the trie's sharing statistics. The route is
-// a fact about the engine, not a setting: an engine.Planner's plans are
-// merged (a single pattern being the one-leaf case), any other engine is
-// handed the set pattern by pattern. It is reported on that path too, so
-// EXPLAIN output shows why.
+// TrieDecision records the mining phase's one pass of the winner set's
+// merged plan trie — counting or, for the MNI and enumeration pipelines,
+// streaming — with the trie's sharing statistics. Every engine plans, so
+// Used is false only for an empty set, which mines nothing.
 type TrieDecision struct {
 	Used   bool   `json:"used"`
 	Reason string `json:"reason"`
@@ -516,7 +513,7 @@ func (r *Runner) countsRun(ctx context.Context, rc *obs.RunContext, g graph.Adja
 		}
 		return nil, nil, err
 	}
-	out, err := convertRun(rc, sel, agg, counts, stats)
+	out, err := convertRun(sel, agg, counts, stats)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -555,7 +552,7 @@ func (r *Runner) transformRun(ctx context.Context, rc *obs.RunContext, g graph.A
 // convertRun closes every aggregation pipeline: Algorithm 2 turns the
 // mined alternatives' values (one per Selection.Mine choice) into one
 // value per query, and stats records the time and the finished run.
-func convertRun[T aggr.Value](rc *obs.RunContext, sel *Selection, agg aggr.Aggregation, mined []T, stats *RunStats) ([]T, error) {
+func convertRun[T aggr.Value](sel *Selection, agg aggr.Aggregation, mined []T, stats *RunStats) ([]T, error) {
 	stats.Phase = PhaseConvert
 	t1 := time.Now()
 	in := make([]aggr.Value, len(mined))
@@ -596,24 +593,18 @@ func (c Choice) measured(matches uint64) PatternRunStats {
 }
 
 // planTrie merges the engine's plans for a run's winner set and reports
-// the decision (and the trie's sharing statistics). tr and planner are
-// non-nil exactly when dec.Used is true: an engine that is no Planner is
-// mined pattern by pattern (mine's reference loop). A Planner that cannot
-// plan the set fails the run with its own error.
-func (r *Runner) planTrie(g graph.Adjacency, ps []*pattern.Pattern) (*TrieDecision, *plan.Trie, engine.Planner, error) {
+// the decision (and the trie's sharing statistics). tr is nil exactly for
+// an empty set; an engine that cannot plan the set fails the run with its
+// own error.
+func (r *Runner) planTrie(g graph.Adjacency, ps []*pattern.Pattern) (*TrieDecision, *plan.Trie, error) {
 	dec := &TrieDecision{}
-	planner, ok := r.Engine.(engine.Planner)
-	switch {
-	case len(ps) == 0:
+	if len(ps) == 0 {
 		dec.Reason = "empty pattern set"
-		return dec, nil, nil, nil
-	case !ok:
-		dec.Reason = fmt.Sprintf("engine %s exposes no plans", r.Engine.Name())
-		return dec, nil, nil, nil
+		return dec, nil, nil
 	}
-	tr, err := engine.BuildTrie(planner, g, ps)
+	tr, err := engine.BuildTrie(r.Engine, g, ps)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	dec.Used = true
 	dec.Patterns = len(ps)
@@ -622,64 +613,43 @@ func (r *Runner) planTrie(g graph.Adjacency, ps []*pattern.Pattern) (*TrieDecisi
 	dec.MaxSharedPrefix = tr.MaxSharedPrefix
 	dec.Reason = fmt.Sprintf("%d patterns in one pass: %d trie nodes, %d shared levels, max shared prefix %d",
 		len(ps), tr.Nodes, tr.SharedLevels, tr.MaxSharedPrefix)
-	return dec, tr, planner, nil
+	return dec, tr, nil
 }
 
 // mine is the mining phase of every pipeline and the only code that
 // reaches the executor: it mines choices[i].Pattern on g — streaming each
 // match to sinks[i], or counting when sinks is nil — and returns one
-// count per choice. A Planner's set is one pass over its merged trie (one
-// per shard under RunOptions.Shards, which applies to counting only);
-// an engine that exposes no plans is mined pattern by pattern, the
-// reference the conformance and fuzz suites diff the merged route against,
-// which streams to each sink's Visit.
+// count per choice. The set is one pass over the engine's merged trie (one
+// per shard under RunOptions.Shards, which applies to counting only).
 // Explain changes nothing here but the bookkeeping: PerPattern pairs each
 // choice's predictions with its count from that same execution (sharded
 // runs skip it, see RunOptions.Shards).
 //
 // stats receives Trie (logged as the trie_decision event when ctx carries a
 // run scope), Mining and, on a typed interruption, Partial — one count per
-// choice: a merged pass interrupts every plan at once, the loop leaves the
-// patterns it never started at zero.
+// choice: a merged pass interrupts every plan at once.
 func (r *Runner) mine(ctx context.Context, g graph.Adjacency, choices []Choice, sinks []engine.Sink, stats *RunStats) ([]uint64, error) {
-	ps := patternsOf(choices)
-	dec, tr, planner, err := r.planTrie(g, ps)
+	dec, tr, err := r.planTrie(g, patternsOf(choices))
 	if err != nil {
 		return nil, err
 	}
 	stats.Trie = dec
 	obs.RunFrom(ctx).Event("trie_decision", obs.Bool("used", dec.Used), obs.Str("reason", dec.Reason))
+	if tr == nil {
+		stats.Mining = &engine.Stats{}
+		return nil, nil
+	}
 
 	// pass is one execution of the set over sg: the whole graph or a shard.
+	opts, eo := r.Engine.ExecConfig()
 	pass := func(sg graph.Adjacency) ([]uint64, *engine.Stats, error) {
-		if dec.Used {
-			opts, eo := planner.ExecConfig()
-			return engine.MatchTrieCtx(ctx, sg, tr, sinks, opts, eo)
-		}
-		counts := make([]uint64, len(ps))
-		acc := &engine.Stats{}
-		for i, p := range ps {
-			var st *engine.Stats
-			var err error
-			if sinks == nil {
-				counts[i], st, err = r.Engine.CountCtx(ctx, sg, p)
-			} else if st, err = r.Engine.MatchCtx(ctx, sg, p, sinks[i].Visit); st != nil {
-				counts[i] = st.Matches
-			}
-			if st != nil {
-				acc.Add(st)
-			}
-			if err != nil {
-				return counts, acc, err
-			}
-		}
-		return counts, acc, nil
+		return engine.MatchTrieCtx(ctx, sg, tr, sinks, opts, eo)
 	}
 
 	var counts []uint64
 	sharded := r.RunOptions.Shards > 1 && sinks == nil
 	if sharded {
-		counts, err = r.mineSharded(ctx, g, len(ps), pass, stats)
+		counts, err = r.mineSharded(ctx, g, len(choices), pass, stats)
 	} else {
 		var st *engine.Stats
 		counts, st, err = pass(g)
@@ -764,10 +734,10 @@ func (r *Runner) MNITablesCtx(ctx context.Context, g graph.Adjacency, queries []
 }
 
 // mniRun is the MNITablesCtx body, executed inside the run scope rc. The
-// winner set is streamed through mine — for a Planner one pass, so an FSM
-// level enumerates its candidates' shared labeled prefixes once — and every
-// match lands in the sink of the alternative it matched, a settled window
-// at a time on the merged route.
+// winner set is streamed through mine in one pass, so an FSM level
+// enumerates its candidates' shared labeled prefixes once, and every match
+// lands in the sink of the alternative it matched, a settled window at a
+// time.
 func (r *Runner) mniRun(ctx context.Context, rc *obs.RunContext, g graph.Adjacency, queries []*pattern.Pattern) ([]*aggr.Table, *RunStats, error) {
 	agg := aggr.MNI{}
 	policy, err := r.policyFor(agg)
@@ -782,7 +752,7 @@ func (r *Runner) mniRun(ctx context.Context, rc *obs.RunContext, g graph.Adjacen
 	streams := make([]engine.Sink, len(sel.Mine))
 	for i, c := range sel.Mine {
 		sinks[i] = newMNISink(c.Pattern.N())
-		streams[i] = engine.Sink{Visit: sinks[i].insert, Bind: sinks[i].bind}
+		streams[i] = engine.Sink{Bind: sinks[i].bind}
 	}
 
 	stats.Phase = PhaseMine
@@ -798,7 +768,7 @@ func (r *Runner) mniRun(ctx context.Context, rc *obs.RunContext, g graph.Adjacen
 		mined[i] = sinks[i].table(canon.Automorphisms(c.Pattern))
 	}
 
-	out, err := convertRun(rc, sel, agg, mined, stats)
+	out, err := convertRun(sel, agg, mined, stats)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -11,9 +11,8 @@ import (
 
 // TestShardedCountsSumOverShards pins the soundness argument of
 // RunOptions.Shards: conversion is a fixed linear combination of the
-// alternative counts, so a sharded run must report exactly the sum of
-// the per-shard query results an unsharded runner produces on the same
-// partitions.
+// alternative counts, so a sharded run must report exactly the sum, over
+// the same partitions, of each query counted alone.
 func TestShardedCountsSumOverShards(t *testing.T) {
 	g := routingGraph(t)
 	queries := []*pattern.Pattern{
@@ -23,8 +22,8 @@ func TestShardedCountsSumOverShards(t *testing.T) {
 	}
 	const k = 3
 
-	// The plan-less route: every shard is a loop of one-leaf tries.
-	sharded := &Runner{Engine: noPlanEngine{peregrine.New(2)}, RunOptions: RunOptions{Shards: k}}
+	eng := peregrine.New(2)
+	sharded := &Runner{Engine: eng, RunOptions: RunOptions{Shards: k}}
 	got, stats, err := sharded.CountsCtx(context.Background(), g, queries)
 	if err != nil {
 		t.Fatal(err)
@@ -35,7 +34,13 @@ func TestShardedCountsSumOverShards(t *testing.T) {
 	if stats.Mining == nil || stats.Mining.Matches == 0 {
 		t.Fatalf("sharded run accumulated no mining stats: %+v", stats.Mining)
 	}
+	// The merged trie is built once on the full graph and executed per
+	// shard.
+	if stats.Trie == nil || !stats.Trie.Used || stats.Mining.TriePasses != uint64(stats.Shards) {
+		t.Fatalf("sharded run recorded decision %+v and %d passes over %d shards", stats.Trie, stats.Mining.TriePasses, stats.Shards)
+	}
 
+	// The reference: each query counted alone, a one-leaf trie per shard.
 	parts, err := graph.Partition(g, k)
 	if err != nil {
 		t.Fatal(err)
@@ -45,37 +50,17 @@ func TestShardedCountsSumOverShards(t *testing.T) {
 	}
 	want := make([]uint64, len(queries))
 	for _, sg := range parts {
-		plain := &Runner{Engine: noPlanEngine{peregrine.New(2)}}
-		sc, _, err := plain.CountsCtx(context.Background(), sg, queries)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, c := range sc {
+		for i, q := range queries {
+			c, _, err := eng.CountCtx(context.Background(), sg, q)
+			if err != nil {
+				t.Fatal(err)
+			}
 			want[i] += c
 		}
 	}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("query %d: sharded run counted %d, per-shard sum %d", i, got[i], want[i])
-		}
-	}
-
-	// The merged trie must shard to the same numbers: it is built once on
-	// the full graph and executed per shard.
-	trie := &Runner{Engine: peregrine.New(2), RunOptions: RunOptions{Shards: k}}
-	tc, tstats, err := trie.CountsCtx(context.Background(), g, queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tstats.Trie == nil || !tstats.Trie.Used {
-		t.Fatalf("sharded trie run recorded decision %+v", tstats.Trie)
-	}
-	if tstats.Mining.TriePasses != uint64(tstats.Shards) {
-		t.Fatalf("sharded trie run recorded %d passes over %d shards", tstats.Mining.TriePasses, tstats.Shards)
-	}
-	for i := range want {
-		if tc[i] != want[i] {
-			t.Fatalf("query %d: sharded trie route counted %d, want %d", i, tc[i], want[i])
 		}
 	}
 }

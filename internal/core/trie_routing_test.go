@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -16,14 +17,6 @@ import (
 	"morphing/internal/refmatch"
 )
 
-// noPlanEngine hides the Planner surface of a real engine, standing in
-// for execution models that cannot expose exploration plans: the runner
-// hands it the winner set pattern by pattern (CountCtx), a loop of
-// one-leaf tries.
-type noPlanEngine struct {
-	engine.Engine
-}
-
 func routingGraph(t *testing.T) *graph.Graph {
 	t.Helper()
 	g, err := dataset.ErdosRenyi(60, 6, 0, 1)
@@ -34,10 +27,9 @@ func routingGraph(t *testing.T) *graph.Graph {
 }
 
 // TestPlanTrieDecisions pins the route and its reasons, since EXPLAIN
-// output and the run report surface them verbatim: a Planner's winner set
-// is one trie whatever its size and sharing, an engine without plans is
-// mined pattern by pattern, and a Planner that cannot plan the set fails
-// with its own error.
+// output and the run report surface them verbatim: a winner set is one
+// trie whatever its size and sharing, only an empty set is no pass, and an
+// engine that cannot plan the set fails with its own error.
 func TestPlanTrieDecisions(t *testing.T) {
 	g := routingGraph(t)
 	motifs := []*pattern.Pattern{
@@ -46,8 +38,8 @@ func TestPlanTrieDecisions(t *testing.T) {
 
 	t.Run("planner", func(t *testing.T) {
 		r := &Runner{Engine: peregrine.New(1)}
-		dec, tr, planner, err := r.planTrie(g, motifs)
-		if err != nil || !dec.Used || tr == nil || planner == nil {
+		dec, tr, err := r.planTrie(g, motifs)
+		if err != nil || !dec.Used || tr == nil {
 			t.Fatalf("used=%v reason=%q", dec.Used, dec.Reason)
 		}
 		if dec.MaxSharedPrefix < 2 || dec.Patterns != len(motifs) || dec.Nodes != tr.Nodes || dec.SharedLevels != tr.SharedLevels {
@@ -57,7 +49,7 @@ func TestPlanTrieDecisions(t *testing.T) {
 
 	t.Run("single pattern is a one-leaf trie", func(t *testing.T) {
 		r := &Runner{Engine: peregrine.New(1)}
-		dec, tr, _, err := r.planTrie(g, motifs[2:])
+		dec, tr, err := r.planTrie(g, motifs[2:])
 		if err != nil || !dec.Used || tr == nil || dec.Nodes != 4 || dec.SharedLevels != 0 || dec.Patterns != 1 {
 			t.Fatalf("used=%v decision %+v", dec.Used, dec)
 		}
@@ -69,24 +61,28 @@ func TestPlanTrieDecisions(t *testing.T) {
 		b := pattern.MustNew(3, [][2]int{{0, 1}, {0, 2}},
 			pattern.WithLabels([]int32{2, 2, 2}))
 		r := &Runner{Engine: peregrine.New(1)}
-		dec, tr, _, err := r.planTrie(g, []*pattern.Pattern{a, b})
+		dec, tr, err := r.planTrie(g, []*pattern.Pattern{a, b})
 		if err != nil || !dec.Used || tr == nil || len(tr.Roots) != 2 || dec.MaxSharedPrefix != 0 || dec.SharedLevels != 0 {
 			t.Fatalf("used=%v decision %+v", dec.Used, dec)
 		}
 	})
 
-	t.Run("non-planner engine", func(t *testing.T) {
-		r := &Runner{Engine: noPlanEngine{peregrine.New(1)}}
-		dec, tr, _, err := r.planTrie(g, motifs)
-		if err != nil || dec.Used || tr != nil || !strings.Contains(dec.Reason, "no plans") {
+	t.Run("empty set is no pass", func(t *testing.T) {
+		r := &Runner{Engine: peregrine.New(1)}
+		dec, tr, err := r.planTrie(g, nil)
+		if err != nil || dec.Used || tr != nil || dec.Reason != "empty pattern set" {
 			t.Fatalf("used=%v reason=%q", dec.Used, dec.Reason)
+		}
+		st := &RunStats{}
+		if counts, err := r.mine(context.Background(), g, nil, nil, st); counts != nil || err != nil || st.Mining == nil || st.Mining.TriePasses != 0 {
+			t.Fatalf("mine of an empty set: counts %v, err %v, stats %+v", counts, err, st.Mining)
 		}
 	})
 
 	t.Run("planning failure is the engine's own error", func(t *testing.T) {
 		r := &Runner{Engine: graphpi.New(1)}
 		ps := []*pattern.Pattern{pattern.FourCycle().AsVertexInduced()}
-		if _, tr, _, err := r.planTrie(g, ps); tr != nil || !errors.Is(err, engine.ErrInducedUnsupported) {
+		if _, tr, err := r.planTrie(g, ps); tr != nil || !errors.Is(err, engine.ErrInducedUnsupported) {
 			t.Fatalf("planTrie reported %v, want ErrInducedUnsupported", err)
 		}
 		if counts, err := r.mine(context.Background(), g, []Choice{{Pattern: ps[0]}}, nil, &RunStats{}); counts != nil || !errors.Is(err, engine.ErrInducedUnsupported) {
@@ -95,10 +91,11 @@ func TestPlanTrieDecisions(t *testing.T) {
 	})
 }
 
-// TestRunnerRoutesCountsMatch runs the same queries through both routes
-// end to end — a Planner's merged trie and a plan-less engine's loop of
-// one-leaf tries — with and without morphing: query counts must equal the
-// brute-force oracle, and the run stats must record the route taken.
+// TestRunnerRoutesCountsMatch runs queries end to end, with and without
+// morphing: query counts must equal the brute-force oracle, the run stats
+// must record one pass of the merged trie, and each mined pattern's count
+// from that pass must equal its one-leaf reference, the engine's own
+// CountCtx on the pattern alone.
 func TestRunnerRoutesCountsMatch(t *testing.T) {
 	g := routingGraph(t)
 	queries := []*pattern.Pattern{
@@ -112,40 +109,35 @@ func TestRunnerRoutesCountsMatch(t *testing.T) {
 			if single {
 				qs = queries[:1]
 			}
-			merged := &Runner{Engine: peregrine.New(2), DisableMorphing: baseline}
-			looped := &Runner{Engine: noPlanEngine{peregrine.New(2)}, DisableMorphing: baseline}
-
-			got, mst, err := merged.CountsCtx(context.Background(), g, qs)
+			r := &Runner{Engine: peregrine.New(2), DisableMorphing: baseline, Explain: true}
+			got, st, err := r.CountsCtx(context.Background(), g, qs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if mst.Trie == nil || !mst.Trie.Used {
-				t.Fatalf("planner run recorded decision %+v", mst.Trie)
+			if st.Trie == nil || !st.Trie.Used {
+				t.Fatalf("run recorded decision %+v", st.Trie)
 			}
-			if mst.Mining.TriePasses != 1 || len(mst.Mining.TrieNodes) != mst.Trie.Nodes {
-				t.Fatalf("planner run recorded %d passes, %d node rows for a %d-node trie",
-					mst.Mining.TriePasses, len(mst.Mining.TrieNodes), mst.Trie.Nodes)
+			if st.Mining.TriePasses != 1 || len(st.Mining.TrieNodes) != st.Trie.Nodes {
+				t.Fatalf("run recorded %d passes, %d node rows for a %d-node trie",
+					st.Mining.TriePasses, len(st.Mining.TrieNodes), st.Trie.Nodes)
 			}
 			// The baseline mines exactly the queries, none of them morphed.
-			if baseline && (len(mst.Selection.Mine) != len(qs) ||
-				slices.ContainsFunc(mst.Selection.Queries, func(q Query) bool { return q.Morphed })) {
-				t.Fatalf("baseline run mined %d patterns for %d queries, or morphed one", len(mst.Selection.Mine), len(qs))
+			if baseline && (len(st.Selection.Mine) != len(qs) ||
+				slices.ContainsFunc(st.Selection.Queries, func(q Query) bool { return q.Morphed })) {
+				t.Fatalf("baseline run mined %d patterns for %d queries, or morphed one", len(st.Selection.Mine), len(qs))
 			}
-
-			per, lst, err := looped.CountsCtx(context.Background(), g, qs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if lst.Trie == nil || lst.Trie.Used {
-				t.Fatalf("plan-less run recorded decision %+v", lst.Trie)
-			}
-			if mined := len(lst.Selection.Mine); lst.Mining.TriePasses != uint64(mined) {
-				t.Fatalf("plan-less run recorded %d executor passes for %d mined patterns", lst.Mining.TriePasses, mined)
+			for i, c := range st.Selection.Mine {
+				alone, _, err := r.Engine.CountCtx(context.Background(), g, c.Pattern)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.PerPattern[i].Matches != alone {
+					t.Fatalf("baseline=%v %v: merged trie %d, one-leaf trie %d", baseline, c.Pattern, st.PerPattern[i].Matches, alone)
+				}
 			}
 			for i, q := range qs {
-				want := refmatch.Count(g, q)
-				if got[i] != want || per[i] != want {
-					t.Fatalf("baseline=%v %v: merged trie %d, loop of one-leaf tries %d, oracle %d", baseline, q, got[i], per[i], want)
+				if want := refmatch.Count(g, q); got[i] != want {
+					t.Fatalf("baseline=%v %v: merged trie %d, oracle %d", baseline, q, got[i], want)
 				}
 			}
 		}
@@ -153,56 +145,52 @@ func TestRunnerRoutesCountsMatch(t *testing.T) {
 }
 
 // TestMNIRunsRecordTheRoute: the MNI pipeline takes counting's decision and
-// reports it the same way — RunStats.Trie plus the trie_decision event —
-// on all three outcomes: a Planner's level is one streaming pass, explained
-// or not (an explained run adds its calibration rows, nothing else), a
-// plan-less engine streams pattern by pattern. Tables agree throughout.
+// reports it the same way — RunStats.Trie plus the trie_decision event:
+// a level is one streaming pass, explained or not (an explained run adds
+// its calibration rows, nothing else). Tables agree with each other and
+// with each query's one-leaf reference, MineMNITable.
 func TestMNIRunsRecordTheRoute(t *testing.T) {
 	g := routingGraph(t)
 	queries := []*pattern.Pattern{pattern.FourCycle(), pattern.TailedTriangle(), pattern.Wedge()}
 	var want []string
-	for _, tc := range []struct {
-		name   string
-		r      *Runner
-		used   bool
-		reason string
-	}{
-		{"planner", &Runner{Engine: peregrine.New(2)}, true, "in one pass"},
-		{"explain", &Runner{Engine: peregrine.New(2), Explain: true}, true, "in one pass"},
-		{"no plans", &Runner{Engine: noPlanEngine{peregrine.New(2)}}, false, "no plans"},
-	} {
-		tables, st, err := tc.r.MNITablesCtx(context.Background(), g, queries)
+	for _, r := range []*Runner{{Engine: peregrine.New(2)}, {Engine: peregrine.New(2), Explain: true}} {
+		name := fmt.Sprintf("explain=%v", r.Explain)
+		tables, st, err := r.MNITablesCtx(context.Background(), g, queries)
 		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		if st.Trie == nil || st.Trie.Used != tc.used || !strings.Contains(st.Trie.Reason, tc.reason) {
-			t.Errorf("%s: decision %+v, want used=%v and %q in the reason", tc.name, st.Trie, tc.used, tc.reason)
+		if st.Trie == nil || !st.Trie.Used || !strings.Contains(st.Trie.Reason, "in one pass") {
+			t.Errorf("%s: decision %+v, want one pass", name, st.Trie)
 		}
 		logged := false
 		for _, e := range st.Events {
-			logged = logged || e.Name == "trie_decision" && e.Attrs["used"] == tc.used
+			logged = logged || e.Name == "trie_decision" && e.Attrs["used"] == true
 		}
 		if !logged {
-			t.Errorf("%s: no trie_decision event with used=%v in %v", tc.name, tc.used, eventNames(st.Events))
+			t.Errorf("%s: no trie_decision event with used=true in %v", name, eventNames(st.Events))
 		}
-		passes, perPattern := uint64(len(st.Selection.Mine)), 0
-		if tc.used {
-			passes = 1
-		}
-		if tc.r.Explain {
+		perPattern := 0
+		if r.Explain {
 			perPattern = len(st.Selection.Mine)
 		}
-		if st.Mining.TriePasses != passes || len(st.PerPattern) != perPattern {
-			t.Errorf("%s: %d passes, %d calibration rows; want %d, %d", tc.name, st.Mining.TriePasses, len(st.PerPattern), passes, perPattern)
+		if st.Mining.TriePasses != 1 || len(st.PerPattern) != perPattern {
+			t.Errorf("%s: %d passes, %d calibration rows; want 1, %d", name, st.Mining.TriePasses, len(st.PerPattern), perPattern)
 		}
 		var got []string
 		for _, tbl := range tables {
 			got = append(got, tbl.String())
 		}
 		if want == nil {
-			want = got
-		} else if !slices.Equal(got, want) {
-			t.Errorf("%s: tables %v, planner route %v", tc.name, got, want)
+			for _, q := range queries {
+				tbl, _, err := MineMNITable(context.Background(), r.Engine, g, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, tbl.String())
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: tables %v, one-leaf references %v", name, got, want)
 		}
 	}
 }

@@ -40,7 +40,7 @@ func TestLevelKeysAreTheTrieNodes(t *testing.T) {
 	w := costmodel.DefaultWeights()
 	w.Leaf = 0
 	noLeaf := costmodel.New(sum, w)
-	planners := []engine.Planner{peregrine.New(1), autozero.New(1), graphpi.New(1), bigjoin.New(1)}
+	planners := []engine.Engine{peregrine.New(1), autozero.New(1), graphpi.New(1), bigjoin.New(1)}
 	r := rand.New(rand.NewSource(5))
 	shared, collapsed := 0, 0
 	for trial := 0; trial < 400; trial++ {

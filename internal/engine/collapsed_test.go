@@ -105,7 +105,7 @@ func TestCollapsedLeafShapes(t *testing.T) {
 		}
 		sets = append(sets, four, five)
 	}
-	planners := []engine.Planner{peregrine.New(1), autozero.New(1), graphpi.New(1), bigjoin.New(1)}
+	planners := []engine.Engine{peregrine.New(1), autozero.New(1), graphpi.New(1), bigjoin.New(1)}
 	seen, stop := engine.RecordCollapsedShapes()
 	defer stop()
 	for gname, g := range collapsedGraphs(t) {

@@ -1,7 +1,7 @@
 // Package engine defines the contract shared by the four matching engines
 // (Peregrine, AutoZero, GraphPi, BigJoin models) plus the instrumented
 // statistics the paper's evaluation reports, and the parallel depth-first
-// executor every plan-driven engine runs on (trie.go).
+// executor every engine runs its plans on (trie.go).
 package engine
 
 import (
@@ -10,7 +10,9 @@ import (
 	"time"
 
 	"morphing/internal/graph"
+	"morphing/internal/obs"
 	"morphing/internal/pattern"
+	"morphing/internal/plan"
 	"morphing/internal/setops"
 )
 
@@ -23,22 +25,20 @@ var ErrInducedUnsupported = errors.New("engine: induced semantics not supported 
 // Visitor receives one match per call: m[i] is the data vertex bound to
 // pattern vertex i. Matches are unique per subgraph (symmetry breaking
 // selects one embedding per automorphism class). Visitors may be invoked
-// concurrently from different workers; worker identifies the caller:
-// calls with one worker ID never overlap, so state keyed by the ID needs
-// no lock. IDs are small and non-negative but not bounded by anything a
-// visitor knows (Threads 0 is GOMAXPROCS; an Engine may number workers as
-// it likes), so folding them into a fixed shard count lets two live
-// workers share a shard — use Shards. The slice is reused after the call
-// returns — copy it to retain it.
+// concurrently from different workers; worker identifies the caller, an ID
+// in [0, ExecOptions.ThreadCount()) of the options the pass runs with
+// (Engine.ExecConfig): calls with one worker ID never overlap, so state
+// keyed by the ID needs no lock. A visitor is not told that count (Threads
+// 0 is GOMAXPROCS), so state per worker grows as IDs appear — use Shards.
+// The slice is reused after the call returns — copy it to retain it.
 type Visitor func(worker int, m []uint32)
 
-// Engine is a pattern matching engine. Implementations differ in matching
-// strategy, multi-pattern handling and which induced semantics they
-// support natively — the very differences Subgraph Morphing exploits
-// (§3.4). Every mining operation takes the caller's context first and
-// follows the partial-result contract of ctx.go: an implementation that
-// cannot stop mid-run reports CtxErr(ctx) before it starts and after it
-// finishes.
+// Engine is a pattern matching engine: a planner over the depth-first
+// executor. Implementations differ in matching order, restrictions and
+// which induced semantics they support natively — the very differences
+// Subgraph Morphing exploits (§3.4) — and every one is a Model. Every
+// mining operation takes the caller's context first and follows the
+// partial-result contract of ctx.go.
 type Engine interface {
 	// Name returns the short system name used in figures.
 	Name() string
@@ -56,7 +56,18 @@ type Engine interface {
 	CountAllCtx(ctx context.Context, g graph.Adjacency, ps []*pattern.Pattern) ([]uint64, *Stats, error)
 	// MatchCtx streams every unique match of p to visit.
 	MatchCtx(ctx context.Context, g graph.Adjacency, p *pattern.Pattern, visit Visitor) (*Stats, error)
+	// PlanPattern builds the exploration plan the engine executes for p
+	// on g (g matters to engines that pick orders by cost model), so a
+	// caller can mine a whole set as one merged trie (BuildTrie).
+	PlanPattern(g graph.Adjacency, p *pattern.Pattern) (*plan.Plan, error)
+	// ExecConfig returns the executor options and observer the engine
+	// runs its plans with.
+	ExecConfig() (ExecOptions, *obs.Observer)
 }
+
+// Planner is Engine under its former name, which benchmark/batch.go still
+// asserts.
+type Planner = Engine
 
 // Stats instruments one engine execution. The counters mirror the
 // quantities the paper's profiling (Fig. 4) and evaluation figures report:
@@ -280,7 +291,7 @@ func (s *Stats) AddLevel(i int, candidates, extended uint64) {
 }
 
 // AddWorker accumulates one worker's contribution, merging by worker ID
-// so repeated executions (CountAll loops) sum each worker's totals.
+// so repeated executions (shards of one run) sum each worker's totals.
 func (s *Stats) AddWorker(w WorkerStats) {
 	for i := range s.Workers {
 		if s.Workers[i].Worker == w.Worker {

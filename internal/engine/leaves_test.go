@@ -14,7 +14,7 @@ import (
 
 // planTrie merges the plans pl makes for ps on a small random graph, the
 // one GraphPi prices its orders on.
-func planTrie(t *testing.T, pl engine.Planner, ps []*pattern.Pattern) *plan.Trie {
+func planTrie(t *testing.T, pl engine.Engine, ps []*pattern.Pattern) *plan.Trie {
 	t.Helper()
 	g, err := dataset.ErdosRenyi(60, 8, 0, 12)
 	if err != nil {

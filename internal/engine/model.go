@@ -24,8 +24,8 @@ type Policy interface {
 
 // Model is an engine model: a planning Policy over the depth-first
 // executor. Each of the four engine packages is its Policy plus
-// `type Engine = engine.Model[Policy]`; the Engine and Planner method sets
-// are written here, once.
+// `type Engine = engine.Model[Policy]`; the Engine method set is written
+// here, once.
 type Model[P Policy] struct {
 	Threads    int           // worker count (0 = GOMAXPROCS)
 	Instrument bool          // phase timings for profiling figures
@@ -39,7 +39,7 @@ func (m *Model[P]) Name() string { return m.Policy.Name() }
 // SupportsInduced implements Engine.
 func (m *Model[P]) SupportsInduced(iv pattern.Induced) bool { return m.Policy.SupportsInduced(iv) }
 
-// PlanPattern implements Planner: the policy's plan, errors prefixed with
+// PlanPattern implements Engine: the policy's plan, errors prefixed with
 // the model's name.
 func (m *Model[P]) PlanPattern(g graph.Adjacency, p *pattern.Pattern) (*plan.Plan, error) {
 	pl, err := m.Policy.Plan(g, p)
@@ -49,7 +49,7 @@ func (m *Model[P]) PlanPattern(g graph.Adjacency, p *pattern.Pattern) (*plan.Pla
 	return pl, nil
 }
 
-// ExecConfig implements Planner.
+// ExecConfig implements Engine.
 func (m *Model[P]) ExecConfig() (ExecOptions, *obs.Observer) {
 	return ExecOptions{Threads: m.Threads, Instrument: m.Instrument}, m.Obs
 }
@@ -79,8 +79,8 @@ func (m *Model[P]) MatchCtx(ctx context.Context, g graph.Adjacency, p *pattern.P
 }
 
 // CountAllCtx implements Engine: the set is one pass over its merged
-// trie, whatever the model (core.Runner mines every Planner's winner set
-// the same way).
+// trie, whatever the model (core.Runner mines every winner set the same
+// way).
 func (m *Model[P]) CountAllCtx(ctx context.Context, g graph.Adjacency, ps []*pattern.Pattern) ([]uint64, *Stats, error) {
 	if len(ps) == 0 {
 		return nil, &Stats{}, nil
@@ -91,17 +91,6 @@ func (m *Model[P]) CountAllCtx(ctx context.Context, g graph.Adjacency, ps []*pat
 	}
 	opts, o := m.ExecConfig()
 	return BacktrackTrieCtx(ctx, g, tr, opts, o)
-}
-
-// CountVertexInducedViaFilterCtx counts the vertex-induced matches of p
-// the way a user must without morphing on a model that matches
-// edge-induced patterns only (GraphPi, BigJoin): Match on the edge-induced
-// variant, every match through the extra-edge Filter UDF — the expensive
-// baseline of Fig. 4d-e and Fig. 14.
-func (m *Model[P]) CountVertexInducedViaFilterCtx(ctx context.Context, g graph.Adjacency, p *pattern.Pattern) (uint64, *Stats, error) {
-	return CountViaEdgeFilter(ctx, g, p.NonEdges(), m.Obs, func(visit Visitor) (*Stats, error) {
-		return m.MatchCtx(ctx, g, p.AsEdgeInduced(), visit)
-	})
 }
 
 // EdgeInducedOnly is the Plan-time rule of the models without anti-edge

@@ -8,15 +8,15 @@ import (
 
 	"morphing/internal/graph"
 	"morphing/internal/obs"
+	"morphing/internal/pattern"
 )
 
 // Shards keeps one *T per distinct visitor worker ID, so state a Visitor
-// accumulates per worker needs no lock on the per-match path. Engines may
-// use any number of worker IDs (see Visitor), so folding an ID into a
-// fixed shard count lets two live workers write one shard; here the list
-// grows on first sight of an ID instead: growth copies the list under mu
-// and publishes the copy, and a worker reads only its own slot, which
-// nobody else writes. The zero value is ready to use.
+// accumulates per worker needs no lock on the per-match path. IDs are
+// below the pass's worker count (see Visitor), which a visitor is not
+// told, so the list grows on first sight of an ID: growth copies the list
+// under mu and publishes the copy, and a worker reads only its own slot,
+// which nobody else writes. The zero value is ready to use.
 type Shards[T any] struct {
 	// New builds a worker's shard on its first match (nil: new(T)).
 	New func() *T
@@ -59,6 +59,18 @@ func (s *Shards[T]) Each(fn func(*T)) {
 			}
 		}
 	}
+}
+
+// CountVertexInducedViaFilterCtx counts the vertex-induced matches of p
+// the way a user must without morphing on an engine that matches
+// edge-induced patterns only (GraphPi, BigJoin): e matches the
+// edge-induced variant, every match through the extra-edge Filter UDF —
+// the expensive baseline of Fig. 4d-e and Fig. 14.
+func CountVertexInducedViaFilterCtx(ctx context.Context, e Engine, g graph.Adjacency, p *pattern.Pattern) (uint64, *Stats, error) {
+	_, o := e.ExecConfig()
+	return CountViaEdgeFilter(ctx, g, p.NonEdges(), o, func(visit Visitor) (*Stats, error) {
+		return e.MatchCtx(ctx, g, p.AsEdgeInduced(), visit)
+	})
 }
 
 // CountViaEdgeFilter counts vertex-induced matches the pre-morphing way

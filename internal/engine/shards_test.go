@@ -11,8 +11,8 @@ import (
 )
 
 // emitWide streams ms to visit from workers goroutines that are all live
-// at once, each under a worker ID of its own — what Visitor allows a
-// pipeline engine to do.
+// at once, each under a worker ID of its own — what a pass of that many
+// workers hands its Visitor.
 func emitWide(ms [][]uint32, workers int, visit Visitor) {
 	start := make(chan struct{})
 	var wg sync.WaitGroup

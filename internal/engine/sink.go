@@ -18,11 +18,10 @@ import (
 type Window func(m []uint32, pos int, tail []uint32)
 
 // Sink is one plan's consumer in a streaming pass (MatchTrieCtx). With
-// Bind set, the pass calls Bind once per worker before the worker starts
-// and hands that worker's windows of the plan to the Window it returns,
-// one call each; calls from one worker never overlap. Otherwise Visit
-// gets one call per match. Engines that deliver match by match
-// (Engine.MatchCtx) take Visit alone.
+// Bind set, the pass calls Bind once per worker, with the worker's ID,
+// before the worker starts and hands that worker's windows of the plan to
+// the Window it returns, one call each; calls from one worker never
+// overlap. Otherwise Visit gets one call per match.
 type Sink struct {
 	Visit Visitor
 	Bind  func(worker int) Window

@@ -30,24 +30,10 @@ import (
 // (steal.go), cooperative cancellation and worker panic containment
 // (ctx.go).
 
-// Planner is implemented by engines whose execution is driven by
-// exploration plans, exposing enough for the runner to mine a whole
-// winner set with the engine's own matching orders: the plan the engine
-// would use for a pattern, and the executor configuration it would run
-// it with. All four engine models implement it.
-type Planner interface {
-	Engine
-	// PlanPattern builds the exploration plan the engine would execute
-	// for p on g (g matters to engines that pick orders by cost model).
-	PlanPattern(g graph.Adjacency, p *pattern.Pattern) (*plan.Plan, error)
-	// ExecConfig returns the engine's executor options and observer.
-	ExecConfig() (ExecOptions, *obs.Observer)
-}
-
 // BuildTrie merges the engine's plans for ps into a prefix trie, without
 // executing anything — callers read the trie's sharing statistics for
 // their reports.
-func BuildTrie(e Planner, g graph.Adjacency, ps []*pattern.Pattern) (*plan.Trie, error) {
+func BuildTrie(e Engine, g graph.Adjacency, ps []*pattern.Pattern) (*plan.Trie, error) {
 	plans := make([]*plan.Plan, len(ps))
 	for i, p := range ps {
 		pl, err := e.PlanPattern(g, p)
@@ -99,7 +85,7 @@ func MatchTrieCtx(ctx context.Context, g graph.Adjacency, tr *plan.Trie, sinks [
 // allocation trajectory: locals captured by N closures escape one by one,
 // while a pooled carrier costs nothing in steady state — a pass allocates
 // the Stats it returns and nothing else, so a caller that runs hundreds of
-// tiny executions (a per-pattern loop) pays the executor no garbage.
+// tiny executions pays the executor no garbage.
 type triePass struct {
 	cursor int64  // atomic block claim cursor; leading for 64-bit alignment
 	found  uint64 // atomic: matches so far, maintained under MatchLimit only

@@ -480,7 +480,7 @@ func TestCancelRaceStress(t *testing.T) {
 }
 
 // mergedLevel is an FSM level worth interrupting: the 3-edge candidates of
-// a labeled graph, mined by a Planner in one merged streaming pass.
+// a labeled graph, mined by an engine in one merged streaming pass.
 func mergedLevel(t *testing.T) (*graph.Graph, []*pattern.Pattern) {
 	t.Helper()
 	g, err := dataset.ErdosRenyi(300, 8, 3, 17)

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"testing"
 
+	"morphing/internal/aggr"
 	"morphing/internal/autozero"
 	"morphing/internal/bigjoin"
 	"morphing/internal/canon"
@@ -36,24 +37,65 @@ func allEngines() []engine.Engine {
 	}
 }
 
-// loopOnly hides an engine's Planner surface, so a core.Runner hands it
-// the winner set through CountAll — for Peregrine and GraphPi a loop of
-// one-leaf tries — where it would otherwise merge the engine's plans into
-// one trie.
-type loopOnly struct{ engine.Engine }
-
-// runnerRoutes are the ways a counting run reaches the executor: the
-// merged trie of a Planner's plans, the engine's own CountAll, and either
+// runnerRoutes are the ways the suites count a query set through the
+// morphing pipeline: one pass of the Runner's merged trie, and the one-leaf
+// reference — the Runner's own selection, each mined pattern counted alone
+// by the engine's CountCtx, then converted —, each on the whole graph or
 // once per shard.
 var runnerRoutes = []struct {
-	name   string
-	engine func(engine.Engine) engine.Engine
-	shards int
+	name    string
+	oneLeaf bool
+	shards  int
 }{
-	{"merged-trie", func(e engine.Engine) engine.Engine { return e }, 0},
-	{"one-leaf-loop", func(e engine.Engine) engine.Engine { return loopOnly{e} }, 0},
-	{"sharded", func(e engine.Engine) engine.Engine { return loopOnly{e} }, 3},
-	{"sharded-trie", func(e engine.Engine) engine.Engine { return e }, 3},
+	{"merged-trie", false, 0},
+	{"one-leaf-loop", true, 0},
+	{"sharded", true, 3},
+	{"sharded-trie", false, 3},
+}
+
+// routeCounts counts qs on g with e along a route of runnerRoutes.
+func routeCounts(ctx context.Context, e engine.Engine, g graph.Adjacency, qs []*pattern.Pattern, oneLeaf bool, shards int) ([]uint64, error) {
+	r := &core.Runner{Engine: e, RunOptions: core.RunOptions{Shards: shards}}
+	if !oneLeaf {
+		counts, _, err := r.CountsCtx(ctx, g, qs)
+		return counts, err
+	}
+	sel, err := r.Transform(g, qs, aggr.Count{})
+	if err != nil {
+		return nil, err
+	}
+	parts := []graph.Adjacency{g}
+	if shards > 1 {
+		sgs, err := graph.Partition(g, shards)
+		if err != nil {
+			return nil, err
+		}
+		parts = parts[:0]
+		for _, sg := range sgs {
+			parts = append(parts, sg)
+		}
+	}
+	mined := make([]aggr.Value, len(sel.Mine))
+	for i, c := range sel.Mine {
+		var sum uint64
+		for _, sg := range parts {
+			n, _, err := e.CountCtx(ctx, sg, c.Pattern)
+			if err != nil {
+				return nil, err
+			}
+			sum += n
+		}
+		mined[i] = sum
+	}
+	vals, err := sel.Convert(aggr.Count{}, mined)
+	if err != nil {
+		return nil, err
+	}
+	counts := make([]uint64, len(vals))
+	for i, v := range vals {
+		counts[i] = v.(uint64)
+	}
+	return counts, nil
 }
 
 // suiteShapes and suiteTiers span the table every oracle suite of the
@@ -171,11 +213,10 @@ func TestEnginesHubIndexInvariance(t *testing.T) {
 			name string
 			g    graph.Adjacency
 		}{{"hub-rows", plain}, {"hidden", noHubRows{plain}}, {"compressed", compressed}}
-		for _, pl := range allPlanners() {
-			e := pl.(engine.Engine)
+		for _, e := range allEngines() {
 			var ps []*pattern.Pattern
 			for _, p := range shapes {
-				if supportedByPlanner(e, p) {
+				if canPlan(e, p) {
 					ps = append(ps, p)
 				}
 			}
@@ -193,13 +234,13 @@ func TestEnginesHubIndexInvariance(t *testing.T) {
 				}
 			}
 			for _, tier := range tiers {
-				tr, err := engine.BuildTrie(pl, tier.g, ps)
+				tr, err := engine.BuildTrie(e, tier.g, ps)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, threads := range []int{1, 4} {
 					where := fmt.Sprintf("labels=%d %s %s threads=%d", labels, e.Name(), tier.name, threads)
-					opts, o := pl.ExecConfig()
+					opts, o := e.ExecConfig()
 					opts.Threads = threads
 					got, st, err := engine.BacktrackTrieCtx(context.Background(), tier.g, tr, opts, o)
 					if err != nil {
@@ -211,7 +252,7 @@ func TestEnginesHubIndexInvariance(t *testing.T) {
 					if bitset := st.SetBitsetOps > 0; bitset != (tier.name == "hub-rows") {
 						t.Errorf("%s: %d bitmap operations", where, st.SetBitsetOps)
 					}
-					streamed, misplaced := streamTrie(t, tier.g, plain, pl, ps, threads)
+					streamed, misplaced := streamTrie(t, tier.g, plain, e, ps, threads)
 					if misplaced != 0 || !reflect.DeepEqual(streamed, matches) {
 						t.Errorf("%s: the streams differ from the oracle's, or %d tuples are no embeddings", where, misplaced)
 					}
@@ -358,7 +399,7 @@ func TestAllEnginesStreamIdenticalMatchSets(t *testing.T) {
 				want[fmt.Sprint(m)]++
 			}
 			for _, e := range allEngines() {
-				if !supportedByPlanner(e, p) || p.HasExplicitAntiEdges() && !e.SupportsInduced(pattern.VertexInduced) {
+				if !canPlan(e, p) || p.HasExplicitAntiEdges() && !e.SupportsInduced(pattern.VertexInduced) {
 					continue
 				}
 				var mu sync.Mutex
@@ -479,7 +520,7 @@ func TestFilterUDFCountsMatchNativeVertexInduced(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotGP, stGP, err := gp.CountVertexInducedViaFilterCtx(context.Background(), g, pV)
+			gotGP, stGP, err := engine.CountVertexInducedViaFilterCtx(context.Background(), gp, g, pV)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -489,7 +530,7 @@ func TestFilterUDFCountsMatchNativeVertexInduced(t *testing.T) {
 			if stGP.Branches == 0 || stGP.UDFCalls == 0 {
 				t.Errorf("GraphPi filter did not record UDF work: %+v", stGP)
 			}
-			gotBJ, stBJ, err := bj.CountVertexInducedViaFilterCtx(context.Background(), g, pV)
+			gotBJ, stBJ, err := engine.CountVertexInducedViaFilterCtx(context.Background(), bj, g, pV)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -81,7 +81,7 @@ func TestTrieStatsPinned(t *testing.T) {
 				{11, 3, 1, 3135, 670, 670},
 			}},
 	} {
-		pl := allPlanners()[0] // Peregrine, the benchmark's engine for 4-MC
+		pl := allEngines()[0] // Peregrine, the benchmark's engine for 4-MC
 		tr, err := engine.BuildTrie(pl, g, fourMotifs(t, tc.iv))
 		if err != nil {
 			t.Fatal(err)
@@ -256,23 +256,22 @@ func TestTrieHoistingProperty(t *testing.T) {
 			}
 			gname := base + "/" + tier.name
 			for sname, set := range sets {
-				for _, pl := range allPlanners() {
-					e := pl.(engine.Engine)
+				for _, e := range allEngines() {
 					var ps []*pattern.Pattern
 					for _, p := range set {
-						if supportedByPlanner(e, p) && (plain.Labeled() || !p.Labeled()) {
+						if canPlan(e, p) && (plain.Labeled() || !p.Labeled()) {
 							ps = append(ps, p)
 						}
 					}
 					if len(ps) < 2 {
 						continue
 					}
-					tr, err := engine.BuildTrie(pl, g, ps)
+					tr, err := engine.BuildTrie(e, g, ps)
 					if err != nil {
 						t.Fatalf("%s %s %s: BuildTrie: %v", gname, sname, e.Name(), err)
 					}
 					for _, threads := range []int{1, 4} {
-						opts, o := pl.ExecConfig()
+						opts, o := e.ExecConfig()
 						opts.Threads = threads
 						got, _, err := engine.BacktrackTrieCtx(context.Background(), g, tr, opts, o)
 						if err != nil {

@@ -87,7 +87,7 @@ func matchKey(m []uint32) (k uint64) {
 // multiset of delivered matches (canonical under the pattern's
 // automorphisms, as the oracle lists them) and how many delivered tuples
 // were no embedding of their plan's pattern in pattern-vertex order.
-func streamTrie(t *testing.T, g graph.Adjacency, plain *graph.Graph, pl engine.Planner, set []*pattern.Pattern, threads int) (got []map[uint64]int, misplaced int) {
+func streamTrie(t *testing.T, g graph.Adjacency, plain *graph.Graph, pl engine.Engine, set []*pattern.Pattern, threads int) (got []map[uint64]int, misplaced int) {
 	t.Helper()
 	tr, err := engine.BuildTrie(pl, g, set)
 	if err != nil {
@@ -170,19 +170,18 @@ func TestLabelRowRouteEqualsFilterRoute(t *testing.T) {
 					tables[i] = mniOracle(plain, p)
 				}
 			}
-			for pi, pl := range allPlanners() {
-				e := pl.(engine.Engine)
+			for pi, e := range allEngines() {
 				if !e.SupportsInduced(set[0].Induced()) {
 					continue
 				}
 				for _, tier := range tiers {
 					name := fmt.Sprintf("%s %s %s %s", gname, sname, e.Name(), tier.name)
-					tr, err := engine.BuildTrie(pl, tier.g, set)
+					tr, err := engine.BuildTrie(e, tier.g, set)
 					if err != nil {
 						t.Fatalf("%s: BuildTrie: %v", name, err)
 					}
 					for _, threads := range []int{1, 4} {
-						opts, o := pl.ExecConfig()
+						opts, o := e.ExecConfig()
 						opts.Threads = threads
 						got, _, err := engine.BacktrackTrieCtx(context.Background(), tier.g, tr, opts, o)
 						if err != nil {
@@ -195,7 +194,7 @@ func TestLabelRowRouteEqualsFilterRoute(t *testing.T) {
 						if pi%2 == 1 {
 							continue
 						}
-						streamed, misplaced := streamTrie(t, tier.g, plain, pl, set, threads)
+						streamed, misplaced := streamTrie(t, tier.g, plain, e, set, threads)
 						if misplaced != 0 || !reflect.DeepEqual(streamed, matches) {
 							t.Errorf("%s threads=%d: the streams differ from the oracle's, or %d tuples are no embeddings (%v)", name, threads, misplaced, set)
 						}

@@ -210,7 +210,7 @@ func TestMergedMNIRouteEqualsPerPatternAndOracle(t *testing.T) {
 // label of a vertex bound above it: A–B–A and A–A–A, where symmetry and
 // adjacency keep the bound vertex out of the window, and A–B–A–B and a
 // triangle A–A–B with an A tail on B, where only the bound-vertex
-// exclusion does. On every Planner engine at 1 and 4 threads, every suite
+// exclusion does. On every engine at 1 and 4 threads, every suite
 // shape and tier, one merged pass must hand over tails that hold no vertex
 // of their match's prefix and add up to the oracle's match counts, and
 // fill tables equal to the InsertAll oracle; MNITablesCtx, whose MNI sink
@@ -232,7 +232,7 @@ func TestWindowRouteExcludesBoundVertices(t *testing.T) {
 			want[i], matches[i] = mniOracle(plain, q), uint64(len(refmatch.Matches(plain, q)))
 		}
 		for _, threads := range []int{1, 4} {
-			for _, e := range []engine.Planner{peregrine.New(threads), autozero.New(threads), graphpi.New(threads), bigjoin.New(threads)} {
+			for _, e := range []engine.Engine{peregrine.New(threads), autozero.New(threads), graphpi.New(threads), bigjoin.New(threads)} {
 				name := fmt.Sprintf("%s threads=%d", e.Name(), threads)
 				tr, err := engine.BuildTrie(e, g, queries)
 				if err != nil {

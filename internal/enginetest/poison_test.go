@@ -8,7 +8,6 @@ import (
 
 	"morphing/internal/autozero"
 	"morphing/internal/bigjoin"
-	"morphing/internal/core"
 	"morphing/internal/dataset"
 	"morphing/internal/engine"
 	"morphing/internal/graph"
@@ -80,12 +79,11 @@ func TestRowLifetimeUnderPoison(t *testing.T) {
 		for _, e := range poisonEngines() {
 			for _, route := range runnerRoutes {
 				t.Run(fmt.Sprintf("%s/%s/%s", set.name, e.Name(), route.name), func(t *testing.T) {
-					r := &core.Runner{Engine: route.engine(e), RunOptions: core.RunOptions{Shards: route.shards}}
-					want, _, err := r.CountsCtx(context.Background(), g, set.qs)
+					want, err := routeCounts(context.Background(), e, g, set.qs, route.oneLeaf, route.shards)
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, _, err := r.CountsCtx(context.Background(), poisonGraph{g}, set.qs)
+					got, err := routeCounts(context.Background(), e, poisonGraph{g}, set.qs, route.oneLeaf, route.shards)
 					if err != nil {
 						t.Fatalf("under poison: %v", err)
 					}
@@ -115,7 +113,7 @@ func TestAntiEdgesUnderPoison(t *testing.T) {
 		t.Fatal(err)
 	}
 	qs := append(antiPatterns(t), pattern.House().AsVertexInduced(), pattern.Cycle(5).AsVertexInduced())
-	for _, e := range []engine.Planner{peregrine.New(4), autozero.New(4)} {
+	for _, e := range []engine.Engine{peregrine.New(4), autozero.New(4)} {
 		want, _, err := e.CountAllCtx(context.Background(), g, qs)
 		if err != nil {
 			t.Fatal(err)

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"morphing/internal/core"
 	"morphing/internal/dataset"
 	"morphing/internal/engine"
 	"morphing/internal/graph"
@@ -44,12 +43,11 @@ func tierQueries(labeled bool) []*pattern.Pattern {
 }
 
 // tierCounts runs the queries through one tier on one route.
-func tierCounts(t *testing.T, a graph.Adjacency, qs []*pattern.Pattern, e engine.Engine, shards int) []uint64 {
+func tierCounts(t *testing.T, a graph.Adjacency, qs []*pattern.Pattern, e engine.Engine, oneLeaf bool, shards int) []uint64 {
 	t.Helper()
-	r := &core.Runner{Engine: e, RunOptions: core.RunOptions{Shards: shards}}
-	counts, _, err := r.CountsCtx(context.Background(), a, qs)
+	counts, err := routeCounts(context.Background(), e, a, qs, oneLeaf, shards)
 	if err != nil {
-		t.Fatalf("counts on %T (%s, %d shards): %v", a, e.Name(), shards, err)
+		t.Fatalf("counts on %T (%s, one-leaf %v, %d shards): %v", a, e.Name(), oneLeaf, shards, err)
 	}
 	return counts
 }
@@ -103,10 +101,10 @@ func checkTierDifferential(t *testing.T, seed int64, n int, avgDeg float64, labe
 	}
 	qs := tierQueries(labels > 0)
 	for _, route := range runnerRoutes {
-		e := route.engine(peregrine.New(2))
-		want := tierCounts(t, tiers[0].adj, qs, e, route.shards)
+		e := peregrine.New(2)
+		want := tierCounts(t, tiers[0].adj, qs, e, route.oneLeaf, route.shards)
 		for _, tier := range tiers[1:] {
-			got := tierCounts(t, tier.adj, qs, e, route.shards)
+			got := tierCounts(t, tier.adj, qs, e, route.oneLeaf, route.shards)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("seed=%d n=%d deg=%g labels=%d block=%d: %s/%s query %v: %d, plain says %d",

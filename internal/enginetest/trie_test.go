@@ -12,20 +12,9 @@ import (
 	"morphing/internal/refmatch"
 )
 
-// allPlanners returns the four engine models through their Planner view:
-// the interface the trie executor uses to reuse each engine's own
-// matching-order choices.
-func allPlanners() []engine.Planner {
-	var ps []engine.Planner
-	for _, e := range allEngines() {
-		ps = append(ps, e.(engine.Planner))
-	}
-	return ps
-}
-
-// supportedByPlanner reports whether the engine can plan p at all (the
-// same capability surface as its native matching paths).
-func supportedByPlanner(e engine.Engine, p *pattern.Pattern) bool {
+// canPlan reports whether the engine can plan p at all (the same
+// capability surface as its native matching paths).
+func canPlan(e engine.Engine, p *pattern.Pattern) bool {
 	if e.SupportsInduced(p.Induced()) {
 		return true
 	}
@@ -64,22 +53,21 @@ func TestTrieCountsMatchPerPattern(t *testing.T) {
 	for _, labels := range []int{0, 2} {
 		forEachSuite(t, 21, labels, func(t *testing.T, g graph.Adjacency, plain *graph.Graph) {
 			for si, set := range trieTestSets(t) {
-				for _, pl := range allPlanners() {
-					e := pl.(engine.Engine)
+				for _, e := range allEngines() {
 					var ps []*pattern.Pattern
 					for _, p := range set {
-						if supportedByPlanner(e, p) {
+						if canPlan(e, p) {
 							ps = append(ps, p)
 						}
 					}
 					if len(ps) < 2 {
 						continue
 					}
-					tr, err := engine.BuildTrie(pl, g, ps)
+					tr, err := engine.BuildTrie(e, g, ps)
 					if err != nil {
 						t.Fatalf("set %d %s: BuildTrie: %v", si, e.Name(), err)
 					}
-					opts, o := pl.ExecConfig()
+					opts, o := e.ExecConfig()
 					got, st, err := engine.BacktrackTrieCtx(context.Background(), g, tr, opts, o)
 					if err != nil {
 						t.Fatalf("set %d %s: BacktrackTrie: %v", si, e.Name(), err)
@@ -117,7 +105,7 @@ func TestTrieCountsMatchPerPattern(t *testing.T) {
 // selectivity telemetry.
 func TestTrieSharesPrefixes(t *testing.T) {
 	forEachSuite(t, 21, 0, func(t *testing.T, g graph.Adjacency, plain *graph.Graph) {
-		pl := allPlanners()[0] // Peregrine: plan.Build default orders
+		pl := allEngines()[0] // Peregrine: plan.Build default orders
 		all4, err := canon.AllConnectedPatterns(4)
 		if err != nil {
 			t.Fatal(err)
@@ -220,12 +208,11 @@ func FuzzTrieDifferential(f *testing.F) {
 			t.Skip()
 		}
 		e := allEngines()[0] // Peregrine accepts both semantics
-		pl := e.(engine.Planner)
-		tr, err := engine.BuildTrie(pl, g, ps)
+		tr, err := engine.BuildTrie(e, g, ps)
 		if err != nil {
 			t.Fatalf("BuildTrie: %v", err)
 		}
-		opts, o := pl.ExecConfig()
+		opts, o := e.ExecConfig()
 		opts.Threads = int(threads%4) + 1
 		got, _, err := engine.BacktrackTrieCtx(context.Background(), g, tr, opts, o)
 		if err != nil {

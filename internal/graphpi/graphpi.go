@@ -3,7 +3,7 @@
 // order among candidate orders, plus restriction pairs for redundancy
 // elimination. Like the real system it matches edge-induced patterns only;
 // vertex-induced results require either a Filter UDF that probes for extra
-// edges on every match (Engine.CountVertexInducedViaFilterCtx, the
+// edges on every match (engine.CountVertexInducedViaFilterCtx, the
 // expensive baseline of Fig. 4d / Fig. 14a) or Subgraph Morphing. What
 // this package contributes is the order selection; the executor is
 // internal/engine's.

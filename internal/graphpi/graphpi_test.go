@@ -57,7 +57,7 @@ func TestFilterStatsAccounting(t *testing.T) {
 	g := testGraph(t)
 	e := New(2)
 	p := pattern.FourCycle().AsVertexInduced()
-	kept, st, err := e.CountVertexInducedViaFilterCtx(context.Background(), g, p)
+	kept, st, err := engine.CountVertexInducedViaFilterCtx(context.Background(), e, g, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestFilterPathUnderManyWorkerIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := pattern.Wedge().AsVertexInduced()
-	kept, st, err := (&Engine{}).CountVertexInducedViaFilterCtx(context.Background(), g, p)
+	kept, st, err := engine.CountVertexInducedViaFilterCtx(context.Background(), &Engine{}, g, p)
 	if err != nil {
 		t.Fatal(err)
 	}
