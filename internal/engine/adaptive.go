@@ -38,6 +38,7 @@ import (
 type rowPins struct {
 	g     graph.Adjacency // the worker's view
 	lrows labelRower      // the graph behind g, when it serves label rows (set by the pass)
+	above []uint32        // the graph's upper-row offsets, when it serves them (set by the pass)
 	match []uint32        // the executor's prefix: match[j] is bound at depth j
 	pins  []pin
 	hits  uint64 // pinned-row edge probes not yet reported to the view
@@ -61,6 +62,10 @@ type probeHitCounter interface{ CountProbeHits(n uint64) }
 type labelRower interface {
 	LabelRow(v uint32, label int32) []uint32
 }
+
+// aboveRower is implemented by graphs that serve upper-row offsets
+// (graph.Graph.AboveRows); cutRow reads them. The other tiers search.
+type aboveRower interface{ AboveRows() []uint32 }
 
 // reset prepares the pins for an execution over g (the worker's own
 // view) with the given number of depths, dropping every pinned row but
@@ -88,7 +93,7 @@ func (p *rowPins) release() {
 		c.CountProbeHits(p.hits)
 	}
 	p.hits = 0
-	p.g, p.lrows, p.match = nil, nil, nil
+	p.g, p.lrows, p.above, p.match = nil, nil, nil, nil
 	all := p.pins[:cap(p.pins)]
 	for i := range all {
 		all[i].ok, all[i].row = false, nil
@@ -113,6 +118,19 @@ func (p *rowPins) connRow(j int, label int32) []uint32 {
 		return p.row(j)
 	}
 	return p.lrows.LabelRow(p.match[j], label)
+}
+
+// cutRow is connRow for a count-only kernel whose window starts at lo. When
+// lo is one past the vertex v bound at depth j — v_j is the level's lower
+// bound, the common shape of a symmetry-breaking window — and the graph
+// serves upper-row offsets (graph.Graph.AboveRows), the whole row comes back
+// from v's first neighbour above v, where the kernel's Clip would have cut
+// it: the kernel finds nothing to search. Otherwise it is connRow.
+func (p *rowPins) cutRow(j int, label int32, lo uint32) []uint32 {
+	if v := p.match[j]; lo == v+1 && p.above != nil && label == pattern.Unlabeled {
+		return p.row(j)[p.above[v]:]
+	}
+	return p.connRow(j, label)
 }
 
 // adjacent reports whether the vertices bound at depths a and b are
@@ -155,7 +173,7 @@ func (p *rowPins) intersectCountF(cur []uint32, j int, f setops.Filter, label in
 	if bits := p.g.HubBits(p.match[j]); bits != nil && label == pattern.Unlabeled {
 		return setops.IntersectBitsCountF(cur, bits, f, st)
 	}
-	return setops.IntersectCountF(cur, p.connRow(j, label), f, st)
+	return setops.IntersectCountF(cur, p.cutRow(j, label, f.Lo), f, st)
 }
 
 // differenceCountF counts the elements of cur not adjacent to the vertex
@@ -164,7 +182,7 @@ func (p *rowPins) differenceCountF(cur []uint32, j int, f setops.Filter, st *set
 	if bits := p.g.HubBits(p.match[j]); bits != nil {
 		return setops.DifferenceBitsCountF(cur, bits, f, st)
 	}
-	return setops.DifferenceCountF(cur, p.row(j), f, st)
+	return setops.DifferenceCountF(cur, p.cutRow(j, pattern.Unlabeled, f.Lo), f, st)
 }
 
 // candidates materializes the vertices adjacent to every vertex bound at
@@ -277,7 +295,7 @@ func (p *rowPins) countExtensions(conn, disc, always, check []int, f setops.Filt
 	case len(conn) == 1 && len(disc) == 0:
 		// No set operation at all: the count is window arithmetic over one
 		// adjacency list (plus a label scan where the row cannot carry it).
-		count = setops.CountF(p.connRow(conn[0], label), kf, st)
+		count = setops.CountF(p.cutRow(conn[0], label, kf.Lo), kf, st)
 	case len(conn) == 2 && len(disc) == 0 && g.HubBits(p.match[conn[0]]) != nil && g.HubBits(p.match[conn[1]]) != nil:
 		count = setops.AndCountF(g.HubBits(p.match[conn[0]]), g.HubBits(p.match[conn[1]]), f, st)
 	default:

@@ -65,3 +65,12 @@ func SeeMarkedLeaves(see func(worker int, leaf *plan.TrieNode, base, row []uint3
 	markedSeen = see
 	return func() { markedSeen = nil }
 }
+
+// SeeWindows hands every held-base count — the leaf, its base's generation
+// key, the base and what the leaf's cursor left of it, the binding row and what the upper-row offset
+// left of it, and the window's low end — to see, from the worker that made
+// it, until stop is called. Passes must not run while it is set or cleared.
+func SeeWindows(see func(worker int, leaf *plan.TrieNode, key uint64, base, held, row, cut []uint32, lo uint32)) (stop func()) {
+	windowSeen = see
+	return func() { windowSeen = nil }
+}

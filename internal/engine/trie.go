@@ -108,6 +108,7 @@ type triePass struct {
 
 	tr        *plan.Trie
 	lrows     labelRower                 // the graph, when it serves label rows
+	above     []uint32                   // the graph's upper-row offsets, when it serves them
 	scans     bool                       // some labeled node has no row to carry its label and scans
 	marks     bool                       // some leaf is a marked leaf (mark)
 	sinks     []Sink                     // per plan; nil: counting pass
@@ -143,7 +144,7 @@ func (ps *triePass) release() {
 	clear(ps.info)
 	clear(ps.nodes)
 	ps.done, ps.fi, ps.live, ps.panicErr = nil, nil, nil, nil
-	ps.tr, ps.lrows, ps.sinks, ps.one[0] = nil, nil, nil, Sink{}
+	ps.tr, ps.lrows, ps.above, ps.sinks, ps.one[0] = nil, nil, nil, nil, Sink{}
 	ps.single.Reset() // cannot fail without plans
 	triePassPool.Put(ps)
 }
@@ -182,6 +183,9 @@ func (ps *triePass) mine(ctx context.Context, g graph.Adjacency, tr *plan.Trie, 
 	ps.live = o.Counter(MetricMatches)
 	ps.tr, ps.sinks = tr, sinks
 	ps.lrows, _ = g.(labelRower)
+	if a, ok := g.(aboveRower); ok && sinks == nil { // only count leaves cut rows
+		ps.above = a.AboveRows()
+	}
 	ps.loadClasses()
 
 	if cap(ps.workers) < threads {
@@ -517,6 +521,9 @@ type trieWorker struct {
 	// Marked leaves (mark), last so that no field above moves: per node, the
 	// bitmap of the base a count-only difference leaf last marked.
 	marks []leafMarks
+
+	// Per node, where a count leaf over a held base last cut it (held).
+	cursors []windowCursor
 }
 
 // trieNodeCount is one node's selectivity: partial embeddings reaching it,
@@ -557,6 +564,13 @@ func (m *leafMarks) reset(words int) {
 	}
 }
 
+// windowCursor is where a count leaf last cut its held base: base[at] is
+// the first element ≥ lo of the base generation key (0: no cut yet).
+type windowCursor struct {
+	key    uint64
+	lo, at uint32
+}
+
 // trieOut assembles one leaf plan's matches for the plan's sink, in
 // pattern-vertex order: m[plan.Order[j]] is the vertex bound at depth j.
 type trieOut struct {
@@ -595,7 +609,7 @@ func getTrieWorker(id int, g graph.Adjacency, ps *triePass, instrument bool, max
 	w.g = g.View()
 	w.vlabels = g.Labels()
 	w.pins.reset(w.g, w.d)
-	w.pins.lrows = ps.lrows
+	w.pins.lrows, w.pins.above = ps.lrows, ps.above
 	w.pins.bind(w.match)
 	w.tr = tr
 	w.info = ps.info
@@ -618,6 +632,11 @@ func getTrieWorker(id int, g graph.Adjacency, ps *triePass, instrument bool, max
 	for i := range w.bases {
 		w.bases[i].stamp = 0 // buffers stay: they are capacity, not content
 	}
+	if len(w.cursors) < nodes {
+		w.cursors = make([]windowCursor, nodes)
+	}
+	// No cut of an earlier pass, or graph, survives.
+	clear(w.cursors)
 	if ps.marks { // a pass without marked leaves leaves the bits to the next pass with some
 		if len(w.marks) < nodes {
 			w.marks = append(w.marks, make([]leafMarks, nodes-len(w.marks))...)
@@ -1033,7 +1052,10 @@ var collapsedSeen func(ei *trieExecInfo, c, x, b, f []uint32)
 // searches in sets already held. A marked leaf whose v_d is no hub counts
 // |B \ N(v_d)| in the window as |B| there less the row's elements found
 // in B's bitmap (mark): one probe per element of the row, where a merge
-// walks both. f is the level's whole filter (see countExtensions).
+// walks both. The kernels get the base from the window's low end on (held)
+// and the binding row from there too where the graph serves the cut
+// (rowPins.cutRow), so their own Clip searches neither. f is the level's
+// whole filter (see countExtensions).
 func (w *trieWorker) countLeaf(node *plan.TrieNode, ei *trieExecInfo, depth int, f setops.Filter) (n uint64) {
 	switch {
 	case ei.degree:
@@ -1043,19 +1065,23 @@ func (w *trieWorker) countLeaf(node *plan.TrieNode, ei *trieExecInfo, depth int,
 		return n
 	}
 	base, kf := w.base(node, ei), kernelFilter(f, ei.rowLabel)
+	held := w.held(node.ID, ei, base, kf.Lo)
+	if windowSeen != nil {
+		windowSeen(w.id, node, w.baseKey(node.ID, ei), base, held, w.pins.row(depth-1), w.pins.cutRow(depth-1, pattern.Unlabeled, kf.Lo), kf.Lo)
+	}
 	switch {
 	case len(ei.BConn) > 0:
-		n = w.pins.intersectCountF(base, depth-1, kf, ei.rowLabel, &w.sst)
+		n = w.pins.intersectCountF(held, depth-1, kf, ei.rowLabel, &w.sst)
 	case ei.Mark && w.g.HubBits(w.match[depth-1]) == nil: // counted, so a marked leaf
-		row := w.pins.row(depth - 1)
-		n = uint64(len(setops.Clip(base, kf.Lo, kf.Hi))) - setops.IntersectBitsCountF(row, w.mark(node.ID, ei, base), kf, &w.sst)
+		row := w.pins.cutRow(depth-1, pattern.Unlabeled, kf.Lo)
+		n = uint64(len(setops.Clip(held, kf.Lo, kf.Hi))) - setops.IntersectBitsCountF(row, w.mark(node.ID, ei, base), kf, &w.sst)
 		if markedSeen != nil {
 			markedSeen(w.id, node, base, row, kf, n)
 		}
 	case len(ei.BDisc) > 0:
-		n = w.pins.differenceCountF(base, depth-1, kf, &w.sst)
+		n = w.pins.differenceCountF(held, depth-1, kf, &w.sst)
 	default:
-		n = setops.CountF(base, kf, &w.sst)
+		n = setops.CountF(held, kf, &w.sst)
 	}
 	for i, a := range ei.Bound {
 		if u := w.match[a]; f.Pass(u) && (i < ei.NAlways || setops.Contains(base, u) && w.pins.qualifies(a, ei.BConn, ei.BDisc)) {
@@ -1065,23 +1091,58 @@ func (w *trieWorker) countLeaf(node *plan.TrieNode, ei *trieExecInfo, depth int,
 	return n
 }
 
+// baseKey names the generation of leaf id's held base, once base has
+// returned it: a srcBuilt base is keyed by its build stamp, a srcRaw one by
+// the stamp of the binding its ancestor A at depth At executed under. A runs
+// once per binding of depth At-1 and assigns w.raw[At] as it starts;
+// siblings of A overwrite w.raw[At] too, but only outside A's subtree, where
+// the leaf never runs, so the key changes whenever the base can — also when
+// a rebuild overwrites the base buffer in place. Keys are never 0.
+func (w *trieWorker) baseKey(id int, ei *trieExecInfo) uint64 {
+	if ei.src == srcBuilt {
+		return w.bases[id].stamp
+	}
+	return w.stamp[ei.At-1]
+}
+
+// held returns leaf id's base from its first element ≥ lo on, resuming the
+// leaf's cursor. Within one base generation (baseKey) a leaf's window mostly
+// opens one past an ascending parent candidate, so its low end creeps up by
+// an element or so per count: the cursor walks at most four elements and
+// searches only the rest of the base past them. A new generation or a low
+// end below the last one (set by a depth above the parent, which rebinds)
+// starts over from the base's head.
+func (w *trieWorker) held(id int, ei *trieExecInfo, base []uint32, lo uint32) []uint32 {
+	c := &w.cursors[id]
+	if key := w.baseKey(id, ei); c.key != key || lo < c.lo {
+		*c = windowCursor{key: key}
+	}
+	at := int(c.at)
+	for end := min(at+4, len(base)); at < end && base[at] < lo; {
+		at++
+	}
+	if at < len(base) && base[at] < lo {
+		at += setops.SearchAbove(base[at:], lo-1)
+	}
+	c.lo, c.at = lo, uint32(at)
+	return base[at:]
+}
+
+// windowSeen, when set, sees every held-base count: the base's generation
+// key, the base and what held left of it, the binding row and what cutRow
+// left of it, and the window's low end. Tests hold each cut against
+// setops.Clip.
+var windowSeen func(worker int, leaf *plan.TrieNode, key uint64, base, held, row, cut []uint32, lo uint32)
+
 // mark returns the bitmap of marked leaf id's base, marking the base first
-// when it changed since the leaf last marked it: a srcBuilt base is keyed
-// by its build stamp, a srcRaw one by the stamp of the binding its
-// ancestor A at depth At executed under. A runs once per binding of depth
-// At-1 and assigns w.raw[At] as it starts; siblings of A overwrite
-// w.raw[At] too, but only outside A's subtree, where the leaf never runs,
-// so the stamp changes whenever the raw set can. Each leaf has its own
-// bitmap, so sibling leaves over different bases do not undo each other's
-// marks. The old bits are cleared from the leaf's copy of what it marked,
-// never from the base buffer, which a rebuild overwrites in place. A mark
-// charges the base's elements.
+// when its generation changed since the leaf last marked it (baseKey). Each
+// leaf has its own bitmap, so sibling leaves over different bases do not
+// undo each other's marks. The old bits are cleared from the leaf's copy of
+// what it marked, never from the base buffer, which a rebuild overwrites in
+// place. A mark charges the base's elements.
 func (w *trieWorker) mark(id int, ei *trieExecInfo, base []uint32) []uint64 {
 	m := &w.marks[id]
-	key := w.stamp[ei.At-1]
-	if ei.src == srcBuilt {
-		key = w.bases[id].stamp
-	}
+	key := w.baseKey(id, ei)
 	if m.key == key {
 		return m.words
 	}

@@ -22,6 +22,7 @@ type Graph struct {
 	sum     summaryMemo
 	lrows   labelRowsMemo // label-grouped rows, built on the first LabelRow
 	hub     hubMemo       // bitmap rows of the hubs, built on the first HubBits
+	above   aboveMemo     // upper-row offsets, built on the first AboveRows
 }
 
 // NumVertices returns the number of vertices.

@@ -273,3 +273,57 @@ func BenchmarkSearchAbove(b *testing.B) {
 		})
 	}
 }
+
+// A count leaf's held base clipped at the window's low end, as mc4-direct
+// delivers them: 1,024 bases of about 45 elements, each followed by the
+// ascending low ends its leaf sees under it — one past each candidate of
+// the parent, which walks the same set, skipping a few now and then. The
+// sequences run one after the other, as the executor runs them, so that no
+// branch predictor learns one input. /search is what Clip does, a search of
+// the whole base per count; /cursor resumes where the last count cut the
+// same base, walking at most four elements before it searches the rest
+// (the executor's trieWorker.held).
+func BenchmarkHeldBaseClip(b *testing.B) {
+	type step struct {
+		base int // index into bases: a new one starts a new generation
+		lo   uint32
+	}
+	r := rand.New(rand.NewSource(11))
+	bases := make([][]uint32, cycled)
+	var steps []step
+	for k := range bases {
+		bases[k] = denseSet(r, 45, 256)
+		for j := r.Intn(len(bases[k]) / 2); j < len(bases[k]); j++ {
+			steps = append(steps, step{k, bases[k][j] + 1})
+			if r.Intn(10) == 0 {
+				j += r.Intn(8)
+			}
+		}
+	}
+	b.Run("search", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s := steps[i%len(steps)]
+			sink += uint64(len(Clip(bases[s.base], s.lo, ^uint32(0))))
+		}
+	})
+	b.Run("cursor", func(b *testing.B) {
+		key, lo, at := -1, uint32(0), 0
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s := steps[i%len(steps)]
+			base := bases[s.base]
+			if s.base != key || s.lo < lo {
+				key, at = s.base, 0
+			}
+			for end := min(at+4, len(base)); at < end && base[at] < s.lo; {
+				at++
+			}
+			if at < len(base) && base[at] < s.lo {
+				at += SearchAbove(base[at:], s.lo-1)
+			}
+			lo = s.lo
+			sink += uint64(len(base) - at)
+		}
+	})
+}
