@@ -100,10 +100,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		obs.SetDefaultEventLog(ql)
 		defer obs.SetDefaultEventLog(nil)
 	}
-	if *flightDir != "" {
-		os.Setenv(obs.EnvFlightDir, *flightDir)
-	}
 	flightPolicy := obs.DefaultFlightPolicy()
+	if *flightDir != "" {
+		flightPolicy.Dir = *flightDir
+	}
 	flightPolicy.SlowQuery = *slowQuery
 	runFlight = &flightPolicy
 	if *listen != "" {

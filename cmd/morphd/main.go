@@ -91,10 +91,10 @@ func run() error {
 		defer ql.Close()
 		obs.SetDefaultEventLog(ql)
 	}
-	if *flightDir != "" {
-		os.Setenv(obs.EnvFlightDir, *flightDir)
-	}
 	flightPolicy := obs.DefaultFlightPolicy()
+	if *flightDir != "" {
+		flightPolicy.Dir = *flightDir
+	}
 	flightPolicy.SlowQuery = *slowQuery
 
 	if cfg, _, armed, err := faultinject.ArmFromEnv(); err != nil {

@@ -73,39 +73,46 @@ func EnumerateCtx(ctx context.Context, g graph.Adjacency, eng engine.Engine, que
 		r.PerMatchCost = costmodel.ProfileUDF(func(m []uint32) { filter(m) },
 			queries[0].N(), 4096, uint32(g.NumVertices()), 1e8)
 	}
-	// One shard per worker ID (engine.Shards) keeps the UDF hot path
-	// lock-free whatever number of IDs the engine uses.
+	// One shard per worker the pass starts, bound before any runs (the
+	// engine.Sink contract), keeps the UDF hot path lock-free.
 	type shard struct {
 		delivered, filtered []uint64 // per query
 	}
-	counters := &engine.Shards[shard]{New: func() *shard {
-		return &shard{delivered: make([]uint64, len(queries)), filtered: make([]uint64, len(queries))}
-	}}
+	var shards []*shard
 	// Each alternative is mined exactly once and its stream fans out to every
 	// query it feeds. The filter runs on the raw alternative match, BEFORE
 	// conversion — it depends only on the matched vertex set, which
 	// conversion permutes but never changes (§7.3: "the filter is only
 	// dependent on the matched vertices") — so the vertex-induced
 	// alternatives' smaller match streams directly cut filter UDF invocations.
-	st, err := r.StreamCtx(ctx, g, queries, func(targets []core.StreamTarget) engine.Visitor {
-		return func(worker int, m []uint32) {
-			s := counters.For(worker)
-			if !filter(m) {
-				for _, t := range targets {
-					s.filtered[t.Query] += uint64(len(t.Maps))
-				}
-				return
+	st, err := r.StreamCtx(ctx, g, queries, func(targets []core.StreamTarget) engine.Sink {
+		return func(worker int) engine.Window {
+			for len(shards) <= worker { // the worker's first sink call makes it
+				shards = append(shards, &shard{delivered: make([]uint64, len(queries)), filtered: make([]uint64, len(queries))})
 			}
-			var buf [pattern.MaxVertices]uint32
-			for _, t := range targets {
-				converted := buf[:queries[t.Query].N()]
-				for _, f := range t.Maps {
-					for i, qi := range f {
-						converted[i] = m[qi]
+			s, buf := shards[worker], make([]uint32, pattern.MaxVertices) // buf: the converted match
+			// The per-match loop: everything a match needs is held in locals.
+			return func(m []uint32, pos int, tail []uint32) {
+				delivered, filtered, slot := s.delivered, s.filtered, &m[pos]
+				for _, v := range tail {
+					*slot = v
+					if !filter(m) {
+						for _, t := range targets {
+							filtered[t.Query] += uint64(len(t.Maps))
+						}
+						continue
 					}
-					s.delivered[t.Query]++
-					if onMatch != nil {
-						onMatch(t.Query, converted)
+					for _, t := range targets {
+						converted := buf[:queries[t.Query].N()]
+						for _, f := range t.Maps {
+							for i, qi := range f {
+								converted[i] = m[qi]
+							}
+							delivered[t.Query]++
+							if onMatch != nil {
+								onMatch(t.Query, converted)
+							}
+						}
 					}
 				}
 			}
@@ -123,12 +130,12 @@ func EnumerateCtx(ctx context.Context, g graph.Adjacency, eng engine.Engine, que
 	if st.Mining != nil {
 		res.Stats = st.Mining
 	}
-	counters.Each(func(s *shard) {
+	for _, s := range shards {
 		for qi := range queries {
 			res.Delivered[qi] += s.delivered[qi]
 			res.Filtered[qi] += s.filtered[qi]
 		}
-	})
+	}
 	return res, err
 }
 

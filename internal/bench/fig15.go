@@ -85,9 +85,10 @@ func runFig15OnTheFly(ctx context.Context, cfg Config, w io.Writer) error {
 					}
 					delivered += morphed.Delivered[i]
 				}
+				// The filter runs once per mined match.
 				csv(w, wl.label+"/"+mode.label, name, baseS, morphS, ratio(baseS, morphS),
-					base.Stats.UDFCalls, morphed.Stats.UDFCalls,
-					ratio(float64(base.Stats.UDFCalls), float64(morphed.Stats.UDFCalls)),
+					base.Stats.Matches, morphed.Stats.Matches,
+					ratio(float64(base.Stats.Matches), float64(morphed.Stats.Matches)),
 					delivered)
 			}
 		}

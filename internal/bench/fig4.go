@@ -58,17 +58,27 @@ func runFig4b(ctx context.Context, cfg Config, w io.Writer) error {
 	}
 	for _, np := range fig4Patterns() {
 		eng := &peregrine.Engine{Threads: cfg.Threads, Instrument: true}
-		// One sink per worker: the visitor runs on every worker at once.
-		var sinks engine.Shards[uint64]
 		start := time.Now()
-		st, err := eng.MatchCtx(ctx, g, np.Pattern, func(worker int, m []uint32) {
-			// The paper's SE lists matches: simulate the listing UDF by
-			// touching every match vertex.
-			sink := sinks.For(worker)
-			for _, v := range m {
-				*sink += uint64(v)
+		pl, err := eng.PlanPattern(g, np.Pattern)
+		if err != nil {
+			return err
+		}
+		opts, o := eng.ExecConfig()
+		// The paper's SE lists matches: simulate the listing UDF by touching
+		// every match vertex, into a sum of the worker's own.
+		_, st, err := engine.BacktrackCtx(ctx, g, pl, func(int) engine.Window {
+			sum := new(uint64)
+			return func(m []uint32, pos int, tail []uint32) {
+				s := *sum
+				for _, v := range tail {
+					m[pos] = v
+					for _, u := range m {
+						s += uint64(u)
+					}
+				}
+				*sum = s
 			}
-		})
+		}, opts, o)
 		if err != nil {
 			return err
 		}

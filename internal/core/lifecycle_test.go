@@ -151,13 +151,13 @@ func streamQueries() []*pattern.Pattern {
 	return []*pattern.Pattern{pattern.TailedTriangle(), pattern.FourCycle()}
 }
 
-// streamRun runs queries through r.StreamCtx with visitors that only
+// streamRun runs queries through r.StreamCtx with sinks that only
 // count, and fails unless the run completed and delivered a match.
 func streamRun(t *testing.T, r *Runner, g graph.Adjacency, queries []*pattern.Pattern) *RunStats {
 	t.Helper()
 	var delivered atomic.Uint64
-	st, err := r.StreamCtx(context.Background(), g, queries, func(targets []StreamTarget) engine.Visitor {
-		return func(int, []uint32) { delivered.Add(1) }
+	st, err := r.StreamCtx(context.Background(), g, queries, func(targets []StreamTarget) engine.Sink {
+		return engine.EachMatch(func(int, []uint32) { delivered.Add(1) })
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -751,8 +751,8 @@ func (r *Runner) mniRun(ctx context.Context, rc *obs.RunContext, g graph.Adjacen
 	sinks := make([]*mniSink, len(sel.Mine))
 	streams := make([]engine.Sink, len(sel.Mine))
 	for i, c := range sel.Mine {
-		sinks[i] = newMNISink(c.Pattern.N())
-		streams[i] = engine.Sink{Bind: sinks[i].bind}
+		sinks[i] = &mniSink{width: c.Pattern.N()}
+		streams[i] = sinks[i].bind
 	}
 
 	stats.Phase = PhaseMine
@@ -762,7 +762,7 @@ func (r *Runner) mniRun(ctx context.Context, rc *obs.RunContext, g graph.Adjacen
 		}
 		return nil, nil, err
 	}
-	// The shard merge is the UDF-side aggregation leg of mining.
+	// The per-worker merge is the UDF-side aggregation leg of mining.
 	mined := make([]*aggr.Table, len(sinks))
 	for i, c := range sel.Mine {
 		mined[i] = sinks[i].table(canon.Automorphisms(c.Pattern))
@@ -778,24 +778,24 @@ func (r *Runner) mniRun(ctx context.Context, rc *obs.RunContext, g graph.Adjacen
 // StreamCtx answers match-stream queries (subgraph enumeration, §7.3) as
 // one pipeline execution: pattern transformation in the additive direction
 // (PolicyVertexOnly: a stream cannot be subtracted), then one mining pass in
-// which every alternative that feeds a query streams to visitor(its
-// targets) — Algorithm 3's on-the-fly conversion is the visitor's, through
+// which every alternative that feeds a query streams to sink(its
+// targets) — Algorithm 3's on-the-fly conversion is the sink's, through
 // each target's maps. A query mined as itself gets the identity map, so it
 // receives the engine's own tuples. With morphing disabled every query is
 // mined as itself (a query listed twice is mined once and feeds both);
 // morphing needs an engine that mines vertex-induced patterns. Interrupted
 // runs follow CountsCtx's contract: the RunStats reports Phase and Partial,
 // and every match counted was delivered.
-func (r *Runner) StreamCtx(ctx context.Context, g graph.Adjacency, queries []*pattern.Pattern, visitor func(targets []StreamTarget) engine.Visitor) (*RunStats, error) {
+func (r *Runner) StreamCtx(ctx context.Context, g graph.Adjacency, queries []*pattern.Pattern, sink func(targets []StreamTarget) engine.Sink) (*RunStats, error) {
 	_, st, err := execute(ctx, r, g, "enumerate", len(queries), func(ctx context.Context, rc *obs.RunContext, g graph.Adjacency) (struct{}, *RunStats, error) {
-		st, err := r.streamRun(ctx, rc, g, queries, visitor)
+		st, err := r.streamRun(ctx, rc, g, queries, sink)
 		return struct{}{}, st, err
 	})
 	return st, err
 }
 
 // streamRun is the StreamCtx body, executed inside the run scope rc.
-func (r *Runner) streamRun(ctx context.Context, rc *obs.RunContext, g graph.Adjacency, queries []*pattern.Pattern, visitor func([]StreamTarget) engine.Visitor) (*RunStats, error) {
+func (r *Runner) streamRun(ctx context.Context, rc *obs.RunContext, g graph.Adjacency, queries []*pattern.Pattern, sink func([]StreamTarget) engine.Sink) (*RunStats, error) {
 	if !r.DisableMorphing && !r.Engine.SupportsInduced(pattern.VertexInduced) {
 		return nil, fmt.Errorf("core: engine %q cannot mine vertex-induced patterns; on-the-fly conversion unavailable", r.Engine.Name())
 	}
@@ -812,7 +812,7 @@ func (r *Runner) streamRun(ctx context.Context, rc *obs.RunContext, g graph.Adja
 	for ci, c := range sel.Mine {
 		if len(targets[ci]) > 0 { // else mined for other outputs only
 			mine = append(mine, c)
-			sinks = append(sinks, engine.Sink{Visit: visitor(targets[ci])})
+			sinks = append(sinks, sink(targets[ci]))
 		}
 	}
 	stats.Phase = PhaseMine
@@ -824,14 +824,6 @@ func (r *Runner) streamRun(ctx context.Context, rc *obs.RunContext, g graph.Adja
 	}
 	stats.Phase = PhaseDone
 	return stats, nil
-}
-
-// MatchAllCtx streams every match of mine[i].Pattern to visits[i] and
-// records the execution in stats (see mine), outside any run scope: one
-// merged streaming pass of a given set, which the tests drive directly.
-func (r *Runner) MatchAllCtx(ctx context.Context, g graph.Adjacency, mine []Choice, visits []engine.Visitor, stats *RunStats) error {
-	_, err := r.mine(ctx, g, mine, engine.Sinks(visits), stats)
-	return err
 }
 
 // AdmissionEstimate is what the cost model predicts a query will do
@@ -902,10 +894,24 @@ func clampBytes(total float64) uint64 {
 }
 
 // MineMNITable streams one pattern's matches into a full MNI table (see
-// mniSink): the per-pattern form the merged route is tested against.
+// mniSink) on the one-leaf trie of eng's plan, one Table.Insert per match:
+// the per-pattern reference the merged route's InsertTail is tested against.
 func MineMNITable(ctx context.Context, eng engine.Engine, g graph.Adjacency, p *pattern.Pattern) (*aggr.Table, *engine.Stats, error) {
-	sink := newMNISink(p.N())
-	st, err := eng.MatchCtx(ctx, g, p, sink.insert)
+	pl, err := eng.PlanPattern(g, p)
+	if err != nil {
+		return nil, nil, err
+	}
+	sink := &mniSink{width: p.N()}
+	opts, o := eng.ExecConfig()
+	_, st, err := engine.BacktrackCtx(ctx, g, pl, func(int) engine.Window {
+		t := sink.add()
+		return func(m []uint32, pos int, tail []uint32) {
+			for _, v := range tail {
+				m[pos] = v
+				t.Insert(m)
+			}
+		}
+	}, opts, o)
 	if err != nil {
 		return nil, st, err
 	}

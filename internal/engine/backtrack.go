@@ -38,10 +38,10 @@ func (o ExecOptions) ThreadCount() int {
 // pattern-aware backtracking: per level, candidates are the intersection
 // of the adjacency lists of earlier matched neighbors, minus the adjacency
 // lists of anti-neighbors, clipped by symmetry-breaking bounds. It is the
-// trie executor (trie.go) on the one-leaf trie of pl: when visit is nil
+// trie executor (trie.go) on the one-leaf trie of pl: when sink is nil
 // only the count is produced and the last levels run count-only (no
-// materialization); with a visitor every match is delivered to it. The
-// root level is parallelized over vertex blocks.
+// materialization); with a sink every match is delivered to it, a settled
+// window per call. The root level is parallelized over vertex blocks.
 //
 // o is the observability sink: counters land in its registry (workers
 // flush per block, so hot loops stay on private fields). nil falls back
@@ -55,11 +55,11 @@ func (o ExecOptions) ThreadCount() int {
 // execution of a trie node that is not a leaf, never inside a leaf's
 // kernels: a cancel or deadline takes effect within one such node's work
 // and returns the partial count plus ErrCanceled / ErrDeadlineExceeded
-// (see the partial-result contract in ctx.go). A panic thrown by the
-// visitor is recovered in the owning worker, aborts the sibling workers at
+// (see the partial-result contract in ctx.go). A panic thrown by a
+// sink's Window is recovered in the owning worker, aborts the sibling workers at
 // their next poll, and is surfaced as a single *PanicError carrying the
 // stack — the process never crashes.
-func BacktrackCtx(ctx context.Context, g graph.Adjacency, pl *plan.Plan, visit Visitor, opts ExecOptions, o *obs.Observer) (uint64, *Stats, error) {
+func BacktrackCtx(ctx context.Context, g graph.Adjacency, pl *plan.Plan, sink Sink, opts ExecOptions, o *obs.Observer) (uint64, *Stats, error) {
 	if pl == nil || pl.Pattern == nil {
 		return 0, nil, fmt.Errorf("engine: nil plan")
 	}
@@ -74,8 +74,8 @@ func BacktrackCtx(ctx context.Context, g graph.Adjacency, pl *plan.Plan, visit V
 		return 0, nil, fmt.Errorf("engine: %w", err)
 	}
 	var sinks []Sink
-	if visit != nil {
-		ps.one[0].Visit = visit
+	if sink != nil {
+		ps.one[0] = sink
 		sinks = ps.one[:]
 	}
 	var count [1]uint64

@@ -151,7 +151,8 @@ func TestBacktrackStreamsUniqueCanonicalMatches(t *testing.T) {
 		var mu sync.Mutex
 		got := map[string]bool{}
 		dups := 0
-		_, st, err := BacktrackCtx(context.Background(), g, pl, func(worker int, m []uint32) {
+		var tally windowTally
+		_, st, err := BacktrackCtx(context.Background(), g, pl, tally.sink(func(worker int, m []uint32) {
 			c := canon.CanonicalMatch(p, m, auts)
 			k := fmt.Sprint(c)
 			mu.Lock()
@@ -160,7 +161,7 @@ func TestBacktrackStreamsUniqueCanonicalMatches(t *testing.T) {
 			}
 			got[k] = true
 			mu.Unlock()
-		}, ExecOptions{Threads: 4}, nil)
+		}), ExecOptions{Threads: 4}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,8 +177,8 @@ func TestBacktrackStreamsUniqueCanonicalMatches(t *testing.T) {
 				t.Errorf("pattern %v: oracle match %v missing", p, m)
 			}
 		}
-		if st.UDFCalls != uint64(len(got))+uint64(dups) {
-			t.Errorf("UDFCalls=%d, want %d", st.UDFCalls, len(got))
+		if err := tally.check(st); err != nil {
+			t.Errorf("pattern %v: %v", p, err)
 		}
 	}
 }
@@ -193,11 +194,11 @@ func TestBacktrackMatchVertexOrder(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var seen [][]uint32
-	_, _, err = BacktrackCtx(context.Background(), g, pl, func(_ int, m []uint32) {
+	_, _, err = BacktrackCtx(context.Background(), g, pl, EachMatch(func(_ int, m []uint32) {
 		mu.Lock()
 		seen = append(seen, append([]uint32(nil), m...))
 		mu.Unlock()
-	}, ExecOptions{Threads: 1}, nil)
+	}), ExecOptions{Threads: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,15 +371,16 @@ func TestBacktrackPinned(t *testing.T) {
 						} else if g = (struct{ graph.Adjacency }{g}); !labeled {
 							continue // an unlabeled pattern asks for no label row
 						}
-						var visit Visitor
+						var sink Sink
 						var delivered atomic.Uint64
-						want, wantCalls := tables[0], uint64(0)
+						var tally windowTally
+						want, wantMatches := tables[0], uint64(0)
 						if stream {
-							visit = func(_ int, m []uint32) { delivered.Add(uint64(len(m))) }
-							want, wantCalls = tables[1], tc.count
+							sink = tally.sink(func(_ int, m []uint32) { delivered.Add(uint64(len(m))) })
+							want, wantMatches = tables[1], tc.count
 						}
 						name := fmt.Sprintf("%s stream=%v threads=%d instrument=%v label-rows=%v", tc.pattern, stream, threads, instrument, rows)
-						got, st, err := BacktrackCtx(context.Background(), g, pl, visit, ExecOptions{Threads: threads, Instrument: instrument}, nil)
+						got, st, err := BacktrackCtx(context.Background(), g, pl, sink, ExecOptions{Threads: threads, Instrument: instrument}, nil)
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}
@@ -392,9 +394,12 @@ func TestBacktrackPinned(t *testing.T) {
 						if fmt.Sprint(levels) != fmt.Sprint(want) {
 							t.Errorf("%s: levels %v, pinned %v", name, levels, want)
 						}
-						if k := uint64(p.N()); st.UDFCalls != wantCalls || st.Materialized != k*wantCalls || delivered.Load() != k*wantCalls {
-							t.Errorf("%s: %d UDF calls, %d vertices materialized, %d delivered; want %d matches of %d vertices",
-								name, st.UDFCalls, st.Materialized, delivered.Load(), wantCalls, k)
+						if err := tally.check(st); err != nil {
+							t.Errorf("%s: %v", name, err)
+						}
+						if k := uint64(p.N()); delivered.Load() != k*wantMatches || stream && (st.UDFCalls == 0 || st.UDFCalls > wantMatches) {
+							t.Errorf("%s: %d UDF calls, %d vertices delivered; want %d matches of %d vertices in at most as many windows",
+								name, st.UDFCalls, delivered.Load(), wantMatches, k)
 						}
 						if st.TriePasses != 1 || st.TriePatterns != 1 || len(st.TrieNodes) != p.N() {
 							t.Errorf("%s: reported %d passes, %d patterns, %d trie nodes; want 1, 1, %d",

@@ -46,7 +46,7 @@ func CtxErr(ctx context.Context) error {
 }
 
 // PanicError reports a panic recovered inside an executor worker —
-// almost always thrown by a user-supplied Visitor/UDF, or a read of an
+// almost always thrown by a user-supplied sink (a UDF), or a read of an
 // mmap-backed graph whose file changed under it (Value then wraps
 // graph.ErrMappingFault). The executor recovers it, aborts the sibling
 // workers at their next poll point, and surfaces exactly one PanicError

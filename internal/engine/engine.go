@@ -22,15 +22,15 @@ import (
 // Morphing.
 var ErrInducedUnsupported = errors.New("engine: induced semantics not supported natively; use a Filter UDF or Subgraph Morphing")
 
-// Visitor receives one match per call: m[i] is the data vertex bound to
-// pattern vertex i. Matches are unique per subgraph (symmetry breaking
-// selects one embedding per automorphism class). Visitors may be invoked
-// concurrently from different workers; worker identifies the caller, an ID
-// in [0, ExecOptions.ThreadCount()) of the options the pass runs with
-// (Engine.ExecConfig): calls with one worker ID never overlap, so state
-// keyed by the ID needs no lock. A visitor is not told that count (Threads
-// 0 is GOMAXPROCS), so state per worker grows as IDs appear — use Shards.
-// The slice is reused after the call returns — copy it to retain it.
+// Visitor is the per-match consumer Engine.MatchCtx takes: one match per
+// call, m[i] the data vertex bound to pattern vertex i. Matches are unique
+// per subgraph (symmetry breaking selects one embedding per automorphism
+// class). Visitors may be invoked concurrently from different workers;
+// worker identifies the caller, an ID in [0, ExecOptions.ThreadCount()) of
+// the options the pass runs with (Engine.ExecConfig), and calls with one
+// worker ID never overlap. The slice is reused after the call returns —
+// copy it to retain it. It reaches the executor as a Sink (EachMatch); a
+// consumer that keeps state per worker binds a Sink of its own.
 type Visitor func(worker int, m []uint32)
 
 // Engine is a pattern matching engine: a planner over the depth-first
@@ -76,7 +76,7 @@ type Planner = Engine
 // only collected when instrumentation is enabled; counters are always on.
 //
 // Concurrency contract (the single-merger invariant): a Stats value has
-// no internal synchronization. Although visitors may be invoked
+// no internal synchronization. Although a pass's windows may run
 // concurrently, each executor worker accumulates into its own private
 // Stats, and exactly one goroutine merges them with Add after the workers
 // have joined. Callers must follow the same discipline: never call Add on
@@ -96,8 +96,8 @@ type Stats struct {
 	SetUnrolledOps uint64 // operations served by the branchless unrolled merge
 	SetTileOps     uint64 // always 0 (the tile kernel is gone); kept for benchmark/batch.go, which reads it
 	SetWritten     uint64 // elements written to destination slices
-	Materialized   uint64 // vertices written into emitted matches
-	UDFCalls       uint64 // user-defined-function invocations
+	Materialized   uint64 // vertices written into emitted matches: a window's prefix slots and tail ids
+	UDFCalls       uint64 // user-defined-function invocations: one per sink (window) call
 	Branches       uint64 // data-dependent branches (edge probes, filters)
 	Matches        uint64 // unique matches found
 	TailSteals     uint64 // tail work-stealing range halvings performed

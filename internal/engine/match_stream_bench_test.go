@@ -39,7 +39,7 @@ func BenchmarkMatchStream(b *testing.B) {
 				b.Fatal(err)
 			}
 			var perWorker [64][8]uint64 // one padded cell per worker ID
-			visit := func(worker int, m []uint32) { perWorker[worker][0] += uint64(m[0]) }
+			visit := EachMatch(func(worker int, m []uint32) { perWorker[worker][0] += uint64(m[0]) })
 			b.ReportAllocs()
 			b.ResetTimer()
 			var matches uint64

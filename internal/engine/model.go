@@ -54,14 +54,14 @@ func (m *Model[P]) ExecConfig() (ExecOptions, *obs.Observer) {
 	return ExecOptions{Threads: m.Threads, Instrument: m.Instrument}, m.Obs
 }
 
-// run executes p's plan on its own — a counting pass when visit is nil.
-func (m *Model[P]) run(ctx context.Context, g graph.Adjacency, p *pattern.Pattern, visit Visitor) (uint64, *Stats, error) {
+// run executes p's plan on its own — a counting pass when sink is nil.
+func (m *Model[P]) run(ctx context.Context, g graph.Adjacency, p *pattern.Pattern, sink Sink) (uint64, *Stats, error) {
 	pl, err := m.PlanPattern(g, p)
 	if err != nil {
 		return 0, nil, err
 	}
 	opts, o := m.ExecConfig()
-	return BacktrackCtx(ctx, g, pl, visit, opts, o)
+	return BacktrackCtx(ctx, g, pl, sink, opts, o)
 }
 
 // CountCtx implements Engine, with cooperative cancellation at the
@@ -71,10 +71,11 @@ func (m *Model[P]) CountCtx(ctx context.Context, g graph.Adjacency, p *pattern.P
 }
 
 // MatchCtx implements Engine, with cooperative cancellation and
-// visitor-panic containment. It streams one pattern; a pattern set streams
-// in one pass through BuildTrie + MatchTrieCtx (core.Runner.StreamCtx).
+// visitor-panic containment. It streams one pattern through EachMatch; a
+// pattern set streams in one pass through BuildTrie + MatchTrieCtx
+// (core.Runner.StreamCtx).
 func (m *Model[P]) MatchCtx(ctx context.Context, g graph.Adjacency, p *pattern.Pattern, visit Visitor) (*Stats, error) {
-	_, st, err := m.run(ctx, g, p, visit)
+	_, st, err := m.run(ctx, g, p, EachMatch(visit))
 	return st, err
 }
 

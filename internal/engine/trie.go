@@ -66,7 +66,7 @@ func MatchTrieCtx(ctx context.Context, g graph.Adjacency, tr *plan.Trie, sinks [
 	if tr == nil || len(tr.Plans) == 0 {
 		return nil, nil, fmt.Errorf("engine: nil or empty plan trie")
 	}
-	if sinks != nil && (len(sinks) != len(tr.Plans) || slices.ContainsFunc(sinks, func(s Sink) bool { return s.Visit == nil && s.Bind == nil })) {
+	if sinks != nil && (len(sinks) != len(tr.Plans) || slices.ContainsFunc(sinks, func(s Sink) bool { return s == nil })) {
 		return nil, nil, fmt.Errorf("engine: streaming %d plans needs a sink each, got %d (or an empty one)", len(tr.Plans), len(sinks))
 	}
 	counts := make([]uint64, len(tr.Plans))
@@ -136,7 +136,7 @@ func getTriePass() *triePass {
 }
 
 // release drops every per-pass reference — a pooled pass pins no graph,
-// trie, plan or visitor, and its workers are back in their own pool — and
+// trie, plan or sink, and its workers are back in their own pool — and
 // returns the pass to the pool.
 func (ps *triePass) release() {
 	clear(ps.workers)
@@ -144,7 +144,7 @@ func (ps *triePass) release() {
 	clear(ps.info)
 	clear(ps.nodes)
 	ps.done, ps.fi, ps.live, ps.panicErr = nil, nil, nil, nil
-	ps.tr, ps.lrows, ps.above, ps.sinks, ps.one[0] = nil, nil, nil, nil, Sink{}
+	ps.tr, ps.lrows, ps.above, ps.sinks, ps.one[0] = nil, nil, nil, nil, nil
 	ps.single.Reset() // cannot fail without plans
 	triePassPool.Put(ps)
 }
@@ -302,7 +302,7 @@ func (ps *triePass) run(w *trieWorker) {
 	// panicking workers report their time too.
 	t0 := time.Now()
 	defer func() { w.busy = time.Since(t0) }()
-	// Panic containment: a visitor panic must not unwind past the worker
+	// Panic containment: a sink panic must not unwind past the worker
 	// goroutine (that would kill the process). Record the first one, abort
 	// the siblings, keep this worker's partial counters — they are merged
 	// like any other worker's. A read of an mmap-backed graph whose file
@@ -513,10 +513,8 @@ type trieWorker struct {
 	spawn func()
 
 	// Streaming state past everything a counting pass touches, so it moves
-	// no counting field's offset: a window less its bound vertices, and
-	// eaches[i], each for plan i, bound once per worker lifetime.
-	tail   []uint32
-	eaches []Window
+	// no counting field's offset: a window less its bound vertices.
+	tail []uint32
 
 	// Marked leaves (mark), last so that no field above moves: per node, the
 	// bitmap of the base a count-only difference leaf last marked.
@@ -577,8 +575,7 @@ type trieOut struct {
 	m     []uint32 // worker scratch, one slot per pattern vertex
 	order []int    // the plan's Order
 	last  int      // the pattern vertex the plan's final level binds
-	take  Window   // where the plan's windows go: the sink's bound Window, or each
-	visit Visitor  // a per-match sink's visitor, behind the pass's fault injector
+	take  Window   // where the plan's windows go: what its sink bound for the worker
 }
 
 func (w *trieWorker) total() uint64 {
@@ -652,20 +649,13 @@ func getTrieWorker(id int, g graph.Adjacency, ps *triePass, instrument bool, max
 		if len(w.outs) < plans {
 			w.outs = append(w.outs, make([]trieOut, plans-len(w.outs))...)
 		}
-		for i := len(w.eaches); i < plans; i++ {
-			w.eaches = append(w.eaches, func(m []uint32, pos int, tail []uint32) { w.each(i, m, pos, tail) })
-		}
 		for i, pl := range tr.Plans {
 			o := &w.outs[i]
 			if o.m == nil {
 				o.m = w.alloc(pattern.MaxVertices)
 			}
 			o.m, o.order, o.last = o.m[:len(pl.Order)], pl.Order, pl.Order[len(pl.Order)-1]
-			if s := ps.sinks[i]; s.Bind != nil {
-				o.take, o.visit = s.Bind(id), nil
-			} else { // one injector: panic@N counts matches across plans
-				o.take, o.visit = w.eaches[i], ps.fi.Visitor(s.Visit)
-			}
+			o.take = ps.sinks[i](id)
 		}
 	}
 	w.st = Stats{}
@@ -699,7 +689,7 @@ func (w *trieWorker) reshape(d, maxDeg int) {
 }
 
 // release returns the worker to the pool, dropping per-pass references so
-// a pooled worker never pins a graph, trie or visitor.
+// a pooled worker never pins a graph, trie or sink.
 func (w *trieWorker) release() {
 	w.pins.release()
 	w.g = nil
@@ -709,7 +699,7 @@ func (w *trieWorker) release() {
 	w.pass = nil
 	w.raw = [pattern.MaxVertices][]uint32{}
 	for i := range w.outs {
-		w.outs[i].order, w.outs[i].take, w.outs[i].visit = nil, nil, nil
+		w.outs[i].order, w.outs[i].take = nil, nil
 	}
 	trieWorkerPool.Put(w)
 }

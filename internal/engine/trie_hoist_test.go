@@ -172,7 +172,7 @@ func TestLabelRowsBuiltByTheFirstLabeledPass(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range []*pattern.Pattern{pattern.Triangle().AsVertexInduced(), pattern.MustNew(1, nil, pattern.WithLabels([]int32{0}))} {
-		if _, _, err := BacktrackCtx(context.Background(), g, mergedTrie(t, []*pattern.Pattern{p}).Plans[0], func(int, []uint32) {}, ExecOptions{Threads: 2}, nil); err != nil {
+		if _, _, err := BacktrackCtx(context.Background(), g, mergedTrie(t, []*pattern.Pattern{p}).Plans[0], EachMatch(func(int, []uint32) {}), ExecOptions{Threads: 2}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

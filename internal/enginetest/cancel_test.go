@@ -115,11 +115,11 @@ func TestCancelPartialCountConsistency(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var seen atomic.Uint64
-	count, st, err := engine.BacktrackCtx(ctx, g, pl, func(_ int, _ []uint32) {
+	count, st, err := engine.BacktrackCtx(ctx, g, pl, engine.EachMatch(func(_ int, _ []uint32) {
 		if seen.Add(1) == 5 {
 			cancel()
 		}
-	}, engine.ExecOptions{Threads: 3}, nil)
+	}), engine.ExecOptions{Threads: 3}, nil)
 	if !errors.Is(err, engine.ErrCanceled) {
 		t.Fatalf("err = %v, want engine.ErrCanceled", err)
 	}
@@ -177,10 +177,10 @@ func TestDeadlineCancelsInsideARootSubtree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, visit := range map[string]engine.Visitor{"count": nil, "stream": func(int, []uint32) {}} {
+	for name, sink := range map[string]engine.Sink{"count": nil, "stream": engine.EachMatch(func(int, []uint32) {})} {
 		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 		t0 := time.Now()
-		n, st, err := engine.BacktrackCtx(ctx, g, pl, visit, engine.ExecOptions{Threads: 1}, nil)
+		n, st, err := engine.BacktrackCtx(ctx, g, pl, sink, engine.ExecOptions{Threads: 1}, nil)
 		cancel()
 		if d := time.Since(t0); !errors.Is(err, engine.ErrDeadlineExceeded) || d > time.Second {
 			t.Errorf("%s: err = %v after %v, want ErrDeadlineExceeded within 1s of a 50ms deadline", name, err, d)
@@ -517,7 +517,7 @@ func checkMergedPartial(t *testing.T, tables []*aggr.Table, st *core.RunStats) u
 
 // TestMergedMNILifecycle interrupts MNITablesCtx on the merged route —
 // an FSM level as one streaming pass — every way the contract names: a
-// cancel mid-pass, a visitor panic at match N counted across plans, a
+// cancel mid-pass, an injected panic at match N counted across plans, a
 // pre-expired context. Interrupted runs return stats.Partial with one
 // count per mined pattern and never a table; no worker outlives its pass.
 // Run under -race in CI.
@@ -585,22 +585,25 @@ func TestMergedMNILifecycle(t *testing.T) {
 			t.Fatalf("tables %v, err %v", tables, err)
 		}
 		// The pass itself: nothing mined, still one (zero) count per plan.
-		mine := make([]core.Choice, len(level))
-		visits := make([]engine.Visitor, len(level))
-		for i, p := range level {
-			mine[i], visits[i] = core.Choice{Pattern: p}, func(int, []uint32) { t.Error("pre-expired pass delivered a match") }
+		tr, err := engine.BuildTrie(r.Engine, g, level)
+		if err != nil {
+			t.Fatal(err)
 		}
-		var st core.RunStats
-		err := r.MatchAllCtx(ctx, g, mine, visits, &st)
-		if !errors.Is(err, engine.ErrDeadlineExceeded) || len(st.Partial) != len(level) || !st.Trie.Used {
-			t.Fatalf("err %v, %d partials, decision %+v", err, len(st.Partial), st.Trie)
+		sinks := make([]engine.Sink, len(level))
+		for i := range sinks {
+			sinks[i] = engine.EachMatch(func(int, []uint32) { t.Error("pre-expired pass delivered a match") })
+		}
+		opts, o := r.Engine.ExecConfig()
+		counts, _, err := engine.MatchTrieCtx(ctx, g, tr, sinks, opts, o)
+		if !errors.Is(err, engine.ErrDeadlineExceeded) || len(counts) != len(level) || slices.Max(counts) != 0 {
+			t.Fatalf("err %v, counts %v", err, counts)
 		}
 	})
 }
 
 // TestMergedMNIWindowPanics interrupts the window route of a merged
 // streaming pass — an FSM level, each plan's windows going to per-worker
-// MNI tables through engine.Sink.Bind — with a panic at match N from the
+// MNI tables through bound engine.Sinks — with a panic at match N from the
 // fault injector, counted across plans, and with a panic thrown by a
 // window consumer itself. Either way the panic value comes back in the
 // *engine.PanicError, the per-plan partial counts sum to Stats.Matches, no
@@ -624,7 +627,7 @@ func TestMergedMNIWindowPanics(t *testing.T) {
 		var returned atomic.Uint64
 		sinks := make([]engine.Sink, len(level))
 		for i, p := range level {
-			sinks[i].Bind = func(int) engine.Window {
+			sinks[i] = func(int) engine.Window {
 				tbl := aggr.NewTable(p.N())
 				return func(m []uint32, pos int, tail []uint32) {
 					if windows.Add(1) == windowPanic {

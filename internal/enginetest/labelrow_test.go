@@ -95,11 +95,11 @@ func streamTrie(t *testing.T, g graph.Adjacency, plain *graph.Graph, pl engine.E
 	}
 	var mu sync.Mutex
 	got = make([]map[uint64]int, len(set))
-	visits := make([]engine.Visitor, len(set))
+	sinks := make([]engine.Sink, len(set))
 	for i, p := range set {
 		got[i] = map[uint64]int{}
 		auts := canon.Automorphisms(p)
-		visits[i] = func(_ int, m []uint32) {
+		sinks[i] = engine.EachMatch(func(_ int, m []uint32) {
 			ok := isEmbedding(plain, p, m)
 			k := matchKey(canon.CanonicalMatch(p, m, auts))
 			mu.Lock()
@@ -108,11 +108,11 @@ func streamTrie(t *testing.T, g graph.Adjacency, plain *graph.Graph, pl engine.E
 				misplaced++
 			}
 			mu.Unlock()
-		}
+		})
 	}
 	opts, o := pl.ExecConfig()
 	opts.Threads = threads
-	if _, _, err := engine.MatchTrieCtx(context.Background(), g, tr, engine.Sinks(visits), opts, o); err != nil {
+	if _, _, err := engine.MatchTrieCtx(context.Background(), g, tr, sinks, opts, o); err != nil {
 		t.Fatal(err)
 	}
 	return got, misplaced

@@ -124,8 +124,9 @@ func fsmLevels(t testing.TB, g *graph.Graph, minSupport int) [][]*pattern.Patter
 // TestMergedMNIRouteEqualsPerPatternAndOracle is the differential test of
 // the one-pass-per-level route: over random labeled graphs (Erdős–Rényi
 // and the MI recipe at tiny scale) and every FSM level's real candidate
-// set, the tables of one merged streaming pass (core.Runner.MatchAllCtx,
-// a sink per plan) equal the per-pattern core.MineMNITable tables and the
+// set, the tables of one merged streaming pass (MatchTrieCtx, a sink per
+// plan binding a table per worker, filled by InsertTail) equal the
+// per-pattern core.MineMNITable tables (a match per Insert) and the
 // refmatch + InsertAll oracle, on all four engines, the plain and the
 // compressed tier, 1 and 4 threads. The engines that match vertex-induced
 // patterns natively also run the level through MNITablesCtx, which must
@@ -150,30 +151,33 @@ func TestMergedMNIRouteEqualsPerPatternAndOracle(t *testing.T) {
 		}
 		for li, ps := range levels {
 			want := make([]*aggr.Table, len(ps))
-			mine := make([]core.Choice, len(ps))
 			for i, p := range ps {
-				want[i], mine[i] = mniOracle(plain, p), core.Choice{Pattern: p}
+				want[i] = mniOracle(plain, p)
 			}
 			for tier, g := range map[string]graph.Adjacency{"plain": plain, "compressed": compressed} {
 				for _, threads := range []int{1, 4} {
 					for _, e := range []engine.Engine{peregrine.New(threads), autozero.New(threads), graphpi.New(threads), bigjoin.New(threads)} {
 						name := fmt.Sprintf("graph %d level %d %s %s threads=%d", gi, li+1, tier, e.Name(), threads)
-						sinks := make([]engine.Shards[aggr.Table], len(ps))
-						visits := make([]engine.Visitor, len(ps))
-						for i := range ps {
-							visits[i] = func(worker int, m []uint32) { sinks[i].For(worker).Insert(m) }
-						}
-						var st core.RunStats
-						if err := (&core.Runner{Engine: e}).MatchAllCtx(context.Background(), g, mine, visits, &st); err != nil {
+						tr, err := engine.BuildTrie(e, g, ps)
+						if err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}
-						if !st.Trie.Used || st.Mining.TriePasses != 1 {
-							t.Fatalf("%s: decision %+v, %d passes: not the merged route", name, st.Trie, st.Mining.TriePasses)
+						perWorker := make([]workerTables, len(ps))
+						sinks := make([]engine.Sink, len(ps))
+						for i, p := range ps {
+							perWorker[i].width = p.N()
+							sinks[i] = func(int) engine.Window { return perWorker[i].bind().InsertTail }
+						}
+						opts, o := e.ExecConfig()
+						_, st, err := engine.MatchTrieCtx(context.Background(), g, tr, sinks, opts, o)
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						if st.TriePasses != 1 || st.TriePatterns != uint64(len(ps)) {
+							t.Fatalf("%s: %d passes of %d patterns: not the merged route", name, st.TriePasses, st.TriePatterns)
 						}
 						for i, p := range ps {
-							merged := aggr.NewTable(p.N())
-							sinks[i].Each(merged.Merge)
-							merged.Saturate(canon.Automorphisms(p))
+							merged := perWorker[i].merged(p)
 							single, _, err := core.MineMNITable(context.Background(), e, g, p)
 							if err != nil {
 								t.Fatalf("%s %v: %v", name, p, err)
@@ -204,8 +208,33 @@ func TestMergedMNIRouteEqualsPerPatternAndOracle(t *testing.T) {
 	}
 }
 
+// workerTables is one pattern's MNI tables in a streaming pass, one per
+// worker the pass binds, in worker-ID order.
+type workerTables struct {
+	width  int
+	tables []*aggr.Table
+}
+
+// bind adds the next worker's table.
+func (w *workerTables) bind() *aggr.Table {
+	t := aggr.NewTable(w.width)
+	w.tables = append(w.tables, t)
+	return t
+}
+
+// merged is the pattern's table: the workers' merged, saturated under p's
+// automorphisms.
+func (w *workerTables) merged(p *pattern.Pattern) *aggr.Table {
+	out := aggr.NewTable(w.width)
+	for _, t := range w.tables {
+		out.Merge(t)
+	}
+	out.Saturate(canon.Automorphisms(p))
+	return out
+}
+
 // TestWindowRouteExcludesBoundVertices drives the window route of a
-// streaming pass (engine.Sink.Bind, each worker's table filled by
+// streaming pass (a bound engine.Sink, each worker's table filled by
 // aggr.Table.InsertTail) on labeled patterns whose last level carries the
 // label of a vertex bound above it: A–B–A and A–A–A, where symmetry and
 // adjacency keep the bound vertex out of the window, and A–B–A–B and a
@@ -238,13 +267,14 @@ func TestWindowRouteExcludesBoundVertices(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				shards := make([]engine.Shards[aggr.Table], len(queries))
-				tails := make([]engine.Shards[[2]uint64], len(queries)) // per worker: matches handed over, tail vertices found in their prefix
+				perWorker := make([]workerTables, len(queries))
+				tails := make([][]*[2]uint64, len(queries)) // per worker: matches handed over, tail vertices found in their prefix
 				sinks := make([]engine.Sink, len(queries))
 				for i, q := range queries {
-					shards[i].New = func() *aggr.Table { return aggr.NewTable(q.N()) }
-					sinks[i].Bind = func(worker int) engine.Window {
-						tbl, seen := shards[i].For(worker), tails[i].For(worker)
+					perWorker[i].width = q.N()
+					sinks[i] = func(int) engine.Window {
+						tbl, seen := perWorker[i].bind(), new([2]uint64)
+						tails[i] = append(tails[i], seen)
 						return func(m []uint32, pos int, tail []uint32) {
 							seen[0] += uint64(len(tail))
 							for j, u := range m {
@@ -262,10 +292,10 @@ func TestWindowRouteExcludesBoundVertices(t *testing.T) {
 				}
 				for i, q := range queries {
 					var seen [2]uint64
-					tails[i].Each(func(s *[2]uint64) { seen[0], seen[1] = seen[0]+s[0], seen[1]+s[1] })
-					got := aggr.NewTable(q.N())
-					shards[i].Each(got.Merge)
-					got.Saturate(canon.Automorphisms(q))
+					for _, s := range tails[i] {
+						seen[0], seen[1] = seen[0]+s[0], seen[1]+s[1]
+					}
+					got := perWorker[i].merged(q)
 					if seen[0] != matches[i] || seen[1] != 0 || !got.Equal(want[i]) {
 						t.Errorf("%s %v: %d matches handed over (oracle %d), %d of them a prefix vertex; table %v, oracle %v", name, q, seen[0], matches[i], seen[1], got, want[i])
 					}

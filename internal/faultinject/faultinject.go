@@ -1,6 +1,6 @@
 // Package faultinject provides deterministic, seedable fault injection
 // points for exercising the mining pipeline's robustness layer:
-// panic-at-match-N (a Visitor/UDF that blows up mid-stream), stall-worker
+// panic-at-match-N (a UDF that blows up mid-stream), stall-worker
 // (one worker sleeps at every work-block claim, simulating a straggler)
 // and cancel-after-D (the execution's context is canceled a fixed delay
 // after it starts).
@@ -30,8 +30,9 @@ import (
 // Config describes one fault scenario. Zero-valued fields are disabled,
 // so a Config enables any subset of the three injection points.
 type Config struct {
-	// PanicAtMatch panics inside the wrapped visitor when the N-th match
-	// (1-based, counted across all workers) is delivered. 0 disables.
+	// PanicAtMatch panics in the worker whose counted matches take the
+	// running total (1-based, across all workers) to N or past it, once
+	// the window or block holding the N-th match is done. 0 disables.
 	PanicAtMatch uint64
 	// PanicMessage is the value passed to panic (a default is used when
 	// empty), letting tests assert the recovered value round-trips.
@@ -186,30 +187,10 @@ func ParseSpec(spec string) (Config, error) {
 // keeping the per-block cost a nil check rather than an atomic load.
 func Active() *Injector { return active.Load() }
 
-// Visitor wraps a match visitor with the panic-at-match-N injection
-// point. Raw func types (not engine.Visitor) keep this package free of
-// engine imports so any executor layer can use it. When the injection is
-// armed the wrapper is returned even for a nil visitor — counting fast
-// paths that skip visitor dispatch would otherwise never reach the fault.
-func (in *Injector) Visitor(visit func(worker int, m []uint32)) func(worker int, m []uint32) {
-	if in == nil || in.cfg.PanicAtMatch == 0 {
-		return visit
-	}
-	return func(worker int, m []uint32) {
-		if in.matches.Add(1) == in.cfg.PanicAtMatch {
-			panic(in.cfg.PanicMessage)
-		}
-		if visit != nil {
-			visit(worker, m)
-		}
-	}
-}
-
-// MatchesCounted is the panic-at-match-N injection point for count-only
-// executors that tally matches in bulk instead of delivering them to a
-// visitor: n matches just completed on worker. The panic fires when the
-// running total crosses the configured ordinal, mirroring Visitor's
-// behavior at bulk granularity.
+// MatchesCounted is the panic-at-match-N injection point: n matches just
+// completed on worker — a counting block, or a window a sink returned
+// from. The panic fires once, in the call whose n takes the running total
+// to the configured ordinal or past it.
 func (in *Injector) MatchesCounted(worker int, n uint64) {
 	if in == nil || in.cfg.PanicAtMatch == 0 || n == 0 {
 		return

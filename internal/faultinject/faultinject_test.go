@@ -59,16 +59,8 @@ func TestArmDisarmLifecycle(t *testing.T) {
 
 func TestNilInjectorMethodsAreNoOps(t *testing.T) {
 	var in *Injector
-	if got := in.Visitor(nil); got != nil {
-		t.Fatal("nil injector must pass a nil visitor through")
-	}
-	called := 0
-	v := in.Visitor(func(int, []uint32) { called++ })
-	v(0, nil)
-	if called != 1 {
-		t.Fatal("nil injector must pass the visitor through unchanged")
-	}
-	in.BlockClaimed(0) // must not panic
+	in.MatchesCounted(0, 1<<40) // must not panic
+	in.BlockClaimed(0)
 	ctx, stop := in.Context(context.Background())
 	defer stop()
 	if ctx.Err() != nil {
@@ -76,53 +68,29 @@ func TestNilInjectorMethodsAreNoOps(t *testing.T) {
 	}
 }
 
-func TestVisitorPanicsAtExactlyN(t *testing.T) {
-	disarm, err := Arm(Config{PanicAtMatch: 3, PanicMessage: "boom"})
+// TestMatchesCountedPanicsCrossingN: the ordinal counts matches across
+// calls and workers, and fires once, in the call whose batch reaches or
+// passes it; batches after it pass.
+func TestMatchesCountedPanicsCrossingN(t *testing.T) {
+	disarm, err := Arm(Config{PanicAtMatch: 5, PanicMessage: "boom"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer disarm()
 	in := Active()
-	seen := 0
-	v := in.Visitor(func(int, []uint32) { seen++ })
-	v(0, nil)
-	v(1, nil)
+	in.MatchesCounted(0, 2)
+	in.MatchesCounted(1, 0) // an empty window counts nothing
+	in.MatchesCounted(1, 2)
 	func() {
 		defer func() {
-			r := recover()
-			if r != "boom" {
+			if r := recover(); r != "boom" {
 				t.Fatalf("recovered %v, want \"boom\"", r)
 			}
 		}()
-		v(2, nil)
-		t.Fatal("third match must panic")
+		in.MatchesCounted(2, 3) // 4 + 3 passes 5
+		t.Fatal("the batch passing the ordinal must panic")
 	}()
-	if seen != 2 {
-		t.Fatalf("visitor ran %d times before the panic, want 2", seen)
-	}
-	// Matches after the target pass through again (exactly-once firing).
-	v(3, nil)
-	if seen != 3 {
-		t.Fatal("matches after the target must reach the visitor")
-	}
-}
-
-func TestVisitorWrapsNilVisitWhenArmed(t *testing.T) {
-	disarm, err := Arm(Config{PanicAtMatch: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer disarm()
-	v := Active().Visitor(nil)
-	if v == nil {
-		t.Fatal("armed injector must wrap even a nil visitor (counting fast paths)")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("first match must panic")
-		}
-	}()
-	v(0, nil)
+	in.MatchesCounted(0, 100) // exactly-once firing
 }
 
 func TestContextCancelAfter(t *testing.T) {
@@ -243,8 +211,8 @@ func TestArmFromEnv(t *testing.T) {
 			t.Fatal("disarm left the injector installed")
 		}
 	}()
-	v := Active().Visitor(nil)
-	v(0, nil)
-	v(0, nil)
-	v(0, nil) // third match trips the panic
+	in := Active()
+	in.MatchesCounted(0, 1)
+	in.MatchesCounted(0, 1)
+	in.MatchesCounted(0, 1) // third match trips the panic
 }

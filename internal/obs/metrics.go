@@ -13,9 +13,9 @@ import (
 
 // shardCount is the number of per-worker cells behind every counter and
 // histogram. Workers index cells by their worker ID masked to this power
-// of two, so concurrent engine workers (engine.Visitor worker IDs, which
-// may exceed the thread count on pipeline engines) land on distinct
-// cache-line-padded cells and never contend.
+// of two, so concurrent engine workers (IDs 0..ThreadCount()-1 of their
+// pass, which may exceed the cell count) land on distinct
+// cache-line-padded cells and contend only past it.
 const shardCount = 64
 
 // cell is one cache-line-padded atomic counter shard.
