@@ -61,6 +61,7 @@ type probeHitCounter interface{ CountProbeHits(n uint64) }
 // others — compressed and mmap tiers, test wrappers — labeled levels scan.
 type labelRower interface {
 	LabelRow(v uint32, label int32) []uint32
+	LabelGroups(v uint32) (row []uint32, dir []graph.LabelGroup)
 }
 
 // aboveRower is implemented by graphs that serve upper-row offsets
@@ -332,8 +333,13 @@ func (p *rowPins) countExtensions(conn, disc, always, check []int, f setops.Filt
 		}
 	}
 
-	// The kernels counted any already-bound vertex that structurally
-	// qualifies; subtract them (a match may not reuse a vertex).
+	return p.uncount(count, conn, disc, always, check, f), bufA, bufB
+}
+
+// uncount takes out of a level's count the already-bound vertices its
+// kernels counted: they structurally qualify, and a match may not reuse a
+// vertex (see countExtensions).
+func (p *rowPins) uncount(count uint64, conn, disc, always, check []int, f setops.Filter) uint64 {
 	for _, a := range always {
 		if f.Pass(p.match[a]) {
 			count--
@@ -344,7 +350,7 @@ func (p *rowPins) countExtensions(conn, disc, always, check []int, f setops.Filt
 			count--
 		}
 	}
-	return count, bufA, bufB
+	return count
 }
 
 // qualifies reports whether the vertex bound at depth a is adjacent to

@@ -74,3 +74,13 @@ func SeeWindows(see func(worker int, leaf *plan.TrieNode, key uint64, base, held
 	windowSeen = see
 	return func() { windowSeen = nil }
 }
+
+// SeeLabelFans hands every fan member's set — the member, the vertex whose
+// label directory the fan walked, the member's label and the slice the fan
+// handed it (nil: the label is absent from the row) — to see, from the
+// worker that ran it, until stop is called. Passes must not run while it is
+// set or cleared.
+func SeeLabelFans(see func(worker int, node *plan.TrieNode, v uint32, label int32, set []uint32)) (stop func()) {
+	fanSeen = see
+	return func() { fanSeen = nil }
+}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/bits"
@@ -116,6 +117,15 @@ type triePass struct {
 	nodes     []*plan.TrieNode           // parents before children, the order Stats.TrieNodes reports
 	rowLabels [pattern.MaxVertices]int32 // loadNode: the rowLabel of the node in hand's ancestor at each depth
 
+	// What the binding loops run (loadRuns): per node ID its branches' runs,
+	// carved from the buffers below them, which only grow.
+	runs    [][]branchRun
+	runBuf  []branchRun
+	kids    []*plan.TrieNode
+	fans    []labelFan
+	members []*plan.TrieNode
+	group   []*plan.TrieNode // loadRuns: one branch's fan candidates
+
 	single plan.Trie // BacktrackCtx: the one-leaf trie of its plan
 	one    [1]Sink   // and the sink list of its streaming pass
 }
@@ -143,6 +153,12 @@ func (ps *triePass) release() {
 	clear(ps.ranges)
 	clear(ps.info)
 	clear(ps.nodes)
+	clear(ps.runs)
+	clear(ps.runBuf)
+	clear(ps.kids)
+	clear(ps.fans)
+	clear(ps.members)
+	clear(ps.group[:cap(ps.group)])
 	ps.done, ps.fi, ps.live, ps.panicErr = nil, nil, nil, nil
 	ps.tr, ps.lrows, ps.above, ps.sinks, ps.one[0] = nil, nil, nil, nil, nil
 	ps.single.Reset() // cannot fail without plans
@@ -390,15 +406,22 @@ type baseSrc uint8
 
 const srcRows, srcRaw, srcBuilt baseSrc = 0, 1, 2
 
-// loadClasses fills ps.info and ps.nodes for the pass's trie, once per pass,
-// so an execution only reads flags (reading the trie's nodes per execution
-// is measurably slower on the decode-bound tier).
+// loadClasses fills ps.info, ps.nodes and ps.runs for the pass's trie, once
+// per pass, so an execution only reads flags (reading the trie's nodes per
+// execution is measurably slower on the decode-bound tier).
 func (ps *triePass) loadClasses() {
-	if n := ps.tr.Nodes; cap(ps.info) < n {
-		ps.info, ps.nodes = make([]trieExecInfo, n), make([]*plan.TrieNode, 0, n)
-	} else {
-		ps.info, ps.nodes = ps.info[:n], ps.nodes[:0]
+	n := ps.tr.Nodes
+	if cap(ps.info) < n {
+		ps.info, ps.nodes, ps.runs = make([]trieExecInfo, n), make([]*plan.TrieNode, 0, n), make([][]branchRun, n)
+		ps.kids, ps.fans = make([]*plan.TrieNode, 0, n), make([]labelFan, 0, n)
+		ps.members, ps.group = make([]*plan.TrieNode, 0, n), make([]*plan.TrieNode, 0, n)
 	}
+	ps.info, ps.nodes, ps.runs = ps.info[:n], ps.nodes[:0], ps.runs[:n]
+	ps.kids, ps.fans, ps.members = ps.kids[:0], ps.fans[:0], ps.members[:0]
+	if b := n + len(ps.tr.Plans); cap(ps.runBuf) < b { // a branch holds a child or a leaf
+		ps.runBuf = make([]branchRun, 0, b)
+	}
+	ps.runBuf = ps.runBuf[:0]
 	ps.scans, ps.marks = false, false
 	for _, r := range ps.tr.Roots {
 		ps.loadNode(r)
@@ -438,6 +461,7 @@ func (ps *triePass) loadNode(n *plan.TrieNode) {
 			ei.timeWhole = ei.timeWhole || child.Leaf
 		}
 	}
+	ps.loadRuns(n)
 	if ps.sinks != nil {
 		ei.timeWhole = false
 		return
@@ -446,6 +470,69 @@ func (ps *triePass) loadNode(n *plan.TrieNode) {
 	ei.collapsed, ei.bindsNone = n.Collapsed, n.BindsNone
 	ps.marks = ps.marks || n.Marked
 	ei.loDep, ei.hiDep, ei.collBranches = n.LoDep, n.HiDep, n.CollBranches
+}
+
+// branchRun is what the binding loop runs below a candidate one branch's
+// window passes: the children it executes one by one, and its label fans.
+type branchRun struct {
+	kids []*plan.TrieNode
+	fans []labelFan
+}
+
+// labelFan is two or more children of one branch that read the label
+// slices of the one row of the vertex bound at depth at — each a node with
+// that single Connect row, no Disconnect row and a label the row carries
+// (trieExecInfo.rowLabel) — so they differ only in their label. The binding
+// loop runs them together (fan): one walk of the row's label directory
+// finds every member's slice. Members are in ascending label order; the
+// trie shares nodes on (Label, Connect, Disconnect), so no label repeats.
+type labelFan struct {
+	at      int
+	members []*plan.TrieNode
+}
+
+// loadRuns fills ps.runs[n.ID], one run per branch of n, once n's children
+// are loaded: the collapsed children are left to n (countCollapsed), those
+// reading the label slices of one row are fanned when there are two or
+// more, and the rest run one by one. The runs are carved from buffers sized
+// for the whole trie up front, so nothing here allocates once they have
+// grown to the largest trie a pooled pass has run. Unlabeled tries have no
+// fan.
+func (ps *triePass) loadRuns(n *plan.TrieNode) {
+	at := len(ps.runBuf)
+	ps.runBuf = ps.runBuf[:at+len(n.Branches)]
+	runs := ps.runBuf[at:len(ps.runBuf):len(ps.runBuf)]
+	for bi, br := range n.Branches {
+		k0, f0, group := len(ps.kids), len(ps.fans), ps.group[:0]
+		for _, c := range br.Children {
+			switch ci := &ps.info[c.ID]; {
+			case ci.collapsed:
+			case ci.rowLabel != pattern.Unlabeled && len(c.Connect) == 1 && len(c.Disconnect) == 0:
+				group = append(group, c)
+			default:
+				ps.kids = append(ps.kids, c)
+			}
+		}
+		slices.SortFunc(group, func(a, b *plan.TrieNode) int {
+			return cmp.Or(cmp.Compare(a.Connect[0], b.Connect[0]), cmp.Compare(a.Label, b.Label))
+		})
+		for len(group) > 0 {
+			k := 1
+			for k < len(group) && group[k].Connect[0] == group[0].Connect[0] {
+				k++
+			}
+			if k == 1 {
+				ps.kids = append(ps.kids, group[0])
+			} else {
+				m0 := len(ps.members)
+				ps.members = append(ps.members, group[:k]...)
+				ps.fans = append(ps.fans, labelFan{group[0].Connect[0], ps.members[m0:len(ps.members):len(ps.members)]})
+			}
+			group = group[k:]
+		}
+		runs[bi] = branchRun{ps.kids[k0:len(ps.kids):len(ps.kids)], ps.fans[f0:len(ps.fans):len(ps.fans)]}
+	}
+	ps.runs[n.ID] = runs
 }
 
 // trieWorker interprets the trie over one stealable vertex range at a
@@ -459,6 +546,7 @@ type trieWorker struct {
 	pins       rowPins         // adjacency rows of the bound prefix
 	tr         *plan.Trie
 	info       []trieExecInfo
+	runs       [][]branchRun
 	stream     bool // streaming pass: outs delivers every window
 	instrument bool
 
@@ -609,7 +697,7 @@ func getTrieWorker(id int, g graph.Adjacency, ps *triePass, instrument bool, max
 	w.pins.lrows, w.pins.above = ps.lrows, ps.above
 	w.pins.bind(w.match)
 	w.tr = tr
-	w.info = ps.info
+	w.info, w.runs = ps.info, ps.runs
 	w.stream = ps.sinks != nil
 	w.instrument = instrument
 	const pad = 8 // uint64s in a cache line, and at least one in trieNodeCounts
@@ -695,7 +783,7 @@ func (w *trieWorker) release() {
 	w.g = nil
 	w.vlabels = nil
 	w.tr = nil
-	w.info = nil
+	w.info, w.runs = nil, nil
 	w.pass = nil
 	w.raw = [pattern.MaxVertices][]uint32{}
 	for i := range w.outs {
@@ -739,7 +827,8 @@ func (w *trieWorker) runRoot() {
 			ns.ext++
 			w.bind(0, v)
 			// Depth-0 nodes carry no symmetry conditions (no earlier levels).
-			for _, br := range root.Branches {
+			runs := w.runs[root.ID]
+			for bi, br := range root.Branches {
 				for _, idx := range br.Leaves {
 					if w.stream {
 						w.deliver(idx, w.match[:1], 0)
@@ -747,8 +836,12 @@ func (w *trieWorker) runRoot() {
 						w.counts[idx]++
 					}
 				}
-				for _, child := range br.Children {
-					w.exec(child, 1, w.instrument)
+				r := &runs[bi]
+				for _, child := range r.kids {
+					w.exec(child, 1, w.instrument, nil)
+				}
+				for i := range r.fans {
+					w.fan(&r.fans[i], 1, w.instrument)
 				}
 			}
 		}
@@ -763,15 +856,18 @@ func (w *trieWorker) runRoot() {
 // exec runs one shared node at the given depth: compute the candidate set
 // once, count the collapsed children over all of it, settle the plans that
 // end here over their branches' windows of it (settle), then bind each
-// candidate and recurse into the children whose branch window holds it. A
-// node whose branches are all childless binds nothing, and neither does one
-// whose children are all collapsed. A counting pass's leaf of one branch
+// candidate and recurse into the children whose branch window holds it
+// (what each branch runs is its branchRun: children one by one, label
+// siblings as a fan). A fan hands a member the raw set it found for it
+// (raw); any other execution passes nil and computes its set. A node whose
+// branches are all childless binds nothing, and neither does one whose
+// children are all collapsed. A counting pass's leaf of one branch
 // never materializes its set (countLeaf). timed is Instrument minus any
 // ancestor already clocking this execution: a node with a leaf child
 // charges its whole execution (the subtree below is set building and leaf
 // counting) to SetOpTime with one pair of clock reads, any other node only
 // its own set building.
-func (w *trieWorker) exec(node *plan.TrieNode, depth int, timed bool) {
+func (w *trieWorker) exec(node *plan.TrieNode, depth int, timed bool, raw []uint32) {
 	ei := &w.info[node.ID]
 	var t0 time.Time
 	if timed {
@@ -783,7 +879,7 @@ func (w *trieWorker) exec(node *plan.TrieNode, depth int, timed bool) {
 	if ei.counted {
 		lo, hi := trieWindow(node.Branches[0], w.match, -1)
 		if f, ok := levelFilter(w.g, lo, hi, node.Label); ok {
-			w.credit(node, w.countLeaf(node, ei, depth, f))
+			w.credit(node, w.countLeaf(node, ei, depth, f, raw))
 		}
 		if whole {
 			w.st.SetOpTime += time.Since(t0)
@@ -796,7 +892,10 @@ func (w *trieWorker) exec(node *plan.TrieNode, depth int, timed bool) {
 	if w.pass.abort.Load() {
 		return
 	}
-	cands := w.set(node, ei, depth)
+	cands := raw
+	if cands == nil {
+		cands = w.set(node, ei, depth)
+	}
 	if timed && !whole {
 		w.st.SetOpTime += time.Since(t0)
 	}
@@ -831,7 +930,7 @@ func (w *trieWorker) exec(node *plan.TrieNode, depth int, timed bool) {
 		return
 	}
 	var ext uint64
-	info := w.info
+	runs := w.runs[node.ID]
 	for _, v := range cands {
 		used := false
 		for j := 0; j < depth; j++ {
@@ -845,14 +944,16 @@ func (w *trieWorker) exec(node *plan.TrieNode, depth int, timed bool) {
 		}
 		ext++
 		w.bind(depth, v)
-		for bi, br := range node.Branches {
+		for bi := range runs {
 			if v < wins[bi].lo || v >= wins[bi].hi {
 				continue
 			}
-			for _, child := range br.Children {
-				if !info[child.ID].collapsed {
-					w.exec(child, depth+1, timed && !whole)
-				}
+			r := &runs[bi]
+			for _, child := range r.kids {
+				w.exec(child, depth+1, timed && !whole, nil)
+			}
+			for i := range r.fans {
+				w.fan(&r.fans[i], depth+1, timed && !whole)
 			}
 		}
 	}
@@ -861,6 +962,44 @@ func (w *trieWorker) exec(node *plan.TrieNode, depth int, timed bool) {
 		w.st.SetOpTime += time.Since(t0)
 	}
 }
+
+// fan runs a label fan's members at depth: one walk of the label directory
+// of the vertex bound at f.at (graph.Graph.LabelGroups) finds each member's
+// slice, the set the member's own connRow would have searched the directory
+// for, and hands it in. A member whose label is absent has an empty set: it
+// is entered and, unless counted, goes no further, as exec would have run
+// it — so every counter reads as if each member had run alone.
+func (w *trieWorker) fan(f *labelFan, depth int, timed bool) {
+	v := w.match[f.at]
+	row, dir := w.pins.lrows.LabelGroups(v)
+	i := 0
+	for _, m := range f.members {
+		for i < len(dir) && dir[i].Label < m.Label {
+			i++
+		}
+		var set []uint32
+		if i < len(dir) && dir[i].Label == m.Label {
+			end := uint32(len(row))
+			if i+1 < len(dir) {
+				end = dir[i+1].Start
+			}
+			set = row[dir[i].Start:end]
+		}
+		if fanSeen != nil {
+			fanSeen(w.id, m, v, m.Label, set)
+		}
+		if set != nil || w.info[m.ID].counted { // absent, a counted member still charges its empty count
+			w.exec(m, depth, timed, set)
+		} else {
+			w.nstat[m.ID].enters++
+		}
+	}
+}
+
+// fanSeen, when set, sees every fan member's set: the member, the vertex
+// whose row the fan walked, the member's label and the slice it was handed
+// (nil: absent). Tests hold each against LabelRow.
+var fanSeen func(worker int, node *plan.TrieNode, v uint32, label int32, set []uint32)
 
 // settle counts the executing node's collapsed children over its candidate
 // set and completes the plans that end at the node over their branch's
@@ -958,7 +1097,9 @@ func (w *trieWorker) boundIn(cands []uint32, ei *trieExecInfo) []uint32 {
 			dst = append(dst, u)
 		}
 	}
-	slices.Sort(dst)
+	if len(dst) > 1 { // mostly none or one
+		slices.Sort(dst)
+	}
 	return dst
 }
 
@@ -1045,11 +1186,15 @@ var collapsedSeen func(ei *trieExecInfo, c, x, b, f []uint32)
 // walks both. The kernels get the base from the window's low end on (held)
 // and the binding row from there too where the graph serves the cut
 // (rowPins.cutRow), so their own Clip searches neither. f is the level's
-// whole filter (see countExtensions).
-func (w *trieWorker) countLeaf(node *plan.TrieNode, ei *trieExecInfo, depth int, f setops.Filter) (n uint64) {
+// whole filter (see countExtensions). A fan member counts the label slice
+// its fan handed in (raw) as countExtensions counts its single row.
+func (w *trieWorker) countLeaf(node *plan.TrieNode, ei *trieExecInfo, depth int, f setops.Filter, raw []uint32) (n uint64) {
 	switch {
 	case ei.degree:
 		return w.pins.degreeCount(node.Connect[0], ei.NAlways, &w.sst)
+	case raw != nil:
+		n = setops.CountF(raw, kernelFilter(f, ei.rowLabel), &w.sst)
+		return w.pins.uncount(n, node.Connect, nil, ei.Always(), ei.Check(), f)
 	case ei.src == srcRows:
 		n, w.bufA[depth], w.bufB[depth] = w.pins.countExtensions(node.Connect, node.Disconnect, ei.Always(), ei.Check(), f, ei.rowLabel, w.bufA[depth], w.bufB[depth], &w.sst)
 		return n

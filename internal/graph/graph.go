@@ -20,7 +20,7 @@ type Graph struct {
 	orig    []uint32 // renumbering permutation, orig[new] = old (nil if none)
 	nEdges  uint64
 	sum     summaryMemo
-	lrows   labelRowsMemo // label-grouped rows, built on the first LabelRow
+	lrows   labelRowsMemo // label-grouped rows, built on the first LabelRow or LabelGroups
 	hub     hubMemo       // bitmap rows of the hubs, built on the first HubBits
 	above   aboveMemo     // upper-row offsets, built on the first AboveRows
 }

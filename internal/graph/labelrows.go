@@ -12,20 +12,24 @@ import (
 // label L" is a slice lookup where the executor's labeled levels — up to 29
 // label siblings under one parent on an FSM level — each scanned the row to
 // keep one vertex in ten. It is built once per *Graph by the first LabelRow
-// call, as Summarize is memoized: unlabeled graphs and workloads never pay
-// for it. Cost: 4 B per directed edge (adj), 8 B per (vertex, label present
-// in its row) pair (dir — sparse, a dense |V|×L table is out of the question
-// at MG's 349 labels) and 8 B per vertex (dirOff).
+// or LabelGroups call, as Summarize is memoized: unlabeled graphs and
+// workloads never pay for it. Cost: 4 B per directed edge (adj), 8 B per
+// (vertex, label present in its row) pair (dir — sparse, a dense |V|×L
+// table is out of the question at MG's 349 labels) and 8 B per vertex
+// (dirOff).
 type labelIndex struct {
 	adj    []uint32     // every CSR row, grouped by neighbour label
 	dirOff []uint64     // v's groups are dir[dirOff[v]:dirOff[v+1]], labels ascending
-	dir    []labelGroup // a group ends where the next one starts, or the row does
+	dir    []LabelGroup // a group ends where the next one starts, or the row does
 	labels int          // distinct labels in the graph
 }
 
-type labelGroup struct {
-	label int32
-	start uint32 // within the row
+// LabelGroup is one entry of a row's label directory (LabelGroups): the
+// neighbours carrying Label start at Start within the grouped row and end
+// where the next group starts, or the row does.
+type LabelGroup struct {
+	Label int32
+	Start uint32
 }
 
 // labelRowsMemo is the once-per-graph slot of the index.
@@ -37,33 +41,55 @@ type labelRowsMemo struct {
 // LabelRow returns the neighbours of v that carry label, strictly
 // ascending: a keep-forever alias of immutable storage like Neighbors, nil
 // when the graph is unlabeled or no neighbour of v has the label. The first
-// call builds the index; concurrent first calls wait for the one build.
+// call builds the index.
 func (g *Graph) LabelRow(v uint32, label int32) []uint32 {
 	if g.labels == nil {
 		return nil
 	}
 	ix := g.lrows.ix.Load()
 	if ix == nil {
-		g.lrows.once.Do(func() { g.lrows.ix.Store(buildLabelIndex(g)) })
-		ix = g.lrows.ix.Load()
+		ix = g.buildLabelRows()
 	}
 	dir := ix.dir[ix.dirOff[v]:ix.dirOff[v+1]]
 	i, hi := 0, len(dir) // by hand: the generic search's comparator calls cost a labeled FSM query 4 %
 	for i < hi {
-		if mid := int(uint(i+hi) >> 1); dir[mid].label < label {
+		if mid := int(uint(i+hi) >> 1); dir[mid].Label < label {
 			i = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if i == len(dir) || dir[i].label != label {
+	if i == len(dir) || dir[i].Label != label {
 		return nil
 	}
 	row := ix.adj[g.offsets[v]:g.offsets[v+1]]
 	if i+1 < len(dir) {
-		return row[dir[i].start:dir[i+1].start]
+		return row[dir[i].Start:dir[i+1].Start]
 	}
-	return row[dir[i].start:]
+	return row[dir[i].Start:]
+}
+
+// LabelGroups returns the row of v grouped by neighbour label and its
+// directory, labels ascending: the index LabelRow searches, for a caller
+// that wants the slices of several labels of one row and walks the
+// directory once. Both are keep-forever aliases, nil when the graph is
+// unlabeled. The first call builds the index, as LabelRow's does.
+func (g *Graph) LabelGroups(v uint32) (row []uint32, dir []LabelGroup) {
+	if g.labels == nil {
+		return nil, nil
+	}
+	ix := g.lrows.ix.Load()
+	if ix == nil {
+		ix = g.buildLabelRows()
+	}
+	return ix.adj[g.offsets[v]:g.offsets[v+1]], ix.dir[ix.dirOff[v]:ix.dirOff[v+1]]
+}
+
+// buildLabelRows builds the label-row index once; concurrent first calls
+// wait for the one build.
+func (g *Graph) buildLabelRows() *labelIndex {
+	g.lrows.once.Do(func() { g.lrows.ix.Store(buildLabelIndex(g)) })
+	return g.lrows.ix.Load()
 }
 
 // LabelRowsBytes returns the memory the label-row index holds, 0 while it
@@ -102,7 +128,7 @@ func buildLabelIndex(g *Graph) *labelIndex {
 		slices.Sort(present)
 		start := uint32(0)
 		for _, r := range present {
-			ix.dir = append(ix.dir, labelGroup{distinct[r], start})
+			ix.dir = append(ix.dir, LabelGroup{distinct[r], start})
 			start, next[r] = start+next[r], start
 		}
 		for _, u := range row {
