@@ -73,8 +73,8 @@ func solve(a [][]float64, b []float64) []float64 {
 // thread) on MI x0.01 and MG x0.003, and the executor's exact counters say
 // how often each trie node ran (TrieNodes.Enters) and how much work the pass
 // did (engine.Stats.Work, the one definition of exact work). With every
-// node's class (callsOf over its plan.Class, TrieNode.Collapsed and
-// TrieNode.Marked, markScan) that gives, per set, the intersections and
+// node's class (callsOf over its plan.Class, and whether the counting
+// pass's lowering makes it OpCollapsed or OpCountMarked, markScan) that gives, per set, the intersections and
 // differences executed (kernel calls and base builds), the elements the
 // marked leaves probe and mark as the model expects them, the
 // collapsed-leaf executions and the node executions; the weights are the
@@ -124,6 +124,8 @@ func TestFitWeights(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			var prog plan.Program
+			prog.Lower(tr, false, true)
 			// Every node once, its calls read from the first plan through it.
 			var inter, diff, marked, collapsed float64
 			execs := float64(g.NumVertices())
@@ -135,7 +137,7 @@ func TestFitWeights(t *testing.T) {
 					}
 					classed[node.ID] = true
 					k := callsOf(plans[idx], i+1)
-					if node.Marked {
+					if prog.Ops[node.ID].Kind == plan.OpCountMarked {
 						probes, size, at := m.markScan(plans[idx], i+1)
 						marked += probes*float64(st.TrieNodes[node.ID].Enters) + size*float64(st.TrieNodes[path[at].ID].Enters)
 						k.diff = 0
@@ -144,7 +146,7 @@ func TestFitWeights(t *testing.T) {
 					execs += runs
 					inter += runs*k.inter + builds*k.baseInter
 					diff += runs*k.diff + builds*k.baseDiff
-					if node.Collapsed {
+					if prog.Ops[node.ID].Kind == plan.OpCollapsed {
 						collapsed += runs
 					}
 				}

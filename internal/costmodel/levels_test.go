@@ -28,8 +28,9 @@ import (
 // is the plan's own: a set's distinct keys are its trie, priced
 // consistently. There is one classification: every plan level's class is
 // the class its node carries (a class depends on the path from the root
-// alone), and the model charges a plan's last level as a collapsed leaf
-// exactly when the counting pass of the plan collapses it.
+// alone), and the model charges a plan's last level as a collapsed leaf, or
+// as a marked one, exactly when the counting pass's lowering of the plan
+// (plan.Program) makes it OpCollapsed, or OpCountMarked.
 func TestLevelKeysAreTheTrieNodes(t *testing.T) {
 	g, err := dataset.MiCo().Scaled(0.01).Generate()
 	if err != nil {
@@ -40,9 +41,13 @@ func TestLevelKeysAreTheTrieNodes(t *testing.T) {
 	w := costmodel.DefaultWeights()
 	w.Leaf = 0
 	noLeaf := costmodel.New(sum, w)
+	w = costmodel.DefaultWeights()
+	w.Marked = 0
+	noMarked := costmodel.New(sum, w)
+	var prog plan.Program
 	planners := []engine.Engine{peregrine.New(1), autozero.New(1), graphpi.New(1), bigjoin.New(1)}
 	r := rand.New(rand.NewSource(5))
-	shared, collapsed := 0, 0
+	shared, collapsed, marked := 0, 0, 0
 	for trial := 0; trial < 400; trial++ {
 		planner := planners[trial%len(planners)]
 		var plans []*plan.Plan
@@ -109,20 +114,27 @@ func TestLevelKeysAreTheTrieNodes(t *testing.T) {
 			}
 
 			// The plan's own counting pass: a one-plan trie, whose last node
-			// the executor collapses or not. Pricing with and without Leaf
-			// shows whether the model charged the last level as collapsed.
+			// the lowering collapses, marks or neither. Pricing with and
+			// without Leaf, and Marked, shows how the model charged it.
 			alone, err := plan.MergePlans([]*plan.Plan{pl})
 			if err != nil {
 				t.Fatal(err)
 			}
 			path := costmodel.NodePaths(alone)[0]
 			last := len(path) - 1
-			priced := m.Levels(pl, 0, 2, nil)[last].Cost != noLeaf.Levels(pl, 0, 2, nil)[last].Cost
-			if runs := path[last].Collapsed; priced != runs {
-				t.Fatalf("%s: %v order %v: the model prices the last level collapsed %v, the counting pass collapses it %v", planner.Name(), pl.Pattern, pl.Order, priced, runs)
+			prog.Lower(alone, false, true)
+			op := prog.Ops[path[last].ID].Kind
+			cost := m.Levels(pl, 0, 2, nil)[last].Cost
+			priced := cost != noLeaf.Levels(pl, 0, 2, nil)[last].Cost
+			pricedMarked := cost != noMarked.Levels(pl, 0, 2, nil)[last].Cost
+			if priced != (op == plan.OpCollapsed) || pricedMarked != (op == plan.OpCountMarked) {
+				t.Fatalf("%s: %v order %v: the model prices the last level collapsed %v, marked %v; the counting pass lowers it to op %d", planner.Name(), pl.Pattern, pl.Order, priced, pricedMarked, op)
 			}
 			if priced {
 				collapsed++
+			}
+			if pricedMarked {
+				marked++
 			}
 		}
 		for i := range plans {
@@ -139,6 +151,7 @@ func TestLevelKeysAreTheTrieNodes(t *testing.T) {
 			}
 		}
 	}
+	t.Logf("%d shared levels below the first two, %d collapsed last levels, %d marked ones", shared, collapsed, marked)
 	if shared < 100 || collapsed < 100 {
 		t.Fatalf("%d shared levels below the first two, %d collapsed last levels: the sets do not exercise sharing and collapsing", shared, collapsed)
 	}

@@ -32,7 +32,7 @@ import (
 // match prefix throughout.
 //
 // A labeled level whose Connect rows can carry its label
-// (trieExecInfo.rowLabel) passes it down here, and the entry points read
+// (plan.Op.RowLabel) passes it down here, and the entry points read
 // each such row's label slice in place of the pinned row: N_L(a) ∩ N_L(b) =
 // (N(a) ∩ N(b))_L, label-pure without a scan. Disconnect rows stay whole.
 type rowPins struct {
@@ -81,11 +81,6 @@ func (p *rowPins) reset(g graph.Adjacency, depths int) {
 		p.pins[i].ok = false
 	}
 }
-
-// bind points the pins at the executor's match prefix, which binds depths
-// in place (match[j] = v). Pins whose depth still holds the same vertex
-// stay valid.
-func (p *rowPins) bind(match []uint32) { p.match = match }
 
 // release reports the probe hits to the view and drops every reference
 // to the graph and the prefix, so a pooled worker pins neither.
@@ -194,11 +189,16 @@ func (p *rowPins) differenceCountF(cur []uint32, j int, f setops.Filter, st *set
 // result is the pinned row itself, valid while that depth stays bound.
 // Under a label every conn row is read as its label slice.
 func (p *rowPins) candidates(conn, disc []int, label int32, bufA, bufB []uint32, st *setops.Stats) (cur, a, b []uint32) {
-	base := p.smallest(conn)
+	return p.narrow(p.smallest(conn), -1, conn, disc, label, bufA, bufB, st)
+}
+
+// narrow is candidates starting from the row of depth base and leaving out
+// the conn depth skip.
+func (p *rowPins) narrow(base, skip int, conn, disc []int, label int32, bufA, bufB []uint32, st *setops.Stats) (cur, a, b []uint32) {
 	cur = p.connRow(base, label)
 	out, spare := bufA, bufB
 	for _, j := range conn {
-		if j == base {
+		if j == base || j == skip {
 			continue
 		}
 		cur = p.intersectNeighbors(out, cur, j, label, st)
@@ -221,15 +221,6 @@ func (p *rowPins) smallest(conn []int) int {
 		}
 	}
 	return base
-}
-
-// hasLabel reports whether data vertex v meets a level's label requirement
-// want, given the graph's label slice (graph.Adjacency.Labels: nil when
-// unlabeled, which no labeled pattern vertex matches). Executors read the
-// slice they cached per worker here instead of calling Adjacency.Label
-// through the interface once per candidate.
-func hasLabel(labels []int32, v uint32, want int32) bool {
-	return want == pattern.Unlabeled || labels != nil && labels[v] == want
 }
 
 // levelFilter builds the fused count-only filter for one plan level: the
@@ -312,20 +303,8 @@ func (p *rowPins) countExtensions(conn, disc, always, check []int, f setops.Filt
 				}
 			}
 		}
-		cur := p.connRow(base, label)
-		out, spare := bufA, bufB
-		for _, j := range conn {
-			if j == base || j == lastConn {
-				continue
-			}
-			cur = p.intersectNeighbors(out, cur, j, label, st)
-			out, spare = spare, cur
-		}
-		for i := 0; i < len(disc)-1; i++ {
-			cur = p.differenceNeighbors(out, cur, disc[i], st)
-			out, spare = spare, cur
-		}
-		bufA, bufB = out, spare
+		var cur []uint32
+		cur, bufA, bufB = p.narrow(base, lastConn, conn, disc[:max(len(disc)-1, 0)], label, bufA, bufB, st)
 		if len(disc) > 0 {
 			count = p.differenceCountF(cur, disc[len(disc)-1], kf, st)
 		} else {

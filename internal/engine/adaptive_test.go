@@ -236,7 +236,7 @@ func TestCountExtensionsMatchesMaterialized(t *testing.T) {
 			}
 			pins.reset(a.View(), len(bound))
 			pins.lrows, _ = a.(labelRower)
-			pins.bind(bound)
+			pins.match = bound
 			var st setops.Stats
 			var got uint64
 			want := reference(tc.conn, tc.disc, tc.f, bound)

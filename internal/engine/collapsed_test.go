@@ -2,6 +2,8 @@ package engine_test
 
 import (
 	"context"
+	"maps"
+	"sync"
 	"testing"
 
 	"morphing/internal/autozero"
@@ -78,14 +80,65 @@ func handStars(t *testing.T) *plan.Trie {
 	return tr
 }
 
+// The cases a collapsed leaf's count can meet, as recordCollapsedShapes
+// names them.
+const (
+	shapeLowDep      = "low end depends on the parent"
+	shapeHighDep     = "high end depends on the parent"
+	shapeBothDep     = "both ends depend on the parent"
+	shapeNeitherDep  = "neither end depends on the parent"
+	shapeBoundCand   = "a candidate is a bound vertex"
+	shapeFixedInside = "a fixed vertex inside the window"
+	shapeGallopBase  = "a galloped hub base"
+)
+
+// recordCollapsedShapes counts, per case, the collapsed-leaf counts the
+// passes run until stop is called; seen returns the tally so far.
+func recordCollapsedShapes() (seen func() map[string]int, stop func()) {
+	var mu sync.Mutex
+	tally := map[string]int{}
+	stop = engine.SeeOps(func(s engine.OpSeen) {
+		if s.Op.Kind != plan.OpCollapsed {
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		switch op := s.Op; {
+		case op.LoDep && op.HiDep:
+			tally[shapeBothDep]++
+		case op.LoDep:
+			tally[shapeLowDep]++
+		case op.HiDep:
+			tally[shapeHighDep]++
+		default:
+			tally[shapeNeitherDep]++
+		}
+		if len(s.X) > 0 {
+			tally[shapeBoundCand]++
+		}
+		if len(s.Fixed) > 0 {
+			tally[shapeFixedInside]++
+		}
+		if len(s.Held) >= 64 && len(s.Held) >= 8*len(s.C) { // setops' galloping threshold
+			tally[shapeGallopBase]++
+		}
+	})
+	seen = func() map[string]int {
+		mu.Lock()
+		defer mu.Unlock()
+		return maps.Clone(tally)
+	}
+	return seen, stop
+}
+
 // TestCollapsedLeafShapes runs the four planners' tries for the 4-vertex
 // patterns of either semantics and a sample of 5-vertex ones over
 // collapsedGraphs, on one worker and on three, with handStars beside
 // them, and checks every count against the brute-force
 // oracle. It fails unless every case of a collapsed leaf's count ran
-// (engine.RecordCollapsedShapes): each window shape, a bound vertex among
-// the parent's candidates, a fixed vertex inside the window and a hub base
-// the rank sum gallops through.
+// (recordCollapsedShapes): each window shape, a bound vertex among the
+// parent's candidates, a fixed vertex inside the window and a hub base the
+// rank sum gallops through.
 func TestCollapsedLeafShapes(t *testing.T) {
 	var sets [][]*pattern.Pattern
 	for _, iv := range []pattern.Induced{pattern.EdgeInduced, pattern.VertexInduced} {
@@ -106,7 +159,7 @@ func TestCollapsedLeafShapes(t *testing.T) {
 		sets = append(sets, four, five)
 	}
 	planners := []engine.Engine{peregrine.New(1), autozero.New(1), graphpi.New(1), bigjoin.New(1)}
-	seen, stop := engine.RecordCollapsedShapes()
+	seen, stop := recordCollapsedShapes()
 	defer stop()
 	for gname, g := range collapsedGraphs(t) {
 		oracle := map[*pattern.Pattern]uint64{}
@@ -154,8 +207,8 @@ func TestCollapsedLeafShapes(t *testing.T) {
 		}
 	}
 	tally := seen()
-	for _, shape := range []string{engine.ShapeLowDep, engine.ShapeHighDep, engine.ShapeBothDep, engine.ShapeNeitherDep,
-		engine.ShapeBoundCand, engine.ShapeFixedInside, engine.ShapeGallopBase} {
+	for _, shape := range []string{shapeLowDep, shapeHighDep, shapeBothDep, shapeNeitherDep,
+		shapeBoundCand, shapeFixedInside, shapeGallopBase} {
 		if tally[shape] == 0 {
 			t.Errorf("no collapsed leaf counted with %s (tally %v)", shape, tally)
 		}

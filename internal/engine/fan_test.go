@@ -92,7 +92,11 @@ func TestLabelFanIsTheLabelRow(t *testing.T) {
 		counting                    bool
 		bad                         string
 	)
-	stop := engine.SeeLabelFans(func(worker int, node *plan.TrieNode, v uint32, label int32, set []uint32) {
+	stop := engine.SeeOps(func(s engine.OpSeen) {
+		if s.Op.Src != plan.SrcFan {
+			return
+		}
+		worker, node, v, label, set := s.Worker, s.Op.Node, s.V, s.Op.Node.Label, s.Set
 		mu.Lock()
 		defer mu.Unlock()
 		calls++

@@ -88,7 +88,9 @@ func TestGraphPiTailIsADegreeLeaf(t *testing.T) {
 	if len(leaves) != 1 {
 		t.Fatalf("%d count-only leaves, want 1", len(leaves))
 	}
-	if n := leaves[0]; !n.Degree || n.Class.NAlways != 2 {
+	var prog plan.Program
+	prog.Lower(tr, false, false)
+	if n := leaves[0]; prog.Ops[n.ID].Kind != plan.OpCountDegree || n.Class.NAlways != 2 {
 		t.Errorf("order %v: leaf node %d is no degree leaf less two (probes %v, always %v)", tr.Plans[0].Order, n.ID, n.Class.Check(), n.Class.Always())
 	}
 }

@@ -72,7 +72,11 @@ func TestMarkedDifferenceLeafIsTheMerge(t *testing.T) {
 		parent  map[*plan.TrieNode]*plan.TrieNode
 		workers [3]tally
 	)
-	stop := engine.SeeMarkedLeaves(func(worker int, leaf *plan.TrieNode, base, row []uint32, f setops.Filter, n uint64) {
+	stop := engine.SeeOps(func(s engine.OpSeen) {
+		if !s.Marked {
+			return
+		}
+		worker, leaf, base, row, f, n := s.Worker, s.Op.Node, s.Base, s.Cut, s.F, s.N
 		var st setops.Stats
 		w := &workers[worker]
 		w.counts++
@@ -93,7 +97,7 @@ func TestMarkedDifferenceLeafIsTheMerge(t *testing.T) {
 			w.bases[leaf] = h
 		}
 		if len(base) > 0 && h.at == &base[0] && !slices.Equal(h.base, base) {
-			if leaf.Class.Raw != 0 { // an unlabeled ancestor materialized it: srcRaw
+			if leaf.Class.Raw != 0 { // an unlabeled ancestor materialized it: SrcRaw
 				w.rebuiltRaw++
 			} else {
 				w.rebuiltB++

@@ -34,7 +34,7 @@ func TestPinsDecodeOncePerBinding(t *testing.T) {
 		return n
 	}
 	pins.reset(counted, len(match))
-	pins.bind(match)
+	pins.match = match
 
 	for rep := 0; rep < 3; rep++ {
 		for j, v := range match {
@@ -115,7 +115,7 @@ func BenchmarkBoundProbe(b *testing.B) {
 		var pins rowPins
 		match := []uint32{hub, 0}
 		pins.reset(c.View(), 2)
-		pins.bind(match)
+		pins.match = match
 		pins.row(0)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -1,10 +1,8 @@
 package engine
 
 import (
-	"cmp"
 	"context"
 	"fmt"
-	"math/bits"
 	"runtime/debug"
 	"slices"
 	"sync"
@@ -80,8 +78,7 @@ func MatchTrieCtx(ctx context.Context, g graph.Adjacency, tr *plan.Trie, sinks [
 
 // triePass is the shared state of one pass: the block cursor, the
 // abort/panic latches, the worker and range tables the goroutines
-// coordinate through, and what the workers read about the trie (the
-// per-node classes). It is a
+// coordinate through, and the program the workers run (plan.Program). It is a
 // pooled struct rather than locals captured by goroutine closures for the
 // allocation trajectory: locals captured by N closures escape one by one,
 // while a pooled carrier costs nothing in steady state — a pass allocates
@@ -107,24 +104,11 @@ type triePass struct {
 	workers   []*trieWorker
 	ranges    []*vertexRange
 
-	tr        *plan.Trie
-	lrows     labelRower                 // the graph, when it serves label rows
-	above     []uint32                   // the graph's upper-row offsets, when it serves them
-	scans     bool                       // some labeled node has no row to carry its label and scans
-	marks     bool                       // some leaf is a marked leaf (mark)
-	sinks     []Sink                     // per plan; nil: counting pass
-	info      []trieExecInfo             // per node ID
-	nodes     []*plan.TrieNode           // parents before children, the order Stats.TrieNodes reports
-	rowLabels [pattern.MaxVertices]int32 // loadNode: the rowLabel of the node in hand's ancestor at each depth
-
-	// What the binding loops run (loadRuns): per node ID its branches' runs,
-	// carved from the buffers below them, which only grow.
-	runs    [][]branchRun
-	runBuf  []branchRun
-	kids    []*plan.TrieNode
-	fans    []labelFan
-	members []*plan.TrieNode
-	group   []*plan.TrieNode // loadRuns: one branch's fan candidates
+	tr    *plan.Trie
+	lrows labelRower   // the graph, when it serves label rows
+	above []uint32     // the graph's upper-row offsets, when it serves them
+	sinks []Sink       // per plan; nil: counting pass
+	prog  plan.Program // what each node runs in this pass
 
 	single plan.Trie // BacktrackCtx: the one-leaf trie of its plan
 	one    [1]Sink   // and the sink list of its streaming pass
@@ -151,14 +135,7 @@ func getTriePass() *triePass {
 func (ps *triePass) release() {
 	clear(ps.workers)
 	clear(ps.ranges)
-	clear(ps.info)
-	clear(ps.nodes)
-	clear(ps.runs)
-	clear(ps.runBuf)
-	clear(ps.kids)
-	clear(ps.fans)
-	clear(ps.members)
-	clear(ps.group[:cap(ps.group)])
+	ps.prog.Release()
 	ps.done, ps.fi, ps.live, ps.panicErr = nil, nil, nil, nil
 	ps.tr, ps.lrows, ps.above, ps.sinks, ps.one[0] = nil, nil, nil, nil, nil
 	ps.single.Reset() // cannot fail without plans
@@ -202,7 +179,7 @@ func (ps *triePass) mine(ctx context.Context, g graph.Adjacency, tr *plan.Trie, 
 	if a, ok := g.(aboveRower); ok && sinks == nil { // only count leaves cut rows
 		ps.above = a.AboveRows()
 	}
-	ps.loadClasses()
+	ps.prog.Lower(tr, sinks != nil, ps.lrows != nil)
 
 	if cap(ps.workers) < threads {
 		ps.workers = make([]*trieWorker, threads)
@@ -247,12 +224,12 @@ func (ps *triePass) mine(ctx context.Context, g graph.Adjacency, tr *plan.Trie, 
 		TriePatterns:     uint64(len(tr.Plans)),
 		TrieSharedLevels: uint64(tr.SharedLevels),
 		Workers:          make([]WorkerStats, 0, threads),
-		TrieNodes:        make([]TrieNodeStats, len(ps.nodes)),
+		TrieNodes:        make([]TrieNodeStats, len(ps.prog.Order)),
 	}}
 	st := &snap.Stats
 	st.Levels = snap.levels[:tr.MaxDepth]
-	for i, node := range ps.nodes {
-		agg := &st.TrieNodes[i]
+	for i, id := range ps.prog.Order {
+		node, agg := ps.prog.Ops[id].Node, &st.TrieNodes[i]
 		agg.Node, agg.Depth, agg.Patterns, agg.Leaf = node.ID, node.Depth, node.Patterns, node.Leaf
 		for _, w := range ps.workers {
 			agg.Enters += w.nstat[node.ID].enters
@@ -373,166 +350,13 @@ func (ps *triePass) mineRange(w *trieWorker) {
 	}
 }
 
-// trieExecInfo is a node's class as a pass runs it, in one dense array so
-// an execution reads one cache line of flags: its plan.Class and what
-// MergePlans made of it (plan.TrieNode), plus what depends on the pass.
-// src is where the base lives: nowhere (srcRows: the node runs its own
-// lists), the node's own buffer (srcBuilt), or the raw set the ancestor at
-// depth At materialized (srcRaw), if that ancestor's rows carry no label.
-// A labeled node reading a Connect row of its own, on a graph that serves
-// label rows, passes rowLabel to rowPins and gets a label-pure set; any
-// other scans what it materialized (labeled, or Filter.Labels). A
-// streaming pass collapses nothing and counts no leaf without its set.
-type trieExecInfo struct {
-	// What every execution reads comes first, on one cache line.
-	src       baseSrc
-	leaf      bool // every branch is childless: the node binds nothing
-	settles   bool // some branch completes a plan (settle)
-	counted   bool // counting pass: a leaf of one branch, counted without its set (countLeaf)
-	degree    bool // counting pass: a degree leaf
-	timeWhole bool // counting pass, leaf or parent of one: Instrument clocks the whole execution
-	collapsed bool // counted by its parent (countCollapsed), never executed
-	bindsNone bool // every child is collapsed
-	loDep     bool // collapsed: the window's low / high end depends on v_d
-	hiDep     bool
-	scan      bool  // labeled, and no operand row carries the label
-	rowLabel  int32 // the label the operand rows carry; Unlabeled: whole rows
-	plan.Class
-
-	collBranches []int // the branches with a collapsed child, or with leaves when bindsNone
-}
-
-type baseSrc uint8
-
-const srcRows, srcRaw, srcBuilt baseSrc = 0, 1, 2
-
-// loadClasses fills ps.info, ps.nodes and ps.runs for the pass's trie, once
-// per pass, so an execution only reads flags (reading the trie's nodes per
-// execution is measurably slower on the decode-bound tier).
-func (ps *triePass) loadClasses() {
-	n := ps.tr.Nodes
-	if cap(ps.info) < n {
-		ps.info, ps.nodes, ps.runs = make([]trieExecInfo, n), make([]*plan.TrieNode, 0, n), make([][]branchRun, n)
-		ps.kids, ps.fans = make([]*plan.TrieNode, 0, n), make([]labelFan, 0, n)
-		ps.members, ps.group = make([]*plan.TrieNode, 0, n), make([]*plan.TrieNode, 0, n)
-	}
-	ps.info, ps.nodes, ps.runs = ps.info[:n], ps.nodes[:0], ps.runs[:n]
-	ps.kids, ps.fans, ps.members = ps.kids[:0], ps.fans[:0], ps.members[:0]
-	if b := n + len(ps.tr.Plans); cap(ps.runBuf) < b { // a branch holds a child or a leaf
-		ps.runBuf = make([]branchRun, 0, b)
-	}
-	ps.runBuf = ps.runBuf[:0]
-	ps.scans, ps.marks = false, false
-	for _, r := range ps.tr.Roots {
-		ps.loadNode(r)
-	}
-}
-
-func (ps *triePass) loadNode(n *plan.TrieNode) {
-	ps.nodes = append(ps.nodes, n)
-	ei := &ps.info[n.ID]
-	*ei = trieExecInfo{rowLabel: pattern.Unlabeled, Class: n.Class}
-	if ei.Built {
-		ei.src = srcBuilt
-		// The deepest ancestor with the base's lists whose raw set is whole:
-		// one whose rows carried its label materialized that label's share.
-		for raw := ei.Raw; raw != 0; {
-			a := bits.Len16(raw) - 1
-			if ps.rowLabels[a] == pattern.Unlabeled {
-				ei.src, ei.At = srcRaw, a
-				break
-			}
-			raw &^= 1 << a
-		}
-	}
-	if n.Label != pattern.Unlabeled && n.Depth > 0 { // a root tests its own vertex
-		if ps.lrows != nil && (ei.src != srcRaw || len(ei.BConn) > 0) {
-			ei.rowLabel = n.Label
-		} else {
-			ei.scan, ps.scans = true, true
-		}
-	}
-	ps.rowLabels[n.Depth] = ei.rowLabel
-	ei.leaf, ei.timeWhole = n.Leaf, n.Leaf
-	for _, b := range n.Branches {
-		ei.settles = ei.settles || len(b.Leaves) > 0
-		for _, child := range b.Children {
-			ps.loadNode(child)
-			ei.timeWhole = ei.timeWhole || child.Leaf
-		}
-	}
-	ps.loadRuns(n)
-	if ps.sinks != nil {
-		ei.timeWhole = false
-		return
-	}
-	ei.counted, ei.degree = n.Leaf && len(n.Branches) == 1, n.Degree
-	ei.collapsed, ei.bindsNone = n.Collapsed, n.BindsNone
-	ps.marks = ps.marks || n.Marked
-	ei.loDep, ei.hiDep, ei.collBranches = n.LoDep, n.HiDep, n.CollBranches
-}
-
-// branchRun is what the binding loop runs below a candidate one branch's
-// window passes: the children it executes one by one, and its label fans.
-type branchRun struct {
-	kids []*plan.TrieNode
-	fans []labelFan
-}
-
-// labelFan is two or more children of one branch that read the label
-// slices of the one row of the vertex bound at depth at — each a node with
-// that single Connect row, no Disconnect row and a label the row carries
-// (trieExecInfo.rowLabel) — so they differ only in their label. The binding
-// loop runs them together (fan): one walk of the row's label directory
-// finds every member's slice. Members are in ascending label order; the
-// trie shares nodes on (Label, Connect, Disconnect), so no label repeats.
-type labelFan struct {
-	at      int
-	members []*plan.TrieNode
-}
-
-// loadRuns fills ps.runs[n.ID], one run per branch of n, once n's children
-// are loaded: the collapsed children are left to n (countCollapsed), those
-// reading the label slices of one row are fanned when there are two or
-// more, and the rest run one by one. The runs are carved from buffers sized
-// for the whole trie up front, so nothing here allocates once they have
-// grown to the largest trie a pooled pass has run. Unlabeled tries have no
-// fan.
-func (ps *triePass) loadRuns(n *plan.TrieNode) {
-	at := len(ps.runBuf)
-	ps.runBuf = ps.runBuf[:at+len(n.Branches)]
-	runs := ps.runBuf[at:len(ps.runBuf):len(ps.runBuf)]
-	for bi, br := range n.Branches {
-		k0, f0, group := len(ps.kids), len(ps.fans), ps.group[:0]
-		for _, c := range br.Children {
-			switch ci := &ps.info[c.ID]; {
-			case ci.collapsed:
-			case ci.rowLabel != pattern.Unlabeled && len(c.Connect) == 1 && len(c.Disconnect) == 0:
-				group = append(group, c)
-			default:
-				ps.kids = append(ps.kids, c)
-			}
-		}
-		slices.SortFunc(group, func(a, b *plan.TrieNode) int {
-			return cmp.Or(cmp.Compare(a.Connect[0], b.Connect[0]), cmp.Compare(a.Label, b.Label))
-		})
-		for len(group) > 0 {
-			k := 1
-			for k < len(group) && group[k].Connect[0] == group[0].Connect[0] {
-				k++
-			}
-			if k == 1 {
-				ps.kids = append(ps.kids, group[0])
-			} else {
-				m0 := len(ps.members)
-				ps.members = append(ps.members, group[:k]...)
-				ps.fans = append(ps.fans, labelFan{group[0].Connect[0], ps.members[m0:len(ps.members):len(ps.members)]})
-			}
-			group = group[k:]
-		}
-		runs[bi] = branchRun{ps.kids[k0:len(ps.kids):len(ps.kids)], ps.fans[f0:len(ps.fans):len(ps.fans)]}
-	}
-	ps.runs[n.ID] = runs
+// Lower returns the program a pass over g runs for tr: what Program.Lower
+// decides for a counting pass (stream false) or a streaming one on g.
+func Lower(g graph.Adjacency, tr *plan.Trie, stream bool) *plan.Program {
+	p := new(plan.Program)
+	_, labelRows := g.(labelRower)
+	p.Lower(tr, stream, labelRows)
+	return p
 }
 
 // trieWorker interprets the trie over one stealable vertex range at a
@@ -544,9 +368,8 @@ type trieWorker struct {
 	g          graph.Adjacency // per-worker view (see graph.Adjacency)
 	vlabels    []int32         // g.Labels(), read once per candidate
 	pins       rowPins         // adjacency rows of the bound prefix
-	tr         *plan.Trie
-	info       []trieExecInfo
-	runs       [][]branchRun
+	ops        []plan.Op       // the pass's program, by node ID, then the fans
+	roots      []int32
 	stream     bool // streaming pass: outs delivers every window
 	instrument bool
 
@@ -562,11 +385,11 @@ type trieWorker struct {
 	// bumps a count and fills a slot per match). Hence the fixed arrays.
 	bufA  [pattern.MaxVertices][]uint32
 	bufB  [pattern.MaxVertices][]uint32
-	raw   [pattern.MaxVertices][]uint32 // last raw (pre-window) candidate set, the srcRaw bases
+	raw   [pattern.MaxVertices][]uint32 // last raw (pre-window) candidate set: the SrcRaw bases, and the SrcFan sets
 	lab   [pattern.MaxVertices][]uint32 // scanning labeled levels: the candidates carrying the label
 	wins  [pattern.MaxVertices][]trieWin
 	match []uint32
-	xs    [pattern.MaxVertices]uint32 // countCollapsed: the bound candidates
+	xs    [pattern.MaxVertices]uint32 // settle: the bound candidates
 	fs    [pattern.MaxVertices]uint32 // and a leaf's fixed vertices
 
 	counts []uint64        // per-plan match counts
@@ -582,7 +405,7 @@ type trieWorker struct {
 	// rowPins compares vertices). tick never rewinds, also not between passes.
 	tick  uint64
 	stamp [pattern.MaxVertices]uint64
-	bases []trieBase // per node, srcBuilt only; buffers sized by need
+	nodes []nodeScratch // per node ID; base buffers sized by need
 
 	// Pooling state. A pooled worker keeps its arena and scratch, which only
 	// grow — per-depth buffers to the deepest trie and highest degree seen,
@@ -603,13 +426,6 @@ type trieWorker struct {
 	// Streaming state past everything a counting pass touches, so it moves
 	// no counting field's offset: a window less its bound vertices.
 	tail []uint32
-
-	// Marked leaves (mark), last so that no field above moves: per node, the
-	// bitmap of the base a count-only difference leaf last marked.
-	marks []leafMarks
-
-	// Per node, where a count leaf over a held base last cut it (held).
-	cursors []windowCursor
 }
 
 // trieNodeCount is one node's selectivity: partial embeddings reaching it,
@@ -622,11 +438,15 @@ type trieWin struct {
 	lo, hi uint32
 }
 
-// trieBase is a node's built base set and the stamp of its deepest operand
-// at build time (0: never built in this pass).
-type trieBase struct {
-	set   []uint32
-	stamp uint64
+// nodeScratch is what a worker keeps per node: its built base set and the
+// stamp of its deepest operand at build time (0: never built in this pass),
+// where a count leaf over a held base last cut it (held), and the bitmap of
+// the base a marked leaf last marked (mark).
+type nodeScratch struct {
+	set    []uint32
+	stamp  uint64
+	cursor windowCursor
+	marks  leafMarks
 }
 
 // leafMarks is a marked leaf's base as a bitmap over the graph's vertices:
@@ -694,10 +514,8 @@ func getTrieWorker(id int, g graph.Adjacency, ps *triePass, instrument bool, max
 	w.g = g.View()
 	w.vlabels = g.Labels()
 	w.pins.reset(w.g, w.d)
-	w.pins.lrows, w.pins.above = ps.lrows, ps.above
-	w.pins.bind(w.match)
-	w.tr = tr
-	w.info, w.runs = ps.info, ps.runs
+	w.pins.lrows, w.pins.above, w.pins.match = ps.lrows, ps.above, w.match
+	w.ops, w.roots = ps.prog.Ops, ps.prog.Roots
 	w.stream = ps.sinks != nil
 	w.instrument = instrument
 	const pad = 8 // uint64s in a cache line, and at least one in trieNodeCounts
@@ -711,27 +529,21 @@ func getTrieWorker(id int, g graph.Adjacency, ps *triePass, instrument bool, max
 	w.counts, w.nstat = w.table[pad:pad+plans], w.ntable[pad:pad+nodes]
 	clear(w.counts)
 	clear(w.nstat)
-	if len(w.bases) < nodes {
-		w.bases = append(w.bases, make([]trieBase, nodes-len(w.bases))...)
+	if len(w.nodes) < nodes {
+		w.nodes = append(w.nodes, make([]nodeScratch, nodes-len(w.nodes))...)
 	}
-	for i := range w.bases {
-		w.bases[i].stamp = 0 // buffers stay: they are capacity, not content
-	}
-	if len(w.cursors) < nodes {
-		w.cursors = make([]windowCursor, nodes)
-	}
-	// No cut of an earlier pass, or graph, survives.
-	clear(w.cursors)
-	if ps.marks { // a pass without marked leaves leaves the bits to the next pass with some
-		if len(w.marks) < nodes {
-			w.marks = append(w.marks, make([]leafMarks, nodes-len(w.marks))...)
-		}
-		for i, words := 0, (g.NumVertices()+63)/64; i < len(w.marks); i++ {
-			w.marks[i].reset(words) // no bit of an earlier pass, or graph, survives
+	// No base, cut or (in a pass with marked leaves, which the bits wait
+	// for) bit of an earlier pass, or graph, survives; base buffers stay:
+	// they are capacity, not content.
+	for i, words := 0, (g.NumVertices()+63)/64; i < len(w.nodes); i++ {
+		ns := &w.nodes[i]
+		ns.stamp, ns.cursor = 0, windowCursor{}
+		if ps.prog.Marks {
+			ns.marks.reset(words)
 		}
 	}
-	for i := 0; ps.scans && i < w.d && w.lab[i] == nil; i++ {
-		w.lab[i] = w.alloc(w.maxDeg)
+	for i := 0; ps.prog.Scans && i < w.d && w.lab[i] == nil; i++ {
+		w.lab[i] = w.arena.Alloc(w.maxDeg)
 	}
 	if w.stream {
 		if len(w.outs) < plans {
@@ -740,7 +552,7 @@ func getTrieWorker(id int, g graph.Adjacency, ps *triePass, instrument bool, max
 		for i, pl := range tr.Plans {
 			o := &w.outs[i]
 			if o.m == nil {
-				o.m = w.alloc(pattern.MaxVertices)
+				o.m = w.arena.Alloc(pattern.MaxVertices)
 			}
 			o.m, o.order, o.last = o.m[:len(pl.Order)], pl.Order, pl.Order[len(pl.Order)-1]
 			o.take = ps.sinks[i](id)
@@ -754,10 +566,6 @@ func getTrieWorker(id int, g graph.Adjacency, ps *triePass, instrument bool, max
 	return w
 }
 
-// alloc returns an empty buffer of capacity n from the worker's arena,
-// valid until the next reshape.
-func (w *trieWorker) alloc(n int) []uint32 { return w.arena.Alloc(n) }
-
 // reshape (re)builds the worker's per-depth scratch for a deeper trie or a
 // higher degree, carving every uint32 buffer from the arena (after a Reset,
 // since the previous shape's buffers — the built bases among them — alias
@@ -765,14 +573,16 @@ func (w *trieWorker) alloc(n int) []uint32 { return w.arena.Alloc(n) }
 func (w *trieWorker) reshape(d, maxDeg int) {
 	w.d, w.maxDeg = d, maxDeg
 	w.arena.Reset()
-	w.match = w.alloc(d)[:d]
-	w.tail = w.alloc(maxDeg)
+	w.match = w.arena.Alloc(d)[:d]
+	w.tail = w.arena.Alloc(maxDeg)
 	w.lab = [pattern.MaxVertices][]uint32{}
-	clear(w.bases)
+	for i := range w.nodes {
+		w.nodes[i].set = nil
+	}
 	clear(w.outs)
 	for i := 0; i < d; i++ {
-		w.bufA[i] = w.alloc(maxDeg)
-		w.bufB[i] = w.alloc(maxDeg)
+		w.bufA[i] = w.arena.Alloc(maxDeg)
+		w.bufB[i] = w.arena.Alloc(maxDeg)
 	}
 }
 
@@ -782,8 +592,7 @@ func (w *trieWorker) release() {
 	w.pins.release()
 	w.g = nil
 	w.vlabels = nil
-	w.tr = nil
-	w.info, w.runs = nil, nil
+	w.ops, w.roots = nil, nil
 	w.pass = nil
 	w.raw = [pattern.MaxVertices][]uint32{}
 	for i := range w.outs {
@@ -800,7 +609,7 @@ func (w *trieWorker) bind(j int, v uint32) {
 }
 
 // runRoot scans the worker's armed level-0 range, claiming vertices one
-// at a time (see steal.go) and pushing each through every root node. Under
+// at a time (see steal.go) and running every root op over each. Under
 // MatchLimit it publishes what each root vertex found, so every worker
 // stops within one root vertex of the limit.
 func (w *trieWorker) runRoot() {
@@ -817,33 +626,9 @@ func (w *trieWorker) runRoot() {
 			}
 			before = w.total()
 		}
-		for _, root := range w.tr.Roots {
-			ns := &w.nstat[root.ID]
-			ns.enters++
-			ns.cands++
-			if !hasLabel(w.vlabels, v, root.Label) {
-				continue
-			}
-			ns.ext++
-			w.bind(0, v)
-			// Depth-0 nodes carry no symmetry conditions (no earlier levels).
-			runs := w.runs[root.ID]
-			for bi, br := range root.Branches {
-				for _, idx := range br.Leaves {
-					if w.stream {
-						w.deliver(idx, w.match[:1], 0)
-					} else {
-						w.counts[idx]++
-					}
-				}
-				r := &runs[bi]
-				for _, child := range r.kids {
-					w.exec(child, 1, w.instrument, nil)
-				}
-				for i := range r.fans {
-					w.fan(&r.fans[i], 1, w.instrument)
-				}
-			}
+		w.match[0] = v // the vertex in hand: a root binds it if its label passes
+		for _, r := range w.roots {
+			w.exec(r, 0)
 		}
 		if ps.limit > 0 {
 			if found := w.total() - before; found > 0 {
@@ -853,171 +638,198 @@ func (w *trieWorker) runRoot() {
 	}
 }
 
-// exec runs one shared node at the given depth: compute the candidate set
-// once, count the collapsed children over all of it, settle the plans that
-// end here over their branches' windows of it (settle), then bind each
-// candidate and recurse into the children whose branch window holds it
-// (what each branch runs is its branchRun: children one by one, label
-// siblings as a fan). A fan hands a member the raw set it found for it
-// (raw); any other execution passes nil and computes its set. A node whose
-// branches are all childless binds nothing, and neither does one whose
-// children are all collapsed. A counting pass's leaf of one branch
-// never materializes its set (countLeaf). timed is Instrument minus any
-// ancestor already clocking this execution: a node with a leaf child
-// charges its whole execution (the subtree below is set building and leaf
-// counting) to SetOpTime with one pair of clock reads, any other node only
-// its own set building.
-func (w *trieWorker) exec(node *plan.TrieNode, depth int, timed bool, raw []uint32) {
-	ei := &w.info[node.ID]
+// exec runs op id at depth, one switch over its kind (plan.OpKind). A root
+// tests the vertex in hand, binds it, settles the plans ending there and
+// runs its children. A count leaf counts its extensions without
+// materializing them (countLeaf). A fan runs its members (fan). Any other
+// node computes its candidate set once, settles the plans ending at it and
+// counts its collapsed children over it (settle), and an OpBind node then
+// binds each candidate and runs the children whose branch window holds it. An instrumented execution charges the set-operation
+// clock as its op says: its own set building, or the whole execution of a
+// leaf or a leaf's parent with one pair of clock reads.
+func (w *trieWorker) exec(id int32, depth int) {
+	op := &w.ops[id]
 	var t0 time.Time
+	timed := w.instrument && op.Clock != plan.ClockNone
 	if timed {
 		t0 = time.Now()
 	}
-	whole := timed && ei.timeWhole
-	ns := &w.nstat[node.ID]
-	ns.enters++
-	if ei.counted {
-		lo, hi := trieWindow(node.Branches[0], w.match, -1)
-		if f, ok := levelFilter(w.g, lo, hi, node.Label); ok {
-			w.credit(node, w.countLeaf(node, ei, depth, f, raw))
+	switch {
+	case op.Kind >= plan.OpCountDegree: // a count leaf
+		w.nstat[id].enters++
+		lo, hi := trieWindow(op.Branches[0].TrieBranch, w.match, -1)
+		if f, ok := levelFilter(w.g, lo, hi, op.Node.Label); ok {
+			w.credit(op, id, w.countLeaf(op, id, depth, f))
 		}
-		if whole {
+	case op.Kind <= plan.OpBindsNone: // a set to build
+		ns := &w.nstat[id]
+		ns.enters++
+		// The poll point inside a block: one root's subtree can outlast any
+		// deadline, and a node that is about to pay a set operation can afford
+		// the load. What was counted so far stands, a valid partial.
+		if w.pass.abort.Load() {
+			return
+		}
+		cands := w.raw[depth] // a fan member's
+		if op.Src != plan.SrcFan {
+			cands = w.set(op, id, depth)
+		}
+		if timed && op.Clock == plan.ClockOwn {
 			w.st.SetOpTime += time.Since(t0)
 		}
-		return
-	}
-	// The poll point inside a block: one root's subtree can outlast any
-	// deadline, and a node that is about to pay a set operation can afford
-	// the load. What was counted so far stands, a valid partial.
-	if w.pass.abort.Load() {
-		return
-	}
-	cands := raw
-	if cands == nil {
-		cands = w.set(node, ei, depth)
-	}
-	if timed && !whole {
-		w.st.SetOpTime += time.Since(t0)
-	}
-	// Descendants (a leaf has none) may alias this raw (pre-window) set as
-	// their base; it stays valid through the subtree recursion because
-	// deeper levels own their own scratch buffers.
-	if !ei.leaf {
-		w.raw[depth] = cands
-	}
-
-	// Per-branch symmetry windows depend only on the bound prefix:
-	// resolve them once per node execution (into per-depth scratch — this
-	// runs once per partial embedding, so it must not allocate) and clip
-	// the shared candidate set to their union, so candidates no branch can
-	// accept are never scanned. With a single branch — always, in a
-	// one-leaf trie — this is exactly a single plan's symmetry pruning;
-	// diverging branches keep whatever pruning their windows' union
-	// allows.
-	cands, wins := w.clip(node, depth, cands)
-	ns.cands += uint64(len(cands))
-	if ei.scan {
-		cands = w.labeled(cands, node.Label, depth)
-	}
-	done := ei.leaf // nothing left to bind
-	if len(cands) > 0 && (ei.settles || len(ei.collBranches) > 0) {
-		done = w.settle(node, ei, depth, cands, wins)
-	}
-	if done {
-		if whole {
-			w.st.SetOpTime += time.Since(t0)
+		// Descendants (a leaf has none) may alias this raw (pre-window) set as
+		// their base; it stays valid through the subtree recursion because
+		// deeper levels own their own scratch buffers.
+		if op.Kind != plan.OpSettle {
+			w.raw[depth] = cands
 		}
-		return
-	}
-	var ext uint64
-	runs := w.runs[node.ID]
-	for _, v := range cands {
-		used := false
-		for j := 0; j < depth; j++ {
-			if w.match[j] == v {
-				used = true
-				break
+		// Per-branch symmetry windows depend only on the bound prefix:
+		// resolve them once per node execution (into per-depth scratch — this
+		// runs once per partial embedding, so it must not allocate) and clip
+		// the shared candidate set to their union, so candidates no branch can
+		// accept are never scanned. With a single branch — always, in a
+		// one-leaf trie — this is exactly a single plan's symmetry pruning;
+		// diverging branches keep whatever pruning their windows' union
+		// allows.
+		cands, wins := w.clip(op, depth, cands)
+		ns.cands += uint64(len(cands))
+		if op.Scan {
+			cands = w.labeled(cands, op.Node.Label, depth)
+		}
+		if len(cands) > 0 && op.Settles {
+			w.settle(op, id, depth, cands, wins)
+		}
+		if op.Kind != plan.OpBind {
+			break
+		}
+		var ext uint64
+		for _, v := range cands {
+			used := false
+			for j := 0; j < depth; j++ {
+				if w.match[j] == v {
+					used = true
+					break
+				}
 			}
-		}
-		if used {
-			continue
-		}
-		ext++
-		w.bind(depth, v)
-		for bi := range runs {
-			if v < wins[bi].lo || v >= wins[bi].hi {
+			if used {
 				continue
 			}
-			r := &runs[bi]
-			for _, child := range r.kids {
-				w.exec(child, depth+1, timed && !whole, nil)
-			}
-			for i := range r.fans {
-				w.fan(&r.fans[i], depth+1, timed && !whole)
+			ext++
+			w.bind(depth, v)
+			for bi := range op.Branches {
+				if v < wins[bi].lo || v >= wins[bi].hi {
+					continue
+				}
+				for _, c := range op.Branches[bi].Kids {
+					w.exec(c, depth+1)
+				}
 			}
 		}
+		ns.ext += ext
+	case op.Kind == plan.OpRoot:
+		ns := &w.nstat[id]
+		ns.enters++
+		ns.cands++
+		if v, l := w.match[0], op.Node.Label; l == pattern.Unlabeled || w.vlabels != nil && w.vlabels[v] == l {
+			ns.ext++
+			w.bind(0, v)
+			for bi := range op.Branches { // depth 0 has no symmetry conditions
+				br := &op.Branches[bi]
+				for _, idx := range br.Leaves {
+					if w.stream {
+						w.deliver(idx, w.match[:1], 0)
+					} else {
+						w.counts[idx]++
+					}
+				}
+				for _, c := range br.Kids {
+					w.exec(c, 1)
+				}
+			}
+		}
+	default: // OpFan
+		w.fan(op, depth)
 	}
-	ns.ext += ext
-	if whole {
+	if timed && op.Clock == plan.ClockWhole {
 		w.st.SetOpTime += time.Since(t0)
 	}
 }
 
 // fan runs a label fan's members at depth: one walk of the label directory
-// of the vertex bound at f.at (graph.Graph.LabelGroups) finds each member's
+// of the vertex bound at f.At (graph.Graph.LabelGroups) finds each member's
 // slice, the set the member's own connRow would have searched the directory
-// for, and hands it in. A member whose label is absent has an empty set: it
-// is entered and, unless counted, goes no further, as exec would have run
-// it — so every counter reads as if each member had run alone.
-func (w *trieWorker) fan(f *labelFan, depth int, timed bool) {
-	v := w.match[f.at]
+// for, and hands it in (raw[depth], the member's SrcFan). A member whose
+// label is absent has an empty set: it is entered and, unless counted, goes
+// no further, as exec would have run it — so every counter reads as if
+// each member had run alone.
+func (w *trieWorker) fan(f *plan.Op, depth int) {
+	v := w.match[f.At]
 	row, dir := w.pins.lrows.LabelGroups(v)
 	i := 0
-	for _, m := range f.members {
-		for i < len(dir) && dir[i].Label < m.Label {
+	for _, id := range f.Members() {
+		m := &w.ops[id]
+		for i < len(dir) && dir[i].Label < m.RowLabel {
 			i++
 		}
 		var set []uint32
-		if i < len(dir) && dir[i].Label == m.Label {
+		if i < len(dir) && dir[i].Label == m.RowLabel {
 			end := uint32(len(row))
 			if i+1 < len(dir) {
 				end = dir[i+1].Start
 			}
 			set = row[dir[i].Start:end]
 		}
-		if fanSeen != nil {
-			fanSeen(w.id, m, v, m.Label, set)
+		if seen != nil {
+			seen(seenOp{Worker: w.id, Op: m, V: v, Set: set})
 		}
-		if set != nil || w.info[m.ID].counted { // absent, a counted member still charges its empty count
-			w.exec(m, depth, timed, set)
+		if set != nil || m.Kind == plan.OpCountFan { // absent, a counted member still charges its empty count
+			w.raw[depth] = set
+			w.exec(id, depth)
 		} else {
-			w.nstat[m.ID].enters++
+			w.nstat[id].enters++
 		}
 	}
 }
 
-// fanSeen, when set, sees every fan member's set: the member, the vertex
-// whose row the fan walked, the member's label and the slice it was handed
-// (nil: absent). Tests hold each against LabelRow.
-var fanSeen func(worker int, node *plan.TrieNode, v uint32, label int32, set []uint32)
+// seen, when set, sees every held-base count, fan member and collapsed
+// count with its operands; tests hold each against its reference. A
+// held-base count has the base's generation Key, the Base and what the
+// cursor left of it (Held), the binding Row and what its upper offset left
+// of it (Cut), the kernels' filter F, the count N before the bound vertices
+// are taken out, and Marked when it probed the base's bitmap. A fan member
+// has the vertex V whose label directory the fan walked and the Set it was
+// handed (nil: absent). A collapsed count has the parent's candidates C, the
+// bound ones X among them, the base clipped to the window (Held) and the
+// Fixed vertices.
+var seen func(seenOp)
 
-// settle counts the executing node's collapsed children over its candidate
-// set and completes the plans that end at the node over their branch's
-// window of it, less the vertices bound above it: a counting pass adds the
-// window's size, a streaming pass hands the window to each plan's sink in
-// one call (deliver). It reports whether the node binds nothing more: a
-// childless node, whose Extended is what it settled (sibling branches
-// settle overlapping windows and plans ending on one branch settle it
-// each, so that measures work done), or one whose children are all
-// collapsed, whose Extended is the candidates less the bound ones.
-func (w *trieWorker) settle(node *plan.TrieNode, ei *trieExecInfo, depth int, cands []uint32, wins []trieWin) (bindsNone bool) {
-	bound := w.boundIn(cands, ei)
-	if len(ei.collBranches) > 0 { // a counting pass: a streaming one collapses nothing
-		w.countCollapsed(node, ei, cands, bound, wins)
-	}
+type seenOp struct {
+	Worker                                 int
+	Op                                     *plan.Op
+	Key                                    uint64
+	Base, Held, Row, Cut, C, X, Fixed, Set []uint32
+	F                                      setops.Filter
+	N                                      uint64
+	V                                      uint32
+	Marked                                 bool
+}
+
+// settle completes the plans that end at the executing node over their
+// branch's window of its candidate set, less the vertices bound above it
+// (a counting pass adds the window's size, a streaming pass hands the
+// window to each plan's sink in one call, deliver), and counts its
+// collapsed children over the same window by rank sums (rankCount): what
+// the per-candidate loop would have counted, credited with exactly the
+// totals it would have produced. A leaf's Extended is what it settled
+// (sibling branches settle overlapping windows and plans ending on one
+// branch settle it each, so that measures work done); a node whose
+// children are all collapsed has the candidates less the bound ones.
+func (w *trieWorker) settle(op *plan.Op, id int32, depth int, cands []uint32, wins []trieWin) {
+	bound := w.boundIn(cands, &op.Node.Class)
 	var settled uint64
-	for bi, br := range node.Branches {
-		if len(br.Leaves) == 0 {
+	for bi := range op.Branches {
+		br := &op.Branches[bi]
+		if len(br.Leaves)+len(br.Coll) == 0 {
 			continue
 		}
 		c, x := cands, bound // a single branch: the union is its window
@@ -1025,10 +837,14 @@ func (w *trieWorker) settle(node *plan.TrieNode, ei *trieExecInfo, depth int, ca
 			c, x = setops.Clip(cands, wins[bi].lo, wins[bi].hi), setops.Clip(bound, wins[bi].lo, wins[bi].hi)
 		}
 		n := uint64(len(c) - len(x))
-		if n == 0 {
+		if n == 0 { // a leaf no candidate reaches builds no base
 			continue
 		}
-		if w.stream && len(x) > 0 {
+		for _, leaf := range br.Coll {
+			w.nstat[leaf].enters += n
+			w.credit(&w.ops[leaf], leaf, w.rankCount(leaf, c, x))
+		}
+		if w.stream && len(x) > 0 && len(br.Leaves) > 0 {
 			c = w.without(c, x)
 		}
 		for _, idx := range br.Leaves {
@@ -1040,20 +856,17 @@ func (w *trieWorker) settle(node *plan.TrieNode, ei *trieExecInfo, depth int, ca
 		}
 		settled += n * uint64(len(br.Leaves))
 	}
-	switch ns := &w.nstat[node.ID]; {
-	case ei.leaf:
+	switch ns := &w.nstat[id]; op.Kind {
+	case plan.OpSettle:
 		ns.ext += settled
-	case ei.bindsNone:
+	case plan.OpBindsNone:
 		ns.ext += uint64(len(cands) - len(bound))
-	default:
-		return false
 	}
-	return true
 }
 
 // labeled returns the vertices of cands that carry label want, in the
 // depth's scratch (none on an unlabeled graph), for the nodes whose rows
-// could not carry the label (trieExecInfo.scan). The binding and delivering
+// could not carry the label (plan.Op.Scan). The binding and delivering
 // loops call or recurse per candidate, which keeps their index in memory,
 // and a labeled level rejects most of what it scans — so the label is
 // applied first, in a loop that stays in registers and, storing every vertex
@@ -1078,21 +891,21 @@ func (w *trieWorker) labeled(cands []uint32, want int32, depth int) []uint32 {
 // credit books n extensions of a single-branch count-only leaf: the
 // candidate set is never materialized, so the extension count stands in
 // for both selectivity fields.
-func (w *trieWorker) credit(leaf *plan.TrieNode, n uint64) {
+func (w *trieWorker) credit(leaf *plan.Op, id int32, n uint64) {
 	for _, idx := range leaf.Branches[0].Leaves {
 		w.counts[idx] += n
 	}
-	w.nstat[leaf.ID].cands += n
-	w.nstat[leaf.ID].ext += n
+	w.nstat[id].cands += n
+	w.nstat[id].ext += n
 }
 
 // boundIn returns, in ascending order, the vertices bound above the
 // executing node that are among its candidates — the ones the binding loop
 // skips and a counting pass takes out of a window. Only the depths the
 // pattern lets into the node's set (Bound) can be.
-func (w *trieWorker) boundIn(cands []uint32, ei *trieExecInfo) []uint32 {
+func (w *trieWorker) boundIn(cands []uint32, c *plan.Class) []uint32 {
 	dst := w.xs[:0]
-	for _, a := range ei.Bound {
+	for _, a := range c.Bound {
 		if u := w.match[a]; setops.Contains(cands, u) {
 			dst = append(dst, u)
 		}
@@ -1103,50 +916,31 @@ func (w *trieWorker) boundIn(cands []uint32, ei *trieExecInfo) []uint32 {
 	return dst
 }
 
-// countCollapsed counts the executing node's collapsed children for every
-// candidate a branch passes but the bound vertices among them: what the
-// per-candidate loop would have counted, credited with exactly the totals
-// it would have produced. A leaf no candidate reaches builds no base.
-func (w *trieWorker) countCollapsed(node *plan.TrieNode, ei *trieExecInfo, cands, bound []uint32, wins []trieWin) {
-	for _, bi := range ei.collBranches {
-		br, win, c, x := node.Branches[bi], wins[bi], cands, bound
-		if len(wins) > 1 && (win.lo > 0 || win.hi < ^uint32(0)) { // else cands is already inside the window
-			c, x = setops.Clip(cands, win.lo, win.hi), setops.Clip(bound, win.lo, win.hi)
-		}
-		enters := uint64(len(c) - len(x))
-		for _, leaf := range br.Children {
-			if li := &w.info[leaf.ID]; li.collapsed && enters > 0 {
-				w.nstat[leaf.ID].enters += enters
-				w.credit(leaf, w.rankCount(leaf, li, c, x))
-			}
-		}
-	}
-}
-
-// rankCount counts a collapsed leaf over its parent's candidates c, less
+// rankCount counts collapsed leaf id over its parent's candidates c, less
 // the bound ones x. For a candidate v the leaf counts the base inside its
 // window, [flo, fhi) owed to the levels above the parent with an end moved
 // to v where that end depends on v, less the fixed vertices F — bound
 // above the parent, inside the base and that window — and less v. Summed
 // over c, each part is a rank sum (within): one merge of c against the
 // clipped base and one against F, and the same over x taken back.
-func (w *trieWorker) rankCount(leaf *plan.TrieNode, ei *trieExecInfo, c, x []uint32) uint64 {
-	d := leaf.Depth - 1
-	base := w.base(leaf, ei)
-	flo, fhi := trieWindow(leaf.Branches[0], w.match, d)
+func (w *trieWorker) rankCount(id int32, c, x []uint32) uint64 {
+	op := &w.ops[id]
+	cl, d := &op.Node.Class, op.Node.Depth-1
+	base := w.base(op, id)
+	flo, fhi := trieWindow(op.Branches[0].TrieBranch, w.match, d)
 	b, f := setops.Clip(base, flo, fhi), w.fs[:0]
-	for i, a := range ei.Bound {
-		if u := w.match[a]; a != d && u >= flo && u < fhi && (i < ei.NAlways || setops.Contains(base, u)) {
+	for i, a := range cl.Bound {
+		if u := w.match[a]; a != d && u >= flo && u < fhi && (i < cl.NAlways || setops.Contains(base, u)) {
 			f = append(f, u)
 		}
 	}
 	slices.Sort(f)
-	if collapsedSeen != nil {
-		collapsedSeen(ei, c, x, b, f)
+	if seen != nil {
+		seen(seenOp{Worker: w.id, Op: op, Held: b, C: c, X: x, Fixed: f})
 	}
-	n := w.within(ei, c, b) - w.within(ei, x, b)
+	n := w.within(op, c, b) - w.within(op, x, b)
 	if len(f) > 0 {
-		n += w.within(ei, x, f) - w.within(ei, c, f)
+		n += w.within(op, x, f) - w.within(op, c, f)
 	}
 	return n
 }
@@ -1155,71 +949,72 @@ func (w *trieWorker) rankCount(leaf *plan.TrieNode, ei *trieExecInfo, c, x []uin
 // elements of sorted s inside each candidate v's window other than v:
 // |s| less v when neither end depends on v, those above v or below v when
 // one end does, none when both do.
-func (w *trieWorker) within(ei *trieExecInfo, c, s []uint32) uint64 {
-	if len(c) == 0 || len(s) == 0 || ei.loDep && ei.hiDep {
+func (w *trieWorker) within(op *plan.Op, c, s []uint32) uint64 {
+	if len(c) == 0 || len(s) == 0 || op.LoDep && op.HiDep {
 		return 0
 	}
 	below, equal := setops.RankPairs(c, s, &w.sst)
 	switch all := uint64(len(c)) * uint64(len(s)); {
-	case ei.loDep:
+	case op.LoDep:
 		return all - below - equal
-	case ei.hiDep:
+	case op.HiDep:
 		return below
 	default:
 		return all - equal
 	}
 }
 
-// collapsedSeen, when set, sees the operands of every collapsed-leaf count:
-// tests record which shapes ran.
-var collapsedSeen func(ei *trieExecInfo, c, x, b, f []uint32)
-
 // countLeaf counts a single-branch leaf's extensions passing f without
-// materializing them; a degree leaf reads a degree and no row. With a
-// hoisted base that is one count-only kernel call against the row of v_d
-// (none when the binding part is empty), minus the bound vertices it
-// counted: the always depths that pass the filter, and the check depths
-// that pass it, sit in the base and meet the binding part — binary
-// searches in sets already held. A marked leaf whose v_d is no hub counts
-// |B \ N(v_d)| in the window as |B| there less the row's elements found
-// in B's bitmap (mark): one probe per element of the row, where a merge
-// walks both. The kernels get the base from the window's low end on (held)
-// and the binding row from there too where the graph serves the cut
+// materializing them, as its op says. A degree leaf reads a degree and no
+// row; a rows leaf runs its own lists (countExtensions); a fan member
+// counts the label slice its fan handed in as countExtensions counts its
+// single row. A leaf over a held base makes one count-only kernel call
+// against the row of v_d (none when the binding part is empty), minus the
+// bound vertices it counted: the always depths that pass the filter, and
+// the check depths that pass it, sit in the base and meet the binding part
+// — binary searches in sets already held. A marked leaf whose v_d is no hub
+// counts |B \ N(v_d)| in the window as |B| there less the row's elements
+// found in B's bitmap (mark): one probe per element of the row, where a
+// merge walks both. The kernels get the base from the window's low end on
+// (held) and the binding row from there too where the graph serves the cut
 // (rowPins.cutRow), so their own Clip searches neither. f is the level's
-// whole filter (see countExtensions). A fan member counts the label slice
-// its fan handed in (raw) as countExtensions counts its single row.
-func (w *trieWorker) countLeaf(node *plan.TrieNode, ei *trieExecInfo, depth int, f setops.Filter, raw []uint32) (n uint64) {
-	switch {
-	case ei.degree:
-		return w.pins.degreeCount(node.Connect[0], ei.NAlways, &w.sst)
-	case raw != nil:
-		n = setops.CountF(raw, kernelFilter(f, ei.rowLabel), &w.sst)
-		return w.pins.uncount(n, node.Connect, nil, ei.Always(), ei.Check(), f)
-	case ei.src == srcRows:
-		n, w.bufA[depth], w.bufB[depth] = w.pins.countExtensions(node.Connect, node.Disconnect, ei.Always(), ei.Check(), f, ei.rowLabel, w.bufA[depth], w.bufB[depth], &w.sst)
+// whole filter (see countExtensions).
+func (w *trieWorker) countLeaf(op *plan.Op, id int32, depth int, f setops.Filter) (n uint64) {
+	node, c := op.Node, &op.Node.Class
+	switch op.Kind {
+	case plan.OpCountDegree:
+		return w.pins.degreeCount(node.Connect[0], c.NAlways, &w.sst)
+	case plan.OpCountFan:
+		n = setops.CountF(w.raw[depth], kernelFilter(f, op.RowLabel), &w.sst)
+		return w.pins.uncount(n, node.Connect, nil, c.Always(), c.Check(), f)
+	case plan.OpCountRows:
+		n, w.bufA[depth], w.bufB[depth] = w.pins.countExtensions(node.Connect, node.Disconnect, c.Always(), c.Check(), f, op.RowLabel, w.bufA[depth], w.bufB[depth], &w.sst)
 		return n
 	}
-	base, kf := w.base(node, ei), kernelFilter(f, ei.rowLabel)
-	held := w.held(node.ID, ei, base, kf.Lo)
-	if windowSeen != nil {
-		windowSeen(w.id, node, w.baseKey(node.ID, ei), base, held, w.pins.row(depth-1), w.pins.cutRow(depth-1, pattern.Unlabeled, kf.Lo), kf.Lo)
-	}
-	switch {
-	case len(ei.BConn) > 0:
-		n = w.pins.intersectCountF(held, depth-1, kf, ei.rowLabel, &w.sst)
-	case ei.Mark && w.g.HubBits(w.match[depth-1]) == nil: // counted, so a marked leaf
-		row := w.pins.cutRow(depth-1, pattern.Unlabeled, kf.Lo)
-		n = uint64(len(setops.Clip(held, kf.Lo, kf.Hi))) - setops.IntersectBitsCountF(row, w.mark(node.ID, ei, base), kf, &w.sst)
-		if markedSeen != nil {
-			markedSeen(w.id, node, base, row, kf, n)
+	base, kf := w.base(op, id), kernelFilter(f, op.RowLabel)
+	held, marked := w.held(op, id, base, kf.Lo), false
+	switch op.Kind {
+	case plan.OpCountMerge:
+		n = w.pins.intersectCountF(held, depth-1, kf, op.RowLabel, &w.sst)
+	case plan.OpCountMarked:
+		if w.g.HubBits(w.match[depth-1]) == nil {
+			row := w.pins.cutRow(depth-1, pattern.Unlabeled, kf.Lo)
+			n = uint64(len(setops.Clip(held, kf.Lo, kf.Hi))) - setops.IntersectBitsCountF(row, w.mark(op, id, base), kf, &w.sst)
+			marked = true
+			break
 		}
-	case len(ei.BDisc) > 0:
+		fallthrough // a hub's bitmap stands in for its row
+	case plan.OpCountDiff:
 		n = w.pins.differenceCountF(held, depth-1, kf, &w.sst)
-	default:
+	default: // OpCountHeld
 		n = setops.CountF(held, kf, &w.sst)
 	}
-	for i, a := range ei.Bound {
-		if u := w.match[a]; f.Pass(u) && (i < ei.NAlways || setops.Contains(base, u) && w.pins.qualifies(a, ei.BConn, ei.BDisc)) {
+	if seen != nil {
+		seen(seenOp{Worker: w.id, Op: op, Key: w.baseKey(op, id), Base: base, Held: held, Row: w.pins.row(depth - 1),
+			Cut: w.pins.cutRow(depth-1, pattern.Unlabeled, kf.Lo), F: kf, N: n, Marked: marked})
+	}
+	for i, a := range c.Bound {
+		if u := w.match[a]; f.Pass(u) && (i < c.NAlways || setops.Contains(base, u) && w.pins.qualifies(a, c.BConn, c.BDisc)) {
 			n--
 		}
 	}
@@ -1227,17 +1022,17 @@ func (w *trieWorker) countLeaf(node *plan.TrieNode, ei *trieExecInfo, depth int,
 }
 
 // baseKey names the generation of leaf id's held base, once base has
-// returned it: a srcBuilt base is keyed by its build stamp, a srcRaw one by
+// returned it: a SrcBuilt base is keyed by its build stamp, a SrcRaw one by
 // the stamp of the binding its ancestor A at depth At executed under. A runs
 // once per binding of depth At-1 and assigns w.raw[At] as it starts;
 // siblings of A overwrite w.raw[At] too, but only outside A's subtree, where
 // the leaf never runs, so the key changes whenever the base can — also when
 // a rebuild overwrites the base buffer in place. Keys are never 0.
-func (w *trieWorker) baseKey(id int, ei *trieExecInfo) uint64 {
-	if ei.src == srcBuilt {
-		return w.bases[id].stamp
+func (w *trieWorker) baseKey(op *plan.Op, id int32) uint64 {
+	if op.Src == plan.SrcBuilt {
+		return w.nodes[id].stamp
 	}
-	return w.stamp[ei.At-1]
+	return w.stamp[op.At-1]
 }
 
 // held returns leaf id's base from its first element ≥ lo on, resuming the
@@ -1247,9 +1042,9 @@ func (w *trieWorker) baseKey(id int, ei *trieExecInfo) uint64 {
 // searches only the rest of the base past them. A new generation or a low
 // end below the last one (set by a depth above the parent, which rebinds)
 // starts over from the base's head.
-func (w *trieWorker) held(id int, ei *trieExecInfo, base []uint32, lo uint32) []uint32 {
-	c := &w.cursors[id]
-	if key := w.baseKey(id, ei); c.key != key || lo < c.lo {
+func (w *trieWorker) held(op *plan.Op, id int32, base []uint32, lo uint32) []uint32 {
+	c := &w.nodes[id].cursor
+	if key := w.baseKey(op, id); c.key != key || lo < c.lo {
 		*c = windowCursor{key: key}
 	}
 	at := int(c.at)
@@ -1263,21 +1058,15 @@ func (w *trieWorker) held(id int, ei *trieExecInfo, base []uint32, lo uint32) []
 	return base[at:]
 }
 
-// windowSeen, when set, sees every held-base count: the base's generation
-// key, the base and what held left of it, the binding row and what cutRow
-// left of it, and the window's low end. Tests hold each cut against
-// setops.Clip.
-var windowSeen func(worker int, leaf *plan.TrieNode, key uint64, base, held, row, cut []uint32, lo uint32)
-
 // mark returns the bitmap of marked leaf id's base, marking the base first
 // when its generation changed since the leaf last marked it (baseKey). Each
 // leaf has its own bitmap, so sibling leaves over different bases do not
 // undo each other's marks. The old bits are cleared from the leaf's copy of
 // what it marked, never from the base buffer, which a rebuild overwrites in
 // place. A mark charges the base's elements.
-func (w *trieWorker) mark(id int, ei *trieExecInfo, base []uint32) []uint64 {
-	m := &w.marks[id]
-	key := w.baseKey(id, ei)
+func (w *trieWorker) mark(op *plan.Op, id int32, base []uint32) []uint64 {
+	m := &w.nodes[id].marks
+	key := w.baseKey(op, id)
 	if m.key == key {
 		return m.words
 	}
@@ -1293,28 +1082,25 @@ func (w *trieWorker) mark(id int, ei *trieExecInfo, base []uint32) []uint64 {
 	return m.words
 }
 
-// markedSeen, when set, sees the operands and count of every marked-leaf
-// count: tests hold it against the merge.
-var markedSeen func(worker int, leaf *plan.TrieNode, base, row []uint32, f setops.Filter, n uint64)
-
 // set materializes a node's raw (pre-window) candidate set, label-pure
-// unless the node scans: its base narrowed by the binding part, or its own
-// lists through rowPins when nothing is hoisted. The result is worker
-// scratch, a base, a pinned row or a label row — each valid through the
-// node's subtree recursion, during which the depths above stay bound and
-// deeper levels use their own scratch.
-func (w *trieWorker) set(node *plan.TrieNode, ei *trieExecInfo, depth int) (cur []uint32) {
-	if ei.src == srcRows {
-		if len(node.Connect) == 1 && len(node.Disconnect) == 0 {
-			return w.pins.connRow(node.Connect[0], ei.rowLabel) // every level of a tree pattern: no scratch to hand around
-		}
-		cur, w.bufA[depth], w.bufB[depth] = w.pins.candidates(node.Connect, node.Disconnect, ei.rowLabel, w.bufA[depth], w.bufB[depth], &w.sst)
+// unless the node scans, from its op's source (a fan member's is handed in):
+// its one row, its own lists through rowPins, or its base narrowed by the
+// binding part. The result is worker scratch, a base, a pinned row or a
+// label row — each valid through the node's subtree recursion, during which
+// the depths above stay bound and deeper levels use their own scratch.
+func (w *trieWorker) set(op *plan.Op, id int32, depth int) (cur []uint32) {
+	node, c := op.Node, &op.Node.Class
+	switch op.Src {
+	case plan.SrcRow:
+		return w.pins.connRow(node.Connect[0], op.RowLabel) // every level of a tree pattern: no scratch to hand around
+	case plan.SrcRows:
+		cur, w.bufA[depth], w.bufB[depth] = w.pins.candidates(node.Connect, node.Disconnect, op.RowLabel, w.bufA[depth], w.bufB[depth], &w.sst)
 		return cur
 	}
-	cur = w.base(node, ei)
-	if len(ei.BConn) > 0 {
-		cur = w.pins.intersectNeighbors(w.bufA[depth], cur, depth-1, ei.rowLabel, &w.sst)
-	} else if len(ei.BDisc) > 0 {
+	cur = w.base(op, id)
+	if len(c.BConn) > 0 {
+		cur = w.pins.intersectNeighbors(w.bufA[depth], cur, depth-1, op.RowLabel, &w.sst)
+	} else if len(c.BDisc) > 0 {
 		cur = w.pins.differenceNeighbors(w.bufA[depth], cur, depth-1, &w.sst)
 	}
 	return cur
@@ -1327,26 +1113,28 @@ func (w *trieWorker) set(node *plan.TrieNode, ei *trieExecInfo, depth int) (cur 
 // runs all operands but the last through the depth's scratch (free: no
 // node at this depth is executing) and the last into the buffer, which
 // doubles up to the largest set it has held (≤ 4×MaxDegree words of arena).
-func (w *trieWorker) base(node *plan.TrieNode, ei *trieExecInfo) []uint32 {
-	switch ei.src {
-	case srcRows:
+func (w *trieWorker) base(op *plan.Op, id int32) []uint32 {
+	node, c := op.Node, &op.Node.Class
+	switch op.Src {
+	case plan.SrcRaw:
+		return w.raw[op.At]
+	case plan.SrcBuilt:
+	default:
 		return w.pins.row(node.Connect[0])
-	case srcRaw:
-		return w.raw[ei.At]
 	}
-	b := &w.bases[node.ID]
-	if b.stamp != w.stamp[ei.At] {
-		b.stamp = w.stamp[ei.At]
+	b := &w.nodes[id]
+	if b.stamp != w.stamp[op.At] {
+		b.stamp = w.stamp[op.At]
 		k := node.Depth
 		var cur []uint32
-		cur, w.bufA[k], w.bufB[k] = w.pins.candidates(ei.PConn, ei.PDisc, ei.rowLabel, w.bufA[k], w.bufB[k], &w.sst)
+		cur, w.bufA[k], w.bufB[k] = w.pins.candidates(c.PConn, c.PDisc, op.RowLabel, w.bufA[k], w.bufB[k], &w.sst)
 		if cap(b.set) < len(cur) {
-			b.set = w.alloc(max(len(cur), 2*cap(b.set)))
+			b.set = w.arena.Alloc(max(len(cur), 2*cap(b.set)))
 		}
-		if ei.LastDisc {
-			b.set = w.pins.differenceNeighbors(b.set, cur, ei.Last, &w.sst)
+		if c.LastDisc {
+			b.set = w.pins.differenceNeighbors(b.set, cur, c.Last, &w.sst)
 		} else {
-			b.set = w.pins.intersectNeighbors(b.set, cur, ei.Last, ei.rowLabel, &w.sst)
+			b.set = w.pins.intersectNeighbors(b.set, cur, c.Last, op.RowLabel, &w.sst)
 		}
 	}
 	return b.set
@@ -1354,11 +1142,11 @@ func (w *trieWorker) base(node *plan.TrieNode, ei *trieExecInfo) []uint32 {
 
 // clip resolves the node's branch windows against the bound prefix, into
 // per-depth scratch, and narrows the sorted candidate set to their union.
-func (w *trieWorker) clip(node *plan.TrieNode, depth int, cands []uint32) ([]uint32, []trieWin) {
+func (w *trieWorker) clip(op *plan.Op, depth int, cands []uint32) ([]uint32, []trieWin) {
 	wins := w.wins[depth][:0]
 	ulo, uhi := ^uint32(0), uint32(0)
-	for _, br := range node.Branches {
-		lo, hi := trieWindow(br, w.match, -1)
+	for bi := range op.Branches {
+		lo, hi := trieWindow(op.Branches[bi].TrieBranch, w.match, -1)
 		wins = append(wins, trieWin{lo, hi})
 		ulo, uhi = min(ulo, lo), max(uhi, hi)
 	}

@@ -131,8 +131,14 @@ func TestWindowCursorIsTheClip(t *testing.T) {
 		plain   bool
 		fromGP  map[*plan.TrieNode]bool // leaves whose low end is a grandparent's candidate
 	)
-	stop := engine.SeeWindows(func(worker int, leaf *plan.TrieNode, key uint64, base, held, row, cut []uint32, lo uint32) {
-		w := &workers[worker]
+	stop := engine.SeeOps(func(s engine.OpSeen) {
+		switch s.Op.Kind {
+		case plan.OpCountMerge, plan.OpCountDiff, plan.OpCountMarked, plan.OpCountHeld:
+		default:
+			return
+		}
+		leaf, key, base, held, row, cut, lo := s.Op.Node, s.Key, s.Base, s.Held, s.Row, s.Cut, s.F.Lo
+		w := &workers[s.Worker]
 		w.counts++
 		// A row comes back whole where no offset applies, for the kernel
 		// to clip; always on the decoding tiers.

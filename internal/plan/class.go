@@ -33,14 +33,14 @@ type Class struct {
 	NAlways int
 
 	// DegreeRow: one Connect row, unlabeled, nothing to probe; as a leaf of
-	// one branch without a window it counts the row's length (TrieNode.Degree).
+	// one branch without a window it counts the row's length (OpCountDegree).
 	DegreeRow bool
 	// Collapse: below the root, unlabeled, no binding part; as a leaf of one
-	// branch its parent counts it in bulk (TrieNode.Collapsed).
+	// branch its parent counts it in bulk (OpCollapsed).
 	Collapse bool
 	// Mark: a base, unlabeled, a Disconnect binding part and no Connect one;
 	// as a leaf of one branch it marks the base in a bitmap and counts by
-	// probing the binding row into it (TrieNode.Marked).
+	// probing the binding row into it (OpCountMarked).
 	Mark bool
 }
 

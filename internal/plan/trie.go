@@ -53,15 +53,8 @@ type TrieNode struct {
 	// Class is the level's class, the same in every plan through the node.
 	Class Class
 
-	// What a counting pass makes of the node among its siblings and
-	// children (a streaming pass binds every level and reads only Leaf).
-	Leaf         bool  // every branch is childless
-	Degree       bool  // a leaf of one unbounded branch counting a row's length (Class.DegreeRow)
-	Collapsed    bool  // a leaf of one branch counted by its parent, never executed (Class.Collapse)
-	Marked       bool  // a leaf of one branch counting a difference by bit probes into its base (Class.Mark)
-	LoDep, HiDep bool  // collapsed: the window's low / high end depends on the parent's vertex
-	BindsNone    bool  // every child is collapsed: nothing left to bind
-	CollBranches []int // the branches with a collapsed child, or with leaves when BindsNone
+	// Leaf: every branch is childless.
+	Leaf bool
 }
 
 // TrieBranch applies one symmetry-condition set (a per-child filter pushed
@@ -138,34 +131,7 @@ func (t *Trie) Reset(plans ...*Plan) error {
 		}
 		t.MaxDepth = max(t.MaxDepth, pl.Pattern.N())
 	}
-	for _, r := range t.Roots {
-		settle(r)
-	}
 	return nil
-}
-
-// settle decides what a counting pass makes of each node of n's subtree.
-func settle(n *TrieNode) {
-	n.Leaf, n.BindsNone = true, true
-	for _, b := range n.Branches {
-		for _, c := range b.Children {
-			settle(c)
-			n.Leaf, n.BindsNone = false, n.BindsNone && c.Collapsed
-		}
-	}
-	n.BindsNone = n.BindsNone && !n.Leaf
-	if br := n.Branches; n.Leaf && len(br) == 1 {
-		n.Degree = n.Class.DegreeRow && len(br[0].Greater)+len(br[0].Smaller) == 0
-		n.Collapsed, n.Marked = n.Class.Collapse, n.Class.Mark
-		n.LoDep = n.Collapsed && slices.Contains(br[0].Greater, n.Depth-1)
-		n.HiDep = n.Collapsed && slices.Contains(br[0].Smaller, n.Depth-1)
-	}
-	n.CollBranches = n.CollBranches[:0]
-	for bi, b := range n.Branches {
-		if n.BindsNone && len(b.Leaves) > 0 || slices.ContainsFunc(b.Children, func(c *TrieNode) bool { return c.Collapsed }) {
-			n.CollBranches = append(n.CollBranches, bi)
-		}
-	}
 }
 
 // recycle moves n's subtree to the free lists, emptied of everything but
@@ -178,7 +144,7 @@ func (t *Trie) recycle(n *TrieNode) {
 		*b = TrieBranch{Leaves: b.Leaves[:0], Children: b.Children[:0]}
 		t.freeBranches = append(t.freeBranches, b)
 	}
-	*n = TrieNode{Branches: n.Branches[:0], CollBranches: n.CollBranches[:0]}
+	*n = TrieNode{Branches: n.Branches[:0]}
 	t.freeNodes = append(t.freeNodes, n)
 }
 
@@ -209,6 +175,7 @@ func (t *Trie) insert(pl *Plan, idx int) error {
 		return fmt.Errorf("plan: MergePlans: plan %d has no levels", idx)
 	}
 	nodes := &t.Roots
+	var parent *TrieNode
 	var br *TrieBranch
 	sharedPrefix := 0
 	prefixIntact := true
@@ -226,6 +193,10 @@ func (t *Trie) insert(pl *Plan, idx int) error {
 			node = t.newNode()
 			node.ID, node.Depth = t.Nodes, i
 			node.Connect, node.Disconnect, node.Label, node.Class = pl.Connect[i], pl.Disconnect[i], label, pl.Class[i]
+			node.Leaf = true
+			if parent != nil {
+				parent.Leaf = false
+			}
 			t.Nodes++
 			*nodes = append(*nodes, node)
 			prefixIntact = false
@@ -248,7 +219,7 @@ func (t *Trie) insert(pl *Plan, idx int) error {
 			br.Greater, br.Smaller = pl.Greater[i], pl.Smaller[i]
 			node.Branches = append(node.Branches, br)
 		}
-		nodes = &br.Children
+		nodes, parent = &br.Children, node
 	}
 	br.Leaves = append(br.Leaves, idx)
 	if sharedPrefix > t.MaxSharedPrefix {

@@ -8,13 +8,27 @@ import (
 	"morphing/internal/pattern"
 )
 
-// shape renders everything an executor reads from a trie.
+// shape renders everything an executor reads from a trie: its nodes and
+// what every kind of pass lowers them to.
 func shape(t *Trie) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s depth=%d plans=%d\n", t, t.MaxDepth, len(t.Plans))
+	for _, pass := range [][2]bool{{false, false}, {false, true}, {true, false}, {true, true}} {
+		var p Program
+		p.Lower(t, pass[0], pass[1])
+		fmt.Fprintf(&b, "stream %v label rows %v: order %v roots %v scans %v marks %v\n", pass[0], pass[1], p.Order, p.Roots, p.Scans, p.Marks)
+		for i, op := range p.Ops {
+			fmt.Fprintf(&b, " op %d kind %d src %d clock %d scan %v row label %d at %d settles %v dep %v/%v:",
+				i, op.Kind, op.Src, op.Clock, op.Scan, op.RowLabel, op.At, op.Settles, op.LoDep, op.HiDep)
+			for _, br := range op.Branches {
+				fmt.Fprintf(&b, " [kids %v coll %v]", br.Kids, br.Coll)
+			}
+			b.WriteString("\n")
+		}
+	}
 	t.Walk(func(n *TrieNode) {
-		fmt.Fprintf(&b, "node %d depth %d conn %v disc %v label %d patterns %d class %+v leaf %v degree %v collapsed %v dep %v/%v binds none %v %v:",
-			n.ID, n.Depth, n.Connect, n.Disconnect, n.Label, n.Patterns, n.Class, n.Leaf, n.Degree, n.Collapsed, n.LoDep, n.HiDep, n.BindsNone, n.CollBranches)
+		fmt.Fprintf(&b, "node %d depth %d conn %v disc %v label %d patterns %d class %+v leaf %v:",
+			n.ID, n.Depth, n.Connect, n.Disconnect, n.Label, n.Patterns, n.Class, n.Leaf)
 		for _, br := range n.Branches {
 			fmt.Fprintf(&b, " [gt %v lt %v leaves %v children", br.Greater, br.Smaller, br.Leaves)
 			for _, c := range br.Children {
