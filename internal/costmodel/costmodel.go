@@ -14,7 +14,6 @@ package costmodel
 
 import (
 	"math"
-	"math/bits"
 	"time"
 
 	"morphing/internal/graph"
@@ -44,8 +43,8 @@ type Weights struct {
 	// kernel: a collapsed leaf, counted for all its parent's candidates at
 	// once by rank sums over a set already held.
 	Leaf float64
-	// Marked is one element a marked leaf scans (Class.Mark in a counting
-	// pass): it probes the binding row, a model row per execution, into a
+	// Marked is one element a marked leaf scans (plan.OpCountMarked): it
+	// probes the binding row, a model row per execution, into a
 	// bitmap of its base, and marks the base, its expected size, once per
 	// base (markScan) — where a merge would cost Difference x a row per
 	// execution.
@@ -66,7 +65,7 @@ type Weights struct {
 // the collapsed leaves' rank sums, plus depth + 2 comparisons per candidate
 // a binding level examined). Against the measured number of intersections,
 // differences, marked-leaf probes and marks, collapsed-leaf executions and
-// node executions of each pass (per-node Enters, every node's plan.Class),
+// node executions of each pass (per-node Enters, every node's lowered op),
 // relative least squares yields SetOp 1.2 and Difference 3.02 model rows
 // per call, Leaf 1.54, Iterate 6.37 and Marked 1.8 elements; 38 of the 40
 // rows are predicted within x1.6, the other two (a single tailed triangle
@@ -167,24 +166,30 @@ type Level struct {
 	Cost float64
 }
 
-// Levels appends pl's trie nodes to dst, root first, each priced by its
-// class (plan.Class, the one the executor runs): the root scan; below it one
-// Iterate per execution — a level runs once per binding of its parent —
-// plus its kernel calls. In a counting pass (perMatch == 0) the last level
-// is count-only: its kernel call per entering prefix, if any (a degree leaf
-// reads a row's length), no per-match iteration, and Leaf more when its
-// parent counts it in bulk (Class.Collapse); a marked leaf (Class.Mark)
-// pays Marked per element it probes and marks (markScan) in place of its
-// difference. With perMatch > 0 every match is delivered: the last level
-// is iterated and carries perMatch per expected unique match, aut being |Aut(pattern)|. A last level's key is
-// its own — it never merges with an inner level of a larger pattern, which
-// executes differently.
+// Levels appends pl's trie nodes to dst, root first, each priced by the op
+// it runs in the plan's own counting pass on a tier that serves label rows
+// (plan.Plan.CountingOps): the root scan; below it one Iterate per
+// execution — a level runs once per binding of its parent — plus its kernel
+// calls. In a counting pass (perMatch == 0) the last level is count-only:
+// its kernel call per entering prefix, if any, no per-match iteration, and
+// Leaf more when its parent counts it in bulk (OpCollapsed); a marked leaf
+// (OpCountMarked) pays Marked per element it probes and marks (markScan) in
+// place of its difference. With perMatch > 0 every match is delivered: the
+// last level is iterated and carries perMatch per expected unique match,
+// aut being |Aut(pattern)|. A last level's key is its own — it never merges
+// with an inner level of a larger pattern, which executes differently.
 func (m *Model) Levels(pl *plan.Plan, perMatch float64, aut int, dst []Level) []Level {
+	ops := pl.Counting
+	if ops == nil { // not memoized with its shape, as an order GraphPi's search built
+		var buf [pattern.MaxVertices]plan.Op
+		ops = pl.CountingOps(buf[:0])
+	}
 	var enter [pattern.MaxVertices + 1]float64 // partial embeddings entering each level
 	enter[0] = 1
 	matches := 1 / float64(max(aut, 1)) // unique matches: no window, one per automorphism class
 	key, last := uint64(0x9e3779b97f4a7c15), len(pl.Order)-1
 	for i := range pl.Order {
+		op := &ops[i]
 		label := pl.Pattern.Label(pl.Order[i])
 		conn, disc := pl.Connect[i], pl.Disconnect[i]
 		key = mix(mix(mix(key, uint64(uint32(label))), mask(conn)), mask(disc))
@@ -205,15 +210,15 @@ func (m *Model) Levels(pl *plan.Plan, perMatch float64, aut int, dst []Level) []
 		// does not depend on its own windows, which are not in its key.
 		cost := m.w.Iterate * m.n
 		if i > 0 {
-			k := callsOf(pl, i)
+			k := callsOf(pl, i, op)
 			marked := 0.0 // elements a marked leaf probes and marks
-			if i == last && perMatch == 0 && pl.Class[i].Mark {
-				probes, size, at := m.markScan(pl, i)
-				marked, k.diff = probes*enter[i]+size*enter[at], 0
+			if perMatch == 0 && op.Kind == plan.OpCountMarked {
+				probes, size := m.markScan(pl, i)
+				marked, k.diff = probes*enter[i]+size*enter[k.remade], 0
 			}
 			cost = m.w.Iterate*enter[i] + m.w.Marked*marked + m.deg*
 				(enter[i]*(m.w.SetOp*k.inter+m.w.Difference*k.diff)+
-					enter[k.baseAt+1]*(m.w.SetOp*k.baseInter+m.w.Difference*k.baseDiff))
+					enter[k.remade]*(m.w.SetOp*k.baseInter+m.w.Difference*k.baseDiff))
 		}
 		k := key
 		if i == last {
@@ -221,7 +226,7 @@ func (m *Model) Levels(pl *plan.Plan, perMatch float64, aut int, dst []Level) []
 			switch {
 			case perMatch > 0:
 				cost += m.w.Iterate*enter[i+1] + perMatch*matches
-			case pl.Class[i].Collapse:
+			case op.Kind == plan.OpCollapsed:
 				cost += m.w.Leaf * enter[i]
 			}
 		}
@@ -231,38 +236,44 @@ func (m *Model) Levels(pl *plan.Plan, perMatch float64, aut int, dst []Level) []
 	return dst
 }
 
-// calls counts a level's kernel calls, read off its class: per execution,
-// and per build of its base (once per binding of level baseAt). A level
-// running its own lists calls once per row but the first; a built base
-// costs its operands but the first, nothing when an unlabeled ancestor
-// materialized its lists, and leaves an execution the binding part's call.
-// A base of one row narrowed by differences stays row-sized, so a call
-// against it counts as a difference, whatever the call (the fit's table,
-// MI: 29-53 elements a call, 12-15 against a base of intersected rows).
+// calls counts kernel calls per execution, and per execution of level
+// remade, which remakes the base: its build.
 type calls struct {
 	inter, diff, baseInter, baseDiff float64
-	baseAt                           int
+	remade                           int
 }
 
-// markScan returns what a marked leaf at level i (Class.Mark) scans: the
-// elements it probes per execution, the binding row clipped to its window;
-// its base's expected size, which it marks; and the level each of whose
-// executions remakes the base, so that the leaf marks it again — the
-// deepest unlabeled ancestor whose raw set it aliases, or else the level
-// after the base's deepest operand, once per build. A window bounded by a
-// level that is itself bounded sits inside that level's window, so a row
-// keeps RestrictionFactor of its elements per window nested (windowDepth).
-func (m *Model) markScan(pl *plan.Plan, i int) (probes, size float64, at int) {
+// callsOf counts level i's kernel calls as op runs them, switching on op.Src
+// as the executor does: own lists, a call per row but the first; a base, the
+// binding part's call, and its operands but the first per build (SrcBuilt,
+// none when aliased). A base of one row narrowed by differences stays
+// row-sized, so a call against it counts as a difference, whatever the call
+// (the fit's table, MI: 29-53 elements a call, 12-15 against intersections).
+func callsOf(pl *plan.Plan, i int, op *plan.Op) (k calls) {
+	switch op.Src {
+	case plan.SrcRows, plan.SrcRow, plan.SrcFan:
+		return calls{inter: float64(len(pl.Connect[i]) - 1), diff: float64(len(pl.Disconnect[i]))}
+	}
 	c := &pl.Class[i]
+	k.inter, k.diff = float64(len(c.BConn)), float64(len(c.BDisc))
+	bi, bd := len(pl.Connect[i])-len(c.BConn)-1, len(pl.Disconnect[i])-len(c.BDisc) // the base's operands but the first
+	if bi == 0 {
+		k.inter, k.diff = 0, k.inter+k.diff
+	}
+	if k.remade = int(op.At); op.Src == plan.SrcBuilt {
+		k.baseInter, k.baseDiff, k.remade = float64(bi), float64(bd), k.remade+1
+	}
+	return k
+}
+
+// markScan returns what a marked leaf at level i scans: per execution the
+// binding row clipped to its window, which keeps RestrictionFactor of a row
+// per window nested (windowDepth), and its base's expected size, marked
+// again whenever the base is remade (callsOf).
+func (m *Model) markScan(pl *plan.Plan, i int) (probes, size float64) {
 	probes = m.deg * math.Pow(m.w.RestrictionFactor, float64(windowDepth(pl, i)))
 	size = m.n * m.probPow[len(pl.Connect[i])] * m.antiPow[len(pl.Disconnect[i])-1]
-	at = c.At + 1
-	for raw := c.Raw; raw != 0; raw &^= 1 << (bits.Len16(raw) - 1) {
-		if a := bits.Len16(raw) - 1; pl.Pattern.Label(pl.Order[a]) == pattern.Unlabeled {
-			return probes, size, a
-		}
-	}
-	return probes, size, at
+	return probes, size
 }
 
 // windowDepth returns how many windows level i's window is nested in: 0
@@ -275,28 +286,6 @@ func windowDepth(pl *plan.Plan, i int) int {
 		}
 	}
 	return d
-}
-
-func callsOf(pl *plan.Plan, i int) (k calls) {
-	c := &pl.Class[i]
-	if !c.Built {
-		return calls{inter: float64(len(pl.Connect[i]) - 1), diff: float64(len(pl.Disconnect[i]))}
-	}
-	k.inter, k.diff = float64(len(c.BConn)), float64(len(c.BDisc))
-	bi, bd := len(c.PConn), len(c.PDisc) // the operands but the first, Last included
-	if c.LastDisc {
-		bi, bd = bi-1, bd+1
-	}
-	if bi == 0 {
-		k.inter, k.diff = 0, k.inter+k.diff
-	}
-	for raw := c.Raw; raw != 0; raw &= raw - 1 {
-		if pl.Pattern.Label(pl.Order[bits.TrailingZeros16(raw)]) == pattern.Unlabeled {
-			return k
-		}
-	}
-	k.baseInter, k.baseDiff, k.baseAt = float64(bi), float64(bd), c.At
-	return k
 }
 
 // lastLevel salts the key of a plan's final level.

@@ -91,6 +91,29 @@ func TestPerMatchCostIncreasesPatternCost(t *testing.T) {
 	}
 }
 
+// TestPlanCostAllocatesNothing: GraphPi's order search prices up to 120
+// orders per mined pattern through PlanCost, on every query it plans. Each
+// such plan is lowered when it is priced (plan.Plan.CountingOps), in pooled
+// scratch: once warm, pricing an order allocates nothing.
+func TestPlanCostAllocatesNothing(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector's sync.Pool drops a share of what is put back")
+	}
+	m := model(t)
+	for _, p := range []*pattern.Pattern{
+		pattern.FourCycle().AsVertexInduced(), pattern.TailedTriangle(), pattern.FourClique(),
+		pattern.MustNew(5, [][2]int{{0, 1}, {0, 2}, {0, 3}, {0, 4}}, pattern.WithLabels([]int32{0, 0, pattern.Unlabeled, 1, 0}), pattern.WithInduced(pattern.VertexInduced)),
+	} {
+		pl, err := plan.BuildWithOrder(p, plan.DefaultOrder(p)) // a plan the shape memo did not lower
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(100, func() { m.PlanCost(pl) }); n > 0 {
+			t.Errorf("%v: PlanCost allocates %v objects per call", p, n)
+		}
+	}
+}
+
 // nodePaths returns, per plan of tr, the trie node it runs at each level.
 func nodePaths(tr *plan.Trie) [][]*plan.TrieNode {
 	paths := make([][]*plan.TrieNode, len(tr.Plans))

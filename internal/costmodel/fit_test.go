@@ -72,9 +72,9 @@ func solve(a [][]float64, b []float64) []float64 {
 // set of fitSets is mined in one counting pass (plan.Build's plans, one
 // thread) on MI x0.01 and MG x0.003, and the executor's exact counters say
 // how often each trie node ran (TrieNodes.Enters) and how much work the pass
-// did (engine.Stats.Work, the one definition of exact work). With every
-// node's class (callsOf over its plan.Class, and whether the counting
-// pass's lowering makes it OpCollapsed or OpCountMarked, markScan) that gives, per set, the intersections and
+// did (engine.Stats.Work, the one definition of exact work). With the op
+// each node ran, read from the pass's own lowering (callsOf, and markScan
+// for an OpCountMarked leaf), that gives, per set, the intersections and
 // differences executed (kernel calls and base builds), the elements the
 // marked leaves probe and mark as the model expects them, the
 // collapsed-leaf executions and the node executions; the weights are the
@@ -126,7 +126,8 @@ func TestFitWeights(t *testing.T) {
 			}
 			var prog plan.Program
 			prog.Lower(tr, false, true)
-			// Every node once, its calls read from the first plan through it.
+			// Every node once, its calls read off the op the pass ran there,
+			// with the lists of the first plan through it.
 			var inter, diff, marked, collapsed float64
 			execs := float64(g.NumVertices())
 			classed := map[int]bool{}
@@ -136,17 +137,18 @@ func TestFitWeights(t *testing.T) {
 						continue
 					}
 					classed[node.ID] = true
-					k := callsOf(plans[idx], i+1)
-					if prog.Ops[node.ID].Kind == plan.OpCountMarked {
-						probes, size, at := m.markScan(plans[idx], i+1)
-						marked += probes*float64(st.TrieNodes[node.ID].Enters) + size*float64(st.TrieNodes[path[at].ID].Enters)
+					op := &prog.Ops[node.ID]
+					k := callsOf(plans[idx], i+1, op)
+					runs, remakes := float64(st.TrieNodes[node.ID].Enters), float64(st.TrieNodes[path[k.remade].ID].Enters)
+					if op.Kind == plan.OpCountMarked {
+						probes, size := m.markScan(plans[idx], i+1)
+						marked += probes*runs + size*remakes
 						k.diff = 0
 					}
-					runs, builds := float64(st.TrieNodes[node.ID].Enters), float64(st.TrieNodes[path[k.baseAt+1].ID].Enters)
 					execs += runs
-					inter += runs*k.inter + builds*k.baseInter
-					diff += runs*k.diff + builds*k.baseDiff
-					if prog.Ops[node.ID].Kind == plan.OpCollapsed {
+					inter += runs*k.inter + remakes*k.baseInter
+					diff += runs*k.diff + remakes*k.baseDiff
+					if op.Kind == plan.OpCollapsed {
 						collapsed += runs
 					}
 				}

@@ -28,9 +28,14 @@ import (
 // is the plan's own: a set's distinct keys are its trie, priced
 // consistently. There is one classification: every plan level's class is
 // the class its node carries (a class depends on the path from the root
-// alone), and the model charges a plan's last level as a collapsed leaf, or
-// as a marked one, exactly when the counting pass's lowering of the plan
-// (plan.Program) makes it OpCollapsed, or OpCountMarked.
+// alone). And there is one decision of what a node runs, the lowering's
+// (plan.Program): the model charges a base build at a level exactly when the
+// plan's own counting pass sources the level from a base it builds
+// (SrcBuilt), once per binding of the level the op names, and charges the
+// last level as a collapsed leaf, or as a marked one, exactly when that pass
+// makes it OpCollapsed, or OpCountMarked. A share of the labeled sets leaves
+// some vertices unlabeled, where a labeled level that scans hands its
+// descendants an unfiltered raw set to alias (SrcRaw).
 func TestLevelKeysAreTheTrieNodes(t *testing.T) {
 	g, err := dataset.MiCo().Scaled(0.01).Generate()
 	if err != nil {
@@ -45,9 +50,63 @@ func TestLevelKeysAreTheTrieNodes(t *testing.T) {
 	w.Marked = 0
 	noMarked := costmodel.New(sum, w)
 	var prog plan.Program
+	collapsed, marked := 0, 0
+	// alone lowers pl's own counting pass — a one-plan trie, on a tier that
+	// serves label rows — and checks the model's charges against its ops.
+	// Pricing with and without Leaf, and Marked, shows how the model charged
+	// the last level.
+	alone := func(planner string, pl *plan.Plan) {
+		tr, err := plan.MergePlans([]*plan.Plan{pl})
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := costmodel.NodePaths(tr)[0]
+		prog.Lower(tr, false, true)
+		for l := 1; l < len(path); l++ {
+			op := &prog.Ops[path[l].ID]
+			if at := costmodel.BaseAt(pl, l); (at != 0) != (op.Src == plan.SrcBuilt) || at != 0 && at != int(op.At) {
+				t.Fatalf("%s: %v order %v level %d: the model charges a base build per binding of level %d (0: none); the counting pass runs Src %d (SrcBuilt %d, SrcRaw %d) at %d",
+					planner, pl.Pattern, pl.Order, l, at, op.Src, plan.SrcBuilt, plan.SrcRaw, op.At)
+			}
+		}
+		last := len(path) - 1
+		op := prog.Ops[path[last].ID].Kind
+		cost := m.Levels(pl, 0, 2, nil)[last].Cost
+		priced := cost != noLeaf.Levels(pl, 0, 2, nil)[last].Cost
+		pricedMarked := cost != noMarked.Levels(pl, 0, 2, nil)[last].Cost
+		if priced != (op == plan.OpCollapsed) || pricedMarked != (op == plan.OpCountMarked) {
+			t.Fatalf("%s: %v order %v: the model prices the last level collapsed %v, marked %v; the counting pass lowers it to op %d", planner, pl.Pattern, pl.Order, priced, pricedMarked, op)
+		}
+		if priced {
+			collapsed++
+		}
+		if pricedMarked {
+			marked++
+		}
+	}
 	planners := []engine.Engine{peregrine.New(1), autozero.New(1), graphpi.New(1), bigjoin.New(1)}
+
+	// A mixed-label star: its level 3 is labeled but reads no label row (it
+	// aliases level 2's raw set, with nothing to intersect), so its raw set
+	// is whole, and level 4 aliases it rather than building a base.
+	star, err := pattern.Parse("n=5;e=0-1,0-2,0-3,0-4;l=0,0,-1,1,0;v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, planner := range planners {
+		p := star
+		if !planner.SupportsInduced(p.Induced()) {
+			p = p.AsEdgeInduced()
+		}
+		pl, err := planner.PlanPattern(g, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alone(planner.Name(), pl)
+	}
+
 	r := rand.New(rand.NewSource(5))
-	shared, collapsed, marked := 0, 0, 0
+	shared := 0
 	for trial := 0; trial < 400; trial++ {
 		planner := planners[trial%len(planners)]
 		var plans []*plan.Plan
@@ -70,6 +129,9 @@ func TestLevelKeysAreTheTrieNodes(t *testing.T) {
 				labels := make([]int32, n)
 				for i := range labels {
 					labels[i] = int32(r.Intn(2) * (trial % 3))
+					if trial%5 < 2 && r.Intn(3) == 0 { // and some of those with vertices left unlabeled
+						labels[i] = pattern.Unlabeled
+					}
 				}
 				opts = append(opts, pattern.WithLabels(labels))
 			}
@@ -113,29 +175,7 @@ func TestLevelKeysAreTheTrieNodes(t *testing.T) {
 				}
 			}
 
-			// The plan's own counting pass: a one-plan trie, whose last node
-			// the lowering collapses, marks or neither. Pricing with and
-			// without Leaf, and Marked, shows how the model charged it.
-			alone, err := plan.MergePlans([]*plan.Plan{pl})
-			if err != nil {
-				t.Fatal(err)
-			}
-			path := costmodel.NodePaths(alone)[0]
-			last := len(path) - 1
-			prog.Lower(alone, false, true)
-			op := prog.Ops[path[last].ID].Kind
-			cost := m.Levels(pl, 0, 2, nil)[last].Cost
-			priced := cost != noLeaf.Levels(pl, 0, 2, nil)[last].Cost
-			pricedMarked := cost != noMarked.Levels(pl, 0, 2, nil)[last].Cost
-			if priced != (op == plan.OpCollapsed) || pricedMarked != (op == plan.OpCountMarked) {
-				t.Fatalf("%s: %v order %v: the model prices the last level collapsed %v, marked %v; the counting pass lowers it to op %d", planner.Name(), pl.Pattern, pl.Order, priced, pricedMarked, op)
-			}
-			if priced {
-				collapsed++
-			}
-			if pricedMarked {
-				marked++
-			}
+			alone(planner.Name(), pl)
 		}
 		for i := range plans {
 			for j := range plans[:i] {

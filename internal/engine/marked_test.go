@@ -97,7 +97,7 @@ func TestMarkedDifferenceLeafIsTheMerge(t *testing.T) {
 			w.bases[leaf] = h
 		}
 		if len(base) > 0 && h.at == &base[0] && !slices.Equal(h.base, base) {
-			if leaf.Class.Raw != 0 { // an unlabeled ancestor materialized it: SrcRaw
+			if s.Op.Src == plan.SrcRaw { // an ancestor materialized it
 				w.rebuiltRaw++
 			} else {
 				w.rebuiltB++

@@ -6,11 +6,11 @@ import (
 	"morphing/internal/pattern"
 )
 
-// Class is what one plan level's candidate computation is (bind-time
-// hoisting, DESIGN §12), decided when the plan is built. It depends only on
-// the (Connect, Disconnect, label) sequence from the root through the level,
-// the key MergePlans shares nodes on, so the trie node carries it too: the
-// executor runs it and the cost model prices it, and neither derives it.
+// Class is the plan's facts about one level's candidate computation
+// (bind-time hoisting, DESIGN §12), fixed when the plan is built. It depends
+// only on the (Connect, Disconnect, label) sequence from the root through
+// the level, the key MergePlans shares nodes on, so the trie node carries it
+// too. What a node runs in a pass is its Op, which Lower decides from it.
 //
 // A level at depth k runs once per vertex bound at d = k-1: its lists split
 // into the prefix part (below d) and the binding part (BConn or BDisc: d).
@@ -31,17 +31,6 @@ type Class struct {
 	// filter, the rest when a probe finds they qualify.
 	Bound   []int
 	NAlways int
-
-	// DegreeRow: one Connect row, unlabeled, nothing to probe; as a leaf of
-	// one branch without a window it counts the row's length (OpCountDegree).
-	DegreeRow bool
-	// Collapse: below the root, unlabeled, no binding part; as a leaf of one
-	// branch its parent counts it in bulk (OpCollapsed).
-	Collapse bool
-	// Mark: a base, unlabeled, a Disconnect binding part and no Connect one;
-	// as a leaf of one branch it marks the base in a bitmap and counts by
-	// probing the binding row into it (OpCountMarked).
-	Mark bool
 }
 
 // Always returns the bound depths that qualify in every match.
@@ -56,13 +45,11 @@ func (pl *Plan) classify(bound []int) {
 	pl.Class = make([]Class, len(pl.Order))
 	for i := range pl.Class {
 		c := &pl.Class[i]
-		conn, disc := pl.Connect[i], pl.Disconnect[i]
-		unlabeled := pl.Pattern.Label(pl.Order[i]) == pattern.Unlabeled
 		at := len(bound)
 		bound, c.NAlways = pl.settleChecks(bound, i)
 		c.Bound = bound[at:len(bound):len(bound)]
-		pconn, bconn := splitAt(conn, i-1)
-		pdisc, bdisc := splitAt(disc, i-1)
+		pconn, bconn := splitAt(pl.Connect[i], i-1)
+		pdisc, bdisc := splitAt(pl.Disconnect[i], i-1)
 		c.BConn, c.BDisc = bconn, bdisc
 		if len(pconn) > 1 || len(pconn) == 1 && len(pdisc) > 0 {
 			c.Built, c.At = true, pconn[len(pconn)-1]
@@ -78,9 +65,6 @@ func (pl *Plan) classify(bound []int) {
 				}
 			}
 		}
-		c.DegreeRow = len(conn) == 1 && len(disc) == 0 && unlabeled && len(c.Check()) == 0
-		c.Collapse = i > 0 && unlabeled && len(bconn)+len(bdisc) == 0
-		c.Mark = c.Built && unlabeled && len(bconn) == 0 && len(bdisc) > 0
 	}
 }
 

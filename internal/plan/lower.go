@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"morphing/internal/pattern"
 )
@@ -123,6 +124,32 @@ func (p *Program) Lower(tr *Trie, stream, labelRows bool) {
 	}
 }
 
+// alone is the pooled scratch CountingOps lowers a plan in.
+type alone struct {
+	pl   Plan // a copy: the caller's plan stays where it is
+	tr   Trie
+	prog Program
+}
+
+var alones = sync.Pool{New: func() any { return new(alone) }}
+
+// CountingOps appends to dst the ops of pl's own counting pass on a tier that
+// serves label rows by level (its one-leaf trie lowered: node i is level i),
+// Kind, Src and At only; it allocates nothing but dst's growth once warm.
+func (pl *Plan) CountingOps(dst []Op) []Op {
+	a := alones.Get().(*alone)
+	a.pl = *pl
+	_ = a.tr.Reset(&a.pl) // a plan without levels lowers to no ops
+	a.prog.Lower(&a.tr, false, true)
+	for _, op := range a.prog.Ops[:len(pl.Order)] {
+		dst = append(dst, Op{Kind: op.Kind, Src: op.Src, At: op.At})
+	}
+	a.tr.Reset() // drops the plan's lists; the program points only into a
+	a.pl = Plan{}
+	alones.Put(a)
+	return dst
+}
+
 // Release drops every reference to the trie lowered last.
 func (p *Program) Release() {
 	clear(p.Ops)
@@ -134,7 +161,7 @@ func (p *Program) Release() {
 // whole execution.
 func (p *Program) lower(n *TrieNode, clocked bool) {
 	p.Order = append(p.Order, int32(n.ID))
-	c, br := &n.Class, n.Branches
+	c, br, unlabeled := &n.Class, n.Branches, n.Label == pattern.Unlabeled
 	op := Op{Node: n, RowLabel: pattern.Unlabeled}
 	switch {
 	case c.Built:
@@ -150,7 +177,7 @@ func (p *Program) lower(n *TrieNode, clocked bool) {
 	case len(n.Connect) == 1 && len(n.Disconnect) == 0:
 		op.Src = SrcRow
 	}
-	if n.Label != pattern.Unlabeled && n.Depth > 0 { // a root tests its own vertex
+	if !unlabeled && n.Depth > 0 { // a root tests its own vertex
 		if p.labelRows && (op.Src != SrcRaw || len(c.BConn) > 0) {
 			op.RowLabel = n.Label
 		} else {
@@ -186,16 +213,17 @@ func (p *Program) lower(n *TrieNode, clocked bool) {
 		op.Kind = OpBind
 	case !n.Leaf:
 		op.Kind = OpBindsNone
-	case c.Collapse:
+	// Below: a counting pass's leaf of one branch.
+	case unlabeled && len(c.BConn)+len(c.BDisc) == 0:
 		op.Kind = OpCollapsed
 		op.LoDep, op.HiDep = slices.Contains(br[0].Greater, n.Depth-1), slices.Contains(br[0].Smaller, n.Depth-1)
-	case c.DegreeRow && len(br[0].Greater)+len(br[0].Smaller) == 0:
+	case unlabeled && op.Src == SrcRow && len(c.Check())+len(br[0].Greater)+len(br[0].Smaller) == 0:
 		op.Kind = OpCountDegree
 	case !c.Built:
 		op.Kind = OpCountRows
 	case len(c.BConn) > 0:
 		op.Kind = OpCountMerge
-	case c.Mark:
+	case unlabeled && len(c.BDisc) > 0:
 		op.Kind, p.Marks = OpCountMarked, true
 	case len(c.BDisc) > 0:
 		op.Kind = OpCountDiff

@@ -43,9 +43,13 @@ type Plan struct {
 	// vertex terms, meaning match[a] < match[b].
 	Conditions [][2]int
 
-	// Class[i] is level i's class, the one classification of a level the
-	// executor runs and the cost model prices.
+	// Class[i] is level i's class, the plan's facts about it; what the level
+	// runs in a pass is the op Lower makes of it.
 	Class []Class
+
+	// Counting is CountingOps, memoized with the plan's shape by BuildAut:
+	// what the cost model prices. Other plans leave it nil.
+	Counting []Op
 }
 
 // Build creates a plan using the default degree-greedy connected order.
@@ -74,6 +78,7 @@ func BuildAut(p *pattern.Pattern) (Plan, int, error) {
 		if err != nil {
 			return Plan{}, 0, err
 		}
+		pl.Counting = pl.CountingOps(nil)
 		s = shapePlan{pl, aut}
 		shapes.Put(key, s)
 	}

@@ -148,22 +148,15 @@ func (t *Trie) recycle(n *TrieNode) {
 	t.freeNodes = append(t.freeNodes, n)
 }
 
-func (t *Trie) newNode() *TrieNode {
-	if n := len(t.freeNodes); n > 0 {
-		node := t.freeNodes[n-1]
-		t.freeNodes = t.freeNodes[:n-1]
-		return node
+// reuse pops a node or branch recycle freed, or makes a new one.
+func reuse[T any](free *[]*T) *T {
+	n := len(*free)
+	if n == 0 {
+		return new(T)
 	}
-	return &TrieNode{}
-}
-
-func (t *Trie) newBranch() *TrieBranch {
-	if n := len(t.freeBranches); n > 0 {
-		br := t.freeBranches[n-1]
-		t.freeBranches = t.freeBranches[:n-1]
-		return br
-	}
-	return &TrieBranch{}
+	x := (*free)[n-1]
+	*free = (*free)[:n-1]
+	return x
 }
 
 // insert threads one plan through the trie, reusing nodes whose candidate
@@ -190,7 +183,7 @@ func (t *Trie) insert(pl *Plan, idx int) error {
 			}
 		}
 		if node == nil {
-			node = t.newNode()
+			node = reuse(&t.freeNodes)
 			node.ID, node.Depth = t.Nodes, i
 			node.Connect, node.Disconnect, node.Label, node.Class = pl.Connect[i], pl.Disconnect[i], label, pl.Class[i]
 			node.Leaf = true
@@ -215,7 +208,7 @@ func (t *Trie) insert(pl *Plan, idx int) error {
 			}
 		}
 		if br == nil {
-			br = t.newBranch()
+			br = reuse(&t.freeBranches)
 			br.Greater, br.Smaller = pl.Greater[i], pl.Smaller[i]
 			node.Branches = append(node.Branches, br)
 		}
