@@ -149,10 +149,10 @@ type RunStats struct {
 	Shards int
 
 	// Decode is this run's storage-tier decode attribution: rows/blocks
-	// decoded and probe-block cache activity by this run's views only,
-	// independent of concurrent queries, and exact: the runner drains every
-	// view's unflushed residue once mining has joined its workers. Nil when
-	// the tier decodes nothing (plain CSR).
+	// decoded and edge probes answered by this run's views only,
+	// independent of concurrent queries, and exact: the runner sums the
+	// views' counts once mining has joined its workers. Nil when the tier
+	// decodes nothing (plain CSR).
 	Decode *graph.DecodeStats
 	// Residency is the page-cache residency of the graph's mmap backing
 	// sampled at run end (mincore); nil when the tier is not mmap-backed
@@ -274,7 +274,7 @@ func (r *Runner) finishRun(rc *obs.RunContext, st *RunStats, err error) {
 	default:
 		name = "interrupted"
 		attrs = append(attrs, obs.Str("kind", kind), obs.Str("error", out.Err))
-		rc.Observer().Counter(MetricInterrupted).Inc(0)
+		rc.Observer().Counter(MetricInterrupted).Inc()
 	}
 	rc.Event(name, attrs...)
 	dump := rc.Finish(out)
@@ -333,16 +333,14 @@ func stampStorage(rc *obs.RunContext, st *RunStats, g graph.Adjacency, sink *gra
 	var attrs []obs.Attr
 	if sink != nil {
 		// Mining has joined its workers by the time a pipeline returns, so
-		// draining the views' sub-batch residues here is safe and makes the
-		// attribution exact even for runs far below the batch threshold.
-		sink.Drain()
+		// summing the views' counts here is safe and exact.
 		ds := sink.Stats()
 		st.Decode = &ds
-		o.Counter(MetricDecodeRows).Add(0, ds.Rows)
-		o.Counter(MetricDecodeBlocks).Add(0, ds.Blocks)
-		o.Counter(MetricDecodeElems).Add(0, ds.Elems)
-		o.Counter(MetricProbeHits).Add(0, ds.ProbeHits)
-		o.Counter(MetricProbeMisses).Add(0, ds.ProbeMisses)
+		o.Counter(MetricDecodeRows).Add(ds.Rows)
+		o.Counter(MetricDecodeBlocks).Add(ds.Blocks)
+		o.Counter(MetricDecodeElems).Add(ds.Elems)
+		o.Counter(MetricProbeHits).Add(ds.ProbeHits)
+		o.Counter(MetricProbeMisses).Add(ds.ProbeMisses)
 		attrs = append(attrs,
 			obs.U64("decode_rows", ds.Rows), obs.U64("decode_blocks", ds.Blocks),
 			obs.U64("decode_bytes", ds.DecodedBytes()),
@@ -456,8 +454,8 @@ const (
 	// do not increment MetricRuns.
 	MetricInterrupted = "run_interrupted_total"
 
-	// Storage-tier attribution counters: decode work and probe-block
-	// cache activity, published per run from the run's own DecodeCounters
+	// Storage-tier attribution counters: decode work and edge-probe
+	// outcomes, published per run from the run's own DecodeCounters
 	// scope (so the process totals are the sum over runs). The mmap gauges
 	// snapshot the last sampled residency.
 	MetricDecodeRows   = "graph_decode_rows_total"
@@ -472,9 +470,9 @@ const (
 // publishRunStats routes a completed pipeline execution's RunStats into
 // the observer's registry (the engine publishes the Mining leg itself).
 func publishRunStats(o *obs.Observer, st *RunStats) {
-	o.Counter(MetricRuns).Inc(0)
-	o.Counter(MetricTransformNS).Add(0, uint64(st.Transform))
-	o.Counter(MetricConvertNS).Add(0, uint64(st.Convert))
+	o.Counter(MetricRuns).Inc()
+	o.Counter(MetricTransformNS).Add(uint64(st.Transform))
+	o.Counter(MetricConvertNS).Add(uint64(st.Convert))
 }
 
 // CountsCtx answers subgraph counting queries (SC/MC): the count of each

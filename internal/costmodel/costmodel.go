@@ -167,10 +167,9 @@ type Level struct {
 }
 
 // Levels appends pl's trie nodes to dst, root first, each priced by the op
-// it runs in the plan's own counting pass on a tier that serves label rows
-// (plan.Plan.CountingOps): the root scan; below it one Iterate per
-// execution — a level runs once per binding of its parent — plus its kernel
-// calls. In a counting pass (perMatch == 0) the last level is count-only:
+// it runs in the plan's own counting pass on the model's tier
+// (countingOps): the root scan; below it one Iterate per execution — a
+// level runs once per binding of its parent — plus its kernel calls. In a counting pass (perMatch == 0) the last level is count-only:
 // its kernel call per entering prefix, if any, no per-match iteration, and
 // Leaf more when its parent counts it in bulk (OpCollapsed); a marked leaf
 // (OpCountMarked) pays Marked per element it probes and marks (markScan) in
@@ -179,11 +178,8 @@ type Level struct {
 // aut being |Aut(pattern)|. A last level's key is its own — it never merges
 // with an inner level of a larger pattern, which executes differently.
 func (m *Model) Levels(pl *plan.Plan, perMatch float64, aut int, dst []Level) []Level {
-	ops := pl.Counting
-	if ops == nil { // not memoized with its shape, as an order GraphPi's search built
-		var buf [pattern.MaxVertices]plan.Op
-		ops = pl.CountingOps(buf[:0])
-	}
+	var buf [pattern.MaxVertices]plan.Op
+	ops := m.countingOps(pl, buf[:0])
 	var enter [pattern.MaxVertices + 1]float64 // partial embeddings entering each level
 	enter[0] = 1
 	matches := 1 / float64(max(aut, 1)) // unique matches: no window, one per automorphism class
@@ -234,6 +230,18 @@ func (m *Model) Levels(pl *plan.Plan, perMatch float64, aut int, dst []Level) []
 		key = mix(mix(key, mask(pl.Greater[i])), mask(pl.Smaller[i]))
 	}
 	return dst
+}
+
+// countingOps returns the ops of pl's own counting pass on the model's tier
+// (plan.Plan.CountingOps), appended to dst unless the memo BuildAut lowered
+// with label rows serves: on a tier with them, or for an unlabeled plan,
+// whose ops are the same on every tier. An order GraphPi's search built has
+// no memo.
+func (m *Model) countingOps(pl *plan.Plan, dst []plan.Op) []plan.Op {
+	if pl.Counting != nil && (m.sum.LabelRows || !pl.Pattern.Labeled()) {
+		return pl.Counting
+	}
+	return pl.CountingOps(dst, m.sum.LabelRows)
 }
 
 // calls counts kernel calls per execution, and per execution of level

@@ -85,7 +85,7 @@ type Planner = Engine
 // outlives (or is decoupled from) the producer, use Clone instead of
 // aliasing the returned pointer. For counters that must be readable while
 // workers are still running (progress, /metrics), engines publish into
-// the sharded cells of an obs.Registry instead.
+// the atomic counters of an obs.Registry instead.
 type Stats struct {
 	SetOps         uint64 // sorted-set operations executed
 	SetElems       uint64 // elements scanned by set operations

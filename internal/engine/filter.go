@@ -73,6 +73,6 @@ func CountViaEdgeFilter(ctx context.Context, g graph.Adjacency, nonEdges [][2]in
 	st.Matches = kept
 	// mine already published its own counters; only the filter UDF's probe
 	// branches are new.
-	obs.FromContext(ctx, o).Counter(MetricBranches).Add(0, branches)
+	obs.FromContext(ctx, o).Counter(MetricBranches).Add(branches)
 	return kept, st, err
 }

@@ -9,7 +9,7 @@ import "morphing/internal/obs"
 // per-worker counts). DESIGN §11 names each metric's consumer.
 const (
 	// MetricMatches is streamed live: executors flush each worker's match
-	// delta at block granularity so progress reporters and the HTTP
+	// delta once per mined range so progress reporters and the HTTP
 	// endpoint see movement mid-run. publishStats therefore excludes it.
 	MetricMatches = "engine_matches_total"
 
@@ -56,21 +56,21 @@ func publishStats(o *obs.Observer, st *Stats) {
 	if st == nil {
 		return
 	}
-	o.Counter(MetricSetOps).Add(0, st.SetOps)
-	o.Counter(MetricSetElems).Add(0, st.SetElems)
-	o.Counter(MetricSetMergeOps).Add(0, st.SetMergeOps)
-	o.Counter(MetricSetGallopOps).Add(0, st.SetGallopOps)
-	o.Counter(MetricSetBitsetOps).Add(0, st.SetBitsetOps)
-	o.Counter(MetricSetCountOps).Add(0, st.SetCountOps)
-	o.Counter(MetricSetUnrolledOps).Add(0, st.SetUnrolledOps)
-	o.Counter(MetricSetWritten).Add(0, st.SetWritten)
-	o.Counter(MetricMaterialized).Add(0, st.Materialized)
-	o.Counter(MetricUDFCalls).Add(0, st.UDFCalls)
-	o.Counter(MetricBranches).Add(0, st.Branches)
-	o.Counter(MetricTailSteals).Add(0, st.TailSteals)
+	o.Counter(MetricSetOps).Add(st.SetOps)
+	o.Counter(MetricSetElems).Add(st.SetElems)
+	o.Counter(MetricSetMergeOps).Add(st.SetMergeOps)
+	o.Counter(MetricSetGallopOps).Add(st.SetGallopOps)
+	o.Counter(MetricSetBitsetOps).Add(st.SetBitsetOps)
+	o.Counter(MetricSetCountOps).Add(st.SetCountOps)
+	o.Counter(MetricSetUnrolledOps).Add(st.SetUnrolledOps)
+	o.Counter(MetricSetWritten).Add(st.SetWritten)
+	o.Counter(MetricMaterialized).Add(st.Materialized)
+	o.Counter(MetricUDFCalls).Add(st.UDFCalls)
+	o.Counter(MetricBranches).Add(st.Branches)
+	o.Counter(MetricTailSteals).Add(st.TailSteals)
 	if st.TriePasses > 0 {
-		o.Histogram(MetricTriePatternsPerPass).Observe(0, st.TriePatterns/st.TriePasses)
+		o.Histogram(MetricTriePatternsPerPass).Observe(st.TriePatterns / st.TriePasses)
 	}
-	o.Counter(MetricRunTimeNS).Add(0, uint64(st.TotalTime))
-	o.Histogram(MetricMineDurationNS).Observe(0, uint64(st.TotalTime))
+	o.Counter(MetricRunTimeNS).Add(uint64(st.TotalTime))
+	o.Histogram(MetricMineDurationNS).Observe(uint64(st.TotalTime))
 }

@@ -71,7 +71,6 @@ func TestPinsDecodeOncePerBinding(t *testing.T) {
 		}
 	}
 	pins.release()
-	sink.Drain()
 	if st := sink.Stats(); st.Rows != 4 || st.ProbeHits != 6 || st.ProbeMisses != 0 {
 		t.Fatalf("after 6 pinned-row probes: %+v, want 4 rows, 6 hits, 0 misses", st)
 	}
@@ -95,7 +94,7 @@ func (r *rowCounter) CountProbeHits(n uint64) {
 // BenchmarkBoundProbe compares the two ways a count-only leaf can test
 // adjacency between two bound vertices on the compressed tier: a binary
 // search in a row the executor has pinned, and the view's HasEdge (block
-// index search plus, on a probe-cache miss, one block decode). Diagnostic
+// index search plus one block decode). Diagnostic
 // only: the end-to-end effect is the repo benchmark's sc-mmap row.
 func BenchmarkBoundProbe(b *testing.B) {
 	g, err := dataset.ErdosRenyi(4000, 120, 0, 3)

@@ -171,7 +171,7 @@ func (ps *triePass) mine(ctx context.Context, g graph.Adjacency, tr *plan.Trie, 
 	ps.done = ctx.Done()
 	ps.fi = fi
 	// Workers keep counters on private fields inside hot loops and flush
-	// match deltas to this sharded cell at block granularity, so live
+	// match deltas to this counter once per mined range, so live
 	// readers (progress, /metrics) see movement without slowing matching.
 	ps.live = o.Counter(MetricMatches)
 	ps.tr, ps.sinks = tr, sinks
@@ -344,7 +344,7 @@ func (ps *triePass) mineRange(w *trieWorker) {
 	before := w.total()
 	w.runRoot()
 	found := w.total() - before
-	ps.live.Add(w.id, found)
+	ps.live.Add(found)
 	if ps.sinks == nil { // a streaming pass meets the fault where it delivers
 		ps.fi.MatchesCounted(w.id, found)
 	}

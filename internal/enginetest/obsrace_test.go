@@ -15,9 +15,9 @@ import (
 // executor on several threads and checks the merged counters against a
 // single-threaded reference. Under `go test -race` this exercises the
 // whole observability path — per-worker private Stats merged once after
-// join (the single-merger invariant), plus the sharded live-matches
-// counter — and the equality check proves sharded merging neither drops
-// nor double-counts. Everything compared is deterministic work
+// join (the single-merger invariant), plus the live-matches counter the
+// workers add to concurrently — and the equality check proves merging
+// neither drops nor double-counts. Everything compared is deterministic work
 // (timings are excluded: they legitimately vary with thread count).
 func TestBacktrackInstrumentedStatsRace(t *testing.T) {
 	g, err := dataset.ErdosRenyi(120, 9, 0, 77)

@@ -1,7 +1,7 @@
 package graph
 
-// WithDecodeAttribution wraps g so that every View created through the
-// wrapper routes its decode-counter flushes into sink. This is the
+// WithDecodeAttribution wraps g so that sink tracks every View created
+// through the wrapper and sums their decode counts. This is the
 // one decode ledger: the runner attaches a fresh DecodeCounters per run,
 // so concurrent queries over the same compressed graph see only their own
 // decode work, and the registry's process totals are the sum over runs.
@@ -17,7 +17,7 @@ func WithDecodeAttribution(g Adjacency, sink *DecodeCounters) Adjacency {
 }
 
 // attributedGraph delegates everything to the wrapped graph except View,
-// which tags freshly created views with the sink. Calls on the wrapper
+// which registers freshly created views with the sink. Calls on the wrapper
 // itself (shared-object Neighbors/Row/HasEdge) follow the wrapped
 // graph's unattributed shared path — engines do their decode work
 // through per-worker views, which is the path that counts.
@@ -27,7 +27,7 @@ type attributedGraph struct {
 }
 
 func (a *attributedGraph) View() Adjacency {
-	cv := a.view(a.sink)
+	cv := a.view()
 	a.sink.track(cv)
 	return cv
 }

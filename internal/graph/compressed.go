@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 )
 
 // Delta-varint block-compressed CSR: the out-of-core storage tier.
@@ -35,7 +34,7 @@ const maxBlockSize = 1 << 16
 
 // CompressedGraph is the compressed tier. It implements Adjacency; hot
 // paths decode through Row into buffers they own, on a per-worker View
-// (which adds a private probe buffer and batched decode counters), except
+// (which adds a private probe buffer and decode counters), except
 // for the highest-degree rows, which the graph keeps decoded (hotrows.go)
 // and lends like plain CSR.
 type CompressedGraph struct {
@@ -185,13 +184,12 @@ func (c *CompressedGraph) OrigIDs() []uint32 { return c.orig }
 // View returns a per-worker handle with a private probe buffer and
 // decode counters. The receiver stays shared and immutable.
 func (c *CompressedGraph) View() Adjacency {
-	return c.view(nil)
+	return c.view()
 }
 
-// view is View with the handle's decode counters flushing into sink (nil:
-// counted nowhere). The first view builds the hot rows.
-func (c *CompressedGraph) view(sink *DecodeCounters) *compressedView {
-	return &compressedView{g: c, hot: c.hotRows(), sink: sink}
+// view is View's handle. The first view builds the hot rows.
+func (c *CompressedGraph) view() *compressedView {
+	return &compressedView{g: c, hot: c.hotRows()}
 }
 
 // Neighbors returns v's hot row, or decodes the row into a freshly
@@ -498,42 +496,22 @@ func (c *CompressedGraph) Footprint() Footprint {
 
 // compressedView is the per-worker handle: rows are lent from the graph's
 // hot rows or decode into buffers the caller owns (see the Adjacency row
-// lifetime contract), so all the view carries is the shared hot rows,
-// batched decode counters and a private edge-probe buffer.
-//
-// The probe buffer doubles as a one-entry block cache: the view
-// remembers which (vertex, block) it holds, and a repeat probe into the
-// same block skips the decode entirely. Callers that probe edges in
-// vertex-clustered bursts (a Filter UDF checking one match's pairs)
-// often land in the same block of the same hub row.
+// lifetime contract), so all the view carries is the shared hot rows, a
+// private edge-probe buffer and its decode counts. Only the view's own
+// worker writes the counts; a DecodeCounters that tracks the view reads
+// them after that worker has joined.
 type compressedView struct {
 	g     *CompressedGraph
 	hot   *hotRows
 	probe []uint32
-
-	// Cached probe block identity: probe holds block probeBI of vertex
-	// probeV's row when probeOK is set. The graph is immutable, so a
-	// cached block never goes stale.
-	probeV  uint32
-	probeBI uint64
-	probeOK bool
-
-	// Local decode counters, flushed in batches so the hot path stays
-	// free of shared atomics. Flushes land in the per-scope accumulator
-	// when a sink is attached (WithDecodeAttribution), nowhere otherwise.
-	pendRows        uint64
-	pendBlocks      uint64
-	pendElems       uint64
-	pendProbeHits   uint64
-	pendProbeMisses uint64
-	sink            *DecodeCounters
+	stats DecodeStats
 
 	// Pad to whole cache lines: a pass takes one view per worker, one
-	// allocation after another, and the counters above are written on
-	// every row. At 112 bytes two workers' views could share a line, and
-	// sc-mmap's latency moved by 10-20 % with whatever else a pass
-	// allocated in that size class (TestViewFillsWholeCacheLines).
-	_ [16]byte
+	// allocation after another, and the counts above are written on
+	// every row. Two workers' views must not share a line: sc-mmap's
+	// latency moved by 10-20 % with whatever else a pass allocated in a
+	// smaller size class (TestViewFillsWholeCacheLines).
+	_ [48]byte
 }
 
 func (w *compressedView) NumVertices() int        { return w.g.nv }
@@ -562,25 +540,21 @@ func (w *compressedView) Row(v uint32, buf []uint32) (row, next []uint32) {
 	}
 	row = w.g.decodeRow(v, buf)
 	deg := uint64(len(row))
-	w.pendRows++
-	w.pendBlocks += (deg + uint64(w.g.blockSize) - 1) / uint64(w.g.blockSize)
-	w.pendElems += deg
-	if w.pendRows+w.pendProbeHits+w.pendProbeMisses >= 512 {
-		w.flush()
-	}
+	w.stats.Rows++
+	w.stats.Blocks += (deg + uint64(w.g.blockSize) - 1) / uint64(w.g.blockSize)
+	w.stats.Elems += deg
 	return row, row
 }
 
 // CountProbeHits records n edge probes the caller answered from rows it
-// had already decoded through this view: like a hit in the view's own
-// probe-block cache, such a probe decodes nothing.
-func (w *compressedView) CountProbeHits(n uint64) { w.pendProbeHits += n }
+// had already decoded through this view: such a probe decodes nothing.
+func (w *compressedView) CountProbeHits(n uint64) { w.stats.ProbeHits += n }
 
 // HasEdge binary-searches the higher-degree endpoint's row when it is
-// hot, decoding and counting nothing. Otherwise it probes {u,v} through
-// the view's private block buffer, reusing it as a one-entry block cache:
-// a hit answers from the already-decoded block, a miss decodes and is
-// counted like the shared probe path (one row, one block).
+// hot, decoding and counting nothing. Otherwise it decodes the one block
+// of the smaller-degree endpoint's row that could hold the other into
+// the view's private buffer, counted like a row (one row, one block) and
+// as a ProbeMiss.
 func (w *compressedView) HasEdge(u, v uint32) bool {
 	g := w.g
 	if g.degs[u] > g.degs[v] {
@@ -593,42 +567,21 @@ func (w *compressedView) HasEdge(u, v uint32) bool {
 	if !ok {
 		return false
 	}
-	if w.probeOK && w.probeV == u && w.probeBI == bi {
-		w.pendProbeHits++
-	} else {
-		w.probe = g.decodeBlock(u, bi, w.probe)
-		w.probeV, w.probeBI, w.probeOK = u, bi, true
-		w.pendRows++
-		w.pendBlocks++
-		w.pendElems += uint64(len(w.probe))
-		w.pendProbeMisses++
-	}
-	if w.pendRows+w.pendProbeHits+w.pendProbeMisses >= 512 {
-		w.flush()
-	}
+	w.probe = g.decodeBlock(u, bi, w.probe)
+	w.stats.Rows++
+	w.stats.Blocks++
+	w.stats.Elems += uint64(len(w.probe))
+	w.stats.ProbeMisses++
 	return searchBlock(w.probe, v)
 }
 
-// flush hands the pending counters to the view's sink (a nil sink drops
-// them) and resets them.
-func (w *compressedView) flush() {
-	w.sink.add(DecodeStats{
-		Rows: w.pendRows, Blocks: w.pendBlocks, Elems: w.pendElems,
-		ProbeHits: w.pendProbeHits, ProbeMisses: w.pendProbeMisses,
-	})
-	w.pendRows, w.pendBlocks, w.pendElems = 0, 0, 0
-	w.pendProbeHits, w.pendProbeMisses = 0, 0
-}
-
 // DecodeStats are decompression counters: how many rows and blocks were
-// decoded, how many elements they expanded to, and how the per-view
-// probe-block cache fared. They quantify the decode overhead the
-// compressed tier pays, per query scope via DecodeCounters (the registry's
-// graph_decode_* counters sum them over runs). An edge probe that decodes
-// counts as one row and one block (plus a ProbeMiss); a ProbeHit decodes
-// nothing — it was
-// answered from the view's cached probe block or from a row its caller
-// already held (CountProbeHits).
+// decoded, how many elements they expanded to, and how edge probes were
+// answered. They quantify the decode overhead the compressed tier pays,
+// per query scope via DecodeCounters (the registry's graph_decode_*
+// counters sum them over runs). An edge probe that decodes counts as one
+// row and one block (plus a ProbeMiss); a ProbeHit decodes nothing — it
+// was answered from a row its caller already held (CountProbeHits).
 type DecodeStats struct {
 	Rows        uint64 `json:"rows"`
 	Blocks      uint64 `json:"blocks"`
@@ -650,67 +603,36 @@ func (s *DecodeStats) Add(other DecodeStats) {
 // "decode bytes" a dashboard charts per second.
 func (s DecodeStats) DecodedBytes() uint64 { return s.Elems * 4 }
 
-// DecodeCounters is a concurrency-safe per-scope decode accumulator.
-// Attach one to a graph with WithDecodeAttribution and every view
-// created through that wrapper flushes its batches here — so a run's
-// decode work is attributed to that run even while other queries decode
-// concurrently. Views created without a sink count nothing. While views
-// are mid-flight the counters can trail the true count by one unflushed
-// batch (<512 operations) per view; Drain collects those residues once
-// the views' workers are done.
+// DecodeCounters is a per-scope decode ledger. Attach one to a graph
+// with WithDecodeAttribution and it tracks every view created through
+// that wrapper — so a run's decode work is attributed to that run even
+// while other queries decode concurrently. Views created without one
+// count for nobody.
 type DecodeCounters struct {
-	rows, blocks, elems, probeHits, probeMisses atomic.Uint64
-
 	mu    sync.Mutex
 	views []*compressedView
 }
 
-// track registers a view whose residue Drain should collect.
+// track registers a view whose counts Stats sums.
 func (d *DecodeCounters) track(v *compressedView) {
 	d.mu.Lock()
 	d.views = append(d.views, v)
 	d.mu.Unlock()
 }
 
-// Drain flushes every tracked view's pending decode batch into the
-// accumulator. Callers must ensure no worker is still decoding through
-// the views — the runner calls this after
-// mining has joined its workers, which orders the views' buffered
-// counters before the reads here.
-func (d *DecodeCounters) Drain() {
+// Stats returns the sum of the tracked views' counts. Callers must ensure
+// no worker is still decoding through the views: the runner calls it
+// after mining has joined its workers, which orders the views' counts
+// before the reads here.
+func (d *DecodeCounters) Stats() DecodeStats {
+	var out DecodeStats
 	if d == nil {
-		return
+		return out
 	}
 	d.mu.Lock()
-	views := d.views
-	d.views = nil
-	d.mu.Unlock()
-	for _, v := range views {
-		v.flush()
+	defer d.mu.Unlock()
+	for _, v := range d.views {
+		out.Add(v.stats)
 	}
-}
-
-func (d *DecodeCounters) add(s DecodeStats) {
-	if d == nil {
-		return
-	}
-	d.rows.Add(s.Rows)
-	d.blocks.Add(s.Blocks)
-	d.elems.Add(s.Elems)
-	d.probeHits.Add(s.ProbeHits)
-	d.probeMisses.Add(s.ProbeMisses)
-}
-
-// Stats returns the accumulated counters.
-func (d *DecodeCounters) Stats() DecodeStats {
-	if d == nil {
-		return DecodeStats{}
-	}
-	return DecodeStats{
-		Rows:        d.rows.Load(),
-		Blocks:      d.blocks.Load(),
-		Elems:       d.elems.Load(),
-		ProbeHits:   d.probeHits.Load(),
-		ProbeMisses: d.probeMisses.Load(),
-	}
+	return out
 }

@@ -28,6 +28,11 @@ type Summary struct {
 	// unlabeled graphs). The cost model uses it to shrink candidate-set
 	// estimates for labeled patterns.
 	LabelFreq map[int32]float64
+
+	// LabelRows says the tier serves a row's label slices (LabelRow): the
+	// plain CSR does, the compressed and mmap tiers do not, and there a
+	// labeled level scans its row instead (plan.Program.Lower).
+	LabelRows bool
 }
 
 // Summarize returns the Summary of a. The graph is immutable, so each
@@ -67,6 +72,9 @@ func summarize(a Adjacency) Summary {
 		MaxDegree:   g.MaxDegree(),
 		LabelFreq:   map[int32]float64{},
 	}
+	_, s.LabelRows = a.(interface {
+		LabelRow(v uint32, label int32) []uint32
+	})
 	if n > 0 {
 		s.AvgDegree = 2 * float64(s.NumEdges) / float64(n)
 	}

@@ -30,20 +30,20 @@ func TestHistorySampling(t *testing.T) {
 	lat := reg.Histogram("lat_ns")
 
 	// Interval 1: slow observations only.
-	c.Add(0, 10)
+	c.Add(10)
 	g.Set(3)
 	for i := 0; i < 100; i++ {
-		lat.Observe(0, 1<<20) // ~1ms
+		lat.Observe(1 << 20) // ~1ms
 	}
 	h.SampleNow()
 
 	// Interval 2: fast observations only. A cumulative-bucket quantile
 	// would still report ~1ms (100 old vs 50 new observations dominate);
 	// the windowed quantile must drop to the fast range.
-	c.Add(0, 5)
+	c.Add(5)
 	g.Set(7)
 	for i := 0; i < 50; i++ {
-		lat.Observe(0, 1<<10) // ~1us
+		lat.Observe(1 << 10) // ~1us
 	}
 	h.SampleNow()
 
@@ -80,9 +80,9 @@ func TestHistorySampling(t *testing.T) {
 // or quantiles.
 func TestHistoryBaseline(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("warm_total").Add(0, 1000)
+	reg.Counter("warm_total").Add(1000)
 	for i := 0; i < 10; i++ {
-		reg.Histogram("warm_ns").Observe(0, 1<<30)
+		reg.Histogram("warm_ns").Observe(1 << 30)
 	}
 	h := NewHistory(reg, HistoryConfig{
 		Counters:   []string{"warm_total"},
@@ -160,7 +160,7 @@ func TestHistoryConcurrentReaders(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 500; i++ {
-		c.Inc(0)
+		c.Inc()
 		h.SampleNow()
 	}
 	close(stop)
@@ -175,7 +175,7 @@ func TestFlightDumpEmbedsHistory(t *testing.T) {
 	h := NewHistory(reg, HistoryConfig{Capacity: 2 * historySamples, Counters: []string{"c"}})
 	c := reg.Counter("c")
 	for i := 0; i < historySamples+10; i++ {
-		c.Inc(0)
+		c.Inc()
 		h.SampleNow()
 	}
 

@@ -39,7 +39,7 @@ func TestServeShutdownLeakFree(t *testing.T) {
 
 	for i := 0; i < 3; i++ {
 		reg := NewRegistry()
-		reg.Counter("leak_probe_total").Inc(0)
+		reg.Counter("leak_probe_total").Inc()
 		srv, err := Serve("127.0.0.1:0", reg)
 		if err != nil {
 			t.Fatal(err)
@@ -74,7 +74,7 @@ func TestProgressStopLeakFree(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		var buf bytes.Buffer
 		p := StartProgress(&buf, "probe", c)
-		c.Inc(0)
+		c.Inc()
 		p.Stop()
 	}
 

@@ -11,66 +11,41 @@ import (
 	"time"
 )
 
-// shardCount is the number of per-worker cells behind every counter and
-// histogram. Workers index cells by their worker ID masked to this power
-// of two, so concurrent engine workers (IDs 0..ThreadCount()-1 of their
-// pass, which may exceed the cell count) land on distinct
-// cache-line-padded cells and contend only past it.
-const shardCount = 64
-
-// cell is one cache-line-padded atomic counter shard.
-type cell struct {
-	v atomic.Uint64
-	_ [56]byte // pad to 64 bytes so neighboring shards never false-share
-}
-
-// Counter is a monotonically increasing metric backed by sharded cells.
-// Adds are wait-free uncontended atomics; Value merges the shards on
-// read. The zero Counter must not be used directly — obtain counters from
-// a Registry. All methods are safe on a nil receiver (they no-op or
-// return zero), which is how disabled observability stays branch-free at
-// call sites.
+// Counter is a monotonically increasing metric: one atomic word. Every
+// writer but one adds once per run from a single goroutine (engine and
+// pipeline totals are merged after a pass joins its workers), and the
+// one concurrent writer, the executor's live match count, adds once per
+// mined range — too rare to contend, so the counter is not sharded.
+// Obtain counters from a Registry, which names them. All methods are safe
+// on a nil receiver (they no-op or return zero), which is how disabled
+// observability stays branch-free at call sites.
 type Counter struct {
-	name  string
-	cells [shardCount]cell
+	v atomic.Uint64
 }
 
-// Add increments the counter by n on the worker's shard.
-func (c *Counter) Add(worker int, n uint64) {
+// Add increments the counter by n.
+func (c *Counter) Add(n uint64) {
 	if c == nil || n == 0 {
 		return
 	}
-	c.cells[worker&(shardCount-1)].v.Add(n)
+	c.v.Add(n)
 }
 
-// Inc increments the counter by one on the worker's shard.
-func (c *Counter) Inc(worker int) { c.Add(worker, 1) }
+// Inc increments the counter by one.
+func (c *Counter) Inc() { c.Add(1) }
 
-// Value merges all shards and returns the current total.
+// Value returns the current total.
 func (c *Counter) Value() uint64 {
 	if c == nil {
 		return 0
 	}
-	var total uint64
-	for i := range c.cells {
-		total += c.cells[i].v.Load()
-	}
-	return total
-}
-
-// Name returns the registered metric name.
-func (c *Counter) Name() string {
-	if c == nil {
-		return ""
-	}
-	return c.name
+	return c.v.Load()
 }
 
 // Gauge is a last-value metric (queue depth, resident bytes). Stores are
 // single atomics; floats travel as IEEE-754 bits.
 type Gauge struct {
-	name string
-	v    atomic.Uint64
+	v atomic.Uint64
 }
 
 // Set records the gauge's current value.
@@ -89,62 +64,42 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.v.Load())
 }
 
-// Name returns the registered metric name.
-func (g *Gauge) Name() string {
-	if g == nil {
-		return ""
-	}
-	return g.name
-}
-
 // histBuckets is the bucket count of a log-scale histogram: bucket i
 // holds observations v with bits.Len64(v) == i, i.e. bucket 0 is exactly
 // zero and bucket i>=1 covers [2^(i-1), 2^i).
 const histBuckets = 65
 
-// histShard is one worker's view of a histogram. Shards are written by
-// one worker each, so intra-shard layout needs no padding; trailing pad
-// keeps adjacent shards off each other's last cache line.
-type histShard struct {
-	count   atomic.Uint64
+// Histogram is a log2-bucketed distribution sized for durations in
+// nanoseconds and work counts, observed once per run like a Counter is
+// added to. Like Counter, all methods are nil-safe.
+type Histogram struct {
 	sum     atomic.Uint64
 	buckets [histBuckets]atomic.Uint64
-	_       [56]byte
 }
 
-// Histogram is a log2-bucketed distribution backed by sharded cells,
-// sized for durations in nanoseconds and work counts. Like Counter, all
-// methods are nil-safe.
-type Histogram struct {
-	name   string
-	shards [shardCount]histShard
-}
-
-// Observe records one sample on the worker's shard.
-func (h *Histogram) Observe(worker int, v uint64) {
+// Observe records one sample.
+func (h *Histogram) Observe(v uint64) {
 	if h == nil {
 		return
 	}
-	s := &h.shards[worker&(shardCount-1)]
-	s.count.Add(1)
-	s.sum.Add(v)
-	s.buckets[bits.Len64(v)].Add(1)
+	h.sum.Add(v)
+	h.buckets[bits.Len64(v)].Add(1)
 }
 
-// Snapshot merges all shards into one distribution and fills the
-// approximate P50/P95/P99 summary fields (see Quantile).
+// Snapshot reads the distribution and fills the approximate P50/P95/P99
+// summary fields (see Quantile). Count is the buckets' total, not a word
+// of its own: read beside an Observe in flight, a separate count could
+// run one ahead of the buckets, and Quantile would then rank past the
+// last bucket and report math.MaxUint64.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	var out HistogramSnapshot
 	if h == nil {
 		return out
 	}
-	for i := range h.shards {
-		s := &h.shards[i]
-		out.Count += s.count.Load()
-		out.Sum += s.sum.Load()
-		for b := 0; b < histBuckets; b++ {
-			out.Buckets[b] += s.buckets[b].Load()
-		}
+	out.Sum = h.sum.Load()
+	for b := range out.Buckets {
+		out.Buckets[b] = h.buckets[b].Load()
+		out.Count += out.Buckets[b]
 	}
 	out.P50 = out.Quantile(0.50)
 	out.P95 = out.Quantile(0.95)
@@ -152,18 +107,10 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return out
 }
 
-// Name returns the registered metric name.
-func (h *Histogram) Name() string {
-	if h == nil {
-		return ""
-	}
-	return h.name
-}
-
-// HistogramSnapshot is a merged histogram: Buckets[i] counts observations
-// v with bits.Len64(v) == i (upper bound 2^i - 1). P50/P95/P99 are the
-// approximate quantiles computed from the buckets at snapshot time; they
-// ride along in the /vars JSON and in run reports.
+// HistogramSnapshot is a point-in-time copy of a histogram: Buckets[i]
+// counts observations v with bits.Len64(v) == i (upper bound 2^i - 1).
+// P50/P95/P99 are the approximate quantiles computed from the buckets at
+// snapshot time; they ride along in the /vars JSON and in run reports.
 type HistogramSnapshot struct {
 	Count   uint64              `json:"count"`
 	Sum     uint64              `json:"sum"`
@@ -307,7 +254,7 @@ func (r *Registry) Counter(name string) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if c = r.counters[name]; c == nil {
-		c = &Counter{name: name}
+		c = new(Counter)
 		r.counters[name] = c
 	}
 	return c
@@ -327,7 +274,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if g = r.gauges[name]; g == nil {
-		g = &Gauge{name: name}
+		g = new(Gauge)
 		r.gauges[name] = g
 	}
 	return g
@@ -347,13 +294,13 @@ func (r *Registry) Histogram(name string) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if h = r.histograms[name]; h == nil {
-		h = &Histogram{name: name}
+		h = new(Histogram)
 		r.histograms[name] = h
 	}
 	return h
 }
 
-// Snapshot merges every metric's shards into a point-in-time view.
+// Snapshot reads every metric into a point-in-time view.
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
 		Counters:   map[string]uint64{},
@@ -377,7 +324,7 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-// Snapshot is a merged, read-only view of a registry, ready for JSON
+// Snapshot is a read-only view of a registry, ready for JSON
 // encoding (the /vars endpoint and `morphcli count -stats json`).
 type Snapshot struct {
 	Counters   map[string]uint64            `json:"counters"`

@@ -1,7 +1,7 @@
 // Package obs is the unified observability substrate for the morphing
-// pipeline and the four engine models: a metrics registry backed by
-// per-worker sharded atomic cells (allocation-free and contention-free on
-// engine hot paths), structured query-lifecycle events (the JSONL query
+// pipeline and the four engine models: a metrics registry of atomic
+// words, written once per run after workers join (so never on an engine
+// hot path), structured query-lifecycle events (the JSONL query
 // log and each run's flight recorder), an HTTP debug endpoint
 // (expvar-style JSON, Prometheus text exposition, net/http/pprof), and a
 // progress reporter for long enumeration runs.

@@ -87,13 +87,13 @@ func parsePrometheus(t *testing.T, text string) map[string]*promMetric {
 // sample values that agree with the registry snapshot.
 func TestPrometheusExpositionRoundTrip(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("engine_matches_total").Add(0, 42)
+	r.Counter("engine_matches_total").Add(42)
 	r.Gauge("server_queue_depth").Set(1.5)
-	r.Counter("server_reject_queue_full_total").Inc(0)
-	r.Counter("unpublished_total").Inc(0)
+	r.Counter("server_reject_queue_full_total").Inc()
+	r.Counter("unpublished_total").Inc()
 	h := r.Histogram("server_phase_mine_ns")
 	for _, v := range []uint64{1, 2, 3, 100, 100, 5000} {
-		h.Observe(0, v)
+		h.Observe(v)
 	}
 
 	var buf bytes.Buffer

@@ -134,13 +134,14 @@ type alone struct {
 var alones = sync.Pool{New: func() any { return new(alone) }}
 
 // CountingOps appends to dst the ops of pl's own counting pass on a tier that
-// serves label rows by level (its one-leaf trie lowered: node i is level i),
-// Kind, Src and At only; it allocates nothing but dst's growth once warm.
-func (pl *Plan) CountingOps(dst []Op) []Op {
+// serves label rows or not, by level (its one-leaf trie lowered: node i is
+// level i), Kind, Src and At only; it allocates nothing but dst's growth
+// once warm.
+func (pl *Plan) CountingOps(dst []Op, labelRows bool) []Op {
 	a := alones.Get().(*alone)
 	a.pl = *pl
 	_ = a.tr.Reset(&a.pl) // a plan without levels lowers to no ops
-	a.prog.Lower(&a.tr, false, true)
+	a.prog.Lower(&a.tr, false, labelRows)
 	for _, op := range a.prog.Ops[:len(pl.Order)] {
 		dst = append(dst, Op{Kind: op.Kind, Src: op.Src, At: op.At})
 	}

@@ -97,7 +97,7 @@ func TestBuildEqualsUnmemoizedPlan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want.Counting = want.CountingOps(nil)
+		want.Counting = want.CountingOps(nil, true)
 		got, gotAut, err := BuildAut(p)
 		if err != nil {
 			t.Fatal(err)

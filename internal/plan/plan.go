@@ -47,8 +47,9 @@ type Plan struct {
 	// runs in a pass is the op Lower makes of it.
 	Class []Class
 
-	// Counting is CountingOps, memoized with the plan's shape by BuildAut:
-	// what the cost model prices. Other plans leave it nil.
+	// Counting is CountingOps on a tier that serves label rows, memoized
+	// with the plan's shape by BuildAut: what the cost model prices. Other
+	// plans leave it nil.
 	Counting []Op
 }
 
@@ -78,7 +79,7 @@ func BuildAut(p *pattern.Pattern) (Plan, int, error) {
 		if err != nil {
 			return Plan{}, 0, err
 		}
-		pl.Counting = pl.CountingOps(nil)
+		pl.Counting = pl.CountingOps(nil, true)
 		s = shapePlan{pl, aut}
 		shapes.Put(key, s)
 	}

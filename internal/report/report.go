@@ -174,7 +174,7 @@ type RunReport struct {
 	Patterns []PatternReport `json:"patterns,omitempty"`
 
 	// Storage is the run's storage-tier attribution: decode work and
-	// probe-block cache activity by this run only (not process-cumulative
+	// edge-probe outcomes by this run only (not process-cumulative
 	// totals), plus mmap page residency when the tier supports sampling.
 	Storage *StorageReport `json:"storage,omitempty"`
 
@@ -481,7 +481,7 @@ func (r *RunReport) WriteText(w io.Writer) error {
 		p("  decoded: %d rows, %d blocks, %d elems (%d bytes expanded)\n",
 			s.DecodeRows, s.DecodeBlocks, s.DecodeElems, s.DecodeBytes)
 		if probes := s.ProbeHits + s.ProbeMisses; probes > 0 {
-			p("  probe-block cache: %d hits / %d probes (%.1f%%)\n",
+			p("  edge probes: %d from held rows / %d probes (%.1f%%)\n",
 				s.ProbeHits, probes, 100*float64(s.ProbeHits)/float64(probes))
 		}
 		if s.ResidencySampled {

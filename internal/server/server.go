@@ -427,10 +427,10 @@ func (s *Server) step(t *task, to state, res *QueryResult, qerr *QueryError) sta
 				to, qerr = stTerminal, s.retryable(CodeDraining, "server is draining")
 			case t.src != nil:
 				to = stRiding
-				s.o.Counter(MetricCacheHits).Inc(0)
+				s.o.Counter(MetricCacheHits).Inc()
 			case t.fl != nil:
 				to = stRiding
-				s.o.Counter(MetricCoalesced).Inc(0)
+				s.o.Counter(MetricCoalesced).Inc()
 			case q > 0 && s.clients[t.client] >= q:
 				to, qerr = stTerminal, s.retryable(CodeQuotaExhausted, "client %q is at its in-flight quota (%d)", t.client, q)
 			}
@@ -463,7 +463,7 @@ func (s *Server) step(t *task, to state, res *QueryResult, qerr *QueryError) sta
 			s.queued++
 			s.admitted[t] = struct{}{}
 			t.enqueuedAt = time.Now()
-			s.o.Counter(MetricQueries).Inc(0)
+			s.o.Counter(MetricQueries).Inc()
 			t.notify(StreamEvent{Type: EventQueued, QueueDepth: s.queued, Position: s.queued})
 			// The hand-over: from here a worker owns t. The send cannot
 			// block, as only this edge sends, under s.mu, and the guard saw
@@ -483,7 +483,7 @@ func (s *Server) step(t *task, to state, res *QueryResult, qerr *QueryError) sta
 			}
 			if res != nil && t.cacheable {
 				s.cache.put(t.key, res)
-				s.o.Counter(MetricCacheMisses).Inc(0)
+				s.o.Counter(MetricCacheMisses).Inc()
 			}
 			if t.fl != nil {
 				if s.cache.flights[t.key] == t.fl {
@@ -533,8 +533,8 @@ func (s *Server) retryable(code Code, format string, args ...any) *QueryError {
 
 // reject counts a typed rejection and returns it.
 func (s *Server) reject(qe *QueryError) *QueryError {
-	s.o.Counter(MetricRejects).Inc(0)
-	s.o.Counter(rejectMetric[qe.Code]).Inc(0)
+	s.o.Counter(MetricRejects).Inc()
+	s.o.Counter(rejectMetric[qe.Code]).Inc()
 	return qe
 }
 
@@ -610,7 +610,7 @@ func classifyCtxErr(err error, during string) *QueryError {
 func (s *Server) execute(t *task) (res *QueryResult, qerr *QueryError) {
 	defer func() {
 		if r := recover(); r != nil {
-			s.o.Counter(MetricPanics).Inc(0)
+			s.o.Counter(MetricPanics).Inc()
 			qerr = errf(CodePanic, "query panicked outside engine containment: %v", r)
 		}
 	}()
@@ -659,13 +659,13 @@ func (s *Server) classifyRunErr(err error, st *core.RunStats) *QueryError {
 	var pe *engine.PanicError
 	switch {
 	case errors.Is(err, engine.ErrDeadlineExceeded):
-		s.o.Counter(MetricInterrupted).Inc(0)
+		s.o.Counter(MetricInterrupted).Inc()
 		qe = errf(CodeDeadline, "%v", err)
 	case errors.Is(err, engine.ErrCanceled):
-		s.o.Counter(MetricInterrupted).Inc(0)
+		s.o.Counter(MetricInterrupted).Inc()
 		qe = errf(CodeCanceled, "%v", err)
 	case errors.As(err, &pe):
-		s.o.Counter(MetricPanics).Inc(0)
+		s.o.Counter(MetricPanics).Inc()
 		qe = errf(CodePanic, "%v", err)
 	default:
 		qe = errf(CodeInternal, "%v", err)
@@ -824,12 +824,12 @@ func (s *Server) record(t *task) {
 	names := [sloPhases]string{MetricPhaseAdmitNS, MetricPhaseQueueNS, MetricPhaseMineNS, MetricPhaseTotalNS}
 	for i := 0; i < sloPhases; i++ {
 		if valid[i] {
-			s.o.Histogram(names[i]).Observe(0, uint64(d[i]))
+			s.o.Histogram(names[i]).Observe(uint64(d[i]))
 		}
 	}
 	failed := t.qerr != nil && t.qerr.Code != CodeBadRequest
 	if failed {
-		s.o.Counter(MetricErrors).Inc(0)
+		s.o.Counter(MetricErrors).Inc()
 	}
 	s.slo.observe(end, t.client, d, valid, failed)
 }
@@ -1005,7 +1005,7 @@ func (s *Server) drain(ctx context.Context) error {
 			canceled++
 		}
 		s.mu.Unlock()
-		s.o.Counter(MetricDrainCanceled).Add(0, uint64(canceled))
+		s.o.Counter(MetricDrainCanceled).Add(uint64(canceled))
 		select {
 		case <-s.settled:
 		case <-ctx.Done():
