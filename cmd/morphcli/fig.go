@@ -9,7 +9,6 @@ import (
 
 	"morphing/internal/bench"
 	"morphing/internal/engine"
-	"morphing/internal/obs"
 )
 
 // cmdFig regenerates the paper's evaluation figures (internal/bench) as
@@ -23,7 +22,6 @@ func cmdFig(ctx context.Context, args []string, w, stderr io.Writer) error {
 	seed := fs.Int64("seed", 1, "random seed for datasets and workloads")
 	quick := fs.Bool("quick", true, "restrict to the cheaper graphs/patterns")
 	samples := fs.Int("samples", 0, "alternative-set samples for fig 15e (0 = paper's 250, or 40 in quick mode)")
-	progress := fs.Bool("progress", false, "report live matches/sec to stderr during experiments")
 	timeout := fs.Duration("timeout", 0, "overall deadline for the whole run; expired experiments abort at the next work-block boundary (0 = none)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -56,13 +54,7 @@ func cmdFig(ctx context.Context, args []string, w, stderr io.Writer) error {
 		fmt.Fprintf(stderr, "== fig %s: %s (scale=%v quick=%v)\n", e.ID, e.Title, cfg.Scale, cfg.Quick)
 		fmt.Fprintf(w, "# experiment %s: %s\n", e.ID, e.Title)
 		start := time.Now()
-		var prog *obs.Progress
-		if *progress {
-			prog = obs.StartProgress(stderr, "fig "+e.ID, obs.DefaultRegistry().Counter(engine.MetricMatches))
-		}
-		err := e.Run(ctx, cfg, w)
-		prog.Stop()
-		if err != nil {
+		if err := e.Run(ctx, cfg, w); err != nil {
 			if engine.Interrupted(err) {
 				fmt.Fprintf(w, "# %s: experiment %s aborted — rows above are PARTIAL\n", interruption(err), e.ID)
 			}

@@ -50,8 +50,8 @@ import (
 )
 
 // runFlight is the flight-recorder policy handed to every Runner,
-// assembled in run from -flightdir and -slowquery. It stays nil when a
-// test calls a command function directly, falling back to
+// assembled in run from $MORPH_FLIGHT_DIR and -slowquery. It stays nil
+// when a test calls a command function directly, falling back to
 // obs.DefaultFlightPolicy inside the Runner.
 var runFlight *obs.FlightPolicy
 
@@ -67,9 +67,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cpuProf := gfs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProf := gfs.String("memprofile", "", "write a heap profile at exit to this file")
 	queryLog := gfs.String("querylog", "", "append the structured JSONL query log (run lifecycle events) to this file")
-	flightDir := gfs.String("flightdir", "", "dump flight-recorder bundles for anomalous runs into this directory (default $MORPH_FLIGHT_DIR)")
-	slowQuery := gfs.Duration("slowquery", 0, "treat runs slower than this wall time as anomalous (flight-recorder trigger)")
-	gfs.Usage = func() { usage(stderr) }
+	slowQuery := gfs.Duration("slowquery", 0, "treat runs slower than this wall time as anomalous (flight-recorder trigger; bundles go to $MORPH_FLIGHT_DIR)")
+	gfs.Usage = func() {
+		usage(stderr)
+		gfs.PrintDefaults()
+	}
 	if err := gfs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -101,9 +103,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer obs.SetDefaultEventLog(nil)
 	}
 	flightPolicy := obs.DefaultFlightPolicy()
-	if *flightDir != "" {
-		flightPolicy.Dir = *flightDir
-	}
 	flightPolicy.SlowQuery = *slowQuery
 	runFlight = &flightPolicy
 	if *listen != "" {
@@ -152,7 +151,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 func usage(w io.Writer) {
-	fmt.Fprintln(w, `usage: morphcli [-listen addr] [-cpuprofile f] [-memprofile f] [-querylog f] [-flightdir d] [-slowquery d] <pattern|equation|sdag|transform|count|convert|query|top|explain|fig|names> [args]`)
+	fmt.Fprintln(w, `usage: morphcli [-listen addr] [-cpuprofile f] [-memprofile f] [-querylog f] [-slowquery d] <pattern|equation|sdag|transform|count|convert|query|top|explain|fig|names> [args]`)
 }
 
 func cmdNames(w io.Writer) {
@@ -308,7 +307,6 @@ func cmdCount(ctx context.Context, args []string, w, stderr io.Writer) error {
 	threads := fs.Int("threads", 0, "engine worker threads (0 = GOMAXPROCS)")
 	baseline := fs.Bool("baseline", false, "disable morphing and run the queries as-is")
 	statsMode := fs.String("stats", "text", "output mode: text, or json for the run report with a registry snapshot")
-	progress := fs.Bool("progress", false, "report live matches/sec to stderr")
 	timeout := fs.Duration("timeout", 0, "abort the run after this duration, printing partial per-alternative counts (0 = no deadline)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -330,20 +328,14 @@ func cmdCount(ctx context.Context, args []string, w, stderr io.Writer) error {
 	}
 	defer release()
 
-	var prog *obs.Progress
-	if *progress {
-		prog = obs.StartProgress(stderr, "count",
-			obs.DefaultRegistry().Counter(engine.MetricMatches))
-	}
 	if *timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
 	r := &core.Runner{Engine: eng, DisableMorphing: *baseline,
-		RunOptions: core.RunOptions{Shards: *shards}, Label: "count", Flight: runFlight}
+		Shards: *shards, Label: "count", Flight: runFlight}
 	counts, st, err := r.CountsCtx(ctx, g, queries)
-	prog.Stop()
 	if err != nil {
 		if engine.Interrupted(err) && st != nil {
 			if *statsMode == "json" {
@@ -415,7 +407,7 @@ func cmdTransform(ctx context.Context, args []string, w, stderr io.Writer) error
 		return err
 	}
 	model := costmodel.NewDefault(graph.Summarize(g))
-	sel, err := core.Select(ctx, d, queries, core.DefaultCostFunc(model, 0), core.PolicyAny, core.SelectOptions{})
+	sel, err := core.Select(ctx, d, queries, core.DefaultCostFunc(model, 0), core.PolicyAny, false)
 	if err != nil {
 		return err
 	}

@@ -26,8 +26,6 @@ func cmdQuery(args []string, w, stderr io.Writer) error {
 	explain := fs.Bool("explain", false, "run in explain mode (per-pattern calibration in the report)")
 	deadline := fs.Duration("deadline", 0, "per-query deadline, queued time included (0 = server default; the server clamps to its maximum)")
 	retries := fs.Int("retries", 3, "retry attempts after the first try, retryable rejections only")
-	backoff := fs.Duration("backoff", 100*time.Millisecond, "first retry delay; doubles per retry (capped, jittered); the server's retry-after hint wins when larger")
-	backoffCap := fs.Duration("backoff-cap", 5*time.Second, "upper bound on the retry delay")
 	client := fs.String("client", "", "client token for fairness quotas (X-Morph-Client; empty = anonymous bucket)")
 	noCache := fs.Bool("nocache", false, "bypass the server's result cache and single-flight coalescing")
 	jsonMode := fs.Bool("json", false, "print the result as JSON (counts, cache disposition, full run report)")
@@ -77,13 +75,7 @@ Flags:`)
 		return fmt.Errorf("query needs at least one pattern")
 	}
 
-	c := &server.Client{
-		Base:       *addr,
-		Token:      *client,
-		Retries:    *retries,
-		Backoff:    *backoff,
-		BackoffCap: *backoffCap,
-	}
+	c := &server.Client{Base: *addr, Token: *client, Retries: *retries}
 	if *verbose {
 		c.OnEvent = func(ev server.StreamEvent) {
 			switch ev.Type {

@@ -12,6 +12,12 @@
 //	       -inflight 4 -queue 64 -client-inflight 2 \
 //	       -admission-budget 256000000 -drain-timeout 10s
 //
+// The other serving values are constants: a query carrying no deadline
+// runs under 30 s and none runs longer than 5 min, a request naming no
+// engine mines on peregrine, the result cache holds 256 entries, and
+// flight-recorder bundles go to $MORPH_FLIGHT_DIR. DESIGN.md §13's knob
+// table lists every flag with its default and the caller that sets it.
+//
 // Endpoints: POST /query (ndjson stream), GET /healthz, GET /slo
 // (rolling-window objective scorecard with error-budget burn rates),
 // GET /timeseries (the History sampler's ring buffers — what
@@ -40,7 +46,6 @@ import (
 	"time"
 
 	"morphing/internal/dataset"
-	"morphing/internal/engines"
 	"morphing/internal/faultinject"
 	"morphing/internal/graph"
 	"morphing/internal/obs"
@@ -59,26 +64,16 @@ func run() error {
 	graphName := flag.String("graph", "MI", "dataset recipe (MI, MG, PR, OK, FR)")
 	scale := flag.Float64("scale", 0.01, "dataset scale factor")
 	binPath := flag.String("bin", "", "serve this binary graph file instead of a generated dataset (mmap when supported; storage-tier attribution and residency go live)")
-	engineName := flag.String("engine", "peregrine", "default matching engine ("+engines.List+")")
 	threads := flag.Int("threads", 0, "per-query engine worker threads (0 = GOMAXPROCS)")
 	inflight := flag.Int("inflight", 4, "worker pool size: max concurrently mining queries")
 	queueLen := flag.Int("queue", 64, "bounded query-queue capacity (backpressure beyond it)")
 	clientInflight := flag.Int("client-inflight", 0, "per-client in-flight quota (0 = unlimited)")
 	admissionBudget := flag.Uint64("admission-budget", 0, "cap on combined estimated match bytes of admitted queries (0 = unlimited)")
-	defaultDeadline := flag.Duration("default-deadline", 30*time.Second, "deadline applied to queries that carry none")
-	maxDeadline := flag.Duration("max-deadline", 5*time.Minute, "upper clamp on requested deadlines")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "how long graceful drain waits before canceling stragglers")
-	retryAfter := flag.Duration("retry-after", 250*time.Millisecond, "retry-after hint attached to retryable rejections")
-	cacheSize := flag.Int("cache", 256, "result cache capacity in entries (0 uses the default, negative disables caching)")
 	queryLog := flag.String("querylog", "", "append the structured JSONL query log to this file")
-	flightDir := flag.String("flightdir", "", "dump flight-recorder bundles for anomalous runs into this directory (default $MORPH_FLIGHT_DIR)")
 	slowQuery := flag.Duration("slowquery", 0, "treat runs slower than this wall time as anomalous (flight-recorder trigger)")
 	sampleInterval := flag.Duration("sample-interval", time.Second, "History sampler period backing /timeseries (negative disables)")
-	historyCap := flag.Int("history", 0, "time-series points retained per series (0 = 360)")
 	sloWindow := flag.Duration("slo-window", 5*time.Minute, "rolling window for /slo burn rates")
-	sloLatency := flag.Duration("slo-latency", time.Second, "per-phase latency objective")
-	sloLatencyGoal := flag.Float64("slo-latency-goal", 0.99, "fraction of queries that must meet the latency objective")
-	sloErrorGoal := flag.Float64("slo-error-goal", 0.01, "maximum acceptable failed-query fraction")
 	flag.Parse()
 
 	var ql *obs.EventLog
@@ -91,10 +86,7 @@ func run() error {
 		defer ql.Close()
 		obs.SetDefaultEventLog(ql)
 	}
-	flightPolicy := obs.DefaultFlightPolicy()
-	if *flightDir != "" {
-		flightPolicy.Dir = *flightDir
-	}
+	flightPolicy := obs.DefaultFlightPolicy() // bundles go to $MORPH_FLIGHT_DIR
 	flightPolicy.SlowQuery = *slowQuery
 
 	if cfg, _, armed, err := faultinject.ArmFromEnv(); err != nil {
@@ -124,26 +116,15 @@ func run() error {
 	}
 
 	srv, err := server.New(g, server.Config{
-		Engine:            *engineName,
 		Threads:           *threads,
 		MaxInFlight:       *inflight,
 		MaxQueue:          *queueLen,
 		PerClientInFlight: *clientInflight,
 		AdmissionBudget:   *admissionBudget,
-		DefaultDeadline:   *defaultDeadline,
-		MaxDeadline:       *maxDeadline,
 		DrainTimeout:      *drainTimeout,
-		RetryAfter:        *retryAfter,
-		CacheSize:         *cacheSize,
 		Flight:            &flightPolicy,
 		SampleInterval:    *sampleInterval,
-		HistoryCapacity:   *historyCap,
-		SLO: server.SLOConfig{
-			Window:           *sloWindow,
-			LatencyObjective: *sloLatency,
-			LatencyGoal:      *sloLatencyGoal,
-			ErrorGoal:        *sloErrorGoal,
-		},
+		SLOWindow:         *sloWindow,
 	})
 	if err != nil {
 		return err

@@ -71,7 +71,7 @@ func EnumerateCtx(ctx context.Context, g graph.Adjacency, eng engine.Engine, que
 	r := &core.Runner{Engine: eng, Label: "se", DisableMorphing: !opts.Morph, PerMatchCost: opts.PerMatchCost}
 	if opts.Morph && r.PerMatchCost == 0 && len(queries) > 0 {
 		r.PerMatchCost = costmodel.ProfileUDF(func(m []uint32) { filter(m) },
-			queries[0].N(), 4096, uint32(g.NumVertices()), 1e8)
+			queries[0].N(), uint32(g.NumVertices()))
 	}
 	// One shard per worker the pass starts, bound before any runs (the
 	// engine.Sink contract), keeps the UDF hot path lock-free.

@@ -235,7 +235,7 @@ func runFig15CostModel(ctx context.Context, cfg Config, w io.Writer) error {
 
 		// The model's choice, identified by its variant multiset.
 		model := costmodel.NewDefault(graph.Summarize(g))
-		sel, err := core.Select(ctx, d, queries, core.DefaultCostFunc(model, 0), core.PolicyAny, core.SelectOptions{})
+		sel, err := core.Select(ctx, d, queries, core.DefaultCostFunc(model, 0), core.PolicyAny, false)
 		if err != nil {
 			return err
 		}

@@ -168,7 +168,7 @@ func TestConvertCountsAllPolicies(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					sel, err := Select(context.Background(), d, []*pattern.Pattern{q}, forceMorphCosts([]*pattern.Pattern{q}), policy, SelectOptions{})
+					sel, err := Select(context.Background(), d, []*pattern.Pattern{q}, forceMorphCosts([]*pattern.Pattern{q}), policy, false)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -201,7 +201,7 @@ func TestConvertCountsMultiQuery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sel, err := Select(context.Background(), d, queries, forceMorphCosts(queries), PolicyAny, SelectOptions{})
+		sel, err := Select(context.Background(), d, queries, forceMorphCosts(queries), PolicyAny, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +241,7 @@ func TestConvertCountsMixedVariantSelection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sel, err := Select(context.Background(), d, queries, additive(costs), PolicyAny, SelectOptions{})
+		sel, err := Select(context.Background(), d, queries, additive(costs), PolicyAny, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,7 +277,7 @@ func TestConvertCountsLabeled(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sel, err := Select(context.Background(), d, []*pattern.Pattern{q}, forceMorphCosts([]*pattern.Pattern{q}), PolicyVertexOnly, SelectOptions{})
+		sel, err := Select(context.Background(), d, []*pattern.Pattern{q}, forceMorphCosts([]*pattern.Pattern{q}), PolicyVertexOnly, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,7 +317,7 @@ func TestConvertMNI(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sel, err := Select(context.Background(), d, []*pattern.Pattern{q}, forceMorphCosts([]*pattern.Pattern{q}), PolicyVertexOnly, SelectOptions{})
+		sel, err := Select(context.Background(), d, []*pattern.Pattern{q}, forceMorphCosts([]*pattern.Pattern{q}), PolicyVertexOnly, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -357,7 +357,7 @@ func TestConvertMNILabeled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel, err := Select(context.Background(), d, []*pattern.Pattern{q}, forceMorphCosts([]*pattern.Pattern{q}), PolicyVertexOnly, SelectOptions{})
+	sel, err := Select(context.Background(), d, []*pattern.Pattern{q}, forceMorphCosts([]*pattern.Pattern{q}), PolicyVertexOnly, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +387,7 @@ func TestConvertErrorPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel, err := Select(context.Background(), d, []*pattern.Pattern{q}, forceMorphCosts([]*pattern.Pattern{q}), PolicyEdgeOnly, SelectOptions{})
+	sel, err := Select(context.Background(), d, []*pattern.Pattern{q}, forceMorphCosts([]*pattern.Pattern{q}), PolicyEdgeOnly, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +455,7 @@ func TestConvertExists(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sel, err := Select(context.Background(), d, []*pattern.Pattern{q}, forceMorphCosts([]*pattern.Pattern{q}), PolicyVertexOnly, SelectOptions{})
+		sel, err := Select(context.Background(), d, []*pattern.Pattern{q}, forceMorphCosts([]*pattern.Pattern{q}), PolicyVertexOnly, false)
 		if err != nil {
 			t.Fatal(err)
 		}

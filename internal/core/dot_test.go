@@ -23,7 +23,7 @@ func TestWriteDOT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel, err := Select(context.Background(), d, queries, appendixA2Costs(t), PolicyAny, SelectOptions{})
+	sel, err := Select(context.Background(), d, queries, appendixA2Costs(t), PolicyAny, false)
 	if err != nil {
 		t.Fatal(err)
 	}

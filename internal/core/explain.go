@@ -9,7 +9,7 @@ import (
 )
 
 // This file holds the explainability side of pattern transformation: the
-// trace Algorithm 1 leaves behind when SelectOptions.Explain is set, the
+// trace Algorithm 1 leaves behind when Select is asked to explain, the
 // per-choice cost/cardinality annotations calibration compares against
 // measured engine.Stats.
 

@@ -25,19 +25,19 @@ func TestSelectExplainTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := Select(context.Background(), d, queries, appendixA2Costs(t), PolicyAny, SelectOptions{})
+	plain, err := Select(context.Background(), d, queries, appendixA2Costs(t), PolicyAny, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	traced, err := Select(context.Background(), d, queries, appendixA2Costs(t), PolicyAny, SelectOptions{Explain: true})
+	traced, err := Select(context.Background(), d, queries, appendixA2Costs(t), PolicyAny, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if traced.Explain == nil {
-		t.Fatal("Explain trace missing with SelectOptions.Explain set")
+		t.Fatal("Explain trace missing from an explaining Select")
 	}
 	if plain.Explain != nil {
-		t.Fatal("Explain trace recorded without SelectOptions.Explain")
+		t.Fatal("Explain trace recorded by a Select not asked to explain")
 	}
 	if len(traced.Mine) != len(plain.Mine) || traced.CostAfter != plain.CostAfter {
 		t.Fatalf("traced selection differs from untraced: %d/%v vs %d/%v",

@@ -89,7 +89,7 @@ func TestSelectStopsMidExpansion(t *testing.T) {
 	cost := DefaultCostFunc(costmodel.NewDefault(graph.Summarize(g)), 0)
 	ctx := pollsThenCancels{context.Background(), new(atomic.Int32)}
 	ctx.left.Store(40)
-	if _, err := Select(ctx, d, queries, cost, PolicyAny, SelectOptions{Explain: true}); !errors.Is(err, engine.ErrCanceled) {
+	if _, err := Select(ctx, d, queries, cost, PolicyAny, true); !errors.Is(err, engine.ErrCanceled) {
 		t.Fatalf("Select cancelled at its 41st poll returned %v, want engine.ErrCanceled", err)
 	}
 	if built := d.Materialized(); built < 40 || built > maxUpSet {

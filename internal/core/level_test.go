@@ -123,7 +123,7 @@ func TestPlanMemoSharedByPlanningAndSelection(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				sel, err := core.Select(context.Background(), d, labelings, core.DefaultCostFunc(model, 0), core.PolicyAny, core.SelectOptions{})
+				sel, err := core.Select(context.Background(), d, labelings, core.DefaultCostFunc(model, 0), core.PolicyAny, false)
 				if err != nil || len(sel.Queries) != len(labelings) {
 					t.Errorf("Select: %d queries, err %v", len(sel.Queries), err)
 				}
@@ -164,7 +164,7 @@ func BenchmarkSelectDecline(b *testing.B) {
 	}
 	model := costmodel.New(graph.Summarize(g), costmodel.DefaultWeights())
 	benchSelect(b, 326, func() (*core.Selection, error) {
-		return core.Select(context.Background(), d, level, core.DefaultCostFunc(model, perMatch), core.PolicyVertexOnly, core.SelectOptions{})
+		return core.Select(context.Background(), d, level, core.DefaultCostFunc(model, perMatch), core.PolicyVertexOnly, false)
 	}, len(level))
 }
 
@@ -184,7 +184,7 @@ func BenchmarkSelectAccept(b *testing.B) {
 		if err != nil {
 			return nil, err
 		}
-		return core.Select(context.Background(), d, queries, core.DefaultCostFunc(model, 0), core.PolicyAny, core.SelectOptions{})
+		return core.Select(context.Background(), d, queries, core.DefaultCostFunc(model, 0), core.PolicyAny, false)
 	}, 6)
 }
 

@@ -366,7 +366,7 @@ func TestLazySelectionEqualsEagerOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sel, err := Select(context.Background(), d, queries, cost, policy, SelectOptions{Explain: explain})
+				sel, err := Select(context.Background(), d, queries, cost, policy, explain)
 				if err != nil {
 					t.Fatalf("trial %d policy %v: %v", trial, policy, err)
 				}
@@ -454,7 +454,7 @@ func TestRecordedSetsSelectAsEager(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sel, err := Select(context.Background(), d, queries, cost, policy, SelectOptions{})
+				sel, err := Select(context.Background(), d, queries, cost, policy, false)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -58,7 +58,7 @@ func TestCountOverflowIsTyped(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sel, err := Select(context.Background(), d, []*pattern.Pattern{q}, forceMorphCosts([]*pattern.Pattern{q}), PolicyEdgeOnly, SelectOptions{})
+		sel, err := Select(context.Background(), d, []*pattern.Pattern{q}, forceMorphCosts([]*pattern.Pattern{q}), PolicyEdgeOnly, false)
 		if err != nil || len(sel.Mine) != 4 {
 			t.Fatalf("selection: %d mined, err %v", len(sel.Mine), err)
 		}

@@ -31,33 +31,6 @@ type Runner struct {
 	// the cost model (0 for system-native counting; see
 	// costmodel.ProfileUDF for UDF-derived values).
 	PerMatchCost float64
-	// RunOptions tunes execution of the selected alternatives (as opposed
-	// to their selection), currently shard-per-partition counting.
-	RunOptions RunOptions
-	// Explain records why the run did what it did and changes nothing
-	// about what it does: selection keeps its Algorithm 1 trace
-	// (Selection.Explain), choices are annotated with the cost model's
-	// predictions, and RunStats.PerPattern pairs each prediction with the
-	// exact count its alternative got from the run's own mining pass (the
-	// calibration data). There is no per-pattern wall time: the set is one
-	// merged pass, and a pattern's share of it is not a quantity.
-	Explain bool
-	// Obs is the observability sink: each run's lifecycle events go to
-	// its event log and the run's totals to its registry. nil falls back
-	// to obs.Default().
-	Obs *obs.Observer
-	// Label tags this runner's executions in the query log, run reports
-	// and flight-recorder dumps (conventionally the app name: "sc",
-	// "mc", "fsm", "se").
-	Label string
-	// Flight configures the per-run flight recorder (dump directory,
-	// slow-query threshold). nil uses obs.DefaultFlightPolicy, whose dump
-	// directory comes from MORPH_FLIGHT_DIR.
-	Flight *obs.FlightPolicy
-}
-
-// RunOptions tunes how the runner executes the selected alternatives.
-type RunOptions struct {
 	// Shards > 1 enables shard-per-partition counting (§7.4): the graph
 	// is split into Shards BFS-grown partitions, each shard is
 	// materialized as a plain in-RAM subgraph and mined on its own, and
@@ -78,6 +51,26 @@ type RunOptions struct {
 	// model's predictions are for the whole graph, the summed shard counts
 	// are of a graph with its cross-partition edges dropped.
 	Shards int
+	// Explain records why the run did what it did and changes nothing
+	// about what it does: selection keeps its Algorithm 1 trace
+	// (Selection.Explain), choices are annotated with the cost model's
+	// predictions, and RunStats.PerPattern pairs each prediction with the
+	// exact count its alternative got from the run's own mining pass (the
+	// calibration data). There is no per-pattern wall time: the set is one
+	// merged pass, and a pattern's share of it is not a quantity.
+	Explain bool
+	// Obs is the observability sink: each run's lifecycle events go to
+	// its event log and the run's totals to its registry. nil falls back
+	// to obs.Default().
+	Obs *obs.Observer
+	// Label tags this runner's executions in the query log, run reports
+	// and flight-recorder dumps (conventionally the app name: "sc",
+	// "mc", "fsm", "se").
+	Label string
+	// Flight configures the per-run flight recorder (dump directory,
+	// slow-query threshold). nil uses obs.DefaultFlightPolicy, whose dump
+	// directory comes from MORPH_FLIGHT_DIR.
+	Flight *obs.FlightPolicy
 }
 
 // TrieDecision records the mining phase's one pass of the winner set's
@@ -144,7 +137,7 @@ type RunStats struct {
 	// Trie records the one-pass trie routing decision of the mining phase.
 	Trie *TrieDecision
 	// Shards is the number of partitions a sharded counting run actually
-	// mined (RunOptions.Shards requested, empty partitions omitted);
+	// mined (Runner.Shards requested, empty partitions omitted);
 	// 0 for unsharded runs.
 	Shards int
 
@@ -433,7 +426,7 @@ func (r *Runner) transformPolicy(ctx context.Context, g graph.Adjacency, queries
 		return nil, err
 	}
 	model := costmodel.NewDefault(graph.Summarize(g))
-	sel, err := Select(ctx, d, queries, DefaultCostFunc(model, r.PerMatchCost), policy, SelectOptions{Explain: r.Explain})
+	sel, err := Select(ctx, d, queries, DefaultCostFunc(model, r.PerMatchCost), policy, r.Explain)
 	if err != nil {
 		return nil, err
 	}
@@ -618,10 +611,10 @@ func (r *Runner) planTrie(g graph.Adjacency, ps []*pattern.Pattern) (*TrieDecisi
 // reaches the executor: it mines choices[i].Pattern on g — streaming each
 // match to sinks[i], or counting when sinks is nil — and returns one
 // count per choice. The set is one pass over the engine's merged trie (one
-// per shard under RunOptions.Shards, which applies to counting only).
+// per shard under Runner.Shards, which applies to counting only).
 // Explain changes nothing here but the bookkeeping: PerPattern pairs each
 // choice's predictions with its count from that same execution (sharded
-// runs skip it, see RunOptions.Shards).
+// runs skip it, see Runner.Shards).
 //
 // stats receives Trie (logged as the trie_decision event when ctx carries a
 // run scope), Mining and, on a typed interruption, Partial — one count per
@@ -645,7 +638,7 @@ func (r *Runner) mine(ctx context.Context, g graph.Adjacency, choices []Choice, 
 	}
 
 	var counts []uint64
-	sharded := r.RunOptions.Shards > 1 && sinks == nil
+	sharded := r.Shards > 1 && sinks == nil
 	if sharded {
 		counts, err = r.mineSharded(ctx, g, len(choices), pass, stats)
 	} else {
@@ -670,7 +663,7 @@ func (r *Runner) mine(ctx context.Context, g graph.Adjacency, choices []Choice, 
 	return counts, err
 }
 
-// mineSharded executes RunOptions.Shards-way shard-per-partition
+// mineSharded executes Runner.Shards-way shard-per-partition
 // counting (§7.4 drop-cross-edges semantics; see the field doc for the
 // soundness argument): pass, mine's one execution of the set, once per
 // shard. The partition member lists are computed once, but each shard
@@ -684,13 +677,13 @@ func (r *Runner) mine(ctx context.Context, g graph.Adjacency, choices []Choice, 
 // typed interruption the returned counts hold the progress so far.
 func (r *Runner) mineSharded(ctx context.Context, g graph.Adjacency, n int, pass func(graph.Adjacency) ([]uint64, *engine.Stats, error), stats *RunStats) ([]uint64, error) {
 	rc := obs.RunFrom(ctx)
-	parts, err := graph.PartitionMembers(g, r.RunOptions.Shards)
+	parts, err := graph.PartitionMembers(g, r.Shards)
 	if err != nil {
 		return nil, err
 	}
 	stats.Shards = len(parts)
 	rc.Event("sharded",
-		obs.Int("requested", r.RunOptions.Shards), obs.Int("shards", len(parts)),
+		obs.Int("requested", r.Shards), obs.Int("shards", len(parts)),
 		obs.Bool("trie", stats.Trie.Used))
 	counts := make([]uint64, n)
 	acc := &engine.Stats{}

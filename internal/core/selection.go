@@ -142,8 +142,8 @@ type Selection struct {
 	// distinct level once (diagnostics and Fig. 15e).
 	CostBefore, CostAfter float64
 
-	// Explain is the Algorithm 1 trace, recorded only when
-	// SelectOptions.Explain was set; nil otherwise.
+	// Explain is the Algorithm 1 trace, recorded only when Select was
+	// asked to explain; nil otherwise.
 	Explain *SelectionExplain
 
 	byPair map[pairKey]int // pair -> index into Mine
@@ -152,15 +152,6 @@ type Selection struct {
 // maxSubset caps the size of children subsets enumerated per parent
 // (Algorithm 1 line 6).
 const maxSubset = 12
-
-// SelectOptions tunes Select.
-type SelectOptions struct {
-	// Explain records the selection trace (every node cost and every
-	// candidate morph scored) in Selection.Explain. Off the explain path
-	// this costs nothing; with it, selection allocates trace entries but
-	// expands the same S-DAG and takes the same decisions.
-	Explain bool
-}
 
 // IdentitySelection returns the no-morphing selection: every query is
 // mined as-is. Baseline runs use it to avoid paying for S-DAG
@@ -194,15 +185,18 @@ func IdentitySelection(queries []*pattern.Pattern) (*Selection, error) {
 // mined as they are (but for the morphs an edge-only engine cannot do
 // without), and SelectionExplain.CostFault says why. Generating
 // superpatterns polls ctx: a cancelled or expired context ends Select with
-// the typed engine error.
-func Select(ctx context.Context, d *SDAG, queries []*pattern.Pattern, cost CostFunc, policy Policy, opts SelectOptions) (*Selection, error) {
+// the typed engine error. explain records the selection trace (every node
+// cost and every candidate morph scored) in Selection.Explain: selection
+// then allocates trace entries but expands the same S-DAG and takes the
+// same decisions.
+func Select(ctx context.Context, d *SDAG, queries []*pattern.Pattern, cost CostFunc, policy Policy, explain bool) (*Selection, error) {
 	sel := &Selection{SDAG: d, Policy: policy}
 	if len(queries) == 0 {
 		return sel, nil
 	}
 
 	var ex *SelectionExplain
-	if opts.Explain {
+	if explain {
 		ex = &SelectionExplain{}
 		sel.Explain = ex
 	}

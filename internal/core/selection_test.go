@@ -48,7 +48,7 @@ func TestSelectAppendixA2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel, err := Select(context.Background(), d, queries, appendixA2Costs(t), PolicyAny, SelectOptions{})
+	sel, err := Select(context.Background(), d, queries, appendixA2Costs(t), PolicyAny, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestSelectNoMorphWhenExpensive(t *testing.T) {
 		t.Fatal(err)
 	}
 	cheapQueries := func(n *Node) Costs { return Costs{E: 1000, V: 1} }
-	sel, err := Select(context.Background(), d, queries, additive(cheapQueries), PolicyAny, SelectOptions{})
+	sel, err := Select(context.Background(), d, queries, additive(cheapQueries), PolicyAny, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestSelectAppendixA1(t *testing.T) {
 			return Costs{E: 5, V: 5} // pf
 		}
 	}
-	sel, err := Select(context.Background(), d, []*pattern.Pattern{q}, additive(costs), PolicyVertexOnly, SelectOptions{})
+	sel, err := Select(context.Background(), d, []*pattern.Pattern{q}, additive(costs), PolicyVertexOnly, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestSelectFSMStyleVertexOnly(t *testing.T) {
 		}
 		return Costs{E: 20, V: 3}
 	}
-	sel, err := Select(context.Background(), d, []*pattern.Pattern{q}, additive(costs), PolicyVertexOnly, SelectOptions{})
+	sel, err := Select(context.Background(), d, []*pattern.Pattern{q}, additive(costs), PolicyVertexOnly, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestSelectVertexOnlyNeverMorphsVertexQueries(t *testing.T) {
 	// Even with absurd costs, a vertex-induced query cannot morph under
 	// the additive-only policy.
 	costs := func(n *Node) Costs { return Costs{E: 0.001, V: 1e9} }
-	sel, err := Select(context.Background(), d, []*pattern.Pattern{q}, additive(costs), PolicyVertexOnly, SelectOptions{})
+	sel, err := Select(context.Background(), d, []*pattern.Pattern{q}, additive(costs), PolicyVertexOnly, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestSelectEdgeOnlyForcesMorph(t *testing.T) {
 		t.Fatal(err)
 	}
 	costs := func(n *Node) Costs { return Costs{E: 1e9, V: 1} }
-	sel, err := Select(context.Background(), d, []*pattern.Pattern{q}, additive(costs), PolicyEdgeOnly, SelectOptions{})
+	sel, err := Select(context.Background(), d, []*pattern.Pattern{q}, additive(costs), PolicyEdgeOnly, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestSelectFailsClosedOnFaultyCost(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					sel, err := Select(context.Background(), d, queries, cost, policy, SelectOptions{Explain: true})
+					sel, err := Select(context.Background(), d, queries, cost, policy, true)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
@@ -303,7 +303,7 @@ func TestSelectMotifCountingMorphsEverything(t *testing.T) {
 		anti := n.Pattern.N()*(n.Pattern.N()-1)/2 - n.Pattern.EdgeCount()
 		return Costs{E: 10, V: 10 + 20*float64(anti)}
 	}
-	sel, err := Select(context.Background(), d, queries, additive(costs), PolicyAny, SelectOptions{})
+	sel, err := Select(context.Background(), d, queries, additive(costs), PolicyAny, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestSelectEmptyQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel, err := Select(context.Background(), d, nil, additive(func(*Node) Costs { return Costs{} }), PolicyAny, SelectOptions{})
+	sel, err := Select(context.Background(), d, nil, additive(func(*Node) Costs { return Costs{} }), PolicyAny, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func TestSelectQueryMissingFromSDAG(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Select(context.Background(), d, []*pattern.Pattern{pattern.FourCycle()}, additive(func(*Node) Costs { return Costs{} }), PolicyAny, SelectOptions{})
+	_, err = Select(context.Background(), d, []*pattern.Pattern{pattern.FourCycle()}, additive(func(*Node) Costs { return Costs{} }), PolicyAny, false)
 	if err == nil {
 		t.Fatal("query outside the S-DAG accepted")
 	}
@@ -440,7 +440,7 @@ func TestSelectDeclineBoundIsExact(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if sels[i], err = Select(context.Background(), d, queries, additive(costs), policy, SelectOptions{Explain: i == 1}); err != nil {
+				if sels[i], err = Select(context.Background(), d, queries, additive(costs), policy, i == 1); err != nil {
 					t.Fatal(err)
 				}
 				built[i] = d.Materialized()
@@ -498,7 +498,7 @@ func TestSelectDeclineBoundYieldsToScheduledSelfPair(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, explain := range []bool{false, true} {
-		sel, err := Select(context.Background(), d, queries, appendixA2Costs(t), PolicyVertexOnly, SelectOptions{Explain: explain})
+		sel, err := Select(context.Background(), d, queries, appendixA2Costs(t), PolicyVertexOnly, explain)
 		if err != nil {
 			t.Fatal(err)
 		}

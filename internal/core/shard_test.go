@@ -10,7 +10,7 @@ import (
 )
 
 // TestShardedCountsSumOverShards pins the soundness argument of
-// RunOptions.Shards: conversion is a fixed linear combination of the
+// Runner.Shards: conversion is a fixed linear combination of the
 // alternative counts, so a sharded run must report exactly the sum, over
 // the same partitions, of each query counted alone.
 func TestShardedCountsSumOverShards(t *testing.T) {
@@ -23,7 +23,7 @@ func TestShardedCountsSumOverShards(t *testing.T) {
 	const k = 3
 
 	eng := peregrine.New(2)
-	sharded := &Runner{Engine: eng, RunOptions: RunOptions{Shards: k}}
+	sharded := &Runner{Engine: eng, Shards: k}
 	got, stats, err := sharded.CountsCtx(context.Background(), g, queries)
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +76,7 @@ func TestShardedSkipsExplainCalibration(t *testing.T) {
 		pattern.FourStar().AsVertexInduced(),
 	}
 	r := &Runner{Engine: peregrine.New(2), Explain: true,
-		RunOptions: RunOptions{Shards: 2}}
+		Shards: 2}
 	_, stats, err := r.CountsCtx(context.Background(), g, queries)
 	if err != nil {
 		t.Fatal(err)

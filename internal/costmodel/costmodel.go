@@ -358,21 +358,25 @@ func (m *Model) PatternLevels(p *pattern.Pattern, perMatch float64, dst []Level)
 	return m.Levels(&pl, perMatch, aut, dst), nil
 }
 
+// profileSamples is how many dummy matches ProfileUDF times, and
+// profileOpsPerSecond how many model iterations it equates to a second (a
+// rough constant is fine because selection only compares costs
+// relatively).
+const (
+	profileSamples      = 4096
+	profileOpsPerSecond = 1e8
+)
+
 // ProfileUDF estimates the per-match cost of an application UDF by timing
 // it on synthetic matches of k vertices drawn from [0, maxVertex), the
 // profiling strategy of §5.2 ("a set of n dummy matches can be generated
 // by randomly selecting |V(P)| vertices n times"). The returned cost is
-// normalized to the model's unitless iteration cost using opsPerSecond
-// (how many model iterations correspond to a second; a rough constant is
-// fine because selection only compares costs relatively).
-func ProfileUDF(udf func(m []uint32), k, samples int, maxVertex uint32, opsPerSecond float64) float64 {
-	if samples <= 0 {
-		samples = 1024
-	}
+// normalized to the model's unitless iteration cost.
+func ProfileUDF(udf func(m []uint32), k int, maxVertex uint32) float64 {
 	if maxVertex == 0 {
 		maxVertex = 1
 	}
-	matches := make([][]uint32, samples)
+	matches := make([][]uint32, profileSamples)
 	for i := range matches {
 		mm := make([]uint32, k)
 		for j := range mm {
@@ -386,9 +390,5 @@ func ProfileUDF(udf func(m []uint32), k, samples int, maxVertex uint32, opsPerSe
 	for _, mm := range matches {
 		udf(mm)
 	}
-	perMatchSeconds := time.Since(start).Seconds() / float64(samples)
-	if opsPerSecond <= 0 {
-		opsPerSecond = 1e8
-	}
-	return perMatchSeconds * opsPerSecond
+	return time.Since(start).Seconds() / profileSamples * profileOpsPerSecond
 }

@@ -184,20 +184,23 @@ func TestModelDegenerateSummaries(t *testing.T) {
 }
 
 func TestProfileUDF(t *testing.T) {
+	// Spin rather than sleep: ProfileUDF times thousands of calls, and a
+	// sleep rounds up to the timer's granularity.
 	slow := func(m []uint32) {
-		time.Sleep(20 * time.Microsecond)
+		for start := time.Now(); time.Since(start) < 2*time.Microsecond; {
+		}
 	}
 	fast := func(m []uint32) {}
-	cs := ProfileUDF(slow, 4, 64, 100, 1e8)
-	cf := ProfileUDF(fast, 4, 64, 100, 1e8)
+	cs := ProfileUDF(slow, 4, 100)
+	cf := ProfileUDF(fast, 4, 100)
 	if cs <= cf {
 		t.Fatalf("profiling cannot tell slow (%v) from fast (%v)", cs, cf)
 	}
 	if cf < 0 {
 		t.Fatalf("negative profile %v", cf)
 	}
-	// Default sample count and normalization paths.
-	if c := ProfileUDF(fast, 3, 0, 0, 0); c < 0 {
-		t.Fatalf("defaulted profile negative: %v", c)
+	// An empty vertex range still draws vertex 0.
+	if c := ProfileUDF(fast, 3, 0); c < 0 {
+		t.Fatalf("profile over an empty vertex range negative: %v", c)
 	}
 }

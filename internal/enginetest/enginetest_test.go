@@ -55,7 +55,7 @@ var runnerRoutes = []struct {
 
 // routeCounts counts qs on g with e along a route of runnerRoutes.
 func routeCounts(ctx context.Context, e engine.Engine, g graph.Adjacency, qs []*pattern.Pattern, oneLeaf bool, shards int) ([]uint64, error) {
-	r := &core.Runner{Engine: e, RunOptions: core.RunOptions{Shards: shards}}
+	r := &core.Runner{Engine: e, Shards: shards}
 	if !oneLeaf {
 		counts, _, err := r.CountsCtx(ctx, g, qs)
 		return counts, err

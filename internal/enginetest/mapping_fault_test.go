@@ -71,11 +71,14 @@ func TestMappingFaultIsTyped(t *testing.T) {
 			if err := f.Close(); err != nil {
 				t.Fatal(err)
 			}
-			h, err := graph.Open(path, graph.OpenOptions{Mode: graph.OpenMmap})
+			h, err := graph.Open(path, graph.OpenOptions{})
 			if err != nil {
-				t.Skipf("no mmap: %v", err)
+				t.Fatal(err)
 			}
 			defer h.Close()
+			if !h.Mapped() {
+				t.Skip("no mmap on this platform")
+			}
 			if tc.warm {
 				if err := count(h.Graph()); err != nil {
 					t.Fatal(err)

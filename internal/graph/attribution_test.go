@@ -159,7 +159,7 @@ func TestResidencySampling(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	h, err := Open(path, OpenOptions{Mode: OpenMmap})
+	h, err := Open(path, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,3 +14,7 @@ func (c *CompressedGraph) HotMinDegree() int { return c.hotRows().minDeg }
 
 // DecodedRow decodes v's row from the stream, past the hot rows.
 func (c *CompressedGraph) DecodedRow(v uint32) []uint32 { return c.decodeRow(v, nil) }
+
+// OpenHeap is Open reading the file into the heap, the path a platform
+// without memory maps takes.
+func OpenHeap(path string, opts OpenOptions) (*Handle, error) { return open(path, opts, false) }

@@ -7,22 +7,8 @@ import (
 	"os"
 )
 
-// OpenMode selects how Open backs a version-2 file.
-type OpenMode int
-
-const (
-	// OpenAuto memory-maps when the platform supports it and falls back
-	// to a heap read otherwise. The default.
-	OpenAuto OpenMode = iota
-	// OpenMmap requires a memory mapping and fails where unsupported.
-	OpenMmap
-	// OpenHeap always reads the file into the heap.
-	OpenHeap
-)
-
 // OpenOptions tune Open.
 type OpenOptions struct {
-	Mode OpenMode
 	// Verify runs the full O(E) structural check after loading. Required
 	// for untrusted files; skipped by default because it faults in every
 	// page, defeating the out-of-core load.
@@ -83,9 +69,16 @@ func (e *LegacyFormatError) Error() string {
 
 // Open loads a binary graph file written by WriteBinary2 in O(index) time:
 // the header, section table, and per-vertex index arrays are validated, and
-// adjacency bytes page in on demand when the file is memory-mapped. A
-// version-1 file ends in a *LegacyFormatError.
+// adjacency bytes page in on demand when the file is memory-mapped. The file
+// is mapped where the platform supports it and read into the heap otherwise
+// (or when the mapping fails). A version-1 file ends in a
+// *LegacyFormatError.
 func Open(path string, opts OpenOptions) (*Handle, error) {
+	return open(path, opts, mmapSupported)
+}
+
+// open is Open, mapping the file only when tryMmap is set.
+func open(path string, opts OpenOptions, tryMmap bool) (*Handle, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -116,14 +109,8 @@ func Open(path string, opts OpenOptions) (*Handle, error) {
 		data []byte
 		m    *mapping
 	)
-	wantMmap := opts.Mode != OpenHeap && mmapSupported
-	if wantMmap {
-		m, err = mapFile(f, st.Size())
-		if err != nil && opts.Mode == OpenMmap {
-			return nil, fmt.Errorf("graph: %s: mmap: %w", path, err)
-		}
-	} else if opts.Mode == OpenMmap {
-		return nil, fmt.Errorf("graph: %s: mmap not supported on this platform", path)
+	if tryMmap {
+		m, _ = mapFile(f, st.Size()) // a failed mapping falls back to the heap read
 	}
 	if m != nil {
 		data = mappingBytes(m)

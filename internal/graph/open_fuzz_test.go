@@ -25,11 +25,14 @@ func FuzzOpen(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		for _, opts := range []OpenOptions{
-			{Mode: OpenHeap}, {Mode: OpenHeap, Verify: true},
-			{Mode: OpenAuto}, {Mode: OpenAuto, Verify: true},
+		for _, try := range []struct {
+			open func(string, OpenOptions) (*Handle, error)
+			opts OpenOptions
+		}{
+			{OpenHeap, OpenOptions{}}, {OpenHeap, OpenOptions{Verify: true}},
+			{Open, OpenOptions{}}, {Open, OpenOptions{Verify: true}},
 		} {
-			h, err := Open(path, opts)
+			h, err := try.open(path, try.opts)
 			if err != nil {
 				continue
 			}
@@ -111,15 +114,21 @@ func openFuzzSeeds(tb testing.TB) [][]byte {
 
 // section returns the payload of section id in a version-2 file.
 func section(b []byte, id uint32) []byte {
+	off, size := sectionSpan(b, id)
+	return b[off : off+size]
+}
+
+// sectionSpan returns the file offset and length of section id in a
+// version-2 file, zeros when it has none.
+func sectionSpan(b []byte, id uint32) (off, size uint64) {
 	n := binary.LittleEndian.Uint32(b[40:])
 	for i := 0; i < int(n); i++ {
 		e := b[v2HeaderSize+i*v2SectionSize:]
 		if binary.LittleEndian.Uint32(e) == id {
-			off, size := binary.LittleEndian.Uint64(e[8:]), binary.LittleEndian.Uint64(e[16:])
-			return b[off : off+size]
+			return binary.LittleEndian.Uint64(e[8:]), binary.LittleEndian.Uint64(e[16:])
 		}
 	}
-	return nil
+	return 0, 0
 }
 
 // putSection32 overwrites element i of a section of uint32s, if it has one.

@@ -206,12 +206,14 @@ func TestV2RoundTrip(t *testing.T) {
 			{"plain", g.WriteBinary2},
 			{"compressed", c.WriteBinary2},
 		} {
+			// heap is the read a platform without memory maps takes, mmap
+			// is Open where it must map, auto is Open on any platform.
 			for _, mode := range []struct {
 				name string
-				mode OpenMode
-			}{{"heap", OpenHeap}, {"mmap", OpenMmap}, {"auto", OpenAuto}} {
+				open func(string, OpenOptions) (*Handle, error)
+			}{{"heap", OpenHeap}, {"mmap", Open}, {"auto", Open}} {
 				t.Run(fmt.Sprintf("l%d_%s_%s", labels, tier.name, mode.name), func(t *testing.T) {
-					if mode.mode == OpenMmap && !mmapSupported {
+					if mode.name == "mmap" && !mmapSupported {
 						t.Skip("no mmap on this platform")
 					}
 					path := filepath.Join(dir, fmt.Sprintf("g_%d_%s_%s.mcsr", labels, tier.name, mode.name))
@@ -225,13 +227,13 @@ func TestV2RoundTrip(t *testing.T) {
 					if err := f.Close(); err != nil {
 						t.Fatal(err)
 					}
-					h, err := Open(path, OpenOptions{Mode: mode.mode, Verify: true})
+					h, err := mode.open(path, OpenOptions{Verify: true})
 					if err != nil {
 						t.Fatal(err)
 					}
 					defer h.Close()
-					if mode.mode == OpenMmap && !h.Mapped() {
-						t.Fatal("OpenMmap produced an unmapped handle")
+					if mode.name == "mmap" && !h.Mapped() {
+						t.Fatal("Open left the file unmapped where mmap is supported")
 					}
 					sameAdjacency(t, g, h.Graph())
 					wantOrig := g.OrigIDs()
@@ -264,12 +266,72 @@ func TestOpenVersion1NamesConvert(t *testing.T) {
 	if err := os.WriteFile(path, append(head, make([]byte, 64)...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []OpenMode{OpenAuto, OpenHeap, OpenMmap} {
-		_, err := Open(path, OpenOptions{Mode: mode})
+	for name, open := range map[string]func(string, OpenOptions) (*Handle, error){"mapped": Open, "heap": OpenHeap} {
+		_, err := open(path, OpenOptions{})
 		var legacy *LegacyFormatError
 		if !errors.As(err, &legacy) || legacy.Path != path || !strings.Contains(err.Error(), "morphcli convert") {
-			t.Fatalf("mode %d: Open(version-1 file) = %v, want a *LegacyFormatError naming morphcli convert", mode, err)
+			t.Fatalf("%s: Open(version-1 file) = %v, want a *LegacyFormatError naming morphcli convert", name, err)
 		}
+	}
+}
+
+// TestVerifySeesBytesRewrittenAfterOpen pins the detector for a file
+// overwritten in place after Open, which is outside the storage contract:
+// the mapping is MAP_SHARED, so adjacency bytes rewritten through the file
+// (same length, no truncation) show through the open handle, and Verify on
+// that handle reports the damage, on a plain and on a compressed file.
+func TestVerifySeesBytesRewrittenAfterOpen(t *testing.T) {
+	g := randomGraph(t, 200, 9, 0, 7)
+	c, err := Compress(g, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tier := range []struct {
+		name   string
+		write  func(io.Writer) error
+		sec    uint32
+		fill   byte // 0xff: out-of-range neighbors; 0x80: every varint runs on
+		verify func(*Handle) error
+	}{
+		{"plain", g.WriteBinary2, secAdj, 0xff, func(h *Handle) error { return h.Plain().VerifySorted() }},
+		{"compressed", c.WriteBinary2, secStream, 0x80, func(h *Handle) error { return h.Compressed().Verify() }},
+	} {
+		t.Run(tier.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := tier.write(&buf); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), tier.name+".mcsr")
+			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			h, err := Open(path, OpenOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer h.Close()
+			if !h.Mapped() {
+				t.Skip("no mmap on this platform")
+			}
+			if err := tier.verify(h); err != nil {
+				t.Fatalf("Verify before the rewrite: %v", err)
+			}
+			off, size := sectionSpan(buf.Bytes(), tier.sec)
+			f, err := os.OpenFile(path, os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = f.WriteAt(bytes.Repeat([]byte{tier.fill}, int(size)), int64(off))
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tier.verify(h); err == nil {
+				t.Fatal("Verify on the open handle missed adjacency bytes rewritten through the file")
+			}
+		})
 	}
 }
 
@@ -391,10 +453,10 @@ func TestOpenRejectsCorrupt(t *testing.T) {
 			if err := os.WriteFile(path, mutated, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			for _, mode := range []OpenMode{OpenHeap, OpenAuto} {
-				if h, err := Open(path, OpenOptions{Mode: mode, Verify: true}); err == nil {
+			for name, open := range map[string]func(string, OpenOptions) (*Handle, error){"mapped": Open, "heap": OpenHeap} {
+				if h, err := open(path, OpenOptions{Verify: true}); err == nil {
 					h.Close()
-					t.Fatalf("mode %d accepted corrupt file (%s)", mode, m.name)
+					t.Fatalf("%s open accepted corrupt file (%s)", name, m.name)
 				}
 			}
 		})

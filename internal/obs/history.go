@@ -35,8 +35,9 @@ import (
 // into spare capacity beyond every published header's length and
 // republishes, so a reader holding an old header never observes a write.
 type History struct {
-	reg *Registry
-	cfg HistoryConfig
+	reg      *Registry
+	cfg      HistoryConfig
+	capacity int // points retained per series
 
 	counters []*historyCounter
 	gauges   []*historyGauge
@@ -56,9 +57,6 @@ type History struct {
 type HistoryConfig struct {
 	// Interval is the sampling period. 0 defaults to one second.
 	Interval time.Duration
-	// Capacity is the number of points retained per series. 0 defaults
-	// to 360 (six minutes at the default interval).
-	Capacity int
 	// Counters, Gauges and Histograms name the metrics to sample. The
 	// set is fixed at construction; metrics that do not exist yet are
 	// created in the registry (at zero) so series are always present.
@@ -70,9 +68,6 @@ type HistoryConfig struct {
 func (c HistoryConfig) withDefaults() HistoryConfig {
 	if c.Interval <= 0 {
 		c.Interval = time.Second
-	}
-	if c.Capacity <= 0 {
-		c.Capacity = 360
 	}
 	return c
 }
@@ -150,16 +145,27 @@ type historyHist struct {
 // "everything since process start") but does not start sampling — call
 // Start for the background goroutine, or SampleNow from a test.
 func NewHistory(reg *Registry, cfg HistoryConfig) *History {
+	return newHistory(reg, cfg, historyCapacity)
+}
+
+// historyCapacity is the number of points each series retains: six
+// minutes at the default one-second interval.
+const historyCapacity = 360
+
+// newHistory is NewHistory retaining capacity points per series
+// (historyCapacity outside tests).
+func newHistory(reg *Registry, cfg HistoryConfig, capacity int) *History {
 	cfg = cfg.withDefaults()
 	h := &History{
-		reg:    reg,
-		cfg:    cfg,
-		series: make(map[string]*series),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
+		reg:      reg,
+		cfg:      cfg,
+		capacity: capacity,
+		series:   make(map[string]*series),
+		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
 	}
 	mk := func(name string) *series {
-		s := newSeries(cfg.Capacity)
+		s := newSeries(capacity)
 		h.series[name] = s
 		return s
 	}
@@ -292,7 +298,7 @@ func (h *History) Snapshot(limit int) HistorySnapshot {
 	}
 	out := HistorySnapshot{
 		IntervalNS: int64(h.cfg.Interval),
-		Capacity:   h.cfg.Capacity,
+		Capacity:   h.capacity,
 		Samples:    h.samples.Load(),
 		LastNS:     h.lastNS.Load(),
 		Series:     make(map[string][]Point, len(h.series)),

@@ -17,13 +17,12 @@ import (
 // deltas rather than cumulative buckets.
 func TestHistorySampling(t *testing.T) {
 	reg := NewRegistry()
-	h := NewHistory(reg, HistoryConfig{
+	h := newHistory(reg, HistoryConfig{
 		Interval:   time.Second,
-		Capacity:   8,
 		Counters:   []string{"q_total"},
 		Gauges:     []string{"depth"},
 		Histograms: []string{"lat_ns"},
-	})
+	}, 8)
 
 	c := reg.Counter("q_total")
 	g := reg.Gauge("depth")
@@ -100,11 +99,11 @@ func TestHistoryBaseline(t *testing.T) {
 	}
 }
 
-// TestHistoryRingBound verifies retention: series never exceed Capacity
-// points and keep the newest.
+// TestHistoryRingBound verifies retention: series never exceed their
+// capacity and keep the newest points.
 func TestHistoryRingBound(t *testing.T) {
 	reg := NewRegistry()
-	h := NewHistory(reg, HistoryConfig{Capacity: 4, Gauges: []string{"g"}})
+	h := newHistory(reg, HistoryConfig{Gauges: []string{"g"}}, 4)
 	g := reg.Gauge("g")
 	for i := 1; i <= 11; i++ {
 		g.Set(float64(i))
@@ -130,11 +129,10 @@ func TestHistoryRingBound(t *testing.T) {
 // scheme is sound.
 func TestHistoryConcurrentReaders(t *testing.T) {
 	reg := NewRegistry()
-	h := NewHistory(reg, HistoryConfig{
-		Capacity: 8,
+	h := newHistory(reg, HistoryConfig{
 		Counters: []string{"c"},
 		Gauges:   []string{"g"},
-	})
+	}, 8)
 	c := reg.Counter("c")
 
 	var wg sync.WaitGroup
@@ -172,7 +170,7 @@ func TestHistoryConcurrentReaders(t *testing.T) {
 // to historySamples points per series.
 func TestFlightDumpEmbedsHistory(t *testing.T) {
 	reg := NewRegistry()
-	h := NewHistory(reg, HistoryConfig{Capacity: 2 * historySamples, Counters: []string{"c"}})
+	h := newHistory(reg, HistoryConfig{Counters: []string{"c"}}, 2*historySamples)
 	c := reg.Counter("c")
 	for i := 0; i < historySamples+10; i++ {
 		c.Inc()

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bytes"
 	"io"
 	"net/http"
 	"runtime"
@@ -62,21 +61,4 @@ func TestServeShutdownLeakFree(t *testing.T) {
 	}
 
 	waitForGoroutines(t, base, "obs.Serve")
-}
-
-// TestProgressStopLeakFree asserts StartProgress's ticker goroutine exits
-// on Stop, including when Stop comes before the first tick.
-func TestProgressStopLeakFree(t *testing.T) {
-	base := runtime.NumGoroutine()
-
-	r := NewRegistry()
-	c := r.Counter("leak_progress_total")
-	for i := 0; i < 5; i++ {
-		var buf bytes.Buffer
-		p := StartProgress(&buf, "probe", c)
-		c.Inc()
-		p.Stop()
-	}
-
-	waitForGoroutines(t, base, "obs.StartProgress")
 }

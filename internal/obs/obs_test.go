@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // Concurrent adds and reads of one counter stay exact: the executor's
@@ -267,34 +266,6 @@ func TestHTTPEndpoint(t *testing.T) {
 	if !strings.Contains(get("/debug/pprof/"), "profile") {
 		t.Fatal("/debug/pprof/ index missing")
 	}
-}
-
-func TestProgressReporting(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("progress_total")
-	var buf bytes.Buffer
-	c.Add(7) // counted before reporting starts: not this run's
-	p := StartProgress(&buf, "mine p1", c)
-	c.Add(100)
-	time.Sleep(progressPeriod * 3 / 2) // one tick
-	p.Stop()
-	p.Stop() // idempotent
-	out := buf.String()
-	// Periodic lines overwritten in place, then the final one.
-	if n := strings.Count(out, "mine p1: 100 matches"); n < 2 {
-		t.Fatalf("want a periodic and a final line, got %d in %q", n, out)
-	}
-	if !strings.HasSuffix(out, "\n") || strings.Count(out, "\n") != 1 {
-		t.Fatalf("only the final line ends in a newline: %q", out)
-	}
-	if strings.Contains(out, "%") || strings.Contains(out, "ETA") {
-		t.Fatalf("progress reports a rate only: %q", out)
-	}
-	// Nil sinks are inert.
-	StartProgress(nil, "x", c).Stop()
-	StartProgress(&buf, "x", nil).Stop()
-	var np *Progress
-	np.Stop()
 }
 
 func TestObserverOrAndDefault(t *testing.T) {

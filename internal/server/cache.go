@@ -60,7 +60,6 @@ type flight struct {
 // only under Server.mu), keeping the admission path's lock story to one
 // lock.
 type resultCache struct {
-	cap     int
 	entries map[cacheKey]*list.Element
 	lru     *list.List // front = most recent; values are *cacheEntry
 	flights map[cacheKey]*flight
@@ -71,9 +70,8 @@ type cacheEntry struct {
 	res *QueryResult
 }
 
-func newResultCache(capacity int) *resultCache {
+func newResultCache() *resultCache {
 	return &resultCache{
-		cap:     capacity,
 		entries: make(map[cacheKey]*list.Element),
 		lru:     list.New(),
 		flights: make(map[cacheKey]*flight),
@@ -82,9 +80,6 @@ func newResultCache(capacity int) *resultCache {
 
 // get returns the cached result for key, refreshing its recency.
 func (c *resultCache) get(key cacheKey) (*QueryResult, bool) {
-	if c.cap <= 0 {
-		return nil, false
-	}
 	el, ok := c.entries[key]
 	if !ok {
 		return nil, false
@@ -103,18 +98,15 @@ func (c *resultCache) source(key cacheKey) (*QueryResult, *flight) {
 }
 
 // put stores a successful result, evicting the least-recently-used entry
-// beyond capacity.
+// beyond cacheEntries.
 func (c *resultCache) put(key cacheKey, res *QueryResult) {
-	if c.cap <= 0 {
-		return
-	}
 	if el, ok := c.entries[key]; ok {
 		el.Value.(*cacheEntry).res = res
 		c.lru.MoveToFront(el)
 		return
 	}
 	c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, res: res})
-	for c.lru.Len() > c.cap {
+	for c.lru.Len() > cacheEntries {
 		oldest := c.lru.Back()
 		c.lru.Remove(oldest)
 		delete(c.entries, oldest.Value.(*cacheEntry).key)

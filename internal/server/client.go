@@ -31,12 +31,10 @@ type Client struct {
 	// responses aren't cut off mid-read.
 	HTTP *http.Client
 	// Retries caps retry attempts after the first try (0 = no retries).
+	// The first retry waits retryBackoff, each further one twice as long
+	// up to retryBackoffCap; jitter (±50%) decorrelates synchronized
+	// clients, and the server's retry-after hint, when larger, wins.
 	Retries int
-	// Backoff is the first retry delay; each retry doubles it up to
-	// BackoffCap. Jitter (±50%) decorrelates synchronized clients. The
-	// server's retry-after hint, when larger, wins.
-	Backoff    time.Duration
-	BackoffCap time.Duration
 	// OnEvent observes stream progress events (queued, started) as they
 	// arrive; nil ignores them.
 	OnEvent func(StreamEvent)
@@ -54,17 +52,11 @@ func (c *Client) http() *http.Client {
 	return http.DefaultClient
 }
 
-func (c *Client) backoff() (first, cap time.Duration) {
-	first = c.Backoff
-	if first <= 0 {
-		first = 100 * time.Millisecond
-	}
-	cap = c.BackoffCap
-	if cap <= 0 {
-		cap = 5 * time.Second
-	}
-	return first, cap
-}
+// The client's retry delays: the first, and the cap on its doubling.
+const (
+	retryBackoff    = 100 * time.Millisecond
+	retryBackoffCap = 5 * time.Second
+)
 
 // IsRetryable reports whether err is a transient condition worth
 // resending the identical query for: a retryable QueryError or a
@@ -109,7 +101,6 @@ func (c *Client) query(ctx context.Context, req QueryRequest) (*QueryResult, int
 	if err != nil {
 		return nil, 0, fmt.Errorf("server: encode request: %w", err)
 	}
-	first, capd := c.backoff()
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -126,12 +117,12 @@ func (c *Client) query(ctx context.Context, req QueryRequest) (*QueryResult, int
 		if attempt >= c.Retries || !IsRetryable(err) {
 			return nil, attempt + 1, err
 		}
-		d := first << uint(attempt)
-		if d > capd || d <= 0 {
-			d = capd
+		d := retryBackoff << uint(attempt)
+		if d > retryBackoffCap || d <= 0 {
+			d = retryBackoffCap
 		}
-		if d = c.jitter(d); d > capd {
-			d = capd
+		if d = c.jitter(d); d > retryBackoffCap {
+			d = retryBackoffCap
 		}
 		var qe *QueryError
 		if errors.As(err, &qe) && qe.RetryAfter > d {
@@ -146,7 +137,7 @@ func (c *Client) query(ctx context.Context, req QueryRequest) (*QueryResult, int
 }
 
 // jitter spreads d over [d/2, 3d/2) so synchronized clients decorrelate;
-// the retry loop clamps the result to BackoffCap so the documented cap
+// the retry loop clamps the result to retryBackoffCap so the documented cap
 // holds.
 func (c *Client) jitter(d time.Duration) time.Duration {
 	if d <= 1 {

@@ -124,14 +124,14 @@ type Health struct {
 	Edges      uint64 `json:"graph_edges"`
 }
 
-// clampDeadline resolves a request deadline against server defaults.
-func clampDeadline(req time.Duration, def, max time.Duration) time.Duration {
-	d := req
-	if d <= 0 {
-		d = def
+// clampDeadline resolves a request deadline: none means defaultDeadline,
+// and no request runs longer than maxDeadline.
+func clampDeadline(req time.Duration) time.Duration {
+	switch {
+	case req <= 0:
+		return defaultDeadline
+	case req > maxDeadline:
+		return maxDeadline
 	}
-	if max > 0 && (d <= 0 || d > max) {
-		d = max
-	}
-	return d
+	return req
 }

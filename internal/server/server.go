@@ -70,12 +70,23 @@ var rejectMetric = map[Code]string{
 	CodeInternal:       "server_reject_internal_total",
 }
 
+// Serving constants: the values every deployment runs with.
+const (
+	// defaultEngine mines requests that name no engine.
+	defaultEngine = "peregrine"
+	// defaultDeadline applies when a request carries none; maxDeadline
+	// clamps what a request may ask for.
+	defaultDeadline = 30 * time.Second
+	maxDeadline     = 5 * time.Minute
+	// retryAfter is the hint attached to retryable rejections.
+	retryAfter = 250 * time.Millisecond
+	// cacheEntries bounds the result cache.
+	cacheEntries = 256
+)
+
 // Config tunes the server. The zero value is usable: Defaults fills
 // every knob with a production-shaped default.
 type Config struct {
-	// Engine is the default matching engine name (peregrine, autozero,
-	// graphpi, bigjoin); requests may override per query.
-	Engine string
 	// Threads is the per-query engine worker count (0 = GOMAXPROCS).
 	Threads int
 	// MaxInFlight is the worker-pool size: at most this many queries
@@ -96,20 +107,10 @@ type Config struct {
 	// (over_budget); one that merely doesn't fit *now* is rejected
 	// retryably (overloaded).
 	AdmissionBudget uint64
-	// DefaultDeadline applies when a request carries none; MaxDeadline
-	// clamps what a request may ask for.
-	DefaultDeadline time.Duration
-	MaxDeadline     time.Duration
 	// DrainTimeout bounds graceful drain: queries still running that
 	// long after drain starts are canceled (they return marked partial
 	// results).
 	DrainTimeout time.Duration
-	// RetryAfter is the hint attached to retryable rejections.
-	RetryAfter time.Duration
-	// CacheSize bounds the result cache (entries). 0 means the default
-	// (256); a negative value disables caching and single-flight
-	// coalescing.
-	CacheSize int
 	// Obs is the observability sink (nil = obs.Default()).
 	Obs *obs.Observer
 	// Flight is the per-query flight-recorder policy (nil = default).
@@ -117,41 +118,27 @@ type Config struct {
 	// through this policy also embed the recent time series (the policy's
 	// History field is filled in if unset).
 	Flight *obs.FlightPolicy
-	// SLO declares the serving objectives scored on /slo; zero fields
-	// take the defaults documented on SLOConfig.
-	SLO SLOConfig
+	// SLOWindow is the rolling window /slo computes burn rates over
+	// (0 = 5m).
+	SLOWindow time.Duration
 	// SampleInterval is the History sampler period backing /timeseries:
 	// 0 means one second, negative disables sampling.
 	SampleInterval time.Duration
-	// HistoryCapacity is the points retained per series (0 = 360).
-	HistoryCapacity int
 }
 
 // Defaults fills zero fields with production-shaped values.
 func (c Config) Defaults() Config {
-	if c.Engine == "" {
-		c.Engine = "peregrine"
-	}
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 4
 	}
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 64
 	}
-	if c.DefaultDeadline <= 0 {
-		c.DefaultDeadline = 30 * time.Second
-	}
-	if c.MaxDeadline <= 0 {
-		c.MaxDeadline = 5 * time.Minute
-	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 10 * time.Second
 	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = 250 * time.Millisecond
-	}
-	if c.CacheSize == 0 {
-		c.CacheSize = 256
+	if c.SLOWindow <= 0 {
+		c.SLOWindow = 5 * time.Minute
 	}
 	return c
 }
@@ -262,9 +249,6 @@ type Server struct {
 // New builds a server over g and starts its worker pool.
 func New(g graph.Adjacency, cfg Config) (*Server, error) {
 	cfg = cfg.Defaults()
-	if err := engines.Check(cfg.Engine); err != nil {
-		return nil, fmt.Errorf("server: default engine: %w", err)
-	}
 	s := &Server{
 		cfg:      cfg,
 		o:        obs.Or(cfg.Obs),
@@ -274,13 +258,12 @@ func New(g graph.Adjacency, cfg Config) (*Server, error) {
 		admitted: make(map[*task]struct{}),
 		settled:  make(chan struct{}),
 		clients:  make(map[string]int),
-		cache:    newResultCache(cfg.CacheSize),
+		cache:    newResultCache(),
+		slo:      newSLOTracker(cfg.SLOWindow, sloLatencyObjective),
 	}
-	s.slo = newSLOTracker(cfg.SLO)
 	if cfg.SampleInterval >= 0 {
 		s.hist = obs.NewHistory(s.o.Metrics, obs.HistoryConfig{
 			Interval: cfg.SampleInterval, // 0 → History's 1s default
-			Capacity: cfg.HistoryCapacity,
 			Counters: []string{
 				MetricQueries, MetricRejects, MetricErrors,
 				MetricCacheHits, MetricCacheMisses, MetricCoalesced,
@@ -366,7 +349,7 @@ func (s *Server) prepare(t *task) *QueryError {
 	}
 	engName := req.Engine
 	if engName == "" {
-		engName = s.cfg.Engine
+		engName = defaultEngine
 	}
 	// Only the name is checked here: most requests hit, coalesce or are
 	// rejected, and the engine is built where a task runs (see engine).
@@ -382,7 +365,7 @@ func (s *Server) prepare(t *task) *QueryError {
 		}
 		t.patterns[i], t.codec[i] = p, p.String()
 	}
-	t.cacheable = s.cfg.CacheSize > 0 && !req.NoCache && !req.Explain
+	t.cacheable = !req.NoCache && !req.Explain
 	t.key = cacheKey{
 		patterns: patternSetID(t.patterns),
 		app:      t.app,
@@ -528,7 +511,7 @@ func (s *Server) step(t *task, to state, res *QueryResult, qerr *QueryError) sta
 
 // retryable builds a capacity rejection carrying the retry-after hint.
 func (s *Server) retryable(code Code, format string, args ...any) *QueryError {
-	return errf(code, format, args...).withRetryAfter(s.cfg.RetryAfter)
+	return errf(code, format, args...).withRetryAfter(retryAfter)
 }
 
 // reject counts a typed rejection and returns it.
@@ -733,8 +716,7 @@ func (s *Server) Submit(ctx context.Context, req *QueryRequest, client string, e
 		client = "anonymous"
 	}
 	t := &task{req: req, client: client, t0: time.Now(), events: make(chan StreamEvent, 4), done: make(chan struct{})}
-	t.ctx, t.cancel = context.WithTimeout(ctx, clampDeadline(time.Duration(req.DeadlineMS)*time.Millisecond,
-		s.cfg.DefaultDeadline, s.cfg.MaxDeadline))
+	t.ctx, t.cancel = context.WithTimeout(ctx, clampDeadline(time.Duration(req.DeadlineMS)*time.Millisecond))
 	if qerr := s.prepare(t); qerr != nil {
 		s.step(t, stTerminal, nil, qerr)
 		return nil, qerr

@@ -235,7 +235,7 @@ func TestOverBudgetFatal(t *testing.T) {
 // then checks the third query bounces with a retryable queue_full and a
 // retry-after hint rather than buffering without bound.
 func TestQueueFullBackpressure(t *testing.T) {
-	s := newTestServer(t, Config{MaxInFlight: 1, MaxQueue: 1, CacheSize: -1, RetryAfter: 123 * time.Millisecond})
+	s := newTestServer(t, Config{MaxInFlight: 1, MaxQueue: 1})
 	block := make(chan struct{})
 	started := make(chan struct{}, 8)
 	s.testExec = func(t *task) (*QueryResult, *QueryError) {
@@ -244,7 +244,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 		return fixedResult(t), nil
 	}
 
-	req := func() *QueryRequest { return &QueryRequest{Patterns: []string{"triangle"}} }
+	req := func() *QueryRequest { return &QueryRequest{Patterns: []string{"triangle"}, NoCache: true} }
 	var wg sync.WaitGroup
 	wg.Add(2)
 	for i := 0; i < 2; i++ {
@@ -264,8 +264,8 @@ func TestQueueFullBackpressure(t *testing.T) {
 	if qerr == nil || qerr.Code != CodeQueueFull {
 		t.Fatalf("third query got %v, want queue_full", qerr)
 	}
-	if !qerr.Retryable || qerr.RetryAfter != 123*time.Millisecond {
-		t.Errorf("queue_full must be retryable with the hint, got retryable=%v after=%v",
+	if !qerr.Retryable || qerr.RetryAfter != 250*time.Millisecond {
+		t.Errorf("queue_full must be retryable with the 250ms hint, got retryable=%v after=%v",
 			qerr.Retryable, qerr.RetryAfter)
 	}
 
@@ -276,7 +276,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 // TestPerClientQuota: one tenant at its quota is rejected retryably
 // while another tenant still gets in (fairness isolation).
 func TestPerClientQuota(t *testing.T) {
-	s := newTestServer(t, Config{MaxInFlight: 2, PerClientInFlight: 1, CacheSize: -1})
+	s := newTestServer(t, Config{MaxInFlight: 2, PerClientInFlight: 1})
 	block := make(chan struct{})
 	started := make(chan struct{}, 8)
 	s.testExec = func(t *task) (*QueryResult, *QueryError) {
@@ -289,13 +289,13 @@ func TestPerClientQuota(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if _, qerr := s.Submit(context.Background(), &QueryRequest{Patterns: []string{"triangle"}}, "alice", nil); qerr != nil {
+		if _, qerr := s.Submit(context.Background(), &QueryRequest{Patterns: []string{"triangle"}, NoCache: true}, "alice", nil); qerr != nil {
 			t.Errorf("alice's first query failed: %v", qerr)
 		}
 	}()
 	<-started
 
-	_, qerr := s.Submit(context.Background(), &QueryRequest{Patterns: []string{"4-cycle"}}, "alice", nil)
+	_, qerr := s.Submit(context.Background(), &QueryRequest{Patterns: []string{"4-cycle"}, NoCache: true}, "alice", nil)
 	if qerr == nil || qerr.Code != CodeQuotaExhausted || !qerr.Retryable {
 		t.Fatalf("alice's second query got %v, want retryable quota_exhausted", qerr)
 	}
@@ -303,7 +303,7 @@ func TestPerClientQuota(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if _, qerr := s.Submit(context.Background(), &QueryRequest{Patterns: []string{"4-cycle"}}, "bob", nil); qerr != nil {
+		if _, qerr := s.Submit(context.Background(), &QueryRequest{Patterns: []string{"4-cycle"}, NoCache: true}, "bob", nil); qerr != nil {
 			t.Errorf("bob's query failed behind alice's quota: %v", qerr)
 		}
 	}()
@@ -313,7 +313,7 @@ func TestPerClientQuota(t *testing.T) {
 	wg.Wait()
 
 	// Quota released on settle: alice can query again.
-	if _, qerr := s.Submit(context.Background(), &QueryRequest{Patterns: []string{"triangle"}}, "alice", nil); qerr != nil {
+	if _, qerr := s.Submit(context.Background(), &QueryRequest{Patterns: []string{"triangle"}, NoCache: true}, "alice", nil); qerr != nil {
 		t.Fatalf("alice still quota-blocked after her query settled: %v", qerr)
 	}
 }
@@ -496,7 +496,7 @@ func TestSingleFlight(t *testing.T) {
 // TestDeadlineWhileQueued: a query whose deadline expires before a
 // worker frees up gets the typed deadline error without ever mining.
 func TestDeadlineWhileQueued(t *testing.T) {
-	s := newTestServer(t, Config{MaxInFlight: 1, MaxQueue: 4, CacheSize: -1})
+	s := newTestServer(t, Config{MaxInFlight: 1, MaxQueue: 4})
 	block := make(chan struct{})
 	started := make(chan struct{}, 1)
 	s.testExec = func(t *task) (*QueryResult, *QueryError) {
@@ -509,7 +509,7 @@ func TestDeadlineWhileQueued(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		s.Submit(context.Background(), &QueryRequest{Patterns: []string{"triangle"}}, "", nil)
+		s.Submit(context.Background(), &QueryRequest{Patterns: []string{"triangle"}, NoCache: true}, "", nil)
 	}()
 	<-started
 
@@ -520,7 +520,7 @@ func TestDeadlineWhileQueued(t *testing.T) {
 	ch := make(chan outcome, 1)
 	go func() {
 		_, qerr := s.Submit(context.Background(),
-			&QueryRequest{Patterns: []string{"4-cycle"}, DeadlineMS: 30}, "", nil)
+			&QueryRequest{Patterns: []string{"4-cycle"}, DeadlineMS: 30, NoCache: true}, "", nil)
 		ch <- outcome{qerr}
 	}()
 	waitUntil(t, "the deadlined query to queue", func() bool { q, _ := queueState(s); return q == 1 })
@@ -537,6 +537,38 @@ func TestDeadlineWhileQueued(t *testing.T) {
 	wg.Wait()
 }
 
+// TestDeadlinePolicy: a request without a deadline runs under the 30 s
+// default, one asking for more than 5 min is clamped to 5 min, and one
+// asking for less keeps its own.
+func TestDeadlinePolicy(t *testing.T) {
+	s := newTestServer(t, Config{})
+	var left time.Duration
+	s.testExec = func(t *task) (*QueryResult, *QueryError) {
+		dl, _ := t.ctx.Deadline()
+		left = dl.Sub(t.t0)
+		return fixedResult(t), nil
+	}
+	for _, c := range []struct {
+		ask, want time.Duration
+	}{
+		{0, 30 * time.Second},
+		{10 * time.Minute, 5 * time.Minute},
+		{2 * time.Second, 2 * time.Second},
+	} {
+		if got := clampDeadline(c.ask); got != c.want {
+			t.Errorf("clampDeadline(%v) = %v, want %v", c.ask, got, c.want)
+		}
+		req := &QueryRequest{Patterns: []string{"triangle"}, DeadlineMS: c.ask.Milliseconds(), NoCache: true}
+		if _, qerr := s.Submit(context.Background(), req, "", nil); qerr != nil {
+			t.Fatal(qerr)
+		}
+		// The deadline is set a moment after t0 is stamped.
+		if left < c.want || left > c.want+time.Second {
+			t.Errorf("a request asking for %v ran under %v, want %v", c.ask, left, c.want)
+		}
+	}
+}
+
 // TestDrainWithStragglers: drain stops admission (typed retryable
 // rejection), waits, then cancels stragglers at the drain deadline; the
 // stragglers' clients receive typed errors with marked partial counts,
@@ -544,7 +576,7 @@ func TestDeadlineWhileQueued(t *testing.T) {
 func TestDrainWithStragglers(t *testing.T) {
 	base := runtime.NumGoroutine()
 	s := func() *Server {
-		cfg := Config{MaxInFlight: 1, MaxQueue: 4, CacheSize: -1,
+		cfg := Config{MaxInFlight: 1, MaxQueue: 4,
 			DrainTimeout: 50 * time.Millisecond,
 			Obs:          &obs.Observer{Metrics: obs.NewRegistry()}}
 		s, err := New(chordRing(64), cfg)
@@ -573,7 +605,7 @@ func TestDrainWithStragglers(t *testing.T) {
 	outcomes := make(chan outcome, 2)
 	for i, p := range []string{"triangle", "4-cycle"} {
 		go func(p string) {
-			res, qerr := s.Submit(context.Background(), &QueryRequest{Patterns: []string{p}}, "", nil)
+			res, qerr := s.Submit(context.Background(), &QueryRequest{Patterns: []string{p}, NoCache: true}, "", nil)
 			outcomes <- outcome{res, qerr}
 		}(p)
 		if i == 0 {
@@ -591,7 +623,7 @@ func TestDrainWithStragglers(t *testing.T) {
 	waitUntil(t, "drain to start", s.Draining)
 
 	// Admission is closed: new queries bounce retryably.
-	_, qerr := s.Submit(context.Background(), &QueryRequest{Patterns: []string{"triangle"}}, "", nil)
+	_, qerr := s.Submit(context.Background(), &QueryRequest{Patterns: []string{"triangle"}, NoCache: true}, "", nil)
 	if qerr == nil || qerr.Code != CodeDraining || !qerr.Retryable {
 		t.Fatalf("query during drain got %v, want retryable draining", qerr)
 	}
@@ -639,13 +671,13 @@ func TestDrainWithStragglers(t *testing.T) {
 // mid-mining, and checks the failure is contained to that query: typed
 // panic error out, worker pool intact, next query fine.
 func TestPanicIsolation(t *testing.T) {
-	s := newTestServer(t, Config{MaxInFlight: 1, CacheSize: -1})
+	s := newTestServer(t, Config{MaxInFlight: 1})
 
 	disarm, err := faultinject.Arm(faultinject.Config{PanicAtMatch: 1, PanicMessage: "chaos probe"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, qerr := s.Submit(context.Background(), &QueryRequest{Patterns: []string{"triangle"}}, "", nil)
+	_, qerr := s.Submit(context.Background(), &QueryRequest{Patterns: []string{"triangle"}, NoCache: true}, "", nil)
 	disarm()
 	if qerr == nil || qerr.Code != CodePanic {
 		t.Fatalf("panicking query got %v, want the typed panic error", qerr)
@@ -658,7 +690,7 @@ func TestPanicIsolation(t *testing.T) {
 	}
 
 	// The worker survived: the same server still answers.
-	res, qerr := s.Submit(context.Background(), &QueryRequest{Patterns: []string{"triangle"}}, "", nil)
+	res, qerr := s.Submit(context.Background(), &QueryRequest{Patterns: []string{"triangle"}, NoCache: true}, "", nil)
 	if qerr != nil {
 		t.Fatalf("server broken after a contained panic: %v", qerr)
 	}
@@ -671,14 +703,14 @@ func TestPanicIsolation(t *testing.T) {
 // (here the test seam) is caught by the server's own recover, not just
 // the engines' per-worker containment.
 func TestPanicOutsideEngineContainment(t *testing.T) {
-	s := newTestServer(t, Config{CacheSize: -1})
+	s := newTestServer(t, Config{})
 	s.testExec = func(t *task) (*QueryResult, *QueryError) { panic("serving-layer bug") }
-	_, qerr := s.Submit(context.Background(), &QueryRequest{Patterns: []string{"triangle"}}, "", nil)
+	_, qerr := s.Submit(context.Background(), &QueryRequest{Patterns: []string{"triangle"}, NoCache: true}, "", nil)
 	if qerr == nil || qerr.Code != CodePanic {
 		t.Fatalf("got %v, want panic", qerr)
 	}
 	s.testExec = nil
-	if _, qerr := s.Submit(context.Background(), &QueryRequest{Patterns: []string{"triangle"}}, "", nil); qerr != nil {
+	if _, qerr := s.Submit(context.Background(), &QueryRequest{Patterns: []string{"triangle"}, NoCache: true}, "", nil); qerr != nil {
 		t.Fatalf("worker pool did not survive the panic: %v", qerr)
 	}
 }
@@ -713,13 +745,19 @@ func TestClientRetryBackoff(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c := &Client{Base: ts.URL, Retries: 5, Backoff: time.Millisecond, BackoffCap: 5 * time.Millisecond}
+	c := &Client{Base: ts.URL, Retries: 5}
+	start := time.Now()
 	res, attempts, err := c.QueryAttempts(context.Background(), QueryRequest{Patterns: []string{"triangle"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if attempts != 3 || res.Counts[0] != 7 {
 		t.Fatalf("attempts=%d counts=%v, want 3 attempts reaching the scripted answer", attempts, res.Counts)
+	}
+	// The waits were 100 ms and 200 ms, each jittered down by at most half:
+	// the server's 1 ms hint is smaller, so the client's backoff decided.
+	if took := time.Since(start); took < 150*time.Millisecond {
+		t.Fatalf("two retries took %v, want at least the jittered 100 ms + 200 ms backoff", took)
 	}
 
 	// A fatal rejection must not be retried.
@@ -731,7 +769,7 @@ func TestClientRetryBackoff(t *testing.T) {
 		fail(w, CodeOverBudget, 0)
 	}))
 	defer tsFatal.Close()
-	cf := &Client{Base: tsFatal.URL, Retries: 5, Backoff: time.Millisecond}
+	cf := &Client{Base: tsFatal.URL, Retries: 5}
 	_, attempts, err = cf.QueryAttempts(context.Background(), QueryRequest{Patterns: []string{"triangle"}})
 	qe, ok := AsQueryError(err)
 	if !ok || qe.Code != CodeOverBudget {
@@ -784,7 +822,7 @@ func TestCountOverflowIsFatal(t *testing.T) {
 // HTTP status with a Retry-After header, and the client rehydrates the
 // typed error.
 func TestRejectionOverWire(t *testing.T) {
-	s := newTestServer(t, Config{AdmissionBudget: 1, RetryAfter: 2 * time.Second})
+	s := newTestServer(t, Config{AdmissionBudget: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

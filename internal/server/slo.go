@@ -21,53 +21,28 @@ const (
 
 var sloPhaseNames = [sloPhases]string{"admit", "queue", "mine", "total"}
 
-// SLOConfig declares the serving objectives the tracker scores against.
-type SLOConfig struct {
-	// Window is the rolling window burn rates are computed over
-	// (default 5m).
-	Window time.Duration
-	// Buckets is the ring granularity inside the window (default 30):
-	// observations age out one bucket (Window/Buckets) at a time.
-	Buckets int
-	// LatencyObjective is the per-phase latency target: an observation
-	// over this duration is "bad" for its phase (default 1s). One
-	// objective applies to every phase — the per-phase burn rates then
-	// attribute WHICH phase is burning the budget.
-	LatencyObjective time.Duration
-	// LatencyGoal is the fraction of observations that must meet the
-	// objective (default 0.99, i.e. a 1% latency error budget).
-	LatencyGoal float64
-	// ErrorGoal is the maximum acceptable fraction of failed queries
-	// (default 0.01). Client-caused rejections (bad_request) don't
-	// count; everything else — including load-shed rejections and
-	// deadline kills — spends the availability budget.
-	ErrorGoal float64
-	// MaxTenants bounds per-tenant tracking (default 32); observations
-	// from tenants beyond the cap aggregate under "~other".
-	MaxTenants int
-}
-
-func (c SLOConfig) withDefaults() SLOConfig {
-	if c.Window <= 0 {
-		c.Window = 5 * time.Minute
-	}
-	if c.Buckets <= 0 {
-		c.Buckets = 30
-	}
-	if c.LatencyObjective <= 0 {
-		c.LatencyObjective = time.Second
-	}
-	if c.LatencyGoal <= 0 || c.LatencyGoal >= 1 {
-		c.LatencyGoal = 0.99
-	}
-	if c.ErrorGoal <= 0 || c.ErrorGoal >= 1 {
-		c.ErrorGoal = 0.01
-	}
-	if c.MaxTenants <= 0 {
-		c.MaxTenants = 32
-	}
-	return c
-}
+// The serving objectives the tracker scores against. One latency
+// objective applies to every phase: the per-phase burn rates then
+// attribute WHICH phase is burning the budget.
+const (
+	// sloBuckets is the ring granularity inside the window: observations
+	// age out one bucket (window/sloBuckets) at a time.
+	sloBuckets = 30
+	// sloLatencyObjective is the per-phase latency target: an observation
+	// over it is "bad" for its phase.
+	sloLatencyObjective = time.Second
+	// sloLatencyGoal is the fraction of observations that must meet the
+	// objective (a 1% latency error budget).
+	sloLatencyGoal = 0.99
+	// sloErrorGoal is the maximum acceptable fraction of failed queries.
+	// Client-caused rejections (bad_request) don't count; everything else
+	// — including load-shed rejections and deadline kills — spends the
+	// availability budget.
+	sloErrorGoal = 0.01
+	// sloMaxTenants bounds per-tenant tracking; observations from tenants
+	// beyond it aggregate under sloOverflowTenant.
+	sloMaxTenants = 32
+)
 
 // sloBucket aggregates the observations of one time slice.
 type sloBucket struct {
@@ -157,24 +132,27 @@ func (r *sloRing) sum(now int64, windowNS int64) sloBucket {
 // allows"; sustained values above 1 exhaust the budget early and are
 // what alerts page on.
 type sloTracker struct {
-	cfg     SLOConfig
-	widthNS int64
+	window    time.Duration
+	objective time.Duration
+	widthNS   int64
 
 	mu      sync.Mutex
 	global  *sloRing
 	tenants map[string]*sloRing
 }
 
-// sloOverflowTenant aggregates tenants beyond the MaxTenants cap.
+// sloOverflowTenant aggregates tenants beyond the sloMaxTenants cap.
 const sloOverflowTenant = "~other"
 
-func newSLOTracker(cfg SLOConfig) *sloTracker {
-	cfg = cfg.withDefaults()
+// newSLOTracker scores over a rolling window against a per-phase latency
+// objective (sloLatencyObjective outside tests).
+func newSLOTracker(window, objective time.Duration) *sloTracker {
 	return &sloTracker{
-		cfg:     cfg,
-		widthNS: int64(cfg.Window) / int64(cfg.Buckets),
-		global:  newSLORing(cfg.Buckets),
-		tenants: make(map[string]*sloRing),
+		window:    window,
+		objective: objective,
+		widthNS:   int64(window) / sloBuckets,
+		global:    newSLORing(sloBuckets),
+		tenants:   make(map[string]*sloRing),
 	}
 }
 
@@ -184,18 +162,18 @@ func (tr *sloTracker) observe(now time.Time, tenant string, d [sloPhases]time.Du
 		return
 	}
 	t := now.UnixNano()
-	objNS := int64(tr.cfg.LatencyObjective)
+	objNS := int64(tr.objective)
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
 	tr.global.observe(t, tr.widthNS, objNS, d, valid, failed)
 	ring := tr.tenants[tenant]
 	if ring == nil {
-		if len(tr.tenants) >= tr.cfg.MaxTenants {
+		if len(tr.tenants) >= sloMaxTenants {
 			tenant = sloOverflowTenant
 			ring = tr.tenants[tenant]
 		}
 		if ring == nil {
-			ring = newSLORing(tr.cfg.Buckets)
+			ring = newSLORing(sloBuckets)
 			tr.tenants[tenant] = ring
 		}
 	}
@@ -247,25 +225,24 @@ type SLOStatus struct {
 
 // Status folds the window ending at now into the scorecard.
 func (tr *sloTracker) Status(now time.Time) SLOStatus {
-	cfg := tr.cfg
 	out := SLOStatus{
-		WindowNS:           int64(cfg.Window),
-		LatencyObjectiveNS: int64(cfg.LatencyObjective),
-		LatencyGoal:        cfg.LatencyGoal,
-		ErrorGoal:          cfg.ErrorGoal,
+		WindowNS:           int64(tr.window),
+		LatencyObjectiveNS: int64(tr.objective),
+		LatencyGoal:        sloLatencyGoal,
+		ErrorGoal:          sloErrorGoal,
 		Phases:             make(map[string]SLOPhase, sloPhases),
 	}
 	t := now.UnixNano()
-	latBudget := 1 - cfg.LatencyGoal
+	latBudget := 1 - sloLatencyGoal
 
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	g := tr.global.sum(t, int64(cfg.Window))
+	g := tr.global.sum(t, int64(tr.window))
 	out.Total = g.total
 	out.Errors = g.errs
 	if g.total > 0 {
 		out.ErrorRate = float64(g.errs) / float64(g.total)
-		out.ErrorBurnRate = out.ErrorRate / cfg.ErrorGoal
+		out.ErrorBurnRate = out.ErrorRate / sloErrorGoal
 	}
 	out.BurnRate = out.ErrorBurnRate
 	for i := 0; i < sloPhases; i++ {
@@ -283,13 +260,13 @@ func (tr *sloTracker) Status(now time.Time) SLOStatus {
 	if len(tr.tenants) > 0 {
 		out.Tenants = make(map[string]SLOTenant, len(tr.tenants))
 		for name, ring := range tr.tenants {
-			b := ring.sum(t, int64(cfg.Window))
+			b := ring.sum(t, int64(tr.window))
 			if b.total == 0 {
 				continue
 			}
 			tn := SLOTenant{Total: b.total, Errors: b.errs}
 			tn.ErrorRate = float64(b.errs) / float64(b.total)
-			tn.ErrorBurnRate = tn.ErrorRate / cfg.ErrorGoal
+			tn.ErrorBurnRate = tn.ErrorRate / sloErrorGoal
 			if b.count[sloTotal] > 0 {
 				tn.LatencyBurnRate = (float64(b.over[sloTotal]) / float64(b.count[sloTotal])) / latBudget
 			}

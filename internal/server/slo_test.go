@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -27,13 +28,7 @@ func sloObs(total time.Duration) ([sloPhases]time.Duration, [sloPhases]bool) {
 // budget), 10 bad out of 110 queries burns at ~9x budget; once the
 // window slides past the trace, the burn returns to zero.
 func TestSLOBurnRate(t *testing.T) {
-	tr := newSLOTracker(SLOConfig{
-		Window:           10 * time.Second,
-		Buckets:          10,
-		LatencyObjective: 100 * time.Millisecond,
-		LatencyGoal:      0.99,
-		ErrorGoal:        0.01,
-	})
+	tr := newSLOTracker(10*time.Second, 100*time.Millisecond)
 	base := time.Unix(1000, 0)
 
 	// Before any traffic: a zero scorecard, not NaN.
@@ -101,24 +96,25 @@ func TestSLOBurnRate(t *testing.T) {
 }
 
 // TestSLOTenantOverflow verifies the per-tenant cap: tenants beyond
-// MaxTenants aggregate under the overflow bucket instead of growing the
+// sloMaxTenants aggregate under the overflow bucket instead of growing the
 // map without bound.
 func TestSLOTenantOverflow(t *testing.T) {
-	tr := newSLOTracker(SLOConfig{MaxTenants: 2})
+	tr := newSLOTracker(5*time.Minute, sloLatencyObjective)
 	base := time.Unix(1000, 0)
 	d, valid := sloObs(time.Millisecond)
-	for _, tenant := range []string{"a", "b", "c", "d", "e"} {
-		tr.observe(base, tenant, d, valid, false)
+	const extra = 3
+	for i := 0; i < sloMaxTenants+extra; i++ {
+		tr.observe(base, fmt.Sprintf("tenant-%d", i), d, valid, false)
 	}
 	st := tr.Status(base)
-	if len(st.Tenants) != 3 {
-		t.Fatalf("tenant map %v, want a, b and %s", st.Tenants, sloOverflowTenant)
+	if len(st.Tenants) != sloMaxTenants+1 {
+		t.Fatalf("%d tenants tracked, want %d and %s", len(st.Tenants), sloMaxTenants, sloOverflowTenant)
 	}
-	if ov := st.Tenants[sloOverflowTenant]; ov.Total != 3 {
-		t.Fatalf("overflow tenant total = %d, want 3 (c, d, e)", ov.Total)
+	if ov := st.Tenants[sloOverflowTenant]; ov.Total != extra {
+		t.Fatalf("overflow tenant total = %d, want %d", ov.Total, extra)
 	}
-	if st.Total != 5 {
-		t.Fatalf("global total = %d, want 5", st.Total)
+	if st.Total != sloMaxTenants+extra {
+		t.Fatalf("global total = %d, want %d", st.Total, sloMaxTenants+extra)
 	}
 }
 
@@ -126,7 +122,7 @@ func TestSLOTenantOverflow(t *testing.T) {
 // a full window later resets the stale bucket rather than double
 // counting into it.
 func TestSLOBucketAging(t *testing.T) {
-	tr := newSLOTracker(SLOConfig{Window: 10 * time.Second, Buckets: 10})
+	tr := newSLOTracker(10*time.Second, sloLatencyObjective)
 	base := time.Unix(1000, 0)
 	d, valid := sloObs(time.Millisecond)
 	tr.observe(base, "a", d, valid, false)
@@ -142,12 +138,11 @@ func TestSLOBucketAging(t *testing.T) {
 // scorecard that saw the traffic, /timeseries serves non-empty ring
 // buffers for the phase histograms and query counters.
 func TestSLOAndTimeseriesEndpoints(t *testing.T) {
-	s := newTestServer(t, Config{
-		MaxInFlight: 2,
-		// A tight objective so the test can assert burn > 0: every query
-		// is "slow" relative to 1ns.
-		SLO: SLOConfig{LatencyObjective: time.Nanosecond},
-	})
+	s := newTestServer(t, Config{MaxInFlight: 2})
+	// A tight objective so the test can assert burn > 0: every query is
+	// "slow" relative to 1ns. No query has run yet, so nothing reads the
+	// tracker being replaced.
+	s.slo = newSLOTracker(s.cfg.SLOWindow, time.Nanosecond)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
